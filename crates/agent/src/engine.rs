@@ -15,9 +15,9 @@
 //! The pieces:
 //!
 //! * [`ExecutionBackend`] — "compile this workflow and run it", the one
-//!   seam the live scheduler, the legacy thread-per-agent backend and the
-//!   virtual-time simulator all implement. Future backends (async
-//!   brokers, multi-process shards, remote executors) plug in here.
+//!   seam the live scheduler and the virtual-time simulator both
+//!   implement. Future backends (async brokers, multi-process shards,
+//!   remote executors) plug in here.
 //! * [`RunHandle`] — a launched run: event subscription
 //!   ([`RunHandle::events`]), observation, fault injection, first-class
 //!   cancellation ([`RunHandle::cancel`]) and deadline enforcement
@@ -314,10 +314,10 @@ struct TrackInner {
 }
 
 /// Derives the typed [`RunEvent`] stream from raw [`StatusUpdate`]s —
-/// the single implementation every backend (live scheduler, legacy
-/// threads, virtual-time sim) feeds, so streams are comparable across
-/// backends. Stale updates from superseded incarnations are dropped, so
-/// per-task streams are monotone: state rank never regresses within an
+/// the single implementation every backend (live scheduler,
+/// virtual-time sim) feeds, so streams are comparable across backends.
+/// Stale updates from superseded incarnations are dropped, so per-task
+/// streams are monotone: state rank never regresses within an
 /// incarnation and incarnations never decrease.
 pub struct RunTracker {
     meta: RunMeta,
@@ -581,7 +581,8 @@ pub struct RunReport {
     /// [`ginflow_mq::metrics::Metrics::snapshot_run`]): per-run publish
     /// counts and bytes, lag drops and topic gauges, collected at
     /// report time. Empty on backends that don't feed the registry
-    /// (sim) and when metrics are disabled (`GINFLOW_MQ_NO_METRICS`).
+    /// (sim) and when metrics are disabled
+    /// ([`ginflow_mq::metrics::set_enabled`]).
     pub metrics: Vec<(String, u64)>,
     /// Per-task detail, keyed by task name (every task of the workflow,
     /// observed or not).
@@ -617,10 +618,10 @@ impl RunReport {
 
 /// Control surface a backend's run object implements; [`RunHandle`] is
 /// the user-facing facade over a boxed instance. Object-safe on purpose:
-/// the scheduler's [`crate::WorkflowRun`], the legacy thread backend and
-/// the simulator's finished-run shim all live behind it.
+/// the scheduler's [`crate::WorkflowRun`] and the simulator's
+/// finished-run shim both live behind it.
 pub trait RunControl: Send + Sync {
-    /// Backend label ("scheduler", "legacy-threads", "sim", …).
+    /// Backend label ("scheduler", "sharded", "sim", …).
     fn backend(&self) -> &'static str;
     /// The run's id (its topic-namespace key).
     fn run_id(&self) -> String;
@@ -814,10 +815,9 @@ impl Drop for RunHandle {
 }
 
 /// An execution vehicle: compiles a workflow and runs it, returning the
-/// unified [`RunHandle`]. Implemented by the event-driven scheduler, the
-/// legacy thread-per-agent backend (both in this crate) and the
-/// virtual-time simulator (`ginflow-sim`); `ginflow-engine` selects
-/// between them behind `Engine::builder()`.
+/// unified [`RunHandle`]. Implemented by the event-driven scheduler
+/// (in this crate) and the virtual-time simulator (`ginflow-sim`);
+/// `ginflow-engine` selects between them behind `Engine::builder()`.
 pub trait ExecutionBackend: Send + Sync {
     /// Backend label for reports and diagnostics.
     fn name(&self) -> &'static str;

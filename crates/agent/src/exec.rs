@@ -1,14 +1,13 @@
-//! Machinery shared by both runtimes (the event-driven
-//! [`crate::scheduler::Scheduler`] and the legacy thread-per-agent
-//! backend): command execution, the status board, and the status
-//! collector loop.
+//! What the [`crate::scheduler::Scheduler`] runs an agent's events
+//! with: command execution, the status board, and the status collector
+//! loop.
 
 use crate::core::{Command, Event, SaCore};
 use crate::engine::{RunTracker, TaskReport};
 use crate::message::StatusUpdate;
 use crate::runtime::WaitError;
 use ginflow_core::{ServiceRegistry, TaskState, Value};
-use ginflow_mq::{Broker, Subscription, TopicNamespace};
+use ginflow_mq::{Broker, MqError, Subscription, TopicNamespace};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -260,6 +259,22 @@ pub(crate) fn status_loop(
 /// Wake this run's status collectors so they can observe their shutdown
 /// flag. The status topic is run-scoped, so other runs on the same
 /// broker never even see the sentinel.
+///
+/// Teardown joins the collector, so the sentinel has to land: a remote
+/// publish whose connection drops under it fails with `Disconnected`
+/// (at-most-once — it is not replayed), and is retried here; the retry
+/// rides out the redial, and a duplicate sentinel is harmless. Any
+/// other error (a daemon that stopped answering) ends the attempts.
 pub(crate) fn publish_shutdown_sentinel(broker: &dyn Broker, ns: &TopicNamespace) {
-    let _ = broker.publish(ns.status(), None, bytes::Bytes::new());
+    for _ in 0..SENTINEL_ATTEMPTS {
+        match broker.publish(ns.status(), None, bytes::Bytes::new()) {
+            Err(MqError::Disconnected) => continue,
+            _ => return,
+        }
+    }
 }
+
+/// Bound on [`publish_shutdown_sentinel`]'s retries: far more than any
+/// reconnect storm loses in a row, few enough to end against a daemon
+/// that accepts connections only to drop them.
+const SENTINEL_ATTEMPTS: usize = 32;

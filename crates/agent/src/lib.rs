@@ -4,13 +4,14 @@
 //! invoke, "a storage place for a local copy of the multiset" and "an HOCL
 //! interpreter that reads and updates the local copy … each time it tries
 //! to apply one of the rules in the subsolution" (§IV-A). This crate
-//! implements the SA logic once and executes it three ways:
+//! implements the SA logic once, as a pure state machine, and gives it
+//! one execution vehicle:
 //!
 //! * [`SaCore`] — a **sans-IO state machine**: events in
 //!   ([`Event::Deliver`], [`Event::ServiceCompleted`]), commands out
 //!   ([`Command::Invoke`], [`Command::Send`], [`Command::Publish`]). It
 //!   owns the local solution and the HOCL engine and nothing else, so the
-//!   *same* coordination logic is driven by real threads here and by the
+//!   *same* coordination logic is driven by the scheduler here and by the
 //!   virtual-time simulator in `ginflow-sim` — what the benchmarks measure
 //!   is what the tests execute.
 //! * [`scheduler::Scheduler`] — the **event-driven, sharded worker-pool
@@ -18,11 +19,8 @@
 //!   until its inbox topic wakes it through the broker's publish path
 //!   ([`ginflow_mq::Subscription::set_waker`]). Scales to thousands of
 //!   agents per process with zero idle CPU.
-//! * the legacy **thread-per-agent** backend
-//!   ([`RunOptions::legacy_threads`]) — one polling OS thread per SA,
-//!   kept as the A/B baseline.
 //!
-//! Both runtimes implement the recovery mechanism of §IV-B: a crashed SA
+//! The scheduler implements the recovery mechanism of §IV-B: a crashed SA
 //! is replaced by a fresh one that *replays its inbox topic* from the
 //! beginning of the persistent log, rebuilding the lost local state
 //! ("being able to log all incoming molecules of a SA and replay them in
@@ -45,12 +43,3 @@ pub use ginflow_mq::{RunId, TopicNamespace};
 pub use message::{SaMessage, StatusUpdate};
 pub use runtime::{RunOptions, WaitError};
 pub use scheduler::{Scheduler, WorkflowRun};
-
-/// The historical name of the launcher, kept so existing call sites keep
-/// compiling; it dispatches to the event-driven scheduler by default
-/// (pass [`RunOptions::legacy()`] for the original behaviour).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Engine::builder()` from `ginflow-engine` (or `Scheduler` directly)"
-)]
-pub type ThreadedRuntime = Scheduler;

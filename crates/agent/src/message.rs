@@ -12,25 +12,20 @@
 //! format (first byte [`CODEC_MAGIC`]), keeping serde_json off the
 //! per-message hot path: a status update is a handful of `memcpy`s
 //! instead of a JSON object build + render, and decode walks the bytes
-//! directly instead of parsing text. [`SaMessage::decode`] /
-//! [`StatusUpdate::decode`] transparently fall back to the previous
-//! JSON format — `0xB1` is not a valid first byte of any JSON document,
-//! so old-format payloads (a mid-rollout peer, a retained log from an
-//! older build) still decode. Values ([`Value`] atoms) are encoded
-//! structurally; the rare higher-order `Rule` atom falls back to an
+//! directly instead of parsing text. A payload that does not start with
+//! the magic byte — the empty shutdown sentinel, foreign noise on a
+//! shared broker — decodes to `None`. Values ([`Value`] atoms) are
+//! encoded structurally; the rare higher-order `Rule` atom falls back to an
 //! embedded JSON leaf rather than growing a second codec for rule
 //! internals.
 
 use ginflow_core::{TaskState, Value};
-use serde::{Deserialize, Serialize};
 
-/// First byte of every binary-encoded message. Deliberately not `{`,
-/// `[`, whitespace, or any other byte JSON can start with, so the
-/// decoder can dispatch binary-vs-JSON on one byte.
+/// First byte of every encoded message.
 pub const CODEC_MAGIC: u8 = 0xB1;
 
 /// Point-to-point message between service agents.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SaMessage {
     /// A produced result shipped from one agent to a successor — the
     /// decentralised `gw_pass`.
@@ -76,13 +71,10 @@ impl SaMessage {
         bytes::Bytes::from(buf)
     }
 
-    /// Deserialise from broker payload bytes: the binary format, or —
-    /// for payloads from before the binary codec — JSON.
+    /// Deserialise from broker payload bytes; `None` for anything that
+    /// is not a well-formed encoding.
     pub fn decode(payload: &[u8]) -> Option<SaMessage> {
-        if payload.first() != Some(&CODEC_MAGIC) {
-            return serde_json::from_slice(payload).ok();
-        }
-        let mut r = Reader::new(&payload[1..]);
+        let mut r = Reader::new(payload.strip_prefix(&[CODEC_MAGIC])?);
         let message = match r.u8()? {
             0x01 => SaMessage::Result {
                 from: r.str()?,
@@ -102,7 +94,7 @@ impl SaMessage {
 
 /// Status update published to the shared status topic — the runtime's view
 /// of the "shared multiset" execution state (Fig 1's coloured nodes).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StatusUpdate {
     /// Task name.
     pub task: String,
@@ -133,13 +125,10 @@ impl StatusUpdate {
         bytes::Bytes::from(buf)
     }
 
-    /// Deserialise from broker payload bytes: the binary format, or —
-    /// for payloads from before the binary codec — JSON.
+    /// Deserialise from broker payload bytes; `None` for anything that
+    /// is not a well-formed encoding.
     pub fn decode(payload: &[u8]) -> Option<StatusUpdate> {
-        if payload.first() != Some(&CODEC_MAGIC) {
-            return serde_json::from_slice(payload).ok();
-        }
-        let mut r = Reader::new(&payload[1..]);
+        let mut r = Reader::new(payload.strip_prefix(&[CODEC_MAGIC])?);
         if r.u8()? != 0x10 {
             return None;
         }
@@ -248,7 +237,7 @@ fn put_value(buf: &mut Vec<u8>, value: &Value) {
 /// ([`ginflow_mq::wire::Reader`]), so this codec and the wire codec
 /// cannot drift apart on corruption handling. Every accessor returns
 /// `None` on truncation or a bad tag, so a corrupt payload decodes to
-/// `None` (exactly like unparseable JSON did) rather than panicking.
+/// `None` rather than panicking.
 struct Reader<'a>(ginflow_mq::wire::Reader<'a>);
 
 impl<'a> Reader<'a> {
@@ -385,24 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn json_payloads_still_decode() {
-        // The pre-binary wire format: plain serde_json. A retained log
-        // written by an older build (or a mid-rollout peer) must keep
-        // decoding.
-        let m = SaMessage::Adapt { adaptation: 9 };
-        let json = serde_json::to_vec(&m).unwrap();
-        assert_eq!(SaMessage::decode(&json), Some(m));
-        let s = StatusUpdate {
-            task: "T1".into(),
-            state: TaskState::Failed,
-            result: None,
-            incarnation: 1,
-        };
-        let json = serde_json::to_vec(&s).unwrap();
-        assert_eq!(StatusUpdate::decode(&json), Some(s));
-    }
-
-    #[test]
     fn truncated_binary_is_rejected_not_panicked() {
         let bytes = SaMessage::Result {
             from: "T1".into(),
@@ -420,8 +391,7 @@ mod tests {
 
     #[test]
     fn empty_payload_is_not_a_message() {
-        // The shutdown sentinel: an empty payload must decode to None
-        // (it is neither binary nor JSON).
+        // The shutdown sentinel: an empty payload must decode to None.
         assert_eq!(StatusUpdate::decode(b""), None);
         assert_eq!(SaMessage::decode(b""), None);
     }

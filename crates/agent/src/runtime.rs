@@ -1,52 +1,19 @@
-//! Runtime configuration plus the **legacy** thread-per-agent backend.
-//!
-//! The seed reproduction ran one OS thread per service agent, each
-//! polling its inbox every 5 ms. That backend survives here — selected
-//! with [`RunOptions::legacy_threads`] — as the A/B baseline for the
-//! event-driven [`crate::scheduler::Scheduler`], which parks agents on
-//! broker wakeups instead and drives them from a bounded worker pool.
-//!
-//! Agents communicate point-to-point through per-task inbox topics and
-//! publish state transitions to the shared status topic (the runtime
-//! view of the shared multiset). A *crash* is simulated by a kill flag
-//! the agent observes between events — losing all local state, exactly
-//! like the paper's killed JVM. *Recovery* starts a fresh agent for the
-//! task; on a persistent broker it subscribes to its inbox **from the
-//! beginning**, replaying every molecule the dead incarnation ever
-//! received ("replay them in the same order on a newly created SA").
-//! With the transient broker the same recovery *starts* but has no
-//! history to replay, so the workflow hangs — the reason the paper pairs
-//! recovery with Kafka (§IV-B).
+//! Runtime configuration ([`RunOptions`]) and the error a wait on a run
+//! can end in ([`WaitError`]).
 
-use crate::core::{Event, SaCore};
-use crate::engine::RunTracker;
-use crate::exec::{publish_shutdown_sentinel, status_loop, AgentCtx, StatusBoard};
-use crate::message::SaMessage;
-use ginflow_core::{ServiceRegistry, TaskState, Value};
-use ginflow_hoclflow::{AdaptPlan, AgentProgram};
-use ginflow_mq::{Broker, LagProbe, RunId, SubscribeMode, Subscription, TopicNamespace};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use ginflow_core::TaskState;
+use ginflow_mq::RunId;
 
-/// Runtime tuning, shared by both backends.
-#[derive(Clone, Debug)]
+/// Runtime tuning of the [`Scheduler`](crate::Scheduler).
+#[derive(Clone, Debug, Default)]
 pub struct RunOptions {
     /// Worker threads of the event-driven scheduler. `0` (the default)
-    /// resolves to the machine's available parallelism. Ignored by the
-    /// legacy backend, which spawns one thread per agent regardless.
+    /// resolves to the machine's available parallelism.
     ///
     /// Service invocations run inline on the workers, so long-blocking
-    /// services serialize per shard: until service offloading lands
-    /// (see ROADMAP), raise this — or use [`RunOptions::legacy`] — for
-    /// workloads dominated by slow external services.
+    /// services serialize per shard: raise this for workloads dominated
+    /// by slow external services.
     pub workers: usize,
-    /// Run the seed's thread-per-agent polling backend instead of the
-    /// worker-pool scheduler — the A/B escape hatch.
-    pub legacy_threads: bool,
     /// Automatically respawn dead agents (the recovery manager of
     /// §IV-B). Requires a persistent broker to be useful.
     pub auto_recover: bool,
@@ -72,38 +39,9 @@ pub struct RunOptions {
     /// (`ginflow-engine` enforces this at `Engine::build`; `ginflow run
     /// --shard` requires `--run-id`).
     pub run_id: Option<RunId>,
-    /// Legacy backend only: inbox poll interval (also the crash-flag
-    /// observation granularity).
-    pub poll_interval: Duration,
-    /// Legacy backend only: how often the recovery manager scans for
-    /// dead agent threads. (The event-driven scheduler needs no scan —
-    /// dying agents notify their recovery manager directly.)
-    pub monitor_interval: Duration,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            workers: 0,
-            legacy_threads: false,
-            auto_recover: false,
-            shard: None,
-            run_id: None,
-            poll_interval: Duration::from_millis(5),
-            monitor_interval: Duration::from_millis(10),
-        }
-    }
 }
 
 impl RunOptions {
-    /// The seed's thread-per-agent backend, defaults otherwise.
-    pub fn legacy() -> Self {
-        RunOptions {
-            legacy_threads: true,
-            ..RunOptions::default()
-        }
-    }
-
     /// The worker count to use: explicit, or the machine's parallelism.
     pub(crate) fn resolve_workers(&self) -> usize {
         if self.workers > 0 {
@@ -168,313 +106,3 @@ impl std::fmt::Display for WaitError {
 }
 
 impl std::error::Error for WaitError {}
-
-// ---------------------------------------------------------------------
-// The legacy thread-per-agent backend
-// ---------------------------------------------------------------------
-
-struct AgentHandle {
-    kill: Arc<AtomicBool>,
-    thread: JoinHandle<()>,
-    incarnation: u32,
-}
-
-struct LegacyInner {
-    broker: Arc<dyn Broker>,
-    /// The run's topic namespace (`run/<id>/…`).
-    ns: Arc<TopicNamespace>,
-    registry: Arc<ServiceRegistry>,
-    programs: HashMap<String, AgentProgram>,
-    plans: Arc<Vec<AdaptPlan>>,
-    agents: Mutex<HashMap<String, AgentHandle>>,
-    incarnations: Mutex<HashMap<String, u32>>,
-    board: Arc<StatusBoard>,
-    tracker: Arc<RunTracker>,
-    shutdown: Arc<AtomicBool>,
-    options: RunOptions,
-    sinks: Vec<String>,
-    /// Lag probes of every subscription the run ever opened.
-    lag_probes: Mutex<Vec<LagProbe>>,
-}
-
-/// A workflow running on one thread per agent (the seed runtime).
-pub(crate) struct LegacyRun {
-    inner: Arc<LegacyInner>,
-    status_thread: Mutex<Option<JoinHandle<()>>>,
-    monitor_thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-pub(crate) fn launch_legacy(
-    broker: Arc<dyn Broker>,
-    registry: Arc<ServiceRegistry>,
-    agents: Vec<AgentProgram>,
-    plans: Vec<AdaptPlan>,
-    tracker: Arc<RunTracker>,
-    ns: Arc<TopicNamespace>,
-    options: RunOptions,
-) -> LegacyRun {
-    let sinks: Vec<String> = agents
-        .iter()
-        .filter(|a| a.is_sink())
-        .map(|a| a.name.clone())
-        .collect();
-    let inner = Arc::new(LegacyInner {
-        broker,
-        ns,
-        registry,
-        programs: agents.iter().map(|a| (a.name.clone(), a.clone())).collect(),
-        plans: Arc::new(plans),
-        agents: Mutex::new(HashMap::new()),
-        incarnations: Mutex::new(HashMap::new()),
-        board: Arc::new(StatusBoard::new()),
-        tracker,
-        shutdown: Arc::new(AtomicBool::new(false)),
-        options,
-        sinks,
-        lag_probes: Mutex::new(Vec::new()),
-    });
-
-    // Status collector first: no update may be missed.
-    let status_sub = inner
-        .broker
-        .subscribe(inner.ns.status(), SubscribeMode::Latest)
-        .expect("status subscription");
-    inner.lag_probes.lock().push(status_sub.lag_probe());
-    let status_thread = {
-        let board = inner.board.clone();
-        let tracker = inner.tracker.clone();
-        let shutdown = inner.shutdown.clone();
-        std::thread::spawn(move || status_loop(board, tracker, status_sub, shutdown))
-    };
-
-    // All inbox subscriptions are created before any agent starts, so
-    // no agent can publish to a not-yet-subscribed inbox. The namespace
-    // validates every task name here — the topic boundary.
-    let mut pending: Vec<(AgentProgram, Subscription)> = Vec::with_capacity(agents.len());
-    for program in agents {
-        let topic = inner
-            .ns
-            .inbox(&program.name)
-            .unwrap_or_else(|e| panic!("cannot launch agent: {e}"));
-        let sub = inner
-            .broker
-            .subscribe(&topic, SubscribeMode::Latest)
-            .expect("inbox subscription");
-        inner.lag_probes.lock().push(sub.lag_probe());
-        pending.push((program, sub));
-    }
-    for (program, sub) in pending {
-        spawn_agent(&inner, program, sub, 0);
-    }
-
-    let monitor_thread = if inner.options.auto_recover {
-        let mon_inner = inner.clone();
-        Some(std::thread::spawn(move || monitor_loop(mon_inner)))
-    } else {
-        None
-    };
-
-    LegacyRun {
-        inner,
-        status_thread: Mutex::new(Some(status_thread)),
-        monitor_thread: Mutex::new(monitor_thread),
-    }
-}
-
-impl LegacyRun {
-    pub fn board(&self) -> &StatusBoard {
-        &self.inner.board
-    }
-
-    pub fn tracker(&self) -> &Arc<RunTracker> {
-        &self.inner.tracker
-    }
-
-    /// Cumulative slow-subscriber drops across every subscription the
-    /// run ever opened.
-    pub fn lagged(&self) -> u64 {
-        self.inner.lag_probes.lock().iter().map(|p| p.get()).sum()
-    }
-
-    pub fn wait(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
-        self.inner.board.wait_for_sinks(&self.inner.sinks, timeout)
-    }
-
-    pub fn kill(&self, task: &str) -> bool {
-        let agents = self.inner.agents.lock();
-        match agents.get(task) {
-            Some(h) if !h.thread.is_finished() => {
-                h.kill.store(true, Ordering::SeqCst);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    pub fn alive(&self, task: &str) -> bool {
-        self.inner
-            .agents
-            .lock()
-            .get(task)
-            .map(|h| !h.thread.is_finished())
-            .unwrap_or(false)
-    }
-
-    pub fn respawn(&self, task: &str) -> bool {
-        respawn(&self.inner, task)
-    }
-
-    pub fn incarnation(&self, task: &str) -> u32 {
-        self.inner
-            .agents
-            .lock()
-            .get(task)
-            .map(|h| h.incarnation)
-            .unwrap_or(0)
-    }
-
-    /// Tear down: stop all agents and join every thread. Idempotent and
-    /// callable from any thread holding the run.
-    pub fn stop(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.board.close();
-        let handles: Vec<AgentHandle> = {
-            let mut agents = self.inner.agents.lock();
-            agents.drain().map(|(_, h)| h).collect()
-        };
-        for h in handles {
-            let _ = h.thread.join();
-        }
-        publish_shutdown_sentinel(&*self.inner.broker, &self.inner.ns);
-        if let Some(t) = self.status_thread.lock().take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.monitor_thread.lock().take() {
-            let _ = t.join();
-        }
-        self.inner.tracker.close();
-    }
-}
-
-fn spawn_agent(
-    inner: &Arc<LegacyInner>,
-    program: AgentProgram,
-    sub: Subscription,
-    incarnation: u32,
-) {
-    let name = program.name.clone();
-    let kill = Arc::new(AtomicBool::new(false));
-    let core = SaCore::new(program, inner.plans.clone());
-    let thread_inner = inner.clone();
-    let thread_kill = kill.clone();
-    let thread = std::thread::Builder::new()
-        .name(format!("sa-{name}"))
-        .spawn(move || agent_loop(thread_inner, core, sub, thread_kill, incarnation))
-        .expect("spawn agent thread");
-    inner.agents.lock().insert(
-        name,
-        AgentHandle {
-            kill,
-            thread,
-            incarnation,
-        },
-    );
-}
-
-fn respawn(inner: &Arc<LegacyInner>, task: &str) -> bool {
-    let Some(program) = inner.programs.get(task).cloned() else {
-        return false;
-    };
-    // Make sure any previous incarnation is (being) stopped.
-    if let Some(h) = inner.agents.lock().get(task) {
-        h.kill.store(true, Ordering::SeqCst);
-    }
-    let incarnation = {
-        let mut inc = inner.incarnations.lock();
-        let c = inc.entry(task.to_owned()).or_insert(0);
-        *c += 1;
-        *c
-    };
-    let mode = if inner.broker.persistent() {
-        SubscribeMode::Beginning
-    } else {
-        SubscribeMode::Latest
-    };
-    let Ok(topic) = inner.ns.inbox(task) else {
-        return false;
-    };
-    let Ok(sub) = inner.broker.subscribe(&topic, mode) else {
-        return false;
-    };
-    inner.lag_probes.lock().push(sub.lag_probe());
-    spawn_agent(inner, program, sub, incarnation);
-    true
-}
-
-fn agent_loop(
-    inner: Arc<LegacyInner>,
-    mut core: SaCore,
-    sub: Subscription,
-    kill: Arc<AtomicBool>,
-    incarnation: u32,
-) {
-    let name = core.name().to_owned();
-    let ctx = AgentCtx {
-        broker: &*inner.broker,
-        ns: &inner.ns,
-        registry: &inner.registry,
-        name: &name,
-        incarnation,
-    };
-    if ctx.dispatch(&mut core, Event::Start).is_err() {
-        return;
-    }
-    loop {
-        if kill.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match sub.recv_timeout(inner.options.poll_interval) {
-            Ok(msg) => {
-                let Some(message) = SaMessage::decode(&msg.payload) else {
-                    continue;
-                };
-                // A crash between reception and processing loses the
-                // event locally — the log broker still has it for
-                // replay.
-                if kill.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if ctx.dispatch(&mut core, Event::Deliver(message)).is_err() {
-                    return;
-                }
-            }
-            Err(ginflow_mq::MqError::Timeout) => continue,
-            Err(_) => return,
-        }
-    }
-}
-
-/// The legacy recovery manager: respawn agents whose thread died while
-/// the workflow is still running, discovered by periodic scanning.
-fn monitor_loop(inner: Arc<LegacyInner>) {
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let dead: Vec<String> = {
-            let agents = inner.agents.lock();
-            agents
-                .iter()
-                .filter(|(_, h)| h.thread.is_finished())
-                .map(|(n, _)| n.clone())
-                .collect()
-        };
-        for task in dead {
-            if inner.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            respawn(&inner, &task);
-        }
-        std::thread::sleep(inner.options.monitor_interval);
-    }
-}

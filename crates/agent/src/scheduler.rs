@@ -1,35 +1,37 @@
-//! The event-driven, sharded worker-pool scheduler.
+//! The event-driven, sharded worker-pool scheduler: the execution
+//! vehicle of the sans-IO [`SaCore`] state machines.
 //!
-//! The seed runtime gave every service agent its own OS thread polling
-//! its inbox every 5 ms — fine for the paper's 118-task Montage run,
-//! hopeless for thousands of agents (a 1000-agent workflow burns 200k
-//! wakeups/second just to discover nothing happened). This module keeps
-//! the *agents* (the sans-IO [`SaCore`] state machines are untouched)
-//! and replaces the *execution vehicle*:
+//! Agents communicate point-to-point through per-task inbox topics and
+//! publish state transitions to the shared status topic (the runtime
+//! view of the shared multiset). A thread per agent polling its inbox
+//! is fine for the paper's 118-task Montage run and hopeless for
+//! thousands of agents, so:
 //!
 //! * a fixed pool of N worker threads (N ≪ agents, default = CPU count)
 //!   drives every agent in the workflow;
-//! * each agent is an [`AgentSlot`] parked until its inbox topic wakes
-//!   it — `ginflow-mq` brokers now notify subscriptions on publish (see
+//! * each agent is an `AgentSlot` parked until its inbox topic wakes
+//!   it — `ginflow-mq` brokers notify subscriptions on publish (see
 //!   [`ginflow_mq::Subscription::set_waker`]), so an idle workflow
 //!   consumes zero CPU;
 //! * slots are *sharded*: an agent's name hashes to one worker, and only
 //!   that worker ever runs it. One agent's events therefore execute
 //!   strictly in order with no core-level contention, while distinct
 //!   agents run in parallel across shards;
-//! * the §IV-B recovery manager re-enqueues a fresh agent incarnation
+//! * a *crash* is a kill flag the agent observes between events —
+//!   losing all local state, exactly like the paper's killed JVM. The
+//!   §IV-B recovery manager re-enqueues a fresh agent incarnation
 //!   through the same ready-queues, replaying the persistent inbox with
-//!   [`SubscribeMode::Beginning`] — recovery is just another wakeup.
+//!   [`SubscribeMode::Beginning`] ("replay them in the same order on a
+//!   newly created SA") — recovery is just another wakeup. On a
+//!   transient broker the same recovery *starts* but has no history to
+//!   replay, so the workflow hangs — the reason the paper pairs
+//!   recovery with Kafka.
 //!
 //! The wakeup protocol is the classic "schedule bit" of task executors:
-//! a waker sets [`AgentSlot::scheduled`] and enqueues the slot only on a
+//! a waker sets `AgentSlot::scheduled` and enqueues the slot only on a
 //! false→true transition; the worker clears the bit after draining and
 //! re-checks the backlog, so a publish racing the drain can never be
 //! lost.
-//!
-//! The thread-per-agent backend survives behind
-//! [`RunOptions::legacy_threads`] for A/B benchmarking (see
-//! `crates/bench`, `scheduler_scale`).
 
 use crate::core::{Event, SaCore};
 use crate::engine::{
@@ -38,7 +40,7 @@ use crate::engine::{
 };
 use crate::exec::{publish_shutdown_sentinel, status_loop, AgentCtx, StatusBoard};
 use crate::message::SaMessage;
-use crate::runtime::{launch_legacy, LegacyRun, RunOptions, WaitError};
+use crate::runtime::{RunOptions, WaitError};
 use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow};
 use ginflow_hoclflow::{agent_programs, AdaptPlan, AgentProgram};
 use ginflow_mq::metrics::{Counter, Gauge, Histogram};
@@ -65,8 +67,7 @@ struct SchedMetrics {
     /// inbox wakers and control-plane scheduling alike.
     wakeups: Arc<Counter>,
     /// Events an agent drained in one scheduling turn (capped at
-    /// [`BATCH`]) — the wakeup batching the event-driven pool buys
-    /// over per-message thread wakeups.
+    /// [`BATCH`]) — wakeups saved against one per message.
     wakeup_batch: Arc<Histogram>,
 }
 
@@ -92,9 +93,8 @@ fn sched_metrics() -> &'static SchedMetrics {
 }
 
 /// The launcher: compiles workflows and runs every agent on the worker
-/// pool (or, with [`RunOptions::legacy_threads`], on the seed's
-/// thread-per-agent backend). Deployment strategies (`ginflow-executor`)
-/// decide *where* agents go; this scheduler is the *how*.
+/// pool. Deployment strategies (`ginflow-executor`) decide *where*
+/// agents go; this scheduler is the *how*.
 pub struct Scheduler {
     broker: Arc<dyn Broker>,
     registry: Arc<ServiceRegistry>,
@@ -145,43 +145,21 @@ impl Scheduler {
             RunMeta::from_programs(&agents, &plans),
             run_id,
         ));
-        if self.options.legacy_threads {
-            WorkflowRun {
-                backend: Backend::Legacy(launch_legacy(
-                    self.broker.clone(),
-                    self.registry.clone(),
-                    agents,
-                    plans,
-                    tracker,
-                    ns,
-                    self.options.clone(),
-                )),
-            }
-        } else {
-            WorkflowRun {
-                backend: Backend::Pool(launch_pool(
-                    self.broker.clone(),
-                    self.registry.clone(),
-                    agents,
-                    plans,
-                    tracker,
-                    ns,
-                    self.options.clone(),
-                )),
-            }
-        }
+        launch_pool(
+            self.broker.clone(),
+            self.registry.clone(),
+            agents,
+            plans,
+            tracker,
+            ns,
+            &self.options,
+        )
     }
 }
 
 impl ExecutionBackend for Scheduler {
     fn name(&self) -> &'static str {
-        if self.options.shard.is_some() {
-            "sharded"
-        } else if self.options.legacy_threads {
-            "legacy-threads"
-        } else {
-            "scheduler"
-        }
+        backend_label(&self.options)
     }
 
     fn launch_run(&self, workflow: &Workflow) -> RunHandle {
@@ -189,86 +167,78 @@ impl ExecutionBackend for Scheduler {
     }
 }
 
-/// A launched workflow: status observation, fault injection, recovery.
-/// Facade over whichever backend executed the launch.
-pub struct WorkflowRun {
-    backend: Backend,
+/// Backend label: "sharded" for one shard of a multi-process run,
+/// "scheduler" otherwise.
+fn backend_label(options: &RunOptions) -> &'static str {
+    if options.shard.is_some() {
+        "sharded"
+    } else {
+        "scheduler"
+    }
 }
 
-enum Backend {
-    Pool(PoolRun),
-    Legacy(LegacyRun),
+/// A launched workflow: status observation, fault injection, recovery.
+pub struct WorkflowRun {
+    inner: Arc<PoolInner>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    status_thread: Mutex<Option<JoinHandle<()>>>,
+    recovery_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl WorkflowRun {
     /// Latest observed state of a task.
     pub fn state_of(&self, task: &str) -> Option<TaskState> {
-        self.board().state_of(task)
+        self.inner.board.state_of(task)
     }
 
     /// Latest observed result of a task.
     pub fn result_of(&self, task: &str) -> Option<Value> {
-        self.board().result_of(task)
+        self.inner.board.result_of(task)
     }
 
     /// Snapshot of all observed task states.
     pub fn statuses(&self) -> Vec<(String, TaskState)> {
-        self.board().snapshot()
+        self.inner.board.snapshot()
     }
 
     /// Block until every sink task completes; returns their results.
     pub fn wait(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.board.wait_for_sinks(&run.inner.sinks, timeout),
-            Backend::Legacy(run) => run.wait(timeout),
-        }
+        self.inner.board.wait_for_sinks(&self.inner.sinks, timeout)
     }
 
     /// Crash a task's agent (it stops consuming; all local state is
     /// lost). Returns whether the agent existed and was alive.
     pub fn kill(&self, task: &str) -> bool {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.kill(task),
-            Backend::Legacy(run) => run.kill(task),
-        }
+        self.inner.kill(task)
     }
 
     /// Is the task's agent still alive (scheduled or parked, not dead)?
     pub fn alive(&self, task: &str) -> bool {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.alive(task),
-            Backend::Legacy(run) => run.alive(task),
-        }
+        self.inner.alive(task)
     }
 
     /// Manually start a replacement agent for `task` (§IV-B recovery).
     /// On a persistent broker the newcomer replays the full inbox
     /// history.
     pub fn respawn(&self, task: &str) -> bool {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.respawn(task),
-            Backend::Legacy(run) => run.respawn(task),
-        }
+        self.inner.respawn(task)
     }
 
     /// Current incarnation number of a task's agent.
     pub fn incarnation(&self, task: &str) -> u32 {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.incarnation(task),
-            Backend::Legacy(run) => run.incarnation(task),
-        }
+        self.inner.incarnation(task)
     }
 
     /// Subscribe to the typed run event stream (full history replayed
     /// first, then live) — see [`crate::engine::RunEvent`].
     pub fn events(&self) -> RunEvents {
-        self.tracker().subscribe()
+        self.inner.tracker.subscribe()
     }
 
     /// The run's id — the key of the topic namespace (`run/<id>/…`) this
     /// run coordinates under.
     pub fn run_id(&self) -> &RunId {
-        self.tracker().run_id()
+        self.inner.tracker.run_id()
     }
 
     /// Cancel the run: emits `RunFailed(Cancelled)`, tears every agent
@@ -279,8 +249,8 @@ impl WorkflowRun {
 
     /// Structured snapshot of the run (partial while still executing).
     pub fn report(&self) -> RunReport {
-        let board = self.board();
-        let tracker = self.tracker();
+        let board = &self.inner.board;
+        let tracker = &self.inner.tracker;
         let tasks = board.task_reports(&tracker.meta().tasks);
         let outcome = tracker.outcome();
         let (adaptations_fired, respawns) = tracker.counts();
@@ -315,10 +285,7 @@ impl WorkflowRun {
     /// over every subscription the run ever opened — respawned
     /// incarnations included.
     pub fn lagged(&self) -> u64 {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.lagged(),
-            Backend::Legacy(run) => run.lagged(),
-        }
+        self.inner.lagged()
     }
 
     /// Stop everything and join all threads.
@@ -326,38 +293,40 @@ impl WorkflowRun {
         self.stop();
     }
 
-    /// Backend label ("scheduler" / "sharded" / "legacy-threads").
+    /// Backend label ("scheduler" / "sharded").
     pub fn backend_label(&self) -> &'static str {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.label,
-            Backend::Legacy(_) => "legacy-threads",
-        }
-    }
-
-    fn board(&self) -> &StatusBoard {
-        match &self.backend {
-            Backend::Pool(run) => &run.inner.board,
-            Backend::Legacy(run) => run.board(),
-        }
-    }
-
-    fn tracker(&self) -> &Arc<RunTracker> {
-        match &self.backend {
-            Backend::Pool(run) => &run.inner.tracker,
-            Backend::Legacy(run) => run.tracker(),
-        }
+        self.inner.label
     }
 
     fn cancel_with_failure(&self, failure: RunFailure) {
-        self.tracker().fail(failure);
+        self.inner.tracker.fail(failure);
         self.stop();
     }
 
+    /// Tear down: every queued agent turn observes the shutdown flag and
+    /// dies, the workers drain their shards and exit, and all threads
+    /// are joined before this returns. Idempotent and callable from any
+    /// thread holding the run.
     fn stop(&self) {
-        match &self.backend {
-            Backend::Pool(run) => run.stop(),
-            Backend::Legacy(run) => run.stop(),
+        if !self.inner.shutdown.swap(true, Ordering::SeqCst) {
+            for shard in &self.inner.shards {
+                let _ = shard.send(WorkItem::Shutdown);
+            }
+            let _ = self.inner.reaper.send(ReaperMsg::Shutdown);
+            publish_shutdown_sentinel(&*self.inner.broker, &self.inner.ns);
         }
+        self.inner.board.close();
+        let workers: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
+        for worker in workers {
+            let _ = worker.join();
+        }
+        if let Some(t) = self.recovery_thread.lock().take() {
+            let _ = t.join();
+        }
+        if let Some(t) = self.status_thread.lock().take() {
+            let _ = t.join();
+        }
+        self.inner.tracker.close();
     }
 }
 
@@ -497,13 +466,6 @@ struct PoolInner {
     label: &'static str,
 }
 
-pub(crate) struct PoolRun {
-    inner: Arc<PoolInner>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    status_thread: Mutex<Option<JoinHandle<()>>>,
-    recovery_thread: Mutex<Option<JoinHandle<()>>>,
-}
-
 /// FNV-1a over the agent name: the shard assignment.
 fn shard_of(name: &str, shards: usize) -> usize {
     let mut hash: u32 = 0x811c9dc5;
@@ -529,8 +491,8 @@ fn launch_pool(
     plans: Vec<AdaptPlan>,
     tracker: Arc<RunTracker>,
     ns: Arc<TopicNamespace>,
-    options: RunOptions,
-) -> PoolRun {
+    options: &RunOptions,
+) -> WorkflowRun {
     let workers = options.resolve_workers();
     let sinks: Vec<String> = agents
         .iter()
@@ -557,7 +519,7 @@ fn launch_pool(
         SubscribeMode::Latest
     };
     let inbox_mode = status_mode;
-    let label = if sharded { "sharded" } else { "scheduler" };
+    let label = backend_label(options);
 
     // Status collector first: no update may be missed.
     let status_sub = broker
@@ -673,7 +635,7 @@ fn launch_pool(
         inner.schedule(slot);
     }
 
-    PoolRun {
+    WorkflowRun {
         inner,
         workers: Mutex::new(workers_threads),
         status_thread: Mutex::new(Some(status_thread)),
@@ -924,33 +886,5 @@ fn recovery_loop(inner: Arc<PoolInner>, rx: crossbeam::channel::Receiver<ReaperM
                 inner.respawn_if_dead(&task);
             }
         }
-    }
-}
-
-impl PoolRun {
-    /// Tear down: every queued agent turn observes the shutdown flag and
-    /// dies, the workers drain their shards and exit, and all threads
-    /// are joined before this returns. Idempotent and callable from any
-    /// thread holding the run.
-    fn stop(&self) {
-        if !self.inner.shutdown.swap(true, Ordering::SeqCst) {
-            for shard in &self.inner.shards {
-                let _ = shard.send(WorkItem::Shutdown);
-            }
-            let _ = self.inner.reaper.send(ReaperMsg::Shutdown);
-            publish_shutdown_sentinel(&*self.inner.broker, &self.inner.ns);
-        }
-        self.inner.board.close();
-        let workers: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
-        for worker in workers {
-            let _ = worker.join();
-        }
-        if let Some(t) = self.recovery_thread.lock().take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.status_thread.lock().take() {
-            let _ = t.join();
-        }
-        self.inner.tracker.close();
     }
 }

@@ -1,8 +1,7 @@
 //! Property tests of the binary `SaMessage`/`StatusUpdate` codec:
 //! arbitrary messages (including deeply structured values) survive an
-//! encode→decode round trip, old-format JSON payloads still decode
-//! (the fallback path), and corrupted binary payloads are rejected
-//! instead of mis-decoded.
+//! encode→decode round trip, and anything else — no magic byte,
+//! truncation, trailing garbage — is rejected instead of mis-decoded.
 
 use ginflow_agent::{SaMessage, StatusUpdate};
 use ginflow_core::{TaskState, Value};
@@ -80,15 +79,17 @@ proptest! {
         prop_assert_eq!(StatusUpdate::decode(&s.encode()), Some(s));
     }
 
-    /// The fallback: payloads in the pre-binary JSON wire format (a
-    /// retained log from an older build, a mid-rollout peer) decode to
-    /// the same message.
+    /// Only the binary format is a message: whatever does not start
+    /// with the magic byte (JSON, foreign noise, the empty shutdown
+    /// sentinel) decodes to None.
     #[test]
-    fn json_fallback_decodes_old_payloads(m in arb_sa_message(), s in arb_status()) {
-        let json = serde_json::to_vec(&m).expect("serialise");
-        prop_assert_eq!(SaMessage::decode(&json), Some(m));
-        let json = serde_json::to_vec(&s).expect("serialise");
-        prop_assert_eq!(StatusUpdate::decode(&json), Some(s));
+    fn payload_without_the_magic_byte_is_not_a_message(
+        bytes in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        if bytes.first() != Some(&ginflow_agent::message::CODEC_MAGIC) {
+            prop_assert_eq!(SaMessage::decode(&bytes), None);
+            prop_assert_eq!(StatusUpdate::decode(&bytes), None);
+        }
     }
 
     /// Truncating a binary payload anywhere yields None, never a panic
@@ -111,7 +112,7 @@ proptest! {
         prop_assert_eq!(StatusUpdate::decode(&bytes), None);
     }
 
-    /// Arbitrary bytes never panic the decoder (binary or JSON path).
+    /// Arbitrary bytes never panic the decoder.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
         let _ = SaMessage::decode(&bytes);

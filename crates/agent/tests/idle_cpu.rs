@@ -1,6 +1,5 @@
 //! The point of being event-driven: a parked workflow consumes (close
-//! to) zero CPU, where hundreds of legacy polling agents would burn it
-//! forever.
+//! to) zero CPU, where hundreds of polling agents would burn it forever.
 //!
 //! This lives in its own test binary on purpose: the assertion measures
 //! *process-wide* CPU, so sharing a process with the other scheduler
@@ -31,7 +30,7 @@ fn idle_pool_burns_no_cpu() {
     run.shutdown();
     let burned = after.saturating_sub(before);
     // One idle second must cost well under 20 ms of CPU — a single
-    // poll-driven legacy agent alone would cost more.
+    // agent polling its inbox every 5 ms would alone cost more.
     assert!(
         burned < Duration::from_millis(20),
         "idle pool burned {burned:?} of CPU in 1s"

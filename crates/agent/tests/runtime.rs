@@ -1,4 +1,4 @@
-//! Integration tests of the threaded runtime: real threads, real brokers,
+//! Integration tests of the live runtime: real threads, real brokers,
 //! the complete decentralised protocol — normal runs, adaptation and
 //! crash/recovery.
 
@@ -233,17 +233,5 @@ fn repeated_crashes_eventually_complete() {
         results["T4"],
         Value::Str("s4(s2(s1(input)),s3(s1(input)))".into())
     );
-    run.shutdown();
-}
-
-#[test]
-fn deprecated_threaded_runtime_alias_still_compiles() {
-    // The historical entry point stays usable for one release.
-    #[allow(deprecated)]
-    let runtime =
-        ginflow_agent::ThreadedRuntime::new(BrokerKind::Transient.build(), tracing_registry());
-    let run = runtime.launch(&fig2());
-    let results = run.wait(WAIT).expect("alias still executes workflows");
-    assert!(results.contains_key("T4"));
     run.shutdown();
 }

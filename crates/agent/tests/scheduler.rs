@@ -1,14 +1,16 @@
 //! Integration tests of the event-driven worker-pool scheduler: the
 //! complete decentralised protocol on a bounded pool — normal runs at
-//! scale, adaptation, crash/recovery with inbox replay, and equivalence
-//! with the legacy thread-per-agent backend (mirrors
-//! `tests/runtime.rs` for the new path).
+//! scale, adaptation, and crash/recovery with inbox replay (mirrors
+//! `tests/runtime.rs` with workers ≪ agents).
 
 use ginflow_agent::{RunOptions, Scheduler};
 use ginflow_bench::workload::fan_out_fan_in;
 use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
 use ginflow_core::{FailingService, ServiceRegistry, TaskState, Value, Workflow};
-use ginflow_mq::{Broker, BrokerKind, LogBroker};
+use ginflow_mq::{
+    Broker, BrokerKind, LogBroker, Message, MqError, Receipt, SubscribeMode, Subscription,
+};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,19 +66,6 @@ fn thousand_task_fan_completes_on_a_bounded_pool() {
     assert!(results.contains_key("sink"));
     assert_eq!(run.state_of("t999"), Some(TaskState::Completed));
     run.shutdown();
-}
-
-#[test]
-fn pool_and_legacy_agree_on_fig2() {
-    let run_with = |options: RunOptions| {
-        let scheduler =
-            Scheduler::new(BrokerKind::Transient.build(), tracing_registry()).with_options(options);
-        let run = scheduler.launch(&fig2());
-        let results = run.wait(WAIT).expect("fig2 completes");
-        run.shutdown();
-        results["T4"].clone()
-    };
-    assert_eq!(run_with(pool_options()), run_with(RunOptions::legacy()));
 }
 
 #[test]
@@ -201,4 +190,80 @@ fn repeated_crashes_on_the_pool_eventually_complete() {
         Value::Str("s4(s2(s1(input)),s3(s1(input)))".into())
     );
     run.shutdown();
+}
+
+/// A log broker on which the first `n` empty-payload publishes — the
+/// shutdown sentinel — fail the way a remote publish does when its
+/// connection drops under it: `Disconnected`, nothing appended.
+struct SentinelDroppingBroker {
+    log: LogBroker,
+    drops_left: AtomicUsize,
+}
+
+impl Broker for SentinelDroppingBroker {
+    fn publish(
+        &self,
+        topic: &str,
+        key: Option<bytes::Bytes>,
+        payload: bytes::Bytes,
+    ) -> Result<Receipt, MqError> {
+        let drop_it = payload.is_empty()
+            && self
+                .drops_left
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok();
+        if drop_it {
+            return Err(MqError::Disconnected);
+        }
+        self.log.publish(topic, key, payload)
+    }
+
+    fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
+        self.log.subscribe(topic, mode)
+    }
+
+    fn fetch(
+        &self,
+        topic: &str,
+        partition: u32,
+        from_offset: u64,
+        max: usize,
+    ) -> Result<Vec<Message>, MqError> {
+        self.log.fetch(topic, partition, from_offset, max)
+    }
+
+    fn persistent(&self) -> bool {
+        self.log.persistent()
+    }
+
+    fn partitions(&self, topic: &str) -> u32 {
+        self.log.partitions(topic)
+    }
+
+    fn retained(&self, topic: &str) -> u64 {
+        self.log.retained(topic)
+    }
+}
+
+#[test]
+fn teardown_survives_losing_the_shutdown_sentinel() {
+    // Teardown joins the status collector, which only wakes on a
+    // delivery: a sentinel publish lost to a connection drop must be
+    // retried, or `shutdown` never returns.
+    let broker = Arc::new(SentinelDroppingBroker {
+        log: LogBroker::new(),
+        drops_left: AtomicUsize::new(3),
+    });
+    let scheduler = Scheduler::new(broker.clone(), tracing_registry()).with_options(pool_options());
+    let run = scheduler.launch(&fig2());
+    run.wait(WAIT).expect("fig2 completes");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        run.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown hung behind a lost sentinel");
+    assert_eq!(broker.drops_left.load(Ordering::SeqCst), 0);
 }

@@ -149,25 +149,14 @@ fn main() {
             }
         }
     }
-    let scale = |n: usize, mode: &str| samples.iter().find(|s| s.mode == mode && s.workers == n);
-    if let Some(s) = scale(128, "client_scale") {
+    if let Some(s) = samples
+        .iter()
+        .find(|s| s.mode == "client_scale" && s.workers == 128)
+    {
         println!(
-            "client scale @ 128 conns: {} process threads, {:.0} msgs/s (reactor)",
+            "client scale @ 128 conns: {} process threads, {:.0} msgs/s",
             s.threads.map(|t| t.to_string()).unwrap_or_default(),
             s.msgs_per_sec.unwrap_or(0.0),
-        );
-    }
-    if let (Some(reactor), Some(pair)) = (
-        scale(16, "client_scale"),
-        scale(16, "client_scale_threaded"),
-    ) {
-        println!(
-            "client scale @ 16 conns: reactor runs at {:.2}x the thread-pair baseline ({:.0} vs {:.0} msgs/s, {} vs {} threads)",
-            reactor.msgs_per_sec.unwrap_or(0.0) / pair.msgs_per_sec.unwrap_or(f64::MAX),
-            reactor.msgs_per_sec.unwrap_or(0.0),
-            pair.msgs_per_sec.unwrap_or(0.0),
-            reactor.threads.map(|t| t.to_string()).unwrap_or_default(),
-            pair.threads.map(|t| t.to_string()).unwrap_or_default(),
         );
     }
     csv::write_csv("results/BENCH_net.csv", &CSV_HEADER, &csv_rows(&samples))

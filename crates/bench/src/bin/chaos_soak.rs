@@ -13,14 +13,13 @@
 use bytes::Bytes;
 use ginflow_mq::{Broker, SubscribeMode};
 use ginflow_net::fault::{ChaosHarness, FaultPlan};
-use ginflow_net::ClientFlavor;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
     println!("chaos_soak: exactly-once delivery under seeded sever storms, many seeds");
     println!("usage: chaos_soak [--seeds N] [--msgs M] [--base S]");
-    println!("  --seeds N   fault schedules per client flavor (default 10)");
+    println!("  --seeds N   fault schedules (default 10)");
     println!("  --msgs M    messages per schedule (default 400)");
     println!("  --base S    first seed (default GINFLOW_FAULT_SEED or 1)");
     std::process::exit(0);
@@ -46,7 +45,6 @@ fn storm() -> FaultPlan {
 
 struct SeedReport {
     seed: u64,
-    flavor: ClientFlavor,
     wall: Duration,
     msgs: usize,
     links: u64,
@@ -56,13 +54,13 @@ struct SeedReport {
 }
 
 /// One exactly-once run under one schedule; Err carries the repro line.
-fn soak_one(seed: u64, flavor: ClientFlavor, total: u64) -> Result<SeedReport, String> {
+fn soak_one(seed: u64, total: u64) -> Result<SeedReport, String> {
     let start = Instant::now();
     let h = ChaosHarness::new(seed, storm()).map_err(|e| format!("harness: {e}"))?;
     h.broker().create_topic("inbox", 2);
     let give_up = Instant::now() + Duration::from_secs(30);
     let subscriber = loop {
-        match h.client("soak", flavor) {
+        match h.client("soak") {
             Ok(c) => break c,
             Err(e) if Instant::now() >= give_up => return Err(format!("never connected: {e}")),
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
@@ -125,7 +123,6 @@ fn soak_one(seed: u64, flavor: ClientFlavor, total: u64) -> Result<SeedReport, S
     let stats = h.net().stats();
     Ok(SeedReport {
         seed,
-        flavor,
         wall: start.elapsed(),
         msgs: n,
         links: stats.links,
@@ -164,41 +161,38 @@ fn main() {
     }
 
     println!(
-        "chaos soak: seeds {base}..{} x {{reactor, threaded}}, {msgs} msgs each",
+        "chaos soak: seeds {base}..{}, {msgs} msgs each",
         base + seeds
     );
     println!(
-        "{:<8} {:>10} {:>6} {:>9} {:>7} {:>7} {:>9} {:>9}",
-        "flavor", "seed", "msgs", "wall (s)", "links", "severs", "midframe", "frames"
+        "{:>10} {:>6} {:>9} {:>7} {:>7} {:>9} {:>9}",
+        "seed", "msgs", "wall (s)", "links", "severs", "midframe", "frames"
     );
     let mut failures = Vec::new();
-    for flavor in [ClientFlavor::Reactor, ClientFlavor::Threaded] {
-        for seed in base..base + seeds {
-            match soak_one(seed, flavor, msgs) {
-                Ok(r) => println!(
-                    "{:<8} {:>10} {:>6} {:>9.3} {:>7} {:>7} {:>9} {:>9}",
-                    format!("{:?}", r.flavor).to_lowercase(),
-                    r.seed,
-                    r.msgs,
-                    r.wall.as_secs_f64(),
-                    r.links,
-                    r.severs,
-                    r.midframe,
-                    r.frames
-                ),
-                Err(e) => {
-                    println!("{flavor:?} seed={seed} VIOLATION: {e}");
-                    failures.push((flavor, seed, e));
-                }
+    for seed in base..base + seeds {
+        match soak_one(seed, msgs) {
+            Ok(r) => println!(
+                "{:>10} {:>6} {:>9.3} {:>7} {:>7} {:>9} {:>9}",
+                r.seed,
+                r.msgs,
+                r.wall.as_secs_f64(),
+                r.links,
+                r.severs,
+                r.midframe,
+                r.frames
+            ),
+            Err(e) => {
+                println!("seed={seed} VIOLATION: {e}");
+                failures.push((seed, e));
             }
         }
     }
     if failures.is_empty() {
-        println!("all {} schedules delivered exactly-once", 2 * seeds);
+        println!("all {seeds} schedules delivered exactly-once");
     } else {
-        for (flavor, seed, e) in &failures {
+        for (seed, e) in &failures {
             eprintln!(
-                "FAILED {flavor:?} seed {seed}: {e} \
+                "FAILED seed {seed}: {e} \
                  (repro: GINFLOW_FAULT_SEED={seed} cargo test -p ginflow-net --test chaos exactly_once)"
             );
         }

@@ -23,7 +23,7 @@ use crate::workload::{fan_out_fan_in, process_cpu, process_threads, MetricsProbe
 use ginflow_core::ServiceRegistry;
 use ginflow_engine::{Backend, Engine, RunId};
 use ginflow_mq::{Broker, LogBroker};
-use ginflow_net::{BrokerServer, ClientFlavor, RemoteBroker, Transport};
+use ginflow_net::{BrokerServer, RemoteBroker};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -370,7 +370,7 @@ pub fn idle_conns_helper(addr: &str, n: usize) {
 /// The connection storm: `idle` connected-but-silent raw sockets parked
 /// on the daemon, then the pipelined publish storm from one live client
 /// — does the hot path stay flat as the fd table grows? One set of
-/// connections serves all [`REPEAT`] storm repetitions (reconnecting
+/// connections serves all `REPEAT` storm repetitions (reconnecting
 /// 10k sockets per repetition would measure TIME_WAIT churn, not the
 /// daemon), the row keeps the best repetition, the `workers` column
 /// carries the idle-connection count, and `rss_mib` records this
@@ -402,39 +402,15 @@ pub fn run_connection_storm(idle: usize, msgs: usize) -> Sample {
 /// while the row is stamped. The `workers` column carries `n`, and
 /// `threads` records `/proc/self/status` with every client still
 /// connected — under the shared reactor that count stays flat in `n`
-/// (one loop thread however many connections), where the thread-pair
-/// baseline (`threaded = true`, the `GINFLOW_CLIENT_THREADED=1`
-/// flavor) costs 2·n. CI gates the 128-connection reactor row at ≤ 6
-/// process I/O threads and the reactor storm throughput at ≥ 0.9x the
-/// threaded baseline at the same message count.
-pub fn run_client_scale(n: usize, msgs: usize, threaded: bool) -> Sample {
-    let mode = if threaded {
-        "client_scale_threaded"
-    } else {
-        "client_scale"
-    };
-    let flavor = if threaded {
-        ClientFlavor::Threaded
-    } else {
-        ClientFlavor::Reactor
-    };
+/// (one loop thread however many connections). CI gates the
+/// 128-connection row at ≤ 6 process threads.
+pub fn run_client_scale(n: usize, msgs: usize) -> Sample {
     raise_fd_limit(n as u64 * 2 + 512);
     let server = BrokerServer::bind("127.0.0.1:0", Arc::new(LogBroker::new()))
         .expect("bind loopback broker");
     let addr = server.local_addr().to_string();
     let clients: Vec<RemoteBroker> = (0..n)
-        .map(|_| {
-            let addr = addr.clone();
-            RemoteBroker::connect_with_flavor(
-                Box::new(move || {
-                    let stream = std::net::TcpStream::connect(&addr)?;
-                    let _ = stream.set_nodelay(true);
-                    Ok(Box::new(stream) as Box<dyn Transport>)
-                }),
-                flavor,
-            )
-            .expect("connect client-scale client")
-        })
+        .map(|_| RemoteBroker::connect(&addr).expect("connect client-scale client"))
         .collect();
     // One connection set serves all repetitions — reconnect churn is
     // not what this row measures.
@@ -458,7 +434,7 @@ pub fn run_client_scale(n: usize, msgs: usize, threaded: bool) -> Sample {
             let wall = started.elapsed();
             let cpu = process_cpu().saturating_sub(cpu0);
             Sample::storm(
-                mode,
+                "client_scale",
                 msgs,
                 wall,
                 cpu,
@@ -491,7 +467,7 @@ pub(crate) fn best_of(f: impl Fn() -> Sample) -> Sample {
 
 /// The whole campaign at one scale: the four workflow transports plus
 /// the publish storm at 10× the task count, each scenario the best of
-/// [`REPEAT`] repetitions.
+/// `REPEAT` repetitions.
 pub fn run_with_tasks(tasks: usize) -> Vec<Sample> {
     let width = tasks.saturating_sub(2).max(1);
     let workers = std::thread::available_parallelism()
@@ -530,15 +506,12 @@ pub fn run_with_tasks(tasks: usize) -> Vec<Sample> {
         }
         samples.push(run_connection_storm(idle, tasks * 10));
     }
-    // Client scale: N live clients sharing one process. Reactor rows
-    // at 1/16/128 connections show the flat thread count; the threaded
-    // row at 16 is the 2·N thread-pair baseline CI holds the reactor's
-    // throughput against (≥ 0.9x at the same message count).
+    // Client scale: N live clients sharing one process; the rows at
+    // 1/16/128 connections show the flat thread count.
     let scale_msgs = (tasks * 10).max(20_000);
     for n in [1usize, 16, 128] {
-        samples.push(run_client_scale(n, scale_msgs, false));
+        samples.push(run_client_scale(n, scale_msgs));
     }
-    samples.push(run_client_scale(16, scale_msgs, true));
     samples
 }
 
@@ -573,22 +546,12 @@ mod tests {
     }
 
     #[test]
-    fn client_scale_reports_threads_under_both_flavors() {
-        let reactor = run_client_scale(8, 200, false);
-        assert!(reactor.completed, "reactor client-scale storm failed");
-        assert_eq!(reactor.mode, "client_scale");
-        assert_eq!(reactor.workers, 8);
-        let threads = reactor.threads.expect("threads column measured");
-        let threaded = run_client_scale(8, 200, true);
-        assert!(threaded.completed, "threaded client-scale storm failed");
-        assert_eq!(threaded.mode, "client_scale_threaded");
-        // The pair baseline carries 2·8 client I/O threads the reactor
-        // does not; other test threads in this process only ever add
-        // to both counts equally at worst.
-        assert!(
-            threaded.threads.expect("threads column measured") > threads,
-            "thread-pair baseline must cost more threads than the reactor ({threads})"
-        );
+    fn client_scale_reports_threads() {
+        let s = run_client_scale(8, 200);
+        assert!(s.completed, "client-scale storm failed");
+        assert_eq!(s.mode, "client_scale");
+        assert_eq!(s.workers, 8);
+        assert!(s.threads.expect("threads column measured") > 0);
     }
 
     #[test]

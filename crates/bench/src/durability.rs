@@ -8,7 +8,7 @@
 //! window holds only the per-publish cost the policy governs. Every
 //! repetition opens a *fresh* scratch data dir, so no run appends to
 //! another's warm segment files; the reported row is the best of
-//! [`REPEAT`](crate::broker_net::REPEAT) repetitions. `bench_broker`
+//! `broker_net::REPEAT` repetitions. `bench_broker`
 //! emits the sweep as `results/BENCH_durability.csv`.
 //!
 //! Reading the rows: `always` pays one `msync(MS_SYNC)` per publish

@@ -13,7 +13,6 @@
 //! | `fig15` | Fig 15 | Montage shape + duration CDF |
 //! | `fig16` | Fig 16 | resilience under failure injection |
 //! | `run_all` | EXPERIMENTS.md | everything above, emitting markdown |
-//! | `bench_scheduler` | BENCH_scheduler.csv | event-driven pool vs legacy threads at 1000 tasks |
 
 pub mod broker_net;
 pub mod csv;
@@ -23,7 +22,6 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig16;
-pub mod scheduler_scale;
 pub mod stats;
 pub mod table;
 pub mod workload;

@@ -1,6 +1,5 @@
 //! Shared benchmark machinery: the fan-out/fan-in coordination
-//! workload every scaling benchmark drives (`bench_scheduler`,
-//! `bench_broker`), the common [`Sample`] row format, process-CPU
+//! workload `bench_broker` drives, the common [`Sample`] row format, process-CPU
 //! measurement, and publish-latency statistics.
 
 use ginflow_core::{Value, Workflow, WorkflowBuilder};
@@ -9,12 +8,12 @@ use std::time::Duration;
 /// One measured execution (a row of `results/BENCH_*.csv`).
 #[derive(Clone, Debug)]
 pub struct Sample {
-    /// Scenario label (`pool`, `local_log`, `storm_remote_pipelined`, …).
+    /// Scenario label (`local_log`, `storm_remote_pipelined`, …).
     pub mode: String,
     /// Total task count for workflow scenarios; message count for
     /// publish storms.
     pub tasks: usize,
-    /// Worker threads driving the agents (= agents for legacy).
+    /// Worker threads driving the agents.
     pub workers: usize,
     /// Observed makespan (s).
     pub wall_secs: f64,
@@ -34,7 +33,7 @@ pub struct Sample {
     pub rss_mib: Option<f64>,
     /// Process thread count at scenario end (`/proc/self/status`) —
     /// client-scale scenarios only, where it proves N connections
-    /// share one reactor thread instead of costing 2·N.
+    /// share one reactor thread.
     pub threads: Option<usize>,
     /// What the metrics registry observed during the scenario — printed
     /// next to the row (not a CSV column), so a bench run doubles as an

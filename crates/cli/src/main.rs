@@ -4,7 +4,7 @@
 //! ginflow validate <workflow.json>
 //! ginflow translate <workflow.json>
 //! ginflow run <workflow.json> [--broker activemq|kafka|tcp://HOST:PORT]
-//!                             [--executor centralized|scheduler|legacy-threads|sim]
+//!                             [--executor centralized|scheduler|sim]
 //!                             [--run-id ID] [--shard I/N] [--workers N] [--shell]
 //!                             [--service-sleep MS] [--timeout SECS] [--follow]
 //! ginflow broker serve [--addr HOST:PORT] [--profile kafka|activemq]
@@ -116,7 +116,7 @@ fn print_usage() {
          \x20 ginflow validate  <workflow.json>\n\
          \x20 ginflow translate <workflow.json>\n\
          \x20 ginflow run       <workflow.json> [--broker activemq|kafka|tcp://HOST:PORT]\n\
-         \x20                   [--executor centralized|scheduler|legacy-threads|sim]\n\
+         \x20                   [--executor centralized|scheduler|sim]\n\
          \x20                   [--run-id ID] [--shard I/N] [--workers N] [--shell]\n\
          \x20                   [--service-sleep MS] [--timeout SECS] [--follow]\n\
          \x20 ginflow broker    serve [--addr HOST:PORT] [--profile kafka|activemq]\n\
@@ -147,9 +147,10 @@ fn print_usage() {
          a daemon killed mid-run and relaunched on the same DIR resumes\n\
          the same offsets and in-flight runs complete via client replay.\n\
          client I/O: every tcp:// connection in a process multiplexes\n\
-         onto one shared reactor thread; GINFLOW_CLIENT_THREADED=1\n\
-         selects the thread-pair-per-connection baseline instead (the\n\
-         client mirror of the daemon's GINFLOW_NET_THREADED knob)."
+         onto one shared reactor thread.\n\
+         slow services: the scheduler runs services inline on its\n\
+         workers, so for long-blocking services (e.g. --shell with slow\n\
+         programs) raise --workers."
     );
 }
 
@@ -396,15 +397,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        // "threaded" stays accepted as an alias of the (now default)
-        // event-driven scheduler; "legacy-threads" forces the seed's
-        // thread-per-agent backend for A/B comparisons; "sim" runs the
-        // same workflow in virtual time. Note that the scheduler runs
-        // services inline on its workers — for workloads of
+        // "sim" runs the same workflow in virtual time. The scheduler
+        // runs services inline on its workers — for workloads of
         // long-blocking services (e.g. --shell with slow programs),
-        // raise --workers or pick legacy-threads until service
-        // offloading lands.
-        executor @ ("scheduler" | "threaded" | "legacy-threads" | "sim") => {
+        // raise --workers.
+        executor @ ("scheduler" | "sim") => {
             // Task names become topic segments (run/<id>/sa.<task>);
             // reject invalid ones here with a clean error instead of
             // panicking deep inside the launch.
@@ -412,18 +409,15 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 ginflow_mq::namespace::validate_segment("task name", &spec.name)
                     .map_err(|e| e.to_string())?;
             }
-            let backend = match executor {
-                "legacy-threads" => Backend::LegacyThreads,
-                "sim" => Backend::Sim,
-                _ => match shard {
-                    Some((index, count)) => Backend::Sharded {
-                        shard: index,
-                        of: count,
-                    },
-                    None => Backend::Scheduler,
+            let backend = match (executor, shard) {
+                ("sim", _) => Backend::Sim,
+                (_, Some((index, count))) => Backend::Sharded {
+                    shard: index,
+                    of: count,
                 },
+                (_, None) => Backend::Scheduler,
             };
-            if shard.is_some() && matches!(executor, "legacy-threads" | "sim") {
+            if shard.is_some() && executor == "sim" {
                 return Err(format!(
                     "--shard needs the (default) scheduler executor, not {executor:?}"
                 ));
@@ -550,7 +544,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             }
         }
         other => Err(format!(
-            "unknown executor {other:?} (centralized|scheduler|legacy-threads|sim)"
+            "unknown executor {other:?} (centralized|scheduler|sim)"
         )),
     }
 }
@@ -628,8 +622,7 @@ fn cmd_broker(args: &[String]) -> Result<(), String> {
 
 /// Connect to a daemon for the registry subcommands (`runs`, `gc`).
 /// Like every client connection, it rides the process-wide shared
-/// reactor (or the thread-pair baseline under
-/// `GINFLOW_CLIENT_THREADED=1`).
+/// reactor.
 fn broker_client(flags: &Flags<'_>) -> Result<ginflow_net::RemoteBroker, String> {
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:7433");
     ginflow_net::RemoteBroker::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))

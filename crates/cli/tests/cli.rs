@@ -93,6 +93,26 @@ fn run_centralized_prints_results() {
     assert!(stdout.contains("s4(s2(s1(input)),s3(s1(input)))"));
 }
 
+/// The executors that selected a removed runtime are gone from the
+/// CLI, not silently aliased to the scheduler.
+#[test]
+fn removed_executor_names_are_rejected() {
+    let path = write_workflow(&tmpdir(), "gone.json", FIG2);
+    for name in ["legacy-threads", "threaded"] {
+        let out = ginflow()
+            .args(["run", "--executor", name])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--executor {name} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown executor {name:?}")),
+            "--executor {name}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn run_threaded_with_kafka_completes() {
     let path = write_workflow(&tmpdir(), "k.json", FIG5);

@@ -1,9 +1,8 @@
 //! # ginflow-engine — one entry point for every execution vehicle
 //!
-//! GinFlow grew three incompatible ways to run a workflow: the
-//! event-driven scheduler, the seed's thread-per-agent backend and the
-//! virtual-time simulator, each with its own launch call and its own
-//! notion of "done". This crate folds them behind a single façade:
+//! A workflow runs on the event-driven scheduler — in one process or as
+//! one shard of several — or in the virtual-time simulator. This crate
+//! puts them behind a single façade:
 //!
 //! ```
 //! use ginflow_engine::{Backend, Engine};
@@ -52,8 +51,6 @@ pub enum Backend {
     /// The event-driven, sharded worker-pool scheduler (the default).
     #[default]
     Scheduler,
-    /// The seed's thread-per-agent polling backend — the A/B baseline.
-    LegacyThreads,
     /// The virtual-time discrete-event simulator.
     Sim,
     /// One shard of a multi-process execution: this engine runs only
@@ -64,8 +61,7 @@ pub enum Backend {
     /// status topic is the cross-shard membrane, so every shard's
     /// [`RunHandle`] still observes (and waits on) the whole workflow.
     /// A shard's broker connections all multiplex onto the client's
-    /// shared reactor thread by default; set `GINFLOW_CLIENT_THREADED=1`
-    /// to fall back to the thread-pair-per-connection baseline.
+    /// shared reactor thread.
     Sharded {
         /// This process's shard index (`0..of`).
         shard: u32,
@@ -125,8 +121,8 @@ impl EngineBuilder {
     }
 
     /// Full runtime options (overrides [`EngineBuilder::workers`] /
-    /// [`EngineBuilder::auto_recover`]). `legacy_threads` is still
-    /// decided by the chosen [`Backend`].
+    /// [`EngineBuilder::auto_recover`]). The run id is still the one
+    /// given to [`EngineBuilder::run_id`].
     pub fn options(mut self, options: RunOptions) -> Self {
         self.options = options;
         self
@@ -185,7 +181,6 @@ impl EngineBuilder {
                     .registry
                     .unwrap_or_else(|| Arc::new(ServiceRegistry::new()));
                 let mut options = self.options;
-                options.legacy_threads = live == Backend::LegacyThreads;
                 options.run_id = self.run_id;
                 if let Backend::Sharded { shard, of } = live {
                     assert!(
@@ -242,7 +237,7 @@ impl Engine {
         }
     }
 
-    /// The backend's label ("scheduler", "legacy-threads", "sim", …).
+    /// The backend's label ("scheduler", "sharded", "sim", …).
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
     }
@@ -272,10 +267,6 @@ mod tests {
     #[test]
     fn builder_names_backends() {
         assert_eq!(engine(Backend::Scheduler).backend_name(), "scheduler");
-        assert_eq!(
-            engine(Backend::LegacyThreads).backend_name(),
-            "legacy-threads"
-        );
         assert_eq!(engine(Backend::Sim).backend_name(), "sim");
     }
 

@@ -27,7 +27,6 @@ use ginflow_core::{patterns, Connectivity, ServiceRegistry, TaskState};
 use ginflow_engine::{Backend, Engine, RunId, RunReport};
 use ginflow_mq::{Broker, LogBroker, SubscribeMode, TopicNamespace};
 use ginflow_net::fault::{ChaosHarness, FaultPlan};
-use ginflow_net::ClientFlavor;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,8 +42,6 @@ fn init() {
         std::env::set_var("GINFLOW_NET_UNBATCHED", "1");
     });
 }
-
-const FLAVORS: [ClientFlavor; 2] = [ClientFlavor::Reactor, ClientFlavor::Threaded];
 
 fn seeds(default_count: u64) -> Vec<u64> {
     let base = ginflow_net::fault::seed_from_env(1);
@@ -116,12 +113,12 @@ fn reference_run() -> RunReport {
     report
 }
 
-fn chaos_shard(h: &ChaosHarness, run_id: &str, shard: u32, flavor: ClientFlavor) -> Engine {
+fn chaos_shard(h: &ChaosHarness, run_id: &str, shard: u32) -> Engine {
     // Dials can be refused by a partition window — retry until the
     // window closes (bounded by the caller's overall deadline).
     let give_up = Instant::now() + Duration::from_secs(30);
     let broker = loop {
-        match h.client(&format!("shard{shard}"), flavor) {
+        match h.client(&format!("shard{shard}")) {
             Ok(c) => break c,
             Err(e) if Instant::now() >= give_up => {
                 panic!(
@@ -188,35 +185,102 @@ fn lossless_chaos_run_agrees_with_fault_free_reference() {
     let reference = reference_run();
     let wf = patterns::diamond(3, 4, Connectivity::Simple, "s").unwrap();
 
-    for flavor in FLAVORS {
-        for seed in seeds(3) {
-            println!("chaos[workflow-lossless/{flavor:?}] seed={seed}");
-            let h = ChaosHarness::new(seed, lossless_chaos()).unwrap();
-            let ns = TopicNamespace::new(RunId::new("chaos-agree").unwrap());
-            let status_sub = h
-                .broker()
-                .subscribe(ns.status(), SubscribeMode::Beginning)
-                .unwrap();
+    for seed in seeds(3) {
+        println!("chaos[workflow-lossless] seed={seed}");
+        let h = ChaosHarness::new(seed, lossless_chaos()).unwrap();
+        let ns = TopicNamespace::new(RunId::new("chaos-agree").unwrap());
+        let status_sub = h
+            .broker()
+            .subscribe(ns.status(), SubscribeMode::Beginning)
+            .unwrap();
 
-            let run0 = chaos_shard(&h, "chaos-agree", 0, flavor).launch(&wf);
-            let run1 = chaos_shard(&h, "chaos-agree", 1, flavor).launch(&wf);
-            let outcome = h.with_deadline("lossless run", Duration::from_secs(120), move || {
-                let r0 = run0.wait(Duration::from_secs(90)).map(|_| ());
-                let r1 = run1.wait(Duration::from_secs(90)).map(|_| ());
-                (r0, r1, run0.join(), run1.join())
-            });
-            let (r0, r1, report0, report1) =
-                outcome.unwrap_or_else(|hang| panic!("{hang} under {flavor:?}"));
-            r0.unwrap_or_else(|e| {
-                panic!("shard0 did not complete: {e:?} (repro: GINFLOW_FAULT_SEED={seed})")
-            });
-            r1.unwrap_or_else(|e| {
-                panic!("shard1 did not complete: {e:?} (repro: GINFLOW_FAULT_SEED={seed})")
-            });
-            assert!(report0.completed && report1.completed, "seed {seed}");
+        let run0 = chaos_shard(&h, "chaos-agree", 0).launch(&wf);
+        let run1 = chaos_shard(&h, "chaos-agree", 1).launch(&wf);
+        let outcome = h.with_deadline("lossless run", Duration::from_secs(120), move || {
+            let r0 = run0.wait(Duration::from_secs(90)).map(|_| ());
+            let r1 = run1.wait(Duration::from_secs(90)).map(|_| ());
+            (r0, r1, run0.join(), run1.join())
+        });
+        let (r0, r1, report0, report1) = outcome.unwrap_or_else(|hang| panic!("{hang}"));
+        r0.unwrap_or_else(|e| {
+            panic!("shard0 did not complete: {e:?} (repro: GINFLOW_FAULT_SEED={seed})")
+        });
+        r1.unwrap_or_else(|e| {
+            panic!("shard1 did not complete: {e:?} (repro: GINFLOW_FAULT_SEED={seed})")
+        });
+        assert!(report0.completed && report1.completed, "seed {seed}");
 
-            // Both chaos shards agree with the fault-free oracle on
-            // final task states and the sink's result.
+        // Both chaos shards agree with the fault-free oracle on
+        // final task states and the sink's result.
+        assert_eq!(
+            final_states(&report0),
+            final_states(&reference),
+            "seed {seed}"
+        );
+        assert_eq!(
+            final_states(&report1),
+            final_states(&reference),
+            "seed {seed}"
+        );
+        assert_eq!(
+            report0.result_of("out"),
+            reference.result_of("out"),
+            "seed {seed}"
+        );
+        assert_eq!(
+            report1.result_of("out"),
+            reference.result_of("out"),
+            "seed {seed}"
+        );
+        assert_status_monotonic(&status_sub, seed);
+    }
+}
+
+#[test]
+fn sever_storm_run_completes_correctly_or_fails_clean() {
+    init();
+    let reference = reference_run();
+    let wf = patterns::diamond(3, 4, Connectivity::Simple, "s").unwrap();
+
+    let mut completed = 0u32;
+    let mut clean_failures = 0u32;
+    for seed in seeds(3) {
+        println!("chaos[workflow-storm] seed={seed}");
+        let h = ChaosHarness::new(seed, severing_chaos()).unwrap();
+        let ns = TopicNamespace::new(RunId::new("chaos-storm").unwrap());
+        let status_sub = h
+            .broker()
+            .subscribe(ns.status(), SubscribeMode::Beginning)
+            .unwrap();
+
+        let run0 = chaos_shard(&h, "chaos-storm", 0).launch(&wf);
+        let run1 = chaos_shard(&h, "chaos-storm", 1).launch(&wf);
+
+        // The whole lifecycle — wait, join, teardown — must finish
+        // under a real-time deadline whatever the fault schedule
+        // did: completion may be forfeit, boundedness never is.
+        let outcome = h.with_deadline("storm run", Duration::from_secs(120), move || {
+            let r0 = run0.wait(Duration::from_secs(15)).map(|_| ());
+            // Shard 1 ran the whole time shard 0 was waited on, so
+            // a shorter residual window suffices.
+            let r1 = run1.wait(Duration::from_secs(8)).map(|_| ());
+            if r0.is_err() || r1.is_err() {
+                // The run forfeited completion (an at-most-once
+                // publish died with its link): cancel so `join`
+                // sees a terminal event instead of blocking on a
+                // completion that will never come.
+                run0.cancel();
+                run1.cancel();
+            }
+            (r0, r1, run0.join(), run1.join())
+        });
+        let (r0, r1, report0, report1) =
+            outcome.unwrap_or_else(|hang| panic!("sever storm wedged the engine: {hang}"));
+
+        if r0.is_ok() && r1.is_ok() {
+            completed += 1;
+            // When the storm lets the run finish, it must have
+            // finished *right*.
             assert_eq!(
                 final_states(&report0),
                 final_states(&reference),
@@ -232,91 +296,18 @@ fn lossless_chaos_run_agrees_with_fault_free_reference() {
                 reference.result_of("out"),
                 "seed {seed}"
             );
-            assert_eq!(
-                report1.result_of("out"),
-                reference.result_of("out"),
-                "seed {seed}"
-            );
-            assert_status_monotonic(&status_sub, seed);
+        } else {
+            // A publish died with a severed link (at-most-once by
+            // design) — the run may not complete, but it failed as
+            // a structured timeout, not a hang.
+            clean_failures += 1;
         }
-    }
-}
-
-#[test]
-fn sever_storm_run_completes_correctly_or_fails_clean() {
-    init();
-    let reference = reference_run();
-    let wf = patterns::diamond(3, 4, Connectivity::Simple, "s").unwrap();
-
-    let mut completed = 0u32;
-    let mut clean_failures = 0u32;
-    for flavor in FLAVORS {
-        for seed in seeds(3) {
-            println!("chaos[workflow-storm/{flavor:?}] seed={seed}");
-            let h = ChaosHarness::new(seed, severing_chaos()).unwrap();
-            let ns = TopicNamespace::new(RunId::new("chaos-storm").unwrap());
-            let status_sub = h
-                .broker()
-                .subscribe(ns.status(), SubscribeMode::Beginning)
-                .unwrap();
-
-            let run0 = chaos_shard(&h, "chaos-storm", 0, flavor).launch(&wf);
-            let run1 = chaos_shard(&h, "chaos-storm", 1, flavor).launch(&wf);
-
-            // The whole lifecycle — wait, join, teardown — must finish
-            // under a real-time deadline whatever the fault schedule
-            // did: completion may be forfeit, boundedness never is.
-            let outcome = h.with_deadline("storm run", Duration::from_secs(120), move || {
-                let r0 = run0.wait(Duration::from_secs(15)).map(|_| ());
-                // Shard 1 ran the whole time shard 0 was waited on, so
-                // a shorter residual window suffices.
-                let r1 = run1.wait(Duration::from_secs(8)).map(|_| ());
-                if r0.is_err() || r1.is_err() {
-                    // The run forfeited completion (an at-most-once
-                    // publish died with its link): cancel so `join`
-                    // sees a terminal event instead of blocking on a
-                    // completion that will never come.
-                    run0.cancel();
-                    run1.cancel();
-                }
-                (r0, r1, run0.join(), run1.join())
-            });
-            let (r0, r1, report0, report1) = outcome.unwrap_or_else(|hang| {
-                panic!("sever storm wedged the engine: {hang} under {flavor:?}")
-            });
-
-            if r0.is_ok() && r1.is_ok() {
-                completed += 1;
-                // When the storm lets the run finish, it must have
-                // finished *right*.
-                assert_eq!(
-                    final_states(&report0),
-                    final_states(&reference),
-                    "seed {seed}"
-                );
-                assert_eq!(
-                    final_states(&report1),
-                    final_states(&reference),
-                    "seed {seed}"
-                );
-                assert_eq!(
-                    report0.result_of("out"),
-                    reference.result_of("out"),
-                    "seed {seed}"
-                );
-            } else {
-                // A publish died with a severed link (at-most-once by
-                // design) — the run may not complete, but it failed as
-                // a structured timeout, not a hang.
-                clean_failures += 1;
-            }
-            assert_status_monotonic(&status_sub, seed);
-            let stats = h.net().stats();
-            assert!(
-                stats.severs > 0 || stats.dials_refused > 0,
-                "storm plan injected nothing (seed {seed})"
-            );
-        }
+        assert_status_monotonic(&status_sub, seed);
+        let stats = h.net().stats();
+        assert!(
+            stats.severs > 0 || stats.dials_refused > 0,
+            "storm plan injected nothing (seed {seed})"
+        );
     }
     println!("storm outcomes: {completed} completed, {clean_failures} clean structured failures");
 }

@@ -46,13 +46,13 @@ fn final_states(events: impl IntoIterator<Item = RunEvent>) -> HashMap<String, T
 }
 
 /// The acceptance check: the same Fig-2 workflow launched through one
-/// `Engine::builder()` on all three backends, with the `RunEvent`
-/// streams agreeing on the final task states.
+/// `Engine::builder()` on both backends, with the `RunEvent` streams
+/// agreeing on the final task states.
 #[test]
-fn all_three_backends_agree_on_fig2_final_states() {
+fn both_backends_agree_on_fig2_final_states() {
     let wf = fig2();
     let mut per_backend: Vec<(&'static str, HashMap<String, TaskState>)> = Vec::new();
-    for backend in [Backend::Scheduler, Backend::LegacyThreads, Backend::Sim] {
+    for backend in [Backend::Scheduler, Backend::Sim] {
         let run = engine_for(backend).launch(&wf);
         let events: Vec<RunEvent> = run.events().collect();
         assert_eq!(

@@ -139,8 +139,8 @@ type LagCounter = Arc<std::sync::atomic::AtomicU64>;
 ///
 /// `armed` shadows `Some`-ness of the slot so the publish hot path can
 /// skip waker collection entirely for the (common) subscribers that
-/// never registered one — blocking consumers like the status collector,
-/// and every subscription of the legacy backend.
+/// never registered one — blocking consumers like the status
+/// collector.
 #[derive(Default)]
 pub(crate) struct WakerSlot {
     armed: std::sync::atomic::AtomicBool,
@@ -192,7 +192,7 @@ pub struct SubscriberHandle {
 impl SubscriberHandle {
     /// Enqueue a message. Returns false when the subscriber is gone (the
     /// broker prunes the handle). Does not wake — the broker wakes via
-    /// [`SubscriberHandle::waker`] once its topic lock is released; a
+    /// `SubscriberHandle::waker` once its topic lock is released; a
     /// bridge that delivers outside a topic lock calls
     /// [`SubscriberHandle::wake`] itself.
     ///
@@ -258,20 +258,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
 /// Power of two so the modulo is a mask.
 pub(crate) const TOPIC_SHARDS: usize = 16;
 
-/// Shard count, honouring the `GINFLOW_MQ_SINGLE_SHARD` debug knob
-/// (set to any value to collapse the map back to one global lock — the
-/// A/B lever for benchmarking what sharding buys in isolation).
-fn shard_count() -> usize {
-    static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *N.get_or_init(|| {
-        if std::env::var_os("GINFLOW_MQ_SINGLE_SHARD").is_some() {
-            1
-        } else {
-            TOPIC_SHARDS
-        }
-    })
-}
-
 /// A topic map split into [`TOPIC_SHARDS`] independently locked shards,
 /// keyed by FNV-1a of the topic name. All broker operations address one
 /// topic, so no operation ever needs more than one shard lock — there
@@ -283,7 +269,7 @@ pub(crate) struct TopicShards<S> {
 impl<S> Default for TopicShards<S> {
     fn default() -> Self {
         TopicShards {
-            shards: (0..shard_count())
+            shards: (0..TOPIC_SHARDS)
                 .map(|_| Mutex::new(std::collections::HashMap::new()))
                 .collect(),
         }

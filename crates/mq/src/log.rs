@@ -126,7 +126,7 @@ pub struct RecoveryReport {
 
 /// Persistent, partitioned, replayable broker. The topic map is split
 /// into lock shards keyed by topic hash
-/// ([`crate::broker::TOPIC_SHARDS`]), so publishes to distinct topics —
+/// (`broker::TOPIC_SHARDS`), so publishes to distinct topics —
 /// different agents' inboxes, different runs' namespaces — never
 /// contend on a shared lock.
 ///

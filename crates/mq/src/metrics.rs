@@ -16,9 +16,7 @@
 //!    registrations (one per run, one per topic shard) don't convoy.
 //! 3. **Disable means free.** [`set_enabled`] flips one process-global
 //!    relaxed flag consulted by every write; the bench harness A/Bs
-//!    instrumented vs uninstrumented throughput in one process with it
-//!    (`GINFLOW_MQ_NO_METRICS=1` presets it off, following the
-//!    `GINFLOW_MQ_SINGLE_SHARD` knob convention).
+//!    instrumented vs uninstrumented throughput in one process with it.
 //!
 //! Reading happens two ways, both off the same registry: a flat
 //! [`Metrics::snapshot`] of `(name, label, value)` rows (what the STATS
@@ -297,12 +295,7 @@ pub struct Metrics {
 /// engine reads its per-run slice into `RunReport`.
 pub fn global() -> &'static Metrics {
     static GLOBAL: OnceLock<Metrics> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        if std::env::var("GINFLOW_MQ_NO_METRICS").is_ok_and(|v| v == "1") {
-            set_enabled(false);
-        }
-        Metrics::default()
-    })
+    GLOBAL.get_or_init(Metrics::default)
 }
 
 macro_rules! register {

@@ -114,7 +114,7 @@ pub fn record_frame_len(key_len: Option<usize>, payload_len: usize) -> usize {
 }
 
 /// Append one encoded record to `out` (the `Vec` form of what
-/// [`SegmentWriter::append`] writes through the mapping — shared by
+/// `SegmentWriter::append` writes through the mapping — shared by
 /// tests and the docs' format table).
 pub fn encode_record(out: &mut Vec<u8>, key: Option<&[u8]>, payload: &[u8]) {
     let key_len = key.map_or(0, <[u8]>::len);

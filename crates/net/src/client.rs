@@ -1,7 +1,6 @@
 //! [`RemoteBroker`] — the client side of the wire protocol, implementing
 //! the same [`Broker`] trait as the in-process brokers so every runtime
-//! (scheduler, legacy threads, sharded engines) is oblivious to the
-//! network.
+//! (scheduler, sharded engines) is oblivious to the network.
 //!
 //! Three properties matter:
 //!
@@ -9,70 +8,67 @@
 //!   [`Subscription`]'s queue and fire its registered waker
 //!   ([`Subscription::set_waker`]), so the PR-1 scheduler drives remote
 //!   subscriptions exactly like local ones — zero polling end to end.
-//! * **Reconnect with replay.** When the connection drops, a background
-//!   loop redials and re-subscribes every live subscription. Against a
+//! * **Reconnect with replay.** When the connection drops, the reactor
+//!   redials and re-subscribes every live subscription. Against a
 //!   persistent broker, a subscription that has seen offsets resumes
 //!   with [`SubscribeMode::FromOffset`] at the lowest unseen offset; the
 //!   per-partition offset filter then drops whatever the replay
 //!   re-delivers, so consumers observe an exactly-once stream across
 //!   connection loss.
-//! * **Blocking sends ride out outages.** Publishes and requests made
-//!   while the connection is down wait (bounded by
-//!   [`RECONNECT_GRACE`]) for the redial instead of failing — an agent
-//!   mid-workflow never silently loses a result message to a severed
-//!   connection.
+//! * **Sends ride out outages.** Publishes and requests made while the
+//!   connection is down stay queued for the redial (the wait is bounded
+//!   by the request timeout, and by [`RECONNECT_GRACE`] on a full
+//!   pipeline window) instead of failing — an agent mid-workflow never
+//!   silently loses a result message to a severed connection.
 //!
 //! ## Pipelined publish
 //!
 //! [`Broker::publish`] is the blocking path: one RECEIPT round trip
 //! per message, receipt returned to the caller.
 //! [`Broker::publish_nowait`] is the hot path: the PUBLISH frame is
-//! written and the call returns; the reader thread consumes RECEIPTs
+//! queued and the call returns; the reactor loop consumes RECEIPTs
 //! asynchronously, releasing bytes from the in-flight window
 //! ([`PIPELINE_WINDOW_BYTES`]). The call only blocks when the window
 //! is full, or on [`Broker::flush`], which drains the pipeline and
 //! reports (then clears) the loss ledger. The event-loop daemon acks
 //! pipelined storms with RECEIPTS *range* frames (one frame per run of
-//! consecutive seqs/offsets); the reader expands them back into
+//! consecutive seqs/offsets); the client expands them back into
 //! per-seq receipts, so callers never see the difference.
 //!
 //! The wire itself is abstracted behind
-//! [`Transport`](crate::transport::Transport): [`RemoteBroker::connect`]
+//! [`Transport`]: [`RemoteBroker::connect`]
 //! dials TCP, [`RemoteBroker::connect_with`] accepts any connector (an
 //! in-process socketpair, a fault-injecting wrapper), and the same
 //! connector is re-invoked on every reconnect.
 //!
-//! ## I/O flavors
+//! ## I/O
 //!
-//! Everything above is the *contract*; how the socket is driven is a
-//! [`ClientFlavor`]. The default **reactor** flavor parks every
-//! connection in the process on one shared epoll thread (the
-//! `client_reactor` module): reads, writes, and reconnect timers for
-//! N brokers cost one thread. The **threaded** flavor is the
-//! pre-reactor baseline — a dedicated reader + writer thread pair per
-//! connection — kept verbatim behind `GINFLOW_CLIENT_THREADED=1` (or
-//! an explicit [`RemoteBroker::connect_with_flavor`]) as the A/B
-//! foil, mirroring the server's `GINFLOW_NET_THREADED` convention.
-//! Both flavors share this module's frame dispatch, pipeline window,
-//! loss ledger, watermark replay, and reconnect semantics — the
-//! flavor only decides which thread performs the socket I/O.
+//! Every connection in the process is parked on one shared epoll
+//! thread (the `client_reactor` module): reads, writes, and reconnect
+//! timers for N brokers cost one thread. Callers never touch the
+//! socket — they append encoded frames to the connection's outbound
+//! buffer and ring the loop's doorbell; this module owns everything
+//! above the socket: frame dispatch, the pipeline window, the loss
+//! ledger, watermark replay and the re-subscribe handshake.
 //!
-//! **Ordering.** Both paths write frames to one socket under one lock
-//! and the daemon processes a connection's requests in order, so
-//! publishes from one client — pipelined, blocking, or interleaved —
-//! land in per-topic FIFO order exactly as before; a blocking
-//! publish's receipt accounts for every pipelined frame queued ahead
-//! of it.
+//! **Ordering.** All request frames of a connection pass through one
+//! FIFO buffer and the daemon processes a connection's requests in
+//! order, so publishes from one client — pipelined, blocking, or
+//! interleaved — land in per-topic FIFO order; a blocking publish's
+//! receipt accounts for every pipelined frame queued ahead of it.
 //!
 //! **Ack/loss semantics.** A pipelined publish that fails before the
-//! frame leaves the process errors immediately (caller's error, e.g.
+//! frame is queued errors immediately (caller's error, e.g.
 //! oversized payload or a timed-out reconnect wait). One that dies
-//! *after* the write — connection severed before its RECEIPT, or
-//! refused by the server — is counted on a loss ledger that the next
+//! *after* that — connection severed before its RECEIPT, or refused
+//! by the server — is counted on a loss ledger that the next
 //! `flush()` returns and resets. Un-acked pipelined publishes are
 //! **not** replayed on reconnect: the daemon may have processed a
 //! frame whose receipt was lost with the connection, and re-sending
-//! would duplicate it in the persistent log. This is the same
+//! would duplicate it in the persistent log. A request's frame and
+//! its waiter therefore live and die together: a frame reaches a fresh
+//! connection only if whoever sent it is still waiting for the answer
+//! (`ClientInner::submit` enforces it). This is the same
 //! at-most-once-on-outage contract as the blocking path (whose
 //! `Disconnected` error hot-path callers discard); flush points are
 //! where a caller that needs certainty asks for it.
@@ -106,26 +102,25 @@
 
 use crate::client_reactor::ConnHandle;
 use crate::transport::{Connector, Transport};
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use ginflow_mq::metrics::{self, Counter, Gauge};
-use ginflow_mq::wire::{read_frame, write_frame, Frame, RunStat, StatRow};
+use ginflow_mq::wire::{Frame, RunStat, StatRow};
 use ginflow_mq::{
     subscription_pair, Broker, Message, MqError, Receipt, SubscribeMode, SubscriberHandle,
     Subscription,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long one request waits for its reply.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// How long a send blocks waiting for a reconnect before giving up.
+/// How long a pipelined publish blocks on a full window — the acks an
+/// outage is holding back — before giving up.
 pub const RECONNECT_GRACE: Duration = Duration::from_secs(30);
 
 /// Default bound on [`Broker::flush`]: generous enough to ride out a
@@ -146,63 +141,10 @@ fn default_flush_timeout_ms() -> u64 {
         .unwrap_or(DEFAULT_FLUSH_TIMEOUT.as_millis() as u64)
 }
 
-/// Reconnect backoff ladder start, shared by both flavors: the first
-/// redial is (near-)immediate, each failure doubles the ladder up to
-/// [`reconnect_cap`].
-pub(crate) const RECONNECT_BASE: Duration = Duration::from_millis(20);
-
-/// The hard cap on reconnect backoff: the ladder never sleeps longer
-/// than this between redials, jitter included. Defaults to 2 s;
-/// override with `GINFLOW_RECONNECT_CAP_MS` (read once per process).
-pub(crate) fn reconnect_cap() -> Duration {
-    static CAP_MS: OnceLock<u64> = OnceLock::new();
-    Duration::from_millis(*CAP_MS.get_or_init(|| {
-        std::env::var("GINFLOW_RECONNECT_CAP_MS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .filter(|ms| *ms > 0)
-            .unwrap_or(2_000)
-    }))
-}
-
-/// A per-ladder-instance jitter seed (hashmap `RandomState` is the
-/// stdlib's per-process entropy — no clock involved).
-pub(crate) fn jitter_seed() -> u64 {
-    use std::hash::{BuildHasher, Hasher};
-    std::collections::hash_map::RandomState::new()
-        .build_hasher()
-        .finish()
-        | 1
-}
-
-/// Equal-jitter backoff: sleep `ladder/2 + uniform(0..=ladder/2)`,
-/// clamped to [`reconnect_cap`]. The spread de-synchronises reconnect
-/// storms — N clients severed by one daemon restart redial spread over
-/// half the ladder instead of in lockstep — while keeping the sleep
-/// within 2× of the deterministic ladder. `state` is a caller-held
-/// xorshift64 register (seed with [`jitter_seed`]).
-pub(crate) fn jittered_backoff(ladder: Duration, state: &mut u64) -> Duration {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    let d = ladder.min(reconnect_cap());
-    let half_us = d.as_micros() as u64 / 2;
-    (d / 2 + Duration::from_micros(x % (half_us + 1))).min(reconnect_cap())
-}
-
-/// Socket write timeout: bounds how long the connection mutex can be
-/// held against a stalled peer (blackholed network, SIGSTOPped daemon),
-/// so shutdown/cancel never wedge behind a blocked `write_all`. A write
-/// that times out may be partial, which corrupts the frame stream — the
-/// connection is declared dead and the reconnect path takes over.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// Upper bound on un-acknowledged pipelined publish bytes
 /// ([`ginflow_mq::Broker::publish_nowait`]). While the window has room,
-/// a pipelined publish costs one frame write — no round trip; when it
-/// is full, the publisher blocks until the reader's asynchronous ack
+/// a pipelined publish costs one frame append — no round trip; when it
+/// is full, the publisher blocks until the loop's asynchronous ack
 /// consumption drains it. Bounds both client memory and how far the
 /// publisher can run ahead of a slow daemon.
 pub const PIPELINE_WINDOW_BYTES: usize = 4 * 1024 * 1024;
@@ -301,11 +243,11 @@ impl RemoteSub {
     }
 }
 
-/// What the reader does with a reply.
+/// What the frame dispatch does with a reply.
 enum Waiter {
     /// Hand the raw reply frame to the requester.
     Reply(Sender<Result<Frame, MqError>>),
-    /// A subscribe in flight: the reader itself registers the
+    /// A subscribe in flight: the dispatch itself registers the
     /// subscription under the server-assigned id *before* processing any
     /// further frame, so no EVENT can slip past between the ack and the
     /// registration.
@@ -320,7 +262,7 @@ enum Waiter {
     /// down rather than stream events nobody handles.
     Abandoned,
     /// A pipelined publish in flight: nobody blocks on the RECEIPT —
-    /// the reader consumes it and releases the publish's bytes from the
+    /// the dispatch consumes it and releases the publish's bytes from the
     /// pipeline window.
     Pipelined {
         /// Wire bytes this publish holds in the window.
@@ -357,15 +299,13 @@ fn client_metrics() -> &'static ClientMetrics {
             ),
             reconnects: g.counter(
                 "gf_client_reconnects_total",
-                "Connections re-established by any client flavor after a drop",
+                "Connections re-established by the client after a drop",
             ),
         }
     })
 }
 
-/// Count one successful reconnect on the flavor-agnostic
-/// `gf_client_reconnects_total` counter (the reactor additionally
-/// keeps its own `gf_client_reactor_reconnects_total`).
+/// Count one successful reconnect on `gf_client_reconnects_total`.
 pub(crate) fn note_reconnect() {
     client_metrics().reconnects.inc();
 }
@@ -399,63 +339,17 @@ struct PipelineState {
     lost: u64,
 }
 
-/// How a [`RemoteBroker`] drives its socket. Selected per connection
-/// at connect time; both flavors speak the identical protocol with
-/// identical pipeline/reconnect semantics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClientFlavor {
-    /// [`ClientFlavor::Reactor`] unless `GINFLOW_CLIENT_THREADED` is
-    /// set in the environment (checked at connect time — the client
-    /// mirror of the server's `GINFLOW_NET_THREADED`).
-    Auto,
-    /// All connections in the process share one epoll loop thread
-    /// (the `client_reactor` module). The default.
-    Reactor,
-    /// A dedicated reader + writer OS thread pair per connection —
-    /// the pre-reactor baseline, kept as the A/B foil.
-    Threaded,
-}
-
-impl ClientFlavor {
-    fn resolve_threaded(self) -> bool {
-        match self {
-            ClientFlavor::Threaded => true,
-            ClientFlavor::Reactor => false,
-            ClientFlavor::Auto => std::env::var_os("GINFLOW_CLIENT_THREADED").is_some(),
-        }
-    }
-}
-
-/// The flavor-specific outbound seam: everything else in
-/// [`ClientInner`] is shared between flavors.
-enum Egress {
-    /// Threaded flavor: the write half (+ reconnect condvar senders
-    /// park on) and the writer thread's frame queue.
-    Threaded {
-        /// The write half; `None` while disconnected. Senders wait on
-        /// `conn_ready` for the reconnect loop to restore it.
-        conn: Mutex<Option<Box<dyn Transport>>>,
-        conn_ready: Condvar,
-        /// Outbound frame queue drained by the writer thread, which
-        /// coalesces every frame available at wakeup into one socket
-        /// write — a burst of pipelined publishes costs one syscall,
-        /// not one each. A single FIFO queue for *all* request frames
-        /// preserves the per-connection ordering contract.
-        out_tx: Sender<Vec<u8>>,
-    },
-    /// Reactor flavor: the shared loop's per-connection handle (its
-    /// outbound buffer is the same single FIFO, drained by the loop).
-    Reactor(Arc<ConnHandle>),
-}
-
 pub(crate) struct ClientInner {
     /// Dials a fresh transport to the daemon — the reconnect seam.
     /// TCP for [`RemoteBroker::connect`]; anything (an in-process
     /// socketpair, a fault-injecting wrapper) for
     /// [`RemoteBroker::connect_with`].
     connector: Connector,
-    /// How encoded frames reach the socket (flavor-specific).
-    egress: Egress,
+    /// This connection's seat on the shared reactor loop: its outbound
+    /// frame buffer and doorbell.
+    conn: Arc<ConnHandle>,
+    /// Requests awaiting a reply, by seq. The lock also orders
+    /// [`ClientInner::submit`] against [`ClientInner::fail_pending`].
     pending: Mutex<HashMap<u64, Waiter>>,
     pipeline: Mutex<PipelineState>,
     /// Signalled whenever pipeline occupancy drops (ack consumed,
@@ -474,23 +368,10 @@ pub(crate) struct ClientInner {
 }
 
 /// A [`Broker`] living in another process, reached over TCP. Dropping
-/// the value closes the connection and releases its I/O resources
-/// (joins the reader/writer threads in the threaded flavor;
-/// deregisters from the shared loop in the reactor flavor).
+/// the value closes the connection and deregisters it from the shared
+/// reactor loop.
 pub struct RemoteBroker {
     inner: Arc<ClientInner>,
-    io: IoThreads,
-}
-
-/// Flavor-specific I/O resources owned by the broker value itself.
-enum IoThreads {
-    Threaded {
-        reader: Mutex<Option<JoinHandle<()>>>,
-        writer: Mutex<Option<JoinHandle<()>>>,
-    },
-    /// The reactor flavor owns no threads; the shared loop's handle
-    /// lives in [`Egress::Reactor`].
-    Reactor,
 }
 
 impl RemoteBroker {
@@ -501,7 +382,6 @@ impl RemoteBroker {
         RemoteBroker::connect_with(Box::new(move || {
             let stream = TcpStream::connect(&addr)?;
             let _ = stream.set_nodelay(true);
-            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
             Ok(Box::new(stream) as Box<dyn Transport>)
         }))
     }
@@ -512,32 +392,14 @@ impl RemoteBroker {
     /// [`BrokerServer::connect_in_process`](crate::BrokerServer::connect_in_process),
     /// or a fault-injecting wrapper. The connector is also the
     /// reconnect path: it is re-invoked whenever the connection drops.
-    /// Flavor resolves via [`ClientFlavor::Auto`].
+    /// The dialed socket is handed to the process-shared epoll loop;
+    /// the connection owns no threads.
     pub fn connect_with(connector: Connector) -> std::io::Result<RemoteBroker> {
-        RemoteBroker::connect_with_flavor(connector, ClientFlavor::Auto)
-    }
-
-    /// [`RemoteBroker::connect_with`] with an explicit I/O flavor —
-    /// the A/B seam benchmarks and parity tests drive.
-    pub fn connect_with_flavor(
-        connector: Connector,
-        flavor: ClientFlavor,
-    ) -> std::io::Result<RemoteBroker> {
-        if flavor.resolve_threaded() {
-            RemoteBroker::connect_threaded(connector)
-        } else {
-            RemoteBroker::connect_reactor(connector)
-        }
-    }
-
-    /// Reactor flavor: hand the dialed socket to the process-shared
-    /// epoll loop; this connection owns no threads.
-    fn connect_reactor(connector: Connector) -> std::io::Result<RemoteBroker> {
         let stream = connector()?;
-        let handle = ConnHandle::acquire()?;
+        let conn = ConnHandle::acquire()?;
         let inner = Arc::new(ClientInner {
             connector,
-            egress: Egress::Reactor(handle.clone()),
+            conn: conn.clone(),
             pending: Mutex::new(HashMap::new()),
             pipeline: Mutex::new(PipelineState::default()),
             pipeline_drained: Condvar::new(),
@@ -548,59 +410,8 @@ impl RemoteBroker {
             shutdown: AtomicBool::new(false),
             flush_timeout_ms: AtomicU64::new(default_flush_timeout_ms()),
         });
-        handle.register(stream, inner.clone());
-        let broker = RemoteBroker {
-            inner,
-            io: IoThreads::Reactor,
-        };
-        RemoteBroker::handshake(broker)
-    }
-
-    /// Threaded flavor: the verbatim pre-reactor reader + writer
-    /// thread pair.
-    fn connect_threaded(connector: Connector) -> std::io::Result<RemoteBroker> {
-        let stream = connector()?;
-        let write_half = stream.try_clone()?;
-        let (out_tx, out_rx) = unbounded::<Vec<u8>>();
-        let inner = Arc::new(ClientInner {
-            connector,
-            egress: Egress::Threaded {
-                conn: Mutex::new(Some(write_half)),
-                conn_ready: Condvar::new(),
-                out_tx,
-            },
-            pending: Mutex::new(HashMap::new()),
-            pipeline: Mutex::new(PipelineState::default()),
-            pipeline_drained: Condvar::new(),
-            subs: Mutex::new(HashMap::new()),
-            orphans: Mutex::new(Vec::new()),
-            seq: AtomicU64::new(0),
-            persistent: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            flush_timeout_ms: AtomicU64::new(default_flush_timeout_ms()),
-        });
-        let reader = {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("gf-net-client".into())
-                .spawn(move || reader_loop(inner, stream))
-                .expect("spawn client reader")
-        };
-        let writer = {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("gf-net-writer".into())
-                .spawn(move || writer_loop(inner, out_rx))
-                .expect("spawn client writer")
-        };
-        let broker = RemoteBroker {
-            inner,
-            io: IoThreads::Threaded {
-                reader: Mutex::new(Some(reader)),
-                writer: Mutex::new(Some(writer)),
-            },
-        };
-        RemoteBroker::handshake(broker)
+        conn.register(stream, inner.clone());
+        RemoteBroker::handshake(RemoteBroker { inner })
     }
 
     /// Handshake: learn whether the far side retains messages (the
@@ -619,32 +430,9 @@ impl RemoteBroker {
     /// also runs on drop.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        match &self.inner.egress {
-            Egress::Threaded {
-                conn,
-                conn_ready,
-                out_tx,
-            } => {
-                if let Some(c) = conn.lock().take() {
-                    let _ = c.shutdown();
-                }
-                conn_ready.notify_all();
-                // An empty buffer is the writer's wakeup sentinel: it
-                // re-checks the shutdown flag and exits.
-                let _ = out_tx.send(Vec::new());
-                if let IoThreads::Threaded { reader, writer } = &self.io {
-                    if let Some(t) = reader.lock().take() {
-                        let _ = t.join();
-                    }
-                    if let Some(t) = writer.lock().take() {
-                        let _ = t.join();
-                    }
-                }
-            }
-            // Deregistering closes the socket and, if this was the last
-            // connection, lets the shared loop retire itself.
-            Egress::Reactor(handle) => handle.close(),
-        }
+        // Deregistering closes the socket and, if this was the last
+        // connection, lets the shared loop retire itself.
+        self.inner.conn.close();
         // Drain whatever was still pending (pipelined publishes
         // included) so window waiters and flushers unblock promptly
         // instead of timing out against a closed connection.
@@ -669,12 +457,9 @@ impl RemoteBroker {
     /// Round trip returning the reply frame (or the server's error).
     fn call(&self, make: impl FnOnce(u64) -> Frame) -> Result<Frame, MqError> {
         let seq = self.next_seq();
+        let buf = encode(&make(seq))?;
         let (tx, rx) = unbounded();
-        self.inner.pending.lock().insert(seq, Waiter::Reply(tx));
-        if let Err(e) = self.inner.send(&make(seq)) {
-            self.inner.pending.lock().remove(&seq);
-            return Err(e);
-        }
+        self.inner.submit([(seq, Waiter::Reply(tx))], &buf)?;
         match rx.recv_timeout(REQUEST_TIMEOUT) {
             Ok(reply) => unwrap_reply(reply?),
             Err(_) => {
@@ -743,23 +528,16 @@ impl RemoteBroker {
         }
     }
 
-    /// Register a subscribe waiter and encode its frame; the caller
-    /// sends the bytes (possibly concatenated with other requests) and
-    /// then awaits the ack with [`RemoteBroker::await_subscribed`].
-    #[allow(clippy::type_complexity)]
+    /// Build one subscribe request: its seq, its waiter, its encoded
+    /// frame, the channel the ack arrives on and the local subscription.
+    /// The caller submits waiter and bytes (possibly with other
+    /// requests) and then awaits the ack with
+    /// [`RemoteBroker::await_subscribed`].
     fn subscribe_request(
         &self,
         topic: &str,
         mode: SubscribeMode,
-    ) -> Result<
-        (
-            u64,
-            Vec<u8>,
-            crossbeam::channel::Receiver<Result<Frame, MqError>>,
-            Subscription,
-        ),
-        MqError,
-    > {
+    ) -> Result<(u64, Waiter, Vec<u8>, AckReceiver, Subscription), MqError> {
         let (handle, subscription) = subscription_pair();
         let entry = Arc::new(RemoteSub {
             topic: topic.to_owned(),
@@ -768,35 +546,30 @@ impl RemoteBroker {
             next_offset: Mutex::new(HashMap::new()),
         });
         let seq = self.next_seq();
-        let frame = Frame::Subscribe {
+        let buf = encode(&Frame::Subscribe {
             seq,
             topic: topic.to_owned(),
             mode,
-        };
-        let buf = frame.encode().map_err(|e| MqError::Remote {
-            message: e.to_string(),
         })?;
         let (tx, rx) = unbounded();
-        self.inner
-            .pending
-            .lock()
-            .insert(seq, Waiter::Subscribe { entry, reply: tx });
-        Ok((seq, buf, rx, subscription))
+        Ok((
+            seq,
+            Waiter::Subscribe { entry, reply: tx },
+            buf,
+            rx,
+            subscription,
+        ))
     }
 
-    /// Wait for a subscribe ack registered by
+    /// Wait for the ack of a submitted
     /// [`RemoteBroker::subscribe_request`].
-    fn await_subscribed(
-        &self,
-        seq: u64,
-        rx: &crossbeam::channel::Receiver<Result<Frame, MqError>>,
-    ) -> Result<(), MqError> {
+    fn await_subscribed(&self, seq: u64, rx: &AckReceiver) -> Result<(), MqError> {
         match rx.recv_timeout(REQUEST_TIMEOUT) {
             Ok(Ok(_)) => Ok(()),
             Ok(Err(e)) => Err(e),
             Err(_) => {
                 // Leave a tombstone: if the ack still arrives, the
-                // reader unsubscribes the orphaned server-side
+                // dispatch unsubscribes the orphaned server-side
                 // subscription instead of letting it stream events
                 // nobody handles.
                 let mut pending = self.inner.pending.lock();
@@ -839,28 +612,18 @@ fn protocol_error(frame: &Frame) -> MqError {
     }
 }
 
+/// The channel a subscribe ack (or its failure) arrives on.
+type AckReceiver = Receiver<Result<Frame, MqError>>;
+
+/// Encode a request frame. A frame the codec refuses (oversized
+/// payload) is the *caller's* error and never reaches the connection.
+fn encode(frame: &Frame) -> Result<Vec<u8>, MqError> {
+    frame.encode().map_err(|e| MqError::Remote {
+        message: e.to_string(),
+    })
+}
+
 impl ClientInner {
-    /// Queue one frame for the writer thread. Encoding happens before
-    /// anything is queued: a frame the codec refuses (oversized
-    /// payload) is the *caller's* error and must not poison the link.
-    fn send(&self, frame: &Frame) -> Result<(), MqError> {
-        let buf = frame.encode().map_err(|e| MqError::Remote {
-            message: e.to_string(),
-        })?;
-        self.enqueue(buf)
-    }
-
-    /// The threaded flavor's connection seam; must never be reached on
-    /// a reactor-flavor client.
-    fn threaded_conn(&self) -> (&Mutex<Option<Box<dyn Transport>>>, &Condvar) {
-        match &self.egress {
-            Egress::Threaded {
-                conn, conn_ready, ..
-            } => (conn, conn_ready),
-            Egress::Reactor(_) => unreachable!("threaded I/O seam used on a reactor client"),
-        }
-    }
-
     /// Whether [`RemoteBroker::shutdown`] has begun (reactor loop's
     /// redial gate).
     pub(crate) fn is_shutdown(&self) -> bool {
@@ -872,52 +635,33 @@ impl ClientInner {
         (self.connector)()
     }
 
-    /// Hand encoded frame bytes to the socket driver (writer thread or
-    /// shared reactor loop). A single FIFO per connection is what
-    /// preserves ordering across pipelined and blocking requests from
-    /// any number of caller threads.
-    fn enqueue(&self, buf: Vec<u8>) -> Result<(), MqError> {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return Err(MqError::Disconnected);
-        }
-        match &self.egress {
-            Egress::Threaded { out_tx, .. } => out_tx.send(buf).map_err(|_| MqError::Disconnected),
-            Egress::Reactor(handle) => {
-                handle.enqueue(buf);
-                Ok(())
-            }
-        }
-    }
-
-    /// Write an already-encoded frame batch, waiting out a reconnect if
-    /// necessary (threaded flavor's writer thread only).
-    fn send_bytes(&self, buf: &[u8]) -> Result<(), MqError> {
-        let (conn_lock, conn_ready) = self.threaded_conn();
-        let deadline = Instant::now() + RECONNECT_GRACE;
-        let mut conn = conn_lock.lock();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
+    /// Register `waiters` and queue their encoded `frames` for the
+    /// reactor loop, as one step with respect to
+    /// [`ClientInner::fail_pending`]: a connection loss either fails
+    /// these waiters *and* discards these bytes, or happens-before both
+    /// — in which case the request rides out the outage and goes to the
+    /// fresh connection with its waiter still registered. Queued bytes
+    /// without a waiter would be re-sent after their caller was already
+    /// told `Disconnected` (and retried): a duplicate in the log.
+    ///
+    /// One FIFO per connection is also what preserves ordering across
+    /// pipelined and blocking requests from any number of caller
+    /// threads.
+    fn submit(
+        &self,
+        waiters: impl IntoIterator<Item = (u64, Waiter)>,
+        frames: &[u8],
+    ) -> Result<(), MqError> {
+        {
+            let mut pending = self.pending.lock();
+            if self.is_shutdown() {
                 return Err(MqError::Disconnected);
             }
-            if let Some(stream) = conn.as_mut() {
-                use std::io::Write;
-                return match stream.write_all(buf) {
-                    Ok(()) => Ok(()),
-                    Err(_) => {
-                        // The write half died; the reader notices the
-                        // same thing and reconnects. Drop our stale
-                        // stream so later sends wait for the fresh one.
-                        *conn = None;
-                        Err(MqError::Disconnected)
-                    }
-                };
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(MqError::Disconnected);
-            }
-            conn_ready.wait_for(&mut conn, deadline - now);
+            pending.extend(waiters);
+            self.conn.append(frames);
         }
+        self.conn.kick();
+        Ok(())
     }
 
     /// Reserve `bytes` of pipeline window, blocking while it is full.
@@ -938,7 +682,7 @@ impl ClientInner {
         p.inflight += 1;
         // Mirror the lock-guarded exact values with plain stores — a
         // relaxed `set` costs less than a fetch-add on a cache line the
-        // publisher and reader threads would otherwise both RMW.
+        // publisher and loop threads would otherwise both RMW.
         let m = client_metrics();
         m.inflight_bytes.set(p.inflight_bytes as u64);
         m.inflight.set(p.inflight as u64);
@@ -970,26 +714,19 @@ impl ClientInner {
     /// these frames carry server-assigned ids that are meaningless on
     /// a fresh connection.
     fn send_best_effort(&self, frame: &Frame) {
-        let Ok(buf) = frame.encode() else { return };
-        match &self.egress {
-            Egress::Threaded { conn, .. } => {
-                if let Some(stream) = conn.lock().as_mut() {
-                    use std::io::Write;
-                    let _ = stream.write_all(&buf);
-                }
-            }
-            Egress::Reactor(handle) => handle.best_effort(buf),
+        if let Ok(buf) = frame.encode() {
+            self.conn.best_effort(buf);
         }
     }
 
     /// Encode the re-subscribe batch for a fresh connection,
-    /// registering a [`Waiter::Resubscribe`] per live subscription —
-    /// the reactor flavor's half of [`reconnect`]'s handshake (the
+    /// registering a [`Waiter::Resubscribe`] per live subscription (the
     /// loop queues these bytes ahead of anything published during the
-    /// outage). If the fresh connection dies before the batch is
+    /// outage). Old server-assigned ids are meaningless on a fresh
+    /// connection; orphans are re-subscriptions a previous reconnect
+    /// never finished. If the fresh connection dies before the batch is
     /// written, [`ClientInner::fail_pending`] routes the waiters to
-    /// the orphan list and the next reconnect pass re-issues them —
-    /// the same retry the threaded path performs inline.
+    /// the orphan list and the next reconnect pass re-issues them.
     pub(crate) fn resubscribe_batch(&self) -> Vec<u8> {
         let mut live: Vec<Arc<RemoteSub>> = self.subs.lock().drain().map(|(_, e)| e).collect();
         live.append(&mut self.orphans.lock());
@@ -1018,12 +755,15 @@ impl ClientInner {
         batch
     }
 
-    /// Fail every in-flight request: requesters see `Disconnected` and
-    /// retry; re-subscriptions in flight move to the orphan list so the
-    /// next reconnect pass re-issues them.
+    /// Fail every in-flight request and discard its not-yet-written
+    /// frame (the other half of [`ClientInner::submit`]'s invariant):
+    /// requesters see `Disconnected` and retry; re-subscriptions in
+    /// flight move to the orphan list so the next reconnect pass
+    /// re-issues them.
     pub(crate) fn fail_pending(&self) {
         let pending: Vec<Waiter> = {
             let mut map = self.pending.lock();
+            self.conn.discard_outbound();
             map.drain().map(|(_, w)| w).collect()
         };
         for waiter in pending {
@@ -1046,9 +786,7 @@ impl ClientInner {
         }
     }
 
-    /// Handle one frame from the server — the single dispatch path
-    /// both flavors feed (threaded reader thread, shared reactor
-    /// loop).
+    /// Handle one frame from the server (called on the reactor loop).
     pub(crate) fn on_frame(&self, frame: Frame) {
         match frame {
             Frame::Events { sub, messages } => {
@@ -1067,7 +805,7 @@ impl ClientInner {
                     if !entry.deliver(message) {
                         // Local subscriber dropped its Subscription:
                         // prune and tell the server. Best-effort only —
-                        // this runs on the reader thread, which must
+                        // this runs on the loop thread, which must
                         // not park waiting for a reconnect; a missed
                         // unsubscribe just means the server keeps an
                         // ignored subscription until the connection
@@ -1114,7 +852,7 @@ impl ClientInner {
                 partition,
                 offset_first,
             } => {
-                // A receipt-range ack: the event-loop daemon coalesces
+                // A receipt-range ack: the daemon coalesces
                 // consecutive publish acks whose seqs and offsets form
                 // arithmetic runs on one partition into a single frame.
                 // Expand it back into the per-seq receipts the waiters
@@ -1209,140 +947,6 @@ impl ClientInner {
     }
 }
 
-/// Coalesced-write budget per writer wakeup: everything queued is
-/// drained into one buffer up to this size, then written with a single
-/// syscall.
-const WRITE_COALESCE_BYTES: usize = 256 * 1024;
-
-/// The writer: drain the outbound queue, coalescing every frame
-/// available at wakeup into one socket write. While a publisher burst
-/// is still producing, frames accumulate here and leave in batches —
-/// the client-side mirror of the server's reply and EVENTS batching.
-/// Send failures are not reported from here: the reader observes the
-/// same dead connection and fails the pending waiters.
-fn writer_loop(inner: Arc<ClientInner>, rx: crossbeam::channel::Receiver<Vec<u8>>) {
-    let mut buf: Vec<u8> = Vec::new();
-    while let Ok(first) = rx.recv() {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        buf.clear();
-        buf.extend_from_slice(&first);
-        while buf.len() < WRITE_COALESCE_BYTES {
-            match rx.try_recv() {
-                Ok(next) => buf.extend_from_slice(&next),
-                Err(_) => break,
-            }
-        }
-        if !buf.is_empty() {
-            let _ = inner.send_bytes(&buf);
-        }
-    }
-}
-
-/// The reader: dispatch frames; on connection loss, redial and restore
-/// every live subscription.
-fn reader_loop(inner: Arc<ClientInner>, stream: Box<dyn Transport>) {
-    let mut stream = stream;
-    loop {
-        let mut reader = match stream.try_clone() {
-            Ok(s) => BufReader::new(s),
-            Err(_) => return,
-        };
-        while let Ok(Some(frame)) = read_frame(&mut reader) {
-            inner.on_frame(frame);
-        }
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Connection lost: park senders, fail requests, redial.
-        *inner.threaded_conn().0.lock() = None;
-        inner.fail_pending();
-        match reconnect(&inner) {
-            Some(fresh) => stream = fresh,
-            None => return,
-        }
-    }
-}
-
-/// Redial until the daemon answers (or shutdown), then re-subscribe
-/// every live subscription *before* unparking senders — replayed
-/// history must not interleave behind fresh publishes.
-fn reconnect(inner: &Arc<ClientInner>) -> Option<Box<dyn Transport>> {
-    // Old server-assigned ids are meaningless on a fresh connection;
-    // orphans are re-subscriptions a previous reconnect never finished.
-    let mut live: Vec<Arc<RemoteSub>> = inner.subs.lock().drain().map(|(_, e)| e).collect();
-    live.append(&mut inner.orphans.lock());
-    let persistent = inner.persistent.load(Ordering::SeqCst);
-    let mut delay = RECONNECT_BASE;
-    let mut jitter = jitter_seed();
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return None;
-        }
-        let Ok(stream) = (inner.connector)() else {
-            std::thread::sleep(jittered_backoff(delay, &mut jitter));
-            delay = (delay * 2).min(reconnect_cap());
-            continue;
-        };
-        let Ok(mut write_half) = stream.try_clone() else {
-            continue;
-        };
-        // Issue the re-subscriptions on the fresh socket. Their
-        // `Subscribed` acks are processed by the reader loop once it
-        // resumes reading this stream; the `Resubscribe` waiters re-key
-        // the entries under their new server ids.
-        let mut ok = true;
-        for entry in &live {
-            let seq = inner.seq.fetch_add(1, Ordering::SeqCst) + 1;
-            let frame = Frame::Subscribe {
-                seq,
-                topic: entry.topic.clone(),
-                mode: entry.resume_mode(persistent),
-            };
-            inner.pending.lock().insert(
-                seq,
-                Waiter::Resubscribe {
-                    entry: entry.clone(),
-                },
-            );
-            if write_frame(&mut write_half, &frame).is_err() {
-                ok = false;
-                break;
-            }
-        }
-        if !ok {
-            // The fresh socket died mid-handshake. Strip the waiters we
-            // just queued (no replies will ever arrive for them — we
-            // never read this socket) and retry with the same entries.
-            inner
-                .pending
-                .lock()
-                .retain(|_, w| !matches!(w, Waiter::Resubscribe { .. }));
-            continue;
-        }
-        let (conn, conn_ready) = inner.threaded_conn();
-        *conn.lock() = Some(write_half);
-        conn_ready.notify_all();
-        // Close the race with a concurrent `shutdown()`: it sets the
-        // flag *before* taking the conn lock, so either it found our
-        // fresh conn in the slot and severed it, or this check sees
-        // the flag and tears the dial down ourselves. Without it a
-        // reconnect landing just after shutdown leaves the reader
-        // blocked on a healthy socket nobody will ever close — and
-        // `drop` joins that reader (chaos-suite find).
-        if inner.shutdown.load(Ordering::SeqCst) {
-            if let Some(c) = conn.lock().take() {
-                let _ = c.shutdown();
-            }
-            let _ = stream.shutdown();
-            return None;
-        }
-        note_reconnect();
-        return Some(stream);
-    }
-}
-
 impl Broker for RemoteBroker {
     fn publish(
         &self,
@@ -1363,9 +967,9 @@ impl Broker for RemoteBroker {
         }
     }
 
-    /// The pipelined hot path: encode, reserve window space, write —
+    /// The pipelined hot path: encode, reserve window space, queue —
     /// no round trip. The RECEIPT is consumed asynchronously by the
-    /// reader thread, which releases the window bytes; this call only
+    /// reactor loop, which releases the window bytes; this call only
     /// blocks when [`PIPELINE_WINDOW_BYTES`] are already in flight.
     /// Frames go out on the same socket in call order, so per-topic
     /// FIFO ordering versus other publishes from this client holds
@@ -1377,30 +981,19 @@ impl Broker for RemoteBroker {
         payload: bytes::Bytes,
     ) -> Result<(), MqError> {
         let seq = self.next_seq();
-        let frame = Frame::Publish {
+        let buf = encode(&Frame::Publish {
             seq,
             topic: topic.to_owned(),
             key,
             payload,
-        };
-        let buf = frame.encode().map_err(|e| MqError::Remote {
-            message: e.to_string(),
         })?;
         let bytes = buf.len();
         self.inner.pipeline_reserve(bytes)?;
         self.inner
-            .pending
-            .lock()
-            .insert(seq, Waiter::Pipelined { bytes });
-        if let Err(e) = self.inner.enqueue(buf) {
+            .submit([(seq, Waiter::Pipelined { bytes })], &buf)
             // The frame never left: the send is the caller's error, not
             // a silent pipeline loss.
-            if self.inner.pending.lock().remove(&seq).is_some() {
-                self.inner.pipeline_complete(bytes, false);
-            }
-            return Err(e);
-        }
-        Ok(())
+            .inspect_err(|_| self.inner.pipeline_complete(bytes, false))
     }
 
     /// Wait until every pipelined publish has been acknowledged.
@@ -1436,52 +1029,35 @@ impl Broker for RemoteBroker {
     }
 
     fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
-        let (seq, buf, rx, subscription) = self.subscribe_request(topic, mode)?;
-        if let Err(e) = self.inner.enqueue(buf) {
-            self.inner.pending.lock().remove(&seq);
-            return Err(e);
-        }
+        let (seq, waiter, buf, rx, subscription) = self.subscribe_request(topic, mode)?;
+        self.inner.submit([(seq, waiter)], &buf)?;
         self.await_subscribed(seq, &rx)?;
         Ok(subscription)
     }
 
     /// Pipelined bulk subscribe: every SUBSCRIBE frame is registered
-    /// and written (one concatenated socket write) before the first
-    /// ack is awaited, so N subscriptions cost one round trip instead
+    /// and queued (one concatenated batch) before the first ack is
+    /// awaited, so N subscriptions cost one round trip instead
     /// of N — the difference between a 1000-agent launch paying ~1000
     /// loopback RTTs and paying one.
     fn subscribe_many(
         &self,
         requests: &[(String, SubscribeMode)],
     ) -> Result<Vec<Subscription>, MqError> {
-        // Register + encode everything first: nothing has touched the
-        // socket yet, so any failure here can cleanly unregister.
+        // Encode everything first: an unencodable request fails the
+        // call before anything is registered or queued.
+        let mut waiters = Vec::with_capacity(requests.len());
         let mut awaiting = Vec::with_capacity(requests.len());
         let mut subscriptions = Vec::with_capacity(requests.len());
         let mut batch: Vec<u8> = Vec::with_capacity(64 * requests.len());
         for (topic, mode) in requests {
-            match self.subscribe_request(topic, *mode) {
-                Ok((seq, buf, rx, subscription)) => {
-                    batch.extend_from_slice(&buf);
-                    awaiting.push((seq, rx));
-                    subscriptions.push(subscription);
-                }
-                Err(e) => {
-                    let mut pending = self.inner.pending.lock();
-                    for (seq, _) in &awaiting {
-                        pending.remove(seq);
-                    }
-                    return Err(e);
-                }
-            }
+            let (seq, waiter, buf, rx, subscription) = self.subscribe_request(topic, *mode)?;
+            batch.extend_from_slice(&buf);
+            waiters.push((seq, waiter));
+            awaiting.push((seq, rx));
+            subscriptions.push(subscription);
         }
-        if let Err(e) = self.inner.enqueue(batch) {
-            let mut pending = self.inner.pending.lock();
-            for (seq, _) in &awaiting {
-                pending.remove(seq);
-            }
-            return Err(e);
-        }
+        self.inner.submit(waiters, &batch)?;
         for (seq, rx) in &awaiting {
             // An error drops every Subscription created so far; their
             // server-side twins are pruned through the usual

@@ -1,7 +1,6 @@
 //! The shared client reactor: **one** epoll thread per process owns the
-//! socket of every reactor-flavor [`RemoteBroker`](crate::RemoteBroker)
-//! — reads, writes, and reconnect timers for N connections cost one
-//! thread instead of the threaded flavor's 2·N reader/writer pairs.
+//! socket of every [`RemoteBroker`](crate::RemoteBroker) — reads,
+//! writes, and reconnect timers for N connections cost one thread.
 //!
 //! ## Architecture
 //!
@@ -9,39 +8,34 @@
 //! [`event_loop`](crate::event_loop):
 //!
 //! * **Lazily spawned, refcounted, dropped at zero.** The first
-//!   reactor-flavor connection spawns the `gf-client-loop` thread; a
-//!   process-global `Weak` hands the same loop to every later
-//!   connection. When the last connection deregisters, the loop clears
-//!   the global handle (under the same lock registration takes, so the
-//!   two can never miss each other) and exits — a process that stops
-//!   using remote brokers returns to zero extra threads.
+//!   connection spawns the `gf-client-loop` thread; a process-global
+//!   `Weak` hands the same loop to every later connection. When the
+//!   last connection deregisters, the loop clears the global handle
+//!   (under the same lock registration takes, so the two can never miss
+//!   each other) and exits — a process that stops using remote brokers
+//!   returns to zero extra threads.
 //! * **Publishers never touch the socket.** Each connection owns a
 //!   [`ConnHandle`]: callers append encoded frames to its outbound
 //!   buffer and ring the eventfd doorbell with the same false→true
 //!   schedule-bit protocol the broker wakers use; the loop drains the
 //!   buffer into the connection's non-blocking write path. One FIFO
-//!   buffer per connection preserves the ordering contract exactly as
-//!   the threaded writer queue did.
-//! * **Reads feed the shared dispatcher.** Readable sockets are
-//!   drained (bounded per turn for fairness), length-prefixed frames
-//!   parsed and handed to the same
-//!   [`ClientInner::on_frame`](crate::client) dispatch the threaded
-//!   reader thread uses — RECEIPT/RECEIPTS expansion, EVENTS delivery,
-//!   pipeline window release are one code path across flavors.
+//!   buffer per connection is the ordering contract.
+//! * **Reads feed the frame dispatch.** Readable sockets are drained
+//!   (bounded per turn for fairness), length-prefixed frames parsed and
+//!   handed to [`ClientInner::on_frame`](crate::client) — RECEIPT/RECEIPTS
+//!   expansion, EVENTS delivery, pipeline window release.
 //! * **Reconnect rides the deadline heap.** A dead connection fails
-//!   its in-flight waiters (loss ledger and all, identical to the
-//!   threaded path), then arms a backoff timer (20 ms doubling to a
+//!   its in-flight waiters (loss ledger and all) together with their
+//!   unwritten frames, then arms a backoff timer (20 ms doubling to a
 //!   hard cap, default 2 s via `GINFLOW_RECONNECT_CAP_MS`, with
-//!   equal-jitter so storms de-synchronise; the same ladder as the
-//!   threaded flavor). Dial attempts run on a short-lived helper thread so a
-//!   hanging TCP connect can never freeze the other connections; the
-//!   result is posted back as a loop message. On success the
-//!   re-subscribe batch is queued *before* any frames published during
-//!   the outage — replayed history never interleaves behind fresh
-//!   publishes.
+//!   equal-jitter so storms de-synchronise). Dial attempts run on a
+//!   short-lived helper thread so a hanging TCP connect can never
+//!   freeze the other connections; the result is posted back as a loop
+//!   message. On success the re-subscribe batch is queued *before* any
+//!   frames published during the outage — replayed history never
+//!   interleaves behind fresh publishes.
 
 use crate::client::ClientInner;
-use crate::client::{jitter_seed, jittered_backoff, reconnect_cap, RECONNECT_BASE};
 use crate::transport::Transport;
 use crossbeam::channel::Sender;
 use ginflow_mq::metrics::{self, Counter, Gauge, Histogram};
@@ -67,15 +61,54 @@ const READ_TURN_BYTES: usize = 1 << 20;
 /// Scratch read chunk size.
 const READ_CHUNK: usize = 64 * 1024;
 
-// Reconnect backoff: failures double the ladder from RECONNECT_BASE to
-// the shared hard cap (client::reconnect_cap, default 2 s,
-// GINFLOW_RECONNECT_CAP_MS), with equal-jitter applied to every sleep —
-// the same ladder as the threaded flavor's reconnect loop.
+/// Reconnect backoff ladder start: the first redial is immediate, each
+/// failure doubles the ladder up to [`reconnect_cap`].
+const RECONNECT_BASE: Duration = Duration::from_millis(20);
+
+/// The hard cap on reconnect backoff: the ladder never sleeps longer
+/// than this between redials, jitter included. Defaults to 2 s;
+/// override with `GINFLOW_RECONNECT_CAP_MS` (read once per process).
+fn reconnect_cap() -> Duration {
+    static CAP_MS: OnceLock<u64> = OnceLock::new();
+    Duration::from_millis(*CAP_MS.get_or_init(|| {
+        std::env::var("GINFLOW_RECONNECT_CAP_MS")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .filter(|ms| *ms > 0)
+            .unwrap_or(2_000)
+    }))
+}
+
+/// A per-ladder-instance jitter seed (hashmap `RandomState` is the
+/// stdlib's per-process entropy — no clock involved).
+fn jitter_seed() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    std::collections::hash_map::RandomState::new()
+        .build_hasher()
+        .finish()
+        | 1
+}
+
+/// Equal-jitter backoff: sleep `ladder/2 + uniform(0..=ladder/2)`,
+/// clamped to [`reconnect_cap`]. The spread de-synchronises reconnect
+/// storms — N clients severed by one daemon restart redial spread over
+/// half the ladder instead of in lockstep — while keeping the sleep
+/// within 2× of the deterministic ladder. `state` is a caller-held
+/// xorshift64 register (seed with [`jitter_seed`]).
+fn jittered_backoff(ladder: Duration, state: &mut u64) -> Duration {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    let d = ladder.min(reconnect_cap());
+    let half_us = d.as_micros() as u64 / 2;
+    (d / 2 + Duration::from_micros(x % (half_us + 1))).min(reconnect_cap())
+}
 
 /// A connection owing bytes that makes no write progress for this long
-/// is dead — the non-blocking replacement for the threaded flavor's
-/// socket write timeout, so a blackholed daemon can never wedge the
-/// loop's memory behind one peer.
+/// is dead — the non-blocking form of a socket write timeout, so a
+/// blackholed daemon can never wedge the loop's memory behind one peer.
 const WRITE_STALL: Duration = Duration::from_secs(10);
 
 /// How often stalled-write candidates are scanned while any connection
@@ -124,10 +157,9 @@ enum RMsg {
     Deregister(u64, Sender<()>),
     /// The connection's outbound buffer has frames queued.
     Kick(u64),
-    /// Write `bytes` only if the connection is currently up (the
-    /// reactor form of the threaded flavor's best-effort socket write:
-    /// dropped, not queued, while disconnected — a stale-id frame must
-    /// never ride over to a fresh connection).
+    /// Write `bytes` only if the connection is currently up: dropped,
+    /// not queued, while disconnected — a stale-id frame must never
+    /// ride over to a fresh connection.
     BestEffort(u64, Vec<u8>),
     /// A dial helper finished; `Ok` carries the fresh transport.
     Dialed(u64, std::io::Result<Box<dyn Transport>>),
@@ -161,7 +193,7 @@ impl ReactorShared {
 /// itself once every connection is gone) plus the loop thread's
 /// `JoinHandle`, joined by whoever observes the retirement — the last
 /// closer or the next spawner — so "dropped at zero connections" is a
-/// deterministic fact, not an eventual one (`/proc/self/status` thread
+/// deterministic fact, not an eventual one (`/proc/self` thread
 /// counts in tests and benches depend on it).
 #[derive(Default)]
 struct ReactorSlot {
@@ -254,12 +286,22 @@ impl ConnHandle {
             .push(RMsg::Register(self.clone(), transport, inner));
     }
 
-    /// Queue encoded frame bytes and ring the doorbell.
-    pub(crate) fn enqueue(&self, buf: Vec<u8>) {
-        self.outbound.lock().extend_from_slice(&buf);
+    /// Queue encoded frame bytes; follow with [`ConnHandle::kick`].
+    pub(crate) fn append(&self, frames: &[u8]) {
+        self.outbound.lock().extend_from_slice(frames);
+    }
+
+    /// Ring the doorbell for frames queued by [`ConnHandle::append`].
+    pub(crate) fn kick(&self) {
         if !self.kicked.swap(true, Ordering::SeqCst) {
             self.shared.push(RMsg::Kick(self.id));
         }
+    }
+
+    /// Drop every queued frame the loop has not taken yet — their
+    /// waiters are being failed (see `ClientInner::fail_pending`).
+    pub(crate) fn discard_outbound(&self) {
+        self.outbound.lock().clear();
     }
 
     /// Send `buf` only if the connection is currently up; silently
@@ -332,6 +374,14 @@ struct RConn {
 impl RConn {
     fn out_pending(&self) -> usize {
         self.out.len() - self.out_pos
+    }
+
+    /// When to redial after a failed attempt: one jittered step of the
+    /// backoff ladder, which then doubles up to the cap.
+    fn next_redial(&mut self) -> Instant {
+        let at = Instant::now() + jittered_backoff(self.backoff, &mut self.jitter);
+        self.backoff = (self.backoff * 2).min(reconnect_cap());
+        at
     }
 }
 
@@ -500,8 +550,7 @@ impl Reactor {
     }
 
     /// A connection is readable: pull bytes (bounded per turn), parse
-    /// complete frames, dispatch through the shared
-    /// `ClientInner::on_frame`.
+    /// complete frames, dispatch through `ClientInner::on_frame`.
     fn read_ready(&mut self, id: u64) {
         let Some(mut conn) = self.conns.remove(&id) else {
             return;
@@ -532,7 +581,7 @@ impl Reactor {
         }
         // Dispatch every complete frame read so far (even off a dying
         // socket: acks the daemon sent before the cut still release
-        // their pipeline bytes, exactly as the threaded reader would).
+        // their pipeline bytes).
         let mut frames = 0u64;
         let mut pos = 0usize;
         while conn.in_buf.len() - pos >= 4 {
@@ -640,8 +689,7 @@ impl Reactor {
 
     /// The socket died: fail in-flight waiters (pipelined publishes
     /// latch on the loss ledger, re-subscriptions in flight move to
-    /// the orphan list — byte-for-byte the threaded reader's loss
-    /// path) and arm an immediate redial.
+    /// the orphan list) and arm an immediate redial.
     fn conn_lost(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
@@ -651,9 +699,10 @@ impl Reactor {
             let _ = self.poll.deregister(t.raw_fd());
             let _ = t.shutdown();
         }
-        // A partial frame must never prefix the fresh stream; dropping
-        // the whole out buffer mirrors the threaded writer losing its
-        // in-flight batch (those frames' waiters fail just below).
+        // A partial frame must never prefix the fresh stream, and a
+        // frame whose waiter fails just below must never reach it at
+        // all: drop the whole out buffer here; `fail_pending` drops
+        // what callers queued behind it.
         conn.in_buf.clear();
         conn.out.clear();
         conn.out_pos = 0;
@@ -704,8 +753,7 @@ impl Reactor {
             .is_ok();
         if !spawned {
             conn.dialing = false;
-            let at = Instant::now() + jittered_backoff(conn.backoff, &mut conn.jitter);
-            conn.backoff = (conn.backoff * 2).min(reconnect_cap());
+            let at = conn.next_redial();
             self.timers.push(Reverse((at, id)));
         }
     }
@@ -728,8 +776,7 @@ impl Reactor {
         let stream = match result {
             Ok(stream) => stream,
             Err(_) => {
-                let at = Instant::now() + jittered_backoff(conn.backoff, &mut conn.jitter);
-                conn.backoff = (conn.backoff * 2).min(reconnect_cap());
+                let at = conn.next_redial();
                 self.timers.push(Reverse((at, id)));
                 return;
             }
@@ -741,8 +788,7 @@ impl Reactor {
                 .is_ok();
         if !adopted {
             let _ = stream.shutdown();
-            let at = Instant::now() + jittered_backoff(conn.backoff, &mut conn.jitter);
-            conn.backoff = (conn.backoff * 2).min(reconnect_cap());
+            let at = conn.next_redial();
             self.timers.push(Reverse((at, id)));
             return;
         }

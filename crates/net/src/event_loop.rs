@@ -1,4 +1,4 @@
-//! The readiness-driven daemon flavor: **one** event-loop thread serves
+//! The readiness-driven daemon: **one** event-loop thread serves
 //! every connection, however many there are — accept, request parsing,
 //! reply batching and subscription fan-out all run on a single epoll
 //! loop (the [`mio`] shim), so the daemon's thread count is independent
@@ -67,7 +67,7 @@ const OUT_LOW_WATER: usize = 1 << 20;
 
 /// A connection owing bytes that makes no write progress for this long
 /// is dead (full receive buffer, frozen process) — the non-blocking
-/// replacement for the threaded flavor's socket write timeout.
+/// form of a socket write timeout.
 const WRITE_STALL: Duration = Duration::from_secs(10);
 
 /// How often stalled-write candidates are scanned while any connection
@@ -113,6 +113,37 @@ impl LoopShared {
             let _ = self.waker.wake();
         }
     }
+
+    /// Hand the loop one half of an in-process socketpair to serve as a
+    /// regular connection; the returned half is the client's.
+    pub(crate) fn connect_in_process(&self) -> std::io::Result<Box<dyn Transport>> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(std::io::Error::other("server stopped"));
+        }
+        let (client_end, server_end) = std::os::unix::net::UnixStream::pair()?;
+        server_end.set_nonblocking(true)?;
+        let _ = client_end.set_write_timeout(Some(Duration::from_secs(10)));
+        self.push(LoopMsg::Inject(Box::new(server_end)));
+        Ok(Box::new(client_end))
+    }
+
+    /// Sever every live connection (the listener stays up) and wait
+    /// until the loop has done so.
+    pub(crate) fn drop_connections(&self) {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let (tx, rx) = crossbeam::channel::unbounded();
+        self.push(LoopMsg::DropConns(tx));
+        let _ = rx.recv_timeout(Duration::from_secs(10));
+    }
+
+    /// Tell the loop to sever every connection and exit; the caller
+    /// joins the thread [`spawn`] returned.
+    pub(crate) fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = self.waker.wake();
+    }
 }
 
 /// One live subscription of one connection.
@@ -157,9 +188,9 @@ struct Conn {
     parked: Vec<Arc<ServerSub>>,
     /// Pending receipt-range coalescing (see [`ReceiptRun`]).
     run: Option<ReceiptRun>,
-    /// Topics already reported to the run registry (same steady-state
-    /// shortcut as the threaded flavor), with their cached metric
-    /// handles — a repeat publish touches no registry or family lock.
+    /// Topics already reported to the run registry, with their cached
+    /// metric handles — a repeat publish touches no registry or family
+    /// lock.
     seen_topics: HashMap<String, TopicMetrics>,
 }
 
@@ -248,102 +279,44 @@ enum TimerKind {
     StallScan,
 }
 
-/// The event-loop daemon flavor. Public API lives on the
-/// [`BrokerServer`](crate::BrokerServer) facade.
-pub(crate) struct EventLoopServer {
-    addr: SocketAddr,
-    shared: Arc<LoopShared>,
-    thread: Mutex<Option<JoinHandle<()>>>,
+/// Bind `addr` and start the loop thread serving `broker`. Returns the
+/// bound address, the loop's doorbell and the thread to join after
+/// [`LoopShared::request_shutdown`].
+pub(crate) fn spawn(
+    addr: &str,
+    broker: Arc<dyn Broker>,
     registry: Arc<RunRegistry>,
-}
-
-impl EventLoopServer {
-    pub(crate) fn bind(
-        addr: &str,
-        broker: Arc<dyn Broker>,
-        registry: Arc<RunRegistry>,
-        retention: Option<Duration>,
-    ) -> std::io::Result<EventLoopServer> {
-        let listener = crate::listen::bind_reuse(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let poll = Poll::new()?;
-        poll.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
-        let waker = Waker::new(&poll, WAKER)?;
-        let shared = Arc::new(LoopShared {
-            queue: Mutex::new(Vec::new()),
-            sleeping: AtomicBool::new(false),
-            waker,
-            shutdown: AtomicBool::new(false),
-        });
-        let state = LoopState {
-            poll,
-            listener,
-            broker,
-            registry: registry.clone(),
-            shared: shared.clone(),
-            retention,
-            conns: HashMap::new(),
-            next_token: FIRST_CONN,
-            timers: BinaryHeap::new(),
-            stall_scan_armed: false,
-            scratch: vec![0u8; READ_CHUNK],
-        };
-        let thread = std::thread::Builder::new()
-            .name("gf-net-loop".into())
-            .spawn(move || state.run())
-            .expect("spawn event loop thread");
-        Ok(EventLoopServer {
-            addr: local,
-            shared,
-            thread: Mutex::new(Some(thread)),
-            registry,
-        })
-    }
-
-    pub(crate) fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    pub(crate) fn registry(&self) -> &Arc<RunRegistry> {
-        &self.registry
-    }
-
-    /// Hand the loop one half of an in-process socketpair to serve as a
-    /// regular connection; the returned half is the client's.
-    pub(crate) fn connect_in_process(&self) -> std::io::Result<Box<dyn Transport>> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(std::io::Error::other("server stopped"));
-        }
-        let (client_end, server_end) = std::os::unix::net::UnixStream::pair()?;
-        server_end.set_nonblocking(true)?;
-        let _ = client_end.set_write_timeout(Some(Duration::from_secs(10)));
-        self.shared.push(LoopMsg::Inject(Box::new(server_end)));
-        Ok(Box::new(client_end))
-    }
-
-    pub(crate) fn drop_connections(&self) {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let (tx, rx) = crossbeam::channel::unbounded();
-        self.shared.push(LoopMsg::DropConns(tx));
-        let _ = rx.recv_timeout(Duration::from_secs(10));
-    }
-
-    pub(crate) fn stop(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.shared.waker.wake();
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for EventLoopServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
+    retention: Option<Duration>,
+) -> std::io::Result<(SocketAddr, Arc<LoopShared>, JoinHandle<()>)> {
+    let listener = crate::listen::bind_reuse(addr)?;
+    listener.set_nonblocking(true)?;
+    let local = listener.local_addr()?;
+    let poll = Poll::new()?;
+    poll.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
+    let waker = Waker::new(&poll, WAKER)?;
+    let shared = Arc::new(LoopShared {
+        queue: Mutex::new(Vec::new()),
+        sleeping: AtomicBool::new(false),
+        waker,
+        shutdown: AtomicBool::new(false),
+    });
+    let state = LoopState {
+        poll,
+        listener,
+        broker,
+        registry,
+        shared: shared.clone(),
+        retention,
+        conns: HashMap::new(),
+        next_token: FIRST_CONN,
+        timers: BinaryHeap::new(),
+        stall_scan_armed: false,
+        scratch: vec![0u8; READ_CHUNK],
+    };
+    let thread = std::thread::Builder::new()
+        .name("gf-net-loop".into())
+        .spawn(move || state.run())?;
+    Ok((local, shared, thread))
 }
 
 /// Everything the loop thread owns.
@@ -636,9 +609,15 @@ impl LoopState {
             Frame::Subscribe { seq, topic, mode } => {
                 let tm = observe_topic(&self.registry, conn, &topic);
                 daemon_metrics().shard_subscribes.shard(tm.shard).inc();
-                // Same resume-watermark sampling rules as the threaded
-                // flavor: sample *before* attaching, single-partition
-                // persistent topics only.
+                // Sample the resume watermark *before* attaching: a
+                // message published after this point either replays on
+                // resume (offset >= watermark) or arrives live — never
+                // both dropped. Sampling after attach could count a
+                // live-delivered message into the watermark and make
+                // the client discard it as a replay duplicate. A single
+                // offset cannot describe a multi-partition position
+                // (retained() sums partitions), so those topics get the
+                // no-watermark sentinel instead of a wrong number.
                 let resume = if self.broker.persistent() && self.broker.partitions(&topic) <= 1 {
                     self.broker.retained(&topic)
                 } else {

@@ -1,8 +1,9 @@
 //! Deterministic fault injection for the **real** wire protocol: a
 //! seeded chaos relay spliced into the in-process transport seam, so
-//! an unmodified [`BrokerServer`] and unmodified [`RemoteBroker`]s
-//! (either I/O flavor) run their full production code paths while
-//! every byte between them crosses a hostile, PRNG-scheduled network.
+//! an unmodified [`BrokerServer`] and unmodified
+//! [`RemoteBroker`](crate::RemoteBroker)s run their full production
+//! code paths while every byte between them crosses a hostile,
+//! PRNG-scheduled network.
 //!
 //! ## Architecture
 //!
@@ -13,7 +14,7 @@
 //! ```
 //!
 //! [`ChaosNet::connector`] produces an ordinary
-//! [`Connector`](crate::transport::Connector): each dial opens a fresh
+//! [`Connector`]: each dial opens a fresh
 //! *link* — a [`FaultTransport`] (a plain socketpair half, so epoll,
 //! `try_clone`, `shutdown` all behave exactly like production) whose
 //! peer is a pair of relay pumps forwarding whole wire frames to and
@@ -435,10 +436,9 @@ impl ChaosNet {
 
     /// A [`Connector`] dialing `server` through this chaos layer as
     /// `client` — hand it to
-    /// [`RemoteBroker::connect_with`](crate::RemoteBroker::connect_with)
-    /// (or `connect_with_flavor`). Every dial, initial or reconnect,
-    /// goes through the seeded schedule; distinct client names draw
-    /// independent schedules.
+    /// [`RemoteBroker::connect_with`](crate::RemoteBroker::connect_with).
+    /// Every dial, initial or reconnect, goes through the seeded
+    /// schedule; distinct client names draw independent schedules.
     pub fn connector(self: &Arc<ChaosNet>, server: Arc<BrokerServer>, client: &str) -> Connector {
         let net = self.clone();
         let client = client.to_owned();
@@ -743,13 +743,9 @@ impl ChaosHarness {
     }
 
     /// Connect a production [`RemoteBroker`](crate::RemoteBroker)
-    /// through the chaos layer with an explicit I/O flavor.
-    pub fn client(
-        &self,
-        name: &str,
-        flavor: crate::ClientFlavor,
-    ) -> std::io::Result<crate::RemoteBroker> {
-        crate::RemoteBroker::connect_with_flavor(self.connector(name), flavor)
+    /// through the chaos layer.
+    pub fn client(&self, name: &str) -> std::io::Result<crate::RemoteBroker> {
+        crate::RemoteBroker::connect_with(self.connector(name))
     }
 
     /// Run `f` under a real-time watchdog: `Ok(T)` if it finishes in
@@ -785,7 +781,6 @@ impl ChaosHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClientFlavor;
     use bytes::Bytes;
     use ginflow_mq::{Broker, SubscribeMode};
 
@@ -815,7 +810,7 @@ mod tests {
     #[test]
     fn calm_relay_is_transparent() {
         let h = ChaosHarness::new(7, FaultPlan::calm()).unwrap();
-        let client = h.client("c", ClientFlavor::Reactor).unwrap();
+        let client = h.client("c").unwrap();
         let sub = client.subscribe("t", SubscribeMode::Beginning).unwrap();
         client.publish("t", None, Bytes::from_static(b"x")).unwrap();
         assert_eq!(
@@ -832,7 +827,7 @@ mod tests {
     #[test]
     fn partition_client_refuses_dials_then_heals() {
         let h = ChaosHarness::new(9, FaultPlan::calm()).unwrap();
-        let client = h.client("p", ClientFlavor::Threaded).unwrap();
+        let client = h.client("p").unwrap();
         client
             .publish("t", None, Bytes::from_static(b"pre"))
             .unwrap();

@@ -8,17 +8,15 @@
 //!
 //! * [`BrokerServer`] — the broker daemon (`ginflow broker serve`):
 //!   fronts any [`Broker`](ginflow_mq::Broker) (the persistent
-//!   [`LogBroker`](ginflow_mq::LogBroker) by default) over TCP. The
-//!   default flavor is a **single-thread epoll event loop** (the `mio`
-//!   shim): non-blocking sockets, per-connection read/write buffer
-//!   state machines, subscription wakeups routed into the loop through
+//!   [`LogBroker`](ginflow_mq::LogBroker) by default) over TCP from a
+//!   **single-thread epoll event loop** (the `mio` shim): non-blocking
+//!   sockets, per-connection read/write buffer state machines,
+//!   subscription wakeups routed into the loop through
 //!   the broker's push wakers, and a timer wheel driving the retention
 //!   sweep — thread count independent of client count, zero syscalls
 //!   while idle, 10k+ concurrent connections on one thread. Publish
 //!   acks coalesce into RECEIPTS range frames (the request-direction
-//!   mirror of EVENTS). `GINFLOW_NET_THREADED=1` (or
-//!   [`ServerFlavor::Threaded`]) keeps the original
-//!   two-threads-per-connection path as an A/B baseline.
+//!   mirror of EVENTS).
 //! * [`RemoteBroker`] — the client: implements the same `Broker` trait
 //!   over a connection, pushing EVENT frames into local
 //!   [`Subscription`](ginflow_mq::Subscription)s (wakers included, so
@@ -28,43 +26,27 @@
 //!   offset dedupe when the connection drops. Hot-path publishes are
 //!   **pipelined**: `publish_nowait` writes the frame and returns,
 //!   acks are consumed asynchronously against a bounded in-flight
-//!   window, and `flush()` drains the pipeline — see
-//!   [`client`](crate::client) for the ordering, ack and flush-point
-//!   semantics. The daemon symmetrically coalesces everything queued
+//!   window, and `flush()` drains the pipeline — see [`client`] for
+//!   the ordering, ack and flush-point semantics. The daemon
+//!   symmetrically coalesces everything queued
 //!   on a subscription into one multi-message EVENTS frame per pump
 //!   wakeup.
 //!
 //! ## Client architecture: the shared reactor
 //!
-//! The daemon side went single-threaded in the server event loop; the
-//! client side completes the story. By default every [`RemoteBroker`]
-//! in a process — however many daemons it talks to — is driven by
-//! **one** shared epoll thread (`gf-client-loop`, the `client_reactor`
-//! module), lazily spawned by the first connection, refcounted, and
-//! retired when the last connection closes. Publishers never touch
-//! the socket: they append encoded frames to a per-connection
-//! outbound buffer and ring an eventfd doorbell; the loop drains the
-//! buffer through a non-blocking write state machine, feeds received
-//! bytes through the shared frame dispatch, and runs reconnect
-//! backoff on its deadline heap (dial syscalls themselves run on a
-//! short-lived helper thread so a hanging TCP connect never stalls
-//! other connections' traffic). The pre-reactor path — a dedicated
-//! reader + writer thread pair per connection — is kept verbatim as
-//! [`ClientFlavor::Threaded`] for A/B comparison, mirroring the
-//! server's `ServerFlavor` convention.
-//!
-//! Thread model per process, N connections, steady state:
-//!
-//! | flavor | knob | I/O threads |
-//! |---|---|---|
-//! | reactor (default) | `ClientFlavor::Reactor` | 1 (shared loop) |
-//! | threaded baseline | `ClientFlavor::Threaded` / `GINFLOW_CLIENT_THREADED=1` | 2·N (reader + writer each) |
-//!
-//! Both flavors share the pipeline window, loss ledger, offset
-//! watermarks and re-subscribe handshake — `bench_broker`'s
-//! `client_scale` scenario measures the difference (128 connections:
-//! ~3 process threads vs ~259) and `crates/net/tests/client_flavors.rs`
-//! holds the semantics identical.
+//! Every [`RemoteBroker`] in a process — however many daemons it
+//! talks to — is driven by **one** shared epoll thread
+//! (`gf-client-loop`, the `client_reactor` module), lazily spawned by
+//! the first connection, refcounted, and retired when the last
+//! connection closes: N connections cost one I/O thread
+//! (`bench_broker`'s `client_scale` scenario: 128 connections, ~3
+//! process threads). Publishers never touch the socket: they append
+//! encoded frames to a per-connection outbound buffer and ring an
+//! eventfd doorbell; the loop drains the buffer through a non-blocking
+//! write state machine, feeds received bytes through the frame
+//! dispatch, and runs reconnect backoff on its deadline heap (dial
+//! syscalls themselves run on a short-lived helper thread so a hanging
+//! TCP connect never stalls other connections' traffic).
 //!
 //! With a daemon in the middle, `Backend::Sharded` (in
 //! `ginflow-engine`) runs one workflow across multiple OS processes:
@@ -130,15 +112,15 @@
 //! fire-and-forget); EVENT frames carry the server-assigned
 //! subscription id from SUBSCRIBED; a RECEIPTS frame acks `count`
 //! consecutive seqs whose receipts form one arithmetic run (same
-//! partition, consecutive offsets) — the event-loop daemon's bulk ack
-//! for pipelined publish storms. Frames over
+//! partition, consecutive offsets) — the daemon's bulk ack for
+//! pipelined publish storms. Frames over
 //! [`MAX_FRAME`](ginflow_mq::wire::MAX_FRAME) are rejected outright on
 //! both sides.
 //!
 //! ## Observability (operator guide)
 //!
-//! Both daemon flavors feed the process-global
-//! [`ginflow_mq::metrics`] registry from their hot paths — relaxed
+//! The daemon feeds the process-global
+//! [`ginflow_mq::metrics`] registry from its hot paths — relaxed
 //! atomics only, so the accounting rides the publish/fan-out cycle at
 //! negligible cost (`bench_broker` prints the instrumented vs
 //! uninstrumented A/B; CI gates it at ≥ 0.9×). The families:
@@ -176,9 +158,6 @@
 //!   carries its own slice of the registry (its `metrics` field), so
 //!   per-run counters survive the run's GC.
 //!
-//! Set `GINFLOW_MQ_NO_METRICS=1` to disable all instrumentation writes
-//! at process start.
-//!
 //! ## Fault testing (operator & contributor guide)
 //!
 //! The [`fault`] module is a deterministic fault-injection harness for
@@ -190,7 +169,7 @@
 //! corruption, clean and **mid-frame** connection severs, repeated
 //! sever/reconnect storms, and dial-refusing partition windows — on a
 //! virtual clock (`time_scale`) so a multi-thousand-event schedule
-//! runs in real seconds. Both client flavors run their production
+//! runs in real seconds. Client and server run their production
 //! code; determinism comes from one master seed fanned out per link
 //! (`client name` × `dial ordinal`), so every reconnect draws a fresh
 //! but reproducible schedule.
@@ -210,13 +189,13 @@
 //! * `GINFLOW_FAULT_SEED=<n>` — base seed; **every failure message
 //!   names the seed that produced it**, so any red run reproduces with
 //!   `GINFLOW_FAULT_SEED=<n> GINFLOW_CHAOS_SEEDS=1 cargo test …`.
-//! * `GINFLOW_CHAOS_SEEDS=<k>` — seeds swept per property per flavor.
+//! * `GINFLOW_CHAOS_SEEDS=<k>` — seeds swept per property.
 //! * `GINFLOW_FLUSH_TIMEOUT_MS` — bound on [`RemoteBroker`]'s
 //!   `flush()`; on expiry it returns a structured
 //!   `MqError::FlushTimeout` instead of blocking on a wedged link.
 //! * `GINFLOW_RECONNECT_CAP_MS` — hard cap of the jittered exponential
-//!   reconnect backoff (default 2000 ms; both flavors). Reconnects are
-//!   counted on `gf_client_reconnects_total`.
+//!   reconnect backoff (default 2000 ms). Reconnects are counted on
+//!   `gf_client_reconnects_total`.
 //!
 //! Contributors adding protocol or client behavior: wire a property
 //! into the chaos suite rather than a bespoke sleep-and-hope test —
@@ -233,11 +212,10 @@ mod metrics;
 mod metrics_http;
 mod registry;
 pub mod server;
-mod threaded;
 pub mod transport;
 
-pub use client::{ClientFlavor, RemoteBroker};
-pub use server::{BrokerServer, ServerFlavor};
+pub use client::RemoteBroker;
+pub use server::BrokerServer;
 pub use transport::{Connector, Transport};
 
 #[cfg(test)]

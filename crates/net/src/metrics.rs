@@ -1,5 +1,5 @@
-//! Daemon-side metric handles: every instrument the two server flavors
-//! feed, registered once in the process-global
+//! Daemon-side metric handles: every instrument the daemon feeds,
+//! registered once in the process-global
 //! [`ginflow_mq::metrics`] registry and acquired through one
 //! [`daemon_metrics`] call. Hot-path counters are pre-resolved `Arc`s —
 //! per-shard publish accounting indexes a fixed array, per-run
@@ -77,7 +77,7 @@ pub(crate) struct DaemonMetrics {
 }
 
 /// The daemon's handles into the process-global registry, acquired on
-/// first touch (server bind) and shared by both flavors thereafter.
+/// first touch (server bind).
 pub(crate) fn daemon_metrics() -> &'static DaemonMetrics {
     static M: OnceLock<DaemonMetrics> = OnceLock::new();
     M.get_or_init(|| {

@@ -1,8 +1,8 @@
-//! Per-run topic accounting for a standing daemon, shared by both
-//! server flavors. Fed from the request path: any publish or subscribe
-//! touching a `run/<id>/…` topic registers the topic under its run. No
-//! side channel — the topic name itself is the account key, so even a
-//! client that never speaks the `RUN_*` verbs is accounted correctly.
+//! Per-run topic accounting for a standing daemon. Fed from the
+//! request path: any publish or subscribe touching a `run/<id>/…` topic
+//! registers the topic under its run. No side channel — the topic name
+//! itself is the account key, so even a client that never speaks the
+//! `RUN_*` verbs is accounted correctly.
 
 use crate::metrics::daemon_metrics;
 use ginflow_mq::wire::RunStat;

@@ -1,25 +1,16 @@
 //! The broker daemon: accepts TCP connections and fronts any in-process
 //! [`Broker`] (the persistent log by default) over the wire protocol.
 //!
-//! [`BrokerServer`] is a facade over two interchangeable I/O
-//! architectures serving the identical protocol:
+//! [`BrokerServer`] runs one thread and one epoll instance (the
+//! `event_loop` module docs have the full
+//! architecture): non-blocking sockets with per-connection read/write
+//! buffer state machines. Thread count is independent of client count,
+//! publish acks coalesce into `RECEIPTS` range frames, subscription
+//! wakeups ride the broker's [`Subscription::set_waker`] push path into
+//! the loop, and the retention sweep runs off the loop's timer wheel —
+//! an idle daemon makes zero syscalls between deadlines.
 //!
-//! * **Event loop** (default, [`event_loop`](crate::event_loop) module
-//!   docs for the full architecture): one thread, one epoll instance,
-//!   non-blocking sockets with per-connection read/write buffer state
-//!   machines. Thread count is independent of client count, publish
-//!   acks coalesce into `RECEIPTS` range frames, subscription wakeups
-//!   ride the broker's [`Subscription::set_waker`] push path into the
-//!   loop, and the retention sweep runs off the loop's timer wheel — an
-//!   idle daemon makes zero syscalls between deadlines.
-//! * **Thread-per-connection** (`GINFLOW_NET_THREADED=1`, or
-//!   [`ServerFlavor::Threaded`]): the original reader + pump thread
-//!   pair per client, blocking sockets, one RECEIPT per PUBLISH. Kept
-//!   as the A/B baseline for isolation benchmarks, following the PR-5
-//!   knob convention (`GINFLOW_MQ_SINGLE_SHARD`,
-//!   `GINFLOW_NET_UNBATCHED`).
-//!
-//! Both flavors are **multi-run**: topics are run-scoped
+//! The daemon is **multi-run**: topics are run-scoped
 //! (`run/<id>/…`, see [`ginflow_mq::namespace`]), and the server keeps a
 //! run registry accounting every run-scoped topic to its run. Clients
 //! list the runs (`RUN_LIST`), mark a run completed (`RUN_CLOSE`) and
@@ -30,16 +21,16 @@
 //!
 //! [`Subscription::set_waker`]: ginflow_mq::Subscription::set_waker
 
-use crate::event_loop::EventLoopServer;
+use crate::event_loop::LoopShared;
 use crate::metrics_http::MetricsExporter;
 use crate::registry::RunRegistry;
-use crate::threaded::ThreadedServer;
 use crate::transport::Transport;
 use ginflow_mq::wire::{Frame, RunStat, StatRow};
 use ginflow_mq::Broker;
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Max messages one drain coalesces into a single EVENTS frame before
@@ -54,16 +45,6 @@ pub(crate) const EVENT_BATCH: usize = 128;
 /// encode, and that frame is dropped rather than killing the
 /// connection.
 pub(crate) const EVENT_BATCH_BYTES: usize = 1 << 20;
-
-/// How often the threaded flavor's retention sweeper wakes (capped by
-/// the retention window itself, so short windows stay accurate — but
-/// never below [`SWEEP_FLOOR`], so `--retention 0` cannot busy-spin the
-/// sweeper against the registry mutex). The event loop needs neither:
-/// its timer wheel sleeps exactly until the next run's deadline.
-pub(crate) const SWEEP_INTERVAL: Duration = Duration::from_millis(500);
-
-/// Minimum threaded-sweeper sleep, whatever the retention window.
-pub(crate) const SWEEP_FLOOR: Duration = Duration::from_millis(50);
 
 /// Per-wakeup batch cap, honouring the `GINFLOW_NET_UNBATCHED` debug
 /// knob (set to any value to force one EVENT frame per message — the
@@ -95,29 +76,15 @@ pub(crate) fn stats_snapshot(registry: &RunRegistry) -> Vec<StatRow> {
     ginflow_mq::metrics::global().snapshot()
 }
 
-/// Which I/O architecture a [`BrokerServer`] runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ServerFlavor {
-    /// Event loop unless `GINFLOW_NET_THREADED` is set in the
-    /// environment (checked at bind time).
-    #[default]
-    Auto,
-    /// The single-thread epoll event loop.
-    EventLoop,
-    /// The legacy two-threads-per-connection baseline.
-    Threaded,
-}
-
-enum Flavor {
-    EventLoop(EventLoopServer),
-    Threaded(ThreadedServer),
-}
-
 /// A running broker daemon. Dropping the server (or calling
 /// [`BrokerServer::stop`]) closes every connection and joins every
 /// server thread.
 pub struct BrokerServer {
-    flavor: Flavor,
+    addr: SocketAddr,
+    /// The event loop's cross-thread doorbell.
+    event_loop: Arc<LoopShared>,
+    loop_thread: Mutex<Option<JoinHandle<()>>>,
+    registry: Arc<RunRegistry>,
     metrics_http: Mutex<Option<MetricsExporter>>,
 }
 
@@ -139,19 +106,6 @@ impl BrokerServer {
         broker: Arc<dyn Broker>,
         retention: Option<Duration>,
     ) -> std::io::Result<BrokerServer> {
-        BrokerServer::bind_with_flavor(addr, broker, retention, ServerFlavor::Auto)
-    }
-
-    /// [`BrokerServer::bind_with_retention`] with the I/O architecture
-    /// pinned — the programmatic form of the `GINFLOW_NET_THREADED`
-    /// knob, for A/B tests and benchmarks that must not touch the
-    /// process environment.
-    pub fn bind_with_flavor(
-        addr: &str,
-        broker: Arc<dyn Broker>,
-        retention: Option<Duration>,
-        flavor: ServerFlavor,
-    ) -> std::io::Result<BrokerServer> {
         let registry = Arc::new(RunRegistry::new(broker.clone()));
         // Rehydrate the registry from whatever the broker already
         // knows: a durable broker recovered off disk reports its
@@ -161,56 +115,32 @@ impl BrokerServer {
         for topic in broker.topic_names() {
             registry.observe(&topic);
         }
-        let threaded = match flavor {
-            ServerFlavor::Threaded => true,
-            ServerFlavor::EventLoop => false,
-            ServerFlavor::Auto => std::env::var_os("GINFLOW_NET_THREADED").is_some(),
-        };
-        let flavor = if threaded {
-            Flavor::Threaded(ThreadedServer::bind(addr, broker, registry, retention)?)
-        } else {
-            Flavor::EventLoop(EventLoopServer::bind(addr, broker, registry, retention)?)
-        };
+        let (addr, event_loop, loop_thread) =
+            crate::event_loop::spawn(addr, broker, registry.clone(), retention)?;
         Ok(BrokerServer {
-            flavor,
+            addr,
+            event_loop,
+            loop_thread: Mutex::new(Some(loop_thread)),
+            registry,
             metrics_http: Mutex::new(None),
         })
     }
 
-    fn registry(&self) -> &Arc<RunRegistry> {
-        match &self.flavor {
-            Flavor::EventLoop(s) => s.registry(),
-            Flavor::Threaded(s) => s.registry(),
-        }
-    }
-
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.flavor {
-            Flavor::EventLoop(s) => s.local_addr(),
-            Flavor::Threaded(s) => s.local_addr(),
-        }
-    }
-
-    /// The I/O architecture actually serving (`"event-loop"` or
-    /// `"threaded"`).
-    pub fn flavor(&self) -> &'static str {
-        match &self.flavor {
-            Flavor::EventLoop(_) => "event-loop",
-            Flavor::Threaded(_) => "threaded",
-        }
+        self.addr
     }
 
     /// Snapshot of the run registry (what `RUN_LIST` answers).
     pub fn runs(&self) -> Vec<RunStat> {
-        self.registry().list()
+        self.registry.list()
     }
 
     /// Flat snapshot of the process-global metrics registry, per-run
     /// gauges refreshed — what a `STATS` request answers, available
     /// in-process for embedding servers and benchmarks.
     pub fn stats(&self) -> Vec<StatRow> {
-        stats_snapshot(self.registry())
+        stats_snapshot(&self.registry)
     }
 
     /// Start the embedded Prometheus endpoint on `addr` (port 0 for
@@ -218,7 +148,7 @@ impl BrokerServer {
     /// the text exposition format, per-run gauges refreshed per scrape.
     /// Returns the bound address. The endpoint stops with the server.
     pub fn serve_metrics(&self, addr: &str) -> std::io::Result<SocketAddr> {
-        let registry = self.registry().clone();
+        let registry = self.registry.clone();
         let exporter = MetricsExporter::bind(addr, move || {
             registry.fold_into_metrics();
             ginflow_mq::metrics::global().render_prometheus()
@@ -232,33 +162,33 @@ impl BrokerServer {
     /// served exactly like an accepted socket, no listener involved.
     /// Pair with [`RemoteBroker::connect_with`] to run the full client
     /// against the daemon without TCP — the in-process test seam the
-    /// [`Transport`] refactor exists for.
+    /// [`Transport`] abstraction exists for.
     ///
     /// [`RemoteBroker::connect_with`]: crate::RemoteBroker::connect_with
     pub fn connect_in_process(&self) -> std::io::Result<Box<dyn Transport>> {
-        match &self.flavor {
-            Flavor::EventLoop(s) => s.connect_in_process(),
-            Flavor::Threaded(s) => s.connect_in_process(),
-        }
+        self.event_loop.connect_in_process()
     }
 
     /// Sever every live connection while keeping the listener up — the
     /// fault-injection hook reconnect logic and tests are built on (the
     /// network equivalent of the paper's killed JVM).
     pub fn drop_connections(&self) {
-        match &self.flavor {
-            Flavor::EventLoop(s) => s.drop_connections(),
-            Flavor::Threaded(s) => s.drop_connections(),
-        }
+        self.event_loop.drop_connections();
     }
 
     /// Stop accepting, close every live connection, join every server
     /// thread (the metrics endpoint included). Idempotent.
     pub fn stop(&self) {
         self.metrics_http.lock().take();
-        match &self.flavor {
-            Flavor::EventLoop(s) => s.stop(),
-            Flavor::Threaded(s) => s.stop(),
+        self.event_loop.request_shutdown();
+        if let Some(t) = self.loop_thread.lock().take() {
+            let _ = t.join();
         }
+    }
+}
+
+impl Drop for BrokerServer {
+    fn drop(&mut self) {
+        self.stop();
     }
 }

@@ -1,9 +1,9 @@
 //! The [`Transport`] abstraction both sides of the wire protocol speak
 //! through: a bidirectional byte stream with just enough socket surface
-//! (clone, shutdown, non-blocking mode, raw fd) for the blocking client
-//! threads, the readiness-driven server loop, *and* the shared client
-//! reactor (which flips a dialed transport non-blocking and parks its
-//! fd on the process-wide epoll) to share one code path.
+//! (clone, shutdown, non-blocking mode, raw fd) for the readiness-driven
+//! server loop, the shared client reactor (which flips a dialed
+//! transport non-blocking and parks its fd on the process-wide epoll)
+//! and the fault relay's blocking pump threads to share one code path.
 //!
 //! Two implementations ship: [`TcpStream`] (the real network membrane)
 //! and [`UnixStream`] (an in-process socketpair — real fds, so the
@@ -20,9 +20,9 @@ use std::os::unix::net::UnixStream;
 /// A connected byte stream the protocol runs over.
 ///
 /// `Read`/`Write` carry the frames; the rest is the socket control
-/// surface the two I/O architectures need: the threaded paths clone a
-/// write half and inject shutdowns from other threads, the event loop
-/// flips streams non-blocking and registers their fd with epoll.
+/// surface: the event loops flip streams non-blocking and register
+/// their fd with epoll, the fault relay clones a half per pump thread
+/// and injects shutdowns from other threads.
 pub trait Transport: Read + Write + Send + Sync {
     /// A second handle to the same stream (shared kernel object, like
     /// [`TcpStream::try_clone`]).

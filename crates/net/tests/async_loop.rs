@@ -1,19 +1,20 @@
-//! Event-loop daemon behaviors: flat thread count, zero idle CPU,
-//! RECEIPTS range acks under pipelined storms, the in-process
-//! [`Transport`] seam, and flavor selection (programmatic and via the
-//! `GINFLOW_NET_THREADED` knob).
+//! Event-loop behaviors at both ends of a connection: flat daemon
+//! thread count, zero idle CPU, RECEIPTS range acks under pipelined
+//! storms, the in-process [`Transport`] seam, and the client reactor's
+//! one shared thread.
 //!
 //! Tests here share one process, and several read process-wide state
-//! (`/proc/self`, the environment), so every test serializes on [`GATE`].
+//! (`/proc/self`, the shared client reactor), so every test serializes
+//! on [`GATE`].
 
 use ginflow_mq::{Broker, LogBroker, SubscribeMode};
-use ginflow_net::{BrokerServer, RemoteBroker, ServerFlavor};
+use ginflow_net::{BrokerServer, RemoteBroker};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Serializes the tests in this binary: CPU, thread-count and env-knob
+/// Serializes the tests in this binary: CPU and thread-count
 /// measurements are process-global.
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -21,10 +22,9 @@ fn gate() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn bind(flavor: ServerFlavor) -> (BrokerServer, Arc<LogBroker>) {
+fn bind() -> (BrokerServer, Arc<LogBroker>) {
     let broker = Arc::new(LogBroker::new());
-    let server =
-        BrokerServer::bind_with_flavor("127.0.0.1:0", broker.clone(), None, flavor).unwrap();
+    let server = BrokerServer::bind("127.0.0.1:0", broker.clone()).unwrap();
     (server, broker)
 }
 
@@ -44,16 +44,21 @@ fn idle_conns(server: &BrokerServer, n: usize) -> Vec<TcpStream> {
     conns
 }
 
-/// Current thread count of this process (`/proc/self/status`).
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
+/// Threads of this process whose name (`/proc/self/task/*/comm`) starts
+/// with `prefix`. Every thread the product spawns is named `gf-…`
+/// (`gf-net-loop`, `gf-client-loop`, `gf-client-dial`) and an unnamed
+/// thread inherits its spawner's name, so counting by name sees exactly
+/// the product's threads — unlike the process total, which moves
+/// whenever libtest starts or retires a test thread behind [`GATE`].
+/// Dial threads are transient and unjoined: every test here closes its
+/// clients before its server, so none is redialing when the gate opens.
+fn threads_named(prefix: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
         .unwrap()
-        .trim()
-        .parse()
-        .unwrap()
+        // A thread may exit between the listing and the read.
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with(prefix))
+        .count()
 }
 
 /// CPU time (user + system) this process has consumed, in milliseconds
@@ -69,23 +74,61 @@ fn process_cpu_ms() -> u64 {
 #[test]
 fn thread_count_is_independent_of_connection_count() {
     let _gate = gate();
-    let (server, _) = bind(ServerFlavor::EventLoop);
+    let (server, _) = bind();
     let few = idle_conns(&server, 10);
-    let baseline = thread_count();
+    assert_eq!(
+        threads_named("gf-net-"),
+        1,
+        "10 connections: the loop thread"
+    );
     let many = idle_conns(&server, 200);
     assert_eq!(
-        thread_count(),
-        baseline,
+        threads_named("gf-net-"),
+        1,
         "event loop grew threads with connections"
     );
     drop((few, many));
     server.stop();
 }
 
+/// The client mirror: N connections share one `gf-client-loop` thread,
+/// retired deterministically when the last one closes (`shutdown`
+/// joins the loop thread, so `/proc` agrees immediately).
+#[test]
+fn client_reactor_multiplexes_connections_onto_one_thread_and_retires_it() {
+    let _gate = gate();
+    let (server, _) = bind();
+    let addr = format!("tcp://{}", server.local_addr());
+    assert_eq!(threads_named("gf-client-"), 0);
+    let clients: Vec<RemoteBroker> = (0..32)
+        .map(|_| RemoteBroker::connect(&addr).unwrap())
+        .collect();
+    // All 32 are live connections, not just parked sockets.
+    for (i, c) in clients.iter().enumerate() {
+        c.publish("t", None, bytes::Bytes::from(format!("m{i}")))
+            .unwrap();
+    }
+    assert_eq!(
+        (
+            threads_named("gf-client-loop"),
+            threads_named("gf-client-dial")
+        ),
+        (1, 0),
+        "32 connections must share one loop thread"
+    );
+    drop(clients);
+    assert_eq!(
+        threads_named("gf-client-"),
+        0,
+        "reactor thread must retire when the last connection closes"
+    );
+    server.stop();
+}
+
 #[test]
 fn idle_daemon_burns_no_cpu_with_100_quiet_connections() {
     let _gate = gate();
-    let (server, _) = bind(ServerFlavor::EventLoop);
+    let (server, _) = bind();
     let conns = idle_conns(&server, 100);
     // Settle any accept/registration work, then measure a quiet window.
     std::thread::sleep(Duration::from_millis(200));
@@ -104,7 +147,7 @@ fn idle_daemon_burns_no_cpu_with_100_quiet_connections() {
 #[test]
 fn pipelined_storm_is_acked_by_receipts_ranges() {
     let _gate = gate();
-    let (server, broker) = bind(ServerFlavor::EventLoop);
+    let (server, broker) = bind();
     let client = RemoteBroker::connect(&format!("tcp://{}", server.local_addr())).unwrap();
     const N: u64 = 5000;
     for i in 0..N {
@@ -120,71 +163,31 @@ fn pipelined_storm_is_acked_by_receipts_ranges() {
         .publish("storm", None, bytes::Bytes::from_static(b"tail"))
         .unwrap();
     assert_eq!(r.offset, N);
+    client.shutdown();
     server.stop();
 }
 
 #[test]
 fn in_process_transport_serves_the_full_protocol_without_tcp() {
     let _gate = gate();
-    for flavor in [ServerFlavor::EventLoop, ServerFlavor::Threaded] {
-        let broker = Arc::new(LogBroker::new());
-        let server = Arc::new(
-            BrokerServer::bind_with_flavor("127.0.0.1:0", broker.clone(), None, flavor).unwrap(),
-        );
-        let s = server.clone();
-        let client = RemoteBroker::connect_with(Box::new(move || s.connect_in_process())).unwrap();
-        let sub = client.subscribe("t", SubscribeMode::Beginning).unwrap();
-        client
-            .publish("t", None, bytes::Bytes::from_static(b"no tcp involved"))
-            .unwrap();
-        let m = sub.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(m.payload_str(), "no tcp involved");
-        for i in 0..500u32 {
-            client
-                .publish_nowait("t", None, bytes::Bytes::from(i.to_string()))
-                .unwrap();
-        }
-        client.flush().unwrap();
-        assert_eq!(broker.retained("t"), 501);
-        client.shutdown();
-        server.stop();
-    }
-}
-
-#[test]
-fn threaded_flavor_still_serves_the_identical_protocol() {
-    let _gate = gate();
-    let (server, broker) = bind(ServerFlavor::Threaded);
-    assert_eq!(server.flavor(), "threaded");
-    let client = RemoteBroker::connect(&format!("tcp://{}", server.local_addr())).unwrap();
+    let (server, broker) = bind();
+    let server = Arc::new(server);
+    let s = server.clone();
+    let client = RemoteBroker::connect_with(Box::new(move || s.connect_in_process())).unwrap();
     let sub = client.subscribe("t", SubscribeMode::Beginning).unwrap();
-    for i in 0..1000u32 {
+    client
+        .publish("t", None, bytes::Bytes::from_static(b"no tcp involved"))
+        .unwrap();
+    let m = sub.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!(m.payload_str(), "no tcp involved");
+    for i in 0..500u32 {
         client
             .publish_nowait("t", None, bytes::Bytes::from(i.to_string()))
             .unwrap();
     }
     client.flush().unwrap();
-    assert_eq!(broker.retained("t"), 1000);
-    assert_eq!(
-        sub.recv_timeout(Duration::from_secs(5))
-            .unwrap()
-            .payload_str(),
-        "0"
-    );
-    server.stop();
-}
-
-#[test]
-fn env_knob_selects_the_threaded_baseline() {
-    let _gate = gate();
-    std::env::set_var("GINFLOW_NET_THREADED", "1");
-    let (server, _) = bind(ServerFlavor::Auto);
-    let flavor = server.flavor();
-    server.stop();
-    std::env::remove_var("GINFLOW_NET_THREADED");
-    assert_eq!(flavor, "threaded");
-    let (server, _) = bind(ServerFlavor::Auto);
-    assert_eq!(server.flavor(), "event-loop");
+    assert_eq!(broker.retained("t"), 501);
+    client.shutdown();
     server.stop();
 }
 
@@ -193,7 +196,7 @@ fn env_knob_selects_the_threaded_baseline() {
 #[test]
 fn partial_frame_then_disconnect_does_not_wedge_the_loop() {
     let _gate = gate();
-    let (server, _) = bind(ServerFlavor::EventLoop);
+    let (server, _) = bind();
     let mut half = TcpStream::connect(server.local_addr()).unwrap();
     // A length prefix promising 100 bytes, then only 3 of them.
     half.write_all(&100u32.to_be_bytes()).unwrap();
@@ -204,5 +207,6 @@ fn partial_frame_then_disconnect_does_not_wedge_the_loop() {
         .publish("alive", None, bytes::Bytes::from_static(b"x"))
         .unwrap();
     assert_eq!(r.offset, 0);
+    client.shutdown();
     server.stop();
 }

@@ -1,6 +1,6 @@
 //! Seeded chaos properties over the **real** wire protocol: an
-//! unmodified `BrokerServer` and unmodified `RemoteBroker`s (both I/O
-//! flavors) run through `ginflow_net::fault`'s seeded chaos relay —
+//! unmodified `BrokerServer` and unmodified `RemoteBroker`s run through
+//! `ginflow_net::fault`'s seeded chaos relay —
 //! latency, severs (clean and mid-frame), partitions, reconnect storms
 //! — while these tests check the delivery contracts as properties:
 //!
@@ -19,7 +19,7 @@
 //! Every failure message carries the seed: re-run any failing property
 //! with `GINFLOW_FAULT_SEED=<n> GINFLOW_CHAOS_SEEDS=1` to replay its
 //! schedule. `GINFLOW_CHAOS_SEEDS=<k>` widens the sweep (each property
-//! runs seeds `base..base+k` per flavor; CI prints the base it chose).
+//! runs seeds `base..base+k`; CI prints the base it chose).
 //!
 //! The `#[ignore]`d `dedupe_regression_is_caught` test is the
 //! harness's own validation: it disables the watermark dedupe (a
@@ -30,7 +30,7 @@
 use bytes::Bytes;
 use ginflow_mq::{Broker, MqError, SubscribeMode};
 use ginflow_net::fault::{seed_from_env, ChaosHarness, ChaosNet, FaultPlan};
-use ginflow_net::{ClientFlavor, RemoteBroker};
+use ginflow_net::RemoteBroker;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -60,9 +60,7 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-const FLAVORS: [ClientFlavor; 2] = [ClientFlavor::Reactor, ClientFlavor::Threaded];
-
-/// Seeds to sweep per property per flavor: `base..base + count`, with
+/// Seeds to sweep per property: `base..base + count`, with
 /// `base` from `GINFLOW_FAULT_SEED` (default 1) and `count` from
 /// `GINFLOW_CHAOS_SEEDS` (default `default_count` — modest, so plain
 /// `cargo test` stays fast; CI and soak runs crank it up).
@@ -101,14 +99,10 @@ fn sever_storm() -> FaultPlan {
 /// under aggressive sever schedules the *initial* connect can
 /// legitimately fail (the INFO round trip rides a link that may die
 /// under it); production shards retry exactly the same way.
-fn connect_client(
-    h: &ChaosHarness,
-    name: &str,
-    flavor: ClientFlavor,
-) -> Result<RemoteBroker, String> {
+fn connect_client(h: &ChaosHarness, name: &str) -> Result<RemoteBroker, String> {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        match h.client(name, flavor) {
+        match h.client(name) {
             Ok(c) => return Ok(c),
             Err(e) if Instant::now() >= deadline => {
                 return Err(format!(
@@ -129,10 +123,10 @@ fn connect_client(
 /// subscriber, and checks: per-partition offsets strictly increase
 /// (no duplicate, no reorder) and the received set equals the
 /// published set (no loss, no invention).
-fn exactly_once_run(seed: u64, flavor: ClientFlavor, total: u64) -> Result<(), String> {
+fn exactly_once_run(seed: u64, total: u64) -> Result<(), String> {
     let h = ChaosHarness::new(seed, sever_storm()).map_err(|e| format!("harness: {e}"))?;
     h.broker().create_topic("inbox", 2);
-    let subscriber = connect_client(&h, "subscriber", flavor)?;
+    let subscriber = connect_client(&h, "subscriber")?;
     let sub = subscriber
         .subscribe("inbox", SubscribeMode::Beginning)
         .map_err(|e| format!("subscribe: {e} (repro: GINFLOW_FAULT_SEED={seed})"))?;
@@ -222,12 +216,10 @@ fn exactly_once_run(seed: u64, flavor: ClientFlavor, total: u64) -> Result<(), S
 #[test]
 fn exactly_once_inbox_delivery_under_sever_storms() {
     let _g = gate();
-    for flavor in FLAVORS {
-        for seed in seeds(6) {
-            println!("chaos[exactly-once/{flavor:?}] seed={seed}");
-            if let Err(e) = exactly_once_run(seed, flavor, 200) {
-                panic!("exactly-once violated under {flavor:?}: {e}");
-            }
+    for seed in seeds(6) {
+        println!("chaos[exactly-once] seed={seed}");
+        if let Err(e) = exactly_once_run(seed, 200) {
+            panic!("exactly-once violated: {e}");
         }
     }
 }
@@ -235,73 +227,70 @@ fn exactly_once_inbox_delivery_under_sever_storms() {
 #[test]
 fn loss_ledger_accounts_for_every_unacked_publish() {
     let _g = gate();
-    for flavor in FLAVORS {
-        for seed in seeds(6) {
-            println!("chaos[loss-ledger/{flavor:?}] seed={seed}");
-            let h = ChaosHarness::new(seed, sever_storm()).unwrap();
-            let client = connect_client(&h, "publisher", flavor)
-                .unwrap_or_else(|e| panic!("loss-ledger: {e}"));
-            let client = Arc::new(client);
-            let publisher = client.clone();
-            let sent = h
-                .with_deadline("ledger-publish", Duration::from_secs(120), move || {
-                    let mut ok = 0u64;
-                    for i in 0..400u64 {
-                        if publisher
-                            .publish_nowait("ledger", None, Bytes::from(i.to_string()))
-                            .is_ok()
-                        {
-                            ok += 1;
+    for seed in seeds(6) {
+        println!("chaos[loss-ledger] seed={seed}");
+        let h = ChaosHarness::new(seed, sever_storm()).unwrap();
+        let client = connect_client(&h, "publisher").unwrap_or_else(|e| panic!("loss-ledger: {e}"));
+        let client = Arc::new(client);
+        let publisher = client.clone();
+        let sent = h
+            .with_deadline("ledger-publish", Duration::from_secs(120), move || {
+                let mut ok = 0u64;
+                for i in 0..400u64 {
+                    if publisher
+                        .publish_nowait("ledger", None, Bytes::from(i.to_string()))
+                        .is_ok()
+                    {
+                        ok += 1;
+                    }
+                }
+                ok
+            })
+            .unwrap_or_else(|hang| panic!("{hang}"));
+
+        // Heal the network, then drain the pipeline, summing every
+        // ledger report until a clean flush.
+        h.net().heal();
+        let flusher = client.clone();
+        let seed_c = seed;
+        let lost = h
+            .with_deadline("ledger-flush", Duration::from_secs(60), move || {
+                let mut lost = 0u64;
+                loop {
+                    match flusher.flush() {
+                        Ok(()) => return Ok(lost),
+                        Err(MqError::Remote { message }) => {
+                            let n: u64 = message
+                                .split_whitespace()
+                                .next()
+                                .and_then(|w| w.parse().ok())
+                                .ok_or(format!("unparseable ledger report: {message}"))?;
+                            lost += n;
+                        }
+                        Err(MqError::FlushTimeout { .. }) | Err(MqError::Timeout) => {}
+                        Err(e) => {
+                            return Err(format!(
+                                "flush failed structurally: {e} \
+                                 (repro: GINFLOW_FAULT_SEED={seed_c})"
+                            ))
                         }
                     }
-                    ok
-                })
-                .unwrap_or_else(|hang| panic!("{hang}"));
+                }
+            })
+            .unwrap_or_else(|hang| panic!("{hang}"))
+            .unwrap_or_else(|e| panic!("{e}"));
 
-            // Heal the network, then drain the pipeline, summing every
-            // ledger report until a clean flush.
-            h.net().heal();
-            let flusher = client.clone();
-            let seed_c = seed;
-            let lost = h
-                .with_deadline("ledger-flush", Duration::from_secs(60), move || {
-                    let mut lost = 0u64;
-                    loop {
-                        match flusher.flush() {
-                            Ok(()) => return Ok(lost),
-                            Err(MqError::Remote { message }) => {
-                                let n: u64 = message
-                                    .split_whitespace()
-                                    .next()
-                                    .and_then(|w| w.parse().ok())
-                                    .ok_or(format!("unparseable ledger report: {message}"))?;
-                                lost += n;
-                            }
-                            Err(MqError::FlushTimeout { .. }) | Err(MqError::Timeout) => {}
-                            Err(e) => {
-                                return Err(format!(
-                                    "flush failed structurally: {e} \
-                                     (repro: GINFLOW_FAULT_SEED={seed_c})"
-                                ))
-                            }
-                        }
-                    }
-                })
-                .unwrap_or_else(|hang| panic!("{hang}"))
-                .unwrap_or_else(|e| panic!("{e}"));
-
-            let retained = h.broker().retained("ledger");
-            assert!(
-                retained <= sent,
-                "broker retained {retained} > {sent} sent — publishes duplicated \
-                 (repro: GINFLOW_FAULT_SEED={seed})"
-            );
-            assert!(
-                retained >= sent.saturating_sub(lost),
-                "ledger under-reported: {sent} sent, {lost} reported lost, but only \
-                 {retained} retained (repro: GINFLOW_FAULT_SEED={seed})"
-            );
-        }
+        let retained = h.broker().retained("ledger");
+        assert!(
+            retained <= sent,
+            "broker retained {retained} > {sent} sent — publishes duplicated \
+             (repro: GINFLOW_FAULT_SEED={seed})"
+        );
+        assert!(
+            retained >= sent.saturating_sub(lost),
+            "ledger under-reported: {sent} sent, {lost} reported lost, but only \
+             {retained} retained (repro: GINFLOW_FAULT_SEED={seed})"
+        );
     }
 }
 
@@ -318,35 +307,30 @@ fn flush_surfaces_structured_timeout_instead_of_hanging() {
         grace_frames: 1,
         ..FaultPlan::calm()
     };
-    for flavor in FLAVORS {
-        let h = ChaosHarness::new(11, stalled.clone()).unwrap();
-        let client = h.client("staller", flavor).unwrap();
-        client.set_flush_timeout(Duration::from_millis(300));
-        client
-            .publish_nowait("t", None, Bytes::from_static(b"stuck"))
-            .unwrap();
-        let started = Instant::now();
-        match client.flush() {
-            Err(MqError::FlushTimeout {
-                inflight,
-                waited_ms,
-            }) => {
-                assert!(
-                    inflight >= 1,
-                    "{flavor:?}: timed out with nothing in flight"
-                );
-                assert!(
-                    (250..30_000).contains(&waited_ms),
-                    "{flavor:?}: waited_ms={waited_ms} outside the configured budget"
-                );
-            }
-            other => panic!("{flavor:?}: expected FlushTimeout, got {other:?}"),
+    let h = ChaosHarness::new(11, stalled).unwrap();
+    let client = h.client("staller").unwrap();
+    client.set_flush_timeout(Duration::from_millis(300));
+    client
+        .publish_nowait("t", None, Bytes::from_static(b"stuck"))
+        .unwrap();
+    let started = Instant::now();
+    match client.flush() {
+        Err(MqError::FlushTimeout {
+            inflight,
+            waited_ms,
+        }) => {
+            assert!(inflight >= 1, "timed out with nothing in flight");
+            assert!(
+                (250..30_000).contains(&waited_ms),
+                "waited_ms={waited_ms} outside the configured budget"
+            );
         }
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "{flavor:?}: flush did not respect its bound"
-        );
+        other => panic!("expected FlushTimeout, got {other:?}"),
     }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "flush did not respect its bound"
+    );
 }
 
 #[test]
@@ -354,48 +338,45 @@ fn reconnect_storms_are_counted_and_bounded() {
     let _g = gate();
     let metric = ginflow_mq::metrics::global().counter(
         "gf_client_reconnects_total",
-        "Connections re-established by any client flavor after a drop",
+        "Connections re-established by the client after a drop",
     );
-    for flavor in FLAVORS {
-        let before = metric.get();
-        let h = ChaosHarness::new(13, sever_storm()).unwrap();
-        let client = connect_client(&h, "stormer", flavor)
-            .unwrap_or_else(|e| panic!("reconnect-storm: {e}"));
-        let client = Arc::new(client);
-        let driver = client.clone();
-        // Keep traffic flowing until the chaos layer has severed the
-        // link several times; each recovery is a reconnect.
-        let net: Arc<ChaosNet> = h.net().clone();
-        h.with_deadline("storm", Duration::from_secs(60), move || {
-            let mut i = 0u64;
-            while net.stats().severs < 5 {
-                let _ = driver.publish("t", None, Bytes::from(i.to_string()));
-                i += 1;
-            }
-        })
-        .unwrap_or_else(|hang| panic!("{hang}"));
-        h.net().heal();
-        // The healed client must still work (the backoff cap bounds
-        // how stale a storm can leave it)…
-        let deadline = Instant::now() + Duration::from_secs(15);
-        loop {
-            if client
-                .publish("t", None, Bytes::from_static(b"post"))
-                .is_ok()
-            {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "{flavor:?}: client wedged after reconnect storm"
-            );
+    let before = metric.get();
+    let h = ChaosHarness::new(13, sever_storm()).unwrap();
+    let client = connect_client(&h, "stormer").unwrap_or_else(|e| panic!("reconnect-storm: {e}"));
+    let client = Arc::new(client);
+    let driver = client.clone();
+    // Keep traffic flowing until the chaos layer has severed the
+    // link several times; each recovery is a reconnect.
+    let net: Arc<ChaosNet> = h.net().clone();
+    h.with_deadline("storm", Duration::from_secs(60), move || {
+        let mut i = 0u64;
+        while net.stats().severs < 5 {
+            let _ = driver.publish("t", None, Bytes::from(i.to_string()));
+            i += 1;
         }
-        // …and the storm must be visible on the shared counter.
+    })
+    .unwrap_or_else(|hang| panic!("{hang}"));
+    h.net().heal();
+    // The healed client must still work (the backoff cap bounds
+    // how stale a storm can leave it)…
+    let deadline = Instant::now() + Duration::from_secs(15);
+    loop {
+        if client
+            .publish("t", None, Bytes::from_static(b"post"))
+            .is_ok()
+        {
+            break;
+        }
         assert!(
-            metric.get() > before,
-            "{flavor:?}: gf_client_reconnects_total never moved during a sever storm"
+            Instant::now() < deadline,
+            "client wedged after reconnect storm"
         );
     }
+    // …and the storm must be visible on the shared counter.
+    assert!(
+        metric.get() > before,
+        "gf_client_reconnects_total never moved during a sever storm"
+    );
 }
 
 #[test]
@@ -428,7 +409,7 @@ fn corruption_blast_radius_is_one_connection() {
         // The attacker: a chaos client whose frames are corrupted in
         // both directions. Its own calls may fail arbitrarily; the
         // process and the daemon must shrug.
-        if let Ok(noisy) = connect_client(&h, "corruptor", ClientFlavor::Reactor) {
+        if let Ok(noisy) = connect_client(&h, "corruptor") {
             std::thread::spawn(move || {
                 let stop = Instant::now() + Duration::from_millis(1500);
                 let mut i = 0u64;
@@ -482,18 +463,13 @@ fn dedupe_regression_is_caught() {
     let mut caught = None;
     for seed in seeds(12) {
         println!("chaos[dedupe-regression] seed={seed}");
-        for flavor in FLAVORS {
-            if let Err(e) = exactly_once_run(seed, flavor, 200) {
-                println!(
-                    "regression caught under {flavor:?}: {e}\n\
-                     repro: GINFLOW_FAULT_SEED={seed} cargo test -p ginflow-net \
-                     --test chaos exactly_once"
-                );
-                caught = Some(e);
-                break;
-            }
-        }
-        if caught.is_some() {
+        if let Err(e) = exactly_once_run(seed, 200) {
+            println!(
+                "regression caught: {e}\n\
+                 repro: GINFLOW_FAULT_SEED={seed} cargo test -p ginflow-net \
+                 --test chaos exactly_once"
+            );
+            caught = Some(e);
             break;
         }
     }

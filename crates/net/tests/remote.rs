@@ -1,12 +1,13 @@
 //! The remote broker against the real thing: behavioural parity with
-//! the in-process brokers, push-style waker delivery, and reconnection
-//! with `FromOffset` replay across severed connections.
+//! the in-process brokers, push-style waker delivery, reconnection
+//! with `FromOffset` replay across severed connections, and the
+//! pipeline's loss ledger.
 
 use bytes::Bytes;
 use ginflow_mq::{Broker, LogBroker, MqError, SubscribeMode, TransientBroker};
 use ginflow_net::{BrokerServer, RemoteBroker};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn payload(s: &str) -> Bytes {
@@ -416,6 +417,160 @@ fn pipelined_losses_surface_on_flush_not_silently() {
         retained + send_errors + lost >= 500,
         "silent loss: retained {retained} + send errors {send_errors} + flush-reported {lost} < 500"
     );
+}
+
+/// The loss-ledger contract, made deterministic with a scripted daemon:
+/// it completes the INFO handshake, swallows exactly one pipelined
+/// publish without acking, and severs — then refuses redials. The
+/// publish must latch on the ledger (reported by the next flush,
+/// exactly once) and must NOT be replayed.
+#[test]
+fn unacked_pipelined_publish_latches_on_loss_ledger() {
+    use ginflow_mq::wire::{read_frame, write_frame, Frame};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let script = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        // Dropping the listener now makes every redial fail fast.
+        drop(listener);
+        let mut reader = std::io::BufReader::new(sock.try_clone().unwrap());
+        let mut swallowed = 0u32;
+        loop {
+            match read_frame(&mut reader) {
+                Ok(Some(Frame::Info { seq, .. })) => {
+                    write_frame(
+                        &mut sock,
+                        &Frame::InfoReply {
+                            seq,
+                            persistent: true,
+                            partitions: 1,
+                            retained: 0,
+                        },
+                    )
+                    .unwrap();
+                }
+                Ok(Some(Frame::Publish { .. })) => {
+                    swallowed += 1;
+                    return swallowed; // sever without acking
+                }
+                Ok(Some(_)) => {}
+                Ok(None) | Err(_) => return swallowed,
+            }
+        }
+    });
+    let remote = RemoteBroker::connect(&addr).unwrap();
+    remote.publish_nowait("t", None, payload("doomed")).unwrap();
+    // The daemon reads the frame and severs; the client notices the
+    // EOF, fails the in-flight waiter onto the ledger, and flush
+    // reports it.
+    match remote.flush() {
+        Err(MqError::Remote { message }) => {
+            assert!(
+                message.starts_with("1 pipelined publish"),
+                "unexpected ledger report: {message}"
+            )
+        }
+        other => panic!("loss not reported by flush: {other:?}"),
+    }
+    // The ledger resets once reported, and the publish is gone for
+    // good — no replay rode a reconnect attempt.
+    assert!(remote.flush().is_ok(), "ledger must reset");
+    assert_eq!(script.join().unwrap(), 1);
+    remote.shutdown();
+}
+
+/// A request's frame and its waiter live and die together: a publish
+/// that was queued on a connection the client then declares lost is
+/// failed (here: onto the loss ledger) *and* its bytes are discarded.
+/// Were the bytes to survive in the outbound buffer, the redialed
+/// connection would deliver a publish its caller was told had failed —
+/// and a caller that retries would put it in the log twice.
+///
+/// The interleaving is forced, not hoped for: a subscription's waker
+/// runs on the client's loop thread, so a waker that blocks parks the
+/// loop at a known point (briefly stalling the other tests' clients,
+/// which share the loop, and nothing else).
+#[test]
+fn publish_failed_by_a_connection_loss_is_not_resent_after_the_redial() {
+    let (server, broker) = serve_log();
+    let server = Arc::new(server);
+    let s = server.clone();
+    let remote = RemoteBroker::connect_with(Box::new(move || s.connect_in_process())).unwrap();
+    let sub = remote.subscribe("in", SubscribeMode::Latest).unwrap();
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    sub.set_waker(move || {
+        let _ = parked_tx.send(());
+        // Returns on a release, and at once when the releaser is gone.
+        let _ = release_rx.lock().unwrap().recv();
+    });
+    let wait_parked = || parked_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+
+    // 1. A first delivery parks the loop, the connection still healthy.
+    broker.publish("in", None, payload("e1")).unwrap();
+    wait_parked();
+    // 2. Behind its back the daemon pushes a second event and hangs up
+    //    (`drop_connections` returns once it has): the socket now holds
+    //    an EVENT followed by EOF.
+    broker.publish("in", None, payload("e2")).unwrap();
+    server.drop_connections();
+    // 3. Released, the loop reads both in one turn, notes the EOF, and
+    //    parks again delivering e2 — before acting on the EOF.
+    release_tx.send(()).unwrap();
+    wait_parked();
+    // 4. A publish queued now sits in the outbound buffer of a
+    //    connection about to be declared lost.
+    remote
+        .publish_nowait("out", None, payload("doomed"))
+        .unwrap();
+    drop(release_tx);
+
+    // The loss handling failed its waiter, so flush reports it lost…
+    match remote.flush() {
+        Err(MqError::Remote { message }) => assert!(
+            message.starts_with("1 pipelined publish"),
+            "unexpected ledger report: {message}"
+        ),
+        other => panic!("loss not reported by flush: {other:?}"),
+    }
+    // …and lost it must stay. `retained` is a round trip over the
+    // redialed connection, queued behind whatever survived the outage,
+    // so its answer accounts for every such frame.
+    assert_eq!(
+        remote.retained("out"),
+        0,
+        "a publish reported lost was delivered by the next connection"
+    );
+    remote.shutdown();
+    server.stop();
+}
+
+/// Pipelined bulk subscribe: N subscriptions in one round trip, all of
+/// them live.
+#[test]
+fn bulk_subscribe_opens_every_subscription() {
+    let (server, _broker) = serve_log();
+    let remote = client(&server);
+    let requests: Vec<(String, SubscribeMode)> = (0..100)
+        .map(|i| (format!("bulk/{i}"), SubscribeMode::Latest))
+        .collect();
+    let subs = remote.subscribe_many(&requests).unwrap();
+    assert_eq!(subs.len(), 100);
+    let publisher = client(&server);
+    for i in 0..100 {
+        publisher
+            .publish(&format!("bulk/{i}"), None, payload(&format!("m{i}")))
+            .unwrap();
+    }
+    for (i, sub) in subs.iter().enumerate() {
+        assert_eq!(
+            sub.recv_timeout(Duration::from_secs(10))
+                .unwrap()
+                .payload_str(),
+            format!("m{i}")
+        );
+    }
 }
 
 // --- batched EVENT push ----------------------------------------------

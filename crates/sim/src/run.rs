@@ -418,7 +418,7 @@ fn dispatch(
                 let ok = !config.services.should_fail(&slot.name, nth);
                 let done = at + duration;
                 // The invocation blocks the agent (inline invoke, as in
-                // the threaded runtime).
+                // the live scheduler).
                 slot.free_at = slot.free_at.max(done);
                 slot.running = Some((slot.incarnation, nth));
                 queue.schedule(

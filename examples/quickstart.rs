@@ -1,7 +1,7 @@
 //! Quickstart: build the paper's Fig 2 workflow programmatically and run
-//! it through the unified `Engine` on every backend — the event-driven
-//! scheduler, the legacy thread-per-agent baseline, and the virtual-time
-//! simulator — plus the centralized HOCL interpreter for reference.
+//! it through the unified `Engine` on both backends — the event-driven
+//! scheduler and the virtual-time simulator — plus the centralized HOCL
+//! interpreter for reference.
 //!
 //! ```sh
 //! cargo run --example quickstart
@@ -42,7 +42,7 @@ fn main() {
 
     // One Engine per backend — same builder, same launch, same handle.
     let registry = Arc::new(registry);
-    for backend in [Backend::Scheduler, Backend::LegacyThreads, Backend::Sim] {
+    for backend in [Backend::Scheduler, Backend::Sim] {
         let engine = Engine::builder()
             .broker(BrokerKind::Transient.build())
             .registry(registry.clone())
@@ -75,5 +75,5 @@ fn main() {
         assert_eq!(report.state_of("T4"), TaskState::Completed);
     }
 
-    println!("\nsame workflow, three execution vehicles, one API");
+    println!("\nsame workflow, two execution vehicles, one API");
 }

@@ -24,10 +24,9 @@
 //!
 //! ## Quickstart
 //!
-//! One `Engine` launches a workflow on any backend — the event-driven
-//! scheduler, the legacy thread-per-agent baseline, or the virtual-time
-//! simulator — and every launch returns the same
-//! [`RunHandle`](prelude::RunHandle): a typed
+//! One `Engine` launches a workflow on either backend — the
+//! event-driven scheduler or the virtual-time simulator — and every
+//! launch returns the same [`RunHandle`](prelude::RunHandle): a typed
 //! [`RunEvent`](prelude::RunEvent) stream, cancellation/deadlines, and a
 //! structured [`RunReport`](prelude::RunReport).
 //!
@@ -67,10 +66,10 @@
 //! assert_eq!(trace.last(), Some(&RunEvent::RunCompleted));
 //! ```
 //!
-//! Swapping `.backend(Backend::Sim)` (or `Backend::LegacyThreads`) into
-//! the builder re-runs the same workflow on another vehicle with the
-//! same observable surface; `.deadline(..)` bounds the run,
-//! `run.cancel()` tears it down mid-flight without leaking threads.
+//! Swapping `.backend(Backend::Sim)` into the builder re-runs the same
+//! workflow in virtual time with the same observable surface;
+//! `.deadline(..)` bounds the run, `run.cancel()` tears it down
+//! mid-flight without leaking threads.
 
 pub use ginflow_agent as agent;
 pub use ginflow_core as core;
@@ -85,11 +84,6 @@ pub use ginflow_sim as sim;
 /// The commonly-needed types in one import.
 pub mod prelude {
     pub use ginflow_agent::{RunOptions, SaMessage, Scheduler, WorkflowRun};
-    // Deprecated alias, re-exported (without triggering the lint) so
-    // downstream code migrating to `Engine` keeps compiling for one
-    // release.
-    #[allow(deprecated)]
-    pub use ginflow_agent::ThreadedRuntime;
     pub use ginflow_core::workflow::ReplacementTask;
     pub use ginflow_core::{
         patterns, Connectivity, EchoService, FailingService, Service, ServiceError,
