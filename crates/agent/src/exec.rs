@@ -260,21 +260,32 @@ pub(crate) fn status_loop(
 /// flag. The status topic is run-scoped, so other runs on the same
 /// broker never even see the sentinel.
 ///
-/// Teardown joins the collector, so the sentinel has to land: a remote
-/// publish whose connection drops under it fails with `Disconnected`
-/// (at-most-once — it is not replayed), and is retried here; the retry
-/// rides out the redial, and a duplicate sentinel is harmless. Any
-/// other error (a daemon that stopped answering) ends the attempts.
+/// Teardown joins the collector, so the sentinel has to land: it is
+/// retried like every at-most-once request the run cannot do without
+/// ([`retry_disconnected`]); a duplicate sentinel is harmless.
 pub(crate) fn publish_shutdown_sentinel(broker: &dyn Broker, ns: &TopicNamespace) {
-    for _ in 0..SENTINEL_ATTEMPTS {
-        match broker.publish(ns.status(), None, bytes::Bytes::new()) {
-            Err(MqError::Disconnected) => continue,
-            _ => return,
-        }
-    }
+    let _ = retry_disconnected(|| broker.publish(ns.status(), None, bytes::Bytes::new()));
 }
 
-/// Bound on [`publish_shutdown_sentinel`]'s retries: far more than any
-/// reconnect storm loses in a row, few enough to end against a daemon
-/// that accepts connections only to drop them.
-const SENTINEL_ATTEMPTS: usize = 32;
+/// Run a broker request the run cannot proceed without, again while it
+/// fails with `Disconnected`: a remote request whose connection drops
+/// under it is at-most-once — it is not replayed — and the retry rides
+/// out the redial. Any other error (a daemon that stopped answering)
+/// ends the attempts.
+pub(crate) fn retry_disconnected<T>(
+    mut request: impl FnMut() -> Result<T, MqError>,
+) -> Result<T, MqError> {
+    let mut result = request();
+    for _ in 1..DISCONNECTED_ATTEMPTS {
+        if !matches!(result, Err(MqError::Disconnected)) {
+            break;
+        }
+        result = request();
+    }
+    result
+}
+
+/// Bound on [`retry_disconnected`]: far more than any reconnect storm
+/// loses in a row, few enough to end against a daemon that accepts
+/// connections only to drop them.
+const DISCONNECTED_ATTEMPTS: usize = 32;

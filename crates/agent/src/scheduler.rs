@@ -38,7 +38,9 @@ use crate::engine::{
     ExecutionBackend, RunControl, RunEvents, RunFailure, RunHandle, RunMeta, RunOutcome, RunReport,
     RunTracker,
 };
-use crate::exec::{publish_shutdown_sentinel, status_loop, AgentCtx, StatusBoard};
+use crate::exec::{
+    publish_shutdown_sentinel, retry_disconnected, status_loop, AgentCtx, StatusBoard,
+};
 use crate::message::SaMessage;
 use crate::runtime::{RunOptions, WaitError};
 use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow};
@@ -468,12 +470,7 @@ struct PoolInner {
 
 /// FNV-1a over the agent name: the shard assignment.
 fn shard_of(name: &str, shards: usize) -> usize {
-    let mut hash: u32 = 0x811c9dc5;
-    for &b in name.as_bytes() {
-        hash ^= b as u32;
-        hash = hash.wrapping_mul(0x01000193);
-    }
-    hash as usize % shards
+    ginflow_mq::fnv1a(name.as_bytes()) as usize % shards
 }
 
 /// The **process**-level shard an agent lands in when a workflow runs
@@ -521,9 +518,10 @@ fn launch_pool(
     let inbox_mode = status_mode;
     let label = backend_label(options);
 
-    // Status collector first: no update may be missed.
-    let status_sub = broker
-        .subscribe(ns.status(), status_mode)
+    // Status collector first: no update may be missed. A subscribe cut
+    // off by a connection loss left nothing behind — the server-side
+    // subscription died with the connection — so it is simply retried.
+    let status_sub = retry_disconnected(|| broker.subscribe(ns.status(), status_mode))
         .expect("status subscription");
     let status_lag = status_sub.lag_probe();
     let status_thread = {
@@ -592,9 +590,7 @@ fn launch_pool(
                 (topic, inner.inbox_mode)
             })
             .collect();
-        let subs = inner
-            .broker
-            .subscribe_many(&topics)
+        let subs = retry_disconnected(|| inner.broker.subscribe_many(&topics))
             .expect("inbox subscriptions");
         let mut slots = inner.slots.lock();
         for (program, sub) in local_agents.into_iter().zip(subs) {

@@ -192,34 +192,51 @@ fn repeated_crashes_on_the_pool_eventually_complete() {
     run.shutdown();
 }
 
-/// A log broker on which the first `n` empty-payload publishes — the
-/// shutdown sentinel — fail the way a remote publish does when its
-/// connection drops under it: `Disconnected`, nothing appended.
-struct SentinelDroppingBroker {
+/// A log broker on which the first few requests of a kind fail the way
+/// a remote request does when its connection drops under it:
+/// `Disconnected`, nothing done. The kinds are the ones a run cannot do
+/// without: empty-payload publishes (the shutdown sentinel), and the
+/// subscribes of `launch`, single and bulk.
+#[derive(Default)]
+struct DisconnectingBroker {
     log: LogBroker,
-    drops_left: AtomicUsize,
+    sentinel_drops_left: AtomicUsize,
+    subscribe_drops_left: AtomicUsize,
+    bulk_subscribe_drops_left: AtomicUsize,
 }
 
-impl Broker for SentinelDroppingBroker {
+/// Use up one of `drops_left`; `Err(Disconnected)` while any were left.
+fn drop_one(drops_left: &AtomicUsize) -> Result<(), MqError> {
+    match drops_left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)) {
+        Ok(_) => Err(MqError::Disconnected),
+        Err(_) => Ok(()),
+    }
+}
+
+impl Broker for DisconnectingBroker {
     fn publish(
         &self,
         topic: &str,
         key: Option<bytes::Bytes>,
         payload: bytes::Bytes,
     ) -> Result<Receipt, MqError> {
-        let drop_it = payload.is_empty()
-            && self
-                .drops_left
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok();
-        if drop_it {
-            return Err(MqError::Disconnected);
+        if payload.is_empty() {
+            drop_one(&self.sentinel_drops_left)?;
         }
         self.log.publish(topic, key, payload)
     }
 
     fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
+        drop_one(&self.subscribe_drops_left)?;
         self.log.subscribe(topic, mode)
+    }
+
+    fn subscribe_many(
+        &self,
+        requests: &[(String, SubscribeMode)],
+    ) -> Result<Vec<Subscription>, MqError> {
+        drop_one(&self.bulk_subscribe_drops_left)?;
+        self.log.subscribe_many(requests)
     }
 
     fn fetch(
@@ -250,9 +267,9 @@ fn teardown_survives_losing_the_shutdown_sentinel() {
     // Teardown joins the status collector, which only wakes on a
     // delivery: a sentinel publish lost to a connection drop must be
     // retried, or `shutdown` never returns.
-    let broker = Arc::new(SentinelDroppingBroker {
-        log: LogBroker::new(),
-        drops_left: AtomicUsize::new(3),
+    let broker = Arc::new(DisconnectingBroker {
+        sentinel_drops_left: AtomicUsize::new(3),
+        ..DisconnectingBroker::default()
     });
     let scheduler = Scheduler::new(broker.clone(), tracing_registry()).with_options(pool_options());
     let run = scheduler.launch(&fig2());
@@ -265,5 +282,48 @@ fn teardown_survives_losing_the_shutdown_sentinel() {
     done_rx
         .recv_timeout(Duration::from_secs(10))
         .expect("shutdown hung behind a lost sentinel");
-    assert_eq!(broker.drops_left.load(Ordering::SeqCst), 0);
+    assert_eq!(broker.sentinel_drops_left.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn launch_survives_losing_its_subscribes() {
+    // A subscribe cut off by a connection drop left nothing behind on
+    // the server, so `launch` retries it instead of panicking on the
+    // first sever that lands inside it.
+    let broker = Arc::new(DisconnectingBroker {
+        subscribe_drops_left: AtomicUsize::new(2),
+        bulk_subscribe_drops_left: AtomicUsize::new(2),
+        ..DisconnectingBroker::default()
+    });
+    let scheduler = Scheduler::new(broker.clone(), tracing_registry()).with_options(pool_options());
+    let run = scheduler.launch(&fig2());
+    let results = run.wait(WAIT).expect("fig2 completes");
+    assert_eq!(
+        results["T4"],
+        Value::Str("s4(s2(s1(input)),s3(s1(input)))".into())
+    );
+    run.shutdown();
+    assert_eq!(broker.subscribe_drops_left.load(Ordering::SeqCst), 0);
+    assert_eq!(broker.bulk_subscribe_drops_left.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn shard_placement_is_pinned() {
+    // Shard processes built from different commits must agree on who
+    // hosts which agent: the placement of known names never moves.
+    use ginflow_agent::scheduler::process_shard;
+    for (name, of_2, of_3, of_16) in [
+        ("T1", 0, 2, 6),
+        ("T2", 1, 0, 3),
+        ("T3", 0, 1, 0),
+        ("T4", 1, 0, 5),
+        ("source", 0, 2, 8),
+        ("sink", 0, 1, 2),
+        ("m_3_7", 0, 0, 0),
+        ("agent-with-a-long-name", 0, 2, 8),
+    ] {
+        let placed = [2, 3, 16].map(|count| process_shard(name, count));
+        assert_eq!(placed, [of_2, of_3, of_16], "{name}");
+    }
+    assert_eq!(process_shard("T2", 0), 0, "a count of 0 is one shard");
 }

@@ -240,9 +240,11 @@ pub(crate) fn wake_all(wakers: Vec<Arc<WakerSlot>>) {
     }
 }
 
-/// FNV-1a — deterministic, dependency-free hashing (partition routing
-/// and topic-shard selection).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
+/// 32-bit FNV-1a — the workspace's one deterministic, dependency-free
+/// hash: partition routing, topic-shard selection ([`topic_shard`]) and
+/// the agents' shard placement all call this function, so processes
+/// built from the same source agree on every placement.
+pub fn fnv1a(bytes: &[u8]) -> u32 {
     let mut hash: u32 = 0x811c9dc5;
     for &b in bytes {
         hash ^= b as u32;
@@ -256,7 +258,14 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
 /// concurrent runs (distinct run-scoped namespaces) and concurrent
 /// agents (distinct inbox topics) stop serialising on one global mutex.
 /// Power of two so the modulo is a mask.
-pub(crate) const TOPIC_SHARDS: usize = 16;
+pub const TOPIC_SHARDS: usize = 16;
+
+/// The lock shard `topic` lives in — also the `shard` label its traffic
+/// is accounted to in `gf_broker_*_total`, so a hot shard in the metrics
+/// *is* the hot topic-map lock.
+pub fn topic_shard(topic: &str) -> usize {
+    fnv1a(topic.as_bytes()) as usize % TOPIC_SHARDS
+}
 
 /// A topic map split into [`TOPIC_SHARDS`] independently locked shards,
 /// keyed by FNV-1a of the topic name. All broker operations address one
@@ -279,7 +288,7 @@ impl<S> Default for TopicShards<S> {
 impl<S> TopicShards<S> {
     /// The shard holding `topic`.
     pub fn shard(&self, topic: &str) -> &Mutex<std::collections::HashMap<String, S>> {
-        &self.shards[fnv1a(topic.as_bytes()) as usize % self.shards.len()]
+        &self.shards[topic_shard(topic)]
     }
 
     /// Lock `topic`'s shard and look the topic up.

@@ -550,8 +550,14 @@ fn escape_label(label: &str) -> String {
 mod tests {
     use super::*;
 
+    /// [`ENABLED`] is process-global and `cargo test` runs these tests
+    /// on parallel threads: the one test that switches recording off
+    /// holds this for writing, the tests that count hold it for reading.
+    static RECORDING: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
     #[test]
     fn counters_and_gauges_register_idempotently() {
+        let _on = RECORDING.read().unwrap();
         let m = Metrics::new();
         let a = m.counter("test_total", "help");
         let b = m.counter("test_total", "help");
@@ -576,6 +582,7 @@ mod tests {
 
     #[test]
     fn families_shard_and_snapshot_by_label() {
+        let _on = RECORDING.read().unwrap();
         let m = Metrics::new();
         let fam = m.counter_family("runs_total", "help", "run");
         fam.with("a").add(5);
@@ -604,6 +611,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_power_of_two_cumulative() {
+        let _on = RECORDING.read().unwrap();
         let m = Metrics::new();
         let h = m.histogram("batch", "help");
         for v in [0, 1, 2, 3, 64, 65, 1_000_000] {
@@ -625,6 +633,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_records_nothing() {
+        let _off = RECORDING.write().unwrap();
         let m = Metrics::new();
         let c = m.counter("gated_total", "help");
         let was = set_enabled(false);
@@ -636,6 +645,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_is_well_formed() {
+        let _on = RECORDING.read().unwrap();
         let m = Metrics::new();
         m.counter("c_total", "a counter").inc();
         m.gauge("g_now", "a gauge").set(9);

@@ -5,7 +5,9 @@
 //! Every frame is `u32_be body_len` followed by `body_len` body bytes;
 //! the body starts with a one-byte opcode. Bodies larger than
 //! [`MAX_FRAME`] are rejected on both encode and decode so a corrupt or
-//! hostile peer cannot force an unbounded allocation.
+//! hostile peer cannot force an unbounded allocation. Every reader of
+//! the format — both event loops, the fault relay, [`read_frame`] —
+//! applies that framing rule through the one [`FrameSplitter`].
 //!
 //! ```text
 //! frame      := len:u32_be body                (len = body byte count)
@@ -607,27 +609,13 @@ impl Frame {
                 sub: r.u64()?,
                 resume: r.u64()?,
             },
-            0x83 => {
-                let seq = r.u64()?;
-                let count = r.u32()? as usize;
-                // Each message is at least 17 bytes on the wire; a count
-                // claiming more than fits in the body is corrupt.
-                if count > body.len() / 17 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let mut messages = Vec::with_capacity(count);
-                for _ in 0..count {
-                    messages.push(r.message()?);
-                }
-                Frame::Messages { seq, messages }
-            }
+            0x83 => Frame::Messages {
+                seq: r.u64()?,
+                messages: r.counted(17, Reader::message)?,
+            },
             0x84 => Frame::InfoReply {
                 seq: r.u64()?,
-                persistent: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    tag => return Err(WireError::BadTag(tag)),
-                },
+                persistent: r.bool()?,
                 partitions: r.u32()?,
                 retained: r.u64()?,
             },
@@ -635,52 +623,32 @@ impl Frame {
                 seq: r.u64()?,
                 message: r.str()?,
             },
-            0x86 => {
-                let seq = r.u64()?;
-                let count = r.u32()? as usize;
-                // Each run_stat is at least 17 bytes; a count claiming
-                // more than fits in the body is corrupt.
-                if count > body.len() / 17 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let mut runs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    runs.push(RunStat {
+            0x86 => Frame::RunListReply {
+                seq: r.u64()?,
+                runs: r.counted(17, |r| {
+                    Ok(RunStat {
                         run: r.str()?,
                         topics: r.u32()?,
                         retained: r.u64()?,
-                        completed: match r.u8()? {
-                            0 => false,
-                            1 => true,
-                            tag => return Err(WireError::BadTag(tag)),
-                        },
-                    });
-                }
-                Frame::RunListReply { seq, runs }
-            }
+                        completed: r.bool()?,
+                    })
+                })?,
+            },
             0x87 => Frame::RunGcReply {
                 seq: r.u64()?,
                 runs: r.u32()?,
                 topics: r.u32()?,
             },
-            0x88 => {
-                let seq = r.u64()?;
-                let count = r.u32()? as usize;
-                // Each stat row is at least 16 bytes; a count claiming
-                // more than fits in the body is corrupt.
-                if count > body.len() / 16 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let mut stats = Vec::with_capacity(count);
-                for _ in 0..count {
-                    stats.push(StatRow {
+            0x88 => Frame::StatsReply {
+                seq: r.u64()?,
+                stats: r.counted(16, |r| {
+                    Ok(StatRow {
                         name: r.str()?,
                         label: r.str()?,
                         value: r.u64()?,
-                    });
-                }
-                Frame::StatsReply { seq, stats }
-            }
+                    })
+                })?,
+            },
             0x92 => {
                 let seq_first = r.u64()?;
                 let count = r.u32()?;
@@ -700,20 +668,10 @@ impl Frame {
                 sub: r.u64()?,
                 message: r.message()?,
             },
-            0x91 => {
-                let sub = r.u64()?;
-                let count = r.u32()? as usize;
-                // Each message is at least 17 bytes on the wire; a count
-                // claiming more than fits in the body is corrupt.
-                if count > body.len() / 17 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let mut messages = Vec::with_capacity(count);
-                for _ in 0..count {
-                    messages.push(r.message()?);
-                }
-                Frame::Events { sub, messages }
-            }
+            0x91 => Frame::Events {
+                sub: r.u64()?,
+                messages: r.counted(17, Reader::message)?,
+            },
             other => return Err(WireError::UnknownOpcode(other)),
         };
         if !r.is_exhausted() {
@@ -734,40 +692,98 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
 
 /// Read one frame from a stream. `Ok(None)` on a clean EOF at a frame
 /// boundary; [`WireError::Truncated`] when the stream dies mid-frame.
+/// Takes exactly the frame's bytes off `r`, never a byte of the next.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
-    let mut len = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len)? {
-        return Ok(None);
-    }
-    let body_len = u32::from_be_bytes(len) as usize;
-    if body_len > MAX_FRAME {
-        return Err(WireError::Oversized { len: body_len });
-    }
-    let mut body = vec![0u8; body_len];
-    r.read_exact(&mut body).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else {
-            WireError::Io(e)
+    let mut splitter = FrameSplitter::default();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let missing = splitter.missing()?;
+        if missing == 0 {
+            return splitter.next_frame();
         }
-    })?;
-    Frame::decode(&body).map(Some)
-}
-
-/// `read_exact`, except a clean EOF before the first byte returns
-/// `Ok(false)` instead of an error.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
+        let want = missing.min(chunk.len());
+        match r.read(&mut chunk[..want]) {
+            Ok(0) if splitter.is_empty() => return Ok(None),
             Ok(0) => return Err(WireError::Truncated),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Ok(n) => splitter.push(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    Ok(true)
+}
+
+/// The framing rule, incrementally: bytes pushed in whatever chunks the
+/// socket delivers them come out as complete frames. This is the one
+/// place a length prefix is parsed and held against [`MAX_FRAME`] — as
+/// soon as the four prefix bytes are in, before any body is waited for,
+/// so a corrupt prefix cannot make a reader buffer toward 4 GiB.
+///
+/// Frames are handed out from behind a read cursor; the consumed prefix
+/// is reclaimed by the next [`FrameSplitter::push`] — one `memmove` of
+/// the unparsed tail per read turn, not one per frame.
+#[derive(Default)]
+pub struct FrameSplitter {
+    buf: Vec<u8>,
+    /// `buf[..at]` has been handed out.
+    at: usize,
+}
+
+impl FrameSplitter {
+    /// Append received bytes.
+    pub fn push(&mut self, bytes: &[u8]) {
+        if self.at > 0 {
+            self.buf.drain(..self.at);
+            self.at = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// No unconsumed byte is buffered: the stream stands at a frame
+    /// boundary.
+    pub fn is_empty(&self) -> bool {
+        self.at == self.buf.len()
+    }
+
+    /// Whole length (prefix included) of the frame at the cursor, once
+    /// its prefix is in.
+    fn frame_len(&self) -> Result<Option<usize>, WireError> {
+        let Some(prefix) = self.buf[self.at..].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
+        if len > MAX_FRAME {
+            return Err(WireError::Oversized { len });
+        }
+        Ok(Some(4 + len))
+    }
+
+    /// Bytes still to arrive before the frame at the cursor is complete
+    /// (`0`: it can be taken).
+    pub fn missing(&self) -> Result<usize, WireError> {
+        let have = self.buf.len() - self.at;
+        Ok(self.frame_len()?.unwrap_or(4).saturating_sub(have))
+    }
+
+    /// Take the next complete frame undecoded, length prefix included —
+    /// what a relay forwards. `Ok(None)`: more bytes are needed.
+    pub fn next_raw(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let start = self.at;
+        match self.frame_len()? {
+            Some(len) if self.buf.len() - start >= len => {
+                self.at += len;
+                Ok(Some(&self.buf[start..self.at]))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// Take and decode the next complete frame.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        match self.next_raw()? {
+            Some(raw) => Frame::decode(&raw[4..]).map(Some),
+            None => Ok(None),
+        }
+    }
 }
 
 /// Truncation-checked cursor over a length-prefixed binary body.
@@ -839,6 +855,34 @@ impl<'a> Reader<'a> {
     /// leniency.
     pub fn is_exhausted(&self) -> bool {
         self.at == self.body.len()
+    }
+
+    /// A `0/1` flag byte.
+    fn bool(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::BadTag(tag)),
+        }
+    }
+
+    /// `count:u32 element…`. Every element is at least `min_len` bytes
+    /// on the wire, so a count claiming more than fits in the body is
+    /// corrupt — refused before anything is allocated for it.
+    fn counted<T>(
+        &mut self,
+        min_len: usize,
+        element: impl Fn(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let count = self.u32()? as usize;
+        if count > self.body.len() / min_len + 1 {
+            return Err(WireError::Truncated);
+        }
+        let mut elements = Vec::with_capacity(count);
+        for _ in 0..count {
+            elements.push(element(self)?);
+        }
+        Ok(elements)
     }
 
     fn opt_bytes(&mut self) -> Result<Option<Bytes>, WireError> {

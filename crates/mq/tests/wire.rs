@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use ginflow_mq::wire::{
-    read_frame, Frame, RunStat, StatRow, WireError, MAX_FRAME, MAX_RECEIPT_RUN,
+    read_frame, Frame, FrameSplitter, RunStat, StatRow, WireError, MAX_FRAME, MAX_RECEIPT_RUN,
 };
 use ginflow_mq::{Message, SubscribeMode};
 use proptest::prelude::*;
@@ -151,6 +151,53 @@ fn arb_run_stat() -> BoxedStrategy<RunStat> {
         .boxed()
 }
 
+/// How to cut a byte stream into the pieces a socket might deliver it
+/// in: piece sizes, cycled; none = the whole stream at once.
+fn arb_chunking() -> BoxedStrategy<Vec<usize>> {
+    prop::collection::vec(1usize..48, 0..12).boxed()
+}
+
+/// What a reader gets out of a byte stream: the frames it decoded, and
+/// what stopped it short of a clean end of stream, if anything did.
+type Outcome = (Vec<Frame>, Option<String>);
+
+/// The outcome of `read_frame` called until it stops yielding.
+fn read_whole(stream: &[u8]) -> Outcome {
+    let mut cursor = std::io::Cursor::new(stream);
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(&mut cursor) {
+            Ok(Some(f)) => frames.push(f),
+            Ok(None) => return (frames, None),
+            Err(e) => return (frames, Some(e.to_string())),
+        }
+    }
+}
+
+/// The outcome of feeding `stream` to a [`FrameSplitter`] cut by
+/// `chunking`, taking every complete frame after every piece. Bytes
+/// left over at the end of the stream are a truncated frame.
+fn split_chunked(stream: &[u8], chunking: &[usize]) -> Outcome {
+    let mut splitter = FrameSplitter::default();
+    let mut frames = Vec::new();
+    let mut sizes = chunking.iter().copied().cycle();
+    let mut rest = stream;
+    while !rest.is_empty() {
+        let (piece, tail) = rest.split_at(sizes.next().unwrap_or(rest.len()).min(rest.len()));
+        rest = tail;
+        splitter.push(piece);
+        loop {
+            match splitter.next_frame() {
+                Ok(Some(f)) => frames.push(f),
+                Ok(None) => break,
+                Err(e) => return (frames, Some(e.to_string())),
+            }
+        }
+    }
+    let torn = (!splitter.is_empty()).then(|| WireError::Truncated.to_string());
+    (frames, torn)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -181,9 +228,14 @@ proptest! {
         prop_assert!(Frame::decode(&extended).is_err());
     }
 
-    /// Back-to-back frames on one stream decode in order.
+    /// Back-to-back frames on one stream decode in order — from the
+    /// stream reader, and from the splitter however the bytes are
+    /// chunked.
     #[test]
-    fn streams_of_frames_decode_in_order(frames in prop::collection::vec(arb_frame(), 1..5)) {
+    fn streams_of_frames_decode_in_order(
+        frames in prop::collection::vec(arb_frame(), 1..5),
+        chunking in arb_chunking(),
+    ) {
         let mut stream = Vec::new();
         for f in &frames {
             stream.extend_from_slice(&f.encode().unwrap());
@@ -194,6 +246,7 @@ proptest! {
             prop_assert_eq!(got.as_ref(), Some(f));
         }
         prop_assert!(read_frame(&mut cursor).unwrap().is_none());
+        prop_assert_eq!(split_chunked(&stream, &chunking), (frames, None));
     }
 }
 
@@ -267,6 +320,7 @@ proptest! {
         frames in prop::collection::vec(arb_frame(), 1..5),
         flip_frac in 0.0f64..1.0,
         bit in 0u32..8,
+        chunking in arb_chunking(),
     ) {
         let mut stream = Vec::new();
         let mut ends = Vec::new();
@@ -292,6 +346,8 @@ proptest! {
             got += 1;
         }
         prop_assert!(got >= intact);
+        // Same frames, same first error, however the bytes are chunked.
+        prop_assert_eq!(split_chunked(&stream, &chunking), read_whole(&stream));
     }
 
     /// Truncate a multi-frame stream at an arbitrary byte: every frame
@@ -302,6 +358,7 @@ proptest! {
     fn truncated_streams_yield_only_genuine_frames(
         frames in prop::collection::vec(arb_frame(), 1..5),
         keep_frac in 0.0f64..1.0,
+        chunking in arb_chunking(),
     ) {
         let mut stream = Vec::new();
         for f in &frames {
@@ -317,19 +374,24 @@ proptest! {
             prop_assert_eq!(&f, &frames[got]);
             got += 1;
         }
+        prop_assert_eq!(split_chunked(&stream, &chunking), read_whole(&stream));
     }
 
     /// Arbitrary byte soup into the stream reader: no panic, no giant
     /// allocation (the length prefix is bounded by MAX_FRAME before
     /// any buffer is sized), and guaranteed termination.
     #[test]
-    fn garbage_streams_never_panic(junk in prop::collection::vec(any::<u8>(), 0..2048)) {
+    fn garbage_streams_never_panic(
+        junk in prop::collection::vec(any::<u8>(), 0..2048),
+        chunking in arb_chunking(),
+    ) {
         let mut cursor = std::io::Cursor::new(&junk);
         let mut rounds = 0usize;
         while let Ok(Some(_)) = read_frame(&mut cursor) {
             rounds += 1;
             prop_assert!(rounds <= junk.len(), "reader failed to make progress");
         }
+        prop_assert_eq!(split_chunked(&junk, &chunking), read_whole(&junk));
     }
 }
 

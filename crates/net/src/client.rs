@@ -43,13 +43,10 @@
 //!
 //! ## I/O
 //!
-//! Every connection in the process is parked on one shared epoll
-//! thread (the `client_reactor` module): reads, writes, and reconnect
-//! timers for N brokers cost one thread. Callers never touch the
-//! socket — they append encoded frames to the connection's outbound
-//! buffer and ring the loop's doorbell; this module owns everything
-//! above the socket: frame dispatch, the pipeline window, the loss
-//! ledger, watermark replay and the re-subscribe handshake.
+//! Callers never touch the socket: the process-wide `client_reactor`
+//! loop owns it. This module owns everything above it: frame dispatch,
+//! the pipeline window, the loss ledger, watermark replay and the
+//! re-subscribe handshake.
 //!
 //! **Ordering.** All request frames of a connection pass through one
 //! FIFO buffer and the daemon processes a connection's requests in
@@ -102,7 +99,6 @@
 
 use crate::client_reactor::ConnHandle;
 use crate::transport::{Connector, Transport};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use ginflow_mq::metrics::{self, Counter, Gauge};
 use ginflow_mq::wire::{Frame, RunStat, StatRow};
 use ginflow_mq::{
@@ -113,6 +109,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -127,19 +124,8 @@ pub const RECONNECT_GRACE: Duration = Duration::from_secs(30);
 /// reconnect-and-replay cycle, but finite — a severed-and-never-healed
 /// connection surfaces as [`MqError::FlushTimeout`] instead of hanging
 /// the flushing shard forever. Override per client with
-/// [`RemoteBroker::set_flush_timeout`] or process-wide with
-/// `GINFLOW_FLUSH_TIMEOUT_MS`.
+/// [`RemoteBroker::set_flush_timeout`].
 pub const DEFAULT_FLUSH_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// The configured flush bound at client construction:
-/// `GINFLOW_FLUSH_TIMEOUT_MS` if set, else [`DEFAULT_FLUSH_TIMEOUT`].
-fn default_flush_timeout_ms() -> u64 {
-    std::env::var("GINFLOW_FLUSH_TIMEOUT_MS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|ms| *ms > 0)
-        .unwrap_or(DEFAULT_FLUSH_TIMEOUT.as_millis() as u64)
-}
 
 /// Upper bound on un-acknowledged pipelined publish bytes
 /// ([`ginflow_mq::Broker::publish_nowait`]). While the window has room,
@@ -246,14 +232,14 @@ impl RemoteSub {
 /// What the frame dispatch does with a reply.
 enum Waiter {
     /// Hand the raw reply frame to the requester.
-    Reply(Sender<Result<Frame, MqError>>),
+    Reply(ReplySender),
     /// A subscribe in flight: the dispatch itself registers the
     /// subscription under the server-assigned id *before* processing any
     /// further frame, so no EVENT can slip past between the ack and the
     /// registration.
     Subscribe {
         entry: Arc<RemoteSub>,
-        reply: Sender<Result<Frame, MqError>>,
+        reply: ReplySender,
     },
     /// A re-subscription issued by the reconnect path (no requester).
     Resubscribe { entry: Arc<RemoteSub> },
@@ -363,7 +349,7 @@ pub(crate) struct ClientInner {
     persistent: AtomicBool,
     shutdown: AtomicBool,
     /// Upper bound on one [`Broker::flush`] call, in milliseconds
-    /// ([`default_flush_timeout_ms`]; [`RemoteBroker::set_flush_timeout`]).
+    /// ([`DEFAULT_FLUSH_TIMEOUT`]; [`RemoteBroker::set_flush_timeout`]).
     flush_timeout_ms: AtomicU64,
 }
 
@@ -408,7 +394,7 @@ impl RemoteBroker {
             seq: AtomicU64::new(0),
             persistent: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            flush_timeout_ms: AtomicU64::new(default_flush_timeout_ms()),
+            flush_timeout_ms: AtomicU64::new(DEFAULT_FLUSH_TIMEOUT.as_millis() as u64),
         });
         conn.register(stream, inner.clone());
         RemoteBroker::handshake(RemoteBroker { inner })
@@ -441,10 +427,8 @@ impl RemoteBroker {
 
     /// Bound how long one [`Broker::flush`] call may wait for the
     /// pipeline to drain before returning [`MqError::FlushTimeout`].
-    /// Defaults to [`DEFAULT_FLUSH_TIMEOUT`] (or
-    /// `GINFLOW_FLUSH_TIMEOUT_MS` from the environment); sub-
-    /// millisecond durations round up to 1 ms so the bound stays
-    /// finite and nonzero.
+    /// Defaults to [`DEFAULT_FLUSH_TIMEOUT`]; sub-millisecond durations
+    /// round up to 1 ms so the bound stays finite and nonzero.
     pub fn set_flush_timeout(&self, timeout: Duration) {
         let ms = (timeout.as_millis() as u64).max(1);
         self.inner.flush_timeout_ms.store(ms, Ordering::SeqCst);
@@ -458,7 +442,7 @@ impl RemoteBroker {
     fn call(&self, make: impl FnOnce(u64) -> Frame) -> Result<Frame, MqError> {
         let seq = self.next_seq();
         let buf = encode(&make(seq))?;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = sync_channel(1);
         self.inner.submit([(seq, Waiter::Reply(tx))], &buf)?;
         match rx.recv_timeout(REQUEST_TIMEOUT) {
             Ok(reply) => unwrap_reply(reply?),
@@ -551,7 +535,7 @@ impl RemoteBroker {
             topic: topic.to_owned(),
             mode,
         })?;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = sync_channel(1);
         Ok((
             seq,
             Waiter::Subscribe { entry, reply: tx },
@@ -614,6 +598,12 @@ fn protocol_error(frame: &Frame) -> MqError {
 
 /// The channel a subscribe ack (or its failure) arrives on.
 type AckReceiver = Receiver<Result<Frame, MqError>>;
+
+/// Where the loop sends the one reply a request gets: a
+/// `sync_channel(1)`. With one slot the single `send` never blocks the
+/// loop thread, and a bulk subscribe of N topics does not hold N of an
+/// unbounded channel's multi-slot blocks while it waits.
+type ReplySender = SyncSender<Result<Frame, MqError>>;
 
 /// Encode a request frame. A frame the codec refuses (oversized
 /// payload) is the *caller's* error and never reaches the connection.

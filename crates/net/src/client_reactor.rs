@@ -1,11 +1,9 @@
 //! The shared client reactor: **one** epoll thread per process owns the
 //! socket of every [`RemoteBroker`](crate::RemoteBroker) — reads,
 //! writes, and reconnect timers for N connections cost one thread.
-//!
-//! ## Architecture
-//!
-//! The loop is the client-side mirror of the server's
-//! [`event_loop`](crate::event_loop):
+//! Connection bytes, the doorbell and the deadline heap are the
+//! [`link`](crate::link) core it shares with the daemon's
+//! [`event_loop`](crate::event_loop); this module is the client's side:
 //!
 //! * **Lazily spawned, refcounted, dropped at zero.** The first
 //!   connection spawns the `gf-client-loop` thread; a process-global
@@ -16,50 +14,35 @@
 //!   returns to zero extra threads.
 //! * **Publishers never touch the socket.** Each connection owns a
 //!   [`ConnHandle`]: callers append encoded frames to its outbound
-//!   buffer and ring the eventfd doorbell with the same false→true
-//!   schedule-bit protocol the broker wakers use; the loop drains the
-//!   buffer into the connection's non-blocking write path. One FIFO
-//!   buffer per connection is the ordering contract.
-//! * **Reads feed the frame dispatch.** Readable sockets are drained
-//!   (bounded per turn for fairness), length-prefixed frames parsed and
-//!   handed to [`ClientInner::on_frame`](crate::client) — RECEIPT/RECEIPTS
-//!   expansion, EVENTS delivery, pipeline window release.
-//! * **Reconnect rides the deadline heap.** A dead connection fails
-//!   its in-flight waiters (loss ledger and all) together with their
-//!   unwritten frames, then arms a backoff timer (20 ms doubling to a
-//!   hard cap, default 2 s via `GINFLOW_RECONNECT_CAP_MS`, with
-//!   equal-jitter so storms de-synchronise). Dial attempts run on a
-//!   short-lived helper thread so a hanging TCP connect can never
-//!   freeze the other connections; the result is posted back as a loop
-//!   message. On success the re-subscribe batch is queued *before* any
-//!   frames published during the outage — replayed history never
-//!   interleaves behind fresh publishes.
+//!   buffer and ring the doorbell on the false→true transition of its
+//!   schedule bit; the loop moves the buffer onto the connection's
+//!   link. One FIFO buffer per connection is the ordering contract, and
+//!   every server frame goes to
+//!   [`ClientInner::on_frame`](crate::client).
+//! * **Reconnect rides the deadline heap.** A dead connection drops its
+//!   link, fails its in-flight waiters (loss ledger and all) together
+//!   with their unwritten frames, then arms a backoff timer (20 ms
+//!   doubling to a hard cap, default 2 s via
+//!   `GINFLOW_RECONNECT_CAP_MS`, with equal-jitter so storms
+//!   de-synchronise). Dial attempts run on a short-lived helper thread
+//!   so a hanging TCP connect can never freeze the other connections.
+//!   On success the re-subscribe batch is queued *before* any frames
+//!   published during the outage — replayed history never interleaves
+//!   behind fresh publishes.
 
 use crate::client::ClientInner;
+use crate::link::{Deadlines, Doorbell, Link, READ_CHUNK};
 use crate::transport::Transport;
-use crossbeam::channel::Sender;
 use ginflow_mq::metrics::{self, Counter, Gauge, Histogram};
-use ginflow_mq::wire::{Frame, MAX_FRAME};
-use mio::{Events, Interest, Poll, Token, Waker};
+use mio::{Events, Interest, Poll, Token};
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::io::ErrorKind;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 const WAKER: Token = Token(0);
-
-/// Timer-heap id that is never a connection: the write-stall scan.
-const STALL_TOKEN: u64 = u64::MAX;
-
-/// Bytes read per connection per readiness turn before yielding
-/// (level-triggered epoll re-reports the remainder).
-const READ_TURN_BYTES: usize = 1 << 20;
-
-/// Scratch read chunk size.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Reconnect backoff ladder start: the first redial is immediate, each
 /// failure doubles the ladder up to [`reconnect_cap`].
@@ -105,15 +88,6 @@ fn jittered_backoff(ladder: Duration, state: &mut u64) -> Duration {
     let half_us = d.as_micros() as u64 / 2;
     (d / 2 + Duration::from_micros(x % (half_us + 1))).min(reconnect_cap())
 }
-
-/// A connection owing bytes that makes no write progress for this long
-/// is dead — the non-blocking form of a socket write timeout, so a
-/// blackholed daemon can never wedge the loop's memory behind one peer.
-const WRITE_STALL: Duration = Duration::from_secs(10);
-
-/// How often stalled-write candidates are scanned while any connection
-/// owes bytes.
-const STALL_SCAN: Duration = Duration::from_secs(2);
 
 /// Reactor observability, in the process-global registry (surfaces
 /// through STATS, `/metrics` and `RunReport` like every other family).
@@ -165,28 +139,13 @@ enum RMsg {
     Dialed(u64, std::io::Result<Box<dyn Transport>>),
 }
 
-/// The loop's cross-thread doorbell (same sleeping-flag handshake as
-/// the server's `LoopShared`): pushers enqueue, then kick the eventfd
-/// only if the loop has declared itself parked; the loop declares
-/// `sleeping` *before* its final queue check, so a push serialized
-/// after that check always observes the flag and wakes.
-struct ReactorShared {
-    queue: Mutex<Vec<RMsg>>,
-    sleeping: AtomicBool,
-    waker: Waker,
+/// What the connections hold of the loop thread.
+struct ReactorHandle {
+    bell: Doorbell<RMsg>,
     /// Registered [`ConnHandle`]s — the refcount the loop's exit
     /// decision reads. Bumped under the global registry lock on
     /// acquire, decremented on [`ConnHandle::close`].
     live: AtomicUsize,
-}
-
-impl ReactorShared {
-    fn push(&self, msg: RMsg) {
-        self.queue.lock().push(msg);
-        if self.sleeping.load(Ordering::SeqCst) {
-            let _ = self.waker.wake();
-        }
-    }
 }
 
 /// The process-global reactor slot: a `Weak` (so the loop can retire
@@ -197,7 +156,7 @@ impl ReactorShared {
 /// counts in tests and benches depend on it).
 #[derive(Default)]
 struct ReactorSlot {
-    weak: Weak<ReactorShared>,
+    weak: Weak<ReactorHandle>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -214,7 +173,7 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 /// outbound frame buffer plus the doorbell state.
 pub(crate) struct ConnHandle {
     id: u64,
-    shared: Arc<ReactorShared>,
+    shared: Arc<ReactorHandle>,
     /// Encoded frames awaiting the loop, appended whole under the lock
     /// — the single FIFO that preserves cross-thread frame ordering.
     outbound: Mutex<Vec<u8>>,
@@ -240,19 +199,15 @@ impl ConnHandle {
                     let _ = t.join();
                 }
                 let poll = Poll::new()?;
-                let waker = Waker::new(&poll, WAKER)?;
-                let shared = Arc::new(ReactorShared {
-                    queue: Mutex::new(Vec::new()),
-                    sleeping: AtomicBool::new(false),
-                    waker,
+                let shared = Arc::new(ReactorHandle {
+                    bell: Doorbell::new(&poll, WAKER)?,
                     live: AtomicUsize::new(1),
                 });
                 let state = Reactor {
                     poll,
                     shared: shared.clone(),
                     conns: HashMap::new(),
-                    timers: BinaryHeap::new(),
-                    stall_scan_armed: false,
+                    timers: Deadlines::new(),
                     scratch: vec![0u8; READ_CHUNK],
                 };
                 let thread = std::thread::Builder::new()
@@ -283,7 +238,8 @@ impl ConnHandle {
         inner: Arc<ClientInner>,
     ) {
         self.shared
-            .push(RMsg::Register(self.clone(), transport, inner));
+            .bell
+            .ring(RMsg::Register(self.clone(), transport, inner));
     }
 
     /// Queue encoded frame bytes; follow with [`ConnHandle::kick`].
@@ -294,7 +250,7 @@ impl ConnHandle {
     /// Ring the doorbell for frames queued by [`ConnHandle::append`].
     pub(crate) fn kick(&self) {
         if !self.kicked.swap(true, Ordering::SeqCst) {
-            self.shared.push(RMsg::Kick(self.id));
+            self.shared.bell.ring(RMsg::Kick(self.id));
         }
     }
 
@@ -307,7 +263,7 @@ impl ConnHandle {
     /// Send `buf` only if the connection is currently up; silently
     /// dropped otherwise (see [`RMsg::BestEffort`]).
     pub(crate) fn best_effort(&self, buf: Vec<u8>) {
-        self.shared.push(RMsg::BestEffort(self.id, buf));
+        self.shared.bell.ring(RMsg::BestEffort(self.id, buf));
     }
 
     /// Deregister from the loop and wait for the socket to close; if
@@ -319,8 +275,8 @@ impl ConnHandle {
             return;
         }
         self.shared.live.fetch_sub(1, Ordering::SeqCst);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        self.shared.push(RMsg::Deregister(self.id, tx));
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.shared.bell.ring(RMsg::Deregister(self.id, tx));
         if rx.recv_timeout(Duration::from_secs(10)).is_err() {
             return; // loop wedged or gone; don't risk a hanging join
         }
@@ -347,22 +303,13 @@ impl ConnHandle {
     }
 }
 
-/// Loop-side per-connection state machine.
+/// Loop-side per-connection state.
 struct RConn {
     inner: Arc<ClientInner>,
     handle: Arc<ConnHandle>,
-    /// `None` while disconnected (a reconnect timer or dial is
-    /// pending).
-    transport: Option<Box<dyn Transport>>,
-    /// Received-but-unparsed bytes.
-    in_buf: Vec<u8>,
-    /// Encoded frames owed to the daemon, `out[out_pos..]` unsent.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Whether the registration currently includes WRITABLE interest.
-    want_write: bool,
-    /// Last instant a flush made progress — the stall clock.
-    last_progress: Instant,
+    /// The live connection; `None` while disconnected (a reconnect
+    /// timer or dial is pending).
+    link: Option<Link>,
     /// Next redial delay after a failed attempt.
     backoff: Duration,
     /// xorshift64 state for backoff jitter (equal-jitter spread).
@@ -372,10 +319,6 @@ struct RConn {
 }
 
 impl RConn {
-    fn out_pending(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-
     /// When to redial after a failed attempt: one jittered step of the
     /// backoff ladder, which then doubles up to the cap.
     fn next_redial(&mut self) -> Instant {
@@ -388,11 +331,10 @@ impl RConn {
 /// Everything the reactor thread owns.
 struct Reactor {
     poll: Poll,
-    shared: Arc<ReactorShared>,
+    shared: Arc<ReactorHandle>,
     conns: HashMap<u64, RConn>,
-    /// Deadlines: `(when, conn id)`; [`STALL_TOKEN`] is the stall scan.
-    timers: BinaryHeap<Reverse<(Instant, u64)>>,
-    stall_scan_armed: bool,
+    /// The loop's own deadlines are redials, keyed by connection id.
+    timers: Deadlines<u64>,
     scratch: Vec<u8>,
 }
 
@@ -401,11 +343,11 @@ impl Reactor {
         let mut events = Events::with_capacity(256);
         let mut acks: Vec<Sender<()>> = Vec::new();
         loop {
-            let msgs: Vec<RMsg> = std::mem::take(&mut *self.shared.queue.lock());
-            for msg in msgs {
+            for msg in self.shared.bell.take() {
                 self.handle_msg(msg, &mut acks);
             }
-            self.fire_timers();
+            let now = Instant::now();
+            self.fire_timers(now);
             // Deregister acks go out only after the exit decision: a
             // closer that sees its ack can then read the global slot
             // and learn definitively whether the loop retired.
@@ -418,16 +360,10 @@ impl Reactor {
             if exiting {
                 return;
             }
-            self.shared.sleeping.store(true, Ordering::SeqCst);
-            let timeout = if self.shared.queue.lock().is_empty() {
-                self.next_timeout()
-            } else {
-                Some(Duration::ZERO)
-            };
-            let poll_result = self.poll.poll(&mut events, timeout);
-            self.shared.sleeping.store(false, Ordering::SeqCst);
+            let timeout = self.timers.next_timeout(now);
+            let parked = self.shared.bell.park(&self.poll, &mut events, timeout);
             reactor_metrics().wakeups.inc();
-            if poll_result.is_err() {
+            if parked.is_err() {
                 continue;
             }
             for event in events.iter() {
@@ -438,8 +374,8 @@ impl Reactor {
                         if event.is_readable() || event.is_closed() {
                             self.read_ready(id);
                         }
-                        if self.conns.contains_key(&id) && event.is_writable() {
-                            self.write_ready(id);
+                        if event.is_writable() {
+                            self.flush(id);
                         }
                     }
                 }
@@ -459,32 +395,19 @@ impl Reactor {
         true
     }
 
-    fn next_timeout(&self) -> Option<Duration> {
-        self.timers
-            .peek()
-            .map(|Reverse((at, _))| at.saturating_duration_since(Instant::now()))
-    }
-
     fn handle_msg(&mut self, msg: RMsg, acks: &mut Vec<Sender<()>>) {
         match msg {
             RMsg::Register(handle, transport, inner) => self.register(handle, transport, inner),
             RMsg::Deregister(id, ack) => {
-                if let Some(conn) = self.conns.remove(&id) {
-                    if let Some(t) = conn.transport {
-                        reactor_metrics().connections.sub(1);
-                        let _ = self.poll.deregister(t.raw_fd());
-                        let _ = t.shutdown();
-                    }
-                }
+                self.drop_link(id);
+                self.conns.remove(&id);
                 acks.push(ack); // sent after the exit decision
             }
             RMsg::Kick(id) => self.drain_outbound(id),
             RMsg::BestEffort(id, buf) => {
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    if conn.transport.is_some() {
-                        conn.out.extend_from_slice(&buf);
-                        self.flush(id);
-                    }
+                if let Some(link) = self.conns.get_mut(&id).and_then(|c| c.link.as_mut()) {
+                    link.out.push(&buf);
+                    self.flush(id);
                 }
             }
             RMsg::Dialed(id, result) => self.dialed(id, result),
@@ -498,35 +421,50 @@ impl Reactor {
         inner: Arc<ClientInner>,
     ) {
         let id = handle.id;
-        let mut conn = RConn {
+        let conn = RConn {
             inner,
             handle,
-            transport: None,
-            in_buf: Vec::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            want_write: false,
-            last_progress: Instant::now(),
+            link: None,
             backoff: RECONNECT_BASE,
             jitter: jitter_seed(),
             dialing: false,
         };
+        self.conns.insert(id, conn);
+        if self.adopt(id, transport) {
+            self.drain_outbound(id);
+        } else {
+            // Registration failed: treat as an instant connection loss
+            // so the ordinary redial path takes over.
+            self.conn_lost(id);
+        }
+    }
+
+    /// Make `transport` connection `id`'s link. `false`: the socket
+    /// could not be registered and is closed.
+    fn adopt(&mut self, id: u64, transport: Box<dyn Transport>) -> bool {
         let adopted = transport.set_nonblocking(true).is_ok()
             && self
                 .poll
                 .register(transport.raw_fd(), Token(id as usize), Interest::READABLE)
                 .is_ok();
-        if adopted {
-            conn.transport = Some(transport);
-            reactor_metrics().connections.add(1);
-            self.conns.insert(id, conn);
-            self.drain_outbound(id);
-        } else {
-            // Registration failed: treat as an instant connection loss
-            // so the ordinary redial path takes over.
+        if !adopted {
             let _ = transport.shutdown();
-            self.conns.insert(id, conn);
-            self.conn_lost(id);
+            return false;
+        }
+        reactor_metrics().connections.add(1);
+        let conn = self.conns.get_mut(&id).expect("adopting a known conn");
+        conn.link = Some(Link::new(transport, Instant::now()));
+        true
+    }
+
+    /// Close connection `id`'s socket, if it has one. The link goes
+    /// with it, buffers and all: a partial frame must never prefix the
+    /// next connection's stream, in either direction.
+    fn drop_link(&mut self, id: u64) {
+        if let Some(link) = self.conns.get_mut(&id).and_then(|c| c.link.take()) {
+            reactor_metrics().connections.sub(1);
+            let _ = self.poll.deregister(link.raw_fd());
+            link.shutdown();
         }
     }
 
@@ -537,153 +475,57 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.transport.is_none() {
+        let Some(link) = conn.link.as_mut() else {
             return;
-        }
-        let bytes = conn.handle.take_outbound();
-        if !bytes.is_empty() {
-            conn.out.extend_from_slice(&bytes);
-        }
-        if conn.out_pending() > 0 {
+        };
+        link.out.push(&conn.handle.take_outbound());
+        if link.out.pending() > 0 {
             self.flush(id);
         }
     }
 
-    /// A connection is readable: pull bytes (bounded per turn), parse
-    /// complete frames, dispatch through `ClientInner::on_frame`.
+    /// A connection is readable: dispatch the server frames of one read
+    /// turn through `ClientInner::on_frame`.
     fn read_ready(&mut self, id: u64) {
-        let Some(mut conn) = self.conns.remove(&id) else {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let Some(transport) = conn.transport.as_mut() else {
-            self.conns.insert(id, conn);
+        let Some(link) = conn.link.as_mut() else {
             return;
         };
-        let mut alive = true;
-        let mut turn = 0usize;
-        while turn < READ_TURN_BYTES {
-            match transport.read(&mut self.scratch) {
-                Ok(0) => {
-                    alive = false; // EOF
-                    break;
-                }
-                Ok(n) => {
-                    conn.in_buf.extend_from_slice(&self.scratch[..n]);
-                    turn += n;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    alive = false;
-                    break;
-                }
-            }
-        }
-        // Dispatch every complete frame read so far (even off a dying
-        // socket: acks the daemon sent before the cut still release
-        // their pipeline bytes).
-        let mut frames = 0u64;
-        let mut pos = 0usize;
-        while conn.in_buf.len() - pos >= 4 {
-            let len =
-                u32::from_be_bytes(conn.in_buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME {
-                alive = false; // corrupt stream: drop and redial
-                break;
-            }
-            if conn.in_buf.len() - pos - 4 < len {
-                break; // frame incomplete; finish on a later turn
-            }
-            let body = &conn.in_buf[pos + 4..pos + 4 + len];
-            let Ok(frame) = Frame::decode(body) else {
-                alive = false;
-                break;
-            };
-            pos += 4 + len;
+        let turn = link.read_turn(&mut self.scratch, |_, frame| {
             conn.inner.on_frame(frame);
-            frames += 1;
+            true
+        });
+        if turn.frames > 0 {
+            reactor_metrics().frames_turn.observe(turn.frames);
         }
-        if pos > 0 {
-            conn.in_buf.drain(..pos);
-        }
-        if frames > 0 {
-            reactor_metrics().frames_turn.observe(frames);
-        }
-        self.conns.insert(id, conn);
-        if alive {
+        if turn.alive {
             self.flush(id);
         } else {
             self.conn_lost(id);
         }
     }
 
-    fn write_ready(&mut self, id: u64) {
-        self.flush(id);
-    }
-
-    /// Write as much owed output as the socket accepts; manage the
-    /// WRITABLE interest and the stall clock.
+    /// Flush a connection's link; owed bytes keep the stall scan armed,
+    /// a dead socket is a lost connection.
     fn flush(&mut self, id: u64) {
-        let Some(conn) = self.conns.get_mut(&id) else {
+        let Some(link) = self.conns.get_mut(&id).and_then(|c| c.link.as_mut()) else {
             return;
         };
-        let Some(transport) = conn.transport.as_mut() else {
-            return;
-        };
-        let mut dead = false;
-        let mut progressed = false;
-        while conn.out_pos < conn.out.len() {
-            match transport.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.out_pos += n;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead {
-            self.conn_lost(id);
-            return;
-        }
-        if progressed {
-            conn.last_progress = Instant::now();
-        }
-        if conn.out_pos == conn.out.len() {
-            conn.out.clear();
-            conn.out_pos = 0;
-        } else if conn.out_pos > READ_CHUNK {
-            conn.out.drain(..conn.out_pos);
-            conn.out_pos = 0;
-        }
-        let want_write = conn.out_pending() > 0;
-        if want_write != conn.want_write {
-            let interest = if want_write {
-                Interest::READABLE | Interest::WRITABLE
-            } else {
-                Interest::READABLE
-            };
-            let fd = conn.transport.as_ref().expect("checked above").raw_fd();
-            if self
+        let now = Instant::now();
+        let alive = match link.flush(now) {
+            Ok(None) => true,
+            Ok(Some(interest)) => self
                 .poll
-                .reregister(fd, Token(id as usize), interest)
-                .is_err()
-            {
-                self.conn_lost(id);
-                return;
-            }
-            self.conns.get_mut(&id).expect("conn present").want_write = want_write;
-        }
-        if want_write {
-            self.arm_stall_scan();
+                .reregister(link.raw_fd(), Token(id as usize), interest)
+                .is_ok(),
+            Err(_) => false,
+        };
+        if !alive {
+            self.conn_lost(id);
+        } else if link.out.pending() > 0 {
+            self.timers.arm_stall_scan(now);
         }
     }
 
@@ -691,42 +533,31 @@ impl Reactor {
     /// latch on the loss ledger, re-subscriptions in flight move to
     /// the orphan list) and arm an immediate redial.
     fn conn_lost(&mut self, id: u64) {
+        // A frame whose waiter fails just below must never reach the
+        // next connection: what the link still owed goes with it here;
+        // `fail_pending` drops what callers queued behind it.
+        self.drop_link(id);
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if let Some(t) = conn.transport.take() {
-            reactor_metrics().connections.sub(1);
-            let _ = self.poll.deregister(t.raw_fd());
-            let _ = t.shutdown();
-        }
-        // A partial frame must never prefix the fresh stream, and a
-        // frame whose waiter fails just below must never reach it at
-        // all: drop the whole out buffer here; `fail_pending` drops
-        // what callers queued behind it.
-        conn.in_buf.clear();
-        conn.out.clear();
-        conn.out_pos = 0;
-        conn.want_write = false;
         conn.inner.fail_pending();
         if conn.inner.is_shutdown() {
             return; // Deregister will reap the slot
         }
         conn.backoff = RECONNECT_BASE;
-        self.timers.push(Reverse((Instant::now(), id)));
+        self.timers.arm(Instant::now(), id);
     }
 
-    fn fire_timers(&mut self) {
-        let now = Instant::now();
-        while let Some(Reverse((at, id))) = self.timers.peek().copied() {
-            if at > now {
-                break;
-            }
-            self.timers.pop();
-            if id == STALL_TOKEN {
-                self.stall_scan();
-            } else {
-                self.dial(id);
-            }
+    fn fire_timers(&mut self, now: Instant) {
+        let links = self
+            .conns
+            .iter()
+            .filter_map(|(id, conn)| Some((*id, conn.link.as_ref()?)));
+        for id in self.timers.stall_scan(now, links) {
+            self.conn_lost(id);
+        }
+        while let Some(id) = self.timers.pop_due(now) {
+            self.dial(id);
         }
     }
 
@@ -738,7 +569,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.transport.is_some() || conn.dialing || conn.inner.is_shutdown() {
+        if conn.link.is_some() || conn.dialing || conn.inner.is_shutdown() {
             return;
         }
         conn.dialing = true;
@@ -748,95 +579,43 @@ impl Reactor {
             .name("gf-client-dial".into())
             .spawn(move || {
                 let result = inner.dial();
-                shared.push(RMsg::Dialed(id, result));
+                shared.bell.ring(RMsg::Dialed(id, result));
             })
             .is_ok();
         if !spawned {
             conn.dialing = false;
             let at = conn.next_redial();
-            self.timers.push(Reverse((at, id)));
+            self.timers.arm(at, id);
         }
     }
 
     /// A dial helper reported back.
     fn dialed(&mut self, id: u64, result: std::io::Result<Box<dyn Transport>>) {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            if let Ok(t) = result {
-                let _ = t.shutdown();
-            }
-            return;
-        };
-        conn.dialing = false;
-        if conn.inner.is_shutdown() || conn.transport.is_some() {
+        let wanted = self.conns.get_mut(&id).is_some_and(|conn| {
+            conn.dialing = false;
+            !conn.inner.is_shutdown() && conn.link.is_none()
+        });
+        if !wanted {
             if let Ok(t) = result {
                 let _ = t.shutdown();
             }
             return;
         }
-        let stream = match result {
-            Ok(stream) => stream,
-            Err(_) => {
-                let at = conn.next_redial();
-                self.timers.push(Reverse((at, id)));
-                return;
-            }
-        };
-        let adopted = stream.set_nonblocking(true).is_ok()
-            && self
-                .poll
-                .register(stream.raw_fd(), Token(id as usize), Interest::READABLE)
-                .is_ok();
-        if !adopted {
-            let _ = stream.shutdown();
+        let connected = result.is_ok_and(|stream| self.adopt(id, stream));
+        let conn = self.conns.get_mut(&id).expect("checked above");
+        if !connected {
             let at = conn.next_redial();
-            self.timers.push(Reverse((at, id)));
+            self.timers.arm(at, id);
             return;
         }
         // Re-subscribes first: their frames go out ahead of anything
         // published during the outage, so replayed history cannot
         // interleave behind fresh publishes.
         let batch = conn.inner.resubscribe_batch();
-        conn.out.extend_from_slice(&batch);
-        conn.transport = Some(stream);
-        conn.want_write = false;
-        conn.last_progress = Instant::now();
+        conn.link.as_mut().expect("just adopted").out.push(&batch);
         conn.backoff = RECONNECT_BASE;
-        let m = reactor_metrics();
-        m.connections.add(1);
-        m.reconnects.inc();
+        reactor_metrics().reconnects.inc();
         crate::client::note_reconnect();
         self.drain_outbound(id);
-    }
-
-    fn arm_stall_scan(&mut self) {
-        if !self.stall_scan_armed {
-            self.stall_scan_armed = true;
-            self.timers
-                .push(Reverse((Instant::now() + STALL_SCAN, STALL_TOKEN)));
-        }
-    }
-
-    fn stall_scan(&mut self) {
-        self.stall_scan_armed = false;
-        let stalled: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.transport.is_some()
-                    && c.out_pending() > 0
-                    && c.last_progress.elapsed() >= WRITE_STALL
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        for id in stalled {
-            self.conn_lost(id);
-        }
-        if self
-            .conns
-            .values()
-            .any(|c| c.transport.is_some() && c.out_pending() > 0)
-        {
-            self.arm_stall_scan();
-        }
     }
 }

@@ -1,53 +1,40 @@
 //! The readiness-driven daemon: **one** event-loop thread serves
-//! every connection, however many there are — accept, request parsing,
-//! reply batching and subscription fan-out all run on a single epoll
-//! loop (the [`mio`] shim), so the daemon's thread count is independent
-//! of its client count and 10k+ idle connections cost only their fds.
+//! every connection, however many there are, so the daemon's thread
+//! count is independent of its client count and 10k+ idle connections
+//! cost only their fds. Connection bytes, the doorbell and the deadline
+//! heap are the shared [`link`](crate::link) core; this module is the
+//! daemon's side of the protocol:
 //!
-//! ## Architecture
-//!
-//! * **Tokens.** `0` = listener, `1` = the cross-thread [`mio::Waker`],
+//! * **Tokens.** `0` = listener, `1` = the doorbell's eventfd,
 //!   `2..` = connections (monotonically assigned, never reused).
-//! * **Per-connection buffers.** Each connection owns an `in_buf`
-//!   (bytes read, parsed frame-by-frame as length prefixes complete)
-//!   and an `out` buffer with a write cursor. Replies and events are
-//!   appended to `out` and flushed opportunistically; when the socket
-//!   would block, the loop registers `WRITABLE` interest and resumes on
-//!   readiness — no thread ever parks on a socket.
-//! * **Wakeups.** Broker subscriptions route into the loop through the
-//!   same false→true schedule-bit protocol as the in-process scheduler:
-//!   the subscription waker enqueues a drain message and (only when the
-//!   loop is parked in `epoll_wait`) kicks the eventfd waker.
+//! * **Subscription wakeups.** A broker subscription's waker rings the
+//!   doorbell with a drain message — once per false→true transition of
+//!   its schedule bit, the protocol the in-process scheduler uses.
 //! * **Receipt-range acks.** Consecutive publish receipts whose seqs
 //!   and offsets form arithmetic runs on one partition coalesce into a
 //!   single `RECEIPTS` frame (the request-direction mirror of the
 //!   EVENTS push batching) — a pipelined storm of N publishes is acked
 //!   with one frame, not N.
-//! * **Backpressure.** A connection whose `out` buffer passes
+//! * **Backpressure.** A connection whose out buffer passes
 //!   [`OUT_HIGH_WATER`] parks its subscriptions (their schedule bit
-//!   stays set, so wakers no-op) until the buffer drains below
-//!   [`OUT_LOW_WATER`]; a connection making no write progress for
-//!   [`WRITE_STALL`] is declared dead and closed.
-//! * **Timer wheel.** A deadline heap drives the retention sweep and
-//!   stall scans; `epoll_wait` sleeps exactly until the next deadline
-//!   (or forever when there is none), so an idle daemon makes zero
-//!   syscalls between deadlines.
+//!   stays set, so wakers no-op) until the buffer has drained.
+//! * **Retention.** The sweep reclaiming completed runs is a deadline
+//!   on the loop's heap, armed only while a closed run waits.
 
-use crate::metrics::{daemon_metrics, topic_shard, TopicMetrics};
+use crate::link::{Deadlines, Doorbell, Link, Outbox, READ_CHUNK};
+use crate::metrics::{daemon_metrics, TopicMetrics};
 use crate::registry::RunRegistry;
 use crate::server::{error_frame, event_batch, stats_snapshot, EVENT_BATCH_BYTES};
 use crate::transport::Transport;
-use crossbeam::channel::Sender;
-use ginflow_mq::wire::{Frame, MAX_FRAME, MAX_RECEIPT_RUN};
-use ginflow_mq::{Broker, Message, Subscription};
-use mio::{Events, Interest, Poll, Token, Waker};
-use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::io::{ErrorKind, Read, Write};
+use ginflow_mq::wire::{Frame, MAX_RECEIPT_RUN};
+use ginflow_mq::{topic_shard, Broker, Message, Subscription};
+use mio::{Events, Interest, Poll, Token};
+use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -61,29 +48,7 @@ const FIRST_CONN: usize = 2;
 /// isn't reading.
 const OUT_HIGH_WATER: usize = 4 << 20;
 
-/// Out-buffer low water: parked subscriptions resume once a flush gets
-/// the buffer back under this.
-const OUT_LOW_WATER: usize = 1 << 20;
-
-/// A connection owing bytes that makes no write progress for this long
-/// is dead (full receive buffer, frozen process) — the non-blocking
-/// form of a socket write timeout.
-const WRITE_STALL: Duration = Duration::from_secs(10);
-
-/// How often stalled-write candidates are scanned while any connection
-/// owes bytes. No connection owing bytes ⇒ no scan timer at all.
-const STALL_SCAN: Duration = Duration::from_secs(2);
-
-/// Bytes read per connection per readiness turn before yielding to the
-/// other ready connections (level-triggered epoll re-reports the rest).
-const READ_TURN_BYTES: usize = 1 << 20;
-
-/// Scratch read chunk size.
-const READ_CHUNK: usize = 64 * 1024;
-
-/// What the loop can be asked to do from other threads. Pushed through
-/// [`LoopShared::push`]; the eventfd waker interrupts `epoll_wait` only
-/// when the loop is actually parked there.
+/// What the loop can be asked to do from other threads.
 enum LoopMsg {
     /// A subscription has deliveries queued (its schedule bit is set).
     Drain(Arc<ServerSub>),
@@ -93,27 +58,13 @@ enum LoopMsg {
     DropConns(Sender<()>),
 }
 
-/// The loop's cross-thread doorbell: a message queue plus the
-/// sleeping-flag handshake that makes wakeups lost-free *and* free when
-/// the loop is already awake. Pushers enqueue, then kick the eventfd
-/// only if the loop has declared itself parked; the loop declares
-/// `sleeping` *before* its final queue check, so a push serialized
-/// after that check always observes the flag and wakes.
-pub(crate) struct LoopShared {
-    queue: Mutex<Vec<LoopMsg>>,
-    sleeping: AtomicBool,
-    waker: Waker,
+/// What the rest of the daemon holds of its loop thread.
+pub(crate) struct LoopHandle {
+    bell: Doorbell<LoopMsg>,
     shutdown: AtomicBool,
 }
 
-impl LoopShared {
-    fn push(&self, msg: LoopMsg) {
-        self.queue.lock().push(msg);
-        if self.sleeping.load(Ordering::SeqCst) {
-            let _ = self.waker.wake();
-        }
-    }
-
+impl LoopHandle {
     /// Hand the loop one half of an in-process socketpair to serve as a
     /// regular connection; the returned half is the client's.
     pub(crate) fn connect_in_process(&self) -> std::io::Result<Box<dyn Transport>> {
@@ -123,7 +74,7 @@ impl LoopShared {
         let (client_end, server_end) = std::os::unix::net::UnixStream::pair()?;
         server_end.set_nonblocking(true)?;
         let _ = client_end.set_write_timeout(Some(Duration::from_secs(10)));
-        self.push(LoopMsg::Inject(Box::new(server_end)));
+        self.bell.ring(LoopMsg::Inject(Box::new(server_end)));
         Ok(Box::new(client_end))
     }
 
@@ -133,8 +84,8 @@ impl LoopShared {
         if self.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let (tx, rx) = crossbeam::channel::unbounded();
-        self.push(LoopMsg::DropConns(tx));
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.bell.ring(LoopMsg::DropConns(tx));
         let _ = rx.recv_timeout(Duration::from_secs(10));
     }
 
@@ -142,7 +93,7 @@ impl LoopShared {
     /// joins the thread [`spawn`] returned.
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.waker.wake();
+        self.bell.wake();
     }
 }
 
@@ -169,21 +120,19 @@ struct ReceiptRun {
     offset_first: u64,
 }
 
-/// Per-connection state machine.
+/// One connection: its bytes, and the daemon's protocol state on it.
 struct Conn {
-    transport: Box<dyn Transport>,
-    /// Received-but-unparsed bytes; a frame is parsed out as soon as
-    /// its length prefix completes.
-    in_buf: Vec<u8>,
-    /// Encoded frames owed to the peer, `out[out_pos..]` still unsent.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Whether the registration currently includes WRITABLE interest.
-    want_write: bool,
-    /// Last instant a flush made progress — the stall clock.
-    last_progress: Instant,
+    link: Link,
+    session: Session,
+}
+
+/// The daemon's per-connection protocol state.
+#[derive(Default)]
+struct Session {
     subs: HashMap<u64, Arc<ServerSub>>,
-    next_sub: u64,
+    /// The last wire-visible subscription id handed out (they start
+    /// at 1).
+    last_sub: u64,
     /// Subscriptions parked on backpressure, schedule bit still set.
     parked: Vec<Arc<ServerSub>>,
     /// Pending receipt-range coalescing (see [`ReceiptRun`]).
@@ -194,40 +143,14 @@ struct Conn {
     seen_topics: HashMap<String, TopicMetrics>,
 }
 
-impl Conn {
-    fn new(transport: Box<dyn Transport>) -> Conn {
-        Conn {
-            transport,
-            in_buf: Vec::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            want_write: false,
-            last_progress: Instant::now(),
-            subs: HashMap::new(),
-            next_sub: 1,
-            parked: Vec::new(),
-            run: None,
-            seen_topics: HashMap::new(),
-        }
-    }
-
-    fn out_pending(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-}
-
-/// First-touch accounting for `topic` on this connection: report it to
-/// the run registry and resolve its metric handles; thereafter the
-/// cached entry is returned without touching either.
-/// Per-read-turn metric accumulator: frame and publish counts batch in
-/// plain locals while a turn parses its buffered frames, then flush to
-/// the registry in one `add` per counter — a pipelined storm pays a
-/// handful of relaxed RMWs per socket read instead of five per
-/// message. Consecutive publishes to one topic (the storm shape)
-/// coalesce under `pub_topic`; a topic change flushes the pending run.
+/// Per-read-turn publish accounting: counts batch in plain locals
+/// while a turn dispatches its buffered frames, then flush to the
+/// registry in one `add` per counter — a pipelined storm pays a handful
+/// of relaxed RMWs per socket read instead of four per message.
+/// Consecutive publishes to one topic (the storm shape) coalesce under
+/// `pub_topic`; a topic change flushes the pending run.
 #[derive(Default)]
 struct TurnCounts {
-    frames: u64,
     pub_topic: Option<String>,
     pub_msgs: u64,
     pub_bytes: u64,
@@ -235,12 +158,12 @@ struct TurnCounts {
 
 impl TurnCounts {
     /// Flush pending publish counts through the topic's cached handles
-    /// (`conn.seen_topics` is populated before anything accumulates).
-    fn flush_publishes(&mut self, conn: &Conn) {
+    /// (`seen_topics` is populated before anything accumulates).
+    fn flush_publishes(&mut self, session: &Session) {
         let Some(topic) = self.pub_topic.take() else {
             return;
         };
-        let tm = &conn.seen_topics[&topic];
+        let tm = &session.seen_topics[&topic];
         let m = daemon_metrics();
         m.shard_publishes.shard(tm.shard).add(self.pub_msgs);
         m.shard_publish_bytes.shard(tm.shard).add(self.pub_bytes);
@@ -251,53 +174,41 @@ impl TurnCounts {
         self.pub_msgs = 0;
         self.pub_bytes = 0;
     }
-
-    fn flush(&mut self, conn: &Conn) {
-        self.flush_publishes(conn);
-        if self.frames > 0 {
-            daemon_metrics().frames.add(self.frames);
-            self.frames = 0;
-        }
-    }
 }
 
-fn observe_topic<'a>(registry: &RunRegistry, conn: &'a mut Conn, topic: &str) -> &'a TopicMetrics {
-    if !conn.seen_topics.contains_key(topic) {
+/// First-touch accounting for `topic` on this connection: report it to
+/// the run registry and resolve its metric handles; thereafter the
+/// cached entry is returned without touching either.
+fn observe_topic<'a>(
+    registry: &RunRegistry,
+    session: &'a mut Session,
+    topic: &str,
+) -> &'a TopicMetrics {
+    if !session.seen_topics.contains_key(topic) {
         registry.observe(topic);
-        conn.seen_topics
+        session
+            .seen_topics
             .insert(topic.to_owned(), TopicMetrics::resolve(topic));
     }
-    &conn.seen_topics[topic]
-}
-
-/// Deadlines on the timer wheel.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum TimerKind {
-    /// Reclaim completed runs older than the retention window.
-    RetentionSweep,
-    /// Check write-stalled connections.
-    StallScan,
+    &session.seen_topics[topic]
 }
 
 /// Bind `addr` and start the loop thread serving `broker`. Returns the
-/// bound address, the loop's doorbell and the thread to join after
-/// [`LoopShared::request_shutdown`].
+/// bound address, the loop's handle and the thread to join after
+/// [`LoopHandle::request_shutdown`].
 pub(crate) fn spawn(
     addr: &str,
     broker: Arc<dyn Broker>,
     registry: Arc<RunRegistry>,
     retention: Option<Duration>,
-) -> std::io::Result<(SocketAddr, Arc<LoopShared>, JoinHandle<()>)> {
+) -> std::io::Result<(SocketAddr, Arc<LoopHandle>, JoinHandle<()>)> {
     let listener = crate::listen::bind_reuse(addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let poll = Poll::new()?;
     poll.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
-    let waker = Waker::new(&poll, WAKER)?;
-    let shared = Arc::new(LoopShared {
-        queue: Mutex::new(Vec::new()),
-        sleeping: AtomicBool::new(false),
-        waker,
+    let handle = Arc::new(LoopHandle {
+        bell: Doorbell::new(&poll, WAKER)?,
         shutdown: AtomicBool::new(false),
     });
     let state = LoopState {
@@ -305,18 +216,16 @@ pub(crate) fn spawn(
         listener,
         broker,
         registry,
-        shared: shared.clone(),
+        handle: handle.clone(),
         retention,
         conns: HashMap::new(),
         next_token: FIRST_CONN,
-        timers: BinaryHeap::new(),
-        stall_scan_armed: false,
-        scratch: vec![0u8; READ_CHUNK],
+        timers: Deadlines::new(),
     };
     let thread = std::thread::Builder::new()
         .name("gf-net-loop".into())
         .spawn(move || state.run())?;
-    Ok((local, shared, thread))
+    Ok((local, handle, thread))
 }
 
 /// Everything the loop thread owns.
@@ -325,52 +234,46 @@ struct LoopState {
     listener: TcpListener,
     broker: Arc<dyn Broker>,
     registry: Arc<RunRegistry>,
-    shared: Arc<LoopShared>,
+    handle: Arc<LoopHandle>,
     retention: Option<Duration>,
     conns: HashMap<usize, Conn>,
     next_token: usize,
-    timers: BinaryHeap<Reverse<(Instant, TimerKind)>>,
-    stall_scan_armed: bool,
-    scratch: Vec<u8>,
+    /// The loop's own deadlines are all the same one: sweep completed
+    /// runs older than the retention window.
+    timers: Deadlines<()>,
 }
 
 impl LoopState {
     fn run(mut self) {
         let mut events = Events::with_capacity(1024);
+        let mut scratch = vec![0u8; READ_CHUNK];
         loop {
             // 1. Cross-thread work first: drains, injections, commands.
-            let msgs: Vec<LoopMsg> = std::mem::take(&mut *self.shared.queue.lock());
-            for msg in msgs {
+            for msg in self.handle.bell.take() {
                 match msg {
                     LoopMsg::Drain(entry) => self.handle_drain(entry),
                     LoopMsg::Inject(transport) => self.adopt(transport),
                     LoopMsg::DropConns(ack) => {
-                        let tokens: Vec<usize> = self.conns.keys().copied().collect();
-                        for token in tokens {
-                            self.close_conn(token);
-                        }
+                        self.close_all();
                         let _ = ack.send(());
                     }
                 }
             }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if self.handle.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             // 2. Fire due timers.
-            self.fire_timers();
-            // 3. Park — or poll at zero if drains queued up meanwhile.
-            //    `sleeping` goes up before the final queue check, so a
-            //    push serialized after that check sees it and wakes the
-            //    eventfd; one serialized before is caught by the check.
-            self.shared.sleeping.store(true, Ordering::SeqCst);
-            let timeout = if self.shared.queue.lock().is_empty() {
-                self.next_timeout()
-            } else {
-                Some(Duration::ZERO)
-            };
-            let poll_result = self.poll.poll(&mut events, timeout);
-            self.shared.sleeping.store(false, Ordering::SeqCst);
-            if poll_result.is_err() {
+            let now = Instant::now();
+            self.fire_timers(now);
+            // 3. Park until the next deadline, forever when there is
+            //    none, not at all if drains queued up meanwhile.
+            let timeout = self.timers.next_timeout(now);
+            if self
+                .handle
+                .bell
+                .park(&self.poll, &mut events, timeout)
+                .is_err()
+            {
                 continue;
             }
             // 4. Socket readiness.
@@ -380,78 +283,34 @@ impl LoopState {
                     WAKER => {} // queue handled at the top of the loop
                     Token(token) => {
                         if event.is_readable() || event.is_closed() {
-                            self.read_ready(token);
+                            self.read_ready(token, &mut scratch);
                         }
-                        if self.conns.contains_key(&token) && event.is_writable() {
-                            self.write_ready(token);
+                        if event.is_writable() {
+                            self.flush(token);
                         }
                     }
                 }
             }
         }
         // Teardown: sever every connection so clients see EOF.
-        let tokens: Vec<usize> = self.conns.keys().copied().collect();
-        for token in tokens {
+        self.close_all();
+    }
+
+    fn fire_timers(&mut self, now: Instant) {
+        let links = self.conns.iter().map(|(token, conn)| (*token, &conn.link));
+        for token in self.timers.stall_scan(now, links) {
+            daemon_metrics().stall_evictions.inc();
             self.close_conn(token);
         }
-    }
-
-    /// The next timer deadline as an `epoll_wait` timeout; `None` — an
-    /// idle daemon — sleeps forever (zero syscalls until I/O or wake).
-    fn next_timeout(&self) -> Option<Duration> {
-        self.timers
-            .peek()
-            .map(|Reverse((at, _))| at.saturating_duration_since(Instant::now()))
-    }
-
-    fn arm_timer(&mut self, at: Instant, kind: TimerKind) {
-        self.timers.push(Reverse((at, kind)));
-    }
-
-    fn fire_timers(&mut self) {
-        let now = Instant::now();
-        while let Some(Reverse((at, kind))) = self.timers.peek().copied() {
-            if at > now {
-                break;
-            }
-            self.timers.pop();
-            match kind {
-                TimerKind::RetentionSweep => {
-                    if let Some(window) = self.retention {
-                        self.registry.gc(window);
-                        // Sleep exactly until the next completed run
-                        // becomes eligible — nothing closed, no timer.
-                        if let Some(next) = self.registry.next_gc_deadline(window) {
-                            self.arm_timer(next.max(now), TimerKind::RetentionSweep);
-                        }
-                    }
-                }
-                TimerKind::StallScan => {
-                    self.stall_scan_armed = false;
-                    let stalled: Vec<usize> = self
-                        .conns
-                        .iter()
-                        .filter(|(_, c)| {
-                            c.out_pending() > 0 && c.last_progress.elapsed() >= WRITE_STALL
-                        })
-                        .map(|(t, _)| *t)
-                        .collect();
-                    for token in stalled {
-                        daemon_metrics().stall_evictions.inc();
-                        self.close_conn(token);
-                    }
-                    if self.conns.values().any(|c| c.out_pending() > 0) {
-                        self.arm_stall_scan();
-                    }
+        while self.timers.pop_due(now).is_some() {
+            if let Some(window) = self.retention {
+                self.registry.gc(window);
+                // Sleep exactly until the next completed run becomes
+                // eligible — nothing closed, no timer.
+                if let Some(next) = self.registry.next_gc_deadline(window) {
+                    self.timers.arm(next.max(now), ());
                 }
             }
-        }
-    }
-
-    fn arm_stall_scan(&mut self) {
-        if !self.stall_scan_armed {
-            self.stall_scan_armed = true;
-            self.arm_timer(Instant::now() + STALL_SCAN, TimerKind::StallScan);
         }
     }
 
@@ -466,9 +325,8 @@ impl LoopState {
                     }
                     self.adopt(Box::new(stream));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(_) => break, // drained, or the listener is broken
             }
         }
     }
@@ -488,89 +346,51 @@ impl LoopState {
         let m = daemon_metrics();
         m.accepts.inc();
         m.connections.add(1);
-        self.conns.insert(token, Conn::new(transport));
+        let conn = Conn {
+            link: Link::new(transport, Instant::now()),
+            session: Session::default(),
+        };
+        self.conns.insert(token, conn);
     }
 
     fn close_conn(&mut self, token: usize) {
         if let Some(conn) = self.conns.remove(&token) {
             daemon_metrics().connections.sub(1);
-            let _ = self.poll.deregister(conn.transport.raw_fd());
-            let _ = conn.transport.shutdown();
+            let _ = self.poll.deregister(conn.link.raw_fd());
+            conn.link.shutdown();
             // Dropping `conn` drops its subscriptions (parked ones
             // included): the broker prunes their handles, and any
             // drain message still queued no-ops on the missing token.
         }
     }
 
-    /// A connection is readable: pull bytes, parse complete frames,
-    /// dispatch, flush what the dispatches produced. Processing is
-    /// capped per turn; level-triggered epoll re-reports the remainder
-    /// so one firehose client cannot starve the rest.
-    fn read_ready(&mut self, token: usize) {
+    fn close_all(&mut self) {
+        let tokens: Vec<usize> = self.conns.keys().copied().collect();
+        for token in tokens {
+            self.close_conn(token);
+        }
+    }
+
+    /// A connection is readable: dispatch the requests of one read
+    /// turn, then flush what they produced.
+    fn read_ready(&mut self, token: usize, scratch: &mut [u8]) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
-        let mut alive = true;
-        let mut turn = 0usize;
-        while turn < READ_TURN_BYTES {
-            match conn.transport.read(&mut self.scratch) {
-                Ok(0) => {
-                    alive = false; // EOF
-                    break;
-                }
-                Ok(n) => {
-                    conn.in_buf.extend_from_slice(&self.scratch[..n]);
-                    turn += n;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    alive = false;
-                    break;
-                }
-            }
-        }
-        // Parse and dispatch every complete frame read so far (even
-        // when the peer already hung up: pipelined publishes it sent
-        // before closing are applied, matching the at-most-once-on-
-        // outage contract the client documents).
+        let Conn { link, session } = &mut conn;
         let mut counts = TurnCounts::default();
-        let mut pos = 0usize;
-        while conn.in_buf.len() - pos >= 4 {
-            let len =
-                u32::from_be_bytes(conn.in_buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME {
-                alive = false; // corrupt or hostile: hang up
-                break;
-            }
-            if conn.in_buf.len() - pos - 4 < len {
-                break; // frame incomplete; finish on a later turn
-            }
-            let body = &conn.in_buf[pos + 4..pos + 4 + len];
-            let Ok(frame) = Frame::decode(body) else {
-                alive = false;
-                break;
-            };
-            pos += 4 + len;
-            if !self.dispatch(token, &mut conn, frame, &mut counts) {
-                alive = false;
-                break;
-            }
-        }
-        counts.flush(&conn);
-        if pos > 0 {
-            conn.in_buf.drain(..pos);
-        }
+        let turn = link.read_turn(scratch, |out, frame| {
+            self.dispatch(token, session, out, frame, &mut counts)
+        });
+        counts.flush_publishes(session);
+        daemon_metrics().frames.add(turn.frames);
         // End of turn: any receipt run still open goes out now — a
         // blocking publisher is waiting on it.
-        if flush_receipt_run(&mut conn).is_err() {
-            alive = false;
-        }
+        let alive = flush_receipt_run(session, &mut link.out).is_ok() && turn.alive;
+        self.conns.insert(token, conn);
         if alive {
-            self.conns.insert(token, conn);
             self.flush(token);
         } else {
-            self.conns.insert(token, conn);
             self.close_conn(token);
         }
     }
@@ -579,11 +399,11 @@ impl LoopState {
     fn dispatch(
         &mut self,
         token: usize,
-        conn: &mut Conn,
+        session: &mut Session,
+        out: &mut Outbox,
         frame: Frame,
         counts: &mut TurnCounts,
     ) -> bool {
-        counts.frames += 1;
         match frame {
             Frame::Publish {
                 seq,
@@ -592,22 +412,22 @@ impl LoopState {
                 payload,
             } => {
                 let bytes = payload.len() as u64;
-                observe_topic(&self.registry, conn, &topic);
+                observe_topic(&self.registry, session, &topic);
                 if counts.pub_topic.as_deref() != Some(topic.as_str()) {
-                    counts.flush_publishes(conn);
+                    counts.flush_publishes(session);
                     counts.pub_topic = Some(topic.clone());
                 }
                 counts.pub_msgs += 1;
                 counts.pub_bytes += bytes;
                 match self.broker.publish(&topic, key, payload) {
                     Ok(receipt) => {
-                        add_receipt(conn, seq, receipt.partition, receipt.offset).is_ok()
+                        add_receipt(session, out, seq, receipt.partition, receipt.offset).is_ok()
                     }
-                    Err(e) => push_reply(conn, &error_frame(seq, e)).is_ok(),
+                    Err(e) => push_reply(session, out, &error_frame(seq, e)).is_ok(),
                 }
             }
             Frame::Subscribe { seq, topic, mode } => {
-                let tm = observe_topic(&self.registry, conn, &topic);
+                let tm = observe_topic(&self.registry, session, &topic);
                 daemon_metrics().shard_subscribes.shard(tm.shard).inc();
                 // Sample the resume watermark *before* attaching: a
                 // message published after this point either replays on
@@ -628,15 +448,15 @@ impl LoopState {
                         // Fold this subscription's drop-oldest counter
                         // into its run's lag gauge at snapshot time.
                         self.registry.attach_lag_probe(&topic, sub.lag_probe());
-                        let id = conn.next_sub;
-                        conn.next_sub += 1;
+                        session.last_sub += 1;
+                        let id = session.last_sub;
                         let entry = Arc::new(ServerSub {
                             conn: token,
                             id,
                             sub,
                             scheduled: AtomicBool::new(false),
                         });
-                        conn.subs.insert(id, entry.clone());
+                        session.subs.insert(id, entry.clone());
                         // The ack is appended to `out` before the waker
                         // is armed, and events travel through the same
                         // FIFO buffer — the client always learns the
@@ -646,26 +466,26 @@ impl LoopState {
                             sub: id,
                             resume,
                         };
-                        if push_reply(conn, &ack).is_err() {
+                        if push_reply(session, out, &ack).is_err() {
                             return false;
                         }
                         let weak: Weak<ServerSub> = Arc::downgrade(&entry);
-                        let shared = self.shared.clone();
+                        let handle = self.handle.clone();
                         entry.sub.set_waker(move || {
                             if let Some(entry) = weak.upgrade() {
                                 if !entry.scheduled.swap(true, Ordering::SeqCst) {
-                                    shared.push(LoopMsg::Drain(entry));
+                                    handle.bell.ring(LoopMsg::Drain(entry));
                                 }
                             }
                         });
                         true
                     }
-                    Err(e) => push_reply(conn, &error_frame(seq, e)).is_ok(),
+                    Err(e) => push_reply(session, out, &error_frame(seq, e)).is_ok(),
                 }
             }
             Frame::Unsubscribe { sub, .. } => {
-                conn.subs.remove(&sub);
-                conn.parked.retain(|p| p.id != sub);
+                session.subs.remove(&sub);
+                session.parked.retain(|p| p.id != sub);
                 true
             }
             Frame::Fetch {
@@ -683,10 +503,11 @@ impl LoopState {
                     Ok(messages) => Frame::Messages { seq, messages },
                     Err(e) => error_frame(seq, e),
                 };
-                push_reply(conn, &reply).is_ok()
+                push_reply(session, out, &reply).is_ok()
             }
             Frame::Info { seq, topic } => push_reply(
-                conn,
+                session,
+                out,
                 &Frame::InfoReply {
                     seq,
                     persistent: self.broker.persistent(),
@@ -696,7 +517,8 @@ impl LoopState {
             )
             .is_ok(),
             Frame::RunList { seq } => push_reply(
-                conn,
+                session,
+                out,
                 &Frame::RunListReply {
                     seq,
                     runs: self.registry.list(),
@@ -709,11 +531,12 @@ impl LoopState {
                 // waits on: arm its deadline on the timer wheel.
                 if known {
                     if let Some(window) = self.retention {
-                        self.arm_timer(Instant::now() + window, TimerKind::RetentionSweep);
+                        self.timers.arm(Instant::now() + window, ());
                     }
                 }
                 push_reply(
-                    conn,
+                    session,
+                    out,
                     &Frame::RunGcReply {
                         seq,
                         runs: u32::from(known),
@@ -724,10 +547,11 @@ impl LoopState {
             }
             Frame::RunGc { seq } => {
                 let (runs, topics) = self.registry.gc(Duration::ZERO);
-                push_reply(conn, &Frame::RunGcReply { seq, runs, topics }).is_ok()
+                push_reply(session, out, &Frame::RunGcReply { seq, runs, topics }).is_ok()
             }
             Frame::Stats { seq } => push_reply(
-                conn,
+                session,
+                out,
                 &Frame::StatsReply {
                     seq,
                     stats: stats_snapshot(&self.registry),
@@ -756,102 +580,49 @@ impl LoopState {
     /// parks with its schedule bit held until the buffer drains.
     fn handle_drain(&mut self, entry: Arc<ServerSub>) {
         let token = entry.conn;
-        let Some(mut conn) = self.conns.remove(&token) else {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return; // connection already closed
         };
-        if !conn.subs.contains_key(&entry.id) {
-            self.conns.insert(token, conn);
+        if !conn.session.subs.contains_key(&entry.id) {
             return; // unsubscribed meanwhile
         }
-        if conn.out_pending() > OUT_HIGH_WATER {
+        if conn.link.out.pending() > OUT_HIGH_WATER {
             daemon_metrics().backpressure_parks.inc();
-            conn.parked.push(entry);
-            self.conns.insert(token, conn);
+            conn.session.parked.push(entry);
             return;
         }
-        drain_sub(&mut conn, &entry, &self.shared);
-        self.conns.insert(token, conn);
+        drain_sub(&mut conn.link.out, &entry, &self.handle.bell);
         self.flush(token);
     }
 
-    /// WRITABLE readiness: flush, and de-register the interest once the
-    /// buffer is empty so an idle socket goes silent again.
-    fn write_ready(&mut self, token: usize) {
-        self.flush(token);
-    }
-
-    /// Write as much owed output as the socket accepts. Manages the
-    /// WRITABLE interest, the stall clock, and parked-subscription
-    /// resume; closes the connection on a dead socket.
+    /// Flush a connection's out buffer and act on what the link
+    /// reports: a dead socket closes the connection, owed bytes keep
+    /// the stall scan armed, a drained buffer resumes parked
+    /// subscriptions.
     fn flush(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let mut dead = false;
-        let mut progressed = false;
-        while conn.out_pos < conn.out.len() {
-            match conn.transport.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.out_pos += n;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead {
-            self.close_conn(token);
-            return;
-        }
-        if progressed {
-            conn.last_progress = Instant::now();
-        }
-        if conn.out_pos == conn.out.len() {
-            conn.out.clear();
-            conn.out_pos = 0;
-        } else if conn.out_pos > READ_CHUNK {
-            // Reclaim the sent prefix so the buffer doesn't creep.
-            conn.out.drain(..conn.out_pos);
-            conn.out_pos = 0;
-        }
-        let pending = conn.out_pending();
-        let want_write = pending > 0;
-        if want_write != conn.want_write {
-            let interest = if want_write {
-                Interest::READABLE | Interest::WRITABLE
-            } else {
-                Interest::READABLE
-            };
-            if self
+        let now = Instant::now();
+        let alive = match conn.link.flush(now) {
+            Ok(None) => true,
+            Ok(Some(interest)) => self
                 .poll
-                .reregister(conn.transport.raw_fd(), Token(token), interest)
-                .is_err()
-            {
-                self.close_conn(token);
-                return;
-            }
-            self.conns
-                .get_mut(&token)
-                .expect("conn still present")
-                .want_write = want_write;
+                .reregister(conn.link.raw_fd(), Token(token), interest)
+                .is_ok(),
+            Err(_) => false,
+        };
+        if !alive {
+            return self.close_conn(token);
         }
-        if want_write {
-            self.arm_stall_scan();
-        } else if pending < OUT_LOW_WATER {
+        if conn.link.out.pending() > 0 {
+            self.timers.arm_stall_scan(now);
+        } else {
             // Resume parked subscriptions: re-enter them through the
             // drain queue (their schedule bit is still set, so no
             // duplicate enqueues can race in).
-            let conn = self.conns.get_mut(&token).expect("conn still present");
-            for entry in std::mem::take(&mut conn.parked) {
-                self.shared.queue.lock().push(LoopMsg::Drain(entry));
+            for entry in std::mem::take(&mut conn.session.parked) {
+                self.handle.bell.ring(LoopMsg::Drain(entry));
             }
         }
     }
@@ -860,16 +631,16 @@ impl LoopState {
 /// Append one encoded frame to the out buffer, flushing any open
 /// receipt run first so frames leave in dispatch order. `Err` = the
 /// frame refuses to encode (oversized) — connection-fatal for replies.
-fn push_reply(conn: &mut Conn, frame: &Frame) -> Result<(), ()> {
-    flush_receipt_run(conn)?;
+fn push_reply(session: &mut Session, out: &mut Outbox, frame: &Frame) -> Result<(), ()> {
+    flush_receipt_run(session, out)?;
     daemon_metrics().replies.inc();
-    append_frame(conn, frame)
+    append_frame(out, frame)
 }
 
-fn append_frame(conn: &mut Conn, frame: &Frame) -> Result<(), ()> {
+fn append_frame(out: &mut Outbox, frame: &Frame) -> Result<(), ()> {
     let encoded = frame.encode().map_err(|_| ())?;
     daemon_metrics().reply_bytes.add(encoded.len() as u64);
-    conn.out.extend_from_slice(&encoded);
+    out.push(&encoded);
     Ok(())
 }
 
@@ -877,8 +648,14 @@ fn append_frame(conn: &mut Conn, frame: &Frame) -> Result<(), ()> {
 /// new one. Coalescing requires an exact arithmetic continuation: next
 /// consecutive seq, same partition, next consecutive offset, run under
 /// the decode cap.
-fn add_receipt(conn: &mut Conn, seq: u64, partition: u32, offset: u64) -> Result<(), ()> {
-    if let Some(run) = &mut conn.run {
+fn add_receipt(
+    session: &mut Session,
+    out: &mut Outbox,
+    seq: u64,
+    partition: u32,
+    offset: u64,
+) -> Result<(), ()> {
+    if let Some(run) = &mut session.run {
         if run.partition == partition
             && run.count < MAX_RECEIPT_RUN
             && seq == run.seq_first + run.count as u64
@@ -887,9 +664,9 @@ fn add_receipt(conn: &mut Conn, seq: u64, partition: u32, offset: u64) -> Result
             run.count += 1;
             return Ok(());
         }
-        flush_receipt_run(conn)?;
+        flush_receipt_run(session, out)?;
     }
-    conn.run = Some(ReceiptRun {
+    session.run = Some(ReceiptRun {
         seq_first: seq,
         count: 1,
         partition,
@@ -900,8 +677,8 @@ fn add_receipt(conn: &mut Conn, seq: u64, partition: u32, offset: u64) -> Result
 
 /// Encode the open receipt run: a single ack stays a plain RECEIPT (the
 /// smaller frame), a run becomes one RECEIPTS range ack.
-fn flush_receipt_run(conn: &mut Conn) -> Result<(), ()> {
-    let Some(run) = conn.run.take() else {
+fn flush_receipt_run(session: &mut Session, out: &mut Outbox) -> Result<(), ()> {
+    let Some(run) = session.run.take() else {
         return Ok(());
     };
     let frame = if run.count == 1 {
@@ -919,13 +696,13 @@ fn flush_receipt_run(conn: &mut Conn) -> Result<(), ()> {
         }
     };
     daemon_metrics().replies.inc();
-    append_frame(conn, &frame)
+    append_frame(out, &frame)
 }
 
 /// Coalesce everything queued on a scheduled subscription into one
 /// EVENT/EVENTS frame appended to the connection's out buffer, then
 /// run the clear-bit/recheck-backlog protocol.
-fn drain_sub(conn: &mut Conn, entry: &Arc<ServerSub>, shared: &Arc<LoopShared>) {
+fn drain_sub(out: &mut Outbox, entry: &Arc<ServerSub>, bell: &Doorbell<LoopMsg>) {
     let m = daemon_metrics();
     let mut batch: Vec<Message> = Vec::new();
     let mut batch_bytes = 0usize;
@@ -939,7 +716,7 @@ fn drain_sub(conn: &mut Conn, entry: &Arc<ServerSub>, shared: &Arc<LoopShared>) 
                     + message.key.as_ref().map_or(0, |k| k.len())
                     + 32;
                 if !batch.is_empty() && batch_bytes + msg_bytes > EVENT_BATCH_BYTES {
-                    append_event_batch(conn, entry.id, &mut batch);
+                    append_event_batch(out, entry.id, &mut batch);
                     batch_bytes = 0;
                 }
                 batch_bytes += msg_bytes;
@@ -951,7 +728,7 @@ fn drain_sub(conn: &mut Conn, entry: &Arc<ServerSub>, shared: &Arc<LoopShared>) 
         }
     }
     if !batch.is_empty() {
-        append_event_batch(conn, entry.id, &mut batch);
+        append_event_batch(out, entry.id, &mut batch);
     }
     if drained > 0 {
         m.fanout_messages.add(drained);
@@ -961,10 +738,10 @@ fn drain_sub(conn: &mut Conn, entry: &Arc<ServerSub>, shared: &Arc<LoopShared>) 
     // Lost-wakeup-free re-check, same as the scheduler and the pump.
     entry.scheduled.store(false, Ordering::SeqCst);
     if entry.sub.backlog() > 0 && !entry.scheduled.swap(true, Ordering::SeqCst) {
-        // Requeue through the shared queue (not recursion): the loop
+        // Requeue through the doorbell (not recursion): the loop
         // interleaves other connections' work and re-checks the
         // backpressure gate before the next batch.
-        shared.queue.lock().push(LoopMsg::Drain(entry.clone()));
+        bell.ring(LoopMsg::Drain(entry.clone()));
     }
 }
 
@@ -972,7 +749,7 @@ fn drain_sub(conn: &mut Conn, entry: &Arc<ServerSub>, shared: &Arc<LoopShared>) 
 /// A frame the codec refuses (an EVENT envelope past `MAX_FRAME`) is
 /// dropped rather than allowed to kill the connection — the message is
 /// still in the log for `fetch`.
-fn append_event_batch(conn: &mut Conn, sub: u64, batch: &mut Vec<Message>) {
+fn append_event_batch(out: &mut Outbox, sub: u64, batch: &mut Vec<Message>) {
     let frame = if batch.len() == 1 {
         Frame::Event {
             sub,
@@ -985,5 +762,5 @@ fn append_event_batch(conn: &mut Conn, sub: u64, batch: &mut Vec<Message>) {
         }
     };
     batch.clear();
-    let _ = append_frame(conn, &frame);
+    let _ = append_frame(out, &frame);
 }

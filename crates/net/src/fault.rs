@@ -56,6 +56,7 @@
 
 use crate::server::BrokerServer;
 use crate::transport::{Connector, Transport};
+use ginflow_mq::wire::FrameSplitter;
 use ginflow_mq::LogBroker;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -616,25 +617,25 @@ impl Pump {
             .sever_after_frames
             .map(|(lo, hi)| self.rng.random_range(lo..=hi.max(lo)));
         let mut frames: u64 = 0;
-        let mut buf: Vec<u8> = Vec::with_capacity(16 * 1024);
+        let mut splitter = FrameSplitter::default();
         let mut chunk = [0u8; 16 * 1024];
         'link: loop {
-            // Assemble one complete frame (4-byte BE length + body).
-            let frame_len = loop {
-                if buf.len() >= 4 {
-                    let len = u32::from_be_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-                    if buf.len() >= 4 + len {
-                        break 4 + len;
-                    }
+            // Take one complete frame, undecoded, reading until there
+            // is one.
+            let mut frame: Vec<u8> = loop {
+                match splitter.next_raw() {
+                    Ok(Some(raw)) => break raw.to_vec(),
+                    Ok(None) => {}
+                    Err(_) => break 'link, // the sender broke the framing rule
                 }
                 match self.src.read(&mut chunk) {
                     Ok(0) | Err(_) => break 'link, // EOF, sever, or error
-                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    Ok(n) => splitter.push(&chunk[..n]),
                 }
             };
+            let frame_len = frame.len();
             frames += 1;
             self.stats.frames.fetch_add(1, Ordering::Relaxed);
-            let mut frame: Vec<u8> = buf.drain(..frame_len).collect();
             if frames <= self.plan.grace_frames {
                 if self.dst.write_all(&frame).is_err() {
                     break 'link;
@@ -760,7 +761,7 @@ impl ChaosHarness {
         deadline: Duration,
         f: impl FnOnce() -> T + Send + 'static,
     ) -> Result<T, String> {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let name = format!("gf-chaos-{label}");
         std::thread::Builder::new()
             .name(name)

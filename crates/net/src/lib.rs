@@ -48,10 +48,23 @@
 //! syscalls themselves run on a short-lived helper thread so a hanging
 //! TCP connect never stalls other connections' traffic).
 //!
+//! ## One byte layer under both loops
+//!
+//! Below the protocol the daemon's loop and the client's reactor are
+//! the same machine, and it exists once, in the `link` module: a
+//! connection's byte state (an incremental
+//! [`FrameSplitter`](ginflow_mq::wire::FrameSplitter) in, an out buffer
+//! with its non-blocking flush and write-stall clock out — driven with
+//! passed-in `Instant`s, so it is unit-tested with no socket, thread or
+//! sleep), the loops' deadline heap with the stall scan, and the
+//! cross-thread doorbell. Each loop module holds only its side of the
+//! protocol; the [`fault`] relay and the raw test peers split frames
+//! with the same splitter.
+//!
 //! With a daemon in the middle, `Backend::Sharded` (in
 //! `ginflow-engine`) runs one workflow across multiple OS processes:
-//! each process executes only the agents whose FNV name-hash lands in
-//! its shard, and the shared status topic is the cross-shard membrane.
+//! each process executes only the agents whose FNV name-hash
+//! ([`ginflow_mq::fnv1a`]) lands in its shard, and the shared status topic is the cross-shard membrane.
 //!
 //! ## One standing daemon, many runs
 //!
@@ -190,12 +203,14 @@
 //!   names the seed that produced it**, so any red run reproduces with
 //!   `GINFLOW_FAULT_SEED=<n> GINFLOW_CHAOS_SEEDS=1 cargo test …`.
 //! * `GINFLOW_CHAOS_SEEDS=<k>` — seeds swept per property.
-//! * `GINFLOW_FLUSH_TIMEOUT_MS` — bound on [`RemoteBroker`]'s
-//!   `flush()`; on expiry it returns a structured
-//!   `MqError::FlushTimeout` instead of blocking on a wedged link.
 //! * `GINFLOW_RECONNECT_CAP_MS` — hard cap of the jittered exponential
 //!   reconnect backoff (default 2000 ms). Reconnects are counted on
 //!   `gf_client_reconnects_total`.
+//!
+//! (`flush()` on a wedged link is bounded in code, not by a knob:
+//! [`client::DEFAULT_FLUSH_TIMEOUT`], per client
+//! [`RemoteBroker::set_flush_timeout`], then a structured
+//! `MqError::FlushTimeout`.)
 //!
 //! Contributors adding protocol or client behavior: wire a property
 //! into the chaos suite rather than a bespoke sleep-and-hope test —
@@ -207,6 +222,7 @@ pub mod client;
 mod client_reactor;
 mod event_loop;
 pub mod fault;
+mod link;
 mod listen;
 mod metrics;
 mod metrics_http;

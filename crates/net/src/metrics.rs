@@ -7,29 +7,8 @@
 //! so a publish pays relaxed atomic adds, never a registry lock.
 
 use ginflow_mq::metrics::{self, Counter, Family, Gauge, Histogram};
+use ginflow_mq::{topic_shard, TOPIC_SHARDS};
 use std::sync::{Arc, OnceLock};
-
-/// Shard count for per-shard traffic families. Mirrors the broker's
-/// topic-map sharding (`TOPIC_SHARDS`) so a hot shard in
-/// `gf_broker_publish_total{shard="…"}` is literally a hot topic-map
-/// lock.
-pub(crate) const METRIC_SHARDS: usize = 16;
-
-/// FNV-1a over the topic name — the same hash (same constants) the
-/// broker's topic maps shard by, so metric shard == lock shard.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for b in bytes {
-        hash ^= u32::from(*b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
-/// The metric shard a topic's traffic is accounted to.
-pub(crate) fn topic_shard(topic: &str) -> usize {
-    fnv1a(topic.as_bytes()) as usize % METRIC_SHARDS
-}
 
 /// Per-shard counters with the label strings pre-registered, so the
 /// hot path is an array index instead of a family-map lookup.
@@ -38,14 +17,14 @@ pub(crate) struct ShardCounters(Vec<Arc<Counter>>);
 impl ShardCounters {
     fn new(family: &Family<Counter>) -> ShardCounters {
         ShardCounters(
-            (0..METRIC_SHARDS)
+            (0..TOPIC_SHARDS)
                 .map(|s| family.with(&s.to_string()))
                 .collect(),
         )
     }
 
     pub(crate) fn shard(&self, shard: usize) -> &Counter {
-        &self.0[shard % METRIC_SHARDS]
+        &self.0[shard % TOPIC_SHARDS]
     }
 }
 

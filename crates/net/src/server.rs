@@ -21,7 +21,7 @@
 //!
 //! [`Subscription::set_waker`]: ginflow_mq::Subscription::set_waker
 
-use crate::event_loop::LoopShared;
+use crate::event_loop::LoopHandle;
 use crate::metrics_http::MetricsExporter;
 use crate::registry::RunRegistry;
 use crate::transport::Transport;
@@ -82,7 +82,7 @@ pub(crate) fn stats_snapshot(registry: &RunRegistry) -> Vec<StatRow> {
 pub struct BrokerServer {
     addr: SocketAddr,
     /// The event loop's cross-thread doorbell.
-    event_loop: Arc<LoopShared>,
+    event_loop: Arc<LoopHandle>,
     loop_thread: Mutex<Option<JoinHandle<()>>>,
     registry: Arc<RunRegistry>,
     metrics_http: Mutex<Option<MetricsExporter>>,

@@ -757,3 +757,182 @@ fn metrics_endpoint_serves_prometheus_text() {
     assert!(fetch("POST /metrics HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 405"));
     server.stop();
 }
+
+// --- the wire, byte for byte ------------------------------------------
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A transport that records what is written to it.
+struct Tap {
+    inner: Box<dyn ginflow_net::Transport>,
+    sent: Arc<Mutex<Vec<u8>>>,
+}
+
+impl std::io::Read for Tap {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl std::io::Write for Tap {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.sent.lock().unwrap().extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl ginflow_net::Transport for Tap {
+    fn try_clone(&self) -> std::io::Result<Box<dyn ginflow_net::Transport>> {
+        Ok(Box::new(Tap {
+            inner: self.inner.try_clone()?,
+            sent: self.sent.clone(),
+        }))
+    }
+
+    fn shutdown(&self) -> std::io::Result<()> {
+        self.inner.shutdown()
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        self.inner.set_nonblocking(nonblocking)
+    }
+
+    fn raw_fd(&self) -> i32 {
+        self.inner.raw_fd()
+    }
+}
+
+/// One exchange — subscribe, three pipelined publishes, fetch,
+/// unsubscribe — pinned byte for byte in both directions, so a change
+/// to the codec, to either loop's framing or flushing, or to the
+/// daemon's batching (one RECEIPTS range ack, one coalesced EVENTS
+/// push per turn) shows up as a diff of these literals.
+#[test]
+fn a_recorded_exchange_is_byte_identical_in_both_directions() {
+    use ginflow_mq::wire::Frame;
+    use std::io::{Read, Write};
+    let (server, _broker) = serve_log();
+    let publish = |seq, body: &str| Frame::Publish {
+        seq,
+        topic: "t".into(),
+        key: None,
+        payload: payload(body),
+    };
+    let info = |seq| Frame::Info {
+        seq,
+        topic: "t".into(),
+    };
+
+    // The daemon's side, against a scripted peer. Each group of request
+    // frames goes out in one write, so it reaches the daemon in one
+    // read turn and what comes back is deterministic.
+    let mut peer = server.connect_in_process().unwrap();
+    let mut exchange = |requests: &[Frame], sent: &[&str], replies: &[&str]| {
+        let bytes: Vec<u8> = requests.iter().flat_map(|f| f.encode().unwrap()).collect();
+        assert_eq!(hex(&bytes), sent.concat(), "encoding of {requests:?}");
+        peer.write_all(&bytes).unwrap();
+        let mut got = vec![0u8; replies.concat().len() / 2];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(hex(&got), replies.concat(), "replies to {requests:?}");
+    };
+    exchange(
+        &[Frame::Subscribe {
+            seq: 1,
+            topic: "t".into(),
+            mode: SubscribeMode::Latest,
+        }],
+        &["0000000f020000000000000001000000017400"],
+        // SUBSCRIBED seq 1: sub 1, resume 0.
+        &["0000001982000000000000000100000000000000010000000000000000"],
+    );
+    exchange(
+        &[publish(2, "a"), publish(3, "b"), publish(4, "c")],
+        &[
+            "000000140100000000000000020000000174000000000161",
+            "000000140100000000000000030000000174000000000162",
+            "000000140100000000000000040000000174000000000163",
+        ],
+        &[
+            // RECEIPTS: seqs 2.. x3, partition 0, offsets 0..
+            "0000001992000000000000000200000003000000000000000000000000",
+            // EVENTS on sub 1: three messages, offsets 0, 1, 2.
+            "00000052910000000000000001000000030000000174000000000000\
+             00000000000000000000016100000001740000000000000000000000\
+             01000000000162000000017400000000000000000000000200000000\
+             0163",
+        ],
+    );
+    exchange(
+        &[Frame::Fetch {
+            seq: 5,
+            topic: "t".into(),
+            partition: 0,
+            from: 1,
+            max: 2,
+        }],
+        &["0000001e040000000000000005000000017400000000000000000000000100000002"],
+        // MESSAGES seq 5: offsets 1 and 2.
+        &["0000003b830000000000000005000000020000000174000000000000\
+           00000000000100000000016200000001740000000000000000000000\
+           02000000000163"],
+    );
+    // UNSUBSCRIBE is answered by silence, and the publish behind it is
+    // acked but pushed to nobody: the two INFO replies are adjacent.
+    exchange(
+        &[
+            Frame::Unsubscribe { seq: 6, sub: 1 },
+            publish(7, "d"),
+            info(8),
+        ],
+        &[
+            "000000110300000000000000060000000000000001",
+            "000000140100000000000000070000000174000000000164",
+            "0000000e0500000000000000080000000174",
+        ],
+        &[
+            // RECEIPT seq 7: partition 0, offset 3.
+            "00000015810000000000000007000000000000000000000003",
+            // INFO_REPLY seq 8: persistent, 1 partition, 4 retained.
+            "0000001684000000000000000801000000010000000000000004",
+        ],
+    );
+    exchange(
+        &[info(9)],
+        &["0000000e0500000000000000090000000174"],
+        &["0000001684000000000000000901000000010000000000000004"],
+    );
+
+    // The client's side: what a `RemoteBroker` writes for the same
+    // calls (its INFO handshake first), through its reactor's flush.
+    let tapped = Arc::new(Mutex::new(Vec::new()));
+    let (server, sent) = (Arc::new(server), tapped.clone());
+    let remote = RemoteBroker::connect_with(Box::new(move || {
+        Ok(Box::new(Tap {
+            inner: server.connect_in_process()?,
+            sent: sent.clone(),
+        }))
+    }))
+    .unwrap();
+    let _sub = remote.subscribe("t", SubscribeMode::Latest).unwrap();
+    for body in ["a", "b", "c"] {
+        remote.publish_nowait("t", None, payload(body)).unwrap();
+    }
+    remote.flush().unwrap();
+    assert_eq!(remote.fetch("t", 0, 1, 2).unwrap().len(), 2);
+    let sent = [
+        "0000000d05000000000000000100000000",
+        "0000000f020000000000000002000000017400",
+        "000000140100000000000000030000000174000000000161",
+        "000000140100000000000000040000000174000000000162",
+        "000000140100000000000000050000000174000000000163",
+        "0000001e040000000000000006000000017400000000000000000000000100000002",
+    ];
+    assert_eq!(hex(&tapped.lock().unwrap()), sent.concat());
+}
