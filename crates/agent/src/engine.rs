@@ -321,6 +321,11 @@ struct TrackInner {
 /// incarnation and incarnations never decrease.
 pub struct RunTracker {
     meta: RunMeta,
+    /// `meta.sinks` as a set, and for each watched task the indices of the
+    /// adaptations it fires — both built once, so an update costs the same
+    /// whether the workflow has two sinks or two thousand.
+    sinks: HashSet<String>,
+    watchers: HashMap<String, Vec<usize>>,
     run_id: RunId,
     hub: EventHub,
     inner: Mutex<TrackInner>,
@@ -331,8 +336,17 @@ impl RunTracker {
     /// `run_id` — the namespace key under which the run's status topic
     /// lives, carried here so every report and handle can name it.
     pub fn new(meta: RunMeta, run_id: RunId) -> Self {
+        let sinks = meta.sinks.iter().cloned().collect();
+        let mut watchers: HashMap<String, Vec<usize>> = HashMap::new();
+        for (i, (_, watched)) in meta.adaptations.iter().enumerate() {
+            for task in watched {
+                watchers.entry(task.clone()).or_default().push(i);
+            }
+        }
         RunTracker {
             meta,
+            sinks,
+            watchers,
             run_id,
             hub: EventHub::new(),
             inner: Mutex::new(TrackInner {
@@ -402,18 +416,19 @@ impl RunTracker {
                     });
                 }
             }
+            let watching = self.watchers.get(&update.task);
             if update.state == TaskState::Failed {
-                for (i, (name, watched)) in self.meta.adaptations.iter().enumerate() {
-                    if watched.iter().any(|w| w == &update.task) && s.fired.insert(i) {
+                for &i in watching.into_iter().flatten() {
+                    if s.fired.insert(i) {
                         s.adaptations_fired += 1;
                         events.push(RunEvent::AdaptationFired {
-                            adaptation: name.clone(),
+                            adaptation: self.meta.adaptations[i].0.clone(),
                             failed_task: update.task.clone(),
                         });
                     }
                 }
             }
-            if self.meta.sinks.iter().any(|sink| sink == &update.task) {
+            if self.sinks.contains(&update.task) {
                 match update.state {
                     TaskState::Completed => {
                         s.done_sinks.insert(update.task.clone());
@@ -423,20 +438,13 @@ impl RunTracker {
                             terminal = true;
                         }
                     }
-                    TaskState::Failed => {
-                        let watched = self
-                            .meta
-                            .adaptations
-                            .iter()
-                            .any(|(_, w)| w.iter().any(|t| t == &update.task));
-                        if !watched {
-                            let failure = RunFailure::SinkFailed {
-                                task: update.task.clone(),
-                            };
-                            s.terminal = Some(RunOutcome::Failed(failure.clone()));
-                            events.push(RunEvent::RunFailed { reason: failure });
-                            terminal = true;
-                        }
+                    TaskState::Failed if watching.is_none() => {
+                        let failure = RunFailure::SinkFailed {
+                            task: update.task.clone(),
+                        };
+                        s.terminal = Some(RunOutcome::Failed(failure.clone()));
+                        events.push(RunEvent::RunFailed { reason: failure });
+                        terminal = true;
                     }
                     _ => {}
                 }
@@ -941,6 +949,31 @@ mod tests {
                 task: "b".into()
             }))
         );
+    }
+
+    #[test]
+    fn two_thousand_sinks_complete_the_run_exactly_once() {
+        let wf = ginflow_core::patterns::split(2000, "s").unwrap();
+        let meta = RunMeta::of(&wf);
+        assert_eq!(meta.sinks.len(), 2000);
+        let sinks = meta.sinks.clone();
+        let tracker = RunTracker::new(meta, RunId::generate());
+        let events = tracker.subscribe();
+        tracker.observe(&update("src", TaskState::Completed, 0));
+        for (done, sink) in sinks.iter().enumerate() {
+            assert_eq!(tracker.outcome(), None, "after {done} sinks");
+            assert_eq!(tracker.inner.lock().done_sinks.len(), done);
+            tracker.observe(&update(sink, TaskState::Running, 0));
+            tracker.observe(&update(sink, TaskState::Completed, 0));
+            // A repeated completion is not a second sink.
+            tracker.observe(&update(sink, TaskState::Completed, 0));
+        }
+        assert_eq!(tracker.outcome(), Some(RunOutcome::Completed));
+        assert_eq!(tracker.inner.lock().done_sinks.len(), 2000);
+        let completed: Vec<RunEvent> = events
+            .filter(|e| matches!(e, RunEvent::RunCompleted))
+            .collect();
+        assert_eq!(completed, vec![RunEvent::RunCompleted]);
     }
 
     #[test]

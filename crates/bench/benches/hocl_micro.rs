@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the real Rust hot paths of the HOCL
 //! engine: pattern matching as a function of solution size (the paper's
-//! driving cost), full reductions, parsing, and the agent event loop.
+//! driving cost), full reductions, a wide fan-in through `gw_recv`,
+//! parsing, and the agent event loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ginflow_hocl::prelude::*;
@@ -64,6 +65,50 @@ fn bench_match_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// A whole fan-in through the agents' `gw_recv`: deliveries from each of
+/// `n` sources into a join-shaped solution (`SRC` shrinks from `n`, `IN`
+/// grows to `n`), one rule application per delivery. Per-delivery cost is
+/// the reported time ÷ `n`; it must not depend on `n` — a rewrite that
+/// copies `SRC` and `IN` per application shows up as 4× per doubling here.
+fn bench_gw_recv_wide(c: &mut Criterion) {
+    use ginflow_hocl::symbol::keywords as kw;
+    use ginflow_hoclflow::rules::gw_recv;
+
+    let mut group = c.benchmark_group("gw_recv_fanin");
+    for n in [500usize, 2000] {
+        let initial = Solution::from_atoms([
+            Atom::keyed(
+                kw::SRC,
+                [Atom::sub((0..n).map(|i| Atom::sym(format!("p{i}"))))],
+            ),
+            Atom::keyed(kw::IN, [Atom::empty_sub()]),
+            Atom::rule(gw_recv()),
+        ]);
+        let deliveries: Vec<Atom> = (0..n)
+            .map(|i| {
+                Atom::tuple([
+                    Atom::sym(kw::DELIVER),
+                    Atom::sym(format!("p{i}")),
+                    Atom::str("r"),
+                ])
+            })
+            .collect();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                let mut sol = initial.clone();
+                let mut engine = Engine::new();
+                for delivery in &deliveries {
+                    sol.insert(delivery.clone());
+                    engine.reduce(black_box(&mut sol), &mut NoExterns).unwrap();
+                }
+                assert_eq!(engine.stats().applications, n as u64);
+                black_box(sol.atoms().weight())
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Parser throughput on a workflow-shaped program.
 fn bench_parse(c: &mut Criterion) {
     let src = r#"
@@ -114,6 +159,6 @@ fn bench_agent_event(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_getmax, bench_match_scan, bench_parse, bench_agent_event
+    targets = bench_getmax, bench_match_scan, bench_gw_recv_wide, bench_parse, bench_agent_event
 }
 criterion_main!(benches);

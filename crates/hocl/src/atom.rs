@@ -4,7 +4,7 @@
 //! *structured*: a tuple `A : B : C` (ordered), a subsolution `⟨A, B, C⟩`
 //! (an inner multiset), or — HOCLflow extension — a list `[A, B, C]`.
 
-use crate::multiset::Multiset;
+use crate::multiset::{Census, Multiset};
 use crate::rule::Rule;
 use crate::symbol::Symbol;
 use serde::{Deserialize, Serialize};
@@ -160,14 +160,6 @@ impl Atom {
         }
     }
 
-    /// Mutable view as subsolution, if it is one.
-    pub fn as_sub_mut(&mut self) -> Option<&mut Multiset> {
-        match self {
-            Atom::Sub(ms) => Some(ms),
-            _ => None,
-        }
-    }
-
     /// View as rule, if it is one.
     pub fn as_rule(&self) -> Option<&Arc<Rule>> {
         match self {
@@ -201,12 +193,29 @@ impl Atom {
     }
 
     /// Total number of atoms in this molecule, counting nested structure.
-    /// Used by the simulator's matching-cost model.
+    /// Used by the simulator's matching-cost model. Walks tuples and lists
+    /// but stops at subsolutions, which carry their own count.
     pub fn weight(&self) -> usize {
+        self.census().weight as usize
+    }
+
+    /// Does a subsolution somewhere inside this molecule hold a rule? Only
+    /// then can reducing the molecule's children change anything.
+    pub(crate) fn holds_rule(&self) -> bool {
         match self {
-            Atom::Tuple(v) | Atom::List(v) => 1 + v.iter().map(Atom::weight).sum::<usize>(),
-            Atom::Sub(ms) => 1 + ms.iter().map(Atom::weight).sum::<usize>(),
-            _ => 1,
+            Atom::Sub(ms) => ms.rule_count() > 0,
+            Atom::Tuple(v) | Atom::List(v) => v.iter().any(Atom::holds_rule),
+            _ => false,
+        }
+    }
+
+    /// Weight and rule count of this molecule (see [`Census`]).
+    pub(crate) fn census(&self) -> Census {
+        match self {
+            Atom::Tuple(v) | Atom::List(v) => v.iter().fold(Census::LEAF, |c, a| c + a.census()),
+            Atom::Sub(ms) => Census::LEAF + ms.census(),
+            Atom::Rule(_) => Census::RULE,
+            _ => Census::LEAF,
         }
     }
 }
@@ -358,6 +367,15 @@ mod tests {
         assert_eq!(Atom::int(1).shape(), Shape::Int);
         assert_eq!(Atom::keyed("K", [Atom::int(1)]).shape(), Shape::Tuple(2));
         assert_ne!(Atom::int(1).shape(), Atom::float(1.0).shape());
+    }
+
+    /// The census rides along for free: a subsolution atom is no bigger
+    /// than a tuple atom, so every solution keeps its memory footprint.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn census_does_not_grow_the_atom() {
+        assert_eq!(std::mem::size_of::<Multiset>(), 32);
+        assert_eq!(std::mem::size_of::<Atom>(), 32);
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! Variable bindings produced by pattern matching.
+//!
+//! There are two holders. While a rule is being matched, and while its
+//! extern calls are evaluated, variables are *borrowed* views into the
+//! solution (the matcher's environment); once the reactants have been taken
+//! out of the solution they become the *owned* [`Bindings`] below, which the
+//! right-hand side consumes. Guards and extern arguments read either one
+//! through [`Lookup`].
 
 use crate::atom::Atom;
+use crate::multiset::Multiset;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -10,8 +18,10 @@ use std::fmt;
 pub enum Binding {
     /// An ordinary variable: exactly one atom.
     One(Atom),
-    /// An ω (rest) variable: zero or more atoms from a subsolution.
-    Many(Vec<Atom>),
+    /// An ω (rest) variable: zero or more atoms from a subsolution — the
+    /// matched subsolution's own storage, minus the atoms its element
+    /// patterns picked.
+    Many(Multiset),
 }
 
 impl Binding {
@@ -27,7 +37,7 @@ impl Binding {
     pub fn atoms(&self) -> &[Atom] {
         match self {
             Binding::One(a) => std::slice::from_ref(a),
-            Binding::Many(v) => v,
+            Binding::Many(ms) => ms.as_slice(),
         }
     }
 }
@@ -36,9 +46,9 @@ impl fmt::Debug for Binding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Binding::One(a) => write!(f, "{a}"),
-            Binding::Many(v) => {
+            Binding::Many(ms) => {
                 f.write_str("*[")?;
-                for (i, a) in v.iter().enumerate() {
+                for (i, a) in ms.iter().enumerate() {
                     if i > 0 {
                         f.write_str(", ")?;
                     }
@@ -50,7 +60,57 @@ impl fmt::Debug for Binding {
     }
 }
 
-/// An environment mapping variable names to bindings.
+/// A borrowed view of what a variable is bound to.
+#[derive(Clone, Copy)]
+pub enum Bound<'a> {
+    /// An ordinary variable.
+    One(&'a Atom),
+    /// An ω variable.
+    Rest(Rest<'a>),
+}
+
+/// A borrowed ω rest: the atoms of `of`, in order, except those at the
+/// `picked` positions.
+#[derive(Clone, Copy)]
+pub struct Rest<'a> {
+    of: &'a [Atom],
+    picked: &'a [usize],
+}
+
+impl<'a> Rest<'a> {
+    /// The atoms of `of` not at a `picked` position.
+    pub(crate) fn new(of: &'a [Atom], picked: &'a [usize]) -> Self {
+        Rest { of, picked }
+    }
+
+    /// Number of atoms in the rest.
+    pub fn len(&self) -> usize {
+        self.of.len() - self.picked.len()
+    }
+
+    /// Is the rest empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The atoms of the rest, in the subsolution's order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Atom> + 'a {
+        let picked = self.picked;
+        self.of
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| !picked.contains(i))
+            .map(|(_, a)| a)
+    }
+}
+
+/// Read access to variable bindings, owned or borrowed.
+pub trait Lookup {
+    /// What `name` is bound to, if anything.
+    fn lookup(&self, name: &str) -> Option<Bound<'_>>;
+}
+
+/// An environment mapping variable names to owned bindings.
 ///
 /// Backed by a `BTreeMap` — deterministic iteration order matters for
 /// reproducible engines, and binding sets are tiny (a handful of entries).
@@ -90,15 +150,22 @@ impl Bindings {
 
     /// Bind an ω variable to a sequence of atoms, with the same consistency
     /// requirement for repeated names (compared as ordered sequences).
-    pub fn bind_many(&mut self, name: &str, atoms: Vec<Atom>) -> bool {
+    pub fn bind_many(&mut self, name: &str, atoms: impl Into<Multiset>) -> bool {
+        let atoms = atoms.into();
         match self.map.get(name) {
-            Some(Binding::Many(existing)) => *existing == atoms,
+            Some(Binding::Many(existing)) => existing.as_slice() == atoms.as_slice(),
             Some(Binding::One(_)) => false,
             None => {
                 self.map.insert(name.to_owned(), Binding::Many(atoms));
                 true
             }
         }
+    }
+
+    /// Take a variable's binding out of the environment (the last use of a
+    /// variable in a right-hand side moves its atoms instead of copying).
+    pub fn take(&mut self, name: &str) -> Option<Binding> {
+        self.map.remove(name)
     }
 
     /// Number of bound variables.
@@ -114,6 +181,15 @@ impl Bindings {
     /// Iterate over `(name, binding)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Binding)> {
         self.map.iter().map(|(k, v)| (k.as_str(), v))
+    }
+}
+
+impl Lookup for Bindings {
+    fn lookup(&self, name: &str) -> Option<Bound<'_>> {
+        self.map.get(name).map(|b| match b {
+            Binding::One(a) => Bound::One(a),
+            Binding::Many(ms) => Bound::Rest(Rest::new(ms.as_slice(), &[])),
+        })
     }
 }
 

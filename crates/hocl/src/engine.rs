@@ -11,6 +11,46 @@
 //! emulating the "applied in some order not known at design time" semantics
 //! of the paper — the test-suite uses this to check confluence.
 //!
+//! ## Applying a rule: match by reference, consume by move
+//!
+//! One application is three steps, and only the last one writes.
+//! *Find*: the [`Matcher`] searches over borrowed atoms — no copies, an undo
+//! trail for backtracking — and yields *positions*: which root atoms the
+//! LHS consumes and, inside them, which element each subsolution pattern
+//! picked. *Probe*: the RHS's extern calls run against the still-borrowed
+//! bindings and the RHS is checked (every variable bound, tuple elements
+//! single), so a failing extern or an unbound variable surfaces with the
+//! solution exactly as it was. *Rewrite*: the consumed atoms are taken out
+//! of the multiset by value, destructured along the positions into owned
+//! bindings (an ω rest is the matched subsolution's own storage minus the
+//! picks) and the RHS is built consuming them — a variable's last
+//! occurrence moves, earlier ones clone. `SRC:<?t,*ws>` → `SRC:<*ws>`
+//! therefore costs one `Vec::remove` shift of the picked element, and
+//! `IN:<*win>` → `IN:<(?t:?v),*win>` one shift to make room in front,
+//! whatever the size of `SRC` and `IN`; that `memmove` is what is still
+//! O(n) per delivery (an index by head symbol would remove it — nobody has
+//! asked for one). A deferred extern parks the owned bindings.
+//!
+//! ## The census
+//!
+//! Every [`Multiset`] knows its structural weight and the number of rule
+//! atoms at any depth below it, kept exact by every mutator: `insert`,
+//! `extend`, `remove_at`, `remove_indices`, `remove_value`, `union`,
+//! collecting and deserializing count what they move, and the crate-private
+//! `absorb` (splice one multiset into another, censuses add), `take_picked`
+//! and `update_at` (change a stored atom in place, then re-count it — the
+//! only way to reach inside one, since no `&mut Atom` is handed out) are
+//! what the engine itself uses. Two things follow. `weight()` is a field
+//! read. And bottom-up reduction enters only atoms whose subtree holds a
+//! rule: an inert rule-free subsolution — an agent's `SRC`, `IN`, `DST`,
+//! `RES` — costs nothing per pass, however large.
+//!
+//! [`ReduceStats::weight_scanned`] is read from the census and keeps its
+//! meaning — Σ weight of each multiset a matching pass ran over — so it is
+//! smaller than before exactly by the passes over rule-free subsolutions
+//! that are no longer made; the simulator's `weight_cost_ns` was re-fitted
+//! to that (see `ginflow_sim::costmodel`).
+//!
 //! ## Deferred effects
 //!
 //! When the host answers an extern call with [`crate::ExternResult::Deferred`]
@@ -23,13 +63,14 @@
 //! every agent its *own* root solution, so this is not a limitation there).
 
 use crate::atom::Atom;
+use crate::bindings::Bindings;
 use crate::error::HoclError;
 use crate::externs::{EffectId, ExternHost};
-use crate::matcher::Matcher;
+use crate::matcher::{Matcher, Positions};
 use crate::multiset::Multiset;
 use crate::rule::Rule;
 use crate::solution::{Pending, Solution};
-use crate::template::{Instantiator, Produced};
+use crate::template::{build, Deferral, Instantiator, Probed};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -106,6 +147,26 @@ pub struct ReduceStats {
     /// complexity of the pattern matching process depends on the size of
     /// the solution").
     pub weight_scanned: u64,
+}
+
+/// A rule found applicable and probed, not yet applied.
+struct Firing {
+    rule: Arc<Rule>,
+    rule_idx: usize,
+    positions: Positions,
+    probed: Probed,
+}
+
+/// Take the reactants of a firing — and a one-shot rule's own atom — out of
+/// `ms` by value, destructured into owned bindings.
+fn consume(ms: &mut Multiset, rule: &Rule, rule_idx: usize, mut positions: Positions) -> Bindings {
+    let mut taken = std::mem::take(&mut positions.consumed);
+    if rule.is_one_shot() {
+        taken.push(rule_idx);
+    }
+    let mut reactants = ms.take_picked(&taken);
+    reactants.truncate(rule.lhs().len());
+    positions.bind(rule.lhs(), reactants)
 }
 
 /// The reduction engine. One per agent / per centralized interpreter.
@@ -211,14 +272,46 @@ impl Engine {
         let pending = solution
             .take_pending(id)
             .ok_or(HoclError::UnknownEffect(id.0))?;
-        let mut inst = Instantiator::resuming(host, pending.call_index, result);
-        match inst.produce(&pending.rhs, &pending.bindings)? {
-            Produced::Atoms(atoms) => {
-                solution.atoms_mut().extend(atoms);
+        let inst = Instantiator::resuming(host, pending.call_index, result);
+        match inst.probe(&pending.rhs, &pending.bindings)? {
+            Probed::Ready(calls) => {
+                let atoms = build(&pending.rhs, pending.bindings, calls);
+                solution.atoms_mut().absorb(atoms);
                 Ok(())
             }
-            Produced::Deferred { name, .. } => Err(HoclError::MultipleDeferred(name)),
+            Probed::Deferred(deferral) => Err(HoclError::MultipleDeferred(deferral.name)),
         }
+    }
+
+    /// Find the first rule atom of `ms` that matches, and probe its RHS.
+    /// Everything here is by reference: `ms` is not touched, and an error
+    /// (a failing guard or extern, an unbound variable) leaves it as it was.
+    fn find_firing(
+        &mut self,
+        ms: &Multiset,
+        host: &mut dyn ExternHost,
+    ) -> Result<Option<Firing>, HoclError> {
+        self.stats.weight_scanned += ms.weight() as u64;
+        for rule_idx in ms.rule_indices() {
+            let rule: Arc<Rule> = match ms.get(rule_idx) {
+                Some(Atom::Rule(r)) => r.clone(),
+                _ => continue,
+            };
+            let order = self.candidate_order(ms);
+            let found =
+                self.matcher
+                    .find_match(&rule, ms, Some(rule_idx), order.as_deref(), host)?;
+            let Some(found) = found else { continue };
+            let probed = Instantiator::new(host).probe(rule.rhs(), found.bindings())?;
+            let positions = found.into_positions();
+            return Ok(Some(Firing {
+                rule,
+                rule_idx,
+                positions,
+                probed,
+            }));
+        }
+        Ok(None)
     }
 
     /// One top-level step: try each rule atom against the root solution.
@@ -227,74 +320,57 @@ impl Engine {
         solution: &mut Solution,
         host: &mut dyn ExternHost,
     ) -> Result<StepOutcome, HoclError> {
-        self.stats.weight_scanned += solution.atoms().weight() as u64;
-        let rule_indices = solution.atoms().rule_indices();
-        for rule_idx in rule_indices {
-            let rule: Arc<Rule> = match solution.atoms().get(rule_idx) {
-                Some(Atom::Rule(r)) => r.clone(),
-                _ => continue,
-            };
-            let order = self.candidate_order(solution.atoms());
-            let found = self.matcher.find_match(
-                &rule,
-                solution.atoms(),
-                Some(rule_idx),
-                order.as_deref(),
-                host,
-            )?;
-            let m = match found {
-                Some(m) => m,
-                None => continue,
-            };
-            // Instantiate the RHS first; mutate only on success.
-            let mut inst = Instantiator::new(host);
-            let produced = inst.produce(rule.rhs(), &m.bindings)?;
-            let mut to_remove = m.consumed.clone();
-            if rule.is_one_shot() {
-                to_remove.push(rule_idx);
+        let Some(firing) = self.find_firing(solution.atoms(), host)? else {
+            return Ok(StepOutcome::Inert);
+        };
+        let Firing {
+            rule,
+            rule_idx,
+            positions,
+            probed,
+        } = firing;
+        let bindings = consume(solution.atoms_mut(), &rule, rule_idx, positions);
+        self.stats.applications += 1;
+        match probed {
+            Probed::Ready(calls) => {
+                solution
+                    .atoms_mut()
+                    .absorb(build(rule.rhs(), bindings, calls));
+                Ok(StepOutcome::Applied {
+                    rule: rule.name().to_owned(),
+                })
             }
-            match produced {
-                Produced::Atoms(atoms) => {
-                    solution.atoms_mut().remove_indices(&mut to_remove);
-                    solution.atoms_mut().extend(atoms);
-                    self.stats.applications += 1;
-                    return Ok(StepOutcome::Applied {
-                        rule: rule.name().to_owned(),
-                    });
-                }
-                Produced::Deferred {
+            Probed::Deferred(Deferral {
+                call_index,
+                args,
+                name,
+            }) => {
+                let id = EffectId(self.next_effect);
+                self.next_effect += 1;
+                solution.push_pending(Pending {
+                    id,
+                    rule_name: rule.name().to_owned(),
+                    rhs: rule.rhs().to_vec(),
+                    bindings,
                     call_index,
-                    args,
+                    extern_name: name.clone(),
+                });
+                Ok(StepOutcome::Suspended(EffectInfo {
+                    id,
                     name,
-                } => {
-                    solution.atoms_mut().remove_indices(&mut to_remove);
-                    let id = EffectId(self.next_effect);
-                    self.next_effect += 1;
-                    solution.push_pending(Pending {
-                        id,
-                        rule_name: rule.name().to_owned(),
-                        rhs: rule.rhs().to_vec(),
-                        bindings: m.bindings,
-                        call_index,
-                        extern_name: name.clone(),
-                    });
-                    self.stats.applications += 1;
-                    return Ok(StepOutcome::Suspended(EffectInfo {
-                        id,
-                        name,
-                        args,
-                        rule: rule.name().to_owned(),
-                    }));
-                }
+                    args,
+                    rule: rule.name().to_owned(),
+                }))
             }
         }
-        Ok(StepOutcome::Inert)
     }
 
     /// Bottom-up reduction of every nested subsolution — including
     /// subsolutions sitting inside tuples or lists, which is where task
     /// bodies live (`T1 : ⟨…⟩` molecules). Returns whether any rule fired
-    /// anywhere below the root.
+    /// anywhere below the root. Only atoms whose subtree holds a rule are
+    /// entered (the census says which, from the outside): an inert,
+    /// rule-free subsolution costs nothing per pass, however large.
     fn reduce_nested(
         &mut self,
         ms: &mut Multiset,
@@ -302,27 +378,22 @@ impl Engine {
     ) -> Result<bool, HoclError> {
         let mut changed_any = false;
         for i in 0..ms.len() {
-            let Some(atom) = ms.get_mut(i) else { continue };
-            // Taking the atom's contents out sidesteps simultaneous borrows
-            // of the multiset and `self`.
-            let mut owned = std::mem::replace(atom, Atom::Bool(false));
-            let result = self.reduce_atom_children(&mut owned, host);
-            if let Some(slot) = ms.get_mut(i) {
-                *slot = owned;
+            if ms.get(i).is_some_and(Atom::holds_rule) {
+                changed_any |= ms.update_at(i, |atom| self.reduce_atom_children(atom, host))?;
             }
-            changed_any |= result?;
         }
         Ok(changed_any)
     }
 
-    /// Recurse through an atom's structure reducing every subsolution.
+    /// Recurse through an atom's structure reducing every subsolution that
+    /// holds a rule.
     fn reduce_atom_children(
         &mut self,
         atom: &mut Atom,
         host: &mut dyn ExternHost,
     ) -> Result<bool, HoclError> {
         match atom {
-            Atom::Sub(ms) => self.reduce_sub_to_inert(ms, host),
+            Atom::Sub(ms) if ms.rule_count() > 0 => self.reduce_sub_to_inert(ms, host),
             Atom::Tuple(v) | Atom::List(v) => {
                 let mut changed = false;
                 for a in v {
@@ -368,39 +439,18 @@ impl Engine {
 
     /// One application attempt inside a nested multiset (no suspension).
     fn step_in(&mut self, ms: &mut Multiset, host: &mut dyn ExternHost) -> Result<bool, HoclError> {
-        self.stats.weight_scanned += ms.weight() as u64;
-        let rule_indices = ms.rule_indices();
-        for rule_idx in rule_indices {
-            let rule: Arc<Rule> = match ms.get(rule_idx) {
-                Some(Atom::Rule(r)) => r.clone(),
-                _ => continue,
-            };
-            let order = self.candidate_order(ms);
-            let found =
-                self.matcher
-                    .find_match(&rule, ms, Some(rule_idx), order.as_deref(), host)?;
-            let m = match found {
-                Some(m) => m,
-                None => continue,
-            };
-            let mut inst = Instantiator::new(host);
-            match inst.produce(rule.rhs(), &m.bindings)? {
-                Produced::Atoms(atoms) => {
-                    let mut to_remove = m.consumed.clone();
-                    if rule.is_one_shot() {
-                        to_remove.push(rule_idx);
-                    }
-                    ms.remove_indices(&mut to_remove);
-                    ms.extend(atoms);
-                    self.stats.applications += 1;
-                    return Ok(true);
-                }
-                Produced::Deferred { name, .. } => {
-                    return Err(HoclError::DeferredInNested(name));
-                }
+        let Some(firing) = self.find_firing(ms, host)? else {
+            return Ok(false);
+        };
+        match firing.probed {
+            Probed::Deferred(deferral) => Err(HoclError::DeferredInNested(deferral.name)),
+            Probed::Ready(calls) => {
+                let bindings = consume(ms, &firing.rule, firing.rule_idx, firing.positions);
+                ms.absorb(build(firing.rule.rhs(), bindings, calls));
+                self.stats.applications += 1;
+                Ok(true)
             }
         }
-        Ok(false)
     }
 
     /// Shuffled candidate order in nondeterministic mode, `None` otherwise.
@@ -495,6 +545,45 @@ mod tests {
         // both max and itself.
         assert_eq!(sol.atoms().len(), 1);
         assert_eq!(sol.atoms().get(0), Some(&Atom::int(9)));
+    }
+
+    #[test]
+    fn census_stays_exact_through_reduction() {
+        // Rules firing two levels down, an ω splice to the top level, a
+        // rule-free sibling: after every reduction each stored census must
+        // equal a count from scratch.
+        let clean = Rule::builder("clean")
+            .one_shot()
+            .lhs([Pattern::keyed(
+                "BODY",
+                [Pattern::sub_with_rest(
+                    [Pattern::RuleNamed("max".into())],
+                    "w",
+                )],
+            )])
+            .rhs([Template::var("w")])
+            .build();
+        let body = Atom::keyed(
+            "BODY",
+            [Atom::sub([
+                Atom::int(2),
+                Atom::sub([Atom::int(5), Atom::int(8), Atom::rule(max_rule())]),
+                Atom::int(9),
+                Atom::rule(max_rule()),
+            ])],
+        );
+        let inert = Atom::keyed("SRC", [Atom::sub((0..50).map(Atom::int))]);
+        let mut sol = Solution::from_atoms([inert, body, Atom::rule(clean)]);
+        let before = sol.atoms().recount();
+        assert_eq!(sol.atoms().census(), before);
+        let mut engine = Engine::new();
+        engine.reduce(&mut sol, &mut NoExterns).unwrap();
+        assert_eq!(sol.atoms().census(), sol.atoms().recount(), "{sol}");
+        assert_eq!(sol.atoms().rule_count(), 1, "the inner max survives: {sol}");
+        // The 50-wide rule-free `SRC` was never a matching pass of its own:
+        // every pass the engine did make ran over less than the whole.
+        let passes = engine.stats().weight_scanned / before.weight as u64;
+        assert!(passes <= 8, "{} scanned", engine.stats().weight_scanned);
     }
 
     #[test]

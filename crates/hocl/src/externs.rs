@@ -55,11 +55,12 @@ impl ExternHost for NoExterns {
 /// Signature of a pure extern function.
 pub type PureFn = fn(&[Atom]) -> Result<Vec<Atom>, HoclError>;
 
-/// A registry of *pure* externs with the built-ins every GinFlow deployment
-/// needs, usable standalone or embedded in a bigger host (delegate to
-/// [`PureExterns::call`] as a fallback).
+/// The *pure* externs: the built-ins every GinFlow deployment needs plus
+/// whatever the embedder registers, usable standalone or embedded in a
+/// bigger host (delegate to [`PureExterns::call`] as a fallback).
 ///
-/// Built-ins:
+/// Built-ins (dispatched by name, so a fresh registry allocates nothing: a
+/// service agent makes one per event):
 ///
 /// | name       | behaviour                                                      |
 /// |------------|----------------------------------------------------------------|
@@ -69,45 +70,52 @@ pub type PureFn = fn(&[Atom]) -> Result<Vec<Atom>, HoclError>;
 /// | `add`/`sub`/`mul` | integer (or float) arithmetic                           |
 /// | `first`    | head of a list                                                 |
 /// | `is_error` | `true` iff the single argument is the `ERROR` symbol           |
+#[derive(Default)]
 pub struct PureExterns {
-    fns: HashMap<String, PureFn>,
+    /// Externs added (or built-ins replaced) with [`PureExterns::register`].
+    registered: HashMap<String, PureFn>,
 }
 
-impl Default for PureExterns {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The built-in of that name, if there is one.
+fn builtin(name: &str) -> Option<PureFn> {
+    Some(match name {
+        "list" => builtin_list,
+        "concat" => builtin_concat,
+        "len" => builtin_len,
+        "add" => builtin_add,
+        "sub" => builtin_sub,
+        "mul" => builtin_mul,
+        "first" => builtin_first,
+        "is_error" => builtin_is_error,
+        _ => return None,
+    })
 }
 
 impl PureExterns {
-    /// Registry preloaded with the built-ins listed in the type docs.
+    /// Registry holding the built-ins listed in the type docs.
     pub fn new() -> Self {
-        let mut fns: HashMap<String, PureFn> = HashMap::new();
-        fns.insert("list".into(), builtin_list);
-        fns.insert("concat".into(), builtin_concat);
-        fns.insert("len".into(), builtin_len);
-        fns.insert("add".into(), builtin_add);
-        fns.insert("sub".into(), builtin_sub);
-        fns.insert("mul".into(), builtin_mul);
-        fns.insert("first".into(), builtin_first);
-        fns.insert("is_error".into(), builtin_is_error);
-        PureExterns { fns }
+        PureExterns::default()
     }
 
     /// Register (or replace) a pure extern.
     pub fn register(&mut self, name: impl Into<String>, f: PureFn) {
-        self.fns.insert(name.into(), f);
+        self.registered.insert(name.into(), f);
+    }
+
+    /// The extern of that name: a registered one first, else a built-in.
+    fn get(&self, name: &str) -> Option<PureFn> {
+        self.registered.get(name).copied().or_else(|| builtin(name))
     }
 
     /// Does the registry provide `name`?
     pub fn provides(&self, name: &str) -> bool {
-        self.fns.contains_key(name)
+        self.get(name).is_some()
     }
 }
 
 impl ExternHost for PureExterns {
     fn call(&mut self, name: &str, args: &[Atom]) -> Result<ExternResult, HoclError> {
-        match self.fns.get(name) {
+        match self.get(name) {
             Some(f) => f(args).map(ExternResult::Atoms),
             None => Err(HoclError::UnknownExtern(name.to_owned())),
         }

@@ -1,7 +1,7 @@
 //! Rule guards (`… if x ≥ y`) and the small expression language they use.
 
 use crate::atom::Atom;
-use crate::bindings::Bindings;
+use crate::bindings::{Bound, Lookup};
 use crate::error::HoclError;
 use crate::externs::{ExternHost, ExternResult};
 use serde::{Deserialize, Serialize};
@@ -35,14 +35,16 @@ impl Expr {
     }
 
     /// Evaluate to a single atom.
-    pub fn eval(&self, bindings: &Bindings, host: &mut dyn ExternHost) -> Result<Atom, HoclError> {
+    pub fn eval(
+        &self,
+        bindings: &dyn Lookup,
+        host: &mut dyn ExternHost,
+    ) -> Result<Atom, HoclError> {
         match self {
             Expr::Lit(a) => Ok(a.clone()),
-            Expr::Var(name) => match bindings.get(name) {
-                Some(b) => b
-                    .as_one()
-                    .cloned()
-                    .ok_or_else(|| HoclError::OmegaInExpr(name.clone())),
+            Expr::Var(name) => match bindings.lookup(name) {
+                Some(Bound::One(a)) => Ok(a.clone()),
+                Some(Bound::Rest(_)) => Err(HoclError::OmegaInExpr(name.clone())),
                 None => Err(HoclError::UnboundVar(name.clone())),
             },
             Expr::Call(name, args) => {
@@ -139,7 +141,11 @@ impl Guard {
     }
 
     /// Evaluate the guard under the given bindings.
-    pub fn eval(&self, bindings: &Bindings, host: &mut dyn ExternHost) -> Result<bool, HoclError> {
+    pub fn eval(
+        &self,
+        bindings: &dyn Lookup,
+        host: &mut dyn ExternHost,
+    ) -> Result<bool, HoclError> {
         match self {
             Guard::True => Ok(true),
             Guard::Cmp(op, a, b) => {
@@ -264,6 +270,7 @@ impl fmt::Debug for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bindings::Bindings;
     use crate::externs::NoExterns;
 
     fn bound(pairs: &[(&str, Atom)]) -> Bindings {

@@ -8,23 +8,102 @@
 //!
 //! Inside subsolution patterns, element patterns likewise consume distinct
 //! inner atoms and an optional ω variable captures the remainder.
+//!
+//! ## By reference, then by move
+//!
+//! The search copies nothing. Variables are bound to *borrowed* atoms, an
+//! ω rest is "this subsolution minus these picks", and backtracking
+//! truncates an undo trail instead of restoring a snapshot. What a
+//! successful search yields is [`Positions`]: the root index each LHS
+//! pattern consumed plus, for every subsolution pattern, the inner index
+//! each of its element patterns picked. The engine takes the consumed atoms
+//! out of the solution *by value* and [`Positions::bind`] destructures them
+//! along the picks into owned [`Bindings`] — an ω rest is then the matched
+//! subsolution's own storage with the picks removed, never a copy.
 
 use crate::atom::Atom;
-use crate::bindings::Bindings;
+use crate::bindings::{Bindings, Bound, Lookup, Rest};
 use crate::error::HoclError;
 use crate::externs::ExternHost;
 use crate::multiset::Multiset;
 use crate::pattern::{Pattern, SubPattern};
 use crate::rule::Rule;
 
-/// A successful match of a rule against a solution.
-#[derive(Clone, Debug)]
-pub struct Match {
+/// A successful match of a rule against a solution, still borrowing both:
+/// its bindings are views into the solution's atoms.
+pub struct Match<'a> {
+    consumed: Vec<usize>,
+    env: Env<'a>,
+}
+
+impl Match<'_> {
+    /// The variable bindings established by the match, by reference.
+    pub fn bindings(&self) -> &dyn Lookup {
+        &self.env
+    }
+
+    /// Let go of the solution, keeping only where the match was found.
+    pub fn into_positions(self) -> Positions {
+        Positions {
+            consumed: self.consumed,
+            picks: self.env.picks,
+        }
+    }
+}
+
+/// Where a rule matched — indices only, nothing borrowed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Positions {
     /// Indices (into the solution's internal order) of the consumed atoms,
     /// parallel to the rule's LHS patterns.
     pub consumed: Vec<usize>,
-    /// The variable bindings established by the match.
-    pub bindings: Bindings,
+    /// For every subsolution pattern of the LHS, in pattern pre-order, the
+    /// inner index each of its element patterns picked.
+    pub picks: Vec<usize>,
+}
+
+impl Positions {
+    /// Destructure the consumed atoms (`reactants`, parallel to `lhs`, as
+    /// taken out of the solution) into owned bindings. An ω variable gets
+    /// what is left of its subsolution once the picked atoms are removed —
+    /// one `Vec::remove` shift per pick, no per-element work. A variable
+    /// that occurs twice keeps its first occurrence.
+    pub fn bind(&self, lhs: &[Pattern], reactants: Vec<Atom>) -> Bindings {
+        let mut picks = self.picks.as_slice();
+        let mut out = Bindings::new();
+        for (pattern, atom) in lhs.iter().zip(reactants) {
+            bind_owned(pattern, atom, &mut picks, &mut out);
+        }
+        out
+    }
+}
+
+/// One step of [`Positions::bind`]: mirrors `Matcher::match_atom`, so it
+/// reads the picks in the order the search reserved them.
+fn bind_owned(pattern: &Pattern, atom: Atom, picks: &mut &[usize], out: &mut Bindings) {
+    match (pattern, atom) {
+        (Pattern::Var(name) | Pattern::Typed(name, _), atom) => {
+            out.bind_one(name, atom);
+        }
+        (Pattern::Tuple(elems), Atom::Tuple(values))
+        | (Pattern::List(elems), Atom::List(values)) => {
+            for (p, a) in elems.iter().zip(values) {
+                bind_owned(p, a, picks, out);
+            }
+        }
+        (Pattern::Sub(sp), Atom::Sub(mut ms)) => {
+            let (mine, later) = picks.split_at(sp.elems.len());
+            *picks = later;
+            for (p, a) in sp.elems.iter().zip(ms.take_picked(mine)) {
+                bind_owned(p, a, picks, out);
+            }
+            if let Some(rest) = &sp.rest {
+                out.bind_many(rest, ms);
+            }
+        }
+        // `Any`, literals and rule names bind nothing.
+        _ => {}
+    }
 }
 
 /// Statistics of a matching attempt, fed to the simulator's cost model.
@@ -32,6 +111,109 @@ pub struct Match {
 pub struct MatchStats {
     /// Number of (pattern, atom) candidate pairings examined.
     pub attempts: u64,
+}
+
+/// What a variable is bound to during the search.
+#[derive(Clone, Copy)]
+enum Slot<'a> {
+    One(&'a Atom),
+    /// `of` minus the atoms at `picks[at..at + len]` of the environment.
+    Rest {
+        of: &'a Multiset,
+        at: usize,
+        len: usize,
+    },
+}
+
+/// The search's environment: borrowed bindings plus the subsolution picks,
+/// both append-only so that backtracking is a truncation.
+#[derive(Default)]
+struct Env<'a> {
+    vars: Vec<(&'a str, Slot<'a>)>,
+    /// Inner picks of every subsolution pattern entered so far; each
+    /// pattern reserves one slot per element pattern on entry, so the
+    /// layout is pattern pre-order (see [`Positions::picks`]).
+    picks: Vec<usize>,
+}
+
+/// A point the environment can be rolled back to.
+#[derive(Clone, Copy)]
+struct Mark {
+    vars: usize,
+    picks: usize,
+}
+
+impl<'a> Env<'a> {
+    fn mark(&self) -> Mark {
+        Mark {
+            vars: self.vars.len(),
+            picks: self.picks.len(),
+        }
+    }
+
+    fn undo(&mut self, mark: Mark) {
+        self.vars.truncate(mark.vars);
+        self.picks.truncate(mark.picks);
+    }
+
+    fn slot(&self, name: &str) -> Option<Slot<'a>> {
+        self.vars.iter().find(|(n, _)| *n == name).map(|(_, s)| *s)
+    }
+
+    fn rest(&self, of: &'a Multiset, at: usize, len: usize) -> Rest<'_> {
+        Rest::new(of.as_slice(), &self.picks[at..at + len])
+    }
+
+    /// Bind a variable to one atom. If already bound, succeeds only when
+    /// the existing binding is equal (non-linear pattern consistency).
+    fn bind_one(&mut self, name: &'a str, atom: &'a Atom) -> bool {
+        match self.slot(name) {
+            Some(Slot::One(existing)) => existing == atom,
+            Some(Slot::Rest { .. }) => false,
+            None => {
+                self.vars.push((name, Slot::One(atom)));
+                true
+            }
+        }
+    }
+
+    /// Bind an ω variable to `of` minus `picks[at..at + len]`, with the
+    /// same consistency requirement for repeated names (compared as
+    /// ordered sequences).
+    fn bind_rest(&mut self, name: &'a str, of: &'a Multiset, at: usize, len: usize) -> bool {
+        match self.slot(name) {
+            Some(Slot::Rest {
+                of: o,
+                at: a,
+                len: l,
+            }) => self.rest(o, a, l).iter().eq(self.rest(of, at, len).iter()),
+            Some(Slot::One(_)) => false,
+            None => {
+                self.vars.push((name, Slot::Rest { of, at, len }));
+                true
+            }
+        }
+    }
+}
+
+impl Lookup for Env<'_> {
+    fn lookup(&self, name: &str) -> Option<Bound<'_>> {
+        self.slot(name).map(|slot| match slot {
+            Slot::One(atom) => Bound::One(atom),
+            Slot::Rest { of, at, len } => Bound::Rest(self.rest(of, at, len)),
+        })
+    }
+}
+
+/// One `find_match` call: what is searched, in which order, and the state
+/// the backtracking threads through.
+struct Search<'a, 'o> {
+    rule: &'a Rule,
+    solution: &'a Multiset,
+    self_index: Option<usize>,
+    order: Option<&'o [usize]>,
+    consumed: Vec<usize>,
+    env: Env<'a>,
 }
 
 /// The matcher. Stateless apart from bookkeeping counters; create one per
@@ -63,60 +245,45 @@ impl Matcher {
     /// `order` optionally remaps candidate traversal order (the engine's
     /// nondeterministic mode passes a shuffled index vector); `None` means
     /// insertion order.
-    pub fn find_match(
+    pub fn find_match<'a>(
         &mut self,
-        rule: &Rule,
-        solution: &Multiset,
+        rule: &'a Rule,
+        solution: &'a Multiset,
         self_index: Option<usize>,
         order: Option<&[usize]>,
         host: &mut dyn ExternHost,
-    ) -> Result<Option<Match>, HoclError> {
-        let candidates: Vec<usize> = match order {
-            Some(o) => o.to_vec(),
-            None => (0..solution.len()).collect(),
-        };
-        let mut consumed = Vec::with_capacity(rule.lhs().len());
-        let mut bindings = Bindings::new();
-        let found = self.match_patterns(
-            rule.lhs(),
-            0,
+    ) -> Result<Option<Match<'a>>, HoclError> {
+        let mut search = Search {
+            rule,
             solution,
-            &candidates,
             self_index,
-            &mut consumed,
-            &mut bindings,
-            &mut |b, host_inner| rule.guard().eval(b, host_inner),
-            host,
-        )?;
-        Ok(if found {
-            Some(Match { consumed, bindings })
-        } else {
-            None
-        })
+            order,
+            consumed: Vec::with_capacity(rule.lhs().len()),
+            env: Env::default(),
+        };
+        Ok(self.match_patterns(&mut search, 0, host)?.then_some(Match {
+            consumed: search.consumed,
+            env: search.env,
+        }))
     }
 
     /// Recursive backtracking over the rule's LHS patterns.
-    #[allow(clippy::too_many_arguments)]
-    fn match_patterns(
+    fn match_patterns<'a>(
         &mut self,
-        patterns: &[Pattern],
+        search: &mut Search<'a, '_>,
         at: usize,
-        solution: &Multiset,
-        candidates: &[usize],
-        self_index: Option<usize>,
-        consumed: &mut Vec<usize>,
-        bindings: &mut Bindings,
-        guard: &mut dyn FnMut(&Bindings, &mut dyn ExternHost) -> Result<bool, HoclError>,
         host: &mut dyn ExternHost,
     ) -> Result<bool, HoclError> {
-        if at == patterns.len() {
-            return guard(bindings, host);
-        }
-        let pattern = &patterns[at];
+        let (rule, solution) = (search.rule, search.solution);
+        let Some(pattern) = rule.lhs().get(at) else {
+            return rule.guard().eval(&search.env, host);
+        };
         let hint = pattern.shape_hint();
         let key_hint = pattern.key_hint();
-        for &idx in candidates {
-            if Some(idx) == self_index || consumed.contains(&idx) {
+        let candidates = search.order.map_or(solution.len(), <[usize]>::len);
+        for k in 0..candidates {
+            let idx = search.order.map_or(k, |order| order[k]);
+            if Some(idx) == search.self_index || search.consumed.contains(&idx) {
                 continue;
             }
             let atom = match solution.get(idx) {
@@ -136,58 +303,48 @@ impl Matcher {
                 }
             }
             self.stats.attempts += 1;
-            let snapshot = bindings.clone();
-            if self.match_atom(pattern, atom, bindings) {
-                consumed.push(idx);
-                if self.match_patterns(
-                    patterns,
-                    at + 1,
-                    solution,
-                    candidates,
-                    self_index,
-                    consumed,
-                    bindings,
-                    guard,
-                    host,
-                )? {
+            let mark = search.env.mark();
+            if self.match_atom(pattern, atom, &mut search.env) {
+                search.consumed.push(idx);
+                if self.match_patterns(search, at + 1, host)? {
                     return Ok(true);
                 }
-                consumed.pop();
+                search.consumed.pop();
             }
-            *bindings = snapshot;
+            search.env.undo(mark);
         }
         Ok(false)
     }
 
-    /// Structural match of one pattern against one atom, extending
-    /// `bindings`. Returns `false` (without poisoning the caller, which
-    /// restores its snapshot) when the atom does not fit.
-    pub fn match_atom(&mut self, pattern: &Pattern, atom: &Atom, bindings: &mut Bindings) -> bool {
+    /// Structural match of one pattern against one atom, extending `env`.
+    /// Returns `false` (without poisoning the caller, which rolls back to
+    /// its mark) when the atom does not fit.
+    fn match_atom<'a>(&mut self, pattern: &'a Pattern, atom: &'a Atom, env: &mut Env<'a>) -> bool {
         self.stats.attempts += 1;
         match pattern {
             Pattern::Any => true,
-            Pattern::Var(name) => bindings.bind_one(name, atom.clone()),
+            Pattern::Var(name) => env.bind_one(name, atom),
             Pattern::Lit(expected) => expected == atom,
-            Pattern::Typed(name, tag) => tag.admits(atom) && bindings.bind_one(name, atom.clone()),
+            Pattern::Typed(name, tag) => tag.admits(atom) && env.bind_one(name, atom),
             Pattern::Tuple(elems) => match atom {
                 Atom::Tuple(values) if values.len() == elems.len() => elems
                     .iter()
                     .zip(values.iter())
-                    .all(|(p, a)| self.match_atom(p, a, bindings)),
+                    .all(|(p, a)| self.match_atom(p, a, env)),
                 _ => false,
             },
             Pattern::List(elems) => match atom {
                 Atom::List(values) if values.len() == elems.len() => elems
                     .iter()
                     .zip(values.iter())
-                    .all(|(p, a)| self.match_atom(p, a, bindings)),
+                    .all(|(p, a)| self.match_atom(p, a, env)),
                 _ => false,
             },
             Pattern::RuleNamed(name) => {
                 matches!(atom, Atom::Rule(r) if r.name() == name.as_str())
             }
             Pattern::Sub(sp) => match atom {
-                Atom::Sub(ms) => self.match_sub(sp, ms, bindings),
+                Atom::Sub(ms) => self.match_sub(sp, ms, env),
                 _ => false,
             },
         }
@@ -195,57 +352,51 @@ impl Matcher {
 
     /// Match a subsolution pattern: assign each element pattern to a
     /// distinct inner atom (backtracking), bind the ω rest if present.
-    fn match_sub(&mut self, sp: &SubPattern, ms: &Multiset, bindings: &mut Bindings) -> bool {
+    fn match_sub<'a>(&mut self, sp: &'a SubPattern, ms: &'a Multiset, env: &mut Env<'a>) -> bool {
         if sp.rest.is_none() && ms.len() != sp.elems.len() {
             return false;
         }
         if ms.len() < sp.elems.len() {
             return false;
         }
-        let mut used = Vec::with_capacity(sp.elems.len());
-        if !self.assign_elems(&sp.elems, 0, ms, &mut used, bindings) {
+        // Reserve this pattern's picks before descending, so that nested
+        // subsolution patterns record theirs after it.
+        let base = env.picks.len();
+        env.picks.resize(base + sp.elems.len(), usize::MAX);
+        if !self.assign_elems(&sp.elems, 0, ms, base, env) {
             return false;
         }
-        if let Some(rest) = &sp.rest {
-            let remaining: Vec<Atom> = ms
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !used.contains(i))
-                .map(|(_, a)| a.clone())
-                .collect();
-            if !bindings.bind_many(rest, remaining) {
-                return false;
-            }
+        match &sp.rest {
+            Some(rest) => env.bind_rest(rest, ms, base, sp.elems.len()),
+            None => true,
         }
-        true
     }
 
-    /// Backtracking assignment of subsolution element patterns.
-    fn assign_elems(
+    /// Backtracking assignment of subsolution element patterns; the pick of
+    /// element `at` is recorded at `env.picks[base + at]`.
+    fn assign_elems<'a>(
         &mut self,
-        elems: &[Pattern],
+        elems: &'a [Pattern],
         at: usize,
-        ms: &Multiset,
-        used: &mut Vec<usize>,
-        bindings: &mut Bindings,
+        ms: &'a Multiset,
+        base: usize,
+        env: &mut Env<'a>,
     ) -> bool {
         if at == elems.len() {
             return true;
         }
-        for i in 0..ms.len() {
-            if used.contains(&i) {
+        for (i, atom) in ms.iter().enumerate() {
+            if env.picks[base..base + at].contains(&i) {
                 continue;
             }
-            let atom = ms.get(i).expect("index in range");
-            let snapshot = bindings.clone();
-            if self.match_atom(&elems[at], atom, bindings) {
-                used.push(i);
-                if self.assign_elems(elems, at + 1, ms, used, bindings) {
-                    return true;
-                }
-                used.pop();
+            let mark = env.mark();
+            env.picks[base + at] = i;
+            if self.match_atom(&elems[at], atom, env)
+                && self.assign_elems(elems, at + 1, ms, base, env)
+            {
+                return true;
             }
-            *bindings = snapshot;
+            env.undo(mark);
         }
         false
     }
@@ -258,10 +409,28 @@ mod tests {
     use crate::guard::{Expr, Guard};
     use crate::template::Template;
 
-    fn find(rule: &Rule, sol: &Multiset) -> Option<Match> {
+    /// A match as the engine uses it: where it was found, and the owned
+    /// bindings obtained by taking the consumed atoms out of (a copy of)
+    /// the solution.
+    struct Found {
+        consumed: Vec<usize>,
+        bindings: Bindings,
+    }
+
+    fn found(m: Match<'_>, rule: &Rule, sol: &Multiset) -> Found {
+        let positions = m.into_positions();
+        let reactants = sol.clone().take_picked(&positions.consumed);
+        Found {
+            bindings: positions.bind(rule.lhs(), reactants),
+            consumed: positions.consumed,
+        }
+    }
+
+    fn find(rule: &Rule, sol: &Multiset) -> Option<Found> {
         Matcher::new()
             .find_match(rule, sol, None, None, &mut NoExterns)
             .unwrap()
+            .map(|m| found(m, rule, sol))
     }
 
     #[test]
@@ -450,6 +619,7 @@ mod tests {
             .find_match(&r, &sol, None, Some(&order), &mut NoExterns)
             .unwrap()
             .unwrap();
+        let m = found(m, &r, &sol);
         assert_eq!(m.bindings.get("x").unwrap().as_one(), Some(&Atom::int(2)));
     }
 

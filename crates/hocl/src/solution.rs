@@ -75,10 +75,9 @@ impl Solution {
         &self.atoms
     }
 
-    /// Mutable access to the atoms. The engine (and runtimes injecting
-    /// delivered molecules) uses this; chemistry invariants are the
-    /// caller's responsibility.
-    pub fn atoms_mut(&mut self) -> &mut Multiset {
+    /// Mutable access to the atoms, for the engine. Runtimes injecting
+    /// delivered molecules go through [`Solution::insert`].
+    pub(crate) fn atoms_mut(&mut self) -> &mut Multiset {
         &mut self.atoms
     }
 

@@ -7,9 +7,10 @@
 //! but not tuple elements.
 
 use crate::atom::Atom;
-use crate::bindings::{Binding, Bindings};
+use crate::bindings::{Binding, Bindings, Bound, Lookup};
 use crate::error::HoclError;
 use crate::externs::{ExternHost, ExternResult};
+use crate::multiset::Multiset;
 use crate::rule::Rule;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -105,8 +106,24 @@ impl Template {
     }
 }
 
-/// Instantiation context threading the extern host, the deferred-call
-/// bookkeeping and the running call counter through the template tree.
+/// Instantiation of a right-hand side, in two passes.
+///
+/// **Probe** ([`Instantiator::probe`]) runs by reference, before the
+/// solution is touched: it performs every extern `Call` of the RHS in
+/// traversal order (evaluating call arguments from the borrowed bindings),
+/// checks that every variable is bound and that every tuple element yields
+/// exactly one atom, and keeps the calls' results. Anything that can fail
+/// fails here, so a failing extern or an unbound variable leaves the
+/// solution exactly as it was.
+///
+/// **Build** ([`build`]) runs once the reactants have been taken out of the
+/// solution and destructured into owned [`Bindings`]: it assembles the
+/// produced atoms *consuming* the bindings — a variable's last occurrence
+/// outside call arguments moves its atoms, earlier ones clone — and splices
+/// the probed call results in. An ω rest moved into a subsolution template
+/// becomes that subsolution's storage (`Multiset::absorb`), so
+/// `SRC:<?t,*ws>` → `SRC:<*ws>` and `IN:<*win>` → `IN:<(?t:?v),*win>`
+/// reuse the vectors they matched. Build cannot fail.
 pub struct Instantiator<'h> {
     /// The extern host used for `Call` templates.
     pub host: &'h mut dyn ExternHost,
@@ -117,43 +134,58 @@ pub struct Instantiator<'h> {
     substitute_call: Option<usize>,
     /// Atoms to splice at `substitute_call`.
     resume_atoms: Vec<Atom>,
-    /// Set when the host deferred a call: its traversal index.
-    deferred_at: Option<usize>,
-    /// Name and evaluated arguments of the deferred call.
-    pending_call: Option<(String, Vec<Atom>)>,
-    /// Count of extern calls already executed (side effects!) before a
-    /// deferral was hit — must be zero for a safe suspension.
-    effects_before_deferral: usize,
+    /// Count of extern calls already executed (side effects!) — must be
+    /// zero when a call defers, for the suspension to be safe.
+    effects: usize,
+    /// Results of the RHS's outermost calls, in traversal order.
+    calls: Vec<Vec<Atom>>,
 }
 
-/// Result of instantiating a full RHS.
-#[derive(Debug)]
-pub enum Produced {
-    /// All templates instantiated; insert these atoms.
-    Atoms(Vec<Atom>),
-    /// A deferred extern was encountered at this call traversal index.
-    /// Nothing may be inserted; the engine must suspend.
-    Deferred {
-        /// Traversal index of the deferred `Call` node.
-        call_index: usize,
-        /// The evaluated arguments of the deferred call.
-        args: Vec<Atom>,
-        /// Name of the deferred extern.
-        name: String,
-    },
+/// Result of probing a full RHS.
+pub enum Probed {
+    /// Every call completed and the RHS is well-formed under the bindings;
+    /// hand the results to [`build`].
+    Ready(Calls),
+    /// A deferred extern was encountered. Nothing may be inserted; the
+    /// engine must suspend.
+    Deferred(Deferral),
+}
+
+/// The results of a probed RHS's extern calls, for [`build`] to splice in.
+pub struct Calls(Vec<Vec<Atom>>);
+
+/// An extern call the host could not complete synchronously.
+pub struct Deferral {
+    /// Traversal index of the deferred `Call` node.
+    pub call_index: usize,
+    /// The evaluated arguments of the deferred call.
+    pub args: Vec<Atom>,
+    /// Name of the deferred extern.
+    pub name: String,
+}
+
+/// Why a probe stopped early.
+enum Stop {
+    Failed(HoclError),
+    Deferred(Deferral),
+}
+
+impl From<HoclError> for Stop {
+    fn from(e: HoclError) -> Self {
+        Stop::Failed(e)
+    }
 }
 
 impl<'h> Instantiator<'h> {
-    /// Fresh instantiator for a first (probe) pass.
+    /// Fresh instantiator for a first pass.
     pub fn new(host: &'h mut dyn ExternHost) -> Self {
         Instantiator {
             host,
             call_index: 0,
             substitute_call: None,
             resume_atoms: Vec::new(),
-            deferred_at: None,
-            pending_call: None,
-            effects_before_deferral: 0,
+            effects: 0,
+            calls: Vec::new(),
         }
     }
 
@@ -161,140 +193,260 @@ impl<'h> Instantiator<'h> {
     /// replaced by `atoms` instead of being executed.
     pub fn resuming(host: &'h mut dyn ExternHost, call_index: usize, atoms: Vec<Atom>) -> Self {
         Instantiator {
-            host,
-            call_index: 0,
             substitute_call: Some(call_index),
             resume_atoms: atoms,
-            deferred_at: None,
-            pending_call: None,
-            effects_before_deferral: 0,
+            ..Instantiator::new(host)
         }
     }
 
-    /// Instantiate a full RHS (a sequence of templates) under `bindings`.
-    pub fn produce(
-        &mut self,
+    /// Probe a full RHS (a sequence of templates) under `bindings`, by
+    /// reference: run its extern calls and check it can be built.
+    pub fn probe(
+        mut self,
         templates: &[Template],
-        bindings: &Bindings,
-    ) -> Result<Produced, HoclError> {
-        let mut out = Vec::with_capacity(templates.len());
+        bindings: &dyn Lookup,
+    ) -> Result<Probed, HoclError> {
         for t in templates {
-            self.eval_splice(t, bindings, &mut out)?;
-            if let Some(idx) = self.deferred_at {
-                let (name, args) = self
-                    .pending_call
-                    .take()
-                    .expect("deferred_at implies pending_call");
-                if self.effects_before_deferral > 0 {
-                    return Err(HoclError::MultipleDeferred(name));
-                }
-                return Ok(Produced::Deferred {
-                    call_index: idx,
-                    args,
-                    name,
-                });
+            match self.count(t, bindings) {
+                Ok(_) => {}
+                Err(Stop::Failed(e)) => return Err(e),
+                Err(Stop::Deferred(deferral)) => return Ok(Probed::Deferred(deferral)),
             }
         }
-        Ok(Produced::Atoms(out))
+        Ok(Probed::Ready(Calls(self.calls)))
     }
 
-    /// Evaluate one template into `out`, splicing ω bindings and extern
-    /// results (several atoms allowed).
-    fn eval_splice(
+    /// Probe one template: how many atoms it yields (ω bindings and extern
+    /// results may yield several). Outermost calls leave their result in
+    /// `self.calls`.
+    fn count(&mut self, t: &Template, bindings: &dyn Lookup) -> Result<usize, Stop> {
+        Ok(match t {
+            Template::Lit(_) | Template::RuleLit(_) => 1,
+            Template::Var(name) => match bindings.lookup(name) {
+                Some(Bound::One(_)) => 1,
+                Some(Bound::Rest(rest)) => rest.len(),
+                None => return Err(HoclError::UnboundVar(name.clone()).into()),
+            },
+            Template::Tuple(elems) => {
+                for e in elems {
+                    if self.count(e, bindings)? != 1 {
+                        return Err(omega_in_scalar_position(e).into());
+                    }
+                }
+                1
+            }
+            Template::Sub(elems) | Template::List(elems) => {
+                for e in elems {
+                    self.count(e, bindings)?;
+                }
+                1
+            }
+            Template::Call(name, args) => {
+                let atoms = self.call(name, args, bindings)?;
+                self.calls.push(atoms);
+                self.calls.last().map_or(0, Vec::len)
+            }
+        })
+    }
+
+    /// Perform one extern call: evaluate its arguments by reference, then
+    /// ask the host (or splice the resume atoms at the substituted call).
+    fn call(
+        &mut self,
+        name: &str,
+        args: &[Template],
+        bindings: &dyn Lookup,
+    ) -> Result<Vec<Atom>, Stop> {
+        // The parent reserves its index before recursing into its
+        // arguments, matching `count_calls` traversal.
+        let my_index = self.call_index;
+        self.call_index += 1;
+        let mut arg_atoms = Vec::with_capacity(args.len());
+        for a in args {
+            self.eval_arg(a, bindings, &mut arg_atoms)?;
+        }
+        if self.substitute_call == Some(my_index) {
+            return Ok(std::mem::take(&mut self.resume_atoms));
+        }
+        match self.host.call(name, &arg_atoms)? {
+            ExternResult::Atoms(atoms) => {
+                self.effects += 1;
+                Ok(atoms)
+            }
+            ExternResult::Deferred if self.effects > 0 => {
+                Err(HoclError::MultipleDeferred(name.to_owned()).into())
+            }
+            ExternResult::Deferred => Err(Stop::Deferred(Deferral {
+                call_index: my_index,
+                args: arg_atoms,
+                name: name.to_owned(),
+            })),
+        }
+    }
+
+    /// Evaluate a template inside a call's argument list into `out`, by
+    /// reference: externs take `&[Atom]`, so arguments are copies and the
+    /// bindings stay whole for the build pass.
+    fn eval_arg(
         &mut self,
         t: &Template,
-        bindings: &Bindings,
+        bindings: &dyn Lookup,
         out: &mut Vec<Atom>,
-    ) -> Result<(), HoclError> {
+    ) -> Result<(), Stop> {
         match t {
             Template::Lit(a) => out.push(a.clone()),
             Template::RuleLit(r) => out.push(Atom::Rule(r.clone())),
-            Template::Var(name) => match bindings.get(name) {
-                Some(Binding::One(a)) => out.push(a.clone()),
-                Some(Binding::Many(v)) => out.extend(v.iter().cloned()),
-                None => return Err(HoclError::UnboundVar(name.clone())),
+            Template::Var(name) => match bindings.lookup(name) {
+                Some(Bound::One(a)) => out.push(a.clone()),
+                Some(Bound::Rest(rest)) => out.extend(rest.iter().cloned()),
+                None => return Err(HoclError::UnboundVar(name.clone()).into()),
             },
             Template::Tuple(elems) => {
                 let mut tup = Vec::with_capacity(elems.len());
                 for e in elems {
-                    let a = self.eval_one(e, bindings)?;
-                    if self.deferred_at.is_some() {
-                        return Ok(());
+                    let before = tup.len();
+                    self.eval_arg(e, bindings, &mut tup)?;
+                    if tup.len() != before + 1 {
+                        return Err(omega_in_scalar_position(e).into());
                     }
-                    tup.push(a);
                 }
                 out.push(Atom::Tuple(tup));
             }
-            Template::Sub(elems) => {
+            Template::Sub(elems) | Template::List(elems) => {
                 let mut inner = Vec::new();
                 for e in elems {
-                    self.eval_splice(e, bindings, &mut inner)?;
-                    if self.deferred_at.is_some() {
-                        return Ok(());
-                    }
+                    self.eval_arg(e, bindings, &mut inner)?;
                 }
-                out.push(Atom::sub(inner));
+                out.push(match t {
+                    Template::Sub(_) => Atom::sub(inner),
+                    _ => Atom::List(inner),
+                });
             }
-            Template::List(elems) => {
-                let mut inner = Vec::new();
-                for e in elems {
-                    self.eval_splice(e, bindings, &mut inner)?;
-                    if self.deferred_at.is_some() {
-                        return Ok(());
-                    }
-                }
-                out.push(Atom::List(inner));
-            }
-            Template::Call(name, args) => {
-                let my_index = self.call_index;
-                self.call_index += 1;
-                // Evaluate arguments first (depth-first, so nested calls get
-                // lower indices than their parent... no: parent reserves its
-                // index before recursing, matching `count_calls` traversal).
-                let mut arg_atoms = Vec::with_capacity(args.len());
-                for a in args {
-                    self.eval_splice(a, bindings, &mut arg_atoms)?;
-                    if self.deferred_at.is_some() {
-                        return Ok(());
-                    }
-                }
-                if self.substitute_call == Some(my_index) {
-                    out.extend(std::mem::take(&mut self.resume_atoms));
-                    return Ok(());
-                }
-                match self.host.call(name, &arg_atoms)? {
-                    ExternResult::Atoms(atoms) => {
-                        self.effects_before_deferral += 1;
-                        out.extend(atoms);
-                    }
-                    ExternResult::Deferred => {
-                        self.deferred_at = Some(my_index);
-                        self.pending_call = Some((name.clone(), arg_atoms));
-                    }
-                }
-            }
+            Template::Call(name, args) => out.extend(self.call(name, args, bindings)?),
         }
         Ok(())
     }
+}
 
-    /// Evaluate a template that must yield exactly one atom (tuple element).
-    fn eval_one(&mut self, t: &Template, bindings: &Bindings) -> Result<Atom, HoclError> {
-        let mut buf = Vec::with_capacity(1);
-        self.eval_splice(t, bindings, &mut buf)?;
-        if self.deferred_at.is_some() {
-            // Deferral bubbles up; caller checks the flag. Return dummy.
-            return Ok(Atom::Bool(false));
-        }
-        match buf.len() {
-            1 => Ok(buf.pop().expect("len checked")),
-            _ => {
-                let what = match t {
-                    Template::Var(v) => v.clone(),
-                    _ => format!("{t}"),
-                };
-                Err(HoclError::OmegaInScalarPosition(what))
+/// The error for a tuple element that does not yield exactly one atom.
+fn omega_in_scalar_position(t: &Template) -> HoclError {
+    HoclError::OmegaInScalarPosition(match t {
+        Template::Var(v) => v.clone(),
+        _ => format!("{t}"),
+    })
+}
+
+/// Build a probed RHS, consuming the bindings (see [`Instantiator`]).
+///
+/// `bindings` must bind what the probe's bindings bound and `calls` must
+/// come from probing these `templates`; the engine guarantees both, and a
+/// violation is a bug that panics here.
+pub fn build(templates: &[Template], bindings: Bindings, calls: Calls) -> Multiset {
+    let mut uses = Vec::new();
+    for t in templates {
+        count_uses(t, &mut uses);
+    }
+    let mut builder = Builder {
+        bindings,
+        uses,
+        calls: calls.0.into_iter(),
+    };
+    let mut out = Multiset::new();
+    for t in templates {
+        builder.emit(t, &mut out);
+    }
+    out
+}
+
+/// Occurrences of each variable outside call arguments (those are read by
+/// the probe, by reference).
+fn count_uses<'t>(t: &'t Template, uses: &mut Vec<(&'t str, usize)>) {
+    match t {
+        Template::Var(name) => match uses.iter_mut().find(|(n, _)| n == name) {
+            Some((_, count)) => *count += 1,
+            None => uses.push((name, 1)),
+        },
+        Template::Tuple(elems) | Template::Sub(elems) | Template::List(elems) => {
+            for e in elems {
+                count_uses(e, uses);
             }
         }
+        Template::Lit(_) | Template::RuleLit(_) | Template::Call(..) => {}
+    }
+}
+
+/// State of the build pass.
+struct Builder<'t> {
+    bindings: Bindings,
+    /// Occurrences of each variable still to come.
+    uses: Vec<(&'t str, usize)>,
+    calls: std::vec::IntoIter<Vec<Atom>>,
+}
+
+impl Builder<'_> {
+    /// The binding of `name`: moved out at the variable's last occurrence,
+    /// cloned before.
+    fn binding(&mut self, name: &str) -> Binding {
+        let left = self
+            .uses
+            .iter_mut()
+            .find(|(n, _)| *n == name)
+            .map(|(_, count)| {
+                *count -= 1;
+                *count
+            });
+        let binding = match left {
+            Some(0) => self.bindings.take(name),
+            _ => self.bindings.get(name).cloned(),
+        };
+        binding.expect("the probe found every variable of the RHS bound")
+    }
+
+    /// Emit one template into `out`, splicing ω bindings and extern
+    /// results (several atoms allowed).
+    fn emit(&mut self, t: &Template, out: &mut Multiset) {
+        match t {
+            Template::Var(name) => match self.binding(name) {
+                Binding::One(a) => out.insert(a),
+                Binding::Many(ms) => out.absorb(ms),
+            },
+            Template::Call(..) => out.extend(self.call_result()),
+            single => out.insert(self.emit_one(single)),
+        }
+    }
+
+    /// Emit a template that yields exactly one atom: anything but a
+    /// variable or a call, or those in a tuple element (the probe checked).
+    fn emit_one(&mut self, t: &Template) -> Atom {
+        let only = "the probe checked that tuple elements yield one atom";
+        match t {
+            Template::Lit(a) => a.clone(),
+            Template::RuleLit(r) => Atom::Rule(r.clone()),
+            Template::Tuple(elems) => Atom::Tuple(elems.iter().map(|e| self.emit_one(e)).collect()),
+            Template::Sub(elems) => Atom::Sub(self.emit_all(elems)),
+            Template::List(elems) => Atom::List(self.emit_all(elems).into_vec()),
+            Template::Var(name) => match self.binding(name) {
+                Binding::One(a) => a,
+                Binding::Many(ms) => ms.into_vec().pop().expect(only),
+            },
+            Template::Call(..) => self.call_result().pop().expect(only),
+        }
+    }
+
+    /// Emit a subsolution or list body.
+    fn emit_all(&mut self, elems: &[Template]) -> Multiset {
+        let mut inner = Multiset::new();
+        for e in elems {
+            self.emit(e, &mut inner);
+        }
+        inner
+    }
+
+    /// The probed result of the next outermost call.
+    fn call_result(&mut self) -> Vec<Atom> {
+        self.calls
+            .next()
+            .expect("the probe ran every outermost call of the RHS")
     }
 }
 
@@ -366,18 +518,29 @@ mod tests {
         for (k, v) in pairs {
             match v {
                 Binding::One(a) => assert!(b.bind_one(k, a.clone())),
-                Binding::Many(v) => assert!(b.bind_many(k, v.clone())),
+                Binding::Many(ms) => assert!(b.bind_many(k, ms.clone())),
             }
         }
         b
     }
 
+    /// Probe then build, as the engine does; the inner `Err` is a deferral.
+    fn instantiate(
+        inst: Instantiator<'_>,
+        ts: &[Template],
+        b: &Bindings,
+    ) -> Result<Result<Vec<Atom>, Probed>, HoclError> {
+        Ok(match inst.probe(ts, b)? {
+            Probed::Ready(calls) => Ok(build(ts, b.clone(), calls).into_vec()),
+            deferred => Err(deferred),
+        })
+    }
+
     fn produce(ts: &[Template], b: &Bindings) -> Vec<Atom> {
         let mut host = PureExterns::new();
-        let mut inst = Instantiator::new(&mut host);
-        match inst.produce(ts, b).unwrap() {
-            Produced::Atoms(v) => v,
-            Produced::Deferred { .. } => panic!("unexpected deferral"),
+        match instantiate(Instantiator::new(&mut host), ts, b).unwrap() {
+            Ok(atoms) => atoms,
+            Err(_) => panic!("unexpected deferral"),
         }
     }
 
@@ -390,7 +553,7 @@ mod tests {
 
     #[test]
     fn omega_splices_in_sub() {
-        let b = bindings(&[("w", Binding::Many(vec![Atom::int(1), Atom::int(2)]))]);
+        let b = bindings(&[("w", Binding::Many(vec![Atom::int(1), Atom::int(2)].into()))]);
         let out = produce(
             &[Template::keyed("IN", [Template::sub([Template::var("w")])])],
             &b,
@@ -405,19 +568,22 @@ mod tests {
     fn omega_splices_at_top_level() {
         // The `clean` rule's RHS is just `ω` — contents spill into the outer
         // solution.
-        let b = bindings(&[("w", Binding::Many(vec![Atom::int(9), Atom::sym("K")]))]);
+        let b = bindings(&[(
+            "w",
+            Binding::Many(vec![Atom::int(9), Atom::sym("K")].into()),
+        )]);
         let out = produce(&[Template::var("w")], &b);
         assert_eq!(out, vec![Atom::int(9), Atom::sym("K")]);
     }
 
     #[test]
     fn omega_in_tuple_position_errors() {
-        let b = bindings(&[("w", Binding::Many(vec![Atom::int(1), Atom::int(2)]))]);
+        let b = bindings(&[("w", Binding::Many(vec![Atom::int(1), Atom::int(2)].into()))]);
         let mut host = NoExterns;
-        let mut inst = Instantiator::new(&mut host);
-        let err = inst
-            .produce(&[Template::keyed("K", [Template::var("w")])], &b)
-            .unwrap_err();
+        let inst = Instantiator::new(&mut host);
+        let err = instantiate(inst, &[Template::keyed("K", [Template::var("w")])], &b)
+            .err()
+            .expect("an ω of two atoms cannot be a tuple element");
         assert!(matches!(err, HoclError::OmegaInScalarPosition(_)));
     }
 
@@ -425,7 +591,7 @@ mod tests {
     fn pure_call_splices_result() {
         let b = bindings(&[(
             "w",
-            Binding::Many(vec![Atom::tuple([Atom::sym("T1"), Atom::int(5)])]),
+            Binding::Many(vec![Atom::tuple([Atom::sym("T1"), Atom::int(5)])].into()),
         )]);
         let out = produce(
             &[Template::keyed(
@@ -451,7 +617,7 @@ mod tests {
         }
         let b = bindings(&[("s", Binding::One(Atom::sym("s2")))]);
         let mut host = Deferring;
-        let mut inst = Instantiator::new(&mut host);
+        let inst = Instantiator::new(&mut host);
         let rhs = [Template::keyed(
             "RES",
             [Template::sub([Template::call(
@@ -459,17 +625,13 @@ mod tests {
                 [Template::var("s")],
             )])],
         )];
-        match inst.produce(&rhs, &b).unwrap() {
-            Produced::Deferred {
-                call_index,
-                args,
-                name,
-            } => {
-                assert_eq!(call_index, 0);
-                assert_eq!(args, vec![Atom::sym("s2")]);
-                assert_eq!(name, "invoke");
+        match inst.probe(&rhs, &b).unwrap() {
+            Probed::Deferred(deferral) => {
+                assert_eq!(deferral.call_index, 0);
+                assert_eq!(deferral.args, vec![Atom::sym("s2")]);
+                assert_eq!(deferral.name, "invoke");
             }
-            Produced::Atoms(_) => panic!("expected deferral"),
+            Probed::Ready(_) => panic!("expected deferral"),
         }
     }
 
@@ -477,17 +639,17 @@ mod tests {
     fn resume_substitutes_deferred_call() {
         let b = Bindings::new();
         let mut host = NoExterns;
-        let mut inst = Instantiator::resuming(&mut host, 0, vec![Atom::str("result")]);
+        let inst = Instantiator::resuming(&mut host, 0, vec![Atom::str("result")]);
         let rhs = [Template::keyed(
             "RES",
             [Template::sub([Template::call("invoke", [])])],
         )];
-        match inst.produce(&rhs, &b).unwrap() {
-            Produced::Atoms(v) => assert_eq!(
-                v,
+        match instantiate(inst, &rhs, &b).unwrap() {
+            Ok(atoms) => assert_eq!(
+                atoms,
                 vec![Atom::keyed("RES", [Atom::sub([Atom::str("result")])])]
             ),
-            Produced::Deferred { .. } => panic!("must not defer on resume"),
+            Err(_) => panic!("must not defer on resume"),
         }
     }
 

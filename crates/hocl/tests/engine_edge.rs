@@ -247,3 +247,77 @@ fn omega_can_capture_rules() {
     assert_eq!(body.rule_indices().len(), 1);
     assert!(body.contains(&Atom::int(1)));
 }
+
+/// "Instantiate first, mutate only on success": an application that fails
+/// — here after a subsolution template that would have moved two ω rests
+/// out of the reactants — leaves the solution exactly as it was, at the
+/// root and inside a nested subsolution alike.
+#[test]
+fn failed_application_leaves_the_solution_untouched() {
+    struct Boom;
+    impl ExternHost for Boom {
+        fn call(
+            &mut self,
+            name: &str,
+            _args: &[Atom],
+        ) -> Result<ginflow_hocl::ExternResult, HoclError> {
+            Err(HoclError::ExternFailed {
+                name: name.to_owned(),
+                reason: "boom".into(),
+            })
+        }
+    }
+    let rule_ending_in = |last: Template| {
+        Rule::builder("recv")
+            .one_shot()
+            .lhs([
+                Pattern::keyed("SRC", [Pattern::sub_with_rest([Pattern::var("t")], "ws")]),
+                Pattern::keyed("IN", [Pattern::sub_rest("win")]),
+            ])
+            .rhs([
+                Template::keyed("SRC", [Template::sub([Template::var("ws")])]),
+                Template::keyed(
+                    "IN",
+                    [Template::sub([
+                        Template::tuple([Template::var("t"), Template::lit(1i64)]),
+                        Template::var("win"),
+                    ])],
+                ),
+                last,
+            ])
+            .build()
+    };
+    let failing_extern = Template::call("boom", [Template::var("t"), Template::var("win")]);
+    let unbound = Template::var("nobody");
+    for (last, nested) in [
+        (failing_extern.clone(), false),
+        (failing_extern, true),
+        (unbound.clone(), false),
+        (unbound, true),
+    ] {
+        let atoms = vec![
+            Atom::keyed("SRC", [Atom::sub(["a", "b", "c"].map(Atom::sym))]),
+            Atom::keyed("IN", [Atom::sub([Atom::int(7), Atom::int(8)])]),
+            Atom::rule(rule_ending_in(last)),
+        ];
+        let mut sol = if nested {
+            Solution::from_atoms([Atom::keyed("BODY", [Atom::sub(atoms)])])
+        } else {
+            Solution::from_atoms(atoms)
+        };
+        let before = sol.clone();
+        let err = Engine::new().reduce(&mut sol, &mut Boom).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                HoclError::ExternFailed { .. } | HoclError::UnboundVar(_)
+            ),
+            "{err}"
+        );
+        assert_eq!(sol, before);
+        // Same order and same census, not just the same multiset.
+        assert_eq!(sol.to_string(), before.to_string());
+        assert_eq!(sol.atoms().weight(), before.atoms().weight());
+        assert_eq!(sol.atoms().rule_count(), 1);
+    }
+}

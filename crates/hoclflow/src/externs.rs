@@ -31,29 +31,26 @@ pub mod names {
 
 /// The pure extern set used by workflow programs: hocl built-ins plus the
 /// HOCLflow additions. Hosts embed this and layer `invoke`/commands on top.
+/// Every name is dispatched by `match`, so it holds nothing on the heap.
+#[derive(Default)]
 pub struct FlowExterns {
     pure: PureExterns,
-}
-
-impl Default for FlowExterns {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl FlowExterns {
     /// Registry with `list`, `is_error`, …, `swap_src`, `flush_in`.
     pub fn new() -> Self {
-        let mut pure = PureExterns::new();
-        pure.register(names::SWAP_SRC, swap_src);
-        pure.register(names::FLUSH_IN, flush_in);
-        FlowExterns { pure }
+        FlowExterns::default()
     }
 
     /// Call a pure extern; errors on unknown names (commands and `invoke`
     /// must be handled by the embedding host *before* delegating here).
     pub fn call(&mut self, name: &str, args: &[Atom]) -> Result<ExternResult, HoclError> {
-        self.pure.call(name, args)
+        match name {
+            names::SWAP_SRC => swap_src(args).map(ExternResult::Atoms),
+            names::FLUSH_IN => flush_in(args).map(ExternResult::Atoms),
+            other => self.pure.call(other, args),
+        }
     }
 }
 

@@ -540,7 +540,11 @@ mod tests {
         Engine::new().reduce(&mut sol, &mut host).unwrap();
         let input = sol.atoms().keyed_sub(kw::IN).unwrap();
         assert_eq!(input.len(), 1, "only the first delivery reacts");
-        // The duplicate lingers inertly (the agent GCs it).
+        // The duplicate stays in the solution for good: nothing collects
+        // it. It costs one failed `gw_recv` probe per matching pass, and it
+        // cannot be dropped blindly — a replacement task's result may
+        // legitimately arrive before the `ADAPT` that adds its sender to
+        // `SRC`, and must wait here until then.
         assert!(sol
             .atoms()
             .iter()

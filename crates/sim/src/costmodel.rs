@@ -13,6 +13,20 @@
 //! slope for fully-connected meshes, the ActiveMQ/Kafka gap, failure
 //! overhead growth — come from the simulated coordination structure and
 //! the real per-agent matching work; these constants only set the scale.
+//!
+//! ## Fit
+//!
+//! `weight_cost_ns` multiplies `ReduceStats::weight_scanned`, "Σ weight of
+//! each multiset a matching pass ran over". Since the engine stopped making
+//! passes over rule-free subsolutions (an agent's `SRC`/`IN`/`DST`/`RES`
+//! hold no rule, so those passes could never fire anything) that sum is
+//! roughly the root pass alone, a little over half of what it was, and the
+//! constant went 60 000 → 96 000 ns to charge the same virtual time.
+//! Readings with it (`calibrate`, before → after the re-fit): 31×31 simple
+//! 54.5 → 54.5 s, full 174.4 → 174.5 s, Kafka÷ActiveMQ 3.60 → 3.60,
+//! Montage 480.9 → 480.8 s; the 11×11 and 21×21 cells moved by ≤ 0.2 s.
+//! `calibrate --check` (run in CI) fails when an engine change moves an
+//! anchor out of its range.
 
 use serde::{Deserialize, Serialize};
 
@@ -56,7 +70,7 @@ impl CostModel {
             broker_service_us: 5_500,
             broker_ack_us: 0,
             net_latency_us: 1_000,
-            weight_cost_ns: 60_000,
+            weight_cost_ns: 96_000,
             attempt_cost_ns: 3_000,
             handle_base_us: 500,
             status_update_us: 28_000,
