@@ -589,8 +589,7 @@ pub struct RunReport {
     /// [`ginflow_mq::metrics::Metrics::snapshot_run`]): per-run publish
     /// counts and bytes, lag drops and topic gauges, collected at
     /// report time. Empty on backends that don't feed the registry
-    /// (sim) and when metrics are disabled
-    /// ([`ginflow_mq::metrics::set_enabled`]).
+    /// (sim).
     pub metrics: Vec<(String, u64)>,
     /// Per-task detail, keyed by task name (every task of the workflow,
     /// observed or not).

@@ -7,11 +7,20 @@
 //! make it flaky.
 
 use ginflow_agent::{RunOptions, Scheduler};
-use ginflow_bench::workload::{fan_out_fan_in, process_cpu};
-use ginflow_core::ServiceRegistry;
+use ginflow_core::{patterns, ServiceRegistry};
 use ginflow_mq::BrokerKind;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// CPU time (user + system) this process has consumed (`/proc/self/stat`,
+/// fields 14/15 counted after the parenthesised comm field, USER_HZ=100).
+fn process_cpu() -> Duration {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap();
+    let rest = &stat[stat.rfind(')').unwrap() + 2..];
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    let ticks = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    Duration::from_millis(ticks * 10)
+}
 
 #[test]
 fn idle_pool_burns_no_cpu() {
@@ -21,7 +30,7 @@ fn idle_pool_burns_no_cpu() {
             workers: 2,
             ..RunOptions::default()
         });
-    let run = scheduler.launch(&fan_out_fan_in(200));
+    let run = scheduler.launch(&patterns::parallel(200, "s").unwrap());
     run.wait(Duration::from_secs(30)).expect("fan completes");
 
     let before = process_cpu();

@@ -4,9 +4,8 @@
 //! `tests/runtime.rs` with workers ≪ agents).
 
 use ginflow_agent::{RunOptions, Scheduler};
-use ginflow_bench::workload::fan_out_fan_in;
 use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
-use ginflow_core::{FailingService, ServiceRegistry, TaskState, Value, Workflow};
+use ginflow_core::{patterns, FailingService, ServiceRegistry, TaskState, Value, Workflow};
 use ginflow_mq::{
     Broker, BrokerKind, LogBroker, Message, MqError, Receipt, SubscribeMode, Subscription,
 };
@@ -59,12 +58,12 @@ fn thousand_task_fan_completes_on_a_bounded_pool() {
     // The scaling acceptance bar: 1000+ agents, 2 workers, no polling.
     let scheduler = Scheduler::new(BrokerKind::Transient.build(), tracing_registry())
         .with_options(pool_options());
-    let run = scheduler.launch(&fan_out_fan_in(1000));
+    let run = scheduler.launch(&patterns::parallel(1000, "s").unwrap());
     let results = run
         .wait(Duration::from_secs(120))
         .expect("1000-task fan completes");
-    assert!(results.contains_key("sink"));
-    assert_eq!(run.state_of("t999"), Some(TaskState::Completed));
+    assert!(results.contains_key("join"));
+    assert_eq!(run.state_of("p1000"), Some(TaskState::Completed));
     run.shutdown();
 }
 

@@ -1,7 +1,6 @@
-//! Runs the whole campaign and prints every figure's data — the source of
-//! the numbers recorded in EXPERIMENTS.md.
+//! Runs the whole campaign and prints every figure's data.
 
-use ginflow_bench::{csv, fig12, fig13, fig14, fig15, fig16, quick_from_args};
+use ginflow_bench::{fig12, fig13, fig14, fig15, fig16, quick_from_args};
 
 fn main() {
     let quick = quick_from_args("run_all", "the full evaluation campaign (figs 12–16)");
@@ -9,99 +8,11 @@ fn main() {
         "=== GinFlow evaluation campaign ({}) ===\n",
         if quick { "quick" } else { "full" }
     );
-    let out_dir = std::path::Path::new("results");
-
-    let surfaces = fig12::run(quick);
-    let mut fig12_rows = Vec::new();
-    for s in &surfaces {
+    for s in &fig12::run(quick) {
         println!("{}", fig12::render(s));
-        fig12_rows.extend(csv::surface_rows(s));
     }
-    let _ = csv::write_csv(
-        out_dir.join("fig12.csv"),
-        &["connectivity", "h", "v", "seconds"],
-        &fig12_rows,
-    );
-
-    let fig13_series = fig13::run(quick);
-    println!("{}", fig13::render(&fig13_series));
-    println!();
-    let fig13_rows: Vec<Vec<String>> = fig13_series
-        .iter()
-        .flat_map(|s| {
-            s.sizes
-                .iter()
-                .zip(&s.ratios)
-                .map(|(n, r)| vec![s.scenario.to_owned(), n.to_string(), format!("{r:.4}")])
-        })
-        .collect();
-    let _ = csv::write_csv(
-        out_dir.join("fig13.csv"),
-        &["scenario", "size", "ratio"],
-        &fig13_rows,
-    );
-
-    let bars = fig14::run(quick);
-    println!("{}", fig14::render(&bars));
-    println!();
-    let fig14_rows: Vec<Vec<String>> = bars
-        .iter()
-        .map(|b| {
-            vec![
-                b.combo.clone(),
-                b.nodes.to_string(),
-                format!("{:.3}", b.deploy_secs),
-                format!("{:.3}", b.exec_secs),
-            ]
-        })
-        .collect();
-    let _ = csv::write_csv(
-        out_dir.join("fig14.csv"),
-        &["combo", "nodes", "deploy_secs", "exec_secs"],
-        &fig14_rows,
-    );
-
-    let fig15_data = fig15::run();
-    println!("{}", fig15::render(&fig15_data));
-    println!();
-    let cdf_rows: Vec<Vec<String>> = fig15_data
-        .cdf
-        .iter()
-        .map(|&(t, f)| vec![format!("{t:.3}"), format!("{f:.5}")])
-        .collect();
-    let _ = csv::write_csv(
-        out_dir.join("fig15_cdf.csv"),
-        &["seconds", "fraction"],
-        &cdf_rows,
-    );
-
-    let fig16_data = fig16::run(quick);
-    println!("{}", fig16::render(&fig16_data));
-    let fig16_rows: Vec<Vec<String>> = fig16_data
-        .cells
-        .iter()
-        .map(|c| {
-            vec![
-                format!("{:.0}", c.t),
-                format!("{:.1}", c.p),
-                format!("{:.3}", c.mean_secs),
-                format!("{:.3}", c.std_secs),
-                format!("{:.2}", c.mean_failures),
-                format!("{:.2}", c.expected_failures),
-            ]
-        })
-        .collect();
-    let _ = csv::write_csv(
-        out_dir.join("fig16.csv"),
-        &[
-            "t_secs",
-            "p",
-            "mean_secs",
-            "std_secs",
-            "failures",
-            "expected_failures",
-        ],
-        &fig16_rows,
-    );
-    println!("\nCSV series written under {}/", out_dir.display());
+    println!("{}\n", fig13::render(&fig13::run(quick)));
+    println!("{}\n", fig14::render(&fig14::run(quick)));
+    println!("{}\n", fig15::render(&fig15::run()));
+    println!("{}", fig16::render(&fig16::run(quick)));
 }

@@ -12,11 +12,8 @@
 //! | `fig14` | Fig 14 | executor × middleware deployment/execution |
 //! | `fig15` | Fig 15 | Montage shape + duration CDF |
 //! | `fig16` | Fig 16 | resilience under failure injection |
-//! | `run_all` | EXPERIMENTS.md | everything above, emitting markdown |
+//! | `run_all` | Figs 12–16 | everything above, one after the other |
 
-pub mod broker_net;
-pub mod csv;
-pub mod durability;
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;
@@ -24,7 +21,6 @@ pub mod fig15;
 pub mod fig16;
 pub mod stats;
 pub mod table;
-pub mod workload;
 
 /// Parse the common `--quick` flag (plus `--help`).
 pub fn quick_from_args(figure: &str, description: &str) -> bool {

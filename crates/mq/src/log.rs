@@ -615,7 +615,6 @@ mod tests {
             fsync: FsyncPolicy::Never,
             segment_bytes: 512,
             memory_messages: 8,
-            ..DurabilityConfig::default()
         }
     }
 

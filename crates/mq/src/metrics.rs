@@ -14,9 +14,6 @@
 //!    [`Family`] spreads its label → instrument map over
 //!    [`FAMILY_SHARDS`] FNV-picked mutexes so concurrent first-touch
 //!    registrations (one per run, one per topic shard) don't convoy.
-//! 3. **Disable means free.** [`set_enabled`] flips one process-global
-//!    relaxed flag consulted by every write; the bench harness A/Bs
-//!    instrumented vs uninstrumented throughput in one process with it.
 //!
 //! Reading happens two ways, both off the same registry: a flat
 //! [`Metrics::snapshot`] of `(name, label, value)` rows (what the STATS
@@ -26,31 +23,12 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Shard count of a [`Family`]'s label map (same spread as the broker's
 /// sharded topic maps).
 pub const FAMILY_SHARDS: usize = 16;
-
-/// Process-global instrumentation switch. Writes to every counter,
-/// gauge and histogram are skipped while this is `false`; the registry
-/// structure (names, labels) stays intact so a re-enable resumes from
-/// the held values.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turn instrumentation writes on or off process-wide. Returns the
-/// previous state. The check is one relaxed load on the hot path —
-/// cheap enough that the A/B exists to *prove* it, not to recommend
-/// running disabled.
-pub fn set_enabled(enabled: bool) -> bool {
-    ENABLED.swap(enabled, Ordering::Relaxed)
-}
-
-/// Is instrumentation currently recording?
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// A monotonically increasing event count. Relaxed atomics throughout:
 /// per-counter totals are exact, cross-counter ordering is not promised
@@ -66,9 +44,7 @@ impl Counter {
 
     /// Count `n` events.
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current total.
@@ -86,31 +62,25 @@ pub struct Gauge(AtomicU64);
 impl Gauge {
     /// Set the gauge to an absolute value.
     pub fn set(&self, v: u64) {
-        if enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Move the gauge up by `n`.
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Move the gauge down by `n`, saturating at zero.
     pub fn sub(&self, n: u64) {
-        if enabled() {
-            let mut cur = self.0.load(Ordering::Relaxed);
-            loop {
-                let next = cur.saturating_sub(n);
-                match self
-                    .0
-                    .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-                {
-                    Ok(_) => return,
-                    Err(seen) => cur = seen,
-                }
+        let mut cur = self.0.load(Ordering::Relaxed);
+        loop {
+            let next = cur.saturating_sub(n);
+            match self
+                .0
+                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => return,
+                Err(seen) => cur = seen,
             }
         }
     }
@@ -143,9 +113,6 @@ pub struct Histogram {
 impl Histogram {
     /// Record one observation.
     pub fn observe(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
         // Bucket i holds values in (BOUNDS[i-1], BOUNDS[i]]; the last
         // slot is +Inf. v=0 and v=1 both land in bucket 0 (bound 1).
         let idx = if v <= 1 {
@@ -550,14 +517,8 @@ fn escape_label(label: &str) -> String {
 mod tests {
     use super::*;
 
-    /// [`ENABLED`] is process-global and `cargo test` runs these tests
-    /// on parallel threads: the one test that switches recording off
-    /// holds this for writing, the tests that count hold it for reading.
-    static RECORDING: std::sync::RwLock<()> = std::sync::RwLock::new(());
-
     #[test]
     fn counters_and_gauges_register_idempotently() {
-        let _on = RECORDING.read().unwrap();
         let m = Metrics::new();
         let a = m.counter("test_total", "help");
         let b = m.counter("test_total", "help");
@@ -582,7 +543,6 @@ mod tests {
 
     #[test]
     fn families_shard_and_snapshot_by_label() {
-        let _on = RECORDING.read().unwrap();
         let m = Metrics::new();
         let fam = m.counter_family("runs_total", "help", "run");
         fam.with("a").add(5);
@@ -611,7 +571,6 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_power_of_two_cumulative() {
-        let _on = RECORDING.read().unwrap();
         let m = Metrics::new();
         let h = m.histogram("batch", "help");
         for v in [0, 1, 2, 3, 64, 65, 1_000_000] {
@@ -632,20 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let _off = RECORDING.write().unwrap();
-        let m = Metrics::new();
-        let c = m.counter("gated_total", "help");
-        let was = set_enabled(false);
-        c.add(100);
-        set_enabled(was);
-        c.inc();
-        assert_eq!(c.get(), 1, "writes while disabled are dropped");
-    }
-
-    #[test]
     fn prometheus_rendering_is_well_formed() {
-        let _on = RECORDING.read().unwrap();
         let m = Metrics::new();
         m.counter("c_total", "a counter").inc();
         m.gauge("g_now", "a gauge").set(9);

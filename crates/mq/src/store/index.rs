@@ -1,17 +1,15 @@
-//! Sparse offset index: every `every`th record's byte position.
+//! Sparse offset index: every [`INDEX_EVERY`]th record's byte position.
 //!
 //! A segment's offsets are dense (`base_offset + record_number`), so
 //! the index only has to answer "where do I start scanning for
 //! relative offset `r`" — it maps `r` to the byte position of the
 //! nearest indexed record at or below `r`, and the reader walks
-//! forward from there (at most `every` − 1 records, [`INDEX_EVERY`]
-//! by default).
+//! forward from there (at most [`INDEX_EVERY`] − 1 records).
 //!
-//! The granularity is a property of the in-memory index, not the
-//! sidecar format: [`SparseIndex::floor`] binary-searches whatever
-//! entries exist, so sidecars written at any historical granularity
-//! (the store used 64 before the read-path tuning) load and serve
-//! unchanged.
+//! The granularity is a property of the writer, not the sidecar
+//! format: [`SparseIndex::floor`] binary-searches whatever entries
+//! exist, so sidecars written at any historical granularity (the store
+//! used 64 before the read-path tuning) load and serve unchanged.
 //!
 //! ## Sidecar file format (`<base:020>.idx`)
 //!
@@ -29,49 +27,26 @@
 use std::io::{self, Write};
 use std::path::Path;
 
-/// Default index granularity: one entry per this many records. 16
-/// bounds a cold fetch's forward scan to 15 records past the floor
-/// (the old 64-record stride decoded up to 63 — the linear-scan cost
-/// the read-path bench row measures) at 8 bytes of index per 16
+/// Index granularity: one entry per this many records. 16 bounds a
+/// cold fetch's forward scan to 15 records past the floor (the old
+/// 64-record stride decoded up to 63) at 8 bytes of index per 16
 /// records, still a vanishing fraction of segment size.
 pub const INDEX_EVERY: u64 = 16;
 
 const MAGIC: &[u8; 8] = b"GFIDX001";
 
 /// In-memory sparse index for one segment.
+#[derive(Default)]
 pub struct SparseIndex {
     /// (relative offset, byte position), ascending in both.
     entries: Vec<(u32, u32)>,
-    /// Stride between noted entries.
-    every: u64,
-}
-
-impl Default for SparseIndex {
-    fn default() -> Self {
-        SparseIndex::with_every(INDEX_EVERY)
-    }
 }
 
 impl SparseIndex {
-    /// An empty index noting every `every`th record (the A/B knob the
-    /// durability bench uses to compare strides; production paths use
-    /// [`Default`], i.e. [`INDEX_EVERY`]).
-    pub fn with_every(every: u64) -> SparseIndex {
-        SparseIndex {
-            entries: Vec::new(),
-            every: every.max(1),
-        }
-    }
-
-    /// The stride this index notes entries at.
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
     /// Record that relative offset `rel` begins at byte `pos`; only
-    /// every `every`th call stores an entry.
+    /// every [`INDEX_EVERY`]th call stores an entry.
     pub fn note(&mut self, rel: u64, pos: usize) {
-        if rel.is_multiple_of(self.every) {
+        if rel.is_multiple_of(INDEX_EVERY) {
             self.entries.push((rel as u32, pos as u32));
         }
     }
@@ -121,17 +96,7 @@ impl SparseIndex {
                 )
             })
             .collect();
-        // A loaded index never notes again (sealed segments are
-        // read-only), so the stride it was written at is irrelevant —
-        // `floor` walks whatever entries are there.
-        Some((
-            SparseIndex {
-                entries,
-                every: INDEX_EVERY,
-            },
-            records,
-            bytes,
-        ))
+        Some((SparseIndex { entries }, records, bytes))
     }
 }
 
@@ -142,7 +107,6 @@ mod tests {
     #[test]
     fn floor_walks_sparse_entries() {
         let mut idx = SparseIndex::default();
-        assert_eq!(idx.every(), INDEX_EVERY);
         for rel in 0..200u64 {
             idx.note(rel, (rel * 100) as usize);
         }
@@ -156,16 +120,14 @@ mod tests {
     }
 
     #[test]
-    fn granularity_is_an_instance_knob() {
-        let mut coarse = SparseIndex::with_every(64);
-        for rel in 0..200u64 {
-            coarse.note(rel, (rel * 100) as usize);
-        }
-        assert_eq!(coarse.entries.len(), 4); // 0, 64, 128, 192
+    fn entries_at_a_historical_stride_still_serve() {
+        // What a sidecar written at the old 64-record stride loads as.
+        let coarse = SparseIndex {
+            entries: vec![(0, 0), (64, 6400), (128, 12800), (192, 19200)],
+        };
         assert_eq!(coarse.floor(63), (0, 0));
         assert_eq!(coarse.floor(64), (64, 6400));
-        // A stride-0 request is clamped rather than dividing by zero.
-        assert_eq!(SparseIndex::with_every(0).every(), 1);
+        assert_eq!(coarse.floor(199), (192, 19200));
     }
 
     #[test]

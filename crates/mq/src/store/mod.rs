@@ -152,17 +152,9 @@ pub struct DurabilityConfig {
     /// Segment capacity: rotation happens when the next record would
     /// not fit. Default 64 MiB.
     pub segment_bytes: usize,
-    /// Also rotate a non-empty segment older than this (age counted
-    /// from its first append), so retention can eventually reclaim
-    /// cold segments. Default off.
-    pub segment_max_age: Option<Duration>,
     /// Per-partition cap on messages kept in memory for hot replay;
     /// older offsets are served from segment reads. Default 1024.
     pub memory_messages: usize,
-    /// Sparse-index stride: one index entry per this many records, so
-    /// a cold fetch scans at most `index_every − 1` records past its
-    /// floor. Default [`index::INDEX_EVERY`] (16).
-    pub index_every: u64,
 }
 
 impl Default for DurabilityConfig {
@@ -170,9 +162,7 @@ impl Default for DurabilityConfig {
         DurabilityConfig {
             fsync: FsyncPolicy::default(),
             segment_bytes: 64 * 1024 * 1024,
-            segment_max_age: None,
             memory_messages: 1024,
-            index_every: index::INDEX_EVERY,
         }
     }
 }
@@ -278,7 +268,7 @@ pub struct PartitionStore {
 impl PartitionStore {
     fn create(dir: PathBuf, config: DurabilityConfig) -> io::Result<PartitionStore> {
         std::fs::create_dir_all(&dir)?;
-        let active = SegmentWriter::create(&dir, 0, config.segment_bytes, config.index_every)?;
+        let active = SegmentWriter::create(&dir, 0, config.segment_bytes)?;
         Ok(PartitionStore {
             dir,
             config,
@@ -312,15 +302,7 @@ impl PartitionStore {
     }
 
     fn should_rotate(&self, frame: usize) -> bool {
-        if self.active.is_empty() {
-            return false;
-        }
-        if frame > self.active.remaining() {
-            return true;
-        }
-        self.config
-            .segment_max_age
-            .is_some_and(|age| self.active.created.elapsed() >= age)
+        !self.active.is_empty() && frame > self.active.remaining()
     }
 
     /// Append one record, rotating and applying the fsync policy.
@@ -356,12 +338,7 @@ impl PartitionStore {
 
     fn roll(&mut self) -> io::Result<()> {
         let next_base = self.next_offset();
-        let fresh = SegmentWriter::create(
-            &self.dir,
-            next_base,
-            self.config.segment_bytes,
-            self.config.index_every,
-        )?;
+        let fresh = SegmentWriter::create(&self.dir, next_base, self.config.segment_bytes)?;
         let old = std::mem::replace(&mut self.active, fresh);
         self.sealed.push(old.seal()?);
         store_metrics().rotations.inc();

@@ -140,8 +140,8 @@ fn recover_partition(
     let Some((&(last_base, ref last_path), earlier)) = segs.split_last() else {
         // A partition dir with no segments (e.g. swept by hand): start
         // it fresh at offset zero.
-        let active = SegmentWriter::create(&dir, 0, config.segment_bytes, config.index_every)
-            .map_err(|e| io_err(&dir, e))?;
+        let active =
+            SegmentWriter::create(&dir, 0, config.segment_bytes).map_err(|e| io_err(&dir, e))?;
         return Ok((
             PartitionStore::from_parts(dir, config, Vec::new(), active),
             0,
@@ -154,7 +154,7 @@ fn recover_partition(
         if base != expected_base {
             return Err(corrupt(path, "base offset does not continue the chain"));
         }
-        let seg = recover_sealed(path.clone(), base, config.index_every)?;
+        let seg = recover_sealed(path.clone(), base)?;
         expected_base = base + seg.records;
         sealed.push(seg);
     }
@@ -165,13 +165,9 @@ fn recover_partition(
         ));
     }
 
-    let mut active = SegmentWriter::open_existing(
-        last_path.clone(),
-        last_base,
-        config.segment_bytes,
-        config.index_every,
-    )
-    .map_err(|e| io_err(last_path, e))?;
+    let mut active =
+        SegmentWriter::open_existing(last_path.clone(), last_base, config.segment_bytes)
+            .map_err(|e| io_err(last_path, e))?;
     let truncated = active.recover_tail();
     Ok((
         PartitionStore::from_parts(dir, config, sealed, active),
@@ -181,8 +177,8 @@ fn recover_partition(
 
 /// Recover one sealed (non-last) segment, trusting its sidecar only
 /// when it matches the file (whatever stride it was written at), and
-/// re-sealing from a full rescan at `index_every` otherwise.
-fn recover_sealed(path: PathBuf, base: u64, index_every: u64) -> Result<SealedSegment, MqError> {
+/// re-sealing from a full rescan otherwise.
+fn recover_sealed(path: PathBuf, base: u64) -> Result<SealedSegment, MqError> {
     let file_len = std::fs::metadata(&path)
         .map_err(|e| io_err(&path, e))?
         .len();
@@ -201,7 +197,7 @@ fn recover_sealed(path: PathBuf, base: u64, index_every: u64) -> Result<SealedSe
     // No trustworthy sidecar: rescan the file (a crash between the
     // rotation steps leaves exactly this shape) and re-seal it.
     let data = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-    let mut index = SparseIndex::with_every(index_every);
+    let mut index = SparseIndex::default();
     let mut records = 0u64;
     let mut pos = 0usize;
     while let Decoded::Record { frame, .. } = decode_record(&data[pos..]) {

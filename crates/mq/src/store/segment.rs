@@ -34,7 +34,6 @@ use std::io;
 use std::os::raw::{c_int, c_void};
 use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use super::index::SparseIndex;
 
@@ -329,10 +328,11 @@ pub(crate) struct SealedSegment {
 
 impl SealedSegment {
     /// Bytes fetched per `read(2)` while satisfying a cold read. One
-    /// chunk covers the index floor's forward scan (`index_every`
-    /// records) plus a typical batch, so most fetches cost one seek
-    /// and one read instead of the whole-file `fs::read` this path
-    /// used before the read-path tuning.
+    /// chunk covers the index floor's forward scan
+    /// ([`INDEX_EVERY`](super::index::INDEX_EVERY) records) plus a
+    /// typical batch, so most fetches cost one seek and one read
+    /// instead of the whole-file `fs::read` this path used before the
+    /// read-path tuning.
     const READ_CHUNK: usize = 64 * 1024;
 
     /// Read records `[rel, …)` (relative to `base_offset`) into `out`
@@ -341,8 +341,7 @@ impl SealedSegment {
     /// Seeks straight to the sparse-index floor and streams forward in
     /// [`Self::READ_CHUNK`] slices, so a fetch touches `O(scan + batch)`
     /// bytes — not the whole segment. The scan past the floor is at
-    /// most `index_every − 1` records, which is what the index stride
-    /// knob bounds.
+    /// most `INDEX_EVERY` − 1 records.
     pub fn read(
         &self,
         rel: u64,
@@ -409,21 +408,13 @@ pub(crate) struct SegmentWriter {
     map: Mmap,
     file: File,
     path: PathBuf,
-    /// First append's time — drives age-based rotation.
-    pub created: Instant,
     /// [`coarse_millis`] of the last sync — the interval-policy clock.
     last_sync_ms: u64,
 }
 
 impl SegmentWriter {
-    /// Create a fresh segment of `cap` bytes (sparse until written),
-    /// indexing every `index_every`th record.
-    pub fn create(
-        dir: &Path,
-        base_offset: u64,
-        cap: usize,
-        index_every: u64,
-    ) -> io::Result<SegmentWriter> {
+    /// Create a fresh segment of `cap` bytes (sparse until written).
+    pub fn create(dir: &Path, base_offset: u64, cap: usize) -> io::Result<SegmentWriter> {
         let path = dir.join(segment_file_name(base_offset));
         let file = OpenOptions::new()
             .read(true)
@@ -436,13 +427,12 @@ impl SegmentWriter {
         Ok(SegmentWriter {
             base_offset,
             records: 0,
-            index: SparseIndex::with_every(index_every),
+            index: SparseIndex::default(),
             len: 0,
             cap,
             map,
             file,
             path,
-            created: Instant::now(),
             last_sync_ms: coarse_millis(),
         })
     }
@@ -455,7 +445,6 @@ impl SegmentWriter {
         path: PathBuf,
         base_offset: u64,
         cap_hint: usize,
-        index_every: u64,
     ) -> io::Result<SegmentWriter> {
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
         let cap = (file.metadata()?.len() as usize).max(cap_hint);
@@ -464,13 +453,12 @@ impl SegmentWriter {
         Ok(SegmentWriter {
             base_offset,
             records: 0,
-            index: SparseIndex::with_every(index_every),
+            index: SparseIndex::default(),
             len: 0,
             cap,
             map,
             file,
             path,
-            created: Instant::now(),
             last_sync_ms: coarse_millis(),
         })
     }
@@ -483,7 +471,7 @@ impl SegmentWriter {
         let data = self.map.as_slice();
         let mut pos = 0usize;
         let mut records = 0u64;
-        let mut index = SparseIndex::with_every(self.index.every());
+        let mut index = SparseIndex::default();
         while let Decoded::Record { frame, .. } = decode_record(&data[pos..]) {
             index.note(records, pos);
             records += 1;
@@ -553,9 +541,6 @@ impl SegmentWriter {
             p.add(4).copy_from(crc.to_le_bytes().as_ptr(), 4);
             // `len` last: recovery never sees a framed-but-partial body.
             p.copy_from((body_len as u32).to_le_bytes().as_ptr(), 4);
-        }
-        if self.records == 0 {
-            self.created = Instant::now();
         }
         self.index.note(self.records, self.len);
         self.records += 1;

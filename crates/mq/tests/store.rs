@@ -42,7 +42,6 @@ fn small_segments() -> DurabilityConfig {
         fsync: FsyncPolicy::Never,
         segment_bytes: 512, // rotate often so properties cross segments
         memory_messages: 4,
-        ..DurabilityConfig::default()
     }
 }
 

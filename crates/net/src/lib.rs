@@ -38,9 +38,10 @@
 //! talks to — is driven by **one** shared epoll thread
 //! (`gf-client-loop`, the `client_reactor` module), lazily spawned by
 //! the first connection, refcounted, and retired when the last
-//! connection closes: N connections cost one I/O thread
-//! (`bench_broker`'s `client_scale` scenario: 128 connections, ~3
-//! process threads). Publishers never touch the socket: they append
+//! connection closes: N connections cost one I/O thread (pinned by
+//! thread name in `tests/async_loop.rs`,
+//! `client_reactor_multiplexes_connections_onto_one_thread_and_retires_it`).
+//! Publishers never touch the socket: they append
 //! encoded frames to a per-connection outbound buffer and ring an
 //! eventfd doorbell; the loop drains the buffer through a non-blocking
 //! write state machine, feeds received bytes through the frame
@@ -135,8 +136,9 @@
 //! The daemon feeds the process-global
 //! [`ginflow_mq::metrics`] registry from its hot paths — relaxed
 //! atomics only, so the accounting rides the publish/fan-out cycle at
-//! negligible cost (`bench_broker` prints the instrumented vs
-//! uninstrumented A/B; CI gates it at ≥ 0.9×). The families:
+//! negligible cost (a write is one relaxed atomic op and allocates
+//! nothing; `crates/agent/tests/fanin_scaling.rs` counts the
+//! allocations of the per-delivery path). The families:
 //!
 //! * `gf_loop_*` — event-loop health: accepts, live connections,
 //!   frames, replies and reply bytes, fan-out messages/bytes and batch
@@ -193,9 +195,9 @@
 //! `crates/engine/tests/chaos_workflow.rs` (sharded workflow runs:
 //! lossless chaos must agree with a fault-free reference; sever storms
 //! must complete correctly or fail as a structured timeout, never
-//! hang). `cargo run -p ginflow-bench --bin chaos_soak` sweeps many
-//! seeds with per-seed fault accounting; CI's `chaos-smoke` job runs a
-//! fixed sweep plus a fresh random base seed every build.
+//! hang). A soak is the same suites over more seeds
+//! (`GINFLOW_CHAOS_SEEDS=<k>`); CI's `chaos-smoke` job runs a fixed
+//! sweep plus a fresh random base seed every build.
 //!
 //! Operator knobs (read once per process):
 //!

@@ -144,25 +144,51 @@ fn idle_daemon_burns_no_cpu_with_100_quiet_connections() {
     server.stop();
 }
 
+/// Reply frames the daemon has appended to connection out-buffers
+/// (`gf_loop_replies_total`; process-global, hence read under [`GATE`]).
+fn replies() -> u64 {
+    ginflow_mq::metrics::global()
+        .snapshot()
+        .iter()
+        .find(|row| row.name == "gf_loop_replies_total")
+        .map_or(0, |row| row.value)
+}
+
 #[test]
 fn pipelined_storm_is_acked_by_receipts_ranges() {
     let _gate = gate();
     let (server, broker) = bind();
     let client = RemoteBroker::connect(&format!("tcp://{}", server.local_addr())).unwrap();
     const N: u64 = 5000;
+    let before = replies();
     for i in 0..N {
         client
             .publish_nowait("storm", None, bytes::Bytes::from(i.to_string()))
             .unwrap();
     }
     client.flush().unwrap();
+    let pipelined = replies() - before;
     assert_eq!(broker.retained("storm"), N);
-    // The pipeline's receipt bookkeeping stayed exact: a blocking
-    // publish after the storm sees the very next offset.
-    let r = client
-        .publish("storm", None, bytes::Bytes::from_static(b"tail"))
-        .unwrap();
-    assert_eq!(r.offset, N);
+    // The daemon acks a read turn's consecutive publishes with one
+    // RECEIPTS range, so the storm costs far fewer reply frames than
+    // publishes — what makes pipelining cheaper than blocking, counted
+    // rather than timed.
+    assert!(
+        pipelined <= N / 8,
+        "{N} pipelined publishes were acked by {pipelined} reply frames"
+    );
+    // A blocking publish waits for its own ack: one reply frame each,
+    // and the pipeline's receipt bookkeeping stayed exact — the first
+    // one after the storm sees the very next offset.
+    const BLOCKING: u64 = 200;
+    let before = replies();
+    for i in 0..BLOCKING {
+        let r = client
+            .publish("storm", None, bytes::Bytes::from_static(b"tail"))
+            .unwrap();
+        assert_eq!(r.offset, N + i);
+    }
+    assert_eq!(replies() - before, BLOCKING);
     client.shutdown();
     server.stop();
 }

@@ -41,7 +41,6 @@ fn config() -> DurabilityConfig {
         fsync: FsyncPolicy::Never,
         segment_bytes: 4096,
         memory_messages: 16,
-        ..DurabilityConfig::default()
     }
 }
 

@@ -29,7 +29,8 @@
 //! Because the chemistry is real, phenomena like duplicate suppression,
 //! resend-on-`ADDDST` and replay cascades *emerge* rather than being
 //! hard-coded; only the four cost knobs above are fitted to the paper's
-//! published anchor points (see `costmodel` docs and EXPERIMENTS.md).
+//! published anchor points (see `costmodel` docs; `ginflow-bench`'s
+//! `calibrate --check` gates them).
 
 pub mod backend;
 pub mod costmodel;
