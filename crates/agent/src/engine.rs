@@ -21,7 +21,12 @@
 //! * [`RunHandle`] — a launched run: event subscription
 //!   ([`RunHandle::events`]), observation, fault injection, first-class
 //!   cancellation ([`RunHandle::cancel`]) and deadline enforcement
-//!   ([`RunHandle::join`]).
+//!   ([`RunHandle::join`]). `join` parks on the run's *end*
+//!   ([`RunTracker::wait_ended`], reached through
+//!   [`RunControl::wait_ended`]) rather than reading the event stream
+//!   to find its last entry: waiting for a 4000-task run costs the
+//!   waiter one wake-up, not twelve thousand. The stream is for whoever
+//!   wants the events.
 //! * [`RunReport`] — the structured outcome: per-task states, timings and
 //!   incarnations, adaptation/recovery counters — consumed by the CLI
 //!   and the benchmarks.
@@ -35,7 +40,7 @@ use crate::runtime::WaitError;
 use ginflow_core::{TaskState, Value, Workflow};
 use ginflow_hoclflow::{AdaptPlan, AgentProgram};
 use ginflow_mq::RunId;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -329,6 +334,10 @@ pub struct RunTracker {
     run_id: RunId,
     hub: EventHub,
     inner: Mutex<TrackInner>,
+    /// Set by [`RunTracker::close`] once the stream holds everything it
+    /// ever will; what [`RunTracker::wait_ended`] parks on.
+    ended: Mutex<bool>,
+    ended_changed: Condvar,
 }
 
 impl RunTracker {
@@ -357,6 +366,8 @@ impl RunTracker {
                 adaptations_fired: 0,
                 respawns: 0,
             }),
+            ended: Mutex::new(false),
+            ended_changed: Condvar::new(),
         }
     }
 
@@ -454,7 +465,7 @@ impl RunTracker {
             self.hub.emit(event);
         }
         if terminal {
-            self.hub.close();
+            self.close();
         }
     }
 
@@ -470,14 +481,41 @@ impl RunTracker {
             s.terminal = Some(RunOutcome::Failed(failure.clone()));
         }
         self.hub.emit(RunEvent::RunFailed { reason: failure });
-        self.hub.close();
+        self.close();
         true
     }
 
-    /// Close the stream without a terminal event (plain teardown of a
-    /// still-running workflow).
+    /// Close the stream — after the terminal event, or without one (plain
+    /// teardown of a still-running workflow) — and release whoever is
+    /// parked in [`RunTracker::wait_ended`]. The terminal event is in
+    /// the history before any waiter wakes.
     pub fn close(&self) {
         self.hub.close();
+        *self.ended.lock() = true;
+        self.ended_changed.notify_all();
+    }
+
+    /// Park until the run has ended — a terminal event was derived, the
+    /// run was failed, or it was torn down — for at most `timeout`
+    /// (`None`: no bound). `false` means the timeout passed first. The
+    /// wait costs the caller one wake-up however many events the run
+    /// produces; it subscribes to nothing.
+    pub fn wait_ended(&self, timeout: Option<Duration>) -> bool {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut ended = self.ended.lock();
+        while !*ended {
+            match deadline {
+                None => self.ended_changed.wait(&mut ended),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return false;
+                    }
+                    self.ended_changed.wait_for(&mut ended, deadline - now);
+                }
+            }
+        }
+        true
     }
 
     /// Subscribe: full ordered history, then live.
@@ -626,7 +664,9 @@ impl RunReport {
 /// Control surface a backend's run object implements; [`RunHandle`] is
 /// the user-facing facade over a boxed instance. Object-safe on purpose:
 /// the scheduler's [`crate::WorkflowRun`] and the simulator's
-/// finished-run shim both live behind it.
+/// finished-run shim both live behind it. Every method is required —
+/// both runs own a [`RunTracker`], and what the tracker can answer
+/// (`subscribe`, `wait_ended`) they forward to it.
 pub trait RunControl: Send + Sync {
     /// Backend label ("scheduler", "sharded", "sim", …).
     fn backend(&self) -> &'static str;
@@ -652,9 +692,14 @@ pub trait RunControl: Send + Sync {
     fn subscribe(&self) -> RunEvents;
     /// Block until every sink completes (or `timeout`).
     fn wait_sinks(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError>;
+    /// Park until the run has ended (terminal event, failure or
+    /// teardown) or `timeout` passes — `false` on timeout. Every run
+    /// owns a [`RunTracker`]; this forwards to its
+    /// [`RunTracker::wait_ended`].
+    fn wait_ended(&self, timeout: Option<Duration>) -> bool;
     /// Mark the run failed with `failure` and tear everything down
-    /// (agents observe shutdown through the broker; worker threads are
-    /// joined). Idempotent.
+    /// (agents observe the shutdown flag between events; worker threads
+    /// are joined; nothing is published). Idempotent.
     fn cancel_with(&self, failure: RunFailure);
     /// Plain teardown without marking failure (post-completion
     /// shutdown). Idempotent.
@@ -741,9 +786,8 @@ impl RunHandle {
     }
 
     /// Cancel the run: emits [`RunEvent::RunFailed`] with
-    /// [`RunFailure::Cancelled`], tears every agent down through the
-    /// broker, and joins all worker threads before returning — no thread
-    /// outlives this call.
+    /// [`RunFailure::Cancelled`], tears every agent down, and joins all
+    /// worker threads before returning — no thread outlives this call.
     pub fn cancel(&self) {
         self.inner.cancel_with(RunFailure::Cancelled);
     }
@@ -764,33 +808,15 @@ impl RunHandle {
         }
     }
 
-    /// Drive the run to its end: block until a terminal event (or the
-    /// deadline, which cancels with [`RunFailure::DeadlineExpired`]),
-    /// tear the run down, and return the final [`RunReport`] — partial
-    /// when cancelled or expired.
+    /// Drive the run to its end: park until it ended (or the deadline,
+    /// which cancels with [`RunFailure::DeadlineExpired`]), tear the run
+    /// down, and return the final [`RunReport`] — partial when cancelled
+    /// or expired. The wait is on the run's end itself
+    /// ([`RunControl::wait_ended`]), not on its event stream: joining
+    /// subscribes to nothing and wakes once.
     pub fn join(self) -> RunReport {
-        let events = self.inner.subscribe();
-        loop {
-            match self.remaining() {
-                Some(Duration::ZERO) => {
-                    self.inner.cancel_with(RunFailure::DeadlineExpired);
-                    break;
-                }
-                Some(left) => match events.recv_timeout(left) {
-                    EventWait::Event(e) if e.is_terminal() => break,
-                    EventWait::Event(_) => continue,
-                    EventWait::TimedOut => {
-                        self.inner.cancel_with(RunFailure::DeadlineExpired);
-                        break;
-                    }
-                    EventWait::Closed => break,
-                },
-                None => match events.recv() {
-                    Some(e) if e.is_terminal() => break,
-                    Some(_) => continue,
-                    None => break,
-                },
-            }
+        if !self.inner.wait_ended(self.remaining()) {
+            self.inner.cancel_with(RunFailure::DeadlineExpired);
         }
         let report = self.inner.report();
         self.inner.stop();
@@ -988,6 +1014,121 @@ mod tests {
                 reason: RunFailure::Cancelled
             }]
         );
+    }
+
+    #[test]
+    fn wait_ended_returns_on_terminal_on_close_and_times_out_otherwise() {
+        let tracker = RunTracker::new(meta(), RunId::generate());
+        assert!(!tracker.wait_ended(Some(Duration::ZERO)), "still running");
+        assert!(!tracker.wait_ended(Some(Duration::from_millis(1))));
+        tracker.observe(&update("a", TaskState::Completed, 0));
+        assert!(!tracker.wait_ended(Some(Duration::ZERO)), "a is no sink");
+        tracker.observe(&update("b", TaskState::Completed, 0));
+        assert!(tracker.wait_ended(Some(Duration::ZERO)), "terminal");
+        assert!(tracker.wait_ended(None));
+
+        let failed = RunTracker::new(meta(), RunId::generate());
+        failed.fail(RunFailure::Cancelled);
+        assert!(failed.wait_ended(None), "failed");
+
+        // A waiter parked with no bound is released by a plain close.
+        let torn_down = Arc::new(RunTracker::new(meta(), RunId::generate()));
+        let waiter = {
+            let tracker = torn_down.clone();
+            std::thread::spawn(move || tracker.wait_ended(None))
+        };
+        torn_down.close();
+        assert!(waiter.join().unwrap(), "closed");
+        assert_eq!(torn_down.outcome(), None, "closing is not an outcome");
+    }
+
+    /// The least a run is: a tracker somebody else feeds.
+    struct TrackedRun(Arc<RunTracker>);
+
+    impl RunControl for TrackedRun {
+        fn backend(&self) -> &'static str {
+            "test"
+        }
+        fn run_id(&self) -> String {
+            self.0.run_id().as_str().to_owned()
+        }
+        fn state_of(&self, _: &str) -> Option<TaskState> {
+            None
+        }
+        fn result_of(&self, _: &str) -> Option<Value> {
+            None
+        }
+        fn statuses(&self) -> Vec<(String, TaskState)> {
+            Vec::new()
+        }
+        fn kill(&self, _: &str) -> bool {
+            false
+        }
+        fn respawn(&self, _: &str) -> bool {
+            false
+        }
+        fn alive(&self, _: &str) -> bool {
+            false
+        }
+        fn incarnation(&self, _: &str) -> u32 {
+            0
+        }
+        fn subscribe(&self) -> RunEvents {
+            self.0.subscribe()
+        }
+        fn wait_sinks(&self, _: Duration) -> Result<HashMap<String, Value>, WaitError> {
+            Err(WaitError::Cancelled)
+        }
+        fn wait_ended(&self, timeout: Option<Duration>) -> bool {
+            self.0.wait_ended(timeout)
+        }
+        fn cancel_with(&self, failure: RunFailure) {
+            self.0.fail(failure);
+        }
+        fn stop(&self) {
+            self.0.close();
+        }
+        fn report(&self) -> RunReport {
+            let outcome = self.0.outcome();
+            RunReport {
+                backend: "test",
+                run_id: self.run_id(),
+                completed: outcome == Some(RunOutcome::Completed),
+                cancelled: outcome == Some(RunOutcome::Failed(RunFailure::Cancelled)),
+                deadline_expired: outcome == Some(RunOutcome::Failed(RunFailure::DeadlineExpired)),
+                wall: Duration::ZERO,
+                adaptations_fired: 0,
+                respawns: 0,
+                lagged: 0,
+                metrics: Vec::new(),
+                tasks: BTreeMap::new(),
+            }
+        }
+    }
+
+    #[test]
+    fn join_parks_on_the_end_of_the_run_and_subscribes_to_nothing() {
+        let tracker = Arc::new(RunTracker::new(meta(), RunId::generate()));
+        let handle = RunHandle::new(Arc::new(TrackedRun(tracker.clone())));
+        let joiner = std::thread::spawn(move || handle.join());
+        for state in [TaskState::Running, TaskState::Completed] {
+            tracker.observe(&update("a", state, 0));
+            tracker.observe(&update("b", state, 0));
+            assert!(
+                tracker.hub.state.lock().senders.is_empty(),
+                "join must not subscribe to the event stream"
+            );
+        }
+        assert!(joiner.join().unwrap().completed);
+        // The history is whole for whoever asks afterwards.
+        let events: Vec<RunEvent> = tracker.subscribe().collect();
+        assert_eq!(events.last(), Some(&RunEvent::RunCompleted));
+
+        // A deadline that passes first cancels the run.
+        let tracker = Arc::new(RunTracker::new(meta(), RunId::generate()));
+        let handle = RunHandle::new(Arc::new(TrackedRun(tracker.clone())))
+            .with_deadline(Some(Duration::from_millis(1)));
+        assert!(handle.join().deadline_expired);
     }
 
     #[test]

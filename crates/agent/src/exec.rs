@@ -1,17 +1,20 @@
 //! What the [`crate::scheduler::Scheduler`] runs an agent's events
-//! with: command execution, the status board, and the status collector
-//! loop.
+//! with: command execution (one publish batch per dispatch), the status
+//! board, and the fold that feeds it ([`StatusFold`]) — which runs on
+//! whichever thread delivers a status update, not on a thread of its
+//! own.
 
 use crate::core::{Command, Event, SaCore};
 use crate::engine::{RunTracker, TaskReport};
 use crate::message::StatusUpdate;
 use crate::runtime::WaitError;
+use bytes::Bytes;
 use ginflow_core::{ServiceRegistry, TaskState, Value};
 use ginflow_mq::{Broker, MqError, Subscription, TopicNamespace};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Everything needed to run one agent's events: the broker for sends and
@@ -28,10 +31,29 @@ pub(crate) struct AgentCtx<'a> {
 impl AgentCtx<'_> {
     /// Run one event through the core and execute every resulting
     /// command, feeding service completions back in until quiescence.
+    ///
+    /// `Send` and `Publish` commands are queued, in command order, and
+    /// handed to the broker as **one batch**
+    /// ([`Broker::publish_many_nowait`]) at two points: before every
+    /// `Invoke` — the `Running` status must be out before a service that
+    /// may take minutes starts — and when the dispatch returns. A task
+    /// that receives, invokes and completes therefore costs two broker
+    /// submissions however many successors it fans out to. Items leave
+    /// in command order on the broker's one FIFO, so
+    /// [`SaCore`]'s guarantee — a `Completed` enters the status log
+    /// before the result message it precedes — holds exactly as if each
+    /// command were its own publish.
     pub fn dispatch(&self, core: &mut SaCore, event: Event) -> Result<(), ()> {
         let mut queue: VecDeque<Event> = VecDeque::from([event]);
+        let mut batch: Vec<(String, Option<Bytes>, Bytes)> = Vec::new();
+        let mut outcome = Ok(());
         while let Some(event) = queue.pop_front() {
-            let commands = core.handle(event).map_err(|_| ())?;
+            let Ok(commands) = core.handle(event) else {
+                // The agent dies; what earlier events of this dispatch
+                // produced is its word already and still goes out.
+                outcome = Err(());
+                break;
+            };
             for command in commands {
                 match command {
                     Command::Invoke {
@@ -39,6 +61,7 @@ impl AgentCtx<'_> {
                         service,
                         params,
                     } => {
+                        self.publish(&mut batch);
                         let result = match self.registry.get(&service) {
                             Some(s) => s.invoke(&params).map_err(|e| e.message),
                             None => Err(format!("unknown service {service:?}")),
@@ -50,16 +73,12 @@ impl AgentCtx<'_> {
                         // names were validated at launch; a name the
                         // namespace rejects has no inbox to lose a
                         // message to, matching the ignored-publish path.
-                        // Fire-and-forget pipelined publish: neither
-                        // send consumes the receipt, and on a remote
-                        // broker the blocking round trip would be the
-                        // whole coordination hot path.
                         if let Ok(topic) = self.ns.inbox(&to) {
-                            let _ = self.broker.publish_nowait(
-                                &topic,
-                                Some(bytes::Bytes::from(to.clone().into_bytes())),
+                            batch.push((
+                                topic,
+                                Some(Bytes::from(to.into_bytes())),
                                 message.encode(),
-                            );
+                            ));
                         }
                     }
                     Command::Publish { state, result } => {
@@ -69,14 +88,24 @@ impl AgentCtx<'_> {
                             result,
                             incarnation: self.incarnation,
                         };
-                        let _ = self
-                            .broker
-                            .publish_nowait(self.ns.status(), None, update.encode());
+                        batch.push((self.ns.status().to_owned(), None, update.encode()));
                     }
                 }
             }
         }
-        Ok(())
+        self.publish(&mut batch);
+        outcome
+    }
+
+    /// Hand the queued publishes to the broker. Fire-and-forget,
+    /// pipelined: nothing here consumes a receipt, and on a remote
+    /// broker a blocking round trip would be the whole coordination hot
+    /// path. A publish the broker refuses is lost like any message to a
+    /// severed connection — the status stream is how anyone would know.
+    fn publish(&self, batch: &mut Vec<(String, Option<Bytes>, Bytes)>) {
+        if !batch.is_empty() {
+            let _ = self.broker.publish_many_nowait(std::mem::take(batch));
+        }
     }
 }
 
@@ -224,47 +253,76 @@ impl StatusBoard {
     }
 }
 
-/// The status collector: drains the shared status topic into the board
-/// and feeds accepted updates through the run tracker (deriving the
-/// typed [`crate::engine::RunEvent`] stream). Fully blocking — woken by
-/// deliveries, and by the empty-payload sentinel
-/// [`publish_shutdown_sentinel`] emits at shutdown.
-pub(crate) fn status_loop(
+/// Where a run's status updates are folded: the status topic's
+/// subscription, drained into the [`StatusBoard`] and — for accepted
+/// updates — through the [`RunTracker`] (deriving the typed
+/// [`crate::engine::RunEvent`] stream).
+///
+/// There is no collector thread. The subscription's waker *is* the
+/// fold: whichever thread delivers an update — the publishing worker on
+/// an in-process broker, the client reactor over TCP — drains the queue
+/// right there, under the schedule-bit protocol the scheduler's slots
+/// and the daemon's subscriptions use (`swap(true)` to enter, clear,
+/// re-check the backlog). So exactly one thread folds at a time, in
+/// queue order, and a delivery that finds the bit set is picked up by
+/// the holder's re-check: none is lost, none is reordered. The fold
+/// does O(1) work per update, takes no lock it could wait on for long,
+/// and never publishes — it cannot stall the thread it borrows.
+pub(crate) struct StatusFold {
+    sub: Subscription,
     board: Arc<StatusBoard>,
     tracker: Arc<RunTracker>,
-    sub: Subscription,
-    shutdown: Arc<AtomicBool>,
-) {
-    loop {
-        match sub.recv() {
-            Ok(msg) => match StatusUpdate::decode(&msg.payload) {
-                Some(update) => {
-                    if board.record(update.clone()) {
-                        tracker.observe(&update);
-                    }
-                }
-                // Undecodable payloads are the shutdown sentinel (or
-                // foreign noise on a shared broker; either way, check).
-                None => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-            },
-            Err(_) => return,
-        }
-    }
+    /// The schedule bit: true while some thread is draining `sub`.
+    folding: AtomicBool,
 }
 
-/// Wake this run's status collectors so they can observe their shutdown
-/// flag. The status topic is run-scoped, so other runs on the same
-/// broker never even see the sentinel.
-///
-/// Teardown joins the collector, so the sentinel has to land: it is
-/// retried like every at-most-once request the run cannot do without
-/// ([`retry_disconnected`]); a duplicate sentinel is harmless.
-pub(crate) fn publish_shutdown_sentinel(broker: &dyn Broker, ns: &TopicNamespace) {
-    let _ = retry_disconnected(|| broker.publish(ns.status(), None, bytes::Bytes::new()));
+impl StatusFold {
+    /// Start folding `sub` into `board` and `tracker`: arms the waker
+    /// (which folds at once whatever a replaying subscription already
+    /// holds). The waker owns only a `Weak` — the subscription owns the
+    /// slot that owns the closure — and [`StatusFold::disarm`] ends it.
+    pub fn arm(sub: Subscription, board: Arc<StatusBoard>, tracker: Arc<RunTracker>) -> Arc<Self> {
+        let fold = Arc::new(StatusFold {
+            sub,
+            board,
+            tracker,
+            folding: AtomicBool::new(false),
+        });
+        let weak: Weak<StatusFold> = Arc::downgrade(&fold);
+        fold.sub.set_waker(move || {
+            if let Some(fold) = weak.upgrade() {
+                fold.drain();
+            }
+        });
+        fold
+    }
+
+    /// Stop folding (teardown): later deliveries stay in the queue.
+    pub fn disarm(&self) {
+        self.sub.clear_waker();
+    }
+
+    fn drain(&self) {
+        while !self.folding.swap(true, Ordering::SeqCst) {
+            while let Ok(Some(msg)) = self.sub.try_recv() {
+                // Undecodable payloads are foreign noise on a shared
+                // broker.
+                if let Some(update) = StatusUpdate::decode(&msg.payload) {
+                    if self.board.record(update.clone()) {
+                        self.tracker.observe(&update);
+                    }
+                }
+            }
+            // Clear the bit *before* re-checking: a delivery that raced
+            // the drain either landed before the clear (the re-check
+            // sees it) or after it (its waker sees the cleared bit and
+            // folds it itself).
+            self.folding.store(false, Ordering::SeqCst);
+            if self.sub.backlog() == 0 {
+                break;
+            }
+        }
+    }
 }
 
 /// Run a broker request the run cannot proceed without, again while it

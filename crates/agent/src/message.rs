@@ -13,8 +13,8 @@
 //! per-message hot path: a status update is a handful of `memcpy`s
 //! instead of a JSON object build + render, and decode walks the bytes
 //! directly instead of parsing text. A payload that does not start with
-//! the magic byte — the empty shutdown sentinel, foreign noise on a
-//! shared broker — decodes to `None`. Values ([`Value`] atoms) are
+//! the magic byte — an empty payload, foreign noise on a shared
+//! broker — decodes to `None`. Values ([`Value`] atoms) are
 //! encoded structurally; the rare higher-order `Rule` atom falls back to an
 //! embedded JSON leaf rather than growing a second codec for rule
 //! internals.
@@ -391,7 +391,8 @@ mod tests {
 
     #[test]
     fn empty_payload_is_not_a_message() {
-        // The shutdown sentinel: an empty payload must decode to None.
+        // Nothing the runtime publishes is empty; an empty payload is
+        // noise and must decode to None.
         assert_eq!(StatusUpdate::decode(b""), None);
         assert_eq!(SaMessage::decode(b""), None);
     }

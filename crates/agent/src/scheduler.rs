@@ -32,15 +32,32 @@
 //! false→true transition; the worker clears the bit after draining and
 //! re-checks the backlog, so a publish racing the drain can never be
 //! lost.
+//!
+//! ## Thread model
+//!
+//! A run owns N worker threads (`sa-worker-<i>`) and the recovery
+//! manager (`sa-recovery`); nothing else. In particular no thread
+//! collects status: the status topic's subscription is folded into the
+//! board and the [`RunTracker`] by **whichever thread delivers an
+//! update** — the publishing worker on an in-process broker, the client
+//! reactor over TCP — through the subscription's waker
+//! (`exec::StatusFold`). The fold runs under the same schedule-bit
+//! protocol as the slots (`swap(true)` to enter, drain, clear, re-check
+//! the backlog): one thread folds at a time, so updates are applied in
+//! the queue's order; a delivery that finds the bit set leaves its
+//! message to the holder's re-check, so none is lost. It does O(1) work
+//! per update and never blocks or publishes, so borrowing the delivering
+//! thread costs that thread nothing it would notice — and a task's
+//! status costs no wake-up of a thread that exists only to receive it.
+//! Teardown clears the waker; it publishes nothing and has no thread to
+//! wake through the broker.
 
 use crate::core::{Event, SaCore};
 use crate::engine::{
     ExecutionBackend, RunControl, RunEvents, RunFailure, RunHandle, RunMeta, RunOutcome, RunReport,
     RunTracker,
 };
-use crate::exec::{
-    publish_shutdown_sentinel, retry_disconnected, status_loop, AgentCtx, StatusBoard,
-};
+use crate::exec::{retry_disconnected, AgentCtx, StatusBoard, StatusFold};
 use crate::message::SaMessage;
 use crate::runtime::{RunOptions, WaitError};
 use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow};
@@ -183,7 +200,6 @@ fn backend_label(options: &RunOptions) -> &'static str {
 pub struct WorkflowRun {
     inner: Arc<PoolInner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    status_thread: Mutex<Option<JoinHandle<()>>>,
     recovery_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -244,7 +260,7 @@ impl WorkflowRun {
     }
 
     /// Cancel the run: emits `RunFailed(Cancelled)`, tears every agent
-    /// down through the broker and joins all threads before returning.
+    /// down and joins all threads before returning.
     pub fn cancel(&self) {
         self.cancel_with_failure(RunFailure::Cancelled);
     }
@@ -307,15 +323,16 @@ impl WorkflowRun {
 
     /// Tear down: every queued agent turn observes the shutdown flag and
     /// dies, the workers drain their shards and exit, and all threads
-    /// are joined before this returns. Idempotent and callable from any
-    /// thread holding the run.
+    /// are joined before this returns. Nothing is published: every
+    /// thread the run owns parks on a channel of this process, so
+    /// teardown needs nothing from the broker — not even a connection.
+    /// Idempotent and callable from any thread holding the run.
     fn stop(&self) {
         if !self.inner.shutdown.swap(true, Ordering::SeqCst) {
             for shard in &self.inner.shards {
                 let _ = shard.send(WorkItem::Shutdown);
             }
             let _ = self.inner.reaper.send(ReaperMsg::Shutdown);
-            publish_shutdown_sentinel(&*self.inner.broker, &self.inner.ns);
         }
         self.inner.board.close();
         let workers: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
@@ -325,9 +342,7 @@ impl WorkflowRun {
         if let Some(t) = self.recovery_thread.lock().take() {
             let _ = t.join();
         }
-        if let Some(t) = self.status_thread.lock().take() {
-            let _ = t.join();
-        }
+        self.inner.status.disarm();
         self.inner.tracker.close();
     }
 }
@@ -383,6 +398,10 @@ impl RunControl for WorkflowRun {
 
     fn wait_sinks(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
         self.wait(timeout)
+    }
+
+    fn wait_ended(&self, timeout: Option<Duration>) -> bool {
+        self.inner.tracker.wait_ended(timeout)
     }
 
     fn cancel_with(&self, failure: RunFailure) {
@@ -453,7 +472,9 @@ struct PoolInner {
     reaper: crossbeam::channel::Sender<ReaperMsg>,
     board: Arc<StatusBoard>,
     tracker: Arc<RunTracker>,
-    shutdown: Arc<AtomicBool>,
+    /// The status topic's subscription and the fold its waker runs.
+    status: Arc<StatusFold>,
+    shutdown: AtomicBool,
     /// Every sink of the workflow, local or not: completion is observed
     /// through the shared status topic, the cross-shard membrane.
     sinks: Vec<String>,
@@ -497,7 +518,6 @@ fn launch_pool(
         .map(|a| a.name.clone())
         .collect();
     let board = Arc::new(StatusBoard::new());
-    let shutdown = Arc::new(AtomicBool::new(false));
 
     // Sharded mode: this process hosts only its slice of the agents,
     // and — on a persistent broker — subscribes everything with full
@@ -518,21 +538,14 @@ fn launch_pool(
     let inbox_mode = status_mode;
     let label = backend_label(options);
 
-    // Status collector first: no update may be missed. A subscribe cut
-    // off by a connection loss left nothing behind — the server-side
-    // subscription died with the connection — so it is simply retried.
+    // The status subscription first, folding from here on: no update
+    // may be missed. A subscribe cut off by a connection loss left
+    // nothing behind — the server-side subscription died with the
+    // connection — so it is simply retried.
     let status_sub = retry_disconnected(|| broker.subscribe(ns.status(), status_mode))
         .expect("status subscription");
     let status_lag = status_sub.lag_probe();
-    let status_thread = {
-        let board = board.clone();
-        let tracker = tracker.clone();
-        let shutdown = shutdown.clone();
-        std::thread::Builder::new()
-            .name("sa-status".into())
-            .spawn(move || status_loop(board, tracker, status_sub, shutdown))
-            .expect("spawn status thread")
-    };
+    let status = StatusFold::arm(status_sub, board.clone(), tracker.clone());
 
     let mut shard_txs = Vec::with_capacity(workers);
     let mut shard_rxs = Vec::with_capacity(workers);
@@ -559,7 +572,8 @@ fn launch_pool(
         reaper: reaper_tx,
         board,
         tracker,
-        shutdown,
+        status,
+        shutdown: AtomicBool::new(false),
         sinks,
         auto_recover: options.auto_recover,
         inbox_mode,
@@ -634,7 +648,6 @@ fn launch_pool(
     WorkflowRun {
         inner,
         workers: Mutex::new(workers_threads),
-        status_thread: Mutex::new(Some(status_thread)),
         recovery_thread: Mutex::new(recovery_thread),
     }
 }

@@ -80,8 +80,8 @@ proptest! {
     }
 
     /// Only the binary format is a message: whatever does not start
-    /// with the magic byte (JSON, foreign noise, the empty shutdown
-    /// sentinel) decodes to None.
+    /// with the magic byte (JSON, foreign noise, an empty payload)
+    /// decodes to None.
     #[test]
     fn payload_without_the_magic_byte_is_not_a_message(
         bytes in prop::collection::vec(any::<u8>(), 0..128),

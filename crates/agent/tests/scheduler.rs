@@ -3,14 +3,15 @@
 //! scale, adaptation, and crash/recovery with inbox replay (mirrors
 //! `tests/runtime.rs` with workers ≪ agents).
 
-use ginflow_agent::{RunOptions, Scheduler};
+use ginflow_agent::{RunEvent, RunOptions, Scheduler};
 use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
 use ginflow_core::{patterns, FailingService, ServiceRegistry, TaskState, Value, Workflow};
 use ginflow_mq::{
     Broker, BrokerKind, LogBroker, Message, MqError, Receipt, SubscribeMode, Subscription,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(30);
@@ -191,15 +192,17 @@ fn repeated_crashes_on_the_pool_eventually_complete() {
     run.shutdown();
 }
 
-/// A log broker on which the first few requests of a kind fail the way
-/// a remote request does when its connection drops under it:
-/// `Disconnected`, nothing done. The kinds are the ones a run cannot do
-/// without: empty-payload publishes (the shutdown sentinel), and the
-/// subscribes of `launch`, single and bulk.
+/// A log broker on which requests fail the way a remote request does
+/// when its connection drops under it: `Disconnected`, nothing done.
+/// The first few subscribes of `launch`, single and bulk — the requests
+/// a run cannot do without — and, once `refuse_publishes` is set, every
+/// publish. Publish attempts are counted; every flavour of publish
+/// reaches `publish` through the trait's defaults.
 #[derive(Default)]
 struct DisconnectingBroker {
     log: LogBroker,
-    sentinel_drops_left: AtomicUsize,
+    publishes: AtomicUsize,
+    refuse_publishes: AtomicBool,
     subscribe_drops_left: AtomicUsize,
     bulk_subscribe_drops_left: AtomicUsize,
 }
@@ -219,8 +222,9 @@ impl Broker for DisconnectingBroker {
         key: Option<bytes::Bytes>,
         payload: bytes::Bytes,
     ) -> Result<Receipt, MqError> {
-        if payload.is_empty() {
-            drop_one(&self.sentinel_drops_left)?;
+        self.publishes.fetch_add(1, Ordering::SeqCst);
+        if self.refuse_publishes.load(Ordering::SeqCst) {
+            return Err(MqError::Disconnected);
         }
         self.log.publish(topic, key, payload)
     }
@@ -262,17 +266,17 @@ impl Broker for DisconnectingBroker {
 }
 
 #[test]
-fn teardown_survives_losing_the_shutdown_sentinel() {
-    // Teardown joins the status collector, which only wakes on a
-    // delivery: a sentinel publish lost to a connection drop must be
-    // retried, or `shutdown` never returns.
-    let broker = Arc::new(DisconnectingBroker {
-        sentinel_drops_left: AtomicUsize::new(3),
-        ..DisconnectingBroker::default()
-    });
+fn teardown_publishes_nothing() {
+    // Every thread a run owns parks on a channel of this process, so
+    // teardown needs nothing from the broker: with every further publish
+    // refused — the connection is gone for good — `shutdown` still
+    // returns, and it never even tries one.
+    let broker = Arc::new(DisconnectingBroker::default());
     let scheduler = Scheduler::new(broker.clone(), tracing_registry()).with_options(pool_options());
     let run = scheduler.launch(&fig2());
     run.wait(WAIT).expect("fig2 completes");
+    broker.refuse_publishes.store(true, Ordering::SeqCst);
+    let published = broker.publishes.load(Ordering::SeqCst);
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         run.shutdown();
@@ -280,8 +284,12 @@ fn teardown_survives_losing_the_shutdown_sentinel() {
     });
     done_rx
         .recv_timeout(Duration::from_secs(10))
-        .expect("shutdown hung behind a lost sentinel");
-    assert_eq!(broker.sentinel_drops_left.load(Ordering::SeqCst), 0);
+        .expect("shutdown hung on an unreachable broker");
+    assert_eq!(
+        broker.publishes.load(Ordering::SeqCst),
+        published,
+        "teardown published"
+    );
 }
 
 #[test]
@@ -304,6 +312,178 @@ fn launch_survives_losing_its_subscribes() {
     run.shutdown();
     assert_eq!(broker.subscribe_drops_left.load(Ordering::SeqCst), 0);
     assert_eq!(broker.bulk_subscribe_drops_left.load(Ordering::SeqCst), 0);
+}
+
+/// Names (`/proc/self/task/*/comm`) of this process's threads that start
+/// with `sa-`, the prefix of every thread a run spawns.
+fn run_thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        // A thread may exit between the listing and the read.
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_owned())
+        .filter(|comm| comm.starts_with("sa-"))
+        .collect()
+}
+
+#[test]
+fn a_run_owns_its_workers_and_the_recovery_manager_and_no_other_thread() {
+    // Status is folded by whoever delivers it: no thread exists to
+    // collect it. Sibling tests run in this process too, so the check
+    // is on what kinds of run thread exist, not on how many.
+    let mut registry = ServiceRegistry::tracing_for(["s2", "s3", "s4"]);
+    registry.register(
+        "s1",
+        Arc::new(SlowTrace(
+            ginflow_core::TraceService::new("s1"),
+            Duration::from_millis(200),
+        )),
+    );
+    let scheduler =
+        Scheduler::new(Arc::new(LogBroker::new()), Arc::new(registry)).with_options(pool_options());
+    let run = scheduler.launch(&fig2());
+    let count =
+        |names: &[String], prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+    // A thread names itself as it starts: wait for this run's to have.
+    let deadline = std::time::Instant::now() + WAIT;
+    let names = loop {
+        let names = run_thread_names();
+        if count(&names, "sa-worker-") >= 2 && count(&names, "sa-recovery") >= 1 {
+            break names;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the run's threads never appeared: {names:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(
+        count(&names, "sa-worker-") + count(&names, "sa-recovery"),
+        names.len(),
+        "a run thread that is neither a worker nor the recovery manager: {names:?}"
+    );
+    run.wait(WAIT).expect("fig2 completes");
+    run.shutdown();
+}
+
+#[test]
+fn concurrent_folds_keep_every_tasks_transitions_in_order_exactly_once() {
+    // Four workers publish status to an in-process log at once, so four
+    // threads compete to fold. Whatever the interleaving, each task's
+    // transitions must come out in its own order, each exactly once: a
+    // lost update leaves a gap, a reordered one a wrong `from`.
+    let broker: Arc<dyn Broker> = Arc::new(LogBroker::new());
+    let scheduler = Scheduler::new(broker, tracing_registry()).with_options(RunOptions {
+        workers: 4,
+        ..RunOptions::default()
+    });
+    let wf = patterns::diamond(12, 12, ginflow_core::Connectivity::Simple, "s").unwrap();
+    let run = scheduler.launch(&wf);
+    let events = run.events();
+    run.wait(WAIT).expect("the diamond completes");
+    run.shutdown();
+    let mut transitions: HashMap<String, Vec<(Option<TaskState>, TaskState)>> = HashMap::new();
+    for event in events {
+        if let RunEvent::TaskStateChanged { task, from, to, .. } = event {
+            transitions.entry(task).or_default().push((from, to));
+        }
+    }
+    assert_eq!(transitions.len(), wf.dag().len());
+    for (task, seen) in &transitions {
+        assert_eq!(
+            seen,
+            &[
+                (None, TaskState::Running),
+                (Some(TaskState::Running), TaskState::Completed)
+            ],
+            "{task}"
+        );
+    }
+}
+
+/// A log broker that records how the scheduler publishes: the size of
+/// every batch, and how many publishes bypassed batching.
+#[derive(Default)]
+struct RecordingBroker {
+    log: LogBroker,
+    batch_sizes: Mutex<Vec<usize>>,
+    unbatched_nowait: AtomicUsize,
+    blocking: AtomicUsize,
+}
+
+impl Broker for RecordingBroker {
+    fn publish(
+        &self,
+        topic: &str,
+        key: Option<bytes::Bytes>,
+        payload: bytes::Bytes,
+    ) -> Result<Receipt, MqError> {
+        self.blocking.fetch_add(1, Ordering::SeqCst);
+        self.log.publish(topic, key, payload)
+    }
+
+    fn publish_nowait(
+        &self,
+        topic: &str,
+        key: Option<bytes::Bytes>,
+        payload: bytes::Bytes,
+    ) -> Result<(), MqError> {
+        self.unbatched_nowait.fetch_add(1, Ordering::SeqCst);
+        self.log.publish_nowait(topic, key, payload)
+    }
+
+    fn publish_many_nowait(
+        &self,
+        batch: Vec<(String, Option<bytes::Bytes>, bytes::Bytes)>,
+    ) -> Result<(), MqError> {
+        self.batch_sizes.lock().unwrap().push(batch.len());
+        self.log.publish_many_nowait(batch)
+    }
+
+    fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
+        self.log.subscribe(topic, mode)
+    }
+
+    fn fetch(
+        &self,
+        topic: &str,
+        partition: u32,
+        from_offset: u64,
+        max: usize,
+    ) -> Result<Vec<Message>, MqError> {
+        self.log.fetch(topic, partition, from_offset, max)
+    }
+
+    fn persistent(&self) -> bool {
+        self.log.persistent()
+    }
+
+    fn partitions(&self, topic: &str) -> u32 {
+        self.log.partitions(topic)
+    }
+
+    fn retained(&self, topic: &str) -> u64 {
+        self.log.retained(topic)
+    }
+}
+
+#[test]
+fn a_chain_task_hands_the_broker_two_batches() {
+    // Receive → `Running` out before the service starts (a batch of 1)
+    // → complete → `Completed` and the result for the successor in one
+    // batch of 2 (the sink has no successor: 1). Nothing goes around
+    // the batch path.
+    let broker = Arc::new(RecordingBroker::default());
+    let scheduler = Scheduler::new(broker.clone(), tracing_registry()).with_options(pool_options());
+    let run = scheduler.launch(&patterns::sequence(50, "s").unwrap());
+    run.wait(WAIT).expect("the chain completes");
+    run.shutdown();
+    let sizes = broker.batch_sizes.lock().unwrap().clone();
+    assert_eq!(sizes.len(), 100, "{sizes:?}");
+    assert_eq!(sizes.iter().filter(|&&n| n == 1).count(), 51);
+    assert_eq!(sizes.iter().filter(|&&n| n == 2).count(), 49);
+    assert_eq!(broker.unbatched_nowait.load(Ordering::SeqCst), 0);
+    assert_eq!(broker.blocking.load(Ordering::SeqCst), 0);
 }
 
 #[test]

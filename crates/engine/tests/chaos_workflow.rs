@@ -151,7 +151,7 @@ fn assert_status_monotonic(sub: &ginflow_mq::Subscription, seed: u64) {
     let mut seen: BTreeMap<String, (u32, u8)> = BTreeMap::new();
     while let Ok(msg) = sub.recv_timeout(Duration::from_millis(200)) {
         let Some(update) = ginflow_agent::message::StatusUpdate::decode(&msg.payload) else {
-            continue; // shutdown sentinel / empty heartbeat
+            continue; // not a status update: foreign noise
         };
         let r = rank(update.state);
         match seen.get(&update.task) {

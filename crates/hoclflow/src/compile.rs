@@ -1,10 +1,11 @@
 //! Workflow → HOCL compilation, for both execution targets.
 
 use crate::rules;
-use ginflow_core::{Adaptation, AdaptationId, TaskId, Workflow};
+use ginflow_core::{AdaptationId, TaskId, Workflow};
 use ginflow_hocl::symbol::keywords as kw;
 use ginflow_hocl::{Atom, Rule, Solution};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Runtime fan-out plan of one adaptation: who receives `ADAPT : k`, who
 /// receives `TRIGGER : k` when `adapt_notify(k)` fires.
@@ -118,7 +119,7 @@ fn task_atoms(wf: &Workflow, id: TaskId) -> Vec<Atom> {
 }
 
 /// Adaptation roles of a task, resolved once per compilation.
-struct Roles<'a> {
+struct Roles {
     /// adaptation → entry targets this task must start sending to.
     add_dst: HashMap<TaskId, Vec<(u32, Vec<String>)>>,
     /// adaptation data for destinations: (k, old exits, new exits, region).
@@ -127,7 +128,6 @@ struct Roles<'a> {
     watched: HashMap<TaskId, Vec<u32>>,
     /// standby task → adaptation id.
     standby: HashMap<TaskId, u32>,
-    adaptations: &'a [Adaptation],
 }
 
 struct MvSrcData {
@@ -137,14 +137,13 @@ struct MvSrcData {
     region: Vec<String>,
 }
 
-fn roles<'a>(wf: &'a Workflow) -> Roles<'a> {
+fn roles(wf: &Workflow) -> Roles {
     let dag = wf.dag();
     let mut r = Roles {
         add_dst: HashMap::new(),
         mv_src: HashMap::new(),
         watched: HashMap::new(),
         standby: HashMap::new(),
-        adaptations: wf.adaptations(),
     };
     for a in wf.adaptations() {
         let k = a.id.0;
@@ -196,7 +195,7 @@ fn roles<'a>(wf: &'a Workflow) -> Roles<'a> {
 /// Adaptation-specific rules planted inside a task (shared by both
 /// compilation targets — these rules are local to a subsolution in the
 /// centralized program and to the agent solution in the distributed one).
-fn adaptation_rules_for(task: TaskId, roles: &Roles<'_>) -> Vec<Rule> {
+fn adaptation_rules_for(task: TaskId, roles: &Roles) -> Vec<Rule> {
     let mut out = Vec::new();
     if let Some(entries) = roles.add_dst.get(&task) {
         for (k, targets) in entries {
@@ -256,12 +255,12 @@ pub fn adapt_plans(wf: &Workflow) -> Vec<AdaptPlan> {
 pub fn centralized(wf: &Workflow) -> Solution {
     let dag = wf.dag();
     let r = roles(wf);
+    let generic = [rules::gw_setup(), rules::gw_call()].map(Arc::new);
     let mut top: Vec<Atom> = Vec::with_capacity(dag.len() + 4);
     for (id, spec) in dag.iter() {
         let mut atoms = task_atoms(wf, id);
         if !spec.is_standby() {
-            atoms.push(Atom::rule(rules::gw_setup()));
-            atoms.push(Atom::rule(rules::gw_call()));
+            atoms.extend(generic.iter().cloned().map(Atom::rule_arc));
             for rule in adaptation_rules_for(id, &r) {
                 atoms.push(Atom::rule(rule));
             }
@@ -307,34 +306,41 @@ pub fn centralized(wf: &Workflow) -> Solution {
 
 /// Compile to the **decentralised** programs: one local solution per
 /// service agent (§IV-A).
+///
+/// A rule that does not depend on the task is built once and every
+/// agent's solution holds the same `Arc`: the four generic rules, and
+/// per adaptation `k` its `activate_k` and `trigger_adapt_k`. The paper's
+/// agents all carry *the same* generic rules (Fig 4); so do these, down
+/// to the allocation — a 4000-task chain compiles 4 rules, not 16 000.
 pub fn agent_programs(wf: &Workflow) -> (Vec<AgentProgram>, Vec<AdaptPlan>) {
     let dag = wf.dag();
     let r = roles(wf);
+    let generic = [
+        rules::gw_setup(),
+        rules::gw_call(),
+        rules::gw_send(),
+        rules::gw_recv(),
+    ]
+    .map(Arc::new);
+    // adaptation id → its `activate_k` / its `trigger_adapt_k`.
+    let mut activate: HashMap<u32, Arc<Rule>> = HashMap::new();
+    let mut trigger: HashMap<u32, Arc<Rule>> = HashMap::new();
+    for a in wf.adaptations() {
+        let k = a.id.0;
+        let injected = generic.iter().map(|g| Rule::clone(g)).collect();
+        activate.insert(k, Arc::new(rules::activate_local(k, injected)));
+        trigger.insert(k, Arc::new(rules::trigger_adapt_local(k)));
+    }
     let mut agents = Vec::with_capacity(dag.len());
     for (id, spec) in dag.iter() {
         let mut atoms = task_atoms(wf, id);
         let (sources, destinations) = wiring(wf, id);
         match r.standby.get(&id) {
-            Some(&k) => {
-                atoms.push(Atom::rule(rules::activate_local(
-                    k,
-                    vec![
-                        rules::gw_setup(),
-                        rules::gw_call(),
-                        rules::gw_send(),
-                        rules::gw_recv(),
-                    ],
-                )));
-            }
+            Some(k) => atoms.push(Atom::rule_arc(activate[k].clone())),
             None => {
-                atoms.push(Atom::rule(rules::gw_setup()));
-                atoms.push(Atom::rule(rules::gw_call()));
-                atoms.push(Atom::rule(rules::gw_send()));
-                atoms.push(Atom::rule(rules::gw_recv()));
-                if let Some(ks) = r.watched.get(&id) {
-                    for &k in ks {
-                        atoms.push(Atom::rule(rules::trigger_adapt_local(k)));
-                    }
+                atoms.extend(generic.iter().cloned().map(Atom::rule_arc));
+                for k in r.watched.get(&id).into_iter().flatten() {
+                    atoms.push(Atom::rule_arc(trigger[k].clone()));
                 }
                 for rule in adaptation_rules_for(id, &r) {
                     atoms.push(Atom::rule(rule));
@@ -351,7 +357,6 @@ pub fn agent_programs(wf: &Workflow) -> (Vec<AgentProgram>, Vec<AdaptPlan>) {
             sources,
         });
     }
-    let _ = &r.adaptations;
     (agents, adapt_plans(wf))
 }
 
@@ -479,5 +484,58 @@ mod tests {
                 .collect();
             assert_eq!(names, vec!["gw_setup", "gw_call", "gw_send", "gw_recv"]);
         }
+    }
+
+    /// Pointers of every rule atom at the top level of `agents`' initial
+    /// solutions, in order.
+    fn rule_pointers(agents: &[AgentProgram]) -> Vec<(String, *const Rule)> {
+        agents
+            .iter()
+            .flat_map(|a| a.initial.atoms().iter())
+            .filter_map(|atom| atom.as_rule())
+            .map(|r| (r.name().to_owned(), Arc::as_ptr(r)))
+            .collect()
+    }
+
+    #[test]
+    fn generic_rules_are_built_once_and_shared_by_every_agent() {
+        let wf = ginflow_core::patterns::sequence(100, "s").unwrap();
+        let (agents, _) = agent_programs(&wf);
+        let pointers = rule_pointers(&agents);
+        assert_eq!(pointers.len(), 4 * agents.len());
+        let distinct = |name: Option<&str>| {
+            pointers
+                .iter()
+                .filter(|(n, _)| name.is_none_or(|name| n == name))
+                .map(|(_, p)| *p)
+                .collect::<std::collections::HashSet<*const Rule>>()
+                .len()
+        };
+        assert_eq!(
+            distinct(Some("gw_recv")),
+            1,
+            "every agent's is the same Arc"
+        );
+        assert_eq!(distinct(None), 4, "one allocation per generic rule");
+    }
+
+    #[test]
+    fn standby_agents_of_one_adaptation_share_its_activation_rule() {
+        use ginflow_core::{AdaptiveDiamondSpec, Connectivity};
+        let spec = AdaptiveDiamondSpec {
+            h: 3,
+            v: 3,
+            main: Connectivity::Full,
+            replacement: Connectivity::Full,
+        };
+        let (agents, plans) = agent_programs(&spec.build("svc", "faulty").unwrap());
+        assert_eq!(plans.len(), 1);
+        let standby: Vec<AgentProgram> = agents.iter().filter(|a| a.standby).cloned().collect();
+        assert_eq!(standby.len(), 9);
+        let activations = rule_pointers(&standby);
+        assert_eq!(activations.len(), 9, "a standby agent holds one rule");
+        assert!(activations
+            .iter()
+            .all(|(name, p)| name == "activate_0" && *p == activations[0].1));
     }
 }

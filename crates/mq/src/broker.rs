@@ -59,6 +59,34 @@ pub trait Broker: Send + Sync {
         self.publish(topic, key, payload).map(|_| ())
     }
 
+    /// [`Broker::publish_nowait`] for a batch of `(topic, key, payload)`
+    /// items — what one agent turn produces: a status update and the
+    /// result messages it precedes.
+    ///
+    /// * **Order.** Items are published in batch order, and the batch as
+    ///   a whole keeps its place among this caller's other publishes:
+    ///   an item is never observable before the one ahead of it.
+    /// * **Partial failure.** An item that fails (a payload the codec
+    ///   refuses, a topic the broker rejects) fails alone: every other
+    ///   item is still published, and the call returns the first error.
+    /// * **Default.** One `publish_nowait` per item — so a wrapper that
+    ///   interposes on `publish_nowait` (a test's fault injector, a
+    ///   benchmark's stopwatch) sees every message without knowing
+    ///   batches exist. Out-of-process frontends override it to hand
+    ///   the whole batch to the connection at once.
+    fn publish_many_nowait(
+        &self,
+        batch: Vec<(String, Option<Bytes>, Bytes)>,
+    ) -> Result<(), MqError> {
+        let mut first_error = None;
+        for (topic, key, payload) in batch {
+            if let Err(e) = self.publish_nowait(&topic, key, payload) {
+                first_error.get_or_insert(e);
+            }
+        }
+        first_error.map_or(Ok(()), Err)
+    }
+
     /// Block until every pipelined [`Broker::publish_nowait`] has been
     /// acknowledged. Returns the first latched pipeline error (e.g.
     /// publishes lost to a severed connection) since the previous
@@ -138,9 +166,8 @@ type LagCounter = Arc<std::sync::atomic::AtomicU64>;
 /// [`SubscriberHandle`].
 ///
 /// `armed` shadows `Some`-ness of the slot so the publish hot path can
-/// skip waker collection entirely for the (common) subscribers that
-/// never registered one — blocking consumers like the status
-/// collector.
+/// skip waker collection entirely for the subscribers that never
+/// registered one — blocking consumers.
 #[derive(Default)]
 pub(crate) struct WakerSlot {
     armed: std::sync::atomic::AtomicBool,

@@ -25,15 +25,24 @@
 //!
 //! [`Broker::publish`] is the blocking path: one RECEIPT round trip
 //! per message, receipt returned to the caller.
-//! [`Broker::publish_nowait`] is the hot path: the PUBLISH frame is
-//! queued and the call returns; the reactor loop consumes RECEIPTs
-//! asynchronously, releasing bytes from the in-flight window
-//! ([`PIPELINE_WINDOW_BYTES`]). The call only blocks when the window
-//! is full, or on [`Broker::flush`], which drains the pipeline and
-//! reports (then clears) the loss ledger. The event-loop daemon acks
-//! pipelined storms with RECEIPTS *range* frames (one frame per run of
-//! consecutive seqs/offsets); the client expands them back into
-//! per-seq receipts, so callers never see the difference.
+//! [`Broker::publish_many_nowait`] is the hot path, and the only place
+//! a pipelined publish is queued ([`Broker::publish_nowait`] is the
+//! batch of one): the batch's PUBLISH frames are encoded into one
+//! buffer and handed to the connection in one step — one lock of the
+//! waiter table, one append to the FIFO, one doorbell ring, however
+//! many items — and the call returns; the reactor loop consumes
+//! RECEIPTs asynchronously, releasing bytes from the in-flight window
+//! ([`PIPELINE_WINDOW_BYTES`]). An agent turn that publishes a status
+//! update and thirty results wakes the reactor once, not thirty-one
+//! times. The call only blocks when the window is full (after queueing
+//! what it had reserved: acks of frames that never left cannot drain
+//! it), or on [`Broker::flush`], which drains the pipeline and reports
+//! (then clears) the loss ledger. An item the codec refuses fails
+//! alone: its neighbours are queued and the call returns the first
+//! error. The event-loop daemon acks a batch — and any pipelined storm
+//! — with RECEIPTS *range* frames (one frame per run of consecutive
+//! seqs/offsets); the client expands them back into per-seq receipts,
+//! so callers never see the difference.
 //!
 //! The wire itself is abstracted behind
 //! [`Transport`]: [`RemoteBroker::connect`]
@@ -264,6 +273,7 @@ struct ClientMetrics {
     inflight: Arc<Gauge>,
     lost: Arc<Counter>,
     reconnects: Arc<Counter>,
+    subscriptions: Arc<Gauge>,
 }
 
 fn client_metrics() -> &'static ClientMetrics {
@@ -286,6 +296,10 @@ fn client_metrics() -> &'static ClientMetrics {
             reconnects: g.counter(
                 "gf_client_reconnects_total",
                 "Connections re-established by the client after a drop",
+            ),
+            subscriptions: g.gauge(
+                "gf_client_subscriptions",
+                "Subscriptions registered under a server-assigned id, across clients",
             ),
         }
     })
@@ -482,12 +496,23 @@ impl RemoteBroker {
     /// reclaimable by [`RemoteBroker::gc_runs`] (or the daemon's
     /// retention sweeper). Idempotent; returns whether the daemon knew
     /// the run.
+    ///
+    /// Closing a run also says this client is done with it: both ends
+    /// release what the connection holds for the run — the daemon its
+    /// session's subscriptions and topic cache, this client the
+    /// delivery bridges of the run's subscriptions (a [`Subscription`]
+    /// of the run still held locally sees disconnection) — so a client
+    /// that outlives its runs carries nothing over from one to the
+    /// next.
     pub fn close_run(&self, run: &str) -> Result<bool, MqError> {
         match self.call(|seq| Frame::RunClose {
             seq,
             run: run.to_owned(),
         })? {
-            Frame::RunGcReply { runs, .. } => Ok(runs > 0),
+            Frame::RunGcReply { runs, .. } => {
+                self.inner.forget_run(run);
+                Ok(runs > 0)
+            }
             other => Err(protocol_error(&other)),
         }
     }
@@ -613,7 +638,44 @@ fn encode(frame: &Frame) -> Result<Vec<u8>, MqError> {
     })
 }
 
+impl Drop for ClientInner {
+    fn drop(&mut self) {
+        client_metrics()
+            .subscriptions
+            .sub(self.subs.get_mut().len() as u64);
+    }
+}
+
 impl ClientInner {
+    /// Register `entry` under the id the server assigned it.
+    fn register_sub(&self, id: u64, entry: Arc<RemoteSub>) {
+        if self.subs.lock().insert(id, entry).is_none() {
+            client_metrics().subscriptions.add(1);
+        }
+    }
+
+    /// Forget subscription `id` (its local subscriber is gone).
+    fn drop_sub(&self, id: u64) {
+        if self.subs.lock().remove(&id).is_some() {
+            client_metrics().subscriptions.sub(1);
+        }
+    }
+
+    /// Release everything held for `run`'s subscriptions — see
+    /// [`RemoteBroker::close_run`].
+    fn forget_run(&self, run: &str) {
+        let of_run =
+            |entry: &Arc<RemoteSub>| ginflow_mq::namespace::run_of(&entry.topic) == Some(run);
+        let mut subs = self.subs.lock();
+        let before = subs.len();
+        subs.retain(|_, entry| !of_run(entry));
+        client_metrics()
+            .subscriptions
+            .sub((before - subs.len()) as u64);
+        drop(subs);
+        self.orphans.lock().retain(|entry| !of_run(entry));
+    }
+
     /// Whether [`RemoteBroker::shutdown`] has begun (reactor loop's
     /// redial gate).
     pub(crate) fn is_shutdown(&self) -> bool {
@@ -655,9 +717,21 @@ impl ClientInner {
     }
 
     /// Reserve `bytes` of pipeline window, blocking while it is full.
-    fn pipeline_reserve(&self, bytes: usize) -> Result<(), MqError> {
-        let deadline = Instant::now() + RECONNECT_GRACE;
+    /// Before it blocks it runs `before_waiting` (once): the caller's
+    /// chance to submit what it has reserved but not yet queued — acks
+    /// of frames that never left cannot drain the window.
+    fn pipeline_reserve(
+        &self,
+        bytes: usize,
+        before_waiting: impl FnOnce() -> Result<(), MqError>,
+    ) -> Result<(), MqError> {
         let mut p = self.pipeline.lock();
+        if p.inflight_bytes >= PIPELINE_WINDOW_BYTES {
+            drop(p);
+            before_waiting()?;
+            p = self.pipeline.lock();
+        }
+        let deadline = Instant::now() + RECONNECT_GRACE;
         while p.inflight_bytes >= PIPELINE_WINDOW_BYTES {
             if self.shutdown.load(Ordering::SeqCst) {
                 return Err(MqError::Disconnected);
@@ -679,21 +753,40 @@ impl ClientInner {
         Ok(())
     }
 
-    /// Release a pipelined publish's window reservation; `lost` records
-    /// it on the ledger [`RemoteBroker::flush`] reports from.
-    fn pipeline_complete(&self, bytes: usize, lost: bool) {
+    /// Queue reserved pipelined publishes — their waiters and their
+    /// frames, both left empty. A submit the connection refuses never
+    /// left: that is the caller's error, not a silent pipeline loss, so
+    /// the reservations are handed back.
+    fn submit_pipelined(
+        &self,
+        waiters: &mut Vec<(u64, Waiter)>,
+        frames: &mut Vec<u8>,
+    ) -> Result<(), MqError> {
+        if waiters.is_empty() {
+            return Ok(());
+        }
+        let publishes = waiters.len();
+        let bytes = frames.len();
+        self.submit(waiters.drain(..), &std::mem::take(frames))
+            .inspect_err(|_| self.pipeline_release(publishes, bytes, false))
+    }
+
+    /// Release the window reservation of `publishes` pipelined publishes
+    /// holding `bytes` between them; `lost` records them on the ledger
+    /// [`RemoteBroker::flush`] reports from.
+    fn pipeline_release(&self, publishes: usize, bytes: usize, lost: bool) {
         let mut p = self.pipeline.lock();
         p.inflight_bytes = p.inflight_bytes.saturating_sub(bytes);
-        p.inflight = p.inflight.saturating_sub(1);
+        p.inflight = p.inflight.saturating_sub(publishes);
         if lost {
-            p.lost += 1;
+            p.lost += publishes as u64;
         }
         let m = client_metrics();
         m.inflight_bytes.set(p.inflight_bytes as u64);
         m.inflight.set(p.inflight as u64);
         drop(p);
         if lost {
-            m.lost.inc();
+            m.lost.add(publishes as u64);
         }
         self.pipeline_drained.notify_all();
     }
@@ -719,6 +812,7 @@ impl ClientInner {
     /// the orphan list and the next reconnect pass re-issues them.
     pub(crate) fn resubscribe_batch(&self) -> Vec<u8> {
         let mut live: Vec<Arc<RemoteSub>> = self.subs.lock().drain().map(|(_, e)| e).collect();
+        client_metrics().subscriptions.sub(live.len() as u64);
         live.append(&mut self.orphans.lock());
         let persistent = self.persistent.load(Ordering::SeqCst);
         let mut batch = Vec::new();
@@ -771,7 +865,7 @@ impl ClientInner {
                 // release the window and record the loss for the next
                 // flush (at-most-once on outage, like the blocking
                 // path's discarded Disconnected error).
-                Waiter::Pipelined { bytes } => self.pipeline_complete(bytes, true),
+                Waiter::Pipelined { bytes } => self.pipeline_release(1, bytes, true),
             }
         }
     }
@@ -784,7 +878,7 @@ impl ClientInner {
                 if let Some(entry) = entry {
                     if !entry.deliver_batch(messages) {
                         // Same pruning path as a single EVENT below.
-                        self.subs.lock().remove(&sub);
+                        self.drop_sub(sub);
                         self.send_best_effort(&Frame::Unsubscribe { seq: 0, sub });
                     }
                 }
@@ -800,7 +894,7 @@ impl ClientInner {
                         // unsubscribe just means the server keeps an
                         // ignored subscription until the connection
                         // turns over.
-                        self.subs.lock().remove(&sub);
+                        self.drop_sub(sub);
                         self.send_best_effort(&Frame::Unsubscribe { seq: 0, sub });
                     }
                 }
@@ -813,12 +907,12 @@ impl ClientInner {
                         // Register before touching the socket again —
                         // the very next frame may be this sub's EVENT.
                         entry.seed_watermark(resume, persistent);
-                        self.subs.lock().insert(sub, entry);
+                        self.register_sub(sub, entry);
                         let _ = reply.send(Ok(Frame::Subscribed { seq, sub, resume }));
                     }
                     Some(Waiter::Resubscribe { entry }) => {
                         entry.seed_watermark(resume, persistent);
-                        self.subs.lock().insert(sub, entry);
+                        self.register_sub(sub, entry);
                     }
                     Some(Waiter::Reply(tx)) => {
                         let _ = tx.send(Ok(Frame::Subscribed { seq, sub, resume }));
@@ -832,7 +926,7 @@ impl ClientInner {
                     }
                     // A SUBSCRIBED reply to a publish seq is server
                     // nonsense; release the window either way.
-                    Some(Waiter::Pipelined { bytes }) => self.pipeline_complete(bytes, false),
+                    Some(Waiter::Pipelined { bytes }) => self.pipeline_release(1, bytes, false),
                     None => {}
                 }
             }
@@ -854,6 +948,7 @@ impl ClientInner {
                         .map(|i| (i, pending.remove(&(seq_first + i))))
                         .collect()
                 };
+                let (mut acked, mut acked_bytes) = (0, 0);
                 for (i, waiter) in waiters {
                     let Some(waiter) = waiter else { continue };
                     match waiter {
@@ -865,8 +960,12 @@ impl ClientInner {
                             }));
                         }
                         // The common case: pipelined publishes acked in
-                        // bulk — release their window bytes.
-                        Waiter::Pipelined { bytes } => self.pipeline_complete(bytes, false),
+                        // bulk — their window bytes are released
+                        // together, below.
+                        Waiter::Pipelined { bytes } => {
+                            acked += 1;
+                            acked_bytes += bytes;
+                        }
                         Waiter::Subscribe { reply, .. } => {
                             let _ = reply.send(Err(MqError::Remote {
                                 message: "RECEIPTS reply to a subscribe request".into(),
@@ -874,6 +973,9 @@ impl ClientInner {
                         }
                         Waiter::Resubscribe { .. } | Waiter::Abandoned => {}
                     }
+                }
+                if acked > 0 {
+                    self.pipeline_release(acked, acked_bytes, false);
                 }
             }
             Frame::Receipt { .. }
@@ -902,7 +1004,7 @@ impl ClientInner {
                         // The asynchronous ack of a pipelined publish:
                         // release its window bytes, wake anyone blocked
                         // on a full window or a flush.
-                        Waiter::Pipelined { bytes } => self.pipeline_complete(bytes, false),
+                        Waiter::Pipelined { bytes } => self.pipeline_release(1, bytes, false),
                         Waiter::Resubscribe { .. } | Waiter::Abandoned => {}
                     }
                 }
@@ -915,7 +1017,7 @@ impl ClientInner {
                         }
                         // The server refused a pipelined publish; the
                         // loss surfaces on the next flush.
-                        Waiter::Pipelined { bytes } => self.pipeline_complete(bytes, true),
+                        Waiter::Pipelined { bytes } => self.pipeline_release(1, bytes, true),
                         // A failed re-subscription is dropped; the
                         // subscription dies quietly like a local one
                         // whose broker went away.
@@ -957,33 +1059,70 @@ impl Broker for RemoteBroker {
         }
     }
 
-    /// The pipelined hot path: encode, reserve window space, queue —
-    /// no round trip. The RECEIPT is consumed asynchronously by the
-    /// reactor loop, which releases the window bytes; this call only
-    /// blocks when [`PIPELINE_WINDOW_BYTES`] are already in flight.
-    /// Frames go out on the same socket in call order, so per-topic
-    /// FIFO ordering versus other publishes from this client holds
-    /// exactly as for the blocking path.
+    /// The pipelined hot path, as the batch of one — see
+    /// [`RemoteBroker::publish_many_nowait`], the single place a
+    /// pipelined publish is queued.
     fn publish_nowait(
         &self,
         topic: &str,
         key: Option<bytes::Bytes>,
         payload: bytes::Bytes,
     ) -> Result<(), MqError> {
-        let seq = self.next_seq();
-        let buf = encode(&Frame::Publish {
-            seq,
-            topic: topic.to_owned(),
-            key,
-            payload,
-        })?;
-        let bytes = buf.len();
-        self.inner.pipeline_reserve(bytes)?;
-        self.inner
-            .submit([(seq, Waiter::Pipelined { bytes })], &buf)
-            // The frame never left: the send is the caller's error, not
-            // a silent pipeline loss.
-            .inspect_err(|_| self.inner.pipeline_complete(bytes, false))
+        self.publish_many_nowait(vec![(topic.to_owned(), key, payload)])
+    }
+
+    /// Pipelined publish of a batch: every item is encoded into one
+    /// buffer, reserves its share of the window
+    /// ([`PIPELINE_WINDOW_BYTES`]; the call blocks only while that is
+    /// full), and the whole batch is queued by **one** submit — one
+    /// `pending` lock, one append to the connection's FIFO, one
+    /// doorbell ring — no round trip. RECEIPTs are consumed
+    /// asynchronously by the reactor loop, which releases the window
+    /// bytes; the daemon acks a batch with a RECEIPTS range. Frames go
+    /// out on the same socket in batch order behind whatever this
+    /// client queued before, so per-topic FIFO ordering holds exactly as
+    /// for the blocking path.
+    ///
+    /// An item that cannot be queued — a payload the codec refuses, a
+    /// full window that never drained — fails alone: the rest of the
+    /// batch is still queued, and the call returns the first error.
+    fn publish_many_nowait(
+        &self,
+        batch: Vec<(String, Option<bytes::Bytes>, bytes::Bytes)>,
+    ) -> Result<(), MqError> {
+        let mut first_error = None;
+        let mut waiters: Vec<(u64, Waiter)> = Vec::with_capacity(batch.len());
+        let mut frames: Vec<u8> = Vec::new();
+        for (topic, key, payload) in batch {
+            let seq = self.next_seq();
+            let queued = encode(&Frame::Publish {
+                seq,
+                topic,
+                key,
+                payload,
+            })
+            .and_then(|buf| {
+                self.inner.pipeline_reserve(buf.len(), || {
+                    self.inner.submit_pipelined(&mut waiters, &mut frames)
+                })?;
+                Ok(buf)
+            });
+            match queued {
+                Ok(buf) => {
+                    waiters.push((seq, Waiter::Pipelined { bytes: buf.len() }));
+                    if frames.is_empty() {
+                        frames = buf;
+                    } else {
+                        frames.extend_from_slice(&buf);
+                    }
+                }
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        let submitted = self.inner.submit_pipelined(&mut waiters, &mut frames);
+        first_error.map_or(submitted, Err)
     }
 
     /// Wait until every pipelined publish has been acknowledged.

@@ -15,9 +15,24 @@
 //!   single `RECEIPTS` frame (the request-direction mirror of the
 //!   EVENTS push batching) — a pipelined storm of N publishes is acked
 //!   with one frame, not N.
+//! * **One write per connection per turn.** Dispatching a read turn
+//!   and draining a subscription only *append* to the connection's out
+//!   buffer and mark it dirty; after the doorbell's drains at the top
+//!   of the next iteration every dirty connection is flushed once. A
+//!   publish's RECEIPT and the EVENTs it caused on the same connection
+//!   leave in one `send`, however many subscriptions it woke. The
+//!   invariant that goes with deferring: bytes appended before a
+//!   hang-up request leave before the hang-up — the dirty set is
+//!   flushed ahead of every `close_all`.
 //! * **Backpressure.** A connection whose out buffer passes
 //!   [`OUT_HIGH_WATER`] parks its subscriptions (their schedule bit
-//!   stays set, so wakers no-op) until the buffer has drained.
+//!   stays set, so wakers no-op) until the buffer has drained. The gate
+//!   reads the buffer with the turn's unflushed bytes in it, so
+//!   deferring the write can only park earlier, never later.
+//! * **Per-run state ends with the run.** `RUN_CLOSE` drops the closing
+//!   connection's subscriptions and topic cache for that run, and the
+//!   GC of a run drops every connection's — a client that outlives its
+//!   runs costs the daemon nothing per finished run.
 //! * **Retention.** The sweep reclaiming completed runs is a deadline
 //!   on the loop's heap, armed only while a closed run waits.
 
@@ -103,6 +118,7 @@ struct ServerSub {
     conn: usize,
     /// The wire-visible subscription id (per-connection counter).
     id: u64,
+    topic: String,
     sub: Subscription,
     scheduled: AtomicBool,
 }
@@ -124,6 +140,20 @@ struct ReceiptRun {
 struct Conn {
     link: Link,
     session: Session,
+    /// Bytes were appended to `link.out` since the last flush; the
+    /// token is in [`LoopState::dirty`] exactly while this is set.
+    dirty: bool,
+}
+
+impl Conn {
+    /// Bytes were appended to `link.out`: owe this connection (`token`)
+    /// a flush at the top of the loop's next iteration.
+    fn mark_dirty(&mut self, token: usize, dirty: &mut Vec<usize>) {
+        if !self.dirty {
+            self.dirty = true;
+            dirty.push(token);
+        }
+    }
 }
 
 /// The daemon's per-connection protocol state.
@@ -141,6 +171,21 @@ struct Session {
     /// metric handles — a repeat publish touches no registry or family
     /// lock.
     seen_topics: HashMap<String, TopicMetrics>,
+}
+
+impl Session {
+    /// Drop what this connection holds for `run`: its subscriptions
+    /// (parked ones included) and its cached topics.
+    fn forget_run(&mut self, run: &str) {
+        let of_run = |topic: &str| ginflow_mq::namespace::run_of(topic) == Some(run);
+        let before = self.subs.len();
+        self.subs.retain(|_, entry| !of_run(&entry.topic));
+        daemon_metrics()
+            .subscriptions
+            .sub((before - self.subs.len()) as u64);
+        self.parked.retain(|entry| !of_run(&entry.topic));
+        self.seen_topics.retain(|topic, _| !of_run(topic));
+    }
 }
 
 /// Per-read-turn publish accounting: counts batch in plain locals
@@ -219,6 +264,7 @@ pub(crate) fn spawn(
         handle: handle.clone(),
         retention,
         conns: HashMap::new(),
+        dirty: Vec::new(),
         next_token: FIRST_CONN,
         timers: Deadlines::new(),
     };
@@ -237,6 +283,8 @@ struct LoopState {
     handle: Arc<LoopHandle>,
     retention: Option<Duration>,
     conns: HashMap<usize, Conn>,
+    /// Connections owed a flush at the top of the next iteration.
+    dirty: Vec<usize>,
     next_token: usize,
     /// The loop's own deadlines are all the same one: sweep completed
     /// runs older than the retention window.
@@ -254,18 +302,24 @@ impl LoopState {
                     LoopMsg::Drain(entry) => self.handle_drain(entry),
                     LoopMsg::Inject(transport) => self.adopt(transport),
                     LoopMsg::DropConns(ack) => {
+                        // What was answered before the hang-up request
+                        // leaves before the hang-up.
+                        self.flush_dirty();
                         self.close_all();
                         let _ = ack.send(());
                     }
                 }
             }
+            // 2. The one write per connection: what the last read turns
+            //    answered plus what the drains above pushed.
+            self.flush_dirty();
             if self.handle.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            // 2. Fire due timers.
+            // 3. Fire due timers.
             let now = Instant::now();
             self.fire_timers(now);
-            // 3. Park until the next deadline, forever when there is
+            // 4. Park until the next deadline, forever when there is
             //    none, not at all if drains queued up meanwhile.
             let timeout = self.timers.next_timeout(now);
             if self
@@ -276,7 +330,7 @@ impl LoopState {
             {
                 continue;
             }
-            // 4. Socket readiness.
+            // 5. Socket readiness.
             for event in events.iter() {
                 match event.token() {
                     LISTENER => self.accept_ready(),
@@ -292,7 +346,8 @@ impl LoopState {
                 }
             }
         }
-        // Teardown: sever every connection so clients see EOF.
+        // Teardown: sever every connection so clients see EOF (the dirty
+        // set was flushed just above the shutdown check).
         self.close_all();
     }
 
@@ -304,7 +359,7 @@ impl LoopState {
         }
         while self.timers.pop_due(now).is_some() {
             if let Some(window) = self.retention {
-                self.registry.gc(window);
+                self.gc(window);
                 // Sleep exactly until the next completed run becomes
                 // eligible — nothing closed, no timer.
                 if let Some(next) = self.registry.next_gc_deadline(window) {
@@ -349,13 +404,16 @@ impl LoopState {
         let conn = Conn {
             link: Link::new(transport, Instant::now()),
             session: Session::default(),
+            dirty: false,
         };
         self.conns.insert(token, conn);
     }
 
     fn close_conn(&mut self, token: usize) {
         if let Some(conn) = self.conns.remove(&token) {
-            daemon_metrics().connections.sub(1);
+            let m = daemon_metrics();
+            m.connections.sub(1);
+            m.subscriptions.sub(conn.session.subs.len() as u64);
             let _ = self.poll.deregister(conn.link.raw_fd());
             conn.link.shutdown();
             // Dropping `conn` drops its subscriptions (parked ones
@@ -371,13 +429,38 @@ impl LoopState {
         }
     }
 
+    /// Reclaim every run completed at least `min_age` ago and drop what
+    /// any connection still holds for it. Returns the reclaimed runs
+    /// and the number of topics that went with them.
+    fn gc(&mut self, min_age: Duration) -> (Vec<String>, u32) {
+        let (runs, topics) = self.registry.gc(min_age);
+        for run in &runs {
+            for conn in self.conns.values_mut() {
+                conn.session.forget_run(run);
+            }
+        }
+        (runs, topics)
+    }
+
+    /// Flush every connection written to since the last call, once.
+    fn flush_dirty(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for token in dirty.drain(..) {
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.dirty = false;
+                self.flush(token);
+            }
+        }
+        self.dirty = dirty; // keep the allocation
+    }
+
     /// A connection is readable: dispatch the requests of one read
-    /// turn, then flush what they produced.
+    /// turn; what they produced leaves with the turn's flush.
     fn read_ready(&mut self, token: usize, scratch: &mut [u8]) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
-        let Conn { link, session } = &mut conn;
+        let Conn { link, session, .. } = &mut conn;
         let mut counts = TurnCounts::default();
         let turn = link.read_turn(scratch, |out, frame| {
             self.dispatch(token, session, out, frame, &mut counts)
@@ -387,10 +470,11 @@ impl LoopState {
         // End of turn: any receipt run still open goes out now — a
         // blocking publisher is waiting on it.
         let alive = flush_receipt_run(session, &mut link.out).is_ok() && turn.alive;
+        if alive && conn.link.out.pending() > 0 {
+            conn.mark_dirty(token, &mut self.dirty);
+        }
         self.conns.insert(token, conn);
-        if alive {
-            self.flush(token);
-        } else {
+        if !alive {
             self.close_conn(token);
         }
     }
@@ -453,10 +537,12 @@ impl LoopState {
                         let entry = Arc::new(ServerSub {
                             conn: token,
                             id,
+                            topic,
                             sub,
                             scheduled: AtomicBool::new(false),
                         });
                         session.subs.insert(id, entry.clone());
+                        daemon_metrics().subscriptions.add(1);
                         // The ack is appended to `out` before the waker
                         // is armed, and events travel through the same
                         // FIFO buffer — the client always learns the
@@ -484,7 +570,9 @@ impl LoopState {
                 }
             }
             Frame::Unsubscribe { sub, .. } => {
-                session.subs.remove(&sub);
+                if session.subs.remove(&sub).is_some() {
+                    daemon_metrics().subscriptions.sub(1);
+                }
                 session.parked.retain(|p| p.id != sub);
                 true
             }
@@ -527,6 +615,9 @@ impl LoopState {
             .is_ok(),
             Frame::RunClose { seq, run } => {
                 let known = self.registry.close(&run);
+                // Whoever closes a run is done with it: what this
+                // connection holds for it goes now, not at hang-up.
+                session.forget_run(&run);
                 // A freshly closed run is what the retention sweep
                 // waits on: arm its deadline on the timer wheel.
                 if known {
@@ -546,7 +637,13 @@ impl LoopState {
                 .is_ok()
             }
             Frame::RunGc { seq } => {
-                let (runs, topics) = self.registry.gc(Duration::ZERO);
+                let (reclaimed, topics) = self.gc(Duration::ZERO);
+                // The requester's session is out of `conns` for the
+                // length of its read turn.
+                for run in &reclaimed {
+                    session.forget_run(run);
+                }
+                let runs = reclaimed.len() as u32;
                 push_reply(session, out, &Frame::RunGcReply { seq, runs, topics }).is_ok()
             }
             Frame::Stats { seq } => push_reply(
@@ -592,7 +689,7 @@ impl LoopState {
             return;
         }
         drain_sub(&mut conn.link.out, &entry, &self.handle.bell);
-        self.flush(token);
+        conn.mark_dirty(token, &mut self.dirty);
     }
 
     /// Flush a connection's out buffer and act on what the link
@@ -604,6 +701,7 @@ impl LoopState {
             return;
         };
         let now = Instant::now();
+        let owed = conn.link.out.pending();
         let alive = match conn.link.flush(now) {
             Ok(None) => true,
             Ok(Some(interest)) => self
@@ -612,6 +710,9 @@ impl LoopState {
                 .is_ok(),
             Err(_) => false,
         };
+        if conn.link.out.pending() < owed {
+            daemon_metrics().flushes.inc();
+        }
         if !alive {
             return self.close_conn(token);
         }

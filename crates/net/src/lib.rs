@@ -24,13 +24,15 @@
 //!   polling), and transparently reconnecting with
 //!   [`SubscribeMode::FromOffset`](ginflow_mq::SubscribeMode) replay +
 //!   offset dedupe when the connection drops. Hot-path publishes are
-//!   **pipelined**: `publish_nowait` writes the frame and returns,
-//!   acks are consumed asynchronously against a bounded in-flight
-//!   window, and `flush()` drains the pipeline — see [`client`] for
-//!   the ordering, ack and flush-point semantics. The daemon
-//!   symmetrically coalesces everything queued
-//!   on a subscription into one multi-message EVENTS frame per pump
-//!   wakeup.
+//!   **pipelined and batched**: `publish_many_nowait` queues a whole
+//!   agent turn's frames in one step and returns (`publish_nowait` is
+//!   the batch of one), acks are consumed asynchronously against a
+//!   bounded in-flight window, and `flush()` drains the pipeline — see
+//!   [`client`] for the ordering, ack and flush-point semantics. The
+//!   daemon symmetrically coalesces everything queued on a
+//!   subscription into one multi-message EVENTS frame per pump wakeup,
+//!   and writes each connection **once per loop turn**: a publish's
+//!   RECEIPT and the EVENTs it caused leave in one `send`.
 //!
 //! ## Client architecture: the shared reactor
 //!
@@ -79,7 +81,12 @@
 //! `ginflow broker gc` reclaims completed runs' topics, and a retention
 //! window ([`BrokerServer::bind_with_retention`],
 //! `ginflow broker serve --retention SECS`) reclaims them automatically
-//! so the in-memory log doesn't grow without bound.
+//! so the in-memory log doesn't grow without bound. Per-run state on a
+//! *connection* ends with the run too: `RUN_CLOSE` releases what the
+//! closing connection holds for the run at both ends, and the GC of a
+//! run what any other connection still does — one standing
+//! [`RemoteBroker`] can submit run after run at a flat cost
+//! (`crates/engine/tests/standing_client.rs` counts it).
 //!
 //! ## Daemon crash recovery
 //!
@@ -141,7 +148,9 @@
 //! allocations of the per-delivery path). The families:
 //!
 //! * `gf_loop_*` — event-loop health: accepts, live connections,
-//!   frames, replies and reply bytes, fan-out messages/bytes and batch
+//!   subscriptions held by their sessions (`gf_loop_subscriptions`),
+//!   frames, replies and reply bytes, socket writes that moved bytes
+//!   (`gf_loop_flushes_total`), fan-out messages/bytes and batch
 //!   sizes, backpressure parks, stall evictions.
 //! * `gf_broker_{publish,publish_bytes,subscribe,fetch}_total{shard}` —
 //!   verb counts per topic-map shard (same FNV-1a shard the lock map
@@ -155,7 +164,8 @@
 //!   read batches, recovery truncations, disk bytes.
 //! * `gf_sched_*` / `gf_client_pipeline_*` — scheduler ready-queue and
 //!   wakeup-batch accounting, client pipeline window occupancy and
-//!   losses (in whichever process runs them).
+//!   losses (in whichever process runs them);
+//!   `gf_client_subscriptions` — delivery bridges the clients hold.
 //! * `gf_client_reactor_*` — shared client-loop health: wakeups,
 //!   frames dispatched per readiness turn (histogram), reconnects,
 //!   live connections.

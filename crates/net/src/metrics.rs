@@ -33,9 +33,11 @@ pub(crate) struct DaemonMetrics {
     // Event-loop cycle counters.
     pub accepts: Arc<Counter>,
     pub connections: Arc<Gauge>,
+    pub subscriptions: Arc<Gauge>,
     pub frames: Arc<Counter>,
     pub replies: Arc<Counter>,
     pub reply_bytes: Arc<Counter>,
+    pub flushes: Arc<Counter>,
     pub fanout_messages: Arc<Counter>,
     pub fanout_bytes: Arc<Counter>,
     pub fanout_batch: Arc<Histogram>,
@@ -87,6 +89,10 @@ pub(crate) fn daemon_metrics() -> &'static DaemonMetrics {
                 "Connections accepted or injected by the daemon",
             ),
             connections: g.gauge("gf_loop_connections", "Connections currently served"),
+            subscriptions: g.gauge(
+                "gf_loop_subscriptions",
+                "Subscriptions held across all connections' sessions",
+            ),
             frames: g.counter(
                 "gf_loop_frames_total",
                 "Request frames parsed and dispatched",
@@ -98,6 +104,10 @@ pub(crate) fn daemon_metrics() -> &'static DaemonMetrics {
             reply_bytes: g.counter(
                 "gf_loop_reply_bytes_total",
                 "Encoded reply and event bytes appended to out-buffers",
+            ),
+            flushes: g.counter(
+                "gf_loop_flushes_total",
+                "Socket writes that moved bytes (one per connection per loop turn)",
             ),
             fanout_messages: g.counter(
                 "gf_loop_fanout_messages_total",

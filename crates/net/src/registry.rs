@@ -135,9 +135,9 @@ impl RunRegistry {
     }
 
     /// Reclaim every run completed at least `min_age` ago: drop its
-    /// topics from the broker and forget the run. Returns
-    /// `(runs, topics)` reclaimed.
-    pub(crate) fn gc(&self, min_age: Duration) -> (u32, u32) {
+    /// topics from the broker and forget the run. Returns the ids of
+    /// the runs reclaimed and how many topics went with them.
+    pub(crate) fn gc(&self, min_age: Duration) -> (Vec<String>, u32) {
         // Collect under the lock, delete outside it: delete_topic
         // disconnects subscriptions, whose teardown must not contend
         // with request-path accounting.
@@ -154,7 +154,7 @@ impl RunRegistry {
                 .collect()
         };
         let mut topics = 0u32;
-        let runs = victims.len() as u32;
+        let mut runs = Vec::with_capacity(victims.len());
         for (run, run_topics) in victims {
             for topic in run_topics {
                 if self.broker.delete_topic(&topic) {
@@ -165,6 +165,7 @@ impl RunRegistry {
             // so a standing daemon's registry stays bounded by *live*
             // runs, not every run it has ever served.
             ginflow_mq::metrics::global().remove_label(&run);
+            runs.push(run);
         }
         (runs, topics)
     }

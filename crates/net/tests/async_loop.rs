@@ -144,14 +144,56 @@ fn idle_daemon_burns_no_cpu_with_100_quiet_connections() {
     server.stop();
 }
 
-/// Reply frames the daemon has appended to connection out-buffers
-/// (`gf_loop_replies_total`; process-global, hence read under [`GATE`]).
-fn replies() -> u64 {
+/// A daemon counter in the process-global registry (hence read under
+/// [`GATE`]).
+fn counter(name: &str) -> u64 {
     ginflow_mq::metrics::global()
         .snapshot()
         .iter()
-        .find(|row| row.name == "gf_loop_replies_total")
+        .find(|row| row.name == name)
         .map_or(0, |row| row.value)
+}
+
+/// Reply frames the daemon has appended to connection out-buffers.
+fn replies() -> u64 {
+    counter("gf_loop_replies_total")
+}
+
+/// A publish's RECEIPT and the EVENT it caused on the same connection
+/// leave in one socket write: the read turn and the subscription drain
+/// only mark the connection dirty, and the loop flushes it once.
+#[test]
+fn a_receipt_and_the_event_it_caused_share_one_write() {
+    let _gate = gate();
+    let (server, _) = bind();
+    let client = RemoteBroker::connect(&format!("tcp://{}", server.local_addr())).unwrap();
+    let sub = client.subscribe("echo", SubscribeMode::Latest).unwrap();
+    const N: u64 = 500;
+    let before = counter("gf_loop_flushes_total");
+    for i in 0..N {
+        client
+            .publish("echo", None, bytes::Bytes::from(i.to_string()))
+            .unwrap();
+        // The round trip is whole — receipt and event both here —
+        // before the next one starts.
+        let m = sub.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(m.payload_str(), i.to_string());
+    }
+    // The daemon counts a write after making it: one more round trip
+    // puts every earlier count in the counter (its own may be).
+    assert_eq!(client.retained("echo"), N);
+    let flushes = counter("gf_loop_flushes_total") - before;
+    // One write per round trip. The slack is for that closing round
+    // trip and for a socket that took part of a write (loopback,
+    // ~40-byte frames: it does not) — far from the two writes per round
+    // trip of a flush per frame source.
+    const SLACK: u64 = 10;
+    assert!(
+        (N..=N + SLACK).contains(&flushes),
+        "{N} round trips cost {flushes} socket writes"
+    );
+    client.shutdown();
+    server.stop();
 }
 
 #[test]

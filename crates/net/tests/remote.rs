@@ -309,6 +309,56 @@ fn pipelined_publishes_deliver_in_order_and_flush_drains() {
 }
 
 #[test]
+fn a_batch_item_the_codec_refuses_fails_alone() {
+    let (server, broker) = serve_log();
+    let remote = client(&server);
+    let huge = Bytes::from(vec![0u8; ginflow_mq::wire::MAX_FRAME + 1]);
+    let batch = vec![
+        ("t".to_owned(), None, payload("before")),
+        ("t".to_owned(), None, huge),
+        ("t".to_owned(), None, payload("after")),
+    ];
+    // The call reports the refused item…
+    match remote.publish_many_nowait(batch) {
+        Err(MqError::Remote { .. }) => {}
+        other => panic!("the oversized item was not reported: {other:?}"),
+    }
+    // …which was never in flight, so the ledger is clean, and its
+    // neighbours were queued all the same, in order.
+    remote.flush().unwrap();
+    let kept: Vec<String> = broker
+        .fetch("t", 0, 0, 10)
+        .unwrap()
+        .iter()
+        .map(|m| m.payload_str().into_owned())
+        .collect();
+    assert_eq!(kept, ["before", "after"]);
+}
+
+#[test]
+fn a_batch_wider_than_the_window_queues_what_it_reserved_before_it_waits() {
+    // Six 1 MiB items against the 4 MiB window: the fifth finds the
+    // window full of this very batch's reservations. Their acks are
+    // what drains it, and acks only come for frames that left — so the
+    // batch must hand over what it holds before it blocks, or it waits
+    // out the whole reconnect grace and loses the rest.
+    let (server, broker) = serve_log();
+    let remote = client(&server);
+    let item = |i: u8| ("wide".to_owned(), None, Bytes::from(vec![i; 1 << 20]));
+    remote
+        .publish_many_nowait((0..6).map(item).collect())
+        .unwrap();
+    remote.flush().unwrap();
+    let firsts: Vec<u8> = broker
+        .fetch("wide", 0, 0, 10)
+        .unwrap()
+        .iter()
+        .map(|m| m.payload[0])
+        .collect();
+    assert_eq!(firsts, [0, 1, 2, 3, 4, 5]);
+}
+
+#[test]
 fn pipelined_and_blocking_publishes_interleave_in_order() {
     let (server, _broker) = serve_log();
     let remote = client(&server);

@@ -180,6 +180,10 @@ impl RunControl for SimRun {
         }
     }
 
+    fn wait_ended(&self, timeout: Option<Duration>) -> bool {
+        self.tracker.wait_ended(timeout)
+    }
+
     fn cancel_with(&self, failure: RunFailure) {
         // Already terminal in virtually every case; `fail` is a no-op
         // then. Kept for API symmetry.
