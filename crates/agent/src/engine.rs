@@ -5,31 +5,39 @@
 //! through the shared status topic* (§IV): every service agent publishes
 //! its state transitions to one shared topic, and anyone — the user
 //! workstation of Fig 1 included — can watch the workflow unfold by
-//! subscribing to it. Before this module the public surface only exposed
-//! a blocking [`wait`](crate::WorkflowRun::wait) over final sink results;
-//! now every backend feeds the raw status stream through a
-//! [`RunTracker`], which derives an ordered, typed [`RunEvent`] stream
-//! (task transitions, adaptation firings, recovery incarnations, run
-//! completion) and fans it out to any number of subscribers.
+//! subscribing to it. A decentralised run has no central state to keep,
+//! only an observer, and the observer exists once: the [`RunTracker`].
+//!
+//! **One record, one lock, one wake-up.** Every backend feeds the raw
+//! status stream through [`RunTracker::observe`], which folds it — under
+//! one mutex — into the latest state, incarnation, timing marks and
+//! result per task ([`TaskReport::absorb`], the only stale-incarnation
+//! rule), the fired adaptations, the outcome, and the ordered, typed
+//! [`RunEvent`] history with its live subscribers. Per-task state keeps
+//! folding after the run has ended (a straggler's `Completed` still
+//! lands in the report); event derivation stops there. The tracker's one
+//! condvar is notified when the run ends — terminal event, `fail`,
+//! `close` — and at no other time: a thread parked in
+//! [`RunHandle::wait`] or [`RunHandle::join`] across a 4000-task run is
+//! woken once, not once per status update. The event stream is for
+//! whoever wants the events.
 //!
 //! The pieces:
 //!
 //! * [`ExecutionBackend`] — "compile this workflow and run it", the one
 //!   seam the live scheduler and the virtual-time simulator both
-//!   implement. Future backends (async brokers, multi-process shards,
-//!   remote executors) plug in here.
-//! * [`RunHandle`] — a launched run: event subscription
-//!   ([`RunHandle::events`]), observation, fault injection, first-class
-//!   cancellation ([`RunHandle::cancel`]) and deadline enforcement
-//!   ([`RunHandle::join`]). `join` parks on the run's *end*
-//!   ([`RunTracker::wait_ended`], reached through
-//!   [`RunControl::wait_ended`]) rather than reading the event stream
-//!   to find its last entry: waiting for a 4000-task run costs the
-//!   waiter one wake-up, not twelve thousand. The stream is for whoever
-//!   wants the events.
+//!   implement.
+//! * [`RunHandle`] — a launched run: the [`RunTracker`] beside the
+//!   vehicle's [`RunControl`]. Everything observable (`state_of`,
+//!   `result_of`, `statuses`, `events`, `wait`, `join`, `report`) is
+//!   answered from the tracker; the vehicle is asked only what only it
+//!   knows — its label, its agents (`kill` / `respawn` / `alive` /
+//!   `incarnation`), its clock and broker-side counters, and how to
+//!   stop.
 //! * [`RunReport`] — the structured outcome: per-task states, timings and
-//!   incarnations, adaptation/recovery counters — consumed by the CLI
-//!   and the benchmarks.
+//!   incarnations, adaptation/recovery counters — assembled in one
+//!   function ([`RunTracker::report`]) for every backend, consumed by
+//!   the CLI and the benchmarks.
 //!
 //! Construction of backends lives one level up in `ginflow-engine`
 //! (`Engine::builder()`), which depends on both this crate and
@@ -172,64 +180,6 @@ impl Iterator for RunEvents {
     }
 }
 
-/// The fan-out point: ordered history plus live subscriber channels.
-struct EventHub {
-    state: Mutex<HubState>,
-}
-
-struct HubState {
-    history: Vec<RunEvent>,
-    senders: Vec<crossbeam::channel::Sender<RunEvent>>,
-    closed: bool,
-}
-
-impl EventHub {
-    fn new() -> Self {
-        EventHub {
-            state: Mutex::new(HubState {
-                history: Vec::new(),
-                senders: Vec::new(),
-                closed: false,
-            }),
-        }
-    }
-
-    /// Append to the history and deliver to every live subscriber.
-    fn emit(&self, event: RunEvent) {
-        let mut s = self.state.lock();
-        if s.closed {
-            return;
-        }
-        for tx in &s.senders {
-            let _ = tx.send(event.clone());
-        }
-        s.history.push(event);
-    }
-
-    /// New subscriber: replay history, then live (if still open). Replay
-    /// and registration happen under one lock so no concurrently emitted
-    /// event can fall between them.
-    fn subscribe(&self) -> RunEvents {
-        let mut s = self.state.lock();
-        let (tx, rx) = crossbeam::channel::unbounded();
-        for event in &s.history {
-            let _ = tx.send(event.clone());
-        }
-        if !s.closed {
-            s.senders.push(tx);
-        }
-        RunEvents { rx }
-    }
-
-    /// Close the stream: live subscribers end after draining; the history
-    /// stays replayable for late subscribers.
-    fn close(&self) {
-        let mut s = self.state.lock();
-        s.closed = true;
-        s.senders.clear();
-    }
-}
-
 // ---------------------------------------------------------------------
 // Workflow metadata + the tracker
 // ---------------------------------------------------------------------
@@ -306,24 +256,58 @@ pub enum RunOutcome {
     Failed(RunFailure),
 }
 
-struct TrackInner {
-    /// Latest `(state, incarnation)` observed per task.
-    tasks: HashMap<String, (TaskState, u32)>,
+/// Everything observed about one run; [`RunTracker`] keeps it under one
+/// lock.
+#[derive(Default)]
+struct Record {
+    /// Latest accepted update per observed task, with its timing marks.
+    tasks: HashMap<String, TaskReport>,
     /// Adaptation indices that already fired.
     fired: HashSet<usize>,
-    /// Sinks observed `Completed`.
-    done_sinks: HashSet<String>,
-    terminal: Option<RunOutcome>,
-    adaptations_fired: u32,
+    /// Sinks whose latest state is `Completed`.
+    sinks_done: usize,
     respawns: u32,
+    /// How the run ended, once a terminal event was emitted.
+    outcome: Option<RunOutcome>,
+    /// The run ended — with an outcome, or torn down without one. No
+    /// event is derived or delivered afterwards.
+    ended: bool,
+    /// Every event emitted, in order: what a late subscriber replays.
+    history: Vec<RunEvent>,
+    /// Live subscribers; dropped when the run ends, which closes their
+    /// streams once drained.
+    senders: Vec<crossbeam::channel::Sender<RunEvent>>,
 }
 
-/// Derives the typed [`RunEvent`] stream from raw [`StatusUpdate`]s —
-/// the single implementation every backend (live scheduler,
-/// virtual-time sim) feeds, so streams are comparable across backends.
-/// Stale updates from superseded incarnations are dropped, so per-task
-/// streams are monotone: state rank never regresses within an
-/// incarnation and incarnations never decrease.
+impl Record {
+    /// Append to the history and deliver to every live subscriber.
+    fn emit(&mut self, event: RunEvent) {
+        for tx in &self.senders {
+            let _ = tx.send(event.clone());
+        }
+        self.history.push(event);
+    }
+
+    /// All observed task states, sorted by task name.
+    fn statuses(&self) -> Vec<(String, TaskState)> {
+        let mut statuses: Vec<(String, TaskState)> = self
+            .tasks
+            .iter()
+            .map(|(name, t)| (name.clone(), t.state))
+            .collect();
+        statuses.sort_by(|a, b| a.0.cmp(&b.0));
+        statuses
+    }
+}
+
+/// The run's only record: folds raw [`StatusUpdate`]s into per-task
+/// state, counters, the outcome and the typed [`RunEvent`] stream — the
+/// single implementation every backend (live scheduler, virtual-time
+/// sim) feeds, so streams and reports are comparable across backends.
+/// Stale updates from superseded incarnations are dropped
+/// ([`TaskReport::absorb`]), so per-task streams are monotone: state
+/// rank never regresses within an incarnation and incarnations never
+/// decrease.
 pub struct RunTracker {
     meta: RunMeta,
     /// `meta.sinks` as a set, and for each watched task the indices of the
@@ -332,12 +316,9 @@ pub struct RunTracker {
     sinks: HashSet<String>,
     watchers: HashMap<String, Vec<usize>>,
     run_id: RunId,
-    hub: EventHub,
-    inner: Mutex<TrackInner>,
-    /// Set by [`RunTracker::close`] once the stream holds everything it
-    /// ever will; what [`RunTracker::wait_ended`] parks on.
-    ended: Mutex<bool>,
-    ended_changed: Condvar,
+    record: Mutex<Record>,
+    /// Notified when `record.ended` turns true, and at no other time.
+    ended: Condvar,
 }
 
 impl RunTracker {
@@ -357,17 +338,8 @@ impl RunTracker {
             sinks,
             watchers,
             run_id,
-            hub: EventHub::new(),
-            inner: Mutex::new(TrackInner {
-                tasks: HashMap::new(),
-                fired: HashSet::new(),
-                done_sinks: HashSet::new(),
-                terminal: None,
-                adaptations_fired: 0,
-                respawns: 0,
-            }),
-            ended: Mutex::new(false),
-            ended_changed: Condvar::new(),
+            record: Mutex::new(Record::default()),
+            ended: Condvar::new(),
         }
     }
 
@@ -381,118 +353,114 @@ impl RunTracker {
         &self.run_id
     }
 
-    /// Feed one status update; derived events fan out to subscribers.
-    /// Ignored after a terminal event, and for updates from superseded
-    /// incarnations.
-    pub fn observe(&self, update: &StatusUpdate) {
-        let mut events: Vec<RunEvent> = Vec::new();
-        let mut terminal = false;
-        {
-            let mut s = self.inner.lock();
-            if s.terminal.is_some() {
-                return;
-            }
-            let prev = s.tasks.get(&update.task).copied();
-            if let Some((_, pinc)) = prev {
-                if update.incarnation < pinc {
-                    return; // stale ghost of a replaced incarnation
-                }
-            }
-            // A first observation at incarnation > 0 is a recovery too:
-            // the dead incarnation may never have published anything.
-            let prev_incarnation = prev.map(|(_, i)| i).unwrap_or(0);
-            if update.incarnation > prev_incarnation {
-                s.respawns += update.incarnation - prev_incarnation;
-                events.push(RunEvent::AgentRespawned {
+    /// Fold one status update in, `at` being its time relative to launch
+    /// (wall on live backends, virtual in the sim); derived events fan
+    /// out to subscribers. An update from a superseded incarnation
+    /// changes nothing. Once the run has ended an update still lands in
+    /// the per-task record — a straggler's completion belongs in the
+    /// report — but derives no event.
+    pub fn observe(&self, update: &StatusUpdate, at: Duration) {
+        let mut guard = self.record.lock();
+        let r = &mut *guard;
+        let (prev, task) = match r.tasks.get_mut(&update.task) {
+            Some(task) => (Some((task.state, task.incarnation)), task),
+            None => (None, r.tasks.entry(update.task.clone()).or_default()),
+        };
+        if !task.absorb(update, at) || r.ended {
+            return;
+        }
+        // A first observation at incarnation > 0 is a recovery too:
+        // the dead incarnation may never have published anything.
+        let prev_incarnation = prev.map_or(0, |(_, incarnation)| incarnation);
+        if update.incarnation > prev_incarnation {
+            r.respawns += update.incarnation - prev_incarnation;
+            r.emit(RunEvent::AgentRespawned {
+                task: update.task.clone(),
+                incarnation: update.incarnation,
+            });
+        }
+        if prev != Some((update.state, update.incarnation)) {
+            r.emit(RunEvent::TaskStateChanged {
+                task: update.task.clone(),
+                from: prev.map(|(state, _)| state),
+                to: update.state,
+                incarnation: update.incarnation,
+            });
+            if let (TaskState::Completed, Some(value)) = (update.state, &update.result) {
+                r.emit(RunEvent::TaskResult {
                     task: update.task.clone(),
-                    incarnation: update.incarnation,
+                    value: value.clone(),
                 });
             }
-            let changed = prev != Some((update.state, update.incarnation));
-            if changed {
-                events.push(RunEvent::TaskStateChanged {
-                    task: update.task.clone(),
-                    from: prev.map(|(state, _)| state),
-                    to: update.state,
-                    incarnation: update.incarnation,
-                });
-            }
-            s.tasks
-                .insert(update.task.clone(), (update.state, update.incarnation));
-            if changed && update.state == TaskState::Completed {
-                if let Some(value) = &update.result {
-                    events.push(RunEvent::TaskResult {
-                        task: update.task.clone(),
-                        value: value.clone(),
+        }
+        let watching = self.watchers.get(&update.task);
+        if update.state == TaskState::Failed {
+            for &i in watching.into_iter().flatten() {
+                if r.fired.insert(i) {
+                    r.emit(RunEvent::AdaptationFired {
+                        adaptation: self.meta.adaptations[i].0.clone(),
+                        failed_task: update.task.clone(),
                     });
                 }
             }
-            let watching = self.watchers.get(&update.task);
-            if update.state == TaskState::Failed {
-                for &i in watching.into_iter().flatten() {
-                    if s.fired.insert(i) {
-                        s.adaptations_fired += 1;
-                        events.push(RunEvent::AdaptationFired {
-                            adaptation: self.meta.adaptations[i].0.clone(),
-                            failed_task: update.task.clone(),
-                        });
-                    }
-                }
-            }
-            if self.sinks.contains(&update.task) {
-                match update.state {
-                    TaskState::Completed => {
-                        s.done_sinks.insert(update.task.clone());
-                        if s.done_sinks.len() == self.meta.sinks.len() {
-                            s.terminal = Some(RunOutcome::Completed);
-                            events.push(RunEvent::RunCompleted);
-                            terminal = true;
-                        }
-                    }
-                    TaskState::Failed if watching.is_none() => {
-                        let failure = RunFailure::SinkFailed {
-                            task: update.task.clone(),
-                        };
-                        s.terminal = Some(RunOutcome::Failed(failure.clone()));
-                        events.push(RunEvent::RunFailed { reason: failure });
-                        terminal = true;
-                    }
-                    _ => {}
-                }
-            }
         }
-        for event in events {
-            self.hub.emit(event);
+        if !self.sinks.contains(&update.task) {
+            return;
         }
-        if terminal {
-            self.close();
+        let completed = |state| usize::from(state == TaskState::Completed);
+        r.sinks_done += completed(update.state);
+        r.sinks_done -= prev.map_or(0, |(state, _)| completed(state));
+        if update.state == TaskState::Completed && r.sinks_done == self.sinks.len() {
+            self.end(guard, Some(RunOutcome::Completed));
+        } else if update.state == TaskState::Failed && watching.is_none() {
+            let task = update.task.clone();
+            self.end(
+                guard,
+                Some(RunOutcome::Failed(RunFailure::SinkFailed { task })),
+            );
         }
     }
 
     /// Mark the run failed (cancel, deadline, stall) and emit the
     /// terminal event. Returns `false` (and does nothing) when the run
-    /// already reached a terminal state.
+    /// already ended.
     pub fn fail(&self, failure: RunFailure) -> bool {
-        {
-            let mut s = self.inner.lock();
-            if s.terminal.is_some() {
-                return false;
-            }
-            s.terminal = Some(RunOutcome::Failed(failure.clone()));
-        }
-        self.hub.emit(RunEvent::RunFailed { reason: failure });
-        self.close();
-        true
+        self.end(self.record.lock(), Some(RunOutcome::Failed(failure)))
     }
 
-    /// Close the stream — after the terminal event, or without one (plain
-    /// teardown of a still-running workflow) — and release whoever is
-    /// parked in [`RunTracker::wait_ended`]. The terminal event is in
-    /// the history before any waiter wakes.
+    /// End the run without an outcome: plain teardown of a workflow that
+    /// is still running. A no-op on a run that already ended.
     pub fn close(&self) {
-        self.hub.close();
-        *self.ended.lock() = true;
-        self.ended_changed.notify_all();
+        self.end(self.record.lock(), None);
+    }
+
+    /// The one way a run ends, once (`false`: it had ended before): emit
+    /// `outcome`'s terminal event (if any), close the live streams — the
+    /// history stays replayable — and release whoever is parked in
+    /// [`RunTracker::wait_ended`]. The terminal event is in the history
+    /// before any waiter wakes, and the lock is free by the time one
+    /// does.
+    fn end(
+        &self,
+        mut record: parking_lot::MutexGuard<'_, Record>,
+        outcome: Option<RunOutcome>,
+    ) -> bool {
+        if record.ended {
+            return false;
+        }
+        match &outcome {
+            Some(RunOutcome::Completed) => record.emit(RunEvent::RunCompleted),
+            Some(RunOutcome::Failed(reason)) => record.emit(RunEvent::RunFailed {
+                reason: reason.clone(),
+            }),
+            None => {}
+        }
+        record.outcome = outcome;
+        record.ended = true;
+        record.senders.clear();
+        drop(record);
+        self.ended.notify_all();
+        true
     }
 
     /// Park until the run has ended — a terminal event was derived, the
@@ -502,36 +470,127 @@ impl RunTracker {
     /// produces; it subscribes to nothing.
     pub fn wait_ended(&self, timeout: Option<Duration>) -> bool {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut ended = self.ended.lock();
-        while !*ended {
+        let mut record = self.record.lock();
+        while !record.ended {
             match deadline {
-                None => self.ended_changed.wait(&mut ended),
+                None => self.ended.wait(&mut record),
                 Some(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
                         return false;
                     }
-                    self.ended_changed.wait_for(&mut ended, deadline - now);
+                    self.ended.wait_for(&mut record, deadline - now);
                 }
             }
         }
         true
     }
 
-    /// Subscribe: full ordered history, then live.
+    /// Subscribe: full ordered history, then live (if the run has not
+    /// ended). Replay and registration happen under the lock `observe`
+    /// emits under, so no event can fall between them.
     pub fn subscribe(&self) -> RunEvents {
-        self.hub.subscribe()
+        let mut record = self.record.lock();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        for event in &record.history {
+            let _ = tx.send(event.clone());
+        }
+        if !record.ended {
+            record.senders.push(tx);
+        }
+        RunEvents { rx }
     }
 
     /// The outcome, once terminal.
     pub fn outcome(&self) -> Option<RunOutcome> {
-        self.inner.lock().terminal.clone()
+        self.record.lock().outcome.clone()
     }
 
-    /// `(adaptations fired, respawns observed)` so far.
-    pub fn counts(&self) -> (u32, u32) {
-        let s = self.inner.lock();
-        (s.adaptations_fired, s.respawns)
+    /// Latest observed state of a task.
+    pub fn state_of(&self, task: &str) -> Option<TaskState> {
+        self.record.lock().tasks.get(task).map(|t| t.state)
+    }
+
+    /// Latest observed result of a task.
+    pub fn result_of(&self, task: &str) -> Option<Value> {
+        let record = self.record.lock();
+        record.tasks.get(task).and_then(|t| t.result.clone())
+    }
+
+    /// Snapshot of all observed task states, sorted by task name.
+    pub fn statuses(&self) -> Vec<(String, TaskState)> {
+        self.record.lock().statuses()
+    }
+
+    /// What a wait on the *ended* run yields: every sink's result when
+    /// all of them completed — which is what [`RunEvent::RunCompleted`]
+    /// means — and otherwise how the run ended instead. A sink that
+    /// completed without publishing a result is an error, not a silent
+    /// omission.
+    fn sink_results(&self) -> Result<HashMap<String, Value>, WaitError> {
+        let record = self.record.lock();
+        let mut results = HashMap::with_capacity(self.meta.sinks.len());
+        for sink in &self.meta.sinks {
+            let task = record.tasks.get(sink);
+            let Some(task) = task.filter(|t| t.state == TaskState::Completed) else {
+                let statuses = record.statuses();
+                return Err(match record.outcome.clone() {
+                    Some(RunOutcome::Failed(RunFailure::Cancelled)) | None => WaitError::Cancelled,
+                    Some(RunOutcome::Failed(RunFailure::DeadlineExpired)) => {
+                        WaitError::Deadline { statuses }
+                    }
+                    Some(RunOutcome::Failed(failure)) => WaitError::Failed(failure),
+                    // The run completed and a sink has since been
+                    // respawned: it is re-running, not done.
+                    Some(RunOutcome::Completed) => WaitError::Timeout { statuses },
+                });
+            };
+            let Some(value) = &task.result else {
+                return Err(WaitError::MissingResult { task: sink.clone() });
+            };
+            results.insert(sink.clone(), value.clone());
+        }
+        Ok(results)
+    }
+
+    /// The one place a [`RunReport`] is assembled, for every backend:
+    /// the fold of the status stream so far (partial while the run
+    /// executes). `wall`, `lagged` and `metrics` are the vehicle's to
+    /// fill in ([`RunControl::stamp`]).
+    pub fn report(&self, backend: &'static str) -> RunReport {
+        let record = self.record.lock();
+        // Seeded from the metadata so never-observed tasks (an
+        // untriggered standby) appear as `Idle`.
+        let mut tasks: BTreeMap<String, TaskReport> = self
+            .meta
+            .tasks
+            .iter()
+            .map(|name| (name.clone(), TaskReport::default()))
+            .collect();
+        for (name, task) in &record.tasks {
+            tasks.insert(name.clone(), task.clone());
+        }
+        // Once the run has its outcome the observed makespan is the last
+        // task transition; until then the clock is the vehicle's.
+        let wall = match record.outcome {
+            Some(_) => tasks.values().filter_map(|t| t.finished_at).max(),
+            None => None,
+        }
+        .unwrap_or_default();
+        let failed_with = |failure| record.outcome == Some(RunOutcome::Failed(failure));
+        RunReport {
+            backend,
+            run_id: self.run_id.as_str().to_owned(),
+            completed: record.outcome == Some(RunOutcome::Completed),
+            cancelled: failed_with(RunFailure::Cancelled),
+            deadline_expired: failed_with(RunFailure::DeadlineExpired),
+            wall,
+            adaptations_fired: record.fired.len() as u32,
+            respawns: record.respawns,
+            lagged: 0,
+            metrics: Vec::new(),
+            tasks,
+        }
     }
 }
 
@@ -661,23 +720,15 @@ impl RunReport {
 // The handle + backend seam
 // ---------------------------------------------------------------------
 
-/// Control surface a backend's run object implements; [`RunHandle`] is
-/// the user-facing facade over a boxed instance. Object-safe on purpose:
-/// the scheduler's [`crate::WorkflowRun`] and the simulator's
-/// finished-run shim both live behind it. Every method is required —
-/// both runs own a [`RunTracker`], and what the tracker can answer
-/// (`subscribe`, `wait_ended`) they forward to it.
+/// What only the execution vehicle knows about a launched run.
+/// Everything observable is the [`RunTracker`]'s to answer —
+/// [`RunHandle`] holds both — so this is the vehicle's label, its
+/// agents, its clock and counters, and its teardown. Object-safe on
+/// purpose: the scheduler's worker pool and the simulator's finished
+/// run both live behind it.
 pub trait RunControl: Send + Sync {
     /// Backend label ("scheduler", "sharded", "sim", …).
     fn backend(&self) -> &'static str;
-    /// The run's id (its topic-namespace key).
-    fn run_id(&self) -> String;
-    /// Latest observed state of a task.
-    fn state_of(&self, task: &str) -> Option<TaskState>;
-    /// Latest observed result of a task.
-    fn result_of(&self, task: &str) -> Option<Value>;
-    /// Snapshot of all observed task states.
-    fn statuses(&self) -> Vec<(String, TaskState)>;
     /// Crash a task's agent (fault injection). `false` when unsupported
     /// or the agent is already gone.
     fn kill(&self, task: &str) -> bool;
@@ -686,41 +737,37 @@ pub trait RunControl: Send + Sync {
     fn respawn(&self, task: &str) -> bool;
     /// Is the task's agent alive?
     fn alive(&self, task: &str) -> bool;
-    /// Current incarnation of a task's agent.
+    /// Incarnation of the task's agent this vehicle hosts (0 when it
+    /// hosts none) — possibly ahead of the status stream: a fresh
+    /// incarnation exists before its first publish.
     fn incarnation(&self, task: &str) -> u32;
-    /// Subscribe to the run's event stream.
-    fn subscribe(&self) -> RunEvents;
-    /// Block until every sink completes (or `timeout`).
-    fn wait_sinks(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError>;
-    /// Park until the run has ended (terminal event, failure or
-    /// teardown) or `timeout` passes — `false` on timeout. Every run
-    /// owns a [`RunTracker`]; this forwards to its
-    /// [`RunTracker::wait_ended`].
-    fn wait_ended(&self, timeout: Option<Duration>) -> bool;
-    /// Mark the run failed with `failure` and tear everything down
-    /// (agents observe the shutdown flag between events; worker threads
-    /// are joined; nothing is published). Idempotent.
-    fn cancel_with(&self, failure: RunFailure);
-    /// Plain teardown without marking failure (post-completion
-    /// shutdown). Idempotent.
+    /// Fill in what the status stream cannot tell a report: `wall`
+    /// (which arrives as the last task transition of a run that has its
+    /// outcome, and zero while it is still running — a live vehicle
+    /// puts its clock there), `lagged` and `metrics`.
+    fn stamp(&self, report: &mut RunReport);
+    /// Tear the vehicle down (agents observe the shutdown flag between
+    /// events; worker threads are joined; nothing is published).
+    /// Idempotent.
     fn stop(&self);
-    /// Structured snapshot of the run (partial while still executing).
-    fn report(&self) -> RunReport;
 }
 
 /// A launched workflow, whatever backend executes it: observation, a
 /// typed event stream, fault injection, cancellation and deadline
-/// enforcement.
+/// enforcement. Observation reads the run's [`RunTracker`]; only fault
+/// injection and teardown reach the vehicle.
 pub struct RunHandle {
-    inner: Arc<dyn RunControl>,
+    tracker: Arc<RunTracker>,
+    control: Arc<dyn RunControl>,
     deadline: Option<Instant>,
 }
 
 impl RunHandle {
-    /// Wrap a backend's run object.
-    pub fn new(inner: Arc<dyn RunControl>) -> Self {
+    /// A run: the tracker the vehicle feeds, and the vehicle.
+    pub fn new(tracker: Arc<RunTracker>, control: Arc<dyn RunControl>) -> Self {
         RunHandle {
-            inner,
+            tracker,
+            control,
             deadline: None,
         }
     }
@@ -734,77 +781,90 @@ impl RunHandle {
 
     /// Which backend is executing this run.
     pub fn backend(&self) -> &'static str {
-        self.inner.backend()
+        self.control.backend()
     }
 
     /// The run's id: the key of the topic namespace (`run/<id>/…`) the
     /// run coordinates under. Auto-generated at launch unless pinned
     /// (e.g. `Engine::builder().run_id(..)`, `ginflow run --run-id`).
     pub fn run_id(&self) -> String {
-        self.inner.run_id()
+        self.tracker.run_id().as_str().to_owned()
     }
 
     /// Subscribe to the typed run event stream (full history replayed
     /// first, then live).
     pub fn events(&self) -> RunEvents {
-        self.inner.subscribe()
+        self.tracker.subscribe()
     }
 
     /// Latest observed state of a task.
     pub fn state_of(&self, task: &str) -> Option<TaskState> {
-        self.inner.state_of(task)
+        self.tracker.state_of(task)
     }
 
     /// Latest observed result of a task.
     pub fn result_of(&self, task: &str) -> Option<Value> {
-        self.inner.result_of(task)
+        self.tracker.result_of(task)
     }
 
     /// Snapshot of all observed task states, sorted by task name.
     pub fn statuses(&self) -> Vec<(String, TaskState)> {
-        self.inner.statuses()
+        self.tracker.statuses()
     }
 
     /// Crash a task's agent (fault injection).
     pub fn kill(&self, task: &str) -> bool {
-        self.inner.kill(task)
+        self.control.kill(task)
     }
 
     /// Start a replacement incarnation for a task (§IV-B recovery).
     pub fn respawn(&self, task: &str) -> bool {
-        self.inner.respawn(task)
+        self.control.respawn(task)
     }
 
     /// Is the task's agent alive?
     pub fn alive(&self, task: &str) -> bool {
-        self.inner.alive(task)
+        self.control.alive(task)
     }
 
-    /// Current incarnation number of a task's agent.
+    /// Current incarnation number of a task's agent: the vehicle's own
+    /// agent, or — for a task it does not host (another shard's, or any
+    /// task of a finished simulation) — the latest one observed.
     pub fn incarnation(&self, task: &str) -> u32 {
-        self.inner.incarnation(task)
+        let record = self.tracker.record.lock();
+        let observed = record.tasks.get(task).map_or(0, |t| t.incarnation);
+        drop(record);
+        self.control.incarnation(task).max(observed)
     }
 
     /// Cancel the run: emits [`RunEvent::RunFailed`] with
     /// [`RunFailure::Cancelled`], tears every agent down, and joins all
     /// worker threads before returning — no thread outlives this call.
     pub fn cancel(&self) {
-        self.inner.cancel_with(RunFailure::Cancelled);
+        self.cancel_with(RunFailure::Cancelled);
     }
 
-    /// Block until every sink completes, up to `timeout` (clamped by the
-    /// run deadline, which cancels the run on expiry).
+    /// Block until the run has ended, up to `timeout` (clamped by the
+    /// run deadline, which cancels the run on expiry), and return every
+    /// sink's result — or why there is none: the run was cancelled or
+    /// torn down ([`WaitError::Cancelled`]), its deadline expired
+    /// ([`WaitError::Deadline`]), or it failed ([`WaitError::Failed`]).
+    /// A failed run is reported the moment it fails, not when `timeout`
+    /// runs out.
     pub fn wait(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
         let (effective, deadline_gates) = match self.remaining() {
             Some(left) if left < timeout => (left, true),
             _ => (timeout, false),
         };
-        match self.inner.wait_sinks(effective) {
-            Err(WaitError::Timeout { statuses }) if deadline_gates => {
-                self.inner.cancel_with(RunFailure::DeadlineExpired);
-                Err(WaitError::Deadline { statuses })
-            }
-            other => other,
+        if self.tracker.wait_ended(Some(effective)) {
+            return self.tracker.sink_results();
+        }
+        let statuses = self.tracker.statuses();
+        if deadline_gates {
+            self.cancel_with(RunFailure::DeadlineExpired);
+            Err(WaitError::Deadline { statuses })
+        } else {
+            Err(WaitError::Timeout { statuses })
         }
     }
 
@@ -812,25 +872,41 @@ impl RunHandle {
     /// which cancels with [`RunFailure::DeadlineExpired`]), tear the run
     /// down, and return the final [`RunReport`] — partial when cancelled
     /// or expired. The wait is on the run's end itself
-    /// ([`RunControl::wait_ended`]), not on its event stream: joining
+    /// ([`RunTracker::wait_ended`]), not on its event stream: joining
     /// subscribes to nothing and wakes once.
     pub fn join(self) -> RunReport {
-        if !self.inner.wait_ended(self.remaining()) {
-            self.inner.cancel_with(RunFailure::DeadlineExpired);
+        if !self.tracker.wait_ended(self.remaining()) {
+            self.cancel_with(RunFailure::DeadlineExpired);
         }
-        let report = self.inner.report();
-        self.inner.stop();
+        let report = self.report();
+        self.stop();
         report
     }
 
     /// Structured snapshot of the run so far (partial while executing).
     pub fn report(&self) -> RunReport {
-        self.inner.report()
+        let mut report = self.tracker.report(self.control.backend());
+        self.control.stamp(&mut report);
+        report
     }
 
     /// Tear the run down without marking it failed.
     pub fn shutdown(self) {
-        self.inner.stop();
+        self.stop();
+    }
+
+    /// Mark the run failed with `failure` — the terminal event is out
+    /// and every waiter released first — then tear everything down.
+    fn cancel_with(&self, failure: RunFailure) {
+        self.tracker.fail(failure);
+        self.stop();
+    }
+
+    /// Stop the vehicle, then end the run if nothing ended it before.
+    /// Idempotent.
+    fn stop(&self) {
+        self.control.stop();
+        self.tracker.close();
     }
 
     fn remaining(&self) -> Option<Duration> {
@@ -841,9 +917,7 @@ impl RunHandle {
 
 impl Drop for RunHandle {
     fn drop(&mut self) {
-        // The backend run object also stops itself on drop, but the Arc
-        // may be shared; stopping here makes `drop(handle)` deterministic.
-        self.inner.stop();
+        self.stop();
     }
 }
 
@@ -872,6 +946,9 @@ mod tests {
         }
     }
 
+    /// When an update was observed, where the test does not care.
+    const AT: Duration = Duration::from_millis(7);
+
     fn meta() -> RunMeta {
         RunMeta {
             tasks: vec!["a".into(), "b".into(), "b'".into()],
@@ -885,10 +962,10 @@ mod tests {
     fn tracker_derives_ordered_events() {
         let tracker = RunTracker::new(meta(), RunId::generate());
         let events = tracker.subscribe();
-        tracker.observe(&update("a", TaskState::Running, 0));
-        tracker.observe(&update("a", TaskState::Completed, 0));
-        tracker.observe(&update("b", TaskState::Running, 0));
-        tracker.observe(&update("b", TaskState::Completed, 0));
+        tracker.observe(&update("a", TaskState::Running, 0), AT);
+        tracker.observe(&update("a", TaskState::Completed, 0), AT);
+        tracker.observe(&update("b", TaskState::Running, 0), AT);
+        tracker.observe(&update("b", TaskState::Completed, 0), AT);
         let collected: Vec<RunEvent> = events.collect();
         assert_eq!(
             collected.last(),
@@ -908,8 +985,8 @@ mod tests {
     #[test]
     fn late_subscriber_replays_history() {
         let tracker = RunTracker::new(meta(), RunId::generate());
-        tracker.observe(&update("a", TaskState::Running, 0));
-        tracker.observe(&update("b", TaskState::Completed, 0));
+        tracker.observe(&update("a", TaskState::Running, 0), AT);
+        tracker.observe(&update("b", TaskState::Completed, 0), AT);
         let replayed: Vec<RunEvent> = tracker.subscribe().collect();
         assert_eq!(replayed.last(), Some(&RunEvent::RunCompleted));
         assert!(replayed.len() >= 3);
@@ -918,9 +995,9 @@ mod tests {
     #[test]
     fn adaptation_failure_and_respawn_events() {
         let tracker = RunTracker::new(meta(), RunId::generate());
-        tracker.observe(&update("a", TaskState::Running, 0));
-        tracker.observe(&update("a", TaskState::Failed, 0));
-        tracker.observe(&update("a", TaskState::Running, 1));
+        tracker.observe(&update("a", TaskState::Running, 0), AT);
+        tracker.observe(&update("a", TaskState::Failed, 0), AT);
+        tracker.observe(&update("a", TaskState::Running, 1), AT);
         let events: Vec<RunEvent> = {
             let sub = tracker.subscribe();
             std::iter::from_fn(|| sub.try_recv()).collect()
@@ -932,7 +1009,8 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, RunEvent::AgentRespawned { incarnation: 1, .. })));
-        assert_eq!(tracker.counts(), (1, 1));
+        let report = tracker.report("test");
+        assert_eq!((report.adaptations_fired, report.respawns), (1, 1));
     }
 
     #[test]
@@ -940,8 +1018,8 @@ mod tests {
         let tracker = RunTracker::new(meta(), RunId::generate());
         // First-ever observation at incarnation 1: the dead incarnation
         // 0 never published, which still counts as one recovery.
-        tracker.observe(&update("a", TaskState::Running, 1));
-        tracker.observe(&update("a", TaskState::Completed, 0)); // ghost
+        tracker.observe(&update("a", TaskState::Running, 1), AT);
+        tracker.observe(&update("a", TaskState::Completed, 0), AT); // ghost
         let events: Vec<RunEvent> = {
             let sub = tracker.subscribe();
             std::iter::from_fn(|| sub.try_recv()).collect()
@@ -967,7 +1045,7 @@ mod tests {
     #[test]
     fn unwatched_sink_failure_is_terminal() {
         let tracker = RunTracker::new(meta(), RunId::generate());
-        tracker.observe(&update("b", TaskState::Failed, 0));
+        tracker.observe(&update("b", TaskState::Failed, 0), AT);
         assert_eq!(
             tracker.outcome(),
             Some(RunOutcome::Failed(RunFailure::SinkFailed {
@@ -984,17 +1062,17 @@ mod tests {
         let sinks = meta.sinks.clone();
         let tracker = RunTracker::new(meta, RunId::generate());
         let events = tracker.subscribe();
-        tracker.observe(&update("src", TaskState::Completed, 0));
+        tracker.observe(&update("src", TaskState::Completed, 0), AT);
         for (done, sink) in sinks.iter().enumerate() {
             assert_eq!(tracker.outcome(), None, "after {done} sinks");
-            assert_eq!(tracker.inner.lock().done_sinks.len(), done);
-            tracker.observe(&update(sink, TaskState::Running, 0));
-            tracker.observe(&update(sink, TaskState::Completed, 0));
+            assert_eq!(tracker.record.lock().sinks_done, done);
+            tracker.observe(&update(sink, TaskState::Running, 0), AT);
+            tracker.observe(&update(sink, TaskState::Completed, 0), AT);
             // A repeated completion is not a second sink.
-            tracker.observe(&update(sink, TaskState::Completed, 0));
+            tracker.observe(&update(sink, TaskState::Completed, 0), AT);
         }
         assert_eq!(tracker.outcome(), Some(RunOutcome::Completed));
-        assert_eq!(tracker.inner.lock().done_sinks.len(), 2000);
+        assert_eq!(tracker.record.lock().sinks_done, 2000);
         let completed: Vec<RunEvent> = events
             .filter(|e| matches!(e, RunEvent::RunCompleted))
             .collect();
@@ -1006,7 +1084,7 @@ mod tests {
         let tracker = RunTracker::new(meta(), RunId::generate());
         assert!(tracker.fail(RunFailure::Cancelled));
         assert!(!tracker.fail(RunFailure::DeadlineExpired));
-        tracker.observe(&update("b", TaskState::Completed, 0)); // ignored
+        tracker.observe(&update("b", TaskState::Completed, 0), AT); // no event
         let events: Vec<RunEvent> = tracker.subscribe().collect();
         assert_eq!(
             events,
@@ -1014,6 +1092,81 @@ mod tests {
                 reason: RunFailure::Cancelled
             }]
         );
+        assert_eq!(
+            tracker.outcome(),
+            Some(RunOutcome::Failed(RunFailure::Cancelled))
+        );
+    }
+
+    #[test]
+    fn an_update_after_the_terminal_event_lands_in_the_report_and_derives_no_event() {
+        // The sink completes while `a` is still running: the run has its
+        // outcome, and `a`'s own completion is yet to arrive.
+        let tracker = RunTracker::new(meta(), RunId::generate());
+        let live = tracker.subscribe();
+        tracker.observe(&update("a", TaskState::Running, 0), AT);
+        tracker.observe(&update("b", TaskState::Completed, 0), AT);
+        let history: Vec<RunEvent> = tracker.subscribe().collect();
+        assert_eq!(history.last(), Some(&RunEvent::RunCompleted));
+        assert_eq!(tracker.report("test").completed_tasks(), 1);
+
+        let late = Duration::from_millis(9);
+        tracker.observe(&update("a", TaskState::Completed, 0), late);
+        let report = tracker.report("test");
+        assert!(report.completed);
+        assert_eq!(report.completed_tasks(), 2, "the straggler is counted");
+        assert_eq!(report.tasks["a"].finished_at, Some(late));
+        assert_eq!(report.result_of("a"), Some(&Value::str("out")));
+        assert_eq!(tracker.state_of("a"), Some(TaskState::Completed));
+        // The stale-incarnation rule still applies afterwards.
+        tracker.observe(&update("a", TaskState::Running, 1), late);
+        tracker.observe(&update("a", TaskState::Failed, 0), late);
+        assert_eq!(tracker.report("test").tasks["a"].incarnation, 1);
+        assert_eq!(tracker.state_of("a"), Some(TaskState::Running));
+        // None of it is an event, for the live subscriber or a late one.
+        assert_eq!(live.collect::<Vec<_>>(), history);
+        assert_eq!(tracker.subscribe().collect::<Vec<_>>(), history);
+        assert_eq!(tracker.report("test").respawns, 0);
+    }
+
+    #[test]
+    fn wait_on_an_ended_run_says_how_it_ended() {
+        let ended = |end: &dyn Fn(&RunTracker)| {
+            let tracker = Arc::new(RunTracker::new(meta(), RunId::generate()));
+            tracker.observe(&update("a", TaskState::Completed, 0), AT);
+            end(&tracker);
+            // Far longer than the test may take: every answer is at once.
+            RunHandle::new(tracker, Arc::new(NoAgents)).wait(Duration::from_secs(600))
+        };
+        let results = ended(&|t| t.observe(&update("b", TaskState::Completed, 0), AT));
+        assert_eq!(results.unwrap()["b"], Value::str("out"));
+        assert!(matches!(
+            ended(&|t| t.observe(&update("b", TaskState::Failed, 0), AT)),
+            Err(WaitError::Failed(RunFailure::SinkFailed { task })) if task == "b"
+        ));
+        assert!(matches!(
+            ended(&|t| assert!(t.fail(RunFailure::Stalled))),
+            Err(WaitError::Failed(RunFailure::Stalled))
+        ));
+        assert!(matches!(
+            ended(&|t| assert!(t.fail(RunFailure::Cancelled))),
+            Err(WaitError::Cancelled)
+        ));
+        assert!(matches!(ended(&|t| t.close()), Err(WaitError::Cancelled)));
+        match ended(&|t| assert!(t.fail(RunFailure::DeadlineExpired))) {
+            Err(WaitError::Deadline { statuses }) => {
+                assert_eq!(statuses, vec![("a".to_owned(), TaskState::Completed)]);
+            }
+            other => panic!("expected Deadline, got {other:?}"),
+        }
+        let no_result = StatusUpdate {
+            result: None,
+            ..update("b", TaskState::Completed, 0)
+        };
+        assert!(matches!(
+            ended(&|t| t.observe(&no_result, AT)),
+            Err(WaitError::MissingResult { task }) if task == "b"
+        ));
     }
 
     #[test]
@@ -1021,9 +1174,9 @@ mod tests {
         let tracker = RunTracker::new(meta(), RunId::generate());
         assert!(!tracker.wait_ended(Some(Duration::ZERO)), "still running");
         assert!(!tracker.wait_ended(Some(Duration::from_millis(1))));
-        tracker.observe(&update("a", TaskState::Completed, 0));
+        tracker.observe(&update("a", TaskState::Completed, 0), AT);
         assert!(!tracker.wait_ended(Some(Duration::ZERO)), "a is no sink");
-        tracker.observe(&update("b", TaskState::Completed, 0));
+        tracker.observe(&update("b", TaskState::Completed, 0), AT);
         assert!(tracker.wait_ended(Some(Duration::ZERO)), "terminal");
         assert!(tracker.wait_ended(None));
 
@@ -1042,24 +1195,13 @@ mod tests {
         assert_eq!(torn_down.outcome(), None, "closing is not an outcome");
     }
 
-    /// The least a run is: a tracker somebody else feeds.
-    struct TrackedRun(Arc<RunTracker>);
+    /// The least a vehicle is: no agents, no clock, nothing to stop —
+    /// somebody else feeds the tracker.
+    struct NoAgents;
 
-    impl RunControl for TrackedRun {
+    impl RunControl for NoAgents {
         fn backend(&self) -> &'static str {
             "test"
-        }
-        fn run_id(&self) -> String {
-            self.0.run_id().as_str().to_owned()
-        }
-        fn state_of(&self, _: &str) -> Option<TaskState> {
-            None
-        }
-        fn result_of(&self, _: &str) -> Option<Value> {
-            None
-        }
-        fn statuses(&self) -> Vec<(String, TaskState)> {
-            Vec::new()
         }
         fn kill(&self, _: &str) -> bool {
             false
@@ -1073,49 +1215,20 @@ mod tests {
         fn incarnation(&self, _: &str) -> u32 {
             0
         }
-        fn subscribe(&self) -> RunEvents {
-            self.0.subscribe()
-        }
-        fn wait_sinks(&self, _: Duration) -> Result<HashMap<String, Value>, WaitError> {
-            Err(WaitError::Cancelled)
-        }
-        fn wait_ended(&self, timeout: Option<Duration>) -> bool {
-            self.0.wait_ended(timeout)
-        }
-        fn cancel_with(&self, failure: RunFailure) {
-            self.0.fail(failure);
-        }
-        fn stop(&self) {
-            self.0.close();
-        }
-        fn report(&self) -> RunReport {
-            let outcome = self.0.outcome();
-            RunReport {
-                backend: "test",
-                run_id: self.run_id(),
-                completed: outcome == Some(RunOutcome::Completed),
-                cancelled: outcome == Some(RunOutcome::Failed(RunFailure::Cancelled)),
-                deadline_expired: outcome == Some(RunOutcome::Failed(RunFailure::DeadlineExpired)),
-                wall: Duration::ZERO,
-                adaptations_fired: 0,
-                respawns: 0,
-                lagged: 0,
-                metrics: Vec::new(),
-                tasks: BTreeMap::new(),
-            }
-        }
+        fn stamp(&self, _: &mut RunReport) {}
+        fn stop(&self) {}
     }
 
     #[test]
     fn join_parks_on_the_end_of_the_run_and_subscribes_to_nothing() {
         let tracker = Arc::new(RunTracker::new(meta(), RunId::generate()));
-        let handle = RunHandle::new(Arc::new(TrackedRun(tracker.clone())));
+        let handle = RunHandle::new(tracker.clone(), Arc::new(NoAgents));
         let joiner = std::thread::spawn(move || handle.join());
         for state in [TaskState::Running, TaskState::Completed] {
-            tracker.observe(&update("a", state, 0));
-            tracker.observe(&update("b", state, 0));
+            tracker.observe(&update("a", state, 0), AT);
+            tracker.observe(&update("b", state, 0), AT);
             assert!(
-                tracker.hub.state.lock().senders.is_empty(),
+                tracker.record.lock().senders.is_empty(),
                 "join must not subscribe to the event stream"
             );
         }
@@ -1126,7 +1239,7 @@ mod tests {
 
         // A deadline that passes first cancels the run.
         let tracker = Arc::new(RunTracker::new(meta(), RunId::generate()));
-        let handle = RunHandle::new(Arc::new(TrackedRun(tracker.clone())))
+        let handle = RunHandle::new(tracker, Arc::new(NoAgents))
             .with_deadline(Some(Duration::from_millis(1)));
         assert!(handle.join().deadline_expired);
     }

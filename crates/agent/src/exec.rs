@@ -1,18 +1,16 @@
 //! What the [`crate::scheduler::Scheduler`] runs an agent's events
-//! with: command execution (one publish batch per dispatch), the status
-//! board, and the fold that feeds it ([`StatusFold`]) — which runs on
-//! whichever thread delivers a status update, not on a thread of its
-//! own.
+//! with: command execution (one publish batch per dispatch) and the
+//! fold that feeds the run's record ([`StatusFold`] into the
+//! [`RunTracker`]) — which runs on whichever thread delivers a status
+//! update, not on a thread of its own.
 
 use crate::core::{Command, Event, SaCore};
-use crate::engine::{RunTracker, TaskReport};
+use crate::engine::RunTracker;
 use crate::message::StatusUpdate;
-use crate::runtime::WaitError;
 use bytes::Bytes;
-use ginflow_core::{ServiceRegistry, TaskState, Value};
+use ginflow_core::ServiceRegistry;
 use ginflow_mq::{Broker, MqError, Subscription, TopicNamespace};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -109,154 +107,9 @@ impl AgentCtx<'_> {
     }
 }
 
-/// Per-task record on the board: latest accepted update plus timing
-/// marks relative to the board's epoch (= launch time). The fold itself
-/// is [`TaskReport::absorb`], shared with the sim backend's trace
-/// replay so per-task observation semantics cannot diverge.
-struct BoardState {
-    tasks: HashMap<String, TaskReport>,
-    /// Set when the run is torn down while waiters may still block.
-    closed: bool,
-}
-
-/// The observed workflow state: latest status update per task, with a
-/// condvar so waiters block instead of polling.
-pub(crate) struct StatusBoard {
-    epoch: Instant,
-    state: Mutex<BoardState>,
-    changed: Condvar,
-}
-
-impl StatusBoard {
-    /// Fresh board; its epoch (the zero of all task timings) is now.
-    pub fn new() -> Self {
-        StatusBoard {
-            epoch: Instant::now(),
-            state: Mutex::new(BoardState {
-                tasks: HashMap::new(),
-                closed: false,
-            }),
-            changed: Condvar::new(),
-        }
-    }
-
-    /// Time since launch.
-    pub fn elapsed(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
-    /// Record an update and wake waiters. Returns `false` (update
-    /// ignored) for stale publishes from a superseded incarnation.
-    pub fn record(&self, update: StatusUpdate) -> bool {
-        let now = self.epoch.elapsed();
-        let mut s = self.state.lock();
-        let accepted = s
-            .tasks
-            .entry(update.task.clone())
-            .or_default()
-            .absorb(&update, now);
-        drop(s);
-        if accepted {
-            self.changed.notify_all();
-        }
-        accepted
-    }
-
-    /// Mark the board closed (run torn down) and wake every waiter so it
-    /// can observe the cancellation instead of blocking out its timeout.
-    pub fn close(&self) {
-        self.state.lock().closed = true;
-        self.changed.notify_all();
-    }
-
-    /// Latest observed state of a task.
-    pub fn state_of(&self, task: &str) -> Option<TaskState> {
-        self.state.lock().tasks.get(task).map(|s| s.state)
-    }
-
-    /// Latest observed result of a task.
-    pub fn result_of(&self, task: &str) -> Option<Value> {
-        self.state
-            .lock()
-            .tasks
-            .get(task)
-            .and_then(|s| s.result.clone())
-    }
-
-    /// Snapshot of all observed task states, sorted by task name.
-    pub fn snapshot(&self) -> Vec<(String, TaskState)> {
-        let mut v: Vec<(String, TaskState)> = self
-            .state
-            .lock()
-            .tasks
-            .iter()
-            .map(|(k, s)| (k.clone(), s.state))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    /// Per-task detail for [`crate::engine::RunReport`]; `names` seeds
-    /// the map so never-observed tasks appear as `Idle`.
-    pub fn task_reports(&self, names: &[String]) -> BTreeMap<String, TaskReport> {
-        let s = self.state.lock();
-        let mut out: BTreeMap<String, TaskReport> = names
-            .iter()
-            .map(|n| (n.clone(), TaskReport::default()))
-            .collect();
-        for (name, entry) in &s.tasks {
-            out.insert(name.clone(), entry.clone());
-        }
-        out
-    }
-
-    /// Block (no polling — woken by [`StatusBoard::record`]) until every
-    /// sink completed, returning their results. A sink that completed
-    /// without publishing a result is an error, not a silent omission.
-    pub fn wait_for_sinks(
-        &self,
-        sinks: &[String],
-        timeout: Duration,
-    ) -> Result<HashMap<String, Value>, WaitError> {
-        let deadline = Instant::now() + timeout;
-        let mut s = self.state.lock();
-        loop {
-            let done = sinks
-                .iter()
-                .all(|t| s.tasks.get(t).map(|u| u.state) == Some(TaskState::Completed));
-            if done {
-                let mut results = HashMap::with_capacity(sinks.len());
-                for task in sinks {
-                    match s.tasks.get(task).and_then(|u| u.result.clone()) {
-                        Some(r) => {
-                            results.insert(task.clone(), r);
-                        }
-                        None => {
-                            return Err(WaitError::MissingResult { task: task.clone() });
-                        }
-                    }
-                }
-                return Ok(results);
-            }
-            if s.closed {
-                return Err(WaitError::Cancelled);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                let mut snapshot: Vec<(String, TaskState)> =
-                    s.tasks.iter().map(|(k, u)| (k.clone(), u.state)).collect();
-                snapshot.sort_by(|a, b| a.0.cmp(&b.0));
-                return Err(WaitError::Timeout { statuses: snapshot });
-            }
-            self.changed.wait_for(&mut s, deadline - now);
-        }
-    }
-}
-
 /// Where a run's status updates are folded: the status topic's
-/// subscription, drained into the [`StatusBoard`] and — for accepted
-/// updates — through the [`RunTracker`] (deriving the typed
-/// [`crate::engine::RunEvent`] stream).
+/// subscription, drained into the run's [`RunTracker`] — its only
+/// record — stamped with the time since launch.
 ///
 /// There is no collector thread. The subscription's waker *is* the
 /// fold: whichever thread delivers an update — the publishing worker on
@@ -270,22 +123,23 @@ impl StatusBoard {
 /// and never publishes — it cannot stall the thread it borrows.
 pub(crate) struct StatusFold {
     sub: Subscription,
-    board: Arc<StatusBoard>,
     tracker: Arc<RunTracker>,
+    /// Launch time: the zero of every task timing and of the run's wall.
+    epoch: Instant,
     /// The schedule bit: true while some thread is draining `sub`.
     folding: AtomicBool,
 }
 
 impl StatusFold {
-    /// Start folding `sub` into `board` and `tracker`: arms the waker
-    /// (which folds at once whatever a replaying subscription already
-    /// holds). The waker owns only a `Weak` — the subscription owns the
-    /// slot that owns the closure — and [`StatusFold::disarm`] ends it.
-    pub fn arm(sub: Subscription, board: Arc<StatusBoard>, tracker: Arc<RunTracker>) -> Arc<Self> {
+    /// Start folding `sub` into `tracker`: arms the waker (which folds
+    /// at once whatever a replaying subscription already holds). The
+    /// waker owns only a `Weak` — the subscription owns the slot that
+    /// owns the closure — and [`StatusFold::disarm`] ends it.
+    pub fn arm(sub: Subscription, tracker: Arc<RunTracker>) -> Arc<Self> {
         let fold = Arc::new(StatusFold {
             sub,
-            board,
             tracker,
+            epoch: Instant::now(),
             folding: AtomicBool::new(false),
         });
         let weak: Weak<StatusFold> = Arc::downgrade(&fold);
@@ -302,15 +156,18 @@ impl StatusFold {
         self.sub.clear_waker();
     }
 
+    /// Time since launch.
+    pub fn elapsed(&self) -> Duration {
+        self.epoch.elapsed()
+    }
+
     fn drain(&self) {
         while !self.folding.swap(true, Ordering::SeqCst) {
             while let Ok(Some(msg)) = self.sub.try_recv() {
                 // Undecodable payloads are foreign noise on a shared
                 // broker.
                 if let Some(update) = StatusUpdate::decode(&msg.payload) {
-                    if self.board.record(update.clone()) {
-                        self.tracker.observe(&update);
-                    }
+                    self.tracker.observe(&update, self.epoch.elapsed());
                 }
             }
             // Clear the bit *before* re-checking: a delivery that raced

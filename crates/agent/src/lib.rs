@@ -18,14 +18,21 @@
 //!   runtime**: a fixed pool of workers drives every agent, each parked
 //!   until its inbox topic wakes it through the broker's publish path
 //!   ([`ginflow_mq::Subscription::set_waker`]). Scales to thousands of
-//!   agents per process with zero idle CPU.
+//!   agents per process with zero idle CPU. A run's threads are its
+//!   workers and nothing else.
+//! * [`engine::RunTracker`] — the run's **only record**: the shared
+//!   status topic folded, under one lock, into per-task state, counters,
+//!   the outcome and the typed [`RunEvent`] stream. Every backend feeds
+//!   it, every observation on a [`RunHandle`] reads it, and its one
+//!   condvar wakes a waiter when the run ends and at no other time.
 //!
 //! The scheduler implements the recovery mechanism of §IV-B: a crashed SA
 //! is replaced by a fresh one that *replays its inbox topic* from the
 //! beginning of the persistent log, rebuilding the lost local state
 //! ("being able to log all incoming molecules of a SA and replay them in
 //! the same order on a newly created SA will lead the second SA in the
-//! same state as the first").
+//! same state as the first"). The worker that observes the crash starts
+//! the replacement.
 
 pub mod core;
 pub mod engine;
@@ -42,4 +49,4 @@ pub use engine::{
 pub use ginflow_mq::{RunId, TopicNamespace};
 pub use message::{SaMessage, StatusUpdate};
 pub use runtime::{RunOptions, WaitError};
-pub use scheduler::{Scheduler, WorkflowRun};
+pub use scheduler::Scheduler;

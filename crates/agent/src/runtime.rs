@@ -1,6 +1,7 @@
 //! Runtime configuration ([`RunOptions`]) and the error a wait on a run
 //! can end in ([`WaitError`]).
 
+use crate::engine::RunFailure;
 use ginflow_core::TaskState;
 use ginflow_mq::RunId;
 
@@ -14,8 +15,9 @@ pub struct RunOptions {
     /// services serialize per shard: raise this for workloads dominated
     /// by slow external services.
     pub workers: usize,
-    /// Automatically respawn dead agents (the recovery manager of
-    /// §IV-B). Requires a persistent broker to be useful.
+    /// Automatically respawn dead agents (§IV-B recovery: the worker
+    /// that observes a death starts the replacement). Requires a
+    /// persistent broker to be useful.
     pub auto_recover: bool,
     /// Multi-process sharding: `Some((index, count))` makes this
     /// process run only the agents whose FNV name-hash lands in shard
@@ -71,6 +73,10 @@ pub enum WaitError {
     },
     /// The run was cancelled (or torn down) while waiting.
     Cancelled,
+    /// The run failed on its own — an unwatched sink failed, or
+    /// execution stalled — so no amount of waiting will produce its
+    /// results.
+    Failed(RunFailure),
     /// A sink reached `Completed` without publishing a result — a
     /// protocol violation that used to be silently dropped from the
     /// result map.
@@ -98,6 +104,7 @@ impl std::fmt::Display for WaitError {
                 dump(f, statuses)
             }
             WaitError::Cancelled => f.write_str("run was cancelled"),
+            WaitError::Failed(failure) => write!(f, "run failed: {failure:?}"),
             WaitError::MissingResult { task } => {
                 write!(f, "sink {task:?} completed without publishing a result")
             }

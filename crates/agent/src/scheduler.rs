@@ -18,14 +18,15 @@
 //!   strictly in order with no core-level contention, while distinct
 //!   agents run in parallel across shards;
 //! * a *crash* is a kill flag the agent observes between events —
-//!   losing all local state, exactly like the paper's killed JVM. The
-//!   §IV-B recovery manager re-enqueues a fresh agent incarnation
-//!   through the same ready-queues, replaying the persistent inbox with
+//!   losing all local state, exactly like the paper's killed JVM.
+//!   §IV-B recovery re-enqueues a fresh agent incarnation through the
+//!   same ready-queues, replaying the persistent inbox with
 //!   [`SubscribeMode::Beginning`] ("replay them in the same order on a
-//!   newly created SA") — recovery is just another wakeup. On a
-//!   transient broker the same recovery *starts* but has no history to
-//!   replay, so the workflow hangs — the reason the paper pairs
-//!   recovery with Kafka.
+//!   newly created SA") — recovery is just another wakeup, and with
+//!   [`RunOptions::auto_recover`] the worker that observes the death
+//!   starts it on the spot. On a transient broker the same recovery
+//!   *starts* but has no history to replay, so the workflow hangs — the
+//!   reason the paper pairs recovery with Kafka.
 //!
 //! The wakeup protocol is the classic "schedule bit" of task executors:
 //! a waker sets `AgentSlot::scheduled` and enqueues the slot only on a
@@ -35,32 +36,32 @@
 //!
 //! ## Thread model
 //!
-//! A run owns N worker threads (`sa-worker-<i>`) and the recovery
-//! manager (`sa-recovery`); nothing else. In particular no thread
-//! collects status: the status topic's subscription is folded into the
-//! board and the [`RunTracker`] by **whichever thread delivers an
-//! update** — the publishing worker on an in-process broker, the client
-//! reactor over TCP — through the subscription's waker
-//! (`exec::StatusFold`). The fold runs under the same schedule-bit
-//! protocol as the slots (`swap(true)` to enter, drain, clear, re-check
-//! the backlog): one thread folds at a time, so updates are applied in
-//! the queue's order; a delivery that finds the bit set leaves its
-//! message to the holder's re-check, so none is lost. It does O(1) work
-//! per update and never blocks or publishes, so borrowing the delivering
-//! thread costs that thread nothing it would notice — and a task's
-//! status costs no wake-up of a thread that exists only to receive it.
-//! Teardown clears the waker; it publishes nothing and has no thread to
-//! wake through the broker.
+//! A run owns N worker threads (`sa-worker-<i>`) and nothing else: no
+//! thread exists only to wait. A dead agent is replaced by the worker
+//! that saw it die. A waiter ([`RunHandle::wait`], [`RunHandle::join`])
+//! parks on the [`RunTracker`]'s one condvar, notified when the run ends
+//! and at no other time. And no thread collects status: the status
+//! topic's subscription is folded into the [`RunTracker`] — the run's
+//! only record, which every observation on the [`RunHandle`] reads — by
+//! **whichever thread delivers an update** — the publishing worker on an
+//! in-process broker, the client reactor over TCP — through the
+//! subscription's waker (`exec::StatusFold`). The fold runs under the
+//! same schedule-bit protocol as the slots (`swap(true)` to enter,
+//! drain, clear, re-check the backlog): one thread folds at a time, so
+//! updates are applied in the queue's order; a delivery that finds the
+//! bit set leaves its message to the holder's re-check, so none is lost.
+//! It does O(1) work per update and never blocks or publishes, so
+//! borrowing the delivering thread costs that thread nothing it would
+//! notice — and a task's status costs no wake-up of a thread that exists
+//! only to receive it. Teardown clears the waker; it publishes nothing
+//! and has no thread to wake through the broker.
 
 use crate::core::{Event, SaCore};
-use crate::engine::{
-    ExecutionBackend, RunControl, RunEvents, RunFailure, RunHandle, RunMeta, RunOutcome, RunReport,
-    RunTracker,
-};
-use crate::exec::{retry_disconnected, AgentCtx, StatusBoard, StatusFold};
+use crate::engine::{ExecutionBackend, RunControl, RunHandle, RunMeta, RunReport, RunTracker};
+use crate::exec::{retry_disconnected, AgentCtx, StatusFold};
 use crate::message::SaMessage;
-use crate::runtime::{RunOptions, WaitError};
-use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow};
+use crate::runtime::RunOptions;
+use ginflow_core::{ServiceRegistry, Workflow};
 use ginflow_hoclflow::{agent_programs, AdaptPlan, AgentProgram};
 use ginflow_mq::metrics::{Counter, Gauge, Histogram};
 use ginflow_mq::{Broker, LagProbe, RunId, SubscribeMode, Subscription, TopicNamespace};
@@ -69,7 +70,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Max events one slot processes per scheduling turn before yielding the
 /// worker — keeps one chatty agent from starving its shard.
@@ -137,12 +137,6 @@ impl Scheduler {
     }
 
     /// Compile `workflow` and launch one agent per task.
-    pub fn launch(&self, workflow: &Workflow) -> WorkflowRun {
-        let (agents, plans) = agent_programs(workflow);
-        self.launch_programs(agents, plans)
-    }
-
-    /// Launch pre-compiled agent programs.
     ///
     /// Every topic of the launch lives in the run's namespace
     /// (`run/<id>/…`): the id is [`RunOptions::run_id`] when pinned
@@ -157,22 +151,23 @@ impl Scheduler {
     /// contains `/` or control characters — see
     /// [`ginflow_mq::namespace::validate_segment`]); validate upstream
     /// to fail gracefully, as the CLI does.
-    pub fn launch_programs(&self, agents: Vec<AgentProgram>, plans: Vec<AdaptPlan>) -> WorkflowRun {
+    pub fn launch(&self, workflow: &Workflow) -> RunHandle {
+        let (agents, plans) = agent_programs(workflow);
         let run_id = self.options.run_id.clone().unwrap_or_else(RunId::generate);
-        let ns = Arc::new(TopicNamespace::new(run_id.clone()));
         let tracker = Arc::new(RunTracker::new(
             RunMeta::from_programs(&agents, &plans),
-            run_id,
+            run_id.clone(),
         ));
-        launch_pool(
+        let run = launch_pool(
             self.broker.clone(),
             self.registry.clone(),
             agents,
             plans,
-            tracker,
-            ns,
+            tracker.clone(),
+            Arc::new(TopicNamespace::new(run_id)),
             &self.options,
-        )
+        );
+        RunHandle::new(tracker, Arc::new(run))
     }
 }
 
@@ -182,7 +177,7 @@ impl ExecutionBackend for Scheduler {
     }
 
     fn launch_run(&self, workflow: &Workflow) -> RunHandle {
-        RunHandle::new(Arc::new(Scheduler::launch(self, workflow)))
+        self.launch(workflow)
     }
 }
 
@@ -196,129 +191,47 @@ fn backend_label(options: &RunOptions) -> &'static str {
     }
 }
 
-/// A launched workflow: status observation, fault injection, recovery.
-pub struct WorkflowRun {
+/// The worker pool of one launched workflow — what the run's
+/// [`RunHandle`] reaches for fault injection, recovery and teardown.
+struct WorkflowRun {
     inner: Arc<PoolInner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    recovery_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
-impl WorkflowRun {
-    /// Latest observed state of a task.
-    pub fn state_of(&self, task: &str) -> Option<TaskState> {
-        self.inner.board.state_of(task)
-    }
-
-    /// Latest observed result of a task.
-    pub fn result_of(&self, task: &str) -> Option<Value> {
-        self.inner.board.result_of(task)
-    }
-
-    /// Snapshot of all observed task states.
-    pub fn statuses(&self) -> Vec<(String, TaskState)> {
-        self.inner.board.snapshot()
-    }
-
-    /// Block until every sink task completes; returns their results.
-    pub fn wait(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
-        self.inner.board.wait_for_sinks(&self.inner.sinks, timeout)
+impl RunControl for WorkflowRun {
+    fn backend(&self) -> &'static str {
+        self.inner.label
     }
 
     /// Crash a task's agent (it stops consuming; all local state is
     /// lost). Returns whether the agent existed and was alive.
-    pub fn kill(&self, task: &str) -> bool {
+    fn kill(&self, task: &str) -> bool {
         self.inner.kill(task)
-    }
-
-    /// Is the task's agent still alive (scheduled or parked, not dead)?
-    pub fn alive(&self, task: &str) -> bool {
-        self.inner.alive(task)
     }
 
     /// Manually start a replacement agent for `task` (§IV-B recovery).
     /// On a persistent broker the newcomer replays the full inbox
     /// history.
-    pub fn respawn(&self, task: &str) -> bool {
-        self.inner.respawn(task)
+    fn respawn(&self, task: &str) -> bool {
+        self.inner.respawn_impl(task, false)
     }
 
-    /// Current incarnation number of a task's agent.
-    pub fn incarnation(&self, task: &str) -> u32 {
+    fn alive(&self, task: &str) -> bool {
+        self.inner.alive(task)
+    }
+
+    fn incarnation(&self, task: &str) -> u32 {
         self.inner.incarnation(task)
     }
 
-    /// Subscribe to the typed run event stream (full history replayed
-    /// first, then live) — see [`crate::engine::RunEvent`].
-    pub fn events(&self) -> RunEvents {
-        self.inner.tracker.subscribe()
-    }
-
-    /// The run's id — the key of the topic namespace (`run/<id>/…`) this
-    /// run coordinates under.
-    pub fn run_id(&self) -> &RunId {
-        self.inner.tracker.run_id()
-    }
-
-    /// Cancel the run: emits `RunFailed(Cancelled)`, tears every agent
-    /// down and joins all threads before returning.
-    pub fn cancel(&self) {
-        self.cancel_with_failure(RunFailure::Cancelled);
-    }
-
-    /// Structured snapshot of the run (partial while still executing).
-    pub fn report(&self) -> RunReport {
-        let board = &self.inner.board;
-        let tracker = &self.inner.tracker;
-        let tasks = board.task_reports(&tracker.meta().tasks);
-        let outcome = tracker.outcome();
-        let (adaptations_fired, respawns) = tracker.counts();
-        // After a terminal event the observed makespan is the last task
-        // transition, not "now"; mid-flight the clock is still running.
-        let wall = if outcome.is_some() {
-            tasks
-                .values()
-                .filter_map(|t| t.finished_at)
-                .max()
-                .unwrap_or_else(|| board.elapsed())
-        } else {
-            board.elapsed()
-        };
-        RunReport {
-            backend: self.backend_label(),
-            run_id: tracker.run_id().as_str().to_owned(),
-            completed: outcome == Some(RunOutcome::Completed),
-            cancelled: outcome == Some(RunOutcome::Failed(RunFailure::Cancelled)),
-            deadline_expired: outcome == Some(RunOutcome::Failed(RunFailure::DeadlineExpired)),
-            wall,
-            adaptations_fired,
-            respawns,
-            lagged: self.lagged(),
-            metrics: ginflow_mq::metrics::global().snapshot_run(tracker.run_id().as_str()),
-            tasks,
+    fn stamp(&self, report: &mut RunReport) {
+        if report.wall.is_zero() {
+            report.wall = self.inner.status.elapsed();
         }
-    }
-
-    /// Messages this run's broker subscriptions dropped to their queue
-    /// bound (drop-oldest policy on the transient profile), cumulative
-    /// over every subscription the run ever opened — respawned
-    /// incarnations included.
-    pub fn lagged(&self) -> u64 {
-        self.inner.lagged()
-    }
-
-    /// Stop everything and join all threads.
-    pub fn shutdown(self) {
-        self.stop();
-    }
-
-    /// Backend label ("scheduler" / "sharded").
-    pub fn backend_label(&self) -> &'static str {
-        self.inner.label
-    }
-
-    fn cancel_with_failure(&self, failure: RunFailure) {
-        self.inner.tracker.fail(failure);
-        self.stop();
+        // Cumulative over every subscription the run ever opened —
+        // respawned incarnations included.
+        report.lagged = self.inner.lag_probes.lock().iter().map(|p| p.get()).sum();
+        report.metrics = ginflow_mq::metrics::global().snapshot_run(&report.run_id);
     }
 
     /// Tear down: every queued agent turn observes the shutdown flag and
@@ -332,88 +245,12 @@ impl WorkflowRun {
             for shard in &self.inner.shards {
                 let _ = shard.send(WorkItem::Shutdown);
             }
-            let _ = self.inner.reaper.send(ReaperMsg::Shutdown);
         }
-        self.inner.board.close();
         let workers: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
         for worker in workers {
             let _ = worker.join();
         }
-        if let Some(t) = self.recovery_thread.lock().take() {
-            let _ = t.join();
-        }
         self.inner.status.disarm();
-        self.inner.tracker.close();
-    }
-}
-
-impl Drop for WorkflowRun {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// `WorkflowRun` *is* the scheduler's run-control implementation: the
-/// unified [`RunHandle`] wraps it directly.
-impl RunControl for WorkflowRun {
-    fn backend(&self) -> &'static str {
-        self.backend_label()
-    }
-
-    fn run_id(&self) -> String {
-        WorkflowRun::run_id(self).as_str().to_owned()
-    }
-
-    fn state_of(&self, task: &str) -> Option<TaskState> {
-        WorkflowRun::state_of(self, task)
-    }
-
-    fn result_of(&self, task: &str) -> Option<Value> {
-        WorkflowRun::result_of(self, task)
-    }
-
-    fn statuses(&self) -> Vec<(String, TaskState)> {
-        WorkflowRun::statuses(self)
-    }
-
-    fn kill(&self, task: &str) -> bool {
-        WorkflowRun::kill(self, task)
-    }
-
-    fn respawn(&self, task: &str) -> bool {
-        WorkflowRun::respawn(self, task)
-    }
-
-    fn alive(&self, task: &str) -> bool {
-        WorkflowRun::alive(self, task)
-    }
-
-    fn incarnation(&self, task: &str) -> u32 {
-        WorkflowRun::incarnation(self, task)
-    }
-
-    fn subscribe(&self) -> RunEvents {
-        self.events()
-    }
-
-    fn wait_sinks(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
-        self.wait(timeout)
-    }
-
-    fn wait_ended(&self, timeout: Option<Duration>) -> bool {
-        self.inner.tracker.wait_ended(timeout)
-    }
-
-    fn cancel_with(&self, failure: RunFailure) {
-        self.cancel_with_failure(failure);
-    }
-
-    fn stop(&self) {
-        WorkflowRun::stop(self);
-    }
-
-    fn report(&self) -> RunReport {
-        WorkflowRun::report(self)
     }
 }
 
@@ -426,14 +263,6 @@ enum WorkItem {
     /// Run this agent (its schedule bit is set).
     Run(Arc<AgentSlot>),
     /// Worker exit (sent once per shard at shutdown).
-    Shutdown,
-}
-
-/// Messages to the recovery manager.
-enum ReaperMsg {
-    /// An agent died (crash-flag observed, or its core errored).
-    Dead(String),
-    /// Manager exit.
     Shutdown,
 }
 
@@ -469,15 +298,12 @@ struct PoolInner {
     plans: Arc<Vec<AdaptPlan>>,
     slots: Mutex<HashMap<String, Arc<AgentSlot>>>,
     shards: Vec<crossbeam::channel::Sender<WorkItem>>,
-    reaper: crossbeam::channel::Sender<ReaperMsg>,
-    board: Arc<StatusBoard>,
-    tracker: Arc<RunTracker>,
-    /// The status topic's subscription and the fold its waker runs.
+    /// The status topic's subscription and the fold its waker runs:
+    /// every task of the workflow, local or not, reaches the run's
+    /// [`RunTracker`] through the shared status topic, the cross-shard
+    /// membrane.
     status: Arc<StatusFold>,
     shutdown: AtomicBool,
-    /// Every sink of the workflow, local or not: completion is observed
-    /// through the shared status topic, the cross-shard membrane.
-    sinks: Vec<String>,
     auto_recover: bool,
     /// Inbox subscription mode for (re)spawned agents: full replay in
     /// sharded-persistent mode, head-attach otherwise.
@@ -512,12 +338,6 @@ fn launch_pool(
     options: &RunOptions,
 ) -> WorkflowRun {
     let workers = options.resolve_workers();
-    let sinks: Vec<String> = agents
-        .iter()
-        .filter(|a| a.is_sink())
-        .map(|a| a.name.clone())
-        .collect();
-    let board = Arc::new(StatusBoard::new());
 
     // Sharded mode: this process hosts only its slice of the agents,
     // and — on a persistent broker — subscribes everything with full
@@ -545,7 +365,7 @@ fn launch_pool(
     let status_sub = retry_disconnected(|| broker.subscribe(ns.status(), status_mode))
         .expect("status subscription");
     let status_lag = status_sub.lag_probe();
-    let status = StatusFold::arm(status_sub, board.clone(), tracker.clone());
+    let status = StatusFold::arm(status_sub, tracker);
 
     let mut shard_txs = Vec::with_capacity(workers);
     let mut shard_rxs = Vec::with_capacity(workers);
@@ -554,7 +374,6 @@ fn launch_pool(
         shard_txs.push(tx);
         shard_rxs.push(rx);
     }
-    let (reaper_tx, reaper_rx) = crossbeam::channel::unbounded();
 
     let local_agents: Vec<AgentProgram> =
         agents.into_iter().filter(|a| is_local(&a.name)).collect();
@@ -569,12 +388,8 @@ fn launch_pool(
         plans: Arc::new(plans),
         slots: Mutex::new(HashMap::new()),
         shards: shard_txs,
-        reaper: reaper_tx,
-        board,
-        tracker,
         status,
         shutdown: AtomicBool::new(false),
-        sinks,
         auto_recover: options.auto_recover,
         inbox_mode,
         lag_probes: Mutex::new(vec![status_lag]),
@@ -627,16 +442,6 @@ fn launch_pool(
         })
         .collect();
 
-    let recovery_thread = {
-        let inner = inner.clone();
-        Some(
-            std::thread::Builder::new()
-                .name("sa-recovery".into())
-                .spawn(move || recovery_loop(inner, reaper_rx))
-                .expect("spawn recovery thread"),
-        )
-    };
-
     // Arm the wakeups, then hand every agent its Start turn.
     for slot in &fresh {
         inner.register_waker(slot);
@@ -648,7 +453,6 @@ fn launch_pool(
     WorkflowRun {
         inner,
         workers: Mutex::new(workers_threads),
-        recovery_thread: Mutex::new(recovery_thread),
     }
 }
 
@@ -707,12 +511,6 @@ impl PoolInner {
         self.slots.lock().get(task).cloned()
     }
 
-    /// Cumulative slow-subscriber drops across every subscription the
-    /// run ever opened.
-    fn lagged(&self) -> u64 {
-        self.lag_probes.lock().iter().map(|p| p.get()).sum()
-    }
-
     fn kill(&self, task: &str) -> bool {
         match self.slot(task) {
             Some(slot) if !slot.dead.load(Ordering::SeqCst) => {
@@ -738,19 +536,12 @@ impl PoolInner {
 
     /// §IV-B recovery: a fresh incarnation re-enters through the same
     /// ready-queue; on a persistent broker its subscription replays the
-    /// dead agent's entire inbox first.
-    fn respawn(self: &Arc<Self>, task: &str) -> bool {
-        self.respawn_impl(task, false)
-    }
-
-    /// Auto-recovery entry: respawn only while the current incarnation
-    /// is dead (a racing manual respawn may already have replaced it).
-    fn respawn_if_dead(self: &Arc<Self>, task: &str) -> bool {
-        self.respawn_impl(task, true)
-    }
-
+    /// dead agent's entire inbox first. With `only_if_dead` (auto
+    /// recovery) it happens only while the current incarnation is dead —
+    /// a racing manual respawn may already have replaced it.
+    ///
     /// The check → subscribe → replace sequence runs under the slots
-    /// lock: two concurrent respawns (manual vs recovery manager) would
+    /// lock: two concurrent respawns (manual vs auto recovery) would
     /// otherwise both insert a replacement and leave the loser as an
     /// unreachable ghost agent still bound to the broker.
     fn respawn_impl(self: &Arc<Self>, task: &str, only_if_dead: bool) -> bool {
@@ -870,30 +661,15 @@ fn process(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
     }
 }
 
-/// Retire a slot for good and notify the recovery manager.
+/// Retire a slot for good. With auto recovery on, the worker that
+/// observed the death starts the §IV-B replacement itself: it holds no
+/// lock here, the replacement lands on this same shard, and scheduling
+/// it is a non-blocking send onto this worker's own queue.
 fn die(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
     slot.dead.store(true, Ordering::SeqCst);
     slot.sub.clear_waker();
     slot.scheduled.store(false, Ordering::SeqCst);
-    let _ = inner.reaper.send(ReaperMsg::Dead(slot.name.clone()));
-}
-
-/// The recovery manager: parked on the reaper channel (no scanning), it
-/// respawns dead agents while the workflow is running — the in-process
-/// analogue of the paper's failure detector.
-fn recovery_loop(inner: Arc<PoolInner>, rx: crossbeam::channel::Receiver<ReaperMsg>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ReaperMsg::Shutdown => return,
-            ReaperMsg::Dead(task) => {
-                if inner.shutdown.load(Ordering::SeqCst) || !inner.auto_recover {
-                    continue;
-                }
-                // Only respawns if the dead incarnation is still current
-                // (a manual respawn may have raced us) — checked under
-                // the slots lock inside.
-                inner.respawn_if_dead(&task);
-            }
-        }
+    if inner.auto_recover && !inner.shutdown.load(Ordering::SeqCst) {
+        inner.respawn_impl(&slot.name, true);
     }
 }

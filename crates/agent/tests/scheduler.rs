@@ -3,7 +3,7 @@
 //! scale, adaptation, and crash/recovery with inbox replay (mirrors
 //! `tests/runtime.rs` with workers ≪ agents).
 
-use ginflow_agent::{RunEvent, RunOptions, Scheduler};
+use ginflow_agent::{RunEvent, RunFailure, RunOptions, Scheduler, WaitError};
 use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
 use ginflow_core::{patterns, FailingService, ServiceRegistry, TaskState, Value, Workflow};
 use ginflow_mq::{
@@ -125,10 +125,10 @@ fn auto_recovery_on_the_pool_restarts_dead_agents() {
         results["T4"],
         Value::Str("s4(s2(s1(input)),s3(s1(input)))".into())
     );
-    // The respawn is asynchronous (reaper → recovery thread) and the
-    // run may complete first when the kill lands after T3 already
-    // finished its work — poll briefly instead of racing the recovery
-    // thread.
+    // The respawn is asynchronous (the worker that observes the kill
+    // performs it) and the run may complete first when the kill lands
+    // after T3 already finished its work — poll briefly instead of
+    // racing that worker.
     let deadline = std::time::Instant::now() + WAIT;
     while run.incarnation("T3") == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -327,10 +327,12 @@ fn run_thread_names() -> Vec<String> {
 }
 
 #[test]
-fn a_run_owns_its_workers_and_the_recovery_manager_and_no_other_thread() {
-    // Status is folded by whoever delivers it: no thread exists to
-    // collect it. Sibling tests run in this process too, so the check
-    // is on what kinds of run thread exist, not on how many.
+fn a_run_owns_its_workers_and_no_other_thread() {
+    // Status is folded by whoever delivers it and a dead agent is
+    // replaced by the worker that saw it die: no thread exists only to
+    // wait. Sibling tests run in this process too, so the check is on
+    // what kinds of run thread exist, not on how many. Auto recovery is
+    // on, and used: the respawn below happens on a worker.
     let mut registry = ServiceRegistry::tracing_for(["s2", "s3", "s4"]);
     registry.register(
         "s1",
@@ -340,29 +342,130 @@ fn a_run_owns_its_workers_and_the_recovery_manager_and_no_other_thread() {
         )),
     );
     let scheduler =
-        Scheduler::new(Arc::new(LogBroker::new()), Arc::new(registry)).with_options(pool_options());
+        Scheduler::new(Arc::new(LogBroker::new()), Arc::new(registry)).with_options(RunOptions {
+            auto_recover: true,
+            ..pool_options()
+        });
     let run = scheduler.launch(&fig2());
-    let count =
-        |names: &[String], prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+    assert!(run.kill("T3"));
     // A thread names itself as it starts: wait for this run's to have.
     let deadline = std::time::Instant::now() + WAIT;
     let names = loop {
         let names = run_thread_names();
-        if count(&names, "sa-worker-") >= 2 && count(&names, "sa-recovery") >= 1 {
+        if names.iter().filter(|n| n.starts_with("sa-worker-")).count() >= 2 {
             break names;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "the run's threads never appeared: {names:?}"
+            "the run's workers never appeared: {names:?}"
         );
         std::thread::sleep(Duration::from_millis(5));
     };
-    assert_eq!(
-        count(&names, "sa-worker-") + count(&names, "sa-recovery"),
-        names.len(),
-        "a run thread that is neither a worker nor the recovery manager: {names:?}"
+    assert!(
+        names.iter().all(|n| n.starts_with("sa-worker-")),
+        "a run thread that is not a worker: {names:?}"
     );
     run.wait(WAIT).expect("fig2 completes");
+    assert!(run.incarnation("T3") >= 1, "T3 was respawned by a worker");
+    run.shutdown();
+}
+
+/// A service that parks until the test opens the gate, then traces.
+struct Gated(
+    ginflow_core::TraceService,
+    Mutex<std::sync::mpsc::Receiver<()>>,
+);
+
+impl ginflow_core::Service for Gated {
+    fn invoke(&self, params: &[Value]) -> Result<Value, ginflow_core::ServiceError> {
+        let _ = self.1.lock().unwrap().recv();
+        self.0.invoke(params)
+    }
+}
+
+/// `voluntary_ctxt_switches` of the calling thread: how often it has
+/// parked (blocked in the kernel) so far.
+fn voluntary_switches() -> u64 {
+    let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+        .expect("voluntary_ctxt_switches in /proc/thread-self/status");
+    line.trim().parse().unwrap()
+}
+
+#[test]
+fn a_thread_parked_in_wait_is_woken_when_the_run_ends_and_at_no_other_time() {
+    // 500 tasks publish 1000 status updates while a thread sits in
+    // `wait`. The tracker's condvar is notified when the run ends and
+    // at no other time, so the waiter parks once — counted by the
+    // kernel, not timed: park, wake, and at most a contended lock on
+    // the way out. (With a wake-up per accepted update this reads
+    // ≈ 960.) The first task is gated so the whole chain runs while
+    // the waiter is parked.
+    let (gate, opened) = std::sync::mpsc::channel();
+    let mut registry = ServiceRegistry::tracing_for(["s"]);
+    registry.register(
+        "gate",
+        Arc::new(Gated(
+            ginflow_core::TraceService::new("gate"),
+            Mutex::new(opened),
+        )),
+    );
+    let mut b = WorkflowBuilder::new("gated-chain");
+    b.task("t0", "gate").input(Value::str("x"));
+    for i in 1..500 {
+        b.task(format!("t{i}"), "s").after([format!("t{}", i - 1)]);
+    }
+    let scheduler =
+        Scheduler::new(Arc::new(LogBroker::new()), Arc::new(registry)).with_options(RunOptions {
+            workers: 1,
+            ..RunOptions::default()
+        });
+    let run = scheduler.launch(&b.build().unwrap());
+    let (parking, about_to_park) = std::sync::mpsc::channel();
+    let parked = std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| {
+            let before = voluntary_switches();
+            parking.send(()).unwrap();
+            let results = run.wait(WAIT).expect("the chain completes");
+            assert!(results.contains_key("t499"));
+            voluntary_switches() - before
+        });
+        about_to_park.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(run.state_of("t0"), Some(TaskState::Running));
+        gate.send(()).unwrap();
+        waiter.join().unwrap()
+    });
+    assert!(parked <= 4, "the waiter parked {parked} times");
+    assert_eq!(run.report().completed_tasks(), 500);
+    run.shutdown();
+}
+
+#[test]
+fn wait_returns_the_moment_the_run_fails() {
+    // The only task fails and nothing watches it: `RunFailed` is on the
+    // event stream at once, and `wait` reads the same record — it says
+    // so now instead of sitting out its timeout.
+    let mut registry = ServiceRegistry::new();
+    registry.register("s1", Arc::new(FailingService));
+    let mut b = WorkflowBuilder::new("one-failing-task");
+    b.task("only", "s1").input(Value::str("x"));
+    let scheduler = Scheduler::new(BrokerKind::Transient.build(), Arc::new(registry))
+        .with_options(pool_options());
+    let run = scheduler.launch(&b.build().unwrap());
+    let started = std::time::Instant::now();
+    match run.wait(WAIT) {
+        Err(WaitError::Failed(RunFailure::SinkFailed { task })) => assert_eq!(task, "only"),
+        other => panic!("expected Failed(SinkFailed), got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "wait sat out {:?} of a {WAIT:?} timeout",
+        started.elapsed()
+    );
+    assert_eq!(run.state_of("only"), Some(TaskState::Failed));
     run.shutdown();
 }
 

@@ -25,10 +25,12 @@
 //! Whatever the backend, [`Engine::launch`] returns the same
 //! [`RunHandle`]: a typed, ordered [`RunEvent`] stream fed from the
 //! shared status topic, first-class cancellation and deadlines, and a
-//! structured [`RunReport`]. The seam between the engine and its
-//! vehicles is [`ExecutionBackend`] (defined in `ginflow-agent::engine`)
-//! — async brokers, multi-process shards and remote executors plug in
-//! there without touching any caller.
+//! structured [`RunReport`] — all read from the run's one record, the
+//! [`RunTracker`] every backend feeds, so they mean the same thing on
+//! each. The seam between the engine and its vehicles is
+//! [`ExecutionBackend`] (defined in `ginflow-agent::engine`); what a
+//! vehicle contributes to a launched run beyond feeding the tracker is
+//! the narrow [`RunControl`].
 
 pub use ginflow_agent::engine::{
     EventWait, ExecutionBackend, RunControl, RunEvent, RunEvents, RunFailure, RunHandle, RunMeta,
@@ -114,17 +116,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Automatically respawn dead agents (§IV-B recovery manager).
+    /// Automatically respawn dead agents (§IV-B recovery).
     pub fn auto_recover(mut self, on: bool) -> Self {
         self.options.auto_recover = on;
-        self
-    }
-
-    /// Full runtime options (overrides [`EngineBuilder::workers`] /
-    /// [`EngineBuilder::auto_recover`]). The run id is still the one
-    /// given to [`EngineBuilder::run_id`].
-    pub fn options(mut self, options: RunOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -225,16 +219,6 @@ impl Engine {
     /// Start configuring an engine.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
-    }
-
-    /// An engine over a custom [`ExecutionBackend`] implementation —
-    /// the extension point future backends (async brokers, remote
-    /// shards) use without touching this crate.
-    pub fn from_backend(backend: Arc<dyn ExecutionBackend>) -> Engine {
-        Engine {
-            backend,
-            deadline: None,
-        }
     }
 
     /// The backend's label ("scheduler", "sharded", "sim", …).

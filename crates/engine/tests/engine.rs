@@ -47,11 +47,12 @@ fn final_states(events: impl IntoIterator<Item = RunEvent>) -> HashMap<String, T
 
 /// The acceptance check: the same Fig-2 workflow launched through one
 /// `Engine::builder()` on both backends, with the `RunEvent` streams
-/// agreeing on the final task states.
+/// agreeing on the final task states — and the reports, which one
+/// function builds from one fold on both, agreeing task by task.
 #[test]
 fn both_backends_agree_on_fig2_final_states() {
     let wf = fig2();
-    let mut per_backend: Vec<(&'static str, HashMap<String, TaskState>)> = Vec::new();
+    let mut per_backend = Vec::new();
     for backend in [Backend::Scheduler, Backend::Sim] {
         let run = engine_for(backend).launch(&wf);
         let events: Vec<RunEvent> = run.events().collect();
@@ -63,17 +64,37 @@ fn both_backends_agree_on_fig2_final_states() {
         );
         let report = run.join();
         assert!(report.completed, "{} did not complete", report.backend);
-        per_backend.push((report.backend, final_states(events)));
+        // State, incarnation and whether there is a result, per task
+        // (the values differ by design: the live services trace their
+        // lineage, the simulator's produce `<task>#out`).
+        let tasks: Vec<(String, TaskState, u32, bool)> = report
+            .tasks
+            .iter()
+            .map(|(name, t)| (name.clone(), t.state, t.incarnation, t.result.is_some()))
+            .collect();
+        for (name, t) in &report.tasks {
+            assert!(t.started_at <= t.finished_at, "{name}: {t:?}");
+            assert!(t.finished_at <= Some(report.wall), "{name}: {t:?}");
+        }
+        per_backend.push((report.backend, final_states(events), tasks));
     }
-    let (first_name, first) = &per_backend[0];
-    for (name, states) in &per_backend[1..] {
+    let (first_name, first, first_tasks) = &per_backend[0];
+    for (name, states, tasks) in &per_backend[1..] {
         assert_eq!(
             first, states,
             "event streams of {first_name} and {name} disagree on final states"
         );
+        assert_eq!(
+            first_tasks, tasks,
+            "reports of {first_name} and {name} disagree"
+        );
     }
     assert_eq!(first["T4"], TaskState::Completed);
     assert_eq!(first.len(), 4);
+    assert_eq!(first_tasks.len(), 4);
+    assert!(first_tasks
+        .iter()
+        .all(|(_, state, inc, result)| (*state, *inc, *result) == (TaskState::Completed, 0, true)));
 }
 
 #[test]

@@ -2,22 +2,21 @@
 //! unified execution API as the live scheduler.
 //!
 //! Launching runs the whole discrete-event simulation synchronously —
-//! virtual hours complete in wall-clock milliseconds — and wraps the
-//! outcome in a [`RunHandle`] whose event stream is derived from the
-//! recorded status trace through the *same* [`RunTracker`] the live
-//! backends feed. A consumer iterating [`RunHandle::events`] cannot tell
-//! (ordering- and content-wise) whether the run was real or simulated,
-//! which is exactly what makes cross-backend tests meaningful.
+//! virtual hours complete in wall-clock milliseconds — and feeds its
+//! recorded status log, stamped in virtual time, through the *same*
+//! [`RunTracker`] the live backends feed. The [`RunHandle`] it returns
+//! is that tracker plus a vehicle with nothing left to do: events,
+//! states, results, `wait` and the report are the fold of the run's own
+//! status log, exactly as on every other backend. A consumer iterating
+//! [`RunHandle::events`] cannot tell (ordering- and content-wise)
+//! whether the run was real or simulated, which is exactly what makes
+//! cross-backend tests meaningful.
 
 use crate::run::{simulate, SimConfig};
-use crate::SimReport;
 use ginflow_agent::engine::{
-    ExecutionBackend, RunControl, RunEvents, RunFailure, RunHandle, RunMeta, RunOutcome, RunReport,
-    RunTracker, TaskReport,
+    ExecutionBackend, RunControl, RunFailure, RunHandle, RunMeta, RunReport, RunTracker,
 };
-use ginflow_agent::WaitError;
-use ginflow_core::{TaskState, Value, Workflow};
-use std::collections::{BTreeMap, HashMap};
+use ginflow_core::Workflow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,84 +60,29 @@ impl ExecutionBackend for SimBackend {
             .run_id
             .clone()
             .unwrap_or_else(ginflow_mq::RunId::generate);
-        let tracker = RunTracker::new(RunMeta::of(workflow), run_id);
-        for (_, update) in &report.status_log {
-            tracker.observe(update);
-        }
-        if tracker.outcome().is_none() {
-            // The virtual run ended without every sink completing (e.g.
-            // crashes without a persistent broker): terminal, stalled.
-            tracker.fail(RunFailure::Stalled);
-        }
-        RunHandle::new(Arc::new(SimRun::new(report, tracker)))
-    }
-}
-
-/// A finished simulated run behind the [`RunControl`] surface. All
-/// "observations" answer from the recorded trace; fault injection is a
-/// no-op (the failure injector runs *inside* the simulation, configured
-/// via [`SimConfig::failures`]).
-struct SimRun {
-    report: SimReport,
-    tracker: RunTracker,
-    tasks: BTreeMap<String, TaskReport>,
-}
-
-impl SimRun {
-    fn new(report: SimReport, tracker: RunTracker) -> Self {
-        let mut tasks: BTreeMap<String, TaskReport> = tracker
-            .meta()
-            .tasks
-            .iter()
-            .map(|n| (n.clone(), TaskReport::default()))
-            .collect();
+        let tracker = Arc::new(RunTracker::new(RunMeta::of(workflow), run_id));
         for (at, update) in &report.status_log {
-            // The same fold the live status board applies — stale
-            // incarnations and timing marks behave identically.
-            tasks
-                .entry(update.task.clone())
-                .or_default()
-                .absorb(update, Duration::from_micros(*at));
+            tracker.observe(update, Duration::from_micros(*at));
         }
-        // The kernel's final word wins over the trace (a task can end
-        // `Idle`/`Running` without a last publish when the run stalls).
-        for (name, state) in &report.states {
-            tasks.entry(name.clone()).or_default().state = *state;
-        }
-        SimRun {
-            report,
-            tracker,
-            tasks,
-        }
+        // A virtual run that ended without every sink completing (e.g.
+        // crashes without a persistent broker) is terminal, stalled; on
+        // one that completed this does nothing.
+        tracker.fail(RunFailure::Stalled);
+        let makespan = Duration::from_micros(report.makespan_us);
+        RunHandle::new(tracker, Arc::new(SimRun { makespan }))
     }
+}
 
-    fn latest(&self, task: &str) -> Option<&TaskReport> {
-        self.tasks.get(task)
-    }
+/// A finished simulated run as a vehicle: there are no agents left to
+/// touch — the failure injector runs *inside* the simulation, configured
+/// via [`SimConfig::failures`] — and nothing to stop.
+struct SimRun {
+    makespan: Duration,
 }
 
 impl RunControl for SimRun {
     fn backend(&self) -> &'static str {
         "sim"
-    }
-
-    fn run_id(&self) -> String {
-        self.tracker.run_id().as_str().to_owned()
-    }
-
-    fn state_of(&self, task: &str) -> Option<TaskState> {
-        self.latest(task).map(|t| t.state)
-    }
-
-    fn result_of(&self, task: &str) -> Option<Value> {
-        self.latest(task).and_then(|t| t.result.clone())
-    }
-
-    fn statuses(&self) -> Vec<(String, TaskState)> {
-        self.tasks
-            .iter()
-            .map(|(name, t)| (name.clone(), t.state))
-            .collect()
     }
 
     fn kill(&self, _task: &str) -> bool {
@@ -153,64 +97,16 @@ impl RunControl for SimRun {
         false // the virtual run has already ended
     }
 
-    fn incarnation(&self, task: &str) -> u32 {
-        self.latest(task).map(|t| t.incarnation).unwrap_or(0)
+    fn incarnation(&self, _task: &str) -> u32 {
+        0
     }
 
-    fn subscribe(&self) -> RunEvents {
-        self.tracker.subscribe()
+    /// Virtual time; the sim drops no message and feeds no registry.
+    fn stamp(&self, report: &mut RunReport) {
+        report.wall = self.makespan;
     }
 
-    fn wait_sinks(&self, _timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
-        if self.report.completed {
-            let mut results = HashMap::new();
-            for sink in &self.tracker.meta().sinks {
-                match self.result_of(sink) {
-                    Some(v) => {
-                        results.insert(sink.clone(), v);
-                    }
-                    None => return Err(WaitError::MissingResult { task: sink.clone() }),
-                }
-            }
-            Ok(results)
-        } else {
-            Err(WaitError::Timeout {
-                statuses: self.statuses(),
-            })
-        }
-    }
-
-    fn wait_ended(&self, timeout: Option<Duration>) -> bool {
-        self.tracker.wait_ended(timeout)
-    }
-
-    fn cancel_with(&self, failure: RunFailure) {
-        // Already terminal in virtually every case; `fail` is a no-op
-        // then. Kept for API symmetry.
-        self.tracker.fail(failure);
-    }
-
-    fn stop(&self) {
-        self.tracker.close();
-    }
-
-    fn report(&self) -> RunReport {
-        let outcome = self.tracker.outcome();
-        let (adaptations_fired, respawns) = self.tracker.counts();
-        RunReport {
-            backend: "sim",
-            run_id: self.tracker.run_id().as_str().to_owned(),
-            completed: self.report.completed,
-            cancelled: outcome == Some(RunOutcome::Failed(RunFailure::Cancelled)),
-            deadline_expired: outcome == Some(RunOutcome::Failed(RunFailure::DeadlineExpired)),
-            wall: Duration::from_micros(self.report.makespan_us),
-            adaptations_fired,
-            respawns,
-            lagged: 0,
-            metrics: Vec::new(),
-            tasks: self.tasks.clone(),
-        }
-    }
+    fn stop(&self) {}
 }
 
 #[cfg(test)]
@@ -219,7 +115,7 @@ mod tests {
     use crate::ServiceModel;
     use ginflow_agent::RunEvent;
     use ginflow_core::workflow::WorkflowBuilder;
-    use ginflow_core::{patterns, Connectivity};
+    use ginflow_core::{patterns, Connectivity, TaskState, Value};
 
     fn fig2() -> Workflow {
         let mut b = WorkflowBuilder::new("fig2");

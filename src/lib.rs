@@ -83,7 +83,7 @@ pub use ginflow_sim as sim;
 
 /// The commonly-needed types in one import.
 pub mod prelude {
-    pub use ginflow_agent::{RunOptions, SaMessage, Scheduler, WorkflowRun};
+    pub use ginflow_agent::{RunOptions, SaMessage, Scheduler};
     pub use ginflow_core::workflow::ReplacementTask;
     pub use ginflow_core::{
         patterns, Connectivity, EchoService, FailingService, Service, ServiceError,
