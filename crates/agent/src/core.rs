@@ -59,7 +59,8 @@ pub enum Command {
 /// The agent state machine: local solution + HOCL engine + adaptation
 /// fan-out plans. All I/O is expressed through returned [`Command`]s.
 pub struct SaCore {
-    program: AgentProgram,
+    /// Shared with the pool that may respawn the agent from it.
+    program: Arc<AgentProgram>,
     solution: ginflow_hocl::Solution,
     engine: Engine,
     plans: Arc<Vec<AdaptPlan>>,
@@ -137,8 +138,11 @@ impl ExternHost for AgentHost<'_> {
 }
 
 impl SaCore {
-    /// Build the agent for one compiled task program.
-    pub fn new(program: AgentProgram, plans: Arc<Vec<AdaptPlan>>) -> Self {
+    /// Build the agent for one compiled task program, shared or owned:
+    /// the agent keeps the program and starts from a copy of its initial
+    /// solution.
+    pub fn new(program: impl Into<Arc<AgentProgram>>, plans: Arc<Vec<AdaptPlan>>) -> Self {
+        let program = program.into();
         let solution = program.initial.clone();
         SaCore {
             program,
@@ -277,7 +281,7 @@ impl SaCore {
             TaskState::Running
         } else {
             match self.solution.atoms().keyed_sub(kw::RES) {
-                Some(res) if res.contains(&Atom::sym(kw::ERROR)) => TaskState::Failed,
+                Some(res) if res.iter().any(is_error) => TaskState::Failed,
                 Some(res) => match res.iter().next() {
                     Some(_) => TaskState::Completed,
                     // RES flushed by trigger_adapt: the task failed and
@@ -309,9 +313,15 @@ impl SaCore {
         self.solution
             .atoms()
             .keyed_sub(kw::RES)
-            .and_then(|res| res.iter().find(|a| **a != Atom::sym(kw::ERROR)))
+            .and_then(|res| res.iter().find(|a| !is_error(a)))
             .cloned()
     }
+}
+
+/// Is `atom` the `ERROR` result of a failed invocation? Compared by
+/// spelling, so no `ERROR` symbol is built to compare against.
+fn is_error(atom: &Atom) -> bool {
+    atom.as_sym().is_some_and(|s| s.as_str() == kw::ERROR)
 }
 
 #[cfg(test)]

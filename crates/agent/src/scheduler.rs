@@ -293,8 +293,9 @@ struct PoolInner {
     ns: Arc<TopicNamespace>,
     registry: Arc<ServiceRegistry>,
     /// Agent programs this process executes — in sharded mode, only the
-    /// agents whose [`process_shard`] matches this process's shard.
-    programs: HashMap<String, AgentProgram>,
+    /// agents whose [`process_shard`] matches this process's shard. Each
+    /// is the one copy its agents (first and respawned) share.
+    programs: HashMap<String, Arc<AgentProgram>>,
     plans: Arc<Vec<AdaptPlan>>,
     slots: Mutex<HashMap<String, Arc<AgentSlot>>>,
     shards: Vec<crossbeam::channel::Sender<WorkItem>>,
@@ -375,15 +376,18 @@ fn launch_pool(
         shard_rxs.push(rx);
     }
 
-    let local_agents: Vec<AgentProgram> =
-        agents.into_iter().filter(|a| is_local(&a.name)).collect();
+    let local_agents: Vec<Arc<AgentProgram>> = agents
+        .into_iter()
+        .filter(|a| is_local(&a.name))
+        .map(Arc::new)
+        .collect();
     let inner = Arc::new(PoolInner {
         broker,
         ns,
         registry,
         programs: local_agents
             .iter()
-            .map(|a| (a.name.clone(), a.clone()))
+            .map(|a| (a.name.clone(), Arc::clone(a)))
             .collect(),
         plans: Arc::new(plans),
         slots: Mutex::new(HashMap::new()),
@@ -459,7 +463,7 @@ fn launch_pool(
 impl PoolInner {
     fn make_slot(
         self: &Arc<Self>,
-        program: AgentProgram,
+        program: Arc<AgentProgram>,
         sub: Subscription,
         incarnation: u32,
     ) -> Arc<AgentSlot> {

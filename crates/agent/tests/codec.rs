@@ -133,3 +133,87 @@ fn rule_values_survive_via_json_leaf() {
     };
     assert_eq!(SaMessage::decode(&m.encode()), Some(m));
 }
+
+/// `rules::gw_recv()` as a JSON leaf, as the codec ships it — recorded
+/// before rules resolved their variables to slots, which changed the
+/// in-memory rule and not this.
+const GW_RECV_JSON: &str = r#"{"Rule":{"name":"gw_recv","one_shot":false,"lhs":[{"Tuple":[{"Lit":{"Sym":"DELIVER"}},{"Var":"t"},{"Var":"v"}]},{"Tuple":[{"Lit":{"Sym":"SRC"}},{"Sub":{"elems":[{"Var":"t"}],"rest":"ws"}}]},{"Tuple":[{"Lit":{"Sym":"IN"}},{"Sub":{"elems":[],"rest":"win"}}]}],"guard":"True","rhs":[{"Tuple":[{"Lit":{"Sym":"SRC"}},{"Sub":[{"Var":"ws"}]}]},{"Tuple":[{"Lit":{"Sym":"IN"}},{"Sub":[{"Tuple":[{"Var":"t"},{"Var":"v"}]},{"Var":"win"}]}]}]}}"#;
+
+/// The `gw_call` a source task parks on `invoke`, recorded like
+/// [`GW_RECV_JSON`]: the rule's name and RHS, and the bindings by name.
+const PENDING_GW_CALL_JSON: &str = r#"{"id":0,"rule_name":"gw_call","rhs":[{"Tuple":[{"Lit":{"Sym":"SRC"}},{"Sub":[]}]},{"Tuple":[{"Lit":{"Sym":"SRV"}},{"Var":"s"}]},{"Tuple":[{"Lit":{"Sym":"TASK"}},{"Var":"me"}]},{"Tuple":[{"Lit":{"Sym":"RES"}},{"Sub":[{"Call":["invoke",[{"Var":"s"},{"Var":"p"},{"Var":"me"}]]}]}]}],"bindings":{"map":{"me":{"One":{"Sym":"T1"}},"p":{"One":{"List":[{"Str":"input"}]}},"s":{"One":{"Sym":"s1"}}}},"call_index":0,"extern_name":"invoke"}"#;
+
+#[test]
+fn a_rule_atom_keeps_its_form_and_its_slots_across_the_codec() {
+    use ginflow_hocl::{Engine, NoExterns, Solution};
+    let rule = Value::rule(ginflow_hoclflow::rules::gw_recv());
+    assert_eq!(serde_json::to_string(&rule).unwrap(), GW_RECV_JSON);
+    let m = SaMessage::Result {
+        from: "T1".into(),
+        value: rule.clone(),
+    };
+    let Some(SaMessage::Result { value: shipped, .. }) = SaMessage::decode(&m.encode()) else {
+        panic!("a rule atom decodes");
+    };
+    assert_eq!(shipped, rule);
+    // The shipped rule rebuilt its slot table: it reacts as the original.
+    let react = |rule: Value| {
+        let mut sol = Solution::from_atoms([
+            Value::tuple([Value::sym("DELIVER"), Value::sym("T1"), Value::str("r")]),
+            Value::keyed("SRC", [Value::sub([Value::sym("T1"), Value::sym("T9")])]),
+            Value::keyed("IN", [Value::empty_sub()]),
+            rule,
+        ]);
+        let out = Engine::new().reduce(&mut sol, &mut NoExterns).unwrap();
+        (out.applications, format!("{sol}"))
+    };
+    let reacted = react(shipped);
+    assert_eq!(reacted, react(rule));
+    assert_eq!(reacted.0, 1);
+    assert!(reacted.1.contains("IN:<T1:\"r\">"), "{}", reacted.1);
+}
+
+#[test]
+fn a_suspended_gw_call_keeps_its_form_and_resumes_after_a_round_trip() {
+    use ginflow_agent::{Event, SaCore};
+    use ginflow_core::workflow::WorkflowBuilder;
+    use ginflow_hocl::{Engine, Solution};
+    use ginflow_hoclflow::{agent_programs, FlowExterns};
+    let mut b = WorkflowBuilder::new("w");
+    b.task("T1", "s1").input(Value::str("input"));
+    b.task("T2", "s2").after(["T1"]);
+    let (programs, plans) = agent_programs(&b.build().unwrap());
+    let t1 = programs.into_iter().find(|p| p.name == "T1").unwrap();
+    let mut agent = SaCore::new(t1, std::sync::Arc::new(plans));
+    agent.handle(Event::Start).unwrap();
+    let parked = agent.solution();
+    let [pending] = parked.pending() else {
+        panic!("T1 parks one invoke: {parked}");
+    };
+    assert_eq!(
+        serde_json::to_string(pending).unwrap(),
+        PENDING_GW_CALL_JSON
+    );
+
+    let json = serde_json::to_string(parked).unwrap();
+    let back: Solution = serde_json::from_str(&json).unwrap();
+    assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    assert_eq!(back.pending()[0].extern_name(), "invoke");
+    // Resuming the copy builds what resuming the original builds.
+    let resumed = |mut sol: Solution| {
+        let id = sol.pending_ids()[0];
+        Engine::new()
+            .resume(
+                &mut sol,
+                id,
+                vec![Value::str("out")],
+                &mut FlowExterns::new(),
+            )
+            .unwrap();
+        sol
+    };
+    let (original, copy) = (resumed(parked.clone()), resumed(back));
+    assert_eq!(copy, original);
+    assert!(!copy.has_pending());
+    assert!(format!("{copy}").contains("RES:<\"out\">"), "{copy}");
+}

@@ -13,7 +13,7 @@ use crate::dag::Dag;
 use crate::error::CoreError;
 use crate::task::TaskId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of an adaptation within its workflow.
@@ -260,25 +260,29 @@ impl Adaptation {
         if entries.is_empty() {
             return Err(fail("replacement has no entry wiring".into()));
         }
-        let mut fwd: HashSet<TaskId> = entries.clone();
-        let mut stack: Vec<TaskId> = entries.iter().copied().collect();
-        while let Some(t) = stack.pop() {
-            for &(f, s) in &self.internal_edges {
-                if f == t && fwd.insert(s) {
-                    stack.push(s);
+        // Adjacency first: a walk over every internal edge per task
+        // reached is quadratic in a full-mesh replacement.
+        let mut next: HashMap<TaskId, Vec<TaskId>> = HashMap::new();
+        let mut prev: HashMap<TaskId, Vec<TaskId>> = HashMap::new();
+        for &(f, s) in &self.internal_edges {
+            next.entry(f).or_default().push(s);
+            prev.entry(s).or_default().push(f);
+        }
+        let reach = |from: HashSet<TaskId>, step: &HashMap<TaskId, Vec<TaskId>>| {
+            let mut seen = from.clone();
+            let mut stack: Vec<TaskId> = from.into_iter().collect();
+            while let Some(t) = stack.pop() {
+                for &u in step.get(&t).into_iter().flatten() {
+                    if seen.insert(u) {
+                        stack.push(u);
+                    }
                 }
             }
-        }
+            seen
+        };
+        let fwd = reach(entries, &next);
         let exits: HashSet<TaskId> = self.exit_edges.iter().map(|&(f, _)| f).collect();
-        let mut back: HashSet<TaskId> = exits.clone();
-        let mut stack: Vec<TaskId> = exits.iter().copied().collect();
-        while let Some(t) = stack.pop() {
-            for &(f, s) in &self.internal_edges {
-                if s == t && back.insert(f) {
-                    stack.push(f);
-                }
-            }
-        }
+        let back = reach(exits, &prev);
         for &t in &self.replacement {
             if !fwd.contains(&t) {
                 return Err(fail(format!(

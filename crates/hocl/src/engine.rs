@@ -23,13 +23,24 @@
 //! solution exactly as it was. *Rewrite*: the consumed atoms are taken out
 //! of the multiset by value, destructured along the positions into owned
 //! bindings (an ω rest is the matched subsolution's own storage minus the
-//! picks) and the RHS is built consuming them — a variable's last
-//! occurrence moves, earlier ones clone. `SRC:<?t,*ws>` → `SRC:<*ws>`
-//! therefore costs one `Vec::remove` shift of the picked element, and
-//! `IN:<*win>` → `IN:<(?t:?v),*win>` one shift to make room in front,
-//! whatever the size of `SRC` and `IN`; that `memmove` is what is still
-//! O(n) per delivery (an index by head symbol would remove it — nobody has
-//! asked for one). A deferred extern parks the owned bindings.
+//! picks) and the RHS is built straight into the multiset consuming them —
+//! a variable's last occurrence moves, earlier ones clone.
+//!
+//! Variables are slots, resolved when the rule was built (see
+//! [`crate::bindings`]), so the borrowed environment and the owned
+//! bindings are arrays sized by the rule, reused from one application to
+//! the next: nothing is keyed by a name, and neither a try nor an
+//! application allocates for bookkeeping. What one application allocates
+//! is what its RHS produces — each tuple, list and subsolution it builds
+//! that is not a moved ω rest — plus each extern call's arguments and
+//! result; a suspension parks the owned bindings and shares the rule.
+//!
+//! What is still O(n) per application: `SRC:<?t,*ws>` → `SRC:<*ws>` costs
+//! one `Vec::remove` shift of the picked element, and `IN:<*win>` →
+//! `IN:<(?t:?v),*win>` one shift to make room in front, whatever the size
+//! of `SRC` and `IN` — two `memmove`s — and finding the sender in `SRC` is a
+//! linear scan (an index by head symbol would remove all three — nobody
+//! has asked for one).
 //!
 //! ## The census
 //!
@@ -66,7 +77,7 @@ use crate::atom::Atom;
 use crate::bindings::Bindings;
 use crate::error::HoclError;
 use crate::externs::{EffectId, ExternHost};
-use crate::matcher::{Matcher, Positions};
+use crate::matcher::Matcher;
 use crate::multiset::Multiset;
 use crate::rule::Rule;
 use crate::solution::{Pending, Solution};
@@ -101,8 +112,8 @@ impl Default for EngineConfig {
 pub enum StepOutcome {
     /// A rule was applied.
     Applied {
-        /// Name of the applied rule.
-        rule: String,
+        /// The applied rule.
+        rule: Arc<Rule>,
     },
     /// A rule application suspended on a deferred extern.
     Suspended(EffectInfo),
@@ -115,12 +126,22 @@ pub enum StepOutcome {
 pub struct EffectInfo {
     /// Identifier to pass back to [`Engine::resume`].
     pub id: EffectId,
-    /// Extern name (e.g. `invoke`).
-    pub name: String,
     /// Evaluated argument atoms.
     pub args: Vec<Atom>,
-    /// Name of the suspending rule.
-    pub rule: String,
+    /// The suspending rule.
+    pub rule: Arc<Rule>,
+    /// Traversal index of the deferred `Call` node within the rule's RHS:
+    /// always one of its calls.
+    pub(crate) call_index: usize,
+}
+
+impl EffectInfo {
+    /// Extern name of the deferred call (e.g. `invoke`).
+    pub fn name(&self) -> &str {
+        self.rule
+            .call_name(self.call_index)
+            .expect("the engine reports a call of the suspending rule")
+    }
 }
 
 /// Outcome of running reduction to quiescence.
@@ -149,24 +170,12 @@ pub struct ReduceStats {
     pub weight_scanned: u64,
 }
 
-/// A rule found applicable and probed, not yet applied.
+/// A rule found applicable and probed, not yet applied; where it matched
+/// is in the matcher.
 struct Firing {
     rule: Arc<Rule>,
     rule_idx: usize,
-    positions: Positions,
     probed: Probed,
-}
-
-/// Take the reactants of a firing — and a one-shot rule's own atom — out of
-/// `ms` by value, destructured into owned bindings.
-fn consume(ms: &mut Multiset, rule: &Rule, rule_idx: usize, mut positions: Positions) -> Bindings {
-    let mut taken = std::mem::take(&mut positions.consumed);
-    if rule.is_one_shot() {
-        taken.push(rule_idx);
-    }
-    let mut reactants = ms.take_picked(&taken);
-    reactants.truncate(rule.lhs().len());
-    positions.bind(rule.lhs(), reactants)
 }
 
 /// The reduction engine. One per agent / per centralized interpreter.
@@ -176,6 +185,12 @@ pub struct Engine {
     rng: Option<SmallRng>,
     next_effect: u64,
     stats: ReduceStats,
+    /// Shuffled candidate order of the current try (nondeterministic mode),
+    /// kept for its allocation.
+    order: Vec<usize>,
+    /// Owned bindings of the application being built, kept for its
+    /// allocation until a suspension parks it.
+    bindings: Bindings,
 }
 
 impl Default for Engine {
@@ -199,6 +214,8 @@ impl Engine {
             rng,
             next_effect: 0,
             stats: ReduceStats::default(),
+            order: Vec::new(),
+            bindings: Bindings::default(),
         }
     }
 
@@ -269,17 +286,20 @@ impl Engine {
         result: Vec<Atom>,
         host: &mut dyn ExternHost,
     ) -> Result<(), HoclError> {
-        let pending = solution
+        let mut pending = solution
             .take_pending(id)
             .ok_or(HoclError::UnknownEffect(id.0))?;
+        let rhs = pending.rule.rhs();
         let inst = Instantiator::resuming(host, pending.call_index, result);
-        match inst.probe(&pending.rhs, &pending.bindings)? {
+        match inst.probe(rhs, &pending.bindings)? {
             Probed::Ready(calls) => {
-                let atoms = build(&pending.rhs, pending.bindings, calls);
-                solution.atoms_mut().absorb(atoms);
+                build(rhs, &mut pending.bindings, calls, solution.atoms_mut());
                 Ok(())
             }
-            Probed::Deferred(deferral) => Err(HoclError::MultipleDeferred(deferral.name)),
+            Probed::Deferred(deferral) => Err(HoclError::MultipleDeferred(call_name(
+                &pending.rule,
+                &deferral,
+            ))),
         }
     }
 
@@ -292,26 +312,43 @@ impl Engine {
         host: &mut dyn ExternHost,
     ) -> Result<Option<Firing>, HoclError> {
         self.stats.weight_scanned += ms.weight() as u64;
-        for rule_idx in ms.rule_indices() {
-            let rule: Arc<Rule> = match ms.get(rule_idx) {
-                Some(Atom::Rule(r)) => r.clone(),
-                _ => continue,
+        for (rule_idx, atom) in ms.iter().enumerate() {
+            let Atom::Rule(rule) = atom else { continue };
+            let order = match &mut self.rng {
+                Some(rng) => {
+                    self.order.clear();
+                    self.order.extend(0..ms.len());
+                    self.order.shuffle(rng);
+                    Some(self.order.as_slice())
+                }
+                None => None,
             };
-            let order = self.candidate_order(ms);
-            let found =
-                self.matcher
-                    .find_match(&rule, ms, Some(rule_idx), order.as_deref(), host)?;
-            let Some(found) = found else { continue };
-            let probed = Instantiator::new(host).probe(rule.rhs(), found.bindings())?;
-            let positions = found.into_positions();
-            return Ok(Some(Firing {
+            let probed = self.matcher.find_match(
                 rule,
-                rule_idx,
-                positions,
-                probed,
-            }));
+                ms,
+                Some(rule_idx),
+                order,
+                host,
+                |bindings, host| Instantiator::new(host).probe(rule.rhs(), bindings),
+            )?;
+            if let Some(probed) = probed {
+                return Ok(Some(Firing {
+                    rule: rule.clone(),
+                    rule_idx,
+                    probed,
+                }));
+            }
         }
         Ok(None)
+    }
+
+    /// Take the reactants of the match just found for `rule` — and a
+    /// one-shot rule's own atom, at `rule_idx` — out of `ms` by value, into
+    /// the engine's owned bindings.
+    fn consume(&mut self, ms: &mut Multiset, rule: &Rule, rule_idx: usize) {
+        let own = rule.is_one_shot().then_some(rule_idx);
+        self.matcher.take_match(rule, ms, own, &mut self.bindings);
+        self.stats.applications += 1;
     }
 
     /// One top-level step: try each rule atom against the root solution.
@@ -320,46 +357,34 @@ impl Engine {
         solution: &mut Solution,
         host: &mut dyn ExternHost,
     ) -> Result<StepOutcome, HoclError> {
-        let Some(firing) = self.find_firing(solution.atoms(), host)? else {
-            return Ok(StepOutcome::Inert);
-        };
-        let Firing {
+        let Some(Firing {
             rule,
             rule_idx,
-            positions,
             probed,
-        } = firing;
-        let bindings = consume(solution.atoms_mut(), &rule, rule_idx, positions);
-        self.stats.applications += 1;
+        }) = self.find_firing(solution.atoms(), host)?
+        else {
+            return Ok(StepOutcome::Inert);
+        };
+        self.consume(solution.atoms_mut(), &rule, rule_idx);
         match probed {
             Probed::Ready(calls) => {
-                solution
-                    .atoms_mut()
-                    .absorb(build(rule.rhs(), bindings, calls));
-                Ok(StepOutcome::Applied {
-                    rule: rule.name().to_owned(),
-                })
+                build(rule.rhs(), &mut self.bindings, calls, solution.atoms_mut());
+                Ok(StepOutcome::Applied { rule })
             }
-            Probed::Deferred(Deferral {
-                call_index,
-                args,
-                name,
-            }) => {
+            Probed::Deferred(Deferral { call_index, args }) => {
                 let id = EffectId(self.next_effect);
                 self.next_effect += 1;
                 solution.push_pending(Pending {
                     id,
-                    rule_name: rule.name().to_owned(),
-                    rhs: rule.rhs().to_vec(),
-                    bindings,
+                    rule: rule.clone(),
+                    bindings: std::mem::take(&mut self.bindings),
                     call_index,
-                    extern_name: name.clone(),
                 });
                 Ok(StepOutcome::Suspended(EffectInfo {
                     id,
-                    name,
                     args,
-                    rule: rule.name().to_owned(),
+                    rule,
+                    call_index,
                 }))
             }
         }
@@ -439,27 +464,31 @@ impl Engine {
 
     /// One application attempt inside a nested multiset (no suspension).
     fn step_in(&mut self, ms: &mut Multiset, host: &mut dyn ExternHost) -> Result<bool, HoclError> {
-        let Some(firing) = self.find_firing(ms, host)? else {
+        let Some(Firing {
+            rule,
+            rule_idx,
+            probed,
+        }) = self.find_firing(ms, host)?
+        else {
             return Ok(false);
         };
-        match firing.probed {
-            Probed::Deferred(deferral) => Err(HoclError::DeferredInNested(deferral.name)),
-            Probed::Ready(calls) => {
-                let bindings = consume(ms, &firing.rule, firing.rule_idx, firing.positions);
-                ms.absorb(build(firing.rule.rhs(), bindings, calls));
-                self.stats.applications += 1;
-                Ok(true)
+        let calls = match probed {
+            Probed::Ready(calls) => calls,
+            Probed::Deferred(deferral) => {
+                return Err(HoclError::DeferredInNested(call_name(&rule, &deferral)))
             }
-        }
+        };
+        self.consume(ms, &rule, rule_idx);
+        build(rule.rhs(), &mut self.bindings, calls, ms);
+        Ok(true)
     }
+}
 
-    /// Shuffled candidate order in nondeterministic mode, `None` otherwise.
-    fn candidate_order(&mut self, ms: &Multiset) -> Option<Vec<usize>> {
-        let rng = self.rng.as_mut()?;
-        let mut order: Vec<usize> = (0..ms.len()).collect();
-        order.shuffle(rng);
-        Some(order)
-    }
+/// The extern name of a deferral, for an error.
+fn call_name(rule: &Rule, deferral: &Deferral) -> String {
+    rule.call_name(deferral.call_index)
+        .unwrap_or_default()
+        .to_owned()
 }
 
 #[cfg(test)]
@@ -641,7 +670,8 @@ mod tests {
         assert!(!out.inert);
         assert_eq!(out.suspended.len(), 1);
         let eff = &out.suspended[0];
-        assert_eq!(eff.name, "invoke");
+        assert_eq!(eff.name(), "invoke");
+        assert_eq!(eff.rule.name(), "call");
         assert_eq!(eff.args, vec![Atom::sym("s2"), Atom::list([Atom::int(1)])]);
         // LHS consumed, rule gone (one-shot), nothing produced yet.
         assert_eq!(sol.atoms().len(), 0);

@@ -1,7 +1,7 @@
 //! Rule guards (`… if x ≥ y`) and the small expression language they use.
 
 use crate::atom::Atom;
-use crate::bindings::{Bound, Lookup};
+use crate::bindings::{Bound, Lookup, Var};
 use crate::error::HoclError;
 use crate::externs::{ExternHost, ExternResult};
 use serde::{Deserialize, Serialize};
@@ -13,7 +13,7 @@ pub enum Expr {
     /// A literal atom.
     Lit(Atom),
     /// A bound variable (must be a one-atom binding).
-    Var(String),
+    Var(Var),
     /// A *pure* external function call producing exactly one atom.
     Call(String, Vec<Expr>),
 }
@@ -26,12 +26,21 @@ impl Expr {
 
     /// Variable reference.
     pub fn var(name: impl Into<String>) -> Self {
-        Expr::Var(name.into())
+        Expr::Var(Var::new(name))
     }
 
     /// Pure extern call.
     pub fn call(name: impl Into<String>, args: impl IntoIterator<Item = Expr>) -> Self {
         Expr::Call(name.into(), args.into_iter().collect())
+    }
+
+    /// Visit every variable reference (how a rule resolves its slots).
+    pub(crate) fn vars_mut(&mut self, f: &mut impl FnMut(&mut Var)) {
+        match self {
+            Expr::Lit(_) => {}
+            Expr::Var(v) => f(v),
+            Expr::Call(_, args) => args.iter_mut().for_each(|a| a.vars_mut(f)),
+        }
     }
 
     /// Evaluate to a single atom.
@@ -42,10 +51,10 @@ impl Expr {
     ) -> Result<Atom, HoclError> {
         match self {
             Expr::Lit(a) => Ok(a.clone()),
-            Expr::Var(name) => match bindings.lookup(name) {
+            Expr::Var(var) => match bindings.lookup(var) {
                 Some(Bound::One(a)) => Ok(a.clone()),
-                Some(Bound::Rest(_)) => Err(HoclError::OmegaInExpr(name.clone())),
-                None => Err(HoclError::UnboundVar(name.clone())),
+                Some(Bound::Rest(_)) => Err(HoclError::OmegaInExpr(var.name().to_owned())),
+                None => Err(HoclError::UnboundVar(var.name().to_owned())),
             },
             Expr::Call(name, args) => {
                 let mut atoms = Vec::with_capacity(args.len());
@@ -138,6 +147,23 @@ impl Guard {
     /// Conjunction of two guards.
     pub fn and(a: Guard, b: Guard) -> Self {
         Guard::And(Box::new(a), Box::new(b))
+    }
+
+    /// Visit every variable reference (how a rule resolves its slots).
+    pub(crate) fn vars_mut(&mut self, f: &mut impl FnMut(&mut Var)) {
+        match self {
+            Guard::True => {}
+            Guard::Cmp(_, a, b) => {
+                a.vars_mut(f);
+                b.vars_mut(f);
+            }
+            Guard::And(a, b) | Guard::Or(a, b) => {
+                a.vars_mut(f);
+                b.vars_mut(f);
+            }
+            Guard::Not(g) => g.vars_mut(f),
+            Guard::Pred(_, args) => args.iter_mut().for_each(|a| a.vars_mut(f)),
+        }
     }
 
     /// Evaluate the guard under the given bindings.
@@ -270,85 +296,80 @@ impl fmt::Debug for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bindings::Bindings;
+    use crate::bindings::{Binding, Bindings};
     use crate::externs::NoExterns;
+    use crate::multiset::Multiset;
 
-    fn bound(pairs: &[(&str, Atom)]) -> Bindings {
-        let mut b = Bindings::new();
-        for (k, v) in pairs {
-            assert!(b.bind_one(k, v.clone()));
+    /// Evaluate `g` with the variables of `pairs` bound, their slots
+    /// resolved the way a rule resolves them (a name `pairs` lacks gets a
+    /// slot of its own and stays unbound).
+    fn eval(mut g: Guard, pairs: &[(&str, Binding)]) -> Result<bool, HoclError> {
+        let mut names: Vec<String> = pairs.iter().map(|(k, _)| (*k).to_owned()).collect();
+        g.vars_mut(&mut |v| v.resolve(&mut names));
+        let mut b = Bindings::default();
+        b.reset(names.len());
+        for (slot, (_, v)) in pairs.iter().enumerate() {
+            match v {
+                Binding::One(a) => assert!(b.bind_one(slot, a.clone())),
+                Binding::Many(ms) => assert!(b.bind_many(slot, ms.clone())),
+            }
         }
-        b
+        g.eval(&b, &mut NoExterns)
+    }
+
+    fn one(name: &str, atom: Atom) -> (&str, Binding) {
+        (name, Binding::One(atom))
     }
 
     #[test]
     fn numeric_comparisons() {
-        let b = bound(&[("x", Atom::int(9)), ("y", Atom::int(8))]);
-        let g = Guard::ge(Expr::var("x"), Expr::var("y"));
-        assert!(g.eval(&b, &mut NoExterns).unwrap());
-        let g = Guard::lt(Expr::var("x"), Expr::var("y"));
-        assert!(!g.eval(&b, &mut NoExterns).unwrap());
+        let b = [one("x", Atom::int(9)), one("y", Atom::int(8))];
+        assert!(eval(Guard::ge(Expr::var("x"), Expr::var("y")), &b).unwrap());
+        assert!(!eval(Guard::lt(Expr::var("x"), Expr::var("y")), &b).unwrap());
+        // Slots follow the order names are met in, not the guard's.
+        assert!(eval(Guard::le(Expr::var("y"), Expr::var("x")), &b).unwrap());
     }
 
     #[test]
     fn mixed_int_float() {
-        let b = bound(&[("x", Atom::int(2)), ("y", Atom::float(2.5))]);
-        assert!(Guard::lt(Expr::var("x"), Expr::var("y"))
-            .eval(&b, &mut NoExterns)
-            .unwrap());
+        let b = [one("x", Atom::int(2)), one("y", Atom::float(2.5))];
+        assert!(eval(Guard::lt(Expr::var("x"), Expr::var("y")), &b).unwrap());
     }
 
     #[test]
     fn incomparable_types_never_order() {
-        let b = bound(&[("x", Atom::int(1)), ("y", Atom::str("a"))]);
-        assert!(!Guard::lt(Expr::var("x"), Expr::var("y"))
-            .eval(&b, &mut NoExterns)
-            .unwrap());
-        assert!(!Guard::ge(Expr::var("x"), Expr::var("y"))
-            .eval(&b, &mut NoExterns)
-            .unwrap());
+        let b = [one("x", Atom::int(1)), one("y", Atom::str("a"))];
+        assert!(!eval(Guard::lt(Expr::var("x"), Expr::var("y")), &b).unwrap());
+        assert!(!eval(Guard::ge(Expr::var("x"), Expr::var("y")), &b).unwrap());
         // But (in)equality is total.
-        assert!(Guard::ne(Expr::var("x"), Expr::var("y"))
-            .eval(&b, &mut NoExterns)
-            .unwrap());
+        assert!(eval(Guard::ne(Expr::var("x"), Expr::var("y")), &b).unwrap());
     }
 
     #[test]
     fn boolean_connectives() {
-        let b = bound(&[("x", Atom::int(1))]);
+        let b = [one("x", Atom::int(1))];
         let t = Guard::eq(Expr::var("x"), Expr::lit(1i64));
         let f = Guard::eq(Expr::var("x"), Expr::lit(2i64));
-        assert!(Guard::and(t.clone(), Guard::Not(Box::new(f.clone())))
-            .eval(&b, &mut NoExterns)
-            .unwrap());
-        assert!(Guard::Or(Box::new(f.clone()), Box::new(t.clone()))
-            .eval(&b, &mut NoExterns)
-            .unwrap());
-        assert!(!Guard::and(t, f).eval(&b, &mut NoExterns).unwrap());
+        assert!(eval(Guard::and(t.clone(), Guard::Not(Box::new(f.clone()))), &b).unwrap());
+        assert!(eval(Guard::Or(Box::new(f.clone()), Box::new(t.clone())), &b).unwrap());
+        assert!(!eval(Guard::and(t, f), &b).unwrap());
     }
 
     #[test]
     fn unbound_and_omega_errors() {
-        let b = Bindings::new();
         let g = Guard::eq(Expr::var("missing"), Expr::lit(1i64));
-        assert!(matches!(
-            g.eval(&b, &mut NoExterns),
-            Err(HoclError::UnboundVar(_))
-        ));
-        let mut b2 = Bindings::new();
-        b2.bind_many("w", vec![]);
+        assert!(matches!(eval(g, &[]), Err(HoclError::UnboundVar(v)) if v == "missing"));
         let g2 = Guard::eq(Expr::var("w"), Expr::lit(1i64));
         assert!(matches!(
-            g2.eval(&b2, &mut NoExterns),
-            Err(HoclError::OmegaInExpr(_))
+            eval(g2, &[("w", Binding::Many(Multiset::new()))]),
+            Err(HoclError::OmegaInExpr(v)) if v == "w"
         ));
     }
 
     #[test]
     fn symbol_equality_in_guard() {
-        let b = bound(&[("e", Atom::sym("ERROR"))]);
-        assert!(Guard::eq(Expr::var("e"), Expr::lit(Atom::sym("ERROR")))
-            .eval(&b, &mut NoExterns)
-            .unwrap());
+        let b = [one("e", Atom::sym("ERROR"))];
+        let g = Guard::eq(Expr::var("e"), Expr::lit(Atom::sym("ERROR")));
+        assert!(eval(g, &b).unwrap());
     }
 }

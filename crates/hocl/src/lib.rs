@@ -69,12 +69,12 @@ pub mod symbol;
 pub mod template;
 
 pub use atom::Atom;
-pub use bindings::{Binding, Bindings, Bound, Lookup};
+pub use bindings::{Binding, Bindings, Bound, Lookup, Var};
 pub use engine::{Engine, EngineConfig, ReduceOutcome, ReduceStats, StepOutcome};
 pub use error::HoclError;
 pub use externs::{EffectId, ExternHost, ExternResult, NoExterns, PureExterns};
 pub use guard::{CmpOp, Expr, Guard};
-pub use matcher::{Match, Matcher, Positions};
+pub use matcher::Matcher;
 pub use multiset::Multiset;
 pub use parser::{parse_program, parse_solution};
 pub use pattern::{Pattern, SubPattern};

@@ -11,100 +11,35 @@
 //!
 //! ## By reference, then by move
 //!
-//! The search copies nothing. Variables are bound to *borrowed* atoms, an
-//! ω rest is "this subsolution minus these picks", and backtracking
-//! truncates an undo trail instead of restoring a snapshot. What a
-//! successful search yields is [`Positions`]: the root index each LHS
+//! The search copies nothing. Variables are slots resolved when the rule
+//! was built (see [`crate::bindings`]): the environment is an array sized
+//! by the rule, each slot bound to a *borrowed* atom or to an ω rest —
+//! "this subsolution minus these picks" — and backtracking unbinds the
+//! slots an undo trail lists instead of restoring a snapshot. What a
+//! successful search leaves behind is positions: the root index each LHS
 //! pattern consumed plus, for every subsolution pattern, the inner index
-//! each of its element patterns picked. The engine takes the consumed atoms
-//! out of the solution *by value* and [`Positions::bind`] destructures them
-//! along the picks into owned [`Bindings`] — an ω rest is then the matched
-//! subsolution's own storage with the picks removed, never a copy.
+//! each of its element patterns picked. The engine then has the matcher
+//! take the consumed atoms out of the solution *by value* and destructure
+//! them along the picks into owned [`Bindings`] — an ω rest is then the
+//! matched subsolution's own storage with the picks removed, never a copy.
+//!
+//! ## What a try allocates
+//!
+//! Nothing of its own. The matcher owns the consumed-index, pick, trail
+//! and slot buffers and every search reuses them (the slot array holds
+//! borrows of the solution, so between searches it is kept empty and only
+//! its allocation survives), and so does taking the reactants out. A
+//! failed try — most of them: a rule is tried on every pass — costs its
+//! comparisons, plus, when it gets as far as a guard that calls an
+//! extern, that call's argument list and result.
 
 use crate::atom::Atom;
-use crate::bindings::{Bindings, Bound, Lookup, Rest};
+use crate::bindings::{Bindings, Bound, Lookup, Rest, Var};
 use crate::error::HoclError;
 use crate::externs::ExternHost;
 use crate::multiset::Multiset;
 use crate::pattern::{Pattern, SubPattern};
 use crate::rule::Rule;
-
-/// A successful match of a rule against a solution, still borrowing both:
-/// its bindings are views into the solution's atoms.
-pub struct Match<'a> {
-    consumed: Vec<usize>,
-    env: Env<'a>,
-}
-
-impl Match<'_> {
-    /// The variable bindings established by the match, by reference.
-    pub fn bindings(&self) -> &dyn Lookup {
-        &self.env
-    }
-
-    /// Let go of the solution, keeping only where the match was found.
-    pub fn into_positions(self) -> Positions {
-        Positions {
-            consumed: self.consumed,
-            picks: self.env.picks,
-        }
-    }
-}
-
-/// Where a rule matched — indices only, nothing borrowed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Positions {
-    /// Indices (into the solution's internal order) of the consumed atoms,
-    /// parallel to the rule's LHS patterns.
-    pub consumed: Vec<usize>,
-    /// For every subsolution pattern of the LHS, in pattern pre-order, the
-    /// inner index each of its element patterns picked.
-    pub picks: Vec<usize>,
-}
-
-impl Positions {
-    /// Destructure the consumed atoms (`reactants`, parallel to `lhs`, as
-    /// taken out of the solution) into owned bindings. An ω variable gets
-    /// what is left of its subsolution once the picked atoms are removed —
-    /// one `Vec::remove` shift per pick, no per-element work. A variable
-    /// that occurs twice keeps its first occurrence.
-    pub fn bind(&self, lhs: &[Pattern], reactants: Vec<Atom>) -> Bindings {
-        let mut picks = self.picks.as_slice();
-        let mut out = Bindings::new();
-        for (pattern, atom) in lhs.iter().zip(reactants) {
-            bind_owned(pattern, atom, &mut picks, &mut out);
-        }
-        out
-    }
-}
-
-/// One step of [`Positions::bind`]: mirrors `Matcher::match_atom`, so it
-/// reads the picks in the order the search reserved them.
-fn bind_owned(pattern: &Pattern, atom: Atom, picks: &mut &[usize], out: &mut Bindings) {
-    match (pattern, atom) {
-        (Pattern::Var(name) | Pattern::Typed(name, _), atom) => {
-            out.bind_one(name, atom);
-        }
-        (Pattern::Tuple(elems), Atom::Tuple(values))
-        | (Pattern::List(elems), Atom::List(values)) => {
-            for (p, a) in elems.iter().zip(values) {
-                bind_owned(p, a, picks, out);
-            }
-        }
-        (Pattern::Sub(sp), Atom::Sub(mut ms)) => {
-            let (mine, later) = picks.split_at(sp.elems.len());
-            *picks = later;
-            for (p, a) in sp.elems.iter().zip(ms.take_picked(mine)) {
-                bind_owned(p, a, picks, out);
-            }
-            if let Some(rest) = &sp.rest {
-                out.bind_many(rest, ms);
-            }
-        }
-        // `Any`, literals and rule names bind nothing.
-        _ => {}
-    }
-}
 
 /// Statistics of a matching attempt, fed to the simulator's cost model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -125,53 +60,57 @@ enum Slot<'a> {
     },
 }
 
-/// The search's environment: borrowed bindings plus the subsolution picks,
-/// both append-only so that backtracking is a truncation.
-#[derive(Default)]
+/// The search's environment: one slot per variable of the rule, the
+/// slots bound so far in binding order, and the subsolution picks — the
+/// last two append-only, so that backtracking is a truncation.
 struct Env<'a> {
-    vars: Vec<(&'a str, Slot<'a>)>,
+    slots: Vec<Option<Slot<'a>>>,
+    trail: Vec<usize>,
     /// Inner picks of every subsolution pattern entered so far; each
-    /// pattern reserves one slot per element pattern on entry, so the
-    /// layout is pattern pre-order (see [`Positions::picks`]).
+    /// pattern reserves one entry per element pattern on entry, so the
+    /// layout is pattern pre-order.
     picks: Vec<usize>,
 }
 
 /// A point the environment can be rolled back to.
 #[derive(Clone, Copy)]
 struct Mark {
-    vars: usize,
+    trail: usize,
     picks: usize,
 }
 
 impl<'a> Env<'a> {
     fn mark(&self) -> Mark {
         Mark {
-            vars: self.vars.len(),
+            trail: self.trail.len(),
             picks: self.picks.len(),
         }
     }
 
     fn undo(&mut self, mark: Mark) {
-        self.vars.truncate(mark.vars);
+        for slot in self.trail.drain(mark.trail..) {
+            self.slots[slot] = None;
+        }
         self.picks.truncate(mark.picks);
-    }
-
-    fn slot(&self, name: &str) -> Option<Slot<'a>> {
-        self.vars.iter().find(|(n, _)| *n == name).map(|(_, s)| *s)
     }
 
     fn rest(&self, of: &'a Multiset, at: usize, len: usize) -> Rest<'_> {
         Rest::new(of.as_slice(), &self.picks[at..at + len])
     }
 
+    fn bind(&mut self, var: &Var, slot: Slot<'a>) {
+        self.slots[var.slot()] = Some(slot);
+        self.trail.push(var.slot());
+    }
+
     /// Bind a variable to one atom. If already bound, succeeds only when
     /// the existing binding is equal (non-linear pattern consistency).
-    fn bind_one(&mut self, name: &'a str, atom: &'a Atom) -> bool {
-        match self.slot(name) {
+    fn bind_one(&mut self, var: &Var, atom: &'a Atom) -> bool {
+        match self.slots[var.slot()] {
             Some(Slot::One(existing)) => existing == atom,
             Some(Slot::Rest { .. }) => false,
             None => {
-                self.vars.push((name, Slot::One(atom)));
+                self.bind(var, Slot::One(atom));
                 true
             }
         }
@@ -180,8 +119,8 @@ impl<'a> Env<'a> {
     /// Bind an ω variable to `of` minus `picks[at..at + len]`, with the
     /// same consistency requirement for repeated names (compared as
     /// ordered sequences).
-    fn bind_rest(&mut self, name: &'a str, of: &'a Multiset, at: usize, len: usize) -> bool {
-        match self.slot(name) {
+    fn bind_rest(&mut self, var: &Var, of: &'a Multiset, at: usize, len: usize) -> bool {
+        match self.slots[var.slot()] {
             Some(Slot::Rest {
                 of: o,
                 at: a,
@@ -189,7 +128,7 @@ impl<'a> Env<'a> {
             }) => self.rest(o, a, l).iter().eq(self.rest(of, at, len).iter()),
             Some(Slot::One(_)) => false,
             None => {
-                self.vars.push((name, Slot::Rest { of, at, len }));
+                self.bind(var, Slot::Rest { of, at, len });
                 true
             }
         }
@@ -197,12 +136,20 @@ impl<'a> Env<'a> {
 }
 
 impl Lookup for Env<'_> {
-    fn lookup(&self, name: &str) -> Option<Bound<'_>> {
-        self.slot(name).map(|slot| match slot {
+    fn lookup(&self, var: &Var) -> Option<Bound<'_>> {
+        self.slots.get(var.slot())?.map(|slot| match slot {
             Slot::One(atom) => Bound::One(atom),
             Slot::Rest { of, at, len } => Bound::Rest(self.rest(of, at, len)),
         })
     }
+}
+
+/// `slots`' allocation, empty, for borrows of another lifetime. Collecting
+/// a vector's own iterator into a vector of a same-sized type reuses the
+/// allocation in place, so this allocates nothing.
+fn recycle<'b>(mut slots: Vec<Option<Slot<'_>>>) -> Vec<Option<Slot<'b>>> {
+    slots.clear();
+    slots.into_iter().map(|_| None).collect()
 }
 
 /// One `find_match` call: what is searched, in which order, and the state
@@ -216,11 +163,22 @@ struct Search<'a, 'o> {
     env: Env<'a>,
 }
 
-/// The matcher. Stateless apart from bookkeeping counters; create one per
-/// engine.
+/// The matcher: bookkeeping counters, the buffers every search reuses and
+/// the positions of the last match found. Create one per engine.
 #[derive(Default)]
 pub struct Matcher {
     stats: MatchStats,
+    /// Root index each LHS pattern of the last match consumed, parallel
+    /// to the LHS.
+    consumed: Vec<usize>,
+    /// Inner picks of the last match's subsolution patterns, in pattern
+    /// pre-order.
+    picks: Vec<usize>,
+    trail: Vec<usize>,
+    /// Always empty: kept for its allocation (see [`recycle`]).
+    slots: Vec<Option<Slot<'static>>>,
+    /// Reactants on their way from the solution into owned bindings.
+    taken: Vec<Atom>,
 }
 
 impl Matcher {
@@ -240,31 +198,76 @@ impl Matcher {
     }
 
     /// Find the first match of `rule` in `solution`, excluding the atom at
-    /// `self_index` (a rule must not consume its own atom).
+    /// `self_index` (a rule must not consume its own atom), and hand its
+    /// borrowed bindings to `then`. `None` when there is no match.
     ///
     /// `order` optionally remaps candidate traversal order (the engine's
     /// nondeterministic mode passes a shuffled index vector); `None` means
-    /// insertion order.
-    pub fn find_match<'a>(
+    /// insertion order. The matcher keeps where the match was found, for
+    /// the engine to take its reactants out of the solution.
+    pub fn find_match<R>(
         &mut self,
-        rule: &'a Rule,
-        solution: &'a Multiset,
+        rule: &Rule,
+        solution: &Multiset,
         self_index: Option<usize>,
         order: Option<&[usize]>,
         host: &mut dyn ExternHost,
-    ) -> Result<Option<Match<'a>>, HoclError> {
+        then: impl FnOnce(&dyn Lookup, &mut dyn ExternHost) -> Result<R, HoclError>,
+    ) -> Result<Option<R>, HoclError> {
+        let mut slots = recycle(std::mem::take(&mut self.slots));
+        slots.resize(rule.slot_count(), None);
         let mut search = Search {
             rule,
             solution,
             self_index,
             order,
-            consumed: Vec::with_capacity(rule.lhs().len()),
-            env: Env::default(),
+            consumed: std::mem::take(&mut self.consumed),
+            env: Env {
+                slots,
+                trail: std::mem::take(&mut self.trail),
+                picks: std::mem::take(&mut self.picks),
+            },
         };
-        Ok(self.match_patterns(&mut search, 0, host)?.then_some(Match {
-            consumed: search.consumed,
-            env: search.env,
-        }))
+        search.consumed.clear();
+        search.env.trail.clear();
+        search.env.picks.clear();
+        let found = match self.match_patterns(&mut search, 0, host) {
+            Ok(true) => then(&search.env, host).map(Some),
+            Ok(false) => Ok(None),
+            Err(e) => Err(e),
+        };
+        self.consumed = search.consumed;
+        self.trail = search.env.trail;
+        self.picks = search.env.picks;
+        self.slots = recycle(search.env.slots);
+        found
+    }
+
+    /// Take the reactants of the last match of `rule` out of `solution` by
+    /// value — and the atom at `also`, dropped (a one-shot rule's own) —
+    /// and destructure them along the picks into `out`. An ω variable gets
+    /// what is left of its subsolution once the picked atoms are removed —
+    /// one `Vec::remove` shift per pick, no per-element work. A variable
+    /// that occurs twice keeps its first occurrence.
+    pub(crate) fn take_match(
+        &mut self,
+        rule: &Rule,
+        solution: &mut Multiset,
+        also: Option<usize>,
+        out: &mut Bindings,
+    ) {
+        out.reset(rule.slot_count());
+        let lhs = rule.lhs();
+        self.consumed.extend(also);
+        solution.take_picked(&self.consumed, &mut self.taken);
+        self.consumed.truncate(lhs.len());
+        self.taken.truncate(lhs.len());
+        let mut picks = self.picks.as_slice();
+        for (k, pattern) in lhs.iter().enumerate() {
+            let atom = std::mem::replace(&mut self.taken[k], Atom::Bool(false));
+            bind_owned(pattern, atom, &mut picks, &mut self.taken, out);
+        }
+        self.taken.clear();
     }
 
     /// Recursive backtracking over the rule's LHS patterns.
@@ -319,13 +322,13 @@ impl Matcher {
     /// Structural match of one pattern against one atom, extending `env`.
     /// Returns `false` (without poisoning the caller, which rolls back to
     /// its mark) when the atom does not fit.
-    fn match_atom<'a>(&mut self, pattern: &'a Pattern, atom: &'a Atom, env: &mut Env<'a>) -> bool {
+    fn match_atom<'a>(&mut self, pattern: &Pattern, atom: &'a Atom, env: &mut Env<'a>) -> bool {
         self.stats.attempts += 1;
         match pattern {
             Pattern::Any => true,
-            Pattern::Var(name) => env.bind_one(name, atom),
+            Pattern::Var(var) => env.bind_one(var, atom),
             Pattern::Lit(expected) => expected == atom,
-            Pattern::Typed(name, tag) => tag.admits(atom) && env.bind_one(name, atom),
+            Pattern::Typed(var, tag) => tag.admits(atom) && env.bind_one(var, atom),
             Pattern::Tuple(elems) => match atom {
                 Atom::Tuple(values) if values.len() == elems.len() => elems
                     .iter()
@@ -352,7 +355,7 @@ impl Matcher {
 
     /// Match a subsolution pattern: assign each element pattern to a
     /// distinct inner atom (backtracking), bind the ω rest if present.
-    fn match_sub<'a>(&mut self, sp: &'a SubPattern, ms: &'a Multiset, env: &mut Env<'a>) -> bool {
+    fn match_sub<'a>(&mut self, sp: &SubPattern, ms: &'a Multiset, env: &mut Env<'a>) -> bool {
         if sp.rest.is_none() && ms.len() != sp.elems.len() {
             return false;
         }
@@ -376,7 +379,7 @@ impl Matcher {
     /// element `at` is recorded at `env.picks[base + at]`.
     fn assign_elems<'a>(
         &mut self,
-        elems: &'a [Pattern],
+        elems: &[Pattern],
         at: usize,
         ms: &'a Multiset,
         base: usize,
@@ -402,9 +405,49 @@ impl Matcher {
     }
 }
 
+/// One step of [`Matcher::take_match`]: mirrors `Matcher::match_atom`, so
+/// it reads the picks in the order the search reserved them. A
+/// subsolution's picked atoms wait in `taken` beyond what is already there.
+fn bind_owned(
+    pattern: &Pattern,
+    atom: Atom,
+    picks: &mut &[usize],
+    taken: &mut Vec<Atom>,
+    out: &mut Bindings,
+) {
+    match (pattern, atom) {
+        (Pattern::Var(var) | Pattern::Typed(var, _), atom) => {
+            out.bind_one(var.slot(), atom);
+        }
+        (Pattern::Tuple(elems), Atom::Tuple(values))
+        | (Pattern::List(elems), Atom::List(values)) => {
+            for (p, a) in elems.iter().zip(values) {
+                bind_owned(p, a, picks, taken, out);
+            }
+        }
+        (Pattern::Sub(sp), Atom::Sub(mut ms)) => {
+            let (mine, later) = picks.split_at(sp.elems.len());
+            *picks = later;
+            let base = taken.len();
+            ms.take_picked(mine, taken);
+            for (k, p) in sp.elems.iter().enumerate() {
+                let a = std::mem::replace(&mut taken[base + k], Atom::Bool(false));
+                bind_owned(p, a, picks, taken, out);
+            }
+            taken.truncate(base);
+            if let Some(rest) = &sp.rest {
+                out.bind_many(rest.slot(), ms);
+            }
+        }
+        // `Any`, literals and rule names bind nothing.
+        _ => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bindings::Binding;
     use crate::externs::NoExterns;
     use crate::guard::{Expr, Guard};
     use crate::template::Template;
@@ -415,22 +458,33 @@ mod tests {
     struct Found {
         consumed: Vec<usize>,
         bindings: Bindings,
+        rule: Rule,
     }
 
-    fn found(m: Match<'_>, rule: &Rule, sol: &Multiset) -> Found {
-        let positions = m.into_positions();
-        let reactants = sol.clone().take_picked(&positions.consumed);
-        Found {
-            bindings: positions.bind(rule.lhs(), reactants),
-            consumed: positions.consumed,
+    impl Found {
+        fn get(&self, name: &str) -> &Binding {
+            let slot = self.rule.slot_of(name).expect("a variable of the rule");
+            self.bindings.get(slot).expect("bound")
         }
     }
 
+    fn search(rule: &Rule, sol: &Multiset, order: Option<&[usize]>) -> Option<Found> {
+        let mut matcher = Matcher::new();
+        matcher
+            .find_match(rule, sol, None, order, &mut NoExterns, |_, _| Ok(()))
+            .unwrap()?;
+        let consumed = matcher.consumed.clone();
+        let mut bindings = Bindings::default();
+        matcher.take_match(rule, &mut sol.clone(), None, &mut bindings);
+        Some(Found {
+            consumed,
+            bindings,
+            rule: rule.clone(),
+        })
+    }
+
     fn find(rule: &Rule, sol: &Multiset) -> Option<Found> {
-        Matcher::new()
-            .find_match(rule, sol, None, None, &mut NoExterns)
-            .unwrap()
-            .map(|m| found(m, rule, sol))
+        search(rule, sol, None)
     }
 
     #[test]
@@ -444,8 +498,8 @@ mod tests {
         let m = find(&max, &sol).expect("should match");
         // First assignment satisfying the guard: x=9, y=2 requires trying
         // x=2,y=9 (guard fails) then backtracking.
-        let x = m.bindings.get("x").unwrap().as_one().unwrap().clone();
-        let y = m.bindings.get("y").unwrap().as_one().unwrap().clone();
+        let x = m.get("x").as_one().unwrap().clone();
+        let y = m.get("y").as_one().unwrap().clone();
         assert_eq!((x, y), (Atom::int(9), Atom::int(2)));
     }
 
@@ -494,7 +548,7 @@ mod tests {
         .into_iter()
         .collect();
         let m = find(&r, &ready).expect("deps satisfied, must match");
-        assert_eq!(m.bindings.get("w").unwrap().atoms().len(), 2);
+        assert_eq!(m.get("w").atoms().len(), 2);
 
         let waiting: Multiset = [
             Atom::keyed("SRC", [Atom::sub([Atom::sym("T1")])]),
@@ -549,14 +603,10 @@ mod tests {
         ]);
         let sol: Multiset = [t3, t1, t2].into_iter().collect();
         let m = find(&r, &sol).expect("T1→T2 must unify");
-        assert_eq!(
-            m.bindings.get("ti").unwrap().as_one(),
-            Some(&Atom::sym("T1"))
-        );
-        assert_eq!(
-            m.bindings.get("tj").unwrap().as_one(),
-            Some(&Atom::sym("T2"))
-        );
+        assert_eq!(m.get("ti").as_one(), Some(&Atom::sym("T1")));
+        assert_eq!(m.get("tj").as_one(), Some(&Atom::sym("T2")));
+        // The non-linear `tj` / `ti` share one slot per name.
+        assert_eq!(r.slot_count(), 6);
     }
 
     #[test]
@@ -576,7 +626,7 @@ mod tests {
         let inner = Atom::sub([Atom::int(9), Atom::rule(max)]);
         let sol: Multiset = [inner].into_iter().collect();
         let m = find(&clean, &sol).expect("must grab the sub containing max");
-        assert_eq!(m.bindings.get("w").unwrap().atoms(), &[Atom::int(9)]);
+        assert_eq!(m.get("w").atoms(), &[Atom::int(9)]);
     }
 
     #[test]
@@ -602,7 +652,7 @@ mod tests {
         let sol: Multiset = [Atom::rule(r.clone())].into_iter().collect();
         // The only candidate is the rule's own atom at index 0 — excluded.
         let m = Matcher::new()
-            .find_match(&r, &sol, Some(0), None, &mut NoExterns)
+            .find_match(&r, &sol, Some(0), None, &mut NoExterns, |_, _| Ok(()))
             .unwrap();
         assert!(m.is_none());
     }
@@ -615,12 +665,8 @@ mod tests {
             .build();
         let sol: Multiset = [Atom::int(1), Atom::int(2)].into_iter().collect();
         let order = [1usize, 0];
-        let m = Matcher::new()
-            .find_match(&r, &sol, None, Some(&order), &mut NoExterns)
-            .unwrap()
-            .unwrap();
-        let m = found(m, &r, &sol);
-        assert_eq!(m.bindings.get("x").unwrap().as_one(), Some(&Atom::int(2)));
+        let m = search(&r, &sol, Some(&order)).unwrap();
+        assert_eq!(m.get("x").as_one(), Some(&Atom::int(2)));
     }
 
     #[test]
@@ -632,7 +678,7 @@ mod tests {
         let sol: Multiset = (0..10).map(Atom::int).collect();
         let mut m = Matcher::new();
         assert!(m
-            .find_match(&r, &sol, None, None, &mut NoExterns)
+            .find_match(&r, &sol, None, None, &mut NoExterns, |_, _| Ok(()))
             .unwrap()
             .is_none());
         // Shape prefilter admits all ints; each is attempted.

@@ -150,17 +150,25 @@ impl Multiset {
         removed
     }
 
-    /// Remove the atoms at `picks` (distinct indices, any order) and return
-    /// them in the order of `picks`.
-    pub(crate) fn take_picked(&mut self, picks: &[usize]) -> Vec<Atom> {
-        // Highest index first, so the indices still to go stay valid.
-        let mut order: Vec<usize> = (0..picks.len()).collect();
-        order.sort_unstable_by_key(|&k| std::cmp::Reverse(picks[k]));
-        let mut taken = vec![Atom::Bool(false); picks.len()];
-        for k in order {
-            taken[k] = self.remove_at(picks[k]);
+    /// Remove the atoms at `picks` (distinct indices, any order) and append
+    /// them to `out` in the order of `picks`.
+    pub(crate) fn take_picked(&mut self, picks: &[usize], out: &mut Vec<Atom>) {
+        let base = out.len();
+        out.resize_with(base + picks.len(), || Atom::Bool(false));
+        // Highest index first, so the indices still to go stay valid. A
+        // rule picks a handful of atoms: a scan per pick needs no scratch
+        // permutation to sort.
+        let mut below = usize::MAX;
+        for _ in 0..picks.len() {
+            let (k, &i) = picks
+                .iter()
+                .enumerate()
+                .filter(|&(_, &i)| i < below)
+                .max_by_key(|&(_, &i)| i)
+                .expect("picks are distinct");
+            out[base + k] = self.remove_at(i);
+            below = i;
         }
-        taken
     }
 
     /// Change the atom at `index` in place and count it again. The only way
@@ -470,8 +478,9 @@ mod tests {
         check(&m, "remove_value");
         m.remove_indices(&mut vec![0, 2]);
         check(&m, "remove_indices");
-        let taken = m.take_picked(&[1, 0]);
-        assert_eq!(taken.len(), 2);
+        let mut taken = vec![Atom::int(7)];
+        m.take_picked(&[1, 0], &mut taken);
+        assert_eq!(taken.len(), 3, "appended after what was there");
         check(&m, "take_picked");
         assert_eq!((m.weight(), m.rule_count()), (0, 0));
 

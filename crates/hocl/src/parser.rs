@@ -26,6 +26,7 @@
 //! the solution); any other identifier is a symbol.
 
 use crate::atom::Atom;
+use crate::bindings::Var;
 use crate::guard::{CmpOp, Expr, Guard};
 use crate::lexer::{lex, LexError, Spanned, Token};
 use crate::pattern::{Pattern, SubPattern};
@@ -279,7 +280,7 @@ impl<'t> Parser<'t> {
         match self.peek().cloned() {
             Some(Token::Question) => {
                 self.bump();
-                Ok(Pattern::Var(self.ident()?))
+                Ok(Pattern::Var(Var::new(self.ident()?)))
             }
             Some(Token::Underscore) => {
                 self.bump();
@@ -353,7 +354,7 @@ impl<'t> Parser<'t> {
                 }
                 Some(Token::Star) => {
                     self.bump();
-                    rest = Some(self.ident()?);
+                    rest = Some(Var::new(self.ident()?));
                     self.expect(&Token::Gt)?;
                     break;
                 }
@@ -402,7 +403,7 @@ impl<'t> Parser<'t> {
         match self.peek().cloned() {
             Some(Token::Question) => {
                 self.bump();
-                Ok(Template::Var(self.ident()?))
+                Ok(Template::Var(Var::new(self.ident()?)))
             }
             Some(Token::Int(v)) => {
                 self.bump();
@@ -572,7 +573,7 @@ impl<'t> Parser<'t> {
         match self.peek().cloned() {
             Some(Token::Question) => {
                 self.bump();
-                Ok(Expr::Var(self.ident()?))
+                Ok(Expr::Var(Var::new(self.ident()?)))
             }
             Some(Token::Int(v)) => {
                 self.bump();

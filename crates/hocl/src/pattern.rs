@@ -6,6 +6,7 @@
 //! `ωSRC`, `ωIN`, … notation.
 
 use crate::atom::{Atom, Shape};
+use crate::bindings::Var;
 use crate::symbol::Symbol;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -18,7 +19,7 @@ pub enum Pattern {
     /// Binds one atom to a variable. A repeated variable must match equal
     /// atoms (non-linear patterns, used by `gw_pass` to correlate `Ti`
     /// across molecules).
-    Var(String),
+    Var(Var),
     /// Matches an atom structurally equal to the literal.
     Lit(Atom),
     /// Matches a tuple of the same arity, element-wise.
@@ -32,7 +33,7 @@ pub enum Pattern {
     /// paper's `clean` rule grabs `max`).
     RuleNamed(String),
     /// Matches one atom of the given shape class and binds it.
-    Typed(String, TypeTag),
+    Typed(Var, TypeTag),
 }
 
 /// Subsolution pattern body.
@@ -42,7 +43,7 @@ pub struct SubPattern {
     pub elems: Vec<Pattern>,
     /// ω variable capturing the remaining atoms (possibly none). `None`
     /// means the subsolution must contain *exactly* the `elems`.
-    pub rest: Option<String>,
+    pub rest: Option<Var>,
 }
 
 /// Type constraint for [`Pattern::Typed`].
@@ -83,7 +84,7 @@ impl TypeTag {
 impl Pattern {
     /// Variable pattern.
     pub fn var(name: impl Into<String>) -> Self {
-        Pattern::Var(name.into())
+        Pattern::Var(Var::new(name))
     }
 
     /// Literal pattern.
@@ -117,7 +118,7 @@ impl Pattern {
     ) -> Self {
         Pattern::Sub(SubPattern {
             elems: elems.into_iter().collect(),
-            rest: Some(rest.into()),
+            rest: Some(Var::new(rest)),
         })
     }
 
@@ -176,19 +177,26 @@ impl Pattern {
     /// All variable names bound by this pattern (including ω variables),
     /// appended to `out`.
     pub fn collect_vars(&self, out: &mut Vec<String>) {
+        self.clone()
+            .vars_mut(&mut |v| out.push(v.name().to_owned()));
+    }
+
+    /// Visit every variable occurrence in pattern pre-order, an ω rest
+    /// after its subsolution's elements (how a rule resolves its slots).
+    pub(crate) fn vars_mut(&mut self, f: &mut impl FnMut(&mut Var)) {
         match self {
-            Pattern::Var(v) | Pattern::Typed(v, _) => out.push(v.clone()),
+            Pattern::Var(v) | Pattern::Typed(v, _) => f(v),
             Pattern::Tuple(ps) | Pattern::List(ps) => {
                 for p in ps {
-                    p.collect_vars(out);
+                    p.vars_mut(f);
                 }
             }
             Pattern::Sub(sp) => {
-                for p in &sp.elems {
-                    p.collect_vars(out);
+                for p in &mut sp.elems {
+                    p.vars_mut(f);
                 }
-                if let Some(r) = &sp.rest {
-                    out.push(r.clone());
+                if let Some(r) = &mut sp.rest {
+                    f(r);
                 }
             }
             Pattern::Any | Pattern::Lit(_) | Pattern::RuleNamed(_) => {}

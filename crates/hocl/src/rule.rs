@@ -1,24 +1,66 @@
 //! Reaction rules: `replace LHS by RHS if guard` and the one-shot
 //! `replace-one` variant.
+//!
+//! Building a rule resolves its variables: every name the LHS, the guard
+//! or the RHS mentions gets a slot, in the order the names are first met
+//! (LHS in pattern pre-order, then the guard, then the RHS), and every
+//! template occurrence learns whether it is the last one the RHS builds.
+//! Applying the rule then reads and moves bindings by slot. The slot table
+//! is not part of the serialized form: deserializing rebuilds it.
 
+use crate::bindings::Var;
 use crate::guard::Guard;
 use crate::pattern::Pattern;
 use crate::template::Template;
-use serde::{Deserialize, Serialize};
+use serde::{ArcFromValue, DeError, Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A reaction rule.
 ///
 /// Rules are immutable once built and shared via `Arc` when they float in
 /// solutions as atoms. The paper's `with X inject M` sugar is available as
 /// [`Rule::with_inject`]: it expands to `replace-one X by X, M`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Rule {
     name: String,
     one_shot: bool,
     lhs: Vec<Pattern>,
     guard: Guard,
     rhs: Vec<Template>,
+    /// Variable names by slot.
+    #[serde(skip)]
+    vars: Vec<String>,
+}
+
+/// The serialized form of a [`Rule`]: everything but the slot table.
+#[derive(Deserialize)]
+struct RuleForm {
+    name: String,
+    one_shot: bool,
+    lhs: Vec<Pattern>,
+    guard: Guard,
+    rhs: Vec<Template>,
+}
+
+impl Deserialize for Rule {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
+        let form = RuleForm::from_value(v)?;
+        Ok(Rule::resolved(
+            form.name,
+            form.one_shot,
+            form.lhs,
+            form.guard,
+            form.rhs,
+            Vec::new(),
+        ))
+    }
+}
+
+impl ArcFromValue for Rule {
+    fn arc_from_value(v: &serde::Value) -> Result<Arc<Self>, DeError> {
+        Rule::from_value(v).map(Arc::new)
+    }
 }
 
 impl Rule {
@@ -48,13 +90,60 @@ impl Rule {
             rhs.push(t);
         }
         rhs.extend(injected);
-        Rule {
-            name: name.into(),
-            one_shot: true,
-            lhs,
-            guard: Guard::True,
-            rhs,
+        Rule::resolved(name.into(), true, lhs, Guard::True, rhs, Vec::new())
+    }
+
+    /// The rule with its variables resolved to slots, the names in `vars`
+    /// first (see the module docs).
+    fn resolved(
+        name: String,
+        one_shot: bool,
+        mut lhs: Vec<Pattern>,
+        mut guard: Guard,
+        mut rhs: Vec<Template>,
+        mut vars: Vec<String>,
+    ) -> Rule {
+        for p in &mut lhs {
+            p.vars_mut(&mut |v| v.resolve(&mut vars));
         }
+        guard.vars_mut(&mut |v| v.resolve(&mut vars));
+        // Occurrences the build reads, per slot; then count them down to
+        // mark each variable's last one.
+        let mut built = Vec::new();
+        for t in &mut rhs {
+            t.vars_mut(&mut |v: &mut Var, is_built| {
+                v.resolve(&mut vars);
+                if is_built {
+                    if built.len() <= v.slot() {
+                        built.resize(v.slot() + 1, 0usize);
+                    }
+                    built[v.slot()] += 1;
+                }
+            });
+        }
+        for t in &mut rhs {
+            t.vars_mut(&mut |v: &mut Var, is_built| {
+                if is_built {
+                    built[v.slot()] -= 1;
+                }
+                v.set_last(is_built && built[v.slot()] == 0);
+            });
+        }
+        Rule {
+            name,
+            one_shot,
+            lhs,
+            guard,
+            rhs,
+            vars,
+        }
+    }
+
+    /// What is left of a suspended application once its LHS is consumed:
+    /// a rule with this name and RHS and no LHS, whose first slots are the
+    /// names `bound` (how a deserialized suspension finds its bindings).
+    pub(crate) fn remainder(name: String, rhs: Vec<Template>, bound: Vec<String>) -> Rule {
+        Rule::resolved(name, true, Vec::new(), Guard::True, rhs, bound)
     }
 
     /// Rule name (unique within a program by convention).
@@ -85,6 +174,29 @@ impl Rule {
     /// Total `Call` nodes in the RHS (deferred-call bookkeeping).
     pub fn rhs_call_count(&self) -> usize {
         self.rhs.iter().map(Template::count_calls).sum()
+    }
+
+    /// Extern name of the RHS's `Call` node at traversal index `index`
+    /// (the numbering of [`Template::count_calls`]).
+    pub(crate) fn call_name(&self, index: usize) -> Option<&str> {
+        let mut index = index;
+        self.rhs.iter().find_map(|t| t.call_at(&mut index))
+    }
+
+    /// Number of variable slots: the size of the rule's bindings.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.vars.len()
+    }
+
+    /// The slot of the variable `name`, if the rule mentions it.
+    #[cfg(test)]
+    pub(crate) fn slot_of(&self, name: &str) -> Option<usize> {
+        self.vars.iter().position(|v| v == name)
+    }
+
+    /// The name of the variable in `slot`.
+    pub(crate) fn slot_name(&self, slot: usize) -> Option<&str> {
+        self.vars.get(slot).map(String::as_str)
     }
 }
 
@@ -140,13 +252,14 @@ impl RuleBuilder {
             !self.lhs.is_empty(),
             "a rule must consume at least one atom"
         );
-        Rule {
-            name: self.name,
-            one_shot: self.one_shot,
-            lhs: self.lhs,
-            guard: self.guard,
-            rhs: self.rhs,
-        }
+        Rule::resolved(
+            self.name,
+            self.one_shot,
+            self.lhs,
+            self.guard,
+            self.rhs,
+            Vec::new(),
+        )
     }
 }
 
@@ -229,5 +342,52 @@ mod tests {
             .rhs([Template::call("invoke", [Template::var("s")])])
             .build();
         assert_eq!(r.rhs_call_count(), 1);
+        assert_eq!(r.call_name(0), Some("invoke"));
+        assert_eq!(r.call_name(1), None);
+    }
+
+    /// Slot, last use and built-ness of every RHS variable occurrence.
+    fn rhs_vars(r: &Rule) -> Vec<(String, usize, bool)> {
+        let mut out = Vec::new();
+        let mut rhs = r.rhs().to_vec();
+        for t in &mut rhs {
+            t.vars_mut(&mut |v: &mut Var, _| {
+                out.push((v.name().to_owned(), v.slot(), v.is_last()))
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn variables_are_slots_resolved_when_built_and_again_when_deserialized() {
+        // LHS pre-order, then the guard, then the RHS: `x`, `w`, `g`, `u`.
+        let r = Rule::builder("r")
+            .lhs([Pattern::var("x"), Pattern::sub_rest("w")])
+            .guard(Guard::eq(Expr::var("g"), Expr::var("x")))
+            .rhs([
+                Template::var("x"),
+                Template::call("f", [Template::var("w"), Template::var("u")]),
+                Template::sub([Template::var("w"), Template::var("x")]),
+            ])
+            .build();
+        let slots: Vec<Option<usize>> = ["x", "w", "g", "u", "nope"].map(|n| r.slot_of(n)).into();
+        assert_eq!(slots, vec![Some(0), Some(1), Some(2), Some(3), None]);
+        assert_eq!(r.slot_count(), 4);
+        assert_eq!(r.slot_name(3), Some("u"));
+        // Call arguments are read by reference, never the last use: the
+        // second `x` and the `w` in the subsolution move their bindings.
+        let expected = vec![
+            ("x".to_owned(), 0, false),
+            ("w".to_owned(), 1, false),
+            ("u".to_owned(), 3, false),
+            ("w".to_owned(), 1, true),
+            ("x".to_owned(), 0, true),
+        ];
+        assert_eq!(rhs_vars(&r), expected);
+        let json = serde_json::to_string(&r).unwrap();
+        assert!(!json.contains("vars"), "the slot table is not serialized");
+        let back: Rule = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, r);
+        assert_eq!(rhs_vars(&back), expected);
     }
 }

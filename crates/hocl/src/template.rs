@@ -5,9 +5,17 @@
 //! to several atoms) wherever a variable number of atoms is legal: the rule
 //! RHS itself, subsolution bodies, list bodies and extern argument lists —
 //! but not tuple elements.
+//!
+//! A template variable is a slot of its rule's bindings (see
+//! [`crate::bindings`]), and whether an occurrence moves or clones its
+//! binding was decided when the rule was built: building the RHS looks
+//! nothing up by name and counts nothing. What one application allocates
+//! here is the atoms the RHS produces — a tuple's or a list's elements, a
+//! subsolution's storage unless it is a moved ω rest — plus the argument
+//! list and result of each extern call.
 
 use crate::atom::Atom;
-use crate::bindings::{Binding, Bindings, Bound, Lookup};
+use crate::bindings::{Binding, Bindings, Bound, Lookup, Var};
 use crate::error::HoclError;
 use crate::externs::{ExternHost, ExternResult};
 use crate::multiset::Multiset;
@@ -23,7 +31,7 @@ pub enum Template {
     Lit(Atom),
     /// Produce the binding of a variable. A [`Binding::Many`] (ω) binding
     /// splices all its atoms; this is only legal in splicing positions.
-    Var(String),
+    Var(Var),
     /// Produce a tuple from element templates (each must yield one atom).
     Tuple(Vec<Template>),
     /// Produce a subsolution; ω splices are legal inside.
@@ -51,7 +59,7 @@ impl Template {
 
     /// Variable template.
     pub fn var(name: impl Into<String>) -> Self {
-        Template::Var(name.into())
+        Template::Var(Var::new(name))
     }
 
     /// Tuple template.
@@ -102,6 +110,49 @@ impl Template {
                 v.iter().map(Template::count_calls).sum()
             }
             _ => 0,
+        }
+    }
+
+    /// Extern name of the `Call` node `*index` calls further on in the
+    /// numbering of [`Template::count_calls`], counting `index` down past
+    /// the calls before it.
+    pub(crate) fn call_at(&self, index: &mut usize) -> Option<&str> {
+        match self {
+            Template::Call(name, args) => match index.checked_sub(1) {
+                None => Some(name),
+                Some(rest) => {
+                    *index = rest;
+                    args.iter().find_map(|a| a.call_at(index))
+                }
+            },
+            Template::Tuple(v) | Template::Sub(v) | Template::List(v) => {
+                v.iter().find_map(|t| t.call_at(index))
+            }
+            _ => None,
+        }
+    }
+
+    /// Visit every variable occurrence in build order, with whether the
+    /// build reads it — `false` inside extern-call arguments, which the
+    /// probe reads by reference (how a rule resolves slots and last uses).
+    pub(crate) fn vars_mut(&mut self, f: &mut impl FnMut(&mut Var, bool)) {
+        self.walk_vars(f, true);
+    }
+
+    fn walk_vars(&mut self, f: &mut impl FnMut(&mut Var, bool), built: bool) {
+        match self {
+            Template::Var(v) => f(v, built),
+            Template::Tuple(v) | Template::Sub(v) | Template::List(v) => {
+                for t in v {
+                    t.walk_vars(f, built);
+                }
+            }
+            Template::Call(_, args) => {
+                for a in args {
+                    a.walk_vars(f, false);
+                }
+            }
+            Template::Lit(_) | Template::RuleLit(_) => {}
         }
     }
 }
@@ -160,8 +211,6 @@ pub struct Deferral {
     pub call_index: usize,
     /// The evaluated arguments of the deferred call.
     pub args: Vec<Atom>,
-    /// Name of the deferred extern.
-    pub name: String,
 }
 
 /// Why a probe stopped early.
@@ -222,10 +271,10 @@ impl<'h> Instantiator<'h> {
     fn count(&mut self, t: &Template, bindings: &dyn Lookup) -> Result<usize, Stop> {
         Ok(match t {
             Template::Lit(_) | Template::RuleLit(_) => 1,
-            Template::Var(name) => match bindings.lookup(name) {
+            Template::Var(var) => match bindings.lookup(var) {
                 Some(Bound::One(_)) => 1,
                 Some(Bound::Rest(rest)) => rest.len(),
-                None => return Err(HoclError::UnboundVar(name.clone()).into()),
+                None => return Err(HoclError::UnboundVar(var.name().to_owned()).into()),
             },
             Template::Tuple(elems) => {
                 for e in elems {
@@ -279,7 +328,6 @@ impl<'h> Instantiator<'h> {
             ExternResult::Deferred => Err(Stop::Deferred(Deferral {
                 call_index: my_index,
                 args: arg_atoms,
-                name: name.to_owned(),
             })),
         }
     }
@@ -296,10 +344,10 @@ impl<'h> Instantiator<'h> {
         match t {
             Template::Lit(a) => out.push(a.clone()),
             Template::RuleLit(r) => out.push(Atom::Rule(r.clone())),
-            Template::Var(name) => match bindings.lookup(name) {
+            Template::Var(var) => match bindings.lookup(var) {
                 Some(Bound::One(a)) => out.push(a.clone()),
                 Some(Bound::Rest(rest)) => out.extend(rest.iter().cloned()),
-                None => return Err(HoclError::UnboundVar(name.clone()).into()),
+                None => return Err(HoclError::UnboundVar(var.name().to_owned()).into()),
             },
             Template::Tuple(elems) => {
                 let mut tup = Vec::with_capacity(elems.len());
@@ -331,73 +379,43 @@ impl<'h> Instantiator<'h> {
 /// The error for a tuple element that does not yield exactly one atom.
 fn omega_in_scalar_position(t: &Template) -> HoclError {
     HoclError::OmegaInScalarPosition(match t {
-        Template::Var(v) => v.clone(),
+        Template::Var(v) => v.name().to_owned(),
         _ => format!("{t}"),
     })
 }
 
-/// Build a probed RHS, consuming the bindings (see [`Instantiator`]).
+/// Build a probed RHS into `out`, consuming the bindings (see
+/// [`Instantiator`]).
 ///
+/// `templates` must be the RHS of the rule whose slots `bindings` holds,
 /// `bindings` must bind what the probe's bindings bound and `calls` must
-/// come from probing these `templates`; the engine guarantees both, and a
-/// violation is a bug that panics here.
-pub fn build(templates: &[Template], bindings: Bindings, calls: Calls) -> Multiset {
-    let mut uses = Vec::new();
-    for t in templates {
-        count_uses(t, &mut uses);
-    }
+/// come from probing these `templates`; the engine guarantees all three,
+/// and a violation is a bug that panics here. Variables the RHS does not
+/// build are left in `bindings`.
+pub fn build(templates: &[Template], bindings: &mut Bindings, calls: Calls, out: &mut Multiset) {
     let mut builder = Builder {
         bindings,
-        uses,
         calls: calls.0.into_iter(),
     };
-    let mut out = Multiset::new();
     for t in templates {
-        builder.emit(t, &mut out);
-    }
-    out
-}
-
-/// Occurrences of each variable outside call arguments (those are read by
-/// the probe, by reference).
-fn count_uses<'t>(t: &'t Template, uses: &mut Vec<(&'t str, usize)>) {
-    match t {
-        Template::Var(name) => match uses.iter_mut().find(|(n, _)| n == name) {
-            Some((_, count)) => *count += 1,
-            None => uses.push((name, 1)),
-        },
-        Template::Tuple(elems) | Template::Sub(elems) | Template::List(elems) => {
-            for e in elems {
-                count_uses(e, uses);
-            }
-        }
-        Template::Lit(_) | Template::RuleLit(_) | Template::Call(..) => {}
+        builder.emit(t, out);
     }
 }
 
 /// State of the build pass.
-struct Builder<'t> {
-    bindings: Bindings,
-    /// Occurrences of each variable still to come.
-    uses: Vec<(&'t str, usize)>,
+struct Builder<'b> {
+    bindings: &'b mut Bindings,
     calls: std::vec::IntoIter<Vec<Atom>>,
 }
 
 impl Builder<'_> {
-    /// The binding of `name`: moved out at the variable's last occurrence,
+    /// The binding of `var`: moved out at the variable's last occurrence,
     /// cloned before.
-    fn binding(&mut self, name: &str) -> Binding {
-        let left = self
-            .uses
-            .iter_mut()
-            .find(|(n, _)| *n == name)
-            .map(|(_, count)| {
-                *count -= 1;
-                *count
-            });
-        let binding = match left {
-            Some(0) => self.bindings.take(name),
-            _ => self.bindings.get(name).cloned(),
+    fn binding(&mut self, var: &Var) -> Binding {
+        let binding = if var.is_last() {
+            self.bindings.take(var.slot())
+        } else {
+            self.bindings.get(var.slot()).cloned()
         };
         binding.expect("the probe found every variable of the RHS bound")
     }
@@ -406,7 +424,7 @@ impl Builder<'_> {
     /// results (several atoms allowed).
     fn emit(&mut self, t: &Template, out: &mut Multiset) {
         match t {
-            Template::Var(name) => match self.binding(name) {
+            Template::Var(var) => match self.binding(var) {
                 Binding::One(a) => out.insert(a),
                 Binding::Many(ms) => out.absorb(ms),
             },
@@ -425,7 +443,7 @@ impl Builder<'_> {
             Template::Tuple(elems) => Atom::Tuple(elems.iter().map(|e| self.emit_one(e)).collect()),
             Template::Sub(elems) => Atom::Sub(self.emit_all(elems)),
             Template::List(elems) => Atom::List(self.emit_all(elems).into_vec()),
-            Template::Var(name) => match self.binding(name) {
+            Template::Var(var) => match self.binding(var) {
                 Binding::One(a) => a,
                 Binding::Many(ms) => ms.into_vec().pop().expect(only),
             },
@@ -513,47 +531,77 @@ mod tests {
     use super::*;
     use crate::externs::{NoExterns, PureExterns};
 
-    fn bindings(pairs: &[(&str, Binding)]) -> Bindings {
-        let mut b = Bindings::new();
-        for (k, v) in pairs {
+    /// `ts` as the RHS of a rule whose first slots are the names of
+    /// `pairs`, and the bindings of those slots.
+    fn bound(ts: &[Template], pairs: &[(&str, Binding)]) -> (Rule, Bindings) {
+        let names = pairs.iter().map(|(k, _)| (*k).to_owned()).collect();
+        let rule = Rule::remainder("t".into(), ts.to_vec(), names);
+        let mut b = Bindings::default();
+        b.reset(rule.slot_count());
+        for (slot, (_, v)) in pairs.iter().enumerate() {
             match v {
-                Binding::One(a) => assert!(b.bind_one(k, a.clone())),
-                Binding::Many(ms) => assert!(b.bind_many(k, ms.clone())),
+                Binding::One(a) => assert!(b.bind_one(slot, a.clone())),
+                Binding::Many(ms) => assert!(b.bind_many(slot, ms.clone())),
             }
         }
-        b
+        (rule, b)
     }
 
     /// Probe then build, as the engine does; the inner `Err` is a deferral.
     fn instantiate(
         inst: Instantiator<'_>,
         ts: &[Template],
-        b: &Bindings,
+        pairs: &[(&str, Binding)],
     ) -> Result<Result<Vec<Atom>, Probed>, HoclError> {
-        Ok(match inst.probe(ts, b)? {
-            Probed::Ready(calls) => Ok(build(ts, b.clone(), calls).into_vec()),
+        let (rule, mut b) = bound(ts, pairs);
+        Ok(match inst.probe(rule.rhs(), &b)? {
+            Probed::Ready(calls) => {
+                let mut out = Multiset::new();
+                build(rule.rhs(), &mut b, calls, &mut out);
+                Ok(out.into_vec())
+            }
             deferred => Err(deferred),
         })
     }
 
-    fn produce(ts: &[Template], b: &Bindings) -> Vec<Atom> {
+    fn produce(ts: &[Template], pairs: &[(&str, Binding)]) -> Vec<Atom> {
         let mut host = PureExterns::new();
-        match instantiate(Instantiator::new(&mut host), ts, b).unwrap() {
+        match instantiate(Instantiator::new(&mut host), ts, pairs).unwrap() {
             Ok(atoms) => atoms,
             Err(_) => panic!("unexpected deferral"),
         }
     }
 
+    fn many(atoms: impl IntoIterator<Item = Atom>) -> Binding {
+        Binding::Many(atoms.into_iter().collect())
+    }
+
     #[test]
     fn literals_and_vars() {
-        let b = bindings(&[("x", Binding::One(Atom::int(7)))]);
+        let b = [("x", Binding::One(Atom::int(7)))];
         let out = produce(&[Template::lit(1i64), Template::var("x")], &b);
         assert_eq!(out, vec![Atom::int(1), Atom::int(7)]);
+        // Used twice: the first occurrence clones, the last one moves.
+        let twice = [Template::var("x"), Template::lit(1i64), Template::var("x")];
+        let (rule, _) = bound(&twice, &b);
+        let last: Vec<bool> = rule
+            .rhs()
+            .iter()
+            .filter_map(|t| match t {
+                Template::Var(v) => Some(v.is_last()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(last, vec![false, true]);
+        assert_eq!(
+            produce(&twice, &b),
+            vec![Atom::int(7), Atom::int(1), Atom::int(7)]
+        );
     }
 
     #[test]
     fn omega_splices_in_sub() {
-        let b = bindings(&[("w", Binding::Many(vec![Atom::int(1), Atom::int(2)].into()))]);
+        let b = [("w", many([Atom::int(1), Atom::int(2)]))];
         let out = produce(
             &[Template::keyed("IN", [Template::sub([Template::var("w")])])],
             &b,
@@ -568,31 +616,25 @@ mod tests {
     fn omega_splices_at_top_level() {
         // The `clean` rule's RHS is just `ω` — contents spill into the outer
         // solution.
-        let b = bindings(&[(
-            "w",
-            Binding::Many(vec![Atom::int(9), Atom::sym("K")].into()),
-        )]);
+        let b = [("w", many([Atom::int(9), Atom::sym("K")]))];
         let out = produce(&[Template::var("w")], &b);
         assert_eq!(out, vec![Atom::int(9), Atom::sym("K")]);
     }
 
     #[test]
     fn omega_in_tuple_position_errors() {
-        let b = bindings(&[("w", Binding::Many(vec![Atom::int(1), Atom::int(2)].into()))]);
+        let b = [("w", many([Atom::int(1), Atom::int(2)]))];
         let mut host = NoExterns;
         let inst = Instantiator::new(&mut host);
         let err = instantiate(inst, &[Template::keyed("K", [Template::var("w")])], &b)
             .err()
             .expect("an ω of two atoms cannot be a tuple element");
-        assert!(matches!(err, HoclError::OmegaInScalarPosition(_)));
+        assert!(matches!(err, HoclError::OmegaInScalarPosition(v) if v == "w"));
     }
 
     #[test]
     fn pure_call_splices_result() {
-        let b = bindings(&[(
-            "w",
-            Binding::Many(vec![Atom::tuple([Atom::sym("T1"), Atom::int(5)])].into()),
-        )]);
+        let b = [("w", many([Atom::tuple([Atom::sym("T1"), Atom::int(5)])]))];
         let out = produce(
             &[Template::keyed(
                 "PAR",
@@ -615,9 +657,6 @@ mod tests {
                 }
             }
         }
-        let b = bindings(&[("s", Binding::One(Atom::sym("s2")))]);
-        let mut host = Deferring;
-        let inst = Instantiator::new(&mut host);
         let rhs = [Template::keyed(
             "RES",
             [Template::sub([Template::call(
@@ -625,11 +664,13 @@ mod tests {
                 [Template::var("s")],
             )])],
         )];
-        match inst.probe(&rhs, &b).unwrap() {
+        let (rule, b) = bound(&rhs, &[("s", Binding::One(Atom::sym("s2")))]);
+        let mut host = Deferring;
+        match Instantiator::new(&mut host).probe(rule.rhs(), &b).unwrap() {
             Probed::Deferred(deferral) => {
                 assert_eq!(deferral.call_index, 0);
                 assert_eq!(deferral.args, vec![Atom::sym("s2")]);
-                assert_eq!(deferral.name, "invoke");
+                assert_eq!(rule.call_name(deferral.call_index), Some("invoke"));
             }
             Probed::Ready(_) => panic!("expected deferral"),
         }
@@ -637,14 +678,13 @@ mod tests {
 
     #[test]
     fn resume_substitutes_deferred_call() {
-        let b = Bindings::new();
         let mut host = NoExterns;
         let inst = Instantiator::resuming(&mut host, 0, vec![Atom::str("result")]);
         let rhs = [Template::keyed(
             "RES",
             [Template::sub([Template::call("invoke", [])])],
         )];
-        match instantiate(inst, &rhs, &b).unwrap() {
+        match instantiate(inst, &rhs, &[]).unwrap() {
             Ok(atoms) => assert_eq!(
                 atoms,
                 vec![Atom::keyed("RES", [Atom::sub([Atom::str("result")])])]
@@ -660,5 +700,7 @@ mod tests {
             Template::call("c", []),
         ]);
         assert_eq!(t.count_calls(), 3);
+        let names: Vec<Option<&str>> = (0..4).map(|i| t.call_at(&mut { i })).collect();
+        assert_eq!(names, vec![Some("a"), Some("b"), Some("c"), None]);
     }
 }

@@ -53,59 +53,49 @@ impl AgentProgram {
     }
 }
 
-/// Initial `SRC`/`DST` name sets of a task, taking standby wiring from the
-/// adaptation table (standby tasks are wired from the start — Fig 6 gives
-/// `T2′` its `SRC : ⟨T1⟩` in the initial program; only the *senders* learn
-/// about the replacement at adaptation time).
-fn wiring(wf: &Workflow, id: TaskId) -> (Vec<String>, Vec<String>) {
+/// A task's initial `SRC` and `DST` names.
+#[derive(Default)]
+struct Wiring {
+    sources: Vec<String>,
+    destinations: Vec<String>,
+}
+
+/// Initial wiring of a task. An active task's is its DAG neighbourhood; a
+/// standby task's comes from its adaptation's edges, which [`roles`]
+/// walked once for all of them (standby tasks are wired from the start —
+/// Fig 6 gives `T2′` its `SRC : ⟨T1⟩` in the initial program; only the
+/// *senders* learn about the replacement at adaptation time). Each task's
+/// is taken once per compilation.
+fn wiring(wf: &Workflow, id: TaskId, roles: &mut Roles) -> Wiring {
     let dag = wf.dag();
-    let spec = dag.task(id);
-    match spec.standby_for {
-        None => (
-            dag.predecessors(id)
+    match dag.task(id).standby_for {
+        None => Wiring {
+            sources: dag
+                .predecessors(id)
                 .iter()
                 .map(|&p| dag.name_of(p).to_owned())
                 .collect(),
-            dag.successors(id)
+            destinations: dag
+                .successors(id)
                 .iter()
                 .map(|&s| dag.name_of(s).to_owned())
                 .collect(),
-        ),
-        Some(aid) => {
-            let a = wf
-                .adaptations()
-                .iter()
-                .find(|a| a.id == aid)
-                .expect("validated workflow has the adaptation");
-            let mut sources = Vec::new();
-            let mut dests = Vec::new();
-            for &(f, t) in a.entry_edges.iter().chain(&a.internal_edges) {
-                if t == id {
-                    sources.push(dag.name_of(f).to_owned());
-                }
-                if f == id {
-                    dests.push(dag.name_of(t).to_owned());
-                }
-            }
-            for &(f, t) in &a.exit_edges {
-                if f == id {
-                    dests.push(dag.name_of(t).to_owned());
-                }
-            }
-            (sources, dests)
-        }
+        },
+        Some(_) => roles.standby_wiring.remove(&id).unwrap_or_default(),
     }
 }
 
 /// The data atoms of a task subsolution (Fig 3 plus the `TASK` self-name
 /// atom and provenance-tagged initial inputs).
-fn task_atoms(wf: &Workflow, id: TaskId) -> Vec<Atom> {
+fn task_atoms(wf: &Workflow, id: TaskId, wiring: &Wiring) -> Vec<Atom> {
     let spec = wf.dag().task(id);
-    let (sources, dests) = wiring(wf, id);
     vec![
         Atom::keyed("TASK", [Atom::sym(&spec.name)]),
-        Atom::keyed(kw::SRC, [Atom::sub(sources.iter().map(Atom::sym))]),
-        Atom::keyed(kw::DST, [Atom::sub(dests.iter().map(Atom::sym))]),
+        Atom::keyed(kw::SRC, [Atom::sub(wiring.sources.iter().map(Atom::sym))]),
+        Atom::keyed(
+            kw::DST,
+            [Atom::sub(wiring.destinations.iter().map(Atom::sym))],
+        ),
         Atom::keyed(kw::SRV, [Atom::sym(&spec.service)]),
         Atom::keyed(
             kw::IN,
@@ -128,6 +118,8 @@ struct Roles {
     watched: HashMap<TaskId, Vec<u32>>,
     /// standby task → adaptation id.
     standby: HashMap<TaskId, u32>,
+    /// standby task → its initial wiring, until [`wiring`] takes it.
+    standby_wiring: HashMap<TaskId, Wiring>,
 }
 
 struct MvSrcData {
@@ -144,9 +136,35 @@ fn roles(wf: &Workflow) -> Roles {
         mv_src: HashMap::new(),
         watched: HashMap::new(),
         standby: HashMap::new(),
+        standby_wiring: HashMap::new(),
     };
     for a in wf.adaptations() {
         let k = a.id.0;
+        // Standby wiring: one pass over the adaptation's edges for all of
+        // its standby tasks, in edge order.
+        let is_standby = |t: TaskId| dag.task(t).standby_for == Some(a.id);
+        let name = |t: TaskId| dag.name_of(t).to_owned();
+        for &(f, t) in a.entry_edges.iter().chain(&a.internal_edges) {
+            if is_standby(t) {
+                r.standby_wiring.entry(t).or_default().sources.push(name(f));
+            }
+            if is_standby(f) {
+                r.standby_wiring
+                    .entry(f)
+                    .or_default()
+                    .destinations
+                    .push(name(t));
+            }
+        }
+        for &(f, t) in &a.exit_edges {
+            if is_standby(f) {
+                r.standby_wiring
+                    .entry(f)
+                    .or_default()
+                    .destinations
+                    .push(name(t));
+            }
+        }
         // Sources: group entry edges by source task.
         let mut per_source: HashMap<TaskId, Vec<String>> = HashMap::new();
         for &(f, t) in &a.entry_edges {
@@ -254,11 +272,11 @@ pub fn adapt_plans(wf: &Workflow) -> Vec<AdaptPlan> {
 /// adaptation rules (Figs 3, 4, 7, 8).
 pub fn centralized(wf: &Workflow) -> Solution {
     let dag = wf.dag();
-    let r = roles(wf);
+    let mut r = roles(wf);
     let generic = [rules::gw_setup(), rules::gw_call()].map(Arc::new);
     let mut top: Vec<Atom> = Vec::with_capacity(dag.len() + 4);
     for (id, spec) in dag.iter() {
-        let mut atoms = task_atoms(wf, id);
+        let mut atoms = task_atoms(wf, id, &wiring(wf, id, &mut r));
         if !spec.is_standby() {
             atoms.extend(generic.iter().cloned().map(Atom::rule_arc));
             for rule in adaptation_rules_for(id, &r) {
@@ -314,7 +332,7 @@ pub fn centralized(wf: &Workflow) -> Solution {
 /// to the allocation — a 4000-task chain compiles 4 rules, not 16 000.
 pub fn agent_programs(wf: &Workflow) -> (Vec<AgentProgram>, Vec<AdaptPlan>) {
     let dag = wf.dag();
-    let r = roles(wf);
+    let mut r = roles(wf);
     let generic = [
         rules::gw_setup(),
         rules::gw_call(),
@@ -333,8 +351,8 @@ pub fn agent_programs(wf: &Workflow) -> (Vec<AgentProgram>, Vec<AdaptPlan>) {
     }
     let mut agents = Vec::with_capacity(dag.len());
     for (id, spec) in dag.iter() {
-        let mut atoms = task_atoms(wf, id);
-        let (sources, destinations) = wiring(wf, id);
+        let wiring = wiring(wf, id, &mut r);
+        let mut atoms = task_atoms(wf, id, &wiring);
         match r.standby.get(&id) {
             Some(k) => atoms.push(Atom::rule_arc(activate[k].clone())),
             None => {
@@ -353,8 +371,8 @@ pub fn agent_programs(wf: &Workflow) -> (Vec<AgentProgram>, Vec<AdaptPlan>) {
             service: spec.service.clone(),
             standby: spec.is_standby(),
             initial: Solution::from_atoms(atoms),
-            destinations,
-            sources,
+            destinations: wiring.destinations,
+            sources: wiring.sources,
         });
     }
     (agents, adapt_plans(wf))
@@ -517,6 +535,56 @@ mod tests {
             "every agent's is the same Arc"
         );
         assert_eq!(distinct(None), 4, "one allocation per generic rule");
+    }
+
+    #[test]
+    fn a_wide_adaptive_diamond_compiles_in_time_linear_in_its_edges() {
+        use ginflow_core::{AdaptiveDiamondSpec, Connectivity};
+        // 1602 active and 1600 standby tasks, ≈ 64 000 replacement edges:
+        // walking every adaptation edge once per standby task (twice per
+        // task) is ≈ 2·10⁸ steps and takes minutes in a debug build.
+        let spec = AdaptiveDiamondSpec {
+            h: 40,
+            v: 40,
+            main: Connectivity::Full,
+            replacement: Connectivity::Full,
+        };
+        let wf = spec.build("svc", "faulty").unwrap();
+        let started = std::time::Instant::now();
+        let (agents, _) = agent_programs(&wf);
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 2.0, "agent_programs took {took:?}");
+
+        // Each standby task's lists, read off the adaptation's edges.
+        let dag = wf.dag();
+        let a = &wf.adaptations()[0];
+        let mut expected: HashMap<TaskId, (Vec<String>, Vec<String>)> = HashMap::new();
+        for &(f, t) in a.entry_edges.iter().chain(&a.internal_edges) {
+            expected
+                .entry(t)
+                .or_default()
+                .0
+                .push(dag.name_of(f).to_owned());
+            expected
+                .entry(f)
+                .or_default()
+                .1
+                .push(dag.name_of(t).to_owned());
+        }
+        for &(f, t) in &a.exit_edges {
+            expected
+                .entry(f)
+                .or_default()
+                .1
+                .push(dag.name_of(t).to_owned());
+        }
+        let standby: Vec<&AgentProgram> = agents.iter().filter(|p| p.standby).collect();
+        assert_eq!(standby.len(), 1600);
+        for p in standby {
+            let (sources, destinations) = &expected[&p.task];
+            assert_eq!((&p.sources, &p.destinations), (sources, destinations));
+            assert!(!sources.is_empty() && !destinations.is_empty());
+        }
     }
 
     #[test]

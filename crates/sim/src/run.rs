@@ -134,15 +134,18 @@ struct AgentSlot {
 pub fn simulate(workflow: &Workflow, config: &SimConfig) -> SimReport {
     let (programs, plans) = agent_programs(workflow);
     let plans = Arc::new(plans);
+    // One copy of each program, shared by an agent and its respawns.
+    let programs: Vec<Arc<ginflow_hoclflow::AgentProgram>> =
+        programs.into_iter().map(Arc::new).collect();
     let n_tasks = programs.len();
     let mut index: HashMap<String, usize> = HashMap::new();
     let mut agents: Vec<AgentSlot> = Vec::with_capacity(n_tasks);
-    for (i, p) in programs.into_iter().enumerate() {
+    for (i, p) in programs.iter().enumerate() {
         index.insert(p.name.clone(), i);
         let name = p.name.clone();
         let is_sink = p.is_sink();
         agents.push(AgentSlot {
-            core: SaCore::new(p, plans.clone()),
+            core: SaCore::new(Arc::clone(p), plans.clone()),
             alive: true,
             incarnation: 0,
             free_at: 0,
@@ -153,11 +156,6 @@ pub fn simulate(workflow: &Workflow, config: &SimConfig) -> SimReport {
             is_sink,
         });
     }
-    let programs_by_index: Vec<ginflow_hoclflow::AgentProgram> = {
-        // Keep pristine programs for respawns.
-        let (fresh, _) = agent_programs(workflow);
-        fresh
-    };
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
     let mut rng = SmallRng::seed_from_u64(config.seed);
@@ -334,7 +332,7 @@ pub fn simulate(workflow: &Workflow, config: &SimConfig) -> SimReport {
                 // report completed = false).
             }
             Ev::Respawn { agent } => {
-                let program = programs_by_index[agent].clone();
+                let program = Arc::clone(&programs[agent]);
                 let log: Vec<SaMessage> = agents[agent].inbox_log.clone();
                 {
                     let slot = &mut agents[agent];
