@@ -83,24 +83,27 @@ impl ExternHost for AgentHost<'_> {
         match name {
             names::INVOKE => Ok(ExternResult::Deferred),
             names::SEND_RESULT => {
-                let (to, from, value) = match args {
-                    [Atom::Sym(to), Atom::Sym(from), value] => (
-                        to.as_str().to_owned(),
-                        from.as_str().to_owned(),
-                        value.clone(),
-                    ),
-                    _ => {
-                        return Err(HoclError::ExternFailed {
-                            name: names::SEND_RESULT.into(),
-                            reason: "expected (to, from, value)".into(),
-                        })
+                // `gw_send` names every destination at once: one `Send`
+                // each, in `DST` order.
+                match args {
+                    [Atom::Sym(from), value, to @ ..]
+                        if to.iter().all(|t| matches!(t, Atom::Sym(_))) =>
+                    {
+                        self.outbox
+                            .extend(to.iter().filter_map(Atom::as_sym).map(|t| Command::Send {
+                                to: t.as_str().to_owned(),
+                                message: SaMessage::Result {
+                                    from: from.as_str().to_owned(),
+                                    value: value.clone(),
+                                },
+                            }));
+                        Ok(ExternResult::Atoms(vec![]))
                     }
-                };
-                self.outbox.push(Command::Send {
-                    to,
-                    message: SaMessage::Result { from, value },
-                });
-                Ok(ExternResult::Atoms(vec![]))
+                    _ => Err(HoclError::ExternFailed {
+                        name: names::SEND_RESULT.into(),
+                        reason: "expected (from, value, to…)".into(),
+                    }),
+                }
             }
             names::ADAPT_NOTIFY => {
                 let k =

@@ -46,7 +46,6 @@
 use crate::message::StatusUpdate;
 use crate::runtime::WaitError;
 use ginflow_core::{TaskState, Value, Workflow};
-use ginflow_hoclflow::{AdaptPlan, AgentProgram};
 use ginflow_mq::RunId;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
@@ -222,28 +221,6 @@ impl RunMeta {
             ));
         }
         meta
-    }
-
-    /// Metadata from compiled agent programs + adaptation plans (the
-    /// launch path that never sees the workflow itself).
-    pub fn from_programs(programs: &[AgentProgram], plans: &[AdaptPlan]) -> RunMeta {
-        RunMeta {
-            tasks: programs.iter().map(|p| p.name.clone()).collect(),
-            sinks: programs
-                .iter()
-                .filter(|p| p.is_sink())
-                .map(|p| p.name.clone())
-                .collect(),
-            standby: programs
-                .iter()
-                .filter(|p| p.standby)
-                .map(|p| p.name.clone())
-                .collect(),
-            adaptations: plans
-                .iter()
-                .map(|p| (p.name.clone(), p.watched.clone()))
-                .collect(),
-        }
     }
 }
 
@@ -1274,33 +1251,5 @@ mod tests {
             let back: RunEvent = serde_json::from_str(&json).unwrap();
             assert_eq!(back, event);
         }
-    }
-
-    #[test]
-    fn meta_of_workflow_matches_programs() {
-        use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
-        let mut b = WorkflowBuilder::new("fig5");
-        b.task("T1", "s1").input(Value::str("input"));
-        b.task("T2", "s2").after(["T1"]);
-        b.task("T3", "s3").after(["T1"]);
-        b.task("T4", "s4").after(["T2", "T3"]);
-        b.adaptation(
-            "replace-T2",
-            ["T2"],
-            ["T2"],
-            [ReplacementTask::new("T2'", "s2p", ["T1"])],
-        );
-        let wf = b.build().unwrap();
-        let from_wf = RunMeta::of(&wf);
-        let (programs, plans) = ginflow_hoclflow::agent_programs(&wf);
-        let from_programs = RunMeta::from_programs(&programs, &plans);
-        assert_eq!(from_wf.sinks, from_programs.sinks);
-        assert_eq!(from_wf.standby, from_programs.standby);
-        assert_eq!(from_wf.adaptations, from_programs.adaptations);
-        let mut a = from_wf.tasks.clone();
-        let mut b2 = from_programs.tasks.clone();
-        a.sort();
-        b2.sort();
-        assert_eq!(a, b2);
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::core::{Command, Event, SaCore};
 use crate::engine::RunTracker;
-use crate::message::StatusUpdate;
+use crate::message::{SaMessage, StatusUpdate};
 use bytes::Bytes;
 use ginflow_core::ServiceRegistry;
 use ginflow_mq::{Broker, MqError, Subscription, TopicNamespace};
@@ -41,6 +41,10 @@ impl AgentCtx<'_> {
     /// [`SaCore`]'s guarantee — a `Completed` enters the status log
     /// before the result message it precedes — holds exactly as if each
     /// command were its own publish.
+    ///
+    /// A fan-out is encoded once: a run of `Send`s of an equal message —
+    /// one result to all of a task's successors — shares one encoded
+    /// payload.
     pub fn dispatch(&self, core: &mut SaCore, event: Event) -> Result<(), ()> {
         let mut queue: VecDeque<Event> = VecDeque::from([event]);
         let mut batch: Vec<(String, Option<Bytes>, Bytes)> = Vec::new();
@@ -52,6 +56,8 @@ impl AgentCtx<'_> {
                 outcome = Err(());
                 break;
             };
+            // The last message encoded, and its bytes.
+            let mut encoded: Option<(SaMessage, Bytes)> = None;
             for command in commands {
                 match command {
                     Command::Invoke {
@@ -72,11 +78,15 @@ impl AgentCtx<'_> {
                         // namespace rejects has no inbox to lose a
                         // message to, matching the ignored-publish path.
                         if let Ok(topic) = self.ns.inbox(&to) {
-                            batch.push((
-                                topic,
-                                Some(Bytes::from(to.into_bytes())),
-                                message.encode(),
-                            ));
+                            let payload = match &encoded {
+                                Some((m, bytes)) if *m == message => bytes.clone(),
+                                _ => {
+                                    let bytes = message.encode();
+                                    encoded = Some((message, bytes.clone()));
+                                    bytes
+                                }
+                            };
+                            batch.push((topic, Some(Bytes::from(to.into_bytes())), payload));
                         }
                     }
                     Command::Publish { state, result } => {

@@ -154,10 +154,7 @@ impl Scheduler {
     pub fn launch(&self, workflow: &Workflow) -> RunHandle {
         let (agents, plans) = agent_programs(workflow);
         let run_id = self.options.run_id.clone().unwrap_or_else(RunId::generate);
-        let tracker = Arc::new(RunTracker::new(
-            RunMeta::from_programs(&agents, &plans),
-            run_id.clone(),
-        ));
+        let tracker = Arc::new(RunTracker::new(RunMeta::of(workflow), run_id.clone()));
         let run = launch_pool(
             self.broker.clone(),
             self.registry.clone(),

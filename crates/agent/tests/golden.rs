@@ -203,7 +203,7 @@ T4 <- Deliver(Result { from: "T2'", value: "s2p(s1(input))" })
   -> Invoke { effect: EffectId(0), service: "s4", params: ["s2p(s1(input))", "s3(s1(input))"] }
 T4 <- ServiceCompleted { effect: EffectId(0), result: Ok("s4(s2p(s1(input)),s3(s1(input)))") }
   -> Publish { state: Completed, result: Some("s4(s2p(s1(input)),s3(s1(input)))") }
-final T1: <gw_send, gw_recv, SRC:<>, SRV:s1, RES:<"s1(input)">, DST:<>, TASK:T1> applications=6 match_attempts=101
+final T1: <gw_send, gw_recv, SRC:<>, SRV:s1, RES:<"s1(input)">, DST:<>, TASK:T1> applications=5 match_attempts=87
 final T2: <DST:<T4>, gw_send, gw_recv, SRC:<>, SRV:s2, RES:<>, TASK:T2> applications=4 match_attempts=81
 final T3: <gw_send, gw_recv, SRC:<>, SRV:s3, RES:<"s3(s1(input))">, DST:<>, TASK:T3> applications=4 match_attempts=77
 final T4: <DST:<>, gw_send, gw_recv, SRC:<>, SRV:s4, TASK:T4, RES:<"s4(s2p(s1(input)),s3(s1(input)))">> applications=5 match_attempts=121

@@ -70,7 +70,9 @@ fn fig2_completes_on_log_broker() {
 
 #[test]
 fn decentralised_matches_centralized_reference() {
-    // D3 in DESIGN.md: both execution paths must agree.
+    // Both execution paths must agree: the decentralised split of
+    // `gw_pass` (see the deviations listed in the `ginflow_hoclflow`
+    // crate docs) against the centralized reference.
     let wf = fig2();
     let registry = tracing_registry();
     let centralized = ginflow_hoclflow::run(

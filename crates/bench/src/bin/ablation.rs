@@ -1,5 +1,7 @@
-//! Ablation studies for the design decisions called out in DESIGN.md —
-//! not paper figures, but the evidence behind the reproduction's choices.
+//! Ablation studies for the reproduction's design decisions — not paper
+//! figures, but the evidence behind its choices. The deviations from the
+//! paper's rules are listed under "Deviations from the paper's figures"
+//! in the `ginflow_hoclflow` crate docs.
 //!
 //! * **A1 — adaptation vs restart**: §III motivates on-the-fly adaptation
 //!   as "a new chance to obtain meaningful results without having to

@@ -5,7 +5,8 @@
 //!
 //! * [`names::INVOKE`] — service invocation. *Hosts* decide its behaviour:
 //!   synchronous in the centralized executor, deferred in service agents.
-//! * [`names::SEND_RESULT`] — command: ship a result to a peer agent.
+//! * [`names::SEND_RESULT`] — command: ship a result to every peer agent
+//!   it names.
 //! * [`names::ADAPT_NOTIFY`] — command: fan out the `ADAPT`/`TRIGGER`
 //!   directives of an adaptation.
 //! * `swap_src(removals, additions, *entries)` — pure: the `MVSRC` set
@@ -19,7 +20,8 @@ use ginflow_hocl::{Atom, ExternHost, ExternResult, HoclError, PureExterns};
 pub mod names {
     /// Deferred/synchronous service invocation: `invoke(service, params, task)`.
     pub const INVOKE: &str = "invoke";
-    /// Command: `send_result(to, from, value)`.
+    /// Command: `send_result(from, value, to…)` — one message per
+    /// destination, in argument order.
     pub const SEND_RESULT: &str = "send_result";
     /// Command: `adapt_notify(adaptation_id, from)`.
     pub const ADAPT_NOTIFY: &str = "adapt_notify";

@@ -23,7 +23,10 @@
 //!   triggers a local version of the gw_pass rule which calls a function
 //!   that sends a message directly to the destination SA".
 //!
-//! ## Deviations from the paper's figures (documented per DESIGN.md)
+//! ## Deviations from the paper's figures
+//!
+//! This list is where the reproduction's departures from the paper are
+//! documented; tests and ablations cite them by number.
 //!
 //! 1. **Provenance-tagged inputs.** `IN` holds `from : value` tuples rather
 //!    than bare values. This makes the parameter order deterministic
@@ -38,6 +41,15 @@
 //!    the walkthrough, not in general); ours appends to any `DST`.
 //! 4. **`swap_src`/`flush_in` externs.** `mv_src` rewrites the `SRC` set
 //!    through two pure externs instead of a cascade of per-element rules.
+//! 5. **One `gw_send` reaction per result.** The paper's local `gw_pass`
+//!    "calls a function that sends a message directly to the destination
+//!    SA", one reaction per destination as Fig 4 moves one result per
+//!    application. Our `gw_send` drains the whole `DST` in one reaction
+//!    and its `send_result(from, value, to…)` names every destination, so
+//!    a fan-out of k costs one reaction, one guard evaluation and one
+//!    extern call instead of k. The messages, their order (`DST` order)
+//!    and an `ADDDST` resend are unchanged. The centralized `gw_pass`
+//!    keeps Fig 4's one-destination form.
 
 pub mod centralized;
 pub mod compile;

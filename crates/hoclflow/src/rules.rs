@@ -143,14 +143,16 @@ pub fn gw_pass_global() -> Rule {
         .build()
 }
 
-/// Local send half of `gw_pass` (recurring, decentralised): pop one
-/// destination and emit a `send_result` command. Re-fires whenever `DST`
-/// gains entries — which is precisely how an `ADDDST` adaptation makes a
-/// source *resend* its result to the replacement tasks.
+/// Local send half of `gw_pass` (recurring, decentralised): drain every
+/// destination at once and emit one `send_result` command naming them
+/// all, in `DST` order (see crate docs, deviation 5). Re-fires whenever
+/// `DST` gains entries — which is precisely how an `ADDDST` adaptation
+/// makes a source *resend* its result to the replacement tasks, all of
+/// them in one reaction.
 ///
 /// ```text
 /// replace RES:<?r, *wres>, DST:<?t, *wd>, TASK:?me
-/// by      RES:<?r, *wres>, DST:<*wd>, TASK:?me, send_result(?t, ?me, ?r)
+/// by      RES:<?r, *wres>, DST:<>, TASK:?me, send_result(?me, ?r, ?t, *wd)
 /// if      !is_error(?r)
 /// ```
 pub fn gw_send() -> Rule {
@@ -172,11 +174,16 @@ pub fn gw_send() -> Rule {
                 kw::RES,
                 [Template::sub([Template::var("r"), Template::var("wres")])],
             ),
-            Template::keyed(kw::DST, [Template::sub([Template::var("wd")])]),
+            Template::keyed(kw::DST, [Template::empty_sub()]),
             Template::keyed("TASK", [Template::var("me")]),
             Template::call(
                 names::SEND_RESULT,
-                [Template::var("t"), Template::var("me"), Template::var("r")],
+                [
+                    Template::var("me"),
+                    Template::var("r"),
+                    Template::var("t"),
+                    Template::var("wd"),
+                ],
             ),
         ])
         .build()
@@ -417,7 +424,10 @@ mod tests {
     /// records command externs.
     struct TestHost {
         flow: FlowExterns,
+        /// `(to, from, value)`, one entry per destination.
         sent: Vec<(Atom, Atom, Atom)>,
+        /// `send_result` calls, however many destinations each named.
+        send_calls: usize,
         notified: Vec<(i64, Atom)>,
     }
 
@@ -426,6 +436,7 @@ mod tests {
             TestHost {
                 flow: FlowExterns::new(),
                 sent: vec![],
+                send_calls: 0,
                 notified: vec![],
             }
         }
@@ -439,8 +450,13 @@ mod tests {
                     Ok(ExternResult::Atoms(vec![Atom::str(format!("out:{task}"))]))
                 }
                 names::SEND_RESULT => {
-                    self.sent
-                        .push((args[0].clone(), args[1].clone(), args[2].clone()));
+                    let [from, value, to @ ..] = args else {
+                        panic!("send_result(from, value, to…) got {args:?}");
+                    };
+                    self.send_calls += 1;
+                    for t in to {
+                        self.sent.push((t.clone(), from.clone(), value.clone()));
+                    }
                     Ok(ExternResult::Atoms(vec![]))
                 }
                 names::ADAPT_NOTIFY => {
@@ -484,6 +500,10 @@ mod tests {
         assert_eq!(host.sent.len(), 2);
         assert_eq!(host.sent[0].1, Atom::sym("T"));
         assert_eq!(host.sent[0].2, Atom::str("out:T"));
+        // By one reaction, naming the destinations in DST order.
+        assert_eq!(host.send_calls, 1);
+        let to: Vec<&Atom> = host.sent.iter().map(|(t, _, _)| t).collect();
+        assert_eq!(to, [&Atom::sym("T2"), &Atom::sym("T3")]);
         assert!(sol.atoms().keyed_sub(kw::DST).unwrap().is_empty());
         // RES retains the result for future resends.
         assert_eq!(sol.atoms().keyed_sub(kw::RES).unwrap().len(), 1);
@@ -591,11 +611,12 @@ mod tests {
         let mut sol = Solution::from_atoms(atoms);
         let mut host = TestHost::new();
         Engine::new().reduce(&mut sol, &mut host).unwrap();
-        // Resent to both replacement entries.
+        // Resent to both replacement entries, by one reaction.
         assert_eq!(host.sent.len(), 2);
         let to: Vec<&Atom> = host.sent.iter().map(|(t, _, _)| t).collect();
         assert!(to.contains(&&Atom::sym("R1")));
         assert!(to.contains(&&Atom::sym("R2")));
+        assert_eq!(host.send_calls, 1);
     }
 
     #[test]

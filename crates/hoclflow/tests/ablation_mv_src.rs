@@ -1,4 +1,5 @@
-//! Ablation for DESIGN.md deviation 1 (provenance-tagged `IN`).
+//! Ablation for deviation 1 (provenance-tagged `IN`) of the "Deviations
+//! from the paper's figures" list in the `ginflow_hoclflow` crate docs.
 //!
 //! Fig 7 of the paper prints `mv_src` as
 //!

@@ -53,6 +53,15 @@
 //!                       seq_first… and offsets offset_first…, all on
 //!                       one partition — the request-direction mirror
 //!                       of EVENTS; count ≤ MAX_RECEIPT_RUN)
+//!   0x93 RECEIPT_LIST  seq_first:u64 count:u32 (partition:u32 offset:u64)×count
+//!                      (list ack: count consecutive publishes, seqs
+//!                       seq_first…, each with its own partition and
+//!                       offset; count ≤ MAX_RECEIPT_RUN)
+//!
+//! The daemon acks the consecutive publishes of one read turn with one
+//! frame, whatever their topics: one publish gets a RECEIPT, a run whose
+//! offsets count up by one on one partition a RECEIPTS, and any other
+//! run — a fan-out to k topics — a RECEIPT_LIST.
 //!
 //! run_stat := run:str topics:u32 retained:u64 completed:u8
 //! stat_row := name:str label:str value:u64    (label empty = unlabelled)
@@ -64,7 +73,7 @@
 //! completed, and garbage-collect completed runs' topics so a standing
 //! daemon does not grow without bound.
 
-use crate::broker::SubscribeMode;
+use crate::broker::{Receipt, SubscribeMode};
 use crate::message::Message;
 pub use crate::metrics::StatRow;
 use bytes::Bytes;
@@ -81,11 +90,12 @@ pub const MAX_FRAME: usize = 8 * 1024 * 1024;
 /// position cannot be expressed as one offset).
 pub const NO_RESUME: u64 = u64::MAX;
 
-/// Largest receipt run one RECEIPTS frame may acknowledge. The frame is
-/// constant-size whatever its count, so without this cap a corrupt or
-/// hostile 25-byte frame could claim 2³² receipts and stall the client
-/// resolving them; a cooperating server flushes its run long before
-/// this bound.
+/// Largest receipt run one RECEIPTS or RECEIPT_LIST frame may
+/// acknowledge. A RECEIPTS frame is constant-size whatever its count, so
+/// without this cap a corrupt or hostile 25-byte frame could claim 2³²
+/// receipts and stall the client resolving them; a cooperating server
+/// flushes its run long before this bound (a run never outlives the
+/// read turn of at most a few MiB of publishes that made it).
 pub const MAX_RECEIPT_RUN: u32 = 1 << 20;
 
 /// What the codec can refuse.
@@ -254,6 +264,19 @@ pub enum Frame {
         partition: u32,
         /// Offset of the first message; successors increment by one.
         offset_first: u64,
+    },
+    /// List acknowledgement of consecutive publishes, each with its own
+    /// receipt (server → client): seqs `seq_first..seq_first + n` for
+    /// the `n` receipts, in order. Semantically identical to the same
+    /// [`Frame::Receipt`]s arriving back to back — the frame the daemon
+    /// acks a turn's publishes with when their receipts form no
+    /// [`Frame::Receipts`] run (one result fanned out to k topics).
+    ReceiptList {
+        /// Correlation id of the first publish acknowledged.
+        seq_first: u64,
+        /// Where each publish landed (≥ 2 from a well-formed server;
+        /// decode rejects more than [`MAX_RECEIPT_RUN`]).
+        receipts: Vec<Receipt>,
     },
     /// Subscription opened (server → client).
     Subscribed {
@@ -536,6 +559,18 @@ impl Frame {
                 put_u32(&mut buf, *partition);
                 put_u64(&mut buf, *offset_first);
             }
+            Frame::ReceiptList {
+                seq_first,
+                receipts,
+            } => {
+                buf.push(0x93);
+                put_u64(&mut buf, *seq_first);
+                put_u32(&mut buf, receipts.len() as u32);
+                for r in receipts {
+                    put_u32(&mut buf, r.partition);
+                    put_u64(&mut buf, r.offset);
+                }
+            }
             Frame::Event { sub, message } => {
                 buf.push(0x90);
                 put_u64(&mut buf, *sub);
@@ -662,6 +697,26 @@ impl Frame {
                     count,
                     partition: r.u32()?,
                     offset_first: r.u64()?,
+                }
+            }
+            0x93 => {
+                let seq_first = r.u64()?;
+                let count = r.u32()?;
+                // Twelve bytes a receipt: a count the body cannot hold
+                // is refused before anything is allocated for it.
+                if count > MAX_RECEIPT_RUN || count as usize * 12 > r.remaining() {
+                    return Err(WireError::Truncated);
+                }
+                let mut receipts = Vec::with_capacity(count as usize);
+                for _ in 0..count {
+                    receipts.push(Receipt {
+                        partition: r.u32()?,
+                        offset: r.u64()?,
+                    });
+                }
+                Frame::ReceiptList {
+                    seq_first,
+                    receipts,
                 }
             }
             0x90 => Frame::Event {
@@ -1041,6 +1096,19 @@ mod tests {
                 count: 64,
                 partition: 0,
                 offset_first: 4096,
+            },
+            Frame::ReceiptList {
+                seq_first: 200,
+                receipts: vec![
+                    Receipt {
+                        partition: 0,
+                        offset: 7,
+                    },
+                    Receipt {
+                        partition: 3,
+                        offset: 0,
+                    },
+                ],
             },
             Frame::Event {
                 sub: 9,

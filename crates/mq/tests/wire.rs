@@ -7,7 +7,7 @@ use bytes::Bytes;
 use ginflow_mq::wire::{
     read_frame, Frame, FrameSplitter, RunStat, StatRow, WireError, MAX_FRAME, MAX_RECEIPT_RUN,
 };
-use ginflow_mq::{Message, SubscribeMode};
+use ginflow_mq::{Message, Receipt, SubscribeMode};
 use proptest::prelude::*;
 
 fn arb_bytes() -> BoxedStrategy<Bytes> {
@@ -98,6 +98,10 @@ fn arb_frame() -> BoxedStrategy<Frame> {
                 offset_first,
             }
         ),
+        (seq(), arb_receipts()).prop_map(|(seq_first, receipts)| Frame::ReceiptList {
+            seq_first,
+            receipts,
+        }),
         (seq(), any::<u64>(), any::<u64>()).prop_map(|(seq, sub, resume)| Frame::Subscribed {
             seq,
             sub,
@@ -132,6 +136,17 @@ fn arb_frame() -> BoxedStrategy<Frame> {
             .prop_map(|(sub, messages)| Frame::Events { sub, messages }),
     ]
     .boxed()
+}
+
+fn arb_receipts() -> BoxedStrategy<Vec<Receipt>> {
+    prop::collection::vec((any::<u32>(), any::<u64>()), 0..8)
+        .prop_map(|pairs| {
+            pairs
+                .into_iter()
+                .map(|(partition, offset)| Receipt { partition, offset })
+                .collect()
+        })
+        .boxed()
 }
 
 fn arb_stat_row() -> BoxedStrategy<StatRow> {
@@ -273,6 +288,34 @@ proptest! {
         let mut body = encoded[4..].to_vec();
         prop_assert_eq!(Frame::decode(&body).unwrap(), frame);
         prop_assert!(Frame::decode(&body[..body.len() - cut.min(body.len() - 1)]).is_err());
+        body[9..13].copy_from_slice(&(MAX_RECEIPT_RUN + excess).to_be_bytes());
+        prop_assert!(Frame::decode(&body).is_err());
+    }
+}
+
+proptest! {
+    /// A RECEIPT_LIST round-trips, every strict prefix of its body is
+    /// refused, and so is a count beyond MAX_RECEIPT_RUN or beyond what
+    /// the body holds (12 bytes a receipt) — refused before anything is
+    /// allocated for it.
+    #[test]
+    fn receipt_list_roundtrips_and_rejects_truncated_or_over_cap(
+        seq_first in any::<u64>(),
+        receipts in arb_receipts(),
+        excess in 1u32..1024,
+        cut in 1usize..32,
+    ) {
+        let frame = Frame::ReceiptList { seq_first, receipts };
+        let encoded = frame.encode().unwrap();
+        let mut body = encoded[4..].to_vec();
+        prop_assert_eq!(Frame::decode(&body).unwrap(), frame.clone());
+        let mut cursor = std::io::Cursor::new(&encoded);
+        prop_assert_eq!(read_frame(&mut cursor).unwrap(), Some(frame));
+        prop_assert!(Frame::decode(&body[..body.len() - cut.min(body.len() - 1)]).is_err());
+        // The count sits right after opcode + seq_first.
+        let held = ((body.len() - 13) / 12) as u32;
+        body[9..13].copy_from_slice(&(held + excess).to_be_bytes());
+        prop_assert!(Frame::decode(&body).is_err());
         body[9..13].copy_from_slice(&(MAX_RECEIPT_RUN + excess).to_be_bytes());
         prop_assert!(Frame::decode(&body).is_err());
     }

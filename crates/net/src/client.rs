@@ -39,10 +39,11 @@
 //! it), or on [`Broker::flush`], which drains the pipeline and reports
 //! (then clears) the loss ledger. An item the codec refuses fails
 //! alone: its neighbours are queued and the call returns the first
-//! error. The event-loop daemon acks a batch — and any pipelined storm
-//! — with RECEIPTS *range* frames (one frame per run of consecutive
-//! seqs/offsets); the client expands them back into per-seq receipts,
-//! so callers never see the difference.
+//! error. The event-loop daemon acks the consecutive publishes of a
+//! read turn — a batch, a pipelined storm — with one frame: a RECEIPTS
+//! *range* when their offsets count up on one partition, a RECEIPT_LIST
+//! when they went to several topics; the client expands either back
+//! into per-seq receipts, so callers never see the difference.
 //!
 //! The wire itself is abstracted behind
 //! [`Transport`]: [`RemoteBroker::connect`]
@@ -870,6 +871,48 @@ impl ClientInner {
         }
     }
 
+    /// Expand one frame acking consecutive publishes — a RECEIPTS range
+    /// or a RECEIPT_LIST, `receipts` in seq order from `seq_first` —
+    /// back into the per-seq receipts the waiters expect: one `pending`
+    /// lock for the frame, the pipelined publishes' window bytes
+    /// released together, and every blocking publisher handed its own
+    /// exact RECEIPT.
+    fn on_receipts(&self, seq_first: u64, receipts: impl IntoIterator<Item = Receipt>) {
+        let waiters: Vec<(u64, Receipt, Waiter)> = {
+            let mut pending = self.pending.lock();
+            (seq_first..)
+                .zip(receipts)
+                .filter_map(|(seq, r)| pending.remove(&seq).map(|w| (seq, r, w)))
+                .collect()
+        };
+        let (mut acked, mut acked_bytes) = (0, 0);
+        for (seq, receipt, waiter) in waiters {
+            match waiter {
+                Waiter::Reply(tx) => {
+                    let _ = tx.send(Ok(Frame::Receipt {
+                        seq,
+                        partition: receipt.partition,
+                        offset: receipt.offset,
+                    }));
+                }
+                // The common case: pipelined publishes acked in bulk.
+                Waiter::Pipelined { bytes } => {
+                    acked += 1;
+                    acked_bytes += bytes;
+                }
+                Waiter::Subscribe { reply, .. } => {
+                    let _ = reply.send(Err(MqError::Remote {
+                        message: "publish receipt in reply to a subscribe request".into(),
+                    }));
+                }
+                Waiter::Resubscribe { .. } | Waiter::Abandoned => {}
+            }
+        }
+        if acked > 0 {
+            self.pipeline_release(acked, acked_bytes, false);
+        }
+    }
+
     /// Handle one frame from the server (called on the reactor loop).
     pub(crate) fn on_frame(&self, frame: Frame) {
         match frame {
@@ -930,54 +973,26 @@ impl ClientInner {
                     None => {}
                 }
             }
+            // A receipt-range ack: the daemon coalesces consecutive
+            // publish acks whose offsets count up on one partition into
+            // a single frame; the per-entry maths is exact because the
+            // server only coalesces actual runs.
             Frame::Receipts {
                 seq_first,
                 count,
                 partition,
                 offset_first,
-            } => {
-                // A receipt-range ack: the daemon coalesces
-                // consecutive publish acks whose seqs and offsets form
-                // arithmetic runs on one partition into a single frame.
-                // Expand it back into the per-seq receipts the waiters
-                // expect; the per-entry maths is exact because the
-                // server only coalesces actual runs.
-                let waiters: Vec<(u64, Option<Waiter>)> = {
-                    let mut pending = self.pending.lock();
-                    (0..count as u64)
-                        .map(|i| (i, pending.remove(&(seq_first + i))))
-                        .collect()
-                };
-                let (mut acked, mut acked_bytes) = (0, 0);
-                for (i, waiter) in waiters {
-                    let Some(waiter) = waiter else { continue };
-                    match waiter {
-                        Waiter::Reply(tx) => {
-                            let _ = tx.send(Ok(Frame::Receipt {
-                                seq: seq_first + i,
-                                partition,
-                                offset: offset_first + i,
-                            }));
-                        }
-                        // The common case: pipelined publishes acked in
-                        // bulk — their window bytes are released
-                        // together, below.
-                        Waiter::Pipelined { bytes } => {
-                            acked += 1;
-                            acked_bytes += bytes;
-                        }
-                        Waiter::Subscribe { reply, .. } => {
-                            let _ = reply.send(Err(MqError::Remote {
-                                message: "RECEIPTS reply to a subscribe request".into(),
-                            }));
-                        }
-                        Waiter::Resubscribe { .. } | Waiter::Abandoned => {}
-                    }
-                }
-                if acked > 0 {
-                    self.pipeline_release(acked, acked_bytes, false);
-                }
-            }
+            } => self.on_receipts(
+                seq_first,
+                (0..count as u64).map(|i| Receipt {
+                    partition,
+                    offset: offset_first + i,
+                }),
+            ),
+            Frame::ReceiptList {
+                seq_first,
+                receipts,
+            } => self.on_receipts(seq_first, receipts),
             Frame::Receipt { .. }
             | Frame::Messages { .. }
             | Frame::InfoReply { .. }
@@ -1078,10 +1093,10 @@ impl Broker for RemoteBroker {
     /// `pending` lock, one append to the connection's FIFO, one
     /// doorbell ring — no round trip. RECEIPTs are consumed
     /// asynchronously by the reactor loop, which releases the window
-    /// bytes; the daemon acks a batch with a RECEIPTS range. Frames go
-    /// out on the same socket in batch order behind whatever this
-    /// client queued before, so per-topic FIFO ordering holds exactly as
-    /// for the blocking path.
+    /// bytes; the daemon acks a batch with one RECEIPTS range or
+    /// RECEIPT_LIST. Frames go out on the same socket in batch order
+    /// behind whatever this client queued before, so per-topic FIFO
+    /// ordering holds exactly as for the blocking path.
     ///
     /// An item that cannot be queued — a payload the codec refuses, a
     /// full window that never drained — fails alone: the rest of the

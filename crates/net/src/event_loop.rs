@@ -10,11 +10,13 @@
 //! * **Subscription wakeups.** A broker subscription's waker rings the
 //!   doorbell with a drain message — once per false→true transition of
 //!   its schedule bit, the protocol the in-process scheduler uses.
-//! * **Receipt-range acks.** Consecutive publish receipts whose seqs
-//!   and offsets form arithmetic runs on one partition coalesce into a
-//!   single `RECEIPTS` frame (the request-direction mirror of the
-//!   EVENTS push batching) — a pipelined storm of N publishes is acked
-//!   with one frame, not N.
+//! * **One ack per turn.** The receipts of a read turn's consecutive
+//!   publishes coalesce into a single frame whatever their topics (the
+//!   request-direction mirror of the EVENTS push batching): a
+//!   `RECEIPTS` range when their offsets count up on one partition — a
+//!   pipelined storm of N publishes is acked with one frame, not N —
+//!   and a `RECEIPT_LIST` otherwise, so a result fanned out to k
+//!   inboxes costs one ack, not k.
 //! * **One write per connection per turn.** Dispatching a read turn
 //!   and draining a subscription only *append* to the connection's out
 //!   buffer and mark it dirty; after the doorbell's drains at the top
@@ -42,7 +44,7 @@ use crate::registry::RunRegistry;
 use crate::server::{error_frame, event_batch, stats_snapshot, EVENT_BATCH_BYTES};
 use crate::transport::Transport;
 use ginflow_mq::wire::{Frame, MAX_RECEIPT_RUN};
-use ginflow_mq::{topic_shard, Broker, Message, Subscription};
+use ginflow_mq::{topic_shard, Broker, Message, Receipt, Subscription};
 use mio::{Events, Interest, Poll, Token};
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -124,16 +126,15 @@ struct ServerSub {
 }
 
 /// A run of consecutive publish acks not yet encoded: seqs
-/// `seq_first..seq_first+count` whose receipts landed on `partition` at
-/// offsets `offset_first..offset_first+count`. Only *actual* arithmetic
-/// runs coalesce — any other receipt, any interleaved request, or the
-/// end of the read turn flushes the run — so expansion on the client is
-/// exact whatever mix of topics the publishes hit.
+/// `seq_first..seq_first + receipts.len()`, each with where it landed,
+/// whatever its topic. A gap in the seqs, an interleaved reply, the
+/// [`MAX_RECEIPT_RUN`] cap or the end of the read turn flushes the run
+/// (see [`flush_receipt_run`] for the frame it becomes). Empty: no run
+/// is open.
+#[derive(Default)]
 struct ReceiptRun {
     seq_first: u64,
-    count: u32,
-    partition: u32,
-    offset_first: u64,
+    receipts: Vec<Receipt>,
 }
 
 /// One connection: its bytes, and the daemon's protocol state on it.
@@ -165,8 +166,8 @@ struct Session {
     last_sub: u64,
     /// Subscriptions parked on backpressure, schedule bit still set.
     parked: Vec<Arc<ServerSub>>,
-    /// Pending receipt-range coalescing (see [`ReceiptRun`]).
-    run: Option<ReceiptRun>,
+    /// Pending receipt coalescing (see [`ReceiptRun`]).
+    run: ReceiptRun,
     /// Topics already reported to the run registry, with their cached
     /// metric handles — a repeat publish touches no registry or family
     /// lock.
@@ -504,9 +505,7 @@ impl LoopState {
                 counts.pub_msgs += 1;
                 counts.pub_bytes += bytes;
                 match self.broker.publish(&topic, key, payload) {
-                    Ok(receipt) => {
-                        add_receipt(session, out, seq, receipt.partition, receipt.offset).is_ok()
-                    }
+                    Ok(receipt) => add_receipt(session, out, seq, receipt).is_ok(),
                     Err(e) => push_reply(session, out, &error_frame(seq, e)).is_ok(),
                 }
             }
@@ -658,6 +657,7 @@ impl LoopState {
             // A client speaking server frames is broken: hang up.
             Frame::Receipt { .. }
             | Frame::Receipts { .. }
+            | Frame::ReceiptList { .. }
             | Frame::Subscribed { .. }
             | Frame::Messages { .. }
             | Frame::InfoReply { .. }
@@ -746,56 +746,55 @@ fn append_frame(out: &mut Outbox, frame: &Frame) -> Result<(), ()> {
 }
 
 /// Fold one publish ack into the open receipt run, or flush and start a
-/// new one. Coalescing requires an exact arithmetic continuation: next
-/// consecutive seq, same partition, next consecutive offset, run under
-/// the decode cap.
+/// new one. Any topic and partition continue the run; it takes the next
+/// consecutive seq, under the decode cap.
 fn add_receipt(
     session: &mut Session,
     out: &mut Outbox,
     seq: u64,
-    partition: u32,
-    offset: u64,
+    receipt: Receipt,
 ) -> Result<(), ()> {
-    if let Some(run) = &mut session.run {
-        if run.partition == partition
-            && run.count < MAX_RECEIPT_RUN
-            && seq == run.seq_first + run.count as u64
-            && offset == run.offset_first + run.count as u64
-        {
-            run.count += 1;
-            return Ok(());
-        }
+    let run = &session.run;
+    let open = run.receipts.len();
+    if seq != run.seq_first + open as u64 || open >= MAX_RECEIPT_RUN as usize {
         flush_receipt_run(session, out)?;
+        session.run.seq_first = seq;
     }
-    session.run = Some(ReceiptRun {
-        seq_first: seq,
-        count: 1,
-        partition,
-        offset_first: offset,
-    });
+    session.run.receipts.push(receipt);
     Ok(())
 }
 
-/// Encode the open receipt run: a single ack stays a plain RECEIPT (the
-/// smaller frame), a run becomes one RECEIPTS range ack.
+/// Encode the open receipt run as the smallest frame that says it
+/// exactly: one ack stays a plain RECEIPT, offsets counting up on one
+/// partition become a RECEIPTS range, anything else a RECEIPT_LIST.
 fn flush_receipt_run(session: &mut Session, out: &mut Outbox) -> Result<(), ()> {
-    let Some(run) = session.run.take() else {
-        return Ok(());
-    };
-    let frame = if run.count == 1 {
-        Frame::Receipt {
-            seq: run.seq_first,
-            partition: run.partition,
-            offset: run.offset_first,
+    let run = &mut session.run;
+    let seq_first = run.seq_first;
+    let frame = match run.receipts.as_slice() {
+        [] => return Ok(()),
+        [one] => Frame::Receipt {
+            seq: seq_first,
+            partition: one.partition,
+            offset: one.offset,
+        },
+        [first, ..]
+            if run.receipts.iter().enumerate().all(|(i, r)| {
+                r.partition == first.partition && r.offset == first.offset + i as u64
+            }) =>
+        {
+            Frame::Receipts {
+                seq_first,
+                count: run.receipts.len() as u32,
+                partition: first.partition,
+                offset_first: first.offset,
+            }
         }
-    } else {
-        Frame::Receipts {
-            seq_first: run.seq_first,
-            count: run.count,
-            partition: run.partition,
-            offset_first: run.offset_first,
-        }
+        _ => Frame::ReceiptList {
+            seq_first,
+            receipts: std::mem::take(&mut run.receipts),
+        },
     };
+    run.receipts.clear();
     daemon_metrics().replies.inc();
     append_frame(out, &frame)
 }

@@ -14,9 +14,10 @@
 //!   subscription wakeups routed into the loop through
 //!   the broker's push wakers, and a timer wheel driving the retention
 //!   sweep — thread count independent of client count, zero syscalls
-//!   while idle, 10k+ concurrent connections on one thread. Publish
-//!   acks coalesce into RECEIPTS range frames (the request-direction
-//!   mirror of EVENTS).
+//!   while idle, 10k+ concurrent connections on one thread. The acks
+//!   of a read turn's consecutive publishes coalesce into one RECEIPTS
+//!   range or RECEIPT_LIST frame (the request-direction mirror of
+//!   EVENTS).
 //! * [`RemoteBroker`] — the client: implements the same `Broker` trait
 //!   over a connection, pushing EVENT frames into local
 //!   [`Subscription`](ginflow_mq::Subscription)s (wakers included, so
@@ -127,14 +128,18 @@
 //!                            0x91 EVENTS         (coalesced push delivery)
 //!                            0x92 RECEIPTS       (range ack of consecutive
 //!                                                 PUBLISHes)
+//!                            0x93 RECEIPT_LIST   (list ack of consecutive
+//!                                                 PUBLISHes)
 //! ```
 //!
 //! Requests carry a `seq` the ack echoes (UNSUBSCRIBE is
 //! fire-and-forget); EVENT frames carry the server-assigned
-//! subscription id from SUBSCRIBED; a RECEIPTS frame acks `count`
-//! consecutive seqs whose receipts form one arithmetic run (same
-//! partition, consecutive offsets) — the daemon's bulk ack for
-//! pipelined publish storms. Frames over
+//! subscription id from SUBSCRIBED. The daemon acks the consecutive
+//! PUBLISHes of one read turn with one frame, the smallest that says
+//! where each landed: a lone publish gets a RECEIPT; a run whose
+//! offsets count up on one partition (a pipelined storm into one topic)
+//! a RECEIPTS range; any other run (one result fanned out to k inboxes)
+//! a RECEIPT_LIST of `(partition, offset)` pairs. Frames over
 //! [`MAX_FRAME`](ginflow_mq::wire::MAX_FRAME) are rejected outright on
 //! both sides.
 //!

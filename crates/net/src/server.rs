@@ -5,7 +5,8 @@
 //! `event_loop` module docs have the full
 //! architecture): non-blocking sockets with per-connection read/write
 //! buffer state machines. Thread count is independent of client count,
-//! publish acks coalesce into `RECEIPTS` range frames, subscription
+//! a read turn's publish acks coalesce into one `RECEIPTS` range or
+//! `RECEIPT_LIST` frame, subscription
 //! wakeups ride the broker's [`Subscription::set_waker`] push path into
 //! the loop, and the retention sweep runs off the loop's timer wheel —
 //! an idle daemon makes zero syscalls between deadlines.

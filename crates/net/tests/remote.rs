@@ -389,6 +389,27 @@ fn pipelined_and_blocking_publishes_interleave_in_order() {
     }
 }
 
+/// The daemon acks a turn's publishes to several topics with one
+/// RECEIPT_LIST; a blocking publish that rides in one behind a pipelined
+/// fan-out must still get its own partition and offset out of it.
+#[test]
+fn a_blocking_publish_behind_a_pipelined_fan_out_gets_its_exact_offset() {
+    let (server, broker) = serve_log();
+    let remote = client(&server);
+    const ROUNDS: u64 = 100;
+    for i in 0..ROUNDS {
+        let fan_out = ["a", "b", "c"]
+            .map(|t| (t.to_owned(), None, payload(&format!("{t}{i}"))))
+            .to_vec();
+        remote.publish_many_nowait(fan_out).unwrap();
+        let r = remote.publish("b", None, payload("tail")).unwrap();
+        assert_eq!((r.partition, r.offset), (0, 2 * i + 1), "round {i}");
+    }
+    remote.flush().unwrap();
+    let retained = ["a", "b", "c"].map(|t| broker.retained(t));
+    assert_eq!(retained, [ROUNDS, 2 * ROUNDS, ROUNDS]);
+}
+
 #[test]
 fn exactly_once_replay_survives_pipelined_publishing() {
     // The PR-3 reconnect contract, now with the publisher pipelined:
@@ -860,10 +881,11 @@ impl ginflow_net::Transport for Tap {
 }
 
 /// One exchange — subscribe, three pipelined publishes, fetch,
-/// unsubscribe — pinned byte for byte in both directions, so a change
-/// to the codec, to either loop's framing or flushing, or to the
-/// daemon's batching (one RECEIPTS range ack, one coalesced EVENTS
-/// push per turn) shows up as a diff of these literals.
+/// unsubscribe, a fan-out to three topics — pinned byte for byte in
+/// both directions, so a change to the codec, to either loop's framing
+/// or flushing, or to the daemon's batching (one RECEIPTS range ack, one
+/// RECEIPT_LIST ack, one coalesced EVENTS push per turn) shows up as a
+/// diff of these literals.
 #[test]
 fn a_recorded_exchange_is_byte_identical_in_both_directions() {
     use ginflow_mq::wire::Frame;
@@ -957,6 +979,27 @@ fn a_recorded_exchange_is_byte_identical_in_both_directions() {
         &[info(9)],
         &["0000000e0500000000000000090000000174"],
         &["0000001684000000000000000901000000010000000000000004"],
+    );
+    // A fan-out: three publishes to three topics in one write are acked
+    // by one RECEIPT_LIST, each with its own partition and offset.
+    let to = |seq, topic: &str, body: &str| Frame::Publish {
+        seq,
+        topic: topic.into(),
+        key: None,
+        payload: payload(body),
+    };
+    exchange(
+        &[to(10, "t", "e"), to(11, "u", "f"), to(12, "v", "g")],
+        &[
+            "0000001401000000000000000a0000000174000000000165",
+            "0000001401000000000000000b0000000175000000000166",
+            "0000001401000000000000000c0000000176000000000167",
+        ],
+        // RECEIPT_LIST: seqs 10.. x3; (0, 4), (0, 0), (0, 0).
+        &["0000003193000000000000000a00000003\
+           000000000000000000000004\
+           000000000000000000000000\
+           000000000000000000000000"],
     );
 
     // The client's side: what a `RemoteBroker` writes for the same
