@@ -14,7 +14,7 @@ use std::sync::Arc;
 pub enum Event {
     /// The agent was (re)started by the deployer.
     Start,
-    /// A message arrived on the agent's inbox topic.
+    /// A message keyed to the agent arrived on the run's inbox topic.
     Deliver(SaMessage),
     /// The runtime finished a service invocation previously requested via
     /// [`Command::Invoke`].
@@ -40,7 +40,7 @@ pub enum Command {
         /// Parameter list.
         params: Vec<Value>,
     },
-    /// Ship a message to a peer agent's inbox.
+    /// Ship a message to a peer agent: the run's inbox, keyed by `to`.
     Send {
         /// Destination task name.
         to: String,

@@ -1,15 +1,16 @@
 //! What the [`crate::scheduler::Scheduler`] runs an agent's events
-//! with: command execution (one publish batch per dispatch) and the
-//! fold that feeds the run's record ([`StatusFold`] into the
-//! [`RunTracker`]) — which runs on whichever thread delivers a status
-//! update, not on a thread of its own.
+//! with: command execution (one publish batch per dispatch), and the
+//! [`Feed`]s a run's subscriptions are drained through on whichever
+//! thread delivers to them, not on a thread of their own — the status
+//! fold into the [`RunTracker`] ([`StatusFold`]) and the scheduler's
+//! inbox demultiplexer.
 
 use crate::core::{Command, Event, SaCore};
 use crate::engine::RunTracker;
 use crate::message::{SaMessage, StatusUpdate};
 use bytes::Bytes;
 use ginflow_core::ServiceRegistry;
-use ginflow_mq::{Broker, MqError, Subscription, TopicNamespace};
+use ginflow_mq::{Broker, Message, MqError, Subscription, TopicNamespace};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -73,21 +74,20 @@ impl AgentCtx<'_> {
                         queue.push_back(Event::ServiceCompleted { effect, result });
                     }
                     Command::Send { to, message } => {
-                        // Destinations come from the compiled DAG, whose
-                        // names were validated at launch; a name the
-                        // namespace rejects has no inbox to lose a
-                        // message to, matching the ignored-publish path.
-                        if let Ok(topic) = self.ns.inbox(&to) {
-                            let payload = match &encoded {
-                                Some((m, bytes)) if *m == message => bytes.clone(),
-                                _ => {
-                                    let bytes = message.encode();
-                                    encoded = Some((message, bytes.clone()));
-                                    bytes
-                                }
-                            };
-                            batch.push((topic, Some(Bytes::from(to.into_bytes())), payload));
-                        }
+                        // One inbox per run, keyed by the destination.
+                        let payload = match &encoded {
+                            Some((m, bytes)) if *m == message => bytes.clone(),
+                            _ => {
+                                let bytes = message.encode();
+                                encoded = Some((message, bytes.clone()));
+                                bytes
+                            }
+                        };
+                        batch.push((
+                            self.ns.inbox().to_owned(),
+                            Some(Bytes::from(to.into_bytes())),
+                            payload,
+                        ));
                     }
                     Command::Publish { state, result } => {
                         let update = StatusUpdate {
@@ -117,27 +117,58 @@ impl AgentCtx<'_> {
     }
 }
 
-/// Where a run's status updates are folded: the status topic's
-/// subscription, drained into the run's [`RunTracker`] — its only
-/// record — stamped with the time since launch.
-///
-/// There is no collector thread. The subscription's waker *is* the
-/// fold: whichever thread delivers an update — the publishing worker on
-/// an in-process broker, the client reactor over TCP — drains the queue
-/// right there, under the schedule-bit protocol the scheduler's slots
-/// and the daemon's subscriptions use (`swap(true)` to enter, clear,
-/// re-check the backlog). So exactly one thread folds at a time, in
-/// queue order, and a delivery that finds the bit set is picked up by
-/// the holder's re-check: none is lost, none is reordered. The fold
-/// does O(1) work per update, takes no lock it could wait on for long,
-/// and never publishes — it cannot stall the thread it borrows.
+/// A subscription drained by **whichever thread delivers to it** — the
+/// publishing worker on an in-process broker, the client reactor over
+/// TCP — from the subscription's waker, under the schedule-bit protocol
+/// the scheduler's slots and the daemon's subscriptions use
+/// (`swap(true)` to enter, drain, clear, re-check the backlog). So
+/// exactly one thread drains at a time, in queue order, and a delivery
+/// that finds the bit set is picked up by the holder's re-check: none is
+/// lost, none is reordered. What a drain does with each message must be
+/// O(1), must not wait on a lock held across a broker request, and must
+/// never publish — it runs on a thread it borrows.
+pub(crate) struct Feed {
+    pub sub: Subscription,
+    /// The schedule bit: true while some thread is draining `sub`.
+    draining: AtomicBool,
+}
+
+impl Feed {
+    pub fn new(sub: Subscription) -> Feed {
+        Feed {
+            sub,
+            draining: AtomicBool::new(false),
+        }
+    }
+
+    /// Hand every queued message to `each`, in queue order.
+    pub fn drain(&self, mut each: impl FnMut(Message)) {
+        while !self.draining.swap(true, Ordering::SeqCst) {
+            while let Ok(Some(msg)) = self.sub.try_recv() {
+                each(msg);
+            }
+            // Clear the bit *before* re-checking: a delivery that raced
+            // the drain either landed before the clear (the re-check
+            // sees it) or after it (its waker sees the cleared bit and
+            // drains it itself).
+            self.draining.store(false, Ordering::SeqCst);
+            if self.sub.backlog() == 0 {
+                break;
+            }
+        }
+    }
+}
+
+/// Where a run's status updates are folded: the status topic's [`Feed`],
+/// drained into the run's [`RunTracker`] — its only record — stamped
+/// with the time since launch. There is no collector thread: the fold
+/// does O(1) work per update under the tracker's one lock and cannot
+/// stall the thread it borrows.
 pub(crate) struct StatusFold {
-    sub: Subscription,
+    feed: Feed,
     tracker: Arc<RunTracker>,
     /// Launch time: the zero of every task timing and of the run's wall.
     epoch: Instant,
-    /// The schedule bit: true while some thread is draining `sub`.
-    folding: AtomicBool,
 }
 
 impl StatusFold {
@@ -147,13 +178,12 @@ impl StatusFold {
     /// owns the closure — and [`StatusFold::disarm`] ends it.
     pub fn arm(sub: Subscription, tracker: Arc<RunTracker>) -> Arc<Self> {
         let fold = Arc::new(StatusFold {
-            sub,
+            feed: Feed::new(sub),
             tracker,
             epoch: Instant::now(),
-            folding: AtomicBool::new(false),
         });
         let weak: Weak<StatusFold> = Arc::downgrade(&fold);
-        fold.sub.set_waker(move || {
+        fold.feed.sub.set_waker(move || {
             if let Some(fold) = weak.upgrade() {
                 fold.drain();
             }
@@ -163,7 +193,7 @@ impl StatusFold {
 
     /// Stop folding (teardown): later deliveries stay in the queue.
     pub fn disarm(&self) {
-        self.sub.clear_waker();
+        self.feed.sub.clear_waker();
     }
 
     /// Time since launch.
@@ -172,23 +202,12 @@ impl StatusFold {
     }
 
     fn drain(&self) {
-        while !self.folding.swap(true, Ordering::SeqCst) {
-            while let Ok(Some(msg)) = self.sub.try_recv() {
-                // Undecodable payloads are foreign noise on a shared
-                // broker.
-                if let Some(update) = StatusUpdate::decode(&msg.payload) {
-                    self.tracker.observe(&update, self.epoch.elapsed());
-                }
+        self.feed.drain(|msg| {
+            // Undecodable payloads are foreign noise on a shared broker.
+            if let Some(update) = StatusUpdate::decode(&msg.payload) {
+                self.tracker.observe(&update, self.epoch.elapsed());
             }
-            // Clear the bit *before* re-checking: a delivery that raced
-            // the drain either landed before the clear (the re-check
-            // sees it) or after it (its waker sees the cleared bit and
-            // folds it itself).
-            self.folding.store(false, Ordering::SeqCst);
-            if self.sub.backlog() == 0 {
-                break;
-            }
-        }
+        });
     }
 }
 

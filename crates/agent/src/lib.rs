@@ -16,10 +16,13 @@
 //!   is what the tests execute.
 //! * [`scheduler::Scheduler`] — the **event-driven, sharded worker-pool
 //!   runtime**: a fixed pool of workers drives every agent, each parked
-//!   until its inbox topic wakes it through the broker's publish path
-//!   ([`ginflow_mq::Subscription::set_waker`]). Scales to thousands of
-//!   agents per process with zero idle CPU. A run's threads are its
-//!   workers and nothing else.
+//!   until a message keyed to it lands on the run's one inbox topic. The
+//!   thread that delivers the message routes it to the agent's queue
+//!   through the broker's publish path
+//!   ([`ginflow_mq::Subscription::set_waker`]), so a run holds two
+//!   subscriptions — inbox and status — whatever its width. Scales to
+//!   thousands of agents per process with zero idle CPU. A run's threads
+//!   are its workers and nothing else.
 //! * [`engine::RunTracker`] — the run's **only record**: the shared
 //!   status topic folded, under one lock, into per-task state, counters,
 //!   the outcome and the typed [`RunEvent`] stream. Every backend feeds
@@ -27,8 +30,9 @@
 //!   condvar wakes a waiter when the run ends and at no other time.
 //!
 //! The scheduler implements the recovery mechanism of §IV-B: a crashed SA
-//! is replaced by a fresh one that *replays its inbox topic* from the
-//! beginning of the persistent log, rebuilding the lost local state
+//! is replaced by a fresh one that *replays the messages keyed to it*
+//! from the beginning of the run's persistent inbox log, rebuilding the
+//! lost local state
 //! ("being able to log all incoming molecules of a SA and replay them in
 //! the same order on a newly created SA will lead the second SA in the
 //! same state as the first"). The worker that observes the crash starts

@@ -2,9 +2,10 @@
 //! the multiset so as to update the status of the workflow" (§IV-A).
 //!
 //! Topic *names* live in [`ginflow_mq::TopicNamespace`]: every message
-//! here travels on a run-scoped topic (`run/<id>/sa.<task>` inboxes,
-//! `run/<id>/status`), so concurrent runs on one broker never see each
-//! other's traffic.
+//! here travels on a run-scoped topic — an [`SaMessage`] on the run's
+//! inbox `run/<id>/sa.inbox`, keyed by its destination task, a
+//! [`StatusUpdate`] on `run/<id>/status` — so concurrent runs on one
+//! broker never see each other's traffic.
 //!
 //! ## Encoding
 //!

@@ -33,8 +33,8 @@ pub struct RunOptions {
     /// transient broker and a shard set loses cross-shard messages
     /// published before this process subscribed.
     pub shard: Option<(u32, u32)>,
-    /// The run id every topic of the launch is namespaced under
-    /// (`run/<id>/sa.<task>`, `run/<id>/status`). `None` (the default)
+    /// The run id the launch's two topics are namespaced under
+    /// (`run/<id>/sa.inbox`, `run/<id>/status`). `None` (the default)
     /// generates a fresh id per launch, so runs sharing a broker are
     /// isolated from each other. Pin it for multi-process sharding:
     /// every shard of one run must join the *same* namespace

@@ -1,18 +1,22 @@
 //! The event-driven, sharded worker-pool scheduler: the execution
 //! vehicle of the sans-IO [`SaCore`] state machines.
 //!
-//! Agents communicate point-to-point through per-task inbox topics and
-//! publish state transitions to the shared status topic (the runtime
-//! view of the shared multiset). A thread per agent polling its inbox
-//! is fine for the paper's 118-task Montage run and hopeless for
-//! thousands of agents, so:
+//! Agents communicate point-to-point through the run's **one inbox
+//! topic**, keyed by destination task, and publish state transitions to
+//! the shared status topic (the runtime view of the shared multiset). A
+//! thread per agent polling its inbox is fine for the paper's 118-task
+//! Montage run and hopeless for thousands of agents, so:
 //!
 //! * a fixed pool of N worker threads (N ≪ agents, default = CPU count)
 //!   drives every agent in the workflow;
-//! * each agent is an `AgentSlot` parked until its inbox topic wakes
-//!   it — `ginflow-mq` brokers notify subscriptions on publish (see
-//!   [`ginflow_mq::Subscription::set_waker`]), so an idle workflow
-//!   consumes zero CPU;
+//! * each agent is an `AgentSlot` parked until a message lands in its
+//!   queue. A run holds two subscriptions whatever its width — status
+//!   and inbox — and the inbox's waker (see
+//!   [`ginflow_mq::Subscription::set_waker`]) demultiplexes each message
+//!   by key into its agent's queue and schedules the agent, so an idle
+//!   workflow consumes zero CPU. A key with no live local agent —
+//!   another shard's task, a dead incarnation's — is dropped; on a
+//!   persistent broker it is still in the log;
 //! * slots are *sharded*: an agent's name hashes to one worker, and only
 //!   that worker ever runs it. One agent's events therefore execute
 //!   strictly in order with no core-level contention, while distinct
@@ -20,19 +24,21 @@
 //! * a *crash* is a kill flag the agent observes between events —
 //!   losing all local state, exactly like the paper's killed JVM.
 //!   §IV-B recovery re-enqueues a fresh agent incarnation through the
-//!   same ready-queues, replaying the persistent inbox with
-//!   [`SubscribeMode::Beginning`] ("replay them in the same order on a
-//!   newly created SA") — recovery is just another wakeup, and with
+//!   same ready-queues. The newcomer opens a subscription of its own to
+//!   the inbox and keeps only its key: on a persistent broker it
+//!   replays the log with [`SubscribeMode::Beginning`] ("replay them in
+//!   the same order on a newly created SA"), and the broker, not the
+//!   scheduler, owns the seam between replay and live delivery. The
+//!   run's shared demultiplexer skips a slot fed this way. With
 //!   [`RunOptions::auto_recover`] the worker that observes the death
 //!   starts it on the spot. On a transient broker the same recovery
 //!   *starts* but has no history to replay, so the workflow hangs — the
 //!   reason the paper pairs recovery with Kafka.
 //!
 //! The wakeup protocol is the classic "schedule bit" of task executors:
-//! a waker sets `AgentSlot::scheduled` and enqueues the slot only on a
-//! false→true transition; the worker clears the bit after draining and
-//! re-checks the backlog, so a publish racing the drain can never be
-//! lost.
+//! a delivery sets `AgentSlot::scheduled` and enqueues the slot only on
+//! a false→true transition; the worker clears the bit after draining and
+//! re-checks the queue, so a message racing the drain can never be lost.
 //!
 //! ## Thread model
 //!
@@ -40,33 +46,45 @@
 //! thread exists only to wait. A dead agent is replaced by the worker
 //! that saw it die. A waiter ([`RunHandle::wait`], [`RunHandle::join`])
 //! parks on the [`RunTracker`]'s one condvar, notified when the run ends
-//! and at no other time. And no thread collects status: the status
-//! topic's subscription is folded into the [`RunTracker`] — the run's
-//! only record, which every observation on the [`RunHandle`] reads — by
-//! **whichever thread delivers an update** — the publishing worker on an
-//! in-process broker, the client reactor over TCP — through the
-//! subscription's waker (`exec::StatusFold`). The fold runs under the
+//! and at no other time. And no thread collects status or inbox
+//! messages: both subscriptions are drained by **whichever thread
+//! delivers to them** — the publishing worker on an in-process broker,
+//! the client reactor over TCP — through their wakers (`exec::Feed`):
+//! status is folded into the [`RunTracker`], the run's only record that
+//! every observation on the [`RunHandle`] reads (`exec::StatusFold`);
+//! inbox messages are routed into slot queues. A drain runs under the
 //! same schedule-bit protocol as the slots (`swap(true)` to enter,
-//! drain, clear, re-check the backlog): one thread folds at a time, so
-//! updates are applied in the queue's order; a delivery that finds the
-//! bit set leaves its message to the holder's re-check, so none is lost.
-//! It does O(1) work per update and never blocks or publishes, so
-//! borrowing the delivering thread costs that thread nothing it would
-//! notice — and a task's status costs no wake-up of a thread that exists
-//! only to receive it. Teardown clears the waker; it publishes nothing
-//! and has no thread to wake through the broker.
+//! drain, clear, re-check the backlog): one thread drains a subscription
+//! at a time, so messages are handled in the queue's order; a delivery
+//! that finds the bit set leaves its message to the holder's re-check,
+//! so none is lost. Each drain does O(1) work per message and never
+//! blocks or publishes, so borrowing the delivering thread costs that
+//! thread nothing it would notice. Teardown clears the wakers; it
+//! publishes nothing and has no thread to wake through the broker.
+//!
+//! ## The lock rule
+//!
+//! The inbox demultiplexer takes the `slots` lock to find a key's agent.
+//! Over TCP it runs on the client reactor, which is also the thread that
+//! answers every broker request of the process — so nothing may hold
+//! `slots` across a broker request. A respawn therefore subscribes
+//! first, then takes the lock, re-checks that its incarnation is still
+//! wanted and drops its subscription if a racing respawn won: two
+//! concurrent respawns never leave a ghost agent, and a respawn with
+//! inbox traffic in flight never stalls the reactor.
 
 use crate::core::{Event, SaCore};
 use crate::engine::{ExecutionBackend, RunControl, RunHandle, RunMeta, RunReport, RunTracker};
-use crate::exec::{retry_disconnected, AgentCtx, StatusFold};
+use crate::exec::{retry_disconnected, AgentCtx, Feed, StatusFold};
 use crate::message::SaMessage;
 use crate::runtime::RunOptions;
+use bytes::Bytes;
 use ginflow_core::{ServiceRegistry, Workflow};
 use ginflow_hoclflow::{agent_programs, AdaptPlan, AgentProgram};
 use ginflow_mq::metrics::{Counter, Gauge, Histogram};
-use ginflow_mq::{Broker, LagProbe, RunId, SubscribeMode, Subscription, TopicNamespace};
+use ginflow_mq::{Broker, LagProbe, RunId, SubscribeMode, TopicNamespace};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
@@ -83,7 +101,7 @@ struct SchedMetrics {
     /// shard ready-queues.
     ready_depth: Arc<Gauge>,
     /// Wakeups enqueued: schedule-bit false→true transitions, from
-    /// inbox wakers and control-plane scheduling alike.
+    /// inbox deliveries and control-plane scheduling alike.
     wakeups: Arc<Counter>,
     /// Events an agent drained in one scheduling turn (capped at
     /// [`BATCH`]) — wakeups saved against one per message.
@@ -225,8 +243,8 @@ impl RunControl for WorkflowRun {
         if report.wall.is_zero() {
             report.wall = self.inner.status.elapsed();
         }
-        // Cumulative over every subscription the run ever opened —
-        // respawned incarnations included.
+        // Cumulative over every subscription the run ever opened: status,
+        // inbox, and each respawned incarnation's own.
         report.lagged = self.inner.lag_probes.lock().iter().map(|p| p.get()).sum();
         report.metrics = ginflow_mq::metrics::global().snapshot_run(&report.run_id);
     }
@@ -248,6 +266,7 @@ impl RunControl for WorkflowRun {
             let _ = worker.join();
         }
         self.inner.status.disarm();
+        self.inner.inbox.sub.clear_waker();
     }
 }
 
@@ -263,16 +282,23 @@ enum WorkItem {
     Shutdown,
 }
 
-/// One agent parked in the scheduler: the sans-IO core plus the wakeup
-/// state. The core mutex is uncontended in steady state — sharding
-/// guarantees a single worker ever locks it — and exists to make the
-/// slot `Sync` for control-plane access (kill/respawn).
+/// One agent parked in the scheduler: the sans-IO core, its queue of
+/// inbox messages and the wakeup state. The core mutex is uncontended in
+/// steady state — sharding guarantees a single worker ever locks it —
+/// and exists to make the slot `Sync` for control-plane access
+/// (kill/respawn).
 struct AgentSlot {
     name: String,
     incarnation: u32,
     shard: usize,
     core: Mutex<SaCore>,
-    sub: Subscription,
+    /// Payloads of the inbox messages keyed to this agent, in log order,
+    /// not yet handed to the core.
+    queue: Mutex<VecDeque<Bytes>>,
+    /// A respawned incarnation's own inbox subscription, which it
+    /// filters to its key. Incarnation 0 has none: the run's shared
+    /// inbox feeds it. Dropped when the agent dies.
+    own: Mutex<Option<Arc<Feed>>>,
     /// Crash flag (the paper's killed JVM): observed between events.
     kill: AtomicBool,
     /// Set once the agent will never run again.
@@ -281,6 +307,13 @@ struct AgentSlot {
     started: AtomicBool,
     /// The schedule bit: true while queued or running.
     scheduled: AtomicBool,
+}
+
+impl AgentSlot {
+    /// Is this incarnation still taking messages?
+    fn live(&self) -> bool {
+        !self.kill.load(Ordering::SeqCst) && !self.dead.load(Ordering::SeqCst)
+    }
 }
 
 struct PoolInner {
@@ -301,13 +334,13 @@ struct PoolInner {
     /// [`RunTracker`] through the shared status topic, the cross-shard
     /// membrane.
     status: Arc<StatusFold>,
+    /// The run's inbox subscription, demultiplexed by key into the
+    /// first incarnations' queues ([`PoolInner::demux`]).
+    inbox: Feed,
     shutdown: AtomicBool,
     auto_recover: bool,
-    /// Inbox subscription mode for (re)spawned agents: full replay in
-    /// sharded-persistent mode, head-attach otherwise.
-    inbox_mode: SubscribeMode,
-    /// Lag probes of every subscription the run ever opened (status +
-    /// every agent incarnation's inbox) — summed into
+    /// Lag probes of every subscription the run ever opened (status,
+    /// inbox, every respawned incarnation's own) — summed into
     /// [`crate::engine::RunReport::lagged`].
     lag_probes: Mutex<Vec<LagProbe>>,
     label: &'static str,
@@ -348,22 +381,39 @@ fn launch_pool(
         Some((index, count)) => process_shard(name, count) == index,
         None => true,
     };
-    let status_mode = if replay {
+    let mode = if replay {
         SubscribeMode::Beginning
     } else {
         SubscribeMode::Latest
     };
-    let inbox_mode = status_mode;
     let label = backend_label(options);
+
+    // The namespace's keys are task names: validate them here, so a
+    // name that would collide or split namespaces fails the launch
+    // loudly.
+    for program in &agents {
+        ginflow_mq::namespace::validate_segment("task name", &program.name)
+            .unwrap_or_else(|e| panic!("cannot launch agent: {e}"));
+    }
 
     // The status subscription first, folding from here on: no update
     // may be missed. A subscribe cut off by a connection loss left
     // nothing behind — the server-side subscription died with the
     // connection — so it is simply retried.
-    let status_sub = retry_disconnected(|| broker.subscribe(ns.status(), status_mode))
-        .expect("status subscription");
+    let status_sub =
+        retry_disconnected(|| broker.subscribe(ns.status(), mode)).expect("status subscription");
     let status_lag = status_sub.lag_probe();
     let status = StatusFold::arm(status_sub, tracker);
+
+    // The inbox is subscribed before any agent is scheduled, so no agent
+    // can publish to it unheard. (Across shard processes the same
+    // guarantee comes from replay: whatever a peer published early is in
+    // the log — which is why sharded mode requires a persistent broker;
+    // see `RunOptions::shard`.) Its waker is armed once every slot
+    // exists, so nothing it holds by then is dropped as unknown.
+    let inbox_sub =
+        retry_disconnected(|| broker.subscribe(ns.inbox(), mode)).expect("inbox subscription");
+    let inbox_lag = inbox_sub.lag_probe();
 
     let mut shard_txs = Vec::with_capacity(workers);
     let mut shard_rxs = Vec::with_capacity(workers);
@@ -390,46 +440,24 @@ fn launch_pool(
         slots: Mutex::new(HashMap::new()),
         shards: shard_txs,
         status,
+        inbox: Feed::new(inbox_sub),
         shutdown: AtomicBool::new(false),
         auto_recover: options.auto_recover,
-        inbox_mode,
-        lag_probes: Mutex::new(vec![status_lag]),
+        lag_probes: Mutex::new(vec![status_lag, inbox_lag]),
         label,
     });
 
-    // All inbox subscriptions are created before any agent is scheduled,
-    // so no agent can publish to a not-yet-subscribed inbox. (Across
-    // shard processes the same guarantee comes from `inbox_mode`
-    // replay: whatever a peer published early is in the log — which is
-    // why sharded mode requires a persistent broker; see
-    // `RunOptions::shard`.)
-    let mut fresh = Vec::with_capacity(local_agents.len());
-    {
-        // The namespace validates the task names here — the topic
-        // boundary — so a name that would collide or split namespaces
-        // fails the launch loudly. Subscriptions are opened in one
-        // pipelined bulk call: on a remote broker that is one round
-        // trip for the whole run, not one per agent.
-        let topics: Vec<(String, ginflow_mq::SubscribeMode)> = local_agents
-            .iter()
-            .map(|program| {
-                let topic = inner
-                    .ns
-                    .inbox(&program.name)
-                    .unwrap_or_else(|e| panic!("cannot launch agent: {e}"));
-                (topic, inner.inbox_mode)
-            })
-            .collect();
-        let subs = retry_disconnected(|| inner.broker.subscribe_many(&topics))
-            .expect("inbox subscriptions");
+    let fresh: Vec<Arc<AgentSlot>> = {
         let mut slots = inner.slots.lock();
-        for (program, sub) in local_agents.into_iter().zip(subs) {
-            inner.lag_probes.lock().push(sub.lag_probe());
-            let slot = inner.make_slot(program, sub, 0);
-            slots.insert(slot.name.clone(), slot.clone());
-            fresh.push(slot);
-        }
-    }
+        local_agents
+            .into_iter()
+            .map(|program| {
+                let slot = inner.make_slot(program, None, 0);
+                slots.insert(slot.name.clone(), slot.clone());
+                slot
+            })
+            .collect()
+    };
 
     let workers_threads: Vec<JoinHandle<()>> = shard_rxs
         .into_iter()
@@ -443,10 +471,14 @@ fn launch_pool(
         })
         .collect();
 
-    // Arm the wakeups, then hand every agent its Start turn.
-    for slot in &fresh {
-        inner.register_waker(slot);
-    }
+    // Arm the inbox, then hand every agent its Start turn (a slot the
+    // inbox already scheduled runs its Start first all the same).
+    let weak: Weak<PoolInner> = Arc::downgrade(&inner);
+    inner.inbox.sub.set_waker(move || {
+        if let Some(inner) = weak.upgrade() {
+            inner.demux();
+        }
+    });
     for slot in &fresh {
         inner.schedule(slot);
     }
@@ -459,9 +491,9 @@ fn launch_pool(
 
 impl PoolInner {
     fn make_slot(
-        self: &Arc<Self>,
+        &self,
         program: Arc<AgentProgram>,
-        sub: Subscription,
+        own: Option<Arc<Feed>>,
         incarnation: u32,
     ) -> Arc<AgentSlot> {
         let name = program.name.clone();
@@ -471,7 +503,8 @@ impl PoolInner {
             name,
             incarnation,
             core: Mutex::new(core),
-            sub,
+            queue: Mutex::new(VecDeque::new()),
+            own: Mutex::new(own),
             kill: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             started: AtomicBool::new(false),
@@ -479,22 +512,51 @@ impl PoolInner {
         })
     }
 
-    /// Arm the inbox wakeup: deliveries set the schedule bit and enqueue
-    /// the slot on its shard. Holds only a weak reference, so a replaced
-    /// incarnation's waker quietly dies with its slot.
-    fn register_waker(self: &Arc<Self>, slot: &Arc<AgentSlot>) {
-        let weak: Weak<AgentSlot> = Arc::downgrade(slot);
-        let shard = self.shards[slot.shard].clone();
-        slot.sub.set_waker(move || {
-            if let Some(slot) = weak.upgrade() {
-                if !slot.dead.load(Ordering::SeqCst) && !slot.scheduled.swap(true, Ordering::SeqCst)
-                {
-                    let m = sched_metrics();
-                    m.wakeups.inc();
-                    m.ready_depth.add(1);
-                    let _ = shard.send(WorkItem::Run(slot));
-                }
+    /// The inbox's waker: route each message to its key's first
+    /// incarnation. A respawned incarnation reads its own subscription,
+    /// and a key with no local slot is another shard's.
+    fn demux(&self) {
+        self.inbox.drain(|msg| {
+            let slot = std::str::from_utf8(msg.key.as_deref().unwrap_or_default())
+                .ok()
+                .and_then(|task| self.slots.lock().get(task).cloned());
+            if let Some(slot) = slot.filter(|s| s.incarnation == 0) {
+                self.deliver(&slot, msg.payload);
             }
+        });
+    }
+
+    /// Queue `payload` for `slot` and schedule it — unless the agent is
+    /// dead or dying: a crash loses what it had not yet processed.
+    fn deliver(&self, slot: &Arc<AgentSlot>, payload: Bytes) {
+        if slot.live() {
+            slot.queue.lock().push_back(payload);
+            self.schedule(slot);
+        }
+    }
+
+    /// Arm a respawned incarnation's own subscription: whatever it
+    /// delivers — a replay first, on a persistent broker — is filtered
+    /// to the slot's key and queued. The waker holds only weak
+    /// references, so it quietly dies with the slot or with the feed,
+    /// which the slot drops when the agent dies.
+    fn arm_own(self: &Arc<Self>, slot: &Arc<AgentSlot>, feed: &Arc<Feed>) {
+        let (inner, weak_slot, weak_feed) = (
+            Arc::downgrade(self),
+            Arc::downgrade(slot),
+            Arc::downgrade(feed),
+        );
+        feed.sub.set_waker(move || {
+            let (Some(inner), Some(slot), Some(feed)) =
+                (inner.upgrade(), weak_slot.upgrade(), weak_feed.upgrade())
+            else {
+                return;
+            };
+            feed.drain(|msg| {
+                if msg.key.as_deref() == Some(slot.name.as_bytes()) {
+                    inner.deliver(&slot, msg.payload);
+                }
+            });
         });
     }
 
@@ -517,7 +579,7 @@ impl PoolInner {
             Some(slot) if !slot.dead.load(Ordering::SeqCst) => {
                 slot.kill.store(true, Ordering::SeqCst);
                 // Wake it so the crash is observed promptly even when
-                // the agent is parked with an empty inbox.
+                // the agent is parked with an empty queue.
                 self.schedule(&slot);
                 true
             }
@@ -536,48 +598,48 @@ impl PoolInner {
     }
 
     /// §IV-B recovery: a fresh incarnation re-enters through the same
-    /// ready-queue; on a persistent broker its subscription replays the
-    /// dead agent's entire inbox first. With `only_if_dead` (auto
+    /// ready-queue, on an inbox subscription of its own that replays the
+    /// whole log first on a persistent broker. With `only_if_dead` (auto
     /// recovery) it happens only while the current incarnation is dead —
     /// a racing manual respawn may already have replaced it.
     ///
-    /// The check → subscribe → replace sequence runs under the slots
-    /// lock: two concurrent respawns (manual vs auto recovery) would
-    /// otherwise both insert a replacement and leave the loser as an
-    /// unreachable ghost agent still bound to the broker.
+    /// The lock rule (see the module docs): subscribe, *then* take the
+    /// slots lock and check → replace under it. A respawn that finds
+    /// its incarnation no longer wanted drops its subscription; since
+    /// the check and the replacement share one critical section, two
+    /// concurrent respawns can never both insert and leave the loser as
+    /// an unreachable ghost agent still bound to the broker.
     fn respawn_impl(self: &Arc<Self>, task: &str, only_if_dead: bool) -> bool {
         let Some(program) = self.programs.get(task).cloned() else {
             return false;
         };
-        let mut slots = self.slots.lock();
-        let old = slots.get(task).cloned();
-        if only_if_dead && !old.as_ref().is_some_and(|o| o.dead.load(Ordering::SeqCst)) {
-            return false;
-        }
-        if let Some(old) = &old {
-            // Make sure any previous incarnation is (being) stopped. It
-            // shares the new slot's shard, so it dies before the
-            // replacement runs.
-            old.kill.store(true, Ordering::SeqCst);
-            self.schedule(old);
-        }
-        let incarnation = old.map(|o| o.incarnation + 1).unwrap_or(0);
         let mode = if self.broker.persistent() {
             SubscribeMode::Beginning
         } else {
             SubscribeMode::Latest
         };
-        let Ok(topic) = self.ns.inbox(task) else {
+        let Ok(sub) = self.broker.subscribe(self.ns.inbox(), mode) else {
             return false;
         };
-        let Ok(sub) = self.broker.subscribe(&topic, mode) else {
+        let mut slots = self.slots.lock();
+        let Some(old) = slots
+            .get(task)
+            .filter(|old| !only_if_dead || old.dead.load(Ordering::SeqCst))
+            .cloned()
+        else {
             return false;
         };
+        // Make sure the previous incarnation is (being) stopped. It
+        // shares the new slot's shard, so it dies before the
+        // replacement runs.
+        old.kill.store(true, Ordering::SeqCst);
+        self.schedule(&old);
         self.lag_probes.lock().push(sub.lag_probe());
-        let slot = self.make_slot(program, sub, incarnation);
+        let feed = Arc::new(Feed::new(sub));
+        let slot = self.make_slot(program, Some(feed.clone()), old.incarnation + 1);
         slots.insert(task.to_owned(), slot.clone());
         drop(slots);
-        self.register_waker(&slot);
+        self.arm_own(&slot, &feed);
         self.schedule(&slot);
         true
     }
@@ -630,45 +692,41 @@ fn process(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
                 die(inner, slot);
                 return;
             }
-            match slot.sub.try_recv() {
-                Ok(Some(msg)) => {
-                    drained += 1;
-                    let Some(message) = SaMessage::decode(&msg.payload) else {
-                        continue;
-                    };
-                    if ctx.dispatch(&mut core, Event::Deliver(message)).is_err() {
-                        drop(core);
-                        die(inner, slot);
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    drop(core);
-                    die(inner, slot);
-                    return;
-                }
+            let Some(payload) = slot.queue.lock().pop_front() else {
+                break;
+            };
+            drained += 1;
+            let Some(message) = SaMessage::decode(&payload) else {
+                continue;
+            };
+            if ctx.dispatch(&mut core, Event::Deliver(message)).is_err() {
+                drop(core);
+                die(inner, slot);
+                return;
             }
         }
         sched_metrics().wakeup_batch.observe(drained);
     }
     // Park again. Clear the schedule bit *before* re-checking the
-    // backlog: a publish that raced the drain either landed before the
-    // clear (caught by the re-check) or after it (its waker sees the
-    // cleared bit and enqueues) — either way no wakeup is lost.
+    // queue: a delivery that raced the drain either landed before the
+    // clear (caught by the re-check) or after it (it sees the cleared
+    // bit and enqueues) — either way no wakeup is lost.
     slot.scheduled.store(false, Ordering::SeqCst);
-    if slot.sub.backlog() > 0 || slot.kill.load(Ordering::SeqCst) {
+    if !slot.queue.lock().is_empty() || slot.kill.load(Ordering::SeqCst) {
         inner.schedule(slot);
     }
 }
 
-/// Retire a slot for good. With auto recovery on, the worker that
+/// Retire a slot for good: its subscription, if it has one of its own,
+/// and its queue go with it. With auto recovery on, the worker that
 /// observed the death starts the §IV-B replacement itself: it holds no
 /// lock here, the replacement lands on this same shard, and scheduling
 /// it is a non-blocking send onto this worker's own queue.
 fn die(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
     slot.dead.store(true, Ordering::SeqCst);
-    slot.sub.clear_waker();
+    let own = slot.own.lock().take();
+    drop(own);
+    slot.queue.lock().clear();
     slot.scheduled.store(false, Ordering::SeqCst);
     if inner.auto_recover && !inner.shutdown.load(Ordering::SeqCst) {
         inner.respawn_impl(&slot.name, true);

@@ -4,7 +4,8 @@
 //! Counted, not timed. The fork of `patterns::parallel(k)` sends one
 //! result to `k` successors; its HOCL applications from `Start` through
 //! the service's completion must not grow with `k`, and on a live run
-//! the `k` inbox payloads it publishes must be one encoded buffer.
+//! the `k` messages it publishes to the run's inbox must be keyed to its
+//! successors in order and share one encoded buffer.
 
 use ginflow_agent::{Command, Event, RunOptions, SaCore, SaMessage, Scheduler};
 use ginflow_core::{patterns, ServiceRegistry, Value};
@@ -84,16 +85,22 @@ fn a_fan_out_publishes_one_payload_buffer() {
     run.wait(Duration::from_secs(20))
         .expect("the run completes");
     let ns = TopicNamespace::new(run_id);
-    let payloads: Vec<bytes::Bytes> = (1..=K)
-        .map(|i| {
-            let inbox = ns.inbox(&format!("p{i}")).unwrap();
-            let mut messages = broker.fetch(&inbox, 0, 0, 10).unwrap();
-            assert_eq!(messages.len(), 1, "{inbox} heard from the fork alone");
-            messages.pop().unwrap().payload
-        })
-        .collect();
+    let log = broker.fetch(ns.inbox(), 0, 0, 100).unwrap();
+    // The fork's batch leads the log; then each successor's result for
+    // the join.
+    assert_eq!(log.len(), 2 * K, "one message per edge");
+    let (fork, rest) = log.split_at(K);
+    let keys: Vec<&[u8]> = fork.iter().map(|m| m.key.as_deref().unwrap()).collect();
+    let expected: Vec<String> = (1..=K).map(|i| format!("p{i}")).collect();
+    assert_eq!(
+        keys,
+        expected.iter().map(|k| k.as_bytes()).collect::<Vec<_>>(),
+        "the fork's sends are keyed to its successors, in DST order"
+    );
+    assert!(rest.iter().all(|m| m.key.as_deref() == Some(&b"join"[..])));
     assert!(
-        payloads.iter().all(|p| p.as_ptr() == payloads[0].as_ptr()),
+        fork.iter()
+            .all(|m| m.payload.as_ptr() == fork[0].payload.as_ptr()),
         "the fork encoded its result more than once"
     );
     run.shutdown();

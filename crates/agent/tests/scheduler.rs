@@ -3,11 +3,14 @@
 //! scale, adaptation, and crash/recovery with inbox replay (mirrors
 //! `tests/runtime.rs` with workers ≪ agents).
 
-use ginflow_agent::{RunEvent, RunFailure, RunOptions, Scheduler, WaitError};
+use ginflow_agent::{
+    RunEvent, RunFailure, RunId, RunOptions, SaMessage, Scheduler, TopicNamespace, WaitError,
+};
 use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
 use ginflow_core::{patterns, FailingService, ServiceRegistry, TaskState, Value, Workflow};
 use ginflow_mq::{
-    Broker, BrokerKind, LogBroker, Message, MqError, Receipt, SubscribeMode, Subscription,
+    Broker, BrokerKind, DurabilityConfig, FsyncPolicy, LogBroker, Message, MqError, Receipt,
+    SubscribeMode, Subscription,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -194,17 +197,16 @@ fn repeated_crashes_on_the_pool_eventually_complete() {
 
 /// A log broker on which requests fail the way a remote request does
 /// when its connection drops under it: `Disconnected`, nothing done.
-/// The first few subscribes of `launch`, single and bulk — the requests
-/// a run cannot do without — and, once `refuse_publishes` is set, every
-/// publish. Publish attempts are counted; every flavour of publish
-/// reaches `publish` through the trait's defaults.
+/// The first few subscribes of `launch` — the requests a run cannot do
+/// without — and, once `refuse_publishes` is set, every publish. Publish
+/// attempts are counted; every flavour of publish reaches `publish`
+/// through the trait's defaults.
 #[derive(Default)]
 struct DisconnectingBroker {
     log: LogBroker,
     publishes: AtomicUsize,
     refuse_publishes: AtomicBool,
     subscribe_drops_left: AtomicUsize,
-    bulk_subscribe_drops_left: AtomicUsize,
 }
 
 /// Use up one of `drops_left`; `Err(Disconnected)` while any were left.
@@ -232,14 +234,6 @@ impl Broker for DisconnectingBroker {
     fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
         drop_one(&self.subscribe_drops_left)?;
         self.log.subscribe(topic, mode)
-    }
-
-    fn subscribe_many(
-        &self,
-        requests: &[(String, SubscribeMode)],
-    ) -> Result<Vec<Subscription>, MqError> {
-        drop_one(&self.bulk_subscribe_drops_left)?;
-        self.log.subscribe_many(requests)
     }
 
     fn fetch(
@@ -299,7 +293,6 @@ fn launch_survives_losing_its_subscribes() {
     // first sever that lands inside it.
     let broker = Arc::new(DisconnectingBroker {
         subscribe_drops_left: AtomicUsize::new(2),
-        bulk_subscribe_drops_left: AtomicUsize::new(2),
         ..DisconnectingBroker::default()
     });
     let scheduler = Scheduler::new(broker.clone(), tracing_registry()).with_options(pool_options());
@@ -311,7 +304,6 @@ fn launch_survives_losing_its_subscribes() {
     );
     run.shutdown();
     assert_eq!(broker.subscribe_drops_left.load(Ordering::SeqCst), 0);
-    assert_eq!(broker.bulk_subscribe_drops_left.load(Ordering::SeqCst), 0);
 }
 
 /// Names (`/proc/self/task/*/comm`) of this process's threads that start
@@ -504,14 +496,17 @@ fn concurrent_folds_keep_every_tasks_transitions_in_order_exactly_once() {
     }
 }
 
-/// A log broker that records how the scheduler publishes: the size of
-/// every batch, and how many publishes bypassed batching.
+/// A log broker that records how the scheduler uses it: the size of
+/// every publish batch, how many publishes bypassed batching, and how
+/// many subscribe calls were made, single and bulk.
 #[derive(Default)]
 struct RecordingBroker {
     log: LogBroker,
     batch_sizes: Mutex<Vec<usize>>,
     unbatched_nowait: AtomicUsize,
     blocking: AtomicUsize,
+    subscribes: AtomicUsize,
+    bulk_subscribes: AtomicUsize,
 }
 
 impl Broker for RecordingBroker {
@@ -544,7 +539,16 @@ impl Broker for RecordingBroker {
     }
 
     fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
+        self.subscribes.fetch_add(1, Ordering::SeqCst);
         self.log.subscribe(topic, mode)
+    }
+
+    fn subscribe_many(
+        &self,
+        requests: &[(String, SubscribeMode)],
+    ) -> Result<Vec<Subscription>, MqError> {
+        self.bulk_subscribes.fetch_add(1, Ordering::SeqCst);
+        self.log.subscribe_many(requests)
     }
 
     fn fetch(
@@ -587,6 +591,152 @@ fn a_chain_task_hands_the_broker_two_batches() {
     assert_eq!(sizes.iter().filter(|&&n| n == 2).count(), 49);
     assert_eq!(broker.unbatched_nowait.load(Ordering::SeqCst), 0);
     assert_eq!(broker.blocking.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn a_launch_subscribes_twice_whatever_its_width() {
+    // Status and the run's one inbox, at 10 tasks and at 1000: no topic
+    // and no subscription per agent.
+    for width in [8, 998] {
+        let broker = Arc::new(RecordingBroker::default());
+        let scheduler =
+            Scheduler::new(broker.clone(), tracing_registry()).with_options(pool_options());
+        let wf = patterns::parallel(width, "s").unwrap();
+        let run = scheduler.launch(&wf);
+        let run_id = run.run_id().to_owned();
+        run.wait(WAIT).expect("the fan completes");
+        run.shutdown();
+        assert_eq!(
+            broker.subscribes.load(Ordering::SeqCst),
+            2,
+            "{} tasks",
+            wf.dag().len()
+        );
+        assert_eq!(broker.bulk_subscribes.load(Ordering::SeqCst), 0);
+        let mut topics = broker.log.topic_names();
+        topics.sort();
+        assert_eq!(
+            topics,
+            [
+                format!("run/{run_id}/sa.inbox"),
+                format!("run/{run_id}/status")
+            ]
+        );
+    }
+}
+
+/// A fresh scratch directory, removed on drop.
+struct TestDir(std::path::PathBuf);
+
+impl TestDir {
+    fn new(tag: &str) -> TestDir {
+        static N: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "ginflow-agent-{tag}-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&path).unwrap();
+        TestDir(path)
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn a_durable_run_is_two_topics_on_disk() {
+    // On a durable log every topic is a directory and a mapped segment.
+    // fig5's five agents (standby T2' included) once made six of them;
+    // the reopened log recovers two: the run's inbox and its status.
+    let dir = TestDir::new("durable-fig5");
+    let config = DurabilityConfig {
+        fsync: FsyncPolicy::Never,
+        segment_bytes: 4096,
+        memory_messages: 16,
+    };
+    {
+        let (log, _) = LogBroker::open(&dir.0, config).unwrap();
+        let scheduler =
+            Scheduler::new(Arc::new(log), tracing_registry()).with_options(pool_options());
+        let run = scheduler.launch(&fig5());
+        let results = run.wait(WAIT).expect("fig5 completes");
+        assert_eq!(
+            results["T4"],
+            Value::Str("s4(s2(s1(input)),s3(s1(input)))".into())
+        );
+        run.shutdown();
+    }
+    let (_, report) = LogBroker::open(&dir.0, config).unwrap();
+    assert_eq!(report.topics, 2);
+    // T1 → T2, T3; T2, T3 → T4: four inbox messages, and two status
+    // updates per task.
+    assert_eq!(report.messages, 4 + 2 * 4);
+}
+
+/// A `Result` from `from` carrying `value`, as an agent would send it.
+fn result_payload(from: &str, value: &str) -> bytes::Bytes {
+    SaMessage::Result {
+        from: from.into(),
+        value: Value::str(value),
+    }
+    .encode()
+}
+
+#[test]
+fn a_respawned_agent_replays_only_its_own_key_in_log_order() {
+    // `a` is gated, so nothing the run sends reaches `b` or `c` until
+    // the end. Meanwhile the log interleaves results keyed to `c` with
+    // two keyed to `b` — the killed agent — and an unknown key. The
+    // respawned `b` replays the whole log from its own subscription and
+    // must hand its core only `b`'s messages, in log order: its service
+    // then runs on the first of them. `c`, still on the run's shared
+    // inbox, gets its own first message the same way.
+    let (gate, opened) = std::sync::mpsc::channel();
+    let mut registry = ServiceRegistry::tracing_for(["s"]);
+    registry.register(
+        "gate",
+        Arc::new(Gated(
+            ginflow_core::TraceService::new("gate"),
+            Mutex::new(opened),
+        )),
+    );
+    let mut b = WorkflowBuilder::new("keyed-replay");
+    b.task("a", "gate").input(Value::str("x"));
+    b.task("b", "s").after(["a"]);
+    b.task("c", "s").after(["a"]);
+    let broker = Arc::new(LogBroker::new());
+    let scheduler = Scheduler::new(broker.clone(), Arc::new(registry)).with_options(pool_options());
+    let run = scheduler.launch(&b.build().unwrap());
+    // Declared after the run, so a failing assertion drops the gate
+    // first and teardown does not wait on the parked service.
+    let gate = gate;
+    assert!(run.kill("b"));
+
+    let inbox = TopicNamespace::new(RunId::new(run.run_id()).unwrap())
+        .inbox()
+        .to_owned();
+    for (key, value) in [
+        ("c", "c-first"),
+        ("b", "b-first"),
+        ("nobody", "stray"),
+        ("c", "c-second"),
+        ("b", "b-second"),
+    ] {
+        broker
+            .publish(&inbox, Some(key.into()), result_payload("a", value))
+            .unwrap();
+    }
+    assert!(run.respawn("b"));
+    assert_eq!(run.incarnation("b"), 1);
+    gate.send(()).unwrap();
+    let results = run.wait(WAIT).expect("the run completes");
+    assert_eq!(results["b"], Value::Str("s(b-first)".into()));
+    assert_eq!(results["c"], Value::Str("s(c-first)".into()));
+    run.shutdown();
 }
 
 #[test]

@@ -48,7 +48,7 @@
 //! Every shard waits on the *whole* workflow (the shared status topic is
 //! the cross-shard membrane) and exits 0 once all sinks complete. A
 //! killed shard process can simply be relaunched with the same
-//! `--run-id`: against the kafka profile it replays its agents' inboxes
+//! `--run-id`: against the kafka profile it replays the run's inbox
 //! from the persistent log and catches back up (§IV-B, applied to a
 //! whole process).
 //!
@@ -402,7 +402,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         // long-blocking services (e.g. --shell with slow programs),
         // raise --workers.
         executor @ ("scheduler" | "sim") => {
-            // Task names become topic segments (run/<id>/sa.<task>);
+            // Task names become the keys of the run's inbox
+            // (run/<id>/sa.inbox) and must be valid path segments;
             // reject invalid ones here with a clean error instead of
             // panicking deep inside the launch.
             for (_, spec) in wf.dag().iter() {

@@ -402,8 +402,8 @@ fn one_daemon_serves_concurrent_and_back_to_back_runs() {
     assert!(out_b.contains("run=b"), "{out_b}");
     assert!(out_b.contains("backend=scheduler"), "{out_b}");
 
-    // The registry accounted both runs (fig2 = 4 inboxes + status each)
-    // and both were auto-closed on completion.
+    // The registry accounted both runs (the run's inbox + status each,
+    // however many tasks) and both were auto-closed on completion.
     let runs = ginflow()
         .args(["broker", "runs", "--addr", &addr])
         .output()
@@ -413,7 +413,7 @@ fn one_daemon_serves_concurrent_and_back_to_back_runs() {
     for line in ["a ", "b "] {
         assert!(listing.contains(line), "{listing}");
     }
-    assert!(listing.contains("topics=5"), "{listing}");
+    assert!(listing.contains("topics=2"), "{listing}");
     assert!(listing.contains("completed"), "{listing}");
 
     // GC reclaims both completed runs' topics.
@@ -424,7 +424,7 @@ fn one_daemon_serves_concurrent_and_back_to_back_runs() {
     assert!(gc.status.success());
     let gc_out = String::from_utf8_lossy(&gc.stdout).into_owned();
     assert!(
-        gc_out.contains("reclaimed 2 run(s), 10 topic(s)"),
+        gc_out.contains("reclaimed 2 run(s), 4 topic(s)"),
         "{gc_out}"
     );
 
@@ -468,7 +468,7 @@ fn killed_shard_process_recovers_via_replay() {
     let _ = shard1.wait();
 
     // Relaunch it with the same run id: the fresh process replays
-    // inboxes + status from *this run's* topics in the persistent log
+    // the inbox + status from *this run's* topics in the persistent log
     // and the workflow still completes everywhere.
     let shard1b = spawn_shard(&path, &addr, "kill", "1/2", &slow);
     let out0 = assert_shard_completed("shard 0", shard0.wait_with_output().unwrap());

@@ -1,10 +1,12 @@
 //! Run-scoped topic namespaces, observed from the engine: one broker —
 //! in-process or a standing `BrokerServer` daemon — serves many
 //! workflow runs, concurrently and back-to-back, with zero cross-run
-//! event leakage and per-run `RunReport` correctness. Also covers the
-//! slow-subscriber observability contract: `Subscription::lagged` drop
-//! counts surface in the report.
+//! event leakage and per-run `RunReport` correctness. Also covers what a
+//! run's one keyed inbox does with a flood: it is drained where it is
+//! delivered, so a bounded queue drops nothing, and a dead agent's key
+//! reaches no one.
 
+use ginflow_agent::SaMessage;
 use ginflow_core::{
     ServiceRegistry, SleepService, TaskState, TraceService, Value, Workflow, WorkflowBuilder,
 };
@@ -160,11 +162,15 @@ fn concurrent_runs_on_one_in_process_broker_get_distinct_auto_ids() {
     assert!(report_b.tasks.keys().all(|t| t.starts_with('B')));
 }
 
-/// Satellite: `Subscription::lagged` drop counts are observable per run.
-/// A killed agent stops draining its bounded inbox; flooding it past
-/// capacity drops the oldest messages, and the run's report says so.
+/// A killed agent's key is flooded through a transient broker whose
+/// subscriber queues hold 2 messages. The run's inbox is drained on the
+/// thread that delivers it, so its queue never fills: `lagged` — the sum
+/// over the run's subscriptions — stays 0. And the flood reaches no
+/// incarnation: not the dead one, whose key the demultiplexer drops, and
+/// not its replacement, which attaches at the head of a log that keeps
+/// nothing.
 #[test]
-fn slow_subscriber_drops_surface_in_the_run_report() {
+fn a_flood_keyed_to_a_killed_agent_drops_nothing_and_reaches_no_one() {
     let broker = Arc::new(TransientBroker::with_queue_capacity(2));
     let mut registry = ServiceRegistry::new();
     registry.register(
@@ -185,30 +191,37 @@ fn slow_subscriber_drops_surface_in_the_run_report() {
         .workers(1)
         .build();
     let run = engine.launch(&wf);
-    assert_eq!(run.report().lagged, 0, "nothing dropped yet");
 
-    // Kill L2 (parked on its inbox while L1 computes): its subscription
-    // stays bound to the broker but nobody drains it any more.
+    // Kill L2 while L1 computes, then flood its key with forged results
+    // from L1.
     assert!(run.kill("L2"));
-    std::thread::sleep(Duration::from_millis(50));
-
-    // Flood the dead agent's inbox past its queue bound.
     let ns = TopicNamespace::new(RunId::new(run.run_id()).unwrap());
-    let inbox = ns.inbox("L2").unwrap();
     for i in 0..10 {
+        let forged = SaMessage::Result {
+            from: "L1".into(),
+            value: Value::str(format!("forged-{i}")),
+        };
         broker
-            .publish(&inbox, None, bytes::Bytes::from(format!("junk-{i}")))
+            .publish(ns.inbox(), Some("L2".into()), forged.encode())
             .unwrap();
     }
-
-    let report = run.report();
-    assert!(
-        report.lagged >= 8,
-        "10 publishes into a dead capacity-2 queue must drop >= 8, got {}",
-        report.lagged
+    assert_eq!(
+        run.report().lagged,
+        0,
+        "a queue drained at delivery drops nothing"
     );
-    assert_eq!(report.run_id, run.run_id());
-    run.cancel();
+
+    assert!(run.respawn("L2"));
+    let report = run.join();
+    assert!(report.completed);
+    assert_eq!(report.tasks["L2"].incarnation, 1);
+    assert_eq!(
+        report.result_of("L2").unwrap(),
+        &Value::Str("slow(slow(x))".into()),
+        "L2 computed from L1's result, not from the flood"
+    );
+    assert_eq!(report.lagged, 0);
+    assert_eq!(report.run_id, ns.run_id().as_str());
 }
 
 #[test]

@@ -1,0 +1,106 @@
+//! The lock rule of the run's one keyed inbox, over TCP: the inbox is
+//! demultiplexed on the client reactor, the same thread that answers a
+//! respawn's subscribe. A respawn that held the scheduler's slot table
+//! across that round trip would stall the reactor behind the demux until
+//! the request timed out (30 s), and the respawn would fail. Counted,
+//! not timed: every respawn must succeed while keyed traffic floods the
+//! inbox, and the run must still complete.
+
+use ginflow_core::{Service, ServiceError, ServiceRegistry, TraceService, Value, WorkflowBuilder};
+use ginflow_engine::{Engine, RunId, TopicNamespace};
+use ginflow_mq::{Broker, TransientBroker};
+use ginflow_net::{BrokerServer, RemoteBroker};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+/// A service that parks until the test opens the gate, then traces.
+struct Gated(TraceService, Mutex<Receiver<()>>);
+
+impl Service for Gated {
+    fn invoke(&self, params: &[Value]) -> Result<Value, ServiceError> {
+        let _ = self.1.lock().unwrap().recv();
+        self.0.invoke(params)
+    }
+}
+
+#[test]
+fn respawns_with_inbox_traffic_in_flight_never_stall_the_reactor() {
+    const WIDTH: usize = 50;
+    const RESPAWNS: u32 = 20;
+    let server = BrokerServer::bind("127.0.0.1:0", Arc::new(TransientBroker::new())).unwrap();
+    let addr = server.local_addr().to_string();
+
+    let (gate, opened) = channel();
+    let mut registry = ServiceRegistry::tracing_for(["s"]);
+    registry.register(
+        "gate",
+        Arc::new(Gated(TraceService::new("gate"), Mutex::new(opened))),
+    );
+    let mut b = WorkflowBuilder::new("gated-fan");
+    b.task("src", "gate").input(Value::str("x"));
+    let branches: Vec<String> = (0..WIDTH).map(|i| format!("p{i}")).collect();
+    for p in &branches {
+        b.task(p, "s").after(["src"]);
+    }
+    b.task("join", "s").after(branches.clone());
+    let wf = b.build().unwrap();
+
+    let run = Engine::builder()
+        .broker(Arc::new(RemoteBroker::connect(&addr).unwrap()) as Arc<dyn Broker>)
+        .registry(Arc::new(registry))
+        .workers(2)
+        .run_id(RunId::new("respawn-tcp").unwrap())
+        .build()
+        .launch(&wf);
+    // Declared after the run, so a failing assertion drops the gate
+    // first and teardown does not wait on the parked service.
+    let gate = gate;
+
+    // A second connection floods the run's inbox with keyed messages no
+    // agent decodes, so the reactor demultiplexes through every respawn.
+    let stop = Arc::new(AtomicBool::new(false));
+    let flooded = Arc::new(AtomicUsize::new(0));
+    let flooder = {
+        let (stop, flooded) = (stop.clone(), flooded.clone());
+        let client = RemoteBroker::connect(&addr).unwrap();
+        std::thread::spawn(move || {
+            let inbox = TopicNamespace::new(RunId::new("respawn-tcp").unwrap())
+                .inbox()
+                .to_owned();
+            let keys = ["join", "p0", "nobody"];
+            while !stop.load(Ordering::SeqCst) {
+                let n = flooded.fetch_add(1, Ordering::SeqCst);
+                client
+                    .publish(&inbox, Some(keys[n % keys.len()].into()), "noise".into())
+                    .unwrap();
+            }
+            client.shutdown();
+        })
+    };
+    while flooded.load(Ordering::SeqCst) < 100 {
+        std::thread::yield_now();
+    }
+
+    for i in 1..=RESPAWNS {
+        assert!(run.kill("join"), "kill {i}");
+        assert!(
+            run.respawn("join"),
+            "respawn {i} failed: its subscribe stalled"
+        );
+        assert_eq!(run.incarnation("join"), i);
+    }
+    stop.store(true, Ordering::SeqCst);
+    flooder.join().unwrap();
+
+    gate.send(()).unwrap();
+    let results = run
+        .wait(Duration::from_secs(20))
+        .expect("the fan completes");
+    let expected = format!("s({})", vec!["s(gate(x))"; WIDTH].join(","));
+    assert_eq!(results["join"], Value::Str(expected));
+    let report = run.join();
+    assert_eq!(report.tasks["join"].incarnation, RESPAWNS);
+    server.stop();
+}

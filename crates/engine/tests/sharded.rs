@@ -150,7 +150,7 @@ fn killed_shard_respawns_and_completes_via_replay() {
     run1.shutdown();
 
     // Respawn it. The fresh process replays the persistent log from the
-    // beginning — inboxes and status — rebuilding the dead agents'
+    // beginning — inbox and status — rebuilding the dead agents'
     // state and whatever progress its peers made meanwhile.
     let run1b = engine_for(1).launch(&wf);
 

@@ -43,12 +43,13 @@ fn a_client_that_outlives_its_runs_holds_nothing_of_a_closed_run() {
     let idle = subscriptions();
     for run in 0..30 {
         let handle = engine.launch(&wf);
-        // 18 inboxes and the status topic, at both ends.
-        assert_eq!(subscriptions(), (idle.0 + 19, idle.1 + 19), "run {run}");
+        // The run's inbox and its status topic, at both ends — not one
+        // subscription per agent.
+        assert_eq!(subscriptions(), (idle.0 + 2, idle.1 + 2), "run {run}");
         let report = handle.join();
         assert!(report.completed, "run {run}");
         assert!(client.close_run(&report.run_id).unwrap(), "run {run}");
-        assert_eq!(client.gc_runs().unwrap(), (1, 19), "run {run}");
+        assert_eq!(client.gc_runs().unwrap(), (1, 2), "run {run}");
         assert_eq!(subscriptions(), idle, "after run {run}");
     }
     client.shutdown();

@@ -282,8 +282,8 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
 
 /// Number of lock shards the in-process brokers split their topic maps
 /// into. Publishes to different topics hash to different shards, so
-/// concurrent runs (distinct run-scoped namespaces) and concurrent
-/// agents (distinct inbox topics) stop serialising on one global mutex.
+/// concurrent runs (distinct run-scoped namespaces) and a run's inbox
+/// and status topics stop serialising on one global mutex.
 /// Power of two so the modulo is a mask.
 pub const TOPIC_SHARDS: usize = 16;
 

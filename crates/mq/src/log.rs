@@ -126,9 +126,9 @@ pub struct RecoveryReport {
 
 /// Persistent, partitioned, replayable broker. The topic map is split
 /// into lock shards keyed by topic hash
-/// (`broker::TOPIC_SHARDS`), so publishes to distinct topics —
-/// different agents' inboxes, different runs' namespaces — never
-/// contend on a shared lock.
+/// (`broker::TOPIC_SHARDS`), so publishes to distinct topics — a run's
+/// inbox and status, different runs' namespaces — never contend on a
+/// shared lock.
 ///
 /// [`LogBroker::new`] retains messages in memory only; [`LogBroker::open`]
 /// backs every partition with the file-based segment store, making

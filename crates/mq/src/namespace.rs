@@ -8,16 +8,20 @@
 //! lives:
 //!
 //! ```text
-//! run/<id>/sa.<task>     one agent's inbox
+//! run/<id>/sa.inbox      the run's inbox: every message between its
+//!                        agents, keyed by the destination task
 //! run/<id>/status        the run's shared status topic
 //! ```
 //!
-//! Two different run ids on one broker never see each other's messages;
-//! N shard processes joining the *same* run id share one namespace.
-//! Segments are validated at this boundary ([`RunId::new`],
-//! [`TopicNamespace::inbox`]): an empty segment or one containing `/`
-//! (or whitespace) would silently collide or split namespaces, so it is
-//! rejected with [`MqError::InvalidTopic`] instead.
+//! A run is two topics however many tasks it has: an agent owns a *key*
+//! of the inbox, not a topic, and the scheduler demultiplexes the inbox
+//! by key into its agents' queues. Two different run ids on one broker
+//! never see each other's messages; N shard processes joining the
+//! *same* run id share one namespace. Run ids are validated at this
+//! boundary ([`RunId::new`]) and task names, which become inbox keys, at
+//! launch ([`validate_segment`]): an empty segment or one containing `/`
+//! (or control characters) would silently collide or split namespaces,
+//! so it is rejected with [`MqError::InvalidTopic`] instead.
 
 use crate::error::MqError;
 use std::fmt;
@@ -28,6 +32,11 @@ const RUN_PREFIX: &str = "run/";
 
 /// Final path component of a run's shared status topic.
 const STATUS_SEGMENT: &str = "status";
+
+/// Final path component of a run's inbox topic. Inbox leaves keep the
+/// `sa.` prefix agent inboxes have always had, so tools that classify a
+/// run's topics by leaf still recognise it.
+const INBOX_SEGMENT: &str = "sa.inbox";
 
 /// Check one topic-path segment (a run id or a task name). Rejects the
 /// empty segment and `/` (both would collide or split namespaces) and
@@ -103,13 +112,16 @@ pub struct TopicNamespace {
     run: RunId,
     /// Precomputed `run/<id>/status` (hot path: every status publish).
     status: String,
+    /// Precomputed `run/<id>/sa.inbox` (hot path: every message sent).
+    inbox: String,
 }
 
 impl TopicNamespace {
     /// The namespace of `run`.
     pub fn new(run: RunId) -> TopicNamespace {
         let status = format!("{RUN_PREFIX}{}/{STATUS_SEGMENT}", run.0);
-        TopicNamespace { run, status }
+        let inbox = format!("{RUN_PREFIX}{}/{INBOX_SEGMENT}", run.0);
+        TopicNamespace { run, status, inbox }
     }
 
     /// The run this namespace belongs to.
@@ -117,13 +129,11 @@ impl TopicNamespace {
         &self.run
     }
 
-    /// The inbox topic of `task`'s agent: `run/<id>/sa.<task>`. The task
-    /// name is validated here — the topic boundary — so a name with `/`
-    /// or an empty name fails loudly instead of landing in (or creating)
-    /// a foreign namespace.
-    pub fn inbox(&self, task: &str) -> Result<String, MqError> {
-        validate_segment("task name", task)?;
-        Ok(format!("{RUN_PREFIX}{}/sa.{task}", self.run.0))
+    /// The run's inbox topic: `run/<id>/sa.inbox`. Every message to an
+    /// agent is published here with the destination task's name as its
+    /// key, so one task's messages stay in order on one partition.
+    pub fn inbox(&self) -> &str {
+        &self.inbox
     }
 
     /// The run's shared status topic: `run/<id>/status`.
@@ -148,8 +158,9 @@ mod tests {
     #[test]
     fn namespace_shapes_topics() {
         let ns = TopicNamespace::new(RunId::new("alpha").unwrap());
-        assert_eq!(ns.inbox("T1").unwrap(), "run/alpha/sa.T1");
+        assert_eq!(ns.inbox(), "run/alpha/sa.inbox");
         assert_eq!(ns.status(), "run/alpha/status");
+        assert_eq!(run_of(ns.inbox()), Some("alpha"));
         assert_eq!(ns.run_id().as_str(), "alpha");
     }
 
@@ -157,7 +168,7 @@ mod tests {
     fn distinct_runs_never_share_topics() {
         let a = TopicNamespace::new(RunId::new("a").unwrap());
         let b = TopicNamespace::new(RunId::new("b").unwrap());
-        assert_ne!(a.inbox("T1").unwrap(), b.inbox("T1").unwrap());
+        assert_ne!(a.inbox(), b.inbox());
         assert_ne!(a.status(), b.status());
     }
 
@@ -169,9 +180,14 @@ mod tests {
                 matches!(err, MqError::InvalidTopic { what: "run id", .. }),
                 "{bad:?} → {err:?}"
             );
-            let ns = TopicNamespace::new(RunId::generate());
             assert!(
-                matches!(ns.inbox(bad), Err(MqError::InvalidTopic { .. })),
+                matches!(
+                    validate_segment("task name", bad),
+                    Err(MqError::InvalidTopic {
+                        what: "task name",
+                        ..
+                    })
+                ),
                 "task {bad:?} must be rejected"
             );
         }
@@ -180,21 +196,21 @@ mod tests {
     #[test]
     fn interior_spaces_stay_legal() {
         // Task names with spaces were always accepted by the workflow
-        // builder and worked as topics; run scoping must not break them.
-        let ns = TopicNamespace::new(RunId::new("r").unwrap());
-        assert_eq!(ns.inbox("load data").unwrap(), "run/r/sa.load data");
+        // builder and work as inbox keys; run scoping must not break them.
+        assert!(validate_segment("task name", "load data").is_ok());
+        assert!(RunId::new("load data").is_ok());
     }
 
     #[test]
     fn slash_rejection_prevents_namespace_forgery() {
-        // Without validation, task "x/status" in run "a" would publish
-        // to "run/a/sa.x/status" — not a collision — but run id "a/sa.T"
-        // would make inbox("x") = "run/a/sa.T/sa.x" and, worse,
-        // "b/../a"-style ids could alias. The rule is simply: one
-        // segment, no separators.
+        // Without validation, run id "a/status" would put its topics
+        // under run "a" (`run/a/status/status`), so listings and GC would
+        // account them to the wrong run, and "b/../a"-style ids could
+        // alias. Task names, the inbox's keys, obey the same rule. The
+        // rule is simply: one segment, no separators.
         assert!(RunId::new("a/status").is_err());
-        let ns = TopicNamespace::new(RunId::new("a").unwrap());
-        assert!(ns.inbox("x/../y").is_err());
+        assert!(RunId::new("b/../a").is_err());
+        assert!(validate_segment("task name", "x/../y").is_err());
     }
 
     #[test]
@@ -212,7 +228,7 @@ mod tests {
 
     #[test]
     fn run_of_parses_only_run_scoped_topics() {
-        assert_eq!(run_of("run/alpha/sa.T1"), Some("alpha"));
+        assert_eq!(run_of("run/alpha/sa.inbox"), Some("alpha"));
         assert_eq!(run_of("run/alpha/status"), Some("alpha"));
         assert_eq!(run_of("status"), None);
         assert_eq!(run_of("sa.T1"), None);

@@ -61,7 +61,8 @@
 //! The daemon acks the consecutive publishes of one read turn with one
 //! frame, whatever their topics: one publish gets a RECEIPT, a run whose
 //! offsets count up by one on one partition a RECEIPTS, and any other
-//! run — a fan-out to k topics — a RECEIPT_LIST.
+//! run — a status update and the results it precedes, which land on
+//! two topics — a RECEIPT_LIST.
 //!
 //! run_stat := run:str topics:u32 retained:u64 completed:u8
 //! stat_row := name:str label:str value:u64    (label empty = unlabelled)
@@ -270,7 +271,7 @@ pub enum Frame {
     /// the `n` receipts, in order. Semantically identical to the same
     /// [`Frame::Receipt`]s arriving back to back — the frame the daemon
     /// acks a turn's publishes with when their receipts form no
-    /// [`Frame::Receipts`] run (one result fanned out to k topics).
+    /// [`Frame::Receipts`] run (publishes that land on several topics).
     ReceiptList {
         /// Correlation id of the first publish acknowledged.
         seq_first: u64,

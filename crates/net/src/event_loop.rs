@@ -15,8 +15,8 @@
 //!   request-direction mirror of the EVENTS push batching): a
 //!   `RECEIPTS` range when their offsets count up on one partition — a
 //!   pipelined storm of N publishes is acked with one frame, not N —
-//!   and a `RECEIPT_LIST` otherwise, so a result fanned out to k
-//!   inboxes costs one ack, not k.
+//!   and a `RECEIPT_LIST` otherwise, so an agent turn's status update
+//!   and the k results it fans out cost one ack, not k + 1.
 //! * **One write per connection per turn.** Dispatching a read turn
 //!   and draining a subscription only *append* to the connection's out
 //!   buffer and mark it dirty; after the doorbell's drains at the top

@@ -138,8 +138,9 @@
 //! PUBLISHes of one read turn with one frame, the smallest that says
 //! where each landed: a lone publish gets a RECEIPT; a run whose
 //! offsets count up on one partition (a pipelined storm into one topic)
-//! a RECEIPTS range; any other run (one result fanned out to k inboxes)
-//! a RECEIPT_LIST of `(partition, offset)` pairs. Frames over
+//! a RECEIPTS range; any other run (an agent turn's status update and
+//! the results it fans out, on two topics) a RECEIPT_LIST of
+//! `(partition, offset)` pairs. Frames over
 //! [`MAX_FRAME`](ginflow_mq::wire::MAX_FRAME) are rejected outright on
 //! both sides.
 //!

@@ -285,7 +285,8 @@ impl<K: Ord> Deadlines<K> {
 /// [`Doorbell::park`] declares `sleeping` *before* its final queue
 /// check. So a ring serialized after that check observes the flag and
 /// wakes the eventfd, and one serialized before it is caught by the
-/// check — the loop polls at zero instead of sleeping on a full queue.
+/// check — the loop polls at zero (an `epoll_wait` that does not block)
+/// instead of sleeping on a full queue.
 pub(crate) struct Doorbell<M> {
     queue: Mutex<Vec<M>>,
     sleeping: AtomicBool,

@@ -48,7 +48,8 @@ fn main() {
         run.alive("transform")
     );
 
-    // Start a replacement: it replays its whole inbox from the log.
+    // Start a replacement: it replays every message keyed to it from
+    // the run's inbox log.
     assert!(run.respawn("transform"));
     println!(
         "respawned `transform` (incarnation {})",

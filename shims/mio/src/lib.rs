@@ -216,13 +216,16 @@ impl Poll {
     /// Block until at least one registered fd is ready, `timeout`
     /// expires (`Some`), or forever-until-ready (`None`). Fills
     /// `events`; an expired timeout leaves it empty. EINTR retries
-    /// internally with the remaining time.
+    /// internally with the remaining time. A zero timeout never blocks;
+    /// any other is rounded up to whole milliseconds.
     pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
         let deadline = timeout.map(|t| std::time::Instant::now() + t);
         events.len = 0;
         loop {
             let timeout_ms: c_int = match deadline {
                 None => -1,
+                // A zero timeout is a non-blocking check, not a 1 ms nap.
+                Some(_) if timeout == Some(Duration::ZERO) => 0,
                 Some(d) => {
                     let left = d.saturating_duration_since(std::time::Instant::now());
                     // Round up so a 100µs timeout doesn't busy-spin at 0.
@@ -334,6 +337,23 @@ mod tests {
             .unwrap();
         assert!(events.is_empty());
         assert!(t0.elapsed() >= Duration::from_millis(25));
+    }
+
+    #[test]
+    fn a_zero_timeout_does_not_sleep() {
+        // Rounded up like any other timeout, each call would nap 1 ms.
+        let poll = Poll::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        let t0 = Instant::now();
+        for _ in 0..200 {
+            poll.poll(&mut events, Some(Duration::ZERO)).unwrap();
+            assert!(events.is_empty());
+        }
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "200 zero-timeout polls took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]
