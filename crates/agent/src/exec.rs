@@ -1,18 +1,16 @@
 //! What the [`crate::scheduler::Scheduler`] runs an agent's events
 //! with: command execution (one publish batch per dispatch), and the
-//! [`Feed`]s a run's subscriptions are drained through on whichever
-//! thread delivers to them, not on a thread of their own — the status
-//! fold into the [`RunTracker`] ([`StatusFold`]) and the scheduler's
-//! inbox demultiplexer.
+//! status fold into the [`RunTracker`] ([`StatusFold`]), which drains
+//! the status subscription on whichever thread delivers to it, not on a
+//! thread of its own.
 
 use crate::core::{Command, Event, SaCore};
 use crate::engine::RunTracker;
 use crate::message::{SaMessage, StatusUpdate};
 use bytes::Bytes;
 use ginflow_core::ServiceRegistry;
-use ginflow_mq::{Broker, Message, MqError, Subscription, TopicNamespace};
+use ginflow_mq::{Broker, MqError, Subscription, TopicNamespace};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -117,55 +115,15 @@ impl AgentCtx<'_> {
     }
 }
 
-/// A subscription drained by **whichever thread delivers to it** — the
-/// publishing worker on an in-process broker, the client reactor over
-/// TCP — from the subscription's waker, under the schedule-bit protocol
-/// the scheduler's slots and the daemon's subscriptions use
-/// (`swap(true)` to enter, drain, clear, re-check the backlog). So
-/// exactly one thread drains at a time, in queue order, and a delivery
-/// that finds the bit set is picked up by the holder's re-check: none is
-/// lost, none is reordered. What a drain does with each message must be
-/// O(1), must not wait on a lock held across a broker request, and must
-/// never publish — it runs on a thread it borrows.
-pub(crate) struct Feed {
-    pub sub: Subscription,
-    /// The schedule bit: true while some thread is draining `sub`.
-    draining: AtomicBool,
-}
-
-impl Feed {
-    pub fn new(sub: Subscription) -> Feed {
-        Feed {
-            sub,
-            draining: AtomicBool::new(false),
-        }
-    }
-
-    /// Hand every queued message to `each`, in queue order.
-    pub fn drain(&self, mut each: impl FnMut(Message)) {
-        while !self.draining.swap(true, Ordering::SeqCst) {
-            while let Ok(Some(msg)) = self.sub.try_recv() {
-                each(msg);
-            }
-            // Clear the bit *before* re-checking: a delivery that raced
-            // the drain either landed before the clear (the re-check
-            // sees it) or after it (its waker sees the cleared bit and
-            // drains it itself).
-            self.draining.store(false, Ordering::SeqCst);
-            if self.sub.backlog() == 0 {
-                break;
-            }
-        }
-    }
-}
-
-/// Where a run's status updates are folded: the status topic's [`Feed`],
+/// Where a run's status updates are folded: the status subscription,
 /// drained into the run's [`RunTracker`] — its only record — stamped
-/// with the time since launch. There is no collector thread: the fold
-/// does O(1) work per update under the tracker's one lock and cannot
-/// stall the thread it borrows.
+/// with the time since launch. There is no collector thread: the waker
+/// runs [`Subscription::drain`] on the delivering thread (the
+/// publishing worker in process, the client reactor over TCP), and the
+/// fold does O(1) work per update under the tracker's one lock, so it
+/// cannot stall the thread it borrows.
 pub(crate) struct StatusFold {
-    feed: Feed,
+    sub: Subscription,
     tracker: Arc<RunTracker>,
     /// Launch time: the zero of every task timing and of the run's wall.
     epoch: Instant,
@@ -178,12 +136,12 @@ impl StatusFold {
     /// owns the closure — and [`StatusFold::disarm`] ends it.
     pub fn arm(sub: Subscription, tracker: Arc<RunTracker>) -> Arc<Self> {
         let fold = Arc::new(StatusFold {
-            feed: Feed::new(sub),
+            sub,
             tracker,
             epoch: Instant::now(),
         });
         let weak: Weak<StatusFold> = Arc::downgrade(&fold);
-        fold.feed.sub.set_waker(move || {
+        fold.sub.set_waker(move || {
             if let Some(fold) = weak.upgrade() {
                 fold.drain();
             }
@@ -193,7 +151,7 @@ impl StatusFold {
 
     /// Stop folding (teardown): later deliveries stay in the queue.
     pub fn disarm(&self) {
-        self.feed.sub.clear_waker();
+        self.sub.clear_waker();
     }
 
     /// Time since launch.
@@ -202,7 +160,7 @@ impl StatusFold {
     }
 
     fn drain(&self) {
-        self.feed.drain(|msg| {
+        self.sub.drain(|msg| {
             // Undecodable payloads are foreign noise on a shared broker.
             if let Some(update) = StatusUpdate::decode(&msg.payload) {
                 self.tracker.observe(&update, self.epoch.elapsed());

@@ -18,11 +18,13 @@
 //!   runtime**: a fixed pool of workers drives every agent, each parked
 //!   until a message keyed to it lands on the run's one inbox topic. The
 //!   thread that delivers the message routes it to the agent's queue
-//!   through the broker's publish path
-//!   ([`ginflow_mq::Subscription::set_waker`]), so a run holds two
-//!   subscriptions — inbox and status — whatever its width. Scales to
-//!   thousands of agents per process with zero idle CPU. A run's threads
-//!   are its workers and nothing else.
+//!   through the broker's publish path: the subscription's waker fires
+//!   on its idle→pending edge, and the woken thread drains it
+//!   ([`ginflow_mq::Subscription::drain`]). So a run holds two
+//!   subscriptions — inbox and status — whatever its width, and no
+//!   thread of its own reads them. Scales to thousands of agents per
+//!   process with zero idle CPU. A run's threads are its workers and
+//!   nothing else.
 //! * [`engine::RunTracker`] — the run's **only record**: the shared
 //!   status topic folded, under one lock, into per-task state, counters,
 //!   the outcome and the typed [`RunEvent`] stream. Every backend feeds

@@ -49,17 +49,18 @@
 //! and at no other time. And no thread collects status or inbox
 //! messages: both subscriptions are drained by **whichever thread
 //! delivers to them** — the publishing worker on an in-process broker,
-//! the client reactor over TCP — through their wakers (`exec::Feed`):
-//! status is folded into the [`RunTracker`], the run's only record that
-//! every observation on the [`RunHandle`] reads (`exec::StatusFold`);
-//! inbox messages are routed into slot queues. A drain runs under the
-//! same schedule-bit protocol as the slots (`swap(true)` to enter,
-//! drain, clear, re-check the backlog): one thread drains a subscription
-//! at a time, so messages are handled in the queue's order; a delivery
-//! that finds the bit set leaves its message to the holder's re-check,
-//! so none is lost. Each drain does O(1) work per message and never
-//! blocks or publishes, so borrowing the delivering thread costs that
-//! thread nothing it would notice. Teardown clears the wakers; it
+//! the client reactor over TCP — from their wakers: status is folded
+//! into the [`RunTracker`], the run's only record that every
+//! observation on the [`RunHandle`] reads (`exec::StatusFold`); inbox
+//! messages are routed into slot queues. The subscription owns the
+//! schedule bit: its waker fires only for the delivery that finds it
+//! idle, and [`Subscription::drain`] runs until
+//! [`Subscription::settle`] leaves it idle again — one thread drains a
+//! subscription at a time, so messages are handled in the queue's
+//! order, and a delivery that finds a drain pending is that drain's to
+//! take, so none is lost. Each drain does O(1) work per message and
+//! never blocks or publishes, so borrowing the delivering thread costs
+//! that thread nothing it would notice. Teardown clears the wakers; it
 //! publishes nothing and has no thread to wake through the broker.
 //!
 //! ## The lock rule
@@ -75,14 +76,14 @@
 
 use crate::core::{Event, SaCore};
 use crate::engine::{ExecutionBackend, RunControl, RunHandle, RunMeta, RunReport, RunTracker};
-use crate::exec::{retry_disconnected, AgentCtx, Feed, StatusFold};
+use crate::exec::{retry_disconnected, AgentCtx, StatusFold};
 use crate::message::SaMessage;
 use crate::runtime::RunOptions;
 use bytes::Bytes;
 use ginflow_core::{ServiceRegistry, Workflow};
 use ginflow_hoclflow::{agent_programs, AdaptPlan, AgentProgram};
 use ginflow_mq::metrics::{Counter, Gauge, Histogram};
-use ginflow_mq::{Broker, LagProbe, RunId, SubscribeMode, TopicNamespace};
+use ginflow_mq::{Broker, LagProbe, RunId, SubscribeMode, Subscription, TopicNamespace};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -266,7 +267,7 @@ impl RunControl for WorkflowRun {
             let _ = worker.join();
         }
         self.inner.status.disarm();
-        self.inner.inbox.sub.clear_waker();
+        self.inner.inbox.clear_waker();
     }
 }
 
@@ -298,7 +299,7 @@ struct AgentSlot {
     /// A respawned incarnation's own inbox subscription, which it
     /// filters to its key. Incarnation 0 has none: the run's shared
     /// inbox feeds it. Dropped when the agent dies.
-    own: Mutex<Option<Arc<Feed>>>,
+    own: Mutex<Option<Arc<Subscription>>>,
     /// Crash flag (the paper's killed JVM): observed between events.
     kill: AtomicBool,
     /// Set once the agent will never run again.
@@ -336,7 +337,7 @@ struct PoolInner {
     status: Arc<StatusFold>,
     /// The run's inbox subscription, demultiplexed by key into the
     /// first incarnations' queues ([`PoolInner::demux`]).
-    inbox: Feed,
+    inbox: Subscription,
     shutdown: AtomicBool,
     auto_recover: bool,
     /// Lag probes of every subscription the run ever opened (status,
@@ -440,7 +441,7 @@ fn launch_pool(
         slots: Mutex::new(HashMap::new()),
         shards: shard_txs,
         status,
-        inbox: Feed::new(inbox_sub),
+        inbox: inbox_sub,
         shutdown: AtomicBool::new(false),
         auto_recover: options.auto_recover,
         lag_probes: Mutex::new(vec![status_lag, inbox_lag]),
@@ -474,7 +475,7 @@ fn launch_pool(
     // Arm the inbox, then hand every agent its Start turn (a slot the
     // inbox already scheduled runs its Start first all the same).
     let weak: Weak<PoolInner> = Arc::downgrade(&inner);
-    inner.inbox.sub.set_waker(move || {
+    inner.inbox.set_waker(move || {
         if let Some(inner) = weak.upgrade() {
             inner.demux();
         }
@@ -493,7 +494,7 @@ impl PoolInner {
     fn make_slot(
         &self,
         program: Arc<AgentProgram>,
-        own: Option<Arc<Feed>>,
+        own: Option<Arc<Subscription>>,
         incarnation: u32,
     ) -> Arc<AgentSlot> {
         let name = program.name.clone();
@@ -538,21 +539,21 @@ impl PoolInner {
     /// Arm a respawned incarnation's own subscription: whatever it
     /// delivers — a replay first, on a persistent broker — is filtered
     /// to the slot's key and queued. The waker holds only weak
-    /// references, so it quietly dies with the slot or with the feed,
-    /// which the slot drops when the agent dies.
-    fn arm_own(self: &Arc<Self>, slot: &Arc<AgentSlot>, feed: &Arc<Feed>) {
-        let (inner, weak_slot, weak_feed) = (
+    /// references, so it quietly dies with the slot or with the
+    /// subscription, which the slot drops when the agent dies.
+    fn arm_own(self: &Arc<Self>, slot: &Arc<AgentSlot>, sub: &Arc<Subscription>) {
+        let (inner, weak_slot, weak_sub) = (
             Arc::downgrade(self),
             Arc::downgrade(slot),
-            Arc::downgrade(feed),
+            Arc::downgrade(sub),
         );
-        feed.sub.set_waker(move || {
-            let (Some(inner), Some(slot), Some(feed)) =
-                (inner.upgrade(), weak_slot.upgrade(), weak_feed.upgrade())
+        sub.set_waker(move || {
+            let (Some(inner), Some(slot), Some(sub)) =
+                (inner.upgrade(), weak_slot.upgrade(), weak_sub.upgrade())
             else {
                 return;
             };
-            feed.drain(|msg| {
+            sub.drain(|msg| {
                 if msg.key.as_deref() == Some(slot.name.as_bytes()) {
                     inner.deliver(&slot, msg.payload);
                 }
@@ -635,11 +636,11 @@ impl PoolInner {
         old.kill.store(true, Ordering::SeqCst);
         self.schedule(&old);
         self.lag_probes.lock().push(sub.lag_probe());
-        let feed = Arc::new(Feed::new(sub));
-        let slot = self.make_slot(program, Some(feed.clone()), old.incarnation + 1);
+        let sub = Arc::new(sub);
+        let slot = self.make_slot(program, Some(sub.clone()), old.incarnation + 1);
         slots.insert(task.to_owned(), slot.clone());
         drop(slots);
-        self.arm_own(&slot, &feed);
+        self.arm_own(&slot, &sub);
         self.schedule(&slot);
         true
     }

@@ -9,7 +9,7 @@
 //!                             [--service-sleep MS] [--timeout SECS] [--follow]
 //! ginflow broker serve [--addr HOST:PORT] [--profile kafka|activemq]
 //!                      [--retention SECS] [--data-dir DIR]
-//!                      [--fsync always|interval|interval:<ms>|never]
+//!                      [--fsync always|never]
 //!                      [--metrics-addr HOST:PORT]
 //! ginflow broker runs  [--addr HOST:PORT]
 //! ginflow broker top   [--addr HOST:PORT] [--interval SECS] [--count N]
@@ -61,8 +61,10 @@
 //! accounting; a completed run's topics are reclaimed by
 //! `ginflow broker gc` or automatically after `--retention SECS`. The
 //! With `--data-dir DIR` the daemon's log is **durable**: every publish
-//! is appended to segment files under `DIR` before fan-out (`--fsync`
-//! picks the sync policy), and a daemon killed mid-run and relaunched
+//! is appended to segment files under `DIR` before fan-out (`--fsync
+//! always` also syncs each append to disk before it is acknowledged, so
+//! it survives a machine crash; the default `never` survives a process
+//! crash only), and a daemon killed mid-run and relaunched
 //! on the same dir recovers its topics, offsets, and run registry —
 //! clients reconnect and replay as if only the connection had dropped,
 //! so in-flight runs complete exactly-once. Without `--data-dir` the
@@ -121,7 +123,7 @@ fn print_usage() {
          \x20                   [--service-sleep MS] [--timeout SECS] [--follow]\n\
          \x20 ginflow broker    serve [--addr HOST:PORT] [--profile kafka|activemq]\n\
          \x20                   [--retention SECS] [--data-dir DIR]\n\
-         \x20                   [--fsync always|interval|interval:<ms>|never]\n\
+         \x20                   [--fsync always|never]\n\
          \x20                   [--metrics-addr HOST:PORT]\n\
          \x20 ginflow broker    runs [--addr HOST:PORT]\n\
          \x20 ginflow broker    top [--addr HOST:PORT] [--interval SECS] [--count N]\n\
@@ -559,8 +561,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 ///   long after the run is closed. `--data-dir DIR` (kafka profile
 ///   only) backs the log with segment files under `DIR`, recovering
 ///   topics, offsets, and the run registry on relaunch — `--fsync`
-///   picks the sync policy (`always`, `interval`, `interval:<ms>`,
-///   `never`; default interval), and the retention GC reclaims a
+///   picks the sync policy (`always`: a blocking sync per append;
+///   `never`, the default: the OS writes back when it will), and the
+///   retention GC reclaims a
 ///   collected run's segment directories along with its memory.
 ///   `--metrics-addr HOST:PORT` additionally serves the daemon's
 ///   metrics registry as Prometheus text at `GET /metrics`.
@@ -786,9 +789,8 @@ fn cmd_broker_serve(flags: &Flags<'_>) -> Result<(), String> {
     let fsync = flags
         .value("--fsync")
         .map(|policy| {
-            ginflow_mq::FsyncPolicy::parse(policy).ok_or_else(|| {
-                format!("--fsync {policy:?}: expected always|interval|interval:<ms>|never")
-            })
+            ginflow_mq::FsyncPolicy::parse(policy)
+                .ok_or_else(|| format!("--fsync {policy:?}: expected always|never"))
         })
         .transpose()?;
     let (broker, recovery): (Arc<dyn ginflow_mq::Broker>, _) = match flags.value("--data-dir") {

@@ -13,14 +13,12 @@
 //! * Mesos hands out one agent per machine per offer round, so more nodes
 //!   mean fewer rounds — deployment time *decreases linearly*.
 //!
-//! The [`Deployer`] trait is open for further environments (the paper
-//! mentions a possible EC2 executor); the centralized executor lives in
-//! `ginflow-hoclflow::centralized`.
+//! The [`Deployer`] trait is open for further environments; the
+//! centralized executor lives in `ginflow-hoclflow::centralized`.
 
 pub mod campaign;
 pub mod cluster;
 pub mod deploy;
-pub mod ec2;
 
 pub use campaign::{
     deploy_and_execute, deploy_and_execute_on, deploy_and_simulate, CombinedReport, ExecutionSpec,
@@ -28,4 +26,3 @@ pub use campaign::{
 };
 pub use cluster::{Cluster, Node, Placement};
 pub use deploy::{Deployer, DeploymentReport, ExecError, ExecutorKind, MesosDeployer, SshDeployer};
-pub use ec2::Ec2Deployer;

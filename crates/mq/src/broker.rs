@@ -5,6 +5,7 @@ use crate::message::Message;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -154,15 +155,15 @@ pub trait Broker: Send + Sync {
     }
 }
 
-/// Callback invoked (after the broker's topic lock is released)
-/// whenever a message lands in a subscription's queue.
+/// Callback invoked (after the broker's topic lock is released) when a
+/// message lands in an idle subscription's queue.
 pub(crate) type WakeFn = Arc<dyn Fn() + Send + Sync>;
 
 /// Counter of messages dropped from a bounded subscription queue.
 type LagCounter = Arc<std::sync::atomic::AtomicU64>;
 
-/// The registered waker of one subscription, shared between the
-/// subscriber-facing [`Subscription`] and the broker-side
+/// The registered waker of one subscription and its schedule bit, shared
+/// between the subscriber-facing [`Subscription`] and the broker-side
 /// [`SubscriberHandle`].
 ///
 /// `armed` shadows `Some`-ness of the slot so the publish hot path can
@@ -170,13 +171,19 @@ type LagCounter = Arc<std::sync::atomic::AtomicU64>;
 /// registered one — blocking consumers.
 #[derive(Default)]
 pub(crate) struct WakerSlot {
-    armed: std::sync::atomic::AtomicBool,
+    armed: AtomicBool,
+    /// The schedule bit: set by the delivery that finds the subscription
+    /// idle (the one that fires the waker), cleared by
+    /// [`Subscription::settle`].
+    pending: AtomicBool,
     slot: Mutex<Option<WakeFn>>,
 }
 
 impl WakerSlot {
-    fn armed(&self) -> bool {
-        self.armed.load(std::sync::atomic::Ordering::Acquire)
+    /// Take the idle→pending edge: true for exactly one caller per edge,
+    /// and only while a waker is armed — that caller fires it.
+    fn claim(&self) -> bool {
+        self.armed.load(Ordering::Acquire) && !self.pending.swap(true, Ordering::SeqCst)
     }
 
     fn wake(&self) {
@@ -197,7 +204,7 @@ impl WakerSlot {
 /// push-based end to end: no consumer ever needs to poll.
 ///
 /// Public because it is also the bridge API for out-of-process broker
-/// frontends: `ginflow-net`'s `RemoteBroker` feeds EVENT frames arriving
+/// frontends: `ginflow-net`'s `RemoteBroker` feeds EVENTS frames arriving
 /// over TCP into a local [`Subscription`] through a handle obtained from
 /// [`subscription_pair`].
 pub struct SubscriberHandle {
@@ -213,7 +220,7 @@ pub struct SubscriberHandle {
     /// Set by [`Subscription`]'s `Drop`. The handle holds a receiver
     /// clone (for drop-oldest eviction), so channel disconnection can no
     /// longer signal a gone subscriber — this flag does.
-    dropped: Arc<std::sync::atomic::AtomicBool>,
+    dropped: Arc<AtomicBool>,
 }
 
 impl SubscriberHandle {
@@ -228,7 +235,7 @@ impl SubscriberHandle {
     /// [`Subscription::lagged`] counter — a stalled consumer loses the
     /// head of its backlog rather than growing it without limit.
     pub fn deliver(&self, message: Message) -> bool {
-        if self.dropped.load(std::sync::atomic::Ordering::Acquire) {
+        if self.dropped.load(Ordering::Acquire) {
             return false;
         }
         if let Some(cap) = self.capacity {
@@ -236,27 +243,27 @@ impl SubscriberHandle {
                 if self.rx.try_recv().is_err() {
                     break;
                 }
-                self.lagged
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.lagged.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.tx.send(message).is_ok()
     }
 
-    /// Fire the subscriber's waker, if one is registered. Bridges that
-    /// deliver outside any broker lock pair this with
-    /// [`SubscriberHandle::deliver`].
+    /// Fire the subscriber's waker if this finds the subscription idle
+    /// (see [`Subscription::set_waker`]). Bridges that deliver outside
+    /// any broker lock pair this with [`SubscriberHandle::deliver`].
     pub fn wake(&self) {
-        if self.waker.armed() {
+        if self.waker.claim() {
             self.waker.wake();
         }
     }
 
-    /// The subscriber's waker, for post-delivery wakeups — `None` while
-    /// no waker is registered, so publishes skip the whole wake pass for
-    /// blocking consumers.
+    /// The subscriber's waker, for the post-delivery wakeup — `None`
+    /// unless this delivery found the subscription idle, so publishes
+    /// skip the wake pass for blocking consumers and for subscriptions
+    /// a drain is already pending on.
     pub(crate) fn waker(&self) -> Option<Arc<WakerSlot>> {
-        self.waker.armed().then(|| self.waker.clone())
+        self.waker.claim().then(|| self.waker.clone())
     }
 }
 
@@ -362,7 +369,7 @@ pub fn bounded_subscription_pair(capacity: Option<usize>) -> (SubscriberHandle, 
     let (tx, rx) = unbounded();
     let waker = Arc::new(WakerSlot::default());
     let lagged: LagCounter = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let dropped = Arc::new(AtomicBool::new(false));
     (
         SubscriberHandle {
             tx,
@@ -386,14 +393,13 @@ pub struct Subscription {
     pub(crate) rx: Receiver<Message>,
     pub(crate) waker: Arc<WakerSlot>,
     lagged: LagCounter,
-    dropped: Arc<std::sync::atomic::AtomicBool>,
+    dropped: Arc<AtomicBool>,
 }
 
 impl Drop for Subscription {
     fn drop(&mut self) {
         // Future deliveries fail, so brokers prune the handle.
-        self.dropped
-            .store(true, std::sync::atomic::Ordering::Release);
+        self.dropped.store(true, Ordering::Release);
         // The broker-side handle keeps a receiver clone (for
         // drop-oldest eviction), so the channel outlives us — drain the
         // backlog now rather than holding it until the next publish on
@@ -403,9 +409,14 @@ impl Drop for Subscription {
 }
 
 impl Subscription {
-    /// Register a wakeup callback fired on every delivery. If messages
-    /// are already queued (e.g. a replayed history) the callback fires
-    /// immediately, so no edge is ever lost between subscribing and
+    /// Register a wakeup callback, fired on the subscription's
+    /// idle→pending edge: by the delivery that finds it idle, never by
+    /// the ones that follow while a drain is pending. The consumer owns
+    /// the subscription from that wake until it ends its drain with
+    /// [`Subscription::settle`] (or [`Subscription::drain`], which does
+    /// both); whatever arrives meanwhile is that drain's to take. If
+    /// messages are already queued (e.g. a replayed history) the callback
+    /// fires immediately, so no edge is ever lost between subscribing and
     /// registering.
     ///
     /// This is what makes event-driven consumers possible: instead of
@@ -413,21 +424,44 @@ impl Subscription {
     /// the consumer and lets the broker's publish path reschedule it.
     pub fn set_waker(&self, wake: impl Fn() + Send + Sync + 'static) {
         *self.waker.slot.lock() = Some(Arc::new(wake));
-        self.waker
-            .armed
-            .store(true, std::sync::atomic::Ordering::Release);
-        if !self.rx.is_empty() {
+        self.waker.armed.store(true, Ordering::Release);
+        if !self.rx.is_empty() && self.waker.claim() {
             self.waker.wake();
         }
     }
 
     /// Remove the registered waker (e.g. when the consumer dies).
     pub fn clear_waker(&self) {
-        self.waker
-            .armed
-            .store(false, std::sync::atomic::Ordering::Release);
+        self.waker.armed.store(false, Ordering::Release);
         *self.waker.slot.lock() = None;
     }
+
+    /// End a drain: mark the subscription idle, so the next delivery
+    /// fires the waker again — unless a message raced in, in which case
+    /// the bit is taken back and `true` says the caller still owns the
+    /// subscription and must drain again. Clearing *before* the re-check
+    /// is what loses no delivery: one that landed before the clear is
+    /// seen here, one after it finds the subscription idle and wakes.
+    pub fn settle(&self) -> bool {
+        self.waker.pending.store(false, Ordering::SeqCst);
+        !self.rx.is_empty() && !self.waker.pending.swap(true, Ordering::SeqCst)
+    }
+
+    /// The whole drain a waker runs: hand every queued message to
+    /// `each`, in queue order, until [`Subscription::settle`] leaves the
+    /// subscription idle. Only the waker's caller — the owner of the
+    /// idle→pending edge — may run it, so one thread drains at a time.
+    pub fn drain(&self, mut each: impl FnMut(Message)) {
+        loop {
+            while let Ok(Some(message)) = self.try_recv() {
+                each(message);
+            }
+            if !self.settle() {
+                break;
+            }
+        }
+    }
+
     /// Block until the next message (or the broker goes away).
     pub fn recv(&self) -> Result<Message, MqError> {
         self.rx.recv().map_err(|_| MqError::Disconnected)
@@ -462,7 +496,7 @@ impl Subscription {
     /// to kick in — on the transient (at-most-once) profile that is
     /// defined behaviour, not an error.
     pub fn lagged(&self) -> u64 {
-        self.lagged.load(std::sync::atomic::Ordering::Relaxed)
+        self.lagged.load(Ordering::Relaxed)
     }
 
     /// A detached reader of this subscription's [`Subscription::lagged`]
@@ -482,7 +516,7 @@ pub struct LagProbe(LagCounter);
 impl LagProbe {
     /// The current drop count.
     pub fn get(&self) -> u64 {
-        self.0.load(std::sync::atomic::Ordering::Relaxed)
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -499,24 +533,6 @@ mod tests {
 
     fn brokers() -> Vec<Arc<dyn Broker>> {
         vec![Arc::new(TransientBroker::new()), Arc::new(LogBroker::new())]
-    }
-
-    #[test]
-    fn waker_fires_on_every_publish() {
-        for broker in brokers() {
-            let sub = broker.subscribe("t", SubscribeMode::Latest).unwrap();
-            let fired = Arc::new(AtomicUsize::new(0));
-            let counter = fired.clone();
-            sub.set_waker(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-            assert_eq!(fired.load(Ordering::SeqCst), 0, "no backlog, no wake");
-            for _ in 0..3 {
-                broker.publish("t", None, payload()).unwrap();
-            }
-            assert_eq!(fired.load(Ordering::SeqCst), 3);
-            assert_eq!(sub.backlog(), 3);
-        }
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod segment;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use bytes::Bytes;
 
@@ -102,45 +101,27 @@ fn store_metrics() -> &'static StoreMetrics {
 
 /// When appended records are forced to stable storage.
 ///
-/// Appends always land in the OS page cache immediately (surviving a
-/// *process* crash); the policy only governs the machine-crash window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Appends always land in the OS page cache immediately, which survives
+/// a *process* crash; the policy only governs a *machine* crash.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `msync` after every append — smallest window, slowest.
+    /// Blocking `msync(MS_SYNC)` after every append: an acknowledged
+    /// record survives a machine crash. Every append waits on the disk.
     Always,
-    /// Queue asynchronous writeback (`msync(MS_ASYNC)`) at most once
-    /// per interval, checked on append — the default, bounding
-    /// machine-crash loss to roughly the interval without ever
-    /// blocking a publish on disk I/O.
-    Interval(Duration),
-    /// Never sync explicitly; the OS writes back at its leisure.
+    /// Never sync explicitly (the default): the OS writes back at its
+    /// leisure, so a machine crash may lose what it had not yet written.
+    #[default]
     Never,
 }
 
 impl FsyncPolicy {
-    /// Default interval for [`FsyncPolicy::Interval`].
-    pub const DEFAULT_INTERVAL_MS: u64 = 50;
-
-    /// Parse a CLI knob: `always`, `never`, `interval`, or
-    /// `interval:<ms>`.
+    /// Parse a CLI knob: `always` or `never`.
     pub fn parse(s: &str) -> Option<FsyncPolicy> {
         match s {
             "always" => Some(FsyncPolicy::Always),
             "never" => Some(FsyncPolicy::Never),
-            "interval" => Some(FsyncPolicy::Interval(Duration::from_millis(
-                Self::DEFAULT_INTERVAL_MS,
-            ))),
-            _ => {
-                let ms = s.strip_prefix("interval:")?.parse::<u64>().ok()?;
-                Some(FsyncPolicy::Interval(Duration::from_millis(ms)))
-            }
+            _ => None,
         }
-    }
-}
-
-impl Default for FsyncPolicy {
-    fn default() -> Self {
-        FsyncPolicy::Interval(Duration::from_millis(Self::DEFAULT_INTERVAL_MS))
     }
 }
 
@@ -321,17 +302,9 @@ impl PartitionStore {
         m.appends.inc();
         m.append_bytes.add(frame as u64);
         m.disk_bytes.add(frame as u64);
-        match self.config.fsync {
-            FsyncPolicy::Always => {
-                self.active.sync()?;
-                m.fsyncs.inc();
-            }
-            FsyncPolicy::Interval(interval) => {
-                if self.active.sync_if_due(interval)? {
-                    m.fsyncs.inc();
-                }
-            }
-            FsyncPolicy::Never => {}
+        if self.config.fsync == FsyncPolicy::Always {
+            self.active.sync()?;
+            m.fsyncs.inc();
         }
         Ok(())
     }

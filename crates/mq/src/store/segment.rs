@@ -211,35 +211,11 @@ extern "C" {
     ) -> *mut c_void;
     fn munmap(addr: *mut c_void, len: usize) -> c_int;
     fn msync(addr: *mut c_void, len: usize, flags: c_int) -> c_int;
-    fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
-}
-
-#[repr(C)]
-struct Timespec {
-    sec: i64,
-    nsec: i64,
-}
-
-/// `CLOCK_MONOTONIC_COARSE`: the tick-resolution (~1–4 ms) monotonic
-/// clock the vDSO serves without a timer read — an order of magnitude
-/// cheaper than `Instant::now()`, and plenty for fsync deadlines in
-/// the tens of milliseconds.
-const CLOCK_MONOTONIC_COARSE: c_int = 6;
-
-/// Coarse monotonic milliseconds — the interval-fsync deadline clock.
-/// Cheap enough to read on every append.
-fn coarse_millis() -> u64 {
-    let mut ts = Timespec { sec: 0, nsec: 0 };
-    if unsafe { clock_gettime(CLOCK_MONOTONIC_COARSE, &mut ts) } != 0 {
-        return 0;
-    }
-    ts.sec as u64 * 1000 + (ts.nsec / 1_000_000) as u64
 }
 
 const PROT_READ: c_int = 1;
 const PROT_WRITE: c_int = 2;
 const MAP_SHARED: c_int = 1;
-const MS_ASYNC: c_int = 1;
 const MS_SYNC: c_int = 4;
 const PAGE: usize = 4096;
 
@@ -273,24 +249,17 @@ impl Mmap {
         })
     }
 
-    /// `msync` the first `upto` bytes (page-rounded). `MS_SYNC` blocks
-    /// until the pages are on stable storage; `MS_ASYNC` just queues
-    /// them for kernel writeback and returns — the interval policy's
-    /// non-stalling flavor.
-    fn sync_flags(&self, upto: usize, flags: c_int) -> io::Result<()> {
+    /// Blocking `msync` of the first `upto` bytes (page-rounded) to
+    /// stable storage.
+    fn sync(&self, upto: usize) -> io::Result<()> {
         let len = upto.min(self.len).div_ceil(PAGE) * PAGE;
         if len == 0 {
             return Ok(());
         }
-        if unsafe { msync(self.ptr as *mut c_void, len.min(self.len), flags) } != 0 {
+        if unsafe { msync(self.ptr as *mut c_void, len.min(self.len), MS_SYNC) } != 0 {
             return Err(io::Error::last_os_error());
         }
         Ok(())
-    }
-
-    /// Blocking `msync` of the first `upto` bytes to stable storage.
-    fn sync(&self, upto: usize) -> io::Result<()> {
-        self.sync_flags(upto, MS_SYNC)
     }
 
     fn as_slice(&self) -> &[u8] {
@@ -408,8 +377,6 @@ pub(crate) struct SegmentWriter {
     map: Mmap,
     file: File,
     path: PathBuf,
-    /// [`coarse_millis`] of the last sync — the interval-policy clock.
-    last_sync_ms: u64,
 }
 
 impl SegmentWriter {
@@ -433,7 +400,6 @@ impl SegmentWriter {
             map,
             file,
             path,
-            last_sync_ms: coarse_millis(),
         })
     }
 
@@ -459,7 +425,6 @@ impl SegmentWriter {
             map,
             file,
             path,
-            last_sync_ms: coarse_millis(),
         })
     }
 
@@ -549,28 +514,7 @@ impl SegmentWriter {
 
     /// `msync` everything appended so far.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.map.sync(self.len)?;
-        self.last_sync_ms = coarse_millis();
-        Ok(())
-    }
-
-    /// Apply the interval fsync policy: when `interval` has elapsed
-    /// since the last sync (as seen by the coarse clock, so the
-    /// deadline check costs nanoseconds), hand the dirty pages to
-    /// kernel writeback with `MS_ASYNC` — the publish path never
-    /// stalls on disk I/O. A process crash loses nothing either way
-    /// (the page cache survives); a *machine* crash under this policy
-    /// loses at most ~`interval` plus the writeback in flight, which
-    /// is the deal the knob advertises. [`SegmentWriter::sync`]
-    /// (driven by `flush`, seal, and drop) remains fully blocking.
-    /// Returns whether a sync was actually issued.
-    pub fn sync_if_due(&mut self, interval: std::time::Duration) -> io::Result<bool> {
-        if coarse_millis().saturating_sub(self.last_sync_ms) >= interval.as_millis() as u64 {
-            self.map.sync_flags(self.len, MS_ASYNC)?;
-            self.last_sync_ms = coarse_millis();
-            return Ok(true);
-        }
-        Ok(false)
+        self.map.sync(self.len)
     }
 
     /// Read records `[rel, …)` from the mapping into `out`, at most

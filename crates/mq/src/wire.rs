@@ -36,7 +36,6 @@
 //!   0x09 STATS         seq:u64
 //!
 //! server → client:
-//!   0x81 RECEIPT       seq:u64 partition:u32 offset:u64
 //!   0x82 SUBSCRIBED    seq:u64 sub:u64 resume:u64
 //!   0x83 MESSAGES      seq:u64 count:u32 message…
 //!   0x84 INFO_REPLY    seq:u64 persistent:u8 partitions:u32 retained:u64
@@ -45,24 +44,20 @@
 //!   0x87 RUN_GC_REPLY  seq:u64 runs:u32 topics:u32
 //!   0x88 STATS_REPLY   seq:u64 count:u32 stat_row…
 //!                      (the daemon's full metrics snapshot, flattened)
-//!   0x90 EVENT         sub:u64 message       (unsolicited push delivery)
 //!   0x91 EVENTS        sub:u64 count:u32 message…
-//!                      (coalesced push: one frame per pump wakeup)
-//!   0x92 RECEIPTS      seq_first:u64 count:u32 partition:u32 offset_first:u64
-//!                      (range ack: count consecutive publishes, seqs
-//!                       seq_first… and offsets offset_first…, all on
-//!                       one partition — the request-direction mirror
-//!                       of EVENTS; count ≤ MAX_RECEIPT_RUN)
+//!                      (push: what one drain of a subscription took,
+//!                       one message or many)
 //!   0x93 RECEIPT_LIST  seq_first:u64 count:u32 (partition:u32 offset:u64)×count
-//!                      (list ack: count consecutive publishes, seqs
+//!                      (ack: count consecutive publishes, seqs
 //!                       seq_first…, each with its own partition and
 //!                       offset; count ≤ MAX_RECEIPT_RUN)
 //!
-//! The daemon acks the consecutive publishes of one read turn with one
-//! frame, whatever their topics: one publish gets a RECEIPT, a run whose
-//! offsets count up by one on one partition a RECEIPTS, and any other
-//! run — a status update and the results it precedes, which land on
-//! two topics — a RECEIPT_LIST.
+//! Each direction of delivery has one frame. The daemon acks the
+//! consecutive publishes of one read turn with one RECEIPT_LIST,
+//! whatever their topics — a lone blocking publish gets a list of one —
+//! and pushes what one drain of a subscription took as one EVENTS,
+//! however few. Opcodes 0x81, 0x90 and 0x92 are retired: they decode as
+//! unknown.
 //!
 //! run_stat := run:str topics:u32 retained:u64 completed:u8
 //! stat_row := name:str label:str value:u64    (label empty = unlabelled)
@@ -91,13 +86,12 @@ pub const MAX_FRAME: usize = 8 * 1024 * 1024;
 /// position cannot be expressed as one offset).
 pub const NO_RESUME: u64 = u64::MAX;
 
-/// Largest receipt run one RECEIPTS or RECEIPT_LIST frame may
-/// acknowledge. A RECEIPTS frame is constant-size whatever its count, so
-/// without this cap a corrupt or hostile 25-byte frame could claim 2³²
-/// receipts and stall the client resolving them; a cooperating server
-/// flushes its run long before this bound (a run never outlives the
-/// read turn of at most a few MiB of publishes that made it).
-pub const MAX_RECEIPT_RUN: u32 = 1 << 20;
+/// Largest receipt run one RECEIPT_LIST frame may acknowledge: twelve
+/// bytes a receipt keep a full list (6 MiB) under [`MAX_FRAME`], so the
+/// daemon, which flushes its run at this bound, always encodes it. A
+/// cooperating server flushes long before (a run never outlives the read
+/// turn of at most a few MiB of publishes that made it).
+pub const MAX_RECEIPT_RUN: u32 = 1 << 19;
 
 /// What the codec can refuse.
 #[derive(Debug)]
@@ -162,7 +156,7 @@ pub struct RunStat {
 }
 
 /// One protocol frame. Client→server frames carry a `seq` the server
-/// echoes in its reply; [`Frame::Event`] is the unsolicited push path.
+/// echoes in its reply; [`Frame::Events`] is the unsolicited push path.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// Publish `payload` to `topic` (client → server).
@@ -237,45 +231,14 @@ pub enum Frame {
         /// Correlation id.
         seq: u64,
     },
-    /// Publish acknowledgement (server → client).
-    Receipt {
-        /// Echoed correlation id.
-        seq: u64,
-        /// Partition the message landed in.
-        partition: u32,
-        /// Offset assigned.
-        offset: u64,
-    },
-    /// Range acknowledgement of `count` consecutive publishes — the
-    /// request-direction mirror of [`Frame::Events`] (server → client).
-    /// Acknowledges seqs `seq_first..seq_first + count`, whose messages
-    /// all landed on `partition` at the consecutive offsets
-    /// `offset_first..offset_first + count`; semantically identical to
-    /// the same `count` [`Frame::Receipt`]s arriving back to back. The
-    /// server only coalesces receipts whose actual values form this
-    /// arithmetic run (one client pipelining into one single-partition
-    /// topic — the publish-storm shape), so the expansion is exact.
-    Receipts {
-        /// Correlation id of the first publish in the run.
-        seq_first: u64,
-        /// Run length (≥ 2 from a well-formed server; decode rejects
-        /// counts above [`MAX_RECEIPT_RUN`]).
-        count: u32,
-        /// Partition every message in the run landed in.
-        partition: u32,
-        /// Offset of the first message; successors increment by one.
-        offset_first: u64,
-    },
-    /// List acknowledgement of consecutive publishes, each with its own
+    /// Acknowledgement of consecutive publishes, each with its own
     /// receipt (server → client): seqs `seq_first..seq_first + n` for
-    /// the `n` receipts, in order. Semantically identical to the same
-    /// [`Frame::Receipt`]s arriving back to back — the frame the daemon
-    /// acks a turn's publishes with when their receipts form no
-    /// [`Frame::Receipts`] run (publishes that land on several topics).
+    /// the `n` receipts, in order — the one ack frame, whether it
+    /// answers a lone blocking publish or a read turn's pipelined storm.
     ReceiptList {
         /// Correlation id of the first publish acknowledged.
         seq_first: u64,
-        /// Where each publish landed (≥ 2 from a well-formed server;
+        /// Where each publish landed (≥ 1 from a well-formed server;
         /// decode rejects more than [`MAX_RECEIPT_RUN`]).
         receipts: Vec<Receipt>,
     },
@@ -283,7 +246,7 @@ pub enum Frame {
     Subscribed {
         /// Echoed correlation id.
         seq: u64,
-        /// Subscription id future [`Frame::Event`]s carry.
+        /// Subscription id future [`Frame::Events`] carry.
         sub: u64,
         /// The topic's retained-message count sampled *before* the
         /// subscription attached, or [`NO_RESUME`] when no watermark is
@@ -345,18 +308,9 @@ pub enum Frame {
         message: String,
     },
     /// Push delivery on an open subscription (server → client,
-    /// unsolicited).
-    Event {
-        /// Subscription id from [`Frame::Subscribed`].
-        sub: u64,
-        /// The delivered message.
-        message: Message,
-    },
-    /// Coalesced push delivery: everything queued on one subscription at
-    /// the moment its pump woke, in one frame — one encode and one
-    /// syscall per *wakeup* instead of one per message (server →
-    /// client, unsolicited). Semantically identical to the same
-    /// messages arriving as consecutive [`Frame::Event`]s.
+    /// unsolicited): what one drain of the subscription took, in one
+    /// frame — one encode and one syscall per *wakeup* instead of one
+    /// per message.
     Events {
         /// Subscription id from [`Frame::Subscribed`].
         sub: u64,
@@ -480,16 +434,6 @@ impl Frame {
                 buf.push(0x09);
                 put_u64(&mut buf, *seq);
             }
-            Frame::Receipt {
-                seq,
-                partition,
-                offset,
-            } => {
-                buf.push(0x81);
-                put_u64(&mut buf, *seq);
-                put_u32(&mut buf, *partition);
-                put_u64(&mut buf, *offset);
-            }
             Frame::Subscribed { seq, sub, resume } => {
                 buf.push(0x82);
                 put_u64(&mut buf, *seq);
@@ -548,18 +492,6 @@ impl Frame {
                     put_u64(&mut buf, row.value);
                 }
             }
-            Frame::Receipts {
-                seq_first,
-                count,
-                partition,
-                offset_first,
-            } => {
-                buf.push(0x92);
-                put_u64(&mut buf, *seq_first);
-                put_u32(&mut buf, *count);
-                put_u32(&mut buf, *partition);
-                put_u64(&mut buf, *offset_first);
-            }
             Frame::ReceiptList {
                 seq_first,
                 receipts,
@@ -571,11 +503,6 @@ impl Frame {
                     put_u32(&mut buf, r.partition);
                     put_u64(&mut buf, r.offset);
                 }
-            }
-            Frame::Event { sub, message } => {
-                buf.push(0x90);
-                put_u64(&mut buf, *sub);
-                put_message(&mut buf, message);
             }
             Frame::Events { sub, messages } => {
                 buf.push(0x91);
@@ -635,11 +562,6 @@ impl Frame {
             },
             0x08 => Frame::RunGc { seq: r.u64()? },
             0x09 => Frame::Stats { seq: r.u64()? },
-            0x81 => Frame::Receipt {
-                seq: r.u64()?,
-                partition: r.u32()?,
-                offset: r.u64()?,
-            },
             0x82 => Frame::Subscribed {
                 seq: r.u64()?,
                 sub: r.u64()?,
@@ -685,21 +607,6 @@ impl Frame {
                     })
                 })?,
             },
-            0x92 => {
-                let seq_first = r.u64()?;
-                let count = r.u32()?;
-                if count > MAX_RECEIPT_RUN {
-                    // The frame is constant-size whatever it claims, so
-                    // an absurd count is corruption, not a big batch.
-                    return Err(WireError::Truncated);
-                }
-                Frame::Receipts {
-                    seq_first,
-                    count,
-                    partition: r.u32()?,
-                    offset_first: r.u64()?,
-                }
-            }
             0x93 => {
                 let seq_first = r.u64()?;
                 let count = r.u32()?;
@@ -720,10 +627,6 @@ impl Frame {
                     receipts,
                 }
             }
-            0x90 => Frame::Event {
-                sub: r.u64()?,
-                message: r.message()?,
-            },
             0x91 => Frame::Events {
                 sub: r.u64()?,
                 messages: r.counted(17, Reader::message)?,
@@ -1020,11 +923,6 @@ mod tests {
                 seq: 5,
                 topic: String::new(),
             },
-            Frame::Receipt {
-                seq: 1,
-                partition: 0,
-                offset: 12,
-            },
             Frame::Subscribed {
                 seq: 2,
                 sub: 9,
@@ -1092,12 +990,6 @@ mod tests {
                 seq: 11,
                 stats: Vec::new(),
             },
-            Frame::Receipts {
-                seq_first: 100,
-                count: 64,
-                partition: 0,
-                offset_first: 4096,
-            },
             Frame::ReceiptList {
                 seq_first: 200,
                 receipts: vec![
@@ -1111,9 +1003,9 @@ mod tests {
                     },
                 ],
             },
-            Frame::Event {
+            Frame::Events {
                 sub: 9,
-                message: message(),
+                messages: vec![message()],
             },
             Frame::Events {
                 sub: 9,
@@ -1130,9 +1022,9 @@ mod tests {
 
     #[test]
     fn truncated_bodies_are_rejected() {
-        let encoded = Frame::Event {
+        let encoded = Frame::Events {
             sub: 1,
-            message: message(),
+            messages: vec![message()],
         }
         .encode()
         .unwrap();
@@ -1170,19 +1062,24 @@ mod tests {
 
     #[test]
     fn receipts_run_over_cap_is_rejected() {
-        let encoded = Frame::Receipts {
+        let receipts = vec![
+            Receipt {
+                partition: 0,
+                offset: 0,
+            };
+            MAX_RECEIPT_RUN as usize + 1
+        ];
+        let list = |receipts: &[Receipt]| Frame::ReceiptList {
             seq_first: 1,
-            count: MAX_RECEIPT_RUN,
-            partition: 0,
-            offset_first: 0,
-        }
-        .encode()
-        .unwrap();
-        assert!(Frame::decode(&encoded[4..]).is_ok(), "cap itself is legal");
-        let mut body = encoded[4..].to_vec();
-        body[9..13].copy_from_slice(&(MAX_RECEIPT_RUN + 1).to_be_bytes());
+            receipts: receipts.to_vec(),
+        };
+        let at_cap = list(&receipts[1..])
+            .encode()
+            .expect("a full run fits one frame");
+        assert!(Frame::decode(&at_cap[4..]).is_ok(), "cap itself is legal");
+        let over = list(&receipts).encode().unwrap();
         assert!(
-            matches!(Frame::decode(&body), Err(WireError::Truncated)),
+            matches!(Frame::decode(&over[4..]), Err(WireError::Truncated)),
             "count beyond MAX_RECEIPT_RUN must be rejected"
         );
     }

@@ -85,19 +85,6 @@ fn arb_frame() -> BoxedStrategy<Frame> {
                 max,
             }),
         (seq(), arb_topic()).prop_map(|(seq, topic)| Frame::Info { seq, topic }),
-        (seq(), any::<u32>(), any::<u64>()).prop_map(|(seq, partition, offset)| Frame::Receipt {
-            seq,
-            partition,
-            offset,
-        }),
-        (seq(), 0u32..=MAX_RECEIPT_RUN, any::<u32>(), any::<u64>()).prop_map(
-            |(seq_first, count, partition, offset_first)| Frame::Receipts {
-                seq_first,
-                count,
-                partition,
-                offset_first,
-            }
-        ),
         (seq(), arb_receipts()).prop_map(|(seq_first, receipts)| Frame::ReceiptList {
             seq_first,
             receipts,
@@ -131,7 +118,6 @@ fn arb_frame() -> BoxedStrategy<Frame> {
         seq().prop_map(|seq| Frame::Stats { seq }),
         (seq(), prop::collection::vec(arb_stat_row(), 0..4))
             .prop_map(|(seq, stats)| Frame::StatsReply { seq, stats }),
-        (any::<u64>(), arb_message()).prop_map(|(sub, message)| Frame::Event { sub, message }),
         (any::<u64>(), prop::collection::vec(arb_message(), 0..6))
             .prop_map(|(sub, messages)| Frame::Events { sub, messages }),
     ]
@@ -262,34 +248,6 @@ proptest! {
         }
         prop_assert!(read_frame(&mut cursor).unwrap().is_none());
         prop_assert_eq!(split_chunked(&stream, &chunking), (frames, None));
-    }
-}
-
-proptest! {
-    /// A RECEIPTS frame is constant-size whatever run length it
-    /// claims, so the count carries no implicit body-size bound — any
-    /// count beyond MAX_RECEIPT_RUN must be rejected as corruption,
-    /// and every strict prefix of the body must fail like any frame.
-    #[test]
-    fn receipts_over_cap_or_truncated_rejected(
-        seq_first in any::<u64>(),
-        excess in 1u32..1024,
-        partition in any::<u32>(),
-        offset_first in any::<u64>(),
-        cut in 1usize..24,
-    ) {
-        let frame = Frame::Receipts {
-            seq_first,
-            count: MAX_RECEIPT_RUN,
-            partition,
-            offset_first,
-        };
-        let encoded = frame.encode().unwrap();
-        let mut body = encoded[4..].to_vec();
-        prop_assert_eq!(Frame::decode(&body).unwrap(), frame);
-        prop_assert!(Frame::decode(&body[..body.len() - cut.min(body.len() - 1)]).is_err());
-        body[9..13].copy_from_slice(&(MAX_RECEIPT_RUN + excess).to_be_bytes());
-        prop_assert!(Frame::decode(&body).is_err());
     }
 }
 

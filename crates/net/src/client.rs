@@ -4,10 +4,11 @@
 //!
 //! Three properties matter:
 //!
-//! * **Push, not poll.** EVENT frames are fed straight into the local
-//!   [`Subscription`]'s queue and fire its registered waker
-//!   ([`Subscription::set_waker`]), so the PR-1 scheduler drives remote
-//!   subscriptions exactly like local ones — zero polling end to end.
+//! * **Push, not poll.** EVENTS frames are fed straight into the local
+//!   [`Subscription`]'s queue and wake it — once per frame, and only if
+//!   it was idle ([`Subscription::set_waker`]) — so the scheduler drives
+//!   remote subscriptions exactly like local ones: zero polling end to
+//!   end.
 //! * **Reconnect with replay.** When the connection drops, the reactor
 //!   redials and re-subscribes every live subscription. Against a
 //!   persistent broker, a subscription that has seen offsets resumes
@@ -23,15 +24,16 @@
 //!
 //! ## Pipelined publish
 //!
-//! [`Broker::publish`] is the blocking path: one RECEIPT round trip
-//! per message, receipt returned to the caller.
+//! [`Broker::publish`] is the blocking path: one round trip per
+//! message, its receipt — the daemon's RECEIPT_LIST of one — returned
+//! to the caller.
 //! [`Broker::publish_many_nowait`] is the hot path, and the only place
 //! a pipelined publish is queued ([`Broker::publish_nowait`] is the
 //! batch of one): the batch's PUBLISH frames are encoded into one
 //! buffer and handed to the connection in one step — one lock of the
 //! waiter table, one append to the FIFO, one doorbell ring, however
-//! many items — and the call returns; the reactor loop consumes
-//! RECEIPTs asynchronously, releasing bytes from the in-flight window
+//! many items — and the call returns; the reactor loop consumes the
+//! receipts asynchronously, releasing bytes from the in-flight window
 //! ([`PIPELINE_WINDOW_BYTES`]). An agent turn that publishes a status
 //! update and thirty results wakes the reactor once, not thirty-one
 //! times. The call only blocks when the window is full (after queueing
@@ -40,10 +42,8 @@
 //! (then clears) the loss ledger. An item the codec refuses fails
 //! alone: its neighbours are queued and the call returns the first
 //! error. The event-loop daemon acks the consecutive publishes of a
-//! read turn — a batch, a pipelined storm — with one frame: a RECEIPTS
-//! *range* when their offsets count up on one partition, a RECEIPT_LIST
-//! when they went to several topics; the client expands either back
-//! into per-seq receipts, so callers never see the difference.
+//! read turn — a batch, a pipelined storm — with one RECEIPT_LIST,
+//! which the client expands back into per-seq receipts.
 //!
 //! The wire itself is abstracted behind
 //! [`Transport`]: [`RemoteBroker::connect`]
@@ -67,7 +67,7 @@
 //! **Ack/loss semantics.** A pipelined publish that fails before the
 //! frame is queued errors immediately (caller's error, e.g.
 //! oversized payload or a timed-out reconnect wait). One that dies
-//! *after* that — connection severed before its RECEIPT, or refused
+//! *after* that — connection severed before its receipt, or refused
 //! by the server — is counted on a loss ledger that the next
 //! `flush()` returns and resets. Un-acked pipelined publishes are
 //! **not** replayed on reconnect: the daemon may have processed a
@@ -119,7 +119,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -207,20 +207,8 @@ impl RemoteSub {
         true
     }
 
-    /// Deliver one pushed message (false = local subscriber is gone).
-    fn deliver(&self, message: Message) -> bool {
-        if !self.admit(&message) {
-            return true;
-        }
-        if !self.handle.deliver(message) {
-            return false;
-        }
-        self.handle.wake();
-        true
-    }
-
-    /// Deliver a coalesced batch, waking the subscriber **once** at the
-    /// end instead of per message (false = local subscriber is gone).
+    /// Deliver one EVENTS frame's messages, waking the subscriber at
+    /// most **once**, at the end (false = local subscriber is gone).
     fn deliver_batch(&self, messages: Vec<Message>) -> bool {
         let mut delivered = false;
         for message in messages {
@@ -245,7 +233,7 @@ enum Waiter {
     Reply(ReplySender),
     /// A subscribe in flight: the dispatch itself registers the
     /// subscription under the server-assigned id *before* processing any
-    /// further frame, so no EVENT can slip past between the ack and the
+    /// further frame, so no EVENTS can slip past between the ack and the
     /// registration.
     Subscribe {
         entry: Arc<RemoteSub>,
@@ -257,7 +245,7 @@ enum Waiter {
     /// ack still arrives, the server-side subscription must be torn
     /// down rather than stream events nobody handles.
     Abandoned,
-    /// A pipelined publish in flight: nobody blocks on the RECEIPT —
+    /// A pipelined publish in flight: nobody blocks on the receipt —
     /// the dispatch consumes it and releases the publish's bytes from the
     /// pipeline window.
     Pipelined {
@@ -537,59 +525,6 @@ impl RemoteBroker {
             other => Err(protocol_error(&other)),
         }
     }
-
-    /// Build one subscribe request: its seq, its waiter, its encoded
-    /// frame, the channel the ack arrives on and the local subscription.
-    /// The caller submits waiter and bytes (possibly with other
-    /// requests) and then awaits the ack with
-    /// [`RemoteBroker::await_subscribed`].
-    fn subscribe_request(
-        &self,
-        topic: &str,
-        mode: SubscribeMode,
-    ) -> Result<(u64, Waiter, Vec<u8>, AckReceiver, Subscription), MqError> {
-        let (handle, subscription) = subscription_pair();
-        let entry = Arc::new(RemoteSub {
-            topic: topic.to_owned(),
-            origin_mode: mode,
-            handle,
-            next_offset: Mutex::new(HashMap::new()),
-        });
-        let seq = self.next_seq();
-        let buf = encode(&Frame::Subscribe {
-            seq,
-            topic: topic.to_owned(),
-            mode,
-        })?;
-        let (tx, rx) = sync_channel(1);
-        Ok((
-            seq,
-            Waiter::Subscribe { entry, reply: tx },
-            buf,
-            rx,
-            subscription,
-        ))
-    }
-
-    /// Wait for the ack of a submitted
-    /// [`RemoteBroker::subscribe_request`].
-    fn await_subscribed(&self, seq: u64, rx: &AckReceiver) -> Result<(), MqError> {
-        match rx.recv_timeout(REQUEST_TIMEOUT) {
-            Ok(Ok(_)) => Ok(()),
-            Ok(Err(e)) => Err(e),
-            Err(_) => {
-                // Leave a tombstone: if the ack still arrives, the
-                // dispatch unsubscribes the orphaned server-side
-                // subscription instead of letting it stream events
-                // nobody handles.
-                let mut pending = self.inner.pending.lock();
-                if pending.remove(&seq).is_some() {
-                    pending.insert(seq, Waiter::Abandoned);
-                }
-                Err(MqError::Timeout)
-            }
-        }
-    }
 }
 
 impl Drop for RemoteBroker {
@@ -622,13 +557,9 @@ fn protocol_error(frame: &Frame) -> MqError {
     }
 }
 
-/// The channel a subscribe ack (or its failure) arrives on.
-type AckReceiver = Receiver<Result<Frame, MqError>>;
-
 /// Where the loop sends the one reply a request gets: a
 /// `sync_channel(1)`. With one slot the single `send` never blocks the
-/// loop thread, and a bulk subscribe of N topics does not hold N of an
-/// unbounded channel's multi-slot blocks while it waits.
+/// loop thread.
 type ReplySender = SyncSender<Result<Frame, MqError>>;
 
 /// Encode a request frame. A frame the codec refuses (oversized
@@ -871,13 +802,12 @@ impl ClientInner {
         }
     }
 
-    /// Expand one frame acking consecutive publishes — a RECEIPTS range
-    /// or a RECEIPT_LIST, `receipts` in seq order from `seq_first` —
-    /// back into the per-seq receipts the waiters expect: one `pending`
-    /// lock for the frame, the pipelined publishes' window bytes
-    /// released together, and every blocking publisher handed its own
-    /// exact RECEIPT.
-    fn on_receipts(&self, seq_first: u64, receipts: impl IntoIterator<Item = Receipt>) {
+    /// Expand one RECEIPT_LIST — `receipts` in seq order from
+    /// `seq_first` — back into the per-seq receipts the waiters expect:
+    /// one `pending` lock for the frame, the pipelined publishes' window
+    /// bytes released together, and every blocking publisher handed its
+    /// own exact receipt, as a list of one.
+    fn on_receipts(&self, seq_first: u64, receipts: Vec<Receipt>) {
         let waiters: Vec<(u64, Receipt, Waiter)> = {
             let mut pending = self.pending.lock();
             (seq_first..)
@@ -889,10 +819,9 @@ impl ClientInner {
         for (seq, receipt, waiter) in waiters {
             match waiter {
                 Waiter::Reply(tx) => {
-                    let _ = tx.send(Ok(Frame::Receipt {
-                        seq,
-                        partition: receipt.partition,
-                        offset: receipt.offset,
+                    let _ = tx.send(Ok(Frame::ReceiptList {
+                        seq_first: seq,
+                        receipts: vec![receipt],
                     }));
                 }
                 // The common case: pipelined publishes acked in bulk.
@@ -920,16 +849,6 @@ impl ClientInner {
                 let entry = self.subs.lock().get(&sub).cloned();
                 if let Some(entry) = entry {
                     if !entry.deliver_batch(messages) {
-                        // Same pruning path as a single EVENT below.
-                        self.drop_sub(sub);
-                        self.send_best_effort(&Frame::Unsubscribe { seq: 0, sub });
-                    }
-                }
-            }
-            Frame::Event { sub, message } => {
-                let entry = self.subs.lock().get(&sub).cloned();
-                if let Some(entry) = entry {
-                    if !entry.deliver(message) {
                         // Local subscriber dropped its Subscription:
                         // prune and tell the server. Best-effort only —
                         // this runs on the loop thread, which must
@@ -948,7 +867,7 @@ impl ClientInner {
                 match waiter {
                     Some(Waiter::Subscribe { entry, reply }) => {
                         // Register before touching the socket again —
-                        // the very next frame may be this sub's EVENT.
+                        // the very next frame may be this sub's EVENTS.
                         entry.seed_watermark(resume, persistent);
                         self.register_sub(sub, entry);
                         let _ = reply.send(Ok(Frame::Subscribed { seq, sub, resume }));
@@ -973,35 +892,17 @@ impl ClientInner {
                     None => {}
                 }
             }
-            // A receipt-range ack: the daemon coalesces consecutive
-            // publish acks whose offsets count up on one partition into
-            // a single frame; the per-entry maths is exact because the
-            // server only coalesces actual runs.
-            Frame::Receipts {
-                seq_first,
-                count,
-                partition,
-                offset_first,
-            } => self.on_receipts(
-                seq_first,
-                (0..count as u64).map(|i| Receipt {
-                    partition,
-                    offset: offset_first + i,
-                }),
-            ),
             Frame::ReceiptList {
                 seq_first,
                 receipts,
             } => self.on_receipts(seq_first, receipts),
-            Frame::Receipt { .. }
-            | Frame::Messages { .. }
+            Frame::Messages { .. }
             | Frame::InfoReply { .. }
             | Frame::RunListReply { .. }
             | Frame::RunGcReply { .. }
             | Frame::StatsReply { .. } => {
                 let seq = match &frame {
-                    Frame::Receipt { seq, .. }
-                    | Frame::Messages { seq, .. }
+                    Frame::Messages { seq, .. }
                     | Frame::InfoReply { seq, .. }
                     | Frame::RunListReply { seq, .. }
                     | Frame::RunGcReply { seq, .. }
@@ -1016,9 +917,8 @@ impl ClientInner {
                         Waiter::Subscribe { reply, .. } => {
                             let _ = reply.send(Err(protocol_error(&frame)));
                         }
-                        // The asynchronous ack of a pipelined publish:
-                        // release its window bytes, wake anyone blocked
-                        // on a full window or a flush.
+                        // A non-receipt reply to a publish seq is server
+                        // nonsense; release the window either way.
                         Waiter::Pipelined { bytes } => self.pipeline_release(1, bytes, false),
                         Waiter::Resubscribe { .. } | Waiter::Abandoned => {}
                     }
@@ -1067,9 +967,7 @@ impl Broker for RemoteBroker {
             key,
             payload,
         })? {
-            Frame::Receipt {
-                partition, offset, ..
-            } => Ok(Receipt { partition, offset }),
+            Frame::ReceiptList { receipts, .. } if receipts.len() == 1 => Ok(receipts[0]),
             other => Err(protocol_error(&other)),
         }
     }
@@ -1091,12 +989,12 @@ impl Broker for RemoteBroker {
     /// ([`PIPELINE_WINDOW_BYTES`]; the call blocks only while that is
     /// full), and the whole batch is queued by **one** submit — one
     /// `pending` lock, one append to the connection's FIFO, one
-    /// doorbell ring — no round trip. RECEIPTs are consumed
+    /// doorbell ring — no round trip. Receipts are consumed
     /// asynchronously by the reactor loop, which releases the window
-    /// bytes; the daemon acks a batch with one RECEIPTS range or
-    /// RECEIPT_LIST. Frames go out on the same socket in batch order
-    /// behind whatever this client queued before, so per-topic FIFO
-    /// ordering holds exactly as for the blocking path.
+    /// bytes; the daemon acks a batch with one RECEIPT_LIST. Frames go
+    /// out on the same socket in batch order behind whatever this client
+    /// queued before, so per-topic FIFO ordering holds exactly as for
+    /// the blocking path.
     ///
     /// An item that cannot be queued — a payload the codec refuses, a
     /// full window that never drained — fails alone: the rest of the
@@ -1173,42 +1071,37 @@ impl Broker for RemoteBroker {
     }
 
     fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
-        let (seq, waiter, buf, rx, subscription) = self.subscribe_request(topic, mode)?;
-        self.inner.submit([(seq, waiter)], &buf)?;
-        self.await_subscribed(seq, &rx)?;
-        Ok(subscription)
-    }
-
-    /// Pipelined bulk subscribe: every SUBSCRIBE frame is registered
-    /// and queued (one concatenated batch) before the first ack is
-    /// awaited, so N subscriptions cost one round trip instead
-    /// of N — the difference between a 1000-agent launch paying ~1000
-    /// loopback RTTs and paying one.
-    fn subscribe_many(
-        &self,
-        requests: &[(String, SubscribeMode)],
-    ) -> Result<Vec<Subscription>, MqError> {
-        // Encode everything first: an unencodable request fails the
-        // call before anything is registered or queued.
-        let mut waiters = Vec::with_capacity(requests.len());
-        let mut awaiting = Vec::with_capacity(requests.len());
-        let mut subscriptions = Vec::with_capacity(requests.len());
-        let mut batch: Vec<u8> = Vec::with_capacity(64 * requests.len());
-        for (topic, mode) in requests {
-            let (seq, waiter, buf, rx, subscription) = self.subscribe_request(topic, *mode)?;
-            batch.extend_from_slice(&buf);
-            waiters.push((seq, waiter));
-            awaiting.push((seq, rx));
-            subscriptions.push(subscription);
+        let (handle, subscription) = subscription_pair();
+        let entry = Arc::new(RemoteSub {
+            topic: topic.to_owned(),
+            origin_mode: mode,
+            handle,
+            next_offset: Mutex::new(HashMap::new()),
+        });
+        let seq = self.next_seq();
+        let buf = encode(&Frame::Subscribe {
+            seq,
+            topic: topic.to_owned(),
+            mode,
+        })?;
+        let (reply, rx) = sync_channel(1);
+        self.inner
+            .submit([(seq, Waiter::Subscribe { entry, reply })], &buf)?;
+        match rx.recv_timeout(REQUEST_TIMEOUT) {
+            Ok(Ok(_)) => Ok(subscription),
+            Ok(Err(e)) => Err(e),
+            Err(_) => {
+                // Leave a tombstone: if the ack still arrives, the
+                // dispatch unsubscribes the orphaned server-side
+                // subscription instead of letting it stream events
+                // nobody handles.
+                let mut pending = self.inner.pending.lock();
+                if pending.remove(&seq).is_some() {
+                    pending.insert(seq, Waiter::Abandoned);
+                }
+                Err(MqError::Timeout)
+            }
         }
-        self.inner.submit(waiters, &batch)?;
-        for (seq, rx) in &awaiting {
-            // An error drops every Subscription created so far; their
-            // server-side twins are pruned through the usual
-            // dead-subscriber path.
-            self.await_subscribed(*seq, rx)?;
-        }
-        Ok(subscriptions)
     }
 
     fn fetch(

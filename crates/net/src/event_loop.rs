@@ -8,29 +8,31 @@
 //! * **Tokens.** `0` = listener, `1` = the doorbell's eventfd,
 //!   `2..` = connections (monotonically assigned, never reused).
 //! * **Subscription wakeups.** A broker subscription's waker rings the
-//!   doorbell with a drain message — once per false→true transition of
-//!   its schedule bit, the protocol the in-process scheduler uses.
+//!   doorbell with a drain message. It fires on the subscription's
+//!   idle→pending edge only ([`Subscription::set_waker`]), so a
+//!   subscription is queued for a drain at most once; the drain ends
+//!   with [`Subscription::settle`], which requeues it if a message
+//!   raced in.
 //! * **One ack per turn.** The receipts of a read turn's consecutive
-//!   publishes coalesce into a single frame whatever their topics (the
-//!   request-direction mirror of the EVENTS push batching): a
-//!   `RECEIPTS` range when their offsets count up on one partition — a
-//!   pipelined storm of N publishes is acked with one frame, not N —
-//!   and a `RECEIPT_LIST` otherwise, so an agent turn's status update
-//!   and the k results it fans out cost one ack, not k + 1.
+//!   publishes coalesce into one `RECEIPT_LIST` whatever their topics
+//!   (the request-direction mirror of the EVENTS push batching): a
+//!   pipelined storm of N publishes is acked with one frame, not N, an
+//!   agent turn's status update and the k results it fans out cost one
+//!   ack, not k + 1, and a lone blocking publish gets a list of one.
 //! * **One write per connection per turn.** Dispatching a read turn
 //!   and draining a subscription only *append* to the connection's out
 //!   buffer and mark it dirty; after the doorbell's drains at the top
 //!   of the next iteration every dirty connection is flushed once. A
-//!   publish's RECEIPT and the EVENTs it caused on the same connection
+//!   publish's receipt and the EVENTS it caused on the same connection
 //!   leave in one `send`, however many subscriptions it woke. The
 //!   invariant that goes with deferring: bytes appended before a
 //!   hang-up request leave before the hang-up — the dirty set is
 //!   flushed ahead of every `close_all`.
 //! * **Backpressure.** A connection whose out buffer passes
-//!   [`OUT_HIGH_WATER`] parks its subscriptions (their schedule bit
-//!   stays set, so wakers no-op) until the buffer has drained. The gate
-//!   reads the buffer with the turn's unflushed bytes in it, so
-//!   deferring the write can only park earlier, never later.
+//!   [`OUT_HIGH_WATER`] parks its subscriptions (they keep their
+//!   schedule bit, so deliveries do not wake them) until the buffer has
+//!   drained. The gate reads the buffer with the turn's unflushed bytes
+//!   in it, so deferring the write can only park earlier, never later.
 //! * **Per-run state ends with the run.** `RUN_CLOSE` drops the closing
 //!   connection's subscriptions and topic cache for that run, and the
 //!   GC of a run drops every connection's — a client that outlives its
@@ -67,7 +69,7 @@ const OUT_HIGH_WATER: usize = 4 << 20;
 
 /// What the loop can be asked to do from other threads.
 enum LoopMsg {
-    /// A subscription has deliveries queued (its schedule bit is set).
+    /// A subscription has deliveries queued (and holds its schedule bit).
     Drain(Arc<ServerSub>),
     /// Adopt an in-process socketpair half as a connection.
     Inject(Box<dyn Transport>),
@@ -122,15 +124,13 @@ struct ServerSub {
     id: u64,
     topic: String,
     sub: Subscription,
-    scheduled: AtomicBool,
 }
 
 /// A run of consecutive publish acks not yet encoded: seqs
 /// `seq_first..seq_first + receipts.len()`, each with where it landed,
 /// whatever its topic. A gap in the seqs, an interleaved reply, the
 /// [`MAX_RECEIPT_RUN`] cap or the end of the read turn flushes the run
-/// (see [`flush_receipt_run`] for the frame it becomes). Empty: no run
-/// is open.
+/// as one `RECEIPT_LIST`. Empty: no run is open.
 #[derive(Default)]
 struct ReceiptRun {
     seq_first: u64,
@@ -164,7 +164,7 @@ struct Session {
     /// The last wire-visible subscription id handed out (they start
     /// at 1).
     last_sub: u64,
-    /// Subscriptions parked on backpressure, schedule bit still set.
+    /// Subscriptions parked on backpressure, schedule bit still held.
     parked: Vec<Arc<ServerSub>>,
     /// Pending receipt coalescing (see [`ReceiptRun`]).
     run: ReceiptRun,
@@ -538,14 +538,13 @@ impl LoopState {
                             id,
                             topic,
                             sub,
-                            scheduled: AtomicBool::new(false),
                         });
                         session.subs.insert(id, entry.clone());
                         daemon_metrics().subscriptions.add(1);
                         // The ack is appended to `out` before the waker
                         // is armed, and events travel through the same
                         // FIFO buffer — the client always learns the
-                        // sub id before its first EVENT.
+                        // sub id before its first EVENTS.
                         let ack = Frame::Subscribed {
                             seq,
                             sub: id,
@@ -558,9 +557,7 @@ impl LoopState {
                         let handle = self.handle.clone();
                         entry.sub.set_waker(move || {
                             if let Some(entry) = weak.upgrade() {
-                                if !entry.scheduled.swap(true, Ordering::SeqCst) {
-                                    handle.bell.ring(LoopMsg::Drain(entry));
-                                }
+                                handle.bell.ring(LoopMsg::Drain(entry));
                             }
                         });
                         true
@@ -655,9 +652,7 @@ impl LoopState {
             )
             .is_ok(),
             // A client speaking server frames is broken: hang up.
-            Frame::Receipt { .. }
-            | Frame::Receipts { .. }
-            | Frame::ReceiptList { .. }
+            Frame::ReceiptList { .. }
             | Frame::Subscribed { .. }
             | Frame::Messages { .. }
             | Frame::InfoReply { .. }
@@ -665,16 +660,15 @@ impl LoopState {
             | Frame::RunGcReply { .. }
             | Frame::StatsReply { .. }
             | Frame::Error { .. }
-            | Frame::Event { .. }
             | Frame::Events { .. } => false,
         }
     }
 
     /// A subscription scheduled itself: coalesce its queued deliveries
-    /// into one EVENT/EVENTS frame (the PR-5 batching, unchanged) and
-    /// append it to the owning connection's out buffer — unless that
-    /// buffer is over the high water, in which case the subscription
-    /// parks with its schedule bit held until the buffer drains.
+    /// into one EVENTS frame and append it to the owning connection's
+    /// out buffer — unless that buffer is over the high water, in which
+    /// case the subscription parks with its schedule bit held until the
+    /// buffer drains.
     fn handle_drain(&mut self, entry: Arc<ServerSub>) {
         let token = entry.conn;
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -720,8 +714,8 @@ impl LoopState {
             self.timers.arm_stall_scan(now);
         } else {
             // Resume parked subscriptions: re-enter them through the
-            // drain queue (their schedule bit is still set, so no
-            // duplicate enqueues can race in).
+            // drain queue (they still hold their schedule bit, so no
+            // delivery can enqueue them twice).
             for entry in std::mem::take(&mut conn.session.parked) {
                 self.handle.bell.ring(LoopMsg::Drain(entry));
             }
@@ -764,44 +758,22 @@ fn add_receipt(
     Ok(())
 }
 
-/// Encode the open receipt run as the smallest frame that says it
-/// exactly: one ack stays a plain RECEIPT, offsets counting up on one
-/// partition become a RECEIPTS range, anything else a RECEIPT_LIST.
+/// Encode the open receipt run, if any, as one RECEIPT_LIST.
 fn flush_receipt_run(session: &mut Session, out: &mut Outbox) -> Result<(), ()> {
     let run = &mut session.run;
-    let seq_first = run.seq_first;
-    let frame = match run.receipts.as_slice() {
-        [] => return Ok(()),
-        [one] => Frame::Receipt {
-            seq: seq_first,
-            partition: one.partition,
-            offset: one.offset,
-        },
-        [first, ..]
-            if run.receipts.iter().enumerate().all(|(i, r)| {
-                r.partition == first.partition && r.offset == first.offset + i as u64
-            }) =>
-        {
-            Frame::Receipts {
-                seq_first,
-                count: run.receipts.len() as u32,
-                partition: first.partition,
-                offset_first: first.offset,
-            }
-        }
-        _ => Frame::ReceiptList {
-            seq_first,
-            receipts: std::mem::take(&mut run.receipts),
-        },
+    if run.receipts.is_empty() {
+        return Ok(());
+    }
+    let frame = Frame::ReceiptList {
+        seq_first: run.seq_first,
+        receipts: std::mem::take(&mut run.receipts),
     };
-    run.receipts.clear();
     daemon_metrics().replies.inc();
     append_frame(out, &frame)
 }
 
-/// Coalesce everything queued on a scheduled subscription into one
-/// EVENT/EVENTS frame appended to the connection's out buffer, then
-/// run the clear-bit/recheck-backlog protocol.
+/// Coalesce what is queued on a scheduled subscription into EVENTS
+/// frames appended to the connection's out buffer, then settle it.
 fn drain_sub(out: &mut Outbox, entry: &Arc<ServerSub>, bell: &Doorbell<LoopMsg>) {
     let m = daemon_metrics();
     let mut batch: Vec<Message> = Vec::new();
@@ -835,32 +807,23 @@ fn drain_sub(out: &mut Outbox, entry: &Arc<ServerSub>, bell: &Doorbell<LoopMsg>)
         m.fanout_bytes.add(payload_bytes);
         m.fanout_batch.observe(drained);
     }
-    // Lost-wakeup-free re-check, same as the scheduler and the pump.
-    entry.scheduled.store(false, Ordering::SeqCst);
-    if entry.sub.backlog() > 0 && !entry.scheduled.swap(true, Ordering::SeqCst) {
-        // Requeue through the doorbell (not recursion): the loop
+    if entry.sub.settle() {
+        // A message raced the drain, or the batch cap stopped it short:
+        // requeue through the doorbell (not recursion), so the loop
         // interleaves other connections' work and re-checks the
         // backpressure gate before the next batch.
         bell.ring(LoopMsg::Drain(entry.clone()));
     }
 }
 
-/// Append one pump batch as an EVENT (single message) or EVENTS frame.
-/// A frame the codec refuses (an EVENT envelope past `MAX_FRAME`) is
-/// dropped rather than allowed to kill the connection — the message is
-/// still in the log for `fetch`.
+/// Append one drain batch as an EVENTS frame. A frame the codec refuses
+/// (one message whose envelope is past `MAX_FRAME`) is dropped rather
+/// than allowed to kill the connection — the message is still in the
+/// log for `fetch`.
 fn append_event_batch(out: &mut Outbox, sub: u64, batch: &mut Vec<Message>) {
-    let frame = if batch.len() == 1 {
-        Frame::Event {
-            sub,
-            message: batch.pop().expect("len checked"),
-        }
-    } else {
-        Frame::Events {
-            sub,
-            messages: std::mem::take(batch),
-        }
+    let frame = Frame::Events {
+        sub,
+        messages: std::mem::take(batch),
     };
-    batch.clear();
     let _ = append_frame(out, &frame);
 }

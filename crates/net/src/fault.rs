@@ -28,7 +28,7 @@
 //!   in seconds);
 //! * **frame drops** — whole frames silently discarded (framing stays
 //!   intact: the receiver simply never sees the message — the
-//!   lost-PUBLISH / lost-EVENT case);
+//!   lost-PUBLISH / lost-EVENTS case);
 //! * **corruption** — a random byte of a frame (length prefix
 //!   included) flipped, exercising every parser error path;
 //! * **severs** — the link dies after a drawn frame budget or virtual

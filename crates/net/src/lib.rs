@@ -15,11 +15,10 @@
 //!   the broker's push wakers, and a timer wheel driving the retention
 //!   sweep — thread count independent of client count, zero syscalls
 //!   while idle, 10k+ concurrent connections on one thread. The acks
-//!   of a read turn's consecutive publishes coalesce into one RECEIPTS
-//!   range or RECEIPT_LIST frame (the request-direction mirror of
-//!   EVENTS).
+//!   of a read turn's consecutive publishes coalesce into one
+//!   RECEIPT_LIST frame (the request-direction mirror of EVENTS).
 //! * [`RemoteBroker`] — the client: implements the same `Broker` trait
-//!   over a connection, pushing EVENT frames into local
+//!   over a connection, pushing EVENTS frames into local
 //!   [`Subscription`](ginflow_mq::Subscription)s (wakers included, so
 //!   the event-driven scheduler drives remote subscriptions with zero
 //!   polling), and transparently reconnecting with
@@ -31,9 +30,9 @@
 //!   bounded in-flight window, and `flush()` drains the pipeline — see
 //!   [`client`] for the ordering, ack and flush-point semantics. The
 //!   daemon symmetrically coalesces everything queued on a
-//!   subscription into one multi-message EVENTS frame per pump wakeup,
-//!   and writes each connection **once per loop turn**: a publish's
-//!   RECEIPT and the EVENTs it caused leave in one `send`.
+//!   subscription into one EVENTS frame per drain, and writes each
+//!   connection **once per loop turn**: a publish's receipt and the
+//!   EVENTS it caused leave in one `send`.
 //!
 //! ## Client architecture: the shared reactor
 //!
@@ -115,32 +114,26 @@
 //! frame := len:u32_be body          body := opcode:u8 fields…
 //!
 //! client → server          server → client
-//!   0x01 PUBLISH             0x81 RECEIPT        (ack of PUBLISH)
-//!   0x02 SUBSCRIBE           0x82 SUBSCRIBED     (ack of SUBSCRIBE)
-//!   0x03 UNSUBSCRIBE         0x83 MESSAGES       (ack of FETCH)
-//!   0x04 FETCH               0x84 INFO_REPLY     (ack of INFO)
-//!   0x05 INFO                0x85 ERROR          (failed request)
-//!   0x06 RUN_LIST            0x86 RUN_LIST_REPLY (ack of RUN_LIST)
-//!   0x07 RUN_CLOSE           0x87 RUN_GC_REPLY   (ack of RUN_CLOSE/RUN_GC)
-//!   0x08 RUN_GC              0x88 STATS_REPLY    (ack of STATS: flattened
-//!   0x09 STATS                                    metrics snapshot)
-//!                            0x90 EVENT          (push delivery)
-//!                            0x91 EVENTS         (coalesced push delivery)
-//!                            0x92 RECEIPTS       (range ack of consecutive
-//!                                                 PUBLISHes)
-//!                            0x93 RECEIPT_LIST   (list ack of consecutive
+//!   0x01 PUBLISH             0x82 SUBSCRIBED     (ack of SUBSCRIBE)
+//!   0x02 SUBSCRIBE           0x83 MESSAGES       (ack of FETCH)
+//!   0x03 UNSUBSCRIBE         0x84 INFO_REPLY     (ack of INFO)
+//!   0x04 FETCH               0x85 ERROR          (failed request)
+//!   0x05 INFO                0x86 RUN_LIST_REPLY (ack of RUN_LIST)
+//!   0x06 RUN_LIST            0x87 RUN_GC_REPLY   (ack of RUN_CLOSE/RUN_GC)
+//!   0x07 RUN_CLOSE           0x88 STATS_REPLY    (ack of STATS: flattened
+//!   0x08 RUN_GC                                   metrics snapshot)
+//!   0x09 STATS               0x91 EVENTS         (push delivery)
+//!                            0x93 RECEIPT_LIST   (ack of consecutive
 //!                                                 PUBLISHes)
 //! ```
 //!
 //! Requests carry a `seq` the ack echoes (UNSUBSCRIBE is
-//! fire-and-forget); EVENT frames carry the server-assigned
+//! fire-and-forget); EVENTS frames carry the server-assigned
 //! subscription id from SUBSCRIBED. The daemon acks the consecutive
-//! PUBLISHes of one read turn with one frame, the smallest that says
-//! where each landed: a lone publish gets a RECEIPT; a run whose
-//! offsets count up on one partition (a pipelined storm into one topic)
-//! a RECEIPTS range; any other run (an agent turn's status update and
-//! the results it fans out, on two topics) a RECEIPT_LIST of
-//! `(partition, offset)` pairs. Frames over
+//! PUBLISHes of one read turn with one RECEIPT_LIST of
+//! `(partition, offset)` pairs, whatever their topics — a lone blocking
+//! publish gets a list of one — and pushes what one drain of a
+//! subscription took as one EVENTS frame, however few. Frames over
 //! [`MAX_FRAME`](ginflow_mq::wire::MAX_FRAME) are rejected outright on
 //! both sides.
 //!

@@ -427,10 +427,12 @@ mod tests {
     }
 
     fn receipt(seq: u64) -> Frame {
-        Frame::Receipt {
-            seq,
-            partition: 0,
-            offset: seq,
+        Frame::ReceiptList {
+            seq_first: seq,
+            receipts: vec![ginflow_mq::Receipt {
+                partition: 0,
+                offset: seq,
+            }],
         }
     }
 

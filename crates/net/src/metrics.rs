@@ -111,7 +111,7 @@ pub(crate) fn daemon_metrics() -> &'static DaemonMetrics {
             ),
             fanout_messages: g.counter(
                 "gf_loop_fanout_messages_total",
-                "Messages pushed to subscribers as EVENT/EVENTS frames",
+                "Messages pushed to subscribers as EVENTS frames",
             ),
             fanout_bytes: g.counter(
                 "gf_loop_fanout_bytes_total",

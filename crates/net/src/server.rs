@@ -5,8 +5,8 @@
 //! `event_loop` module docs have the full
 //! architecture): non-blocking sockets with per-connection read/write
 //! buffer state machines. Thread count is independent of client count,
-//! a read turn's publish acks coalesce into one `RECEIPTS` range or
-//! `RECEIPT_LIST` frame, subscription
+//! a read turn's publish acks coalesce into one `RECEIPT_LIST` frame, a
+//! subscription's drain leaves as one `EVENTS` frame, subscription
 //! wakeups ride the broker's [`Subscription::set_waker`] push path into
 //! the loop, and the retention sweep runs off the loop's timer wheel —
 //! an idle daemon makes zero syscalls between deadlines.
@@ -42,14 +42,14 @@ pub(crate) const EVENT_BATCH: usize = 128;
 /// Byte budget of one coalesced EVENTS frame (payload + topic + key +
 /// framing headroom per message, enforced before a message joins a
 /// non-empty batch) — far under `MAX_FRAME`, so only a single message
-/// whose EVENT envelope alone exceeds the frame limit can ever fail
-/// encode, and that frame is dropped rather than killing the
-/// connection.
+/// whose envelope alone exceeds the frame limit can ever fail encode,
+/// and that frame is dropped rather than killing the connection.
 pub(crate) const EVENT_BATCH_BYTES: usize = 1 << 20;
 
 /// Per-wakeup batch cap, honouring the `GINFLOW_NET_UNBATCHED` debug
-/// knob (set to any value to force one EVENT frame per message — the
-/// A/B lever for benchmarking what push coalescing buys in isolation).
+/// knob (set to any value to push every message as an EVENTS frame of
+/// its own — what the chaos suites need, so each message is a frame the
+/// fault plan can act on).
 pub(crate) fn event_batch() -> usize {
     static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *N.get_or_init(|| {

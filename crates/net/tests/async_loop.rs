@@ -1,6 +1,6 @@
 //! Event-loop behaviors at both ends of a connection: flat daemon
-//! thread count, zero idle CPU, RECEIPTS range acks under pipelined
-//! storms, the in-process [`Transport`] seam, and the client reactor's
+//! thread count, zero idle CPU, one RECEIPT_LIST ack per read turn under
+//! pipelined storms, the in-process [`Transport`] seam, and the client reactor's
 //! one shared thread.
 //!
 //! Tests here share one process, and several read process-wide state
@@ -159,7 +159,7 @@ fn replies() -> u64 {
     counter("gf_loop_replies_total")
 }
 
-/// A publish's RECEIPT and the EVENT it caused on the same connection
+/// A publish's receipt and the EVENTS it caused on the same connection
 /// leave in one socket write: the read turn and the subscription drain
 /// only mark the connection dirty, and the loop flushes it once.
 #[test]
@@ -212,7 +212,7 @@ fn pipelined_storm_is_acked_by_receipts_ranges() {
     let pipelined = replies() - before;
     assert_eq!(broker.retained("storm"), N);
     // The daemon acks a read turn's consecutive publishes with one
-    // RECEIPTS range, so the storm costs far fewer reply frames than
+    // RECEIPT_LIST, so the storm costs far fewer reply frames than
     // publishes — what makes pipelining cheaper than blocking, counted
     // rather than timed.
     assert!(

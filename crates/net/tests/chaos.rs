@@ -50,7 +50,7 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
         if std::env::var_os("GINFLOW_RECONNECT_CAP_MS").is_none() {
             std::env::set_var("GINFLOW_RECONNECT_CAP_MS", "100");
         }
-        // One EVENT frame per message: push coalescing would fold a
+        // An EVENTS frame per message: push coalescing would fold a
         // whole subscription stream into a handful of jumbo frames,
         // starving the per-frame fault schedule of decision points.
         // Unbatched, every message is a place the plan can drop,

@@ -117,6 +117,58 @@ fn events_push_wakers_like_a_local_broker() {
     assert!(fired.load(Ordering::SeqCst) >= 1, "waker must have fired");
 }
 
+/// A waker fires on its subscription's idle→pending edge and on no other
+/// delivery, in process and over TCP alike: k deliveries to an undrained
+/// subscription wake it once; once the consumer settles, the next
+/// delivery wakes it again; and a delivery that races the settle is
+/// handed back to the draining consumer, not lost.
+#[test]
+fn a_waker_fires_once_per_idle_to_pending_edge_on_every_broker() {
+    let (server, _log) = serve_log();
+    let brokers: [(&str, Arc<dyn Broker>); 3] = [
+        ("transient", Arc::new(TransientBroker::new())),
+        ("log", Arc::new(LogBroker::new())),
+        ("remote", Arc::new(client(&server))),
+    ];
+    for (name, broker) in brokers {
+        let sub = broker.subscribe("t", SubscribeMode::Latest).unwrap();
+        let fired = Arc::new(AtomicUsize::new(0));
+        let counter = fired.clone();
+        sub.set_waker(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        // A round trip the remote client answers only after every push
+        // the daemon sent before it has been delivered and woken on.
+        let settled = |backlog: usize, wakes: usize, what: &str| {
+            broker.partitions("t");
+            assert_eq!(sub.backlog(), backlog, "{name}: {what}: backlog");
+            assert_eq!(fired.load(Ordering::SeqCst), wakes, "{name}: {what}: wakes");
+        };
+        const K: usize = 5;
+        for _ in 0..K {
+            broker.publish("t", None, payload("m")).unwrap();
+        }
+        settled(K, 1, "deliveries to an undrained subscription");
+        // The drain takes everything; one more lands before it settles.
+        for _ in 0..K {
+            sub.try_recv().unwrap().unwrap();
+        }
+        broker.publish("t", None, payload("raced")).unwrap();
+        settled(1, 1, "a delivery while the drain is pending");
+        assert!(
+            sub.settle(),
+            "{name}: the raced delivery goes back to the drain"
+        );
+        assert_eq!(sub.try_recv().unwrap().unwrap().payload_str(), "raced");
+        assert!(
+            !sub.settle(),
+            "{name}: drained dry, the subscription goes idle"
+        );
+        broker.publish("t", None, payload("m")).unwrap();
+        settled(1, 2, "the first delivery after the settle");
+    }
+}
+
 #[test]
 fn two_clients_share_one_broker() {
     // The cross-process membrane in miniature: what one connection
@@ -369,7 +421,7 @@ fn pipelined_and_blocking_publishes_interleave_in_order() {
                 .publish_nowait("t", None, payload(&format!("m{i}")))
                 .unwrap();
         } else {
-            // The blocking publish waits for its RECEIPT, which the
+            // The blocking publish waits for its receipt, which the
             // server only sends after processing every pipelined frame
             // queued before it — one socket, FIFO.
             let r = remote
@@ -560,31 +612,39 @@ fn unacked_pipelined_publish_latches_on_loss_ledger() {
 /// The interleaving is forced, not hoped for: a subscription's waker
 /// runs on the client's loop thread, so a waker that blocks parks the
 /// loop at a known point (briefly stalling the other tests' clients,
-/// which share the loop, and nothing else).
+/// which share the loop, and nothing else). A waker fires once per
+/// idle→pending edge and these never drain, so each of two
+/// subscriptions parks the loop once.
 #[test]
 fn publish_failed_by_a_connection_loss_is_not_resent_after_the_redial() {
     let (server, broker) = serve_log();
     let server = Arc::new(server);
     let s = server.clone();
     let remote = RemoteBroker::connect_with(Box::new(move || s.connect_in_process())).unwrap();
-    let sub = remote.subscribe("in", SubscribeMode::Latest).unwrap();
     let (parked_tx, parked_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel::<()>();
-    let release_rx = Mutex::new(release_rx);
-    sub.set_waker(move || {
-        let _ = parked_tx.send(());
-        // Returns on a release, and at once when the releaser is gone.
-        let _ = release_rx.lock().unwrap().recv();
-    });
+    let release_rx = Arc::new(Mutex::new(release_rx));
+    let parking = || {
+        let (parked_tx, release_rx) = (parked_tx.clone(), release_rx.clone());
+        move || {
+            let _ = parked_tx.send(());
+            // Returns on a release, and at once when the releaser is gone.
+            let _ = release_rx.lock().unwrap().recv();
+        }
+    };
+    let first = remote.subscribe("in", SubscribeMode::Latest).unwrap();
+    first.set_waker(parking());
+    let second = remote.subscribe("in2", SubscribeMode::Latest).unwrap();
+    second.set_waker(parking());
     let wait_parked = || parked_rx.recv_timeout(Duration::from_secs(10)).unwrap();
 
     // 1. A first delivery parks the loop, the connection still healthy.
     broker.publish("in", None, payload("e1")).unwrap();
     wait_parked();
-    // 2. Behind its back the daemon pushes a second event and hangs up
-    //    (`drop_connections` returns once it has): the socket now holds
-    //    an EVENT followed by EOF.
-    broker.publish("in", None, payload("e2")).unwrap();
+    // 2. Behind its back the daemon pushes an event to the second
+    //    subscription and hangs up (`drop_connections` returns once it
+    //    has): the socket now holds an EVENTS followed by EOF.
+    broker.publish("in2", None, payload("e2")).unwrap();
     server.drop_connections();
     // 3. Released, the loop reads both in one turn, notes the EOF, and
     //    parks again delivering e2 — before acting on the EOF.
@@ -617,7 +677,7 @@ fn publish_failed_by_a_connection_loss_is_not_resent_after_the_redial() {
     server.stop();
 }
 
-/// Pipelined bulk subscribe: N subscriptions in one round trip, all of
+/// Bulk subscribe, through the trait's default: N subscriptions, all of
 /// them live.
 #[test]
 fn bulk_subscribe_opens_every_subscription() {
@@ -644,7 +704,7 @@ fn bulk_subscribe_opens_every_subscription() {
     }
 }
 
-// --- batched EVENT push ----------------------------------------------
+// --- batched EVENTS push ---------------------------------------------
 
 #[test]
 fn replayed_history_arrives_as_one_coalesced_events_frame() {
@@ -682,10 +742,6 @@ fn replayed_history_arrives_as_one_coalesced_events_frame() {
     let mut got = Vec::new();
     while got.len() < 50 {
         match read_frame(&mut reader).unwrap() {
-            Some(Frame::Event { message, .. }) => {
-                frames += 1;
-                got.push(message);
-            }
             Some(Frame::Events { messages, .. }) => {
                 frames += 1;
                 got.extend(messages);
@@ -708,11 +764,94 @@ fn replayed_history_arrives_as_one_coalesced_events_frame() {
     );
 }
 
+/// Each direction of delivery has one frame. A lone PUBLISH is answered
+/// by exactly one RECEIPT_LIST (0x93) holding its one receipt, and the
+/// one delivery it causes arrives as exactly one EVENTS (0x91) holding
+/// its one message; an INFO behind them proves nothing else was sent.
+/// The retired RECEIPT (0x81), EVENT (0x90) and RECEIPTS (0x92) opcodes
+/// decode as no frame at all.
+#[test]
+fn the_wire_carries_one_ack_frame_and_one_push_frame() {
+    use ginflow_mq::wire::{write_frame, Frame, WireError};
+    use std::io::Read;
+    let (server, _broker) = serve_log();
+    let mut socket = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(socket.try_clone().unwrap());
+    // One frame body, undecoded: the opcode is its first byte.
+    let mut next_body = || {
+        let mut len = [0u8; 4];
+        reader.read_exact(&mut len).unwrap();
+        let mut body = vec![0u8; u32::from_be_bytes(len) as usize];
+        reader.read_exact(&mut body).unwrap();
+        body
+    };
+    let mut send = |frame: Frame| write_frame(&mut socket, &frame).unwrap();
+
+    send(Frame::Subscribe {
+        seq: 1,
+        topic: "t".into(),
+        mode: SubscribeMode::Latest,
+    });
+    assert_eq!(next_body()[0], 0x82, "SUBSCRIBED");
+    send(Frame::Publish {
+        seq: 2,
+        topic: "t".into(),
+        key: None,
+        payload: payload("m"),
+    });
+    let ack = next_body();
+    assert_eq!(ack[0], 0x93);
+    match Frame::decode(&ack).unwrap() {
+        Frame::ReceiptList {
+            seq_first,
+            receipts,
+        } => assert_eq!((seq_first, receipts.len()), (2, 1)),
+        other => panic!("ack {other:?}"),
+    }
+    let push = next_body();
+    assert_eq!(push[0], 0x91);
+    match Frame::decode(&push).unwrap() {
+        Frame::Events { sub, messages } => {
+            assert_eq!((sub, messages.len()), (1, 1));
+            assert_eq!(messages[0].payload_str(), "m");
+        }
+        other => panic!("push {other:?}"),
+    }
+    send(Frame::Info {
+        seq: 3,
+        topic: "t".into(),
+    });
+    assert_eq!(next_body()[0], 0x84, "INFO_REPLY, with nothing in between");
+
+    // The retired frames as the protocol once laid them out.
+    let seq = 7u64.to_be_bytes();
+    let receipt = [&[0x81][..], &seq, &0u32.to_be_bytes(), &seq].concat();
+    let event = [&[0x90][..], &seq, &push[13..]].concat();
+    let range = [
+        &[0x92][..],
+        &seq,
+        &2u32.to_be_bytes(),
+        &0u32.to_be_bytes(),
+        &seq,
+    ]
+    .concat();
+    for body in [receipt, event, range] {
+        assert!(
+            matches!(Frame::decode(&body), Err(WireError::UnknownOpcode(op)) if op == body[0]),
+            "opcode 0x{:02x}",
+            body[0]
+        );
+    }
+}
+
 #[test]
 fn burst_fanout_is_delivered_completely_under_batching() {
     // End-to-end: a publish burst through one client reaches another
-    // client's subscription complete and ordered, whatever mix of
-    // EVENT/EVENTS frames the pump chose.
+    // client's subscription complete and ordered, however the daemon's
+    // drains split it into EVENTS frames.
     let (server, _broker) = serve_log();
     let consumer = client(&server);
     let sub = consumer.subscribe("t", SubscribeMode::Latest).unwrap();
@@ -883,9 +1022,9 @@ impl ginflow_net::Transport for Tap {
 /// One exchange — subscribe, three pipelined publishes, fetch,
 /// unsubscribe, a fan-out to three topics — pinned byte for byte in
 /// both directions, so a change to the codec, to either loop's framing
-/// or flushing, or to the daemon's batching (one RECEIPTS range ack, one
-/// RECEIPT_LIST ack, one coalesced EVENTS push per turn) shows up as a
-/// diff of these literals.
+/// or flushing, or to the daemon's batching (one RECEIPT_LIST ack per
+/// read turn, one coalesced EVENTS push per drain) shows up as a diff of
+/// these literals.
 #[test]
 fn a_recorded_exchange_is_byte_identical_in_both_directions() {
     use ginflow_mq::wire::Frame;
@@ -932,8 +1071,13 @@ fn a_recorded_exchange_is_byte_identical_in_both_directions() {
             "000000140100000000000000040000000174000000000163",
         ],
         &[
-            // RECEIPTS: seqs 2.. x3, partition 0, offsets 0..
-            "0000001992000000000000000200000003000000000000000000000000",
+            // RECEIPT_LIST: seqs 2.. x3; (0, 0), (0, 1), (0, 2). The
+            // same publishes were once acked by a 25-byte RECEIPTS
+            // range; the list spells out each receipt in 12 bytes.
+            "0000003193000000000000000200000003\
+             000000000000000000000000\
+             000000000000000000000001\
+             000000000000000000000002",
             // EVENTS on sub 1: three messages, offsets 0, 1, 2.
             "00000052910000000000000001000000030000000174000000000000\
              00000000000000000000016100000001740000000000000000000000\
@@ -969,8 +1113,9 @@ fn a_recorded_exchange_is_byte_identical_in_both_directions() {
             "0000000e0500000000000000080000000174",
         ],
         &[
-            // RECEIPT seq 7: partition 0, offset 3.
-            "00000015810000000000000007000000000000000000000003",
+            // RECEIPT_LIST: seq 7 x1; (0, 3). A lone publish is a list of
+            // one: 4 bytes (the count) more than the retired RECEIPT.
+            "0000001993000000000000000700000001000000000000000000000003",
             // INFO_REPLY seq 8: persistent, 1 partition, 4 retained.
             "0000001684000000000000000801000000010000000000000004",
         ],

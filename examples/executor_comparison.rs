@@ -1,13 +1,11 @@
 //! The Fig 14 experiment in miniature: deploy the same 10×10 diamond with
 //! every executor × middleware combination and compare deployment vs
-//! execution time — plus the EC2-like cloud executor the paper sketches
-//! as an extension.
+//! execution time.
 //!
 //! ```sh
 //! cargo run --release --example executor_comparison
 //! ```
 
-use ginflow::executor::{Cluster, Deployer, Ec2Deployer};
 use ginflow::prelude::*;
 
 fn main() {
@@ -41,19 +39,5 @@ fn main() {
                 );
             }
         }
-    }
-
-    // The EC2 extension: provisioning the machines is part of deployment.
-    println!("\nEC2-like cloud executor (provisions instances, §IV-C extension):");
-    let agent_names: Vec<String> = wf.dag().iter().map(|(_, t)| t.name.clone()).collect();
-    for nodes in [5usize, 10, 15] {
-        let report = Ec2Deployer::default()
-            .deploy(&Cluster::grid5000(nodes), &agent_names)
-            .expect("fits");
-        println!(
-            "  ec2 {:>2} nodes: deploy {:>5.1}s (boot dominates, then API throttle)",
-            nodes,
-            report.time_us as f64 / 1e6
-        );
     }
 }
