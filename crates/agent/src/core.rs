@@ -146,7 +146,7 @@ impl SaCore {
     /// solution.
     pub fn new(program: impl Into<Arc<AgentProgram>>, plans: Arc<Vec<AdaptPlan>>) -> Self {
         let program = program.into();
-        let solution = program.initial.clone();
+        let solution = program.initial();
         SaCore {
             program,
             solution,

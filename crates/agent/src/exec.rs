@@ -1,14 +1,15 @@
 //! What the [`crate::scheduler::Scheduler`] runs an agent's events
-//! with: command execution (one publish batch per dispatch), and the
-//! status fold into the [`RunTracker`] ([`StatusFold`]), which drains
-//! the status subscription on whichever thread delivers to it, not on a
-//! thread of its own.
+//! with: command execution (one publish batch per dispatch, service
+//! outcomes kept in a [`Memo`] that an evicted agent's rehydration
+//! replays), and the status fold into the [`RunTracker`]
+//! ([`StatusFold`]), which drains the status subscription on whichever
+//! thread delivers to it, not on a thread of its own.
 
 use crate::core::{Command, Event, SaCore};
 use crate::engine::RunTracker;
 use crate::message::{SaMessage, StatusUpdate};
 use bytes::Bytes;
-use ginflow_core::ServiceRegistry;
+use ginflow_core::{ServiceRegistry, Value};
 use ginflow_mq::{Broker, MqError, Subscription, TopicNamespace};
 use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
@@ -44,7 +45,11 @@ impl AgentCtx<'_> {
     /// A fan-out is encoded once: a run of `Send`s of an equal message —
     /// one result to all of a task's successors — shares one encoded
     /// payload.
-    pub fn dispatch(&self, core: &mut SaCore, event: Event) -> Result<(), ()> {
+    ///
+    /// Every service outcome is kept in `memo`; while the memo is
+    /// replaying, the dispatch re-runs what an evicted incarnation
+    /// already did (see [`Memo`]).
+    pub fn dispatch(&self, core: &mut SaCore, event: Event, memo: &mut Memo) -> Result<(), ()> {
         let mut queue: VecDeque<Event> = VecDeque::from([event]);
         let mut batch: Vec<(String, Option<Bytes>, Bytes)> = Vec::new();
         let mut outcome = Ok(());
@@ -64,13 +69,22 @@ impl AgentCtx<'_> {
                         service,
                         params,
                     } => {
-                        self.publish(&mut batch);
-                        let result = match self.registry.get(&service) {
-                            Some(s) => s.invoke(&params).map_err(|e| e.message),
-                            None => Err(format!("unknown service {service:?}")),
+                        let result = match memo.answer() {
+                            Some(result) => result,
+                            None => {
+                                self.publish(&mut batch);
+                                let result = match self.registry.get(&service) {
+                                    Some(s) => s.invoke(&params).map_err(|e| e.message),
+                                    None => Err(format!("unknown service {service:?}")),
+                                };
+                                memo.outcomes.push(result.clone());
+                                result
+                            }
                         };
                         queue.push_back(Event::ServiceCompleted { effect, result });
                     }
+                    // A replay's word is in the log already.
+                    _ if memo.replaying => {}
                     Command::Send { to, message } => {
                         // One inbox per run, keyed by the destination.
                         let payload = match &encoded {
@@ -112,6 +126,42 @@ impl AgentCtx<'_> {
         if !batch.is_empty() {
             let _ = self.broker.publish_many_nowait(std::mem::take(batch));
         }
+    }
+}
+
+/// An agent's service outcomes, in invocation order: what its tombstone
+/// keeps when it is evicted, and what its rehydration is answered from.
+/// While `replaying`, a dispatch re-runs what the evicted incarnation
+/// already did — each `Invoke` takes the next kept outcome instead of
+/// calling the service, and nothing is sent or published — so the
+/// rebuilt agent reaches the same state without a second invocation or
+/// a duplicate message.
+#[derive(Default)]
+pub(crate) struct Memo {
+    pub outcomes: Vec<Result<Value, String>>,
+    /// Outcomes the replay has handed back so far.
+    answered: usize,
+    pub replaying: bool,
+}
+
+impl Memo {
+    /// A memo holding an evicted incarnation's outcomes, to replay.
+    pub fn of(outcomes: Vec<Result<Value, String>>) -> Memo {
+        Memo {
+            outcomes,
+            ..Memo::default()
+        }
+    }
+
+    /// The next kept outcome, while replaying one is left.
+    fn answer(&mut self) -> Option<Result<Value, String>> {
+        let outcome = self
+            .outcomes
+            .get(self.answered)
+            .filter(|_| self.replaying)?
+            .clone();
+        self.answered += 1;
+        Some(outcome)
     }
 }
 

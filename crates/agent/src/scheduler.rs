@@ -14,9 +14,27 @@
 //!   and inbox — and the inbox's waker (see
 //!   [`ginflow_mq::Subscription::set_waker`]) demultiplexes each message
 //!   by key into its agent's queue and schedules the agent, so an idle
-//!   workflow consumes zero CPU. A key with no live local agent —
-//!   another shard's task, a dead incarnation's — is dropped; on a
+//!   workflow consumes zero CPU. A key this process does not host —
+//!   another shard's task — or whose agent is dead is dropped; on a
 //!   persistent broker it is still in the log;
+//! * an agent is **resident only while it has work**. Launch builds the
+//!   workflow's sources; every other agent is built by the delivery of
+//!   its first message. On a persistent broker a completed agent whose
+//!   queue is empty is *evicted* after its turn, down to a tombstone:
+//!   its incarnation, how many inbox messages it handled and its service
+//!   outcomes. A late message — a duplicate result, an `ADAPT` asking a
+//!   finished source to resend — *rehydrates* it under the same
+//!   incarnation, by §IV-B's replay: the new slot takes the late message
+//!   from the run's inbox like any other, and on its first turn reads
+//!   the messages its tombstone counted back from the log (a fetch of
+//!   the late message's partition, filtered to its key) ahead of it.
+//!   Those and its start are re-run muted — its service answered from
+//!   the kept outcomes, nothing sent or published again — and the rest
+//!   live; once done, it is evicted again. A chain of thousands
+//!   therefore holds two agents at a time, which
+//!   `gf_sched_resident_agents{run}` reports as a high-water mark. On a
+//!   transient broker there is no log to rebuild from, and a built agent
+//!   stays resident;
 //! * slots are *sharded*: an agent's name hashes to one worker, and only
 //!   that worker ever runs it. One agent's events therefore execute
 //!   strictly in order with no core-level contention, while distinct
@@ -29,7 +47,8 @@
 //!   replays the log with [`SubscribeMode::Beginning`] ("replay them in
 //!   the same order on a newly created SA"), and the broker, not the
 //!   scheduler, owns the seam between replay and live delivery. The
-//!   run's shared demultiplexer skips a slot fed this way. With
+//!   run's shared demultiplexer skips a slot fed this way, and such a
+//!   slot is never evicted. With
 //!   [`RunOptions::auto_recover`] the worker that observes the death
 //!   starts it on the spot. On a transient broker the same recovery
 //!   *starts* but has no history to replay, so the workflow hangs — the
@@ -65,25 +84,32 @@
 //!
 //! ## The lock rule
 //!
-//! The inbox demultiplexer takes the `slots` lock to find a key's agent.
-//! Over TCP it runs on the client reactor, which is also the thread that
-//! answers every broker request of the process — so nothing may hold
-//! `slots` across a broker request. A respawn therefore subscribes
-//! first, then takes the lock, re-checks that its incarnation is still
-//! wanted and drops its subscription if a racing respawn won: two
-//! concurrent respawns never leave a ghost agent, and a respawn with
-//! inbox traffic in flight never stalls the reactor.
+//! The inbox demultiplexer takes the `agents` lock to find — or build —
+//! a key's agent and queues the message under it. Over TCP it runs on
+//! the client reactor, which is also the thread that answers every
+//! broker request of the process — so nothing may hold `agents` across
+//! a broker request, and the demultiplexer makes none: a rehydrated
+//! agent fetches its past on its first turn, on a worker. A respawn
+//! subscribes first, then takes the lock, re-checks that its
+//! incarnation is still wanted and drops its subscription if a racing
+//! respawn won: two concurrent respawns never leave a ghost agent, and
+//! a respawn with inbox traffic in flight never stalls the reactor.
+//!
+//! Eviction takes the locks in the order a delivery made from inside
+//! the evicting agent's own dispatch does — the agent's state, then
+//! `agents`, then its queue — and evicts only an empty queue, so a
+//! message is either queued before the check or finds the tombstone.
 
 use crate::core::{Event, SaCore};
 use crate::engine::{ExecutionBackend, RunControl, RunHandle, RunMeta, RunReport, RunTracker};
-use crate::exec::{retry_disconnected, AgentCtx, StatusFold};
+use crate::exec::{retry_disconnected, AgentCtx, Memo, StatusFold};
 use crate::message::SaMessage;
 use crate::runtime::RunOptions;
 use bytes::Bytes;
-use ginflow_core::{ServiceRegistry, Workflow};
+use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow};
 use ginflow_hoclflow::{agent_programs, AdaptPlan, AgentProgram};
-use ginflow_mq::metrics::{Counter, Gauge, Histogram};
-use ginflow_mq::{Broker, LagProbe, RunId, SubscribeMode, Subscription, TopicNamespace};
+use ginflow_mq::metrics::{Counter, Family, Gauge, Histogram};
+use ginflow_mq::{Broker, LagProbe, MqError, RunId, SubscribeMode, Subscription, TopicNamespace};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,6 +119,9 @@ use std::thread::JoinHandle;
 /// Max events one slot processes per scheduling turn before yielding the
 /// worker — keeps one chatty agent from starving its shard.
 const BATCH: usize = 64;
+
+/// Messages one fetch of a rehydration's replay asks for.
+const FETCH_PAGE: usize = 1024;
 
 /// Scheduler-side handles into the process-global metrics registry
 /// (`gf_sched_*`), resolved once — every pool in the process shares
@@ -107,6 +136,10 @@ struct SchedMetrics {
     /// Events an agent drained in one scheduling turn (capped at
     /// [`BATCH`]) — wakeups saved against one per message.
     wakeup_batch: Arc<Histogram>,
+    /// Per run: the most agents resident at once.
+    resident: Arc<Family<Gauge>>,
+    /// Per run: evicted agents rebuilt by replay for a late message.
+    rehydrations: Arc<Family<Counter>>,
 }
 
 fn sched_metrics() -> &'static SchedMetrics {
@@ -125,6 +158,16 @@ fn sched_metrics() -> &'static SchedMetrics {
             wakeup_batch: m.histogram(
                 "gf_sched_wakeup_batch",
                 "Events drained per agent scheduling turn",
+            ),
+            resident: m.gauge_family(
+                "gf_sched_resident_agents",
+                "High-water mark of a run's agents resident at once",
+                "run",
+            ),
+            rehydrations: m.counter_family(
+                "gf_sched_rehydrations_total",
+                "Evicted agents rebuilt by inbox replay for a late message",
+                "run",
             ),
         }
     })
@@ -155,7 +198,8 @@ impl Scheduler {
         self
     }
 
-    /// Compile `workflow` and launch one agent per task.
+    /// Compile `workflow` and launch it: one agent per task, each built
+    /// when it first has work (the sources at once).
     ///
     /// Every topic of the launch lives in the run's namespace
     /// (`run/<id>/…`): the id is [`RunOptions::run_id`] when pinned
@@ -283,29 +327,29 @@ enum WorkItem {
     Shutdown,
 }
 
-/// One agent parked in the scheduler: the sans-IO core, its queue of
-/// inbox messages and the wakeup state. The core mutex is uncontended in
-/// steady state — sharding guarantees a single worker ever locks it —
-/// and exists to make the slot `Sync` for control-plane access
-/// (kill/respawn).
+/// One agent resident in the scheduler: its state, its queue of inbox
+/// messages and the wakeup state.
 struct AgentSlot {
     name: String,
     incarnation: u32,
     shard: usize,
-    core: Mutex<SaCore>,
+    /// Uncontended in steady state — sharding guarantees a single worker
+    /// ever locks it — and a mutex to make the slot `Sync` for
+    /// control-plane access (kill/respawn).
+    state: Mutex<AgentState>,
     /// Payloads of the inbox messages keyed to this agent, in log order,
     /// not yet handed to the core.
     queue: Mutex<VecDeque<Bytes>>,
-    /// A respawned incarnation's own inbox subscription, which it
-    /// filters to its key. Incarnation 0 has none: the run's shared
-    /// inbox feeds it. Dropped when the agent dies.
+    /// Fed by an inbox subscription of its own, which it filters to its
+    /// key — a respawned incarnation — rather than by the run's shared
+    /// inbox.
+    own_feed: bool,
+    /// That subscription. Dropped when the agent dies.
     own: Mutex<Option<Arc<Subscription>>>,
     /// Crash flag (the paper's killed JVM): observed between events.
     kill: AtomicBool,
-    /// Set once the agent will never run again.
+    /// Set once the agent will never run again: dead, or evicted.
     dead: AtomicBool,
-    /// Has `Event::Start` been dispatched?
-    started: AtomicBool,
     /// The schedule bit: true while queued or running.
     scheduled: AtomicBool,
 }
@@ -317,6 +361,65 @@ impl AgentSlot {
     }
 }
 
+/// What only the slot's worker touches.
+struct AgentState {
+    core: SaCore,
+    /// Has `Event::Start` been dispatched?
+    started: bool,
+    /// Inbox messages handed to the core so far, in log order.
+    handled: u64,
+    memo: Memo,
+    /// A rehydrated agent's past: its `Start` and these messages re-run
+    /// muted, answered from the memo.
+    replay: Option<Replay>,
+}
+
+/// The messages an evicted agent handled: the first `messages` keyed to
+/// it in `partition` of the run's inbox.
+struct Replay {
+    partition: u32,
+    messages: u64,
+}
+
+/// What an evicted agent leaves behind: enough to rebuild it by replay
+/// without invoking its service again.
+#[derive(Default)]
+struct Tombstone {
+    incarnation: u32,
+    /// Inbox messages it handled: the muted share of its replay.
+    handled: u64,
+    outcomes: Vec<Result<Value, String>>,
+}
+
+/// A task's agent, as the run holds it. A task whose agent was never
+/// built has no entry.
+enum Entry {
+    /// Built: taking messages, or dead until a respawn replaces it.
+    Resident(Arc<AgentSlot>),
+    Evicted(Tombstone),
+}
+
+/// The run's agents by task name, and how many are resident.
+struct Agents {
+    map: HashMap<String, Entry>,
+    resident: u64,
+    /// The run's `gf_sched_resident_agents` series.
+    peak: Arc<Gauge>,
+}
+
+impl Agents {
+    /// Store `task`'s entry, keeping count of the resident ones.
+    fn put(&mut self, task: &str, entry: Entry) {
+        let added = matches!(entry, Entry::Resident(_)) as u64;
+        let old = match self.map.get_mut(task) {
+            Some(old) => Some(std::mem::replace(old, entry)),
+            None => self.map.insert(task.to_owned(), entry),
+        };
+        self.resident = self.resident + added - matches!(old, Some(Entry::Resident(_))) as u64;
+        self.peak.raise(self.resident);
+    }
+}
+
 struct PoolInner {
     broker: Arc<dyn Broker>,
     /// The run's topic namespace: every subscribe/publish goes through
@@ -325,10 +428,16 @@ struct PoolInner {
     registry: Arc<ServiceRegistry>,
     /// Agent programs this process executes — in sharded mode, only the
     /// agents whose [`process_shard`] matches this process's shard. Each
-    /// is the one copy its agents (first and respawned) share.
+    /// is the one copy its agents (first, respawned and rehydrated)
+    /// share.
     programs: HashMap<String, Arc<AgentProgram>>,
     plans: Arc<Vec<AdaptPlan>>,
-    slots: Mutex<HashMap<String, Arc<AgentSlot>>>,
+    agents: Mutex<Agents>,
+    /// Completed agents are evicted: the broker keeps the history a
+    /// rehydration replays.
+    evicts: bool,
+    /// The run's `gf_sched_rehydrations_total` series.
+    rehydrations: Arc<Counter>,
     shards: Vec<crossbeam::channel::Sender<WorkItem>>,
     /// The status topic's subscription and the fold its waker runs:
     /// every task of the workflow, local or not, reaches the run's
@@ -336,7 +445,7 @@ struct PoolInner {
     /// membrane.
     status: Arc<StatusFold>,
     /// The run's inbox subscription, demultiplexed by key into the
-    /// first incarnations' queues ([`PoolInner::demux`]).
+    /// queues of the agents it feeds ([`PoolInner::demux`]).
     inbox: Subscription,
     shutdown: AtomicBool,
     auto_recover: bool,
@@ -410,8 +519,8 @@ fn launch_pool(
     // can publish to it unheard. (Across shard processes the same
     // guarantee comes from replay: whatever a peer published early is in
     // the log — which is why sharded mode requires a persistent broker;
-    // see `RunOptions::shard`.) Its waker is armed once every slot
-    // exists, so nothing it holds by then is dropped as unknown.
+    // see `RunOptions::shard`.) Its waker builds every agent but the
+    // sources, on the agent's first message.
     let inbox_sub =
         retry_disconnected(|| broker.subscribe(ns.inbox(), mode)).expect("inbox subscription");
     let inbox_lag = inbox_sub.lag_probe();
@@ -429,7 +538,16 @@ fn launch_pool(
         .filter(|a| is_local(&a.name))
         .map(Arc::new)
         .collect();
+    let (m, run) = (sched_metrics(), ns.run_id().as_str());
+    let (peak, rehydrations) = (m.resident.with(run), m.rehydrations.with(run));
     let inner = Arc::new(PoolInner {
+        evicts: broker.persistent(),
+        rehydrations,
+        agents: Mutex::new(Agents {
+            map: HashMap::new(),
+            resident: 0,
+            peak,
+        }),
         broker,
         ns,
         registry,
@@ -438,7 +556,6 @@ fn launch_pool(
             .map(|a| (a.name.clone(), Arc::clone(a)))
             .collect(),
         plans: Arc::new(plans),
-        slots: Mutex::new(HashMap::new()),
         shards: shard_txs,
         status,
         inbox: inbox_sub,
@@ -447,18 +564,6 @@ fn launch_pool(
         lag_probes: Mutex::new(vec![status_lag, inbox_lag]),
         label,
     });
-
-    let fresh: Vec<Arc<AgentSlot>> = {
-        let mut slots = inner.slots.lock();
-        local_agents
-            .into_iter()
-            .map(|program| {
-                let slot = inner.make_slot(program, None, 0);
-                slots.insert(slot.name.clone(), slot.clone());
-                slot
-            })
-            .collect()
-    };
 
     let workers_threads: Vec<JoinHandle<()>> = shard_rxs
         .into_iter()
@@ -472,16 +577,19 @@ fn launch_pool(
         })
         .collect();
 
-    // Arm the inbox, then hand every agent its Start turn (a slot the
-    // inbox already scheduled runs its Start first all the same).
+    // Arm the inbox, then build the sources: nothing but its start sets
+    // one working, and every other agent is built by its first message.
     let weak: Weak<PoolInner> = Arc::downgrade(&inner);
     inner.inbox.set_waker(move || {
         if let Some(inner) = weak.upgrade() {
             inner.demux();
         }
     });
-    for slot in &fresh {
-        inner.schedule(slot);
+    {
+        let mut agents = inner.agents.lock();
+        for program in local_agents.iter().filter(|p| p.is_source()) {
+            inner.build(&mut agents, &program.name, 0, None);
+        }
     }
 
     WorkflowRun {
@@ -491,40 +599,136 @@ fn launch_pool(
 }
 
 impl PoolInner {
+    /// Build an agent. A `past` makes it the rehydration of an evicted
+    /// one.
     fn make_slot(
         &self,
         program: Arc<AgentProgram>,
-        own: Option<Arc<Subscription>>,
         incarnation: u32,
+        own: Option<Arc<Subscription>>,
+        past: Option<(Memo, Replay)>,
     ) -> Arc<AgentSlot> {
         let name = program.name.clone();
-        let core = SaCore::new(program, self.plans.clone());
+        let (memo, replay) = match past {
+            Some((memo, replay)) => (memo, Some(replay)),
+            None => (Memo::default(), None),
+        };
         Arc::new(AgentSlot {
             shard: shard_of(&name, self.shards.len()),
             name,
             incarnation,
-            core: Mutex::new(core),
+            state: Mutex::new(AgentState {
+                core: SaCore::new(program, self.plans.clone()),
+                started: false,
+                handled: 0,
+                memo,
+                replay,
+            }),
             queue: Mutex::new(VecDeque::new()),
+            own_feed: own.is_some(),
             own: Mutex::new(own),
             kill: AtomicBool::new(false),
             dead: AtomicBool::new(false),
-            started: AtomicBool::new(false),
             scheduled: AtomicBool::new(false),
         })
     }
 
-    /// The inbox's waker: route each message to its key's first
-    /// incarnation. A respawned incarnation reads its own subscription,
-    /// and a key with no local slot is another shard's.
+    /// The inbox's waker: route each message to its key's agent, built
+    /// on demand. A slot with a subscription of its own reads that
+    /// instead, and a key this process does not host is dropped.
     fn demux(&self) {
         self.inbox.drain(|msg| {
-            let slot = std::str::from_utf8(msg.key.as_deref().unwrap_or_default())
-                .ok()
-                .and_then(|task| self.slots.lock().get(task).cloned());
-            if let Some(slot) = slot.filter(|s| s.incarnation == 0) {
+            let Some(task) = msg.key.as_deref().and_then(|k| std::str::from_utf8(k).ok()) else {
+                return;
+            };
+            let mut agents = self.agents.lock();
+            let slot = match agents.map.get_mut(task) {
+                Some(Entry::Resident(slot)) => slot.clone(),
+                // A late message: the agent is rebuilt under its own
+                // incarnation, its past read back from the message's
+                // partition on its first turn.
+                Some(Entry::Evicted(past)) => {
+                    let past = std::mem::take(past);
+                    let replay = Replay {
+                        partition: msg.partition,
+                        messages: past.handled,
+                    };
+                    let memo = Memo::of(past.outcomes);
+                    self.build(&mut agents, task, past.incarnation, Some((memo, replay)))
+                }
+                None if self.programs.contains_key(task) => self.build(&mut agents, task, 0, None),
+                None => return,
+            };
+            if !slot.own_feed {
                 self.deliver(&slot, msg.payload);
             }
         });
+    }
+
+    /// Build `task`'s agent on the run's inbox — fresh, or rehydrating a
+    /// `past` — store it and schedule it.
+    fn build(
+        &self,
+        agents: &mut Agents,
+        task: &str,
+        incarnation: u32,
+        past: Option<(Memo, Replay)>,
+    ) -> Arc<AgentSlot> {
+        let slot = self.make_slot(self.programs[task].clone(), incarnation, None, past);
+        agents.put(task, Entry::Resident(slot.clone()));
+        self.schedule(&slot);
+        slot
+    }
+
+    /// Put the first `replay.messages` messages keyed to `slot` back at
+    /// the head of its queue, read from the log: what its evicted
+    /// incarnation handled, ahead of the late message that rebuilt it.
+    /// A worker does this, not the demultiplexer: over TCP a fetch is a
+    /// request to the reactor the demultiplexer runs on.
+    fn refill(&self, slot: &AgentSlot, replay: &Replay) -> Result<(), MqError> {
+        let mut past = Vec::new();
+        let mut from = 0;
+        while (past.len() as u64) < replay.messages {
+            let page = retry_disconnected(|| {
+                self.broker
+                    .fetch(self.ns.inbox(), replay.partition, from, FETCH_PAGE)
+            })?;
+            let Some(last) = page.last() else {
+                break;
+            };
+            from = last.offset + 1;
+            past.extend(
+                page.into_iter()
+                    .filter(|m| m.key.as_deref() == Some(slot.name.as_bytes()))
+                    .map(|m| m.payload),
+            );
+        }
+        past.truncate(replay.messages as usize);
+        let mut queue = slot.queue.lock();
+        for payload in past.into_iter().rev() {
+            queue.push_front(payload);
+        }
+        Ok(())
+    }
+
+    /// Evict `slot`, completed, to a tombstone — unless a message is
+    /// already queued for it or it is dying. The caller holds the slot's
+    /// state; see the module docs for the lock order.
+    fn evict(&self, slot: &AgentSlot, state: &mut AgentState) -> bool {
+        let mut agents = self.agents.lock();
+        let queue = slot.queue.lock();
+        if !queue.is_empty() || !slot.live() || self.shutdown.load(Ordering::SeqCst) {
+            return false;
+        }
+        slot.dead.store(true, Ordering::SeqCst);
+        drop(queue);
+        let past = Tombstone {
+            incarnation: slot.incarnation,
+            handled: state.handled,
+            outcomes: std::mem::take(&mut state.memo.outcomes),
+        };
+        agents.put(&slot.name, Entry::Evicted(past));
+        true
     }
 
     /// Queue `payload` for `slot` and schedule it — unless the agent is
@@ -571,31 +775,49 @@ impl PoolInner {
         }
     }
 
-    fn slot(&self, task: &str) -> Option<Arc<AgentSlot>> {
-        self.slots.lock().get(task).cloned()
+    /// Crash `task`'s agent — built for the purpose, under its
+    /// incarnation, if it is not resident, so a kill means the same
+    /// whenever it lands.
+    fn kill(&self, task: &str) -> bool {
+        let mut agents = self.agents.lock();
+        let slot = match agents.map.get(task) {
+            Some(Entry::Resident(slot)) => slot.clone(),
+            Some(Entry::Evicted(past)) => {
+                let incarnation = past.incarnation;
+                self.build(&mut agents, task, incarnation, None)
+            }
+            None if self.programs.contains_key(task) => self.build(&mut agents, task, 0, None),
+            None => return false,
+        };
+        if slot.dead.load(Ordering::SeqCst) {
+            return false;
+        }
+        slot.kill.store(true, Ordering::SeqCst);
+        // Wake it so the crash is observed promptly even when the agent
+        // is parked with an empty queue.
+        self.schedule(&slot);
+        true
     }
 
-    fn kill(&self, task: &str) -> bool {
-        match self.slot(task) {
-            Some(slot) if !slot.dead.load(Ordering::SeqCst) => {
-                slot.kill.store(true, Ordering::SeqCst);
-                // Wake it so the crash is observed promptly even when
-                // the agent is parked with an empty queue.
-                self.schedule(&slot);
-                true
-            }
-            _ => false,
+    /// A resident agent is alive until it dies; one not built yet or
+    /// evicted has not crashed, and lives as long as the run.
+    fn alive(&self, task: &str) -> bool {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return false;
+        }
+        match self.agents.lock().map.get(task) {
+            Some(Entry::Resident(slot)) => !slot.dead.load(Ordering::SeqCst),
+            Some(Entry::Evicted(_)) => true,
+            None => self.programs.contains_key(task),
         }
     }
 
-    fn alive(&self, task: &str) -> bool {
-        self.slot(task)
-            .map(|s| !s.dead.load(Ordering::SeqCst))
-            .unwrap_or(false)
-    }
-
     fn incarnation(&self, task: &str) -> u32 {
-        self.slot(task).map(|s| s.incarnation).unwrap_or(0)
+        match self.agents.lock().map.get(task) {
+            Some(Entry::Resident(slot)) => slot.incarnation,
+            Some(Entry::Evicted(past)) => past.incarnation,
+            None => 0,
+        }
     }
 
     /// §IV-B recovery: a fresh incarnation re-enters through the same
@@ -605,11 +827,13 @@ impl PoolInner {
     /// a racing manual respawn may already have replaced it.
     ///
     /// The lock rule (see the module docs): subscribe, *then* take the
-    /// slots lock and check → replace under it. A respawn that finds
+    /// `agents` lock and check → replace under it. A respawn that finds
     /// its incarnation no longer wanted drops its subscription; since
     /// the check and the replacement share one critical section, two
     /// concurrent respawns can never both insert and leave the loser as
-    /// an unreachable ghost agent still bound to the broker.
+    /// an unreachable ghost agent still bound to the broker. An agent
+    /// never built or evicted is replaced all the same: the newcomer
+    /// replays everything, its service included.
     fn respawn_impl(self: &Arc<Self>, task: &str, only_if_dead: bool) -> bool {
         let Some(program) = self.programs.get(task).cloned() else {
             return false;
@@ -622,24 +846,25 @@ impl PoolInner {
         let Ok(sub) = self.broker.subscribe(self.ns.inbox(), mode) else {
             return false;
         };
-        let mut slots = self.slots.lock();
-        let Some(old) = slots
-            .get(task)
-            .filter(|old| !only_if_dead || old.dead.load(Ordering::SeqCst))
-            .cloned()
-        else {
-            return false;
+        let mut agents = self.agents.lock();
+        let incarnation = match agents.map.get(task) {
+            Some(Entry::Resident(old)) if !only_if_dead || old.dead.load(Ordering::SeqCst) => {
+                // Make sure the previous incarnation is (being) stopped.
+                // It shares the new slot's shard, so it dies before the
+                // replacement runs.
+                old.kill.store(true, Ordering::SeqCst);
+                self.schedule(old);
+                old.incarnation + 1
+            }
+            Some(Entry::Evicted(past)) if !only_if_dead => past.incarnation + 1,
+            None if !only_if_dead => 1,
+            _ => return false,
         };
-        // Make sure the previous incarnation is (being) stopped. It
-        // shares the new slot's shard, so it dies before the
-        // replacement runs.
-        old.kill.store(true, Ordering::SeqCst);
-        self.schedule(&old);
         self.lag_probes.lock().push(sub.lag_probe());
         let sub = Arc::new(sub);
-        let slot = self.make_slot(program, Some(sub.clone()), old.incarnation + 1);
-        slots.insert(task.to_owned(), slot.clone());
-        drop(slots);
+        let slot = self.make_slot(program, incarnation, Some(sub.clone()), None);
+        agents.put(task, Entry::Resident(slot.clone()));
+        drop(agents);
         self.arm_own(&slot, &sub);
         self.schedule(&slot);
         true
@@ -658,55 +883,24 @@ fn worker_loop(inner: Arc<PoolInner>, rx: crossbeam::channel::Receiver<WorkItem>
     }
 }
 
+/// How an agent's turn ended.
+enum TurnEnd {
+    Park,
+    Die,
+    Evicted,
+}
+
 /// One scheduling turn of one agent.
 fn process(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
     if slot.dead.load(Ordering::SeqCst) {
         return;
     }
-    {
-        let mut core = slot.core.lock();
-        let ctx = AgentCtx {
-            broker: &*inner.broker,
-            ns: &inner.ns,
-            registry: &inner.registry,
-            name: &slot.name,
-            incarnation: slot.incarnation,
-        };
-        if !slot.started.swap(true, Ordering::SeqCst) {
-            if slot.kill.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
-                drop(core);
-                die(inner, slot);
-                return;
-            }
-            if ctx.dispatch(&mut core, Event::Start).is_err() {
-                drop(core);
-                die(inner, slot);
-                return;
-            }
-        }
-        let mut drained: u64 = 0;
-        for _ in 0..BATCH {
-            // A crash between reception and processing loses the event
-            // locally — the log broker still has it for replay.
-            if slot.kill.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
-                drop(core);
-                die(inner, slot);
-                return;
-            }
-            let Some(payload) = slot.queue.lock().pop_front() else {
-                break;
-            };
-            drained += 1;
-            let Some(message) = SaMessage::decode(&payload) else {
-                continue;
-            };
-            if ctx.dispatch(&mut core, Event::Deliver(message)).is_err() {
-                drop(core);
-                die(inner, slot);
-                return;
-            }
-        }
-        sched_metrics().wakeup_batch.observe(drained);
+    // The state lock ends with the turn: dying respawns without it.
+    let end = turn(inner, slot, &mut slot.state.lock());
+    match end {
+        TurnEnd::Park => {}
+        TurnEnd::Die => return die(inner, slot),
+        TurnEnd::Evicted => return,
     }
     // Park again. Clear the schedule bit *before* re-checking the
     // queue: a delivery that raced the drain either landed before the
@@ -716,6 +910,76 @@ fn process(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
     if !slot.queue.lock().is_empty() || slot.kill.load(Ordering::SeqCst) {
         inner.schedule(slot);
     }
+}
+
+/// The agent's share of a turn, under its state lock: its start on the
+/// first turn, then up to [`BATCH`] queued messages — and, on a
+/// persistent broker, its eviction once it has completed.
+fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -> TurnEnd {
+    let crashed = || slot.kill.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst);
+    let ctx = AgentCtx {
+        broker: &*inner.broker,
+        ns: &inner.ns,
+        registry: &inner.registry,
+        name: &slot.name,
+        incarnation: slot.incarnation,
+    };
+    if !state.started {
+        state.started = true;
+        if crashed() {
+            return TurnEnd::Die;
+        }
+        if let Some(replay) = &state.replay {
+            inner.rehydrations.inc();
+            if inner.refill(slot, replay).is_err() {
+                return TurnEnd::Die;
+            }
+        }
+        state.memo.replaying = state.replay.is_some();
+        if ctx
+            .dispatch(&mut state.core, Event::Start, &mut state.memo)
+            .is_err()
+        {
+            return TurnEnd::Die;
+        }
+    }
+    let mut drained: u64 = 0;
+    for _ in 0..BATCH {
+        // A crash between reception and processing loses the event
+        // locally — the log broker still has it for replay.
+        if crashed() {
+            return TurnEnd::Die;
+        }
+        let Some(payload) = slot.queue.lock().pop_front() else {
+            break;
+        };
+        drained += 1;
+        state.handled += 1;
+        state.memo.replaying = state
+            .replay
+            .as_ref()
+            .is_some_and(|past| state.handled <= past.messages);
+        let Some(message) = SaMessage::decode(&payload) else {
+            continue;
+        };
+        if ctx
+            .dispatch(&mut state.core, Event::Deliver(message), &mut state.memo)
+            .is_err()
+        {
+            return TurnEnd::Die;
+        }
+    }
+    sched_metrics().wakeup_batch.observe(drained);
+    // A respawned incarnation stays: eviction would drop its own
+    // subscription with whatever that has not yet delivered.
+    if inner.evicts
+        && !slot.own_feed
+        && state.core.state() == TaskState::Completed
+        && inner.evict(slot, state)
+    {
+        return TurnEnd::Evicted;
+    }
+    TurnEnd::Park
 }
 
 /// Retire a slot for good: its subscription, if it has one of its own,

@@ -4,7 +4,8 @@
 //! `tests/runtime.rs` with workers ≪ agents).
 
 use ginflow_agent::{
-    RunEvent, RunFailure, RunId, RunOptions, SaMessage, Scheduler, TopicNamespace, WaitError,
+    RunEvent, RunFailure, RunId, RunOptions, RunReport, SaMessage, Scheduler, TopicNamespace,
+    WaitError,
 };
 use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
 use ginflow_core::{patterns, FailingService, ServiceRegistry, TaskState, Value, Workflow};
@@ -736,6 +737,208 @@ fn a_respawned_agent_replays_only_its_own_key_in_log_order() {
     let results = run.wait(WAIT).expect("the run completes");
     assert_eq!(results["b"], Value::Str("s(b-first)".into()));
     assert_eq!(results["c"], Value::Str("s(c-first)".into()));
+    run.shutdown();
+}
+
+/// The run's value of a `run`-labelled metric family.
+fn run_metric(report: &RunReport, name: &str) -> u64 {
+    report
+        .metrics
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
+}
+
+#[test]
+fn a_chain_holds_two_agents_at_a_time_whatever_its_length() {
+    // Launch builds the source alone; every later agent is built by its
+    // first message and, on a log, evicted once it has completed. On one
+    // worker a chain therefore holds the agent at work and the successor
+    // its result has just built — at 10 tasks as at 1000.
+    for len in [10, 1000] {
+        let scheduler = Scheduler::new(Arc::new(LogBroker::new()), tracing_registry())
+            .with_options(RunOptions {
+                workers: 1,
+                ..RunOptions::default()
+            });
+        let report = scheduler
+            .launch(&patterns::sequence(len, "s").unwrap())
+            .join();
+        assert!(report.completed, "{len} tasks");
+        assert_eq!(report.completed_tasks(), len);
+        assert_eq!(
+            run_metric(&report, "gf_sched_resident_agents"),
+            2,
+            "{len} tasks"
+        );
+        assert_eq!(run_metric(&report, "gf_sched_rehydrations_total"), 0);
+    }
+}
+
+#[test]
+fn on_a_transient_broker_a_built_agent_stays_resident() {
+    // No log, nothing to rebuild an evicted agent from: every agent the
+    // run built is still there at the end.
+    let scheduler = Scheduler::new(BrokerKind::Transient.build(), tracing_registry())
+        .with_options(pool_options());
+    let report = scheduler
+        .launch(&patterns::sequence(50, "s").unwrap())
+        .join();
+    assert!(report.completed);
+    assert_eq!(run_metric(&report, "gf_sched_resident_agents"), 50);
+}
+
+#[test]
+fn launch_builds_only_the_sources() {
+    // The gated source holds the run at its first invoke: until it
+    // completes, no other agent has a message, so none exists.
+    let (gate, opened) = std::sync::mpsc::channel();
+    let mut registry = ServiceRegistry::tracing_for(["s"]);
+    registry.register(
+        "gate",
+        Arc::new(Gated(
+            ginflow_core::TraceService::new("gate"),
+            Mutex::new(opened),
+        )),
+    );
+    let mut b = WorkflowBuilder::new("gated-fan");
+    b.task("a", "gate").input(Value::str("x"));
+    for i in 0..100 {
+        b.task(format!("b{i}"), "s").after(["a"]);
+    }
+    let scheduler =
+        Scheduler::new(Arc::new(LogBroker::new()), Arc::new(registry)).with_options(pool_options());
+    let run = scheduler.launch(&b.build().unwrap());
+    let gate = gate;
+    let deadline = std::time::Instant::now() + WAIT;
+    while run.state_of("a") != Some(TaskState::Running) {
+        assert!(std::time::Instant::now() < deadline, "a never started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(run_metric(&run.report(), "gf_sched_resident_agents"), 1);
+    assert!(run.alive("b7"), "an agent not built yet has not crashed");
+    assert_eq!(run.incarnation("b7"), 0);
+    gate.send(()).unwrap();
+    let report = run.join();
+    assert_eq!(report.completed_tasks(), 101);
+}
+
+/// A service that counts its invocations, then traces.
+struct Counted(ginflow_core::TraceService, Arc<AtomicUsize>);
+
+impl ginflow_core::Service for Counted {
+    fn invoke(&self, params: &[Value]) -> Result<Value, ginflow_core::ServiceError> {
+        self.1.fetch_add(1, Ordering::SeqCst);
+        self.0.invoke(params)
+    }
+}
+
+/// A registry over `services`, each counted in the returned map.
+fn counted_registry(services: &[&str]) -> (ServiceRegistry, HashMap<String, Arc<AtomicUsize>>) {
+    let mut registry = ServiceRegistry::new();
+    let mut calls = HashMap::new();
+    for &name in services {
+        let count = Arc::new(AtomicUsize::new(0));
+        registry.register(
+            name,
+            Arc::new(Counted(
+                ginflow_core::TraceService::new(name),
+                count.clone(),
+            )),
+        );
+        calls.insert(name.to_owned(), count);
+    }
+    (registry, calls)
+}
+
+#[test]
+fn an_adaptation_rehydrates_the_evicted_source_without_invoking_it_again() {
+    // fig5 behind a head task T0, on a log, one worker: T1 receives T0's
+    // result, completes, sends and is evicted before T2 runs and fails.
+    // The ADAPT that asks T1 to resend its result to T2' rebuilds it: it
+    // reads T0's result back from the log and replays it muted — s1
+    // answered from its tombstone — then resends, under the same
+    // incarnation. Nobody observes a respawn. (Without the head, T1 is
+    // a source with no past to read.)
+    for head in [true, false] {
+        let (mut registry, calls) = counted_registry(&["s0", "s1", "s3", "s4", "s2p"]);
+        registry.register("s2", Arc::new(FailingService));
+        let mut b = WorkflowBuilder::new("fig5");
+        if head {
+            b.task("T0", "s0").input(Value::str("input"));
+            b.task("T1", "s1").after(["T0"]);
+        } else {
+            b.task("T1", "s1").input(Value::str("input"));
+        }
+        b.task("T2", "s2").after(["T1"]);
+        b.task("T3", "s3").after(["T1"]);
+        b.task("T4", "s4").after(["T2", "T3"]);
+        b.adaptation(
+            "replace-T2",
+            ["T2"],
+            ["T2"],
+            [ReplacementTask::new("T2'", "s2p", ["T1"])],
+        );
+        let scheduler = Scheduler::new(Arc::new(LogBroker::new()), Arc::new(registry))
+            .with_options(RunOptions {
+                workers: 1,
+                ..RunOptions::default()
+            });
+        let report = scheduler.launch(&b.build().unwrap()).join();
+        assert!(report.completed, "head: {head}");
+        let t1 = if head { "s1(s0(input))" } else { "s1(input)" };
+        assert_eq!(
+            report.result_of("T4"),
+            Some(&Value::Str(format!("s4(s2p({t1}),s3({t1}))")))
+        );
+        assert_eq!(run_metric(&report, "gf_sched_rehydrations_total"), 1);
+        for (service, count) in &calls {
+            let expected = usize::from(head || service != "s0");
+            assert_eq!(count.load(Ordering::SeqCst), expected, "{service}");
+        }
+        assert_eq!(report.respawns, 0);
+        assert_eq!(report.tasks["T1"].incarnation, 0);
+    }
+}
+
+#[test]
+fn a_late_duplicate_rehydrates_its_agent_and_changes_nothing() {
+    // After fig2 has completed, every agent is a tombstone. A duplicate
+    // result keyed to T2 rebuilds T2 by replay — its first message
+    // muted, s2 answered from the tombstone — and the duplicate itself
+    // is inert: nothing is invoked, sent or published. One worker runs
+    // T2's whole first turn before T3's, so once the second rehydration
+    // is counted the first agent's turn is over.
+    let (registry, calls) = counted_registry(&["s1", "s2", "s3", "s4"]);
+    let broker = Arc::new(LogBroker::new());
+    let scheduler = Scheduler::new(broker.clone(), Arc::new(registry)).with_options(RunOptions {
+        workers: 1,
+        ..RunOptions::default()
+    });
+    let run = scheduler.launch(&fig2());
+    let results = run.wait(WAIT).expect("fig2 completes");
+    let ns = TopicNamespace::new(RunId::new(run.run_id()).unwrap());
+    let (inbox, status) = (broker.retained(ns.inbox()), broker.retained(ns.status()));
+    for (i, task) in ["T2", "T3"].into_iter().enumerate() {
+        broker
+            .publish(ns.inbox(), Some(task.into()), result_payload("T1", "dup"))
+            .unwrap();
+        let deadline = std::time::Instant::now() + WAIT;
+        while run_metric(&run.report(), "gf_sched_rehydrations_total") < i as u64 + 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{task} not rehydrated"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    assert_eq!(broker.retained(ns.inbox()), inbox + 2, "only the forgeries");
+    assert_eq!(broker.retained(ns.status()), status);
+    for (service, count) in &calls {
+        assert_eq!(count.load(Ordering::SeqCst), 1, "{service}");
+    }
+    assert_eq!(run.incarnation("T2"), 0);
+    assert_eq!(run.result_of("T4"), Some(results["T4"].clone()));
     run.shutdown();
 }
 

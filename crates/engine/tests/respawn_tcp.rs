@@ -1,14 +1,18 @@
 //! The lock rule of the run's one keyed inbox, over TCP: the inbox is
 //! demultiplexed on the client reactor, the same thread that answers a
-//! respawn's subscribe. A respawn that held the scheduler's slot table
+//! respawn's subscribe. A respawn that held the scheduler's agent table
 //! across that round trip would stall the reactor behind the demux until
 //! the request timed out (30 s), and the respawn would fail. Counted,
 //! not timed: every respawn must succeed while keyed traffic floods the
-//! inbox, and the run must still complete.
+//! inbox, and the run must still complete. The demux itself makes no
+//! request: an agent it rehydrates reads its past from a worker.
 
-use ginflow_core::{Service, ServiceError, ServiceRegistry, TraceService, Value, WorkflowBuilder};
+use ginflow_core::workflow::ReplacementTask;
+use ginflow_core::{
+    FailingService, Service, ServiceError, ServiceRegistry, TraceService, Value, WorkflowBuilder,
+};
 use ginflow_engine::{Engine, RunId, TopicNamespace};
-use ginflow_mq::{Broker, TransientBroker};
+use ginflow_mq::{Broker, LogBroker, TransientBroker};
 use ginflow_net::{BrokerServer, RemoteBroker};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
@@ -102,5 +106,56 @@ fn respawns_with_inbox_traffic_in_flight_never_stall_the_reactor() {
     assert_eq!(results["join"], Value::Str(expected));
     let report = run.join();
     assert_eq!(report.tasks["join"].incarnation, RESPAWNS);
+    server.stop();
+}
+
+#[test]
+fn a_rehydration_over_tcp_reads_its_past_from_a_worker() {
+    // On a log daemon, one worker: T1 is evicted once its turn ends,
+    // before T2 fails, so the ADAPT asking T1 to resend reaches a
+    // tombstone. The reactor that demultiplexes it builds the rehydrated
+    // agent; the fetch of T0's result back from the log, which that same
+    // reactor must answer, is made on the agent's first worker turn.
+    // Made in the demux, it would stall until the request timed out and
+    // the run would miss its deadline.
+    let server = BrokerServer::bind("127.0.0.1:0", Arc::new(LogBroker::new())).unwrap();
+    let mut registry = ServiceRegistry::tracing_for(["s0", "s1", "s3", "s4", "s2p"]);
+    registry.register("s2", Arc::new(FailingService));
+    let mut b = WorkflowBuilder::new("fig5");
+    b.task("T0", "s0").input(Value::str("input"));
+    b.task("T1", "s1").after(["T0"]);
+    b.task("T2", "s2").after(["T1"]);
+    b.task("T3", "s3").after(["T1"]);
+    b.task("T4", "s4").after(["T2", "T3"]);
+    b.adaptation(
+        "replace-T2",
+        ["T2"],
+        ["T2"],
+        [ReplacementTask::new("T2'", "s2p", ["T1"])],
+    );
+    let report = Engine::builder()
+        .broker(
+            Arc::new(RemoteBroker::connect(&server.local_addr().to_string()).unwrap())
+                as Arc<dyn Broker>,
+        )
+        .registry(Arc::new(registry))
+        .workers(1)
+        .deadline(Duration::from_secs(20))
+        .build()
+        .launch(&b.build().unwrap())
+        .join();
+    assert!(report.completed, "{report:?}");
+    assert_eq!(
+        report.result_of("T4"),
+        Some(&Value::Str(
+            "s4(s2p(s1(s0(input))),s3(s1(s0(input))))".into()
+        ))
+    );
+    let rehydrations = report
+        .metrics
+        .iter()
+        .find(|(name, _)| name == "gf_sched_rehydrations_total")
+        .map(|(_, n)| *n);
+    assert_eq!(rehydrations, Some(1));
     server.stop();
 }

@@ -1,7 +1,7 @@
 //! Workflow → HOCL compilation, for both execution targets.
 
 use crate::rules;
-use ginflow_core::{AdaptationId, TaskId, Workflow};
+use ginflow_core::{AdaptationId, TaskId, Value, Workflow};
 use ginflow_hocl::symbol::keywords as kw;
 use ginflow_hocl::{Atom, Rule, Solution};
 use std::collections::HashMap;
@@ -25,8 +25,11 @@ pub struct AdaptPlan {
     pub trigger_targets: Vec<String>,
 }
 
-/// The compiled program of a single service agent: its initial local
-/// solution (the contents of the task's subsolution plus the local rules).
+/// The compiled program of a single service agent: what its initial
+/// local solution (the contents of the task's subsolution plus the local
+/// rules) is built from, by [`AgentProgram::initial`], when the agent
+/// is. A program costs its names and its share of the rules, not a
+/// solution.
 #[derive(Clone, Debug)]
 pub struct AgentProgram {
     /// Task identifier within the workflow.
@@ -37,19 +40,40 @@ pub struct AgentProgram {
     pub service: String,
     /// Standby agents only carry their activation rule until triggered.
     pub standby: bool,
-    /// The initial local solution.
-    pub initial: Solution,
     /// Names of this task's (initial) destinations — used by runtimes for
     /// sink detection and monitoring, without peeking into the chemistry.
     pub destinations: Vec<String>,
     /// Names of this task's (initial) sources.
     pub sources: Vec<String>,
+    /// The task's initial inputs.
+    inputs: Vec<Value>,
+    /// The local rules, in solution order.
+    rules: Vec<Arc<Rule>>,
 }
 
 impl AgentProgram {
+    /// The initial local solution: the task's data atoms, then its rules.
+    pub fn initial(&self) -> Solution {
+        let mut atoms = task_atoms(
+            &self.name,
+            &self.service,
+            &self.inputs,
+            &self.sources,
+            &self.destinations,
+        );
+        atoms.extend(self.rules.iter().cloned().map(Atom::rule_arc));
+        Solution::from_atoms(atoms)
+    }
+
     /// Is this agent a workflow sink (no destinations and not standby)?
     pub fn is_sink(&self) -> bool {
         !self.standby && self.destinations.is_empty()
+    }
+
+    /// Is this agent a workflow source (no sources and not standby) —
+    /// the only kind whose start alone sets it working?
+    pub fn is_source(&self) -> bool {
+        !self.standby && self.sources.is_empty()
     }
 }
 
@@ -87,20 +111,22 @@ fn wiring(wf: &Workflow, id: TaskId, roles: &mut Roles) -> Wiring {
 
 /// The data atoms of a task subsolution (Fig 3 plus the `TASK` self-name
 /// atom and provenance-tagged initial inputs).
-fn task_atoms(wf: &Workflow, id: TaskId, wiring: &Wiring) -> Vec<Atom> {
-    let spec = wf.dag().task(id);
+fn task_atoms(
+    name: &str,
+    service: &str,
+    inputs: &[Value],
+    sources: &[String],
+    destinations: &[String],
+) -> Vec<Atom> {
     vec![
-        Atom::keyed("TASK", [Atom::sym(&spec.name)]),
-        Atom::keyed(kw::SRC, [Atom::sub(wiring.sources.iter().map(Atom::sym))]),
-        Atom::keyed(
-            kw::DST,
-            [Atom::sub(wiring.destinations.iter().map(Atom::sym))],
-        ),
-        Atom::keyed(kw::SRV, [Atom::sym(&spec.service)]),
+        Atom::keyed("TASK", [Atom::sym(name)]),
+        Atom::keyed(kw::SRC, [Atom::sub(sources.iter().map(Atom::sym))]),
+        Atom::keyed(kw::DST, [Atom::sub(destinations.iter().map(Atom::sym))]),
+        Atom::keyed(kw::SRV, [Atom::sym(service)]),
         Atom::keyed(
             kw::IN,
             [Atom::sub(
-                spec.inputs
+                inputs
                     .iter()
                     .map(|v| Atom::tuple([Atom::sym(kw::INPUT), v.clone()])),
             )],
@@ -276,7 +302,14 @@ pub fn centralized(wf: &Workflow) -> Solution {
     let generic = [rules::gw_setup(), rules::gw_call()].map(Arc::new);
     let mut top: Vec<Atom> = Vec::with_capacity(dag.len() + 4);
     for (id, spec) in dag.iter() {
-        let mut atoms = task_atoms(wf, id, &wiring(wf, id, &mut r));
+        let wiring = wiring(wf, id, &mut r);
+        let mut atoms = task_atoms(
+            &spec.name,
+            &spec.service,
+            &spec.inputs,
+            &wiring.sources,
+            &wiring.destinations,
+        );
         if !spec.is_standby() {
             atoms.extend(generic.iter().cloned().map(Atom::rule_arc));
             for rule in adaptation_rules_for(id, &r) {
@@ -352,27 +385,26 @@ pub fn agent_programs(wf: &Workflow) -> (Vec<AgentProgram>, Vec<AdaptPlan>) {
     let mut agents = Vec::with_capacity(dag.len());
     for (id, spec) in dag.iter() {
         let wiring = wiring(wf, id, &mut r);
-        let mut atoms = task_atoms(wf, id, &wiring);
-        match r.standby.get(&id) {
-            Some(k) => atoms.push(Atom::rule_arc(activate[k].clone())),
+        let rules = match r.standby.get(&id) {
+            Some(k) => vec![activate[k].clone()],
             None => {
-                atoms.extend(generic.iter().cloned().map(Atom::rule_arc));
+                let mut rules = generic.to_vec();
                 for k in r.watched.get(&id).into_iter().flatten() {
-                    atoms.push(Atom::rule_arc(trigger[k].clone()));
+                    rules.push(trigger[k].clone());
                 }
-                for rule in adaptation_rules_for(id, &r) {
-                    atoms.push(Atom::rule(rule));
-                }
+                rules.extend(adaptation_rules_for(id, &r).into_iter().map(Arc::new));
+                rules
             }
-        }
+        };
         agents.push(AgentProgram {
             task: id,
             name: spec.name.clone(),
             service: spec.service.clone(),
             standby: spec.is_standby(),
-            initial: Solution::from_atoms(atoms),
             destinations: wiring.destinations,
             sources: wiring.sources,
+            inputs: spec.inputs.clone(),
+            rules,
         });
     }
     (agents, adapt_plans(wf))
@@ -438,7 +470,7 @@ mod tests {
         assert!(!t1.standby);
         assert_eq!(t1.destinations, vec!["T2", "T3"]);
         let rule_names: Vec<String> = t1
-            .initial
+            .initial()
             .atoms()
             .iter()
             .filter_map(|a| a.as_rule().map(|r| r.name().to_owned()))
@@ -448,7 +480,7 @@ mod tests {
 
         let t2 = by_name("T2");
         let t2_rules: Vec<String> = t2
-            .initial
+            .initial()
             .atoms()
             .iter()
             .filter_map(|a| a.as_rule().map(|r| r.name().to_owned()))
@@ -459,12 +491,12 @@ mod tests {
         assert!(t2p.standby);
         assert_eq!(t2p.sources, vec!["T1"]);
         assert_eq!(t2p.destinations, vec!["T4"]);
-        assert_eq!(t2p.initial.atoms().rule_indices().len(), 1);
+        assert_eq!(t2p.initial().atoms().rule_indices().len(), 1);
 
         let t4 = by_name("T4");
         assert!(t4.is_sink());
         let t4_rules: Vec<String> = t4
-            .initial
+            .initial()
             .atoms()
             .iter()
             .filter_map(|a| a.as_rule().map(|r| r.name().to_owned()))
@@ -481,7 +513,8 @@ mod tests {
         let wf = fig5();
         let (agents, _) = agent_programs(&wf);
         let t1 = agents.iter().find(|a| a.name == "T1").unwrap();
-        let input = t1.initial.atoms().keyed_sub(kw::IN).unwrap();
+        let initial = t1.initial();
+        let input = initial.atoms().keyed_sub(kw::IN).unwrap();
         assert_eq!(input.len(), 1);
         assert!(input.contains(&Atom::tuple([Atom::sym(kw::INPUT), Atom::str("input")])));
     }
@@ -494,8 +527,8 @@ mod tests {
         assert!(plans.is_empty());
         for a in &agents {
             assert!(!a.standby);
-            let names: Vec<&str> = a
-                .initial
+            let initial = a.initial();
+            let names: Vec<&str> = initial
                 .atoms()
                 .iter()
                 .filter_map(|x| x.as_rule().map(|r| r.name()))
@@ -507,12 +540,18 @@ mod tests {
     /// Pointers of every rule atom at the top level of `agents`' initial
     /// solutions, in order.
     fn rule_pointers(agents: &[AgentProgram]) -> Vec<(String, *const Rule)> {
-        agents
-            .iter()
-            .flat_map(|a| a.initial.atoms().iter())
-            .filter_map(|atom| atom.as_rule())
-            .map(|r| (r.name().to_owned(), Arc::as_ptr(r)))
-            .collect()
+        let mut pointers = Vec::new();
+        for agent in agents {
+            let initial = agent.initial();
+            pointers.extend(
+                initial
+                    .atoms()
+                    .iter()
+                    .filter_map(|atom| atom.as_rule())
+                    .map(|r| (r.name().to_owned(), Arc::as_ptr(r))),
+            );
+        }
+        pointers
     }
 
     #[test]

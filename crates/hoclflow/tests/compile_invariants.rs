@@ -27,7 +27,8 @@ proptest! {
         prop_assert!(plans.is_empty());
         prop_assert_eq!(agents.len(), wf.dag().len());
         for agent in &agents {
-            let atoms = agent.initial.atoms();
+            let initial = agent.initial();
+            let atoms = initial.atoms();
             // Generic rule set, in compilation order.
             let rules: Vec<&str> = atoms
                 .iter()
@@ -79,7 +80,7 @@ proptest! {
                 .iter()
                 .find(|a| a.name == name)
                 .unwrap()
-                .initial
+                .initial()
                 .atoms()
                 .iter()
                 .filter_map(|a| a.as_rule().map(|r| r.name().to_owned()))
@@ -91,7 +92,7 @@ proptest! {
         // Standby tasks: exactly the activation rule.
         for agent in agents.iter().filter(|a| a.standby) {
             let rules: Vec<String> = agent
-                .initial
+                .initial()
                 .atoms()
                 .iter()
                 .filter_map(|a| a.as_rule().map(|r| r.name().to_owned()))

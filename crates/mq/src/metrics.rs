@@ -85,6 +85,12 @@ impl Gauge {
         }
     }
 
+    /// Raise the gauge to `v` unless it already reads more: a
+    /// high-water mark.
+    pub fn raise(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
