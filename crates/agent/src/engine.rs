@@ -709,8 +709,9 @@ pub trait RunControl: Send + Sync {
     /// Crash a task's agent (fault injection). `false` when unsupported
     /// or the agent is already gone.
     fn kill(&self, task: &str) -> bool;
-    /// Start a replacement incarnation (§IV-B). `false` when
-    /// unsupported.
+    /// Start a replacement incarnation (§IV-B): on a persistent
+    /// broker it re-runs, live, every message the run's log holds for
+    /// the task before it takes new ones. `false` when unsupported.
     fn respawn(&self, task: &str) -> bool;
     /// Is the task's agent alive?
     fn alive(&self, task: &str) -> bool;
@@ -794,7 +795,11 @@ impl RunHandle {
         self.control.kill(task)
     }
 
-    /// Start a replacement incarnation for a task (§IV-B recovery).
+    /// Start a replacement incarnation for a task (§IV-B recovery). On
+    /// a persistent broker the newcomer reads every message keyed to the
+    /// task back from the run's inbox log and re-runs them, its service
+    /// included, before it takes new ones; on a transient broker it
+    /// starts with nothing.
     pub fn respawn(&self, task: &str) -> bool {
         self.control.respawn(task)
     }

@@ -145,11 +145,13 @@ pub(crate) struct Memo {
 }
 
 impl Memo {
-    /// A memo holding an evicted incarnation's outcomes, to replay.
+    /// A memo holding an evicted incarnation's outcomes, replaying from
+    /// the start.
     pub fn of(outcomes: Vec<Result<Value, String>>) -> Memo {
         Memo {
             outcomes,
-            ..Memo::default()
+            answered: 0,
+            replaying: true,
         }
     }
 

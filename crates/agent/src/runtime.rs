@@ -16,8 +16,11 @@ pub struct RunOptions {
     /// by slow external services.
     pub workers: usize,
     /// Automatically respawn dead agents (§IV-B recovery: the worker
-    /// that observes a death starts the replacement). Requires a
-    /// persistent broker to be useful.
+    /// that observes a death starts the replacement, which re-runs
+    /// what the run's inbox log holds for it). Requires a persistent
+    /// broker to be useful: on a transient one the replacement starts
+    /// with nothing. A replacement that cannot read the log dies for
+    /// good rather than being replaced again.
     pub auto_recover: bool,
     /// Multi-process sharding: `Some((index, count))` makes this
     /// process run only the agents whose FNV name-hash lands in shard

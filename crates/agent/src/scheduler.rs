@@ -25,16 +25,15 @@
 //!   outcomes. A late message — a duplicate result, an `ADAPT` asking a
 //!   finished source to resend — *rehydrates* it under the same
 //!   incarnation, by §IV-B's replay: the new slot takes the late message
-//!   from the run's inbox like any other, and on its first turn reads
-//!   the messages its tombstone counted back from the log (a fetch of
-//!   the late message's partition, filtered to its key) ahead of it.
-//!   Those and its start are re-run muted — its service answered from
-//!   the kept outcomes, nothing sent or published again — and the rest
-//!   live; once done, it is evicted again. A chain of thousands
-//!   therefore holds two agents at a time, which
-//!   `gf_sched_resident_agents{run}` reports as a high-water mark. On a
-//!   transient broker there is no log to rebuild from, and a built agent
-//!   stays resident;
+//!   from the run's inbox like any other, and its first turn *refills*
+//!   it — reads every message keyed to it back from the log, ahead of
+//!   what it has queued. Its start and the messages its tombstone
+//!   counted are re-run muted — its service answered from the kept
+//!   outcomes, nothing sent or published again — and the rest live;
+//!   once done, it is evicted again. A chain of thousands therefore
+//!   holds two agents at a time, which `gf_sched_resident_agents{run}`
+//!   reports as a high-water mark. On a transient broker there is no log
+//!   to rebuild from, and a built agent stays resident;
 //! * slots are *sharded*: an agent's name hashes to one worker, and only
 //!   that worker ever runs it. One agent's events therefore execute
 //!   strictly in order with no core-level contention, while distinct
@@ -42,17 +41,27 @@
 //! * a *crash* is a kill flag the agent observes between events —
 //!   losing all local state, exactly like the paper's killed JVM.
 //!   §IV-B recovery re-enqueues a fresh agent incarnation through the
-//!   same ready-queues. The newcomer opens a subscription of its own to
-//!   the inbox and keeps only its key: on a persistent broker it
-//!   replays the log with [`SubscribeMode::Beginning`] ("replay them in
-//!   the same order on a newly created SA"), and the broker, not the
-//!   scheduler, owns the seam between replay and live delivery. The
-//!   run's shared demultiplexer skips a slot fed this way, and such a
-//!   slot is never evicted. With
-//!   [`RunOptions::auto_recover`] the worker that observes the death
-//!   starts it on the spot. On a transient broker the same recovery
-//!   *starts* but has no history to replay, so the workflow hangs — the
-//!   reason the paper pairs recovery with Kafka.
+//!   same ready-queues, on the run's inbox like any other agent, and
+//!   refills it the way a rehydration is refilled ("replay them in the
+//!   same order on a newly created SA") with nothing muted: its service
+//!   runs again and what it sends goes out. Once completed, it is
+//!   evicted like any other. With [`RunOptions::auto_recover`] the
+//!   worker that observes the death starts it on the spot; a death by a
+//!   refill that could not read the log is final. On a transient broker
+//!   there is no log to refill from: the same recovery *starts* with
+//!   nothing, so the workflow hangs — the reason the paper pairs
+//!   recovery with Kafka.
+//!
+//! A refill reads the agent's partition of the inbox
+//! ([`ginflow_mq::partition_of`] its name) from the first offset up to
+//! the first message its queue holds — the demultiplexer delivers a key
+//! in log order, so everything after that one is queued live — or to
+//! the end when its queue is empty; a rehydration stops sooner, past
+//! the last message its tombstone handled (at once, for an agent that
+//! handled none). Every queued message carries its offset, so the
+//! refill drops what the demultiplexer queued meanwhile up to where it
+//! stopped reading — the log holds those already — and leaves a floor
+//! there that drops every later delivery of them.
 //!
 //! The wakeup protocol is the classic "schedule bit" of task executors:
 //! a delivery sets `AgentSlot::scheduled` and enqueues the slot only on
@@ -88,12 +97,10 @@
 //! a key's agent and queues the message under it. Over TCP it runs on
 //! the client reactor, which is also the thread that answers every
 //! broker request of the process — so nothing may hold `agents` across
-//! a broker request, and the demultiplexer makes none: a rehydrated
-//! agent fetches its past on its first turn, on a worker. A respawn
-//! subscribes first, then takes the lock, re-checks that its
-//! incarnation is still wanted and drops its subscription if a racing
-//! respawn won: two concurrent respawns never leave a ghost agent, and
-//! a respawn with inbox traffic in flight never stalls the reactor.
+//! a broker request, and nothing does: a refill is made on the agent's
+//! first turn, on a worker, and a respawn — which checks and replaces
+//! under the lock, so two concurrent respawns never leave a ghost
+//! agent — makes no request at all.
 //!
 //! Eviction takes the locks in the order a delivery made from inside
 //! the evicting agent's own dispatch does — the agent's state, then
@@ -120,7 +127,7 @@ use std::thread::JoinHandle;
 /// worker — keeps one chatty agent from starving its shard.
 const BATCH: usize = 64;
 
-/// Messages one fetch of a rehydration's replay asks for.
+/// Messages one fetch of a refill asks for.
 const FETCH_PAGE: usize = 1024;
 
 /// Scheduler-side handles into the process-global metrics registry
@@ -270,8 +277,8 @@ impl RunControl for WorkflowRun {
     }
 
     /// Manually start a replacement agent for `task` (§IV-B recovery).
-    /// On a persistent broker the newcomer replays the full inbox
-    /// history.
+    /// On a persistent broker the newcomer first replays, live, every
+    /// message keyed to it in the run's inbox log.
     fn respawn(&self, task: &str) -> bool {
         self.inner.respawn_impl(task, false)
     }
@@ -288,9 +295,8 @@ impl RunControl for WorkflowRun {
         if report.wall.is_zero() {
             report.wall = self.inner.status.elapsed();
         }
-        // Cumulative over every subscription the run ever opened: status,
-        // inbox, and each respawned incarnation's own.
-        report.lagged = self.inner.lag_probes.lock().iter().map(|p| p.get()).sum();
+        // Cumulative over the run's two subscriptions: status and inbox.
+        report.lagged = self.inner.lag_probes.iter().map(LagProbe::get).sum();
         report.metrics = ginflow_mq::metrics::global().snapshot_run(&report.run_id);
     }
 
@@ -337,15 +343,7 @@ struct AgentSlot {
     /// ever locks it — and a mutex to make the slot `Sync` for
     /// control-plane access (kill/respawn).
     state: Mutex<AgentState>,
-    /// Payloads of the inbox messages keyed to this agent, in log order,
-    /// not yet handed to the core.
-    queue: Mutex<VecDeque<Bytes>>,
-    /// Fed by an inbox subscription of its own, which it filters to its
-    /// key — a respawned incarnation — rather than by the run's shared
-    /// inbox.
-    own_feed: bool,
-    /// That subscription. Dropped when the agent dies.
-    own: Mutex<Option<Arc<Subscription>>>,
+    queue: Mutex<Queue>,
     /// Crash flag (the paper's killed JVM): observed between events.
     kill: AtomicBool,
     /// Set once the agent will never run again: dead, or evicted.
@@ -361,6 +359,16 @@ impl AgentSlot {
     }
 }
 
+/// The inbox messages keyed to an agent, not yet handed to its core.
+#[derive(Default)]
+struct Queue {
+    /// Offsets and payloads, in log order.
+    messages: VecDeque<(u64, Bytes)>,
+    /// Where the agent's refill stopped reading the log: a delivery
+    /// below this offset is one the refill queued already.
+    live_from: u64,
+}
+
 /// What only the slot's worker touches.
 struct AgentState {
     core: SaCore,
@@ -368,17 +376,24 @@ struct AgentState {
     started: bool,
     /// Inbox messages handed to the core so far, in log order.
     handled: u64,
+    /// One past the log offset of the last of them.
+    next: u64,
+    /// Answers a rehydration's invokes; a memo that starts out
+    /// replaying mutes the start.
     memo: Memo,
-    /// A rehydrated agent's past: its `Start` and these messages re-run
-    /// muted, answered from the memo.
+    /// Refill the queue from the log on the first turn.
     replay: Option<Replay>,
 }
 
-/// The messages an evicted agent handled: the first `messages` keyed to
-/// it in `partition` of the run's inbox.
+/// What a refill reads back and how much of it is re-run muted.
+#[derive(Clone, Copy)]
 struct Replay {
-    partition: u32,
-    messages: u64,
+    /// Messages re-run muted: a rehydration's past, none of a
+    /// respawn's.
+    muted: u64,
+    /// The log is read up to this offset at most: where a rehydration's
+    /// past ends, and nowhere for a respawn, whose past is unknown.
+    until: u64,
 }
 
 /// What an evicted agent leaves behind: enough to rebuild it by replay
@@ -386,8 +401,11 @@ struct Replay {
 #[derive(Default)]
 struct Tombstone {
     incarnation: u32,
-    /// Inbox messages it handled: the muted share of its replay.
+    /// Inbox messages it handled: the muted share of its refill.
     handled: u64,
+    /// One past the log offset of the last of them: where its refill
+    /// stops reading.
+    next: u64,
     outcomes: Vec<Result<Value, String>>,
 }
 
@@ -433,9 +451,9 @@ struct PoolInner {
     programs: HashMap<String, Arc<AgentProgram>>,
     plans: Arc<Vec<AdaptPlan>>,
     agents: Mutex<Agents>,
-    /// Completed agents are evicted: the broker keeps the history a
-    /// rehydration replays.
-    evicts: bool,
+    /// The broker keeps the run's history: a completed agent is
+    /// evicted, and a rehydrated or respawned one refilled from it.
+    persistent: bool,
     /// The run's `gf_sched_rehydrations_total` series.
     rehydrations: Arc<Counter>,
     shards: Vec<crossbeam::channel::Sender<WorkItem>>,
@@ -449,10 +467,9 @@ struct PoolInner {
     inbox: Subscription,
     shutdown: AtomicBool,
     auto_recover: bool,
-    /// Lag probes of every subscription the run ever opened (status,
-    /// inbox, every respawned incarnation's own) — summed into
+    /// Lag probes of the status and inbox subscriptions — summed into
     /// [`crate::engine::RunReport::lagged`].
-    lag_probes: Mutex<Vec<LagProbe>>,
+    lag_probes: [LagProbe; 2],
     label: &'static str,
 }
 
@@ -541,7 +558,7 @@ fn launch_pool(
     let (m, run) = (sched_metrics(), ns.run_id().as_str());
     let (peak, rehydrations) = (m.resident.with(run), m.rehydrations.with(run));
     let inner = Arc::new(PoolInner {
-        evicts: broker.persistent(),
+        persistent: broker.persistent(),
         rehydrations,
         agents: Mutex::new(Agents {
             map: HashMap::new(),
@@ -561,7 +578,7 @@ fn launch_pool(
         inbox: inbox_sub,
         shutdown: AtomicBool::new(false),
         auto_recover: options.auto_recover,
-        lag_probes: Mutex::new(vec![status_lag, inbox_lag]),
+        lag_probes: [status_lag, inbox_lag],
         label,
     });
 
@@ -599,43 +616,8 @@ fn launch_pool(
 }
 
 impl PoolInner {
-    /// Build an agent. A `past` makes it the rehydration of an evicted
-    /// one.
-    fn make_slot(
-        &self,
-        program: Arc<AgentProgram>,
-        incarnation: u32,
-        own: Option<Arc<Subscription>>,
-        past: Option<(Memo, Replay)>,
-    ) -> Arc<AgentSlot> {
-        let name = program.name.clone();
-        let (memo, replay) = match past {
-            Some((memo, replay)) => (memo, Some(replay)),
-            None => (Memo::default(), None),
-        };
-        Arc::new(AgentSlot {
-            shard: shard_of(&name, self.shards.len()),
-            name,
-            incarnation,
-            state: Mutex::new(AgentState {
-                core: SaCore::new(program, self.plans.clone()),
-                started: false,
-                handled: 0,
-                memo,
-                replay,
-            }),
-            queue: Mutex::new(VecDeque::new()),
-            own_feed: own.is_some(),
-            own: Mutex::new(own),
-            kill: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-            scheduled: AtomicBool::new(false),
-        })
-    }
-
     /// The inbox's waker: route each message to its key's agent, built
-    /// on demand. A slot with a subscription of its own reads that
-    /// instead, and a key this process does not host is dropped.
+    /// on demand. A key this process does not host is dropped.
     fn demux(&self) {
         self.inbox.drain(|msg| {
             let Some(task) = msg.key.as_deref().and_then(|k| std::str::from_utf8(k).ok()) else {
@@ -645,13 +627,13 @@ impl PoolInner {
             let slot = match agents.map.get_mut(task) {
                 Some(Entry::Resident(slot)) => slot.clone(),
                 // A late message: the agent is rebuilt under its own
-                // incarnation, its past read back from the message's
-                // partition on its first turn.
+                // incarnation and refilled on its first turn with what
+                // its tombstone handled, muted.
                 Some(Entry::Evicted(past)) => {
                     let past = std::mem::take(past);
                     let replay = Replay {
-                        partition: msg.partition,
-                        messages: past.handled,
+                        muted: past.handled,
+                        until: past.next,
                     };
                     let memo = Memo::of(past.outcomes);
                     self.build(&mut agents, task, past.incarnation, Some((memo, replay)))
@@ -659,14 +641,12 @@ impl PoolInner {
                 None if self.programs.contains_key(task) => self.build(&mut agents, task, 0, None),
                 None => return,
             };
-            if !slot.own_feed {
-                self.deliver(&slot, msg.payload);
-            }
+            self.deliver(&slot, msg.offset, msg.payload);
         });
     }
 
-    /// Build `task`'s agent on the run's inbox — fresh, or rehydrating a
-    /// `past` — store it and schedule it.
+    /// Build `task`'s agent on the run's inbox, store it and schedule
+    /// it. A `past` makes it refill from the log on its first turn.
     fn build(
         &self,
         agents: &mut Agents,
@@ -674,40 +654,75 @@ impl PoolInner {
         incarnation: u32,
         past: Option<(Memo, Replay)>,
     ) -> Arc<AgentSlot> {
-        let slot = self.make_slot(self.programs[task].clone(), incarnation, None, past);
+        let (memo, replay) = match past {
+            Some((memo, replay)) => (memo, Some(replay)),
+            None => (Memo::default(), None),
+        };
+        let slot = Arc::new(AgentSlot {
+            shard: shard_of(task, self.shards.len()),
+            name: task.to_owned(),
+            incarnation,
+            state: Mutex::new(AgentState {
+                core: SaCore::new(self.programs[task].clone(), self.plans.clone()),
+                started: false,
+                handled: 0,
+                next: 0,
+                memo,
+                replay,
+            }),
+            queue: Mutex::new(Queue::default()),
+            kill: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+            scheduled: AtomicBool::new(false),
+        });
         agents.put(task, Entry::Resident(slot.clone()));
         self.schedule(&slot);
         slot
     }
 
-    /// Put the first `replay.messages` messages keyed to `slot` back at
-    /// the head of its queue, read from the log: what its evicted
-    /// incarnation handled, ahead of the late message that rebuilt it.
-    /// A worker does this, not the demultiplexer: over TCP a fetch is a
-    /// request to the reactor the demultiplexer runs on.
-    fn refill(&self, slot: &AgentSlot, replay: &Replay) -> Result<(), MqError> {
-        let mut past = Vec::new();
+    /// Put every message keyed to `slot` back at the head of its queue,
+    /// read from its partition of the run's inbox up to the first of
+    /// `until`, the first message queued — every later one reaches the
+    /// queue live — and the log's end; what the queue held up to there
+    /// is a copy, and goes. A worker does this, not the
+    /// demultiplexer: over TCP a fetch is a request to the reactor the
+    /// demultiplexer runs on.
+    fn refill(&self, slot: &AgentSlot, until: u64) -> Result<(), MqError> {
+        let inbox = self.ns.inbox();
+        let key = slot.name.as_bytes();
+        let partition = ginflow_mq::partition_of(key, self.broker.partitions(inbox));
+        let until = slot
+            .queue
+            .lock()
+            .messages
+            .front()
+            .map_or(until, |(offset, _)| until.min(*offset));
+        let mut past = VecDeque::new();
         let mut from = 0;
-        while (past.len() as u64) < replay.messages {
-            let page = retry_disconnected(|| {
-                self.broker
-                    .fetch(self.ns.inbox(), replay.partition, from, FETCH_PAGE)
-            })?;
+        while from < until {
+            // Offsets are dense: no page need read past `until`.
+            let max = (until - from).min(FETCH_PAGE as u64) as usize;
+            let page = retry_disconnected(|| self.broker.fetch(inbox, partition, from, max))?;
             let Some(last) = page.last() else {
                 break;
             };
             from = last.offset + 1;
             past.extend(
                 page.into_iter()
-                    .filter(|m| m.key.as_deref() == Some(slot.name.as_bytes()))
-                    .map(|m| m.payload),
+                    .filter(|m| m.offset < until && m.key.as_deref() == Some(key))
+                    .map(|m| (m.offset, m.payload)),
             );
         }
-        past.truncate(replay.messages as usize);
+        let from = from.min(until);
         let mut queue = slot.queue.lock();
-        for payload in past.into_iter().rev() {
-            queue.push_front(payload);
-        }
+        past.extend(
+            queue
+                .messages
+                .drain(..)
+                .filter(|(offset, _)| *offset >= from),
+        );
+        queue.messages = past;
+        queue.live_from = from;
         Ok(())
     }
 
@@ -717,7 +732,7 @@ impl PoolInner {
     fn evict(&self, slot: &AgentSlot, state: &mut AgentState) -> bool {
         let mut agents = self.agents.lock();
         let queue = slot.queue.lock();
-        if !queue.is_empty() || !slot.live() || self.shutdown.load(Ordering::SeqCst) {
+        if !queue.messages.is_empty() || !slot.live() || self.shutdown.load(Ordering::SeqCst) {
             return false;
         }
         slot.dead.store(true, Ordering::SeqCst);
@@ -725,44 +740,26 @@ impl PoolInner {
         let past = Tombstone {
             incarnation: slot.incarnation,
             handled: state.handled,
+            next: state.next,
             outcomes: std::mem::take(&mut state.memo.outcomes),
         };
         agents.put(&slot.name, Entry::Evicted(past));
         true
     }
 
-    /// Queue `payload` for `slot` and schedule it — unless the agent is
-    /// dead or dying: a crash loses what it had not yet processed.
-    fn deliver(&self, slot: &Arc<AgentSlot>, payload: Bytes) {
+    /// Queue the message at `offset` for `slot` and schedule it — unless
+    /// the agent is dead or dying (a crash loses what it had not yet
+    /// processed) or its refill queued the message already.
+    fn deliver(&self, slot: &Arc<AgentSlot>, offset: u64, payload: Bytes) {
         if slot.live() {
-            slot.queue.lock().push_back(payload);
+            let mut queue = slot.queue.lock();
+            if offset < queue.live_from {
+                return;
+            }
+            queue.messages.push_back((offset, payload));
+            drop(queue);
             self.schedule(slot);
         }
-    }
-
-    /// Arm a respawned incarnation's own subscription: whatever it
-    /// delivers — a replay first, on a persistent broker — is filtered
-    /// to the slot's key and queued. The waker holds only weak
-    /// references, so it quietly dies with the slot or with the
-    /// subscription, which the slot drops when the agent dies.
-    fn arm_own(self: &Arc<Self>, slot: &Arc<AgentSlot>, sub: &Arc<Subscription>) {
-        let (inner, weak_slot, weak_sub) = (
-            Arc::downgrade(self),
-            Arc::downgrade(slot),
-            Arc::downgrade(sub),
-        );
-        sub.set_waker(move || {
-            let (Some(inner), Some(slot), Some(sub)) =
-                (inner.upgrade(), weak_slot.upgrade(), weak_sub.upgrade())
-            else {
-                return;
-            };
-            sub.drain(|msg| {
-                if msg.key.as_deref() == Some(slot.name.as_bytes()) {
-                    inner.deliver(&slot, msg.payload);
-                }
-            });
-        });
     }
 
     /// Enqueue the slot if it is not already queued/running.
@@ -821,31 +818,19 @@ impl PoolInner {
     }
 
     /// §IV-B recovery: a fresh incarnation re-enters through the same
-    /// ready-queue, on an inbox subscription of its own that replays the
-    /// whole log first on a persistent broker. With `only_if_dead` (auto
-    /// recovery) it happens only while the current incarnation is dead —
-    /// a racing manual respawn may already have replaced it.
-    ///
-    /// The lock rule (see the module docs): subscribe, *then* take the
-    /// `agents` lock and check → replace under it. A respawn that finds
-    /// its incarnation no longer wanted drops its subscription; since
-    /// the check and the replacement share one critical section, two
-    /// concurrent respawns can never both insert and leave the loser as
-    /// an unreachable ghost agent still bound to the broker. An agent
-    /// never built or evicted is replaced all the same: the newcomer
-    /// replays everything, its service included.
-    fn respawn_impl(self: &Arc<Self>, task: &str, only_if_dead: bool) -> bool {
-        let Some(program) = self.programs.get(task).cloned() else {
+    /// ready-queue, refilled on its first turn — on a persistent broker
+    /// — with nothing muted and an empty memo. With `only_if_dead` (auto
+    /// recovery) it happens only while the current incarnation is dead
+    /// — a racing manual respawn may already have replaced it. The check
+    /// and the replacement share one critical section, so two concurrent
+    /// respawns can never both insert and leave the loser as an
+    /// unreachable ghost agent. An agent never built or evicted is
+    /// replaced all the same: the newcomer replays everything, its
+    /// service included.
+    fn respawn_impl(&self, task: &str, only_if_dead: bool) -> bool {
+        if !self.programs.contains_key(task) {
             return false;
-        };
-        let mode = if self.broker.persistent() {
-            SubscribeMode::Beginning
-        } else {
-            SubscribeMode::Latest
-        };
-        let Ok(sub) = self.broker.subscribe(self.ns.inbox(), mode) else {
-            return false;
-        };
+        }
         let mut agents = self.agents.lock();
         let incarnation = match agents.map.get(task) {
             Some(Entry::Resident(old)) if !only_if_dead || old.dead.load(Ordering::SeqCst) => {
@@ -860,13 +845,12 @@ impl PoolInner {
             None if !only_if_dead => 1,
             _ => return false,
         };
-        self.lag_probes.lock().push(sub.lag_probe());
-        let sub = Arc::new(sub);
-        let slot = self.make_slot(program, incarnation, Some(sub.clone()), None);
-        agents.put(task, Entry::Resident(slot.clone()));
-        drop(agents);
-        self.arm_own(&slot, &sub);
-        self.schedule(&slot);
+        let replay = Replay {
+            muted: 0,
+            until: u64::MAX,
+        };
+        let past = self.persistent.then(|| (Memo::default(), replay));
+        self.build(&mut agents, task, incarnation, past);
         true
     }
 }
@@ -887,6 +871,9 @@ fn worker_loop(inner: Arc<PoolInner>, rx: crossbeam::channel::Receiver<WorkItem>
 enum TurnEnd {
     Park,
     Die,
+    /// Dead for good: its refill could not read the log, and a
+    /// replacement would be refilled the same way.
+    Lost,
     Evicted,
 }
 
@@ -899,7 +886,8 @@ fn process(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
     let end = turn(inner, slot, &mut slot.state.lock());
     match end {
         TurnEnd::Park => {}
-        TurnEnd::Die => return die(inner, slot),
+        TurnEnd::Die => return die(inner, slot, true),
+        TurnEnd::Lost => return die(inner, slot, false),
         TurnEnd::Evicted => return,
     }
     // Park again. Clear the schedule bit *before* re-checking the
@@ -907,14 +895,14 @@ fn process(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
     // clear (caught by the re-check) or after it (it sees the cleared
     // bit and enqueues) — either way no wakeup is lost.
     slot.scheduled.store(false, Ordering::SeqCst);
-    if !slot.queue.lock().is_empty() || slot.kill.load(Ordering::SeqCst) {
+    if !slot.queue.lock().messages.is_empty() || slot.kill.load(Ordering::SeqCst) {
         inner.schedule(slot);
     }
 }
 
-/// The agent's share of a turn, under its state lock: its start on the
-/// first turn, then up to [`BATCH`] queued messages — and, on a
-/// persistent broker, its eviction once it has completed.
+/// The agent's share of a turn, under its state lock: its refill and
+/// start on the first turn, then up to [`BATCH`] queued messages — and,
+/// on a persistent broker, its eviction once it has completed.
 fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -> TurnEnd {
     let crashed = || slot.kill.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst);
     let ctx = AgentCtx {
@@ -929,13 +917,15 @@ fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -
         if crashed() {
             return TurnEnd::Die;
         }
-        if let Some(replay) = &state.replay {
-            inner.rehydrations.inc();
-            if inner.refill(slot, replay).is_err() {
-                return TurnEnd::Die;
+        if let Some(replay) = state.replay {
+            // Only a rehydration starts muted.
+            if state.memo.replaying {
+                inner.rehydrations.inc();
+            }
+            if inner.refill(slot, replay.until).is_err() {
+                return TurnEnd::Lost;
             }
         }
-        state.memo.replaying = state.replay.is_some();
         if ctx
             .dispatch(&mut state.core, Event::Start, &mut state.memo)
             .is_err()
@@ -950,15 +940,13 @@ fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -
         if crashed() {
             return TurnEnd::Die;
         }
-        let Some(payload) = slot.queue.lock().pop_front() else {
+        let Some((offset, payload)) = slot.queue.lock().messages.pop_front() else {
             break;
         };
         drained += 1;
         state.handled += 1;
-        state.memo.replaying = state
-            .replay
-            .as_ref()
-            .is_some_and(|past| state.handled <= past.messages);
+        state.next = offset + 1;
+        state.memo.replaying = state.replay.is_some_and(|past| state.handled <= past.muted);
         let Some(message) = SaMessage::decode(&payload) else {
             continue;
         };
@@ -970,30 +958,22 @@ fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -
         }
     }
     sched_metrics().wakeup_batch.observe(drained);
-    // A respawned incarnation stays: eviction would drop its own
-    // subscription with whatever that has not yet delivered.
-    if inner.evicts
-        && !slot.own_feed
-        && state.core.state() == TaskState::Completed
-        && inner.evict(slot, state)
-    {
+    if inner.persistent && state.core.state() == TaskState::Completed && inner.evict(slot, state) {
         return TurnEnd::Evicted;
     }
     TurnEnd::Park
 }
 
-/// Retire a slot for good: its subscription, if it has one of its own,
-/// and its queue go with it. With auto recovery on, the worker that
-/// observed the death starts the §IV-B replacement itself: it holds no
+/// Retire a slot for good, its queue with it. With auto recovery on,
+/// the worker that observed the death starts the §IV-B replacement
+/// itself, unless the death is final (`recover` unset): it holds no
 /// lock here, the replacement lands on this same shard, and scheduling
 /// it is a non-blocking send onto this worker's own queue.
-fn die(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
+fn die(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, recover: bool) {
     slot.dead.store(true, Ordering::SeqCst);
-    let own = slot.own.lock().take();
-    drop(own);
-    slot.queue.lock().clear();
+    slot.queue.lock().messages.clear();
     slot.scheduled.store(false, Ordering::SeqCst);
-    if inner.auto_recover && !inner.shutdown.load(Ordering::SeqCst) {
+    if recover && inner.auto_recover && !inner.shutdown.load(Ordering::SeqCst) {
         inner.respawn_impl(&slot.name, true);
     }
 }

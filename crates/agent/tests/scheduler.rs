@@ -201,13 +201,17 @@ fn repeated_crashes_on_the_pool_eventually_complete() {
 /// The first few subscribes of `launch` — the requests a run cannot do
 /// without — and, once `refuse_publishes` is set, every publish. Publish
 /// attempts are counted; every flavour of publish reaches `publish`
-/// through the trait's defaults.
+/// through the trait's defaults. With `refuse_fetches` set, every fetch
+/// fails the way a daemon that stopped answering fails it: `Timeout`.
+/// Fetch attempts are counted too.
 #[derive(Default)]
 struct DisconnectingBroker {
     log: LogBroker,
     publishes: AtomicUsize,
     refuse_publishes: AtomicBool,
     subscribe_drops_left: AtomicUsize,
+    fetches: AtomicUsize,
+    refuse_fetches: AtomicBool,
 }
 
 /// Use up one of `drops_left`; `Err(Disconnected)` while any were left.
@@ -244,6 +248,10 @@ impl Broker for DisconnectingBroker {
         from_offset: u64,
         max: usize,
     ) -> Result<Vec<Message>, MqError> {
+        self.fetches.fetch_add(1, Ordering::SeqCst);
+        if self.refuse_fetches.load(Ordering::SeqCst) {
+            return Err(MqError::Timeout);
+        }
         self.log.fetch(topic, partition, from_offset, max)
     }
 
@@ -305,6 +313,36 @@ fn launch_survives_losing_its_subscribes() {
     );
     run.shutdown();
     assert_eq!(broker.subscribe_drops_left.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn a_refill_that_cannot_read_the_log_ends_its_agent_for_good() {
+    // With auto recovery on, a death respawns the agent, and the
+    // respawn is refilled from the log on its first turn. When that
+    // read fails for good — not a dropped connection, which is retried —
+    // the second death is final: one incarnation more, one fetch, and no
+    // loop of respawns each failing the same read.
+    let broker = Arc::new(DisconnectingBroker {
+        refuse_fetches: AtomicBool::new(true),
+        ..DisconnectingBroker::default()
+    });
+    let scheduler = Scheduler::new(broker.clone(), tracing_registry()).with_options(RunOptions {
+        auto_recover: true,
+        ..pool_options()
+    });
+    let run = scheduler.launch(&fig2());
+    assert!(run.kill("T2"));
+    let deadline = std::time::Instant::now() + WAIT;
+    while run.alive("T2") || run.incarnation("T2") == 0 {
+        assert!(std::time::Instant::now() < deadline, "T2 never ended");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // Long enough for a respawn loop to show.
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(!run.alive("T2"));
+    assert_eq!(run.incarnation("T2"), 1);
+    assert_eq!(broker.fetches.load(Ordering::SeqCst), 1);
+    run.shutdown();
 }
 
 /// Names (`/proc/self/task/*/comm`) of this process's threads that start
@@ -596,8 +634,9 @@ fn a_chain_task_hands_the_broker_two_batches() {
 
 #[test]
 fn a_launch_subscribes_twice_whatever_its_width() {
-    // Status and the run's one inbox, at 10 tasks and at 1000: no topic
-    // and no subscription per agent.
+    // Status and the run's one inbox, at 10 tasks and at 1000, a killed
+    // and respawned agent included: no topic and no subscription per
+    // agent or per incarnation.
     for width in [8, 998] {
         let broker = Arc::new(RecordingBroker::default());
         let scheduler =
@@ -605,6 +644,8 @@ fn a_launch_subscribes_twice_whatever_its_width() {
         let wf = patterns::parallel(width, "s").unwrap();
         let run = scheduler.launch(&wf);
         let run_id = run.run_id().to_owned();
+        assert!(run.kill("p1"));
+        assert!(run.respawn("p1"));
         run.wait(WAIT).expect("the fan completes");
         run.shutdown();
         assert_eq!(
@@ -691,11 +732,12 @@ fn result_payload(from: &str, value: &str) -> bytes::Bytes {
 fn a_respawned_agent_replays_only_its_own_key_in_log_order() {
     // `a` is gated, so nothing the run sends reaches `b` or `c` until
     // the end. Meanwhile the log interleaves results keyed to `c` with
-    // two keyed to `b` — the killed agent — and an unknown key. The
-    // respawned `b` replays the whole log from its own subscription and
-    // must hand its core only `b`'s messages, in log order: its service
-    // then runs on the first of them. `c`, still on the run's shared
-    // inbox, gets its own first message the same way.
+    // two keyed to `b` — the killed agent, which drops them — and an
+    // unknown key. The respawned `b` is refilled from its key's
+    // partition of the log and must hand its core only `b`'s messages,
+    // in log order: its service then runs on the first of them. `c`,
+    // built by the run's inbox on its first message, gets it the same
+    // way.
     let (gate, opened) = std::sync::mpsc::channel();
     let mut registry = ServiceRegistry::tracing_for(["s"]);
     registry.register(
@@ -940,6 +982,247 @@ fn a_late_duplicate_rehydrates_its_agent_and_changes_nothing() {
     assert_eq!(run.incarnation("T2"), 0);
     assert_eq!(run.result_of("T4"), Some(results["T4"].clone()));
     run.shutdown();
+}
+
+#[test]
+fn a_respawned_agent_is_evicted_and_rehydrated_like_any_other() {
+    // One worker, held by the gated T1 until T2 has been killed and
+    // respawned: the newcomer is refilled from the log live — s2 runs
+    // once, in it — completes and is evicted like any other agent. A
+    // forged late duplicate then rehydrates it under the respawned
+    // incarnation, its past muted: s2 is not invoked again. A second
+    // forgery, to T3, queues behind T2's turn on the one worker, so once
+    // it is counted that turn is over.
+    let (mut registry, calls) = counted_registry(&["s2", "s3", "s4"]);
+    let (gate, opened) = std::sync::mpsc::channel();
+    registry.register(
+        "s1",
+        Arc::new(Gated(
+            ginflow_core::TraceService::new("s1"),
+            Mutex::new(opened),
+        )),
+    );
+    let broker = Arc::new(LogBroker::new());
+    let scheduler = Scheduler::new(broker.clone(), Arc::new(registry)).with_options(RunOptions {
+        workers: 1,
+        ..RunOptions::default()
+    });
+    let run = scheduler.launch(&fig2());
+    let gate = gate;
+    assert!(run.kill("T2"));
+    assert!(run.respawn("T2"));
+    gate.send(()).unwrap();
+    let results = run.wait(WAIT).expect("fig2 completes");
+    assert_eq!(calls["s2"].load(Ordering::SeqCst), 1);
+    let ns = TopicNamespace::new(RunId::new(run.run_id()).unwrap());
+    for (i, task) in ["T2", "T3"].into_iter().enumerate() {
+        broker
+            .publish(ns.inbox(), Some(task.into()), result_payload("T1", "dup"))
+            .unwrap();
+        let deadline = std::time::Instant::now() + WAIT;
+        while run_metric(&run.report(), "gf_sched_rehydrations_total") < i as u64 + 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{task} not rehydrated"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(
+            run_metric(&run.report(), "gf_sched_rehydrations_total"),
+            i as u64 + 1
+        );
+    }
+    for (service, count) in &calls {
+        assert_eq!(count.load(Ordering::SeqCst), 1, "{service}");
+    }
+    assert_eq!(run.incarnation("T2"), 1);
+    assert_eq!(run.result_of("T4"), Some(results["T4"].clone()));
+    run.shutdown();
+}
+
+/// A log broker whose fetches run ahead of its deliveries, the way a
+/// lagging demultiplexer sees the log: every publish lands in `ahead`,
+/// which serves fetches, at once, but reaches `live`, which serves
+/// subscriptions, only on [`LaggingBroker::release`] while `holding` is
+/// set — or, with `release_on_fetch`, inside the next fetch, before it
+/// reads. Publishes are serialized, so both logs give a message one
+/// offset.
+#[derive(Default)]
+struct LaggingBroker {
+    live: LogBroker,
+    ahead: LogBroker,
+    holding: AtomicBool,
+    release_on_fetch: AtomicBool,
+    held: Mutex<Vec<(String, Option<bytes::Bytes>, bytes::Bytes)>>,
+}
+
+impl LaggingBroker {
+    /// Deliver what was held, and hold nothing more.
+    fn release(&self) {
+        let mut held = self.held.lock().unwrap();
+        self.holding.store(false, Ordering::SeqCst);
+        for (topic, key, payload) in held.drain(..) {
+            self.live.publish(&topic, key, payload).unwrap();
+        }
+    }
+}
+
+impl Broker for LaggingBroker {
+    fn publish(
+        &self,
+        topic: &str,
+        key: Option<bytes::Bytes>,
+        payload: bytes::Bytes,
+    ) -> Result<Receipt, MqError> {
+        let mut held = self.held.lock().unwrap();
+        let receipt = self.ahead.publish(topic, key.clone(), payload.clone())?;
+        if self.holding.load(Ordering::SeqCst) {
+            held.push((topic.to_owned(), key, payload));
+        } else {
+            self.live.publish(topic, key, payload)?;
+        }
+        Ok(receipt)
+    }
+
+    fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
+        self.live.subscribe(topic, mode)
+    }
+
+    fn fetch(
+        &self,
+        topic: &str,
+        partition: u32,
+        from_offset: u64,
+        max: usize,
+    ) -> Result<Vec<Message>, MqError> {
+        if self.release_on_fetch.swap(false, Ordering::SeqCst) {
+            self.release();
+        }
+        self.ahead.fetch(topic, partition, from_offset, max)
+    }
+
+    fn persistent(&self) -> bool {
+        true
+    }
+
+    fn partitions(&self, topic: &str) -> u32 {
+        self.ahead.partitions(topic)
+    }
+
+    fn retained(&self, topic: &str) -> u64 {
+        self.ahead.retained(topic)
+    }
+}
+
+/// A service that reports each call entering it, then parks until the
+/// test opens the gate, then traces.
+struct Signalled(
+    ginflow_core::TraceService,
+    Mutex<std::sync::mpsc::Sender<()>>,
+    Mutex<std::sync::mpsc::Receiver<()>>,
+);
+
+impl ginflow_core::Service for Signalled {
+    fn invoke(&self, params: &[Value]) -> Result<Value, ginflow_core::ServiceError> {
+        let _ = self.1.lock().unwrap().send(());
+        let _ = self.2.lock().unwrap().recv();
+        self.0.invoke(params)
+    }
+}
+
+/// When the messages forged in `a_message_the_refill_read_is_handled_once`
+/// reach the run's inbox subscription, relative to the newcomer's refill.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Arrival {
+    Before,
+    During,
+    After,
+}
+
+#[test]
+fn a_message_the_refill_read_is_handled_once() {
+    // One worker, held by T1's parked service. T1 is killed and
+    // respawned, and two messages keyed to it are forged while the
+    // newcomer waits for its first turn. Delivered at once, they are
+    // queued before the newcomer's refill, which reads the log only up
+    // to them; delivered while its refill fetches, they are queued and
+    // read back from the log both; held back until it has parked in s1,
+    // its refill over, they were read from the log already. Each way the
+    // newcomer keeps one copy of each, so — completed, then evicted — it
+    // has handled two messages, not four. A late ADAPT then rehydrates
+    // it with those two muted and the ADAPT live: T1 resends its result
+    // to the standby T2'. Had it counted four, the ADAPT would be muted
+    // too, and nothing would reach T2'.
+    for arrival in [Arrival::Before, Arrival::During, Arrival::After] {
+        let (gate, opened) = std::sync::mpsc::channel::<()>();
+        let (entering, entered) = std::sync::mpsc::channel::<()>();
+        let mut registry = ServiceRegistry::tracing_for(["s2", "s3", "s4", "s2p"]);
+        registry.register(
+            "s1",
+            Arc::new(Signalled(
+                ginflow_core::TraceService::new("s1"),
+                Mutex::new(entering),
+                Mutex::new(opened),
+            )),
+        );
+        let broker = Arc::new(LaggingBroker::default());
+        let scheduler =
+            Scheduler::new(broker.clone(), Arc::new(registry)).with_options(RunOptions {
+                workers: 1,
+                ..RunOptions::default()
+            });
+        let run = scheduler.launch(&fig5());
+        let gate = gate;
+        entered.recv_timeout(WAIT).expect("T1 enters s1");
+        assert!(run.kill("T1"));
+        assert!(run.respawn("T1"));
+        let ns = TopicNamespace::new(RunId::new(run.run_id()).unwrap());
+        broker
+            .holding
+            .store(arrival != Arrival::Before, Ordering::SeqCst);
+        broker
+            .release_on_fetch
+            .store(arrival == Arrival::During, Ordering::SeqCst);
+        for _ in 0..2 {
+            broker
+                .publish(ns.inbox(), Some("T1".into()), "noise".into())
+                .unwrap();
+        }
+        // The killed incarnation leaves s1 and dies; the respawned one is
+        // refilled and enters s1 in turn.
+        gate.send(()).unwrap();
+        entered
+            .recv_timeout(WAIT)
+            .expect("the respawned T1 enters s1");
+        broker.release();
+        // Every invoke of s1 from here on returns at once.
+        drop(gate);
+        run.wait(WAIT).expect("fig5 completes");
+
+        let adapt = SaMessage::Adapt { adaptation: 0 }.encode();
+        broker
+            .publish(ns.inbox(), Some("T1".into()), adapt)
+            .unwrap();
+        let to_standby = || {
+            broker
+                .fetch(ns.inbox(), 0, 0, usize::MAX)
+                .unwrap()
+                .into_iter()
+                .filter(|m| m.key.as_deref() == Some(b"T2'".as_slice()))
+                .count()
+        };
+        let deadline = std::time::Instant::now() + WAIT;
+        while to_standby() == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{arrival:?}: T1 never resent"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(to_standby(), 1, "{arrival:?}");
+        assert_eq!(run_metric(&run.report(), "gf_sched_rehydrations_total"), 1);
+        run.shutdown();
+    }
 }
 
 #[test]

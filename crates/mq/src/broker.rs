@@ -100,12 +100,10 @@ pub trait Broker: Send + Sync {
     /// Subscribe to a topic.
     fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError>;
 
-    /// Open many subscriptions at once, in order. Semantically identical
-    /// to calling [`Broker::subscribe`] per request (the default does
-    /// exactly that); out-of-process frontends override this to
-    /// *pipeline* the round trips — all SUBSCRIBE frames go out before
-    /// the first ack is awaited, so launching a 1000-agent run costs
-    /// one round trip rather than a thousand.
+    /// Open many subscriptions at once, in order. The default calls
+    /// [`Broker::subscribe`] once per request, and the first error ends
+    /// the batch, dropping the subscriptions already opened — so over
+    /// TCP each request is a round trip of its own.
     fn subscribe_many(
         &self,
         requests: &[(String, SubscribeMode)],

@@ -53,7 +53,7 @@ pub use broker::{
     SubscribeMode, SubscriberHandle, Subscription, TOPIC_SHARDS,
 };
 pub use error::MqError;
-pub use log::LogBroker;
+pub use log::{partition_of, LogBroker};
 pub use message::Message;
 pub use namespace::{RunId, TopicNamespace};
 pub use store::{DurabilityConfig, FsyncPolicy};

@@ -1,11 +1,12 @@
 //! The Kafka-like persistent log broker.
 //!
 //! Topics are split into partitions; each partition is an append-only log
-//! with dense offsets. Keys hash to partitions (FNV-1a), keyless messages
-//! round-robin. Subscribers may attach at the head, from the beginning, or
-//! from an offset; [`Broker::fetch`] reads retained messages directly —
-//! "we exploit the ability of Kafka to persist the messages exchanged by
-//! the services and to replay them on demand" (§IV-B).
+//! with dense offsets. Keys hash to partitions ([`partition_of`]),
+//! keyless messages round-robin. Subscribers may attach at the head,
+//! from the beginning, or from an offset; [`Broker::fetch`] reads
+//! retained messages directly — "we exploit the ability of Kafka to
+//! persist the messages exchanged by the services and to replay them on
+//! demand" (§IV-B).
 //!
 //! Retention is layered: every partition keeps a bounded in-memory window
 //! of recent messages (the hot path for fan-out and replay), and a broker
@@ -249,7 +250,7 @@ impl LogBroker {
     fn route(state: &mut TopicState, key: Option<&Bytes>) -> u32 {
         let n = state.partitions.len() as u32;
         match key {
-            Some(k) => fnv1a(k) % n,
+            Some(k) => partition_of(k, n),
             None => {
                 let p = state.round_robin % n;
                 state.round_robin = state.round_robin.wrapping_add(1);
@@ -257,6 +258,13 @@ impl LogBroker {
             }
         }
     }
+}
+
+/// The partition a message keyed `key` lands in, of a topic's
+/// `partitions`: the routing rule of [`LogBroker`], so a reader that
+/// knows a key knows where the log keeps its messages.
+pub fn partition_of(key: &[u8], partitions: u32) -> u32 {
+    fnv1a(key) % partitions.max(1)
 }
 
 impl Broker for LogBroker {

@@ -48,8 +48,9 @@ fn main() {
         run.alive("transform")
     );
 
-    // Start a replacement: it replays every message keyed to it from
-    // the run's inbox log.
+    // Start a replacement: on its first turn it reads every message keyed
+    // to it back from the run's inbox log and re-runs them in log order,
+    // before anything new.
     assert!(run.respawn("transform"));
     println!(
         "respawned `transform` (incarnation {})",
