@@ -536,16 +536,32 @@ impl RunTracker {
     /// fill in ([`RunControl::stamp`]).
     pub fn report(&self, backend: &'static str) -> RunReport {
         let record = self.record.lock();
-        // Seeded from the metadata so never-observed tasks (an
-        // untriggered standby) appear as `Idle`.
-        let mut tasks: BTreeMap<String, TaskReport> = self
-            .meta
-            .tasks
-            .iter()
-            .map(|name| (name.clone(), TaskReport::default()))
-            .collect();
-        for (name, task) in &record.tasks {
-            tasks.insert(name.clone(), task.clone());
+        let observed = record.tasks.iter().map(|(n, t)| (n.clone(), t.clone()));
+        self.assemble(backend, &record, observed)
+    }
+
+    /// The final report of a run whose vehicle has stopped: the record's
+    /// per-task detail moves into it instead of being copied, which
+    /// leaves the tracker knowing no task — only the report does.
+    fn take_report(&self, backend: &'static str) -> RunReport {
+        let mut record = self.record.lock();
+        let observed = std::mem::take(&mut record.tasks);
+        self.assemble(backend, &record, observed)
+    }
+
+    /// A report of `record`, its per-task detail the `observed` tasks.
+    fn assemble(
+        &self,
+        backend: &'static str,
+        record: &Record,
+        observed: impl IntoIterator<Item = (String, TaskReport)>,
+    ) -> RunReport {
+        let mut tasks: BTreeMap<String, TaskReport> = observed.into_iter().collect();
+        // Never-observed tasks (an untriggered standby) appear as `Idle`.
+        for name in &self.meta.tasks {
+            if !tasks.contains_key(name) {
+                tasks.insert(name.clone(), TaskReport::default());
+            }
         }
         // Once the run has its outcome the observed makespan is the last
         // task transition; until then the clock is the vehicle's.
@@ -855,13 +871,15 @@ impl RunHandle {
     /// down, and return the final [`RunReport`] — partial when cancelled
     /// or expired. The wait is on the run's end itself
     /// ([`RunTracker::wait_ended`]), not on its event stream: joining
-    /// subscribes to nothing and wakes once.
+    /// subscribes to nothing and wakes once. The run is stopped before
+    /// the report is made, so the tracker's record moves into it.
     pub fn join(self) -> RunReport {
         if !self.tracker.wait_ended(self.remaining()) {
             self.cancel_with(RunFailure::DeadlineExpired);
         }
-        let report = self.report();
         self.stop();
+        let mut report = self.tracker.take_report(self.control.backend());
+        self.control.stamp(&mut report);
         report
     }
 

@@ -17,9 +17,11 @@
 //!   workflow consumes zero CPU. A key this process does not host —
 //!   another shard's task — or whose agent is dead is dropped; on a
 //!   persistent broker it is still in the log;
-//! * an agent is **resident only while it has work**. Launch builds the
-//!   workflow's sources; every other agent is built by the delivery of
-//!   its first message. On a persistent broker a completed agent whose
+//! * an agent is **resident only while it has work**, and its program
+//!   exists only while the agent does. Launch builds and compiles the
+//!   workflow's sources and nothing else; every other agent is built —
+//!   its program compiled from the run's DAG — by the delivery of its
+//!   first message. On a persistent broker a completed agent whose
 //!   queue is empty is *evicted* after its turn, down to a tombstone:
 //!   its incarnation, how many inbox messages it handled and its service
 //!   outcomes. A late message — a duplicate result, an `ADAPT` asking a
@@ -114,7 +116,8 @@ use crate::message::SaMessage;
 use crate::runtime::RunOptions;
 use bytes::Bytes;
 use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow};
-use ginflow_hoclflow::{agent_programs, AdaptPlan, AgentProgram};
+use ginflow_hoclflow::compile::adapt_plans;
+use ginflow_hoclflow::{AdaptPlan, Compiler};
 use ginflow_mq::metrics::{Counter, Family, Gauge, Histogram};
 use ginflow_mq::{Broker, LagProbe, MqError, RunId, SubscribeMode, Subscription, TopicNamespace};
 use parking_lot::Mutex;
@@ -147,6 +150,36 @@ struct SchedMetrics {
     resident: Arc<Family<Gauge>>,
     /// Per run: evicted agents rebuilt by replay for a late message.
     rehydrations: Arc<Family<Counter>>,
+    /// Per run id: the pools of this process that run it — more than
+    /// one when several shards of one run share the process. The last
+    /// one dropped removes the run's two series.
+    pools: Mutex<HashMap<String, usize>>,
+}
+
+impl SchedMetrics {
+    /// Count a pool in for `run` and hand it the run's series: its
+    /// resident high-water mark and its rehydrations.
+    fn acquire(&self, run: &str) -> (Arc<Gauge>, Arc<Counter>) {
+        let mut pools = self.pools.lock();
+        *pools.entry(run.to_owned()).or_default() += 1;
+        (self.resident.with(run), self.rehydrations.with(run))
+    }
+
+    /// Count a pool of `run` out; the last one removes the run's series
+    /// — under the same lock, so a pool acquiring them meanwhile either
+    /// keeps them or makes fresh ones.
+    fn release(&self, run: &str) {
+        let mut pools = self.pools.lock();
+        let Some(count) = pools.get_mut(run) else {
+            return;
+        };
+        *count -= 1;
+        if *count == 0 {
+            pools.remove(run);
+            self.resident.remove(run);
+            self.rehydrations.remove(run);
+        }
+    }
 }
 
 fn sched_metrics() -> &'static SchedMetrics {
@@ -176,13 +209,15 @@ fn sched_metrics() -> &'static SchedMetrics {
                 "Evicted agents rebuilt by inbox replay for a late message",
                 "run",
             ),
+            pools: Mutex::default(),
         }
     })
 }
 
-/// The launcher: compiles workflows and runs every agent on the worker
-/// pool. Deployment strategies (`ginflow-executor`) decide *where*
-/// agents go; this scheduler is the *how*.
+/// The launcher: runs every agent of a workflow on the worker pool,
+/// compiling each one's program when it builds the agent. Deployment
+/// strategies (`ginflow-executor`) decide *where* agents go; this
+/// scheduler is the *how*.
 pub struct Scheduler {
     broker: Arc<dyn Broker>,
     registry: Arc<ServiceRegistry>,
@@ -205,8 +240,9 @@ impl Scheduler {
         self
     }
 
-    /// Compile `workflow` and launch it: one agent per task, each built
-    /// when it first has work (the sources at once).
+    /// Launch `workflow`: one agent per task, each built — and its
+    /// program compiled — when it first has work (the sources at once).
+    /// The run keeps a clone of the workflow, which shares its DAG.
     ///
     /// Every topic of the launch lives in the run's namespace
     /// (`run/<id>/…`): the id is [`RunOptions::run_id`] when pinned
@@ -222,14 +258,12 @@ impl Scheduler {
     /// [`ginflow_mq::namespace::validate_segment`]); validate upstream
     /// to fail gracefully, as the CLI does.
     pub fn launch(&self, workflow: &Workflow) -> RunHandle {
-        let (agents, plans) = agent_programs(workflow);
         let run_id = self.options.run_id.clone().unwrap_or_else(RunId::generate);
         let tracker = Arc::new(RunTracker::new(RunMeta::of(workflow), run_id.clone()));
         let run = launch_pool(
             self.broker.clone(),
             self.registry.clone(),
-            agents,
-            plans,
+            workflow.clone(),
             tracker.clone(),
             Arc::new(TopicNamespace::new(run_id)),
             &self.options,
@@ -444,11 +478,14 @@ struct PoolInner {
     /// it, so the whole run lives under `run/<id>/…`.
     ns: Arc<TopicNamespace>,
     registry: Arc<ServiceRegistry>,
-    /// Agent programs this process executes — in sharded mode, only the
-    /// agents whose [`process_shard`] matches this process's shard. Each
-    /// is the one copy its agents (first, respawned and rehydrated)
-    /// share.
-    programs: HashMap<String, Arc<AgentProgram>>,
+    /// The workflow the run executes; its DAG is the caller's.
+    workflow: Workflow,
+    /// Compiles an agent's program each time the agent is built — first,
+    /// respawned or rehydrated — and the agent owns it.
+    compiler: Compiler,
+    /// This process's shard of a multi-process run: it hosts only the
+    /// tasks whose [`process_shard`] matches.
+    shard: Option<(u32, u32)>,
     plans: Arc<Vec<AdaptPlan>>,
     agents: Mutex<Agents>,
     /// The broker keeps the run's history: a completed agent is
@@ -473,6 +510,14 @@ struct PoolInner {
     label: &'static str,
 }
 
+impl Drop for PoolInner {
+    /// The run's scheduler series outlive the pool only in the reports
+    /// already stamped with them.
+    fn drop(&mut self) {
+        sched_metrics().release(self.ns.run_id().as_str());
+    }
+}
+
 /// FNV-1a over the agent name: the shard assignment.
 fn shard_of(name: &str, shards: usize) -> usize {
     ginflow_mq::fnv1a(name.as_bytes()) as usize % shards
@@ -489,8 +534,7 @@ pub fn process_shard(name: &str, count: u32) -> u32 {
 fn launch_pool(
     broker: Arc<dyn Broker>,
     registry: Arc<ServiceRegistry>,
-    agents: Vec<AgentProgram>,
-    plans: Vec<AdaptPlan>,
+    workflow: Workflow,
     tracker: Arc<RunTracker>,
     ns: Arc<TopicNamespace>,
     options: &RunOptions,
@@ -504,10 +548,6 @@ fn launch_pool(
     // it. §IV-B's recovery, applied to a whole process.
     let sharded = options.shard.is_some();
     let replay = sharded && broker.persistent();
-    let is_local = |name: &str| match options.shard {
-        Some((index, count)) => process_shard(name, count) == index,
-        None => true,
-    };
     let mode = if replay {
         SubscribeMode::Beginning
     } else {
@@ -518,8 +558,8 @@ fn launch_pool(
     // The namespace's keys are task names: validate them here, so a
     // name that would collide or split namespaces fails the launch
     // loudly.
-    for program in &agents {
-        ginflow_mq::namespace::validate_segment("task name", &program.name)
+    for (_, task) in workflow.dag().iter() {
+        ginflow_mq::namespace::validate_segment("task name", &task.name)
             .unwrap_or_else(|e| panic!("cannot launch agent: {e}"));
     }
 
@@ -550,13 +590,7 @@ fn launch_pool(
         shard_rxs.push(rx);
     }
 
-    let local_agents: Vec<Arc<AgentProgram>> = agents
-        .into_iter()
-        .filter(|a| is_local(&a.name))
-        .map(Arc::new)
-        .collect();
-    let (m, run) = (sched_metrics(), ns.run_id().as_str());
-    let (peak, rehydrations) = (m.resident.with(run), m.rehydrations.with(run));
+    let (peak, rehydrations) = sched_metrics().acquire(ns.run_id().as_str());
     let inner = Arc::new(PoolInner {
         persistent: broker.persistent(),
         rehydrations,
@@ -568,11 +602,10 @@ fn launch_pool(
         broker,
         ns,
         registry,
-        programs: local_agents
-            .iter()
-            .map(|a| (a.name.clone(), Arc::clone(a)))
-            .collect(),
-        plans: Arc::new(plans),
+        compiler: Compiler::new(&workflow),
+        plans: Arc::new(adapt_plans(&workflow)),
+        workflow,
+        shard: options.shard,
         shards: shard_txs,
         status,
         inbox: inbox_sub,
@@ -604,8 +637,11 @@ fn launch_pool(
     });
     {
         let mut agents = inner.agents.lock();
-        for program in local_agents.iter().filter(|p| p.is_source()) {
-            inner.build(&mut agents, &program.name, 0, None);
+        let dag = inner.workflow.dag();
+        for source in dag.sources().into_iter().map(|id| dag.name_of(id)) {
+            if inner.hosts(source) {
+                inner.build(&mut agents, source, 0, None);
+            }
         }
     }
 
@@ -616,6 +652,15 @@ fn launch_pool(
 }
 
 impl PoolInner {
+    /// Does this process host `task`'s agent? It must be one of the
+    /// workflow's tasks and — in sharded mode — in this shard.
+    fn hosts(&self, task: &str) -> bool {
+        self.workflow.dag().by_name(task).is_some()
+            && self
+                .shard
+                .is_none_or(|(index, count)| process_shard(task, count) == index)
+    }
+
     /// The inbox's waker: route each message to its key's agent, built
     /// on demand. A key this process does not host is dropped.
     fn demux(&self) {
@@ -638,15 +683,17 @@ impl PoolInner {
                     let memo = Memo::of(past.outcomes);
                     self.build(&mut agents, task, past.incarnation, Some((memo, replay)))
                 }
-                None if self.programs.contains_key(task) => self.build(&mut agents, task, 0, None),
+                None if self.hosts(task) => self.build(&mut agents, task, 0, None),
                 None => return,
             };
             self.deliver(&slot, msg.offset, msg.payload);
         });
     }
 
-    /// Build `task`'s agent on the run's inbox, store it and schedule
-    /// it. A `past` makes it refill from the log on its first turn.
+    /// Build `task`'s agent on the run's inbox — compiling its program —
+    /// store it and schedule it. A `past` makes it refill from the log
+    /// on its first turn. `task` is one this process hosts. Compiling
+    /// makes no broker request, so the caller may hold `agents`.
     fn build(
         &self,
         agents: &mut Agents,
@@ -658,12 +705,14 @@ impl PoolInner {
             Some((memo, replay)) => (memo, Some(replay)),
             None => (Memo::default(), None),
         };
+        let id = self.workflow.dag().by_name(task).expect("a hosted task");
+        let program = self.compiler.program(&self.workflow, id);
         let slot = Arc::new(AgentSlot {
             shard: shard_of(task, self.shards.len()),
             name: task.to_owned(),
             incarnation,
             state: Mutex::new(AgentState {
-                core: SaCore::new(self.programs[task].clone(), self.plans.clone()),
+                core: SaCore::new(program, self.plans.clone()),
                 started: false,
                 handled: 0,
                 next: 0,
@@ -783,7 +832,7 @@ impl PoolInner {
                 let incarnation = past.incarnation;
                 self.build(&mut agents, task, incarnation, None)
             }
-            None if self.programs.contains_key(task) => self.build(&mut agents, task, 0, None),
+            None if self.hosts(task) => self.build(&mut agents, task, 0, None),
             None => return false,
         };
         if slot.dead.load(Ordering::SeqCst) {
@@ -805,7 +854,7 @@ impl PoolInner {
         match self.agents.lock().map.get(task) {
             Some(Entry::Resident(slot)) => !slot.dead.load(Ordering::SeqCst),
             Some(Entry::Evicted(_)) => true,
-            None => self.programs.contains_key(task),
+            None => self.hosts(task),
         }
     }
 
@@ -828,7 +877,7 @@ impl PoolInner {
     /// replaced all the same: the newcomer replays everything, its
     /// service included.
     fn respawn_impl(&self, task: &str, only_if_dead: bool) -> bool {
-        if !self.programs.contains_key(task) {
+        if !self.hosts(task) {
             return false;
         }
         let mut agents = self.agents.lock();

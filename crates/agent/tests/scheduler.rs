@@ -1040,6 +1040,102 @@ fn a_respawned_agent_is_evicted_and_rehydrated_like_any_other() {
     run.shutdown();
 }
 
+#[test]
+fn agents_never_built_are_killed_respawned_and_rehydrated_from_a_fresh_compile() {
+    // fig5 behind a gated head T0, on one worker, with T2 failing. While
+    // T0 holds the worker no other agent has been built, and no program
+    // exists for any: kill and respawn build T4 (mv_src), T1 (add_dst)
+    // and the standby T2' (activate) each from a compile of its own.
+    // The adaptation then runs through the respawned programs, and a
+    // late duplicate rehydrates T4 — compiled once more — without
+    // invoking s4 again. Every task ends as it does undisturbed.
+    let run = |disturb: bool| {
+        let (mut registry, calls) = counted_registry(&["s1", "s3", "s4", "s2p"]);
+        registry.register("s2", Arc::new(FailingService));
+        let (gate, opened) = std::sync::mpsc::channel();
+        registry.register(
+            "s0",
+            Arc::new(Gated(
+                ginflow_core::TraceService::new("s0"),
+                Mutex::new(opened),
+            )),
+        );
+        let mut b = WorkflowBuilder::new("fig5-head");
+        b.task("T0", "s0").input(Value::str("input"));
+        b.task("T1", "s1").after(["T0"]);
+        b.task("T2", "s2").after(["T1"]);
+        b.task("T3", "s3").after(["T1"]);
+        b.task("T4", "s4").after(["T2", "T3"]);
+        b.adaptation(
+            "replace-T2",
+            ["T2"],
+            ["T2"],
+            [ReplacementTask::new("T2'", "s2p", ["T1"])],
+        );
+        let broker = Arc::new(LogBroker::new());
+        let scheduler =
+            Scheduler::new(broker.clone(), Arc::new(registry)).with_options(RunOptions {
+                workers: 1,
+                ..RunOptions::default()
+            });
+        let handle = scheduler.launch(&b.build().unwrap());
+        // Dropped before the run, so a failed assertion opens the gate.
+        let gate = gate;
+        if disturb {
+            let deadline = std::time::Instant::now() + WAIT;
+            while handle.state_of("T0") != Some(TaskState::Running) {
+                assert!(std::time::Instant::now() < deadline, "T0 never started");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(run_metric(&handle.report(), "gf_sched_resident_agents"), 1);
+            assert!(handle.kill("T4"));
+            for task in ["T4", "T1", "T2'"] {
+                assert!(handle.respawn(task), "{task}");
+                assert_eq!(handle.incarnation(task), 1, "{task}");
+            }
+        }
+        gate.send(()).unwrap();
+        handle.wait(WAIT).expect("fig5 completes");
+        if disturb {
+            let ns = TopicNamespace::new(RunId::new(handle.run_id()).unwrap());
+            broker
+                .publish(ns.inbox(), Some("T4".into()), result_payload("T3", "dup"))
+                .unwrap();
+            let deadline = std::time::Instant::now() + WAIT;
+            while run_metric(&handle.report(), "gf_sched_rehydrations_total") < 1 {
+                assert!(std::time::Instant::now() < deadline, "T4 not rehydrated");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(handle.incarnation("T4"), 1);
+        }
+        for (service, count) in &calls {
+            assert_eq!(
+                count.load(Ordering::SeqCst),
+                1,
+                "{service}, disturbed: {disturb}"
+            );
+        }
+        handle.join()
+    };
+    let (plain, disturbed) = (run(false), run(true));
+    assert!(plain.completed && disturbed.completed);
+    assert_eq!(plain.adaptations_fired, 1);
+    assert_eq!(disturbed.adaptations_fired, 1);
+    assert_eq!(
+        plain.result_of("T4"),
+        Some(&Value::str("s4(s2p(s1(s0(input))),s3(s1(s0(input))))"))
+    );
+    for (task, expected) in &plain.tasks {
+        let got = &disturbed.tasks[task];
+        assert_eq!(
+            (got.state, &got.result),
+            (expected.state, &expected.result),
+            "{task}"
+        );
+    }
+    assert_eq!(disturbed.respawns, 3);
+}
+
 /// A log broker whose fetches run ahead of its deliveries, the way a
 /// lagging demultiplexer sees the log: every publish lands in `ahead`,
 /// which serves fetches, at once, but reaches `live`, which serves

@@ -8,12 +8,18 @@ use crate::task::{TaskId, TaskSpec};
 use crate::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A complete, validated workflow.
+///
+/// The DAG sits behind an [`Arc`]: a clone shares it, so a runtime that
+/// keeps the workflow it runs — and builds each agent's program from it
+/// when the agent is built — holds no second copy of the graph. The two
+/// mutators copy it on write.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Workflow {
     name: String,
-    dag: Dag,
+    dag: Arc<Dag>,
     adaptations: Vec<Adaptation>,
 }
 
@@ -45,7 +51,7 @@ impl Workflow {
         }
         Ok(Workflow {
             name: name.into(),
-            dag,
+            dag: Arc::new(dag),
             adaptations,
         })
     }
@@ -80,7 +86,7 @@ impl Workflow {
 
     /// Rebuild indexes after deserialisation.
     pub fn rebuild_index(&mut self) {
-        self.dag.rebuild_index();
+        Arc::make_mut(&mut self.dag).rebuild_index();
     }
 
     /// Change the service of a named task (used by workload generators to
@@ -88,7 +94,7 @@ impl Workflow {
     pub fn set_service(&mut self, task: &str, service: &str) -> bool {
         match self.dag.by_name(task) {
             Some(id) => {
-                self.dag.task_mut(id).service = service.to_owned();
+                Arc::make_mut(&mut self.dag).task_mut(id).service = service.to_owned();
                 true
             }
             None => false,
@@ -423,6 +429,18 @@ mod tests {
             [ReplacementTask::new("B'", "s", ["A"])],
         );
         assert!(b.build().is_err());
+    }
+
+    #[test]
+    fn a_clone_shares_its_dag_until_it_is_changed() {
+        let wf = fig5_workflow();
+        let mut copy = wf.clone();
+        assert!(std::ptr::eq(wf.dag(), copy.dag()), "a clone shares the DAG");
+        assert!(copy.set_service("T2", "other"));
+        assert!(!std::ptr::eq(wf.dag(), copy.dag()), "a change copies it");
+        let service = |w: &Workflow| w.dag().task(w.dag().by_name("T2").unwrap()).service.clone();
+        assert_eq!(service(&wf), "s2", "the original is unchanged");
+        assert_eq!(service(&copy), "other");
     }
 
     #[test]

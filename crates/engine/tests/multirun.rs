@@ -239,3 +239,46 @@ fn sim_and_live_reports_both_carry_run_ids() {
     assert_eq!(report.lagged, 0);
     assert_eq!(report.state_of("S4"), TaskState::Completed);
 }
+
+#[test]
+fn a_joined_run_leaves_no_row_in_the_global_metrics_registry() {
+    // Tests share the process-global registry, so this matches rows on
+    // each run's id rather than counting them. A run-labelled family the
+    // run never feeds — as the daemon's are to an in-process run — must
+    // gain no row when a report reads the run's slice.
+    ginflow_mq::metrics::global().counter_family(
+        "gf_test_untouched_total",
+        "A run-labelled family no run feeds",
+        "run",
+    );
+    let engine = Engine::builder()
+        .broker(Arc::new(LogBroker::new()))
+        .registry(services())
+        .workers(2)
+        .build();
+    let wf =
+        ginflow_core::patterns::diamond(4, 4, ginflow_core::Connectivity::Simple, "s").unwrap();
+    assert_eq!(wf.dag().len(), 18);
+    for _ in 0..200 {
+        let report = engine.launch(&wf).join();
+        assert!(report.completed);
+        let rows: Vec<_> = ginflow_mq::metrics::global()
+            .snapshot()
+            .into_iter()
+            .filter(|row| row.label == report.run_id)
+            .collect();
+        assert!(rows.is_empty(), "run {} left {rows:?}", report.run_id);
+        for series in ["gf_sched_resident_agents", "gf_sched_rehydrations_total"] {
+            assert!(
+                report.metrics.iter().any(|(name, _)| name == series),
+                "the report of run {} lacks {series}",
+                report.run_id
+            );
+        }
+        let resident = report
+            .metrics
+            .iter()
+            .find(|(name, _)| name == "gf_sched_resident_agents");
+        assert!(resident.is_some_and(|&(_, peak)| peak > 0));
+    }
+}

@@ -82,112 +82,6 @@ pub fn deploy_and_simulate(
     })
 }
 
-/// Outcome of a *live* (non-simulated) deployment + execution: the
-/// modelled placement plus real wall-clock results from the event-driven
-/// scheduler.
-#[derive(Debug)]
-pub struct LiveReport {
-    /// The spec that produced this report.
-    pub executor: ExecutorKind,
-    /// Broker used.
-    pub broker: BrokerKind,
-    /// Nodes used (placement model only — execution is in-process).
-    pub nodes: usize,
-    /// Deployment report (placement + modelled time).
-    pub deployment: DeploymentReport,
-    /// Results of every sink task.
-    pub results: std::collections::HashMap<String, ginflow_core::Value>,
-    /// Wall-clock execution time.
-    pub wall: std::time::Duration,
-}
-
-impl LiveReport {
-    /// Modelled deployment time in seconds.
-    pub fn deployment_secs(&self) -> f64 {
-        self.deployment.time_us as f64 / 1e6
-    }
-
-    /// Real execution time in seconds.
-    pub fn execution_secs(&self) -> f64 {
-        self.wall.as_secs_f64()
-    }
-}
-
-/// Deploy `workflow`'s agents on the modelled cluster, then execute them
-/// for real through the unified [`Engine`](ginflow_engine::Engine) on
-/// the event-driven scheduler backend — the live counterpart of
-/// [`deploy_and_simulate`]. The cluster model still gates capacity (a
-/// deployment that would not fit the testbed errors out), while
-/// execution runs in-process over the chosen broker profile with one
-/// worker per placed node's share of the pool. The `timeout` doubles as
-/// the run's deadline: expiry cancels the run and tears the agents down
-/// through the broker.
-pub fn deploy_and_execute(
-    workflow: &Workflow,
-    spec: ExecutionSpec,
-    registry: std::sync::Arc<ginflow_core::ServiceRegistry>,
-    timeout: std::time::Duration,
-) -> Result<LiveReport, ExecError> {
-    // `BrokerKind::Remote.build()` panics (no address); keep this
-    // Result-returning entry point panic-free.
-    if spec.broker == BrokerKind::Remote {
-        return Err(ExecError::ExecutionFailed {
-            reason: "BrokerKind::Remote carries no address; connect a \
-                     ginflow_net::RemoteBroker and call deploy_and_execute_on"
-                .to_owned(),
-        });
-    }
-    deploy_and_execute_on(workflow, spec, registry, timeout, spec.broker.build())
-}
-
-/// [`deploy_and_execute`] against a caller-supplied broker instance —
-/// the deployment campaign's entry point for **remote** middleware:
-/// hand it a `ginflow_net::RemoteBroker` (spec.broker =
-/// [`BrokerKind::Remote`]) and the deployed agents coordinate through
-/// the network daemon instead of an in-process substrate, like the
-/// paper's SAs against a shared ActiveMQ/Kafka installation.
-pub fn deploy_and_execute_on(
-    workflow: &Workflow,
-    spec: ExecutionSpec,
-    registry: std::sync::Arc<ginflow_core::ServiceRegistry>,
-    timeout: std::time::Duration,
-    broker: std::sync::Arc<dyn ginflow_mq::Broker>,
-) -> Result<LiveReport, ExecError> {
-    let cluster = Cluster::grid5000(spec.nodes);
-    let agent_names: Vec<String> = workflow.dag().iter().map(|(_, t)| t.name.clone()).collect();
-    let deployment = spec.executor.deployer().deploy(&cluster, &agent_names)?;
-
-    let engine = ginflow_engine::Engine::builder()
-        .broker(broker)
-        .registry(registry)
-        // One scheduler worker per modelled node, bounded by the local
-        // machine: the placement decides the parallelism budget.
-        .workers(spec.nodes.clamp(1, 64))
-        .backend(ginflow_engine::Backend::Scheduler)
-        .deadline(timeout)
-        .build();
-    let started = std::time::Instant::now();
-    let run = engine.launch(workflow);
-    let results = run.wait(timeout).map_err(|e| match e {
-        ginflow_agent::WaitError::Timeout { .. } | ginflow_agent::WaitError::Deadline { .. } => {
-            ExecError::ExecutionTimeout
-        }
-        other => ExecError::ExecutionFailed {
-            reason: other.to_string(),
-        },
-    })?;
-    let wall = started.elapsed();
-    run.shutdown();
-    Ok(LiveReport {
-        executor: spec.executor,
-        broker: spec.broker,
-        nodes: spec.nodes,
-        deployment,
-        results,
-        wall,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,54 +160,6 @@ mod tests {
         };
         assert!(run(ExecutorKind::Ssh, 15) > run(ExecutorKind::Ssh, 5));
         assert!(run(ExecutorKind::Mesos, 15) < run(ExecutorKind::Mesos, 5));
-    }
-
-    #[test]
-    fn live_execution_completes_on_the_scheduler() {
-        let wf = patterns::diamond(4, 4, Connectivity::Simple, "s").unwrap();
-        let registry = std::sync::Arc::new(ginflow_core::ServiceRegistry::tracing_for(["s"]));
-        let report = deploy_and_execute(
-            &wf,
-            ExecutionSpec {
-                executor: ExecutorKind::Mesos,
-                broker: BrokerKind::Log,
-                nodes: 10,
-            },
-            registry,
-            std::time::Duration::from_secs(30),
-        )
-        .unwrap();
-        assert!(report.results.contains_key("out"));
-        assert!(report.deployment_secs() > 0.0);
-    }
-
-    #[test]
-    fn live_execution_over_a_remote_broker() {
-        // The deployment campaign pointed at a network daemon: same
-        // placement model, but the agents coordinate over TCP.
-        let wf = patterns::diamond(4, 4, Connectivity::Simple, "s").unwrap();
-        let registry = std::sync::Arc::new(ginflow_core::ServiceRegistry::tracing_for(["s"]));
-        let server = ginflow_net::BrokerServer::bind(
-            "127.0.0.1:0",
-            std::sync::Arc::new(ginflow_mq::LogBroker::new()),
-        )
-        .unwrap();
-        let remote = ginflow_net::RemoteBroker::connect(&server.local_addr().to_string()).unwrap();
-        let report = deploy_and_execute_on(
-            &wf,
-            ExecutionSpec {
-                executor: ExecutorKind::Mesos,
-                broker: BrokerKind::Remote,
-                nodes: 10,
-            },
-            registry,
-            std::time::Duration::from_secs(30),
-            std::sync::Arc::new(remote),
-        )
-        .unwrap();
-        assert_eq!(report.broker, BrokerKind::Remote);
-        assert!(report.results.contains_key("out"));
-        assert!(report.deployment_secs() > 0.0);
     }
 
     #[test]

@@ -19,14 +19,6 @@ pub enum ExecError {
     },
     /// No nodes configured.
     EmptyCluster,
-    /// A live execution did not finish within its deadline.
-    ExecutionTimeout,
-    /// A live execution failed for a reason other than time running out
-    /// (cancellation, a sink completing without a result, …).
-    ExecutionFailed {
-        /// Human-readable cause.
-        reason: String,
-    },
 }
 
 impl fmt::Display for ExecError {
@@ -37,12 +29,6 @@ impl fmt::Display for ExecError {
                 "cannot place {agents} agents on a cluster with capacity {capacity}"
             ),
             ExecError::EmptyCluster => f.write_str("cluster has no nodes"),
-            ExecError::ExecutionTimeout => {
-                f.write_str("live execution did not finish before its deadline")
-            }
-            ExecError::ExecutionFailed { reason } => {
-                write!(f, "live execution failed: {reason}")
-            }
         }
     }
 }

@@ -20,9 +20,6 @@ pub mod campaign;
 pub mod cluster;
 pub mod deploy;
 
-pub use campaign::{
-    deploy_and_execute, deploy_and_execute_on, deploy_and_simulate, CombinedReport, ExecutionSpec,
-    LiveReport,
-};
+pub use campaign::{deploy_and_simulate, CombinedReport, ExecutionSpec};
 pub use cluster::{Cluster, Node, Placement};
 pub use deploy::{Deployer, DeploymentReport, ExecError, ExecutorKind, MesosDeployer, SshDeployer};

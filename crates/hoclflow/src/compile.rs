@@ -27,10 +27,12 @@ pub struct AdaptPlan {
 
 /// The compiled program of a single service agent: what its initial
 /// local solution (the contents of the task's subsolution plus the local
-/// rules) is built from, by [`AgentProgram::initial`], when the agent
-/// is. A program costs its names and its share of the rules, not a
+/// rules) is built from, by [`AgentProgram::initial`]. A runtime compiles
+/// it with [`Compiler::program`] when it builds the agent and drops it
+/// with the agent, so a run holds the programs of its resident agents
+/// only. A program costs its names and its share of the rules, not a
 /// solution.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AgentProgram {
     /// Task identifier within the workflow.
     pub task: TaskId,
@@ -69,43 +71,42 @@ impl AgentProgram {
     pub fn is_sink(&self) -> bool {
         !self.standby && self.destinations.is_empty()
     }
-
-    /// Is this agent a workflow source (no sources and not standby) —
-    /// the only kind whose start alone sets it working?
-    pub fn is_source(&self) -> bool {
-        !self.standby && self.sources.is_empty()
-    }
 }
 
-/// A task's initial `SRC` and `DST` names.
-#[derive(Default)]
-struct Wiring {
-    sources: Vec<String>,
-    destinations: Vec<String>,
+/// A task's initial `SRC` and `DST`: names in a [`Wiring`], ids in a
+/// [`Roles::standby_wiring`] entry.
+struct Wiring<T = String> {
+    sources: Vec<T>,
+    destinations: Vec<T>,
+}
+
+impl<T> Default for Wiring<T> {
+    fn default() -> Self {
+        Wiring {
+            sources: Vec::new(),
+            destinations: Vec::new(),
+        }
+    }
 }
 
 /// Initial wiring of a task. An active task's is its DAG neighbourhood; a
 /// standby task's comes from its adaptation's edges, which [`roles`]
 /// walked once for all of them (standby tasks are wired from the start —
 /// Fig 6 gives `T2′` its `SRC : ⟨T1⟩` in the initial program; only the
-/// *senders* learn about the replacement at adaptation time). Each task's
-/// is taken once per compilation.
-fn wiring(wf: &Workflow, id: TaskId, roles: &mut Roles) -> Wiring {
+/// *senders* learn about the replacement at adaptation time).
+fn wiring(wf: &Workflow, id: TaskId, roles: &Roles) -> Wiring {
     let dag = wf.dag();
-    match dag.task(id).standby_for {
-        None => Wiring {
-            sources: dag
-                .predecessors(id)
-                .iter()
-                .map(|&p| dag.name_of(p).to_owned())
-                .collect(),
-            destinations: dag
-                .successors(id)
-                .iter()
-                .map(|&s| dag.name_of(s).to_owned())
-                .collect(),
-        },
-        Some(_) => roles.standby_wiring.remove(&id).unwrap_or_default(),
+    let (sources, destinations) = match dag.task(id).standby_for {
+        None => (dag.predecessors(id), dag.successors(id)),
+        Some(_) => roles
+            .standby_wiring
+            .get(&id)
+            .map_or((&[][..], &[][..]), |w| (&w.sources, &w.destinations)),
+    };
+    let names = |ids: &[TaskId]| ids.iter().map(|&t| dag.name_of(t).to_owned()).collect();
+    Wiring {
+        sources: names(sources),
+        destinations: names(destinations),
     }
 }
 
@@ -144,8 +145,8 @@ struct Roles {
     watched: HashMap<TaskId, Vec<u32>>,
     /// standby task → adaptation id.
     standby: HashMap<TaskId, u32>,
-    /// standby task → its initial wiring, until [`wiring`] takes it.
-    standby_wiring: HashMap<TaskId, Wiring>,
+    /// standby task → its initial wiring.
+    standby_wiring: HashMap<TaskId, Wiring<TaskId>>,
 }
 
 struct MvSrcData {
@@ -169,26 +170,17 @@ fn roles(wf: &Workflow) -> Roles {
         // Standby wiring: one pass over the adaptation's edges for all of
         // its standby tasks, in edge order.
         let is_standby = |t: TaskId| dag.task(t).standby_for == Some(a.id);
-        let name = |t: TaskId| dag.name_of(t).to_owned();
         for &(f, t) in a.entry_edges.iter().chain(&a.internal_edges) {
             if is_standby(t) {
-                r.standby_wiring.entry(t).or_default().sources.push(name(f));
+                r.standby_wiring.entry(t).or_default().sources.push(f);
             }
             if is_standby(f) {
-                r.standby_wiring
-                    .entry(f)
-                    .or_default()
-                    .destinations
-                    .push(name(t));
+                r.standby_wiring.entry(f).or_default().destinations.push(t);
             }
         }
         for &(f, t) in &a.exit_edges {
             if is_standby(f) {
-                r.standby_wiring
-                    .entry(f)
-                    .or_default()
-                    .destinations
-                    .push(name(t));
+                r.standby_wiring.entry(f).or_default().destinations.push(t);
             }
         }
         // Sources: group entry edges by source task.
@@ -298,11 +290,11 @@ pub fn adapt_plans(wf: &Workflow) -> Vec<AdaptPlan> {
 /// adaptation rules (Figs 3, 4, 7, 8).
 pub fn centralized(wf: &Workflow) -> Solution {
     let dag = wf.dag();
-    let mut r = roles(wf);
+    let r = roles(wf);
     let generic = [rules::gw_setup(), rules::gw_call()].map(Arc::new);
     let mut top: Vec<Atom> = Vec::with_capacity(dag.len() + 4);
     for (id, spec) in dag.iter() {
-        let wiring = wiring(wf, id, &mut r);
+        let wiring = wiring(wf, id, &r);
         let mut atoms = task_atoms(
             &spec.name,
             &spec.service,
@@ -355,48 +347,71 @@ pub fn centralized(wf: &Workflow) -> Solution {
     Solution::from_atoms(top)
 }
 
-/// Compile to the **decentralised** programs: one local solution per
-/// service agent (§IV-A).
+/// The decentralised compiler of one workflow (§IV-A): the
+/// workflow-wide part of the compilation, done once by
+/// [`Compiler::new`], from which [`Compiler::program`] compiles any one
+/// agent's program on demand.
 ///
 /// A rule that does not depend on the task is built once and every
-/// agent's solution holds the same `Arc`: the four generic rules, and
-/// per adaptation `k` its `activate_k` and `trigger_adapt_k`. The paper's
+/// program holds the same `Arc`: the four generic rules, and per
+/// adaptation `k` its `activate_k` and `trigger_adapt_k`. The paper's
 /// agents all carry *the same* generic rules (Fig 4); so do these, down
 /// to the allocation — a 4000-task chain compiles 4 rules, not 16 000.
-pub fn agent_programs(wf: &Workflow) -> (Vec<AgentProgram>, Vec<AdaptPlan>) {
-    let dag = wf.dag();
-    let mut r = roles(wf);
-    let generic = [
-        rules::gw_setup(),
-        rules::gw_call(),
-        rules::gw_send(),
-        rules::gw_recv(),
-    ]
-    .map(Arc::new);
-    // adaptation id → its `activate_k` / its `trigger_adapt_k`.
-    let mut activate: HashMap<u32, Arc<Rule>> = HashMap::new();
-    let mut trigger: HashMap<u32, Arc<Rule>> = HashMap::new();
-    for a in wf.adaptations() {
-        let k = a.id.0;
-        let injected = generic.iter().map(|g| Rule::clone(g)).collect();
-        activate.insert(k, Arc::new(rules::activate_local(k, injected)));
-        trigger.insert(k, Arc::new(rules::trigger_adapt_local(k)));
+pub struct Compiler {
+    roles: Roles,
+    /// `gw_setup`, `gw_call`, `gw_send`, `gw_recv`.
+    generic: [Arc<Rule>; 4],
+    /// adaptation id → its `activate_k`.
+    activate: HashMap<u32, Arc<Rule>>,
+    /// adaptation id → its `trigger_adapt_k`.
+    trigger: HashMap<u32, Arc<Rule>>,
+}
+
+impl Compiler {
+    /// Resolve `wf`'s adaptation roles and build its shared rules.
+    pub fn new(wf: &Workflow) -> Self {
+        let generic = [
+            rules::gw_setup(),
+            rules::gw_call(),
+            rules::gw_send(),
+            rules::gw_recv(),
+        ]
+        .map(Arc::new);
+        let mut activate = HashMap::new();
+        let mut trigger = HashMap::new();
+        for a in wf.adaptations() {
+            let k = a.id.0;
+            let injected = generic.iter().map(|g| Rule::clone(g)).collect();
+            activate.insert(k, Arc::new(rules::activate_local(k, injected)));
+            trigger.insert(k, Arc::new(rules::trigger_adapt_local(k)));
+        }
+        Compiler {
+            roles: roles(wf),
+            generic,
+            activate,
+            trigger,
+        }
     }
-    let mut agents = Vec::with_capacity(dag.len());
-    for (id, spec) in dag.iter() {
-        let wiring = wiring(wf, id, &mut r);
+
+    /// Compile task `id`'s agent program. `wf` must be the workflow this
+    /// compiler was made from; the same `id` always compiles to an equal
+    /// program.
+    pub fn program(&self, wf: &Workflow, id: TaskId) -> AgentProgram {
+        let r = &self.roles;
+        let spec = wf.dag().task(id);
+        let wiring = wiring(wf, id, r);
         let rules = match r.standby.get(&id) {
-            Some(k) => vec![activate[k].clone()],
+            Some(k) => vec![self.activate[k].clone()],
             None => {
-                let mut rules = generic.to_vec();
+                let mut rules = self.generic.to_vec();
                 for k in r.watched.get(&id).into_iter().flatten() {
-                    rules.push(trigger[k].clone());
+                    rules.push(self.trigger[k].clone());
                 }
-                rules.extend(adaptation_rules_for(id, &r).into_iter().map(Arc::new));
+                rules.extend(adaptation_rules_for(id, r).into_iter().map(Arc::new));
                 rules
             }
         };
-        agents.push(AgentProgram {
+        AgentProgram {
             task: id,
             name: spec.name.clone(),
             service: spec.service.clone(),
@@ -405,8 +420,17 @@ pub fn agent_programs(wf: &Workflow) -> (Vec<AgentProgram>, Vec<AdaptPlan>) {
             sources: wiring.sources,
             inputs: spec.inputs.clone(),
             rules,
-        });
+        }
     }
+}
+
+/// Compile to the **decentralised** programs all at once: one local
+/// solution per service agent, in task order, and the adaptation plans.
+/// A runtime that builds its agents one at a time compiles each with
+/// [`Compiler::program`] instead.
+pub fn agent_programs(wf: &Workflow) -> (Vec<AgentProgram>, Vec<AdaptPlan>) {
+    let compiler = Compiler::new(wf);
+    let agents = wf.dag().ids().map(|id| compiler.program(wf, id)).collect();
     (agents, adapt_plans(wf))
 }
 

@@ -15,7 +15,7 @@
 //!   `gw_pass` matches *pairs* of task subsolutions — the pure-HOCL
 //!   semantics, executed by [`centralized::run`] with a synchronous
 //!   `invoke`.
-//! * [`compile::agent_programs`] produces one *local* solution per task, in
+//! * [`compile::Compiler`] produces one *local* solution per task, in
 //!   which `gw_pass` is split into a send half (`gw_send`, whose RHS calls
 //!   the `send_result` command extern) and a receive half (`gw_recv`,
 //!   reacting to delivered `DELIVER : from : value` atoms) — exactly the
@@ -57,5 +57,7 @@ pub mod externs;
 pub mod rules;
 
 pub use centralized::{run, CentralizedConfig, CentralizedOutcome, RunError};
-pub use compile::{agent_programs, centralized as compile_centralized, AdaptPlan, AgentProgram};
+pub use compile::{
+    agent_programs, centralized as compile_centralized, AdaptPlan, AgentProgram, Compiler,
+};
 pub use externs::{names, FlowExterns};

@@ -1,9 +1,10 @@
 //! Property tests on the workflow → chemistry compiler: structural
 //! invariants of the generated programs for arbitrary workloads.
 
-use ginflow_core::{patterns, AdaptiveDiamondSpec, Connectivity};
+use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
+use ginflow_core::{patterns, AdaptiveDiamondSpec, Connectivity, Workflow};
 use ginflow_hocl::symbol::keywords as kw;
-use ginflow_hoclflow::{agent_programs, compile_centralized};
+use ginflow_hoclflow::{agent_programs, compile_centralized, Compiler};
 use proptest::prelude::*;
 
 fn connectivity(full: bool) -> Connectivity {
@@ -14,8 +15,87 @@ fn connectivity(full: bool) -> Connectivity {
     }
 }
 
+/// A chain `T0 → … → T{n-1}` with one adaptation per `(first, last,
+/// width)`: the region `T{first}..=T{last}` is replaced by a chain of
+/// `width` standby tasks. Regions are kept disjoint and away from both
+/// ends, so each has an entry and a single destination.
+fn chain_with_adaptations(n: usize, regions: &[(usize, usize, usize)]) -> Workflow {
+    let mut b = WorkflowBuilder::new("chain");
+    for i in 0..n {
+        let task = b.task(format!("T{i}"), "svc");
+        if i > 0 {
+            task.after([format!("T{}", i - 1)]);
+        }
+    }
+    for (k, &(first, last, width)) in regions.iter().enumerate() {
+        let region: Vec<String> = (first..=last).map(|i| format!("T{i}")).collect();
+        let replacement = (0..width).map(|j| {
+            let before = match j {
+                0 => format!("T{}", first - 1),
+                _ => format!("R{k}_{}", j - 1),
+            };
+            ReplacementTask::new(format!("R{k}_{j}"), "alt", [before])
+        });
+        b.adaptation(format!("a{k}"), region.clone(), [&region[0]], replacement);
+    }
+    b.build().unwrap()
+}
+
+/// Every program [`Compiler::program`] compiles on its own — in reverse
+/// task order, then again in order — equals the one [`agent_programs`]
+/// compiles for the same task.
+fn compiled_one_at_a_time_equals_all_at_once(wf: &Workflow) -> Result<(), TestCaseError> {
+    let (all, _) = agent_programs(wf);
+    prop_assert_eq!(all.len(), wf.dag().len());
+    let compiler = Compiler::new(wf);
+    for pass in [all.iter().rev().collect::<Vec<_>>(), all.iter().collect()] {
+        for expected in pass {
+            prop_assert_eq!(&compiler.program(wf, expected.task), expected);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Standby tasks included: an adaptive diamond's programs compiled
+    /// one at a time, twice each, equal those compiled all at once.
+    #[test]
+    fn an_adaptive_diamond_compiles_the_same_one_task_at_a_time(
+        h in 1usize..5,
+        v in 1usize..5,
+        main in any::<bool>(),
+        replacement in any::<bool>(),
+    ) {
+        let spec = AdaptiveDiamondSpec {
+            h,
+            v,
+            main: connectivity(main),
+            replacement: connectivity(replacement),
+        };
+        compiled_one_at_a_time_equals_all_at_once(&spec.build("svc", "faulty").unwrap())?;
+    }
+
+    /// The same over chains carrying one or two adaptations, each
+    /// replacing a run of tasks with a chain of standby tasks.
+    #[test]
+    fn an_adaptive_chain_compiles_the_same_one_task_at_a_time(
+        first in 1usize..4,
+        len in 1usize..3,
+        width in 1usize..4,
+        second_len in 0usize..3,
+        second_width in 1usize..3,
+    ) {
+        // A second region of `second_len` tasks, none when 0.
+        let mut regions = vec![(first, first + len - 1, width)];
+        let mut n = first + len + 1;
+        if second_len > 0 {
+            regions.push((n, n + second_len - 1, second_width));
+            n += second_len + 1;
+        }
+        compiled_one_at_a_time_equals_all_at_once(&chain_with_adaptations(n, &regions))?;
+    }
 
     /// Every agent program of a plain diamond carries exactly the four
     /// generic rules, a consistent TASK atom, and SRC/DST sets mirroring

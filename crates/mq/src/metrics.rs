@@ -196,6 +196,16 @@ impl<M: Default> Family<M> {
         m
     }
 
+    /// The instrument for `label`, if one exists. Unlike
+    /// [`Family::with`] this creates nothing: a read leaves no series
+    /// behind.
+    pub fn get(&self, label: &str) -> Option<Arc<M>> {
+        self.shards[fnv1a(label) as usize % FAMILY_SHARDS]
+            .lock()
+            .get(label)
+            .cloned()
+    }
+
     /// Visit every `(label, instrument)` pair. Lock scope is one shard
     /// at a time; concurrent registration may or may not be seen.
     pub fn for_each(&self, mut f: impl FnMut(&str, &M)) {
@@ -424,14 +434,19 @@ impl Metrics {
     }
 
     /// The per-run slice of the registry: `(name, value)` of every
-    /// family series labelled `run`. What `RunReport` carries as the
-    /// run's final metrics snapshot.
+    /// run-labelled family, 0 where the run has no series. What
+    /// `RunReport` carries as the run's final metrics snapshot. A read:
+    /// it adds no series to the registry.
     pub fn snapshot_run(&self, run: &str) -> Vec<(String, u64)> {
         let mut rows: Vec<(String, u64)> = Vec::new();
         for slot in self.slots.lock().iter() {
             let value = match &slot.instrument {
-                Instrument::CounterFamily(f) if f.label_key() == "run" => f.with(run).get(),
-                Instrument::GaugeFamily(f) if f.label_key() == "run" => f.with(run).get(),
+                Instrument::CounterFamily(f) if f.label_key() == "run" => {
+                    f.get(run).map_or(0, |c| c.get())
+                }
+                Instrument::GaugeFamily(f) if f.label_key() == "run" => {
+                    f.get(run).map_or(0, |g| g.get())
+                }
                 _ => continue,
             };
             rows.push((slot.name.to_owned(), value));
@@ -571,6 +586,11 @@ mod tests {
             ]
         );
         assert_eq!(m.snapshot_run("a"), vec![("runs_total".to_owned(), 6)]);
+        assert_eq!(m.snapshot_run("c"), vec![("runs_total".to_owned(), 0)]);
+        assert!(
+            fam.get("c").is_none(),
+            "reading a run's slice creates no series"
+        );
         fam.remove("a");
         assert_eq!(m.snapshot().len(), 1, "removed label leaves the registry");
     }

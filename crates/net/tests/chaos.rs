@@ -408,22 +408,30 @@ fn corruption_blast_radius_is_one_connection() {
 
         // The attacker: a chaos client whose frames are corrupted in
         // both directions. Its own calls may fail arbitrarily; the
-        // process and the daemon must shrug.
-        if let Ok(noisy) = connect_client(&h, "corruptor") {
+        // process and the daemon must shrug. It publishes until the plan
+        // has injected something, within a 1.5 s budget.
+        let corruptor = connect_client(&h, "corruptor").ok().map(|noisy| {
+            let net = h.net().clone();
             std::thread::spawn(move || {
                 let stop = Instant::now() + Duration::from_millis(1500);
                 let mut i = 0u64;
                 while Instant::now() < stop {
+                    let stats = net.stats();
+                    if stats.corrupted > 0 || stats.severs > 0 {
+                        break;
+                    }
                     let _ = noisy.publish_nowait("noise", None, Bytes::from(i.to_string()));
                     let _ = noisy.flush();
                     i += 1;
                 }
                 noisy.shutdown();
-            });
-        }
+            })
+        });
 
-        // Meanwhile every operation on the clean connection succeeds.
-        for i in 0..50u64 {
+        // Meanwhile every operation on the clean connection succeeds:
+        // at least 50 of them, and as many more as the corruptor runs.
+        let mut i = 0u64;
+        while i < 50 || corruptor.as_ref().is_some_and(|t| !t.is_finished()) {
             clean
                 .publish("clean", None, Bytes::from(i.to_string()))
                 .unwrap_or_else(|e| {
@@ -441,6 +449,10 @@ fn corruption_blast_radius_is_one_connection() {
                     )
                 });
             assert_eq!(m.payload_str(), i.to_string(), "seed {seed}");
+            i += 1;
+        }
+        if let Some(corruptor) = corruptor {
+            corruptor.join().expect("corruptor thread");
         }
         let stats = h.net().stats();
         assert!(

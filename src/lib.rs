@@ -93,9 +93,7 @@ pub mod prelude {
         Backend, Engine, EventWait, ExecutionBackend, RunEvent, RunEvents, RunFailure, RunHandle,
         RunReport, TaskReport, WaitError,
     };
-    pub use ginflow_executor::{
-        deploy_and_execute, deploy_and_simulate, ExecutionSpec, ExecutorKind,
-    };
+    pub use ginflow_executor::{deploy_and_simulate, ExecutionSpec, ExecutorKind};
     pub use ginflow_hocl::prelude::*;
     pub use ginflow_hoclflow::{
         agent_programs, compile_centralized, run as run_centralized, CentralizedConfig,
