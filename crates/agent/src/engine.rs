@@ -45,7 +45,7 @@
 
 use crate::message::StatusUpdate;
 use crate::runtime::WaitError;
-use ginflow_core::{TaskState, Value, Workflow};
+use ginflow_core::{TaskId, TaskState, Value, Workflow};
 use ginflow_mq::RunId;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
@@ -180,49 +180,8 @@ impl Iterator for RunEvents {
 }
 
 // ---------------------------------------------------------------------
-// Workflow metadata + the tracker
+// The tracker
 // ---------------------------------------------------------------------
-
-/// What the event derivation needs to know about a workflow: every task,
-/// the sinks, the standby tasks, and which failures fire which
-/// adaptation.
-#[derive(Clone, Debug, Default)]
-pub struct RunMeta {
-    /// Every task name (standby included).
-    pub tasks: Vec<String>,
-    /// Sink task names (no destinations, not standby).
-    pub sinks: Vec<String>,
-    /// Standby (replacement) task names.
-    pub standby: Vec<String>,
-    /// Adaptation `(name, watched task names)` pairs, in table order.
-    pub adaptations: Vec<(String, Vec<String>)>,
-}
-
-impl RunMeta {
-    /// Metadata straight from a workflow definition.
-    pub fn of(workflow: &Workflow) -> RunMeta {
-        let dag = workflow.dag();
-        let mut meta = RunMeta::default();
-        for (id, spec) in dag.iter() {
-            meta.tasks.push(spec.name.clone());
-            if spec.is_standby() {
-                meta.standby.push(spec.name.clone());
-            } else if dag.successors(id).is_empty() {
-                meta.sinks.push(spec.name.clone());
-            }
-        }
-        for a in workflow.adaptations() {
-            meta.adaptations.push((
-                a.name.clone(),
-                a.watched
-                    .iter()
-                    .map(|&t| dag.name_of(t).to_owned())
-                    .collect(),
-            ));
-        }
-        meta
-    }
-}
 
 /// How a run ended.
 #[derive(Clone, Debug, PartialEq)]
@@ -286,12 +245,11 @@ impl Record {
 /// rank never regresses within an incarnation and incarnations never
 /// decrease.
 pub struct RunTracker {
-    meta: RunMeta,
-    /// `meta.sinks` as a set, and for each watched task the indices of the
-    /// adaptations it fires — both built once, so an update costs the same
-    /// whether the workflow has two sinks or two thousand.
-    sinks: HashSet<String>,
-    watchers: HashMap<String, Vec<usize>>,
+    /// The run's workflow, read for sinks, standby tasks and watch lists
+    /// (its DAG is the caller's, shared behind an `Arc`).
+    workflow: Workflow,
+    /// How many sinks the workflow has.
+    sink_count: usize,
     run_id: RunId,
     record: Mutex<Record>,
     /// Notified when `record.ended` turns true, and at no other time.
@@ -299,30 +257,17 @@ pub struct RunTracker {
 }
 
 impl RunTracker {
-    /// Fresh tracker over a workflow's metadata, for the run named
-    /// `run_id` — the namespace key under which the run's status topic
-    /// lives, carried here so every report and handle can name it.
-    pub fn new(meta: RunMeta, run_id: RunId) -> Self {
-        let sinks = meta.sinks.iter().cloned().collect();
-        let mut watchers: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, (_, watched)) in meta.adaptations.iter().enumerate() {
-            for task in watched {
-                watchers.entry(task.clone()).or_default().push(i);
-            }
-        }
+    /// Fresh tracker over `workflow`, for the run named `run_id` — the
+    /// namespace key under which the run's status topic lives, carried
+    /// here so every report and handle can name it.
+    pub fn new(workflow: &Workflow, run_id: RunId) -> Self {
         RunTracker {
-            meta,
-            sinks,
-            watchers,
+            workflow: workflow.clone(),
+            sink_count: workflow.dag().sinks().len(),
             run_id,
             record: Mutex::new(Record::default()),
             ended: Condvar::new(),
         }
-    }
-
-    /// The workflow metadata the tracker derives against.
-    pub fn meta(&self) -> &RunMeta {
-        &self.meta
     }
 
     /// The run this tracker observes.
@@ -370,32 +315,47 @@ impl RunTracker {
                 });
             }
         }
-        let watching = self.watchers.get(&update.task);
+        let Some(id) = self.workflow.dag().by_name(&update.task) else {
+            return;
+        };
+        // A failure fires every adaptation watching the task, in table
+        // order.
+        let mut watched = false;
         if update.state == TaskState::Failed {
-            for &i in watching.into_iter().flatten() {
+            for (i, adaptation) in self.workflow.adaptations().iter().enumerate() {
+                if !adaptation.watched.contains(&id) {
+                    continue;
+                }
+                watched = true;
                 if r.fired.insert(i) {
                     r.emit(RunEvent::AdaptationFired {
-                        adaptation: self.meta.adaptations[i].0.clone(),
+                        adaptation: adaptation.name.clone(),
                         failed_task: update.task.clone(),
                     });
                 }
             }
         }
-        if !self.sinks.contains(&update.task) {
+        if !self.is_sink(id) {
             return;
         }
         let completed = |state| usize::from(state == TaskState::Completed);
         r.sinks_done += completed(update.state);
         r.sinks_done -= prev.map_or(0, |(state, _)| completed(state));
-        if update.state == TaskState::Completed && r.sinks_done == self.sinks.len() {
+        if update.state == TaskState::Completed && r.sinks_done == self.sink_count {
             self.end(guard, Some(RunOutcome::Completed));
-        } else if update.state == TaskState::Failed && watching.is_none() {
+        } else if update.state == TaskState::Failed && !watched {
             let task = update.task.clone();
             self.end(
                 guard,
                 Some(RunOutcome::Failed(RunFailure::SinkFailed { task })),
             );
         }
+    }
+
+    /// A sink: no destinations, and not a standby task.
+    fn is_sink(&self, id: TaskId) -> bool {
+        let dag = self.workflow.dag();
+        dag.successors(id).is_empty() && !dag.task(id).is_standby()
     }
 
     /// Mark the run failed (cancel, deadline, stall) and emit the
@@ -506,8 +466,9 @@ impl RunTracker {
     /// omission.
     fn sink_results(&self) -> Result<HashMap<String, Value>, WaitError> {
         let record = self.record.lock();
-        let mut results = HashMap::with_capacity(self.meta.sinks.len());
-        for sink in &self.meta.sinks {
+        let dag = self.workflow.dag();
+        let mut results = HashMap::with_capacity(self.sink_count);
+        for sink in dag.sinks().into_iter().map(|id| dag.name_of(id)) {
             let task = record.tasks.get(sink);
             let Some(task) = task.filter(|t| t.state == TaskState::Completed) else {
                 let statuses = record.statuses();
@@ -523,9 +484,11 @@ impl RunTracker {
                 });
             };
             let Some(value) = &task.result else {
-                return Err(WaitError::MissingResult { task: sink.clone() });
+                return Err(WaitError::MissingResult {
+                    task: sink.to_owned(),
+                });
             };
-            results.insert(sink.clone(), value.clone());
+            results.insert(sink.to_owned(), value.clone());
         }
         Ok(results)
     }
@@ -558,9 +521,9 @@ impl RunTracker {
     ) -> RunReport {
         let mut tasks: BTreeMap<String, TaskReport> = observed.into_iter().collect();
         // Never-observed tasks (an untriggered standby) appear as `Idle`.
-        for name in &self.meta.tasks {
-            if !tasks.contains_key(name) {
-                tasks.insert(name.clone(), TaskReport::default());
+        for (_, spec) in self.workflow.dag().iter() {
+            if !tasks.contains_key(&spec.name) {
+                tasks.insert(spec.name.clone(), TaskReport::default());
             }
         }
         // Once the run has its outcome the observed makespan is the last
@@ -949,18 +912,26 @@ mod tests {
     /// When an update was observed, where the test does not care.
     const AT: Duration = Duration::from_millis(7);
 
-    fn meta() -> RunMeta {
-        RunMeta {
-            tasks: vec!["a".into(), "b".into(), "b'".into()],
-            sinks: vec!["b".into()],
-            standby: vec!["b'".into()],
-            adaptations: vec![("replace-a".into(), vec!["a".into()])],
-        }
+    /// `src → a → b`, and a standby `b'` (fed by `src`) that replaces
+    /// `a` when it fails.
+    fn workflow() -> Workflow {
+        use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
+        let mut b = WorkflowBuilder::new("tracker");
+        b.task("src", "s").input(Value::str("in"));
+        b.task("a", "s").after(["src"]);
+        b.task("b", "s").after(["a"]);
+        b.adaptation(
+            "replace-a",
+            ["a"],
+            ["a"],
+            [ReplacementTask::new("b'", "s", ["src"])],
+        );
+        b.build().unwrap()
     }
 
     #[test]
     fn tracker_derives_ordered_events() {
-        let tracker = RunTracker::new(meta(), RunId::generate());
+        let tracker = RunTracker::new(&workflow(), RunId::generate());
         let events = tracker.subscribe();
         tracker.observe(&update("a", TaskState::Running, 0), AT);
         tracker.observe(&update("a", TaskState::Completed, 0), AT);
@@ -984,7 +955,7 @@ mod tests {
 
     #[test]
     fn late_subscriber_replays_history() {
-        let tracker = RunTracker::new(meta(), RunId::generate());
+        let tracker = RunTracker::new(&workflow(), RunId::generate());
         tracker.observe(&update("a", TaskState::Running, 0), AT);
         tracker.observe(&update("b", TaskState::Completed, 0), AT);
         let replayed: Vec<RunEvent> = tracker.subscribe().collect();
@@ -994,7 +965,7 @@ mod tests {
 
     #[test]
     fn adaptation_failure_and_respawn_events() {
-        let tracker = RunTracker::new(meta(), RunId::generate());
+        let tracker = RunTracker::new(&workflow(), RunId::generate());
         tracker.observe(&update("a", TaskState::Running, 0), AT);
         tracker.observe(&update("a", TaskState::Failed, 0), AT);
         tracker.observe(&update("a", TaskState::Running, 1), AT);
@@ -1015,7 +986,7 @@ mod tests {
 
     #[test]
     fn stale_incarnation_updates_are_dropped() {
-        let tracker = RunTracker::new(meta(), RunId::generate());
+        let tracker = RunTracker::new(&workflow(), RunId::generate());
         // First-ever observation at incarnation 1: the dead incarnation
         // 0 never published, which still counts as one recovery.
         tracker.observe(&update("a", TaskState::Running, 1), AT);
@@ -1044,7 +1015,7 @@ mod tests {
 
     #[test]
     fn unwatched_sink_failure_is_terminal() {
-        let tracker = RunTracker::new(meta(), RunId::generate());
+        let tracker = RunTracker::new(&workflow(), RunId::generate());
         tracker.observe(&update("b", TaskState::Failed, 0), AT);
         assert_eq!(
             tracker.outcome(),
@@ -1057,10 +1028,14 @@ mod tests {
     #[test]
     fn two_thousand_sinks_complete_the_run_exactly_once() {
         let wf = ginflow_core::patterns::split(2000, "s").unwrap();
-        let meta = RunMeta::of(&wf);
-        assert_eq!(meta.sinks.len(), 2000);
-        let sinks = meta.sinks.clone();
-        let tracker = RunTracker::new(meta, RunId::generate());
+        let sinks: Vec<&str> = wf
+            .dag()
+            .sinks()
+            .into_iter()
+            .map(|id| wf.dag().name_of(id))
+            .collect();
+        assert_eq!(sinks.len(), 2000);
+        let tracker = RunTracker::new(&wf, RunId::generate());
         let events = tracker.subscribe();
         tracker.observe(&update("src", TaskState::Completed, 0), AT);
         for (done, sink) in sinks.iter().enumerate() {
@@ -1081,7 +1056,7 @@ mod tests {
 
     #[test]
     fn fail_is_terminal_and_idempotent() {
-        let tracker = RunTracker::new(meta(), RunId::generate());
+        let tracker = RunTracker::new(&workflow(), RunId::generate());
         assert!(tracker.fail(RunFailure::Cancelled));
         assert!(!tracker.fail(RunFailure::DeadlineExpired));
         tracker.observe(&update("b", TaskState::Completed, 0), AT); // no event
@@ -1102,7 +1077,7 @@ mod tests {
     fn an_update_after_the_terminal_event_lands_in_the_report_and_derives_no_event() {
         // The sink completes while `a` is still running: the run has its
         // outcome, and `a`'s own completion is yet to arrive.
-        let tracker = RunTracker::new(meta(), RunId::generate());
+        let tracker = RunTracker::new(&workflow(), RunId::generate());
         let live = tracker.subscribe();
         tracker.observe(&update("a", TaskState::Running, 0), AT);
         tracker.observe(&update("b", TaskState::Completed, 0), AT);
@@ -1132,7 +1107,7 @@ mod tests {
     #[test]
     fn wait_on_an_ended_run_says_how_it_ended() {
         let ended = |end: &dyn Fn(&RunTracker)| {
-            let tracker = Arc::new(RunTracker::new(meta(), RunId::generate()));
+            let tracker = Arc::new(RunTracker::new(&workflow(), RunId::generate()));
             tracker.observe(&update("a", TaskState::Completed, 0), AT);
             end(&tracker);
             // Far longer than the test may take: every answer is at once.
@@ -1171,7 +1146,7 @@ mod tests {
 
     #[test]
     fn wait_ended_returns_on_terminal_on_close_and_times_out_otherwise() {
-        let tracker = RunTracker::new(meta(), RunId::generate());
+        let tracker = RunTracker::new(&workflow(), RunId::generate());
         assert!(!tracker.wait_ended(Some(Duration::ZERO)), "still running");
         assert!(!tracker.wait_ended(Some(Duration::from_millis(1))));
         tracker.observe(&update("a", TaskState::Completed, 0), AT);
@@ -1180,12 +1155,12 @@ mod tests {
         assert!(tracker.wait_ended(Some(Duration::ZERO)), "terminal");
         assert!(tracker.wait_ended(None));
 
-        let failed = RunTracker::new(meta(), RunId::generate());
+        let failed = RunTracker::new(&workflow(), RunId::generate());
         failed.fail(RunFailure::Cancelled);
         assert!(failed.wait_ended(None), "failed");
 
         // A waiter parked with no bound is released by a plain close.
-        let torn_down = Arc::new(RunTracker::new(meta(), RunId::generate()));
+        let torn_down = Arc::new(RunTracker::new(&workflow(), RunId::generate()));
         let waiter = {
             let tracker = torn_down.clone();
             std::thread::spawn(move || tracker.wait_ended(None))
@@ -1221,7 +1196,7 @@ mod tests {
 
     #[test]
     fn join_parks_on_the_end_of_the_run_and_subscribes_to_nothing() {
-        let tracker = Arc::new(RunTracker::new(meta(), RunId::generate()));
+        let tracker = Arc::new(RunTracker::new(&workflow(), RunId::generate()));
         let handle = RunHandle::new(tracker.clone(), Arc::new(NoAgents));
         let joiner = std::thread::spawn(move || handle.join());
         for state in [TaskState::Running, TaskState::Completed] {
@@ -1238,7 +1213,7 @@ mod tests {
         assert_eq!(events.last(), Some(&RunEvent::RunCompleted));
 
         // A deadline that passes first cancels the run.
-        let tracker = Arc::new(RunTracker::new(meta(), RunId::generate()));
+        let tracker = Arc::new(RunTracker::new(&workflow(), RunId::generate()));
         let handle = RunHandle::new(tracker, Arc::new(NoAgents))
             .with_deadline(Some(Duration::from_millis(1)));
         assert!(handle.join().deadline_expired);

@@ -52,7 +52,7 @@ pub mod scheduler;
 
 pub use crate::core::{Command, Event, SaCore};
 pub use engine::{
-    EventWait, ExecutionBackend, RunControl, RunEvent, RunEvents, RunFailure, RunHandle, RunMeta,
+    EventWait, ExecutionBackend, RunControl, RunEvent, RunEvents, RunFailure, RunHandle,
     RunOutcome, RunReport, RunTracker, TaskReport,
 };
 pub use ginflow_mq::{RunId, TopicNamespace};

@@ -110,7 +110,7 @@
 //! message is either queued before the check or finds the tombstone.
 
 use crate::core::{Event, SaCore};
-use crate::engine::{ExecutionBackend, RunControl, RunHandle, RunMeta, RunReport, RunTracker};
+use crate::engine::{ExecutionBackend, RunControl, RunHandle, RunReport, RunTracker};
 use crate::exec::{retry_disconnected, AgentCtx, Memo, StatusFold};
 use crate::message::SaMessage;
 use crate::runtime::RunOptions;
@@ -259,7 +259,7 @@ impl Scheduler {
     /// to fail gracefully, as the CLI does.
     pub fn launch(&self, workflow: &Workflow) -> RunHandle {
         let run_id = self.options.run_id.clone().unwrap_or_else(RunId::generate);
-        let tracker = Arc::new(RunTracker::new(RunMeta::of(workflow), run_id.clone()));
+        let tracker = Arc::new(RunTracker::new(workflow, run_id.clone()));
         let run = launch_pool(
             self.broker.clone(),
             self.registry.clone(),

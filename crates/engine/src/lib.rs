@@ -33,7 +33,7 @@
 //! the narrow [`RunControl`].
 
 pub use ginflow_agent::engine::{
-    EventWait, ExecutionBackend, RunControl, RunEvent, RunEvents, RunFailure, RunHandle, RunMeta,
+    EventWait, ExecutionBackend, RunControl, RunEvent, RunEvents, RunFailure, RunHandle,
     RunOutcome, RunReport, RunTracker, TaskReport,
 };
 pub use ginflow_agent::{RunOptions, WaitError};

@@ -273,9 +273,9 @@ pub(crate) fn wake_all(wakers: Vec<Arc<WakerSlot>>) {
 }
 
 /// 32-bit FNV-1a — the workspace's one deterministic, dependency-free
-/// hash: partition routing, topic-shard selection ([`topic_shard`]) and
-/// the agents' shard placement all call this function, so processes
-/// built from the same source agree on every placement.
+/// hash: partition routing and the agents' shard placement both call
+/// this function, so processes built from the same source agree on
+/// every placement.
 pub fn fnv1a(bytes: &[u8]) -> u32 {
     let mut hash: u32 = 0x811c9dc5;
     for &b in bytes {
@@ -283,73 +283,6 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
         hash = hash.wrapping_mul(0x01000193);
     }
     hash
-}
-
-/// Number of lock shards the in-process brokers split their topic maps
-/// into. Publishes to different topics hash to different shards, so
-/// concurrent runs (distinct run-scoped namespaces) and a run's inbox
-/// and status topics stop serialising on one global mutex.
-/// Power of two so the modulo is a mask.
-pub const TOPIC_SHARDS: usize = 16;
-
-/// The lock shard `topic` lives in — also the `shard` label its traffic
-/// is accounted to in `gf_broker_*_total`, so a hot shard in the metrics
-/// *is* the hot topic-map lock.
-pub fn topic_shard(topic: &str) -> usize {
-    fnv1a(topic.as_bytes()) as usize % TOPIC_SHARDS
-}
-
-/// A topic map split into [`TOPIC_SHARDS`] independently locked shards,
-/// keyed by FNV-1a of the topic name. All broker operations address one
-/// topic, so no operation ever needs more than one shard lock — there
-/// is no lock-ordering hazard and no global pause.
-pub(crate) struct TopicShards<S> {
-    shards: Box<[Mutex<std::collections::HashMap<String, S>>]>,
-}
-
-impl<S> Default for TopicShards<S> {
-    fn default() -> Self {
-        TopicShards {
-            shards: (0..TOPIC_SHARDS)
-                .map(|_| Mutex::new(std::collections::HashMap::new()))
-                .collect(),
-        }
-    }
-}
-
-impl<S> TopicShards<S> {
-    /// The shard holding `topic`.
-    pub fn shard(&self, topic: &str) -> &Mutex<std::collections::HashMap<String, S>> {
-        &self.shards[topic_shard(topic)]
-    }
-
-    /// Lock `topic`'s shard and look the topic up.
-    pub fn with<R>(&self, topic: &str, f: impl FnOnce(Option<&S>) -> R) -> R {
-        f(self.shard(topic).lock().get(topic))
-    }
-
-    /// Remove `topic` from its shard, returning its state if present.
-    pub fn remove(&self, topic: &str) -> Option<S> {
-        self.shard(topic).lock().remove(topic)
-    }
-
-    /// Every topic name, shard by shard (no cross-shard snapshot —
-    /// topics created or deleted concurrently may or may not appear).
-    pub fn names(&self) -> Vec<String> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.lock().keys().cloned().collect::<Vec<_>>())
-            .collect()
-    }
-
-    /// Visit every topic mutably, one shard lock at a time.
-    pub fn for_each_mut(&self, mut f: impl FnMut(&str, &mut S)) {
-        for shard in self.shards.iter() {
-            for (name, state) in shard.lock().iter_mut() {
-                f(name, state);
-            }
-        }
-    }
 }
 
 /// Create a connected broker-side / subscriber-side endpoint pair with

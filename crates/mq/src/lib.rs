@@ -49,8 +49,8 @@ pub mod transient;
 pub mod wire;
 
 pub use broker::{
-    bounded_subscription_pair, fnv1a, subscription_pair, topic_shard, Broker, LagProbe, Receipt,
-    SubscribeMode, SubscriberHandle, Subscription, TOPIC_SHARDS,
+    bounded_subscription_pair, fnv1a, subscription_pair, Broker, LagProbe, Receipt, SubscribeMode,
+    SubscriberHandle, Subscription,
 };
 pub use error::MqError;
 pub use log::{partition_of, LogBroker};

@@ -18,14 +18,15 @@
 
 use crate::broker::{
     fnv1a, subscription_pair, wake_all, Broker, Receipt, SubscribeMode, SubscriberHandle,
-    Subscription, TopicShards,
+    Subscription,
 };
 use crate::error::MqError;
 use crate::message::Message;
 use crate::store::{DurabilityConfig, PartitionStore, SegmentStore};
 use bytes::Bytes;
+use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// One partition's log: a bounded in-memory window over an optional
@@ -125,17 +126,16 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
 }
 
-/// Persistent, partitioned, replayable broker. The topic map is split
-/// into lock shards keyed by topic hash
-/// (`broker::TOPIC_SHARDS`), so publishes to distinct topics — a run's
-/// inbox and status, different runs' namespaces — never contend on a
-/// shared lock.
+/// Persistent, partitioned, replayable broker. One lock guards the
+/// topic map: every operation addresses one topic and wakes
+/// subscribers after releasing it, and a run is two topics, so there is
+/// nothing to split it for.
 ///
 /// [`LogBroker::new`] retains messages in memory only; [`LogBroker::open`]
 /// backs every partition with the file-based segment store, making
 /// retention and offsets survive a broker restart.
 pub struct LogBroker {
-    topics: TopicShards<TopicState>,
+    topics: Mutex<HashMap<String, TopicState>>,
     default_partitions: u32,
     store: Option<SegmentStore>,
     /// Per-partition in-memory window when a store is present
@@ -153,7 +153,7 @@ impl LogBroker {
     /// In-memory broker creating single-partition topics on demand.
     pub fn new() -> Self {
         LogBroker {
-            topics: TopicShards::default(),
+            topics: Mutex::default(),
             default_partitions: 1,
             store: None,
             memory_messages: usize::MAX,
@@ -179,7 +179,7 @@ impl LogBroker {
     ) -> Result<(Self, RecoveryReport), MqError> {
         let (store, recovered) = SegmentStore::open(dir, config)?;
         let broker = LogBroker {
-            topics: TopicShards::default(),
+            topics: Mutex::default(),
             default_partitions: 1,
             store: Some(store),
             memory_messages: config.memory_messages,
@@ -215,11 +215,7 @@ impl LogBroker {
                 part.base = from;
                 part.log = tail.into();
             }
-            broker
-                .topics
-                .shard(&topic.name)
-                .lock()
-                .insert(topic.name.clone(), state);
+            broker.topics.lock().insert(topic.name.clone(), state);
         }
         Ok((broker, report))
     }
@@ -227,7 +223,7 @@ impl LogBroker {
     /// Explicitly create (or resize-check) a topic with `n` partitions.
     /// Existing topics keep their partition count.
     pub fn create_topic(&self, topic: &str, partitions: u32) {
-        let mut topics = self.topics.shard(topic).lock();
+        let mut topics = self.topics.lock();
         if let Entry::Vacant(e) = topics.entry(topic.to_owned()) {
             // A store failure here surfaces on the first publish, which
             // retries creation through the same path.
@@ -270,7 +266,7 @@ pub fn partition_of(key: &[u8], partitions: u32) -> u32 {
 impl Broker for LogBroker {
     fn publish(&self, topic: &str, key: Option<Bytes>, payload: Bytes) -> Result<Receipt, MqError> {
         let (wakers, receipt) = {
-            let mut topics = self.topics.shard(topic).lock();
+            let mut topics = self.topics.lock();
             let state = match topics.entry(topic.to_owned()) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => e.insert(self.new_topic_state(topic, self.default_partitions)?),
@@ -315,7 +311,7 @@ impl Broker for LogBroker {
 
     fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
         let (handle, subscription) = subscription_pair();
-        let mut topics = self.topics.shard(topic).lock();
+        let mut topics = self.topics.lock();
         let state = match topics.entry(topic.to_owned()) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => e.insert(self.new_topic_state(topic, self.default_partitions)?),
@@ -374,7 +370,7 @@ impl Broker for LogBroker {
         from_offset: u64,
         max: usize,
     ) -> Result<Vec<Message>, MqError> {
-        let topics = self.topics.shard(topic).lock();
+        let topics = self.topics.lock();
         let state = match topics.get(topic) {
             Some(s) => s,
             None => return Ok(Vec::new()),
@@ -407,7 +403,7 @@ impl Broker for LogBroker {
             return Ok(());
         }
         let mut first_err = None;
-        self.topics.for_each_mut(|_, state| {
+        for state in self.topics.lock().values_mut() {
             for part in &mut state.partitions {
                 if let Some(store) = &mut part.store {
                     if let (Err(e), None) = (store.sync(), &first_err) {
@@ -417,7 +413,7 @@ impl Broker for LogBroker {
                     }
                 }
             }
-        });
+        }
         first_err.map_or(Ok(()), Err)
     }
 
@@ -427,16 +423,15 @@ impl Broker for LogBroker {
 
     fn partitions(&self, topic: &str) -> u32 {
         self.topics
-            .with(topic, |s| s.map(|s| s.partitions.len() as u32))
-            .unwrap_or(1)
+            .lock()
+            .get(topic)
+            .map_or(1, |s| s.partitions.len() as u32)
     }
 
     fn retained(&self, topic: &str) -> u64 {
-        self.topics
-            .with(topic, |s| {
-                s.map(|s| s.partitions.iter().map(PartitionLog::next_offset).sum())
-            })
-            .unwrap_or(0)
+        self.topics.lock().get(topic).map_or(0, |s| {
+            s.partitions.iter().map(PartitionLog::next_offset).sum()
+        })
     }
 
     fn delete_topic(&self, topic: &str) -> bool {
@@ -444,7 +439,7 @@ impl Broker for LogBroker {
         // (live subscriptions observe disconnection on their next recv)
         // and unmaps the partition stores — which must happen *before*
         // their directory is removed.
-        let in_memory = self.topics.remove(topic).is_some();
+        let in_memory = self.topics.lock().remove(topic).is_some();
         let on_disk = self
             .store
             .as_ref()
@@ -453,7 +448,7 @@ impl Broker for LogBroker {
     }
 
     fn topic_names(&self) -> Vec<String> {
-        self.topics.names()
+        self.topics.lock().keys().cloned().collect()
     }
 }
 
@@ -715,13 +710,14 @@ mod tests {
         assert_eq!(report.messages, 100);
         // The last `memory_messages` records are hot again, at the same
         // eviction watermark the crashed broker had…
-        b.topics.with("t", |s| {
-            let part = &s.expect("recovered topic").partitions[0];
+        {
+            let topics = b.topics.lock();
+            let part = &topics.get("t").expect("recovered topic").partitions[0];
             assert_eq!(part.base, 92);
             assert_eq!(part.log.len(), 8);
             assert_eq!(part.log[0].offset, 92);
             assert_eq!(part.log.back().unwrap().payload_str(), "m99");
-        });
+        }
         // …so a tail subscriber replays from memory, a historical one
         // crosses the disk/memory seam without gap or duplicate…
         let tail = b.subscribe("t", SubscribeMode::FromOffset(95)).unwrap();

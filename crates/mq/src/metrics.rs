@@ -8,12 +8,11 @@
 //!    [`Counter`]/[`Gauge`]/[`Histogram`] handles *once* at setup and
 //!    increment through the `Arc` thereafter — no lock, no hash, no
 //!    allocation per event. Acquisition itself (registration, family
-//!    label lookup) takes a shard lock, but it happens per topic/run,
-//!    not per message.
-//! 2. **Labelled families shard like the PR-5 topic maps.** A
-//!    [`Family`] spreads its label → instrument map over
-//!    [`FAMILY_SHARDS`] FNV-picked mutexes so concurrent first-touch
-//!    registrations (one per run, one per topic shard) don't convoy.
+//!    label lookup) takes a lock, but it happens per topic/run, not per
+//!    message.
+//! 2. **A labelled family is one locked map.** A [`Family`] keeps its
+//!    label → instrument map behind one mutex: it is touched once per
+//!    run and label, never per event, so nothing contends on it.
 //!
 //! Reading happens two ways, both off the same registry: a flat
 //! [`Metrics::snapshot`] of `(name, label, value)` rows (what the STATS
@@ -25,10 +24,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Shard count of a [`Family`]'s label map (same spread as the broker's
-/// sharded topic maps).
-pub const FAMILY_SHARDS: usize = 16;
 
 /// A monotonically increasing event count. Relaxed atomics throughout:
 /// per-counter totals are exact, cross-counter ordering is not promised
@@ -151,43 +146,32 @@ impl Histogram {
     }
 }
 
-/// FNV-1a, the workspace's standard cheap string hash.
-fn fnv1a(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in s.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// A labelled set of instruments sharing one metric name — e.g.
-/// `gf_run_publish_total{run="…"}`. Label → instrument lives in
-/// [`FAMILY_SHARDS`] FNV-picked shards; [`Family::with`] is the cold
-/// acquisition path (callers cache the returned `Arc`).
+/// `gf_run_publish_total{run="…"}`. Label → instrument lives in one
+/// locked map; [`Family::with`] is the cold acquisition path (callers
+/// cache the returned `Arc`).
 pub struct Family<M> {
     label_key: &'static str,
-    shards: Vec<Mutex<HashMap<Arc<str>, Arc<M>>>>,
+    series: Mutex<HashMap<Arc<str>, Arc<M>>>,
 }
 
 impl<M: Default> Family<M> {
     fn new(label_key: &'static str) -> Self {
         Family {
             label_key,
-            shards: (0..FAMILY_SHARDS).map(|_| Mutex::default()).collect(),
+            series: Mutex::default(),
         }
     }
 
-    /// The label key this family scopes by (`run`, `shard`, …).
+    /// The label key this family scopes by (`run`, …).
     pub fn label_key(&self) -> &'static str {
         self.label_key
     }
 
     /// The instrument for `label`, created on first touch. Cache the
-    /// result — this takes a shard lock.
+    /// result — this takes the family's lock.
     pub fn with(&self, label: &str) -> Arc<M> {
-        let shard = &self.shards[fnv1a(label) as usize % FAMILY_SHARDS];
-        let mut map = shard.lock();
+        let mut map = self.series.lock();
         if let Some(m) = map.get(label) {
             return m.clone();
         }
@@ -200,19 +184,13 @@ impl<M: Default> Family<M> {
     /// [`Family::with`] this creates nothing: a read leaves no series
     /// behind.
     pub fn get(&self, label: &str) -> Option<Arc<M>> {
-        self.shards[fnv1a(label) as usize % FAMILY_SHARDS]
-            .lock()
-            .get(label)
-            .cloned()
+        self.series.lock().get(label).cloned()
     }
 
-    /// Visit every `(label, instrument)` pair. Lock scope is one shard
-    /// at a time; concurrent registration may or may not be seen.
+    /// Visit every `(label, instrument)` pair, under the family's lock.
     pub fn for_each(&self, mut f: impl FnMut(&str, &M)) {
-        for shard in &self.shards {
-            for (label, m) in shard.lock().iter() {
-                f(label, m);
-            }
+        for (label, m) in self.series.lock().iter() {
+            f(label, m);
         }
     }
 
@@ -220,9 +198,7 @@ impl<M: Default> Family<M> {
     /// per-run series so a standing daemon's registry doesn't grow
     /// unbounded).
     pub fn remove(&self, label: &str) {
-        self.shards[fnv1a(label) as usize % FAMILY_SHARDS]
-            .lock()
-            .remove(label);
+        self.series.lock().remove(label);
     }
 }
 
@@ -563,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn families_shard_and_snapshot_by_label() {
+    fn families_snapshot_by_label() {
         let m = Metrics::new();
         let fam = m.counter_family("runs_total", "help", "run");
         fam.with("a").add(5);

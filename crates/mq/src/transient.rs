@@ -12,11 +12,13 @@
 
 use crate::broker::{
     bounded_subscription_pair, wake_all, Broker, Receipt, SubscribeMode, SubscriberHandle,
-    Subscription, TopicShards,
+    Subscription,
 };
 use crate::error::MqError;
 use crate::message::Message;
 use bytes::Bytes;
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 struct TopicState {
@@ -45,11 +47,11 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 8192;
 /// Transient in-memory broker. Messages published to a topic with no
 /// subscriber are dropped — at-most-once, like a non-persistent JMS
 /// topic — and a subscriber whose queue exceeds its bound loses the
-/// oldest entries (see the module docs). Like the log broker, the topic
-/// map is split into lock shards keyed by topic hash so concurrent
-/// publishers to distinct topics never serialise on one mutex.
+/// oldest entries (see the module docs). Like the log broker, one lock
+/// guards the topic map, and subscribers are woken after it is
+/// released.
 pub struct TransientBroker {
-    topics: TopicShards<TopicState>,
+    topics: Mutex<HashMap<String, TopicState>>,
     queue_capacity: usize,
 }
 
@@ -69,7 +71,7 @@ impl TransientBroker {
     /// messages (at least 1); beyond that, delivery drops the oldest.
     pub fn with_queue_capacity(capacity: usize) -> Self {
         TransientBroker {
-            topics: TopicShards::default(),
+            topics: Mutex::default(),
             queue_capacity: capacity.max(1),
         }
     }
@@ -78,7 +80,7 @@ impl TransientBroker {
 impl Broker for TransientBroker {
     fn publish(&self, topic: &str, key: Option<Bytes>, payload: Bytes) -> Result<Receipt, MqError> {
         let (wakers, offset) = {
-            let mut topics = self.topics.shard(topic).lock();
+            let mut topics = self.topics.lock();
             let state = topics
                 .entry(topic.to_owned())
                 .or_insert_with(|| TopicState::new(topic));
@@ -114,7 +116,6 @@ impl Broker for TransientBroker {
         }
         let (handle, subscription) = bounded_subscription_pair(Some(self.queue_capacity));
         self.topics
-            .shard(topic)
             .lock()
             .entry(topic.to_owned())
             .or_insert_with(|| TopicState::new(topic))
@@ -146,7 +147,11 @@ impl Broker for TransientBroker {
     }
 
     fn delete_topic(&self, topic: &str) -> bool {
-        self.topics.remove(topic).is_some()
+        self.topics.lock().remove(topic).is_some()
+    }
+
+    fn topic_names(&self) -> Vec<String> {
+        self.topics.lock().keys().cloned().collect()
     }
 }
 
@@ -286,5 +291,8 @@ mod tests {
         b.publish("a", None, payload("for-a")).unwrap();
         assert_eq!(sa.recv().unwrap().payload_str(), "for-a");
         assert_eq!(sb.try_recv().unwrap(), None);
+        let mut names = b.topic_names();
+        names.sort();
+        assert_eq!(names, ["a", "b"]);
     }
 }

@@ -46,7 +46,7 @@ use crate::registry::RunRegistry;
 use crate::server::{error_frame, event_batch, stats_snapshot, EVENT_BATCH_BYTES};
 use crate::transport::Transport;
 use ginflow_mq::wire::{Frame, MAX_RECEIPT_RUN};
-use ginflow_mq::{topic_shard, Broker, Message, Receipt, Subscription};
+use ginflow_mq::{Broker, Message, Receipt, Subscription};
 use mio::{Events, Interest, Poll, Token};
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -168,9 +168,10 @@ struct Session {
     parked: Vec<Arc<ServerSub>>,
     /// Pending receipt coalescing (see [`ReceiptRun`]).
     run: ReceiptRun,
-    /// Topics already reported to the run registry, with their cached
-    /// metric handles — a repeat publish touches no registry or family
-    /// lock.
+    /// Topics this connection has touched, with their cached per-run
+    /// metric handles: the first touch makes sure the topic's run has a
+    /// registry entry, and a repeat publish touches no registry or
+    /// family lock.
     seen_topics: HashMap<String, TopicMetrics>,
 }
 
@@ -211,8 +212,8 @@ impl TurnCounts {
         };
         let tm = &session.seen_topics[&topic];
         let m = daemon_metrics();
-        m.shard_publishes.shard(tm.shard).add(self.pub_msgs);
-        m.shard_publish_bytes.shard(tm.shard).add(self.pub_bytes);
+        m.publishes.add(self.pub_msgs);
+        m.publish_bytes.add(self.pub_bytes);
         if let Some((run_msgs, run_bytes)) = &tm.run_publish {
             run_msgs.add(self.pub_msgs);
             run_bytes.add(self.pub_bytes);
@@ -222,9 +223,9 @@ impl TurnCounts {
     }
 }
 
-/// First-touch accounting for `topic` on this connection: report it to
-/// the run registry and resolve its metric handles; thereafter the
-/// cached entry is returned without touching either.
+/// First-touch accounting for `topic` on this connection: make sure its
+/// run has a registry entry and resolve its metric handles; thereafter
+/// the cached entry is returned without touching either.
 fn observe_topic<'a>(
     registry: &RunRegistry,
     session: &'a mut Session,
@@ -510,8 +511,8 @@ impl LoopState {
                 }
             }
             Frame::Subscribe { seq, topic, mode } => {
-                let tm = observe_topic(&self.registry, session, &topic);
-                daemon_metrics().shard_subscribes.shard(tm.shard).inc();
+                observe_topic(&self.registry, session, &topic);
+                daemon_metrics().subscribes.inc();
                 // Sample the resume watermark *before* attaching: a
                 // message published after this point either replays on
                 // resume (offset >= watermark) or arrives live — never
@@ -579,10 +580,7 @@ impl LoopState {
                 from,
                 max,
             } => {
-                daemon_metrics()
-                    .shard_fetches
-                    .shard(topic_shard(&topic))
-                    .inc();
+                daemon_metrics().fetches.inc();
                 let reply = match self.broker.fetch(&topic, partition, from, max as usize) {
                     Ok(messages) => Frame::Messages { seq, messages },
                     Err(e) => error_frame(seq, e),

@@ -76,8 +76,9 @@
 //! back-to-back workflow runs — distinct run ids never see each other's
 //! messages or retained history; shard processes joining the *same* run
 //! id share one namespace. The daemon keeps a **run registry** (fed
-//! purely from topic names on publish/subscribe) with per-run topic
-//! accounting: `ginflow broker runs` lists active and completed runs,
+//! purely from topic names on publish/subscribe) and reads a run's
+//! topics off the broker by namespace: `ginflow broker runs` lists
+//! active and completed runs with their topic and retained counts,
 //! `ginflow broker gc` reclaims completed runs' topics, and a retention
 //! window ([`BrokerServer::bind_with_retention`],
 //! `ginflow broker serve --retention SECS`) reclaims them automatically
@@ -151,9 +152,8 @@
 //!   frames, replies and reply bytes, socket writes that moved bytes
 //!   (`gf_loop_flushes_total`), fan-out messages/bytes and batch
 //!   sizes, backpressure parks, stall evictions.
-//! * `gf_broker_{publish,publish_bytes,subscribe,fetch}_total{shard}` —
-//!   verb counts per topic-map shard (same FNV-1a shard the lock map
-//!   uses, so a hot shard in metrics *is* the hot lock).
+//! * `gf_broker_{publish,publish_bytes,subscribe,fetch}_total` — verb
+//!   counts across every topic the daemon serves.
 //! * `gf_run_{publish,publish_bytes}_total{run}` and
 //!   `gf_run_{topics,retained,lagged}{run}` — per-run traffic and
 //!   gauges; the gauges are folded fresh from the run registry on
@@ -248,7 +248,7 @@ pub use transport::{Connector, Transport};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ginflow_mq::{Broker, LogBroker, SubscribeMode};
+    use ginflow_mq::{Broker, LogBroker, SubscribeMode, TransientBroker};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -276,13 +276,29 @@ mod tests {
 
     #[test]
     fn run_registry_lists_closes_and_reclaims() {
-        let broker = Arc::new(LogBroker::new());
+        let log: fn() -> Arc<dyn Broker> = || Arc::new(LogBroker::new());
+        let transient: fn() -> Arc<dyn Broker> = || Arc::new(TransientBroker::new());
+        for make in [log, transient] {
+            // The second pair's first id is a prefix of its second.
+            for (a, b) in [("a", "b"), ("a", "ab")] {
+                lists_closes_and_reclaims(make(), a, b);
+            }
+        }
+    }
+
+    /// Runs `a` and `b` on a daemon fronting `broker`: each run's
+    /// listing, retained count and reclaim count only its own topics.
+    fn lists_closes_and_reclaims(broker: Arc<dyn Broker>, a: &str, b: &str) {
         let server = BrokerServer::bind("127.0.0.1:0", broker.clone()).unwrap();
         let client = RemoteBroker::connect(&format!("tcp://{}", server.local_addr())).unwrap();
+        // What a topic retains: everything on the log, nothing on the
+        // transient profile.
+        let kept = |n: u64| if broker.persistent() { n } else { 0 };
 
         // Two runs publish under their namespaces; a non-run topic is
         // not accounted.
-        for topic in ["run/a/sa.T1", "run/a/status", "run/b/status", "plain"] {
+        let (a_status, b_status) = (format!("run/{a}/status"), format!("run/{b}/status"));
+        for topic in [&format!("run/{a}/sa.T1"), &a_status, &b_status, "plain"] {
             client
                 .publish(topic, None, bytes::Bytes::from_static(b"x"))
                 .unwrap();
@@ -290,25 +306,31 @@ mod tests {
         let runs = client.list_runs().unwrap();
         assert_eq!(
             runs.iter().map(|r| r.run.as_str()).collect::<Vec<_>>(),
-            ["a", "b"]
+            [a, b]
         );
         assert_eq!(runs[0].topics, 2);
-        assert_eq!(runs[0].retained, 2);
+        assert_eq!(runs[0].retained, kept(2));
         assert!(!runs[0].completed);
+        assert_eq!((runs[1].topics, runs[1].retained), (1, kept(1)));
 
-        // GC before close reclaims nothing; after close, run "a"'s
+        // GC before close reclaims nothing; after close, run a's
         // topics are dropped and the run is forgotten.
         assert_eq!(client.gc_runs().unwrap(), (0, 0));
-        assert!(client.close_run("a").unwrap());
+        assert!(client.close_run(a).unwrap());
         assert!(!client.close_run("unknown").unwrap());
         let listed = client.list_runs().unwrap();
-        assert!(listed.iter().any(|r| r.run == "a" && r.completed));
+        assert!(listed.iter().any(|r| r.run == a && r.completed));
         assert_eq!(client.gc_runs().unwrap(), (1, 2));
-        assert_eq!(broker.retained("run/a/status"), 0, "log reclaimed");
+        assert_eq!(broker.retained(&a_status), 0, "log reclaimed");
         let left = client.list_runs().unwrap();
         assert_eq!(left.len(), 1);
-        assert_eq!(left[0].run, "b");
-        assert_eq!(broker.retained("run/b/status"), 1, "run b untouched");
+        assert_eq!(left[0].run, b);
+        assert_eq!(left[0].topics, 1, "run {b} keeps its topic");
+        assert_eq!(broker.retained(&b_status), kept(1), "run b untouched");
+        let mut names = broker.topic_names();
+        names.sort();
+        assert_eq!(names, ["plain", b_status.as_str()]);
+        server.stop();
     }
 
     #[test]

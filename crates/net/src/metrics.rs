@@ -2,31 +2,12 @@
 //! registered once in the process-global
 //! [`ginflow_mq::metrics`] registry and acquired through one
 //! [`daemon_metrics`] call. Hot-path counters are pre-resolved `Arc`s —
-//! per-shard publish accounting indexes a fixed array, per-run
-//! accounting caches its handles in each connection's seen-topics map —
-//! so a publish pays relaxed atomic adds, never a registry lock.
+//! the broker verb counts are plain counters, per-run accounting caches
+//! its handles in each connection's seen-topics map — so a publish pays
+//! relaxed atomic adds, never a registry lock.
 
 use ginflow_mq::metrics::{self, Counter, Family, Gauge, Histogram};
-use ginflow_mq::{topic_shard, TOPIC_SHARDS};
 use std::sync::{Arc, OnceLock};
-
-/// Per-shard counters with the label strings pre-registered, so the
-/// hot path is an array index instead of a family-map lookup.
-pub(crate) struct ShardCounters(Vec<Arc<Counter>>);
-
-impl ShardCounters {
-    fn new(family: &Family<Counter>) -> ShardCounters {
-        ShardCounters(
-            (0..TOPIC_SHARDS)
-                .map(|s| family.with(&s.to_string()))
-                .collect(),
-        )
-    }
-
-    pub(crate) fn shard(&self, shard: usize) -> &Counter {
-        &self.0[shard % TOPIC_SHARDS]
-    }
-}
 
 /// Every instrument the daemon feeds, resolved once.
 pub(crate) struct DaemonMetrics {
@@ -43,11 +24,11 @@ pub(crate) struct DaemonMetrics {
     pub fanout_batch: Arc<Histogram>,
     pub backpressure_parks: Arc<Counter>,
     pub stall_evictions: Arc<Counter>,
-    // Per-topic-shard traffic (labels pre-resolved).
-    pub shard_publishes: ShardCounters,
-    pub shard_publish_bytes: ShardCounters,
-    pub shard_subscribes: ShardCounters,
-    pub shard_fetches: ShardCounters,
+    // Broker verbs served.
+    pub publishes: Arc<Counter>,
+    pub publish_bytes: Arc<Counter>,
+    pub subscribes: Arc<Counter>,
+    pub fetches: Arc<Counter>,
     // Per-run traffic; handles are cached per connection per topic.
     pub run_publishes: Arc<Family<Counter>>,
     pub run_publish_bytes: Arc<Family<Counter>>,
@@ -63,26 +44,6 @@ pub(crate) fn daemon_metrics() -> &'static DaemonMetrics {
     static M: OnceLock<DaemonMetrics> = OnceLock::new();
     M.get_or_init(|| {
         let g = metrics::global();
-        let shard_pub = g.counter_family(
-            "gf_broker_publish_total",
-            "Publishes dispatched, by topic-map shard",
-            "shard",
-        );
-        let shard_pub_bytes = g.counter_family(
-            "gf_broker_publish_bytes_total",
-            "Publish payload bytes, by topic-map shard",
-            "shard",
-        );
-        let shard_sub = g.counter_family(
-            "gf_broker_subscribe_total",
-            "Subscriptions opened, by topic-map shard",
-            "shard",
-        );
-        let shard_fetch = g.counter_family(
-            "gf_broker_fetch_total",
-            "Fetch requests served, by topic-map shard",
-            "shard",
-        );
         DaemonMetrics {
             accepts: g.counter(
                 "gf_loop_accepts_total",
@@ -129,10 +90,10 @@ pub(crate) fn daemon_metrics() -> &'static DaemonMetrics {
                 "gf_loop_stall_evictions_total",
                 "Connections closed for making no write progress",
             ),
-            shard_publishes: ShardCounters::new(&shard_pub),
-            shard_publish_bytes: ShardCounters::new(&shard_pub_bytes),
-            shard_subscribes: ShardCounters::new(&shard_sub),
-            shard_fetches: ShardCounters::new(&shard_fetch),
+            publishes: g.counter("gf_broker_publish_total", "Publishes dispatched"),
+            publish_bytes: g.counter("gf_broker_publish_bytes_total", "Publish payload bytes"),
+            subscribes: g.counter("gf_broker_subscribe_total", "Subscriptions opened"),
+            fetches: g.counter("gf_broker_fetch_total", "Fetch requests served"),
             run_publishes: g.counter_family(
                 "gf_run_publish_total",
                 "Publishes into a run's namespace",
@@ -166,7 +127,6 @@ pub(crate) fn daemon_metrics() -> &'static DaemonMetrics {
 /// seen-topics map stores so the steady state (every frame after the
 /// first on a topic) touches no family lock.
 pub(crate) struct TopicMetrics {
-    pub shard: usize,
     /// `(messages, bytes)` counters of the topic's run; `None` for
     /// non-run-scoped topics.
     pub run_publish: Option<(Arc<Counter>, Arc<Counter>)>,
@@ -176,7 +136,6 @@ impl TopicMetrics {
     pub(crate) fn resolve(topic: &str) -> TopicMetrics {
         let m = daemon_metrics();
         TopicMetrics {
-            shard: topic_shard(topic),
             run_publish: ginflow_mq::namespace::run_of(topic)
                 .map(|run| (m.run_publishes.with(run), m.run_publish_bytes.with(run))),
         }

@@ -1,23 +1,25 @@
-//! Per-run topic accounting for a standing daemon. Fed from the
-//! request path: any publish or subscribe touching a `run/<id>/…` topic
-//! registers the topic under its run. No side channel — the topic name
-//! itself is the account key, so even a client that never speaks the
-//! `RUN_*` verbs is accounted correctly.
+//! The daemon's run registry: the runs it has seen, the lag probes of
+//! their subscriptions, and when each was closed. Fed from the request
+//! path: any publish or subscribe touching a `run/<id>/…` topic makes
+//! sure its run has an entry. No side channel — the topic name itself
+//! is the account key, so even a client that never speaks the `RUN_*`
+//! verbs is accounted correctly. The registry keeps no list of a run's
+//! topics: they are the broker's topics in the run's namespace
+//! ([`namespace::run_of`]), read whenever a run is listed, folded into
+//! the metrics or reclaimed.
 
 use crate::metrics::daemon_metrics;
 use ginflow_mq::wire::RunStat;
 use ginflow_mq::{namespace, Broker, LagProbe};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One run as the registry sees it: the run-scoped topics touched so
-/// far, the lag probes of its live subscriptions, and when (if) a
-/// client marked the run completed.
+/// One run as the registry sees it: the lag probes of its live
+/// subscriptions, and when (if) a client marked the run completed.
 #[derive(Default)]
 struct RunEntry {
-    topics: HashSet<String>,
     /// Drop-oldest counters of every subscription opened on the run's
     /// topics — folded into the `gf_run_lagged` gauge at snapshot time.
     probes: Vec<LagProbe>,
@@ -37,27 +39,28 @@ impl RunRegistry {
         }
     }
 
-    /// Account `topic` to its run, if it is run-scoped.
+    /// Make sure `topic`'s run has an entry, if the topic is run-scoped.
     pub(crate) fn observe(&self, topic: &str) {
         if let Some(run) = namespace::run_of(topic) {
-            // Steady state (every publish after the first on a topic)
-            // allocates nothing: look up by borrowed keys and only
-            // clone the strings when the run or topic is new.
             let mut runs = self.runs.lock();
-            match runs.get_mut(run) {
-                Some(entry) => {
-                    if !entry.topics.contains(topic) {
-                        entry.topics.insert(topic.to_owned());
-                    }
-                }
-                None => {
-                    runs.entry(run.to_owned())
-                        .or_default()
-                        .topics
-                        .insert(topic.to_owned());
-                }
+            if !runs.contains_key(run) {
+                runs.insert(run.to_owned(), RunEntry::default());
             }
         }
+    }
+
+    /// Per run: how many topics the broker holds in its namespace, and
+    /// how many messages they retain.
+    fn counts(&self) -> HashMap<String, (u32, u64)> {
+        let mut counts: HashMap<String, (u32, u64)> = HashMap::new();
+        for topic in self.broker.topic_names() {
+            if let Some(run) = namespace::run_of(&topic) {
+                let (topics, retained) = counts.entry(run.to_owned()).or_default();
+                *topics += 1;
+                *retained += self.broker.retained(&topic);
+            }
+        }
+        counts
     }
 
     /// Remember a subscription's lag counter under its topic's run (a
@@ -76,17 +79,17 @@ impl RunRegistry {
     }
 
     /// Refresh the per-run gauge families (`gf_run_topics`,
-    /// `gf_run_retained`, `gf_run_lagged`) from the registry's current
-    /// accounting — called before a STATS or `/metrics` snapshot so
-    /// snapshot-derived gauges are as fresh as the counters.
+    /// `gf_run_retained`, `gf_run_lagged`) from the broker's topics and
+    /// the registry's probes — called before a STATS or `/metrics`
+    /// snapshot so snapshot-derived gauges are as fresh as the counters.
     pub(crate) fn fold_into_metrics(&self) {
         let m = daemon_metrics();
+        let counts = self.counts();
         let runs = self.runs.lock();
         for (run, entry) in runs.iter() {
-            m.run_topics.with(run).set(entry.topics.len() as u64);
-            m.run_retained
-                .with(run)
-                .set(entry.topics.iter().map(|t| self.broker.retained(t)).sum());
+            let (topics, retained) = counts.get(run).copied().unwrap_or_default();
+            m.run_topics.with(run).set(u64::from(topics));
+            m.run_retained.with(run).set(retained);
             m.run_lagged
                 .with(run)
                 .set(entry.probes.iter().map(LagProbe::get).sum());
@@ -95,14 +98,18 @@ impl RunRegistry {
 
     /// Every known run with its topic accounting, sorted by run id.
     pub(crate) fn list(&self) -> Vec<RunStat> {
+        let counts = self.counts();
         let runs = self.runs.lock();
         let mut out: Vec<RunStat> = runs
             .iter()
-            .map(|(run, entry)| RunStat {
-                run: run.clone(),
-                topics: entry.topics.len() as u32,
-                retained: entry.topics.iter().map(|t| self.broker.retained(t)).sum(),
-                completed: entry.completed_at.is_some(),
+            .map(|(run, entry)| {
+                let (topics, retained) = counts.get(run).copied().unwrap_or_default();
+                RunStat {
+                    run: run.clone(),
+                    topics,
+                    retained,
+                    completed: entry.completed_at.is_some(),
+                }
             })
             .collect();
         out.sort_by(|a, b| a.run.cmp(&b.run));
@@ -141,31 +148,34 @@ impl RunRegistry {
         // Collect under the lock, delete outside it: delete_topic
         // disconnects subscriptions, whose teardown must not contend
         // with request-path accounting.
-        let victims: Vec<(String, HashSet<String>)> = {
+        let runs: Vec<String> = {
             let mut runs = self.runs.lock();
             let expired: Vec<String> = runs
                 .iter()
                 .filter(|(_, e)| e.completed_at.is_some_and(|at| at.elapsed() >= min_age))
                 .map(|(run, _)| run.clone())
                 .collect();
-            expired
-                .into_iter()
-                .filter_map(|run| runs.remove(&run).map(|e| (run, e.topics)))
-                .collect()
-        };
-        let mut topics = 0u32;
-        let mut runs = Vec::with_capacity(victims.len());
-        for (run, run_topics) in victims {
-            for topic in run_topics {
-                if self.broker.delete_topic(&topic) {
-                    topics += 1;
-                }
+            for run in &expired {
+                runs.remove(run);
             }
+            expired
+        };
+        if runs.is_empty() {
+            return (runs, 0);
+        }
+        let mut topics = 0u32;
+        for topic in self.broker.topic_names() {
+            let expired =
+                namespace::run_of(&topic).is_some_and(|run| runs.iter().any(|r| r == run));
+            if expired && self.broker.delete_topic(&topic) {
+                topics += 1;
+            }
+        }
+        for run in &runs {
             // Drop the reclaimed run's per-run metric series with it,
             // so a standing daemon's registry stays bounded by *live*
             // runs, not every run it has ever served.
-            ginflow_mq::metrics::global().remove_label(&run);
-            runs.push(run);
+            ginflow_mq::metrics::global().remove_label(run);
         }
         (runs, topics)
     }

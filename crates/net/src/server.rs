@@ -13,7 +13,8 @@
 //!
 //! The daemon is **multi-run**: topics are run-scoped
 //! (`run/<id>/…`, see [`ginflow_mq::namespace`]), and the server keeps a
-//! run registry accounting every run-scoped topic to its run. Clients
+//! registry of the runs it has seen, whose topics are the broker's
+//! topics in each run's namespace. Clients
 //! list the runs (`RUN_LIST`), mark a run completed (`RUN_CLOSE`) and
 //! reclaim completed runs' topics (`RUN_GC`); with a retention window
 //! ([`BrokerServer::bind_with_retention`]) the daemon reclaims them

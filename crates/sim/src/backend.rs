@@ -14,7 +14,7 @@
 
 use crate::run::{simulate, SimConfig};
 use ginflow_agent::engine::{
-    ExecutionBackend, RunControl, RunFailure, RunHandle, RunMeta, RunReport, RunTracker,
+    ExecutionBackend, RunControl, RunFailure, RunHandle, RunReport, RunTracker,
 };
 use ginflow_core::Workflow;
 use std::sync::Arc;
@@ -60,7 +60,7 @@ impl ExecutionBackend for SimBackend {
             .run_id
             .clone()
             .unwrap_or_else(ginflow_mq::RunId::generate);
-        let tracker = Arc::new(RunTracker::new(RunMeta::of(workflow), run_id));
+        let tracker = Arc::new(RunTracker::new(workflow, run_id));
         for (at, update) in &report.status_log {
             tracker.observe(update, Duration::from_micros(*at));
         }
