@@ -495,8 +495,8 @@ impl RunTracker {
 
     /// The one place a [`RunReport`] is assembled, for every backend:
     /// the fold of the status stream so far (partial while the run
-    /// executes). `wall`, `lagged` and `metrics` are the vehicle's to
-    /// fill in ([`RunControl::stamp`]).
+    /// executes). `wall`, `lagged`, `resident_peak` and `rehydrations`
+    /// are the vehicle's to fill in ([`RunControl::stamp`]).
     pub fn report(&self, backend: &'static str) -> RunReport {
         let record = self.record.lock();
         let observed = record.tasks.iter().map(|(n, t)| (n.clone(), t.clone()));
@@ -544,7 +544,8 @@ impl RunTracker {
             adaptations_fired: record.fired.len() as u32,
             respawns: record.respawns,
             lagged: 0,
-            metrics: Vec::new(),
+            resident_peak: 0,
+            rehydrations: 0,
             tasks,
         }
     }
@@ -637,13 +638,14 @@ pub struct RunReport {
     /// silent. Always 0 on unbounded (persistent) subscriptions and on
     /// the sim backend.
     pub lagged: u64,
-    /// Final snapshot of this run's slice of the process-global metrics
-    /// registry (`(metric name, value)` rows — see
-    /// [`ginflow_mq::metrics::Metrics::snapshot_run`]): per-run publish
-    /// counts and bytes, lag drops and topic gauges, collected at
-    /// report time. Empty on backends that don't feed the registry
-    /// (sim).
-    pub metrics: Vec<(String, u64)>,
+    /// The most agents this vehicle held resident at once — a shard
+    /// counts its own. On a persistent broker a completed agent is
+    /// evicted, so a chain on one worker reads 2 at any length. Always
+    /// 0 on the sim backend.
+    pub resident_peak: u64,
+    /// Evicted agents this vehicle rebuilt by replay for a late
+    /// message. Always 0 on the sim backend.
+    pub rehydrations: u64,
     /// Per-task detail, keyed by task name (every task of the workflow,
     /// observed or not).
     pub tasks: BTreeMap<String, TaskReport>,
@@ -701,7 +703,8 @@ pub trait RunControl: Send + Sync {
     /// Fill in what the status stream cannot tell a report: `wall`
     /// (which arrives as the last task transition of a run that has its
     /// outcome, and zero while it is still running — a live vehicle
-    /// puts its clock there), `lagged` and `metrics`.
+    /// puts its clock there), `lagged`, `resident_peak` and
+    /// `rehydrations`: what the vehicle counted itself.
     fn stamp(&self, report: &mut RunReport);
     /// Tear the vehicle down (agents observe the shutdown flag between
     /// events; worker threads are joined; nothing is published).

@@ -33,7 +33,7 @@
 //!   counted are re-run muted — its service answered from the kept
 //!   outcomes, nothing sent or published again — and the rest live;
 //!   once done, it is evicted again. A chain of thousands therefore
-//!   holds two agents at a time, which `gf_sched_resident_agents{run}`
+//!   holds two agents at a time, which [`RunReport::resident_peak`]
 //!   reports as a high-water mark. On a transient broker there is no log
 //!   to rebuild from, and a built agent stays resident;
 //! * slots are *sharded*: an agent's name hashes to one worker, and only
@@ -118,11 +118,11 @@ use bytes::Bytes;
 use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow};
 use ginflow_hoclflow::compile::adapt_plans;
 use ginflow_hoclflow::{AdaptPlan, Compiler};
-use ginflow_mq::metrics::{Counter, Family, Gauge, Histogram};
+use ginflow_mq::metrics::{Counter, Histogram};
 use ginflow_mq::{Broker, LagProbe, MqError, RunId, SubscribeMode, Subscription, TopicNamespace};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 
@@ -135,51 +135,15 @@ const FETCH_PAGE: usize = 1024;
 
 /// Scheduler-side handles into the process-global metrics registry
 /// (`gf_sched_*`), resolved once — every pool in the process shares
-/// them, so the gauges aggregate across concurrent runs.
+/// them, so they aggregate across concurrent runs. What one run counts
+/// is its pool's, and rides in its report.
 struct SchedMetrics {
-    /// Agent turns currently queued on (or being drained from) the
-    /// shard ready-queues.
-    ready_depth: Arc<Gauge>,
     /// Wakeups enqueued: schedule-bit false→true transitions, from
     /// inbox deliveries and control-plane scheduling alike.
     wakeups: Arc<Counter>,
     /// Events an agent drained in one scheduling turn (capped at
     /// [`BATCH`]) — wakeups saved against one per message.
     wakeup_batch: Arc<Histogram>,
-    /// Per run: the most agents resident at once.
-    resident: Arc<Family<Gauge>>,
-    /// Per run: evicted agents rebuilt by replay for a late message.
-    rehydrations: Arc<Family<Counter>>,
-    /// Per run id: the pools of this process that run it — more than
-    /// one when several shards of one run share the process. The last
-    /// one dropped removes the run's two series.
-    pools: Mutex<HashMap<String, usize>>,
-}
-
-impl SchedMetrics {
-    /// Count a pool in for `run` and hand it the run's series: its
-    /// resident high-water mark and its rehydrations.
-    fn acquire(&self, run: &str) -> (Arc<Gauge>, Arc<Counter>) {
-        let mut pools = self.pools.lock();
-        *pools.entry(run.to_owned()).or_default() += 1;
-        (self.resident.with(run), self.rehydrations.with(run))
-    }
-
-    /// Count a pool of `run` out; the last one removes the run's series
-    /// — under the same lock, so a pool acquiring them meanwhile either
-    /// keeps them or makes fresh ones.
-    fn release(&self, run: &str) {
-        let mut pools = self.pools.lock();
-        let Some(count) = pools.get_mut(run) else {
-            return;
-        };
-        *count -= 1;
-        if *count == 0 {
-            pools.remove(run);
-            self.resident.remove(run);
-            self.rehydrations.remove(run);
-        }
-    }
 }
 
 fn sched_metrics() -> &'static SchedMetrics {
@@ -187,10 +151,6 @@ fn sched_metrics() -> &'static SchedMetrics {
     M.get_or_init(|| {
         let m = ginflow_mq::metrics::global();
         SchedMetrics {
-            ready_depth: m.gauge(
-                "gf_sched_ready_depth",
-                "Agent turns queued on worker-pool shard ready-queues",
-            ),
             wakeups: m.counter(
                 "gf_sched_wakeups_total",
                 "Agent wakeups enqueued (schedule-bit transitions)",
@@ -199,17 +159,6 @@ fn sched_metrics() -> &'static SchedMetrics {
                 "gf_sched_wakeup_batch",
                 "Events drained per agent scheduling turn",
             ),
-            resident: m.gauge_family(
-                "gf_sched_resident_agents",
-                "High-water mark of a run's agents resident at once",
-                "run",
-            ),
-            rehydrations: m.counter_family(
-                "gf_sched_rehydrations_total",
-                "Evicted agents rebuilt by inbox replay for a late message",
-                "run",
-            ),
-            pools: Mutex::default(),
         }
     })
 }
@@ -331,7 +280,8 @@ impl RunControl for WorkflowRun {
         }
         // Cumulative over the run's two subscriptions: status and inbox.
         report.lagged = self.inner.lag_probes.iter().map(LagProbe::get).sum();
-        report.metrics = ginflow_mq::metrics::global().snapshot_run(&report.run_id);
+        report.resident_peak = self.inner.agents.lock().peak;
+        report.rehydrations = self.inner.rehydrations.load(Ordering::Relaxed);
     }
 
     /// Tear down: every queued agent turn observes the shutdown flag and
@@ -455,8 +405,8 @@ enum Entry {
 struct Agents {
     map: HashMap<String, Entry>,
     resident: u64,
-    /// The run's `gf_sched_resident_agents` series.
-    peak: Arc<Gauge>,
+    /// The most agents resident at once: [`RunReport::resident_peak`].
+    peak: u64,
 }
 
 impl Agents {
@@ -468,7 +418,7 @@ impl Agents {
             None => self.map.insert(task.to_owned(), entry),
         };
         self.resident = self.resident + added - matches!(old, Some(Entry::Resident(_))) as u64;
-        self.peak.raise(self.resident);
+        self.peak = self.peak.max(self.resident);
     }
 }
 
@@ -491,8 +441,9 @@ struct PoolInner {
     /// The broker keeps the run's history: a completed agent is
     /// evicted, and a rehydrated or respawned one refilled from it.
     persistent: bool,
-    /// The run's `gf_sched_rehydrations_total` series.
-    rehydrations: Arc<Counter>,
+    /// Evicted agents rebuilt for a late message:
+    /// [`RunReport::rehydrations`].
+    rehydrations: AtomicU64,
     shards: Vec<crossbeam::channel::Sender<WorkItem>>,
     /// The status topic's subscription and the fold its waker runs:
     /// every task of the workflow, local or not, reaches the run's
@@ -508,14 +459,6 @@ struct PoolInner {
     /// [`crate::engine::RunReport::lagged`].
     lag_probes: [LagProbe; 2],
     label: &'static str,
-}
-
-impl Drop for PoolInner {
-    /// The run's scheduler series outlive the pool only in the reports
-    /// already stamped with them.
-    fn drop(&mut self) {
-        sched_metrics().release(self.ns.run_id().as_str());
-    }
 }
 
 /// FNV-1a over the agent name: the shard assignment.
@@ -590,14 +533,13 @@ fn launch_pool(
         shard_rxs.push(rx);
     }
 
-    let (peak, rehydrations) = sched_metrics().acquire(ns.run_id().as_str());
     let inner = Arc::new(PoolInner {
         persistent: broker.persistent(),
-        rehydrations,
+        rehydrations: AtomicU64::new(0),
         agents: Mutex::new(Agents {
             map: HashMap::new(),
             resident: 0,
-            peak,
+            peak: 0,
         }),
         broker,
         ns,
@@ -814,9 +756,7 @@ impl PoolInner {
     /// Enqueue the slot if it is not already queued/running.
     fn schedule(&self, slot: &Arc<AgentSlot>) {
         if !slot.dead.load(Ordering::SeqCst) && !slot.scheduled.swap(true, Ordering::SeqCst) {
-            let m = sched_metrics();
-            m.wakeups.inc();
-            m.ready_depth.add(1);
+            sched_metrics().wakeups.inc();
             let _ = self.shards[slot.shard].send(WorkItem::Run(slot.clone()));
         }
     }
@@ -908,10 +848,7 @@ fn worker_loop(inner: Arc<PoolInner>, rx: crossbeam::channel::Receiver<WorkItem>
     while let Ok(item) = rx.recv() {
         match item {
             WorkItem::Shutdown => return,
-            WorkItem::Run(slot) => {
-                sched_metrics().ready_depth.sub(1);
-                process(&inner, &slot);
-            }
+            WorkItem::Run(slot) => process(&inner, &slot),
         }
     }
 }
@@ -969,7 +906,7 @@ fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -
         if let Some(replay) = state.replay {
             // Only a rehydration starts muted.
             if state.memo.replaying {
-                inner.rehydrations.inc();
+                inner.rehydrations.fetch_add(1, Ordering::Relaxed);
             }
             if inner.refill(slot, replay.until).is_err() {
                 return TurnEnd::Lost;

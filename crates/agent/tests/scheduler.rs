@@ -4,8 +4,7 @@
 //! `tests/runtime.rs` with workers ≪ agents).
 
 use ginflow_agent::{
-    RunEvent, RunFailure, RunId, RunOptions, RunReport, SaMessage, Scheduler, TopicNamespace,
-    WaitError,
+    RunEvent, RunFailure, RunId, RunOptions, SaMessage, Scheduler, TopicNamespace, WaitError,
 };
 use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
 use ginflow_core::{patterns, FailingService, ServiceRegistry, TaskState, Value, Workflow};
@@ -782,15 +781,6 @@ fn a_respawned_agent_replays_only_its_own_key_in_log_order() {
     run.shutdown();
 }
 
-/// The run's value of a `run`-labelled metric family.
-fn run_metric(report: &RunReport, name: &str) -> u64 {
-    report
-        .metrics
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| *v)
-}
-
 #[test]
 fn a_chain_holds_two_agents_at_a_time_whatever_its_length() {
     // Launch builds the source alone; every later agent is built by its
@@ -808,12 +798,8 @@ fn a_chain_holds_two_agents_at_a_time_whatever_its_length() {
             .join();
         assert!(report.completed, "{len} tasks");
         assert_eq!(report.completed_tasks(), len);
-        assert_eq!(
-            run_metric(&report, "gf_sched_resident_agents"),
-            2,
-            "{len} tasks"
-        );
-        assert_eq!(run_metric(&report, "gf_sched_rehydrations_total"), 0);
+        assert_eq!(report.resident_peak, 2, "{len} tasks");
+        assert_eq!(report.rehydrations, 0);
     }
 }
 
@@ -827,7 +813,7 @@ fn on_a_transient_broker_a_built_agent_stays_resident() {
         .launch(&patterns::sequence(50, "s").unwrap())
         .join();
     assert!(report.completed);
-    assert_eq!(run_metric(&report, "gf_sched_resident_agents"), 50);
+    assert_eq!(report.resident_peak, 50);
 }
 
 #[test]
@@ -857,7 +843,7 @@ fn launch_builds_only_the_sources() {
         assert!(std::time::Instant::now() < deadline, "a never started");
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(run_metric(&run.report(), "gf_sched_resident_agents"), 1);
+    assert_eq!(run.report().resident_peak, 1);
     assert!(run.alive("b7"), "an agent not built yet has not crashed");
     assert_eq!(run.incarnation("b7"), 0);
     gate.send(()).unwrap();
@@ -933,7 +919,7 @@ fn an_adaptation_rehydrates_the_evicted_source_without_invoking_it_again() {
             report.result_of("T4"),
             Some(&Value::Str(format!("s4(s2p({t1}),s3({t1}))")))
         );
-        assert_eq!(run_metric(&report, "gf_sched_rehydrations_total"), 1);
+        assert_eq!(report.rehydrations, 1);
         for (service, count) in &calls {
             let expected = usize::from(head || service != "s0");
             assert_eq!(count.load(Ordering::SeqCst), expected, "{service}");
@@ -966,7 +952,7 @@ fn a_late_duplicate_rehydrates_its_agent_and_changes_nothing() {
             .publish(ns.inbox(), Some(task.into()), result_payload("T1", "dup"))
             .unwrap();
         let deadline = std::time::Instant::now() + WAIT;
-        while run_metric(&run.report(), "gf_sched_rehydrations_total") < i as u64 + 1 {
+        while run.report().rehydrations < i as u64 + 1 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "{task} not rehydrated"
@@ -1020,17 +1006,14 @@ fn a_respawned_agent_is_evicted_and_rehydrated_like_any_other() {
             .publish(ns.inbox(), Some(task.into()), result_payload("T1", "dup"))
             .unwrap();
         let deadline = std::time::Instant::now() + WAIT;
-        while run_metric(&run.report(), "gf_sched_rehydrations_total") < i as u64 + 1 {
+        while run.report().rehydrations < i as u64 + 1 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "{task} not rehydrated"
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(
-            run_metric(&run.report(), "gf_sched_rehydrations_total"),
-            i as u64 + 1
-        );
+        assert_eq!(run.report().rehydrations, i as u64 + 1);
     }
     for (service, count) in &calls {
         assert_eq!(count.load(Ordering::SeqCst), 1, "{service}");
@@ -1087,7 +1070,7 @@ fn agents_never_built_are_killed_respawned_and_rehydrated_from_a_fresh_compile()
                 assert!(std::time::Instant::now() < deadline, "T0 never started");
                 std::thread::sleep(Duration::from_millis(2));
             }
-            assert_eq!(run_metric(&handle.report(), "gf_sched_resident_agents"), 1);
+            assert_eq!(handle.report().resident_peak, 1);
             assert!(handle.kill("T4"));
             for task in ["T4", "T1", "T2'"] {
                 assert!(handle.respawn(task), "{task}");
@@ -1102,7 +1085,7 @@ fn agents_never_built_are_killed_respawned_and_rehydrated_from_a_fresh_compile()
                 .publish(ns.inbox(), Some("T4".into()), result_payload("T3", "dup"))
                 .unwrap();
             let deadline = std::time::Instant::now() + WAIT;
-            while run_metric(&handle.report(), "gf_sched_rehydrations_total") < 1 {
+            while handle.report().rehydrations < 1 {
                 assert!(std::time::Instant::now() < deadline, "T4 not rehydrated");
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -1316,7 +1299,7 @@ fn a_message_the_refill_read_is_handled_once() {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(to_standby(), 1, "{arrival:?}");
-        assert_eq!(run_metric(&run.report(), "gf_sched_rehydrations_total"), 1);
+        assert_eq!(run.report().rehydrations, 1);
         run.shutdown();
     }
 }

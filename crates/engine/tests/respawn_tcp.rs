@@ -165,11 +165,6 @@ fn a_rehydration_over_tcp_reads_its_past_from_a_worker() {
             "s4(s2p(s1(s0(input))),s3(s1(s0(input))))".into()
         ))
     );
-    let rehydrations = report
-        .metrics
-        .iter()
-        .find(|(name, _)| name == "gf_sched_rehydrations_total")
-        .map(|(_, n)| *n);
-    assert_eq!(rehydrations, Some(1));
+    assert_eq!(report.rehydrations, 1);
     server.stop();
 }

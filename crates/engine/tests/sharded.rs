@@ -54,8 +54,9 @@ fn sharded_engine(server: &BrokerServer, run_id: &str, shard: u32, of: u32) -> E
 
 /// Both shards host at least one agent of the diamond — placement is a
 /// deterministic FNV hash of fixed names, so this is a stable property,
-/// asserted to keep the test honest if names ever change.
-fn assert_both_shards_populated(wf: &Workflow) {
+/// asserted to keep the test honest if names ever change. Returns how
+/// many tasks each shard hosts.
+fn assert_both_shards_populated(wf: &Workflow) -> [usize; 2] {
     let mut counts = [0usize; 2];
     for (_, spec) in wf.dag().iter() {
         counts[ginflow_agent::scheduler::process_shard(&spec.name, 2) as usize] += 1;
@@ -64,12 +65,13 @@ fn assert_both_shards_populated(wf: &Workflow) {
         counts[0] > 0 && counts[1] > 0,
         "degenerate sharding {counts:?}: pick a different workflow"
     );
+    counts
 }
 
 #[test]
 fn two_tcp_shards_agree_with_single_process() {
     let wf = patterns::diamond(3, 4, Connectivity::Simple, "s").unwrap();
-    assert_both_shards_populated(&wf);
+    let hosted = assert_both_shards_populated(&wf);
 
     // Reference: one process, local broker.
     let reference = Engine::builder()
@@ -103,6 +105,17 @@ fn two_tcp_shards_agree_with_single_process() {
     assert_eq!(sink_results(&report1, &["out"]), reference_sinks);
     assert_eq!(results0.get("out"), results1.get("out"));
     assert!(results0.contains_key("out"));
+
+    // Each shard's pool counts the agents it held itself: at least one,
+    // and never more than the tasks it hosts.
+    for (shard, report) in [&report0, &report1].into_iter().enumerate() {
+        assert!(
+            (1..=hosted[shard] as u64).contains(&report.resident_peak),
+            "shard {shard} held {} agents at once, hosting {}",
+            report.resident_peak,
+            hosted[shard]
+        );
+    }
 }
 
 #[test]

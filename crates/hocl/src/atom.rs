@@ -115,11 +115,6 @@ impl Atom {
         matches!(self, Atom::Rule(_))
     }
 
-    /// Is this a subsolution?
-    pub fn is_sub(&self) -> bool {
-        matches!(self, Atom::Sub(_))
-    }
-
     /// View as symbol, if it is one.
     pub fn as_sym(&self) -> Option<&Symbol> {
         match self {

@@ -7,7 +7,6 @@
 
 use crate::atom::{Atom, Shape};
 use crate::bindings::Var;
-use crate::symbol::Symbol;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -202,11 +201,6 @@ impl Pattern {
             Pattern::Any | Pattern::Lit(_) | Pattern::RuleNamed(_) => {}
         }
     }
-}
-
-/// Key symbol of a keyed tuple *atom* — counterpart of [`Pattern::key_hint`].
-pub fn atom_key(atom: &Atom) -> Option<&Symbol> {
-    atom.tuple_key()
 }
 
 impl fmt::Display for Pattern {

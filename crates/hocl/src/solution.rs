@@ -143,14 +143,6 @@ impl Solution {
         }
     }
 
-    /// Solution wrapping an existing multiset.
-    pub fn from_multiset(atoms: Multiset) -> Self {
-        Solution {
-            atoms,
-            pending: Vec::new(),
-        }
-    }
-
     /// The atoms of the solution.
     pub fn atoms(&self) -> &Multiset {
         &self.atoms

@@ -16,7 +16,7 @@
 //!
 //! Reading happens two ways, both off the same registry: a flat
 //! [`Metrics::snapshot`] of `(name, label, value)` rows (what the STATS
-//! wire verb ships and `RunReport` embeds), and
+//! wire verb ships), and
 //! [`Metrics::render_prometheus`], the text exposition format served by
 //! the daemon's `--metrics-addr` endpoint.
 
@@ -78,12 +78,6 @@ impl Gauge {
                 Err(seen) => cur = seen,
             }
         }
-    }
-
-    /// Raise the gauge to `v` unless it already reads more: a
-    /// high-water mark.
-    pub fn raise(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -180,13 +174,6 @@ impl<M: Default> Family<M> {
         m
     }
 
-    /// The instrument for `label`, if one exists. Unlike
-    /// [`Family::with`] this creates nothing: a read leaves no series
-    /// behind.
-    pub fn get(&self, label: &str) -> Option<Arc<M>> {
-        self.series.lock().get(label).cloned()
-    }
-
     /// Visit every `(label, instrument)` pair, under the family's lock.
     pub fn for_each(&self, mut f: impl FnMut(&str, &M)) {
         for (label, m) in self.series.lock().iter() {
@@ -250,8 +237,7 @@ pub struct Metrics {
 }
 
 /// The process-global registry every subsystem feeds. A daemon process
-/// exposes exactly this through STATS and `/metrics`; an embedded
-/// engine reads its per-run slice into `RunReport`.
+/// exposes exactly this through STATS and `/metrics`.
 pub fn global() -> &'static Metrics {
     static GLOBAL: OnceLock<Metrics> = OnceLock::new();
     GLOBAL.get_or_init(Metrics::default)
@@ -409,28 +395,6 @@ impl Metrics {
         rows
     }
 
-    /// The per-run slice of the registry: `(name, value)` of every
-    /// run-labelled family, 0 where the run has no series. What
-    /// `RunReport` carries as the run's final metrics snapshot. A read:
-    /// it adds no series to the registry.
-    pub fn snapshot_run(&self, run: &str) -> Vec<(String, u64)> {
-        let mut rows: Vec<(String, u64)> = Vec::new();
-        for slot in self.slots.lock().iter() {
-            let value = match &slot.instrument {
-                Instrument::CounterFamily(f) if f.label_key() == "run" => {
-                    f.get(run).map_or(0, |c| c.get())
-                }
-                Instrument::GaugeFamily(f) if f.label_key() == "run" => {
-                    f.get(run).map_or(0, |g| g.get())
-                }
-                _ => continue,
-            };
-            rows.push((slot.name.to_owned(), value));
-        }
-        rows.sort();
-        rows
-    }
-
     /// Render the registry in the Prometheus text exposition format
     /// (v0.0.4): `# HELP` / `# TYPE` headers, `name{key="label"} value`
     /// series, histogram `_bucket`/`_sum`/`_count` conventions.
@@ -560,12 +524,6 @@ mod tests {
                     value: 1
                 },
             ]
-        );
-        assert_eq!(m.snapshot_run("a"), vec![("runs_total".to_owned(), 6)]);
-        assert_eq!(m.snapshot_run("c"), vec![("runs_total".to_owned(), 0)]);
-        assert!(
-            fam.get("c").is_none(),
-            "reading a run's slice creates no series"
         );
         fam.remove("a");
         assert_eq!(m.snapshot().len(), 1, "removed label leaves the registry");

@@ -90,7 +90,7 @@ fn jittered_backoff(ladder: Duration, state: &mut u64) -> Duration {
 }
 
 /// Reactor observability, in the process-global registry (surfaces
-/// through STATS, `/metrics` and `RunReport` like every other family).
+/// through STATS and `/metrics` like every other family).
 struct ReactorMetrics {
     wakeups: Arc<Counter>,
     frames_turn: Arc<Histogram>,

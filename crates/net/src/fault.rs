@@ -145,24 +145,6 @@ impl FaultPlan {
             grace_frames: 8,
         }
     }
-
-    /// Severe chaos: short-lived links (severs within tens of frames,
-    /// often mid-frame), frame loss, byte corruption, frequent
-    /// partitions — the reconnect-storm regime.
-    pub fn severe() -> FaultPlan {
-        FaultPlan {
-            latency_us: (0, 5_000),
-            time_scale: 500,
-            drop_frame: 0.02,
-            corrupt_frame: 0.01,
-            sever_after_frames: Some((10, 120)),
-            sever_after: Some((Duration::from_millis(200), Duration::from_secs(5))),
-            midframe_sever: 0.5,
-            partition: 0.15,
-            partition_for: (Duration::from_millis(200), Duration::from_secs(2)),
-            grace_frames: 8,
-        }
-    }
 }
 
 impl Default for FaultPlan {
@@ -333,7 +315,7 @@ struct ClientState {
 /// `ChaosNet` fronts one [`BrokerServer`] for any number of clients.
 pub struct ChaosNet {
     seed: u64,
-    plan: Mutex<FaultPlan>,
+    plan: FaultPlan,
     /// While true, dials succeed and new links forward verbatim — the
     /// "heal the network and drain" phase of a scenario.
     paused: AtomicBool,
@@ -347,7 +329,7 @@ impl ChaosNet {
     pub fn new(seed: u64, plan: FaultPlan) -> Arc<ChaosNet> {
         Arc::new(ChaosNet {
             seed,
-            plan: Mutex::new(plan),
+            plan,
             paused: AtomicBool::new(false),
             stats: Arc::new(StatCells::default()),
             clients: Mutex::new(HashMap::new()),
@@ -359,12 +341,6 @@ impl ChaosNet {
     /// reproduces the schedule).
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Swap the active plan; links already open keep the plan they
-    /// were dialed under, new links draw from the new one.
-    pub fn set_plan(&self, plan: FaultPlan) {
-        *self.plan.lock() = plan;
     }
 
     /// Pause (heal) or resume chaos: while paused, dials always
@@ -401,7 +377,7 @@ impl ChaosNet {
     /// stages N-way partitions deliberately, on top of whatever the
     /// seeded schedule does.
     pub fn partition_client(&self, client: &str, window: Duration) {
-        let scale = self.plan.lock().time_scale.max(1);
+        let scale = self.plan.time_scale.max(1);
         let until = Instant::now() + window / scale as u32;
         self.clients
             .lock()
@@ -454,7 +430,7 @@ impl ChaosNet {
         client: &str,
     ) -> std::io::Result<Box<dyn Transport>> {
         self.stats.dials.fetch_add(1, Ordering::Relaxed);
-        let plan = self.plan.lock().clone();
+        let plan = &self.plan;
         let paused = self.paused.load(Ordering::SeqCst);
         let dial_no = {
             let mut clients = self.clients.lock();
@@ -489,7 +465,11 @@ impl ChaosNet {
                 self.seed
             )));
         }
-        let effective = if paused { FaultPlan::calm() } else { plan };
+        let effective = if paused {
+            FaultPlan::calm()
+        } else {
+            plan.clone()
+        };
         self.splice(server, client, seed, effective)
     }
 

@@ -161,15 +161,15 @@
 //!   are GC'd.
 //! * `gf_store_*` — durable-log appends, bytes, fsyncs, rotations,
 //!   read batches, recovery truncations, disk bytes.
-//! * `gf_sched_*` / `gf_client_pipeline_*` — scheduler ready-queue and
-//!   wakeup-batch accounting, client pipeline window occupancy and
-//!   losses (in whichever process runs them);
+//! * `gf_sched_*` / `gf_client_pipeline_*` — scheduler wakeups and
+//!   wakeup batch sizes, client pipeline window occupancy and losses
+//!   (in whichever process runs them);
 //!   `gf_client_subscriptions` — delivery bridges the clients hold.
 //! * `gf_client_reactor_*` — shared client-loop health: wakeups,
 //!   frames dispatched per readiness turn (histogram), reconnects,
 //!   live connections.
 //!
-//! Three surfaces expose the same snapshot:
+//! Two surfaces expose the same snapshot, and a third reports a run:
 //!
 //! * **STATS wire verb** — [`RemoteBroker::stats`] returns the
 //!   flattened rows; `ginflow broker top` polls it and renders per-run
@@ -178,9 +178,10 @@
 //!   `ginflow broker serve --metrics-addr HOST:PORT`) serves the
 //!   Prometheus text exposition format from a tiny embedded HTTP
 //!   responder; point a scraper at it.
-//! * **`RunReport` (ginflow-agent)** — every run's final report
-//!   carries its own slice of the registry (its `metrics` field), so
-//!   per-run counters survive the run's GC.
+//! * **`RunReport` (ginflow-agent)** — a run's report carries what its
+//!   vehicle counted, as fields (`lagged`, `resident_peak`,
+//!   `rehydrations`), not registry rows. The daemon's `gf_run_*{run}`
+//!   series live on the daemon, read through STATS and `/metrics`.
 //!
 //! ## Fault testing (operator & contributor guide)
 //!

@@ -101,7 +101,7 @@ impl RunControl for SimRun {
         0
     }
 
-    /// Virtual time; the sim drops no message and feeds no registry.
+    /// Virtual time; the sim drops no message and evicts no agent.
     fn stamp(&self, report: &mut RunReport) {
         report.wall = self.makespan;
     }

@@ -114,12 +114,6 @@ impl CostModel {
     pub fn status_update_us(&self) -> u64 {
         self.status_update_us
     }
-
-    /// Delay between a crash being detected and the replacement agent
-    /// being ready to replay (offer wait + SA start).
-    pub fn respawn_delay_us(&self) -> u64 {
-        self.respawn_offer_us + self.sa_start_us
-    }
 }
 
 #[cfg(test)]
