@@ -638,10 +638,12 @@ pub struct RunReport {
     /// silent. Always 0 on unbounded (persistent) subscriptions and on
     /// the sim backend.
     pub lagged: u64,
-    /// The most agents this vehicle held resident at once — a shard
-    /// counts its own. On a persistent broker a completed agent is
-    /// evicted, so a chain on one worker reads 2 at any length. Always
-    /// 0 on the sim backend.
+    /// The most agents this vehicle held built at once — compiled
+    /// programs, a shard counting its own. An agent is built on its
+    /// first turn, not by the message that queues it, and on a
+    /// persistent broker a completed agent is evicted, so a chain — or
+    /// a 2000-wide fan-out — on one worker reads 1. Always 0 on the sim
+    /// backend.
     pub resident_peak: u64,
     /// Evicted agents this vehicle rebuilt by replay for a late
     /// message. Always 0 on the sim backend.

@@ -24,10 +24,11 @@
 //!   subscriptions — inbox and status — whatever its width, and no
 //!   thread of its own reads them. Scales to thousands of agents per
 //!   process with zero idle CPU. A run's threads are its workers and
-//!   nothing else. An agent is resident only while it has work: built
-//!   by its first message (the sources at launch) and, on a persistent
-//!   broker, evicted once it has completed — a late message rebuilds it
-//!   by replay, without invoking its service again.
+//!   nothing else. An agent is resident only while it is at work: its
+//!   first message (launch, for the sources) queues it, its first turn
+//!   on a worker builds it and, on a persistent broker, it is evicted
+//!   once it has completed — a late message rebuilds it by replay,
+//!   without invoking its service again.
 //! * [`engine::RunTracker`] — the run's **only record**: the shared
 //!   status topic folded, under one lock, into per-task state, counters,
 //!   the outcome and the typed [`RunEvent`] stream. Every backend feeds

@@ -17,12 +17,16 @@
 //!   workflow consumes zero CPU. A key this process does not host —
 //!   another shard's task — or whose agent is dead is dropped; on a
 //!   persistent broker it is still in the log;
-//! * an agent is **resident only while it has work**, and its program
-//!   exists only while the agent does. Launch builds and compiles the
-//!   workflow's sources and nothing else; every other agent is built —
-//!   its program compiled from the run's DAG — by the delivery of its
-//!   first message. On a persistent broker a completed agent whose
-//!   queue is empty is *evicted* after its turn, down to a tombstone:
+//! * an agent is **resident only while it is at work**, and its program
+//!   exists only while the agent does. Work gives a task a *slot* — its
+//!   name, queue, schedule bit and incarnation, no program: launch makes
+//!   the sources' slots and nothing else, and the delivery of its first
+//!   message makes every other agent's. The agent itself is built — its
+//!   program compiled from the run's DAG — by the slot's first turn on
+//!   a worker, so a wide fan-out queues thousands of slots and holds a
+//!   program only for the agents that have run. On a persistent broker
+//!   a completed agent whose queue is empty is *evicted* after its turn,
+//!   down to a tombstone:
 //!   its incarnation, how many inbox messages it handled and its service
 //!   outcomes. A late message — a duplicate result, an `ADAPT` asking a
 //!   finished source to resend — *rehydrates* it under the same
@@ -32,16 +36,19 @@
 //!   what it has queued. Its start and the messages its tombstone
 //!   counted are re-run muted — its service answered from the kept
 //!   outcomes, nothing sent or published again — and the rest live;
-//!   once done, it is evicted again. A chain of thousands therefore
-//!   holds two agents at a time, which [`RunReport::resident_peak`]
-//!   reports as a high-water mark. On a transient broker there is no log
-//!   to rebuild from, and a built agent stays resident;
+//!   once done, it is evicted again. On one worker a chain of thousands
+//!   therefore holds one built agent at a time — the successor its
+//!   result queues is built on a turn of its own — which
+//!   [`RunReport::resident_peak`] reports as a high-water mark. On a
+//!   transient broker there is no log to rebuild from, and a built agent
+//!   stays resident;
 //! * slots are *sharded*: an agent's name hashes to one worker, and only
 //!   that worker ever runs it. One agent's events therefore execute
 //!   strictly in order with no core-level contention, while distinct
 //!   agents run in parallel across shards;
 //! * a *crash* is a kill flag the agent observes between events —
-//!   losing all local state, exactly like the paper's killed JVM.
+//!   losing all local state, exactly like the paper's killed JVM. A slot
+//!   killed before its first turn dies unbuilt.
 //!   §IV-B recovery re-enqueues a fresh agent incarnation through the
 //!   same ready-queues, on the run's inbox like any other agent, and
 //!   refills it the way a rehydration is refilled ("replay them in the
@@ -88,15 +95,16 @@
 //! [`Subscription::settle`] leaves it idle again — one thread drains a
 //! subscription at a time, so messages are handled in the queue's
 //! order, and a delivery that finds a drain pending is that drain's to
-//! take, so none is lost. Each drain does O(1) work per message and
+//! take, so none is lost. Each drain does O(1) work per message — the
+//! inbox's finds or makes a slot and queues, and compiles nothing — and
 //! never blocks or publishes, so borrowing the delivering thread costs
 //! that thread nothing it would notice. Teardown clears the wakers; it
 //! publishes nothing and has no thread to wake through the broker.
 //!
 //! ## The lock rule
 //!
-//! The inbox demultiplexer takes the `agents` lock to find — or build —
-//! a key's agent and queues the message under it. Over TCP it runs on
+//! The inbox demultiplexer takes the `agents` lock to find — or make —
+//! a key's slot and queues the message under it. Over TCP it runs on
 //! the client reactor, which is also the thread that answers every
 //! broker request of the process — so nothing may hold `agents` across
 //! a broker request, and nothing does: a refill is made on the agent's
@@ -104,10 +112,13 @@
 //! under the lock, so two concurrent respawns never leave a ghost
 //! agent — makes no request at all.
 //!
-//! Eviction takes the locks in the order a delivery made from inside
-//! the evicting agent's own dispatch does — the agent's state, then
-//! `agents`, then its queue — and evicts only an empty queue, so a
-//! message is either queued before the check or finds the tombstone.
+//! A worker building an agent on its first turn, and eviction, take the
+//! locks in the order a delivery made from inside the agent's own
+//! dispatch does — the agent's state, then `agents`, then its queue.
+//! The build counts the agent resident only if no kill or respawn has
+//! flagged it under `agents` meanwhile, and eviction evicts only an
+//! empty queue, so a message is either queued before the check or finds
+//! the tombstone.
 
 use crate::core::{Event, SaCore};
 use crate::engine::{ExecutionBackend, RunControl, RunHandle, RunReport, RunTracker};
@@ -164,9 +175,9 @@ fn sched_metrics() -> &'static SchedMetrics {
 }
 
 /// The launcher: runs every agent of a workflow on the worker pool,
-/// compiling each one's program when it builds the agent. Deployment
-/// strategies (`ginflow-executor`) decide *where* agents go; this
-/// scheduler is the *how*.
+/// compiling each one's program when a worker builds the agent, on its
+/// first turn. Deployment strategies (`ginflow-executor`) decide
+/// *where* agents go; this scheduler is the *how*.
 pub struct Scheduler {
     broker: Arc<dyn Broker>,
     registry: Arc<ServiceRegistry>,
@@ -190,8 +201,9 @@ impl Scheduler {
     }
 
     /// Launch `workflow`: one agent per task, each built — and its
-    /// program compiled — when it first has work (the sources at once).
-    /// The run keeps a clone of the workflow, which shares its DAG.
+    /// program compiled — by its first turn, once it has work (the
+    /// sources at once). The run keeps a clone of the workflow, which
+    /// shares its DAG.
     ///
     /// Every topic of the launch lives in the run's namespace
     /// (`run/<id>/…`): the id is [`RunOptions::run_id`] when pinned
@@ -332,6 +344,9 @@ struct AgentSlot {
     kill: AtomicBool,
     /// Set once the agent will never run again: dead, or evicted.
     dead: AtomicBool,
+    /// Set, under `agents`, once its first turn has built its core: a
+    /// built slot counts as resident.
+    built: AtomicBool,
     /// The schedule bit: true while queued or running.
     scheduled: AtomicBool,
 }
@@ -355,9 +370,8 @@ struct Queue {
 
 /// What only the slot's worker touches.
 struct AgentState {
-    core: SaCore,
-    /// Has `Event::Start` been dispatched?
-    started: bool,
+    /// Built — its program compiled — by the first turn.
+    core: Option<Box<SaCore>>,
     /// Inbox messages handed to the core so far, in log order.
     handled: u64,
     /// One past the log offset of the last of them.
@@ -393,32 +407,36 @@ struct Tombstone {
     outcomes: Vec<Result<Value, String>>,
 }
 
-/// A task's agent, as the run holds it. A task whose agent was never
-/// built has no entry.
+/// A task's agent, as the run holds it. A task that never had work has
+/// no entry.
 enum Entry {
-    /// Built: taking messages, or dead until a respawn replaces it.
-    Resident(Arc<AgentSlot>),
+    /// A slot: waiting for its first turn, built and taking messages,
+    /// or dead until a respawn replaces it.
+    Slot(Arc<AgentSlot>),
     Evicted(Tombstone),
 }
 
-/// The run's agents by task name, and how many are resident.
+/// The run's agents by task name, and how many are resident: built, so
+/// holding a compiled program.
 struct Agents {
     map: HashMap<String, Entry>,
     resident: u64,
-    /// The most agents resident at once: [`RunReport::resident_peak`].
+    /// The most agents resident at once — the most compiled programs
+    /// the run held: [`RunReport::resident_peak`].
     peak: u64,
 }
 
 impl Agents {
-    /// Store `task`'s entry, keeping count of the resident ones.
+    /// Store `task`'s entry; a built agent it replaces is resident no
+    /// more. A new slot is not built yet.
     fn put(&mut self, task: &str, entry: Entry) {
-        let added = matches!(entry, Entry::Resident(_)) as u64;
         let old = match self.map.get_mut(task) {
             Some(old) => Some(std::mem::replace(old, entry)),
             None => self.map.insert(task.to_owned(), entry),
         };
-        self.resident = self.resident + added - matches!(old, Some(Entry::Resident(_))) as u64;
-        self.peak = self.peak.max(self.resident);
+        if matches!(old, Some(Entry::Slot(old)) if old.built.load(Ordering::SeqCst)) {
+            self.resident -= 1;
+        }
     }
 }
 
@@ -430,8 +448,8 @@ struct PoolInner {
     registry: Arc<ServiceRegistry>,
     /// The workflow the run executes; its DAG is the caller's.
     workflow: Workflow,
-    /// Compiles an agent's program each time the agent is built — first,
-    /// respawned or rehydrated — and the agent owns it.
+    /// Compiles an agent's program each time a first turn builds the
+    /// agent — first, respawned or rehydrated — and the agent owns it.
     compiler: Compiler,
     /// This process's shard of a multi-process run: it hosts only the
     /// tasks whose [`process_shard`] matches.
@@ -519,8 +537,8 @@ fn launch_pool(
     // can publish to it unheard. (Across shard processes the same
     // guarantee comes from replay: whatever a peer published early is in
     // the log — which is why sharded mode requires a persistent broker;
-    // see `RunOptions::shard`.) Its waker builds every agent but the
-    // sources, on the agent's first message.
+    // see `RunOptions::shard`.) Its waker makes the slot of every agent
+    // but the sources, on the agent's first message.
     let inbox_sub =
         retry_disconnected(|| broker.subscribe(ns.inbox(), mode)).expect("inbox subscription");
     let inbox_lag = inbox_sub.lag_probe();
@@ -569,8 +587,8 @@ fn launch_pool(
         })
         .collect();
 
-    // Arm the inbox, then build the sources: nothing but its start sets
-    // one working, and every other agent is built by its first message.
+    // Arm the inbox, then queue the sources: nothing but its start sets
+    // one working, and every other agent is queued by its first message.
     let weak: Weak<PoolInner> = Arc::downgrade(&inner);
     inner.inbox.set_waker(move || {
         if let Some(inner) = weak.upgrade() {
@@ -582,7 +600,8 @@ fn launch_pool(
         let dag = inner.workflow.dag();
         for source in dag.sources().into_iter().map(|id| dag.name_of(id)) {
             if inner.hosts(source) {
-                inner.build(&mut agents, source, 0, None);
+                let slot = inner.admit(&mut agents, source, 0, None);
+                inner.schedule(&slot);
             }
         }
     }
@@ -603,8 +622,9 @@ impl PoolInner {
                 .is_none_or(|(index, count)| process_shard(task, count) == index)
     }
 
-    /// The inbox's waker: route each message to its key's agent, built
-    /// on demand. A key this process does not host is dropped.
+    /// The inbox's waker: route each message to its key's agent, whose
+    /// slot it makes if there is none — no compile, O(1) per message. A
+    /// key this process does not host is dropped.
     fn demux(&self) {
         self.inbox.drain(|msg| {
             let Some(task) = msg.key.as_deref().and_then(|k| std::str::from_utf8(k).ok()) else {
@@ -612,9 +632,9 @@ impl PoolInner {
             };
             let mut agents = self.agents.lock();
             let slot = match agents.map.get_mut(task) {
-                Some(Entry::Resident(slot)) => slot.clone(),
+                Some(Entry::Slot(slot)) => slot.clone(),
                 // A late message: the agent is rebuilt under its own
-                // incarnation and refilled on its first turn with what
+                // incarnation on its first turn, and refilled with what
                 // its tombstone handled, muted.
                 Some(Entry::Evicted(past)) => {
                     let past = std::mem::take(past);
@@ -623,20 +643,21 @@ impl PoolInner {
                         until: past.next,
                     };
                     let memo = Memo::of(past.outcomes);
-                    self.build(&mut agents, task, past.incarnation, Some((memo, replay)))
+                    self.admit(&mut agents, task, past.incarnation, Some((memo, replay)))
                 }
-                None if self.hosts(task) => self.build(&mut agents, task, 0, None),
+                None if self.hosts(task) => self.admit(&mut agents, task, 0, None),
                 None => return,
             };
             self.deliver(&slot, msg.offset, msg.payload);
         });
     }
 
-    /// Build `task`'s agent on the run's inbox — compiling its program —
-    /// store it and schedule it. A `past` makes it refill from the log
-    /// on its first turn. `task` is one this process hosts. Compiling
-    /// makes no broker request, so the caller may hold `agents`.
-    fn build(
+    /// Make `task`'s slot on the run's inbox and store it: its first
+    /// turn builds the agent ([`PoolInner::build`]). A `past` makes that
+    /// turn refill it from the log. `task` is one this process hosts.
+    /// The caller schedules the slot — the demultiplexer by delivering
+    /// its first message, so that turn finds the message queued.
+    fn admit(
         &self,
         agents: &mut Agents,
         task: &str,
@@ -647,15 +668,12 @@ impl PoolInner {
             Some((memo, replay)) => (memo, Some(replay)),
             None => (Memo::default(), None),
         };
-        let id = self.workflow.dag().by_name(task).expect("a hosted task");
-        let program = self.compiler.program(&self.workflow, id);
         let slot = Arc::new(AgentSlot {
             shard: shard_of(task, self.shards.len()),
             name: task.to_owned(),
             incarnation,
             state: Mutex::new(AgentState {
-                core: SaCore::new(program, self.plans.clone()),
-                started: false,
+                core: None,
                 handled: 0,
                 next: 0,
                 memo,
@@ -664,11 +682,35 @@ impl PoolInner {
             queue: Mutex::new(Queue::default()),
             kill: AtomicBool::new(false),
             dead: AtomicBool::new(false),
+            built: AtomicBool::new(false),
             scheduled: AtomicBool::new(false),
         });
-        agents.put(task, Entry::Resident(slot.clone()));
-        self.schedule(&slot);
+        agents.put(task, Entry::Slot(slot.clone()));
         slot
+    }
+
+    /// Compile `slot`'s program and build its core: the first turn's
+    /// work, after its crash check. From here on it counts as resident
+    /// — unless a kill or a respawn reached it meanwhile: both flag it
+    /// under `agents`, which this check takes, and the core is dropped.
+    /// The caller holds the slot's state; see the module docs for the
+    /// lock order.
+    fn build(&self, slot: &AgentSlot) -> Option<Box<SaCore>> {
+        let id = self
+            .workflow
+            .dag()
+            .by_name(&slot.name)
+            .expect("a hosted task");
+        let program = self.compiler.program(&self.workflow, id);
+        let core = Box::new(SaCore::new(program, self.plans.clone()));
+        let mut agents = self.agents.lock();
+        if !slot.live() {
+            return None;
+        }
+        slot.built.store(true, Ordering::SeqCst);
+        agents.resident += 1;
+        agents.peak = agents.peak.max(agents.resident);
+        Some(core)
     }
 
     /// Put every message keyed to `slot` back at the head of its queue,
@@ -761,18 +803,18 @@ impl PoolInner {
         }
     }
 
-    /// Crash `task`'s agent — built for the purpose, under its
-    /// incarnation, if it is not resident, so a kill means the same
-    /// whenever it lands.
+    /// Crash `task`'s agent — given a slot for the purpose, under its
+    /// incarnation, if it has none, so a kill means the same whenever it
+    /// lands. A slot killed before its first turn dies unbuilt.
     fn kill(&self, task: &str) -> bool {
         let mut agents = self.agents.lock();
         let slot = match agents.map.get(task) {
-            Some(Entry::Resident(slot)) => slot.clone(),
+            Some(Entry::Slot(slot)) => slot.clone(),
             Some(Entry::Evicted(past)) => {
                 let incarnation = past.incarnation;
-                self.build(&mut agents, task, incarnation, None)
+                self.admit(&mut agents, task, incarnation, None)
             }
-            None if self.hosts(task) => self.build(&mut agents, task, 0, None),
+            None if self.hosts(task) => self.admit(&mut agents, task, 0, None),
             None => return false,
         };
         if slot.dead.load(Ordering::SeqCst) {
@@ -785,14 +827,14 @@ impl PoolInner {
         true
     }
 
-    /// A resident agent is alive until it dies; one not built yet or
-    /// evicted has not crashed, and lives as long as the run.
+    /// An agent with a slot is alive until it dies; one with no work yet
+    /// or evicted has not crashed, and lives as long as the run.
     fn alive(&self, task: &str) -> bool {
         if self.shutdown.load(Ordering::SeqCst) {
             return false;
         }
         match self.agents.lock().map.get(task) {
-            Some(Entry::Resident(slot)) => !slot.dead.load(Ordering::SeqCst),
+            Some(Entry::Slot(slot)) => !slot.dead.load(Ordering::SeqCst),
             Some(Entry::Evicted(_)) => true,
             None => self.hosts(task),
         }
@@ -800,7 +842,7 @@ impl PoolInner {
 
     fn incarnation(&self, task: &str) -> u32 {
         match self.agents.lock().map.get(task) {
-            Some(Entry::Resident(slot)) => slot.incarnation,
+            Some(Entry::Slot(slot)) => slot.incarnation,
             Some(Entry::Evicted(past)) => past.incarnation,
             None => 0,
         }
@@ -813,16 +855,17 @@ impl PoolInner {
     /// — a racing manual respawn may already have replaced it. The check
     /// and the replacement share one critical section, so two concurrent
     /// respawns can never both insert and leave the loser as an
-    /// unreachable ghost agent. An agent never built or evicted is
-    /// replaced all the same: the newcomer replays everything, its
-    /// service included.
+    /// unreachable ghost agent. An agent that never had work or was
+    /// evicted is replaced all the same: the newcomer replays
+    /// everything, its service included. Nothing is compiled until the
+    /// newcomer's first turn.
     fn respawn_impl(&self, task: &str, only_if_dead: bool) -> bool {
         if !self.hosts(task) {
             return false;
         }
         let mut agents = self.agents.lock();
         let incarnation = match agents.map.get(task) {
-            Some(Entry::Resident(old)) if !only_if_dead || old.dead.load(Ordering::SeqCst) => {
+            Some(Entry::Slot(old)) if !only_if_dead || old.dead.load(Ordering::SeqCst) => {
                 // Make sure the previous incarnation is (being) stopped.
                 // It shares the new slot's shard, so it dies before the
                 // replacement runs.
@@ -839,7 +882,8 @@ impl PoolInner {
             until: u64::MAX,
         };
         let past = self.persistent.then(|| (Memo::default(), replay));
-        self.build(&mut agents, task, incarnation, past);
+        let slot = self.admit(&mut agents, task, incarnation, past);
+        self.schedule(&slot);
         true
     }
 }
@@ -886,9 +930,9 @@ fn process(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
     }
 }
 
-/// The agent's share of a turn, under its state lock: its refill and
-/// start on the first turn, then up to [`BATCH`] queued messages — and,
-/// on a persistent broker, its eviction once it has completed.
+/// The agent's share of a turn, under its state lock: on the first turn
+/// its build, refill and start, then up to [`BATCH`] queued messages —
+/// and, on a persistent broker, its eviction once it has completed.
 fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -> TurnEnd {
     let crashed = || slot.kill.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst);
     let ctx = AgentCtx {
@@ -898,11 +942,15 @@ fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -
         name: &slot.name,
         incarnation: slot.incarnation,
     };
-    if !state.started {
-        state.started = true;
+    if state.core.is_none() {
+        // A slot killed before its first turn dies here, never compiled.
         if crashed() {
             return TurnEnd::Die;
         }
+        let Some(core) = inner.build(slot) else {
+            return TurnEnd::Die;
+        };
+        let core = state.core.insert(core);
         if let Some(replay) = state.replay {
             // Only a rehydration starts muted.
             if state.memo.replaying {
@@ -912,13 +960,11 @@ fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -
                 return TurnEnd::Lost;
             }
         }
-        if ctx
-            .dispatch(&mut state.core, Event::Start, &mut state.memo)
-            .is_err()
-        {
+        if ctx.dispatch(core, Event::Start, &mut state.memo).is_err() {
             return TurnEnd::Die;
         }
     }
+    let core = state.core.as_mut().expect("built by the first turn");
     let mut drained: u64 = 0;
     for _ in 0..BATCH {
         // A crash between reception and processing loses the event
@@ -937,14 +983,14 @@ fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -
             continue;
         };
         if ctx
-            .dispatch(&mut state.core, Event::Deliver(message), &mut state.memo)
+            .dispatch(core, Event::Deliver(message), &mut state.memo)
             .is_err()
         {
             return TurnEnd::Die;
         }
     }
     sched_metrics().wakeup_batch.observe(drained);
-    if inner.persistent && state.core.state() == TaskState::Completed && inner.evict(slot, state) {
+    if inner.persistent && core.state() == TaskState::Completed && inner.evict(slot, state) {
         return TurnEnd::Evicted;
     }
     TurnEnd::Park

@@ -782,11 +782,11 @@ fn a_respawned_agent_replays_only_its_own_key_in_log_order() {
 }
 
 #[test]
-fn a_chain_holds_two_agents_at_a_time_whatever_its_length() {
-    // Launch builds the source alone; every later agent is built by its
-    // first message and, on a log, evicted once it has completed. On one
-    // worker a chain therefore holds the agent at work and the successor
-    // its result has just built — at 10 tasks as at 1000.
+fn a_chain_holds_one_agent_at_a_time_whatever_its_length() {
+    // Every agent is built by its own first turn and, on a log, evicted
+    // at the end of the turn that completes it. The successor its result
+    // queues waits for a turn of its own on the one worker, so a chain
+    // holds only the agent at work — at 10 tasks as at 1000.
     for len in [10, 1000] {
         let scheduler = Scheduler::new(Arc::new(LogBroker::new()), tracing_registry())
             .with_options(RunOptions {
@@ -798,7 +798,7 @@ fn a_chain_holds_two_agents_at_a_time_whatever_its_length() {
             .join();
         assert!(report.completed, "{len} tasks");
         assert_eq!(report.completed_tasks(), len);
-        assert_eq!(report.resident_peak, 2, "{len} tasks");
+        assert_eq!(report.resident_peak, 1, "{len} tasks");
         assert_eq!(report.rehydrations, 0);
     }
 }
@@ -814,6 +814,32 @@ fn on_a_transient_broker_a_built_agent_stays_resident() {
         .join();
     assert!(report.completed);
     assert_eq!(report.resident_peak, 50);
+}
+
+#[test]
+fn a_wide_fan_out_holds_one_agent_at_a_time_on_one_worker() {
+    // One worker takes its slots in FIFO order. The fork's turn queues
+    // all 2000 branches and is evicted at its end; each branch is built
+    // on its own turn, queues its result for the join — whose slot the
+    // first one makes, behind every branch — and is evicted. The join is
+    // built last, once every branch is gone: 1 at a time, where holding
+    // every queued agent's program would read 2001. Without a log
+    // nothing is evicted, and every agent stays built.
+    let wide = patterns::parallel(2000, "s").unwrap();
+    for (broker, peak) in [
+        (Arc::new(LogBroker::new()) as Arc<dyn Broker>, 1),
+        (BrokerKind::Transient.build(), 2002),
+    ] {
+        let scheduler = Scheduler::new(broker, tracing_registry()).with_options(RunOptions {
+            workers: 1,
+            ..RunOptions::default()
+        });
+        let report = scheduler.launch(&wide).join();
+        assert!(report.completed);
+        assert_eq!(report.completed_tasks(), 2002);
+        assert_eq!(report.resident_peak, peak);
+        assert_eq!(report.rehydrations, 0);
+    }
 }
 
 #[test]
@@ -1027,11 +1053,13 @@ fn a_respawned_agent_is_evicted_and_rehydrated_like_any_other() {
 fn agents_never_built_are_killed_respawned_and_rehydrated_from_a_fresh_compile() {
     // fig5 behind a gated head T0, on one worker, with T2 failing. While
     // T0 holds the worker no other agent has been built, and no program
-    // exists for any: kill and respawn build T4 (mv_src), T1 (add_dst)
-    // and the standby T2' (activate) each from a compile of its own.
-    // The adaptation then runs through the respawned programs, and a
-    // late duplicate rehydrates T4 — compiled once more — without
-    // invoking s4 again. Every task ends as it does undisturbed.
+    // exists for any: the kill of T4 and the respawns of T4 (mv_src), T1
+    // (add_dst) and the standby T2' (activate) only queue slots, so T0
+    // is still the one agent built. Each newcomer is built by its first
+    // turn from a compile of its own; the killed T4 dies unbuilt. The
+    // adaptation then runs through the respawned programs, and a late
+    // duplicate rehydrates T4 — compiled once more — without invoking s4
+    // again. Every task ends as it does undisturbed.
     let run = |disturb: bool| {
         let (mut registry, calls) = counted_registry(&["s1", "s3", "s4", "s2p"]);
         registry.register("s2", Arc::new(FailingService));
@@ -1076,6 +1104,7 @@ fn agents_never_built_are_killed_respawned_and_rehydrated_from_a_fresh_compile()
                 assert!(handle.respawn(task), "{task}");
                 assert_eq!(handle.incarnation(task), 1, "{task}");
             }
+            assert_eq!(handle.report().resident_peak, 1);
         }
         gate.send(()).unwrap();
         handle.wait(WAIT).expect("fig5 completes");

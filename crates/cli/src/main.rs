@@ -512,14 +512,17 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 }
             }
             println!(
-                "backend={} run={} completed={} wall={:.3}s adaptations={} respawns={} lagged={}",
+                "backend={} run={} completed={} wall={:.3}s adaptations={} respawns={} lagged={} \
+                 resident_peak={} rehydrations={}",
                 report.backend,
                 report.run_id,
                 report.completed,
                 report.wall.as_secs_f64(),
                 report.adaptations_fired,
                 report.respawns,
-                report.lagged
+                report.lagged,
+                report.resident_peak,
+                report.rehydrations
             );
             // join() only returns on a terminal outcome (completed,
             // cancelled, deadline expired): mark the run closed on the

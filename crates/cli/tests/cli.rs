@@ -150,9 +150,15 @@ fn run_follow_streams_json_events_then_summary() {
     assert!(stdout.contains("RunCompleted"), "{stdout}");
     let json_lines = stdout.lines().filter(|l| l.starts_with('{')).count();
     assert!(json_lines >= 8, "fig5 emits >= 2 events per task: {stdout}");
-    // …followed by the structured report summary.
+    // …followed by the structured report summary. The in-process broker
+    // keeps no log, so every agent that ran stays built: the standby T2p
+    // never does.
     assert!(stdout.contains("backend=scheduler"), "{stdout}");
     assert!(stdout.contains("completed=true"), "{stdout}");
+    assert!(
+        stdout.contains(" resident_peak=4 rehydrations=0"),
+        "{stdout}"
+    );
 }
 
 #[test]

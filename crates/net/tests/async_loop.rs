@@ -53,12 +53,24 @@ fn idle_conns(server: &BrokerServer, n: usize) -> Vec<TcpStream> {
 /// Dial threads are transient and unjoined: every test here closes its
 /// clients before its server, so none is redialing when the gate opens.
 fn threads_named(prefix: &str) -> usize {
+    thread_stats(prefix).len()
+}
+
+/// `/proc/self/task/<tid>/stat` of every thread [`threads_named`]
+/// counts: what a failed count saw, state and flags included.
+fn thread_stats(prefix: &str) -> Vec<String> {
     std::fs::read_dir("/proc/self/task")
         .unwrap()
-        // A thread may exit between the listing and the read.
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.starts_with(prefix))
-        .count()
+        // A thread may exit between the listing and the reads.
+        .filter_map(|task| {
+            let path = task.ok()?.path();
+            let comm = std::fs::read_to_string(path.join("comm")).ok()?;
+            if !comm.starts_with(prefix) {
+                return None;
+            }
+            std::fs::read_to_string(path.join("stat")).ok()
+        })
+        .collect()
 }
 
 /// CPU time (user + system) this process has consumed, in milliseconds
@@ -117,10 +129,10 @@ fn client_reactor_multiplexes_connections_onto_one_thread_and_retires_it() {
         "32 connections must share one loop thread"
     );
     drop(clients);
-    assert_eq!(
-        threads_named("gf-client-"),
-        0,
-        "reactor thread must retire when the last connection closes"
+    let left = thread_stats("gf-client-");
+    assert!(
+        left.is_empty(),
+        "reactor thread must retire when the last connection closes; still listed: {left:?}"
     );
     server.stop();
 }
