@@ -50,7 +50,7 @@ use ginflow_mq::RunId;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -145,7 +145,7 @@ pub enum EventWait {
 /// [`RunEvents::recv`] returns `None`) after a terminal event or when
 /// the run is torn down.
 pub struct RunEvents {
-    rx: crossbeam::channel::Receiver<RunEvent>,
+    rx: mpsc::Receiver<RunEvent>,
 }
 
 impl RunEvents {
@@ -162,11 +162,10 @@ impl RunEvents {
 
     /// Wait up to `timeout` for the next event.
     pub fn recv_timeout(&self, timeout: Duration) -> EventWait {
-        use crossbeam::channel::RecvTimeoutError;
         match self.rx.recv_timeout(timeout) {
             Ok(e) => EventWait::Event(e),
-            Err(RecvTimeoutError::Timeout) => EventWait::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => EventWait::Closed,
+            Err(mpsc::RecvTimeoutError::Timeout) => EventWait::TimedOut,
+            Err(mpsc::RecvTimeoutError::Disconnected) => EventWait::Closed,
         }
     }
 }
@@ -212,7 +211,7 @@ struct Record {
     history: Vec<RunEvent>,
     /// Live subscribers; dropped when the run ends, which closes their
     /// streams once drained.
-    senders: Vec<crossbeam::channel::Sender<RunEvent>>,
+    senders: Vec<mpsc::Sender<RunEvent>>,
 }
 
 impl Record {
@@ -428,7 +427,7 @@ impl RunTracker {
     /// emits under, so no event can fall between them.
     pub fn subscribe(&self) -> RunEvents {
         let mut record = self.record.lock();
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         for event in &record.history {
             let _ = tx.send(event.clone());
         }

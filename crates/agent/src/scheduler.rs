@@ -134,7 +134,7 @@ use ginflow_mq::{Broker, LagProbe, MqError, RunId, SubscribeMode, Subscription, 
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{mpsc, Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 
 /// Max events one slot processes per scheduling turn before yielding the
@@ -462,7 +462,7 @@ struct PoolInner {
     /// Evicted agents rebuilt for a late message:
     /// [`RunReport::rehydrations`].
     rehydrations: AtomicU64,
-    shards: Vec<crossbeam::channel::Sender<WorkItem>>,
+    shards: Vec<mpsc::Sender<WorkItem>>,
     /// The status topic's subscription and the fold its waker runs:
     /// every task of the workflow, local or not, reaches the run's
     /// [`RunTracker`] through the shared status topic, the cross-shard
@@ -546,7 +546,7 @@ fn launch_pool(
     let mut shard_txs = Vec::with_capacity(workers);
     let mut shard_rxs = Vec::with_capacity(workers);
     for _ in 0..workers {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         shard_txs.push(tx);
         shard_rxs.push(rx);
     }
@@ -888,7 +888,7 @@ impl PoolInner {
     }
 }
 
-fn worker_loop(inner: Arc<PoolInner>, rx: crossbeam::channel::Receiver<WorkItem>) {
+fn worker_loop(inner: Arc<PoolInner>, rx: mpsc::Receiver<WorkItem>) {
     while let Ok(item) = rx.recv() {
         match item {
             WorkItem::Shutdown => return,

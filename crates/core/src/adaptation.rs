@@ -33,7 +33,7 @@ impl fmt::Display for AdaptationId {
 }
 
 /// One adaptation: region → replacement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Adaptation {
     /// Identifier (index in the workflow's adaptation table).
     pub id: AdaptationId,

@@ -6,18 +6,16 @@
 
 use crate::error::CoreError;
 use crate::task::{TaskId, TaskSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A directed acyclic dependency graph over [`TaskSpec`]s.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Dag {
     tasks: Vec<TaskSpec>,
     /// `succ[t]` = tasks that consume `t`'s result.
     succ: Vec<Vec<TaskId>>,
     /// `pred[t]` = tasks whose results `t` consumes.
     pred: Vec<Vec<TaskId>>,
-    #[serde(skip)]
     by_name: HashMap<String, TaskId>,
 }
 
@@ -217,16 +215,6 @@ impl Dag {
         }
         Ok(depth.into_iter().max().unwrap_or(0))
     }
-
-    /// Rebuild the name index after deserialisation.
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.name.clone(), TaskId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -325,17 +313,6 @@ mod tests {
         // …but become connected through T1.
         assert!(d.is_weakly_connected(&[t1, t2, t3]));
         assert!(!d.is_weakly_connected(&[]));
-    }
-
-    #[test]
-    fn serde_rebuilds_index() {
-        let d = fig2();
-        let json = serde_json::to_string(&d).unwrap();
-        let mut back: Dag = serde_json::from_str(&json).unwrap();
-        assert!(back.by_name("T1").is_none(), "index is skipped by serde");
-        back.rebuild_index();
-        assert_eq!(back.by_name("T1"), Some(TaskId(0)));
-        assert_eq!(back, d);
     }
 
     #[test]

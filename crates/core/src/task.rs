@@ -28,7 +28,7 @@ impl fmt::Display for TaskId {
 }
 
 /// Static description of one task.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TaskSpec {
     /// Unique name (the paper's `T1`, `T2′`, `mProject_17`, …).
     pub name: String,

@@ -6,7 +6,6 @@ use crate::dag::Dag;
 use crate::error::CoreError;
 use crate::task::{TaskId, TaskSpec};
 use crate::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ use std::sync::Arc;
 /// keeps the workflow it runs — and builds each agent's program from it
 /// when the agent is built — holds no second copy of the graph. The two
 /// mutators copy it on write.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Workflow {
     name: String,
     dag: Arc<Dag>,
@@ -82,11 +81,6 @@ impl Workflow {
     /// Number of active (non-standby) tasks.
     pub fn active_task_count(&self) -> usize {
         self.dag.iter().filter(|(_, t)| !t.is_standby()).count()
-    }
-
-    /// Rebuild indexes after deserialisation.
-    pub fn rebuild_index(&mut self) {
-        Arc::make_mut(&mut self.dag).rebuild_index();
     }
 
     /// Change the service of a named task (used by workload generators to
@@ -441,14 +435,5 @@ mod tests {
         let service = |w: &Workflow| w.dag().task(w.dag().by_name("T2").unwrap()).service.clone();
         assert_eq!(service(&wf), "s2", "the original is unchanged");
         assert_eq!(service(&copy), "other");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let wf = fig5_workflow();
-        let json = serde_json::to_string(&wf).unwrap();
-        let mut back: Workflow = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
-        assert_eq!(back, wf);
     }
 }

@@ -4,14 +4,16 @@
 
 use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
 use ginflow_core::{
-    patterns, Connectivity, ServiceRegistry, SleepService, TaskState, TraceService, Value, Workflow,
+    patterns, Connectivity, Service, ServiceError, ServiceRegistry, SleepService, TaskState,
+    TraceService, Value, Workflow,
 };
 use ginflow_engine::{Backend, Engine, RunEvent, WaitError};
 use ginflow_mq::BrokerKind;
 use ginflow_sim::{CostModel, FailureSpec, ServiceModel, SimConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn fig2() -> Workflow {
@@ -335,4 +337,52 @@ fn live_event_stream_is_monotone_across_respawn() {
     assert!(events
         .iter()
         .any(|e| matches!(e, RunEvent::AgentRespawned { task, .. } if task == "b")));
+}
+
+/// A service that parks until the test opens the gate, then traces.
+struct Gated(TraceService, Mutex<Receiver<()>>);
+
+impl Service for Gated {
+    fn invoke(&self, params: &[Value]) -> Result<Value, ServiceError> {
+        let _ = self.1.lock().unwrap().recv();
+        self.0.invoke(params)
+    }
+}
+
+/// The builder's recovery switch: a chain task killed while its
+/// predecessor's service is gated is respawned by the scheduler itself —
+/// no `respawn` call — and its one replacement finishes the run.
+#[test]
+fn auto_recover_respawns_a_killed_chain_task_once() {
+    let (gate, opened) = channel();
+    let mut registry = ServiceRegistry::tracing_for(["svc"]);
+    registry.register(
+        "gate",
+        Arc::new(Gated(TraceService::new("gate"), Mutex::new(opened))),
+    );
+    let mut b = WorkflowBuilder::new("chain");
+    b.task("a", "gate").input(Value::str("in"));
+    b.task("b", "svc").after(["a"]);
+    b.task("c", "svc").after(["b"]);
+    let wf = b.build().unwrap();
+    let run = Engine::builder()
+        .broker(BrokerKind::Log.build())
+        .registry(Arc::new(registry))
+        .workers(2)
+        .auto_recover(true)
+        .build()
+        .launch(&wf);
+    // Declared after the run, so a failing assertion drops the gate
+    // first and teardown does not wait on the parked service.
+    let gate = gate;
+    assert!(run.kill("b"));
+    gate.send(()).unwrap();
+    let results = run
+        .wait(Duration::from_secs(15))
+        .expect("the chain completes");
+    assert_eq!(results["c"], Value::str("svc(svc(gate(in)))"));
+    let report = run.join();
+    assert!(report.completed);
+    assert_eq!(report.respawns, 1);
+    assert_eq!(report.tasks["b"].incarnation, 1);
 }

@@ -3,11 +3,10 @@
 use crate::error::MqError;
 use crate::message::Message;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Where a subscription starts.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -157,75 +156,69 @@ pub trait Broker: Send + Sync {
 /// message lands in an idle subscription's queue.
 pub(crate) type WakeFn = Arc<dyn Fn() + Send + Sync>;
 
-/// Counter of messages dropped from a bounded subscription queue.
-type LagCounter = Arc<std::sync::atomic::AtomicU64>;
+/// One subscription's state, shared by its two ends under one lock.
+struct Shared {
+    state: Mutex<State>,
+    /// Notified only while a thread is parked in `recv`/`recv_timeout`.
+    ready: Condvar,
+}
 
-/// The registered waker of one subscription and its schedule bit, shared
-/// between the subscriber-facing [`Subscription`] and the broker-side
-/// [`SubscriberHandle`].
-///
-/// `armed` shadows `Some`-ness of the slot so the publish hot path can
-/// skip waker collection entirely for the subscribers that never
-/// registered one — blocking consumers.
 #[derive(Default)]
-pub(crate) struct WakerSlot {
-    armed: AtomicBool,
+struct State {
+    queue: VecDeque<Message>,
+    /// `None` = unbounded (the persistent broker, where the log itself
+    /// is the backstop); `Some(cap)` = drop-oldest beyond `cap`.
+    capacity: Option<usize>,
+    /// Messages evicted by the bound: [`Subscription::lagged`].
+    lagged: u64,
+    waker: Option<WakeFn>,
     /// The schedule bit: set by the delivery that finds the subscription
     /// idle (the one that fires the waker), cleared by
     /// [`Subscription::settle`].
-    pending: AtomicBool,
-    slot: Mutex<Option<WakeFn>>,
+    pending: bool,
+    /// Threads blocked in `recv`/`recv_timeout`.
+    parked: usize,
+    /// The [`SubscriberHandle`] is dropped: no more deliveries.
+    handle_gone: bool,
+    /// The [`Subscription`] is dropped: deliveries fail.
+    subscription_gone: bool,
 }
 
-impl WakerSlot {
-    /// Take the idle→pending edge: true for exactly one caller per edge,
-    /// and only while a waker is armed — that caller fires it.
-    fn claim(&self) -> bool {
-        self.armed.load(Ordering::Acquire) && !self.pending.swap(true, Ordering::SeqCst)
-    }
-
-    fn wake(&self) {
-        // Clone out of the lock so a waker may call back into the
-        // subscription (e.g. schedule work that drains it) freely.
-        let waker = self.slot.lock().clone();
-        if let Some(wake) = waker {
-            wake();
+impl State {
+    /// Take the idle→pending edge: the waker for exactly one caller per
+    /// edge, and only while one is registered and a message is queued —
+    /// that caller fires it.
+    fn claim(&mut self) -> Option<WakeFn> {
+        if self.pending || self.queue.is_empty() {
+            return None;
         }
+        let waker = self.waker.clone()?;
+        self.pending = true;
+        Some(waker)
     }
 }
 
-/// Broker-side endpoint of a subscription: the delivery channel plus the
-/// wakeup hook. Brokers hold one per subscriber, call
-/// [`SubscriberHandle::deliver`] on publish while holding their topic
-/// lock (ordering), then fire the collected wakers *after* releasing it
-/// (so a waker may itself publish without deadlocking) — making delivery
-/// push-based end to end: no consumer ever needs to poll.
+/// Broker-side endpoint of a subscription. Brokers hold one per
+/// subscriber, call [`SubscriberHandle::deliver`] on publish while
+/// holding their topic lock (ordering), then fire the wakers the pass
+/// collected *after* releasing it (so a waker may itself publish
+/// without deadlocking) — making delivery push-based end to end: no
+/// consumer ever needs to poll. Dropping the handle disconnects the
+/// subscription once its queue is drained.
 ///
 /// Public because it is also the bridge API for out-of-process broker
 /// frontends: `ginflow-net`'s `RemoteBroker` feeds EVENTS frames arriving
 /// over TCP into a local [`Subscription`] through a handle obtained from
 /// [`subscription_pair`].
 pub struct SubscriberHandle {
-    tx: Sender<Message>,
-    /// Clone of the subscriber's receiving end, used to evict the oldest
-    /// message when a bounded queue is full.
-    rx: Receiver<Message>,
-    waker: Arc<WakerSlot>,
-    /// `None` = unbounded (the persistent broker, where the log itself
-    /// is the backstop); `Some(cap)` = drop-oldest beyond `cap`.
-    capacity: Option<usize>,
-    lagged: LagCounter,
-    /// Set by [`Subscription`]'s `Drop`. The handle holds a receiver
-    /// clone (for drop-oldest eviction), so channel disconnection can no
-    /// longer signal a gone subscriber — this flag does.
-    dropped: Arc<AtomicBool>,
+    shared: Arc<Shared>,
 }
 
 impl SubscriberHandle {
     /// Enqueue a message. Returns false when the subscriber is gone (the
-    /// broker prunes the handle). Does not wake — the broker wakes via
-    /// `SubscriberHandle::waker` once its topic lock is released; a
-    /// bridge that delivers outside a topic lock calls
+    /// broker prunes the handle). Does not wake — the broker fires the
+    /// wakers its delivery pass collected once its topic lock is
+    /// released; a bridge that delivers outside a topic lock calls
     /// [`SubscriberHandle::wake`] itself.
     ///
     /// On a bounded queue, delivery beyond capacity evicts the *oldest*
@@ -233,42 +226,61 @@ impl SubscriberHandle {
     /// [`Subscription::lagged`] counter — a stalled consumer loses the
     /// head of its backlog rather than growing it without limit.
     pub fn deliver(&self, message: Message) -> bool {
-        if self.dropped.load(Ordering::Acquire) {
+        self.push(message, None)
+    }
+
+    /// [`SubscriberHandle::deliver`] that also takes the idle→pending
+    /// edge: pushes the subscriber's waker onto `wakers` when this
+    /// delivery found the subscription idle, so a broker delivers and
+    /// collects wakers in one pass.
+    pub(crate) fn deliver_collect(&self, message: Message, wakers: &mut Vec<WakeFn>) -> bool {
+        self.push(message, Some(wakers))
+    }
+
+    fn push(&self, message: Message, wakers: Option<&mut Vec<WakeFn>>) -> bool {
+        let mut state = self.shared.state.lock();
+        if state.subscription_gone {
             return false;
         }
-        if let Some(cap) = self.capacity {
-            while self.tx.len() >= cap.max(1) {
-                if self.rx.try_recv().is_err() {
-                    break;
-                }
-                self.lagged.fetch_add(1, Ordering::Relaxed);
-            }
+        if state.capacity.is_some_and(|cap| state.queue.len() >= cap) {
+            state.queue.pop_front();
+            state.lagged += 1;
         }
-        self.tx.send(message).is_ok()
+        state.queue.push_back(message);
+        if let Some(wakers) = wakers {
+            wakers.extend(state.claim());
+        }
+        if state.parked > 0 {
+            self.shared.ready.notify_one();
+        }
+        true
     }
 
     /// Fire the subscriber's waker if this finds the subscription idle
     /// (see [`Subscription::set_waker`]). Bridges that deliver outside
     /// any broker lock pair this with [`SubscriberHandle::deliver`].
     pub fn wake(&self) {
-        if self.waker.claim() {
-            self.waker.wake();
+        let waker = self.shared.state.lock().claim();
+        if let Some(wake) = waker {
+            wake();
         }
     }
+}
 
-    /// The subscriber's waker, for the post-delivery wakeup — `None`
-    /// unless this delivery found the subscription idle, so publishes
-    /// skip the wake pass for blocking consumers and for subscriptions
-    /// a drain is already pending on.
-    pub(crate) fn waker(&self) -> Option<Arc<WakerSlot>> {
-        self.waker.claim().then(|| self.waker.clone())
+impl Drop for SubscriberHandle {
+    fn drop(&mut self) {
+        let mut state = self.shared.state.lock();
+        state.handle_gone = true;
+        if state.parked > 0 {
+            self.shared.ready.notify_all();
+        }
     }
 }
 
 /// Fire a batch of wakers collected during a locked delivery pass.
-pub(crate) fn wake_all(wakers: Vec<Arc<WakerSlot>>) {
-    for waker in wakers {
-        waker.wake();
+pub(crate) fn wake_all(wakers: Vec<WakeFn>) {
+    for wake in wakers {
+        wake();
     }
 }
 
@@ -297,45 +309,38 @@ pub fn subscription_pair() -> (SubscriberHandle, Subscription) {
 /// `capacity`, delivery evicts the oldest queued message (counted by
 /// [`Subscription::lagged`]) instead of growing the queue.
 pub fn bounded_subscription_pair(capacity: Option<usize>) -> (SubscriberHandle, Subscription) {
-    let (tx, rx) = unbounded();
-    let waker = Arc::new(WakerSlot::default());
-    let lagged: LagCounter = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let dropped = Arc::new(AtomicBool::new(false));
+    let shared = Arc::new(Shared {
+        state: Mutex::new(State {
+            capacity: capacity.map(|cap| cap.max(1)),
+            ..State::default()
+        }),
+        ready: Condvar::new(),
+    });
     (
         SubscriberHandle {
-            tx,
-            rx: rx.clone(),
-            waker: waker.clone(),
-            capacity,
-            lagged: lagged.clone(),
-            dropped: dropped.clone(),
+            shared: shared.clone(),
         },
-        Subscription {
-            rx,
-            waker,
-            lagged,
-            dropped,
-        },
+        Subscription { shared },
     )
 }
 
-/// A live subscription: a stream of [`Message`]s.
+/// A live subscription: a stream of [`Message`]s, queued by its
+/// [`SubscriberHandle`] and read either by blocking
+/// ([`Subscription::recv`]) or by a registered waker that drains it
+/// ([`Subscription::set_waker`]). It reports
+/// [`MqError::Disconnected`] once the handle is dropped (the broker
+/// went away or deleted the topic) and the queue is empty. Dropping it
+/// discards its backlog, and the broker prunes the handle on its next
+/// delivery.
 pub struct Subscription {
-    pub(crate) rx: Receiver<Message>,
-    pub(crate) waker: Arc<WakerSlot>,
-    lagged: LagCounter,
-    dropped: Arc<AtomicBool>,
+    shared: Arc<Shared>,
 }
 
 impl Drop for Subscription {
     fn drop(&mut self) {
-        // Future deliveries fail, so brokers prune the handle.
-        self.dropped.store(true, Ordering::Release);
-        // The broker-side handle keeps a receiver clone (for
-        // drop-oldest eviction), so the channel outlives us — drain the
-        // backlog now rather than holding it until the next publish on
-        // this topic finally prunes the handle.
-        while self.rx.try_recv().is_ok() {}
+        let mut state = self.shared.state.lock();
+        state.subscription_gone = true;
+        state.queue = VecDeque::new();
     }
 }
 
@@ -354,71 +359,106 @@ impl Subscription {
     /// polling [`Subscription::try_recv`] on a timer, a scheduler parks
     /// the consumer and lets the broker's publish path reschedule it.
     pub fn set_waker(&self, wake: impl Fn() + Send + Sync + 'static) {
-        *self.waker.slot.lock() = Some(Arc::new(wake));
-        self.waker.armed.store(true, Ordering::Release);
-        if !self.rx.is_empty() && self.waker.claim() {
-            self.waker.wake();
+        let waker = {
+            let mut state = self.shared.state.lock();
+            state.waker = Some(Arc::new(wake));
+            state.claim()
+        };
+        if let Some(wake) = waker {
+            wake();
         }
     }
 
     /// Remove the registered waker (e.g. when the consumer dies).
     pub fn clear_waker(&self) {
-        self.waker.armed.store(false, Ordering::Release);
-        *self.waker.slot.lock() = None;
+        self.shared.state.lock().waker = None;
     }
 
     /// End a drain: mark the subscription idle, so the next delivery
     /// fires the waker again — unless a message raced in, in which case
-    /// the bit is taken back and `true` says the caller still owns the
-    /// subscription and must drain again. Clearing *before* the re-check
-    /// is what loses no delivery: one that landed before the clear is
-    /// seen here, one after it finds the subscription idle and wakes.
+    /// the bit stays set and `true` says the caller still owns the
+    /// subscription and must drain again. Both happen under the lock
+    /// deliveries take, so none is lost: one that landed first is seen
+    /// here, one after it finds the subscription idle and wakes.
     pub fn settle(&self) -> bool {
-        self.waker.pending.store(false, Ordering::SeqCst);
-        !self.rx.is_empty() && !self.waker.pending.swap(true, Ordering::SeqCst)
+        let mut state = self.shared.state.lock();
+        state.pending = !state.queue.is_empty();
+        state.pending
     }
 
     /// The whole drain a waker runs: hand every queued message to
-    /// `each`, in queue order, until [`Subscription::settle`] leaves the
-    /// subscription idle. Only the waker's caller — the owner of the
-    /// idle→pending edge — may run it, so one thread drains at a time.
+    /// `each`, in queue order, until the subscription is idle (see
+    /// [`Subscription::settle`]). Each pass takes the whole queue under
+    /// one lock and runs `each` outside it. Only the waker's caller —
+    /// the owner of the idle→pending edge — may run it, so one thread
+    /// drains at a time.
     pub fn drain(&self, mut each: impl FnMut(Message)) {
+        let mut batch = VecDeque::new();
         loop {
-            while let Ok(Some(message)) = self.try_recv() {
-                each(message);
+            {
+                let mut state = self.shared.state.lock();
+                if state.queue.is_empty() {
+                    state.pending = false;
+                    return;
+                }
+                std::mem::swap(&mut state.queue, &mut batch);
             }
-            if !self.settle() {
-                break;
-            }
+            batch.drain(..).for_each(&mut each);
         }
     }
 
     /// Block until the next message (or the broker goes away).
     pub fn recv(&self) -> Result<Message, MqError> {
-        self.rx.recv().map_err(|_| MqError::Disconnected)
+        self.next(None)
     }
 
     /// Non-blocking poll.
     pub fn try_recv(&self) -> Result<Option<Message>, MqError> {
-        match self.rx.try_recv() {
-            Ok(m) => Ok(Some(m)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(MqError::Disconnected),
+        let mut state = self.shared.state.lock();
+        match state.queue.pop_front() {
+            Some(message) => Ok(Some(message)),
+            None if state.handle_gone => Err(MqError::Disconnected),
+            None => Ok(None),
         }
     }
 
     /// Wait up to `timeout` for the next message.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, MqError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(RecvTimeoutError::Timeout) => Err(MqError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(MqError::Disconnected),
+        self.next(Some(Instant::now() + timeout))
+    }
+
+    /// Pop the next message, parking until one arrives, the handle is
+    /// dropped or `deadline` passes.
+    fn next(&self, deadline: Option<Instant>) -> Result<Message, MqError> {
+        let mut state = self.shared.state.lock();
+        loop {
+            if let Some(message) = state.queue.pop_front() {
+                return Ok(message);
+            }
+            if state.handle_gone {
+                return Err(MqError::Disconnected);
+            }
+            state.parked += 1;
+            let timed_out = match deadline {
+                None => {
+                    self.shared.ready.wait(&mut state);
+                    false
+                }
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    left.is_zero() || self.shared.ready.wait_for(&mut state, left).timed_out()
+                }
+            };
+            state.parked -= 1;
+            if timed_out && state.queue.is_empty() {
+                return Err(MqError::Timeout);
+            }
         }
     }
 
     /// Number of already-delivered messages waiting in the subscription.
     pub fn backlog(&self) -> usize {
-        self.rx.len()
+        self.shared.state.lock().queue.len()
     }
 
     /// How many messages this subscription has lost to its queue bound
@@ -427,7 +467,7 @@ impl Subscription {
     /// to kick in — on the transient (at-most-once) profile that is
     /// defined behaviour, not an error.
     pub fn lagged(&self) -> u64 {
-        self.lagged.load(Ordering::Relaxed)
+        self.shared.state.lock().lagged
     }
 
     /// A detached reader of this subscription's [`Subscription::lagged`]
@@ -435,19 +475,21 @@ impl Subscription {
     /// consumer thread — how a run aggregates slow-subscriber drops
     /// across all its subscriptions for its report.
     pub fn lag_probe(&self) -> LagProbe {
-        LagProbe(self.lagged.clone())
+        LagProbe(self.shared.clone())
     }
 }
 
 /// Shareable view of one subscription's lag counter (messages dropped by
-/// the drop-oldest bound); see [`Subscription::lag_probe`].
+/// the drop-oldest bound); see [`Subscription::lag_probe`]. It reads the
+/// subscription's shared state, so it outlives the subscription and
+/// keeps the last count once the subscription is dropped.
 #[derive(Clone)]
-pub struct LagProbe(LagCounter);
+pub struct LagProbe(Arc<Shared>);
 
 impl LagProbe {
     /// The current drop count.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.state.lock().lagged
     }
 }
 

@@ -18,7 +18,9 @@ pub enum MqError {
         /// The requested partition.
         partition: u32,
     },
-    /// The subscription's channel was disconnected (broker dropped).
+    /// The broker is gone: a drained subscription whose broker-side
+    /// handle was dropped (broker dropped or topic deleted), or a lost
+    /// connection to a remote broker.
     Disconnected,
     /// Timed out waiting for a message.
     Timeout,

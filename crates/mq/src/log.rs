@@ -300,8 +300,10 @@ impl Broker for LogBroker {
                     part.base += 1;
                 }
             }
-            state.subscribers.retain(|sub| sub.deliver(message.clone()));
-            let wakers = state.subscribers.iter().filter_map(|s| s.waker()).collect();
+            let mut wakers = Vec::new();
+            state
+                .subscribers
+                .retain(|sub| sub.deliver_collect(message.clone(), &mut wakers));
             (wakers, Receipt { partition, offset })
         };
         // Wake outside the topic lock: wakers may publish in turn.
@@ -594,7 +596,7 @@ mod tests {
         assert!(b.delete_topic("t"));
         assert!(!b.delete_topic("t"), "already gone");
         assert_eq!(b.retained("t"), 0);
-        // The queued replay drains, then the channel reports the broker
+        // The queued replay drains, then the subscription reports the broker
         // side gone.
         assert_eq!(sub.recv().unwrap().payload_str(), "m0");
         assert!(matches!(sub.recv(), Err(MqError::Disconnected)));

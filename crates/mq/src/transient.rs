@@ -93,8 +93,10 @@ impl Broker for TransientBroker {
                 key,
                 payload,
             };
-            state.subscribers.retain(|sub| sub.deliver(message.clone()));
-            let wakers = state.subscribers.iter().filter_map(|s| s.waker()).collect();
+            let mut wakers = Vec::new();
+            state
+                .subscribers
+                .retain(|sub| sub.deliver_collect(message.clone(), &mut wakers));
             (wakers, offset)
         };
         // Wake outside the topic lock: wakers may publish in turn.
@@ -205,7 +207,7 @@ mod tests {
         let b = TransientBroker::new();
         let s1 = b.subscribe("t", SubscribeMode::Latest).unwrap();
         drop(s1);
-        // Publishing should not error and should prune the dead channel.
+        // Publishing should not error and should prune the dead subscriber.
         b.publish("t", None, payload("x")).unwrap();
         let s2 = b.subscribe("t", SubscribeMode::Latest).unwrap();
         b.publish("t", None, payload("y")).unwrap();

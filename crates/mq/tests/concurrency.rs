@@ -2,12 +2,76 @@
 //! many subscribers, racing replays.
 
 use bytes::Bytes;
-use ginflow_mq::{Broker, LogBroker, SubscribeMode, TransientBroker};
-use std::sync::Arc;
+use ginflow_mq::{Broker, LogBroker, Message, MqError, SubscribeMode, TransientBroker};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn payload(i: usize) -> Bytes {
     Bytes::from(format!("m{i}").into_bytes())
+}
+
+fn brokers() -> Vec<Arc<dyn Broker>> {
+    vec![Arc::new(LogBroker::new()), Arc::new(TransientBroker::new())]
+}
+
+/// Park a thread in `recv()` on a fresh `Latest` subscription to
+/// `topic`, run `act` once it has had time to park, and return what the
+/// parked `recv()` gave back. The wait for that answer is bounded, so a
+/// lost notify fails the test instead of hanging it.
+fn parked_recv(
+    broker: &Arc<dyn Broker>,
+    topic: &str,
+    act: impl FnOnce(),
+) -> Result<Message, MqError> {
+    let sub = broker.subscribe(topic, SubscribeMode::Latest).unwrap();
+    let (tx, rx) = mpsc::channel();
+    let receiver = std::thread::spawn(move || tx.send(sub.recv()).unwrap());
+    std::thread::sleep(Duration::from_millis(50));
+    act();
+    let got = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the parked recv() was never woken");
+    receiver.join().unwrap();
+    got
+}
+
+#[test]
+fn a_parked_recv_gets_a_message_published_from_another_thread() {
+    for broker in brokers() {
+        let publisher = broker.clone();
+        let got = parked_recv(&broker, "t", move || {
+            std::thread::spawn(move || publisher.publish("t", None, payload(7)).unwrap())
+                .join()
+                .unwrap();
+        })
+        .expect("a message, not a disconnect");
+        assert_eq!(got.payload_str(), "m7");
+    }
+}
+
+#[test]
+fn a_parked_recv_on_a_deleted_topic_is_disconnected() {
+    for broker in brokers() {
+        let deleter = broker.clone();
+        let got = parked_recv(&broker, "t", move || assert!(deleter.delete_topic("t")));
+        assert!(matches!(got, Err(MqError::Disconnected)), "{got:?}");
+    }
+}
+
+#[test]
+fn recv_timeout_on_an_empty_live_subscription_times_out() {
+    for broker in brokers() {
+        let sub = broker.subscribe("t", SubscribeMode::Latest).unwrap();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            tx.send(sub.recv_timeout(Duration::from_millis(20)))
+                .unwrap()
+        });
+        let got = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("recv_timeout never returned");
+        assert!(matches!(got, Err(MqError::Timeout)), "{got:?}");
+    }
 }
 
 #[test]

@@ -249,7 +249,7 @@ pub(crate) fn spawn(
     registry: Arc<RunRegistry>,
     retention: Option<Duration>,
 ) -> std::io::Result<(SocketAddr, Arc<LoopHandle>, JoinHandle<()>)> {
-    let listener = crate::listen::bind_reuse(addr)?;
+    let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let poll = Poll::new()?;

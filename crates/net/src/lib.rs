@@ -100,9 +100,9 @@
 //! from the recovered topic names — so runs that predate the process
 //! appear in `RUN_LIST` and age out through the ordinary retention GC,
 //! whose `delete_topic` also reclaims the segment directories on disk.
-//! Listeners are bound with `SO_REUSEADDR` (the `listen` module), so the
-//! relaunched daemon takes the old port over immediately instead of
-//! waiting out `TIME_WAIT`. Clients need no changes: their existing
+//! Listeners are std's `TcpListener`, which sets `SO_REUSEADDR` on Unix,
+//! so the relaunched daemon takes the old port over immediately instead
+//! of waiting out `TIME_WAIT`. Clients need no changes: their existing
 //! reconnect machinery (replay from the last seen offset + dedupe)
 //! completes in-flight runs against the revived daemon exactly-once.
 //!
@@ -235,7 +235,6 @@ mod client_reactor;
 mod event_loop;
 pub mod fault;
 mod link;
-mod listen;
 mod metrics;
 mod metrics_http;
 mod registry;

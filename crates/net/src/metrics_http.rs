@@ -26,7 +26,7 @@ impl MetricsExporter {
         addr: &str,
         render: impl Fn() -> String + Send + 'static,
     ) -> std::io::Result<MetricsExporter> {
-        let listener = crate::listen::bind_reuse(addr)?;
+        let listener = std::net::TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = shutdown.clone();

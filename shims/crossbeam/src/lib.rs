@@ -1,8 +1,11 @@
 //! Offline shim of `crossbeam`: the `channel` module only — unbounded
 //! MPMC channels with the crossbeam API (cloneable `Receiver`, `len()`,
-//! `recv_timeout`). Built on a mutex + condvar queue; throughput is lower
-//! than real crossbeam but semantics match, which is what the GinFlow
-//! test-suite and schedulers rely on.
+//! `recv_timeout`), built on a mutex + condvar queue.
+//!
+//! No product code uses it any more: subscriptions are one locked queue
+//! of their own and the scheduler's queues are `std::sync::mpsc`. It is
+//! still listed by the `agent`, `mq` and `net` manifests, and goes with
+//! those lines once the benchmark's lock file is regenerated.
 
 pub mod channel {
     use std::collections::VecDeque;
