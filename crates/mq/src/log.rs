@@ -8,13 +8,16 @@
 //! persist the messages exchanged by the services and to replay them on
 //! demand" (§IV-B).
 //!
-//! Retention is layered: every partition keeps a bounded in-memory window
-//! of recent messages (the hot path for fan-out and replay), and a broker
-//! opened with [`LogBroker::open`] additionally appends every publish to
-//! the [`crate::store`] segment files *before* fan-out. Offsets evicted
-//! from the memory window fall through to segment reads transparently, so
+//! Retention is layered: every partition keeps its retained records as
+//! bytes in a `RecordLog` — all of them on a broker made by
+//! [`LogBroker::new`], the last `memory_messages` on one opened with
+//! [`LogBroker::open`], which additionally appends every publish to the
+//! [`crate::store`] segment files *before* fan-out. Offsets evicted from
+//! the memory window fall through to segment reads transparently, so
 //! replay depth is bounded by disk, not RAM — and a restarted broker
-//! resumes the same offsets it crashed with.
+//! resumes the same offsets it crashed with. Fan-out hands subscribers
+//! the publisher's own [`Message`]; replay and [`Broker::fetch`] build
+//! fresh ones, copying key and payload out of the log.
 
 use crate::broker::{
     fnv1a, subscription_pair, wake_all, Broker, Receipt, SubscribeMode, SubscriberHandle,
@@ -22,6 +25,7 @@ use crate::broker::{
 };
 use crate::error::MqError;
 use crate::message::Message;
+use crate::store::segment::NO_KEY;
 use crate::store::{DurabilityConfig, PartitionStore, SegmentStore};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -29,13 +33,102 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// One partition's log: a bounded in-memory window over an optional
-/// on-disk segment store. `base` is the offset of `log[0]` — always 0
-/// for a purely in-memory broker, and the eviction watermark for a
-/// durable one.
+/// Capacity of a [`RecordLog`]'s first chunk; each next one doubles, up
+/// to [`MAX_CHUNK`].
+const FIRST_CHUNK: usize = 256;
+/// Capacity of a [`RecordLog`]'s chunks once grown.
+const MAX_CHUNK: usize = 64 * 1024;
+
+/// A partition's retained records, as bytes. Each record is its key
+/// length (u32 LE, [`NO_KEY`] when keyless), key, payload length (u32 LE)
+/// and payload, appended to the newest chunk. A chunk's capacity is
+/// fixed when it is made — double the last one's, from [`FIRST_CHUNK`] up
+/// to [`MAX_CHUNK`], or the record's own size if that is larger — so a
+/// chunk is never reallocated, and a record that does not fit starts the
+/// next chunk. The oldest chunk is freed once every record in it has
+/// been dropped. One index entry per record locates it.
+/// There is no CRC: the segment format's guards against torn disk
+/// writes, which memory cannot have.
+#[derive(Default)]
+struct RecordLog {
+    chunks: VecDeque<Vec<u8>>,
+    /// Sequence number of `chunks[0]` (sequence numbers wrap).
+    first_chunk: u32,
+    /// Per record, oldest first: its chunk's sequence number and its
+    /// start within that chunk.
+    index: VecDeque<(u32, u32)>,
+}
+
+impl RecordLog {
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Append one record. Lengths are u32 like the segment format's: a
+    /// message is bounded by the wire's frame limit long before that.
+    fn push(&mut self, key: Option<&[u8]>, payload: &[u8]) {
+        let size = 8 + key.map_or(0, <[u8]>::len) + payload.len();
+        if self
+            .chunks
+            .back()
+            .is_none_or(|c| c.capacity() - c.len() < size)
+        {
+            let next = self
+                .chunks
+                .back()
+                .map_or(FIRST_CHUNK, |c| (c.capacity() * 2).min(MAX_CHUNK));
+            self.chunks.push_back(Vec::with_capacity(next.max(size)));
+        }
+        let seq = self.first_chunk.wrapping_add(self.chunks.len() as u32 - 1);
+        let chunk = self.chunks.back_mut().expect("a chunk with room");
+        self.index.push_back((seq, chunk.len() as u32));
+        chunk.extend_from_slice(&key.map_or(NO_KEY, |k| k.len() as u32).to_le_bytes());
+        chunk.extend_from_slice(key.unwrap_or_default());
+        chunk.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        chunk.extend_from_slice(payload);
+    }
+
+    /// Drop the oldest record, and every chunk no retained record is in.
+    fn pop_front(&mut self) {
+        self.index.pop_front();
+        let first_kept = self.index.front().map_or(
+            self.first_chunk.wrapping_add(self.chunks.len() as u32),
+            |&(seq, _)| seq,
+        );
+        while self.first_chunk != first_kept {
+            self.chunks.pop_front();
+            self.first_chunk = self.first_chunk.wrapping_add(1);
+        }
+    }
+
+    /// Key and payload of record `i` (0 is the oldest retained).
+    fn get(&self, i: usize) -> (Option<&[u8]>, &[u8]) {
+        fn split_len(bytes: &[u8]) -> (u32, &[u8]) {
+            let (len, rest) = bytes.split_at(4);
+            (u32::from_le_bytes(len.try_into().unwrap()), rest)
+        }
+        let (seq, start) = self.index[i];
+        let chunk = &self.chunks[seq.wrapping_sub(self.first_chunk) as usize];
+        let (key_len, rest) = split_len(&chunk[start as usize..]);
+        let (key, rest) = match key_len {
+            NO_KEY => (None, rest),
+            n => {
+                let (key, rest) = rest.split_at(n as usize);
+                (Some(key), rest)
+            }
+        };
+        let (payload_len, rest) = split_len(rest);
+        (key, &rest[..payload_len as usize])
+    }
+}
+
+/// One partition's log: a window of records in memory over an optional
+/// on-disk segment store. `base` is the offset of the window's first
+/// record — always 0 for a purely in-memory broker, and the eviction
+/// watermark for a durable one.
 struct PartitionLog {
     base: u64,
-    log: VecDeque<Message>,
+    log: RecordLog,
     store: Option<PartitionStore>,
 }
 
@@ -43,7 +136,7 @@ impl PartitionLog {
     fn new(store: Option<PartitionStore>) -> Self {
         PartitionLog {
             base: store.as_ref().map_or(0, PartitionStore::next_offset),
-            log: VecDeque::new(),
+            log: RecordLog::default(),
             store,
         }
     }
@@ -53,34 +146,66 @@ impl PartitionLog {
         self.base + self.log.len() as u64
     }
 
-    /// Messages `[from, …)` read back from the segment store as
-    /// [`Message`]s (empty without a store).
-    fn read_store(
+    /// Append a record to the memory window, then drop the oldest until
+    /// at most `window` remain.
+    fn push(&mut self, key: Option<&[u8]>, payload: &[u8], window: usize) {
+        self.log.push(key, payload);
+        while self.log.len() > window {
+            self.log.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Up to `max` messages `[from, …)`, built fresh: copied out of the
+    /// memory window, or — when `from` predates it — read from the
+    /// segment store, which holds the full log (empty without a store).
+    fn read(
         &self,
         name: &Arc<str>,
         partition: u32,
         from: u64,
         max: usize,
     ) -> Result<Vec<Message>, MqError> {
-        let Some(store) = &self.store else {
-            return Ok(Vec::new());
-        };
-        let records = store.read(from, max).map_err(|e| MqError::Store {
-            message: format!("reading partition {partition}: {e}"),
-        })?;
-        Ok(records
-            .into_iter()
-            .map(|(offset, key, payload)| Message {
-                topic: name.clone(),
-                partition,
-                offset,
-                key,
-                payload,
+        if from < self.base {
+            let Some(store) = &self.store else {
+                return Ok(Vec::new());
+            };
+            let records = store.read(from, max).map_err(|e| MqError::Store {
+                message: format!("reading partition {partition}: {e}"),
+            })?;
+            return Ok(records
+                .into_iter()
+                .map(|(offset, key, payload)| Message {
+                    topic: name.clone(),
+                    partition,
+                    offset,
+                    key,
+                    payload,
+                })
+                .collect());
+        }
+        let skip = usize::try_from(from - self.base).unwrap_or(usize::MAX);
+        Ok((skip..self.log.len())
+            .take(max)
+            .map(|i| {
+                let (key, payload) = self.log.get(i);
+                Message {
+                    topic: name.clone(),
+                    partition,
+                    offset: self.base + i as u64,
+                    key: key.map(Bytes::copy_from_slice),
+                    payload: Bytes::copy_from_slice(payload),
+                }
             })
             .collect())
     }
 }
 
+/// One topic: its partitions' logs and its live subscribers. A publish
+/// appends a copy of key and payload to its partition's [`RecordLog`]
+/// and hands every subscriber a clone of the publisher's [`Message`], so
+/// fan-out shares one payload while the log keeps its own: a fan-out's K
+/// records hold K copies of the payload it encoded once.
 struct TopicState {
     /// The shared topic name every delivered [`Message`] clones — one
     /// allocation per topic lifetime, not one per publish.
@@ -211,9 +336,10 @@ impl LogBroker {
                     continue;
                 }
                 let from = next - want as u64;
-                let tail = part.read_store(name, p as u32, from, want)?;
+                for m in part.read(name, p as u32, from, want)? {
+                    part.log.push(m.key.as_deref(), &m.payload);
+                }
                 part.base = from;
-                part.log = tail.into();
             }
             broker.topics.lock().insert(topic.name.clone(), state);
         }
@@ -284,6 +410,9 @@ impl Broker for LogBroker {
                         message: format!("appending to {topic:?}: {e}"),
                     })?;
             }
+            // The memory window is a cache, not the log: evicted offsets
+            // stay readable through the store.
+            part.push(key.as_deref(), &payload, self.memory_messages);
             let message = Message {
                 topic: state.name.clone(),
                 partition,
@@ -291,15 +420,6 @@ impl Broker for LogBroker {
                 key,
                 payload,
             };
-            part.log.push_back(message.clone());
-            // The memory window is a cache, not the log: evicted offsets
-            // stay readable through the store.
-            if part.store.is_some() {
-                while part.log.len() > self.memory_messages {
-                    part.log.pop_front();
-                    part.base += 1;
-                }
-            }
             let mut wakers = Vec::new();
             state
                 .subscribers
@@ -327,18 +447,21 @@ impl Broker for LogBroker {
             SubscribeMode::Beginning => Some(0),
             SubscribeMode::FromOffset(from) => Some(from),
         } {
-            let mut backlogs: Vec<std::collections::VecDeque<Message>> =
-                Vec::with_capacity(state.partitions.len());
+            let mut backlogs: Vec<VecDeque<Message>> = Vec::with_capacity(state.partitions.len());
             for (p, part) in state.partitions.iter().enumerate() {
-                let mut backlog = std::collections::VecDeque::new();
+                let mut backlog = VecDeque::new();
                 if from < part.base {
                     // The requested history predates the memory window:
                     // replay the gap from the segment store.
                     let gap = (part.base - from) as usize;
-                    backlog.extend(part.read_store(&state.name, p as u32, from, gap)?);
+                    backlog.extend(part.read(&state.name, p as u32, from, gap)?);
                 }
-                let skip = from.saturating_sub(part.base) as usize;
-                backlog.extend(part.log.iter().skip(skip).cloned());
+                backlog.extend(part.read(
+                    &state.name,
+                    p as u32,
+                    from.max(part.base),
+                    usize::MAX,
+                )?);
                 backlogs.push(backlog);
             }
             // Interleave the replay round-robin across partitions
@@ -385,19 +508,10 @@ impl Broker for LogBroker {
                     topic: topic.to_owned(),
                     partition,
                 })?;
-        if from_offset < part.base {
-            // The store holds the full log (its tail duplicates the
-            // memory window), so an evicted starting offset is served
-            // entirely from disk — no stitching.
-            return part.read_store(&state.name, partition, from_offset, max);
-        }
-        Ok(part
-            .log
-            .iter()
-            .skip((from_offset - part.base) as usize)
-            .take(max)
-            .cloned()
-            .collect())
+        // The store holds the full log (its tail duplicates the memory
+        // window), so an evicted starting offset is served entirely from
+        // disk — no stitching.
+        part.read(&state.name, partition, from_offset, max)
     }
 
     fn flush(&self) -> Result<(), MqError> {
@@ -613,6 +727,138 @@ mod tests {
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
     }
 
+    // -- the record log --------------------------------------------------
+
+    #[test]
+    fn records_keep_keys_and_payloads_exactly() {
+        let mut log = RecordLog::default();
+        log.push(Some(b"sa.T1"), b"keyed");
+        log.push(None, b"keyless");
+        log.push(Some(b""), b"empty key");
+        log.push(Some(b"k"), b"");
+        assert_eq!(log.len(), 4);
+        assert_eq!(log.get(0), (Some(&b"sa.T1"[..]), &b"keyed"[..]));
+        assert_eq!(log.get(1), (None, &b"keyless"[..]));
+        assert_eq!(log.get(2), (Some(&b""[..]), &b"empty key"[..]));
+        assert_eq!(log.get(3), (Some(&b"k"[..]), &b""[..]));
+        // Through the broker: an empty key is still a key.
+        let b = LogBroker::new();
+        b.publish("t", Some(Bytes::new()), payload("x")).unwrap();
+        b.publish("t", None, Bytes::new()).unwrap();
+        let got = b.fetch("t", 0, 0, 10).unwrap();
+        assert_eq!(got[0].key, Some(Bytes::new()));
+        assert_eq!(got[0].payload_str(), "x");
+        assert_eq!(got[1].key, None);
+        assert!(got[1].payload.is_empty());
+    }
+
+    #[test]
+    fn a_record_larger_than_the_largest_chunk_gets_a_chunk_of_its_own() {
+        let mut log = RecordLog::default();
+        log.push(None, b"small");
+        let big = vec![7u8; 2 * MAX_CHUNK];
+        log.push(Some(b"big"), &big);
+        log.push(None, b"after");
+        assert_eq!(log.get(0), (None, &b"small"[..]));
+        assert_eq!(log.get(1), (Some(&b"big"[..]), &big[..]));
+        assert_eq!(log.get(2), (None, &b"after"[..]));
+        let index: Vec<(u32, u32)> = log.index.iter().copied().collect();
+        assert_eq!(index, [(0, 0), (1, 0), (2, 0)]);
+        assert!(log.chunks[1].capacity() >= 2 * MAX_CHUNK + 11);
+        assert_eq!(log.chunks[2].capacity(), MAX_CHUNK);
+    }
+
+    /// Payload `i` of [`chunked_topic`]: 56 bytes, so a keyless record
+    /// takes 64.
+    fn filler(i: u64) -> Bytes {
+        Bytes::from(format!("m{i:02}{}", "-".repeat(53)))
+    }
+
+    /// 28 records of 64 bytes in `t`: offsets 0–3 fill the 256-byte
+    /// first chunk, 4–11 the 512-byte second, 12–27 the 1 KiB third.
+    fn chunked_topic() -> LogBroker {
+        let b = LogBroker::new();
+        for i in 0..28 {
+            b.publish("t", None, filler(i)).unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn chunks_double_and_fill_in_place() {
+        let b = chunked_topic();
+        let topics = b.topics.lock();
+        let log = &topics["t"].partitions[0].log;
+        let capacities: Vec<usize> = log.chunks.iter().map(Vec::capacity).collect();
+        assert_eq!(capacities, [256, 512, 1024]);
+        assert!(log.chunks.iter().all(|c| c.len() == c.capacity()));
+        assert_eq!(log.index[3], (0, 192));
+        assert_eq!(log.index[4], (1, 0));
+        assert_eq!(log.index[12], (2, 0));
+        // A chunk is filled where it was first allocated.
+        let mut log = RecordLog::default();
+        log.push(None, &filler(0));
+        let first = log.chunks[0].as_ptr();
+        for i in 1..4 {
+            log.push(None, &filler(i));
+        }
+        assert_eq!(log.chunks.len(), 1);
+        assert_eq!(log.chunks[0].as_ptr(), first);
+    }
+
+    #[test]
+    fn reads_start_mid_chunk_on_a_chunk_boundary_and_past_the_end() {
+        let b = chunked_topic();
+        for (from, first) in [(2, 2), (4, 4), (12, 12), (28, 28), (40, 28)] {
+            let want: Vec<u64> = (first..28).collect();
+            let fetched = b.fetch("t", 0, from, 100).unwrap();
+            assert!(fetched.iter().all(|m| m.payload == filler(m.offset)));
+            let offsets: Vec<u64> = fetched.iter().map(|m| m.offset).collect();
+            assert_eq!(offsets, want, "fetch from {from}");
+            let sub = b.subscribe("t", SubscribeMode::FromOffset(from)).unwrap();
+            let mut replayed = Vec::new();
+            while let Some(m) = sub.try_recv().unwrap() {
+                assert_eq!(m.payload, filler(m.offset));
+                replayed.push(m.offset);
+            }
+            assert_eq!(replayed, want, "replay from {from}");
+        }
+        // A bounded fetch crosses a chunk boundary.
+        let page: Vec<u64> = b
+            .fetch("t", 0, 2, 3)
+            .unwrap()
+            .iter()
+            .map(|m| m.offset)
+            .collect();
+        assert_eq!(page, [2, 3, 4]);
+    }
+
+    #[test]
+    fn a_two_partition_replay_interleaves_the_partitions() {
+        let b = LogBroker::with_default_partitions(2);
+        // Round-robin: m0, m2, m4, m6 to partition 0; m1, m3, m5 to 1.
+        for i in 0..7 {
+            b.publish("t", None, payload(&format!("m{i}"))).unwrap();
+        }
+        for (mode, want) in [
+            (
+                SubscribeMode::Beginning,
+                vec!["m0", "m1", "m2", "m3", "m4", "m5", "m6"],
+            ),
+            (
+                SubscribeMode::FromOffset(1),
+                vec!["m2", "m3", "m4", "m5", "m6"],
+            ),
+        ] {
+            let sub = b.subscribe("t", mode).unwrap();
+            let mut got = Vec::new();
+            while let Some(m) = sub.try_recv().unwrap() {
+                got.push(m.payload_str().into_owned());
+            }
+            assert_eq!(got, want, "{mode:?}");
+        }
+    }
+
     // -- durable-broker tests ------------------------------------------
 
     fn durable_config() -> DurabilityConfig {
@@ -714,11 +960,13 @@ mod tests {
         // eviction watermark the crashed broker had…
         {
             let topics = b.topics.lock();
-            let part = &topics.get("t").expect("recovered topic").partitions[0];
+            let state = topics.get("t").expect("recovered topic");
+            let part = &state.partitions[0];
             assert_eq!(part.base, 92);
             assert_eq!(part.log.len(), 8);
-            assert_eq!(part.log[0].offset, 92);
-            assert_eq!(part.log.back().unwrap().payload_str(), "m99");
+            let window = part.read(&state.name, 0, part.base, usize::MAX).unwrap();
+            assert_eq!(window[0].offset, 92);
+            assert_eq!(window.last().unwrap().payload_str(), "m99");
         }
         // …so a tail subscriber replays from memory, a historical one
         // crosses the disk/memory seam without gap or duplicate…
@@ -740,6 +988,37 @@ mod tests {
             tail.recv_timeout(Duration::from_secs(1)).unwrap().offset,
             100
         );
+    }
+
+    #[test]
+    fn the_durable_window_keeps_its_size_and_frees_whole_chunks() {
+        let dir = TestDir::new("log-window");
+        let (b, _) = LogBroker::open(dir.path(), durable_config()).unwrap();
+        for i in 0..100u64 {
+            b.publish("t", None, filler(i)).unwrap();
+            let topics = b.topics.lock();
+            let state = &topics["t"];
+            let part = &state.partitions[0];
+            let kept = (i as usize + 1).min(8);
+            assert_eq!(part.log.len(), kept);
+            assert_eq!(part.base, i + 1 - kept as u64);
+            // Every chunk after the 256-byte first holds at least the
+            // window's 8 records, so the window spans at most two.
+            assert!(
+                part.log.chunks.len() <= 2,
+                "{} chunks",
+                part.log.chunks.len()
+            );
+            let window = part.read(&state.name, 0, part.base, usize::MAX).unwrap();
+            let offsets: Vec<u64> = window.iter().map(|m| m.offset).collect();
+            assert_eq!(offsets, (part.base..=i).collect::<Vec<_>>());
+            assert!(window.iter().all(|m| m.payload == filler(m.offset)));
+        }
+        // The chunks made so far: 256, 512, 1 KiB, 2 KiB and 4 KiB of
+        // 64-byte records hold offsets 0–123, so the last is the fifth.
+        let topics = b.topics.lock();
+        let log = &topics["t"].partitions[0].log;
+        assert_eq!(log.first_chunk + log.chunks.len() as u32, 5);
     }
 
     #[test]

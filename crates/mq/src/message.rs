@@ -9,7 +9,9 @@ use std::sync::Arc;
 /// Cloning is cheap by construction — fan-out to N subscribers clones
 /// three reference counts, never the bytes: the topic is a shared
 /// `Arc<str>` (brokers keep one per topic and hand out clones), and key
-/// and payload are [`Bytes`].
+/// and payload are [`Bytes`]. A message the [`LogBroker`](crate::LogBroker)
+/// replays or fetches is built fresh instead: its key and payload are
+/// copied out of the log, which keeps records as bytes.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Message {
     /// Topic the message was published to.

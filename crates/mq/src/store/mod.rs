@@ -133,8 +133,10 @@ pub struct DurabilityConfig {
     /// Segment capacity: rotation happens when the next record would
     /// not fit. Default 64 MiB.
     pub segment_bytes: usize,
-    /// Per-partition cap on messages kept in memory for hot replay;
-    /// older offsets are served from segment reads. Default 1024.
+    /// Per-partition window of records kept in memory for hot replay:
+    /// exactly the last `memory_messages`, older offsets served from
+    /// segment reads. Memory is freed a chunk at a time, once every
+    /// record in the chunk has left the window. Default 1024.
     pub memory_messages: usize,
 }
 

@@ -1,0 +1,78 @@
+//! What a retained record costs the in-memory log, counted in live heap
+//! bytes by this binary's own global allocator. Counted, not timed: the
+//! bounds hold on any host.
+
+use bytes::Bytes;
+use ginflow_mq::{Broker, LogBroker};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Mutex;
+
+/// The system allocator, keeping a running total of live bytes.
+struct Counting;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::SeqCst);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, Ordering::SeqCst);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The tests run one at a time, so each reads only its own allocations.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Live heap bytes `f` leaves behind.
+fn retained_by(f: impl FnOnce()) -> isize {
+    let before = LIVE.load(Ordering::SeqCst);
+    f();
+    LIVE.load(Ordering::SeqCst) - before
+}
+
+/// A message as the daemon decodes it off the wire: its own key and
+/// payload buffers, dropped by the broker's caller after the publish.
+fn decoded(i: usize) -> (Option<Bytes>, Bytes) {
+    let key = Bytes::copy_from_slice(format!("T{:05}", i % 900).as_bytes());
+    let payload = Bytes::copy_from_slice(format!("{i:032}").as_bytes());
+    (Some(key), payload)
+}
+
+#[test]
+fn a_retained_record_costs_at_most_64_bytes_of_heap() {
+    const RECORDS: usize = 28_000;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let broker = LogBroker::new();
+    broker.create_topic("run/r/sa.inbox", 1);
+    let live = retained_by(|| {
+        for i in 0..RECORDS {
+            let (key, payload) = decoded(i);
+            broker.publish("run/r/sa.inbox", key, payload).unwrap();
+        }
+    });
+    assert_eq!(broker.retained("run/r/sa.inbox"), RECORDS as u64);
+    let per_record = live as f64 / RECORDS as f64;
+    println!("{per_record:.1} B of live heap per record (6 B key, 32 B payload)");
+    assert!(per_record <= 64.0, "{per_record:.1} B per record");
+}
+
+#[test]
+fn a_topics_first_record_costs_at_most_1_kib() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let broker = LogBroker::new();
+    broker.create_topic("run/r/status", 1);
+    let live = retained_by(|| {
+        let (_, payload) = decoded(0);
+        broker.publish("run/r/status", None, payload).unwrap();
+    });
+    println!("{live} B of live heap for a topic's first record");
+    assert!(live <= 1024, "{live} B");
+}
