@@ -22,6 +22,21 @@
 //! woken once, not once per status update. The event stream is for
 //! whoever wants the events.
 //!
+//! **The record is indexed by task id.** `observe` resolves an update's
+//! task name against the workflow's DAG once, before it takes the lock,
+//! and drops an update naming no task of the workflow; every per-task
+//! row then lives at its dense [`TaskId`] in one array sized at
+//! construction. The history is kept compactly: each entry names its
+//! task by id, carries no string, and a result entry reads its value
+//! from the task's row for as long as the row holds that value — a row
+//! whose result is replaced hands the old one to the entry first — so
+//! each value is stored once. An entry becomes a [`RunEvent`] only when
+//! somebody receives it: at once for the live subscribers, if there are
+//! any, and on [`RunTracker::subscribe`] for a late one, who therefore
+//! receives exactly what an early one did. Task names come back only at
+//! the edges — events, `statuses`, and the [`RunReport`], whose
+//! name-keyed table is built once from the rows.
+//!
 //! The pieces:
 //!
 //! * [`ExecutionBackend`] — "compile this workflow and run it", the one
@@ -195,8 +210,9 @@ pub enum RunOutcome {
 /// lock.
 #[derive(Default)]
 struct Record {
-    /// Latest accepted update per observed task, with its timing marks.
-    tasks: HashMap<String, TaskReport>,
+    /// One row per task of the workflow, at its [`TaskId`]; empty once
+    /// [`RunTracker::take_report`] has moved them into the final report.
+    rows: Vec<Row>,
     /// Adaptation indices that already fired.
     fired: HashSet<usize>,
     /// Sinks whose latest state is `Completed`.
@@ -207,28 +223,135 @@ struct Record {
     /// The run ended — with an outcome, or torn down without one. No
     /// event is derived or delivered afterwards.
     ended: bool,
-    /// Every event emitted, in order: what a late subscriber replays.
-    history: Vec<RunEvent>,
+    /// Every event emitted, in order and compactly: what a late
+    /// subscriber replays.
+    history: Vec<Logged>,
+    /// Result values the history holds itself: each was a row's until
+    /// the row's result was replaced.
+    kept: Vec<Value>,
     /// Live subscribers; dropped when the run ends, which closes their
     /// streams once drained.
     senders: Vec<mpsc::Sender<RunEvent>>,
 }
 
+/// One task's row of the record.
+#[derive(Default)]
+struct Row {
+    /// Latest accepted update, with its timing marks; `Idle` until
+    /// observed.
+    report: TaskReport,
+    /// An update for the task was accepted: `statuses` lists it.
+    observed: bool,
+    /// The history entry whose value is `report.result`, while it is.
+    shown: Option<u32>,
+}
+
+/// A [`RunEvent`] as the history keeps it: tasks by id, no string, and a
+/// result's value held by its row or by [`Record::kept`].
+#[derive(Clone, Copy)]
+enum Logged {
+    StateChanged {
+        task: TaskId,
+        from: Option<TaskState>,
+        to: TaskState,
+        incarnation: u32,
+    },
+    /// A result whose value is still its task's row's.
+    Result(TaskId),
+    /// A result whose value is `kept[index]`.
+    KeptResult {
+        task: TaskId,
+        index: u32,
+    },
+    AdaptationFired {
+        adaptation: u32,
+        task: TaskId,
+    },
+    Respawned {
+        task: TaskId,
+        incarnation: u32,
+    },
+    /// The terminal event, read from the outcome.
+    Ended,
+}
+
 impl Record {
-    /// Append to the history and deliver to every live subscriber.
-    fn emit(&mut self, event: RunEvent) {
-        for tx in &self.senders {
-            let _ = tx.send(event.clone());
+    /// Append to the history and deliver to every live subscriber — the
+    /// one place an event is made as it happens, and only for them.
+    fn emit(&mut self, workflow: &Workflow, entry: Logged) {
+        if let Logged::Result(task) = entry {
+            self.rows[task.index()].shown = Some(self.history.len() as u32);
         }
-        self.history.push(event);
+        if !self.senders.is_empty() {
+            let event = self.expand(workflow, entry);
+            for tx in &self.senders {
+                let _ = tx.send(event.clone());
+            }
+        }
+        self.history.push(entry);
+    }
+
+    /// The history's result `entry`, which read `task`'s row, holds
+    /// `value` — the row's result until now — itself from here on.
+    fn keep(&mut self, task: TaskId, entry: u32, value: Option<Value>) {
+        let index = self.kept.len() as u32;
+        self.kept.push(value.expect("a shown result has a value"));
+        self.history[entry as usize] = Logged::KeptResult { task, index };
+    }
+
+    /// The event a history entry stands for.
+    fn expand(&self, workflow: &Workflow, entry: Logged) -> RunEvent {
+        let name = |task: TaskId| workflow.dag().name_of(task).to_owned();
+        match entry {
+            Logged::StateChanged {
+                task,
+                from,
+                to,
+                incarnation,
+            } => RunEvent::TaskStateChanged {
+                task: name(task),
+                from,
+                to,
+                incarnation,
+            },
+            Logged::Result(task) => RunEvent::TaskResult {
+                task: name(task),
+                value: self.rows[task.index()]
+                    .report
+                    .result
+                    .clone()
+                    .expect("a shown result has a value"),
+            },
+            Logged::KeptResult { task, index } => RunEvent::TaskResult {
+                task: name(task),
+                value: self.kept[index as usize].clone(),
+            },
+            Logged::AdaptationFired { adaptation, task } => RunEvent::AdaptationFired {
+                adaptation: workflow.adaptations()[adaptation as usize].name.clone(),
+                failed_task: name(task),
+            },
+            Logged::Respawned { task, incarnation } => RunEvent::AgentRespawned {
+                task: name(task),
+                incarnation,
+            },
+            Logged::Ended => match &self.outcome {
+                Some(RunOutcome::Completed) => RunEvent::RunCompleted,
+                Some(RunOutcome::Failed(reason)) => RunEvent::RunFailed {
+                    reason: reason.clone(),
+                },
+                None => unreachable!("a terminal entry is logged with its outcome"),
+            },
+        }
     }
 
     /// All observed task states, sorted by task name.
-    fn statuses(&self) -> Vec<(String, TaskState)> {
-        let mut statuses: Vec<(String, TaskState)> = self
-            .tasks
-            .iter()
-            .map(|(name, t)| (name.clone(), t.state))
+    fn statuses(&self, workflow: &Workflow) -> Vec<(String, TaskState)> {
+        let dag = workflow.dag();
+        let mut statuses: Vec<(String, TaskState)> = dag
+            .ids()
+            .zip(&self.rows)
+            .filter(|(_, row)| row.observed)
+            .map(|(id, row)| (dag.name_of(id).to_owned(), row.report.state))
             .collect();
         statuses.sort_by(|a, b| a.0.cmp(&b.0));
         statuses
@@ -260,11 +383,15 @@ impl RunTracker {
     /// namespace key under which the run's status topic lives, carried
     /// here so every report and handle can name it.
     pub fn new(workflow: &Workflow, run_id: RunId) -> Self {
+        let rows = workflow.dag().ids().map(|_| Row::default()).collect();
         RunTracker {
             workflow: workflow.clone(),
             sink_count: workflow.dag().sinks().len(),
             run_id,
-            record: Mutex::new(Record::default()),
+            record: Mutex::new(Record {
+                rows,
+                ..Record::default()
+            }),
             ended: Condvar::new(),
         }
     }
@@ -276,61 +403,81 @@ impl RunTracker {
 
     /// Fold one status update in, `at` being its time relative to launch
     /// (wall on live backends, virtual in the sim); derived events fan
-    /// out to subscribers. An update from a superseded incarnation
-    /// changes nothing. Once the run has ended an update still lands in
-    /// the per-task record — a straggler's completion belongs in the
-    /// report — but derives no event.
+    /// out to subscribers. An update from a superseded incarnation, or
+    /// naming no task of the workflow, changes nothing. Once the run has
+    /// ended an update still lands in the per-task record — a
+    /// straggler's completion belongs in the report — but derives no
+    /// event.
     pub fn observe(&self, update: &StatusUpdate, at: Duration) {
+        let Some(id) = self.workflow.dag().by_name(&update.task) else {
+            return;
+        };
         let mut guard = self.record.lock();
         let r = &mut *guard;
-        let (prev, task) = match r.tasks.get_mut(&update.task) {
-            Some(task) => (Some((task.state, task.incarnation)), task),
-            None => (None, r.tasks.entry(update.task.clone()).or_default()),
+        // Gone with the rows once the final report took them.
+        let Some(row) = r.rows.get_mut(id.index()) else {
+            return;
         };
-        if !task.absorb(update, at) || r.ended {
+        let prev = row
+            .observed
+            .then_some((row.report.state, row.report.incarnation));
+        let replaced = row.report.result.take();
+        if !row.report.absorb(update, at) {
+            row.report.result = replaced;
             return;
         }
+        row.observed = true;
+        if let Some(entry) = row.shown.take() {
+            r.keep(id, entry, replaced);
+        }
+        if r.ended {
+            return;
+        }
+        let workflow = &self.workflow;
         // A first observation at incarnation > 0 is a recovery too:
         // the dead incarnation may never have published anything.
         let prev_incarnation = prev.map_or(0, |(_, incarnation)| incarnation);
         if update.incarnation > prev_incarnation {
             r.respawns += update.incarnation - prev_incarnation;
-            r.emit(RunEvent::AgentRespawned {
-                task: update.task.clone(),
-                incarnation: update.incarnation,
-            });
+            r.emit(
+                workflow,
+                Logged::Respawned {
+                    task: id,
+                    incarnation: update.incarnation,
+                },
+            );
         }
         if prev != Some((update.state, update.incarnation)) {
-            r.emit(RunEvent::TaskStateChanged {
-                task: update.task.clone(),
-                from: prev.map(|(state, _)| state),
-                to: update.state,
-                incarnation: update.incarnation,
-            });
-            if let (TaskState::Completed, Some(value)) = (update.state, &update.result) {
-                r.emit(RunEvent::TaskResult {
-                    task: update.task.clone(),
-                    value: value.clone(),
-                });
+            r.emit(
+                workflow,
+                Logged::StateChanged {
+                    task: id,
+                    from: prev.map(|(state, _)| state),
+                    to: update.state,
+                    incarnation: update.incarnation,
+                },
+            );
+            if let (TaskState::Completed, Some(_)) = (update.state, &update.result) {
+                r.emit(workflow, Logged::Result(id));
             }
         }
-        let Some(id) = self.workflow.dag().by_name(&update.task) else {
-            return;
-        };
         // A failure fires every adaptation watching the task, in table
         // order.
         let mut watched = false;
         if update.state == TaskState::Failed {
-            for (i, adaptation) in self.workflow.adaptations().iter().enumerate() {
+            for (i, adaptation) in workflow.adaptations().iter().enumerate() {
                 if !adaptation.watched.contains(&id) {
                     continue;
                 }
                 watched = true;
                 if r.fired.insert(i) {
-                    r.emit(RunEvent::AdaptationFired {
-                        adaptation: adaptation.name.clone(),
-                        failed_task: update.task.clone(),
-                    });
+                    r.emit(
+                        workflow,
+                        Logged::AdaptationFired {
+                            adaptation: i as u32,
+                            task: id,
+                        },
+                    );
                 }
             }
         }
@@ -384,14 +531,11 @@ impl RunTracker {
         if record.ended {
             return false;
         }
-        match &outcome {
-            Some(RunOutcome::Completed) => record.emit(RunEvent::RunCompleted),
-            Some(RunOutcome::Failed(reason)) => record.emit(RunEvent::RunFailed {
-                reason: reason.clone(),
-            }),
-            None => {}
-        }
+        let terminal = outcome.is_some();
         record.outcome = outcome;
+        if terminal {
+            record.emit(&self.workflow, Logged::Ended);
+        }
         record.ended = true;
         record.senders.clear();
         drop(record);
@@ -428,8 +572,8 @@ impl RunTracker {
     pub fn subscribe(&self) -> RunEvents {
         let mut record = self.record.lock();
         let (tx, rx) = mpsc::channel();
-        for event in &record.history {
-            let _ = tx.send(event.clone());
+        for &entry in &record.history {
+            let _ = tx.send(record.expand(&self.workflow, entry));
         }
         if !record.ended {
             record.senders.push(tx);
@@ -444,18 +588,26 @@ impl RunTracker {
 
     /// Latest observed state of a task.
     pub fn state_of(&self, task: &str) -> Option<TaskState> {
-        self.record.lock().tasks.get(task).map(|t| t.state)
+        self.read(task, |t| t.state)
     }
 
     /// Latest observed result of a task.
     pub fn result_of(&self, task: &str) -> Option<Value> {
+        self.read(task, |t| t.result.clone()).flatten()
+    }
+
+    /// `f` of an observed task's row; `None` for a task never observed
+    /// or not in the workflow.
+    fn read<T>(&self, task: &str, f: impl FnOnce(&TaskReport) -> T) -> Option<T> {
+        let id = self.workflow.dag().by_name(task)?;
         let record = self.record.lock();
-        record.tasks.get(task).and_then(|t| t.result.clone())
+        let row = record.rows.get(id.index()).filter(|row| row.observed)?;
+        Some(f(&row.report))
     }
 
     /// Snapshot of all observed task states, sorted by task name.
     pub fn statuses(&self) -> Vec<(String, TaskState)> {
-        self.record.lock().statuses()
+        self.record.lock().statuses(&self.workflow)
     }
 
     /// What a wait on the *ended* run yields: every sink's result when
@@ -467,10 +619,11 @@ impl RunTracker {
         let record = self.record.lock();
         let dag = self.workflow.dag();
         let mut results = HashMap::with_capacity(self.sink_count);
-        for sink in dag.sinks().into_iter().map(|id| dag.name_of(id)) {
-            let task = record.tasks.get(sink);
+        for id in dag.sinks() {
+            let sink = dag.name_of(id);
+            let task = record.rows.get(id.index()).map(|row| &row.report);
             let Some(task) = task.filter(|t| t.state == TaskState::Completed) else {
-                let statuses = record.statuses();
+                let statuses = record.statuses(&self.workflow);
                 return Err(match record.outcome.clone() {
                     Some(RunOutcome::Failed(RunFailure::Cancelled)) | None => WaitError::Cancelled,
                     Some(RunOutcome::Failed(RunFailure::DeadlineExpired)) => {
@@ -498,33 +651,47 @@ impl RunTracker {
     /// are the vehicle's to fill in ([`RunControl::stamp`]).
     pub fn report(&self, backend: &'static str) -> RunReport {
         let record = self.record.lock();
-        let observed = record.tasks.iter().map(|(n, t)| (n.clone(), t.clone()));
-        self.assemble(backend, &record, observed)
+        let rows = record.rows.iter().map(|row| row.report.clone());
+        self.assemble(backend, &record, rows)
     }
 
-    /// The final report of a run whose vehicle has stopped: the record's
-    /// per-task detail moves into it instead of being copied, which
-    /// leaves the tracker knowing no task — only the report does.
+    /// The final report of a run whose vehicle has stopped: the rows
+    /// move into it instead of being copied, which leaves the tracker
+    /// knowing no task — only the report does. A result the history
+    /// still reads from its row is the one value copied, into the
+    /// history.
     fn take_report(&self, backend: &'static str) -> RunReport {
         let mut record = self.record.lock();
-        let observed = std::mem::take(&mut record.tasks);
-        self.assemble(backend, &record, observed)
+        let rows = std::mem::take(&mut record.rows);
+        let mut reports = Vec::with_capacity(rows.len());
+        for (id, row) in self.workflow.dag().ids().zip(rows) {
+            if let Some(entry) = row.shown {
+                record.keep(id, entry, row.report.result.clone());
+            }
+            reports.push(row.report);
+        }
+        self.assemble(backend, &record, reports)
     }
 
-    /// A report of `record`, its per-task detail the `observed` tasks.
+    /// A report of `record`, its per-task detail `reports` in task id
+    /// order: every task of the workflow, one never observed (an
+    /// untriggered standby) `Idle`, as is each one `reports` runs short
+    /// of once the final report took the rows.
     fn assemble(
         &self,
         backend: &'static str,
         record: &Record,
-        observed: impl IntoIterator<Item = (String, TaskReport)>,
+        reports: impl IntoIterator<Item = TaskReport>,
     ) -> RunReport {
-        let mut tasks: BTreeMap<String, TaskReport> = observed.into_iter().collect();
-        // Never-observed tasks (an untriggered standby) appear as `Idle`.
-        for (_, spec) in self.workflow.dag().iter() {
-            if !tasks.contains_key(&spec.name) {
-                tasks.insert(spec.name.clone(), TaskReport::default());
-            }
-        }
+        let dag = self.workflow.dag();
+        let reports = reports
+            .into_iter()
+            .chain(std::iter::repeat_with(TaskReport::default));
+        let tasks: BTreeMap<String, TaskReport> = dag
+            .ids()
+            .map(|id| dag.name_of(id).to_owned())
+            .zip(reports)
+            .collect();
         // Once the run has its outcome the observed makespan is the last
         // task transition; until then the clock is the vehicle's.
         let wall = match record.outcome {
@@ -796,9 +963,7 @@ impl RunHandle {
     /// agent, or — for a task it does not host (another shard's, or any
     /// task of a finished simulation) — the latest one observed.
     pub fn incarnation(&self, task: &str) -> u32 {
-        let record = self.tracker.record.lock();
-        let observed = record.tasks.get(task).map_or(0, |t| t.incarnation);
-        drop(record);
+        let observed = self.tracker.read(task, |t| t.incarnation).unwrap_or(0);
         self.control.incarnation(task).max(observed)
     }
 
@@ -1015,6 +1180,88 @@ mod tests {
             ],
             "the ghost update must contribute nothing"
         );
+    }
+
+    #[test]
+    fn an_update_naming_no_task_of_the_workflow_changes_nothing() {
+        let tracker = RunTracker::new(&workflow(), RunId::generate());
+        let live = tracker.subscribe();
+        tracker.observe(&update("ghost", TaskState::Running, 0), AT);
+        tracker.observe(&update("ghost", TaskState::Completed, 1), AT);
+        assert_eq!(live.try_recv(), None, "no event");
+        assert!(tracker.subscribe().try_recv().is_none(), "no history");
+        assert_eq!(tracker.statuses(), vec![]);
+        assert_eq!(tracker.state_of("ghost"), None);
+        assert_eq!(tracker.result_of("ghost"), None);
+        let report = tracker.report("test");
+        let names: Vec<&str> = report.tasks.keys().map(String::as_str).collect();
+        assert_eq!(names, ["a", "b", "b'", "src"], "exactly the DAG's tasks");
+        assert_eq!(report.respawns, 0);
+        assert_eq!(tracker.outcome(), None);
+    }
+
+    #[test]
+    fn a_late_subscriber_receives_exactly_what_a_live_one_did() {
+        let done = |task: &str, incarnation, value: &str| StatusUpdate {
+            result: Some(Value::str(value)),
+            ..update(task, TaskState::Completed, incarnation)
+        };
+        // An adaptive run: `a` is respawned — its second result replaces
+        // the first in its row, not in the history — then fails, which
+        // fires `replace-a`; the standby runs, and the unwatched sink's
+        // failure ends the run. A straggler lands after the end.
+        let failing = vec![
+            update("src", TaskState::Running, 0),
+            done("src", 0, "src-0"),
+            update("a", TaskState::Running, 0),
+            done("a", 0, "a-0"),
+            update("a", TaskState::Running, 1),
+            done("a", 1, "a-1"),
+            update("a", TaskState::Failed, 1),
+            update("b'", TaskState::Running, 0),
+            done("b'", 0, "b'-0"),
+            update("b", TaskState::Failed, 0),
+            done("a", 2, "a-2"),
+        ];
+        let completing = vec![
+            done("a", 0, "a-0"),
+            update("b", TaskState::Running, 0),
+            done("b", 0, "b-0"),
+        ];
+        let mut variants = HashSet::new();
+        for (script, results) in [
+            (failing, &["src-0", "a-0", "a-1", "b'-0"][..]),
+            (completing, &["a-0", "b-0"][..]),
+        ] {
+            let tracker = RunTracker::new(&workflow(), RunId::generate());
+            let live = tracker.subscribe();
+            for update in &script {
+                tracker.observe(update, AT);
+            }
+            let live: Vec<RunEvent> = live.collect();
+            assert_eq!(tracker.subscribe().collect::<Vec<_>>(), live);
+            // The final report takes the rows; the history keeps its
+            // values.
+            let taken = tracker.take_report("test");
+            assert_eq!(tracker.state_of("a"), None, "the report has the rows");
+            let after = tracker.report("test");
+            assert_eq!(
+                after.tasks.keys().collect::<Vec<_>>(),
+                taken.tasks.keys().collect::<Vec<_>>()
+            );
+            assert_eq!(tracker.subscribe().collect::<Vec<_>>(), live);
+            let values: Vec<Value> = live
+                .iter()
+                .filter_map(|e| match e {
+                    RunEvent::TaskResult { value, .. } => Some(value.clone()),
+                    _ => None,
+                })
+                .collect();
+            let results: Vec<Value> = results.iter().map(|v| Value::str(*v)).collect();
+            assert_eq!(values, results);
+            variants.extend(live.iter().map(std::mem::discriminant));
+        }
+        assert_eq!(variants.len(), 6, "every RunEvent variant was streamed");
     }
 
     #[test]

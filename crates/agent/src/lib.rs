@@ -30,10 +30,11 @@
 //!   once it has completed — a late message rebuilds it by replay,
 //!   without invoking its service again.
 //! * [`engine::RunTracker`] — the run's **only record**: the shared
-//!   status topic folded, under one lock, into per-task state, counters,
-//!   the outcome and the typed [`RunEvent`] stream. Every backend feeds
-//!   it, every observation on a [`RunHandle`] reads it, and its one
-//!   condvar wakes a waiter when the run ends and at no other time.
+//!   status topic folded, under one lock, into per-task state indexed
+//!   by task id, counters, the outcome and the typed [`RunEvent`]
+//!   stream. Every backend feeds it, every observation on a
+//!   [`RunHandle`] reads it, and its one condvar wakes a waiter when the
+//!   run ends and at no other time.
 //!
 //! The scheduler implements the recovery mechanism of §IV-B: a crashed SA
 //! is replaced by a fresh one that *replays the messages keyed to it*

@@ -19,12 +19,12 @@
 //!   persistent broker it is still in the log;
 //! * an agent is **resident only while it is at work**, and its program
 //!   exists only while the agent does. Work gives a task a *slot* — its
-//!   name, queue, schedule bit and incarnation, no program: launch makes
-//!   the sources' slots and nothing else, and the delivery of its first
-//!   message makes every other agent's. The agent itself is built — its
-//!   program compiled from the run's DAG — by the slot's first turn on
-//!   a worker, so a wide fan-out queues thousands of slots and holds a
-//!   program only for the agents that have run. On a persistent broker
+//!   task id, queue, schedule bit and incarnation, no program: launch
+//!   makes the sources' slots and nothing else, and the delivery of its
+//!   first message makes every other agent's. The agent itself is
+//!   built — its program compiled from the run's DAG — by the slot's
+//!   first turn on a worker, so a wide fan-out queues thousands of slots
+//!   and holds a program only for the agents that have run. On a persistent broker
 //!   a completed agent whose queue is empty is *evicted* after its turn,
 //!   down to a tombstone:
 //!   its incarnation, how many inbox messages it handled and its service
@@ -42,6 +42,11 @@
 //!   [`RunReport::resident_peak`] reports as a high-water mark. On a
 //!   transient broker there is no log to rebuild from, and a built agent
 //!   stays resident;
+//! * the run's agents are one table indexed by the DAG's dense
+//!   [`TaskId`]: a task name is resolved to its id once, where it comes
+//!   in — an inbox message's key, a `kill`, `respawn`, `alive` or
+//!   `incarnation` call — and a slot borrows its name from the DAG when
+//!   it needs one (its agent's context, its refill's key);
 //! * slots are *sharded*: an agent's name hashes to one worker, and only
 //!   that worker ever runs it. One agent's events therefore execute
 //!   strictly in order with no core-level contention, while distinct
@@ -126,13 +131,13 @@ use crate::exec::{retry_disconnected, AgentCtx, Memo, StatusFold};
 use crate::message::SaMessage;
 use crate::runtime::RunOptions;
 use bytes::Bytes;
-use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow};
+use ginflow_core::{ServiceRegistry, TaskId, TaskState, Value, Workflow};
 use ginflow_hoclflow::compile::adapt_plans;
 use ginflow_hoclflow::{AdaptPlan, Compiler};
 use ginflow_mq::metrics::{Counter, Histogram};
 use ginflow_mq::{Broker, LagProbe, MqError, RunId, SubscribeMode, Subscription, TopicNamespace};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
@@ -260,6 +265,13 @@ struct WorkflowRun {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
+impl WorkflowRun {
+    /// `task`'s id, when the workflow has a task of that name.
+    fn id(&self, task: &str) -> Option<TaskId> {
+        self.inner.workflow.dag().by_name(task)
+    }
+}
+
 impl RunControl for WorkflowRun {
     fn backend(&self) -> &'static str {
         self.inner.label
@@ -268,22 +280,23 @@ impl RunControl for WorkflowRun {
     /// Crash a task's agent (it stops consuming; all local state is
     /// lost). Returns whether the agent existed and was alive.
     fn kill(&self, task: &str) -> bool {
-        self.inner.kill(task)
+        self.id(task).is_some_and(|id| self.inner.kill(id))
     }
 
     /// Manually start a replacement agent for `task` (§IV-B recovery).
     /// On a persistent broker the newcomer first replays, live, every
     /// message keyed to it in the run's inbox log.
     fn respawn(&self, task: &str) -> bool {
-        self.inner.respawn_impl(task, false)
+        self.id(task)
+            .is_some_and(|id| self.inner.respawn_impl(id, false))
     }
 
     fn alive(&self, task: &str) -> bool {
-        self.inner.alive(task)
+        self.id(task).is_some_and(|id| self.inner.alive(id))
     }
 
     fn incarnation(&self, task: &str) -> u32 {
-        self.inner.incarnation(task)
+        self.id(task).map_or(0, |id| self.inner.incarnation(id))
     }
 
     fn stamp(&self, report: &mut RunReport) {
@@ -332,7 +345,8 @@ enum WorkItem {
 /// One agent resident in the scheduler: its state, its queue of inbox
 /// messages and the wakeup state.
 struct AgentSlot {
-    name: String,
+    /// Its task; the name is the DAG's.
+    task: TaskId,
     incarnation: u32,
     shard: usize,
     /// Uncontended in steady state — sharding guarantees a single worker
@@ -416,10 +430,11 @@ enum Entry {
     Evicted(Tombstone),
 }
 
-/// The run's agents by task name, and how many are resident: built, so
+/// The run's agents by task id, and how many are resident: built, so
 /// holding a compiled program.
 struct Agents {
-    map: HashMap<String, Entry>,
+    /// One entry per task of the workflow, at its [`TaskId`].
+    map: Vec<Option<Entry>>,
     resident: u64,
     /// The most agents resident at once — the most compiled programs
     /// the run held: [`RunReport::resident_peak`].
@@ -429,11 +444,8 @@ struct Agents {
 impl Agents {
     /// Store `task`'s entry; a built agent it replaces is resident no
     /// more. A new slot is not built yet.
-    fn put(&mut self, task: &str, entry: Entry) {
-        let old = match self.map.get_mut(task) {
-            Some(old) => Some(std::mem::replace(old, entry)),
-            None => self.map.insert(task.to_owned(), entry),
-        };
+    fn put(&mut self, task: TaskId, entry: Entry) {
+        let old = self.map[task.index()].replace(entry);
         if matches!(old, Some(Entry::Slot(old)) if old.built.load(Ordering::SeqCst)) {
             self.resident -= 1;
         }
@@ -555,7 +567,7 @@ fn launch_pool(
         persistent: broker.persistent(),
         rehydrations: AtomicU64::new(0),
         agents: Mutex::new(Agents {
-            map: HashMap::new(),
+            map: workflow.dag().ids().map(|_| None).collect(),
             resident: 0,
             peak: 0,
         }),
@@ -598,7 +610,7 @@ fn launch_pool(
     {
         let mut agents = inner.agents.lock();
         let dag = inner.workflow.dag();
-        for source in dag.sources().into_iter().map(|id| dag.name_of(id)) {
+        for source in dag.sources() {
             if inner.hosts(source) {
                 let slot = inner.admit(&mut agents, source, 0, None);
                 inner.schedule(&slot);
@@ -613,13 +625,12 @@ fn launch_pool(
 }
 
 impl PoolInner {
-    /// Does this process host `task`'s agent? It must be one of the
-    /// workflow's tasks and — in sharded mode — in this shard.
-    fn hosts(&self, task: &str) -> bool {
-        self.workflow.dag().by_name(task).is_some()
-            && self
-                .shard
-                .is_none_or(|(index, count)| process_shard(task, count) == index)
+    /// Does this process host `task`'s agent? In sharded mode it hosts
+    /// only its shard's.
+    fn hosts(&self, task: TaskId) -> bool {
+        let name = self.workflow.dag().name_of(task);
+        self.shard
+            .is_none_or(|(index, count)| process_shard(name, count) == index)
     }
 
     /// The inbox's waker: route each message to its key's agent, whose
@@ -627,11 +638,12 @@ impl PoolInner {
     /// key this process does not host is dropped.
     fn demux(&self) {
         self.inbox.drain(|msg| {
-            let Some(task) = msg.key.as_deref().and_then(|k| std::str::from_utf8(k).ok()) else {
+            let key = msg.key.as_deref().and_then(|k| std::str::from_utf8(k).ok());
+            let Some(task) = key.and_then(|name| self.workflow.dag().by_name(name)) else {
                 return;
             };
             let mut agents = self.agents.lock();
-            let slot = match agents.map.get_mut(task) {
+            let slot = match &mut agents.map[task.index()] {
                 Some(Entry::Slot(slot)) => slot.clone(),
                 // A late message: the agent is rebuilt under its own
                 // incarnation on its first turn, and refilled with what
@@ -660,7 +672,7 @@ impl PoolInner {
     fn admit(
         &self,
         agents: &mut Agents,
-        task: &str,
+        task: TaskId,
         incarnation: u32,
         past: Option<(Memo, Replay)>,
     ) -> Arc<AgentSlot> {
@@ -669,8 +681,8 @@ impl PoolInner {
             None => (Memo::default(), None),
         };
         let slot = Arc::new(AgentSlot {
-            shard: shard_of(task, self.shards.len()),
-            name: task.to_owned(),
+            shard: shard_of(self.workflow.dag().name_of(task), self.shards.len()),
+            task,
             incarnation,
             state: Mutex::new(AgentState {
                 core: None,
@@ -696,12 +708,7 @@ impl PoolInner {
     /// The caller holds the slot's state; see the module docs for the
     /// lock order.
     fn build(&self, slot: &AgentSlot) -> Option<Box<SaCore>> {
-        let id = self
-            .workflow
-            .dag()
-            .by_name(&slot.name)
-            .expect("a hosted task");
-        let program = self.compiler.program(&self.workflow, id);
+        let program = self.compiler.program(&self.workflow, slot.task);
         let core = Box::new(SaCore::new(program, self.plans.clone()));
         let mut agents = self.agents.lock();
         if !slot.live() {
@@ -722,7 +729,7 @@ impl PoolInner {
     /// demultiplexer runs on.
     fn refill(&self, slot: &AgentSlot, until: u64) -> Result<(), MqError> {
         let inbox = self.ns.inbox();
-        let key = slot.name.as_bytes();
+        let key = self.workflow.dag().name_of(slot.task).as_bytes();
         let partition = ginflow_mq::partition_of(key, self.broker.partitions(inbox));
         let until = slot
             .queue
@@ -776,7 +783,7 @@ impl PoolInner {
             next: state.next,
             outcomes: std::mem::take(&mut state.memo.outcomes),
         };
-        agents.put(&slot.name, Entry::Evicted(past));
+        agents.put(slot.task, Entry::Evicted(past));
         true
     }
 
@@ -806,9 +813,9 @@ impl PoolInner {
     /// Crash `task`'s agent — given a slot for the purpose, under its
     /// incarnation, if it has none, so a kill means the same whenever it
     /// lands. A slot killed before its first turn dies unbuilt.
-    fn kill(&self, task: &str) -> bool {
+    fn kill(&self, task: TaskId) -> bool {
         let mut agents = self.agents.lock();
-        let slot = match agents.map.get(task) {
+        let slot = match &agents.map[task.index()] {
             Some(Entry::Slot(slot)) => slot.clone(),
             Some(Entry::Evicted(past)) => {
                 let incarnation = past.incarnation;
@@ -829,19 +836,19 @@ impl PoolInner {
 
     /// An agent with a slot is alive until it dies; one with no work yet
     /// or evicted has not crashed, and lives as long as the run.
-    fn alive(&self, task: &str) -> bool {
+    fn alive(&self, task: TaskId) -> bool {
         if self.shutdown.load(Ordering::SeqCst) {
             return false;
         }
-        match self.agents.lock().map.get(task) {
+        match &self.agents.lock().map[task.index()] {
             Some(Entry::Slot(slot)) => !slot.dead.load(Ordering::SeqCst),
             Some(Entry::Evicted(_)) => true,
             None => self.hosts(task),
         }
     }
 
-    fn incarnation(&self, task: &str) -> u32 {
-        match self.agents.lock().map.get(task) {
+    fn incarnation(&self, task: TaskId) -> u32 {
+        match &self.agents.lock().map[task.index()] {
             Some(Entry::Slot(slot)) => slot.incarnation,
             Some(Entry::Evicted(past)) => past.incarnation,
             None => 0,
@@ -859,12 +866,12 @@ impl PoolInner {
     /// evicted is replaced all the same: the newcomer replays
     /// everything, its service included. Nothing is compiled until the
     /// newcomer's first turn.
-    fn respawn_impl(&self, task: &str, only_if_dead: bool) -> bool {
+    fn respawn_impl(&self, task: TaskId, only_if_dead: bool) -> bool {
         if !self.hosts(task) {
             return false;
         }
         let mut agents = self.agents.lock();
-        let incarnation = match agents.map.get(task) {
+        let incarnation = match &agents.map[task.index()] {
             Some(Entry::Slot(old)) if !only_if_dead || old.dead.load(Ordering::SeqCst) => {
                 // Make sure the previous incarnation is (being) stopped.
                 // It shares the new slot's shard, so it dies before the
@@ -939,7 +946,7 @@ fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -
         broker: &*inner.broker,
         ns: &inner.ns,
         registry: &inner.registry,
-        name: &slot.name,
+        name: inner.workflow.dag().name_of(slot.task),
         incarnation: slot.incarnation,
     };
     if state.core.is_none() {
@@ -1006,6 +1013,6 @@ fn die(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, recover: bool) {
     slot.queue.lock().messages.clear();
     slot.scheduled.store(false, Ordering::SeqCst);
     if recover && inner.auto_recover && !inner.shutdown.load(Ordering::SeqCst) {
-        inner.respawn_impl(&slot.name, true);
+        inner.respawn_impl(slot.task, true);
     }
 }

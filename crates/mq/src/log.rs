@@ -29,7 +29,6 @@ use crate::store::segment::NO_KEY;
 use crate::store::{DurabilityConfig, PartitionStore, SegmentStore};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -350,13 +349,27 @@ impl LogBroker {
     /// Existing topics keep their partition count.
     pub fn create_topic(&self, topic: &str, partitions: u32) {
         let mut topics = self.topics.lock();
-        if let Entry::Vacant(e) = topics.entry(topic.to_owned()) {
+        if !topics.contains_key(topic) {
             // A store failure here surfaces on the first publish, which
             // retries creation through the same path.
             if let Ok(state) = self.new_topic_state(topic, partitions) {
-                e.insert(state);
+                topics.insert(topic.to_owned(), state);
             }
         }
+    }
+
+    /// `topic`'s state in `topics`, made with the default partition
+    /// count when the topic is new — the only time its name is copied.
+    fn topic_state<'a>(
+        &self,
+        topics: &'a mut HashMap<String, TopicState>,
+        topic: &str,
+    ) -> Result<&'a mut TopicState, MqError> {
+        if !topics.contains_key(topic) {
+            let state = self.new_topic_state(topic, self.default_partitions)?;
+            topics.insert(topic.to_owned(), state);
+        }
+        Ok(topics.get_mut(topic).expect("the topic is in the map"))
     }
 
     fn new_topic_state(&self, topic: &str, partitions: u32) -> Result<TopicState, MqError> {
@@ -393,10 +406,7 @@ impl Broker for LogBroker {
     fn publish(&self, topic: &str, key: Option<Bytes>, payload: Bytes) -> Result<Receipt, MqError> {
         let (wakers, receipt) = {
             let mut topics = self.topics.lock();
-            let state = match topics.entry(topic.to_owned()) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(self.new_topic_state(topic, self.default_partitions)?),
-            };
+            let state = self.topic_state(&mut topics, topic)?;
             let partition = Self::route(state, key.as_ref());
             let part = &mut state.partitions[partition as usize];
             let offset = part.next_offset();
@@ -434,10 +444,7 @@ impl Broker for LogBroker {
     fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
         let (handle, subscription) = subscription_pair();
         let mut topics = self.topics.lock();
-        let state = match topics.entry(topic.to_owned()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(self.new_topic_state(topic, self.default_partitions)?),
-        };
+        let state = self.topic_state(&mut topics, topic)?;
         // Replay happens under the topic lock, so no message published
         // concurrently can be missed or duplicated. No waker can be
         // registered yet — `Subscription::set_waker` fires immediately

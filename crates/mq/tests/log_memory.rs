@@ -1,21 +1,26 @@
-//! What a retained record costs the in-memory log, counted in live heap
-//! bytes by this binary's own global allocator. Counted, not timed: the
-//! bounds hold on any host.
+//! What a retained record costs the in-memory log, and what a publish
+//! allocates, counted in live heap bytes and allocations by this
+//! binary's own global allocator. Counted, not timed: the bounds hold on
+//! any host.
 
 use bytes::Bytes;
 use ginflow_mq::{Broker, LogBroker};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The system allocator, keeping a running total of live bytes.
+/// The system allocator, keeping a running total of live bytes and a
+/// count of allocations (a `realloc` is one: the default forwards it to
+/// `alloc`).
 struct Counting;
 
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as isize, Ordering::SeqCst);
+        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
         System.alloc(layout)
     }
 
@@ -75,4 +80,23 @@ fn a_topics_first_record_costs_at_most_1_kib() {
     });
     println!("{live} B of live heap for a topic's first record");
     assert!(live <= 1024, "{live} B");
+}
+
+#[test]
+fn a_publish_to_an_existing_topic_allocates_nothing_for_its_name() {
+    const PUBLISHES: usize = 1000;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let broker = LogBroker::new();
+    broker.create_topic("run/r/sa.inbox", 1);
+    // The records' buffers are made up front: only the broker counts.
+    let records: Vec<(Option<Bytes>, Bytes)> = (0..PUBLISHES).map(decoded).collect();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for (key, payload) in records {
+        broker.publish("run/r/sa.inbox", key, payload).unwrap();
+    }
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(broker.retained("run/r/sa.inbox"), PUBLISHES as u64);
+    println!("{allocations} allocations for {PUBLISHES} keyed publishes, no subscriber");
+    // What is left is the log's own growth: its chunks and its index.
+    assert!(allocations <= 32, "{allocations} allocations");
 }
