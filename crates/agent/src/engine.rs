@@ -647,8 +647,8 @@ impl RunTracker {
 
     /// The one place a [`RunReport`] is assembled, for every backend:
     /// the fold of the status stream so far (partial while the run
-    /// executes). `wall`, `lagged`, `resident_peak` and `rehydrations`
-    /// are the vehicle's to fill in ([`RunControl::stamp`]).
+    /// executes). `wall`, `resident_peak` and `rehydrations` are the
+    /// vehicle's to fill in ([`RunControl::stamp`]).
     pub fn report(&self, backend: &'static str) -> RunReport {
         let record = self.record.lock();
         let rows = record.rows.iter().map(|row| row.report.clone());
@@ -709,7 +709,6 @@ impl RunTracker {
             wall,
             adaptations_fired: record.fired.len() as u32,
             respawns: record.respawns,
-            lagged: 0,
             resident_peak: 0,
             rehydrations: 0,
             tasks,
@@ -796,20 +795,11 @@ pub struct RunReport {
     pub adaptations_fired: u32,
     /// Agent respawns observed (§IV-B recoveries).
     pub respawns: u32,
-    /// Messages this run's broker subscriptions dropped to their
-    /// bounded-queue (drop-oldest) policy — see
-    /// [`ginflow_mq::Subscription::lagged`]. Non-zero means a consumer
-    /// stalled long enough to lose messages: defined behaviour on the
-    /// transient (at-most-once) profile, but observable here instead of
-    /// silent. Always 0 on unbounded (persistent) subscriptions and on
-    /// the sim backend.
-    pub lagged: u64,
     /// The most agents this vehicle held built at once — compiled
     /// programs, a shard counting its own. An agent is built on its
-    /// first turn, not by the message that queues it, and on a
-    /// persistent broker a completed agent is evicted, so a chain — or
-    /// a 2000-wide fan-out — on one worker reads 1. Always 0 on the sim
-    /// backend.
+    /// first turn, not by the message that queues it, and a completed
+    /// agent is evicted, so a chain — or a 2000-wide fan-out — on one
+    /// worker reads 1. Always 0 on the sim backend.
     pub resident_peak: u64,
     /// Evicted agents this vehicle rebuilt by replay for a late
     /// message. Always 0 on the sim backend.
@@ -858,9 +848,9 @@ pub trait RunControl: Send + Sync {
     /// Crash a task's agent (fault injection). `false` when unsupported
     /// or the agent is already gone.
     fn kill(&self, task: &str) -> bool;
-    /// Start a replacement incarnation (§IV-B): on a persistent
-    /// broker it re-runs, live, every message the run's log holds for
-    /// the task before it takes new ones. `false` when unsupported.
+    /// Start a replacement incarnation (§IV-B): it re-runs, live, every
+    /// message the run's log holds for the task before it takes new
+    /// ones. `false` when unsupported.
     fn respawn(&self, task: &str) -> bool;
     /// Is the task's agent alive?
     fn alive(&self, task: &str) -> bool;
@@ -871,12 +861,12 @@ pub trait RunControl: Send + Sync {
     /// Fill in what the status stream cannot tell a report: `wall`
     /// (which arrives as the last task transition of a run that has its
     /// outcome, and zero while it is still running — a live vehicle
-    /// puts its clock there), `lagged`, `resident_peak` and
-    /// `rehydrations`: what the vehicle counted itself.
+    /// puts its clock there), `resident_peak` and `rehydrations`: what
+    /// the vehicle counted itself.
     fn stamp(&self, report: &mut RunReport);
     /// Tear the vehicle down (agents observe the shutdown flag between
-    /// events; worker threads are joined; nothing is published).
-    /// Idempotent.
+    /// events; worker threads are joined; nothing is published) and give
+    /// back what the run held of the broker. Idempotent.
     fn stop(&self);
 }
 
@@ -945,11 +935,10 @@ impl RunHandle {
         self.control.kill(task)
     }
 
-    /// Start a replacement incarnation for a task (§IV-B recovery). On
-    /// a persistent broker the newcomer reads every message keyed to the
-    /// task back from the run's inbox log and re-runs them, its service
-    /// included, before it takes new ones; on a transient broker it
-    /// starts with nothing.
+    /// Start a replacement incarnation for a task (§IV-B recovery). The
+    /// newcomer reads every message keyed to the task back from the
+    /// run's inbox log and re-runs them, its service included, before it
+    /// takes new ones.
     pub fn respawn(&self, task: &str) -> bool {
         self.control.respawn(task)
     }
@@ -1005,6 +994,8 @@ impl RunHandle {
     /// ([`RunTracker::wait_ended`]), not on its event stream: joining
     /// subscribes to nothing and wakes once. The run is stopped before
     /// the report is made, so the tracker's record moves into it.
+    /// Stopping deletes an unsharded run's topics from an in-process
+    /// broker: read the run's log, if at all, before this.
     pub fn join(self) -> RunReport {
         if !self.tracker.wait_ended(self.remaining()) {
             self.cancel_with(RunFailure::DeadlineExpired);

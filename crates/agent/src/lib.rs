@@ -26,9 +26,10 @@
 //!   process with zero idle CPU. A run's threads are its workers and
 //!   nothing else. An agent is resident only while it is at work: its
 //!   first message (launch, for the sources) queues it, its first turn
-//!   on a worker builds it and, on a persistent broker, it is evicted
-//!   once it has completed — a late message rebuilds it by replay,
-//!   without invoking its service again.
+//!   on a worker builds it and it is evicted once it has completed — a
+//!   late message rebuilds it by replay, without invoking its service
+//!   again. A torn-down run deletes its two topics from an in-process
+//!   broker.
 //! * [`engine::RunTracker`] — the run's **only record**: the shared
 //!   status topic folded, under one lock, into per-task state indexed
 //!   by task id, counters, the outcome and the typed [`RunEvent`]
@@ -38,8 +39,8 @@
 //!
 //! The scheduler implements the recovery mechanism of §IV-B: a crashed SA
 //! is replaced by a fresh one that *replays the messages keyed to it*
-//! from the beginning of the run's persistent inbox log, rebuilding the
-//! lost local state
+//! from the beginning of the run's inbox log, rebuilding the lost local
+//! state
 //! ("being able to log all incoming molecules of a SA and replay them in
 //! the same order on a newly created SA will lead the second SA in the
 //! same state as the first"). The worker that observes the crash starts

@@ -17,24 +17,19 @@ pub struct RunOptions {
     pub workers: usize,
     /// Automatically respawn dead agents (§IV-B recovery: the worker
     /// that observes a death starts the replacement, which re-runs
-    /// what the run's inbox log holds for it). Requires a persistent
-    /// broker to be useful: on a transient one the replacement starts
-    /// with nothing. A replacement that cannot read the log dies for
-    /// good rather than being replaced again.
+    /// what the run's inbox log holds for it). A replacement that cannot
+    /// read the log dies for good rather than being replaced again.
     pub auto_recover: bool,
     /// Multi-process sharding: `Some((index, count))` makes this
     /// process run only the agents whose FNV name-hash lands in shard
-    /// `index` of `count`. All shards must share one **persistent**
-    /// broker (in practice a `ginflow-net` remote broker on the log
-    /// profile): a sharded process subscribes with full replay, which
-    /// is both how a process that starts after its peers catches up on
-    /// their progress and how a killed-and-respawned shard rebuilds its
-    /// agents' state. The shared status topic is the cross-shard
+    /// `index` of `count`. All shards must share one broker (in
+    /// practice a `ginflow-net` remote broker): a sharded process
+    /// subscribes with full replay, which is both how a process that
+    /// starts after its peers catches up on their progress and how a
+    /// killed-and-respawned shard rebuilds its agents' state. The shared status topic is the cross-shard
     /// membrane, so waits and reports still cover the whole workflow.
-    /// `ginflow-engine` enforces the persistence requirement at
-    /// `Engine::build`; driving the `Scheduler` directly with a
-    /// transient broker and a shard set loses cross-shard messages
-    /// published before this process subscribed.
+    /// A sharded run leaves its topics to the broker at teardown: they
+    /// are every shard's.
     pub shard: Option<(u32, u32)>,
     /// The run id the launch's two topics are namespaced under
     /// (`run/<id>/sa.inbox`, `run/<id>/status`). `None` (the default)

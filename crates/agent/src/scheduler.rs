@@ -15,8 +15,8 @@
 //!   [`ginflow_mq::Subscription::set_waker`]) demultiplexes each message
 //!   by key into its agent's queue and schedules the agent, so an idle
 //!   workflow consumes zero CPU. A key this process does not host —
-//!   another shard's task — or whose agent is dead is dropped; on a
-//!   persistent broker it is still in the log;
+//!   another shard's task — or whose agent is dead is dropped; it is
+//!   still in the log;
 //! * an agent is **resident only while it is at work**, and its program
 //!   exists only while the agent does. Work gives a task a *slot* — its
 //!   task id, queue, schedule bit and incarnation, no program: launch
@@ -24,9 +24,9 @@
 //!   first message makes every other agent's. The agent itself is
 //!   built — its program compiled from the run's DAG — by the slot's
 //!   first turn on a worker, so a wide fan-out queues thousands of slots
-//!   and holds a program only for the agents that have run. On a persistent broker
-//!   a completed agent whose queue is empty is *evicted* after its turn,
-//!   down to a tombstone:
+//!   and holds a program only for the agents that have run. A completed
+//!   agent whose queue is empty is *evicted* after its turn, down to a
+//!   tombstone:
 //!   its incarnation, how many inbox messages it handled and its service
 //!   outcomes. A late message — a duplicate result, an `ADAPT` asking a
 //!   finished source to resend — *rehydrates* it under the same
@@ -39,9 +39,7 @@
 //!   once done, it is evicted again. On one worker a chain of thousands
 //!   therefore holds one built agent at a time — the successor its
 //!   result queues is built on a turn of its own — which
-//!   [`RunReport::resident_peak`] reports as a high-water mark. On a
-//!   transient broker there is no log to rebuild from, and a built agent
-//!   stays resident;
+//!   [`RunReport::resident_peak`] reports as a high-water mark;
 //! * the run's agents are one table indexed by the DAG's dense
 //!   [`TaskId`]: a task name is resolved to its id once, where it comes
 //!   in — an inbox message's key, a `kill`, `respawn`, `alive` or
@@ -61,10 +59,7 @@
 //!   runs again and what it sends goes out. Once completed, it is
 //!   evicted like any other. With [`RunOptions::auto_recover`] the
 //!   worker that observes the death starts it on the spot; a death by a
-//!   refill that could not read the log is final. On a transient broker
-//!   there is no log to refill from: the same recovery *starts* with
-//!   nothing, so the workflow hangs — the reason the paper pairs
-//!   recovery with Kafka.
+//!   refill that could not read the log is final.
 //!
 //! A refill reads the agent's partition of the inbox
 //! ([`ginflow_mq::partition_of`] its name) from the first offset up to
@@ -106,6 +101,16 @@
 //! that thread nothing it would notice. Teardown clears the wakers; it
 //! publishes nothing and has no thread to wake through the broker.
 //!
+//! ## Teardown gives the log back
+//!
+//! Once its workers are joined and its wakers cleared, a run deletes
+//! its two topics ([`Broker::delete_topic`]): a standing in-process
+//! engine keeps no message of a finished run. A caller that reads a
+//! run's log does so before `join`. Two kinds of run keep their log: a
+//! sharded run, whose topics are every shard's, and any run on a remote
+//! broker, which deletes nothing from a client — its daemon reclaims
+//! the run once it is closed and collected.
+//!
 //! ## The lock rule
 //!
 //! The inbox demultiplexer takes the `agents` lock to find — or make —
@@ -135,7 +140,7 @@ use ginflow_core::{ServiceRegistry, TaskId, TaskState, Value, Workflow};
 use ginflow_hoclflow::compile::adapt_plans;
 use ginflow_hoclflow::{AdaptPlan, Compiler};
 use ginflow_mq::metrics::{Counter, Histogram};
-use ginflow_mq::{Broker, LagProbe, MqError, RunId, SubscribeMode, Subscription, TopicNamespace};
+use ginflow_mq::{Broker, MqError, RunId, SubscribeMode, Subscription, TopicNamespace};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -284,8 +289,8 @@ impl RunControl for WorkflowRun {
     }
 
     /// Manually start a replacement agent for `task` (§IV-B recovery).
-    /// On a persistent broker the newcomer first replays, live, every
-    /// message keyed to it in the run's inbox log.
+    /// The newcomer first replays, live, every message keyed to it in
+    /// the run's inbox log.
     fn respawn(&self, task: &str) -> bool {
         self.id(task)
             .is_some_and(|id| self.inner.respawn_impl(id, false))
@@ -303,8 +308,6 @@ impl RunControl for WorkflowRun {
         if report.wall.is_zero() {
             report.wall = self.inner.status.elapsed();
         }
-        // Cumulative over the run's two subscriptions: status and inbox.
-        report.lagged = self.inner.lag_probes.iter().map(LagProbe::get).sum();
         report.resident_peak = self.inner.agents.lock().peak;
         report.rehydrations = self.inner.rehydrations.load(Ordering::Relaxed);
     }
@@ -314,19 +317,29 @@ impl RunControl for WorkflowRun {
     /// are joined before this returns. Nothing is published: every
     /// thread the run owns parks on a channel of this process, so
     /// teardown needs nothing from the broker — not even a connection.
-    /// Idempotent and callable from any thread holding the run.
+    /// Then an unsharded run deletes its two topics (see the module
+    /// docs). Idempotent: the call that takes the workers tears down,
+    /// and a later one finds nothing left. Callable from any thread
+    /// holding the run.
     fn stop(&self) {
         if !self.inner.shutdown.swap(true, Ordering::SeqCst) {
             for shard in &self.inner.shards {
                 let _ = shard.send(WorkItem::Shutdown);
             }
         }
-        let workers: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
+        let workers = std::mem::take(&mut *self.workers.lock());
+        if workers.is_empty() {
+            return;
+        }
         for worker in workers {
             let _ = worker.join();
         }
         self.inner.status.disarm();
         self.inner.inbox.clear_waker();
+        if self.inner.shard.is_none() {
+            self.inner.broker.delete_topic(self.inner.ns.inbox());
+            self.inner.broker.delete_topic(self.inner.ns.status());
+        }
     }
 }
 
@@ -468,9 +481,6 @@ struct PoolInner {
     shard: Option<(u32, u32)>,
     plans: Arc<Vec<AdaptPlan>>,
     agents: Mutex<Agents>,
-    /// The broker keeps the run's history: a completed agent is
-    /// evicted, and a rehydrated or respawned one refilled from it.
-    persistent: bool,
     /// Evicted agents rebuilt for a late message:
     /// [`RunReport::rehydrations`].
     rehydrations: AtomicU64,
@@ -485,9 +495,6 @@ struct PoolInner {
     inbox: Subscription,
     shutdown: AtomicBool,
     auto_recover: bool,
-    /// Lag probes of the status and inbox subscriptions — summed into
-    /// [`crate::engine::RunReport::lagged`].
-    lag_probes: [LagProbe; 2],
     label: &'static str,
 }
 
@@ -515,13 +522,11 @@ fn launch_pool(
     let workers = options.resolve_workers();
 
     // Sharded mode: this process hosts only its slice of the agents,
-    // and — on a persistent broker — subscribes everything with full
-    // replay: a process that starts (or restarts) after its peers have
-    // already made progress catches up from the log instead of missing
-    // it. §IV-B's recovery, applied to a whole process.
-    let sharded = options.shard.is_some();
-    let replay = sharded && broker.persistent();
-    let mode = if replay {
+    // and subscribes everything with full replay: a process that starts
+    // (or restarts) after its peers have already made progress catches
+    // up from the log instead of missing it. §IV-B's recovery, applied
+    // to a whole process.
+    let mode = if options.shard.is_some() {
         SubscribeMode::Beginning
     } else {
         SubscribeMode::Latest
@@ -542,18 +547,15 @@ fn launch_pool(
     // connection — so it is simply retried.
     let status_sub =
         retry_disconnected(|| broker.subscribe(ns.status(), mode)).expect("status subscription");
-    let status_lag = status_sub.lag_probe();
     let status = StatusFold::arm(status_sub, tracker);
 
     // The inbox is subscribed before any agent is scheduled, so no agent
     // can publish to it unheard. (Across shard processes the same
     // guarantee comes from replay: whatever a peer published early is in
-    // the log — which is why sharded mode requires a persistent broker;
-    // see `RunOptions::shard`.) Its waker makes the slot of every agent
-    // but the sources, on the agent's first message.
+    // the log; see `RunOptions::shard`.) Its waker makes the slot of
+    // every agent but the sources, on the agent's first message.
     let inbox_sub =
         retry_disconnected(|| broker.subscribe(ns.inbox(), mode)).expect("inbox subscription");
-    let inbox_lag = inbox_sub.lag_probe();
 
     let mut shard_txs = Vec::with_capacity(workers);
     let mut shard_rxs = Vec::with_capacity(workers);
@@ -564,7 +566,6 @@ fn launch_pool(
     }
 
     let inner = Arc::new(PoolInner {
-        persistent: broker.persistent(),
         rehydrations: AtomicU64::new(0),
         agents: Mutex::new(Agents {
             map: workflow.dag().ids().map(|_| None).collect(),
@@ -583,7 +584,6 @@ fn launch_pool(
         inbox: inbox_sub,
         shutdown: AtomicBool::new(false),
         auto_recover: options.auto_recover,
-        lag_probes: [status_lag, inbox_lag],
         label,
     });
 
@@ -856,10 +856,10 @@ impl PoolInner {
     }
 
     /// §IV-B recovery: a fresh incarnation re-enters through the same
-    /// ready-queue, refilled on its first turn — on a persistent broker
-    /// — with nothing muted and an empty memo. With `only_if_dead` (auto
-    /// recovery) it happens only while the current incarnation is dead
-    /// — a racing manual respawn may already have replaced it. The check
+    /// ready-queue, refilled on its first turn with nothing muted and an
+    /// empty memo. With `only_if_dead` (auto recovery) it happens only
+    /// while the current incarnation is dead — a racing manual respawn
+    /// may already have replaced it. The check
     /// and the replacement share one critical section, so two concurrent
     /// respawns can never both insert and leave the loser as an
     /// unreachable ghost agent. An agent that never had work or was
@@ -888,7 +888,7 @@ impl PoolInner {
             muted: 0,
             until: u64::MAX,
         };
-        let past = self.persistent.then(|| (Memo::default(), replay));
+        let past = Some((Memo::default(), replay));
         let slot = self.admit(&mut agents, task, incarnation, past);
         self.schedule(&slot);
         true
@@ -939,7 +939,7 @@ fn process(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
 
 /// The agent's share of a turn, under its state lock: on the first turn
 /// its build, refill and start, then up to [`BATCH`] queued messages —
-/// and, on a persistent broker, its eviction once it has completed.
+/// and its eviction once it has completed.
 fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -> TurnEnd {
     let crashed = || slot.kill.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst);
     let ctx = AgentCtx {
@@ -997,7 +997,7 @@ fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -
         }
     }
     sched_metrics().wakeup_batch.observe(drained);
-    if inner.persistent && core.state() == TaskState::Completed && inner.evict(slot, state) {
+    if core.state() == TaskState::Completed && inner.evict(slot, state) {
         return TurnEnd::Evicted;
     }
     TurnEnd::Park

@@ -107,10 +107,6 @@ impl Broker for RecordingBroker {
         self.log.fetch(topic, partition, from_offset, max)
     }
 
-    fn persistent(&self) -> bool {
-        self.log.persistent()
-    }
-
     fn partitions(&self, topic: &str) -> u32 {
         self.log.partitions(topic)
     }

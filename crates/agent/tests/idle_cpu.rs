@@ -8,7 +8,7 @@
 
 use ginflow_agent::{RunOptions, Scheduler};
 use ginflow_core::{patterns, ServiceRegistry};
-use ginflow_mq::BrokerKind;
+use ginflow_mq::LogBroker;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,11 +25,10 @@ fn process_cpu() -> Duration {
 #[test]
 fn idle_pool_burns_no_cpu() {
     let registry = Arc::new(ServiceRegistry::tracing_for(["s"]));
-    let scheduler =
-        Scheduler::new(BrokerKind::Transient.build(), registry).with_options(RunOptions {
-            workers: 2,
-            ..RunOptions::default()
-        });
+    let scheduler = Scheduler::new(Arc::new(LogBroker::new()), registry).with_options(RunOptions {
+        workers: 2,
+        ..RunOptions::default()
+    });
     let run = scheduler.launch(&patterns::parallel(200, "s").unwrap());
     run.wait(Duration::from_secs(30)).expect("fan completes");
 

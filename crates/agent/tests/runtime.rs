@@ -7,7 +7,7 @@ use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
 use ginflow_core::{
     patterns, Connectivity, FailingService, ServiceRegistry, TaskState, Value, Workflow,
 };
-use ginflow_mq::{Broker, BrokerKind, LogBroker};
+use ginflow_mq::{Broker, LogBroker};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,21 +44,8 @@ fn tracing_registry() -> Arc<ServiceRegistry> {
 }
 
 #[test]
-fn fig2_completes_on_transient_broker() {
-    let runtime = Scheduler::new(BrokerKind::Transient.build(), tracing_registry());
-    let run = runtime.launch(&fig2());
-    let results = run.wait(WAIT).expect("workflow completes");
-    assert_eq!(
-        results["T4"],
-        Value::Str("s4(s2(s1(input)),s3(s1(input)))".into())
-    );
-    assert_eq!(run.state_of("T1"), Some(TaskState::Completed));
-    run.shutdown();
-}
-
-#[test]
 fn fig2_completes_on_log_broker() {
-    let runtime = Scheduler::new(BrokerKind::Log.build(), tracing_registry());
+    let runtime = Scheduler::new(Arc::new(LogBroker::new()), tracing_registry());
     let run = runtime.launch(&fig2());
     let results = run.wait(WAIT).expect("workflow completes");
     assert_eq!(
@@ -81,7 +68,7 @@ fn decentralised_matches_centralized_reference() {
         ginflow_hoclflow::CentralizedConfig::default(),
     )
     .unwrap();
-    let runtime = Scheduler::new(BrokerKind::Transient.build(), registry.clone());
+    let runtime = Scheduler::new(Arc::new(LogBroker::new()), registry.clone());
     let run = runtime.launch(&wf);
     let results = run.wait(WAIT).expect("workflow completes");
     assert_eq!(Some(&results["T4"]), centralized.result_of("T4"));
@@ -94,7 +81,7 @@ fn adaptation_reroutes_around_failing_service() {
     // over transparently.
     let mut registry = ServiceRegistry::tracing_for(["s1", "s3", "s4", "s2p"]);
     registry.register("s2", Arc::new(FailingService));
-    let runtime = Scheduler::new(BrokerKind::Transient.build(), Arc::new(registry));
+    let runtime = Scheduler::new(Arc::new(LogBroker::new()), Arc::new(registry));
     let run = runtime.launch(&fig5());
     let results = run.wait(WAIT).expect("adaptation must complete the run");
     assert_eq!(
@@ -109,7 +96,7 @@ fn adaptation_reroutes_around_failing_service() {
 #[test]
 fn diamond_completes_decentralised() {
     let wf = patterns::diamond(4, 4, Connectivity::Full, "noop").unwrap();
-    let runtime = Scheduler::new(BrokerKind::Transient.build(), tracing_registry());
+    let runtime = Scheduler::new(Arc::new(LogBroker::new()), tracing_registry());
     let run = runtime.launch(&wf);
     let results = run.wait(WAIT).expect("diamond completes");
     assert!(results.contains_key("out"));
@@ -156,44 +143,6 @@ fn duplicate_results_after_recovery_do_not_cascade() {
     std::thread::sleep(Duration::from_millis(300));
     // The sink's result is unchanged.
     assert_eq!(run.result_of("T4"), Some(results["T4"].clone()));
-    run.shutdown();
-}
-
-/// A tracing service that takes a while — lets tests land a kill while
-/// the producer is still computing, deterministically.
-struct SlowTrace(ginflow_core::TraceService, Duration);
-
-impl ginflow_core::Service for SlowTrace {
-    fn invoke(&self, params: &[Value]) -> Result<Value, ginflow_core::ServiceError> {
-        std::thread::sleep(self.1);
-        self.0.invoke(params)
-    }
-}
-
-#[test]
-fn recovery_without_persistence_cannot_replay() {
-    // On the transient broker a respawned agent has no history: T2 never
-    // learns about T1's result, so the workflow hangs. s1 is slowed so
-    // the kill always lands before T1's result is even sent (the
-    // event-driven scheduler is otherwise fast enough to deliver it
-    // before the kill).
-    let mut registry = ServiceRegistry::tracing_for(["s2", "s3", "s4"]);
-    registry.register(
-        "s1",
-        Arc::new(SlowTrace(
-            ginflow_core::TraceService::new("s1"),
-            Duration::from_millis(300),
-        )),
-    );
-    let runtime = Scheduler::new(BrokerKind::Transient.build(), Arc::new(registry));
-    let run = runtime.launch(&fig2());
-    // Kill T2 while T1 still computes; T1's result message will be
-    // consumed by the old (dead) subscription or dropped.
-    run.kill("T2");
-    std::thread::sleep(Duration::from_millis(500));
-    run.respawn("T2");
-    let err = run.wait(Duration::from_secs(1));
-    assert!(err.is_err(), "transient broker cannot support recovery");
     run.shutdown();
 }
 

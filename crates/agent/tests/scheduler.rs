@@ -8,10 +8,7 @@ use ginflow_agent::{
 };
 use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
 use ginflow_core::{patterns, FailingService, ServiceRegistry, TaskState, Value, Workflow};
-use ginflow_mq::{
-    Broker, BrokerKind, DurabilityConfig, FsyncPolicy, LogBroker, Message, MqError, Receipt,
-    SubscribeMode, Subscription,
-};
+use ginflow_mq::{Broker, LogBroker, Message, MqError, Receipt, SubscribeMode, Subscription};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,8 +57,8 @@ fn tracing_registry() -> Arc<ServiceRegistry> {
 #[test]
 fn thousand_task_fan_completes_on_a_bounded_pool() {
     // The scaling acceptance bar: 1000+ agents, 2 workers, no polling.
-    let scheduler = Scheduler::new(BrokerKind::Transient.build(), tracing_registry())
-        .with_options(pool_options());
+    let scheduler =
+        Scheduler::new(Arc::new(LogBroker::new()), tracing_registry()).with_options(pool_options());
     let run = scheduler.launch(&patterns::parallel(1000, "s").unwrap());
     let results = run
         .wait(Duration::from_secs(120))
@@ -77,8 +74,8 @@ fn adaptation_reroutes_on_the_pool() {
     // T2' takes over transparently.
     let mut registry = ServiceRegistry::tracing_for(["s1", "s3", "s4", "s2p"]);
     registry.register("s2", Arc::new(FailingService));
-    let scheduler = Scheduler::new(BrokerKind::Transient.build(), Arc::new(registry))
-        .with_options(pool_options());
+    let scheduler =
+        Scheduler::new(Arc::new(LogBroker::new()), Arc::new(registry)).with_options(pool_options());
     let run = scheduler.launch(&fig5());
     let results = run.wait(WAIT).expect("adaptation must complete the run");
     assert_eq!(
@@ -149,30 +146,6 @@ impl ginflow_core::Service for SlowTrace {
         std::thread::sleep(self.1);
         self.0.invoke(params)
     }
-}
-
-#[test]
-fn pool_recovery_without_persistence_cannot_replay() {
-    // On the transient broker a respawned agent has no history: T2 never
-    // learns about T1's result, so the workflow hangs. s1 is slowed so
-    // the kill always lands before T1's result is even sent.
-    let mut registry = ServiceRegistry::tracing_for(["s2", "s3", "s4"]);
-    registry.register(
-        "s1",
-        Arc::new(SlowTrace(
-            ginflow_core::TraceService::new("s1"),
-            Duration::from_millis(300),
-        )),
-    );
-    let scheduler = Scheduler::new(BrokerKind::Transient.build(), Arc::new(registry))
-        .with_options(pool_options());
-    let run = scheduler.launch(&fig2());
-    run.kill("T2");
-    std::thread::sleep(Duration::from_millis(500));
-    run.respawn("T2");
-    let err = run.wait(Duration::from_secs(1));
-    assert!(err.is_err(), "transient broker cannot support recovery");
-    run.shutdown();
 }
 
 #[test]
@@ -252,10 +225,6 @@ impl Broker for DisconnectingBroker {
             return Err(MqError::Timeout);
         }
         self.log.fetch(topic, partition, from_offset, max)
-    }
-
-    fn persistent(&self) -> bool {
-        self.log.persistent()
     }
 
     fn partitions(&self, topic: &str) -> u32 {
@@ -482,8 +451,8 @@ fn wait_returns_the_moment_the_run_fails() {
     registry.register("s1", Arc::new(FailingService));
     let mut b = WorkflowBuilder::new("one-failing-task");
     b.task("only", "s1").input(Value::str("x"));
-    let scheduler = Scheduler::new(BrokerKind::Transient.build(), Arc::new(registry))
-        .with_options(pool_options());
+    let scheduler =
+        Scheduler::new(Arc::new(LogBroker::new()), Arc::new(registry)).with_options(pool_options());
     let run = scheduler.launch(&b.build().unwrap());
     let started = std::time::Instant::now();
     match run.wait(WAIT) {
@@ -599,16 +568,16 @@ impl Broker for RecordingBroker {
         self.log.fetch(topic, partition, from_offset, max)
     }
 
-    fn persistent(&self) -> bool {
-        self.log.persistent()
-    }
-
     fn partitions(&self, topic: &str) -> u32 {
         self.log.partitions(topic)
     }
 
     fn retained(&self, topic: &str) -> u64 {
         self.log.retained(topic)
+    }
+
+    fn delete_topic(&self, topic: &str) -> bool {
+        self.log.delete_topic(topic)
     }
 }
 
@@ -635,7 +604,8 @@ fn a_chain_task_hands_the_broker_two_batches() {
 fn a_launch_subscribes_twice_whatever_its_width() {
     // Status and the run's one inbox, at 10 tasks and at 1000, a killed
     // and respawned agent included: no topic and no subscription per
-    // agent or per incarnation.
+    // agent or per incarnation. The topics are read before teardown,
+    // which deletes both.
     for width in [8, 998] {
         let broker = Arc::new(RecordingBroker::default());
         let scheduler =
@@ -646,14 +616,6 @@ fn a_launch_subscribes_twice_whatever_its_width() {
         assert!(run.kill("p1"));
         assert!(run.respawn("p1"));
         run.wait(WAIT).expect("the fan completes");
-        run.shutdown();
-        assert_eq!(
-            broker.subscribes.load(Ordering::SeqCst),
-            2,
-            "{} tasks",
-            wf.dag().len()
-        );
-        assert_eq!(broker.bulk_subscribes.load(Ordering::SeqCst), 0);
         let mut topics = broker.log.topic_names();
         topics.sort();
         assert_eq!(
@@ -663,59 +625,20 @@ fn a_launch_subscribes_twice_whatever_its_width() {
                 format!("run/{run_id}/status")
             ]
         );
-    }
-}
-
-/// A fresh scratch directory, removed on drop.
-struct TestDir(std::path::PathBuf);
-
-impl TestDir {
-    fn new(tag: &str) -> TestDir {
-        static N: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "ginflow-agent-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&path).unwrap();
-        TestDir(path)
-    }
-}
-
-impl Drop for TestDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-#[test]
-fn a_durable_run_is_two_topics_on_disk() {
-    // On a durable log every topic is a directory and a mapped segment.
-    // fig5's five agents (standby T2' included) once made six of them;
-    // the reopened log recovers two: the run's inbox and its status.
-    let dir = TestDir::new("durable-fig5");
-    let config = DurabilityConfig {
-        fsync: FsyncPolicy::Never,
-        segment_bytes: 4096,
-        memory_messages: 16,
-    };
-    {
-        let (log, _) = LogBroker::open(&dir.0, config).unwrap();
-        let scheduler =
-            Scheduler::new(Arc::new(log), tracing_registry()).with_options(pool_options());
-        let run = scheduler.launch(&fig5());
-        let results = run.wait(WAIT).expect("fig5 completes");
-        assert_eq!(
-            results["T4"],
-            Value::Str("s4(s2(s1(input)),s3(s1(input)))".into())
-        );
         run.shutdown();
+        assert_eq!(
+            broker.subscribes.load(Ordering::SeqCst),
+            2,
+            "{} tasks",
+            wf.dag().len()
+        );
+        assert_eq!(broker.bulk_subscribes.load(Ordering::SeqCst), 0);
+        assert!(
+            broker.log.topic_names().is_empty(),
+            "{} tasks: shutdown left a topic",
+            wf.dag().len()
+        );
     }
-    let (_, report) = LogBroker::open(&dir.0, config).unwrap();
-    assert_eq!(report.topics, 2);
-    // T1 → T2, T3; T2, T3 → T4: four inbox messages, and two status
-    // updates per task.
-    assert_eq!(report.messages, 4 + 2 * 4);
 }
 
 /// A `Result` from `from` carrying `value`, as an agent would send it.
@@ -804,42 +727,24 @@ fn a_chain_holds_one_agent_at_a_time_whatever_its_length() {
 }
 
 #[test]
-fn on_a_transient_broker_a_built_agent_stays_resident() {
-    // No log, nothing to rebuild an evicted agent from: every agent the
-    // run built is still there at the end.
-    let scheduler = Scheduler::new(BrokerKind::Transient.build(), tracing_registry())
-        .with_options(pool_options());
-    let report = scheduler
-        .launch(&patterns::sequence(50, "s").unwrap())
-        .join();
-    assert!(report.completed);
-    assert_eq!(report.resident_peak, 50);
-}
-
-#[test]
 fn a_wide_fan_out_holds_one_agent_at_a_time_on_one_worker() {
     // One worker takes its slots in FIFO order. The fork's turn queues
     // all 2000 branches and is evicted at its end; each branch is built
     // on its own turn, queues its result for the join — whose slot the
     // first one makes, behind every branch — and is evicted. The join is
     // built last, once every branch is gone: 1 at a time, where holding
-    // every queued agent's program would read 2001. Without a log
-    // nothing is evicted, and every agent stays built.
+    // every queued agent's program would read 2001.
     let wide = patterns::parallel(2000, "s").unwrap();
-    for (broker, peak) in [
-        (Arc::new(LogBroker::new()) as Arc<dyn Broker>, 1),
-        (BrokerKind::Transient.build(), 2002),
-    ] {
-        let scheduler = Scheduler::new(broker, tracing_registry()).with_options(RunOptions {
+    let scheduler =
+        Scheduler::new(Arc::new(LogBroker::new()), tracing_registry()).with_options(RunOptions {
             workers: 1,
             ..RunOptions::default()
         });
-        let report = scheduler.launch(&wide).join();
-        assert!(report.completed);
-        assert_eq!(report.completed_tasks(), 2002);
-        assert_eq!(report.resident_peak, peak);
-        assert_eq!(report.rehydrations, 0);
-    }
+    let report = scheduler.launch(&wide).join();
+    assert!(report.completed);
+    assert_eq!(report.completed_tasks(), 2002);
+    assert_eq!(report.resident_peak, 1);
+    assert_eq!(report.rehydrations, 0);
 }
 
 #[test]
@@ -1207,10 +1112,6 @@ impl Broker for LaggingBroker {
             self.release();
         }
         self.ahead.fetch(topic, partition, from_offset, max)
-    }
-
-    fn persistent(&self) -> bool {
-        true
     }
 
     fn partitions(&self, topic: &str) -> u32 {

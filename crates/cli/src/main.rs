@@ -3,11 +3,11 @@
 //! ```text
 //! ginflow validate <workflow.json>
 //! ginflow translate <workflow.json>
-//! ginflow run <workflow.json> [--broker activemq|kafka|tcp://HOST:PORT]
+//! ginflow run <workflow.json> [--broker kafka|tcp://HOST:PORT]
 //!                             [--executor centralized|scheduler|sim]
 //!                             [--run-id ID] [--shard I/N] [--workers N] [--shell]
 //!                             [--service-sleep MS] [--timeout SECS] [--follow]
-//! ginflow broker serve [--addr HOST:PORT] [--profile kafka|activemq]
+//! ginflow broker serve [--addr HOST:PORT] [--profile kafka]
 //!                      [--retention SECS] [--data-dir DIR]
 //!                      [--fsync always|never]
 //!                      [--metrics-addr HOST:PORT]
@@ -28,11 +28,19 @@
 //! lines while the workflow executes, and `--timeout` is enforced as the
 //! run's deadline (expiry cancels the run and tears its agents down).
 //!
+//! Live runs and the daemon use one broker, the log (the paper's Kafka
+//! profile): `run` runs on a private in-process log unless given a
+//! daemon's `tcp://` address, and deletes the run's topics from that
+//! private log when the run is torn down. The ActiveMQ profile exists
+//! only as the simulator's cost model: `simulate --broker activemq`
+//! (its default) and `run --executor sim --broker activemq` select it,
+//! and `run --broker activemq` on a live executor or `broker serve
+//! --profile activemq` are refused with a pointer there.
+//!
 //! ## Distributed mode
 //!
 //! `ginflow broker serve` starts the standalone broker daemon
-//! (`ginflow-net`), fronting a persistent log (or, with
-//! `--profile activemq`, a transient topic space) over TCP. Pointing
+//! (`ginflow-net`), fronting a log over TCP. Pointing
 //! `ginflow run --broker tcp://HOST:PORT` at it executes the workflow
 //! against that daemon; adding `--shard I/N` runs only the agents whose
 //! name-hash lands in shard `I` of `N`, so launching the same command
@@ -48,9 +56,8 @@
 //! Every shard waits on the *whole* workflow (the shared status topic is
 //! the cross-shard membrane) and exits 0 once all sinks complete. A
 //! killed shard process can simply be relaunched with the same
-//! `--run-id`: against the kafka profile it replays the run's inbox
-//! from the persistent log and catches back up (§IV-B, applied to a
-//! whole process).
+//! `--run-id`: it replays the run's inbox from the daemon's log and
+//! catches back up (§IV-B, applied to a whole process).
 //!
 //! Topics are **run-scoped** (`run/<id>/…`): every run gets a fresh id
 //! (printed in the summary line) unless pinned with `--run-id`, so one
@@ -117,11 +124,11 @@ fn print_usage() {
          usage:\n\
          \x20 ginflow validate  <workflow.json>\n\
          \x20 ginflow translate <workflow.json>\n\
-         \x20 ginflow run       <workflow.json> [--broker activemq|kafka|tcp://HOST:PORT]\n\
+         \x20 ginflow run       <workflow.json> [--broker kafka|tcp://HOST:PORT]\n\
          \x20                   [--executor centralized|scheduler|sim]\n\
          \x20                   [--run-id ID] [--shard I/N] [--workers N] [--shell]\n\
          \x20                   [--service-sleep MS] [--timeout SECS] [--follow]\n\
-         \x20 ginflow broker    serve [--addr HOST:PORT] [--profile kafka|activemq]\n\
+         \x20 ginflow broker    serve [--addr HOST:PORT] [--profile kafka]\n\
          \x20                   [--retention SECS] [--data-dir DIR]\n\
          \x20                   [--fsync always|never]\n\
          \x20                   [--metrics-addr HOST:PORT]\n\
@@ -133,6 +140,11 @@ fn print_usage() {
          \x20                   [--service-secs X] [--fail-p P --fail-t T]\n\
          \x20 ginflow montage   [--simulate]\n\
          \n\
+         brokers: live runs and the daemon use the log (kafka); the\n\
+         activemq profile is a simulator cost model only, selected by\n\
+         `simulate --broker activemq` (the default there) or\n\
+         `run --executor sim --broker activemq`.\n\
+         \n\
          distributed mode: start the broker daemon once, then launch one\n\
          `run` per shard against it — the same workflow executes across N\n\
          OS processes sharing nothing but the broker. Topics are scoped\n\
@@ -143,7 +155,7 @@ fn print_usage() {
          \x20 ginflow run wf.json --broker tcp://HOST:7433 --run-id a --shard 1/2\n\
          every shard exits 0 once all sinks complete; a killed shard can\n\
          be relaunched (same --run-id) and replays its state from the\n\
-         persistent log. `broker runs` lists the daemon's runs; completed\n\
+         daemon's log. `broker runs` lists the daemon's runs; completed\n\
          runs' topics are reclaimed by `broker gc` or --retention SECS.\n\
          with `broker serve --data-dir DIR` the daemon's log is durable:\n\
          a daemon killed mid-run and relaunched on the same DIR resumes\n\
@@ -224,10 +236,10 @@ impl Flags<'_> {
         self.pairs.iter().any(|(k, _)| *k == key)
     }
 
-    /// In-process broker profile (`simulate`, and `run` without a
-    /// remote address).
-    fn broker(&self) -> Result<BrokerKind, String> {
-        let name = self.value("--broker").unwrap_or("activemq");
+    /// `--broker` as a middleware profile: what `simulate` and `run
+    /// --executor sim` price, and the log for a live `run`.
+    fn broker(&self, default: &str) -> Result<BrokerKind, String> {
+        let name = self.value("--broker").unwrap_or(default);
         if name.starts_with("tcp://") {
             return Err(format!(
                 "broker {name:?} is a network address; remote brokers only work with \
@@ -238,12 +250,12 @@ impl Flags<'_> {
             .map_err(|_| format!("unknown broker {name:?} (activemq|kafka|tcp://HOST:PORT)"))
     }
 
-    /// `run`'s broker argument: an in-process profile or a remote
-    /// daemon address.
+    /// `run`'s broker argument: a profile (the log by default) or a
+    /// remote daemon address.
     fn broker_arg(&self) -> Result<BrokerArg, String> {
-        match self.value("--broker").unwrap_or("activemq") {
-            addr if addr.starts_with("tcp://") => Ok(BrokerArg::Remote(addr.to_owned())),
-            _ => self.broker().map(BrokerArg::Kind),
+        match self.value("--broker") {
+            Some(addr) if addr.starts_with("tcp://") => Ok(BrokerArg::Remote(addr.to_owned())),
+            _ => self.broker("kafka").map(BrokerArg::Kind),
         }
     }
 
@@ -273,9 +285,20 @@ fn parse_profile(name: &str) -> Result<BrokerKind, String> {
     }
 }
 
+/// Why `flag` cannot select the ActiveMQ profile for a live broker, and
+/// where it still can.
+fn activemq_is_simulated(flag: &str) -> String {
+    format!(
+        "{flag}: live runs and the broker daemon use the log (kafka); the activemq \
+         profile is a simulator cost model only — use `ginflow simulate --broker activemq` \
+         or `ginflow run --executor sim --broker activemq`"
+    )
+}
+
 /// Where `run` gets its middleware from.
 enum BrokerArg {
-    /// An in-process profile.
+    /// An in-process profile: the log for a live executor, the priced
+    /// profile for the simulator.
     Kind(BrokerKind),
     /// A `tcp://HOST:PORT` daemon (`ginflow broker serve`).
     Remote(String),
@@ -456,27 +479,21 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                              --broker tcp://HOST:PORT (see `ginflow broker serve`)"
                             .to_owned());
                     }
+                    if kind == BrokerKind::Transient && backend != Backend::Sim {
+                        return Err(activemq_is_simulated("--broker activemq"));
+                    }
+                    // The live executors run on the engine's default
+                    // broker, the log; the kind prices the simulator.
                     builder.broker_kind(kind)
                 }
                 BrokerArg::Remote(addr) => {
                     if backend == Backend::Sim {
                         return Err("--executor sim cannot use a tcp:// broker".to_owned());
                     }
-                    use ginflow_mq::Broker as _;
                     let remote = Arc::new(
                         ginflow_net::RemoteBroker::connect(&addr)
                             .map_err(|e| format!("connecting to {addr}: {e}"))?,
                     );
-                    // Sharded runs recover cross-shard progress from the
-                    // log; the transient daemon profile cannot replay,
-                    // so a late-starting shard would lose messages.
-                    if shard.is_some() && !remote.persistent() {
-                        return Err(format!(
-                            "--shard requires a persistent broker, but the daemon at {addr} \
-                             runs the transient (activemq) profile; restart it with \
-                             `ginflow broker serve --profile kafka`"
-                        ));
-                    }
                     remote_handle = Some(remote.clone());
                     builder.broker(remote)
                 }
@@ -512,7 +529,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 }
             }
             println!(
-                "backend={} run={} completed={} wall={:.3}s adaptations={} respawns={} lagged={} \
+                "backend={} run={} completed={} wall={:.3}s adaptations={} respawns={} \
                  resident_peak={} rehydrations={}",
                 report.backend,
                 report.run_id,
@@ -520,7 +537,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 report.wall.as_secs_f64(),
                 report.adaptations_fired,
                 report.respawns,
-                report.lagged,
                 report.resident_peak,
                 report.rehydrations
             );
@@ -561,9 +577,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 ///   until killed; prints the bound address (port 0 resolves to an
 ///   ephemeral port) so wrappers can parse it. `--retention SECS` makes
 ///   the daemon reclaim a completed run's topics automatically that
-///   long after the run is closed. `--data-dir DIR` (kafka profile
-///   only) backs the log with segment files under `DIR`, recovering
-///   topics, offsets, and the run registry on relaunch — `--fsync`
+///   long after the run is closed. `--profile` accepts only `kafka`:
+///   the daemon fronts a log, and the activemq profile is a simulator
+///   cost model. `--data-dir DIR` backs the log with segment files
+///   under `DIR`, recovering topics, offsets, and the run registry on
+///   relaunch — `--fsync`
 ///   picks the sync policy (`always`: a blocking sync per append;
 ///   `never`, the default: the OS writes back when it will), and the
 ///   retention GC reclaims a
@@ -573,7 +591,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// * `runs`: list the daemon's runs (per-run topic accounting).
 /// * `top`: live metrics dashboard — polls the daemon's `STATS` verb
 ///   every `--interval` seconds and renders per-run publish rates next
-///   to the topic/retained/lag gauges and the store totals. `--count N`
+///   to the topic/retained gauges and the store totals. `--count N`
 ///   stops after N frames (for scripts); default runs until killed.
 /// * `close`: mark a run completed by hand — how an operator retires an
 ///   abandoned run (e.g. a sharded run whose processes died) so `gc`
@@ -727,7 +745,7 @@ fn render_top(
         }
     };
     println!(
-        "conns={} publishes={} ({}/s) fanout={} ({}/s) store={} fsyncs={} lagged={}",
+        "conns={} publishes={} ({}/s) fanout={} ({}/s) store={} fsyncs={}",
         get("gf_loop_connections", ""),
         sum("gf_broker_publish_total"),
         sum_rate("gf_broker_publish_total"),
@@ -735,7 +753,6 @@ fn render_top(
         sum_rate("gf_loop_fanout_messages_total"),
         human_bytes(get("gf_store_disk_bytes", "")),
         get("gf_store_fsyncs_total", ""),
-        sum("gf_run_lagged"),
     );
     // Every run any `gf_run_*` family knows about, sorted for a stable
     // frame-to-frame layout.
@@ -749,18 +766,17 @@ fn render_top(
         return;
     }
     println!(
-        "  {:<24} {:>10} {:>10} {:>7} {:>9} {:>6}",
-        "RUN", "PUB/s", "BYTES/s", "TOPICS", "RETAINED", "LAG"
+        "  {:<24} {:>10} {:>10} {:>7} {:>9}",
+        "RUN", "PUB/s", "BYTES/s", "TOPICS", "RETAINED"
     );
     for run in runs {
         println!(
-            "  {:<24} {:>10} {:>10} {:>7} {:>9} {:>6}",
+            "  {:<24} {:>10} {:>10} {:>7} {:>9}",
             run,
             rate("gf_run_publish_total", run),
             rate("gf_run_publish_bytes_total", run),
             get("gf_run_topics", run),
             get("gf_run_retained", run),
-            get("gf_run_lagged", run),
         );
     }
 }
@@ -783,7 +799,9 @@ fn human_bytes(n: u64) -> String {
 
 fn cmd_broker_serve(flags: &Flags<'_>) -> Result<(), String> {
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:7433");
-    let kind = parse_profile(flags.value("--profile").unwrap_or("kafka"))?;
+    if parse_profile(flags.value("--profile").unwrap_or("kafka"))? == BrokerKind::Transient {
+        return Err(activemq_is_simulated("--profile activemq"));
+    }
     let retention = flags
         .value("--retention")
         .map(|s| s.parse::<u64>().map_err(|e| format!("--retention: {e}")))
@@ -798,12 +816,6 @@ fn cmd_broker_serve(flags: &Flags<'_>) -> Result<(), String> {
         .transpose()?;
     let (broker, recovery): (Arc<dyn ginflow_mq::Broker>, _) = match flags.value("--data-dir") {
         Some(dir) => {
-            if kind != BrokerKind::Log {
-                return Err(format!(
-                    "--data-dir needs the kafka profile (the {} profile persists nothing)",
-                    kind.label()
-                ));
-            }
             let config = ginflow_mq::DurabilityConfig {
                 fsync: fsync.unwrap_or_default(),
                 ..ginflow_mq::DurabilityConfig::default()
@@ -816,7 +828,7 @@ fn cmd_broker_serve(flags: &Flags<'_>) -> Result<(), String> {
             if fsync.is_some() {
                 return Err("--fsync needs --data-dir (the in-memory log never syncs)".to_owned());
             }
-            (kind.build(), None)
+            (Arc::new(ginflow_mq::LogBroker::new()), None)
         }
     };
     let server = ginflow_net::BrokerServer::bind_with_retention(addr, broker, retention)
@@ -838,7 +850,7 @@ fn cmd_broker_serve(flags: &Flags<'_>) -> Result<(), String> {
     let _ = writeln!(
         stdout,
         "ginflow broker ({}) listening on {}",
-        kind.label(),
+        BrokerKind::Log.label(),
         server.local_addr()
     );
     if let Some(bound) = metrics_bound {
@@ -861,7 +873,7 @@ fn cmd_broker_serve(flags: &Flags<'_>) -> Result<(), String> {
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let wf = load_workflow(&flags)?;
-    let broker = flags.broker()?;
+    let broker = flags.broker("activemq")?;
     let seed: u64 = flags
         .value("--seed")
         .unwrap_or("0")

@@ -42,7 +42,7 @@ pub use ginflow_sim::SimBackend;
 
 use ginflow_agent::Scheduler;
 use ginflow_core::{ServiceRegistry, Workflow};
-use ginflow_mq::{Broker, BrokerKind};
+use ginflow_mq::{Broker, BrokerKind, LogBroker};
 use ginflow_sim::SimConfig;
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,9 +72,12 @@ pub enum Backend {
     },
 }
 
-/// Builder for [`Engine`]. Every knob has a sensible default: transient
-/// in-process broker, empty service registry, scheduler backend, worker
-/// count = available parallelism, no deadline.
+/// Builder for [`Engine`]. Every knob has a sensible default: an
+/// in-process log broker ([`LogBroker::new`]), empty service registry,
+/// scheduler backend, worker count = available parallelism, no
+/// deadline. A run deletes its topics from an in-process broker when it
+/// is torn down, so an engine that stays up keeps no finished run's
+/// messages.
 #[derive(Default)]
 pub struct EngineBuilder {
     broker: Option<Arc<dyn Broker>>,
@@ -93,13 +96,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Build a fresh broker of the given kind at [`EngineBuilder::build`]
-    /// time. For [`Backend::Sim`] this also selects the matching cost
-    /// profile and persistence.
+    /// The middleware profile [`Backend::Sim`] simulates: its cost model
+    /// and whether a respawned agent can replay. The live backends run on
+    /// the log whatever the kind; give them a broker with
+    /// [`EngineBuilder::broker`].
     pub fn broker_kind(mut self, kind: BrokerKind) -> Self {
         self.sim.cost = ginflow_sim::CostModel::for_broker(kind);
         self.sim.persistent_broker = kind == BrokerKind::Log;
-        self.broker = Some(kind.build());
         self
     }
 
@@ -160,17 +163,14 @@ impl EngineBuilder {
     /// # Panics
     ///
     /// On an invalid [`Backend::Sharded`] spec (`of == 0`,
-    /// `shard >= of`, a non-persistent broker — a late-starting
-    /// shard can only catch up on its peers' progress by replaying the
-    /// log, so sharding over a transient broker would silently lose
-    /// cross-shard messages and hang the run — or a missing
-    /// [`EngineBuilder::run_id`], without which the shard processes
-    /// would each generate a private namespace and never coordinate).
+    /// `shard >= of`, or a missing [`EngineBuilder::run_id`], without
+    /// which the shard processes would each generate a private namespace
+    /// and never coordinate).
     pub fn build(self) -> Engine {
         let backend: Arc<dyn ExecutionBackend> = match self.backend {
             Backend::Sim => Arc::new(SimBackend::new(self.sim).with_run_id(self.run_id)),
             live => {
-                let broker = self.broker.unwrap_or_else(|| BrokerKind::Transient.build());
+                let broker = self.broker.unwrap_or_else(|| Arc::new(LogBroker::new()));
                 let registry = self
                     .registry
                     .unwrap_or_else(|| Arc::new(ServiceRegistry::new()));
@@ -180,14 +180,6 @@ impl EngineBuilder {
                     assert!(
                         of >= 1 && shard < of,
                         "Backend::Sharded {{ shard: {shard}, of: {of} }}: shard must be < of, of >= 1"
-                    );
-                    assert!(
-                        broker.persistent(),
-                        "Backend::Sharded requires a persistent broker shared by every shard \
-                         (the log is how a late-starting shard catches up): connect a \
-                         ginflow_net::RemoteBroker to a `ginflow broker serve` daemon on the \
-                         kafka profile — an in-process broker, persistent or not, is invisible \
-                         to the other shard processes"
                     );
                     assert!(
                         options.run_id.is_some(),

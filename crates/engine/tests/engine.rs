@@ -8,7 +8,6 @@ use ginflow_core::{
     TraceService, Value, Workflow,
 };
 use ginflow_engine::{Backend, Engine, RunEvent, WaitError};
-use ginflow_mq::BrokerKind;
 use ginflow_sim::{CostModel, FailureSpec, ServiceModel, SimConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -27,7 +26,6 @@ fn fig2() -> Workflow {
 
 fn engine_for(backend: Backend) -> Engine {
     Engine::builder()
-        .broker(BrokerKind::Transient.build())
         .registry(Arc::new(ServiceRegistry::tracing_for([
             "s1", "s2", "s3", "s4",
         ])))
@@ -297,7 +295,7 @@ proptest! {
 }
 
 /// The same property holds on the live scheduler with manual crash +
-/// respawn over a persistent broker.
+/// respawn over the log.
 #[test]
 fn live_event_stream_is_monotone_across_respawn() {
     let mut registry = ServiceRegistry::tracing_for(["svc"]);
@@ -317,7 +315,6 @@ fn live_event_stream_is_monotone_across_respawn() {
     b.task("c", "svc").after(["b"]);
     let wf = b.build().unwrap();
     let engine = Engine::builder()
-        .broker(BrokerKind::Log.build())
         .registry(Arc::new(registry))
         .workers(2)
         .build();
@@ -366,7 +363,6 @@ fn auto_recover_respawns_a_killed_chain_task_once() {
     b.task("c", "svc").after(["b"]);
     let wf = b.build().unwrap();
     let run = Engine::builder()
-        .broker(BrokerKind::Log.build())
         .registry(Arc::new(registry))
         .workers(2)
         .auto_recover(true)

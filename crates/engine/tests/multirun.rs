@@ -1,20 +1,15 @@
 //! Run-scoped topic namespaces, observed from the engine: one broker —
 //! in-process or a standing `BrokerServer` daemon — serves many
 //! workflow runs, concurrently and back-to-back, with zero cross-run
-//! event leakage and per-run `RunReport` correctness. Also covers what a
-//! run's one keyed inbox does with a flood: it is drained where it is
-//! delivered, so a bounded queue drops nothing, and a dead agent's key
-//! reaches no one.
+//! event leakage and per-run `RunReport` correctness. Also covers what
+//! a finished run leaves on a daemon, and in a durable daemon's log.
 
-use ginflow_agent::SaMessage;
-use ginflow_core::{
-    ServiceRegistry, SleepService, TaskState, TraceService, Value, Workflow, WorkflowBuilder,
-};
-use ginflow_engine::{Backend, Engine, RunEvent, RunId, TopicNamespace};
-use ginflow_mq::{Broker, LogBroker, TransientBroker};
+use ginflow_core::workflow::ReplacementTask;
+use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow, WorkflowBuilder};
+use ginflow_engine::{Backend, Engine, RunEvent, RunId};
+use ginflow_mq::{Broker, DurabilityConfig, FsyncPolicy, LogBroker};
 use ginflow_net::{BrokerServer, RemoteBroker};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A fig2-shaped diamond whose task names carry `tag`, so any cross-run
 /// leakage is visible by name in events and reports.
@@ -162,68 +157,6 @@ fn concurrent_runs_on_one_in_process_broker_get_distinct_auto_ids() {
     assert!(report_b.tasks.keys().all(|t| t.starts_with('B')));
 }
 
-/// A killed agent's key is flooded through a transient broker whose
-/// subscriber queues hold 2 messages. The run's inbox is drained on the
-/// thread that delivers it, so its queue never fills: `lagged` — the sum
-/// over the run's subscriptions — stays 0. And the flood reaches no
-/// incarnation: not the dead one, whose key the demultiplexer drops, and
-/// not its replacement, which attaches at the head of a log that keeps
-/// nothing.
-#[test]
-fn a_flood_keyed_to_a_killed_agent_drops_nothing_and_reaches_no_one() {
-    let broker = Arc::new(TransientBroker::with_queue_capacity(2));
-    let mut registry = ServiceRegistry::new();
-    registry.register(
-        "slow",
-        Arc::new(SleepService::new(
-            Duration::from_millis(400),
-            TraceService::new("slow"),
-        )),
-    );
-    let mut b = WorkflowBuilder::new("lag");
-    b.task("L1", "slow").input(Value::str("x"));
-    b.task("L2", "slow").after(["L1"]);
-    let wf = b.build().unwrap();
-
-    let engine = Engine::builder()
-        .broker(broker.clone() as Arc<dyn Broker>)
-        .registry(Arc::new(registry))
-        .workers(1)
-        .build();
-    let run = engine.launch(&wf);
-
-    // Kill L2 while L1 computes, then flood its key with forged results
-    // from L1.
-    assert!(run.kill("L2"));
-    let ns = TopicNamespace::new(RunId::new(run.run_id()).unwrap());
-    for i in 0..10 {
-        let forged = SaMessage::Result {
-            from: "L1".into(),
-            value: Value::str(format!("forged-{i}")),
-        };
-        broker
-            .publish(ns.inbox(), Some("L2".into()), forged.encode())
-            .unwrap();
-    }
-    assert_eq!(
-        run.report().lagged,
-        0,
-        "a queue drained at delivery drops nothing"
-    );
-
-    assert!(run.respawn("L2"));
-    let report = run.join();
-    assert!(report.completed);
-    assert_eq!(report.tasks["L2"].incarnation, 1);
-    assert_eq!(
-        report.result_of("L2").unwrap(),
-        &Value::Str("slow(slow(x))".into()),
-        "L2 computed from L1's result, not from the flood"
-    );
-    assert_eq!(report.lagged, 0);
-    assert_eq!(report.run_id, ns.run_id().as_str());
-}
-
 #[test]
 fn sim_and_live_reports_both_carry_run_ids() {
     let wf = tagged_diamond("S", "x");
@@ -236,7 +169,6 @@ fn sim_and_live_reports_both_carry_run_ids() {
     assert_eq!(sim.run_id(), "sim-run");
     let report = sim.join();
     assert_eq!(report.run_id, "sim-run");
-    assert_eq!(report.lagged, 0);
     assert_eq!(report.state_of("S4"), TaskState::Completed);
 }
 
@@ -263,4 +195,102 @@ fn a_joined_run_leaves_no_row_in_the_global_metrics_registry() {
         assert!(rows.is_empty(), "run {} left {rows:?}", report.run_id);
         assert!(report.resident_peak > 0, "run {}", report.run_id);
     }
+}
+
+/// A fresh scratch directory, removed on drop.
+struct TestDir(std::path::PathBuf);
+
+impl TestDir {
+    fn new(tag: &str) -> TestDir {
+        let path =
+            std::env::temp_dir().join(format!("ginflow-engine-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).unwrap();
+        TestDir(path)
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn a_durable_run_is_two_topics_on_disk() {
+    // On a durable log every topic is a directory and a mapped segment.
+    // fig5's five agents (standby T2' included) once made six of them;
+    // the reopened log recovers two: the run's inbox and its status. A
+    // durable log is a daemon's, and a daemon keeps a joined run until it
+    // is closed and collected, so the run's log outlives its `join`.
+    let dir = TestDir::new("durable-fig5");
+    let config = DurabilityConfig {
+        fsync: FsyncPolicy::Never,
+        segment_bytes: 4096,
+        memory_messages: 16,
+    };
+    {
+        let (log, _) = LogBroker::open(&dir.0, config).unwrap();
+        let server = BrokerServer::bind("127.0.0.1:0", Arc::new(log)).unwrap();
+        let client = RemoteBroker::connect(&server.local_addr().to_string()).unwrap();
+        let mut b = WorkflowBuilder::new("fig5");
+        b.task("T1", "s1").input(Value::str("input"));
+        b.task("T2", "s2").after(["T1"]);
+        b.task("T3", "s3").after(["T1"]);
+        b.task("T4", "s4").after(["T2", "T3"]);
+        b.adaptation(
+            "replace-T2",
+            ["T2"],
+            ["T2"],
+            [ReplacementTask::new("T2'", "s2p", ["T1"])],
+        );
+        let report = Engine::builder()
+            .broker(Arc::new(client))
+            .registry(Arc::new(ServiceRegistry::tracing_for([
+                "s1", "s2", "s3", "s4", "s2p",
+            ])))
+            .workers(2)
+            .build()
+            .launch(&b.build().unwrap())
+            .join();
+        assert_eq!(
+            report.result_of("T4").unwrap(),
+            &Value::Str("s4(s2(s1(input)),s3(s1(input)))".into())
+        );
+        server.stop();
+    }
+    let (_, report) = LogBroker::open(&dir.0, config).unwrap();
+    assert_eq!(report.topics, 2);
+    // T1 → T2, T3; T2, T3 → T4: four inbox messages, and two status
+    // updates per task.
+    assert_eq!(report.messages, 4 + 2 * 4);
+}
+
+#[test]
+fn a_daemon_keeps_a_joined_run_until_it_is_closed_and_collected() {
+    // A daemon's run goes when the daemon decides, not when a client
+    // joins it: the joined run's inbox and status are listed until the
+    // run is closed and collected.
+    let server = BrokerServer::bind("127.0.0.1:0", Arc::new(LogBroker::new())).unwrap();
+    let client = Arc::new(RemoteBroker::connect(&server.local_addr().to_string()).unwrap());
+    let report = Engine::builder()
+        .broker(client.clone())
+        .registry(services())
+        .workers(1)
+        .run_id(RunId::new("kept").unwrap())
+        .build()
+        .launch(&tagged_diamond("K", "x"))
+        .join();
+    assert!(report.completed);
+    let runs = client.list_runs().unwrap();
+    assert_eq!(runs.len(), 1, "{runs:?}");
+    assert_eq!(
+        (runs[0].run.as_str(), runs[0].topics),
+        ("kept", 2),
+        "the joined run's inbox and status"
+    );
+    assert!(client.close_run("kept").unwrap());
+    assert_eq!(client.gc_runs().unwrap(), (1, 2));
+    assert!(client.list_runs().unwrap().is_empty());
+    server.stop();
 }

@@ -14,7 +14,7 @@ use ginflow_core::{
     FailingService, Service, ServiceError, ServiceRegistry, TraceService, Value, WorkflowBuilder,
 };
 use ginflow_engine::{Engine, RunId, TopicNamespace};
-use ginflow_mq::{Broker, LogBroker, TransientBroker};
+use ginflow_mq::{Broker, LogBroker};
 use ginflow_net::{BrokerServer, RemoteBroker};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
@@ -33,10 +33,8 @@ impl Service for Gated {
 
 #[test]
 fn respawns_with_inbox_traffic_in_flight_never_stall_the_reactor() {
-    // On a transient daemon a respawn starts with nothing from the log;
-    // on a log daemon each respawn's refill is fetched from a worker
-    // while the reactor demultiplexes the flood.
-    respawn_under_a_flood(Arc::new(TransientBroker::new()));
+    // Each respawn's refill is fetched from a worker while the reactor
+    // demultiplexes the flood.
     respawn_under_a_flood(Arc::new(LogBroker::new()));
 }
 

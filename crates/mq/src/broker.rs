@@ -1,4 +1,5 @@
-//! The [`Broker`] abstraction both middleware profiles implement.
+//! The [`Broker`] abstraction: the in-process log implements it, and so
+//! does `ginflow-net`'s client of a remote one.
 
 use crate::error::MqError;
 use crate::message::Message;
@@ -11,12 +12,12 @@ use std::time::{Duration, Instant};
 /// Where a subscription starts.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SubscribeMode {
-    /// Only messages published after the subscription (both brokers).
+    /// Only messages published after the subscription.
     Latest,
-    /// All retained messages, then live (persistent broker only).
+    /// All retained messages, then live.
     Beginning,
     /// Retained messages from the given offset (single-partition topics),
-    /// then live (persistent broker only).
+    /// then live.
     FromOffset(u64),
 }
 
@@ -29,8 +30,8 @@ pub struct Receipt {
     pub offset: u64,
 }
 
-/// The middleware interface: topic-based pub/sub with optional
-/// persistence and replay.
+/// The middleware interface: topic-based pub/sub over retained,
+/// replayable logs.
 pub trait Broker: Send + Sync {
     /// Publish `payload` to `topic`; the optional `key` pins the partition
     /// on partitioned brokers.
@@ -113,8 +114,7 @@ pub trait Broker: Send + Sync {
             .collect()
     }
 
-    /// Read retained messages without subscribing (replay). Only the
-    /// persistent broker supports this.
+    /// Read retained messages without subscribing (replay).
     fn fetch(
         &self,
         topic: &str,
@@ -123,14 +123,18 @@ pub trait Broker: Send + Sync {
         max: usize,
     ) -> Result<Vec<Message>, MqError>;
 
-    /// Does the broker retain messages (enabling replay / recovery)?
-    fn persistent(&self) -> bool;
+    /// Does the broker retain messages? Every broker does; no product
+    /// code asks any more, and the method leaves the trait once no
+    /// implementation names it.
+    fn persistent(&self) -> bool {
+        true
+    }
 
     /// Number of partitions of `topic` (1 if it does not exist yet).
     fn partitions(&self, topic: &str) -> u32;
 
-    /// Total retained messages in `topic` across partitions (0 on
-    /// non-persistent brokers) — used by recovery to bound replay.
+    /// Total retained messages in `topic` across partitions — used by
+    /// recovery to bound replay.
     fn retained(&self, topic: &str) -> u64;
 
     /// Drop `topic` entirely: retained messages and subscriber
@@ -166,11 +170,6 @@ struct Shared {
 #[derive(Default)]
 struct State {
     queue: VecDeque<Message>,
-    /// `None` = unbounded (the persistent broker, where the log itself
-    /// is the backstop); `Some(cap)` = drop-oldest beyond `cap`.
-    capacity: Option<usize>,
-    /// Messages evicted by the bound: [`Subscription::lagged`].
-    lagged: u64,
     waker: Option<WakeFn>,
     /// The schedule bit: set by the delivery that finds the subscription
     /// idle (the one that fires the waker), cleared by
@@ -220,11 +219,6 @@ impl SubscriberHandle {
     /// wakers its delivery pass collected once its topic lock is
     /// released; a bridge that delivers outside a topic lock calls
     /// [`SubscriberHandle::wake`] itself.
-    ///
-    /// On a bounded queue, delivery beyond capacity evicts the *oldest*
-    /// queued message and bumps the subscription's
-    /// [`Subscription::lagged`] counter — a stalled consumer loses the
-    /// head of its backlog rather than growing it without limit.
     pub fn deliver(&self, message: Message) -> bool {
         self.push(message, None)
     }
@@ -241,10 +235,6 @@ impl SubscriberHandle {
         let mut state = self.shared.state.lock();
         if state.subscription_gone {
             return false;
-        }
-        if state.capacity.is_some_and(|cap| state.queue.len() >= cap) {
-            state.queue.pop_front();
-            state.lagged += 1;
         }
         state.queue.push_back(message);
         if let Some(wakers) = wakers {
@@ -302,18 +292,8 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
 /// [`SubscriberHandle`] and delivers into it; the consumer receives
 /// through the [`Subscription`].
 pub fn subscription_pair() -> (SubscriberHandle, Subscription) {
-    bounded_subscription_pair(None)
-}
-
-/// [`subscription_pair`] with an optional queue bound: beyond
-/// `capacity`, delivery evicts the oldest queued message (counted by
-/// [`Subscription::lagged`]) instead of growing the queue.
-pub fn bounded_subscription_pair(capacity: Option<usize>) -> (SubscriberHandle, Subscription) {
     let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            capacity: capacity.map(|cap| cap.max(1)),
-            ..State::default()
-        }),
+        state: Mutex::new(State::default()),
         ready: Condvar::new(),
     });
     (
@@ -460,52 +440,17 @@ impl Subscription {
     pub fn backlog(&self) -> usize {
         self.shared.state.lock().queue.len()
     }
-
-    /// How many messages this subscription has lost to its queue bound
-    /// (always 0 on unbounded subscriptions). A non-zero value means the
-    /// consumer stalled long enough for the broker's drop-oldest policy
-    /// to kick in — on the transient (at-most-once) profile that is
-    /// defined behaviour, not an error.
-    pub fn lagged(&self) -> u64 {
-        self.shared.state.lock().lagged
-    }
-
-    /// A detached reader of this subscription's [`Subscription::lagged`]
-    /// counter, usable after the subscription itself moved into a
-    /// consumer thread — how a run aggregates slow-subscriber drops
-    /// across all its subscriptions for its report.
-    pub fn lag_probe(&self) -> LagProbe {
-        LagProbe(self.shared.clone())
-    }
-}
-
-/// Shareable view of one subscription's lag counter (messages dropped by
-/// the drop-oldest bound); see [`Subscription::lag_probe`]. It reads the
-/// subscription's shared state, so it outlives the subscription and
-/// keeps the last count once the subscription is dropped.
-#[derive(Clone)]
-pub struct LagProbe(Arc<Shared>);
-
-impl LagProbe {
-    /// The current drop count.
-    pub fn get(&self) -> u64 {
-        self.0.state.lock().lagged
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Broker, LogBroker, SubscribeMode, TransientBroker};
+    use crate::{Broker, LogBroker, SubscribeMode};
     use bytes::Bytes;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn payload() -> Bytes {
         Bytes::from_static(b"m")
-    }
-
-    fn brokers() -> Vec<Arc<dyn Broker>> {
-        vec![Arc::new(TransientBroker::new()), Arc::new(LogBroker::new())]
     }
 
     #[test]
@@ -526,52 +471,49 @@ mod tests {
 
     #[test]
     fn cleared_waker_stays_silent() {
-        for broker in brokers() {
-            let sub = broker.subscribe("t", SubscribeMode::Latest).unwrap();
-            let fired = Arc::new(AtomicUsize::new(0));
-            let counter = fired.clone();
-            sub.set_waker(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-            sub.clear_waker();
-            broker.publish("t", None, payload()).unwrap();
-            assert_eq!(fired.load(Ordering::SeqCst), 0);
-            assert_eq!(sub.backlog(), 1, "delivery itself is unaffected");
-        }
+        let broker: Arc<dyn Broker> = Arc::new(LogBroker::new());
+        let sub = broker.subscribe("t", SubscribeMode::Latest).unwrap();
+        let fired = Arc::new(AtomicUsize::new(0));
+        let counter = fired.clone();
+        sub.set_waker(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        sub.clear_waker();
+        broker.publish("t", None, payload()).unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        assert_eq!(sub.backlog(), 1, "delivery itself is unaffected");
     }
 
     #[test]
     fn waker_may_publish_without_deadlocking() {
         // Wakers run after the topic lock is released, so a waker that
         // itself publishes (agents answering messages inline) must work.
-        for broker in brokers() {
-            let sub = broker.subscribe("in", SubscribeMode::Latest).unwrap();
-            let out = broker.subscribe("out", SubscribeMode::Latest).unwrap();
-            let b = broker.clone();
-            sub.set_waker(move || {
-                b.publish("out", None, payload()).unwrap();
-            });
-            broker.publish("in", None, payload()).unwrap();
-            assert_eq!(out.backlog(), 1);
-        }
+        let broker: Arc<dyn Broker> = Arc::new(LogBroker::new());
+        let sub = broker.subscribe("in", SubscribeMode::Latest).unwrap();
+        let out = broker.subscribe("out", SubscribeMode::Latest).unwrap();
+        let b = broker.clone();
+        sub.set_waker(move || {
+            b.publish("out", None, payload()).unwrap();
+        });
+        broker.publish("in", None, payload()).unwrap();
+        assert_eq!(out.backlog(), 1);
     }
 
     #[test]
     fn waker_of_a_dropped_subscription_is_pruned() {
-        for broker in brokers() {
-            let sub = broker.subscribe("t", SubscribeMode::Latest).unwrap();
-            let fired = Arc::new(AtomicUsize::new(0));
-            let counter = fired.clone();
-            sub.set_waker(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-            drop(sub);
-            broker.publish("t", None, payload()).unwrap();
-            broker.publish("t", None, payload()).unwrap();
-            assert!(
-                fired.load(Ordering::SeqCst) <= 1,
-                "at most the pruning publish may observe the stale handle"
-            );
-        }
+        let broker: Arc<dyn Broker> = Arc::new(LogBroker::new());
+        let sub = broker.subscribe("t", SubscribeMode::Latest).unwrap();
+        let fired = Arc::new(AtomicUsize::new(0));
+        let counter = fired.clone();
+        sub.set_waker(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        drop(sub);
+        broker.publish("t", None, payload()).unwrap();
+        broker.publish("t", None, payload()).unwrap();
+        assert!(
+            fired.load(Ordering::SeqCst) <= 1,
+            "at most the pruning publish may observe the stale handle"
+        );
     }
 }

@@ -5,12 +5,6 @@ use std::fmt;
 /// Everything the brokers can refuse to do.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MqError {
-    /// The requested subscribe/fetch mode needs persistence the broker
-    /// lacks (e.g. replay on the transient broker).
-    NotPersistent {
-        /// The attempted operation.
-        operation: &'static str,
-    },
     /// Fetch/publish addressed a partition the topic does not have.
     UnknownPartition {
         /// Topic name.
@@ -63,12 +57,6 @@ pub enum MqError {
 impl fmt::Display for MqError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MqError::NotPersistent { operation } => {
-                write!(
-                    f,
-                    "operation {operation:?} requires a persistent broker (use the log broker)"
-                )
-            }
             MqError::UnknownPartition { topic, partition } => {
                 write!(f, "topic {topic:?} has no partition {partition}")
             }
@@ -101,9 +89,6 @@ mod tests {
 
     #[test]
     fn display() {
-        assert!(MqError::NotPersistent { operation: "fetch" }
-            .to_string()
-            .contains("fetch"));
         assert!(MqError::UnknownPartition {
             topic: "t".into(),
             partition: 3

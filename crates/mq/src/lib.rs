@@ -3,34 +3,30 @@
 //! GinFlow's inter-agent communications "rely on a message queue middleware
 //! which can be either Apache ActiveMQ or Kafka. The choice for one or the
 //! other depends on the level of resilience needed by the user" (§IV-A).
-//! This crate rebuilds both behavioural profiles in-process:
+//! Only the log keeps what §IV-B's recovery replays, so this crate has one
+//! broker: [`LogBroker`], the Kafka profile — partitioned append-only logs
+//! with dense offsets. Subscribers attach at the head, from the beginning
+//! or from any offset, and [`Broker::fetch`] reads the retained history
+//! back: the replay §IV-B's fault recovery is built on. The ActiveMQ
+//! profile survives where the paper measures it, as the simulator's cost
+//! model ([`BrokerKind::Transient`] is its label).
 //!
-//! * [`TransientBroker`] — the ActiveMQ profile: topic pub/sub, at-most-once,
-//!   nothing persisted. Fast, but a crashed agent's history is gone, so SA
-//!   recovery is impossible (exactly the trade-off Fig 14/16 explore).
-//! * [`LogBroker`] — the Kafka profile: partitioned append-only logs with
-//!   monotonically increasing offsets. Subscribers can attach from the
-//!   beginning or any offset, and [`Broker::fetch`] supports the replay
-//!   that §IV-B's fault-recovery mechanism is built on.
-//!
-//! Both implement the [`Broker`] trait, so the agent runtime and the
-//! simulator are generic over the middleware — switching between the two
-//! is the paper's Fig 14 experiment.
-//!
-//! Neither profile has to live in the caller's process: the [`wire`]
-//! module defines the length-prefixed binary protocol `ginflow-net`'s
-//! broker daemon speaks, and its client-side `RemoteBroker` implements
-//! the same [`Broker`] trait over a TCP connection
-//! ([`BrokerKind::Remote`]) — the membrane that lets one workflow span
-//! multiple OS processes and hosts.
+//! The agent runtime and the simulator see the broker through the
+//! [`Broker`] trait. The log need not live in the caller's process: the
+//! [`wire`] module defines the length-prefixed binary protocol
+//! `ginflow-net`'s broker daemon speaks, and its client-side
+//! `RemoteBroker` implements the same [`Broker`] trait over a TCP
+//! connection ([`BrokerKind::Remote`]) — the membrane that lets one
+//! workflow span multiple OS processes and hosts.
 //!
 //! Topics are **run-scoped** ([`namespace`]): every workflow run owns a
 //! [`RunId`] and publishes under `run/<id>/…`, so one standing broker —
 //! in-process or a long-lived daemon — serves any number of concurrent
 //! or back-to-back runs without replaying one run's history into
-//! another.
+//! another. An in-process run deletes its two topics when it is torn
+//! down; a daemon reclaims a run once it is closed and collected.
 //!
-//! The Kafka profile can be made **durable**: [`LogBroker::open`]
+//! The log can be made **durable**: [`LogBroker::open`]
 //! backs every partition with the [`store`] module's file-based
 //! segmented log (append-before-fan-out, torn-tail crash recovery,
 //! fsync policy knobs), so a daemon restart resumes the same offsets
@@ -45,28 +41,24 @@ pub mod message;
 pub mod metrics;
 pub mod namespace;
 pub mod store;
-pub mod transient;
 pub mod wire;
 
 pub use broker::{
-    bounded_subscription_pair, fnv1a, subscription_pair, Broker, LagProbe, Receipt, SubscribeMode,
-    SubscriberHandle, Subscription,
+    fnv1a, subscription_pair, Broker, Receipt, SubscribeMode, SubscriberHandle, Subscription,
 };
 pub use error::MqError;
 pub use log::{partition_of, LogBroker};
 pub use message::Message;
 pub use namespace::{RunId, TopicNamespace};
 pub use store::{DurabilityConfig, FsyncPolicy};
-pub use transient::{TransientBroker, DEFAULT_QUEUE_CAPACITY};
 
-use std::sync::Arc;
-
-/// Middleware profile selector (the Fig 14 experiment axis).
+/// Middleware profile label (the Fig 14 experiment axis): which broker
+/// the simulator's cost model prices, and what a report calls it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BrokerKind {
-    /// ActiveMQ-like transient pub/sub.
+    /// ActiveMQ-like transient pub/sub: a simulator profile only.
     Transient,
-    /// Kafka-like persistent log.
+    /// Kafka-like persistent log: [`LogBroker`].
     Log,
     /// A broker reached over TCP through `ginflow-net`'s [`wire`]
     /// protocol. Carries no address (the selector stays `Copy`);
@@ -85,25 +77,6 @@ impl BrokerKind {
             BrokerKind::Remote => "remote",
         }
     }
-
-    /// Instantiate the corresponding **in-process** broker.
-    ///
-    /// # Panics
-    ///
-    /// [`BrokerKind::Remote`] carries no address and cannot be built
-    /// here — connect with `ginflow_net::RemoteBroker` instead.
-    pub fn build(self) -> Arc<dyn Broker> {
-        match self {
-            BrokerKind::Transient => Arc::new(TransientBroker::new()),
-            BrokerKind::Log => Arc::new(LogBroker::new()),
-            BrokerKind::Remote => {
-                panic!(
-                    "BrokerKind::Remote carries no address; connect with \
-                     ginflow_net::RemoteBroker and pass the Arc directly"
-                )
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -112,8 +85,6 @@ mod tests {
 
     #[test]
     fn kind_builds_matching_brokers() {
-        assert!(!BrokerKind::Transient.build().persistent());
-        assert!(BrokerKind::Log.build().persistent());
         assert_eq!(BrokerKind::Transient.label(), "activemq");
         assert_eq!(BrokerKind::Log.label(), "kafka");
         assert_eq!(BrokerKind::Remote.label(), "remote");

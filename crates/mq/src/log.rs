@@ -540,10 +540,6 @@ impl Broker for LogBroker {
         first_err.map_or(Ok(()), Err)
     }
 
-    fn persistent(&self) -> bool {
-        true
-    }
-
     fn partitions(&self, topic: &str) -> u32 {
         self.topics
             .lock()

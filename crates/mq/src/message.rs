@@ -16,10 +16,10 @@ use std::sync::Arc;
 pub struct Message {
     /// Topic the message was published to.
     pub topic: Arc<str>,
-    /// Partition within the topic (always 0 on the transient broker).
+    /// Partition within the topic.
     pub partition: u32,
-    /// Offset within the partition (a per-topic sequence number on the
-    /// transient broker — informational only there, stable on the log).
+    /// Offset within the partition: dense, and stable for the log's
+    /// lifetime.
     pub offset: u64,
     /// Optional routing key (hashes to a partition on the log broker).
     pub key: Option<Bytes>,

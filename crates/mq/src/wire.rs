@@ -82,8 +82,8 @@ use std::io::{Read, Write};
 pub const MAX_FRAME: usize = 8 * 1024 * 1024;
 
 /// Sentinel `resume` value in SUBSCRIBED: no resume watermark is
-/// available (non-persistent broker, or a multi-partition topic whose
-/// position cannot be expressed as one offset).
+/// available (a multi-partition topic, whose position cannot be
+/// expressed as one offset).
 pub const NO_RESUME: u64 = u64::MAX;
 
 /// Largest receipt run one RECEIPT_LIST frame may acknowledge: twelve
@@ -250,7 +250,7 @@ pub enum Frame {
         sub: u64,
         /// The topic's retained-message count sampled *before* the
         /// subscription attached, or [`NO_RESUME`] when no watermark is
-        /// available (non-persistent broker, multi-partition topic). A
+        /// available (a multi-partition topic). A
         /// head-attached (`Latest`) subscriber that later reconnects
         /// resumes from here, so messages published during the outage
         /// replay from the log instead of being lost. Single-partition
@@ -268,7 +268,8 @@ pub enum Frame {
     InfoReply {
         /// Echoed correlation id.
         seq: u64,
-        /// Does the broker retain messages?
+        /// Does the broker retain messages? Every broker does: a server
+        /// sends 1, and a client ignores the byte.
         persistent: bool,
         /// Partition count of the asked topic.
         partitions: u32,

@@ -2,16 +2,12 @@
 //! many subscribers, racing replays.
 
 use bytes::Bytes;
-use ginflow_mq::{Broker, LogBroker, Message, MqError, SubscribeMode, TransientBroker};
+use ginflow_mq::{Broker, LogBroker, Message, MqError, SubscribeMode};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn payload(i: usize) -> Bytes {
     Bytes::from(format!("m{i}").into_bytes())
-}
-
-fn brokers() -> Vec<Arc<dyn Broker>> {
-    vec![Arc::new(LogBroker::new()), Arc::new(TransientBroker::new())]
 }
 
 /// Park a thread in `recv()` on a fresh `Latest` subscription to
@@ -37,41 +33,38 @@ fn parked_recv(
 
 #[test]
 fn a_parked_recv_gets_a_message_published_from_another_thread() {
-    for broker in brokers() {
-        let publisher = broker.clone();
-        let got = parked_recv(&broker, "t", move || {
-            std::thread::spawn(move || publisher.publish("t", None, payload(7)).unwrap())
-                .join()
-                .unwrap();
-        })
-        .expect("a message, not a disconnect");
-        assert_eq!(got.payload_str(), "m7");
-    }
+    let broker: Arc<dyn Broker> = Arc::new(LogBroker::new());
+    let publisher = broker.clone();
+    let got = parked_recv(&broker, "t", move || {
+        std::thread::spawn(move || publisher.publish("t", None, payload(7)).unwrap())
+            .join()
+            .unwrap();
+    })
+    .expect("a message, not a disconnect");
+    assert_eq!(got.payload_str(), "m7");
 }
 
 #[test]
 fn a_parked_recv_on_a_deleted_topic_is_disconnected() {
-    for broker in brokers() {
-        let deleter = broker.clone();
-        let got = parked_recv(&broker, "t", move || assert!(deleter.delete_topic("t")));
-        assert!(matches!(got, Err(MqError::Disconnected)), "{got:?}");
-    }
+    let broker: Arc<dyn Broker> = Arc::new(LogBroker::new());
+    let deleter = broker.clone();
+    let got = parked_recv(&broker, "t", move || assert!(deleter.delete_topic("t")));
+    assert!(matches!(got, Err(MqError::Disconnected)), "{got:?}");
 }
 
 #[test]
 fn recv_timeout_on_an_empty_live_subscription_times_out() {
-    for broker in brokers() {
-        let sub = broker.subscribe("t", SubscribeMode::Latest).unwrap();
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            tx.send(sub.recv_timeout(Duration::from_millis(20)))
-                .unwrap()
-        });
-        let got = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("recv_timeout never returned");
-        assert!(matches!(got, Err(MqError::Timeout)), "{got:?}");
-    }
+    let broker: Arc<dyn Broker> = Arc::new(LogBroker::new());
+    let sub = broker.subscribe("t", SubscribeMode::Latest).unwrap();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        tx.send(sub.recv_timeout(Duration::from_millis(20)))
+            .unwrap()
+    });
+    let got = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("recv_timeout never returned");
+    assert!(matches!(got, Err(MqError::Timeout)), "{got:?}");
 }
 
 #[test]
@@ -99,7 +92,7 @@ fn concurrent_publishers_on_log_broker_keep_dense_offsets() {
 
 #[test]
 fn subscribers_see_every_message_once_each() {
-    let broker = Arc::new(TransientBroker::new());
+    let broker = Arc::new(LogBroker::new());
     let subs: Vec<_> = (0..4)
         .map(|_| broker.subscribe("t", SubscribeMode::Latest).unwrap())
         .collect();

@@ -10,9 +10,8 @@
 //!   remote subscriptions exactly like local ones: zero polling end to
 //!   end.
 //! * **Reconnect with replay.** When the connection drops, the reactor
-//!   redials and re-subscribes every live subscription. Against a
-//!   persistent broker, a subscription that has seen offsets resumes
-//!   with [`SubscribeMode::FromOffset`] at the lowest unseen offset; the
+//!   redials and re-subscribes every live subscription. A subscription
+//!   that has seen offsets resumes with [`SubscribeMode::FromOffset`] at the lowest unseen offset; the
 //!   per-partition offset filter then drops whatever the replay
 //!   re-delivers, so consumers observe an exactly-once stream across
 //!   connection loss.
@@ -161,34 +160,25 @@ struct RemoteSub {
 
 impl RemoteSub {
     /// Record the server's resume watermark for a head-attached
-    /// (`Latest`) subscription on a persistent broker: with it, a
-    /// reconnect resumes from the log position the subscription
+    /// (`Latest`) subscription: with it, a reconnect resumes from the log position the subscription
     /// attached at, so messages published during an outage replay
     /// instead of being lost — even if nothing was delivered before the
     /// drop. Replaying origins (`Beginning`/`FromOffset`) must NOT be
     /// seeded: their history arrives with offsets below the watermark
     /// and would be discarded as duplicates.
-    fn seed_watermark(&self, resume: u64, persistent: bool) {
-        if resume != ginflow_mq::wire::NO_RESUME
-            && persistent
-            && self.origin_mode == SubscribeMode::Latest
-        {
+    fn seed_watermark(&self, resume: u64) {
+        if resume != ginflow_mq::wire::NO_RESUME && self.origin_mode == SubscribeMode::Latest {
             self.next_offset.lock().entry(0).or_insert(resume);
         }
     }
 
-    /// The mode to resume with after a reconnect.
-    fn resume_mode(&self, persistent: bool) -> SubscribeMode {
-        let next = self.next_offset.lock();
-        if persistent {
-            if let Some(&lowest) = next.values().min() {
-                return SubscribeMode::FromOffset(lowest);
-            }
-            // Nothing seen yet: re-request exactly what was asked.
-            return self.origin_mode;
+    /// The mode to resume with after a reconnect: from the lowest unseen
+    /// offset, or — nothing seen yet — exactly what was asked.
+    fn resume_mode(&self) -> SubscribeMode {
+        match self.next_offset.lock().values().min() {
+            Some(&lowest) => SubscribeMode::FromOffset(lowest),
+            None => self.origin_mode,
         }
-        // Transient brokers can only attach at the head.
-        SubscribeMode::Latest
     }
 
     /// Admit `message` past the per-partition watermark filter; replay
@@ -349,7 +339,6 @@ pub(crate) struct ClientInner {
     /// connection died again; the next reconnect pass re-issues them.
     orphans: Mutex<Vec<Arc<RemoteSub>>>,
     seq: AtomicU64,
-    persistent: AtomicBool,
     shutdown: AtomicBool,
     /// Upper bound on one [`Broker::flush`] call, in milliseconds
     /// ([`DEFAULT_FLUSH_TIMEOUT`]; [`RemoteBroker::set_flush_timeout`]).
@@ -395,7 +384,6 @@ impl RemoteBroker {
             subs: Mutex::new(HashMap::new()),
             orphans: Mutex::new(Vec::new()),
             seq: AtomicU64::new(0),
-            persistent: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             flush_timeout_ms: AtomicU64::new(DEFAULT_FLUSH_TIMEOUT.as_millis() as u64),
         });
@@ -403,14 +391,11 @@ impl RemoteBroker {
         RemoteBroker::handshake(RemoteBroker { inner })
     }
 
-    /// Handshake: learn whether the far side retains messages (the
-    /// sync `Broker::persistent` contract needs a cached answer).
+    /// Handshake: one INFO round trip, so a connection that cannot
+    /// answer fails here rather than on the first request.
     fn handshake(broker: RemoteBroker) -> std::io::Result<RemoteBroker> {
         match broker.info("") {
-            Ok((persistent, _, _)) => {
-                broker.inner.persistent.store(persistent, Ordering::SeqCst);
-                Ok(broker)
-            }
+            Ok(_) => Ok(broker),
             Err(e) => Err(std::io::Error::other(format!("broker handshake: {e}"))),
         }
     }
@@ -456,17 +441,17 @@ impl RemoteBroker {
         }
     }
 
-    fn info(&self, topic: &str) -> Result<(bool, u32, u64), MqError> {
+    /// A topic's partitions and retained messages.
+    fn info(&self, topic: &str) -> Result<(u32, u64), MqError> {
         match self.call(|seq| Frame::Info {
             seq,
             topic: topic.to_owned(),
         })? {
             Frame::InfoReply {
-                persistent,
                 partitions,
                 retained,
                 ..
-            } => Ok((persistent, partitions, retained)),
+            } => Ok((partitions, retained)),
             other => Err(protocol_error(&other)),
         }
     }
@@ -535,19 +520,8 @@ impl Drop for RemoteBroker {
 
 fn unwrap_reply(frame: Frame) -> Result<Frame, MqError> {
     match frame {
-        Frame::Error { message, .. } => Err(map_server_error(message)),
+        Frame::Error { message, .. } => Err(MqError::Remote { message }),
         other => Ok(other),
-    }
-}
-
-/// Map the server's rendered error back onto the closest [`MqError`].
-fn map_server_error(message: String) -> MqError {
-    if message.contains("requires a persistent broker") {
-        MqError::NotPersistent {
-            operation: "remote request",
-        }
-    } else {
-        MqError::Remote { message }
     }
 }
 
@@ -746,14 +720,13 @@ impl ClientInner {
         let mut live: Vec<Arc<RemoteSub>> = self.subs.lock().drain().map(|(_, e)| e).collect();
         client_metrics().subscriptions.sub(live.len() as u64);
         live.append(&mut self.orphans.lock());
-        let persistent = self.persistent.load(Ordering::SeqCst);
         let mut batch = Vec::new();
         for entry in live {
             let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
             let frame = Frame::Subscribe {
                 seq,
                 topic: entry.topic.clone(),
-                mode: entry.resume_mode(persistent),
+                mode: entry.resume_mode(),
             };
             match frame.encode() {
                 Ok(buf) => {
@@ -862,18 +835,17 @@ impl ClientInner {
                 }
             }
             Frame::Subscribed { seq, sub, resume } => {
-                let persistent = self.persistent.load(Ordering::SeqCst);
                 let waiter = self.pending.lock().remove(&seq);
                 match waiter {
                     Some(Waiter::Subscribe { entry, reply }) => {
                         // Register before touching the socket again —
                         // the very next frame may be this sub's EVENTS.
-                        entry.seed_watermark(resume, persistent);
+                        entry.seed_watermark(resume);
                         self.register_sub(sub, entry);
                         let _ = reply.send(Ok(Frame::Subscribed { seq, sub, resume }));
                     }
                     Some(Waiter::Resubscribe { entry }) => {
-                        entry.seed_watermark(resume, persistent);
+                        entry.seed_watermark(resume);
                         self.register_sub(sub, entry);
                     }
                     Some(Waiter::Reply(tx)) => {
@@ -928,7 +900,7 @@ impl ClientInner {
                 if let Some(waiter) = self.pending.lock().remove(&seq) {
                     match waiter {
                         Waiter::Reply(tx) | Waiter::Subscribe { reply: tx, .. } => {
-                            let _ = tx.send(Err(map_server_error(message)));
+                            let _ = tx.send(Err(MqError::Remote { message }));
                         }
                         // The server refused a pipelined publish; the
                         // loss surfaces on the next flush.
@@ -1123,15 +1095,11 @@ impl Broker for RemoteBroker {
         }
     }
 
-    fn persistent(&self) -> bool {
-        self.inner.persistent.load(Ordering::SeqCst)
-    }
-
     fn partitions(&self, topic: &str) -> u32 {
-        self.info(topic).map(|(_, p, _)| p).unwrap_or(1)
+        self.info(topic).map(|(p, _)| p).unwrap_or(1)
     }
 
     fn retained(&self, topic: &str) -> u64 {
-        self.info(topic).map(|(_, _, r)| r).unwrap_or(0)
+        self.info(topic).map(|(_, r)| r).unwrap_or(0)
     }
 }

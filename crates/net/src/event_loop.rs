@@ -522,16 +522,13 @@ impl LoopState {
                 // offset cannot describe a multi-partition position
                 // (retained() sums partitions), so those topics get the
                 // no-watermark sentinel instead of a wrong number.
-                let resume = if self.broker.persistent() && self.broker.partitions(&topic) <= 1 {
+                let resume = if self.broker.partitions(&topic) <= 1 {
                     self.broker.retained(&topic)
                 } else {
                     ginflow_mq::wire::NO_RESUME
                 };
                 match self.broker.subscribe(&topic, mode) {
                     Ok(sub) => {
-                        // Fold this subscription's drop-oldest counter
-                        // into its run's lag gauge at snapshot time.
-                        self.registry.attach_lag_probe(&topic, sub.lag_probe());
                         session.last_sub += 1;
                         let id = session.last_sub;
                         let entry = Arc::new(ServerSub {
@@ -592,7 +589,7 @@ impl LoopState {
                 out,
                 &Frame::InfoReply {
                     seq,
-                    persistent: self.broker.persistent(),
+                    persistent: true,
                     partitions: self.broker.partitions(&topic),
                     retained: self.broker.retained(&topic),
                 },

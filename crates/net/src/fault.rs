@@ -665,7 +665,7 @@ impl Pump {
 }
 
 /// Everything a chaos scenario needs in one value: an unmodified
-/// in-memory persistent broker behind an unmodified [`BrokerServer`],
+/// in-memory log broker behind an unmodified [`BrokerServer`],
 /// a [`ChaosNet`] spliced in front of it, and a watchdog so "never a
 /// hang" is checkable as a property.
 ///

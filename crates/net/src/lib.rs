@@ -4,10 +4,10 @@
 //! through message-queue middleware (§IV-A) — which means the broker is
 //! the one thing that has to cross host boundaries for the
 //! "decentralised" manager to actually decentralise. This crate makes
-//! the in-process broker substrates of `ginflow-mq` network-reachable:
+//! `ginflow-mq`'s in-process log network-reachable:
 //!
 //! * [`BrokerServer`] — the broker daemon (`ginflow broker serve`):
-//!   fronts any [`Broker`](ginflow_mq::Broker) (the persistent
+//!   fronts any [`Broker`](ginflow_mq::Broker) (the
 //!   [`LogBroker`](ginflow_mq::LogBroker) by default) over TCP from a
 //!   **single-thread epoll event loop** (the `mio` shim): non-blocking
 //!   sockets, per-connection read/write buffer state machines,
@@ -155,7 +155,7 @@
 //! * `gf_broker_{publish,publish_bytes,subscribe,fetch}_total` — verb
 //!   counts across every topic the daemon serves.
 //! * `gf_run_{publish,publish_bytes}_total{run}` and
-//!   `gf_run_{topics,retained,lagged}{run}` — per-run traffic and
+//!   `gf_run_{topics,retained}{run}` — per-run traffic and
 //!   gauges; the gauges are folded fresh from the run registry on
 //!   every snapshot, and a run's series are dropped when its topics
 //!   are GC'd.
@@ -173,14 +173,14 @@
 //!
 //! * **STATS wire verb** — [`RemoteBroker::stats`] returns the
 //!   flattened rows; `ginflow broker top` polls it and renders per-run
-//!   publish rates, topic/retained counts and subscriber lag.
+//!   publish rates and topic/retained counts.
 //! * **`GET /metrics`** — [`BrokerServer::serve_metrics`] (CLI:
 //!   `ginflow broker serve --metrics-addr HOST:PORT`) serves the
 //!   Prometheus text exposition format from a tiny embedded HTTP
 //!   responder; point a scraper at it.
 //! * **`RunReport` (ginflow-agent)** — a run's report carries what its
-//!   vehicle counted, as fields (`lagged`, `resident_peak`,
-//!   `rehydrations`), not registry rows. The daemon's `gf_run_*{run}`
+//!   vehicle counted, as fields (`resident_peak`, `rehydrations`), not
+//!   registry rows. The daemon's `gf_run_*{run}`
 //!   series live on the daemon, read through STATS and `/metrics`.
 //!
 //! ## Fault testing (operator & contributor guide)
@@ -248,7 +248,7 @@ pub use transport::{Connector, Transport};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ginflow_mq::{Broker, LogBroker, SubscribeMode, TransientBroker};
+    use ginflow_mq::{Broker, LogBroker, SubscribeMode};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -264,7 +264,6 @@ mod tests {
     fn connect_and_publish_roundtrip() {
         let server = BrokerServer::bind("127.0.0.1:0", Arc::new(LogBroker::new())).unwrap();
         let client = RemoteBroker::connect(&format!("tcp://{}", server.local_addr())).unwrap();
-        assert!(client.persistent());
         let r = client
             .publish("t", None, bytes::Bytes::from_static(b"hello"))
             .unwrap();
@@ -276,13 +275,9 @@ mod tests {
 
     #[test]
     fn run_registry_lists_closes_and_reclaims() {
-        let log: fn() -> Arc<dyn Broker> = || Arc::new(LogBroker::new());
-        let transient: fn() -> Arc<dyn Broker> = || Arc::new(TransientBroker::new());
-        for make in [log, transient] {
-            // The second pair's first id is a prefix of its second.
-            for (a, b) in [("a", "b"), ("a", "ab")] {
-                lists_closes_and_reclaims(make(), a, b);
-            }
+        // The second pair's first id is a prefix of its second.
+        for (a, b) in [("a", "b"), ("a", "ab")] {
+            lists_closes_and_reclaims(Arc::new(LogBroker::new()), a, b);
         }
     }
 
@@ -291,9 +286,6 @@ mod tests {
     fn lists_closes_and_reclaims(broker: Arc<dyn Broker>, a: &str, b: &str) {
         let server = BrokerServer::bind("127.0.0.1:0", broker.clone()).unwrap();
         let client = RemoteBroker::connect(&format!("tcp://{}", server.local_addr())).unwrap();
-        // What a topic retains: everything on the log, nothing on the
-        // transient profile.
-        let kept = |n: u64| if broker.persistent() { n } else { 0 };
 
         // Two runs publish under their namespaces; a non-run topic is
         // not accounted.
@@ -309,9 +301,9 @@ mod tests {
             [a, b]
         );
         assert_eq!(runs[0].topics, 2);
-        assert_eq!(runs[0].retained, kept(2));
+        assert_eq!(runs[0].retained, 2);
         assert!(!runs[0].completed);
-        assert_eq!((runs[1].topics, runs[1].retained), (1, kept(1)));
+        assert_eq!((runs[1].topics, runs[1].retained), (1, 1));
 
         // GC before close reclaims nothing; after close, run a's
         // topics are dropped and the run is forgotten.
@@ -326,7 +318,7 @@ mod tests {
         assert_eq!(left.len(), 1);
         assert_eq!(left[0].run, b);
         assert_eq!(left[0].topics, 1, "run {b} keeps its topic");
-        assert_eq!(broker.retained(&b_status), kept(1), "run b untouched");
+        assert_eq!(broker.retained(&b_status), 1, "run b untouched");
         let mut names = broker.topic_names();
         names.sort();
         assert_eq!(names, ["plain", b_status.as_str()]);

@@ -32,7 +32,6 @@ pub(crate) struct DaemonMetrics {
     // Per-run traffic; handles are cached per connection per topic.
     pub run_publishes: Arc<Family<Counter>>,
     pub run_publish_bytes: Arc<Family<Counter>>,
-    pub run_lagged: Arc<Family<Gauge>>,
     // Per-run registry accounting, refreshed at snapshot time.
     pub run_topics: Arc<Family<Gauge>>,
     pub run_retained: Arc<Family<Gauge>>,
@@ -102,11 +101,6 @@ pub(crate) fn daemon_metrics() -> &'static DaemonMetrics {
             run_publish_bytes: g.counter_family(
                 "gf_run_publish_bytes_total",
                 "Publish payload bytes into a run's namespace",
-                "run",
-            ),
-            run_lagged: g.gauge_family(
-                "gf_run_lagged",
-                "Messages dropped by slow subscribers of a run (drop-oldest bound)",
                 "run",
             ),
             run_topics: g.gauge_family(

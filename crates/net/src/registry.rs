@@ -1,5 +1,5 @@
-//! The daemon's run registry: the runs it has seen, the lag probes of
-//! their subscriptions, and when each was closed. Fed from the request
+//! The daemon's run registry: the runs it has seen, and when each was
+//! closed. Fed from the request
 //! path: any publish or subscribe touching a `run/<id>/…` topic makes
 //! sure its run has an entry. No side channel — the topic name itself
 //! is the account key, so even a client that never speaks the `RUN_*`
@@ -10,19 +10,16 @@
 
 use crate::metrics::daemon_metrics;
 use ginflow_mq::wire::RunStat;
-use ginflow_mq::{namespace, Broker, LagProbe};
+use ginflow_mq::{namespace, Broker};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One run as the registry sees it: the lag probes of its live
-/// subscriptions, and when (if) a client marked the run completed.
+/// One run as the registry sees it: when (if) a client marked the run
+/// completed.
 #[derive(Default)]
 struct RunEntry {
-    /// Drop-oldest counters of every subscription opened on the run's
-    /// topics — folded into the `gf_run_lagged` gauge at snapshot time.
-    probes: Vec<LagProbe>,
     completed_at: Option<Instant>,
 }
 
@@ -63,36 +60,18 @@ impl RunRegistry {
         counts
     }
 
-    /// Remember a subscription's lag counter under its topic's run (a
-    /// no-op for non-run-scoped topics). The probe is a detached
-    /// `Arc`-backed reader, so it stays accurate after the subscription
-    /// moves into the server's fan-out machinery and keeps its final
-    /// value once the subscription drops.
-    pub(crate) fn attach_lag_probe(&self, topic: &str, probe: LagProbe) {
-        if let Some(run) = namespace::run_of(topic) {
-            let mut runs = self.runs.lock();
-            match runs.get_mut(run) {
-                Some(entry) => entry.probes.push(probe),
-                None => runs.entry(run.to_owned()).or_default().probes.push(probe),
-            }
-        }
-    }
-
     /// Refresh the per-run gauge families (`gf_run_topics`,
-    /// `gf_run_retained`, `gf_run_lagged`) from the broker's topics and
-    /// the registry's probes — called before a STATS or `/metrics`
-    /// snapshot so snapshot-derived gauges are as fresh as the counters.
+    /// `gf_run_retained`) from the broker's topics — called before a
+    /// STATS or `/metrics` snapshot so snapshot-derived gauges are as
+    /// fresh as the counters.
     pub(crate) fn fold_into_metrics(&self) {
         let m = daemon_metrics();
         let counts = self.counts();
         let runs = self.runs.lock();
-        for (run, entry) in runs.iter() {
+        for run in runs.keys() {
             let (topics, retained) = counts.get(run).copied().unwrap_or_default();
             m.run_topics.with(run).set(u64::from(topics));
             m.run_retained.with(run).set(retained);
-            m.run_lagged
-                .with(run)
-                .set(entry.probes.iter().map(LagProbe::get).sum());
         }
     }
 

@@ -1,5 +1,5 @@
 //! The broker daemon: accepts TCP connections and fronts any in-process
-//! [`Broker`] (the persistent log by default) over the wire protocol.
+//! [`Broker`] (the log by default) over the wire protocol.
 //!
 //! [`BrokerServer`] runs one thread and one epoll instance (the
 //! `event_loop` module docs have the full
@@ -70,7 +70,7 @@ pub(crate) fn error_frame(seq: u64, e: ginflow_mq::MqError) -> Frame {
 }
 
 /// One flat snapshot of the process-global metrics registry with the
-/// per-run gauges (`gf_run_topics`, `gf_run_retained`, `gf_run_lagged`)
+/// per-run gauges (`gf_run_topics`, `gf_run_retained`)
 /// refreshed from `registry` first — the payload of a STATS reply, and
 /// the same rows `/metrics` renders in Prometheus form.
 pub(crate) fn stats_snapshot(registry: &RunRegistry) -> Vec<StatRow> {

@@ -4,7 +4,7 @@
 //! pipeline's loss ledger.
 
 use bytes::Bytes;
-use ginflow_mq::{Broker, LogBroker, MqError, SubscribeMode, TransientBroker};
+use ginflow_mq::{Broker, LogBroker, MqError, SubscribeMode};
 use ginflow_net::{BrokerServer, RemoteBroker};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -39,7 +39,6 @@ fn parity_publish_subscribe_fetch_replay() {
     }
     assert_eq!(remote.retained("t"), 4);
     assert_eq!(remote.partitions("t"), 1);
-    assert!(remote.persistent());
 
     // Late subscriber replays history, then gets live messages.
     let sub = remote.subscribe("t", SubscribeMode::Beginning).unwrap();
@@ -67,30 +66,6 @@ fn parity_publish_subscribe_fetch_replay() {
         remote.fetch("t", 9, 0, 10),
         Err(MqError::Remote { .. })
     ));
-}
-
-#[test]
-fn transient_profile_errors_map_back() {
-    let server = BrokerServer::bind("127.0.0.1:0", Arc::new(TransientBroker::new())).unwrap();
-    let remote = client(&server);
-    assert!(!remote.persistent());
-    assert!(matches!(
-        remote.subscribe("t", SubscribeMode::Beginning),
-        Err(MqError::NotPersistent { .. })
-    ));
-    assert!(matches!(
-        remote.fetch("t", 0, 0, 1),
-        Err(MqError::NotPersistent { .. })
-    ));
-    // Plain pub/sub still works on the transient profile.
-    let sub = remote.subscribe("t", SubscribeMode::Latest).unwrap();
-    remote.publish("t", None, payload("x")).unwrap();
-    assert_eq!(
-        sub.recv_timeout(Duration::from_secs(5))
-            .unwrap()
-            .payload_str(),
-        "x"
-    );
 }
 
 #[test]
@@ -125,8 +100,7 @@ fn events_push_wakers_like_a_local_broker() {
 #[test]
 fn a_waker_fires_once_per_idle_to_pending_edge_on_every_broker() {
     let (server, _log) = serve_log();
-    let brokers: [(&str, Arc<dyn Broker>); 3] = [
-        ("transient", Arc::new(TransientBroker::new())),
+    let brokers: [(&str, Arc<dyn Broker>); 2] = [
         ("log", Arc::new(LogBroker::new())),
         ("remote", Arc::new(client(&server))),
     ];
@@ -870,7 +844,6 @@ fn burst_fanout_is_delivered_completely_under_batching() {
             format!("m{i}")
         );
     }
-    assert_eq!(sub.lagged(), 0);
 }
 
 #[test]

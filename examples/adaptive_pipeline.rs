@@ -38,10 +38,7 @@ fn main() {
     let mut registry = ServiceRegistry::tracing_for(["s1", "s3", "s4", "s2p"]);
     registry.register("s2", Arc::new(FailingService));
 
-    let engine = Engine::builder()
-        .broker(BrokerKind::Transient.build())
-        .registry(Arc::new(registry))
-        .build();
+    let engine = Engine::builder().registry(Arc::new(registry)).build();
     let run = engine.launch(&wf);
     let events = run.events();
     let results = run

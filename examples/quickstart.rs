@@ -44,7 +44,6 @@ fn main() {
     let registry = Arc::new(registry);
     for backend in [Backend::Scheduler, Backend::Sim] {
         let engine = Engine::builder()
-            .broker(BrokerKind::Transient.build())
             .registry(registry.clone())
             .backend(backend)
             .build();

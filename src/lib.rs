@@ -15,7 +15,7 @@
 //! | [`hocl`] | the Higher-Order Chemical Language engine |
 //! | [`core`] | workflows, DAGs, services, adaptations, JSON format |
 //! | [`hoclflow`] | workflow → chemistry compilation, generic/adaptation rules |
-//! | [`mq`] | ActiveMQ-like and Kafka-like broker substrates with push wakeups |
+//! | [`mq`] | the Kafka-like log broker with push wakeups, its wire protocol and durable store |
 //! | [`agent`] | service agents: sans-IO core + event-driven sharded worker-pool scheduler + §IV-B recovery + the unified execution API types ([`agent::engine`]) |
 //! | [`engine`] | `Engine::builder()` — the single launch entry point over every backend |
 //! | [`sim`] | virtual-time execution with calibrated cost models (an [`ExecutionBackend`](prelude::ExecutionBackend) too) |
@@ -42,9 +42,9 @@
 //! b.task("T4", "s4").after(["T2", "T3"]);
 //! let wf = b.build().unwrap();
 //!
-//! // Execute decentralised: one agent per task over an in-process broker.
+//! // Execute decentralised: one agent per task over the engine's
+//! // in-process log, whose topics the run deletes once it is joined.
 //! let engine = Engine::builder()
-//!     .broker(BrokerKind::Transient.build())
 //!     .registry(Arc::new(ServiceRegistry::tracing_for(["s1", "s2", "s3", "s4"])))
 //!     .backend(Backend::Scheduler)
 //!     .build();
@@ -98,7 +98,7 @@ pub mod prelude {
     pub use ginflow_hoclflow::{
         agent_programs, compile_centralized, run as run_centralized, CentralizedConfig,
     };
-    pub use ginflow_mq::{Broker, BrokerKind, LogBroker, TransientBroker};
+    pub use ginflow_mq::{Broker, BrokerKind, LogBroker};
     pub use ginflow_sim::{simulate, CostModel, FailureSpec, ServiceModel, SimBackend, SimConfig};
 }
 

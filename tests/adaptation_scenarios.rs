@@ -52,10 +52,7 @@ fn fig9b_region_collapse_centralized_and_threaded() {
     );
     assert_eq!(outcome.states["X"], TaskState::Failed);
 
-    let engine = Engine::builder()
-        .broker(BrokerKind::Transient.build())
-        .registry(registry)
-        .build();
+    let engine = Engine::builder().registry(registry).build();
     let run = engine.launch(&wf);
     let results = run.wait(WAIT).unwrap();
     assert_eq!(results["D"], Value::Str("s4(sXp(s1(in)))".into()));
@@ -109,10 +106,7 @@ fn chained_replacement_when_tail_fails() {
     assert_eq!(outcome.states["C"], TaskState::Failed);
 
     // Same on threads.
-    let engine = Engine::builder()
-        .broker(BrokerKind::Transient.build())
-        .registry(registry)
-        .build();
+    let engine = Engine::builder().registry(registry).build();
     let run = engine.launch(&chained());
     let results = run.wait(WAIT).unwrap();
     assert_eq!(results["D"], Value::Str("s4(sCp(sBp(s1(in))))".into()));
@@ -157,10 +151,7 @@ fn two_disjoint_adaptations_both_trigger() {
     assert_eq!(outcome.states["X'"], TaskState::Completed);
     assert_eq!(outcome.states["Y'"], TaskState::Completed);
 
-    let engine = Engine::builder()
-        .broker(BrokerKind::Log.build())
-        .registry(registry)
-        .build();
+    let engine = Engine::builder().registry(registry).build();
     let run = engine.launch(&wf);
     let results = run.wait(WAIT).unwrap();
     assert_eq!(results["D"], expected);

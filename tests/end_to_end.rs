@@ -40,10 +40,7 @@ fn json_to_all_three_execution_paths() {
     assert_eq!(centralized.result_of("T4"), Some(&expected));
 
     // Decentralised threads.
-    let engine = Engine::builder()
-        .broker(BrokerKind::Transient.build())
-        .registry(Arc::new(registry()))
-        .build();
+    let engine = Engine::builder().registry(Arc::new(registry())).build();
     let run = engine.launch(&wf);
     let results = run.wait(Duration::from_secs(20)).unwrap();
     assert_eq!(results["T4"], expected);
@@ -79,10 +76,7 @@ fn adaptation_consistent_across_paths() {
     assert_eq!(centralized.result_of("T4"), Some(&expected));
     assert_eq!(centralized.states["T2"], TaskState::Failed);
 
-    let engine = Engine::builder()
-        .broker(BrokerKind::Transient.build())
-        .registry(Arc::new(broken()))
-        .build();
+    let engine = Engine::builder().registry(Arc::new(broken())).build();
     let run = engine.launch(&wf);
     let results = run.wait(Duration::from_secs(20)).unwrap();
     assert_eq!(results["T4"], expected);
@@ -111,10 +105,7 @@ fn generated_workloads_run_everywhere() {
             "{h}x{v} {conn:?} centralized"
         );
 
-        let engine = Engine::builder()
-            .broker(BrokerKind::Log.build())
-            .registry(Arc::new(registry()))
-            .build();
+        let engine = Engine::builder().registry(Arc::new(registry())).build();
         let run = engine.launch(&wf);
         run.wait(Duration::from_secs(20))
             .unwrap_or_else(|e| panic!("{h}x{v} {conn:?} threaded: {e}"));
@@ -149,10 +140,7 @@ fn montage_runs_threaded_scaled_down() {
             )),
         );
     }
-    let engine = Engine::builder()
-        .broker(BrokerKind::Log.build())
-        .registry(Arc::new(registry))
-        .build();
+    let engine = Engine::builder().registry(Arc::new(registry)).build();
     let run = engine.launch(&wf);
     let results = run.wait(Duration::from_secs(60)).expect("mosaic completes");
     assert!(results.contains_key("mJPEG"));
