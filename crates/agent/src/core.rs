@@ -242,15 +242,15 @@ impl SaCore {
             });
         }
         let mut commands = host.outbox;
-        for eff in &out.suspended {
-            let service = eff
-                .args
-                .first()
-                .and_then(Atom::as_sym)
-                .map(|s| s.as_str().to_owned())
-                .unwrap_or_else(|| self.program.service.clone());
-            let params = match eff.args.get(1) {
-                Some(Atom::List(v)) => v.clone(),
+        for eff in out.suspended {
+            // `invoke(?s, ?p, ?me)`: the parameter list moves out.
+            let mut args = eff.args.into_iter();
+            let service = match args.next() {
+                Some(Atom::Sym(s)) => s.as_str().to_owned(),
+                _ => self.program.service.clone(),
+            };
+            let params = match args.next() {
+                Some(Atom::List(v)) => v,
                 _ => Vec::new(),
             };
             commands.push(Command::Invoke {

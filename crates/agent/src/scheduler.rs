@@ -319,19 +319,20 @@ impl RunControl for WorkflowRun {
     /// teardown needs nothing from the broker — not even a connection.
     /// Then an unsharded run deletes its two topics (see the module
     /// docs). Idempotent: the call that takes the workers tears down,
-    /// and a later one finds nothing left. Callable from any thread
-    /// holding the run.
+    /// holding their lock until it is done, so a call made meanwhile
+    /// returns only once the teardown has finished, and a later one finds
+    /// nothing left. Callable from any thread holding the run.
     fn stop(&self) {
         if !self.inner.shutdown.swap(true, Ordering::SeqCst) {
             for shard in &self.inner.shards {
                 let _ = shard.send(WorkItem::Shutdown);
             }
         }
-        let workers = std::mem::take(&mut *self.workers.lock());
+        let mut workers = self.workers.lock();
         if workers.is_empty() {
             return;
         }
-        for worker in workers {
+        for worker in workers.drain(..) {
             let _ = worker.join();
         }
         self.inner.status.disarm();

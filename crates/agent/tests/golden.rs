@@ -204,10 +204,10 @@ T4 <- Deliver(Result { from: "T2'", value: "s2p(s1(input))" })
 T4 <- ServiceCompleted { effect: EffectId(0), result: Ok("s4(s2p(s1(input)),s3(s1(input)))") }
   -> Publish { state: Completed, result: Some("s4(s2p(s1(input)),s3(s1(input)))") }
 final T1: <gw_send, gw_recv, SRC:<>, SRV:s1, RES:<"s1(input)">, DST:<>, TASK:T1> applications=5 match_attempts=87
-final T2: <DST:<T4>, gw_send, gw_recv, SRC:<>, SRV:s2, RES:<>, TASK:T2> applications=4 match_attempts=81
-final T3: <gw_send, gw_recv, SRC:<>, SRV:s3, RES:<"s3(s1(input))">, DST:<>, TASK:T3> applications=4 match_attempts=77
-final T4: <DST:<>, gw_send, gw_recv, SRC:<>, SRV:s4, TASK:T4, RES:<"s4(s2p(s1(input)),s3(s1(input)))">> applications=5 match_attempts=121
-final T2': <gw_send, gw_recv, ACTIVATED:0, SRC:<>, SRV:s2p, RES:<"s2p(s1(input))">, DST:<>, TASK:T2'> applications=5 match_attempts=81
+final T2: <DST:<T4>, gw_send, gw_recv, SRC:<>, SRV:s2, RES:<>, TASK:T2> applications=4 match_attempts=73
+final T3: <gw_send, gw_recv, SRC:<>, SRV:s3, RES:<"s3(s1(input))">, DST:<>, TASK:T3> applications=4 match_attempts=69
+final T4: <DST:<>, gw_send, gw_recv, SRC:<>, SRV:s4, TASK:T4, RES:<"s4(s2p(s1(input)),s3(s1(input)))">> applications=5 match_attempts=97
+final T2': <gw_send, gw_recv, ACTIVATED:0, SRC:<>, SRV:s2p, RES:<"s2p(s1(input))">, DST:<>, TASK:T2'> applications=5 match_attempts=73
 "#;
 
 const FANIN_JOIN: &str = r#"join <- Start
@@ -235,7 +235,7 @@ join <- Deliver(Result { from: "p8", value: "r-p8" })
 join <- ServiceCompleted { effect: EffectId(0), result: Ok("joined") }
   -> Publish { state: Completed, result: Some("joined") }
   = <DST:<>, gw_send, gw_recv, DELIVER:p2:"r-p2", SRC:<>, SRV:s, TASK:join, RES:<"joined">>
-final join: <DST:<>, gw_send, gw_recv, DELIVER:p2:"r-p2", SRC:<>, SRV:s, TASK:join, RES:<"joined">> applications=10 match_attempts=417
+final join: <DST:<>, gw_send, gw_recv, DELIVER:p2:"r-p2", SRC:<>, SRV:s, TASK:join, RES:<"joined">> applications=10 match_attempts=335
 "#;
 
 const CENTRALIZED_FIG5: &str = r#"seed None: applications=19 <gw_pass, T3:<RES:<"s3(s1(input))">, DST:<>, SRC:<>, SRV:s3, TASK:T3>, T2:<RES:<>, DST:<T4>, SRC:<>, SRV:s2, TASK:T2>, T1:<RES:<"s1(input)">, DST:<>, SRC:<>, SRV:s1, TASK:T1>, T2':<RES:<"s2p(s1(input))">, DST:<>, SRC:<>, SRV:s2p, TASK:T2'>, T4:<DST:<>, SRC:<>, SRV:s4, TASK:T4, RES:<"s4(s2p(s1(input)),s3(s1(input)))">>>

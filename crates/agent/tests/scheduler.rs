@@ -704,6 +704,69 @@ fn a_respawned_agent_replays_only_its_own_key_in_log_order() {
     run.shutdown();
 }
 
+/// A service that says when it is entered, then parks until the test
+/// opens the gate.
+struct Parked {
+    entered: Mutex<std::sync::mpsc::Sender<()>>,
+    gate: Mutex<std::sync::mpsc::Receiver<()>>,
+}
+
+impl ginflow_core::Service for Parked {
+    fn invoke(&self, _params: &[Value]) -> Result<Value, ginflow_core::ServiceError> {
+        self.entered.lock().unwrap().send(()).unwrap();
+        let _ = self.gate.lock().unwrap().recv();
+        Ok(Value::str("done"))
+    }
+}
+
+#[test]
+fn a_second_cancel_returns_only_once_the_first_has_torn_the_run_down() {
+    // The run's one worker is parked in a service, so the first cancel
+    // joins it only once the gate opens. A cancel made meanwhile must
+    // wait for that teardown too: no thread outlives either call, and
+    // after both the broker holds none of the run's topics.
+    let (entered, in_service) = std::sync::mpsc::channel();
+    let (gate, opened) = std::sync::mpsc::channel();
+    let mut registry = ServiceRegistry::new();
+    registry.register(
+        "park",
+        Arc::new(Parked {
+            entered: Mutex::new(entered),
+            gate: Mutex::new(opened),
+        }),
+    );
+    let mut b = WorkflowBuilder::new("parked");
+    b.task("a", "park").input(Value::str("x"));
+    let broker = Arc::new(LogBroker::new());
+    let scheduler = Scheduler::new(broker.clone(), Arc::new(registry)).with_options(RunOptions {
+        workers: 1,
+        ..RunOptions::default()
+    });
+    let run = scheduler.launch(&b.build().unwrap());
+    in_service
+        .recv_timeout(WAIT)
+        .expect("the service is entered");
+    let (returned, cancels) = std::sync::mpsc::channel();
+    let early = std::thread::scope(|scope| {
+        for which in ["first", "second"] {
+            let (run, returned) = (&run, returned.clone());
+            scope.spawn(move || {
+                run.cancel();
+                returned.send(which).unwrap();
+            });
+            // The first takes the workers before the second calls.
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let early = cancels.recv_timeout(Duration::from_millis(200)).ok();
+        // Opened whatever the verdict, so that a failure cannot hang.
+        gate.send(()).unwrap();
+        early
+    });
+    assert_eq!(early, None, "a cancel returned while the worker was parked");
+    assert_eq!(cancels.try_iter().count(), 2, "both cancels returned");
+    assert_eq!(broker.topic_names(), Vec::<String>::new());
+}
+
 #[test]
 fn a_chain_holds_one_agent_at_a_time_whatever_its_length() {
     // Every agent is built by its own first turn and, on a log, evicted

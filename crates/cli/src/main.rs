@@ -275,6 +275,16 @@ impl Flags<'_> {
     }
 }
 
+/// What the simulator prices for a broker profile: its cost model, and
+/// whether a respawned agent can replay.
+fn sim_profile(broker: BrokerKind) -> SimConfig {
+    SimConfig {
+        cost: CostModel::for_broker(broker),
+        persistent_broker: broker == BrokerKind::Log,
+        ..SimConfig::default()
+    }
+}
+
 /// The one place broker-profile names map to kinds, shared by
 /// `--broker` and `broker serve --profile`.
 fn parse_profile(name: &str) -> Result<BrokerKind, String> {
@@ -484,7 +494,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                     }
                     // The live executors run on the engine's default
                     // broker, the log; the kind prices the simulator.
-                    builder.broker_kind(kind)
+                    if backend == Backend::Sim {
+                        builder.sim_config(sim_profile(kind))
+                    } else {
+                        builder
+                    }
                 }
                 BrokerArg::Remote(addr) => {
                     if backend == Backend::Sim {
@@ -900,12 +914,10 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let report = simulate(
         &wf,
         &SimConfig {
-            cost: CostModel::for_broker(broker),
             services: ServiceModel::constant((service_secs * SECOND as f64) as u64),
             failures,
-            persistent_broker: broker == BrokerKind::Log,
             seed,
-            ..SimConfig::default()
+            ..sim_profile(broker)
         },
     );
     println!(

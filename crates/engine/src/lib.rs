@@ -42,7 +42,7 @@ pub use ginflow_sim::SimBackend;
 
 use ginflow_agent::Scheduler;
 use ginflow_core::{ServiceRegistry, Workflow};
-use ginflow_mq::{Broker, BrokerKind, LogBroker};
+use ginflow_mq::{Broker, LogBroker};
 use ginflow_sim::SimConfig;
 use std::sync::Arc;
 use std::time::Duration;
@@ -93,16 +93,6 @@ impl EngineBuilder {
     /// Use this broker instance (shared with other runs if you like).
     pub fn broker(mut self, broker: Arc<dyn Broker>) -> Self {
         self.broker = Some(broker);
-        self
-    }
-
-    /// The middleware profile [`Backend::Sim`] simulates: its cost model
-    /// and whether a respawned agent can replay. The live backends run on
-    /// the log whatever the kind; give them a broker with
-    /// [`EngineBuilder::broker`].
-    pub fn broker_kind(mut self, kind: BrokerKind) -> Self {
-        self.sim.cost = ginflow_sim::CostModel::for_broker(kind);
-        self.sim.persistent_broker = kind == BrokerKind::Log;
         self
     }
 

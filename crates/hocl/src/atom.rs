@@ -75,9 +75,7 @@ impl Atom {
 
     /// Keyed tuple `KEY : a : …` — convenience for the `SRC : ⟨…⟩` shape.
     pub fn keyed(key: impl AsRef<str>, rest: impl IntoIterator<Item = Atom>) -> Self {
-        let mut v = vec![Atom::sym(key)];
-        v.extend(rest);
-        Atom::tuple(v)
+        Atom::tuple(std::iter::once(Atom::sym(key)).chain(rest))
     }
 
     /// Subsolution atom from an iterator of atoms.

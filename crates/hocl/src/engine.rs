@@ -35,12 +35,16 @@
 //! that is not a moved ω rest — plus each extern call's arguments and
 //! result; a suspension parks the owned bindings and shares the rule.
 //!
+//! A pass indexes the multiset once by key (see [`crate::matcher`]) and
+//! every rule's try reads the index instead of rescanning the root. The
+//! applications, and the solution each reaches, are a full scan's; only
+//! [`ReduceStats::match_attempts`] falls, by the rules not tried.
+//!
 //! What is still O(n) per application: `SRC:<?t,*ws>` → `SRC:<*ws>` costs
 //! one `Vec::remove` shift of the picked element, and `IN:<*win>` →
 //! `IN:<(?t:?v),*win>` one shift to make room in front, whatever the size
 //! of `SRC` and `IN` — two `memmove`s — and finding the sender in `SRC` is a
-//! linear scan (an index by head symbol would remove all three — nobody
-//! has asked for one).
+//! linear scan, all inside subsolutions the root index does not reach.
 //!
 //! ## The census
 //!
@@ -77,13 +81,12 @@ use crate::atom::Atom;
 use crate::bindings::Bindings;
 use crate::error::HoclError;
 use crate::externs::{EffectId, ExternHost};
-use crate::matcher::Matcher;
+use crate::matcher::{KeyIndex, Matcher};
 use crate::multiset::Multiset;
 use crate::rule::Rule;
 use crate::solution::{Pending, Solution};
 use crate::template::{build, Deferral, Instantiator, Probed};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -185,9 +188,9 @@ pub struct Engine {
     rng: Option<SmallRng>,
     next_effect: u64,
     stats: ReduceStats,
-    /// Shuffled candidate order of the current try (nondeterministic mode),
-    /// kept for its allocation.
-    order: Vec<usize>,
+    /// The candidates of the multiset searched, rebuilt each pass (and
+    /// shuffled each try in nondeterministic mode) in one allocation.
+    index: KeyIndex,
     /// Owned bindings of the application being built, kept for its
     /// allocation until a suspension parks it.
     bindings: Bindings,
@@ -214,7 +217,7 @@ impl Engine {
             rng,
             next_effect: 0,
             stats: ReduceStats::default(),
-            order: Vec::new(),
+            index: KeyIndex::default(),
             bindings: Bindings::default(),
         }
     }
@@ -312,22 +315,19 @@ impl Engine {
         host: &mut dyn ExternHost,
     ) -> Result<Option<Firing>, HoclError> {
         self.stats.weight_scanned += ms.weight() as u64;
+        self.index.build(ms);
         for (rule_idx, atom) in ms.iter().enumerate() {
             let Atom::Rule(rule) = atom else { continue };
-            let order = match &mut self.rng {
-                Some(rng) => {
-                    self.order.clear();
-                    self.order.extend(0..ms.len());
-                    self.order.shuffle(rng);
-                    Some(self.order.as_slice())
-                }
-                None => None,
-            };
+            if let Some(rng) = &mut self.rng {
+                // Each try draws its own order — a rule the index then
+                // rules out too, so a seed's RNG stream is the same.
+                self.index.shuffle(rng);
+            }
             let probed = self.matcher.find_match(
                 rule,
                 ms,
                 Some(rule_idx),
-                order,
+                &self.index,
                 host,
                 |bindings, host| Instantiator::new(host).probe(rule.rhs(), bindings),
             )?;

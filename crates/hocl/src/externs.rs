@@ -130,19 +130,16 @@ impl ExternHost for PureExterns {
 /// leaves multiset order unspecified — strips the tags, and wraps the values
 /// into a single list atom. Untagged atoms are passed through as-is.
 fn builtin_list(args: &[Atom]) -> Result<Vec<Atom>, HoclError> {
-    let mut tagged: Vec<(String, Atom)> = Vec::with_capacity(args.len());
+    let mut tagged: Vec<(&str, Atom)> = Vec::with_capacity(args.len());
     for a in args {
         match a {
             Atom::Tuple(v) if v.len() == 2 && v[0].as_sym().is_some() => {
-                tagged.push((
-                    v[0].as_sym().expect("checked").as_str().to_owned(),
-                    v[1].clone(),
-                ));
+                tagged.push((v[0].as_sym().expect("checked").as_str(), v[1].clone()));
             }
-            other => tagged.push((String::new(), other.clone())),
+            other => tagged.push(("", other.clone())),
         }
     }
-    tagged.sort_by(|a, b| a.0.cmp(&b.0));
+    tagged.sort_by(|a, b| a.0.cmp(b.0));
     Ok(vec![Atom::List(
         tagged.into_iter().map(|(_, v)| v).collect(),
     )])

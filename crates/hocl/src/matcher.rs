@@ -23,15 +23,24 @@
 //! them along the picks into owned [`Bindings`] — an ω rest is then the
 //! matched subsolution's own storage with the picks removed, never a copy.
 //!
+//! ## Candidates by key
+//!
+//! A search runs over a [`KeyIndex`] of the solution, built once per pass:
+//! every position, in traversal order, with the identity of its key when
+//! it is a keyed tuple (`SRC : ⟨…⟩`). A pattern with a key
+//! ([`Pattern::key_hint`]) meets only that key's tuples — a keyword's by
+//! identity alone — so it sees a full scan's candidates, in a full scan's
+//! order. A rule naming a key with fewer tuples than it consumes is not
+//! tried: `gw_recv` while no `DELIVER` waits, `gw_call` before `PAR`.
+//!
 //! ## What a try allocates
 //!
 //! Nothing of its own. The matcher owns the consumed-index, pick, trail
 //! and slot buffers and every search reuses them (the slot array holds
 //! borrows of the solution, so between searches it is kept empty and only
 //! its allocation survives), and so does taking the reactants out. A
-//! failed try — most of them: a rule is tried on every pass — costs its
-//! comparisons, plus, when it gets as far as a guard that calls an
-//! extern, that call's argument list and result.
+//! failed try costs its comparisons, plus, when it gets as far as a guard
+//! that calls an extern, that call's argument list and result.
 
 use crate::atom::Atom;
 use crate::bindings::{Bindings, Bound, Lookup, Rest, Var};
@@ -40,6 +49,8 @@ use crate::externs::ExternHost;
 use crate::multiset::Multiset;
 use crate::pattern::{Pattern, SubPattern};
 use crate::rule::Rule;
+use crate::symbol::{keywords, Symbol};
+use rand::seq::SliceRandom;
 
 /// Statistics of a matching attempt, fed to the simulator's cost model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -152,13 +163,82 @@ fn recycle<'b>(mut slots: Vec<Option<Slot<'_>>>) -> Vec<Option<Slot<'b>>> {
     slots.into_iter().map(|_| None).collect()
 }
 
-/// One `find_match` call: what is searched, in which order, and the state
-/// the backtracking threads through.
+/// The candidates of one multiset (see the module docs), rebuilt for each
+/// pass in the same allocation; a search runs over the multiset it indexes.
+#[derive(Default)]
+pub struct KeyIndex {
+    /// `(position, key)`: the key's [`Symbol::addr`], 0 for no keyed tuple.
+    entries: Vec<(usize, usize)>,
+    /// Tuples per keyword, by [`Symbol::addr`] (slot 0: the other atoms).
+    keyword_tuples: [usize; keywords::ALL.len() + 1],
+}
+
+impl KeyIndex {
+    /// Index `ms`, its positions in insertion order.
+    pub fn build(&mut self, ms: &Multiset) {
+        self.entries.clear();
+        self.keyword_tuples = Default::default();
+        for (i, atom) in ms.iter().enumerate() {
+            let key = atom.tuple_key().map_or(0, Symbol::addr);
+            if let Some(tuples) = self.keyword_tuples.get_mut(key) {
+                *tuples += 1;
+            }
+            self.entries.push((i, key));
+        }
+    }
+
+    /// Traverse the positions in a fresh order drawn from `rng` instead.
+    pub(crate) fn shuffle(&mut self, rng: &mut impl rand::Rng) {
+        self.entries.sort_unstable_by_key(|&(i, _)| i);
+        self.entries.shuffle(rng);
+    }
+
+    /// The positions a top-level pattern naming `key` can match, in
+    /// traversal order: that key's tuples, or every position.
+    fn candidates<'s>(
+        &'s self,
+        ms: &'s Multiset,
+        key: Option<&'s Symbol>,
+    ) -> impl Iterator<Item = usize> + 's {
+        let addr = key.map_or(0, Symbol::addr);
+        let by_spelling = key.is_some_and(|k| !k.is_keyword());
+        self.entries
+            .iter()
+            .filter(move |&&(i, k)| {
+                key.is_none()
+                    || k == addr
+                    || (by_spelling && k != 0 && ms.as_slice()[i].tuple_key() == key)
+            })
+            .map(|&(i, _)| i)
+    }
+
+    /// Has every key `rule`'s top-level patterns name the tuples the rule
+    /// consumes? (A name spelled by two symbols counts once: it is tried.)
+    fn admits(&self, ms: &Multiset, rule: &Rule) -> bool {
+        let lhs = rule.lhs();
+        lhs.iter().enumerate().all(|(i, p)| {
+            p.key_hint().is_none_or(|key| {
+                let before = lhs[..i]
+                    .iter()
+                    .filter(|q| q.key_hint().is_some_and(|k| k.addr() == key.addr()))
+                    .count();
+                if key.is_keyword() {
+                    self.keyword_tuples[key.addr()] > before
+                } else {
+                    self.candidates(ms, Some(key)).nth(before).is_some()
+                }
+            })
+        })
+    }
+}
+
+/// One `find_match` call: what is searched, over which candidates, and
+/// the state the backtracking threads through.
 struct Search<'a, 'o> {
     rule: &'a Rule,
     solution: &'a Multiset,
     self_index: Option<usize>,
-    order: Option<&'o [usize]>,
+    index: &'o KeyIndex,
     consumed: Vec<usize>,
     env: Env<'a>,
 }
@@ -201,26 +281,28 @@ impl Matcher {
     /// `self_index` (a rule must not consume its own atom), and hand its
     /// borrowed bindings to `then`. `None` when there is no match.
     ///
-    /// `order` optionally remaps candidate traversal order (the engine's
-    /// nondeterministic mode passes a shuffled index vector); `None` means
-    /// insertion order. The matcher keeps where the match was found, for
-    /// the engine to take its reactants out of the solution.
+    /// `index` is `solution`'s: its order is the candidates' (shuffled in
+    /// the engine's nondeterministic mode). The matcher keeps where the
+    /// match was found, for the engine to take its reactants out.
     pub fn find_match<R>(
         &mut self,
         rule: &Rule,
         solution: &Multiset,
         self_index: Option<usize>,
-        order: Option<&[usize]>,
+        index: &KeyIndex,
         host: &mut dyn ExternHost,
         then: impl FnOnce(&dyn Lookup, &mut dyn ExternHost) -> Result<R, HoclError>,
     ) -> Result<Option<R>, HoclError> {
+        if !index.admits(solution, rule) {
+            return Ok(None);
+        }
         let mut slots = recycle(std::mem::take(&mut self.slots));
         slots.resize(rule.slot_count(), None);
         let mut search = Search {
             rule,
             solution,
             self_index,
-            order,
+            index,
             consumed: std::mem::take(&mut self.consumed),
             env: Env {
                 slots,
@@ -282,28 +364,14 @@ impl Matcher {
             return rule.guard().eval(&search.env, host);
         };
         let hint = pattern.shape_hint();
-        let key_hint = pattern.key_hint();
-        let candidates = search.order.map_or(solution.len(), <[usize]>::len);
-        for k in 0..candidates {
-            let idx = search.order.map_or(k, |order| order[k]);
+        for idx in search.index.candidates(solution, pattern.key_hint()) {
             if Some(idx) == search.self_index || search.consumed.contains(&idx) {
                 continue;
             }
-            let atom = match solution.get(idx) {
-                Some(a) => a,
-                None => continue,
-            };
-            // Cheap pre-filters before the structural walk.
-            if let Some(h) = hint {
-                if atom.shape() != h {
-                    continue;
-                }
-            }
-            if let Some(k) = key_hint {
-                match atom.tuple_key() {
-                    Some(s) if s.as_str() == k => {}
-                    _ => continue,
-                }
+            let atom = &solution.as_slice()[idx];
+            // A cheap pre-filter before the structural walk.
+            if hint.is_some_and(|h| atom.shape() != h) {
+                continue;
             }
             self.stats.attempts += 1;
             let mark = search.env.mark();
@@ -468,10 +536,16 @@ mod tests {
         }
     }
 
-    fn search(rule: &Rule, sol: &Multiset, order: Option<&[usize]>) -> Option<Found> {
+    fn index(sol: &Multiset) -> KeyIndex {
+        let mut index = KeyIndex::default();
+        index.build(sol);
+        index
+    }
+
+    fn search(rule: &Rule, sol: &Multiset, index: &KeyIndex) -> Option<Found> {
         let mut matcher = Matcher::new();
         matcher
-            .find_match(rule, sol, None, order, &mut NoExterns, |_, _| Ok(()))
+            .find_match(rule, sol, None, index, &mut NoExterns, |_, _| Ok(()))
             .unwrap()?;
         let consumed = matcher.consumed.clone();
         let mut bindings = Bindings::default();
@@ -484,7 +558,7 @@ mod tests {
     }
 
     fn find(rule: &Rule, sol: &Multiset) -> Option<Found> {
-        search(rule, sol, None)
+        search(rule, sol, &index(sol))
     }
 
     #[test]
@@ -652,7 +726,9 @@ mod tests {
         let sol: Multiset = [Atom::rule(r.clone())].into_iter().collect();
         // The only candidate is the rule's own atom at index 0 — excluded.
         let m = Matcher::new()
-            .find_match(&r, &sol, Some(0), None, &mut NoExterns, |_, _| Ok(()))
+            .find_match(&r, &sol, Some(0), &index(&sol), &mut NoExterns, |_, _| {
+                Ok(())
+            })
             .unwrap();
         assert!(m.is_none());
     }
@@ -664,8 +740,9 @@ mod tests {
             .rhs([])
             .build();
         let sol: Multiset = [Atom::int(1), Atom::int(2)].into_iter().collect();
-        let order = [1usize, 0];
-        let m = search(&r, &sol, Some(&order)).unwrap();
+        let mut reversed = index(&sol);
+        reversed.entries.reverse();
+        let m = search(&r, &sol, &reversed).unwrap();
         assert_eq!(m.get("x").as_one(), Some(&Atom::int(2)));
     }
 
@@ -678,7 +755,7 @@ mod tests {
         let sol: Multiset = (0..10).map(Atom::int).collect();
         let mut m = Matcher::new();
         assert!(m
-            .find_match(&r, &sol, None, None, &mut NoExterns, |_, _| Ok(()))
+            .find_match(&r, &sol, None, &index(&sol), &mut NoExterns, |_, _| Ok(()))
             .unwrap()
             .is_none());
         // Shape prefilter admits all ints; each is attempted.

@@ -7,6 +7,7 @@
 
 use crate::atom::{Atom, Shape};
 use crate::bindings::Var;
+use crate::symbol::Symbol;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -105,9 +106,7 @@ impl Pattern {
 
     /// Keyed tuple pattern `KEY : p…` — the `SRC : ⟨…⟩` shape.
     pub fn keyed(key: impl AsRef<str>, rest: impl IntoIterator<Item = Pattern>) -> Self {
-        let mut v = vec![Pattern::sym(key)];
-        v.extend(rest);
-        Pattern::tuple(v)
+        Pattern::tuple(std::iter::once(Pattern::sym(key)).chain(rest))
     }
 
     /// Subsolution pattern with element patterns and an ω rest variable.
@@ -161,12 +160,12 @@ impl Pattern {
         }
     }
 
-    /// For keyed tuple patterns, the key symbol (`SRC` in `SRC : ⟨…⟩`),
-    /// enabling an even sharper candidate pre-filter.
-    pub fn key_hint(&self) -> Option<&str> {
+    /// For keyed tuple patterns, the key symbol (`SRC` in `SRC : ⟨…⟩`):
+    /// the matcher tries only tuples with this key (see [`crate::matcher`]).
+    pub fn key_hint(&self) -> Option<&Symbol> {
         match self {
             Pattern::Tuple(v) => match v.first() {
-                Some(Pattern::Lit(Atom::Sym(s))) => Some(s.as_str()),
+                Some(Pattern::Lit(Atom::Sym(s))) => Some(s),
                 _ => None,
             },
             _ => None,
@@ -269,7 +268,7 @@ mod tests {
     fn hints() {
         let p = Pattern::keyed("SRC", [Pattern::empty_sub()]);
         assert_eq!(p.shape_hint(), Some(Shape::Tuple(2)));
-        assert_eq!(p.key_hint(), Some("SRC"));
+        assert_eq!(p.key_hint().map(Symbol::as_str), Some("SRC"));
         assert_eq!(Pattern::var("x").shape_hint(), None);
         assert_eq!(Pattern::lit(3i64).shape_hint(), Some(Shape::Int));
     }

@@ -1,36 +1,84 @@
-//! Interned-ish symbols: cheap-to-clone identifiers used for task names,
-//! reserved keywords (`SRC`, `DST`, …) and service names.
+//! Symbols: cheap-to-clone identifiers used for task names, reserved
+//! keywords (`SRC`, `DST`, …) and service names. Each keyword is one
+//! process-wide symbol that every spelling of it shares.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
-/// A symbol is an immutable identifier backed by a reference-counted string.
+/// A symbol is an immutable identifier: a reserved keyword, or a name
+/// backed by a reference-counted string.
 ///
-/// Cloning is an atomic increment; equality first compares pointers (symbols
-/// cloned from the same origin are equal without looking at the bytes) and
-/// falls back to byte comparison so independently-created symbols with the
-/// same spelling are still equal, as chemical semantics require.
-#[derive(Clone, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct Symbol(Arc<str>);
+/// A keyword ([`keywords`]) is one symbol per process, kept as its place
+/// in the table: making one allocates nothing, cloning or dropping one
+/// counts no reference, and the matcher finds a keyword's tuples by
+/// identity alone. Cloning a name is an atomic increment; names are equal
+/// by pointer first, then by spelling, as chemical semantics require.
+#[derive(Clone)]
+pub struct Symbol(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `keywords::ALL[i]`.
+    Keyword(u8),
+    Name(Arc<str>),
+}
 
 impl Symbol {
-    /// Create a symbol from any string-like value.
+    /// Create a symbol from any string-like value: a keyword, or a name.
     pub fn new(name: impl AsRef<str>) -> Self {
-        Symbol(Arc::from(name.as_ref()))
+        let name = name.as_ref();
+        Symbol(match keyword(name) {
+            Some(i) => Repr::Keyword(i),
+            None => Repr::Name(Arc::from(name)),
+        })
+    }
+
+    /// The symbol's identity, never 0: a keyword's place in the table
+    /// (from 1, below any address), or a name's allocation.
+    pub(crate) fn addr(&self) -> usize {
+        match &self.0 {
+            Repr::Keyword(i) => *i as usize + 1,
+            Repr::Name(name) => Arc::as_ptr(name) as *const u8 as usize,
+        }
+    }
+
+    /// Is this a reserved keyword — so any symbol spelled like it is it?
+    pub(crate) fn is_keyword(&self) -> bool {
+        matches!(self.0, Repr::Keyword(_))
     }
 
     /// The symbol's spelling.
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Repr::Keyword(i) => KEYWORDS[*i as usize],
+            Repr::Name(name) => name,
+        }
     }
+}
+
+/// The keywords' one spelling each: a `static`, so every symbol of a
+/// keyword reads the same bytes.
+static KEYWORDS: [&str; keywords::ALL.len()] = keywords::ALL;
+
+/// The position of `name` in [`keywords::ALL`], if it spells a keyword.
+fn keyword(name: &str) -> Option<u8> {
+    // Every keyword starts with a capital: most names are turned away here.
+    if !name.as_bytes().first()?.is_ascii_uppercase() {
+        return None;
+    }
+    keywords::ALL
+        .iter()
+        .position(|k| *k == name)
+        .map(|i| i as u8)
 }
 
 impl PartialEq for Symbol {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        // No name is spelled like a keyword.
+        self.addr() == other.addr()
+            || (!self.is_keyword() && !other.is_keyword() && self.as_str() == other.as_str())
     }
 }
 
@@ -44,25 +92,25 @@ impl PartialOrd for Symbol {
 
 impl Ord for Symbol {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
+        self.as_str().cmp(other.as_str())
     }
 }
 
 impl std::hash::Hash for Symbol {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state)
+        self.as_str().hash(state)
     }
 }
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Symbol({})", self.0)
+        write!(f, "Symbol({})", self.as_str())
     }
 }
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -74,7 +122,22 @@ impl From<&str> for Symbol {
 
 impl From<String> for Symbol {
     fn from(s: String) -> Self {
-        Symbol(Arc::from(s.as_str()))
+        Symbol::new(s)
+    }
+}
+
+impl Serialize for Symbol {
+    fn to_value(&self) -> Value {
+        self.as_str().to_value()
+    }
+}
+
+impl Deserialize for Symbol {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::String(s) => Ok(Symbol::new(s)),
+            _ => Err(DeError::expected("string", "Symbol")),
+        }
     }
 }
 
@@ -119,6 +182,13 @@ pub mod keywords {
     pub const INPUT: &str = "INPUT";
     /// Tag wrapping a result delivered by a peer agent, awaiting `gw_recv`.
     pub const DELIVER: &str = "DELIVER";
+    /// The task's own name, as a decentralised agent holds it.
+    pub const TASK: &str = "TASK";
+
+    /// Every keyword: each is one process-wide symbol.
+    pub const ALL: [&str; 14] = [
+        SRC, DST, SRV, IN, PAR, RES, TASK, DELIVER, ADAPT, TRIGGER, ERROR, INPUT, ADDDST, MVSRC,
+    ];
 }
 
 #[cfg(test)]

@@ -71,9 +71,7 @@ impl Template {
 
     /// Keyed tuple template `KEY : t…`.
     pub fn keyed(key: impl AsRef<str>, rest: impl IntoIterator<Item = Template>) -> Self {
-        let mut v = vec![Template::sym(key)];
-        v.extend(rest);
-        Template::tuple(v)
+        Template::tuple(std::iter::once(Template::sym(key)).chain(rest))
     }
 
     /// Subsolution template.
@@ -299,7 +297,7 @@ impl<'h> Instantiator<'h> {
     }
 
     /// Perform one extern call: evaluate its arguments by reference, then
-    /// ask the host (or splice the resume atoms at the substituted call).
+    /// ask the host (or splice the resume atoms at the deferred call).
     fn call(
         &mut self,
         name: &str,
@@ -310,12 +308,13 @@ impl<'h> Instantiator<'h> {
         // arguments, matching `count_calls` traversal.
         let my_index = self.call_index;
         self.call_index += 1;
+        if self.substitute_call == Some(my_index) {
+            self.call_index += args.iter().map(Template::count_calls).sum::<usize>();
+            return Ok(std::mem::take(&mut self.resume_atoms));
+        }
         let mut arg_atoms = Vec::with_capacity(args.len());
         for a in args {
             self.eval_arg(a, bindings, &mut arg_atoms)?;
-        }
-        if self.substitute_call == Some(my_index) {
-            return Ok(std::mem::take(&mut self.resume_atoms));
         }
         match self.host.call(name, &arg_atoms)? {
             ExternResult::Atoms(atoms) => {

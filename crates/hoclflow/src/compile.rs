@@ -120,7 +120,7 @@ fn task_atoms(
     destinations: &[String],
 ) -> Vec<Atom> {
     vec![
-        Atom::keyed("TASK", [Atom::sym(name)]),
+        Atom::keyed(kw::TASK, [Atom::sym(name)]),
         Atom::keyed(kw::SRC, [Atom::sub(sources.iter().map(Atom::sym))]),
         Atom::keyed(kw::DST, [Atom::sub(destinations.iter().map(Atom::sym))]),
         Atom::keyed(kw::SRV, [Atom::sym(service)]),

@@ -48,12 +48,12 @@ pub fn gw_call() -> Rule {
             Pattern::keyed(kw::SRC, [Pattern::empty_sub()]),
             Pattern::keyed(kw::SRV, [Pattern::var("s")]),
             Pattern::keyed(kw::PAR, [Pattern::var("p")]),
-            Pattern::keyed("TASK", [Pattern::var("me")]),
+            Pattern::keyed(kw::TASK, [Pattern::var("me")]),
         ])
         .rhs([
             Template::keyed(kw::SRC, [Template::empty_sub()]),
             Template::keyed(kw::SRV, [Template::var("s")]),
-            Template::keyed("TASK", [Template::var("me")]),
+            Template::keyed(kw::TASK, [Template::var("me")]),
             Template::keyed(
                 kw::RES,
                 [Template::sub([Template::call(
@@ -163,7 +163,7 @@ pub fn gw_send() -> Rule {
                 [Pattern::sub_with_rest([Pattern::var("r")], "wres")],
             ),
             Pattern::keyed(kw::DST, [Pattern::sub_with_rest([Pattern::var("t")], "wd")]),
-            Pattern::keyed("TASK", [Pattern::var("me")]),
+            Pattern::keyed(kw::TASK, [Pattern::var("me")]),
         ])
         .guard(Guard::Not(Box::new(Guard::Pred(
             "is_error".into(),
@@ -175,7 +175,7 @@ pub fn gw_send() -> Rule {
                 [Template::sub([Template::var("r"), Template::var("wres")])],
             ),
             Template::keyed(kw::DST, [Template::empty_sub()]),
-            Template::keyed("TASK", [Template::var("me")]),
+            Template::keyed(kw::TASK, [Template::var("me")]),
             Template::call(
                 names::SEND_RESULT,
                 [
@@ -239,11 +239,11 @@ pub fn trigger_adapt_local(k: u32) -> Rule {
                 kw::RES,
                 [Pattern::sub_with_rest([Pattern::sym(kw::ERROR)], "wr")],
             ),
-            Pattern::keyed("TASK", [Pattern::var("me")]),
+            Pattern::keyed(kw::TASK, [Pattern::var("me")]),
         ])
         .rhs([
             Template::keyed(kw::RES, [Template::sub([Template::var("wr")])]),
-            Template::keyed("TASK", [Template::var("me")]),
+            Template::keyed(kw::TASK, [Template::var("me")]),
             Template::call(
                 names::ADAPT_NOTIFY,
                 [Template::lit(Atom::int(k as i64)), Template::var("me")],
@@ -471,7 +471,7 @@ mod tests {
 
     fn local_task_atoms(src: &[&str], dst: &[&str], inputs: &[Atom]) -> Vec<Atom> {
         vec![
-            Atom::keyed("TASK", [Atom::sym("T")]),
+            Atom::keyed(kw::TASK, [Atom::sym("T")]),
             Atom::keyed(kw::SRC, [Atom::sub(src.iter().map(|s| Atom::sym(*s)))]),
             Atom::keyed(kw::DST, [Atom::sub(dst.iter().map(|s| Atom::sym(*s)))]),
             Atom::keyed(kw::SRV, [Atom::sym("svc")]),

@@ -227,11 +227,11 @@ impl SubscriberHandle {
     /// edge: pushes the subscriber's waker onto `wakers` when this
     /// delivery found the subscription idle, so a broker delivers and
     /// collects wakers in one pass.
-    pub(crate) fn deliver_collect(&self, message: Message, wakers: &mut Vec<WakeFn>) -> bool {
+    pub(crate) fn deliver_collect(&self, message: Message, wakers: &mut Wakers) -> bool {
         self.push(message, Some(wakers))
     }
 
-    fn push(&self, message: Message, wakers: Option<&mut Vec<WakeFn>>) -> bool {
+    fn push(&self, message: Message, wakers: Option<&mut Wakers>) -> bool {
         let mut state = self.shared.state.lock();
         if state.subscription_gone {
             return false;
@@ -267,10 +267,29 @@ impl Drop for SubscriberHandle {
     }
 }
 
-/// Fire a batch of wakers collected during a locked delivery pass.
-pub(crate) fn wake_all(wakers: Vec<WakeFn>) {
-    for wake in wakers {
-        wake();
+/// The wakers a locked delivery pass collects, to fire once the lock is
+/// released. The first is held inline — a topic usually has one
+/// subscriber — so a publish allocates nothing for it.
+#[derive(Default)]
+pub(crate) struct Wakers {
+    first: Option<WakeFn>,
+    more: Vec<WakeFn>,
+}
+
+impl Wakers {
+    fn extend(&mut self, wake: Option<WakeFn>) {
+        match (&self.first, wake) {
+            (_, None) => {}
+            (None, wake) => self.first = wake,
+            (Some(_), Some(wake)) => self.more.push(wake),
+        }
+    }
+
+    /// Fire them, in the order they were collected.
+    pub(crate) fn fire(self) {
+        for wake in self.first.into_iter().chain(self.more) {
+            wake();
+        }
     }
 }
 
@@ -369,15 +388,19 @@ impl Subscription {
     /// The whole drain a waker runs: hand every queued message to
     /// `each`, in queue order, until the subscription is idle (see
     /// [`Subscription::settle`]). Each pass takes the whole queue under
-    /// one lock and runs `each` outside it. Only the waker's caller —
-    /// the owner of the idle→pending edge — may run it, so one thread
-    /// drains at a time.
+    /// one lock and runs `each` outside it, and the emptied buffer goes
+    /// back to the idle queue, so a drain costs the queue no capacity.
+    /// Only the waker's caller — the owner of the idle→pending edge — may
+    /// run it, so one thread drains at a time.
     pub fn drain(&self, mut each: impl FnMut(Message)) {
         let mut batch = VecDeque::new();
         loop {
             {
                 let mut state = self.shared.state.lock();
                 if state.queue.is_empty() {
+                    if state.queue.capacity() < batch.capacity() {
+                        std::mem::swap(&mut state.queue, &mut batch);
+                    }
                     state.pending = false;
                     return;
                 }

@@ -20,8 +20,8 @@
 //! fresh ones, copying key and payload out of the log.
 
 use crate::broker::{
-    fnv1a, subscription_pair, wake_all, Broker, Receipt, SubscribeMode, SubscriberHandle,
-    Subscription,
+    fnv1a, subscription_pair, Broker, Receipt, SubscribeMode, SubscriberHandle, Subscription,
+    Wakers,
 };
 use crate::error::MqError;
 use crate::message::Message;
@@ -430,14 +430,14 @@ impl Broker for LogBroker {
                 key,
                 payload,
             };
-            let mut wakers = Vec::new();
+            let mut wakers = Wakers::default();
             state
                 .subscribers
                 .retain(|sub| sub.deliver_collect(message.clone(), &mut wakers));
             (wakers, Receipt { partition, offset })
         };
         // Wake outside the topic lock: wakers may publish in turn.
-        wake_all(wakers);
+        wakers.fire();
         Ok(receipt)
     }
 

@@ -4,10 +4,10 @@
 //! any host.
 
 use bytes::Bytes;
-use ginflow_mq::{Broker, LogBroker};
+use ginflow_mq::{Broker, LogBroker, SubscribeMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The system allocator, keeping a running total of live bytes and a
 /// count of allocations (a `realloc` is one: the default forwards it to
@@ -98,5 +98,44 @@ fn a_publish_to_an_existing_topic_allocates_nothing_for_its_name() {
     assert_eq!(broker.retained("run/r/sa.inbox"), PUBLISHES as u64);
     println!("{allocations} allocations for {PUBLISHES} keyed publishes, no subscriber");
     // What is left is the log's own growth: its chunks and its index.
+    assert!(allocations <= 32, "{allocations} allocations");
+}
+
+#[test]
+fn a_subscriber_draining_through_its_waker_keeps_its_queue() {
+    // Each publish wakes the subscriber, whose drain empties the queue
+    // and hands the buffer back, so the next delivery has room, and the
+    // publish holds the one waker it fires inline: what is left is the
+    // log's own growth, as with no subscriber. (With a fresh queue per
+    // drain and a waker list per publish this read 2027: two
+    // allocations per publish.)
+    const PUBLISHES: usize = 1000;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let broker = LogBroker::new();
+    broker.create_topic("run/r/sa.inbox", 1);
+    let subscription = Arc::new(
+        broker
+            .subscribe("run/r/sa.inbox", SubscribeMode::Latest)
+            .unwrap(),
+    );
+    let drained = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let (weak, count) = (Arc::downgrade(&subscription), drained.clone());
+    subscription.set_waker(move || {
+        if let Some(subscription) = weak.upgrade() {
+            subscription.drain(|_| {
+                count.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+    });
+    let records: Vec<(Option<Bytes>, Bytes)> = (0..PUBLISHES).map(decoded).collect();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for (key, payload) in records {
+        broker.publish("run/r/sa.inbox", key, payload).unwrap();
+    }
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(drained.load(Ordering::SeqCst), PUBLISHES);
+    println!(
+        "{allocations} allocations for {PUBLISHES} keyed publishes, each drained by the waker"
+    );
     assert!(allocations <= 32, "{allocations} allocations");
 }
