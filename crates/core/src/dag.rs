@@ -7,6 +7,7 @@
 use crate::error::CoreError;
 use crate::task::{TaskId, TaskSpec};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A directed acyclic dependency graph over [`TaskSpec`]s.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -16,7 +17,30 @@ pub struct Dag {
     succ: Vec<Vec<TaskId>>,
     /// `pred[t]` = tasks whose results `t` consumes.
     pred: Vec<Vec<TaskId>>,
-    by_name: HashMap<String, TaskId>,
+    by_name: HashMap<String, TaskId, BuildHasherDefault<Fnv>>,
+}
+
+/// 64-bit FNV-1a for the name index: every status update and inbox
+/// message looks a task up by name, and the names are the workflow's
+/// own short strings, which SipHash's flood resistance does not need.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
 }
 
 impl Dag {

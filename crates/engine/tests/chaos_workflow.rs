@@ -31,15 +31,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Process-wide chaos knobs, set before the first client or server is
-/// built (both are read once per process).
+/// The process-wide reconnect cap, set before the first client is
+/// built (it is read once per process).
 fn init() {
     static INIT: std::sync::Once = std::sync::Once::new();
     INIT.call_once(|| {
         if std::env::var_os("GINFLOW_RECONNECT_CAP_MS").is_none() {
             std::env::set_var("GINFLOW_RECONNECT_CAP_MS", "100");
         }
-        std::env::set_var("GINFLOW_NET_UNBATCHED", "1");
     });
 }
 

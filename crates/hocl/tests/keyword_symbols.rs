@@ -1,22 +1,32 @@
 //! A reserved keyword is one symbol per process: making its atom clones
-//! it, counted by this binary's own global allocator. No clock.
+//! it, counted per thread by this binary's own global allocator (libtest
+//! runs the tests on parallel threads, so a process-wide count would
+//! see the other test's allocations). No clock.
 
 use ginflow_hocl::symbol::keywords as kw;
 use ginflow_hocl::Atom;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// The system allocator, counting allocations (a `realloc` is one: the
 /// default forwards it to `alloc`).
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`; the
-// counter is a static atomic, which allocates nothing.
+// counter is a const-initialised thread-local without a destructor,
+// which allocates nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's obligations for `alloc` are `System`'s.
         unsafe { System.alloc(layout) }
     }
@@ -39,16 +49,15 @@ fn spelling(atom: &Atom) -> *const u8 {
 fn a_keyword_atom_made_twice_is_one_symbol_and_allocates_nothing() {
     // The first keyword ever made builds the table of all of them.
     let warm = Atom::sym(kw::DST);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let (a, b) = (Atom::sym(kw::SRC), Atom::sym(kw::SRC));
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert_eq!(allocations, 0);
+    assert_eq!(allocations() - before, 0);
     assert_eq!(spelling(&a), spelling(&b));
     assert_ne!(spelling(&a), spelling(&warm));
     // Any other name is a symbol, and an allocation, of its own.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let (t, u) = (Atom::sym("T1"), Atom::sym("T1"));
-    assert_eq!(ALLOCATIONS.load(Ordering::SeqCst) - before, 2);
+    assert_eq!(allocations() - before, 2);
     assert_ne!(spelling(&t), spelling(&u));
     assert_eq!(t, u);
 }

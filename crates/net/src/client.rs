@@ -11,15 +11,31 @@
 //!   end.
 //! * **Reconnect with replay.** When the connection drops, the reactor
 //!   redials and re-subscribes every live subscription. A subscription
-//!   that has seen offsets resumes with [`SubscribeMode::FromOffset`] at the lowest unseen offset; the
-//!   per-partition offset filter then drops whatever the replay
-//!   re-delivers, so consumers observe an exactly-once stream across
-//!   connection loss.
+//!   that has seen offsets resumes with [`SubscribeMode::FromOffset`] at
+//!   the lowest unseen offset; the per-partition offset filter then drops
+//!   whatever the replay re-delivers, so consumers observe an
+//!   exactly-once stream across connection loss.
 //! * **Sends ride out outages.** Publishes and requests made while the
 //!   connection is down stay queued for the redial (the wait is bounded
 //!   by the request timeout, and by [`RECONNECT_GRACE`] on a full
 //!   pipeline window) instead of failing — an agent mid-workflow never
 //!   silently loses a result message to a severed connection.
+//!
+//! ## One core, one lock
+//!
+//! Everything a connection knows is one plain value, the `ClientCore`:
+//! the seq counter and the waiters, the subscription table with each
+//! entry's watermarks, the pipeline window and the loss ledger, the
+//! bytes queued for the link and whether a link is up, and the redial
+//! ladder. It holds no socket, thread, channel or clock: it is fed
+//! calls (`submit`, `publish`, `on_frame`, `on_lost`, `on_connected`,
+//! with `now` passed in where time matters) and hands back the bytes
+//! to write and the deliveries to make. The callers of [`Broker`]
+//! methods and the process's `client_reactor` loop drive it under one
+//! mutex; one condvar wakes callers waiting for an answer, for window
+//! room or for a flush. The loop makes deliveries after it releases the
+//! lock, so no subscriber's waker ever runs under it. The unit tests at
+//! the bottom of this file drive the core with no socket at all.
 //!
 //! ## Pipelined publish
 //!
@@ -28,55 +44,55 @@
 //! to the caller.
 //! [`Broker::publish_many_nowait`] is the hot path, and the only place
 //! a pipelined publish is queued ([`Broker::publish_nowait`] is the
-//! batch of one): the batch's PUBLISH frames are encoded into one
-//! buffer and handed to the connection in one step — one lock of the
-//! waiter table, one append to the FIFO, one doorbell ring, however
-//! many items — and the call returns; the reactor loop consumes the
-//! receipts asynchronously, releasing bytes from the in-flight window
-//! ([`PIPELINE_WINDOW_BYTES`]). An agent turn that publishes a status
-//! update and thirty results wakes the reactor once, not thirty-one
-//! times. The call only blocks when the window is full (after queueing
-//! what it had reserved: acks of frames that never left cannot drain
-//! it), or on [`Broker::flush`], which drains the pipeline and reports
-//! (then clears) the loss ledger. An item the codec refuses fails
-//! alone: its neighbours are queued and the call returns the first
-//! error. The event-loop daemon acks the consecutive publishes of a
-//! read turn — a batch, a pipelined storm — with one RECEIPT_LIST,
-//! which the client expands back into per-seq receipts.
+//! batch of one): the batch's PUBLISH frames are queued under one lock
+//! of the core and the reactor is rung once, however many items — and
+//! the call returns; the loop consumes the receipts asynchronously,
+//! releasing bytes from the in-flight window ([`PIPELINE_WINDOW_BYTES`]).
+//! An agent turn that publishes a status update and thirty results
+//! wakes the reactor once, not thirty-one times. The call only blocks
+//! when the window is full (after ringing for what it queued: acks of
+//! frames that never left cannot drain it), or on [`Broker::flush`],
+//! which drains the pipeline and reports (then clears) the loss ledger.
+//! An item the codec refuses fails alone: its neighbours are queued and
+//! the call returns the first error. The daemon acks the consecutive
+//! publishes of a read turn with one RECEIPT_LIST, which the core
+//! expands back into per-seq receipts.
 //!
-//! The wire itself is abstracted behind
-//! [`Transport`]: [`RemoteBroker::connect`]
-//! dials TCP, [`RemoteBroker::connect_with`] accepts any connector (an
-//! in-process socketpair, a fault-injecting wrapper), and the same
-//! connector is re-invoked on every reconnect.
+//! The wire itself is abstracted behind [`Transport`]:
+//! [`RemoteBroker::connect`] dials TCP, [`RemoteBroker::connect_with`]
+//! accepts any connector (an in-process socketpair, a fault-injecting
+//! wrapper), and the same connector is re-invoked on every reconnect.
 //!
-//! ## I/O
-//!
-//! Callers never touch the socket: the process-wide `client_reactor`
-//! loop owns it. This module owns everything above it: frame dispatch,
-//! the pipeline window, the loss ledger, watermark replay and the
-//! re-subscribe handshake.
-//!
-//! **Ordering.** All request frames of a connection pass through one
-//! FIFO buffer and the daemon processes a connection's requests in
+//! **Ordering.** All request frames of a connection pass through the
+//! core's one queue and the daemon processes a connection's requests in
 //! order, so publishes from one client — pipelined, blocking, or
 //! interleaved — land in per-topic FIFO order; a blocking publish's
 //! receipt accounts for every pipelined frame queued ahead of it.
+//! Re-subscriptions leave ahead of anything queued during an outage.
 //!
-//! **Ack/loss semantics.** A pipelined publish that fails before the
-//! frame is queued errors immediately (caller's error, e.g.
-//! oversized payload or a timed-out reconnect wait). One that dies
-//! *after* that — connection severed before its receipt, or refused
-//! by the server — is counted on a loss ledger that the next
-//! `flush()` returns and resets. Un-acked pipelined publishes are
-//! **not** replayed on reconnect: the daemon may have processed a
-//! frame whose receipt was lost with the connection, and re-sending
-//! would duplicate it in the persistent log. A request's frame and
-//! its waiter therefore live and die together: a frame reaches a fresh
-//! connection only if whoever sent it is still waiting for the answer
-//! (`ClientInner::submit` enforces it). This is the same
-//! at-most-once-on-outage contract as the blocking path (whose
-//! `Disconnected` error hot-path callers discard); flush points are
+//! **Ack/loss contract.** A frame reaches a connection only while
+//! whoever sent it is still waiting for the answer:
+//!
+//! * A pipelined publish that fails before its frame is queued errors
+//!   at once (caller's error: oversized payload, a closed client, a
+//!   full window that never drained). One that dies *after* — the
+//!   connection lost before its receipt, or refused by the server — is
+//!   counted on a loss ledger that the next `flush()` returns and
+//!   resets. Un-acked pipelined publishes are **not** replayed on
+//!   reconnect: the daemon may have processed a frame whose receipt
+//!   was lost with the connection, and re-sending would duplicate it
+//!   in the log.
+//! * A connection loss fails every request in flight
+//!   (`Disconnected`) and discards every queued byte with it.
+//! * A blocking request that reaches its timeout (`Timeout`) is given
+//!   up: if its frame has not left yet, the frame is withdrawn with it —
+//!   a timed-out publish never lands in the log later, a timed-out
+//!   `close_run` never acts; if the frame has left, the request is
+//!   abandoned — its reply is ignored and a late SUBSCRIBED is torn
+//!   down with an UNSUBSCRIBE.
+//!
+//! This is at-most-once on outage, like the blocking path's
+//! `Disconnected` error that hot-path callers discard; flush points are
 //! where a caller that needs certainty asks for it.
 //!
 //! **Flush points.** Call `flush()` wherever the program must know the
@@ -114,11 +130,11 @@ use ginflow_mq::{
     subscription_pair, Broker, Message, MqError, Receipt, SubscribeMode, SubscriberHandle,
     Subscription,
 };
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -144,104 +160,32 @@ pub const DEFAULT_FLUSH_TIMEOUT: Duration = Duration::from_secs(30);
 /// publisher can run ahead of a slow daemon.
 pub const PIPELINE_WINDOW_BYTES: usize = 4 * 1024 * 1024;
 
-/// One client-side subscription: the delivery bridge plus what is
-/// needed to resume it on a fresh connection.
-struct RemoteSub {
-    topic: String,
-    /// The mode of the *original* subscribe call, used to resume a
-    /// subscription that has not seen any message yet.
-    origin_mode: SubscribeMode,
-    handle: SubscriberHandle,
-    /// Next expected offset per partition — the dedupe filter that makes
-    /// reconnect replay exactly-once, and the resume point for
-    /// [`SubscribeMode::FromOffset`] re-subscription.
-    next_offset: Mutex<HashMap<u32, u64>>,
+/// Reconnect backoff ladder start: the first redial is immediate, each
+/// failure doubles the ladder up to [`reconnect_cap`].
+const RECONNECT_BASE: Duration = Duration::from_millis(20);
+
+/// The hard cap on reconnect backoff: the ladder never sleeps longer
+/// than this between redials, jitter included. Defaults to 2 s;
+/// override with `GINFLOW_RECONNECT_CAP_MS` (read once per process).
+fn reconnect_cap() -> Duration {
+    static CAP_MS: OnceLock<u64> = OnceLock::new();
+    Duration::from_millis(*CAP_MS.get_or_init(|| {
+        std::env::var("GINFLOW_RECONNECT_CAP_MS")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .filter(|ms| *ms > 0)
+            .unwrap_or(2_000)
+    }))
 }
 
-impl RemoteSub {
-    /// Record the server's resume watermark for a head-attached
-    /// (`Latest`) subscription: with it, a reconnect resumes from the log position the subscription
-    /// attached at, so messages published during an outage replay
-    /// instead of being lost — even if nothing was delivered before the
-    /// drop. Replaying origins (`Beginning`/`FromOffset`) must NOT be
-    /// seeded: their history arrives with offsets below the watermark
-    /// and would be discarded as duplicates.
-    fn seed_watermark(&self, resume: u64) {
-        if resume != ginflow_mq::wire::NO_RESUME && self.origin_mode == SubscribeMode::Latest {
-            self.next_offset.lock().entry(0).or_insert(resume);
-        }
-    }
-
-    /// The mode to resume with after a reconnect: from the lowest unseen
-    /// offset, or — nothing seen yet — exactly what was asked.
-    fn resume_mode(&self) -> SubscribeMode {
-        match self.next_offset.lock().values().min() {
-            Some(&lowest) => SubscribeMode::FromOffset(lowest),
-            None => self.origin_mode,
-        }
-    }
-
-    /// Admit `message` past the per-partition watermark filter; replay
-    /// duplicates from a reconnect — `offset` below the watermark — are
-    /// absorbed here.
-    fn admit(&self, message: &Message) -> bool {
-        let mut next = self.next_offset.lock();
-        let watermark = next.entry(message.partition).or_insert(0);
-        if message.offset < *watermark {
-            // Duplicate from a reconnect replay — absorbed, unless the
-            // chaos suite has deliberately broken the filter to prove
-            // it would catch exactly this regression.
-            return !watermark_dedupe_enabled();
-        }
-        *watermark = message.offset + 1;
-        true
-    }
-
-    /// Deliver one EVENTS frame's messages, waking the subscriber at
-    /// most **once**, at the end (false = local subscriber is gone).
-    fn deliver_batch(&self, messages: Vec<Message>) -> bool {
-        let mut delivered = false;
-        for message in messages {
-            if !self.admit(&message) {
-                continue;
-            }
-            if !self.handle.deliver(message) {
-                return false;
-            }
-            delivered = true;
-        }
-        if delivered {
-            self.handle.wake();
-        }
-        true
-    }
-}
-
-/// What the frame dispatch does with a reply.
-enum Waiter {
-    /// Hand the raw reply frame to the requester.
-    Reply(ReplySender),
-    /// A subscribe in flight: the dispatch itself registers the
-    /// subscription under the server-assigned id *before* processing any
-    /// further frame, so no EVENTS can slip past between the ack and the
-    /// registration.
-    Subscribe {
-        entry: Arc<RemoteSub>,
-        reply: ReplySender,
-    },
-    /// A re-subscription issued by the reconnect path (no requester).
-    Resubscribe { entry: Arc<RemoteSub> },
-    /// A subscribe whose requester timed out and walked away: if the
-    /// ack still arrives, the server-side subscription must be torn
-    /// down rather than stream events nobody handles.
-    Abandoned,
-    /// A pipelined publish in flight: nobody blocks on the receipt —
-    /// the dispatch consumes it and releases the publish's bytes from the
-    /// pipeline window.
-    Pipelined {
-        /// Wire bytes this publish holds in the window.
-        bytes: usize,
-    },
+/// A per-connection jitter seed (hashmap `RandomState` is the stdlib's
+/// per-process entropy — no clock involved).
+fn jitter_seed() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    std::collections::hash_map::RandomState::new()
+        .build_hasher()
+        .finish()
+        | 1
 }
 
 /// Client-side pipeline instrumentation. Gauges move by deltas, so
@@ -304,18 +248,558 @@ fn watermark_dedupe_enabled() -> bool {
     !WATERMARK_DEDUPE_DISABLED.load(Ordering::SeqCst)
 }
 
-/// Un-acknowledged pipelined publishes: the window occupancy publishers
-/// block on when full, and the loss ledger [`RemoteBroker::flush`]
-/// reports from.
-#[derive(Default)]
-struct PipelineState {
-    /// Wire bytes currently in flight.
+/// One client-side subscription: the delivery bridge plus what is
+/// needed to resume it on a fresh connection.
+struct RemoteSub {
+    topic: String,
+    /// The mode of the *original* subscribe call, used to resume a
+    /// subscription that has not seen any message yet.
+    origin_mode: SubscribeMode,
+    handle: Arc<SubscriberHandle>,
+    /// Next expected offset per partition — the dedupe filter that makes
+    /// reconnect replay exactly-once, and the resume point for
+    /// [`SubscribeMode::FromOffset`] re-subscription.
+    next_offset: HashMap<u32, u64>,
+}
+
+impl RemoteSub {
+    /// Record the server's resume watermark for a head-attached
+    /// (`Latest`) subscription: with it, a reconnect resumes from the
+    /// log position the subscription attached at, so messages published
+    /// during an outage replay instead of being lost — even if nothing
+    /// was delivered before the drop. Replaying origins
+    /// (`Beginning`/`FromOffset`) must NOT be seeded: their history
+    /// arrives with offsets below the watermark and would be discarded
+    /// as duplicates.
+    fn seed_watermark(&mut self, resume: u64) {
+        if resume != ginflow_mq::wire::NO_RESUME && self.origin_mode == SubscribeMode::Latest {
+            self.next_offset.entry(0).or_insert(resume);
+        }
+    }
+
+    /// The mode to resume with after a reconnect: from the lowest unseen
+    /// offset, or — nothing seen yet — exactly what was asked.
+    fn resume_mode(&self) -> SubscribeMode {
+        match self.next_offset.values().min() {
+            Some(&lowest) => SubscribeMode::FromOffset(lowest),
+            None => self.origin_mode,
+        }
+    }
+
+    /// Admit `message` past the per-partition watermark filter; replay
+    /// duplicates from a reconnect — `offset` below the watermark — are
+    /// absorbed here.
+    fn admit(&mut self, message: &Message) -> bool {
+        let watermark = self.next_offset.entry(message.partition).or_insert(0);
+        if message.offset < *watermark {
+            // Duplicate from a reconnect replay — absorbed, unless the
+            // chaos suite has deliberately broken the filter to prove
+            // it would catch exactly this regression.
+            return !watermark_dedupe_enabled();
+        }
+        *watermark = message.offset + 1;
+        true
+    }
+}
+
+/// Who is waiting for the reply to one seq.
+enum Waiter {
+    /// A blocking request: its caller waits on the condvar for `Done`.
+    Reply,
+    /// A subscribe in flight. On SUBSCRIBED the core enters the
+    /// subscription in its table *before* it handles any further frame,
+    /// so no EVENTS can slip past between the ack and the registration.
+    Subscribe(Box<RemoteSub>),
+    /// A re-subscription of table entry `local`, issued at a connect.
+    Resubscribe(u64),
+    /// A request given up after its frame left: a late reply is
+    /// ignored, a late SUBSCRIBED torn down.
+    Abandoned,
+    /// A pipelined publish holding `bytes` of the window: nobody blocks
+    /// on its receipt.
+    Pipelined { bytes: usize },
+    /// The answer of a blocking request, for its caller to collect.
+    Done(Box<Result<Frame, MqError>>),
+}
+
+/// One EVENTS frame's admitted messages, for the reactor to hand to the
+/// local subscriber outside the core's lock.
+pub(crate) struct Delivery {
+    /// The server-assigned id they arrived under.
+    pub(crate) sub: u64,
+    handle: Arc<SubscriberHandle>,
+    messages: Vec<Message>,
+}
+
+impl Delivery {
+    /// Deliver, waking the subscriber at most **once**, at the end.
+    /// `false`: the local subscriber is gone — tell the core
+    /// ([`ClientCore::drop_sub`]).
+    pub(crate) fn run(self) -> bool {
+        for message in self.messages {
+            if !self.handle.deliver(message) {
+                return false;
+            }
+        }
+        self.handle.wake();
+        true
+    }
+}
+
+/// A connection's protocol state, driven without sockets — see the
+/// module docs. Local ids of subscriptions are the seq of the
+/// SUBSCRIBE that opened them.
+pub(crate) struct ClientCore {
+    seq: u64,
+    pending: HashMap<u64, Waiter>,
+    /// Every live subscription, by local id.
+    subs: HashMap<u64, RemoteSub>,
+    /// The current link's server-assigned ids → local ids. An entry of
+    /// `subs` missing here is re-issued at the next connect.
+    by_server: HashMap<u64, u64>,
+    /// Wire bytes and count of un-acknowledged pipelined publishes.
     inflight_bytes: usize,
-    /// Publishes currently in flight.
     inflight: usize,
-    /// Pipelined publishes lost since the last flush (connection died
-    /// before their ack, or the server refused them).
+    /// Pipelined publishes lost since the last flush.
     lost: u64,
+    /// Encoded frames the reactor has not taken yet, in send order.
+    outbound: Vec<u8>,
+    /// The blocking requests whose frames are still in `outbound`.
+    unsent: Vec<(u64, Range<usize>)>,
+    /// The reactor has been rung for `outbound` and not taken it yet.
+    rung: bool,
+    link_up: bool,
+    closed: bool,
+    /// Next redial delay after a failed attempt.
+    backoff: Duration,
+    reconnect_cap: Duration,
+    /// xorshift64 state for backoff jitter.
+    jitter: u64,
+    flush_timeout: Duration,
+}
+
+impl ClientCore {
+    pub(crate) fn new(jitter: u64, reconnect_cap: Duration) -> ClientCore {
+        ClientCore {
+            seq: 0,
+            pending: HashMap::new(),
+            subs: HashMap::new(),
+            by_server: HashMap::new(),
+            inflight_bytes: 0,
+            inflight: 0,
+            lost: 0,
+            outbound: Vec::new(),
+            unsent: Vec::new(),
+            rung: false,
+            link_up: false,
+            closed: false,
+            backoff: RECONNECT_BASE,
+            reconnect_cap,
+            jitter,
+            flush_timeout: DEFAULT_FLUSH_TIMEOUT,
+        }
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
+    fn queue(&mut self, frame: Vec<u8>) {
+        if self.outbound.is_empty() {
+            self.outbound = frame;
+        } else {
+            self.outbound.extend_from_slice(&frame);
+        }
+    }
+
+    /// Queue a blocking request with its waiter; returns its seq.
+    fn submit(&mut self, make: impl FnOnce(u64) -> Frame, waiter: Waiter) -> Result<u64, MqError> {
+        if self.closed {
+            return Err(MqError::Disconnected);
+        }
+        let seq = self.next_seq();
+        let frame = encode(&make(seq))?;
+        let start = self.outbound.len();
+        self.queue(frame);
+        self.unsent.push((seq, start..self.outbound.len()));
+        self.pending.insert(seq, waiter);
+        Ok(seq)
+    }
+
+    /// Queue one pipelined publish and take its share of the window
+    /// (the caller waits for room first: [`ClientCore::window_full`]).
+    fn publish(
+        &mut self,
+        topic: String,
+        key: Option<bytes::Bytes>,
+        payload: bytes::Bytes,
+    ) -> Result<(), MqError> {
+        if self.closed {
+            return Err(MqError::Disconnected);
+        }
+        let seq = self.next_seq();
+        let frame = encode(&Frame::Publish {
+            seq,
+            topic,
+            key,
+            payload,
+        })?;
+        self.pending
+            .insert(seq, Waiter::Pipelined { bytes: frame.len() });
+        self.inflight_bytes += frame.len();
+        self.inflight += 1;
+        self.queue(frame);
+        self.window_moved();
+        Ok(())
+    }
+
+    fn window_full(&self) -> bool {
+        self.inflight_bytes >= PIPELINE_WINDOW_BYTES
+    }
+
+    /// Mirror the window into its gauges — plain stores, cheaper than a
+    /// fetch-add on a line the publisher and loop threads both write.
+    fn window_moved(&self) {
+        let m = client_metrics();
+        m.inflight_bytes.set(self.inflight_bytes as u64);
+        m.inflight.set(self.inflight as u64);
+    }
+
+    /// Release the window share of `publishes` pipelined publishes
+    /// holding `bytes`; `lost` records them on the ledger.
+    fn release(&mut self, publishes: usize, bytes: usize, lost: bool) {
+        self.inflight_bytes = self.inflight_bytes.saturating_sub(bytes);
+        self.inflight = self.inflight.saturating_sub(publishes);
+        self.window_moved();
+        if lost {
+            self.lost += publishes as u64;
+            client_metrics().lost.add(publishes as u64);
+        }
+    }
+
+    /// What [`Broker::flush`] returns once no publish is in flight
+    /// (`None` before): `Ok`, or the loss ledger, which it clears.
+    fn flushed(&mut self) -> Option<Result<(), MqError>> {
+        if self.inflight > 0 {
+            return None;
+        }
+        Some(match std::mem::take(&mut self.lost) {
+            0 => Ok(()),
+            lost => Err(MqError::Remote {
+                message: format!("{lost} pipelined publish(es) lost before acknowledgement"),
+            }),
+        })
+    }
+
+    /// Whether queued bytes need the reactor rung (at most once until it
+    /// takes them).
+    fn ring(&mut self) -> bool {
+        let ring = !self.rung && !self.outbound.is_empty();
+        self.rung |= ring;
+        ring
+    }
+
+    /// The bytes queued for the link, in order; they have left.
+    pub(crate) fn take_outbound(&mut self) -> Vec<u8> {
+        self.rung = false;
+        self.unsent.clear();
+        std::mem::take(&mut self.outbound)
+    }
+
+    /// The answer to blocking request `seq`, once it is in.
+    fn take_answer(&mut self, seq: u64) -> Option<Result<Frame, MqError>> {
+        if !matches!(self.pending.get(&seq), Some(Waiter::Done(_))) {
+            return None;
+        }
+        match self.pending.remove(&seq) {
+            Some(Waiter::Done(answer)) => Some(*answer),
+            _ => None,
+        }
+    }
+
+    /// Blocking request `seq` reached its timeout: take its answer if
+    /// it is in, else withdraw its frame if it has not left, else
+    /// abandon it.
+    fn give_up(&mut self, seq: u64) -> Result<Frame, MqError> {
+        if let Some(answer) = self.take_answer(seq) {
+            return answer;
+        }
+        match self.unsent.iter().position(|(s, _)| *s == seq) {
+            Some(i) => {
+                let (_, span) = self.unsent.remove(i);
+                let len = span.len();
+                self.outbound.drain(span);
+                for (_, later) in &mut self.unsent[i..] {
+                    *later = later.start - len..later.end - len;
+                }
+                self.pending.remove(&seq);
+            }
+            None => {
+                self.pending.insert(seq, Waiter::Abandoned);
+            }
+        }
+        Err(MqError::Timeout)
+    }
+
+    /// Queue an UNSUBSCRIBE, only if a link is up: a server-assigned id
+    /// means nothing on the next connection.
+    fn unsubscribe(&mut self, sub: u64) {
+        if self.link_up {
+            if let Ok(frame) = (Frame::Unsubscribe { seq: 0, sub }).encode() {
+                self.queue(frame);
+            }
+        }
+    }
+
+    fn register(&mut self, local: u64, sub: u64) {
+        if self.by_server.insert(sub, local).is_none() {
+            client_metrics().subscriptions.add(1);
+        }
+    }
+
+    /// The local subscriber of `sub` is gone: forget it and tell the
+    /// server.
+    pub(crate) fn drop_sub(&mut self, sub: u64) {
+        if let Some(local) = self.by_server.remove(&sub) {
+            client_metrics().subscriptions.sub(1);
+            self.subs.remove(&local);
+            self.unsubscribe(sub);
+        }
+    }
+
+    /// Release everything held for `run`'s subscriptions — see
+    /// [`RemoteBroker::close_run`].
+    fn forget_run(&mut self, run: &str) {
+        self.subs
+            .retain(|_, entry| ginflow_mq::namespace::run_of(&entry.topic) != Some(run));
+        let (before, subs) = (self.by_server.len(), &self.subs);
+        self.by_server.retain(|_, local| subs.contains_key(local));
+        client_metrics()
+            .subscriptions
+            .sub((before - self.by_server.len()) as u64);
+    }
+
+    /// A link is up: queue a re-subscription of every table entry ahead
+    /// of anything queued during the outage, from the lowest unseen
+    /// offset (old server-assigned ids mean nothing on this link).
+    pub(crate) fn on_connected(&mut self) {
+        self.link_up = true;
+        self.backoff = RECONNECT_BASE;
+        let mut batch = Vec::new();
+        for (&local, entry) in &self.subs {
+            self.seq += 1;
+            let frame = Frame::Subscribe {
+                seq: self.seq,
+                topic: entry.topic.clone(),
+                mode: entry.resume_mode(),
+            };
+            // A topic that subscribed once encodes; were it not to, the
+            // entry stays unregistered and the next connect retries it.
+            if let Ok(buf) = frame.encode() {
+                batch.extend_from_slice(&buf);
+                self.pending.insert(self.seq, Waiter::Resubscribe(local));
+            }
+        }
+        if !batch.is_empty() {
+            for (_, span) in &mut self.unsent {
+                *span = span.start + batch.len()..span.end + batch.len();
+            }
+            batch.append(&mut self.outbound);
+            self.outbound = batch;
+        }
+    }
+
+    /// The link died (or the client closed): every byte queued goes,
+    /// every request in flight fails — pipelined publishes onto the
+    /// ledger — and every subscription awaits re-issue.
+    fn fail_link(&mut self) {
+        self.link_up = false;
+        self.outbound.clear();
+        self.unsent.clear();
+        let (mut lost, mut lost_bytes) = (0, 0);
+        self.pending.retain(|_, waiter| match waiter {
+            Waiter::Reply | Waiter::Subscribe(_) => {
+                *waiter = Waiter::Done(Box::new(Err(MqError::Disconnected)));
+                true
+            }
+            Waiter::Done(_) => true,
+            Waiter::Pipelined { bytes } => {
+                lost += 1;
+                lost_bytes += *bytes;
+                false
+            }
+            Waiter::Resubscribe(_) | Waiter::Abandoned => false,
+        });
+        if lost > 0 {
+            self.release(lost, lost_bytes, true);
+        }
+        client_metrics()
+            .subscriptions
+            .sub(self.by_server.len() as u64);
+        self.by_server.clear();
+    }
+
+    /// The link died: see `fail_link`. Returns when to redial — at once,
+    /// with the ladder reset — unless the client is closed.
+    pub(crate) fn on_lost(&mut self, now: Instant) -> Option<Instant> {
+        self.fail_link();
+        self.backoff = RECONNECT_BASE;
+        (!self.closed).then_some(now)
+    }
+
+    /// A redial failed: when to try again. Equal-jitter backoff — sleep
+    /// `ladder/2 + uniform(0..=ladder/2)`, clamped to the cap — spreads
+    /// N clients severed by one daemon restart over half the ladder
+    /// instead of redialing in lockstep; the ladder then doubles up to
+    /// the cap.
+    pub(crate) fn next_redial(&mut self, now: Instant) -> Instant {
+        let mut x = self.jitter;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.jitter = x;
+        let d = self.backoff.min(self.reconnect_cap);
+        let half_us = d.as_micros() as u64 / 2;
+        let sleep = (d / 2 + Duration::from_micros(x % (half_us + 1))).min(self.reconnect_cap);
+        self.backoff = (self.backoff * 2).min(self.reconnect_cap);
+        now + sleep
+    }
+
+    /// Refuse new requests and fail the ones in flight; `true` the
+    /// first time.
+    fn close(&mut self) -> bool {
+        let first = !std::mem::replace(&mut self.closed, true);
+        self.fail_link();
+        first
+    }
+
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// Handle one frame from the server; an EVENTS frame may yield a
+    /// delivery.
+    pub(crate) fn on_frame(&mut self, frame: Frame) -> Option<Delivery> {
+        match frame {
+            Frame::Events { sub, mut messages } => {
+                let entry = self.subs.get_mut(self.by_server.get(&sub)?)?;
+                messages.retain(|message| entry.admit(message));
+                return (!messages.is_empty()).then(|| Delivery {
+                    sub,
+                    handle: entry.handle.clone(),
+                    messages,
+                });
+            }
+            Frame::Subscribed { seq, sub, resume } => self.on_subscribed(seq, sub, resume),
+            Frame::ReceiptList {
+                seq_first,
+                receipts,
+            } => self.on_receipts(seq_first, receipts),
+            Frame::Error { seq, message } => self.answer(seq, Err(MqError::Remote { message })),
+            Frame::Messages { seq, .. }
+            | Frame::InfoReply { seq, .. }
+            | Frame::RunListReply { seq, .. }
+            | Frame::RunGcReply { seq, .. }
+            | Frame::StatsReply { seq, .. } => self.answer(seq, Ok(frame)),
+            // Clients never receive request frames; ignore.
+            Frame::Publish { .. }
+            | Frame::Subscribe { .. }
+            | Frame::Unsubscribe { .. }
+            | Frame::Fetch { .. }
+            | Frame::Info { .. }
+            | Frame::RunList { .. }
+            | Frame::RunClose { .. }
+            | Frame::RunGc { .. }
+            | Frame::Stats { .. } => {}
+        }
+        None
+    }
+
+    fn on_subscribed(&mut self, seq: u64, sub: u64, resume: u64) {
+        match self.pending.remove(&seq) {
+            Some(Waiter::Subscribe(mut entry)) => {
+                entry.seed_watermark(resume);
+                self.subs.insert(seq, *entry);
+                self.register(seq, sub);
+                let reply = Ok(Frame::Subscribed { seq, sub, resume });
+                self.pending.insert(seq, Waiter::Done(Box::new(reply)));
+            }
+            Some(Waiter::Resubscribe(local)) => match self.subs.get_mut(&local) {
+                Some(entry) => {
+                    entry.seed_watermark(resume);
+                    self.register(local, sub);
+                }
+                // Its run was closed meanwhile.
+                None => self.unsubscribe(sub),
+            },
+            Some(Waiter::Abandoned) => self.unsubscribe(sub),
+            Some(other) => {
+                self.pending.insert(seq, other);
+                self.answer(seq, Ok(Frame::Subscribed { seq, sub, resume }));
+            }
+            None => {}
+        }
+    }
+
+    /// Expand one RECEIPT_LIST — `receipts` in seq order from
+    /// `seq_first` — back into per-seq receipts: the pipelined
+    /// publishes' window bytes released together, every blocking
+    /// publisher handed its own exact receipt as a list of one.
+    fn on_receipts(&mut self, seq_first: u64, receipts: Vec<Receipt>) {
+        let (mut acked, mut acked_bytes) = (0, 0);
+        for (seq, receipt) in (seq_first..).zip(receipts) {
+            match self.pending.remove(&seq) {
+                Some(Waiter::Pipelined { bytes }) => {
+                    acked += 1;
+                    acked_bytes += bytes;
+                }
+                Some(other) => {
+                    self.pending.insert(seq, other);
+                    let receipts = vec![receipt];
+                    self.answer(
+                        seq,
+                        Ok(Frame::ReceiptList {
+                            seq_first: seq,
+                            receipts,
+                        }),
+                    );
+                }
+                None => {}
+            }
+        }
+        if acked > 0 {
+            self.release(acked, acked_bytes, false);
+        }
+    }
+
+    /// Route a reply (or the server's error) to the waiter of `seq`.
+    fn answer(&mut self, seq: u64, reply: Result<Frame, MqError>) {
+        let Some(waiter) = self.pending.remove(&seq) else {
+            return;
+        };
+        let done = match waiter {
+            Waiter::Reply => reply,
+            Waiter::Subscribe(_) => reply.and_then(|frame| Err(protocol_error(&frame))),
+            // Answered already: the first answer stands.
+            Waiter::Done(first) => *first,
+            // A failed re-subscription dies quietly, like a local
+            // subscription whose broker went away.
+            Waiter::Resubscribe(local) => {
+                self.subs.remove(&local);
+                return;
+            }
+            // A refused pipelined publish surfaces on the next flush; a
+            // reply that is not a receipt is server nonsense, released
+            // either way.
+            Waiter::Pipelined { bytes } => {
+                self.release(1, bytes, reply.is_err());
+                return;
+            }
+            Waiter::Abandoned => return,
+        };
+        self.pending.insert(seq, Waiter::Done(Box::new(done)));
+    }
 }
 
 pub(crate) struct ClientInner {
@@ -324,25 +808,61 @@ pub(crate) struct ClientInner {
     /// socketpair, a fault-injecting wrapper) for
     /// [`RemoteBroker::connect_with`].
     connector: Connector,
-    /// This connection's seat on the shared reactor loop: its outbound
-    /// frame buffer and doorbell.
-    conn: Arc<ConnHandle>,
-    /// Requests awaiting a reply, by seq. The lock also orders
-    /// [`ClientInner::submit`] against [`ClientInner::fail_pending`].
-    pending: Mutex<HashMap<u64, Waiter>>,
-    pipeline: Mutex<PipelineState>,
-    /// Signalled whenever pipeline occupancy drops (ack consumed,
-    /// pending failed): wakes window-full publishers and flushers.
-    pipeline_drained: Condvar,
-    subs: Mutex<HashMap<u64, Arc<RemoteSub>>>,
-    /// Subscriptions whose re-subscription was in flight when the
-    /// connection died again; the next reconnect pass re-issues them.
-    orphans: Mutex<Vec<Arc<RemoteSub>>>,
-    seq: AtomicU64,
-    shutdown: AtomicBool,
-    /// Upper bound on one [`Broker::flush`] call, in milliseconds
-    /// ([`DEFAULT_FLUSH_TIMEOUT`]; [`RemoteBroker::set_flush_timeout`]).
-    flush_timeout_ms: AtomicU64,
+    /// This connection's seat on the shared reactor loop.
+    conn: ConnHandle,
+    pub(crate) core: Mutex<ClientCore>,
+    /// Notified whenever a waiter may proceed: an answer is in, window
+    /// bytes were released, the link was lost or the client closed.
+    pub(crate) changed: Condvar,
+}
+
+impl ClientInner {
+    /// Invoke the connector — the reactor's redial seam.
+    pub(crate) fn dial(&self) -> std::io::Result<Box<dyn Transport>> {
+        (self.connector)()
+    }
+
+    /// Queue a blocking request, ring the reactor, and wait for the
+    /// answer — or give the request up at [`REQUEST_TIMEOUT`].
+    fn request(&self, make: impl FnOnce(u64) -> Frame, waiter: Waiter) -> Result<Frame, MqError> {
+        let deadline = Instant::now() + REQUEST_TIMEOUT;
+        let (seq, ring) = {
+            let mut core = self.core.lock();
+            (core.submit(make, waiter)?, core.ring())
+        };
+        if ring {
+            self.conn.kick();
+        }
+        let mut core = self.core.lock();
+        loop {
+            if let Some(answer) = core.take_answer(seq) {
+                return answer;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return core.give_up(seq);
+            }
+            self.changed.wait_for(&mut core, deadline - now);
+        }
+    }
+
+    /// Wait up to [`RECONNECT_GRACE`] for room in the pipeline window,
+    /// after ringing for what is queued: acks of frames that never left
+    /// cannot drain it.
+    fn wait_for_window(&self, core: &mut MutexGuard<'_, ClientCore>) -> Result<(), MqError> {
+        if core.ring() {
+            self.conn.kick();
+        }
+        let deadline = Instant::now() + RECONNECT_GRACE;
+        while core.window_full() && !core.is_closed() {
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(MqError::Timeout);
+            }
+            self.changed.wait_for(core, deadline - now);
+        }
+        Ok(())
+    }
 }
 
 /// A [`Broker`] living in another process, reached over TCP. Dropping
@@ -374,20 +894,13 @@ impl RemoteBroker {
     /// the connection owns no threads.
     pub fn connect_with(connector: Connector) -> std::io::Result<RemoteBroker> {
         let stream = connector()?;
-        let conn = ConnHandle::acquire()?;
         let inner = Arc::new(ClientInner {
             connector,
-            conn: conn.clone(),
-            pending: Mutex::new(HashMap::new()),
-            pipeline: Mutex::new(PipelineState::default()),
-            pipeline_drained: Condvar::new(),
-            subs: Mutex::new(HashMap::new()),
-            orphans: Mutex::new(Vec::new()),
-            seq: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            flush_timeout_ms: AtomicU64::new(DEFAULT_FLUSH_TIMEOUT.as_millis() as u64),
+            conn: ConnHandle::acquire()?,
+            core: Mutex::new(ClientCore::new(jitter_seed(), reconnect_cap())),
+            changed: Condvar::new(),
         });
-        conn.register(stream, inner.clone());
+        inner.conn.register(stream, inner.clone());
         RemoteBroker::handshake(RemoteBroker { inner })
     }
 
@@ -401,16 +914,18 @@ impl RemoteBroker {
     }
 
     /// Close the connection and release its I/O resources. Idempotent;
-    /// also runs on drop.
+    /// also runs on drop. Whatever was still pending — pipelined
+    /// publishes included — fails at once, so window waiters and
+    /// flushers unblock instead of timing out against a closed
+    /// connection.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Deregistering closes the socket and, if this was the last
-        // connection, lets the shared loop retire itself.
-        self.inner.conn.close();
-        // Drain whatever was still pending (pipelined publishes
-        // included) so window waiters and flushers unblock promptly
-        // instead of timing out against a closed connection.
-        self.inner.fail_pending();
+        let first = self.inner.core.lock().close();
+        self.inner.changed.notify_all();
+        if first {
+            // Deregistering closes the socket and, if this was the last
+            // connection, lets the shared loop retire itself.
+            self.inner.conn.close();
+        }
     }
 
     /// Bound how long one [`Broker::flush`] call may wait for the
@@ -419,26 +934,12 @@ impl RemoteBroker {
     /// round up to 1 ms so the bound stays finite and nonzero.
     pub fn set_flush_timeout(&self, timeout: Duration) {
         let ms = (timeout.as_millis() as u64).max(1);
-        self.inner.flush_timeout_ms.store(ms, Ordering::SeqCst);
-    }
-
-    fn next_seq(&self) -> u64 {
-        self.inner.seq.fetch_add(1, Ordering::SeqCst) + 1
+        self.inner.core.lock().flush_timeout = Duration::from_millis(ms);
     }
 
     /// Round trip returning the reply frame (or the server's error).
     fn call(&self, make: impl FnOnce(u64) -> Frame) -> Result<Frame, MqError> {
-        let seq = self.next_seq();
-        let buf = encode(&make(seq))?;
-        let (tx, rx) = sync_channel(1);
-        self.inner.submit([(seq, Waiter::Reply(tx))], &buf)?;
-        match rx.recv_timeout(REQUEST_TIMEOUT) {
-            Ok(reply) => unwrap_reply(reply?),
-            Err(_) => {
-                self.inner.pending.lock().remove(&seq);
-                Err(MqError::Timeout)
-            }
-        }
+        self.inner.request(make, Waiter::Reply)
     }
 
     /// A topic's partitions and retained messages.
@@ -484,7 +985,7 @@ impl RemoteBroker {
             run: run.to_owned(),
         })? {
             Frame::RunGcReply { runs, .. } => {
-                self.inner.forget_run(run);
+                self.inner.core.lock().forget_run(run);
                 Ok(runs > 0)
             }
             other => Err(protocol_error(&other)),
@@ -518,23 +1019,11 @@ impl Drop for RemoteBroker {
     }
 }
 
-fn unwrap_reply(frame: Frame) -> Result<Frame, MqError> {
-    match frame {
-        Frame::Error { message, .. } => Err(MqError::Remote { message }),
-        other => Ok(other),
-    }
-}
-
 fn protocol_error(frame: &Frame) -> MqError {
     MqError::Remote {
         message: format!("unexpected reply frame {frame:?}"),
     }
 }
-
-/// Where the loop sends the one reply a request gets: a
-/// `sync_channel(1)`. With one slot the single `send` never blocks the
-/// loop thread.
-type ReplySender = SyncSender<Result<Frame, MqError>>;
 
 /// Encode a request frame. A frame the codec refuses (oversized
 /// payload) is the *caller's* error and never reaches the connection.
@@ -542,388 +1031,6 @@ fn encode(frame: &Frame) -> Result<Vec<u8>, MqError> {
     frame.encode().map_err(|e| MqError::Remote {
         message: e.to_string(),
     })
-}
-
-impl Drop for ClientInner {
-    fn drop(&mut self) {
-        client_metrics()
-            .subscriptions
-            .sub(self.subs.get_mut().len() as u64);
-    }
-}
-
-impl ClientInner {
-    /// Register `entry` under the id the server assigned it.
-    fn register_sub(&self, id: u64, entry: Arc<RemoteSub>) {
-        if self.subs.lock().insert(id, entry).is_none() {
-            client_metrics().subscriptions.add(1);
-        }
-    }
-
-    /// Forget subscription `id` (its local subscriber is gone).
-    fn drop_sub(&self, id: u64) {
-        if self.subs.lock().remove(&id).is_some() {
-            client_metrics().subscriptions.sub(1);
-        }
-    }
-
-    /// Release everything held for `run`'s subscriptions — see
-    /// [`RemoteBroker::close_run`].
-    fn forget_run(&self, run: &str) {
-        let of_run =
-            |entry: &Arc<RemoteSub>| ginflow_mq::namespace::run_of(&entry.topic) == Some(run);
-        let mut subs = self.subs.lock();
-        let before = subs.len();
-        subs.retain(|_, entry| !of_run(entry));
-        client_metrics()
-            .subscriptions
-            .sub((before - subs.len()) as u64);
-        drop(subs);
-        self.orphans.lock().retain(|entry| !of_run(entry));
-    }
-
-    /// Whether [`RemoteBroker::shutdown`] has begun (reactor loop's
-    /// redial gate).
-    pub(crate) fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Invoke the connector — the reactor's redial seam.
-    pub(crate) fn dial(&self) -> std::io::Result<Box<dyn Transport>> {
-        (self.connector)()
-    }
-
-    /// Register `waiters` and queue their encoded `frames` for the
-    /// reactor loop, as one step with respect to
-    /// [`ClientInner::fail_pending`]: a connection loss either fails
-    /// these waiters *and* discards these bytes, or happens-before both
-    /// — in which case the request rides out the outage and goes to the
-    /// fresh connection with its waiter still registered. Queued bytes
-    /// without a waiter would be re-sent after their caller was already
-    /// told `Disconnected` (and retried): a duplicate in the log.
-    ///
-    /// One FIFO per connection is also what preserves ordering across
-    /// pipelined and blocking requests from any number of caller
-    /// threads.
-    fn submit(
-        &self,
-        waiters: impl IntoIterator<Item = (u64, Waiter)>,
-        frames: &[u8],
-    ) -> Result<(), MqError> {
-        {
-            let mut pending = self.pending.lock();
-            if self.is_shutdown() {
-                return Err(MqError::Disconnected);
-            }
-            pending.extend(waiters);
-            self.conn.append(frames);
-        }
-        self.conn.kick();
-        Ok(())
-    }
-
-    /// Reserve `bytes` of pipeline window, blocking while it is full.
-    /// Before it blocks it runs `before_waiting` (once): the caller's
-    /// chance to submit what it has reserved but not yet queued — acks
-    /// of frames that never left cannot drain the window.
-    fn pipeline_reserve(
-        &self,
-        bytes: usize,
-        before_waiting: impl FnOnce() -> Result<(), MqError>,
-    ) -> Result<(), MqError> {
-        let mut p = self.pipeline.lock();
-        if p.inflight_bytes >= PIPELINE_WINDOW_BYTES {
-            drop(p);
-            before_waiting()?;
-            p = self.pipeline.lock();
-        }
-        let deadline = Instant::now() + RECONNECT_GRACE;
-        while p.inflight_bytes >= PIPELINE_WINDOW_BYTES {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return Err(MqError::Disconnected);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(MqError::Timeout);
-            }
-            self.pipeline_drained.wait_for(&mut p, deadline - now);
-        }
-        p.inflight_bytes += bytes;
-        p.inflight += 1;
-        // Mirror the lock-guarded exact values with plain stores — a
-        // relaxed `set` costs less than a fetch-add on a cache line the
-        // publisher and loop threads would otherwise both RMW.
-        let m = client_metrics();
-        m.inflight_bytes.set(p.inflight_bytes as u64);
-        m.inflight.set(p.inflight as u64);
-        Ok(())
-    }
-
-    /// Queue reserved pipelined publishes — their waiters and their
-    /// frames, both left empty. A submit the connection refuses never
-    /// left: that is the caller's error, not a silent pipeline loss, so
-    /// the reservations are handed back.
-    fn submit_pipelined(
-        &self,
-        waiters: &mut Vec<(u64, Waiter)>,
-        frames: &mut Vec<u8>,
-    ) -> Result<(), MqError> {
-        if waiters.is_empty() {
-            return Ok(());
-        }
-        let publishes = waiters.len();
-        let bytes = frames.len();
-        self.submit(waiters.drain(..), &std::mem::take(frames))
-            .inspect_err(|_| self.pipeline_release(publishes, bytes, false))
-    }
-
-    /// Release the window reservation of `publishes` pipelined publishes
-    /// holding `bytes` between them; `lost` records them on the ledger
-    /// [`RemoteBroker::flush`] reports from.
-    fn pipeline_release(&self, publishes: usize, bytes: usize, lost: bool) {
-        let mut p = self.pipeline.lock();
-        p.inflight_bytes = p.inflight_bytes.saturating_sub(bytes);
-        p.inflight = p.inflight.saturating_sub(publishes);
-        if lost {
-            p.lost += publishes as u64;
-        }
-        let m = client_metrics();
-        m.inflight_bytes.set(p.inflight_bytes as u64);
-        m.inflight.set(p.inflight as u64);
-        drop(p);
-        if lost {
-            m.lost.add(publishes as u64);
-        }
-        self.pipeline_drained.notify_all();
-    }
-
-    /// Send without waiting for a live connection — for best-effort
-    /// frames issued from the frame-dispatch path, which must never
-    /// block on a reconnect. Dropped (not queued) while disconnected:
-    /// these frames carry server-assigned ids that are meaningless on
-    /// a fresh connection.
-    fn send_best_effort(&self, frame: &Frame) {
-        if let Ok(buf) = frame.encode() {
-            self.conn.best_effort(buf);
-        }
-    }
-
-    /// Encode the re-subscribe batch for a fresh connection,
-    /// registering a [`Waiter::Resubscribe`] per live subscription (the
-    /// loop queues these bytes ahead of anything published during the
-    /// outage). Old server-assigned ids are meaningless on a fresh
-    /// connection; orphans are re-subscriptions a previous reconnect
-    /// never finished. If the fresh connection dies before the batch is
-    /// written, [`ClientInner::fail_pending`] routes the waiters to
-    /// the orphan list and the next reconnect pass re-issues them.
-    pub(crate) fn resubscribe_batch(&self) -> Vec<u8> {
-        let mut live: Vec<Arc<RemoteSub>> = self.subs.lock().drain().map(|(_, e)| e).collect();
-        client_metrics().subscriptions.sub(live.len() as u64);
-        live.append(&mut self.orphans.lock());
-        let mut batch = Vec::new();
-        for entry in live {
-            let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
-            let frame = Frame::Subscribe {
-                seq,
-                topic: entry.topic.clone(),
-                mode: entry.resume_mode(),
-            };
-            match frame.encode() {
-                Ok(buf) => {
-                    self.pending
-                        .lock()
-                        .insert(seq, Waiter::Resubscribe { entry });
-                    batch.extend_from_slice(&buf);
-                }
-                // An unencodable subscribe cannot happen for topics
-                // that subscribed once already; park it for the next
-                // pass rather than lose the subscription.
-                Err(_) => self.orphans.lock().push(entry),
-            }
-        }
-        batch
-    }
-
-    /// Fail every in-flight request and discard its not-yet-written
-    /// frame (the other half of [`ClientInner::submit`]'s invariant):
-    /// requesters see `Disconnected` and retry; re-subscriptions in
-    /// flight move to the orphan list so the next reconnect pass
-    /// re-issues them.
-    pub(crate) fn fail_pending(&self) {
-        let pending: Vec<Waiter> = {
-            let mut map = self.pending.lock();
-            self.conn.discard_outbound();
-            map.drain().map(|(_, w)| w).collect()
-        };
-        for waiter in pending {
-            match waiter {
-                Waiter::Reply(tx) | Waiter::Subscribe { reply: tx, .. } => {
-                    let _ = tx.send(Err(MqError::Disconnected));
-                }
-                Waiter::Resubscribe { entry } => {
-                    self.orphans.lock().push(entry);
-                }
-                // The requester already gave up; the connection the
-                // server-side subscription lived on is gone too.
-                Waiter::Abandoned => {}
-                // The publish died with the connection before its ack:
-                // release the window and record the loss for the next
-                // flush (at-most-once on outage, like the blocking
-                // path's discarded Disconnected error).
-                Waiter::Pipelined { bytes } => self.pipeline_release(1, bytes, true),
-            }
-        }
-    }
-
-    /// Expand one RECEIPT_LIST — `receipts` in seq order from
-    /// `seq_first` — back into the per-seq receipts the waiters expect:
-    /// one `pending` lock for the frame, the pipelined publishes' window
-    /// bytes released together, and every blocking publisher handed its
-    /// own exact receipt, as a list of one.
-    fn on_receipts(&self, seq_first: u64, receipts: Vec<Receipt>) {
-        let waiters: Vec<(u64, Receipt, Waiter)> = {
-            let mut pending = self.pending.lock();
-            (seq_first..)
-                .zip(receipts)
-                .filter_map(|(seq, r)| pending.remove(&seq).map(|w| (seq, r, w)))
-                .collect()
-        };
-        let (mut acked, mut acked_bytes) = (0, 0);
-        for (seq, receipt, waiter) in waiters {
-            match waiter {
-                Waiter::Reply(tx) => {
-                    let _ = tx.send(Ok(Frame::ReceiptList {
-                        seq_first: seq,
-                        receipts: vec![receipt],
-                    }));
-                }
-                // The common case: pipelined publishes acked in bulk.
-                Waiter::Pipelined { bytes } => {
-                    acked += 1;
-                    acked_bytes += bytes;
-                }
-                Waiter::Subscribe { reply, .. } => {
-                    let _ = reply.send(Err(MqError::Remote {
-                        message: "publish receipt in reply to a subscribe request".into(),
-                    }));
-                }
-                Waiter::Resubscribe { .. } | Waiter::Abandoned => {}
-            }
-        }
-        if acked > 0 {
-            self.pipeline_release(acked, acked_bytes, false);
-        }
-    }
-
-    /// Handle one frame from the server (called on the reactor loop).
-    pub(crate) fn on_frame(&self, frame: Frame) {
-        match frame {
-            Frame::Events { sub, messages } => {
-                let entry = self.subs.lock().get(&sub).cloned();
-                if let Some(entry) = entry {
-                    if !entry.deliver_batch(messages) {
-                        // Local subscriber dropped its Subscription:
-                        // prune and tell the server. Best-effort only —
-                        // this runs on the loop thread, which must
-                        // not park waiting for a reconnect; a missed
-                        // unsubscribe just means the server keeps an
-                        // ignored subscription until the connection
-                        // turns over.
-                        self.drop_sub(sub);
-                        self.send_best_effort(&Frame::Unsubscribe { seq: 0, sub });
-                    }
-                }
-            }
-            Frame::Subscribed { seq, sub, resume } => {
-                let waiter = self.pending.lock().remove(&seq);
-                match waiter {
-                    Some(Waiter::Subscribe { entry, reply }) => {
-                        // Register before touching the socket again —
-                        // the very next frame may be this sub's EVENTS.
-                        entry.seed_watermark(resume);
-                        self.register_sub(sub, entry);
-                        let _ = reply.send(Ok(Frame::Subscribed { seq, sub, resume }));
-                    }
-                    Some(Waiter::Resubscribe { entry }) => {
-                        entry.seed_watermark(resume);
-                        self.register_sub(sub, entry);
-                    }
-                    Some(Waiter::Reply(tx)) => {
-                        let _ = tx.send(Ok(Frame::Subscribed { seq, sub, resume }));
-                    }
-                    Some(Waiter::Abandoned) => {
-                        // The requester timed out and walked away; tear
-                        // the freshly opened server-side subscription
-                        // down instead of letting it stream into the
-                        // void.
-                        self.send_best_effort(&Frame::Unsubscribe { seq: 0, sub });
-                    }
-                    // A SUBSCRIBED reply to a publish seq is server
-                    // nonsense; release the window either way.
-                    Some(Waiter::Pipelined { bytes }) => self.pipeline_release(1, bytes, false),
-                    None => {}
-                }
-            }
-            Frame::ReceiptList {
-                seq_first,
-                receipts,
-            } => self.on_receipts(seq_first, receipts),
-            Frame::Messages { .. }
-            | Frame::InfoReply { .. }
-            | Frame::RunListReply { .. }
-            | Frame::RunGcReply { .. }
-            | Frame::StatsReply { .. } => {
-                let seq = match &frame {
-                    Frame::Messages { seq, .. }
-                    | Frame::InfoReply { seq, .. }
-                    | Frame::RunListReply { seq, .. }
-                    | Frame::RunGcReply { seq, .. }
-                    | Frame::StatsReply { seq, .. } => *seq,
-                    _ => unreachable!(),
-                };
-                if let Some(waiter) = self.pending.lock().remove(&seq) {
-                    match waiter {
-                        Waiter::Reply(tx) => {
-                            let _ = tx.send(Ok(frame));
-                        }
-                        Waiter::Subscribe { reply, .. } => {
-                            let _ = reply.send(Err(protocol_error(&frame)));
-                        }
-                        // A non-receipt reply to a publish seq is server
-                        // nonsense; release the window either way.
-                        Waiter::Pipelined { bytes } => self.pipeline_release(1, bytes, false),
-                        Waiter::Resubscribe { .. } | Waiter::Abandoned => {}
-                    }
-                }
-            }
-            Frame::Error { seq, message } => {
-                if let Some(waiter) = self.pending.lock().remove(&seq) {
-                    match waiter {
-                        Waiter::Reply(tx) | Waiter::Subscribe { reply: tx, .. } => {
-                            let _ = tx.send(Err(MqError::Remote { message }));
-                        }
-                        // The server refused a pipelined publish; the
-                        // loss surfaces on the next flush.
-                        Waiter::Pipelined { bytes } => self.pipeline_release(1, bytes, true),
-                        // A failed re-subscription is dropped; the
-                        // subscription dies quietly like a local one
-                        // whose broker went away.
-                        Waiter::Resubscribe { .. } | Waiter::Abandoned => {}
-                    }
-                }
-            }
-            // Clients never receive request frames; ignore.
-            Frame::Publish { .. }
-            | Frame::Subscribe { .. }
-            | Frame::Unsubscribe { .. }
-            | Frame::Fetch { .. }
-            | Frame::Info { .. }
-            | Frame::RunList { .. }
-            | Frame::RunClose { .. }
-            | Frame::RunGc { .. }
-            | Frame::Stats { .. } => {}
-        }
-    }
 }
 
 impl Broker for RemoteBroker {
@@ -956,17 +1063,15 @@ impl Broker for RemoteBroker {
         self.publish_many_nowait(vec![(topic.to_owned(), key, payload)])
     }
 
-    /// Pipelined publish of a batch: every item is encoded into one
-    /// buffer, reserves its share of the window
+    /// Pipelined publish of a batch: under **one** lock of the core
+    /// every item is encoded, takes its share of the window
     /// ([`PIPELINE_WINDOW_BYTES`]; the call blocks only while that is
-    /// full), and the whole batch is queued by **one** submit — one
-    /// `pending` lock, one append to the connection's FIFO, one
-    /// doorbell ring — no round trip. Receipts are consumed
-    /// asynchronously by the reactor loop, which releases the window
-    /// bytes; the daemon acks a batch with one RECEIPT_LIST. Frames go
-    /// out on the same socket in batch order behind whatever this client
-    /// queued before, so per-topic FIFO ordering holds exactly as for
-    /// the blocking path.
+    /// full) and is queued, then the reactor is rung once — no round
+    /// trip. Receipts are consumed asynchronously by the reactor loop,
+    /// which releases the window bytes; the daemon acks a batch with
+    /// one RECEIPT_LIST. Frames go out on the same socket in batch
+    /// order behind whatever this client queued before, so per-topic
+    /// FIFO ordering holds exactly as for the blocking path.
     ///
     /// An item that cannot be queued — a payload the codec refuses, a
     /// full window that never drained — fails alone: the rest of the
@@ -976,38 +1081,23 @@ impl Broker for RemoteBroker {
         batch: Vec<(String, Option<bytes::Bytes>, bytes::Bytes)>,
     ) -> Result<(), MqError> {
         let mut first_error = None;
-        let mut waiters: Vec<(u64, Waiter)> = Vec::with_capacity(batch.len());
-        let mut frames: Vec<u8> = Vec::new();
+        let mut core = self.inner.core.lock();
         for (topic, key, payload) in batch {
-            let seq = self.next_seq();
-            let queued = encode(&Frame::Publish {
-                seq,
-                topic,
-                key,
-                payload,
-            })
-            .and_then(|buf| {
-                self.inner.pipeline_reserve(buf.len(), || {
-                    self.inner.submit_pipelined(&mut waiters, &mut frames)
-                })?;
-                Ok(buf)
-            });
-            match queued {
-                Ok(buf) => {
-                    waiters.push((seq, Waiter::Pipelined { bytes: buf.len() }));
-                    if frames.is_empty() {
-                        frames = buf;
-                    } else {
-                        frames.extend_from_slice(&buf);
-                    }
-                }
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
+            let room = if core.window_full() {
+                self.inner.wait_for_window(&mut core)
+            } else {
+                Ok(())
+            };
+            if let Err(e) = room.and_then(|()| core.publish(topic, key, payload)) {
+                first_error.get_or_insert(e);
             }
         }
-        let submitted = self.inner.submit_pipelined(&mut waiters, &mut frames);
-        first_error.map_or(submitted, Err)
+        let ring = core.ring();
+        drop(core);
+        if ring {
+            self.inner.conn.kick();
+        }
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Wait until every pipelined publish has been acknowledged.
@@ -1015,65 +1105,41 @@ impl Broker for RemoteBroker {
     /// un-acked with a severed connection or were refused by the
     /// server since the previous flush.
     fn flush(&self) -> Result<(), MqError> {
-        let budget_ms = self.inner.flush_timeout_ms.load(Ordering::SeqCst);
         let start = Instant::now();
-        let deadline = start + Duration::from_millis(budget_ms);
-        let mut p = self.inner.pipeline.lock();
+        let mut core = self.inner.core.lock();
+        let deadline = start + core.flush_timeout;
         loop {
-            if p.inflight == 0 {
-                if p.lost > 0 {
-                    let lost = std::mem::take(&mut p.lost);
-                    return Err(MqError::Remote {
-                        message: format!(
-                            "{lost} pipelined publish(es) lost before acknowledgement"
-                        ),
-                    });
-                }
-                return Ok(());
+            if let Some(flushed) = core.flushed() {
+                return flushed;
             }
             let now = Instant::now();
             if now >= deadline {
                 return Err(MqError::FlushTimeout {
-                    inflight: p.inflight as u64,
+                    inflight: core.inflight as u64,
                     waited_ms: start.elapsed().as_millis() as u64,
                 });
             }
-            self.inner.pipeline_drained.wait_for(&mut p, deadline - now);
+            self.inner.changed.wait_for(&mut core, deadline - now);
         }
     }
 
     fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
         let (handle, subscription) = subscription_pair();
-        let entry = Arc::new(RemoteSub {
+        let entry = RemoteSub {
             topic: topic.to_owned(),
             origin_mode: mode,
-            handle,
-            next_offset: Mutex::new(HashMap::new()),
-        });
-        let seq = self.next_seq();
-        let buf = encode(&Frame::Subscribe {
-            seq,
-            topic: topic.to_owned(),
-            mode,
-        })?;
-        let (reply, rx) = sync_channel(1);
-        self.inner
-            .submit([(seq, Waiter::Subscribe { entry, reply })], &buf)?;
-        match rx.recv_timeout(REQUEST_TIMEOUT) {
-            Ok(Ok(_)) => Ok(subscription),
-            Ok(Err(e)) => Err(e),
-            Err(_) => {
-                // Leave a tombstone: if the ack still arrives, the
-                // dispatch unsubscribes the orphaned server-side
-                // subscription instead of letting it stream events
-                // nobody handles.
-                let mut pending = self.inner.pending.lock();
-                if pending.remove(&seq).is_some() {
-                    pending.insert(seq, Waiter::Abandoned);
-                }
-                Err(MqError::Timeout)
-            }
-        }
+            handle: Arc::new(handle),
+            next_offset: HashMap::new(),
+        };
+        self.inner.request(
+            |seq| Frame::Subscribe {
+                seq,
+                topic: topic.to_owned(),
+                mode,
+            },
+            Waiter::Subscribe(Box::new(entry)),
+        )?;
+        Ok(subscription)
     }
 
     fn fetch(
@@ -1101,5 +1167,348 @@ impl Broker for RemoteBroker {
 
     fn retained(&self, topic: &str) -> u64 {
         self.info(topic).map(|(_, r)| r).unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The core driven with no socket, thread or sleep: frames in,
+    //! bytes and deliveries out.
+    use super::*;
+    use bytes::Bytes;
+    use ginflow_mq::wire::{FrameSplitter, NO_RESUME};
+
+    fn connected() -> ClientCore {
+        let mut core = ClientCore::new(1, Duration::from_secs(2));
+        core.on_connected();
+        core
+    }
+
+    /// Decode everything the core queued for the link.
+    fn sent(core: &mut ClientCore) -> Vec<Frame> {
+        let mut splitter = FrameSplitter::default();
+        splitter.push(&core.take_outbound());
+        std::iter::from_fn(|| splitter.next_frame().unwrap()).collect()
+    }
+
+    fn publish(core: &mut ClientCore, topic: &str) {
+        core.publish(topic.into(), None, Bytes::from_static(b"p"))
+            .unwrap();
+    }
+
+    /// A blocking INFO request; returns its seq.
+    fn info(core: &mut ClientCore) -> u64 {
+        let info = |seq| Frame::Info {
+            seq,
+            topic: "i".into(),
+        };
+        core.submit(info, Waiter::Reply).unwrap()
+    }
+
+    /// A SUBSCRIBE whose frame has left; returns its seq.
+    fn subscribe(core: &mut ClientCore, topic: &str, mode: SubscribeMode) -> (u64, Subscription) {
+        let (handle, subscription) = subscription_pair();
+        let entry = RemoteSub {
+            topic: topic.into(),
+            origin_mode: mode,
+            handle: Arc::new(handle),
+            next_offset: HashMap::new(),
+        };
+        let frame = |seq| Frame::Subscribe {
+            seq,
+            topic: topic.into(),
+            mode,
+        };
+        let seq = core
+            .submit(frame, Waiter::Subscribe(Box::new(entry)))
+            .unwrap();
+        sent(core);
+        (seq, subscription)
+    }
+
+    /// A subscription registered under server id `sub`.
+    fn subscribed(
+        core: &mut ClientCore,
+        mode: SubscribeMode,
+        sub: u64,
+        resume: u64,
+    ) -> Subscription {
+        let (seq, subscription) = subscribe(core, "t", mode);
+        assert!(core
+            .on_frame(Frame::Subscribed { seq, sub, resume })
+            .is_none());
+        assert!(matches!(
+            core.take_answer(seq),
+            Some(Ok(Frame::Subscribed { .. }))
+        ));
+        subscription
+    }
+
+    fn events(core: &mut ClientCore, sub: u64, offsets: &[(u32, u64)]) -> Vec<(u32, u64)> {
+        let messages = offsets
+            .iter()
+            .map(|&(partition, offset)| Message {
+                topic: "t".into(),
+                partition,
+                offset,
+                key: None,
+                payload: Bytes::from_static(b"m"),
+            })
+            .collect();
+        core.on_frame(Frame::Events { sub, messages })
+            .map(|d| d.messages.iter().map(|m| (m.partition, m.offset)).collect())
+            .unwrap_or_default()
+    }
+
+    /// The mode of each SUBSCRIBE the next connect re-issues.
+    fn resumed(core: &mut ClientCore) -> Vec<SubscribeMode> {
+        core.on_lost(Instant::now());
+        core.on_connected();
+        sent(core)
+            .into_iter()
+            .map(|frame| match frame {
+                Frame::Subscribe { mode, .. } => mode,
+                other => panic!("not a re-subscription: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resubscribes_precede_frames_queued_during_the_outage() {
+        let mut core = connected();
+        let _sub = subscribed(&mut core, SubscribeMode::Beginning, 7, NO_RESUME);
+        assert!(core.on_lost(Instant::now()).is_some());
+        publish(&mut core, "out");
+        info(&mut core);
+        core.on_connected();
+        let frames = sent(&mut core);
+        assert!(matches!(&frames[0], Frame::Subscribe { topic, .. } if topic == "t"));
+        assert!(matches!(&frames[1], Frame::Publish { topic, .. } if topic == "out"));
+        assert!(matches!(frames[2], Frame::Info { .. }));
+        assert_eq!(frames.len(), 3);
+    }
+
+    #[test]
+    fn a_resubscribe_in_flight_at_a_loss_is_reissued_at_the_next_connect() {
+        let mut core = connected();
+        let _sub = subscribed(&mut core, SubscribeMode::Beginning, 7, NO_RESUME);
+        assert_eq!(resumed(&mut core).len(), 1);
+        // The link dies again before the re-subscription is answered.
+        let modes = resumed(&mut core);
+        assert_eq!(modes, [SubscribeMode::Beginning]);
+        let seq = core.seq;
+        core.on_frame(Frame::Subscribed {
+            seq,
+            sub: 9,
+            resume: NO_RESUME,
+        });
+        assert_eq!(events(&mut core, 9, &[(0, 0)]), [(0, 0)]);
+        assert!(events(&mut core, 7, &[(0, 1)]).is_empty(), "old id is dead");
+    }
+
+    #[test]
+    fn a_subscription_resumes_from_its_lowest_unseen_offset() {
+        let mut core = connected();
+        let _sub = subscribed(&mut core, SubscribeMode::Beginning, 1, 5);
+        assert_eq!(resumed(&mut core), [SubscribeMode::Beginning], "not seeded");
+        let seq = core.seq;
+        core.on_frame(Frame::Subscribed {
+            seq,
+            sub: 2,
+            resume: 5,
+        });
+        events(&mut core, 2, &[(0, 0), (0, 1), (1, 0)]);
+        assert_eq!(resumed(&mut core), [SubscribeMode::FromOffset(1)]);
+
+        // A head-attached subscription resumes where it attached, even
+        // with nothing delivered…
+        let mut core = connected();
+        let _sub = subscribed(&mut core, SubscribeMode::Latest, 1, 5);
+        assert_eq!(resumed(&mut core), [SubscribeMode::FromOffset(5)]);
+        // …unless the server had no watermark to give.
+        let mut core = connected();
+        let _sub = subscribed(&mut core, SubscribeMode::Latest, 1, NO_RESUME);
+        assert_eq!(resumed(&mut core), [SubscribeMode::Latest]);
+    }
+
+    #[test]
+    fn a_replay_duplicate_below_the_watermark_is_absorbed() {
+        let mut core = connected();
+        let _sub = subscribed(&mut core, SubscribeMode::Beginning, 3, NO_RESUME);
+        assert_eq!(events(&mut core, 3, &[(0, 0), (0, 1)]), [(0, 0), (0, 1)]);
+        assert_eq!(
+            events(&mut core, 3, &[(0, 1), (0, 2), (1, 0)]),
+            [(0, 2), (1, 0)]
+        );
+        assert!(events(&mut core, 3, &[(0, 0), (1, 0)]).is_empty());
+    }
+
+    #[test]
+    fn a_receipt_list_releases_exactly_its_publishes_window_bytes() {
+        let mut core = connected();
+        publish(&mut core, "a");
+        publish(&mut core, "bb");
+        let blocking = info(&mut core);
+        publish(&mut core, "a-longer-topic");
+        let last = sent(&mut core).pop().unwrap().encode().unwrap().len();
+        assert_eq!(core.inflight, 3);
+        let receipt = Receipt {
+            partition: 0,
+            offset: 0,
+        };
+        core.on_frame(Frame::ReceiptList {
+            seq_first: 1,
+            receipts: vec![receipt; 3],
+        });
+        assert_eq!((core.inflight, core.inflight_bytes), (1, last));
+        assert!(matches!(
+            core.take_answer(blocking),
+            Some(Ok(Frame::ReceiptList { seq_first, .. })) if seq_first == blocking
+        ));
+        core.on_frame(Frame::ReceiptList {
+            seq_first: 4,
+            receipts: vec![receipt],
+        });
+        assert_eq!((core.inflight, core.inflight_bytes), (0, 0));
+        assert!(core.flushed().unwrap().is_ok());
+    }
+
+    #[test]
+    fn publishes_unacked_at_a_loss_reach_the_ledger_exactly_once() {
+        let mut core = connected();
+        publish(&mut core, "a");
+        publish(&mut core, "a");
+        sent(&mut core);
+        assert!(core.flushed().is_none(), "in flight");
+        core.on_lost(Instant::now());
+        // A late receipt (it cannot come, on a dead link) and a second
+        // loss count nothing more.
+        core.on_frame(Frame::ReceiptList {
+            seq_first: 1,
+            receipts: vec![
+                Receipt {
+                    partition: 0,
+                    offset: 0
+                };
+                2
+            ],
+        });
+        core.on_connected();
+        core.on_lost(Instant::now());
+        match core.flushed() {
+            Some(Err(MqError::Remote { message })) => {
+                assert!(message.starts_with("2 pipelined publish"), "{message}")
+            }
+            other => panic!("loss not reported: {other:?}"),
+        }
+        assert!(core.flushed().unwrap().is_ok(), "the report clears it");
+        assert!(core.take_outbound().is_empty(), "nothing is replayed");
+    }
+
+    #[test]
+    fn an_abandoned_subscribes_late_ack_is_torn_down_only_while_a_link_is_up() {
+        let mut core = connected();
+        let (seq, _sub) = subscribe(&mut core, "t", SubscribeMode::Latest);
+        assert!(matches!(core.give_up(seq), Err(MqError::Timeout)));
+        core.on_frame(Frame::Subscribed {
+            seq,
+            sub: 5,
+            resume: 0,
+        });
+        assert!(matches!(
+            sent(&mut core)[..],
+            [Frame::Unsubscribe { sub: 5, .. }]
+        ));
+        assert!(core.pending.is_empty() && core.by_server.is_empty());
+
+        let (seq, _sub) = subscribe(&mut core, "t", SubscribeMode::Latest);
+        assert!(matches!(core.give_up(seq), Err(MqError::Timeout)));
+        core.on_lost(Instant::now());
+        core.on_frame(Frame::Subscribed {
+            seq,
+            sub: 6,
+            resume: 0,
+        });
+        core.on_connected();
+        assert!(
+            sent(&mut core).is_empty(),
+            "a stale id rode to a fresh link"
+        );
+    }
+
+    #[test]
+    fn a_timed_out_request_takes_its_unsent_frame_with_it() {
+        // The link is down: everything waits in the queue.
+        let mut core = connected();
+        core.on_lost(Instant::now());
+        publish(&mut core, "before");
+        let doomed = core
+            .submit(
+                |seq| Frame::RunClose {
+                    seq,
+                    run: "r".into(),
+                },
+                Waiter::Reply,
+            )
+            .unwrap();
+        publish(&mut core, "after");
+        assert!(matches!(core.give_up(doomed), Err(MqError::Timeout)));
+        assert!(!core.pending.contains_key(&doomed));
+        core.on_connected();
+        let topics: Vec<String> = sent(&mut core)
+            .into_iter()
+            .map(|frame| match frame {
+                Frame::Publish { topic, .. } => topic,
+                other => panic!("the withdrawn request was sent: {other:?}"),
+            })
+            .collect();
+        assert_eq!(topics, ["before", "after"]);
+
+        // One whose frame left is abandoned: its late reply is ignored.
+        let left = info(&mut core);
+        sent(&mut core);
+        assert!(matches!(core.give_up(left), Err(MqError::Timeout)));
+        core.on_frame(Frame::InfoReply {
+            seq: left,
+            persistent: true,
+            partitions: 1,
+            retained: 0,
+        });
+        assert!(!core.pending.contains_key(&left));
+    }
+
+    #[test]
+    fn a_loss_fails_requests_and_the_ladder_backs_off_to_its_cap() {
+        let mut core = connected();
+        let seq = info(&mut core);
+        let now = Instant::now();
+        assert_eq!(core.on_lost(now), Some(now), "first redial is immediate");
+        assert!(matches!(
+            core.take_answer(seq),
+            Some(Err(MqError::Disconnected))
+        ));
+        let cap = core.reconnect_cap;
+        let mut ladder = RECONNECT_BASE;
+        for _ in 0..10 {
+            let wait = core.next_redial(now) - now;
+            assert!(
+                wait >= ladder.min(cap) / 2 && wait <= ladder.min(cap),
+                "{wait:?}"
+            );
+            ladder *= 2;
+        }
+        core.on_connected();
+        assert!(core.next_redial(now) - now <= RECONNECT_BASE, "reset");
+        assert!(core.close());
+        assert!(!core.close(), "closes once");
+        assert_eq!(core.on_lost(now), None, "a closed client never redials");
+        assert!(matches!(
+            info_after_close(&mut core),
+            Err(MqError::Disconnected)
+        ));
+    }
+
+    fn info_after_close(core: &mut ClientCore) -> Result<u64, MqError> {
+        core.submit(|seq| Frame::RunList { seq }, Waiter::Reply)
     }
 }

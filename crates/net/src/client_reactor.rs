@@ -3,7 +3,11 @@
 //! writes, and reconnect timers for N connections cost one thread.
 //! Connection bytes, the doorbell and the deadline heap are the
 //! [`link`](crate::link) core it shares with the daemon's
-//! [`event_loop`](crate::event_loop); this module is the client's side:
+//! [`event_loop`](crate::event_loop). This module is I/O only: epoll,
+//! links, dial helpers and the deadline heap. Every protocol decision —
+//! what a frame means, what to send, when to redial — is the
+//! connection's `ClientCore` ([`client`](crate::client)), which the
+//! loop drives under the connection's one lock.
 //!
 //! * **Lazily spawned, refcounted, dropped at zero.** The first
 //!   connection spawns the `gf-client-loop` thread; a process-global
@@ -12,82 +16,37 @@
 //!   (under the same lock registration takes, so the two can never miss
 //!   each other) and exits — a process that stops using remote brokers
 //!   returns to zero extra threads.
-//! * **Publishers never touch the socket.** Each connection owns a
-//!   [`ConnHandle`]: callers append encoded frames to its outbound
-//!   buffer and ring the doorbell on the false→true transition of its
-//!   schedule bit; the loop moves the buffer onto the connection's
-//!   link. One FIFO buffer per connection is the ordering contract, and
-//!   every server frame goes to
-//!   [`ClientInner::on_frame`](crate::client).
+//! * **Publishers never touch the socket.** They queue encoded frames
+//!   in the core and ring the doorbell once per batch the loop has not
+//!   taken yet; the loop moves the core's queue onto the connection's
+//!   link. Every server frame goes to `ClientCore::on_frame`, and the
+//!   delivery it yields is made after the lock is released, so a
+//!   subscriber's waker never runs under it.
 //! * **Reconnect rides the deadline heap.** A dead connection drops its
-//!   link, fails its in-flight waiters (loss ledger and all) together
-//!   with their unwritten frames, then arms a backoff timer (20 ms
-//!   doubling to a hard cap, default 2 s via
-//!   `GINFLOW_RECONNECT_CAP_MS`, with equal-jitter so storms
-//!   de-synchronise). Dial attempts run on a short-lived helper thread
-//!   so a hanging TCP connect can never freeze the other connections.
-//!   On success the re-subscribe batch is queued *before* any frames
-//!   published during the outage — replayed history never interleaves
-//!   behind fresh publishes.
+//!   link and tells the core (`on_lost`: in-flight requests fail, the
+//!   loss ledger counts un-acked publishes, queued bytes go), then arms
+//!   the redial the core asks for; a failed dial arms the core's next
+//!   jittered backoff step (20 ms doubling to a hard cap, default 2 s
+//!   via `GINFLOW_RECONNECT_CAP_MS`). Dial attempts run on a short-lived
+//!   helper thread so a hanging TCP connect can never freeze the other
+//!   connections. On success the core queues the re-subscribe batch
+//!   *ahead* of any frame queued during the outage — replayed history
+//!   never interleaves behind fresh publishes.
 
 use crate::client::ClientInner;
 use crate::link::{Deadlines, Doorbell, Link, READ_CHUNK};
 use crate::transport::Transport;
 use ginflow_mq::metrics::{self, Counter, Gauge, Histogram};
+use ginflow_mq::wire::Frame;
 use mio::{Events, Interest, Poll, Token};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 const WAKER: Token = Token(0);
-
-/// Reconnect backoff ladder start: the first redial is immediate, each
-/// failure doubles the ladder up to [`reconnect_cap`].
-const RECONNECT_BASE: Duration = Duration::from_millis(20);
-
-/// The hard cap on reconnect backoff: the ladder never sleeps longer
-/// than this between redials, jitter included. Defaults to 2 s;
-/// override with `GINFLOW_RECONNECT_CAP_MS` (read once per process).
-fn reconnect_cap() -> Duration {
-    static CAP_MS: OnceLock<u64> = OnceLock::new();
-    Duration::from_millis(*CAP_MS.get_or_init(|| {
-        std::env::var("GINFLOW_RECONNECT_CAP_MS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .filter(|ms| *ms > 0)
-            .unwrap_or(2_000)
-    }))
-}
-
-/// A per-ladder-instance jitter seed (hashmap `RandomState` is the
-/// stdlib's per-process entropy — no clock involved).
-fn jitter_seed() -> u64 {
-    use std::hash::{BuildHasher, Hasher};
-    std::collections::hash_map::RandomState::new()
-        .build_hasher()
-        .finish()
-        | 1
-}
-
-/// Equal-jitter backoff: sleep `ladder/2 + uniform(0..=ladder/2)`,
-/// clamped to [`reconnect_cap`]. The spread de-synchronises reconnect
-/// storms — N clients severed by one daemon restart redial spread over
-/// half the ladder instead of in lockstep — while keeping the sleep
-/// within 2× of the deterministic ladder. `state` is a caller-held
-/// xorshift64 register (seed with [`jitter_seed`]).
-fn jittered_backoff(ladder: Duration, state: &mut u64) -> Duration {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    let d = ladder.min(reconnect_cap());
-    let half_us = d.as_micros() as u64 / 2;
-    (d / 2 + Duration::from_micros(x % (half_us + 1))).min(reconnect_cap())
-}
 
 /// Reactor observability, in the process-global registry (surfaces
 /// through STATS and `/metrics` like every other family).
@@ -126,15 +85,11 @@ fn reactor_metrics() -> &'static ReactorMetrics {
 /// What the loop can be asked to do from other threads.
 enum RMsg {
     /// Adopt a freshly dialed connection.
-    Register(Arc<ConnHandle>, Box<dyn Transport>, Arc<ClientInner>),
+    Register(u64, Box<dyn Transport>, Arc<ClientInner>),
     /// Tear a connection down; ack when its socket is closed.
     Deregister(u64, Sender<()>),
-    /// The connection's outbound buffer has frames queued.
+    /// The connection's core has frames queued.
     Kick(u64),
-    /// Write `bytes` only if the connection is currently up: dropped,
-    /// not queued, while disconnected — a stale-id frame must never
-    /// ride over to a fresh connection.
-    BestEffort(u64, Vec<u8>),
     /// A dial helper finished; `Ok` carries the fresh transport.
     Dialed(u64, std::io::Result<Box<dyn Transport>>),
 }
@@ -169,23 +124,15 @@ fn global_reactor() -> &'static Mutex<ReactorSlot> {
 /// can never be confused across reactor generations.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// One connection's seam between caller threads and the loop: the
-/// outbound frame buffer plus the doorbell state.
+/// One connection's seat on the loop: its id and the loop's doorbell.
 pub(crate) struct ConnHandle {
     id: u64,
     shared: Arc<ReactorHandle>,
-    /// Encoded frames awaiting the loop, appended whole under the lock
-    /// — the single FIFO that preserves cross-thread frame ordering.
-    outbound: Mutex<Vec<u8>>,
-    /// false→true schedule bit: only the transition pushes a Kick, so
-    /// a publish burst costs one message however many frames it queues.
-    kicked: AtomicBool,
-    closed: AtomicBool,
 }
 
 impl ConnHandle {
     /// Join (or spawn) the process reactor and claim a connection slot.
-    pub(crate) fn acquire() -> std::io::Result<Arc<ConnHandle>> {
+    pub(crate) fn acquire() -> std::io::Result<ConnHandle> {
         let mut global = global_reactor().lock();
         let shared = match global.weak.upgrade() {
             Some(shared) => {
@@ -222,58 +169,29 @@ impl ConnHandle {
                 shared
             }
         };
-        Ok(Arc::new(ConnHandle {
+        Ok(ConnHandle {
             id: NEXT_ID.fetch_add(1, Ordering::SeqCst),
             shared,
-            outbound: Mutex::new(Vec::new()),
-            kicked: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-        }))
+        })
     }
 
     /// Hand the loop a freshly dialed transport to own.
-    pub(crate) fn register(
-        self: &Arc<ConnHandle>,
-        transport: Box<dyn Transport>,
-        inner: Arc<ClientInner>,
-    ) {
+    pub(crate) fn register(&self, transport: Box<dyn Transport>, inner: Arc<ClientInner>) {
         self.shared
             .bell
-            .ring(RMsg::Register(self.clone(), transport, inner));
+            .ring(RMsg::Register(self.id, transport, inner));
     }
 
-    /// Queue encoded frame bytes; follow with [`ConnHandle::kick`].
-    pub(crate) fn append(&self, frames: &[u8]) {
-        self.outbound.lock().extend_from_slice(frames);
-    }
-
-    /// Ring the doorbell for frames queued by [`ConnHandle::append`].
+    /// Ring the doorbell for frames queued in the core.
     pub(crate) fn kick(&self) {
-        if !self.kicked.swap(true, Ordering::SeqCst) {
-            self.shared.bell.ring(RMsg::Kick(self.id));
-        }
-    }
-
-    /// Drop every queued frame the loop has not taken yet — their
-    /// waiters are being failed (see `ClientInner::fail_pending`).
-    pub(crate) fn discard_outbound(&self) {
-        self.outbound.lock().clear();
-    }
-
-    /// Send `buf` only if the connection is currently up; silently
-    /// dropped otherwise (see [`RMsg::BestEffort`]).
-    pub(crate) fn best_effort(&self, buf: Vec<u8>) {
-        self.shared.bell.ring(RMsg::BestEffort(self.id, buf));
+        self.shared.bell.ring(RMsg::Kick(self.id));
     }
 
     /// Deregister from the loop and wait for the socket to close; if
     /// this was the last connection, also join the retiring loop
     /// thread (the ack is sent *after* the loop's exit decision, so
-    /// observing it tells us which case we are in). Idempotent.
+    /// observing it tells us which case we are in). Call once.
     pub(crate) fn close(&self) {
-        if self.closed.swap(true, Ordering::SeqCst) {
-            return;
-        }
         self.shared.live.fetch_sub(1, Ordering::SeqCst);
         let (tx, rx) = std::sync::mpsc::channel();
         self.shared.bell.ring(RMsg::Deregister(self.id, tx));
@@ -292,40 +210,16 @@ impl ConnHandle {
             let _ = t.join();
         }
     }
-
-    /// The loop takes everything queued, resetting the doorbell under
-    /// the same lock appends take — a frame is either in the returned
-    /// batch or guaranteed a fresh Kick.
-    fn take_outbound(&self) -> Vec<u8> {
-        let mut buf = self.outbound.lock();
-        self.kicked.store(false, Ordering::SeqCst);
-        std::mem::take(&mut *buf)
-    }
 }
 
 /// Loop-side per-connection state.
 struct RConn {
     inner: Arc<ClientInner>,
-    handle: Arc<ConnHandle>,
     /// The live connection; `None` while disconnected (a reconnect
     /// timer or dial is pending).
     link: Option<Link>,
-    /// Next redial delay after a failed attempt.
-    backoff: Duration,
-    /// xorshift64 state for backoff jitter (equal-jitter spread).
-    jitter: u64,
     /// A dial helper thread is in flight.
     dialing: bool,
-}
-
-impl RConn {
-    /// When to redial after a failed attempt: one jittered step of the
-    /// backoff ladder, which then doubles up to the cap.
-    fn next_redial(&mut self) -> Instant {
-        let at = Instant::now() + jittered_backoff(self.backoff, &mut self.jitter);
-        self.backoff = (self.backoff * 2).min(reconnect_cap());
-        at
-    }
 }
 
 /// Everything the reactor thread owns.
@@ -397,50 +291,34 @@ impl Reactor {
 
     fn handle_msg(&mut self, msg: RMsg, acks: &mut Vec<Sender<()>>) {
         match msg {
-            RMsg::Register(handle, transport, inner) => self.register(handle, transport, inner),
+            RMsg::Register(id, transport, inner) => {
+                let conn = RConn {
+                    inner,
+                    link: None,
+                    dialing: false,
+                };
+                self.conns.insert(id, conn);
+                if self.adopt(id, transport) {
+                    self.drain_outbound(id);
+                } else {
+                    // Registration failed: treat as an instant
+                    // connection loss so the ordinary redial path
+                    // takes over.
+                    self.conn_lost(id);
+                }
+            }
             RMsg::Deregister(id, ack) => {
                 self.drop_link(id);
                 self.conns.remove(&id);
                 acks.push(ack); // sent after the exit decision
             }
             RMsg::Kick(id) => self.drain_outbound(id),
-            RMsg::BestEffort(id, buf) => {
-                if let Some(link) = self.conns.get_mut(&id).and_then(|c| c.link.as_mut()) {
-                    link.out.push(&buf);
-                    self.flush(id);
-                }
-            }
             RMsg::Dialed(id, result) => self.dialed(id, result),
         }
     }
 
-    fn register(
-        &mut self,
-        handle: Arc<ConnHandle>,
-        transport: Box<dyn Transport>,
-        inner: Arc<ClientInner>,
-    ) {
-        let id = handle.id;
-        let conn = RConn {
-            inner,
-            handle,
-            link: None,
-            backoff: RECONNECT_BASE,
-            jitter: jitter_seed(),
-            dialing: false,
-        };
-        self.conns.insert(id, conn);
-        if self.adopt(id, transport) {
-            self.drain_outbound(id);
-        } else {
-            // Registration failed: treat as an instant connection loss
-            // so the ordinary redial path takes over.
-            self.conn_lost(id);
-        }
-    }
-
-    /// Make `transport` connection `id`'s link. `false`: the socket
-    /// could not be registered and is closed.
+    /// Make `transport` connection `id`'s link and tell the core a link
+    /// is up. `false`: the socket could not be registered and is closed.
     fn adopt(&mut self, id: u64, transport: Box<dyn Transport>) -> bool {
         let adopted = transport.set_nonblocking(true).is_ok()
             && self
@@ -454,6 +332,7 @@ impl Reactor {
         reactor_metrics().connections.add(1);
         let conn = self.conns.get_mut(&id).expect("adopting a known conn");
         conn.link = Some(Link::new(transport, Instant::now()));
+        conn.inner.core.lock().on_connected();
         true
     }
 
@@ -468,9 +347,9 @@ impl Reactor {
         }
     }
 
-    /// Move queued outbound frames onto the wire. While disconnected
-    /// the frames stay in the handle's buffer — the reconnect path
-    /// drains them *behind* the re-subscribe batch.
+    /// Move the core's queued frames onto the wire. While disconnected
+    /// they stay in the core, behind the re-subscribe batch the next
+    /// connect puts ahead of them.
     fn drain_outbound(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
@@ -478,14 +357,15 @@ impl Reactor {
         let Some(link) = conn.link.as_mut() else {
             return;
         };
-        link.out.push(&conn.handle.take_outbound());
+        link.out.push(&conn.inner.core.lock().take_outbound());
         if link.out.pending() > 0 {
             self.flush(id);
         }
     }
 
-    /// A connection is readable: dispatch the server frames of one read
-    /// turn through `ClientInner::on_frame`.
+    /// A connection is readable: feed the server frames of one read
+    /// turn to the core, each under the lock, and make each frame's
+    /// delivery after releasing it.
     fn read_ready(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
@@ -493,8 +373,26 @@ impl Reactor {
         let Some(link) = conn.link.as_mut() else {
             return;
         };
-        let turn = link.read_turn(&mut self.scratch, |_, frame| {
-            conn.inner.on_frame(frame);
+        let inner = &conn.inner;
+        let turn = link.read_turn(&mut self.scratch, |out, frame| {
+            let answers = !matches!(frame, Frame::Events { .. });
+            let delivery = {
+                let mut core = inner.core.lock();
+                let delivery = core.on_frame(frame);
+                out.push(&core.take_outbound());
+                delivery
+            };
+            if answers {
+                inner.changed.notify_all();
+            }
+            if let Some(delivery) = delivery {
+                let sub = delivery.sub;
+                if !delivery.run() {
+                    let mut core = inner.core.lock();
+                    core.drop_sub(sub);
+                    out.push(&core.take_outbound());
+                }
+            }
             true
         });
         if turn.frames > 0 {
@@ -529,23 +427,18 @@ impl Reactor {
         }
     }
 
-    /// The socket died: fail in-flight waiters (pipelined publishes
-    /// latch on the loss ledger, re-subscriptions in flight move to
-    /// the orphan list) and arm an immediate redial.
+    /// The socket died: drop the link with what it still owed, tell the
+    /// core, and arm the redial it asks for.
     fn conn_lost(&mut self, id: u64) {
-        // A frame whose waiter fails just below must never reach the
-        // next connection: what the link still owed goes with it here;
-        // `fail_pending` drops what callers queued behind it.
         self.drop_link(id);
-        let Some(conn) = self.conns.get_mut(&id) else {
+        let Some(conn) = self.conns.get(&id) else {
             return;
         };
-        conn.inner.fail_pending();
-        if conn.inner.is_shutdown() {
-            return; // Deregister will reap the slot
+        let redial = conn.inner.core.lock().on_lost(Instant::now());
+        conn.inner.changed.notify_all();
+        if let Some(at) = redial {
+            self.timers.arm(at, id);
         }
-        conn.backoff = RECONNECT_BASE;
-        self.timers.arm(Instant::now(), id);
     }
 
     fn fire_timers(&mut self, now: Instant) {
@@ -569,7 +462,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.link.is_some() || conn.dialing || conn.inner.is_shutdown() {
+        if conn.link.is_some() || conn.dialing || conn.inner.core.lock().is_closed() {
             return;
         }
         conn.dialing = true;
@@ -584,7 +477,7 @@ impl Reactor {
             .is_ok();
         if !spawned {
             conn.dialing = false;
-            let at = conn.next_redial();
+            let at = conn.inner.core.lock().next_redial(Instant::now());
             self.timers.arm(at, id);
         }
     }
@@ -593,7 +486,7 @@ impl Reactor {
     fn dialed(&mut self, id: u64, result: std::io::Result<Box<dyn Transport>>) {
         let wanted = self.conns.get_mut(&id).is_some_and(|conn| {
             conn.dialing = false;
-            !conn.inner.is_shutdown() && conn.link.is_none()
+            conn.link.is_none() && !conn.inner.core.lock().is_closed()
         });
         if !wanted {
             if let Ok(t) = result {
@@ -601,19 +494,12 @@ impl Reactor {
             }
             return;
         }
-        let connected = result.is_ok_and(|stream| self.adopt(id, stream));
-        let conn = self.conns.get_mut(&id).expect("checked above");
-        if !connected {
-            let at = conn.next_redial();
+        if !result.is_ok_and(|stream| self.adopt(id, stream)) {
+            let conn = self.conns.get(&id).expect("checked above");
+            let at = conn.inner.core.lock().next_redial(Instant::now());
             self.timers.arm(at, id);
             return;
         }
-        // Re-subscribes first: their frames go out ahead of anything
-        // published during the outage, so replayed history cannot
-        // interleave behind fresh publishes.
-        let batch = conn.inner.resubscribe_batch();
-        conn.link.as_mut().expect("just adopted").out.push(&batch);
-        conn.backoff = RECONNECT_BASE;
         reactor_metrics().reconnects.inc();
         crate::client::note_reconnect();
         self.drain_outbound(id);

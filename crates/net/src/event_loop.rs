@@ -43,7 +43,7 @@
 use crate::link::{Deadlines, Doorbell, Link, Outbox, READ_CHUNK};
 use crate::metrics::{daemon_metrics, TopicMetrics};
 use crate::registry::RunRegistry;
-use crate::server::{error_frame, event_batch, stats_snapshot, EVENT_BATCH_BYTES};
+use crate::server::{error_frame, stats_snapshot, EVENT_BATCH, EVENT_BATCH_BYTES};
 use crate::transport::Transport;
 use ginflow_mq::wire::{Frame, MAX_RECEIPT_RUN};
 use ginflow_mq::{Broker, Message, Receipt, Subscription};
@@ -775,7 +775,7 @@ fn drain_sub(out: &mut Outbox, entry: &Arc<ServerSub>, bell: &Doorbell<LoopMsg>)
     let mut batch_bytes = 0usize;
     let mut drained = 0u64;
     let mut payload_bytes = 0u64;
-    for _ in 0..event_batch() {
+    for _ in 0..EVENT_BATCH {
         match entry.sub.try_recv() {
             Ok(Some(message)) => {
                 let msg_bytes = message.payload.len()

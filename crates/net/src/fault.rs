@@ -56,7 +56,7 @@
 
 use crate::server::BrokerServer;
 use crate::transport::{Connector, Transport};
-use ginflow_mq::wire::FrameSplitter;
+use ginflow_mq::wire::{Frame, FrameSplitter};
 use ginflow_mq::LogBroker;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -512,6 +512,7 @@ impl ChaosNet {
             plan: plan.clone(),
             ctl: ctl.clone(),
             stats: self.stats.clone(),
+            split_events: false,
         };
         let s2c = Pump {
             src: server_end,
@@ -520,6 +521,7 @@ impl ChaosNet {
             plan: plan.clone(),
             ctl: ctl.clone(),
             stats: self.stats.clone(),
+            split_events: true,
         };
         std::thread::Builder::new()
             .name("gf-chaos-c2s".into())
@@ -587,11 +589,13 @@ struct Pump {
     plan: FaultPlan,
     ctl: Arc<LinkCtl>,
     stats: Arc<StatCells>,
+    /// Relay an EVENTS frame of n messages as n frames of one (the
+    /// server → client direction).
+    split_events: bool,
 }
 
 impl Pump {
     fn run(mut self) {
-        let scale = self.plan.time_scale.max(1);
         let sever_at: Option<u64> = self
             .plan
             .sever_after_frames
@@ -602,7 +606,7 @@ impl Pump {
         'link: loop {
             // Take one complete frame, undecoded, reading until there
             // is one.
-            let mut frame: Vec<u8> = loop {
+            let raw: Vec<u8> = loop {
                 match splitter.next_raw() {
                     Ok(Some(raw)) => break raw.to_vec(),
                     Ok(None) => {}
@@ -613,54 +617,80 @@ impl Pump {
                     Ok(n) => splitter.push(&chunk[..n]),
                 }
             };
-            let frame_len = frame.len();
-            frames += 1;
-            self.stats.frames.fetch_add(1, Ordering::Relaxed);
-            if frames <= self.plan.grace_frames {
-                if self.dst.write_all(&frame).is_err() {
+            for frame in self.split(raw) {
+                frames += 1;
+                if !self.relay(frame, frames, sever_at) {
                     break 'link;
                 }
-                continue;
-            }
-            if let Some(at) = sever_at {
-                if frames >= at {
-                    // The scheduled sever: deliver a truncated prefix
-                    // (mid-frame) or nothing more (clean boundary cut),
-                    // then collapse the link.
-                    let midframe = self.rng.random_bool(self.plan.midframe_sever);
-                    if midframe && frame_len > 5 {
-                        let cut = self.rng.random_range(1..frame_len);
-                        let _ = self.dst.write_all(&frame[..cut]);
-                    }
-                    self.ctl.kill(true, midframe, &self.stats);
-                    break 'link;
-                }
-            }
-            if self.rng.random_bool(self.plan.drop_frame) {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if self.rng.random_bool(self.plan.corrupt_frame) {
-                let at = self.rng.random_range(0..frame.len());
-                frame[at] ^= 1 << self.rng.random_range(0..8u32);
-                self.stats.corrupted.fetch_add(1, Ordering::Relaxed);
-            }
-            let (lo, hi) = self.plan.latency_us;
-            if hi > 0 {
-                let virt = if hi > lo {
-                    self.rng.random_range(lo..=hi)
-                } else {
-                    hi
-                };
-                std::thread::sleep(Duration::from_micros(virt / scale));
-            }
-            if self.dst.write_all(&frame).is_err() {
-                break 'link;
             }
         }
         // Whatever ended this pump ends the link: the peer direction
         // unblocks with EOF and the client sees a dead connection.
         self.ctl.kill(false, false, &self.stats);
+    }
+
+    /// The frames one frame off the wire is relayed as.
+    fn split(&self, raw: Vec<u8>) -> Vec<Vec<u8>> {
+        if self.split_events {
+            if let Ok(Frame::Events { sub, messages }) = Frame::decode(&raw[4..]) {
+                if messages.len() > 1 {
+                    return messages
+                        .into_iter()
+                        .filter_map(|m| {
+                            (Frame::Events {
+                                sub,
+                                messages: vec![m],
+                            })
+                            .encode()
+                            .ok()
+                        })
+                        .collect();
+                }
+            }
+        }
+        vec![raw]
+    }
+
+    /// Apply the schedule to the link's `nth` frame and forward what is
+    /// left of it; `false` ends the link.
+    fn relay(&mut self, mut frame: Vec<u8>, nth: u64, sever_at: Option<u64>) -> bool {
+        let frame_len = frame.len();
+        self.stats.frames.fetch_add(1, Ordering::Relaxed);
+        if nth <= self.plan.grace_frames {
+            return self.dst.write_all(&frame).is_ok();
+        }
+        if sever_at.is_some_and(|at| nth >= at) {
+            // The scheduled sever: deliver a truncated prefix
+            // (mid-frame) or nothing more (clean boundary cut), then
+            // collapse the link.
+            let midframe = self.rng.random_bool(self.plan.midframe_sever);
+            if midframe && frame_len > 5 {
+                let cut = self.rng.random_range(1..frame_len);
+                let _ = self.dst.write_all(&frame[..cut]);
+            }
+            self.ctl.kill(true, midframe, &self.stats);
+            return false;
+        }
+        if self.rng.random_bool(self.plan.drop_frame) {
+            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        if self.rng.random_bool(self.plan.corrupt_frame) {
+            let at = self.rng.random_range(0..frame.len());
+            frame[at] ^= 1 << self.rng.random_range(0..8u32);
+            self.stats.corrupted.fetch_add(1, Ordering::Relaxed);
+        }
+        let (lo, hi) = self.plan.latency_us;
+        if hi > 0 {
+            let virt = if hi > lo {
+                self.rng.random_range(lo..=hi)
+            } else {
+                hi
+            };
+            let scale = self.plan.time_scale.max(1);
+            std::thread::sleep(Duration::from_micros(virt / scale));
+        }
+        self.dst.write_all(&frame).is_ok()
     }
 }
 

@@ -43,13 +43,19 @@
 //! connection closes: N connections cost one I/O thread (pinned by
 //! thread name in `tests/async_loop.rs`,
 //! `client_reactor_multiplexes_connections_onto_one_thread_and_retires_it`).
-//! Publishers never touch the socket: they append
-//! encoded frames to a per-connection outbound buffer and ring an
-//! eventfd doorbell; the loop drains the buffer through a non-blocking
-//! write state machine, feeds received bytes through the frame
-//! dispatch, and runs reconnect backoff on its deadline heap (dial
-//! syscalls themselves run on a short-lived helper thread so a hanging
-//! TCP connect never stalls other connections' traffic).
+//! Publishers never touch the socket. A connection's protocol state —
+//! waiters, subscription table and watermarks, pipeline window and loss
+//! ledger, the bytes queued for the link, the redial ladder — is one
+//! plain value, the client core in [`client`], under one mutex and one
+//! condvar; it holds no socket, thread, channel or clock, and its unit
+//! tests drive it with none. Callers queue encoded frames in it and
+//! ring an eventfd doorbell; the loop moves the queue onto the link's
+//! non-blocking writer, feeds each received frame to the core and makes
+//! the subscriber deliveries the core hands back after releasing the
+//! lock, and arms the redials the core asks for on its deadline heap
+//! (dial syscalls themselves run on a short-lived helper thread so a
+//! hanging TCP connect never stalls other connections' traffic). The
+//! loop is I/O only; every decision is the core's.
 //!
 //! ## One byte layer under both loops
 //!
@@ -218,6 +224,10 @@
 //! * `GINFLOW_RECONNECT_CAP_MS` — hard cap of the jittered exponential
 //!   reconnect backoff (default 2000 ms). Reconnects are counted on
 //!   `gf_client_reconnects_total`.
+//!
+//! The daemon under chaos batches exactly as in production: the relay
+//! itself splits each EVENTS frame into one frame per message before it
+//! applies the plan, so every message stays a fault decision point.
 //!
 //! (`flush()` on a wedged link is bounded in code, not by a knob:
 //! [`client::DEFAULT_FLUSH_TIMEOUT`], per client

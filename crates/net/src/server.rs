@@ -47,21 +47,6 @@ pub(crate) const EVENT_BATCH: usize = 128;
 /// and that frame is dropped rather than killing the connection.
 pub(crate) const EVENT_BATCH_BYTES: usize = 1 << 20;
 
-/// Per-wakeup batch cap, honouring the `GINFLOW_NET_UNBATCHED` debug
-/// knob (set to any value to push every message as an EVENTS frame of
-/// its own — what the chaos suites need, so each message is a frame the
-/// fault plan can act on).
-pub(crate) fn event_batch() -> usize {
-    static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *N.get_or_init(|| {
-        if std::env::var_os("GINFLOW_NET_UNBATCHED").is_some() {
-            1
-        } else {
-            EVENT_BATCH
-        }
-    })
-}
-
 pub(crate) fn error_frame(seq: u64, e: ginflow_mq::MqError) -> Frame {
     Frame::Error {
         seq,

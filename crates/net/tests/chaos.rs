@@ -50,12 +50,6 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
         if std::env::var_os("GINFLOW_RECONNECT_CAP_MS").is_none() {
             std::env::set_var("GINFLOW_RECONNECT_CAP_MS", "100");
         }
-        // An EVENTS frame per message: push coalescing would fold a
-        // whole subscription stream into a handful of jumbo frames,
-        // starving the per-frame fault schedule of decision points.
-        // Unbatched, every message is a place the plan can drop,
-        // corrupt, delay or cut.
-        std::env::set_var("GINFLOW_NET_UNBATCHED", "1");
     });
     GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
