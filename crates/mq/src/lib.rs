@@ -16,8 +16,8 @@
 //! [`wire`] module defines the length-prefixed binary protocol
 //! `ginflow-net`'s broker daemon speaks, and its client-side
 //! `RemoteBroker` implements the same [`Broker`] trait over a TCP
-//! connection ([`BrokerKind::Remote`]) — the membrane that lets one
-//! workflow span multiple OS processes and hosts.
+//! connection — the membrane that lets one workflow span multiple OS
+//! processes and hosts.
 //!
 //! Topics are **run-scoped** ([`namespace`]): every workflow run owns a
 //! [`RunId`] and publishes under `run/<id>/…`, so one standing broker —
@@ -60,21 +60,15 @@ pub enum BrokerKind {
     Transient,
     /// Kafka-like persistent log: [`LogBroker`].
     Log,
-    /// A broker reached over TCP through `ginflow-net`'s [`wire`]
-    /// protocol. Carries no address (the selector stays `Copy`);
-    /// construct the client with `ginflow_net::RemoteBroker::connect`
-    /// and hand it to whatever needs an `Arc<dyn Broker>`.
-    Remote,
 }
 
 impl BrokerKind {
     /// Label used in reports ("activemq" / "kafka", matching the paper's
-    /// terminology; "remote" for the network client).
+    /// terminology).
     pub fn label(self) -> &'static str {
         match self {
             BrokerKind::Transient => "activemq",
             BrokerKind::Log => "kafka",
-            BrokerKind::Remote => "remote",
         }
     }
 }
@@ -87,6 +81,5 @@ mod tests {
     fn kind_builds_matching_brokers() {
         assert_eq!(BrokerKind::Transient.label(), "activemq");
         assert_eq!(BrokerKind::Log.label(), "kafka");
-        assert_eq!(BrokerKind::Remote.label(), "remote");
     }
 }

@@ -1511,4 +1511,186 @@ mod tests {
     fn info_after_close(core: &mut ClientCore) -> Result<u64, MqError> {
         core.submit(|seq| Frame::RunList { seq }, Waiter::Reply)
     }
+
+    /// A client core and the real daemon core back to back over a log
+    /// broker: the bytes each queues are split into frames and fed to
+    /// the other, with no socket. `cut` frames after the start (either
+    /// direction), the link is lost: what is in flight goes, both ends
+    /// are told, and the client reconnects on a fresh daemon connection.
+    struct BackToBack {
+        client: ClientCore,
+        daemon: crate::daemon::DaemonCore,
+        broker: Arc<ginflow_mq::LogBroker>,
+        woken: Arc<Mutex<Vec<(usize, u64)>>>,
+        conn: usize,
+        out: crate::link::Outbox,
+        cut: Option<usize>,
+        /// Pipelined publishes un-acked when the link was lost.
+        unacked_at_loss: usize,
+    }
+
+    impl BackToBack {
+        fn new(cut: usize) -> BackToBack {
+            let broker = Arc::new(ginflow_mq::LogBroker::new());
+            let registry = Arc::new(crate::registry::RunRegistry::new(broker.clone()));
+            let woken = Arc::new(Mutex::new(Vec::new()));
+            let sink = woken.clone();
+            let wake: crate::daemon::Wake =
+                Arc::new(move |conn, sub| sink.lock().push((conn, sub)));
+            let mut daemon = crate::daemon::DaemonCore::new(broker.clone(), registry, None, wake);
+            daemon.open(1);
+            BackToBack {
+                client: connected(),
+                daemon,
+                broker,
+                woken,
+                conn: 1,
+                out: Default::default(),
+                cut: Some(cut),
+                unacked_at_loss: 0,
+            }
+        }
+
+        /// Count one frame crossing the link; `false`: the link is lost
+        /// before it arrives.
+        fn cross(&mut self) -> bool {
+            match &mut self.cut {
+                Some(0) => {
+                    self.cut = None;
+                    self.unacked_at_loss = self.client.inflight;
+                    self.client.on_lost(Instant::now());
+                    self.daemon.close(self.conn);
+                    self.out = Default::default();
+                    self.conn += 1;
+                    self.daemon.open(self.conn);
+                    self.client.on_connected();
+                    false
+                }
+                Some(left) => {
+                    *left -= 1;
+                    true
+                }
+                None => true,
+            }
+        }
+
+        /// Carry bytes both ways until neither end has anything to say.
+        fn pump(&mut self) {
+            loop {
+                let mut splitter = FrameSplitter::default();
+                splitter.push(&self.client.take_outbound());
+                let mut moved = false;
+                while let Some(frame) = splitter.next_frame().unwrap() {
+                    moved = true;
+                    if !self.cross() {
+                        break;
+                    }
+                    let now = Instant::now();
+                    assert!(self.daemon.on_frame(self.conn, frame, &mut self.out, now));
+                }
+                assert!(self.daemon.end_turn(self.conn, &mut self.out));
+                for (conn, sub) in std::mem::take(&mut *self.woken.lock()) {
+                    let mut stale = crate::link::Outbox::default();
+                    let out = if conn == self.conn {
+                        &mut self.out
+                    } else {
+                        &mut stale
+                    };
+                    self.daemon.drain(conn, sub, out);
+                    assert_eq!(stale.pending(), 0, "a stale drain wrote");
+                }
+                let mut splitter = FrameSplitter::default();
+                splitter.push(&self.out.take());
+                while let Some(frame) = splitter.next_frame().unwrap() {
+                    moved = true;
+                    if !self.cross() {
+                        break;
+                    }
+                    if let Some(delivery) = self.client.on_frame(frame) {
+                        assert!(delivery.run());
+                    }
+                }
+                if !moved {
+                    return;
+                }
+            }
+        }
+
+        /// Subscribe to `t` from the beginning, as `Broker::subscribe`
+        /// would; `None` if the link was lost under it.
+        fn subscribe(&mut self) -> Option<Subscription> {
+            let (handle, subscription) = subscription_pair();
+            let entry = RemoteSub {
+                topic: "t".into(),
+                origin_mode: SubscribeMode::Beginning,
+                handle: Arc::new(handle),
+                next_offset: HashMap::new(),
+            };
+            let frame = |seq| Frame::Subscribe {
+                seq,
+                topic: "t".into(),
+                mode: SubscribeMode::Beginning,
+            };
+            let seq = self
+                .client
+                .submit(frame, Waiter::Subscribe(Box::new(entry)))
+                .unwrap();
+            self.pump();
+            match self.client.take_answer(seq) {
+                Some(Ok(Frame::Subscribed { .. })) => Some(subscription),
+                Some(Err(MqError::Disconnected)) => None,
+                other => panic!("subscribe answered {other:?}"),
+            }
+        }
+
+        fn publish(&mut self, records: std::ops::Range<u8>) {
+            for record in records {
+                let payload = Bytes::from(vec![record]);
+                self.client.publish("t".into(), None, payload).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn both_cores_deliver_every_record_once_in_order_and_count_every_loss() {
+        let mut cuts = 0..;
+        loop {
+            let cut = cuts.next().unwrap();
+            let mut link = BackToBack::new(cut);
+            link.publish(0..5);
+            let first = link.subscribe();
+            link.publish(5..8);
+            link.pump();
+            let subscription = match first {
+                Some(subscription) => subscription,
+                None => link.subscribe().expect("no second loss"),
+            };
+            link.publish(8..10);
+            link.pump();
+
+            let log = link.broker.fetch("t", 0, 0, 100).unwrap();
+            let delivered: Vec<Message> =
+                std::iter::from_fn(|| subscription.try_recv().unwrap()).collect();
+            let offsets = |messages: &[Message]| -> Vec<(u64, Bytes)> {
+                let each = messages.iter();
+                each.map(|m| (m.offset, m.payload.clone())).collect()
+            };
+            assert_eq!(offsets(&delivered), offsets(&log), "cut after {cut} frames");
+            let lost = link.unacked_at_loss;
+            match link.client.flushed() {
+                Some(Ok(())) => assert_eq!(lost, 0, "cut after {cut} frames"),
+                Some(Err(MqError::Remote { message })) => {
+                    assert!(
+                        message.starts_with(&format!("{lost} pipelined")),
+                        "{message}"
+                    )
+                }
+                other => panic!("cut after {cut} frames: {other:?}"),
+            }
+            assert!(log.len() + lost >= 10, "a publish vanished uncounted");
+            if link.cut.is_some() {
+                break; // the whole script ran before the cut
+            }
+        }
+    }
 }

@@ -11,12 +11,12 @@
 //!   [`LogBroker`](ginflow_mq::LogBroker) by default) over TCP from a
 //!   **single-thread epoll event loop** (the `mio` shim): non-blocking
 //!   sockets, per-connection read/write buffer state machines,
-//!   subscription wakeups routed into the loop through
-//!   the broker's push wakers, and a timer wheel driving the retention
-//!   sweep — thread count independent of client count, zero syscalls
-//!   while idle, 10k+ concurrent connections on one thread. The acks
-//!   of a read turn's consecutive publishes coalesce into one
-//!   RECEIPT_LIST frame (the request-direction mirror of EVENTS).
+//!   subscription wakeups routed into the loop through the broker's
+//!   push wakers, and the retention sweep on the loop's deadline —
+//!   thread count independent of client count, zero syscalls while
+//!   idle, 10k+ concurrent connections on one thread. The acks of a
+//!   read turn's consecutive publishes coalesce into one RECEIPT_LIST
+//!   frame (the request-direction mirror of EVENTS).
 //! * [`RemoteBroker`] — the client: implements the same `Broker` trait
 //!   over a connection, pushing EVENTS frames into local
 //!   [`Subscription`](ginflow_mq::Subscription)s (wakers included, so
@@ -57,7 +57,17 @@
 //! hanging TCP connect never stalls other connections' traffic). The
 //! loop is I/O only; every decision is the core's.
 //!
-//! ## One byte layer under both loops
+//! ## One core and one loop at each end
+//!
+//! Each end of the protocol is one plain value that makes every
+//! decision and one loop that does the I/O. The client's is the
+//! `ClientCore` in [`client`]; the daemon's is the `DaemonCore` of the
+//! `daemon` module: per connection its subscriptions by wire id, its
+//! open receipt run, its metric cache and its parked subscriptions,
+//! plus the one retention deadline. Neither core holds a socket,
+//! thread, channel or clock, so each is unit-tested with none, and the
+//! two are tested back to back — the client's bytes split into frames
+//! for the daemon's and back, the link cut at every frame boundary.
 //!
 //! Below the protocol the daemon's loop and the client's reactor are
 //! the same machine, and it exists once, in the `link` module: a
@@ -66,9 +76,8 @@
 //! with its non-blocking flush and write-stall clock out — driven with
 //! passed-in `Instant`s, so it is unit-tested with no socket, thread or
 //! sleep), the loops' deadline heap with the stall scan, and the
-//! cross-thread doorbell. Each loop module holds only its side of the
-//! protocol; the [`fault`] relay and the raw test peers split frames
-//! with the same splitter.
+//! cross-thread doorbell. The [`fault`] relay and the raw test peers
+//! split frames with the same splitter.
 //!
 //! With a daemon in the middle, `Backend::Sharded` (in
 //! `ginflow-engine`) runs one workflow across multiple OS processes:
@@ -242,6 +251,7 @@
 
 pub mod client;
 mod client_reactor;
+mod daemon;
 mod event_loop;
 pub mod fault;
 mod link;

@@ -67,6 +67,16 @@ impl Outbox {
     pub(crate) fn pending(&self) -> usize {
         self.buf.len() - self.sent
     }
+
+    /// Take the bytes not yet written, as a socket that accepts them all
+    /// would.
+    #[cfg(test)]
+    pub(crate) fn take(&mut self) -> Vec<u8> {
+        let unsent = self.buf.split_off(self.sent);
+        self.buf.clear();
+        self.sent = 0;
+        unsent
+    }
 }
 
 /// What one [`Link::read_turn`] did.

@@ -95,12 +95,13 @@ impl RunRegistry {
         out
     }
 
-    /// Mark a run completed (reclaimable). Returns whether the run is
-    /// known. Idempotent: re-closing keeps the original completion time.
-    pub(crate) fn close(&self, run: &str) -> bool {
+    /// Mark a run completed (reclaimable) at `now`. Returns whether the
+    /// run is known. Idempotent: re-closing keeps the original
+    /// completion time.
+    pub(crate) fn close(&self, run: &str, now: Instant) -> bool {
         match self.runs.lock().get_mut(run) {
             Some(entry) => {
-                entry.completed_at.get_or_insert_with(Instant::now);
+                entry.completed_at.get_or_insert(now);
                 true
             }
             None => false,
@@ -108,9 +109,9 @@ impl RunRegistry {
     }
 
     /// When the earliest completed-but-unreclaimed run becomes eligible
-    /// under a `window` retention — the deadline the event loop's timer
-    /// wheel sleeps towards. `None` while nothing is closed: an idle
-    /// daemon arms no timer at all.
+    /// under a `window` retention — the deadline the daemon sleeps
+    /// towards. `None` while nothing is closed: an idle daemon arms no
+    /// timer at all.
     pub(crate) fn next_gc_deadline(&self, window: Duration) -> Option<Instant> {
         self.runs
             .lock()
@@ -120,10 +121,10 @@ impl RunRegistry {
             .map(|at| at + window)
     }
 
-    /// Reclaim every run completed at least `min_age` ago: drop its
-    /// topics from the broker and forget the run. Returns the ids of
+    /// Reclaim every run completed at least `min_age` before `now`: drop
+    /// its topics from the broker and forget the run. Returns the ids of
     /// the runs reclaimed and how many topics went with them.
-    pub(crate) fn gc(&self, min_age: Duration) -> (Vec<String>, u32) {
+    pub(crate) fn gc(&self, min_age: Duration, now: Instant) -> (Vec<String>, u32) {
         // Collect under the lock, delete outside it: delete_topic
         // disconnects subscriptions, whose teardown must not contend
         // with request-path accounting.
@@ -131,7 +132,7 @@ impl RunRegistry {
             let mut runs = self.runs.lock();
             let expired: Vec<String> = runs
                 .iter()
-                .filter(|(_, e)| e.completed_at.is_some_and(|at| at.elapsed() >= min_age))
+                .filter(|(_, e)| e.completed_at.is_some_and(|at| now - at >= min_age))
                 .map(|(run, _)| run.clone())
                 .collect();
             for run in &expired {

@@ -1,15 +1,12 @@
 //! The broker daemon: accepts TCP connections and fronts any in-process
 //! [`Broker`] (the log by default) over the wire protocol.
 //!
-//! [`BrokerServer`] runs one thread and one epoll instance (the
-//! `event_loop` module docs have the full
-//! architecture): non-blocking sockets with per-connection read/write
-//! buffer state machines. Thread count is independent of client count,
-//! a read turn's publish acks coalesce into one `RECEIPT_LIST` frame, a
-//! subscription's drain leaves as one `EVENTS` frame, subscription
-//! wakeups ride the broker's [`Subscription::set_waker`] push path into
-//! the loop, and the retention sweep runs off the loop's timer wheel —
-//! an idle daemon makes zero syscalls between deadlines.
+//! [`BrokerServer`] runs one thread and one epoll instance. The `daemon`
+//! module's `DaemonCore` makes every protocol decision — verb dispatch,
+//! receipt runs, drains and parking, retention — as one plain value
+//! driven without sockets; the `event_loop` module does the I/O around
+//! it. Thread count is independent of client count, and an idle daemon
+//! makes zero syscalls between deadlines.
 //!
 //! The daemon is **multi-run**: topics are run-scoped
 //! (`run/<id>/…`, see [`ginflow_mq::namespace`]), and the server keeps a
@@ -20,39 +17,18 @@
 //! ([`BrokerServer::bind_with_retention`]) the daemon reclaims them
 //! automatically, so a standing daemon serving many runs does not grow
 //! without bound.
-//!
-//! [`Subscription::set_waker`]: ginflow_mq::Subscription::set_waker
 
 use crate::event_loop::LoopHandle;
 use crate::metrics_http::MetricsExporter;
 use crate::registry::RunRegistry;
 use crate::transport::Transport;
-use ginflow_mq::wire::{Frame, RunStat, StatRow};
+use ginflow_mq::wire::{RunStat, StatRow};
 use ginflow_mq::Broker;
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Max messages one drain coalesces into a single EVENTS frame before
-/// re-checking its queue — bounds frame size and keeps one fire-hose
-/// subscription from starving the others.
-pub(crate) const EVENT_BATCH: usize = 128;
-
-/// Byte budget of one coalesced EVENTS frame (payload + topic + key +
-/// framing headroom per message, enforced before a message joins a
-/// non-empty batch) — far under `MAX_FRAME`, so only a single message
-/// whose envelope alone exceeds the frame limit can ever fail encode,
-/// and that frame is dropped rather than killing the connection.
-pub(crate) const EVENT_BATCH_BYTES: usize = 1 << 20;
-
-pub(crate) fn error_frame(seq: u64, e: ginflow_mq::MqError) -> Frame {
-    Frame::Error {
-        seq,
-        message: e.to_string(),
-    }
-}
 
 /// One flat snapshot of the process-global metrics registry with the
 /// per-run gauges (`gf_run_topics`, `gf_run_retained`)

@@ -96,9 +96,7 @@ impl CostModel {
     pub fn for_broker(kind: ginflow_mq::BrokerKind) -> Self {
         match kind {
             ginflow_mq::BrokerKind::Transient => CostModel::activemq(),
-            // A remote broker fronts the persistent log by default, so
-            // the kafka profile is the right virtual-cost stand-in.
-            ginflow_mq::BrokerKind::Log | ginflow_mq::BrokerKind::Remote => CostModel::kafka(),
+            ginflow_mq::BrokerKind::Log => CostModel::kafka(),
         }
     }
 

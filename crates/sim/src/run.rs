@@ -127,7 +127,20 @@ struct AgentSlot {
     /// Completed-invocation counter (scripted-failure indexing).
     invocations: u64,
     name: String,
-    is_sink: bool,
+}
+
+/// Everything a simulated run mutates, and the one step every agent
+/// turn takes — boot, a delivery, a service completion, a replay.
+struct Sim<'a> {
+    config: &'a SimConfig,
+    agents: Vec<AgentSlot>,
+    index: HashMap<String, usize>,
+    queue: EventQueue<Ev>,
+    broker_free: SimTime,
+    status_free: SimTime,
+    report: SimReport,
+    last_status_visible: SimTime,
+    sink_done: HashMap<usize, bool>,
 }
 
 /// Simulate `workflow` under `config`.
@@ -137,84 +150,60 @@ pub fn simulate(workflow: &Workflow, config: &SimConfig) -> SimReport {
     // One copy of each program, shared by an agent and its respawns.
     let programs: Vec<Arc<ginflow_hoclflow::AgentProgram>> =
         programs.into_iter().map(Arc::new).collect();
-    let n_tasks = programs.len();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut agents: Vec<AgentSlot> = Vec::with_capacity(n_tasks);
-    for (i, p) in programs.iter().enumerate() {
-        index.insert(p.name.clone(), i);
-        let name = p.name.clone();
-        let is_sink = p.is_sink();
-        agents.push(AgentSlot {
-            core: SaCore::new(Arc::clone(p), plans.clone()),
-            alive: true,
-            incarnation: 0,
-            free_at: 0,
-            inbox_log: Vec::new(),
-            running: None,
+    let mut sim = Sim {
+        config,
+        agents: programs
+            .iter()
+            .map(|p| AgentSlot {
+                core: SaCore::new(Arc::clone(p), plans.clone()),
+                alive: true,
+                incarnation: 0,
+                free_at: 0,
+                inbox_log: Vec::new(),
+                running: None,
+                invocations: 0,
+                name: p.name.clone(),
+            })
+            .collect(),
+        index: (programs.iter().enumerate())
+            .map(|(i, p)| (p.name.clone(), i))
+            .collect(),
+        queue: EventQueue::new(),
+        broker_free: 0,
+        status_free: 0,
+        report: SimReport {
+            completed: false,
+            makespan_us: 0,
+            messages: 0,
+            status_updates: 0,
+            failures: 0,
+            respawns: 0,
             invocations: 0,
-            name,
-            is_sink,
-        });
-    }
-
-    let mut queue: EventQueue<Ev> = EventQueue::new();
+            events: 0,
+            states: HashMap::new(),
+            status_log: Vec::new(),
+        },
+        last_status_visible: 0,
+        sink_done: (programs.iter().enumerate())
+            .filter(|(_, p)| p.is_sink())
+            .map(|(i, _)| (i, false))
+            .collect(),
+    };
     let mut rng = SmallRng::seed_from_u64(config.seed);
-    let mut broker_free: SimTime = 0;
-    let mut status_free: SimTime = 0;
     // Respawns contend for scheduler offers: one framework, one offer
     // stream — bursts of failures queue here, which is what makes the
     // paper's overhead-per-failure ratio grow with the failure rate.
     let mut scheduler_free: SimTime = 0;
-    let mut report = SimReport {
-        completed: false,
-        makespan_us: 0,
-        messages: 0,
-        status_updates: 0,
-        failures: 0,
-        respawns: 0,
-        invocations: 0,
-        events: 0,
-        states: HashMap::new(),
-        status_log: Vec::new(),
-    };
-    let mut sink_done: HashMap<usize, bool> = agents
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.is_sink)
-        .map(|(i, _)| (i, false))
-        .collect();
-    let mut last_status_visible: SimTime = 0;
 
     // Boot: every agent handles Start at t = 0 (deployment time is
     // accounted separately by the executor models).
-    for i in 0..agents.len() {
-        let commands = {
-            let slot = &mut agents[i];
-            let commands = slot.core.handle(Event::Start).unwrap_or_default();
-            let cost = config.cost.handle_cost_us(&slot.core.take_stats());
-            slot.free_at = cost;
-            commands
-        };
-        let at = agents[i].free_at;
-        dispatch(
-            i,
-            at,
-            commands,
-            &mut agents,
-            &index,
-            &mut queue,
-            config,
-            &mut broker_free,
-            &mut status_free,
-            &mut report,
-            &mut last_status_visible,
-            &mut sink_done,
-        );
+    for i in 0..sim.agents.len() {
+        sim.step(i, 0, Event::Start);
     }
 
-    while let Some((t, ev)) = queue.pop() {
-        report.events += 1;
-        if report.events > config.max_events {
+    while let Some((t, ev)) = sim.queue.pop() {
+        sim.report.events += 1;
+        if sim.report.events > config.max_events {
             break;
         }
         match ev {
@@ -222,37 +211,12 @@ pub fn simulate(workflow: &Workflow, config: &SimConfig) -> SimReport {
                 // The broker log retains the message whether or not the
                 // agent is up.
                 if config.persistent_broker {
-                    agents[agent].inbox_log.push(message.clone());
+                    sim.agents[agent].inbox_log.push(message.clone());
                 }
-                if !agents[agent].alive {
+                if !sim.agents[agent].alive {
                     continue;
                 }
-                let start = t.max(agents[agent].free_at);
-                let commands = {
-                    let slot = &mut agents[agent];
-                    let commands = slot
-                        .core
-                        .handle(Event::Deliver(message))
-                        .unwrap_or_default();
-                    let cost = config.cost.handle_cost_us(&slot.core.take_stats());
-                    slot.free_at = start + cost;
-                    commands
-                };
-                let at = agents[agent].free_at;
-                dispatch(
-                    agent,
-                    at,
-                    commands,
-                    &mut agents,
-                    &index,
-                    &mut queue,
-                    config,
-                    &mut broker_free,
-                    &mut status_free,
-                    &mut report,
-                    &mut last_status_visible,
-                    &mut sink_done,
-                );
+                sim.step(agent, t, Event::Deliver(message));
             }
             Ev::ServiceDone {
                 agent,
@@ -260,7 +224,7 @@ pub fn simulate(workflow: &Workflow, config: &SimConfig) -> SimReport {
                 effect,
                 ok,
             } => {
-                let slot = &mut agents[agent];
+                let slot = &mut sim.agents[agent];
                 if !slot.alive || slot.incarnation != incarnation {
                     continue; // stale completion of a crashed incarnation
                 }
@@ -271,28 +235,7 @@ pub fn simulate(workflow: &Workflow, config: &SimConfig) -> SimReport {
                 } else {
                     Err("service failure".to_owned())
                 };
-                let start = t.max(slot.free_at);
-                let commands = slot
-                    .core
-                    .handle(Event::ServiceCompleted { effect, result })
-                    .unwrap_or_default();
-                let cost = config.cost.handle_cost_us(&slot.core.take_stats());
-                slot.free_at = start + cost;
-                let at = slot.free_at;
-                dispatch(
-                    agent,
-                    at,
-                    commands,
-                    &mut agents,
-                    &index,
-                    &mut queue,
-                    config,
-                    &mut broker_free,
-                    &mut status_free,
-                    &mut report,
-                    &mut last_status_visible,
-                    &mut sink_done,
-                );
+                sim.step(agent, t, Event::ServiceCompleted { effect, result });
             }
             Ev::FailCheck {
                 agent,
@@ -303,7 +246,7 @@ pub fn simulate(workflow: &Workflow, config: &SimConfig) -> SimReport {
                     Some(s) => s,
                     None => continue,
                 };
-                let slot = &mut agents[agent];
+                let slot = &mut sim.agents[agent];
                 // Only if this very invocation is still running.
                 if !slot.alive
                     || slot.incarnation != incarnation
@@ -315,7 +258,7 @@ pub fn simulate(workflow: &Workflow, config: &SimConfig) -> SimReport {
                     continue;
                 }
                 // Crash.
-                report.failures += 1;
+                sim.report.failures += 1;
                 slot.alive = false;
                 slot.running = None;
                 slot.incarnation += 1;
@@ -325,162 +268,138 @@ pub fn simulate(workflow: &Workflow, config: &SimConfig) -> SimReport {
                     // recoveries), then start the SA and replay.
                     scheduler_free = scheduler_free.max(t) + config.cost.respawn_offer_us;
                     let ready = scheduler_free + config.cost.sa_start_us + replay_cost;
-                    report.respawns += 1;
-                    queue.schedule(ready, Ev::Respawn { agent });
+                    sim.report.respawns += 1;
+                    sim.queue.schedule(ready, Ev::Respawn { agent });
                 }
                 // Without persistence the agent stays dead (the run will
                 // report completed = false).
             }
             Ev::Respawn { agent } => {
-                let program = Arc::clone(&programs[agent]);
-                let log: Vec<SaMessage> = agents[agent].inbox_log.clone();
-                {
-                    let slot = &mut agents[agent];
-                    slot.core = SaCore::new(program, plans.clone());
-                    slot.alive = true;
-                    slot.free_at = t;
-                    slot.running = None;
-                }
+                let slot = &mut sim.agents[agent];
+                slot.core = SaCore::new(Arc::clone(&programs[agent]), plans.clone());
+                slot.alive = true;
+                slot.free_at = t;
+                slot.running = None;
+                let log = slot.inbox_log.clone();
                 // Replay the whole inbox in order: Start, then every
                 // logged molecule. Sends re-emitted here are the paper's
                 // "duplicated results", absorbed by the receivers.
-                let mut replay_events = vec![Event::Start];
-                replay_events.extend(log.into_iter().map(Event::Deliver));
-                for event in replay_events {
-                    let start = agents[agent].free_at;
-                    let commands = {
-                        let slot = &mut agents[agent];
-                        let commands = slot.core.handle(event).unwrap_or_default();
-                        let cost = config.cost.handle_cost_us(&slot.core.take_stats());
-                        slot.free_at = start + cost;
-                        commands
-                    };
-                    let at = agents[agent].free_at;
-                    dispatch(
-                        agent,
-                        at,
-                        commands,
-                        &mut agents,
-                        &index,
-                        &mut queue,
-                        config,
-                        &mut broker_free,
-                        &mut status_free,
-                        &mut report,
-                        &mut last_status_visible,
-                        &mut sink_done,
-                    );
+                sim.step(agent, t, Event::Start);
+                for message in log {
+                    sim.step(agent, t, Event::Deliver(message));
                 }
             }
         }
-        if sink_done.values().all(|&d| d) {
-            report.completed = true;
+        if sim.sink_done.values().all(|&d| d) {
+            sim.report.completed = true;
             break;
         }
     }
 
+    let mut report = sim.report;
     report.makespan_us = if report.completed {
-        last_status_visible
+        sim.last_status_visible
     } else {
-        queue.now()
+        sim.queue.now()
     };
-    for slot in &agents {
+    for slot in &sim.agents {
         report.states.insert(slot.name.clone(), slot.core.state());
     }
     report
 }
 
-/// Execute an agent's command batch at virtual time `at`.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    agent: usize,
-    at: SimTime,
-    commands: Vec<Command>,
-    agents: &mut [AgentSlot],
-    index: &HashMap<String, usize>,
-    queue: &mut EventQueue<Ev>,
-    config: &SimConfig,
-    broker_free: &mut SimTime,
-    status_free: &mut SimTime,
-    report: &mut SimReport,
-    last_status_visible: &mut SimTime,
-    sink_done: &mut HashMap<usize, bool>,
-) {
-    for command in commands {
-        match command {
-            Command::Invoke { effect, .. } => {
-                report.invocations += 1;
-                let slot = &mut agents[agent];
-                let nth = slot.invocations;
-                let duration = config.services.duration_of(&slot.name, nth, config.seed);
-                let ok = !config.services.should_fail(&slot.name, nth);
-                let done = at + duration;
-                // The invocation blocks the agent (inline invoke, as in
-                // the live scheduler).
-                slot.free_at = slot.free_at.max(done);
-                slot.running = Some((slot.incarnation, nth));
-                queue.schedule(
-                    done,
-                    Ev::ServiceDone {
-                        agent,
-                        incarnation: slot.incarnation,
-                        effect,
-                        ok,
-                    },
-                );
-                if let Some(spec) = config.failures {
-                    if spec.t_us < duration {
-                        queue.schedule(
-                            at + spec.t_us,
-                            Ev::FailCheck {
-                                agent,
-                                incarnation: slot.incarnation,
-                                invocation: nth,
-                            },
-                        );
+impl Sim<'_> {
+    /// Agent `agent` handles `event` once it is free and no earlier than
+    /// `t`, is charged the engine work that took, and then runs the
+    /// commands it returned.
+    fn step(&mut self, agent: usize, t: SimTime, event: Event) {
+        let slot = &mut self.agents[agent];
+        let start = t.max(slot.free_at);
+        let commands = slot.core.handle(event).unwrap_or_default();
+        slot.free_at = start + self.config.cost.handle_cost_us(&slot.core.take_stats());
+        let at = slot.free_at;
+        self.dispatch(agent, at, commands);
+    }
+
+    /// Execute an agent's command batch at virtual time `at`.
+    fn dispatch(&mut self, agent: usize, at: SimTime, commands: Vec<Command>) {
+        let config = self.config;
+        for command in commands {
+            match command {
+                Command::Invoke { effect, .. } => {
+                    self.report.invocations += 1;
+                    let slot = &mut self.agents[agent];
+                    let nth = slot.invocations;
+                    let duration = config.services.duration_of(&slot.name, nth, config.seed);
+                    let ok = !config.services.should_fail(&slot.name, nth);
+                    let done = at + duration;
+                    // The invocation blocks the agent (inline invoke, as
+                    // in the live scheduler).
+                    slot.free_at = slot.free_at.max(done);
+                    slot.running = Some((slot.incarnation, nth));
+                    self.queue.schedule(
+                        done,
+                        Ev::ServiceDone {
+                            agent,
+                            incarnation: slot.incarnation,
+                            effect,
+                            ok,
+                        },
+                    );
+                    if let Some(spec) = config.failures {
+                        if spec.t_us < duration {
+                            self.queue.schedule(
+                                at + spec.t_us,
+                                Ev::FailCheck {
+                                    agent,
+                                    incarnation: slot.incarnation,
+                                    invocation: nth,
+                                },
+                            );
+                        }
                     }
                 }
-            }
-            Command::Send { to, message } => {
-                report.messages += 1;
-                let Some(&dest) = index.get(&to) else {
-                    continue;
-                };
-                *broker_free = (*broker_free).max(at) + config.cost.broker_service_us;
-                let deliver_at =
-                    *broker_free + config.cost.net_latency_us + config.cost.broker_ack_us;
-                queue.schedule(
-                    deliver_at,
-                    Ev::Deliver {
+                Command::Send { to, message } => {
+                    self.report.messages += 1;
+                    let Some(&dest) = self.index.get(&to) else {
+                        continue;
+                    };
+                    self.broker_free = self.broker_free.max(at) + config.cost.broker_service_us;
+                    let deliver_at =
+                        self.broker_free + config.cost.net_latency_us + config.cost.broker_ack_us;
+                    let message = Ev::Deliver {
                         agent: dest,
                         message,
-                    },
-                );
-            }
-            Command::Publish { state, result } => {
-                report.status_updates += 1;
-                // The update transits the broker, then the shared-multiset
-                // server applies it (cost grows with workflow size).
-                *broker_free = (*broker_free).max(at) + config.cost.broker_service_us;
-                let arrive = *broker_free + config.cost.net_latency_us;
-                *status_free = (*status_free).max(arrive) + config.cost.status_update_us();
-                let visible = *status_free;
-                // `status_free` only grows, so append order is
-                // visibility order — the trace reads like the topic.
-                let slot = &agents[agent];
-                report.status_log.push((
-                    visible,
-                    StatusUpdate {
-                        task: slot.name.clone(),
-                        state,
-                        result,
-                        incarnation: slot.incarnation,
-                    },
-                ));
-                if state == TaskState::Completed {
-                    if let Some(done) = sink_done.get_mut(&agent) {
-                        *done = true;
-                        *last_status_visible = (*last_status_visible).max(visible);
+                    };
+                    self.queue.schedule(deliver_at, message);
+                }
+                Command::Publish { state, result } => {
+                    self.report.status_updates += 1;
+                    // The update transits the broker, then the
+                    // shared-multiset server applies it (cost grows with
+                    // workflow size).
+                    self.broker_free = self.broker_free.max(at) + config.cost.broker_service_us;
+                    let arrive = self.broker_free + config.cost.net_latency_us;
+                    self.status_free =
+                        self.status_free.max(arrive) + config.cost.status_update_us();
+                    let visible = self.status_free;
+                    // `status_free` only grows, so append order is
+                    // visibility order — the trace reads like the topic.
+                    let slot = &self.agents[agent];
+                    self.report.status_log.push((
+                        visible,
+                        StatusUpdate {
+                            task: slot.name.clone(),
+                            state,
+                            result,
+                            incarnation: slot.incarnation,
+                        },
+                    ));
+                    if state == TaskState::Completed {
+                        if let Some(done) = self.sink_done.get_mut(&agent) {
+                            *done = true;
+                            self.last_status_visible = self.last_status_visible.max(visible);
+                        }
                     }
                 }
             }
