@@ -1,46 +1,65 @@
 //! What a retained record costs the in-memory log, and what a publish
 //! allocates, counted in live heap bytes and allocations by this
-//! binary's own global allocator. Counted, not timed: the bounds hold on
-//! any host.
+//! binary's own global allocator. Counted per thread: the log broker
+//! publishes, and fires a subscriber's waker, on the caller's thread,
+//! while libtest's own threads (starting tests, capturing and printing
+//! their output) allocate at the same time, so a process-wide count
+//! would see theirs too. Counted, not timed: the bounds hold on any
+//! host.
 
 use bytes::Bytes;
 use ginflow_mq::{Broker, LogBroker, SubscribeMode};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// The system allocator, keeping a running total of live bytes and a
-/// count of allocations (a `realloc` is one: the default forwards it to
-/// `alloc`).
+/// The system allocator, keeping the calling thread's running total of
+/// live bytes and count of allocations (a `realloc` is one: the default
+/// forwards it to `alloc`).
 struct Counting;
 
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+/// Allocations made so far by the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Heap bytes the calling thread has allocated and not yet freed.
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`; the
+// counters are const-initialised thread-locals without a destructor,
+// which allocate nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::SeqCst);
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
+        let _ = LIVE.try_with(|n| n.set(n.get() + layout.size() as isize));
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are `System`'s.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::SeqCst);
-        System.dealloc(ptr, layout)
+        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as isize));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The tests run one at a time, so each reads only its own allocations.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 /// Live heap bytes `f` leaves behind.
 fn retained_by(f: impl FnOnce()) -> isize {
-    let before = LIVE.load(Ordering::SeqCst);
+    let before = live();
     f();
-    LIVE.load(Ordering::SeqCst) - before
+    live() - before
 }
 
 /// A message as the daemon decodes it off the wire: its own key and
@@ -54,7 +73,6 @@ fn decoded(i: usize) -> (Option<Bytes>, Bytes) {
 #[test]
 fn a_retained_record_costs_at_most_64_bytes_of_heap() {
     const RECORDS: usize = 28_000;
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let broker = LogBroker::new();
     broker.create_topic("run/r/sa.inbox", 1);
     let live = retained_by(|| {
@@ -71,7 +89,6 @@ fn a_retained_record_costs_at_most_64_bytes_of_heap() {
 
 #[test]
 fn a_topics_first_record_costs_at_most_1_kib() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let broker = LogBroker::new();
     broker.create_topic("run/r/status", 1);
     let live = retained_by(|| {
@@ -85,16 +102,15 @@ fn a_topics_first_record_costs_at_most_1_kib() {
 #[test]
 fn a_publish_to_an_existing_topic_allocates_nothing_for_its_name() {
     const PUBLISHES: usize = 1000;
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let broker = LogBroker::new();
     broker.create_topic("run/r/sa.inbox", 1);
     // The records' buffers are made up front: only the broker counts.
     let records: Vec<(Option<Bytes>, Bytes)> = (0..PUBLISHES).map(decoded).collect();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for (key, payload) in records {
         broker.publish("run/r/sa.inbox", key, payload).unwrap();
     }
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let allocations = allocations() - before;
     assert_eq!(broker.retained("run/r/sa.inbox"), PUBLISHES as u64);
     println!("{allocations} allocations for {PUBLISHES} keyed publishes, no subscriber");
     // What is left is the log's own growth: its chunks and its index.
@@ -110,7 +126,6 @@ fn a_subscriber_draining_through_its_waker_keeps_its_queue() {
     // drain and a waker list per publish this read 2027: two
     // allocations per publish.)
     const PUBLISHES: usize = 1000;
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let broker = LogBroker::new();
     broker.create_topic("run/r/sa.inbox", 1);
     let subscription = Arc::new(
@@ -118,7 +133,7 @@ fn a_subscriber_draining_through_its_waker_keeps_its_queue() {
             .subscribe("run/r/sa.inbox", SubscribeMode::Latest)
             .unwrap(),
     );
-    let drained = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let drained = Arc::new(AtomicUsize::new(0));
     let (weak, count) = (Arc::downgrade(&subscription), drained.clone());
     subscription.set_waker(move || {
         if let Some(subscription) = weak.upgrade() {
@@ -128,11 +143,11 @@ fn a_subscriber_draining_through_its_waker_keeps_its_queue() {
         }
     });
     let records: Vec<(Option<Bytes>, Bytes)> = (0..PUBLISHES).map(decoded).collect();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for (key, payload) in records {
         broker.publish("run/r/sa.inbox", key, payload).unwrap();
     }
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let allocations = allocations() - before;
     assert_eq!(drained.load(Ordering::SeqCst), PUBLISHES);
     println!(
         "{allocations} allocations for {PUBLISHES} keyed publishes, each drained by the waker"
