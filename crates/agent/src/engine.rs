@@ -994,8 +994,10 @@ impl RunHandle {
     /// ([`RunTracker::wait_ended`]), not on its event stream: joining
     /// subscribes to nothing and wakes once. The run is stopped before
     /// the report is made, so the tracker's record moves into it.
-    /// Stopping deletes an unsharded run's topics from an in-process
-    /// broker: read the run's log, if at all, before this.
+    /// Stopping an unsharded run waits until the broker has receipted
+    /// every record the run shipped — a daemon's log of the run is then
+    /// complete — and deletes its topics from an in-process broker: read
+    /// the run's log, if at all, before this.
     pub fn join(self) -> RunReport {
         if !self.tracker.wait_ended(self.remaining()) {
             self.cancel_with(RunFailure::DeadlineExpired);

@@ -1,29 +1,56 @@
 //! What the [`crate::scheduler::Scheduler`] runs an agent's events
-//! with: command execution (one publish batch per dispatch, service
-//! outcomes kept in a [`Memo`] that an evicted agent's rehydration
-//! replays), and the status fold into the [`RunTracker`]
-//! ([`StatusFold`]), which drains the status subscription on whichever
-//! thread delivers to it, not on a thread of its own.
+//! with: command execution (one batch of [`Record`]s per dispatch,
+//! service outcomes kept in a [`Memo`] that an evicted agent's
+//! rehydration replays), an unsharded run's writer ([`Shipper`]), and
+//! the status fold into the [`RunTracker`] ([`StatusFold`]) — by the
+//! shipper as it ships, or, for one shard of a run, by whichever thread
+//! delivers to the status subscription. No thread of its own does
+//! either.
 
 use crate::core::{Command, Event, SaCore};
 use crate::engine::RunTracker;
 use crate::message::{SaMessage, StatusUpdate};
+use crate::scheduler::PoolInner;
 use bytes::Bytes;
 use ginflow_core::{ServiceRegistry, Value};
-use ginflow_mq::{Broker, MqError, Subscription, TopicNamespace};
+use ginflow_mq::{partition_of, Broker, Message, MqError, Subscription, TopicNamespace};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Everything needed to run one agent's events: the broker for sends and
-/// status publishes, the run's topic namespace, the registry for service
-/// invocations, and the agent's identity.
+/// Everything needed to run one agent's events: the run it belongs to —
+/// where its records go, its topic namespace, the registry for service
+/// invocations — and the agent's identity.
 pub(crate) struct AgentCtx<'a> {
-    pub broker: &'a dyn Broker,
-    pub ns: &'a TopicNamespace,
+    pub run: &'a PoolInner,
     pub registry: &'a ServiceRegistry,
     pub name: &'a str,
     pub incarnation: u32,
+}
+
+/// One record of a dispatch, before it is numbered and addressed: a
+/// message for the run's inbox, keyed by its destination task, or a
+/// status update, kept beside its encoding so a fold need not decode it.
+pub(crate) enum Record {
+    Send {
+        key: Bytes,
+        payload: Bytes,
+    },
+    Status {
+        update: StatusUpdate,
+        payload: Bytes,
+    },
+}
+
+impl Record {
+    /// The record as a publish of `ns`'s run: topic, key and payload.
+    pub fn addressed(self, ns: &TopicNamespace) -> (String, Option<Bytes>, Bytes) {
+        match self {
+            Record::Send { key, payload } => (ns.inbox().to_owned(), Some(key), payload),
+            Record::Status { payload, .. } => (ns.status().to_owned(), None, payload),
+        }
+    }
 }
 
 impl AgentCtx<'_> {
@@ -31,16 +58,15 @@ impl AgentCtx<'_> {
     /// command, feeding service completions back in until quiescence.
     ///
     /// `Send` and `Publish` commands are queued, in command order, and
-    /// handed to the broker as **one batch**
-    /// ([`Broker::publish_many_nowait`]) at two points: before every
-    /// `Invoke` — the `Running` status must be out before a service that
-    /// may take minutes starts — and when the dispatch returns. A task
-    /// that receives, invokes and completes therefore costs two broker
-    /// submissions however many successors it fans out to. Items leave
-    /// in command order on the broker's one FIFO, so
-    /// [`SaCore`]'s guarantee — a `Completed` enters the status log
-    /// before the result message it precedes — holds exactly as if each
-    /// command were its own publish.
+    /// handed to the run as **one batch** ([`PoolInner::publish`]) at two
+    /// points: before every `Invoke` — the `Running` status must be out
+    /// before a service that may take minutes starts — and when the
+    /// dispatch returns. A task that receives, invokes and completes
+    /// therefore costs two broker submissions however many successors it
+    /// fans out to. Items leave in command order on the broker's one
+    /// FIFO, so [`SaCore`]'s guarantee — a `Completed` enters the status
+    /// log before the result message it precedes — holds exactly as if
+    /// each command were its own publish.
     ///
     /// A fan-out is encoded once: a run of `Send`s of an equal message —
     /// one result to all of a task's successors — shares one encoded
@@ -51,7 +77,7 @@ impl AgentCtx<'_> {
     /// already did (see [`Memo`]).
     pub fn dispatch(&self, core: &mut SaCore, event: Event, memo: &mut Memo) -> Result<(), ()> {
         let mut queue: VecDeque<Event> = VecDeque::from([event]);
-        let mut batch: Vec<(String, Option<Bytes>, Bytes)> = Vec::new();
+        let mut batch: Vec<Record> = Vec::new();
         let mut outcome = Ok(());
         while let Some(event) = queue.pop_front() {
             let Ok(commands) = core.handle(event) else {
@@ -95,11 +121,8 @@ impl AgentCtx<'_> {
                                 bytes
                             }
                         };
-                        batch.push((
-                            self.ns.inbox().to_owned(),
-                            Some(Bytes::from(to.into_bytes())),
-                            payload,
-                        ));
+                        let key = Bytes::from(to.into_bytes());
+                        batch.push(Record::Send { key, payload });
                     }
                     Command::Publish { state, result } => {
                         let update = StatusUpdate {
@@ -108,7 +131,8 @@ impl AgentCtx<'_> {
                             result,
                             incarnation: self.incarnation,
                         };
-                        batch.push((self.ns.status().to_owned(), None, update.encode()));
+                        let payload = update.encode();
+                        batch.push(Record::Status { update, payload });
                     }
                 }
             }
@@ -117,14 +141,151 @@ impl AgentCtx<'_> {
         outcome
     }
 
-    /// Hand the queued publishes to the broker. Fire-and-forget,
-    /// pipelined: nothing here consumes a receipt, and on a remote
-    /// broker a blocking round trip would be the whole coordination hot
-    /// path. A publish the broker refuses is lost like any message to a
-    /// severed connection — the status stream is how anyone would know.
-    fn publish(&self, batch: &mut Vec<(String, Option<Bytes>, Bytes)>) {
+    /// Hand the queued records to the run ([`PoolInner::publish`]).
+    fn publish(&self, batch: &mut Vec<Record>) {
         if !batch.is_empty() {
-            let _ = self.broker.publish_many_nowait(std::mem::take(batch));
+            self.run.publish(std::mem::take(batch));
+        }
+    }
+}
+
+/// An unsharded run's writer. Nothing but the run writes its two topics,
+/// so it numbers its records itself — each partition's end, as it
+/// learned it at launch, plus what it has shipped since — hands them to
+/// the broker in log order as records numbered so
+/// ([`Broker::append_many`]) and delivers them to its own agents and
+/// its tracker in the same pass, under one lock: the order of the log is
+/// the order of delivery. The broker's log is the one log, an exact
+/// replica of the run's numbering: a remote broker's client keeps only
+/// what its daemon has not receipted yet, and the in-process log
+/// receipts at once.
+pub(crate) struct Shipper {
+    ends: Mutex<Ends>,
+}
+
+/// Where the run's next records go.
+struct Ends {
+    inbox: Numbering,
+    status: Numbering,
+}
+
+/// One topic as its only writer numbers it.
+struct Numbering {
+    /// The topic's name, shared by every record of it.
+    topic: Arc<str>,
+    /// Each partition's end: the offset of its next record.
+    ends: Vec<u64>,
+    /// Where the next keyless record goes: round robin, the log's rule.
+    keyless: u32,
+}
+
+impl Numbering {
+    /// `topic` as the broker holds it at launch: a fresh topic — the
+    /// common case, one request — has one partition and nothing in it.
+    /// A topic with records (a pinned run id used before) keeps its
+    /// partitions, each numbered on from its end; for a topic of more
+    /// than one, each end is searched for by fetch.
+    fn learn(broker: &dyn Broker, topic: &str) -> Numbering {
+        let retained = broker.retained(topic);
+        let partitions = match retained {
+            0 => 1,
+            _ => broker.partitions(topic),
+        };
+        let ends = match partitions {
+            1 => vec![retained],
+            _ => (0..partitions)
+                .map(|p| {
+                    let (mut lo, mut hi) = (0, retained);
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        match broker.fetch(topic, p, mid, 1) {
+                            Ok(page) if !page.is_empty() => lo = mid + 1,
+                            _ => hi = mid,
+                        }
+                    }
+                    lo
+                })
+                .collect(),
+        };
+        Numbering {
+            topic: Arc::from(topic),
+            ends,
+            keyless: 0,
+        }
+    }
+
+    /// The partition a record keyed `key` goes to.
+    fn partition(&self, key: Option<&[u8]>) -> u32 {
+        let partitions = self.ends.len() as u32;
+        key.map_or(self.keyless % partitions, |key| {
+            partition_of(key, partitions)
+        })
+    }
+
+    /// Number the next record: its partition's end, which moves on.
+    fn number(&mut self, key: Option<Bytes>, payload: Bytes) -> Message {
+        let partition = self.partition(key.as_deref());
+        if key.is_none() {
+            self.keyless = self.keyless.wrapping_add(1);
+        }
+        let end = &mut self.ends[partition as usize];
+        let offset = *end;
+        *end += 1;
+        Message {
+            topic: self.topic.clone(),
+            partition,
+            offset,
+            key,
+            payload,
+        }
+    }
+}
+
+impl Shipper {
+    /// The writer of `ns`'s two topics, numbering on from where the
+    /// broker's log ends.
+    pub fn learn(broker: &dyn Broker, ns: &TopicNamespace) -> Shipper {
+        Shipper {
+            ends: Mutex::new(Ends {
+                inbox: Numbering::learn(broker, ns.inbox()),
+                status: Numbering::learn(broker, ns.status()),
+            }),
+        }
+    }
+
+    /// The partition of the inbox that holds the records keyed `key`.
+    pub fn inbox_partition(&self, key: &[u8]) -> u32 {
+        self.ends.lock().inbox.partition(Some(key))
+    }
+
+    /// Number `batch`, hand it to `broker` and `deliver` each record with
+    /// its offset, in batch order, all under the writer's one lock. A
+    /// record the broker refuses is still delivered: the run goes on,
+    /// and the broker's client reports the loss on its next flush.
+    pub fn ship(
+        &self,
+        broker: &dyn Broker,
+        batch: Vec<Record>,
+        mut deliver: impl FnMut(Record, u64),
+    ) {
+        let mut ends = self.ends.lock();
+        let mut offsets = Vec::with_capacity(batch.len());
+        let records: Vec<Message> = batch
+            .iter()
+            .map(|record| {
+                let message = match record {
+                    Record::Send { key, payload } => {
+                        ends.inbox.number(Some(key.clone()), payload.clone())
+                    }
+                    Record::Status { payload, .. } => ends.status.number(None, payload.clone()),
+                };
+                offsets.push(message.offset);
+                message
+            })
+            .collect();
+        let _ = broker.append_many(records);
+        for (record, offset) in batch.into_iter().zip(offsets) {
+            deliver(record, offset);
         }
     }
 }
@@ -167,43 +328,28 @@ impl Memo {
     }
 }
 
-/// Where a run's status updates are folded: the status subscription,
-/// drained into the run's [`RunTracker`] — its only record — stamped
-/// with the time since launch. There is no collector thread: the waker
-/// runs [`Subscription::drain`] on the delivering thread (the
-/// publishing worker in process, the client reactor over TCP), and the
-/// fold does O(1) work per update under the tracker's one lock, so it
-/// cannot stall the thread it borrows.
+/// Where a run's status updates are folded: into the run's
+/// [`RunTracker`] — its only record — stamped with the time since
+/// launch. An unsharded run's [`Shipper`] hands each update over as it
+/// ships it; one shard of a run drains the status subscription its peers
+/// write too ([`StatusFold::drain`]), from the subscription's waker, on
+/// the delivering thread (the client reactor over TCP). There is no
+/// collector thread either way, and the fold does O(1) work per update
+/// under the tracker's one lock, so it cannot stall the thread it
+/// borrows.
 pub(crate) struct StatusFold {
-    sub: Subscription,
     tracker: Arc<RunTracker>,
     /// Launch time: the zero of every task timing and of the run's wall.
     epoch: Instant,
 }
 
 impl StatusFold {
-    /// Start folding `sub` into `tracker`: arms the waker (which folds
-    /// at once whatever a replaying subscription already holds). The
-    /// waker owns only a `Weak` — the subscription owns the slot that
-    /// owns the closure — and [`StatusFold::disarm`] ends it.
-    pub fn arm(sub: Subscription, tracker: Arc<RunTracker>) -> Arc<Self> {
-        let fold = Arc::new(StatusFold {
-            sub,
+    /// Fold into `tracker`, timed from now.
+    pub fn new(tracker: Arc<RunTracker>) -> StatusFold {
+        StatusFold {
             tracker,
             epoch: Instant::now(),
-        });
-        let weak: Weak<StatusFold> = Arc::downgrade(&fold);
-        fold.sub.set_waker(move || {
-            if let Some(fold) = weak.upgrade() {
-                fold.drain();
-            }
-        });
-        fold
-    }
-
-    /// Stop folding (teardown): later deliveries stay in the queue.
-    pub fn disarm(&self) {
-        self.sub.clear_waker();
+        }
     }
 
     /// Time since launch.
@@ -211,11 +357,17 @@ impl StatusFold {
         self.epoch.elapsed()
     }
 
-    fn drain(&self) {
-        self.sub.drain(|msg| {
+    /// Fold one update.
+    pub fn fold(&self, update: &StatusUpdate) {
+        self.tracker.observe(update, self.epoch.elapsed());
+    }
+
+    /// Fold every update `sub` holds ([`Subscription::drain`]).
+    pub fn drain(&self, sub: &Subscription) {
+        sub.drain(|msg| {
             // Undecodable payloads are foreign noise on a shared broker.
             if let Some(update) = StatusUpdate::decode(&msg.payload) {
-                self.tracker.observe(&update, self.epoch.elapsed());
+                self.fold(&update);
             }
         });
     }

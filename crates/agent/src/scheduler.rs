@@ -10,13 +10,17 @@
 //! * a fixed pool of N worker threads (N ≪ agents, default = CPU count)
 //!   drives every agent in the workflow;
 //! * each agent is an `AgentSlot` parked until a message lands in its
-//!   queue. A run holds two subscriptions whatever its width — status
-//!   and inbox — and the inbox's waker (see
-//!   [`ginflow_mq::Subscription::set_waker`]) demultiplexes each message
-//!   by key into its agent's queue and schedules the agent, so an idle
-//!   workflow consumes zero CPU. A key this process does not host —
-//!   another shard's task — or whose agent is dead is dropped; it is
-//!   still in the log;
+//!   queue, so an idle workflow consumes zero CPU. Each inbox message is
+//!   routed by key into its agent's queue and schedules the agent. An
+//!   unsharded run is the only writer of its two topics, so it
+//!   subscribes to neither: its `exec::Shipper` numbers each record,
+//!   hands it to the broker and routes it in one pass. One shard of a
+//!   run shares the topics with its peers, so it holds two
+//!   subscriptions whatever its width — status and inbox — and the
+//!   inbox's waker (see [`ginflow_mq::Subscription::set_waker`])
+//!   demultiplexes what every shard wrote. A key this process does not
+//!   host — another shard's task — or whose agent is dead is dropped;
+//!   it is still in the log;
 //! * an agent is **resident only while it is at work**, and its program
 //!   exists only while the agent does. Work gives a task a *slot* — its
 //!   task id, queue, schedule bit and incarnation, no program: launch
@@ -63,9 +67,11 @@
 //!
 //! A refill reads the agent's partition of the inbox
 //! ([`ginflow_mq::partition_of`] its name) from the first offset up to
-//! the first message its queue holds — the demultiplexer delivers a key
-//! in log order, so everything after that one is queued live — or to
-//! the end when its queue is empty; a rehydration stops sooner, past
+//! the first message its queue holds — a key is delivered in log order,
+//! so everything after that one is queued live — or to the end when its
+//! queue is empty (an unsharded run first waits until the broker has
+//! receipted every record it shipped: the broker's log is the one it
+//! reads); a rehydration stops sooner, past
 //! the last message its tombstone handled (at once, for an agent that
 //! handled none). Every queued message carries its offset, so the
 //! refill drops what the demultiplexer queued meanwhile up to where it
@@ -84,12 +90,15 @@
 //! that saw it die. A waiter ([`RunHandle::wait`], [`RunHandle::join`])
 //! parks on the [`RunTracker`]'s one condvar, notified when the run ends
 //! and at no other time. And no thread collects status or inbox
-//! messages: both subscriptions are drained by **whichever thread
-//! delivers to them** — the publishing worker on an in-process broker,
-//! the client reactor over TCP — from their wakers: status is folded
-//! into the [`RunTracker`], the run's only record that every
-//! observation on the [`RunHandle`] reads (`exec::StatusFold`); inbox
-//! messages are routed into slot queues. The subscription owns the
+//! messages: status is folded into the [`RunTracker`], the run's only
+//! record that every observation on the [`RunHandle`] reads
+//! (`exec::StatusFold`), and inbox messages are routed into slot queues,
+//! by whichever thread delivers them. For an unsharded run that is the
+//! publishing worker, on any broker: it delivers its own records as it
+//! ships them, and a remote broker's client reactor only carries them
+//! to the daemon and the receipts back. For one shard of a run both
+//! subscriptions are drained from their wakers by the thread that
+//! delivers to them — the client reactor over TCP. The subscription owns the
 //! schedule bit: its waker fires only for the delivery that finds it
 //! idle, and [`Subscription::drain`] runs until
 //! [`Subscription::settle`] leaves it idle again — one thread drains a
@@ -98,33 +107,43 @@
 //! take, so none is lost. Each drain does O(1) work per message — the
 //! inbox's finds or makes a slot and queues, and compiles nothing — and
 //! never blocks or publishes, so borrowing the delivering thread costs
-//! that thread nothing it would notice. Teardown clears the wakers; it
-//! publishes nothing and has no thread to wake through the broker.
+//! that thread nothing it would notice. Teardown publishes nothing and
+//! has no thread to wake through the broker: a shard's clears the
+//! wakers, an unsharded run's waits for the receipt of every record it
+//! shipped ([`Broker::flush`]), so `join` returns with the broker's log
+//! of the run complete.
 //!
 //! ## Teardown gives the log back
 //!
-//! Once its workers are joined and its wakers cleared, a run deletes
-//! its two topics ([`Broker::delete_topic`]): a standing in-process
-//! engine keeps no message of a finished run. A caller that reads a
-//! run's log does so before `join`. Two kinds of run keep their log: a
-//! sharded run, whose topics are every shard's, and any run on a remote
-//! broker, which deletes nothing from a client — its daemon reclaims
+//! Once its workers are joined, an unsharded run waits for the receipt
+//! of every record it shipped, then deletes its two topics
+//! ([`Broker::delete_topic`]): a standing in-process engine keeps no
+//! message of a finished run. A caller that reads a run's log does so
+//! before `join`. Two kinds of run keep their log: a sharded run, whose
+//! topics are every shard's and which clears its wakers instead, and any
+//! run on a remote broker, which deletes nothing from a client — its
+//! daemon, whose log of the run is complete once `join` returns, reclaims
 //! the run once it is closed and collected.
 //!
 //! ## The lock rule
 //!
-//! The inbox demultiplexer takes the `agents` lock to find — or make —
-//! a key's slot and queues the message under it. Over TCP it runs on
-//! the client reactor, which is also the thread that answers every
-//! broker request of the process — so nothing may hold `agents` across
-//! a broker request, and nothing does: a refill is made on the agent's
-//! first turn, on a worker, and a respawn — which checks and replaces
-//! under the lock, so two concurrent respawns never leave a ghost
-//! agent — makes no request at all.
+//! Routing an inbox message takes the `agents` lock to find — or make —
+//! a key's slot and queues the message under it. A shard routes on the
+//! demultiplexer, which over TCP runs on the client reactor, also the
+//! thread that answers every broker request of the process — so nothing
+//! may hold `agents` across a broker request, and nothing does: a
+//! refill is made on the agent's first turn, on a worker, and a respawn
+//! — which checks and replaces under the lock, so two concurrent
+//! respawns never leave a ghost agent — makes no request at all. An
+//! unsharded run routes on the publishing worker, inside the shipper's
+//! lock; the shipper's hand-off may wait for room in a remote broker's
+//! window, which only the reactor frees, and the reactor takes none of
+//! these locks.
 //!
 //! A worker building an agent on its first turn, and eviction, take the
 //! locks in the order a delivery made from inside the agent's own
-//! dispatch does — the agent's state, then `agents`, then its queue.
+//! dispatch does — the agent's state, then the shipper (an unsharded
+//! run's), then `agents`, then its queue.
 //! The build counts the agent resident only if no kill or respawn has
 //! flagged it under `agents` meanwhile, and eviction evicts only an
 //! empty queue, so a message is either queued before the check or finds
@@ -132,7 +151,7 @@
 
 use crate::core::{Event, SaCore};
 use crate::engine::{ExecutionBackend, RunControl, RunHandle, RunReport, RunTracker};
-use crate::exec::{retry_disconnected, AgentCtx, Memo, StatusFold};
+use crate::exec::{retry_disconnected, AgentCtx, Memo, Record, Shipper, StatusFold};
 use crate::message::SaMessage;
 use crate::runtime::RunOptions;
 use bytes::Bytes;
@@ -316,9 +335,10 @@ impl RunControl for WorkflowRun {
     /// dies, the workers drain their shards and exit, and all threads
     /// are joined before this returns. Nothing is published: every
     /// thread the run owns parks on a channel of this process, so
-    /// teardown needs nothing from the broker — not even a connection.
-    /// Then an unsharded run deletes its two topics (see the module
-    /// docs). Idempotent: the call that takes the workers tears down,
+    /// stopping them needs nothing from the broker — not even a
+    /// connection. Then an unsharded run waits for the receipts of what
+    /// it shipped and deletes its two topics (see the module docs).
+    /// Idempotent: the call that takes the workers tears down,
     /// holding their lock until it is done, so a call made meanwhile
     /// returns only once the teardown has finished, and a later one finds
     /// nothing left. Callable from any thread holding the run.
@@ -335,11 +355,18 @@ impl RunControl for WorkflowRun {
         for worker in workers.drain(..) {
             let _ = worker.join();
         }
-        self.inner.status.disarm();
-        self.inner.inbox.clear_waker();
-        if self.inner.shard.is_none() {
-            self.inner.broker.delete_topic(self.inner.ns.inbox());
-            self.inner.broker.delete_topic(self.inner.ns.status());
+        match &self.inner.feed {
+            Feed::Subscribed { inbox, status } => {
+                status.clear_waker();
+                inbox.clear_waker();
+            }
+            Feed::Own(_) => {
+                // Every record shipped is receipted before the run ends:
+                // a daemon's log of the run is then complete.
+                let _ = self.inner.broker.flush();
+                self.inner.broker.delete_topic(self.inner.ns.inbox());
+                self.inner.broker.delete_topic(self.inner.ns.status());
+            }
         }
     }
 }
@@ -466,7 +493,24 @@ impl Agents {
     }
 }
 
-struct PoolInner {
+/// Where a run's records come from.
+enum Feed {
+    /// An unsharded run writes its two topics alone: it delivers its
+    /// records itself as it ships them, and subscribes to nothing.
+    Own(Shipper),
+    /// One shard of a run shares its topics with its peers: it reads
+    /// both back through subscriptions, drained from their wakers — the
+    /// inbox demultiplexed by key ([`PoolInner::demux`]), the status
+    /// folded into the tracker ([`PoolInner::fold_status`]).
+    Subscribed {
+        inbox: Subscription,
+        status: Subscription,
+    },
+}
+
+/// The run's shared state: what its workers, its handle and its feed
+/// reach.
+pub(crate) struct PoolInner {
     broker: Arc<dyn Broker>,
     /// The run's topic namespace: every subscribe/publish goes through
     /// it, so the whole run lives under `run/<id>/…`.
@@ -486,14 +530,11 @@ struct PoolInner {
     /// [`RunReport::rehydrations`].
     rehydrations: AtomicU64,
     shards: Vec<mpsc::Sender<WorkItem>>,
-    /// The status topic's subscription and the fold its waker runs:
-    /// every task of the workflow, local or not, reaches the run's
-    /// [`RunTracker`] through the shared status topic, the cross-shard
-    /// membrane.
-    status: Arc<StatusFold>,
-    /// The run's inbox subscription, demultiplexed by key into the
-    /// queues of the agents it feeds ([`PoolInner::demux`]).
-    inbox: Subscription,
+    /// Where status updates reach the run's [`RunTracker`]: from the
+    /// shipper, or — for a shard — from the shared status topic, the
+    /// cross-shard membrane every task's update crosses.
+    status: StatusFold,
+    feed: Feed,
     shutdown: AtomicBool,
     auto_recover: bool,
     label: &'static str,
@@ -521,17 +562,6 @@ fn launch_pool(
     options: &RunOptions,
 ) -> WorkflowRun {
     let workers = options.resolve_workers();
-
-    // Sharded mode: this process hosts only its slice of the agents,
-    // and subscribes everything with full replay: a process that starts
-    // (or restarts) after its peers have already made progress catches
-    // up from the log instead of missing it. §IV-B's recovery, applied
-    // to a whole process.
-    let mode = if options.shard.is_some() {
-        SubscribeMode::Beginning
-    } else {
-        SubscribeMode::Latest
-    };
     let label = backend_label(options);
 
     // The namespace's keys are task names: validate them here, so a
@@ -542,21 +572,29 @@ fn launch_pool(
             .unwrap_or_else(|e| panic!("cannot launch agent: {e}"));
     }
 
-    // The status subscription first, folding from here on: no update
-    // may be missed. A subscribe cut off by a connection loss left
-    // nothing behind — the server-side subscription died with the
-    // connection — so it is simply retried.
-    let status_sub =
-        retry_disconnected(|| broker.subscribe(ns.status(), mode)).expect("status subscription");
-    let status = StatusFold::arm(status_sub, tracker);
-
-    // The inbox is subscribed before any agent is scheduled, so no agent
-    // can publish to it unheard. (Across shard processes the same
-    // guarantee comes from replay: whatever a peer published early is in
-    // the log; see `RunOptions::shard`.) Its waker makes the slot of
-    // every agent but the sources, on the agent's first message.
-    let inbox_sub =
-        retry_disconnected(|| broker.subscribe(ns.inbox(), mode)).expect("inbox subscription");
+    let status = StatusFold::new(tracker);
+    let feed = match options.shard {
+        // The run's only writer learns where its topics end, and
+        // subscribes to nothing.
+        None => Feed::Own(Shipper::learn(&*broker, &ns)),
+        // This process hosts only its slice of the agents, and reads
+        // what its peers write with full replay: a process that starts
+        // (or restarts) after its peers have already made progress
+        // catches up from the log instead of missing it. §IV-B's
+        // recovery, applied to a whole process. Replay also means no
+        // update is missed before the wakers are armed below. A
+        // subscribe cut off by a connection loss left nothing behind —
+        // the server-side subscription died with the connection — so it
+        // is simply retried.
+        Some(_) => {
+            let mode = SubscribeMode::Beginning;
+            let status = retry_disconnected(|| broker.subscribe(ns.status(), mode))
+                .expect("status subscription");
+            let inbox = retry_disconnected(|| broker.subscribe(ns.inbox(), mode))
+                .expect("inbox subscription");
+            Feed::Subscribed { inbox, status }
+        }
+    };
 
     let mut shard_txs = Vec::with_capacity(workers);
     let mut shard_rxs = Vec::with_capacity(workers);
@@ -582,7 +620,7 @@ fn launch_pool(
         shard: options.shard,
         shards: shard_txs,
         status,
-        inbox: inbox_sub,
+        feed,
         shutdown: AtomicBool::new(false),
         auto_recover: options.auto_recover,
         label,
@@ -600,14 +638,24 @@ fn launch_pool(
         })
         .collect();
 
-    // Arm the inbox, then queue the sources: nothing but its start sets
-    // one working, and every other agent is queued by its first message.
-    let weak: Weak<PoolInner> = Arc::downgrade(&inner);
-    inner.inbox.set_waker(move || {
-        if let Some(inner) = weak.upgrade() {
-            inner.demux();
-        }
-    });
+    // Arm a shard's subscriptions — the status first, so the tracker
+    // holds whatever the replay brings before any agent runs; the
+    // inbox's waker makes the slot of every agent but the sources, on
+    // the agent's first message. A waker owns only a `Weak`: the
+    // subscription, which the run owns, owns the closure. Then queue the
+    // sources: nothing but its start sets one working.
+    if let Feed::Subscribed { inbox, status } = &inner.feed {
+        let arm = |sub: &Subscription, drain: fn(&PoolInner)| {
+            let weak: Weak<PoolInner> = Arc::downgrade(&inner);
+            sub.set_waker(move || {
+                if let Some(inner) = weak.upgrade() {
+                    drain(&inner);
+                }
+            });
+        };
+        arm(status, PoolInner::fold_status);
+        arm(inbox, PoolInner::demux);
+    }
     {
         let mut agents = inner.agents.lock();
         let dag = inner.workflow.dag();
@@ -634,15 +682,57 @@ impl PoolInner {
             .is_none_or(|(index, count)| process_shard(name, count) == index)
     }
 
-    /// The inbox's waker: route each message to its key's agent, whose
-    /// slot it makes if there is none — no compile, O(1) per message. A
-    /// key this process does not host is dropped.
+    /// Hand an agent's `batch` to the broker. An unsharded run ships it
+    /// through its [`Shipper`], which numbers each record and delivers
+    /// it here and now: inbox records through [`PoolInner::route`],
+    /// status updates into the tracker. A shard publishes it
+    /// fire-and-forget, pipelined, and reads it back like its peers'.
+    /// Either way nothing waits for a receipt — on a remote broker a
+    /// blocking round trip would be the whole coordination hot path —
+    /// and a publish the broker refuses is lost like any message to a
+    /// severed connection.
+    pub(crate) fn publish(&self, batch: Vec<Record>) {
+        match &self.feed {
+            Feed::Own(shipper) => {
+                shipper.ship(&*self.broker, batch, |record, offset| match record {
+                    Record::Send { key, payload } => self.route(&key, offset, payload),
+                    Record::Status { update, .. } => self.status.fold(&update),
+                })
+            }
+            Feed::Subscribed { .. } => {
+                let batch = batch.into_iter().map(|r| r.addressed(&self.ns)).collect();
+                let _ = self.broker.publish_many_nowait(batch);
+            }
+        }
+    }
+
+    /// A shard's status waker: fold each update its peers and it wrote.
+    fn fold_status(&self) {
+        if let Feed::Subscribed { status, .. } = &self.feed {
+            self.status.drain(status);
+        }
+    }
+
+    /// A shard's inbox waker: route each message its peers and it wrote.
     fn demux(&self) {
-        self.inbox.drain(|msg| {
-            let key = msg.key.as_deref().and_then(|k| std::str::from_utf8(k).ok());
-            let Some(task) = key.and_then(|name| self.workflow.dag().by_name(name)) else {
-                return;
-            };
+        if let Feed::Subscribed { inbox, .. } = &self.feed {
+            inbox.drain(|msg| {
+                if let Some(key) = &msg.key {
+                    self.route(key, msg.offset, msg.payload);
+                }
+            });
+        }
+    }
+
+    /// Route the inbox message keyed `key`, at `offset`, to its agent,
+    /// whose slot it makes if there is none — no compile, O(1) per
+    /// message. A key this process does not host is dropped.
+    fn route(&self, key: &[u8], offset: u64, payload: Bytes) {
+        let key = std::str::from_utf8(key).ok();
+        let Some(task) = key.and_then(|name| self.workflow.dag().by_name(name)) else {
+            return;
+        };
+        {
             let mut agents = self.agents.lock();
             let slot = match &mut agents.map[task.index()] {
                 Some(Entry::Slot(slot)) => slot.clone(),
@@ -661,8 +751,8 @@ impl PoolInner {
                 None if self.hosts(task) => self.admit(&mut agents, task, 0, None),
                 None => return,
             };
-            self.deliver(&slot, msg.offset, msg.payload);
-        });
+            self.deliver(&slot, offset, payload);
+        }
     }
 
     /// Make `task`'s slot on the run's inbox and store it: its first
@@ -731,7 +821,15 @@ impl PoolInner {
     fn refill(&self, slot: &AgentSlot, until: u64) -> Result<(), MqError> {
         let inbox = self.ns.inbox();
         let key = self.workflow.dag().name_of(slot.task).as_bytes();
-        let partition = ginflow_mq::partition_of(key, self.broker.partitions(inbox));
+        let partition = match &self.feed {
+            // What the run shipped is read back once the broker has
+            // receipted it.
+            Feed::Own(shipper) => {
+                self.broker.flush()?;
+                shipper.inbox_partition(key)
+            }
+            Feed::Subscribed { .. } => ginflow_mq::partition_of(key, self.broker.partitions(inbox)),
+        };
         let until = slot
             .queue
             .lock()
@@ -944,8 +1042,7 @@ fn process(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>) {
 fn turn(inner: &Arc<PoolInner>, slot: &Arc<AgentSlot>, state: &mut AgentState) -> TurnEnd {
     let crashed = || slot.kill.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst);
     let ctx = AgentCtx {
-        broker: &*inner.broker,
-        ns: &inner.ns,
+        run: inner,
         registry: &inner.registry,
         name: inner.workflow.dag().name_of(slot.task),
         incarnation: slot.incarnation,

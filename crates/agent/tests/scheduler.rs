@@ -24,6 +24,18 @@ fn pool_options() -> RunOptions {
     }
 }
 
+/// `options` as the one shard of a one-process run. An unsharded run is
+/// the only writer of its topics and reads none of them back, so a test
+/// that writes into a run's inbox from outside — a forged late message,
+/// another writer's noise — runs the run as a shard, which reads its
+/// inbox from the log like any peer's.
+fn one_shard(options: RunOptions) -> RunOptions {
+    RunOptions {
+        shard: Some((0, 1)),
+        ..options
+    }
+}
+
 fn fig2() -> Workflow {
     let mut b = WorkflowBuilder::new("fig2");
     b.task("T1", "s1").input(Value::str("input"));
@@ -267,12 +279,13 @@ fn teardown_publishes_nothing() {
 fn launch_survives_losing_its_subscribes() {
     // A subscribe cut off by a connection drop left nothing behind on
     // the server, so `launch` retries it instead of panicking on the
-    // first sever that lands inside it.
+    // first sever that lands inside it. A shard's launch subscribes.
     let broker = Arc::new(DisconnectingBroker {
         subscribe_drops_left: AtomicUsize::new(2),
         ..DisconnectingBroker::default()
     });
-    let scheduler = Scheduler::new(broker.clone(), tracing_registry()).with_options(pool_options());
+    let scheduler =
+        Scheduler::new(broker.clone(), tracing_registry()).with_options(one_shard(pool_options()));
     let run = scheduler.launch(&fig2());
     let results = run.wait(WAIT).expect("fig2 completes");
     assert_eq!(
@@ -602,14 +615,19 @@ fn a_chain_task_hands_the_broker_two_batches() {
 
 #[test]
 fn a_launch_subscribes_twice_whatever_its_width() {
-    // Status and the run's one inbox, at 10 tasks and at 1000, a killed
-    // and respawned agent included: no topic and no subscription per
-    // agent or per incarnation. The topics are read before teardown,
-    // which deletes both.
-    for width in [8, 998] {
+    // A shard's launch subscribes to status and the run's one inbox, at
+    // 10 tasks and at 1000, a killed and respawned agent included: no
+    // topic and no subscription per agent or per incarnation. An
+    // unsharded launch, the only writer of the two, subscribes to
+    // neither. The topics are read before teardown, which deletes an
+    // unsharded run's both.
+    for (width, shard) in [(8, true), (998, true), (8, false), (998, false)] {
         let broker = Arc::new(RecordingBroker::default());
-        let scheduler =
-            Scheduler::new(broker.clone(), tracing_registry()).with_options(pool_options());
+        let options = match shard {
+            true => one_shard(pool_options()),
+            false => pool_options(),
+        };
+        let scheduler = Scheduler::new(broker.clone(), tracing_registry()).with_options(options);
         let wf = patterns::parallel(width, "s").unwrap();
         let run = scheduler.launch(&wf);
         let run_id = run.run_id().to_owned();
@@ -628,14 +646,15 @@ fn a_launch_subscribes_twice_whatever_its_width() {
         run.shutdown();
         assert_eq!(
             broker.subscribes.load(Ordering::SeqCst),
-            2,
-            "{} tasks",
+            if shard { 2 } else { 0 },
+            "{} tasks, shard: {shard}",
             wf.dag().len()
         );
         assert_eq!(broker.bulk_subscribes.load(Ordering::SeqCst), 0);
-        assert!(
+        assert_eq!(
             broker.log.topic_names().is_empty(),
-            "{} tasks: shutdown left a topic",
+            !shard,
+            "{} tasks: a shard keeps its topics, an unsharded run none",
             wf.dag().len()
         );
     }
@@ -674,7 +693,8 @@ fn a_respawned_agent_replays_only_its_own_key_in_log_order() {
     b.task("b", "s").after(["a"]);
     b.task("c", "s").after(["a"]);
     let broker = Arc::new(LogBroker::new());
-    let scheduler = Scheduler::new(broker.clone(), Arc::new(registry)).with_options(pool_options());
+    let scheduler =
+        Scheduler::new(broker.clone(), Arc::new(registry)).with_options(one_shard(pool_options()));
     let run = scheduler.launch(&b.build().unwrap());
     // Declared after the run, so a failing assertion drops the gate
     // first and teardown does not wait on the parked service.
@@ -933,10 +953,11 @@ fn a_late_duplicate_rehydrates_its_agent_and_changes_nothing() {
     // is counted the first agent's turn is over.
     let (registry, calls) = counted_registry(&["s1", "s2", "s3", "s4"]);
     let broker = Arc::new(LogBroker::new());
-    let scheduler = Scheduler::new(broker.clone(), Arc::new(registry)).with_options(RunOptions {
-        workers: 1,
-        ..RunOptions::default()
-    });
+    let scheduler =
+        Scheduler::new(broker.clone(), Arc::new(registry)).with_options(one_shard(RunOptions {
+            workers: 1,
+            ..RunOptions::default()
+        }));
     let run = scheduler.launch(&fig2());
     let results = run.wait(WAIT).expect("fig2 completes");
     let ns = TopicNamespace::new(RunId::new(run.run_id()).unwrap());
@@ -983,10 +1004,11 @@ fn a_respawned_agent_is_evicted_and_rehydrated_like_any_other() {
         )),
     );
     let broker = Arc::new(LogBroker::new());
-    let scheduler = Scheduler::new(broker.clone(), Arc::new(registry)).with_options(RunOptions {
-        workers: 1,
-        ..RunOptions::default()
-    });
+    let scheduler =
+        Scheduler::new(broker.clone(), Arc::new(registry)).with_options(one_shard(RunOptions {
+            workers: 1,
+            ..RunOptions::default()
+        }));
     let run = scheduler.launch(&fig2());
     let gate = gate;
     assert!(run.kill("T2"));
@@ -1052,11 +1074,12 @@ fn agents_never_built_are_killed_respawned_and_rehydrated_from_a_fresh_compile()
             [ReplacementTask::new("T2'", "s2p", ["T1"])],
         );
         let broker = Arc::new(LogBroker::new());
-        let scheduler =
-            Scheduler::new(broker.clone(), Arc::new(registry)).with_options(RunOptions {
+        let scheduler = Scheduler::new(broker.clone(), Arc::new(registry)).with_options(one_shard(
+            RunOptions {
                 workers: 1,
                 ..RunOptions::default()
-            });
+            },
+        ));
         let handle = scheduler.launch(&b.build().unwrap());
         // Dropped before the run, so a failed assertion opens the gate.
         let gate = gate;
@@ -1238,11 +1261,12 @@ fn a_message_the_refill_read_is_handled_once() {
             )),
         );
         let broker = Arc::new(LaggingBroker::default());
-        let scheduler =
-            Scheduler::new(broker.clone(), Arc::new(registry)).with_options(RunOptions {
+        let scheduler = Scheduler::new(broker.clone(), Arc::new(registry)).with_options(one_shard(
+            RunOptions {
                 workers: 1,
                 ..RunOptions::default()
-            });
+            },
+        ));
         let run = scheduler.launch(&fig5());
         let gate = gate;
         entered.recv_timeout(WAIT).expect("T1 enters s1");

@@ -878,10 +878,10 @@ fn cmd_broker_serve(flags: &Flags<'_>) -> Result<(), String> {
         );
     }
     let _ = stdout.flush();
-    // Serve until killed.
-    loop {
-        std::thread::sleep(Duration::from_secs(3600));
-    }
+    // Serve until killed, or until the loop dies: then no listener is
+    // left, and the process exits non-zero rather than sit on as a dead
+    // daemon.
+    server.wait().map_err(|e| e.to_string())
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {

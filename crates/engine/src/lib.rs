@@ -51,6 +51,9 @@ use std::time::Duration;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// The event-driven, sharded worker-pool scheduler (the default).
+    /// The run is the only writer of its two topics: it numbers and
+    /// delivers its own records, and the broker — in process or a
+    /// daemon — keeps the one log of them, offset for offset.
     #[default]
     Scheduler,
     /// The virtual-time discrete-event simulator.
@@ -62,8 +65,9 @@ pub enum Backend {
     /// launch the same workflow in `of` processes (one per shard). The
     /// status topic is the cross-shard membrane, so every shard's
     /// [`RunHandle`] still observes (and waits on) the whole workflow.
-    /// A shard's broker connections all multiplex onto the client's
-    /// shared reactor thread.
+    /// A shard reads both topics back through subscriptions, which its
+    /// broker connections deliver on the client's shared reactor
+    /// thread.
     Sharded {
         /// This process's shard index (`0..of`).
         shard: u32,

@@ -1,19 +1,21 @@
-//! The lock rule of the run's one keyed inbox, over TCP: the inbox is
-//! demultiplexed on the client reactor, the same thread that answers
-//! every broker request of the process, and the demux takes the
+//! The lock rule of the run's one keyed inbox, over TCP. A shard's
+//! inbox is demultiplexed on the client reactor, the same thread that
+//! answers every broker request of the process, and the demux takes the
 //! scheduler's agent table for each message. A request made while
 //! holding that table would stall the reactor behind the demux until the
 //! request timed out (30 s). Neither a respawn nor the demux makes one:
 //! a respawned or rehydrated agent is refilled from the log — its past
-//! fetched — on its first turn, from a worker. Counted, not timed: every
-//! respawn succeeds while keyed traffic floods the inbox, and each run
-//! completes within its deadline.
+//! fetched — on its first turn, from a worker. An unsharded run delivers
+//! its own records and demultiplexes nothing on the reactor; its refill
+//! waits there for the receipts of what the run shipped, then fetches.
+//! Counted, not timed: every respawn succeeds while keyed traffic floods
+//! the reactor, and each run completes within its deadline.
 
 use ginflow_core::workflow::ReplacementTask;
 use ginflow_core::{
     FailingService, Service, ServiceError, ServiceRegistry, TraceService, Value, WorkflowBuilder,
 };
-use ginflow_engine::{Engine, RunId, TopicNamespace};
+use ginflow_engine::{Backend, Engine, RunId, TopicNamespace};
 use ginflow_mq::{Broker, LogBroker};
 use ginflow_net::{BrokerServer, RemoteBroker};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -33,14 +35,27 @@ impl Service for Gated {
 
 #[test]
 fn respawns_with_inbox_traffic_in_flight_never_stall_the_reactor() {
+    // Each respawn's refill waits for its receipts and is fetched from a
+    // worker while the reactor carries the flood.
+    respawn_under_a_flood(Arc::new(LogBroker::new()), Backend::Scheduler);
+}
+
+#[test]
+fn a_shards_respawns_with_inbox_traffic_in_flight_never_stall_the_reactor() {
     // Each respawn's refill is fetched from a worker while the reactor
     // demultiplexes the flood.
-    respawn_under_a_flood(Arc::new(LogBroker::new()));
+    respawn_under_a_flood(
+        Arc::new(LogBroker::new()),
+        Backend::Sharded { shard: 0, of: 1 },
+    );
 }
 
 /// Kill and respawn the join of a gated fan again and again while a
-/// second connection floods the run's inbox, then let the fan finish.
-fn respawn_under_a_flood(daemon: Arc<dyn Broker>) {
+/// second connection floods an inbox with keyed noise, then let the fan
+/// finish. A shard's own inbox is flooded, so its reactor demultiplexes
+/// the noise; an unsharded run is its inbox's only writer, so a
+/// neighbour run's is, and the reactor carries the noise past it.
+fn respawn_under_a_flood(daemon: Arc<dyn Broker>, backend: Backend) {
     const WIDTH: usize = 50;
     const RESPAWNS: u32 = 20;
     let server = BrokerServer::bind("127.0.0.1:0", daemon).unwrap();
@@ -68,21 +83,26 @@ fn respawn_under_a_flood(daemon: Arc<dyn Broker>) {
         .registry(Arc::new(registry))
         .workers(2)
         .run_id(RunId::new("respawn-tcp").unwrap())
+        .backend(backend.clone())
         .build()
         .launch(&wf);
     // Declared after the run, so a failing assertion drops the gate
     // first and teardown does not wait on the parked service.
     let gate = gate;
 
-    // A second connection floods the run's inbox with keyed messages no
-    // agent decodes, so the reactor demultiplexes through every respawn.
+    // A second connection floods an inbox with keyed messages no agent
+    // decodes, so the reactor is at work through every respawn.
     let stop = Arc::new(AtomicBool::new(false));
     let flooded = Arc::new(AtomicUsize::new(0));
     let flooder = {
         let (stop, flooded) = (stop.clone(), flooded.clone());
         let client = RemoteBroker::connect(&addr).unwrap();
         std::thread::spawn(move || {
-            let inbox = TopicNamespace::new(RunId::new("respawn-tcp").unwrap())
+            let flooded_run = match backend {
+                Backend::Sharded { .. } => "respawn-tcp",
+                _ => "respawn-tcp-neighbour",
+            };
+            let inbox = TopicNamespace::new(RunId::new(flooded_run).unwrap())
                 .inbox()
                 .to_owned();
             let keys = ["join", "p0", "nobody"];

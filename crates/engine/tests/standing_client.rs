@@ -1,11 +1,13 @@
 //! A `RemoteBroker` that outlives its runs carries nothing over from one
 //! to the next: closing a run releases what the connection held for it,
-//! at both ends. Counted on the two subscription gauges — no clock.
+//! at both ends. Counted on the two subscription gauges — no clock. An
+//! unsharded run, the only writer of its topics, holds no subscription
+//! at all; a shard holds two.
 //!
 //! Alone in this binary: the gauges are process-wide.
 
 use ginflow_core::{patterns, Connectivity, ServiceRegistry};
-use ginflow_engine::Engine;
+use ginflow_engine::{Backend, Engine, RunId};
 use ginflow_mq::{Broker, LogBroker};
 use ginflow_net::{BrokerServer, RemoteBroker};
 use std::sync::Arc;
@@ -32,20 +34,35 @@ fn a_client_that_outlives_its_runs_holds_nothing_of_a_closed_run() {
     let server = BrokerServer::bind("127.0.0.1:0", Arc::new(LogBroker::new())).unwrap();
     let client = Arc::new(RemoteBroker::connect(&server.local_addr().to_string()).unwrap());
     let broker: Arc<dyn Broker> = client.clone();
-    let engine = Engine::builder()
-        .broker(broker)
-        .registry(Arc::new(ServiceRegistry::tracing_for(["s"])))
-        .workers(2)
-        .build();
+    let engine = |shard: Option<u32>| {
+        let builder = Engine::builder()
+            .broker(broker.clone())
+            .registry(Arc::new(ServiceRegistry::tracing_for(["s"])))
+            .workers(2);
+        match shard {
+            Some(run) => builder
+                .backend(Backend::Sharded { shard: 0, of: 1 })
+                .run_id(RunId::new(format!("shard-{run}")).unwrap()),
+            None => builder,
+        }
+        .build()
+    };
+    let unsharded = engine(None);
     let wf = patterns::diamond(4, 4, Connectivity::Simple, "s").unwrap();
     assert_eq!(wf.dag().len(), 18);
 
     let idle = subscriptions();
-    for run in 0..30 {
-        let handle = engine.launch(&wf);
-        // The run's inbox and its status topic, at both ends — not one
-        // subscription per agent.
-        assert_eq!(subscriptions(), (idle.0 + 2, idle.1 + 2), "run {run}");
+    for run in 0..60 {
+        let shard = run % 2 == 1;
+        let handle = match shard {
+            true => engine(Some(run)).launch(&wf),
+            false => unsharded.launch(&wf),
+        };
+        // A shard reads the run's inbox and its status topic, at both
+        // ends — not one subscription per agent; an unsharded run
+        // neither.
+        let held = if shard { 2 } else { 0 };
+        assert_eq!(subscriptions(), (idle.0 + held, idle.1 + held), "run {run}");
         let report = handle.join();
         assert!(report.completed, "run {run}");
         assert!(client.close_run(&report.run_id).unwrap(), "run {run}");

@@ -88,6 +88,33 @@ pub trait Broker: Send + Sync {
         first_error.map_or(Ok(()), Err)
     }
 
+    /// Append records as the only writer of their topics: each goes to
+    /// the partition it names, at the offset it carries — the writer
+    /// numbered it, and ships its records in log order.
+    ///
+    /// * **Exact.** A record whose offset is below its partition's end is
+    ///   in the log already (a re-send after a lost receipt) and is not
+    ///   appended again; one above the end would leave a gap and is
+    ///   refused ([`MqError::OffsetGap`]). So a writer that re-sends
+    ///   whatever it has no receipt for leaves the log with no gap and
+    ///   no duplicate.
+    /// * **Receipted.** Pipelined like [`Broker::publish_many_nowait`]:
+    ///   the call returns once the batch is handed over, and
+    ///   [`Broker::flush`] waits until every record is receipted.
+    /// * **Default.** [`Broker::publish_many_nowait`] of the records'
+    ///   topics, keys and payloads: the broker numbers them itself, which
+    ///   gives the same offsets when the caller is indeed the only
+    ///   writer and numbered from the partitions' ends — and lets a
+    ///   wrapper that interposes on publishes see every record.
+    fn append_many(&self, batch: Vec<Message>) -> Result<(), MqError> {
+        let batch = batch.into_iter();
+        self.publish_many_nowait(
+            batch
+                .map(|m| (m.topic.to_string(), m.key, m.payload))
+                .collect(),
+        )
+    }
+
     /// Block until every pipelined [`Broker::publish_nowait`] has been
     /// acknowledged. Returns the first latched pipeline error (e.g.
     /// publishes lost to a severed connection) since the previous

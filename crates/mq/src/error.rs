@@ -41,6 +41,18 @@ pub enum MqError {
         /// How long the flush waited, in milliseconds.
         waited_ms: u64,
     },
+    /// A [`Broker::append_many`](crate::Broker::append_many) record
+    /// would leave a gap: its offset is past its partition's end.
+    OffsetGap {
+        /// Topic name.
+        topic: String,
+        /// The record's partition.
+        partition: u32,
+        /// The record's offset.
+        offset: u64,
+        /// The partition's end: the offset its next record takes.
+        end: u64,
+    },
     /// A run id or task name was rejected at the topic boundary (empty,
     /// or containing a path separator / whitespace) — publishing under
     /// it would silently collide or split namespaces.
@@ -74,6 +86,15 @@ impl fmt::Display for MqError {
                      publish(es) still unacknowledged"
                 )
             }
+            MqError::OffsetGap {
+                topic,
+                partition,
+                offset,
+                end,
+            } => write!(
+                f,
+                "offset {offset} of {topic:?} partition {partition} is past its end {end}"
+            ),
             MqError::InvalidTopic { what, name, reason } => {
                 write!(f, "invalid {what} {name:?}: {reason}")
             }

@@ -382,6 +382,54 @@ impl LogBroker {
         }
     }
 
+    /// One record of [`Broker::append_many`], under the topic map's lock:
+    /// appended and fanned out at its partition's end, skipped below it,
+    /// refused past it.
+    fn append(
+        &self,
+        topics: &mut HashMap<String, TopicState>,
+        record: Message,
+        wakers: &mut Wakers,
+    ) -> Result<(), MqError> {
+        let state = self.topic_state(topics, &record.topic)?;
+        let partition = record.partition;
+        let part = state
+            .partitions
+            .get_mut(partition as usize)
+            .ok_or_else(|| MqError::UnknownPartition {
+                topic: record.topic.to_string(),
+                partition,
+            })?;
+        let end = part.next_offset();
+        if record.offset != end {
+            if record.offset < end {
+                return Ok(());
+            }
+            return Err(MqError::OffsetGap {
+                topic: record.topic.to_string(),
+                partition,
+                offset: record.offset,
+                end,
+            });
+        }
+        if let Some(store) = &mut part.store {
+            store
+                .append(record.key.as_deref(), &record.payload)
+                .map_err(|e| MqError::Store {
+                    message: format!("appending to {:?}: {e}", record.topic),
+                })?;
+        }
+        part.push(record.key.as_deref(), &record.payload, self.memory_messages);
+        let message = Message {
+            topic: state.name.clone(),
+            ..record
+        };
+        state
+            .subscribers
+            .retain(|sub| sub.deliver_collect(message.clone(), wakers));
+        Ok(())
+    }
+
     fn route(state: &mut TopicState, key: Option<&Bytes>) -> u32 {
         let n = state.partitions.len() as u32;
         match key {
@@ -439,6 +487,25 @@ impl Broker for LogBroker {
         // Wake outside the topic lock: wakers may publish in turn.
         wakers.fire();
         Ok(receipt)
+    }
+
+    /// The checked append, the whole batch under one lock of the topic
+    /// map: a record goes in only at its partition's end; one below it
+    /// is there already, one past it is refused. Fan-out as for
+    /// [`Broker::publish`].
+    fn append_many(&self, batch: Vec<Message>) -> Result<(), MqError> {
+        let mut wakers = Wakers::default();
+        let mut first_error = None;
+        {
+            let mut topics = self.topics.lock();
+            for record in batch {
+                if let Err(e) = self.append(&mut topics, record, &mut wakers) {
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        wakers.fire();
+        first_error.map_or(Ok(()), Err)
     }
 
     fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
@@ -720,6 +787,60 @@ mod tests {
         // The name is reusable from scratch.
         b.publish("t", None, payload("fresh")).unwrap();
         assert_eq!(b.retained("t"), 1);
+    }
+
+    /// A record of `t` numbered by its writer.
+    fn numbered(partition: u32, offset: u64, payload: &str) -> Message {
+        Message {
+            topic: "t".into(),
+            partition,
+            offset,
+            key: None,
+            payload: Bytes::copy_from_slice(payload.as_bytes()),
+        }
+    }
+
+    #[test]
+    fn an_append_lands_at_the_end_once_and_never_past_it() {
+        let b = LogBroker::with_default_partitions(2);
+        let sub = b.subscribe("t", SubscribeMode::Latest).unwrap();
+        let batch = vec![
+            numbered(1, 0, "a"),
+            numbered(1, 1, "b"),
+            numbered(0, 0, "c"),
+        ];
+        b.append_many(batch).unwrap();
+        // A re-sent prefix is skipped; the record after it goes in.
+        let resent = vec![
+            numbered(1, 0, "a"),
+            numbered(1, 1, "b"),
+            numbered(1, 2, "d"),
+        ];
+        b.append_many(resent).unwrap();
+        let gap = b.append_many(vec![numbered(0, 5, "e"), numbered(0, 1, "f")]);
+        assert_eq!(
+            gap,
+            Err(MqError::OffsetGap {
+                topic: "t".into(),
+                partition: 0,
+                offset: 5,
+                end: 1
+            }),
+            "refused alone: the next record still goes in"
+        );
+        let read = |p| -> Vec<(u64, String)> {
+            let log = b.fetch("t", p, 0, 10).unwrap();
+            log.iter()
+                .map(|m| (m.offset, m.payload_str().into()))
+                .collect()
+        };
+        assert_eq!(read(1), [(0, "a".into()), (1, "b".into()), (2, "d".into())]);
+        assert_eq!(read(0), [(0, "c".into()), (1, "f".into())]);
+        assert_eq!(sub.backlog(), 5, "each appended record fans out once");
+        assert!(matches!(
+            b.append_many(vec![numbered(2, 0, "x")]),
+            Err(MqError::UnknownPartition { partition: 2, .. })
+        ));
     }
 
     #[test]

@@ -34,6 +34,13 @@
 //!   0x07 RUN_CLOSE     seq:u64 run:str
 //!   0x08 RUN_GC        seq:u64
 //!   0x09 STATS         seq:u64
+//!   0x0A APPEND        seq:u64 message
+//!                      (the only writer's record, at the partition and
+//!                       offset it numbered: appended at the partition's
+//!                       end, skipped below it, refused past it; acked in
+//!                       a RECEIPT_LIST whose offset is the record's when
+//!                       it is in the log, the partition's end when
+//!                       refused)
 //!
 //! server → client:
 //!   0x82 SUBSCRIBED    seq:u64 sub:u64 resume:u64
@@ -231,6 +238,18 @@ pub enum Frame {
         /// Correlation id.
         seq: u64,
     },
+    /// Append a record its topic's only writer numbered (client →
+    /// server): at `record.offset` of `record.partition`, if that is the
+    /// partition's end; a record below the end is in the log already,
+    /// one past it is refused. Acked like a publish, in a
+    /// [`Frame::ReceiptList`]: the receipt's offset is the record's when
+    /// the record is in the log, the partition's end when refused.
+    Append {
+        /// Correlation id.
+        seq: u64,
+        /// The record: topic, partition, offset, key and payload.
+        record: Message,
+    },
     /// Acknowledgement of consecutive publishes, each with its own
     /// receipt (server → client): seqs `seq_first..seq_first + n` for
     /// the `n` receipts, in order — the one ack frame, whether it
@@ -374,7 +393,16 @@ impl Frame {
     /// [`MAX_FRAME`].
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut buf = Vec::with_capacity(64);
-        put_u32(&mut buf, 0); // length placeholder
+        self.encode_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`Frame::encode`] appended to `buf`, which a writer that queues
+    /// many frames reuses; returns the frame's length. An oversized
+    /// frame leaves `buf` as it was.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<usize, WireError> {
+        let start = buf.len();
+        put_u32(buf, 0); // length placeholder
         match self {
             Frame::Publish {
                 seq,
@@ -383,21 +411,21 @@ impl Frame {
                 payload,
             } => {
                 buf.push(0x01);
-                put_u64(&mut buf, *seq);
-                put_str(&mut buf, topic);
-                put_opt_bytes(&mut buf, key);
-                put_bytes(&mut buf, payload);
+                put_u64(buf, *seq);
+                put_str(buf, topic);
+                put_opt_bytes(buf, key);
+                put_bytes(buf, payload);
             }
             Frame::Subscribe { seq, topic, mode } => {
                 buf.push(0x02);
-                put_u64(&mut buf, *seq);
-                put_str(&mut buf, topic);
-                put_mode(&mut buf, *mode);
+                put_u64(buf, *seq);
+                put_str(buf, topic);
+                put_mode(buf, *mode);
             }
             Frame::Unsubscribe { seq, sub } => {
                 buf.push(0x03);
-                put_u64(&mut buf, *seq);
-                put_u64(&mut buf, *sub);
+                put_u64(buf, *seq);
+                put_u64(buf, *sub);
             }
             Frame::Fetch {
                 seq,
@@ -407,46 +435,51 @@ impl Frame {
                 max,
             } => {
                 buf.push(0x04);
-                put_u64(&mut buf, *seq);
-                put_str(&mut buf, topic);
-                put_u32(&mut buf, *partition);
-                put_u64(&mut buf, *from);
-                put_u32(&mut buf, *max);
+                put_u64(buf, *seq);
+                put_str(buf, topic);
+                put_u32(buf, *partition);
+                put_u64(buf, *from);
+                put_u32(buf, *max);
             }
             Frame::Info { seq, topic } => {
                 buf.push(0x05);
-                put_u64(&mut buf, *seq);
-                put_str(&mut buf, topic);
+                put_u64(buf, *seq);
+                put_str(buf, topic);
             }
             Frame::RunList { seq } => {
                 buf.push(0x06);
-                put_u64(&mut buf, *seq);
+                put_u64(buf, *seq);
             }
             Frame::RunClose { seq, run } => {
                 buf.push(0x07);
-                put_u64(&mut buf, *seq);
-                put_str(&mut buf, run);
+                put_u64(buf, *seq);
+                put_str(buf, run);
             }
             Frame::RunGc { seq } => {
                 buf.push(0x08);
-                put_u64(&mut buf, *seq);
+                put_u64(buf, *seq);
             }
             Frame::Stats { seq } => {
                 buf.push(0x09);
-                put_u64(&mut buf, *seq);
+                put_u64(buf, *seq);
+            }
+            Frame::Append { seq, record } => {
+                buf.push(0x0A);
+                put_u64(buf, *seq);
+                put_message(buf, record);
             }
             Frame::Subscribed { seq, sub, resume } => {
                 buf.push(0x82);
-                put_u64(&mut buf, *seq);
-                put_u64(&mut buf, *sub);
-                put_u64(&mut buf, *resume);
+                put_u64(buf, *seq);
+                put_u64(buf, *sub);
+                put_u64(buf, *resume);
             }
             Frame::Messages { seq, messages } => {
                 buf.push(0x83);
-                put_u64(&mut buf, *seq);
-                put_u32(&mut buf, messages.len() as u32);
+                put_u64(buf, *seq);
+                put_u32(buf, messages.len() as u32);
                 for m in messages {
-                    put_message(&mut buf, m);
+                    put_message(buf, m);
                 }
             }
             Frame::InfoReply {
@@ -456,41 +489,41 @@ impl Frame {
                 retained,
             } => {
                 buf.push(0x84);
-                put_u64(&mut buf, *seq);
+                put_u64(buf, *seq);
                 buf.push(u8::from(*persistent));
-                put_u32(&mut buf, *partitions);
-                put_u64(&mut buf, *retained);
+                put_u32(buf, *partitions);
+                put_u64(buf, *retained);
             }
             Frame::Error { seq, message } => {
                 buf.push(0x85);
-                put_u64(&mut buf, *seq);
-                put_str(&mut buf, message);
+                put_u64(buf, *seq);
+                put_str(buf, message);
             }
             Frame::RunListReply { seq, runs } => {
                 buf.push(0x86);
-                put_u64(&mut buf, *seq);
-                put_u32(&mut buf, runs.len() as u32);
+                put_u64(buf, *seq);
+                put_u32(buf, runs.len() as u32);
                 for r in runs {
-                    put_str(&mut buf, &r.run);
-                    put_u32(&mut buf, r.topics);
-                    put_u64(&mut buf, r.retained);
+                    put_str(buf, &r.run);
+                    put_u32(buf, r.topics);
+                    put_u64(buf, r.retained);
                     buf.push(u8::from(r.completed));
                 }
             }
             Frame::RunGcReply { seq, runs, topics } => {
                 buf.push(0x87);
-                put_u64(&mut buf, *seq);
-                put_u32(&mut buf, *runs);
-                put_u32(&mut buf, *topics);
+                put_u64(buf, *seq);
+                put_u32(buf, *runs);
+                put_u32(buf, *topics);
             }
             Frame::StatsReply { seq, stats } => {
                 buf.push(0x88);
-                put_u64(&mut buf, *seq);
-                put_u32(&mut buf, stats.len() as u32);
+                put_u64(buf, *seq);
+                put_u32(buf, stats.len() as u32);
                 for row in stats {
-                    put_str(&mut buf, &row.name);
-                    put_str(&mut buf, &row.label);
-                    put_u64(&mut buf, row.value);
+                    put_str(buf, &row.name);
+                    put_str(buf, &row.label);
+                    put_u64(buf, row.value);
                 }
             }
             Frame::ReceiptList {
@@ -498,28 +531,29 @@ impl Frame {
                 receipts,
             } => {
                 buf.push(0x93);
-                put_u64(&mut buf, *seq_first);
-                put_u32(&mut buf, receipts.len() as u32);
+                put_u64(buf, *seq_first);
+                put_u32(buf, receipts.len() as u32);
                 for r in receipts {
-                    put_u32(&mut buf, r.partition);
-                    put_u64(&mut buf, r.offset);
+                    put_u32(buf, r.partition);
+                    put_u64(buf, r.offset);
                 }
             }
             Frame::Events { sub, messages } => {
                 buf.push(0x91);
-                put_u64(&mut buf, *sub);
-                put_u32(&mut buf, messages.len() as u32);
+                put_u64(buf, *sub);
+                put_u32(buf, messages.len() as u32);
                 for m in messages {
-                    put_message(&mut buf, m);
+                    put_message(buf, m);
                 }
             }
         }
-        let body_len = buf.len() - 4;
+        let body_len = buf.len() - start - 4;
         if body_len > MAX_FRAME {
+            buf.truncate(start);
             return Err(WireError::Oversized { len: body_len });
         }
-        buf[..4].copy_from_slice(&(body_len as u32).to_be_bytes());
-        Ok(buf)
+        buf[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes());
+        Ok(buf.len() - start)
     }
 
     /// Decode one frame *body* (the bytes after the length prefix).
@@ -563,6 +597,10 @@ impl Frame {
             },
             0x08 => Frame::RunGc { seq: r.u64()? },
             0x09 => Frame::Stats { seq: r.u64()? },
+            0x0A => Frame::Append {
+                seq: r.u64()?,
+                record: r.message()?,
+            },
             0x82 => Frame::Subscribed {
                 seq: r.u64()?,
                 sub: r.u64()?,
@@ -1022,6 +1060,22 @@ mod tests {
     }
 
     #[test]
+    fn an_append_roundtrips_with_its_partition_and_offset() {
+        roundtrip(Frame::Append {
+            seq: 12,
+            record: message(),
+        });
+        let keyless = Message {
+            key: None,
+            ..message()
+        };
+        roundtrip(Frame::Append {
+            seq: 13,
+            record: keyless,
+        });
+    }
+
+    #[test]
     fn truncated_bodies_are_rejected() {
         let encoded = Frame::Events {
             sub: 1,
@@ -1059,6 +1113,11 @@ mod tests {
             payload: Bytes::from(vec![0u8; MAX_FRAME + 1]),
         };
         assert!(matches!(frame.encode(), Err(WireError::Oversized { .. })));
+        // Appended to frames already queued, it leaves them as they were.
+        let mut queued = Frame::Stats { seq: 1 }.encode().unwrap();
+        let before = queued.clone();
+        assert!(frame.encode_into(&mut queued).is_err());
+        assert_eq!(queued, before);
     }
 
     #[test]

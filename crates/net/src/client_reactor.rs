@@ -357,7 +357,7 @@ impl Reactor {
         let Some(link) = conn.link.as_mut() else {
             return;
         };
-        link.out.push(&conn.inner.core.lock().take_outbound());
+        conn.inner.core.lock().move_outbound(&mut link.out);
         if link.out.pending() > 0 {
             self.flush(id);
         }
@@ -379,7 +379,7 @@ impl Reactor {
             let delivery = {
                 let mut core = inner.core.lock();
                 let delivery = core.on_frame(frame);
-                out.push(&core.take_outbound());
+                core.move_outbound(out);
                 delivery
             };
             if answers {
@@ -390,7 +390,7 @@ impl Reactor {
                 if !delivery.run() {
                     let mut core = inner.core.lock();
                     core.drop_sub(sub);
-                    out.push(&core.take_outbound());
+                    core.move_outbound(out);
                 }
             }
             true

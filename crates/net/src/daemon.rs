@@ -20,6 +20,13 @@
 //!   a pipelined storm of N publishes is acked with one frame, and a lone
 //!   blocking publish gets a list of one. A seq gap, an interleaved reply,
 //!   [`MAX_RECEIPT_RUN`] or the end of the turn cuts the run.
+//! * **Appends.** An APPEND is the publish of a topic's only writer,
+//!   numbered by the writer: the broker's [`Broker::append_many`] puts it
+//!   at its partition's end, skips it below the end — a re-send of a
+//!   record whose receipt was lost — and refuses it past the end. It is
+//!   acked in the same receipt run as a publish, at the record's offset,
+//!   or at the partition's end when refused, which is how a writer
+//!   learns the end.
 //! * **Backpressure.** A drain onto an out buffer past [`OUT_HIGH_WATER`]
 //!   (the turn's unflushed bytes included) parks the subscription, its
 //!   schedule bit held so deliveries do not wake it, until the buffer
@@ -247,6 +254,24 @@ impl DaemonCore {
                 session.count_publish(&self.registry, &topic, payload.len());
                 match self.broker.publish(&topic, key, payload) {
                     Ok(receipt) => return session.add_receipt(out, seq, receipt).is_ok(),
+                    Err(e) => error_frame(seq, e),
+                }
+            }
+            Frame::Append { seq, record } => {
+                session.count_publish(&self.registry, &record.topic, record.payload.len());
+                let (partition, offset) = (record.partition, record.offset);
+                // In the log (appended now, or before a lost receipt):
+                // its own offset. Refused: the end it would have gapped.
+                let at = match self.broker.append_many(vec![record]) {
+                    Ok(()) => Ok(offset),
+                    Err(MqError::OffsetGap { end, .. }) => Ok(end),
+                    Err(e) => Err(e),
+                };
+                match at {
+                    Ok(offset) => {
+                        let receipt = Receipt { partition, offset };
+                        return session.add_receipt(out, seq, receipt).is_ok();
+                    }
                     Err(e) => error_frame(seq, e),
                 }
             }
@@ -878,6 +903,49 @@ mod tests {
         };
         assert!(!d.turn(1, vec![events]));
         assert!(!d.turn(1, vec![receipts(1, &[0])]));
+    }
+
+    fn append(seq: u64, offset: u64, payload: &'static [u8]) -> Frame {
+        Frame::Append {
+            seq,
+            record: Message {
+                topic: "t".into(),
+                partition: 0,
+                offset,
+                key: None,
+                payload: Bytes::from_static(payload),
+            },
+        }
+    }
+
+    #[test]
+    fn an_append_below_the_end_is_dropped_and_one_past_it_refused() {
+        let mut d = Daemon::new(LogBroker::new(), None);
+        d.open(1);
+        let turn = vec![append(1, 0, b"a"), append(2, 1, b"b")];
+        assert!(d.turn(1, turn));
+        assert_eq!(d.sent(1), [receipts(1, &[0, 1])]);
+        // A re-send after a lost receipt: the first two are there
+        // already and acked at their own offsets, the third goes in.
+        let resent = vec![append(1, 0, b"a"), append(2, 1, b"b"), append(3, 2, b"c")];
+        assert!(d.turn(1, resent));
+        assert_eq!(d.sent(1), [receipts(1, &[0, 1, 2])]);
+        // Past the end: refused, answered with the end, and the
+        // connection stays. A probe at the last offset learns the end.
+        assert!(d.turn(1, vec![append(4, 7, b"x"), append(5, u64::MAX, b"")]));
+        assert_eq!(d.sent(1), [receipts(4, &[3, 3])]);
+        let log = d.broker.fetch("t", 0, 0, 10).unwrap();
+        let payloads: Vec<&[u8]> = log.iter().map(|m| &m.payload[..]).collect();
+        assert_eq!(payloads, [b"a", b"b", b"c"]);
+        let unknown = Frame::Append {
+            seq: 6,
+            record: Message {
+                partition: 3,
+                ..log[0].clone()
+            },
+        };
+        assert!(d.turn(1, vec![unknown]));
+        assert!(matches!(d.sent(1)[..], [Frame::Error { seq: 6, .. }]));
     }
 
     #[test]

@@ -41,12 +41,13 @@ pub(crate) fn stats_snapshot(registry: &RunRegistry) -> Vec<StatRow> {
 
 /// A running broker daemon. Dropping the server (or calling
 /// [`BrokerServer::stop`]) closes every connection and joins every
-/// server thread.
+/// server thread. A loop thread that dies — a panic in the broker it
+/// fronts — takes the listener with it: [`BrokerServer::wait`] says so.
 pub struct BrokerServer {
     addr: SocketAddr,
     /// The event loop's cross-thread doorbell.
     event_loop: Arc<LoopHandle>,
-    loop_thread: Mutex<Option<JoinHandle<()>>>,
+    loop_thread: Mutex<LoopThread>,
     registry: Arc<RunRegistry>,
     metrics_http: Mutex<Option<MetricsExporter>>,
 }
@@ -83,7 +84,10 @@ impl BrokerServer {
         Ok(BrokerServer {
             addr,
             event_loop,
-            loop_thread: Mutex::new(Some(loop_thread)),
+            loop_thread: Mutex::new(LoopThread {
+                running: Some(loop_thread),
+                ended: Ok(()),
+            }),
             registry,
             metrics_http: Mutex::new(None),
         })
@@ -140,18 +144,123 @@ impl BrokerServer {
     }
 
     /// Stop accepting, close every live connection, join every server
-    /// thread (the metrics endpoint included). Idempotent.
+    /// thread (the metrics endpoint included). Idempotent. How the loop
+    /// ended is kept, not discarded: [`BrokerServer::wait`] reports it.
     pub fn stop(&self) {
         self.metrics_http.lock().take();
         self.event_loop.request_shutdown();
-        if let Some(t) = self.loop_thread.lock().take() {
-            let _ = t.join();
+        self.loop_thread.lock().join();
+    }
+
+    /// Block until the event loop's thread ends and report how: `Ok`
+    /// once [`BrokerServer::stop`] ended it, the panic that killed it
+    /// otherwise — a daemon with no loop has no listener either, so
+    /// whoever hosts it should stop waiting on it and say so. Returns at
+    /// once if the loop has ended already.
+    pub fn wait(&self) -> std::io::Result<()> {
+        match self.loop_thread.lock().join() {
+            Ok(()) => Ok(()),
+            Err(panic) => Err(std::io::Error::other(format!(
+                "the broker's event loop panicked: {panic}"
+            ))),
         }
+    }
+}
+
+/// The event loop's thread while it runs, and how it ended.
+struct LoopThread {
+    running: Option<JoinHandle<()>>,
+    /// `Err` holds the panic's message.
+    ended: Result<(), String>,
+}
+
+impl LoopThread {
+    /// Join the thread if it runs still; how it ended.
+    fn join(&mut self) -> &Result<(), String> {
+        if let Some(thread) = self.running.take() {
+            self.ended = thread.join().map_err(|panic| {
+                let text = panic.downcast_ref::<&str>().copied();
+                let text = text.or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+                text.unwrap_or("a payload that is not text").to_owned()
+            });
+        }
+        &self.ended
     }
 }
 
 impl Drop for BrokerServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use ginflow_mq::wire::Frame;
+    use ginflow_mq::{Message, MqError, Receipt, SubscribeMode, Subscription};
+    use std::io::{Read, Write};
+
+    /// A broker whose every publish panics.
+    struct Panicking;
+
+    impl Broker for Panicking {
+        fn publish(&self, _: &str, _: Option<Bytes>, _: Bytes) -> Result<Receipt, MqError> {
+            panic!("publish refused by the test broker")
+        }
+
+        fn subscribe(&self, _: &str, _: SubscribeMode) -> Result<Subscription, MqError> {
+            Err(MqError::Disconnected)
+        }
+
+        fn fetch(&self, _: &str, _: u32, _: u64, _: usize) -> Result<Vec<Message>, MqError> {
+            Ok(Vec::new())
+        }
+
+        fn partitions(&self, _: &str) -> u32 {
+            1
+        }
+
+        fn retained(&self, _: &str) -> u64 {
+            0
+        }
+    }
+
+    /// Serve [`Panicking`] and publish to it once: the loop thread dies.
+    /// Returns once the connection has seen the daemon hang up.
+    fn killed_by_a_publish() -> BrokerServer {
+        let server = BrokerServer::bind("127.0.0.1:0", Arc::new(Panicking)).unwrap();
+        let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let publish = Frame::Publish {
+            seq: 1,
+            topic: "t".into(),
+            key: None,
+            payload: Bytes::from_static(b"x"),
+        };
+        conn.write_all(&publish.encode().unwrap()).unwrap();
+        let mut rest = Vec::new();
+        let _ = conn.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "no receipt from a dead loop");
+        server
+    }
+
+    #[test]
+    fn a_dead_event_loop_is_reported_by_wait_and_kept_by_stop() {
+        let dead = killed_by_a_publish();
+        let error = dead.wait().unwrap_err().to_string();
+        assert!(
+            error.contains("publish refused by the test broker"),
+            "{error}"
+        );
+        assert!(dead.wait().is_err(), "told again");
+
+        let stopped = killed_by_a_publish();
+        stopped.stop();
+        assert!(stopped.wait().is_err(), "stop keeps the panic");
+
+        let live = BrokerServer::bind("127.0.0.1:0", Arc::new(Panicking)).unwrap();
+        live.stop();
+        assert!(live.wait().is_ok(), "a loop that was stopped ended well");
     }
 }
