@@ -647,8 +647,9 @@ impl RunTracker {
 
     /// The one place a [`RunReport`] is assembled, for every backend:
     /// the fold of the status stream so far (partial while the run
-    /// executes). `wall`, `resident_peak` and `rehydrations` are the
-    /// vehicle's to fill in ([`RunControl::stamp`]).
+    /// executes). `wall`, `resident_peak`, `rehydrations` and
+    /// `ship_failures` are the vehicle's to fill in
+    /// ([`RunControl::stamp`]).
     pub fn report(&self, backend: &'static str) -> RunReport {
         let record = self.record.lock();
         let rows = record.rows.iter().map(|row| row.report.clone());
@@ -711,6 +712,7 @@ impl RunTracker {
             respawns: record.respawns,
             resident_peak: 0,
             rehydrations: 0,
+            ship_failures: 0,
             tasks,
         }
     }
@@ -804,6 +806,13 @@ pub struct RunReport {
     /// Evicted agents this vehicle rebuilt by replay for a late
     /// message. Always 0 on the sim backend.
     pub rehydrations: u64,
+    /// Batches an unsharded run handed its broker that the broker
+    /// refused, wholly or in part ([`ginflow_mq::Broker::append_many`]'s
+    /// error): 0 when each record the run shipped reached the broker's
+    /// log — or, over a connection, its client, whose loss ledger
+    /// ([`ginflow_mq::Broker::flush`]) reports a record the daemon
+    /// refuses later. Always 0 for a shard and on the sim backend.
+    pub ship_failures: u64,
     /// Per-task detail, keyed by task name (every task of the workflow,
     /// observed or not).
     pub tasks: BTreeMap<String, TaskReport>,
@@ -861,8 +870,8 @@ pub trait RunControl: Send + Sync {
     /// Fill in what the status stream cannot tell a report: `wall`
     /// (which arrives as the last task transition of a run that has its
     /// outcome, and zero while it is still running — a live vehicle
-    /// puts its clock there), `resident_peak` and `rehydrations`: what
-    /// the vehicle counted itself.
+    /// puts its clock there), `resident_peak`, `rehydrations` and
+    /// `ship_failures`: what the vehicle counted itself.
     fn stamp(&self, report: &mut RunReport);
     /// Tear the vehicle down (agents observe the shutdown flag between
     /// events; worker threads are joined; nothing is published) and give

@@ -13,9 +13,10 @@ use crate::message::{SaMessage, StatusUpdate};
 use crate::scheduler::PoolInner;
 use bytes::Bytes;
 use ginflow_core::{ServiceRegistry, Value};
-use ginflow_mq::{partition_of, Broker, Message, MqError, Subscription, TopicNamespace};
+use ginflow_mq::{Broker, Message, MqError, Subscription, TopicNamespace};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,17 +151,22 @@ impl AgentCtx<'_> {
 }
 
 /// An unsharded run's writer. Nothing but the run writes its two topics,
-/// so it numbers its records itself — each partition's end, as it
-/// learned it at launch, plus what it has shipped since — hands them to
-/// the broker in log order as records numbered so
-/// ([`Broker::append_many`]) and delivers them to its own agents and
-/// its tracker in the same pass, under one lock: the order of the log is
-/// the order of delivery. The broker's log is the one log, an exact
-/// replica of the run's numbering: a remote broker's client keeps only
-/// what its daemon has not receipted yet, and the in-process log
-/// receipts at once.
+/// so it numbers its records itself — each topic's end, as it learned it
+/// at launch, plus what it has shipped since — hands them to the broker
+/// in log order as records numbered so ([`Broker::append_many`]) and
+/// delivers them to its own agents and its tracker in the same pass,
+/// under one lock: the order of the log is the order of delivery. The
+/// broker's log is the one log, an exact replica of the run's numbering:
+/// a remote broker's client keeps only what its daemon has not receipted
+/// yet, and the in-process log receipts at once.
+///
+/// Each of the run's topics is written as one partition, partition 0: a
+/// fresh topic has one, and a run needs no more, since nothing but its
+/// own order is kept.
 pub(crate) struct Shipper {
     ends: Mutex<Ends>,
+    /// Hand-offs the broker refused, wholly or in part.
+    failures: AtomicU64,
 }
 
 /// Where the run's next records go.
@@ -173,67 +179,42 @@ struct Ends {
 struct Numbering {
     /// The topic's name, shared by every record of it.
     topic: Arc<str>,
-    /// Each partition's end: the offset of its next record.
-    ends: Vec<u64>,
-    /// Where the next keyless record goes: round robin, the log's rule.
-    keyless: u32,
+    /// The offset of its next record.
+    end: u64,
 }
 
 impl Numbering {
     /// `topic` as the broker holds it at launch: a fresh topic — the
-    /// common case, one request — has one partition and nothing in it.
-    /// A topic with records (a pinned run id used before) keeps its
-    /// partitions, each numbered on from its end; for a topic of more
-    /// than one, each end is searched for by fetch.
+    /// common case, one request — has nothing in it; one with records (a
+    /// pinned run id used before) is numbered on from its end.
+    ///
+    /// # Panics
+    ///
+    /// If `topic` holds records over more than one partition: its
+    /// partition 0 ends at an offset its record count does not tell.
     fn learn(broker: &dyn Broker, topic: &str) -> Numbering {
-        let retained = broker.retained(topic);
-        let partitions = match retained {
-            0 => 1,
-            _ => broker.partitions(topic),
-        };
-        let ends = match partitions {
-            1 => vec![retained],
-            _ => (0..partitions)
-                .map(|p| {
-                    let (mut lo, mut hi) = (0, retained);
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        match broker.fetch(topic, p, mid, 1) {
-                            Ok(page) if !page.is_empty() => lo = mid + 1,
-                            _ => hi = mid,
-                        }
-                    }
-                    lo
-                })
-                .collect(),
-        };
+        let end = broker.retained(topic);
+        if end > 0 {
+            let partitions = broker.partitions(topic);
+            assert!(
+                partitions == 1,
+                "cannot launch: {topic:?} holds {end} records over {partitions} partitions, \
+                 and an unsharded run writes one"
+            );
+        }
         Numbering {
             topic: Arc::from(topic),
-            ends,
-            keyless: 0,
+            end,
         }
     }
 
-    /// The partition a record keyed `key` goes to.
-    fn partition(&self, key: Option<&[u8]>) -> u32 {
-        let partitions = self.ends.len() as u32;
-        key.map_or(self.keyless % partitions, |key| {
-            partition_of(key, partitions)
-        })
-    }
-
-    /// Number the next record: its partition's end, which moves on.
+    /// Number the next record: the topic's end, which moves on.
     fn number(&mut self, key: Option<Bytes>, payload: Bytes) -> Message {
-        let partition = self.partition(key.as_deref());
-        if key.is_none() {
-            self.keyless = self.keyless.wrapping_add(1);
-        }
-        let end = &mut self.ends[partition as usize];
-        let offset = *end;
-        *end += 1;
+        let offset = self.end;
+        self.end += 1;
         Message {
             topic: self.topic.clone(),
-            partition,
+            partition: 0,
             offset,
             key,
             payload,
@@ -250,18 +231,16 @@ impl Shipper {
                 inbox: Numbering::learn(broker, ns.inbox()),
                 status: Numbering::learn(broker, ns.status()),
             }),
+            failures: AtomicU64::new(0),
         }
-    }
-
-    /// The partition of the inbox that holds the records keyed `key`.
-    pub fn inbox_partition(&self, key: &[u8]) -> u32 {
-        self.ends.lock().inbox.partition(Some(key))
     }
 
     /// Number `batch`, hand it to `broker` and `deliver` each record with
     /// its offset, in batch order, all under the writer's one lock. A
     /// record the broker refuses is still delivered: the run goes on,
-    /// and the broker's client reports the loss on its next flush.
+    /// and the refusal is counted ([`Shipper::failures`]) — or, over a
+    /// connection, put on the client's loss ledger when the daemon
+    /// refuses it later.
     pub fn ship(
         &self,
         broker: &dyn Broker,
@@ -283,10 +262,17 @@ impl Shipper {
                 message
             })
             .collect();
-        let _ = broker.append_many(records);
+        if broker.append_many(records).is_err() {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+        }
         for (record, offset) in batch.into_iter().zip(offsets) {
             deliver(record, offset);
         }
+    }
+
+    /// How many hand-offs the broker refused, wholly or in part.
+    pub fn failures(&self) -> u64 {
+        self.failures.load(Ordering::Relaxed)
     }
 }
 

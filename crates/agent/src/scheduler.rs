@@ -65,13 +65,13 @@
 //!   worker that observes the death starts it on the spot; a death by a
 //!   refill that could not read the log is final.
 //!
-//! A refill reads the agent's partition of the inbox
-//! ([`ginflow_mq::partition_of`] its name) from the first offset up to
-//! the first message its queue holds — a key is delivered in log order,
-//! so everything after that one is queued live — or to the end when its
-//! queue is empty (an unsharded run first waits until the broker has
-//! receipted every record it shipped: the broker's log is the one it
-//! reads); a rehydration stops sooner, past
+//! A refill reads the agent's partition of the inbox — a shard's
+//! [`ginflow_mq::partition_of`] its name, an unsharded run's one — from
+//! the first offset up to the first message its queue holds — a key is
+//! delivered in log order, so everything after that one is queued live
+//! — or to the end when its queue is empty (an unsharded run first
+//! waits until the broker has receipted every record it shipped: the
+//! broker's log is the one it reads); a rehydration stops sooner, past
 //! the last message its tombstone handled (at once, for an agent that
 //! handled none). Every queued message carries its offset, so the
 //! refill drops what the demultiplexer queued meanwhile up to where it
@@ -110,8 +110,9 @@
 //! that thread nothing it would notice. Teardown publishes nothing and
 //! has no thread to wake through the broker: a shard's clears the
 //! wakers, an unsharded run's waits for the receipt of every record it
-//! shipped ([`Broker::flush`]), so `join` returns with the broker's log
-//! of the run complete.
+//! shipped ([`Broker::wait_appended`], which leaves the loss ledger of
+//! a client the run shares to its user), so `join` returns with the
+//! broker's log of the run complete.
 //!
 //! ## Teardown gives the log back
 //!
@@ -329,6 +330,9 @@ impl RunControl for WorkflowRun {
         }
         report.resident_peak = self.inner.agents.lock().peak;
         report.rehydrations = self.inner.rehydrations.load(Ordering::Relaxed);
+        if let Feed::Own(shipper) = &self.inner.feed {
+            report.ship_failures = shipper.failures();
+        }
     }
 
     /// Tear down: every queued agent turn observes the shutdown flag and
@@ -362,8 +366,9 @@ impl RunControl for WorkflowRun {
             }
             Feed::Own(_) => {
                 // Every record shipped is receipted before the run ends:
-                // a daemon's log of the run is then complete.
-                let _ = self.inner.broker.flush();
+                // a daemon's log of the run is then complete. The loss
+                // ledger is the client's user's to read, not the run's.
+                let _ = self.inner.broker.wait_appended();
                 self.inner.broker.delete_topic(self.inner.ns.inbox());
                 self.inner.broker.delete_topic(self.inner.ns.status());
             }
@@ -822,11 +827,12 @@ impl PoolInner {
         let inbox = self.ns.inbox();
         let key = self.workflow.dag().name_of(slot.task).as_bytes();
         let partition = match &self.feed {
-            // What the run shipped is read back once the broker has
-            // receipted it.
-            Feed::Own(shipper) => {
-                self.broker.flush()?;
-                shipper.inbox_partition(key)
+            // What the run shipped is read back, from the one partition
+            // it writes, once the broker has receipted it. A wait that
+            // runs out leaves it to the fetch to tell.
+            Feed::Own(_) => {
+                let _ = self.broker.wait_appended();
+                0
             }
             Feed::Subscribed { .. } => ginflow_mq::partition_of(key, self.broker.partitions(inbox)),
         };

@@ -724,6 +724,65 @@ fn a_respawned_agent_replays_only_its_own_key_in_log_order() {
     run.shutdown();
 }
 
+#[test]
+fn an_unsharded_respawn_replays_only_its_own_key_from_what_the_run_shipped() {
+    // An unsharded run writes its inbox alone, so the log a respawned
+    // agent is refilled from holds what the run shipped and nothing
+    // else. `p` sends its result to `b` — killed, so it drops it — and
+    // `q` its own to `c`, both on the inbox's one partition. Respawned
+    // once `c` has completed, `b` reads back its own message and not
+    // `c`'s: its service runs once, on `p`'s result alone.
+    let (gate, opened) = std::sync::mpsc::channel();
+    let (mut registry, calls) = counted_registry(&["sp", "sq", "sb", "sc"]);
+    registry.register(
+        "gate",
+        Arc::new(Gated(
+            ginflow_core::TraceService::new("gate"),
+            Mutex::new(opened),
+        )),
+    );
+    let mut b = WorkflowBuilder::new("own-key-replay");
+    b.task("a", "gate").input(Value::str("x"));
+    b.task("p", "sp").after(["a"]);
+    b.task("q", "sq").after(["a"]);
+    b.task("b", "sb").after(["p"]);
+    b.task("c", "sc").after(["q"]);
+    let broker = Arc::new(LogBroker::new());
+    let scheduler = Scheduler::new(broker.clone(), Arc::new(registry)).with_options(pool_options());
+    let run = scheduler.launch(&b.build().unwrap());
+    // Declared after the run, so a failing assertion drops the gate
+    // first and teardown does not wait on the parked service.
+    let gate = gate;
+    assert!(run.kill("b"));
+    gate.send(()).unwrap();
+    let deadline = std::time::Instant::now() + WAIT;
+    while run.report().state_of("c") != TaskState::Completed {
+        assert!(std::time::Instant::now() < deadline, "c never completed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let inbox = TopicNamespace::new(RunId::new(run.run_id()).unwrap())
+        .inbox()
+        .to_owned();
+    let mut keys: Vec<String> = broker
+        .fetch(&inbox, 0, 0, usize::MAX)
+        .unwrap()
+        .iter()
+        .map(|m| String::from_utf8_lossy(m.key.as_deref().unwrap()).into_owned())
+        .collect();
+    keys.sort();
+    assert_eq!(keys, ["b", "c", "p", "q"], "one partition, every key");
+    assert_eq!(calls["sb"].load(Ordering::SeqCst), 0, "b was dead");
+
+    assert!(run.respawn("b"));
+    assert_eq!(run.incarnation("b"), 1);
+    let results = run.wait(WAIT).expect("the run completes");
+    assert_eq!(results["b"], Value::Str("sb(sp(gate(x)))".into()));
+    assert_eq!(results["c"], Value::Str("sc(sq(gate(x)))".into()));
+    assert_eq!(calls["sb"].load(Ordering::SeqCst), 1);
+    run.shutdown();
+}
+
 /// A service that says when it is entered, then parks until the test
 /// opens the gate.
 struct Parked {
@@ -1317,6 +1376,170 @@ fn a_message_the_refill_read_is_handled_once() {
         }
         assert_eq!(to_standby(), 1, "{arrival:?}");
         assert_eq!(run.report().rehydrations, 1);
+        run.shutdown();
+    }
+}
+
+/// An unsharded run's log, on which a refill's fetch can run ahead of
+/// the hand-off of a record keyed `T1`: while `race` is set, that
+/// hand-off lands in the log, then waits until a fetch has read the
+/// log before it returns — and with it the shipper, which delivers the
+/// record only then — and a fetch waits until it has landed.
+#[derive(Default)]
+struct RacingBroker {
+    log: LogBroker,
+    race: AtomicBool,
+    state: Mutex<Race>,
+    changed: std::sync::Condvar,
+}
+
+#[derive(Default)]
+struct Race {
+    /// The raced record is in the log.
+    landed: bool,
+    /// A fetch read the log after it landed.
+    read: bool,
+    /// Fetches made so far.
+    fetches: usize,
+}
+
+impl Broker for RacingBroker {
+    fn publish(
+        &self,
+        topic: &str,
+        key: Option<bytes::Bytes>,
+        payload: bytes::Bytes,
+    ) -> Result<Receipt, MqError> {
+        self.log.publish(topic, key, payload)
+    }
+
+    fn append_many(&self, batch: Vec<Message>) -> Result<(), MqError> {
+        let raced = self.race.load(Ordering::SeqCst)
+            && batch
+                .iter()
+                .any(|m| m.key.as_deref() == Some(b"T1".as_slice()));
+        let appended = self.log.append_many(batch);
+        if raced {
+            let mut state = self.state.lock().unwrap();
+            state.landed = true;
+            self.changed.notify_all();
+            let _ = self
+                .changed
+                .wait_timeout_while(state, WAIT, |s| !s.read)
+                .unwrap();
+        }
+        appended
+    }
+
+    fn subscribe(&self, topic: &str, mode: SubscribeMode) -> Result<Subscription, MqError> {
+        self.log.subscribe(topic, mode)
+    }
+
+    fn fetch(
+        &self,
+        topic: &str,
+        partition: u32,
+        from_offset: u64,
+        max: usize,
+    ) -> Result<Vec<Message>, MqError> {
+        let mut state = self.state.lock().unwrap();
+        if self.race.load(Ordering::SeqCst) {
+            state = self
+                .changed
+                .wait_timeout_while(state, WAIT, |s| !s.landed)
+                .unwrap()
+                .0;
+        }
+        let page = self.log.fetch(topic, partition, from_offset, max);
+        state.read |= state.landed;
+        state.fetches += 1;
+        self.changed.notify_all();
+        page
+    }
+
+    fn partitions(&self, topic: &str) -> u32 {
+        self.log.partitions(topic)
+    }
+
+    fn retained(&self, topic: &str) -> u64 {
+        self.log.retained(topic)
+    }
+}
+
+#[test]
+fn an_unsharded_refill_handles_a_message_it_read_ahead_of_its_delivery_once() {
+    // The run ships T0's result to a respawned T1 whose refill reads the
+    // log: either while the hand-off has landed but not yet returned —
+    // the record is read back from the log, then delivered — or before
+    // it landed, the record then reaching T1 live. Two workers: T0 runs
+    // on one and T1 on the other. Each way T1 handles the result once,
+    // completes and is evicted before T3, on its worker, fails. The
+    // ADAPT that T3's failure sends T1 rehydrates it with that one
+    // message muted and the ADAPT live, so T1 resends its result to the
+    // standby T3'. Had it counted two, the ADAPT would be muted too, and
+    // the run would never complete.
+    for during in [true, false] {
+        let (gate, opened) = std::sync::mpsc::channel::<()>();
+        let (entering, entered) = std::sync::mpsc::channel::<()>();
+        let mut registry = ServiceRegistry::tracing_for(["s1", "s2", "s3p", "s4"]);
+        registry.register("s3", Arc::new(FailingService));
+        registry.register(
+            "s0",
+            Arc::new(Signalled(
+                ginflow_core::TraceService::new("s0"),
+                Mutex::new(entering),
+                Mutex::new(opened),
+            )),
+        );
+        let mut b = WorkflowBuilder::new("fig5-raced");
+        b.task("T0", "s0").input(Value::str("input"));
+        b.task("T1", "s1").after(["T0"]);
+        b.task("T2", "s2").after(["T1"]);
+        b.task("T3", "s3").after(["T1"]);
+        b.task("T4", "s4").after(["T2", "T3"]);
+        b.adaptation(
+            "replace-T3",
+            ["T3"],
+            ["T3"],
+            [ReplacementTask::new("T3'", "s3p", ["T1"])],
+        );
+        let wf = b.build().unwrap();
+        for (task, worker) in [("T0", 1), ("T1", 0), ("T3", 0)] {
+            assert_eq!(
+                ginflow_agent::scheduler::process_shard(task, 2),
+                worker,
+                "{task}"
+            );
+        }
+        let broker = Arc::new(RacingBroker::default());
+        broker.race.store(during, Ordering::SeqCst);
+        let scheduler =
+            Scheduler::new(broker.clone(), Arc::new(registry)).with_options(pool_options());
+        let run = scheduler.launch(&wf);
+        let gate = gate;
+        entered.recv_timeout(WAIT).expect("T0 enters s0");
+        assert!(run.respawn("T1"));
+        if !during {
+            // The refill has read the empty log before T0 ships.
+            let state = broker.state.lock().unwrap();
+            drop(
+                broker
+                    .changed
+                    .wait_timeout_while(state, WAIT, |s| s.fetches == 0)
+                    .unwrap(),
+            );
+        }
+        gate.send(()).unwrap();
+        let results = run.wait(WAIT).expect("the run completes");
+        assert_eq!(
+            results["T4"],
+            Value::Str("s4(s2(s1(s0(input))),s3p(s1(s0(input))))".into()),
+            "during: {during}"
+        );
+        let state = broker.state.lock().unwrap();
+        assert_eq!(state.read, during, "the fetch read the landed record");
+        drop(state);
+        assert_eq!(run.report().rehydrations, 1, "during: {during}");
         run.shutdown();
     }
 }

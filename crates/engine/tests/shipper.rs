@@ -35,6 +35,10 @@ impl Broker for Recorder {
         self.inner.append_many(batch)
     }
 
+    fn wait_appended(&self) -> Result<(), MqError> {
+        self.inner.wait_appended()
+    }
+
     fn flush(&self) -> Result<(), MqError> {
         self.inner.flush()
     }
@@ -62,14 +66,32 @@ impl Broker for Recorder {
     }
 }
 
-/// The daemon's log, counting the subscriptions the daemon opens on it.
+/// The daemon's log, counting the subscriptions the daemon opens on it
+/// and refusing every publish to [`REFUSED`].
 struct Counted {
     log: Arc<LogBroker>,
     subscribes: AtomicUsize,
 }
 
+/// The topic whose publishes [`Counted`] refuses.
+const REFUSED: &str = "refused";
+
+impl Counted {
+    fn new(log: Arc<LogBroker>) -> Counted {
+        Counted {
+            log,
+            subscribes: AtomicUsize::new(0),
+        }
+    }
+}
+
 impl Broker for Counted {
     fn publish(&self, topic: &str, key: Option<Bytes>, payload: Bytes) -> Result<Receipt, MqError> {
+        if topic == REFUSED {
+            return Err(MqError::Remote {
+                message: format!("{REFUSED} takes no publish"),
+            });
+        }
         self.log.publish(topic, key, payload)
     }
 
@@ -167,10 +189,7 @@ fn assert_replica(daemon: &LogBroker, run: &str, shipped: &[Message], context: &
 #[test]
 fn an_unsharded_chain_opens_no_subscription_gets_no_events_and_leaves_a_replica() {
     let log = Arc::new(LogBroker::new());
-    let daemon = Arc::new(Counted {
-        log: log.clone(),
-        subscribes: AtomicUsize::new(0),
-    });
+    let daemon = Arc::new(Counted::new(log.clone()));
     let server = Arc::new(BrokerServer::bind("127.0.0.1:0", daemon.clone()).unwrap());
     // Every run in this binary is unsharded, so no test moves this.
     let fanout = counter("gf_loop_fanout_messages_total");
@@ -210,44 +229,32 @@ fn a_replica_is_exact_across_severed_links() {
 }
 
 #[test]
-fn a_reused_run_id_numbers_on_from_where_each_partition_ends() {
-    // A pinned run id whose topics hold records already — another run's
-    // and a foreign writer's, over two partitions — learns each
-    // partition's end at launch: every record it ships lands at the
-    // offset it numbered, after what was there.
-    let log = Arc::new(LogBroker::with_default_partitions(2));
+fn a_reused_run_id_numbers_on_from_where_its_topics_end() {
+    // A pinned run id whose topics hold records already — a foreign
+    // writer's, then another run's — learns each topic's end at launch:
+    // every record it ships lands at the offset it numbered, after what
+    // was there.
+    let log = Arc::new(LogBroker::new());
     let ns = TopicNamespace::new(RunId::new("reused").unwrap());
     let mut before = Vec::new();
-    for (i, key) in ["a", "b", "c", "d", "e"].into_iter().enumerate() {
+    for (topic, key, i) in [
+        (ns.inbox(), Some("a"), 0),
+        (ns.inbox(), Some("b"), 1),
+        (ns.inbox(), Some("c"), 2),
+        (ns.status(), None, 0),
+        (ns.status(), None, 1),
+    ] {
+        let key = key.map(Bytes::from);
         let payload = Bytes::from(format!("noise {i}"));
-        let receipt = log
-            .publish(ns.inbox(), Some(Bytes::from(key)), payload.clone())
-            .unwrap();
+        let receipt = log.publish(topic, key.clone(), payload.clone()).unwrap();
         before.push(Message {
-            topic: ns.inbox().into(),
+            topic: topic.into(),
             partition: receipt.partition,
             offset: receipt.offset,
-            key: Some(Bytes::from(key)),
+            key,
             payload,
         });
     }
-    for i in 0..3 {
-        let payload = Bytes::from(format!("status noise {i}"));
-        let receipt = log.publish(ns.status(), None, payload.clone()).unwrap();
-        before.push(Message {
-            topic: ns.status().into(),
-            partition: receipt.partition,
-            offset: receipt.offset,
-            key: None,
-            payload,
-        });
-    }
-    let filled = |topic: &str| {
-        let filled = |p| !log.fetch(topic, p, 0, 1).unwrap().is_empty();
-        (0..2).filter(|&p| filled(p)).count()
-    };
-    assert_eq!(filled(ns.inbox()), 2, "noise in both inbox partitions");
-    assert_eq!(filled(ns.status()), 2, "noise in both status partitions");
 
     let server = Arc::new(BrokerServer::bind("127.0.0.1:0", log.clone()).unwrap());
     let dial = server.clone();
@@ -262,6 +269,138 @@ fn a_reused_run_id_numbers_on_from_where_each_partition_ends() {
     let all: Vec<Message> = [before, first, second].concat();
     assert_replica(&log, "reused", &all, "a run id used three times");
     server.stop();
+}
+
+#[test]
+#[should_panic(expected = "over 2 partitions")]
+fn a_reused_run_id_over_two_partitions_is_refused_at_launch() {
+    // Where the inbox's partition 0 ends, its record count cannot tell.
+    let log = Arc::new(LogBroker::with_default_partitions(2));
+    let ns = TopicNamespace::new(RunId::new("split").unwrap());
+    log.publish(ns.inbox(), None, Bytes::from_static(b"noise"))
+        .unwrap();
+    run_chain(log, "split", 2);
+}
+
+#[test]
+fn a_publish_lost_on_a_shared_client_kills_no_agent_and_stays_on_its_ledger() {
+    // The client's user publishes, pipelined, to a topic the daemon
+    // refuses: the loss is on the client's ledger when a run on the same
+    // client respawns an agent. The agent's refill waits for the run's
+    // receipts only — it neither fails on the user's loss nor clears it
+    // — so the agent lives and the run completes, and the user's flush
+    // still reports the loss.
+    let log = Arc::new(LogBroker::new());
+    let server =
+        Arc::new(BrokerServer::bind("127.0.0.1:0", Arc::new(Counted::new(log.clone()))).unwrap());
+    let dial = server.clone();
+    let client =
+        Arc::new(RemoteBroker::connect_with(Box::new(move || dial.connect_in_process())).unwrap());
+    let (gate, parked) = channel();
+    let mut registry = ServiceRegistry::tracing_for(["s"]);
+    registry.register(
+        "gate",
+        Arc::new(Gated(TraceService::new("gate"), Mutex::new(parked))),
+    );
+    // `source` and `join` run on different workers of the two.
+    let mut b = WorkflowBuilder::new("ledger");
+    b.task("source", "gate").input(Value::str("x"));
+    b.task("join", "s").after(["source"]);
+    let run = Engine::builder()
+        .broker(client.clone())
+        .registry(Arc::new(registry))
+        .workers(2)
+        .run_id(RunId::new("ledger").unwrap())
+        .deadline(Duration::from_secs(20))
+        .build()
+        .launch(&b.build().unwrap());
+    let gate = gate;
+    client
+        .publish_nowait(REFUSED, None, Bytes::from_static(b"lost"))
+        .unwrap();
+    // A request answered after the refusal: the loss is on the ledger.
+    client.retained(REFUSED);
+    assert!(run.respawn("join"));
+    gate.send(()).unwrap();
+    let report = run.join();
+    assert!(report.completed, "{report:?}");
+    assert_eq!(report.tasks["join"].incarnation, 1);
+    assert_eq!(report.ship_failures, 0);
+    match client.flush() {
+        Err(MqError::Remote { message }) => {
+            assert!(message.starts_with("1 pipelined"), "{message}")
+        }
+        other => panic!("the user's loss went unreported: {other:?}"),
+    }
+    server.stop();
+}
+
+#[test]
+fn a_record_another_writer_displaced_is_reported_not_acked() {
+    // A second writer takes offset 0 of a running unsharded run's inbox
+    // before the run ships its first inbox record there. The broker
+    // keeps the other writer's record and refuses the run's: in process
+    // the refusal is the hand-off's error, which the report counts; over
+    // a connection the daemon answers it with an ERROR, which lands on
+    // the client's loss ledger. Either way the run itself, which
+    // delivered the record in process, completes.
+    for remote in [false, true] {
+        let log = Arc::new(LogBroker::new());
+        let server = Arc::new(BrokerServer::bind("127.0.0.1:0", log.clone()).unwrap());
+        let dial = server.clone();
+        let client = Arc::new(
+            RemoteBroker::connect_with(Box::new(move || dial.connect_in_process())).unwrap(),
+        );
+        let broker: Arc<dyn Broker> = match remote {
+            true => client.clone(),
+            false => log.clone(),
+        };
+        let (gate, parked) = channel();
+        let mut registry = ServiceRegistry::tracing_for(["s"]);
+        registry.register(
+            "gate",
+            Arc::new(Gated(TraceService::new("gate"), Mutex::new(parked))),
+        );
+        let mut b = WorkflowBuilder::new("displaced");
+        b.task("source", "gate").input(Value::str("x"));
+        b.task("join", "s").after(["source"]);
+        let run = Engine::builder()
+            .broker(broker)
+            .registry(Arc::new(registry))
+            .workers(1)
+            .run_id(RunId::new("displaced").unwrap())
+            .deadline(Duration::from_secs(20))
+            .build()
+            .launch(&b.build().unwrap());
+        let gate = gate;
+        let inbox = TopicNamespace::new(RunId::new("displaced").unwrap())
+            .inbox()
+            .to_owned();
+        log.publish(&inbox, None, Bytes::from_static(b"other"))
+            .unwrap();
+        gate.send(()).unwrap();
+        run.wait(Duration::from_secs(20))
+            .expect("the run completes");
+        // Read before `join`, whose teardown deletes an in-process run's
+        // topics.
+        let first = log.fetch(&inbox, 0, 0, 1).unwrap();
+        assert_eq!(&first[0].payload[..], b"other", "remote: {remote}");
+        let report = run.join();
+        assert!(report.completed, "remote: {remote}: {report:?}");
+        match remote {
+            false => assert_eq!(report.ship_failures, 1),
+            true => {
+                assert_eq!(report.ship_failures, 0);
+                match client.flush() {
+                    Err(MqError::Remote { message }) => {
+                        assert!(message.starts_with("1 pipelined"), "{message}")
+                    }
+                    other => panic!("the refusal went unreported: {other:?}"),
+                }
+            }
+        }
+        server.stop();
+    }
 }
 
 /// A service that answers once the test lets it.

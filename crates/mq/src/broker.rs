@@ -92,15 +92,21 @@ pub trait Broker: Send + Sync {
     /// the partition it names, at the offset it carries — the writer
     /// numbered it, and ships its records in log order.
     ///
-    /// * **Exact.** A record whose offset is below its partition's end is
-    ///   in the log already (a re-send after a lost receipt) and is not
-    ///   appended again; one above the end would leave a gap and is
-    ///   refused ([`MqError::OffsetGap`]). So a writer that re-sends
-    ///   whatever it has no receipt for leaves the log with no gap and
-    ///   no duplicate.
+    /// * **Exact.** A record whose offset is below its partition's end
+    ///   is in the log already when the record there has its key and
+    ///   payload (a re-send after a lost receipt), and is not appended
+    ///   again; another record there means another writer moved the
+    ///   end, and refuses it ([`MqError::OffsetTaken`]). One above the
+    ///   end would leave a gap and is refused ([`MqError::OffsetGap`]).
+    ///   So a writer that re-sends whatever it has no receipt for leaves
+    ///   the log with no gap and no duplicate, and learns of any writer
+    ///   that got in its way.
     /// * **Receipted.** Pipelined like [`Broker::publish_many_nowait`]:
     ///   the call returns once the batch is handed over, and
-    ///   [`Broker::flush`] waits until every record is receipted.
+    ///   [`Broker::wait_appended`] waits until every record is
+    ///   receipted. A refused record fails alone, like a publish, and
+    ///   goes where a lost publish goes: the call's error in process,
+    ///   the client's loss ledger over a connection.
     /// * **Default.** [`Broker::publish_many_nowait`] of the records'
     ///   topics, keys and payloads: the broker numbers them itself, which
     ///   gives the same offsets when the caller is indeed the only
@@ -113,6 +119,22 @@ pub trait Broker: Send + Sync {
                 .map(|m| (m.topic.to_string(), m.key, m.payload))
                 .collect(),
         )
+    }
+
+    /// Block until every record handed to [`Broker::append_many`]
+    /// before the call is receipted — in the log, or refused — so that a
+    /// [`Broker::fetch`] made next reads all of them that landed. Unlike
+    /// [`Broker::flush`] it waits for no plain publish and leaves the
+    /// loss ledger alone: a writer that reads back its own records does
+    /// not take another caller's report of a lost publish. An error is
+    /// a wait that ran out; the records stay where they were.
+    ///
+    /// The default has nothing to wait for: an in-process log has
+    /// appended by the time `append_many` returns, and a wrapper that
+    /// publishes what it is handed (`append_many`'s default) hands each
+    /// record to its connection ahead of any later fetch.
+    fn wait_appended(&self) -> Result<(), MqError> {
+        Ok(())
     }
 
     /// Block until every pipelined [`Broker::publish_nowait`] has been

@@ -53,6 +53,17 @@ pub enum MqError {
         /// The partition's end: the offset its next record takes.
         end: u64,
     },
+    /// A [`Broker::append_many`](crate::Broker::append_many) record's
+    /// offset is below its partition's end, and the record there is
+    /// another: a second writer moved the end.
+    OffsetTaken {
+        /// Topic name.
+        topic: String,
+        /// The record's partition.
+        partition: u32,
+        /// The record's offset.
+        offset: u64,
+    },
     /// A run id or task name was rejected at the topic boundary (empty,
     /// or containing a path separator / whitespace) — publishing under
     /// it would silently collide or split namespaces.
@@ -94,6 +105,14 @@ impl fmt::Display for MqError {
             } => write!(
                 f,
                 "offset {offset} of {topic:?} partition {partition} is past its end {end}"
+            ),
+            MqError::OffsetTaken {
+                topic,
+                partition,
+                offset,
+            } => write!(
+                f,
+                "offset {offset} of {topic:?} partition {partition} holds another record"
             ),
             MqError::InvalidTopic { what, name, reason } => {
                 write!(f, "invalid {what} {name:?}: {reason}")

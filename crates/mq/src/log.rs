@@ -198,6 +198,16 @@ impl PartitionLog {
             })
             .collect())
     }
+
+    /// Whether the record at `record.offset` has `record`'s key and
+    /// payload. One no longer retained anywhere cannot be told apart,
+    /// and counts as the same.
+    fn holds(&self, name: &Arc<str>, record: &Message) -> Result<bool, MqError> {
+        let there = self.read(name, record.partition, record.offset, 1)?;
+        Ok(there
+            .first()
+            .is_none_or(|m| m.key == record.key && m.payload == record.payload))
+    }
 }
 
 /// One topic: its partitions' logs and its live subscribers. A publish
@@ -383,8 +393,9 @@ impl LogBroker {
     }
 
     /// One record of [`Broker::append_many`], under the topic map's lock:
-    /// appended and fanned out at its partition's end, skipped below it,
-    /// refused past it.
+    /// appended and fanned out at its partition's end; below it, skipped
+    /// if the record there is the same and refused if not; refused past
+    /// it.
     fn append(
         &self,
         topics: &mut HashMap<String, TopicState>,
@@ -403,7 +414,14 @@ impl LogBroker {
         let end = part.next_offset();
         if record.offset != end {
             if record.offset < end {
-                return Ok(());
+                return match part.holds(&state.name, &record)? {
+                    true => Ok(()),
+                    false => Err(MqError::OffsetTaken {
+                        topic: record.topic.to_string(),
+                        partition,
+                        offset: record.offset,
+                    }),
+                };
             }
             return Err(MqError::OffsetGap {
                 topic: record.topic.to_string(),
@@ -817,6 +835,16 @@ mod tests {
             numbered(1, 2, "d"),
         ];
         b.append_many(resent).unwrap();
+        // Below the end, another record than the one there is refused.
+        let taken = b.append_many(vec![numbered(1, 1, "z")]);
+        assert_eq!(
+            taken,
+            Err(MqError::OffsetTaken {
+                topic: "t".into(),
+                partition: 1,
+                offset: 1
+            })
+        );
         let gap = b.append_many(vec![numbered(0, 5, "e"), numbered(0, 1, "f")]);
         assert_eq!(
             gap,

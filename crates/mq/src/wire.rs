@@ -37,10 +37,9 @@
 //!   0x0A APPEND        seq:u64 message
 //!                      (the only writer's record, at the partition and
 //!                       offset it numbered: appended at the partition's
-//!                       end, skipped below it, refused past it; acked in
-//!                       a RECEIPT_LIST whose offset is the record's when
-//!                       it is in the log, the partition's end when
-//!                       refused)
+//!                       end; below it, acked if the record there is the
+//!                       same and refused with ERROR if not; past it,
+//!                       refused with a RECEIPT_LIST naming the end)
 //!
 //! server → client:
 //!   0x82 SUBSCRIBED    seq:u64 sub:u64 resume:u64
@@ -240,10 +239,12 @@ pub enum Frame {
     },
     /// Append a record its topic's only writer numbered (client →
     /// server): at `record.offset` of `record.partition`, if that is the
-    /// partition's end; a record below the end is in the log already,
-    /// one past it is refused. Acked like a publish, in a
-    /// [`Frame::ReceiptList`]: the receipt's offset is the record's when
-    /// the record is in the log, the partition's end when refused.
+    /// partition's end. Below the end the same record is in the log
+    /// already; another record there refuses it with an
+    /// [`Frame::Error`]. Past the end it is refused too. Acked like a
+    /// publish, in a [`Frame::ReceiptList`]: the receipt's offset is the
+    /// record's when the record is in the log, the partition's end when
+    /// it would leave a gap.
     Append {
         /// Correlation id.
         seq: u64,
@@ -393,16 +394,7 @@ impl Frame {
     /// [`MAX_FRAME`].
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut buf = Vec::with_capacity(64);
-        self.encode_into(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// [`Frame::encode`] appended to `buf`, which a writer that queues
-    /// many frames reuses; returns the frame's length. An oversized
-    /// frame leaves `buf` as it was.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<usize, WireError> {
-        let start = buf.len();
-        put_u32(buf, 0); // length placeholder
+        put_u32(&mut buf, 0); // length placeholder
         match self {
             Frame::Publish {
                 seq,
@@ -411,21 +403,21 @@ impl Frame {
                 payload,
             } => {
                 buf.push(0x01);
-                put_u64(buf, *seq);
-                put_str(buf, topic);
-                put_opt_bytes(buf, key);
-                put_bytes(buf, payload);
+                put_u64(&mut buf, *seq);
+                put_str(&mut buf, topic);
+                put_opt_bytes(&mut buf, key);
+                put_bytes(&mut buf, payload);
             }
             Frame::Subscribe { seq, topic, mode } => {
                 buf.push(0x02);
-                put_u64(buf, *seq);
-                put_str(buf, topic);
-                put_mode(buf, *mode);
+                put_u64(&mut buf, *seq);
+                put_str(&mut buf, topic);
+                put_mode(&mut buf, *mode);
             }
             Frame::Unsubscribe { seq, sub } => {
                 buf.push(0x03);
-                put_u64(buf, *seq);
-                put_u64(buf, *sub);
+                put_u64(&mut buf, *seq);
+                put_u64(&mut buf, *sub);
             }
             Frame::Fetch {
                 seq,
@@ -435,51 +427,51 @@ impl Frame {
                 max,
             } => {
                 buf.push(0x04);
-                put_u64(buf, *seq);
-                put_str(buf, topic);
-                put_u32(buf, *partition);
-                put_u64(buf, *from);
-                put_u32(buf, *max);
+                put_u64(&mut buf, *seq);
+                put_str(&mut buf, topic);
+                put_u32(&mut buf, *partition);
+                put_u64(&mut buf, *from);
+                put_u32(&mut buf, *max);
             }
             Frame::Info { seq, topic } => {
                 buf.push(0x05);
-                put_u64(buf, *seq);
-                put_str(buf, topic);
+                put_u64(&mut buf, *seq);
+                put_str(&mut buf, topic);
             }
             Frame::RunList { seq } => {
                 buf.push(0x06);
-                put_u64(buf, *seq);
+                put_u64(&mut buf, *seq);
             }
             Frame::RunClose { seq, run } => {
                 buf.push(0x07);
-                put_u64(buf, *seq);
-                put_str(buf, run);
+                put_u64(&mut buf, *seq);
+                put_str(&mut buf, run);
             }
             Frame::RunGc { seq } => {
                 buf.push(0x08);
-                put_u64(buf, *seq);
+                put_u64(&mut buf, *seq);
             }
             Frame::Stats { seq } => {
                 buf.push(0x09);
-                put_u64(buf, *seq);
+                put_u64(&mut buf, *seq);
             }
             Frame::Append { seq, record } => {
                 buf.push(0x0A);
-                put_u64(buf, *seq);
-                put_message(buf, record);
+                put_u64(&mut buf, *seq);
+                put_message(&mut buf, record);
             }
             Frame::Subscribed { seq, sub, resume } => {
                 buf.push(0x82);
-                put_u64(buf, *seq);
-                put_u64(buf, *sub);
-                put_u64(buf, *resume);
+                put_u64(&mut buf, *seq);
+                put_u64(&mut buf, *sub);
+                put_u64(&mut buf, *resume);
             }
             Frame::Messages { seq, messages } => {
                 buf.push(0x83);
-                put_u64(buf, *seq);
-                put_u32(buf, messages.len() as u32);
+                put_u64(&mut buf, *seq);
+                put_u32(&mut buf, messages.len() as u32);
                 for m in messages {
-                    put_message(buf, m);
+                    put_message(&mut buf, m);
                 }
             }
             Frame::InfoReply {
@@ -489,41 +481,41 @@ impl Frame {
                 retained,
             } => {
                 buf.push(0x84);
-                put_u64(buf, *seq);
+                put_u64(&mut buf, *seq);
                 buf.push(u8::from(*persistent));
-                put_u32(buf, *partitions);
-                put_u64(buf, *retained);
+                put_u32(&mut buf, *partitions);
+                put_u64(&mut buf, *retained);
             }
             Frame::Error { seq, message } => {
                 buf.push(0x85);
-                put_u64(buf, *seq);
-                put_str(buf, message);
+                put_u64(&mut buf, *seq);
+                put_str(&mut buf, message);
             }
             Frame::RunListReply { seq, runs } => {
                 buf.push(0x86);
-                put_u64(buf, *seq);
-                put_u32(buf, runs.len() as u32);
+                put_u64(&mut buf, *seq);
+                put_u32(&mut buf, runs.len() as u32);
                 for r in runs {
-                    put_str(buf, &r.run);
-                    put_u32(buf, r.topics);
-                    put_u64(buf, r.retained);
+                    put_str(&mut buf, &r.run);
+                    put_u32(&mut buf, r.topics);
+                    put_u64(&mut buf, r.retained);
                     buf.push(u8::from(r.completed));
                 }
             }
             Frame::RunGcReply { seq, runs, topics } => {
                 buf.push(0x87);
-                put_u64(buf, *seq);
-                put_u32(buf, *runs);
-                put_u32(buf, *topics);
+                put_u64(&mut buf, *seq);
+                put_u32(&mut buf, *runs);
+                put_u32(&mut buf, *topics);
             }
             Frame::StatsReply { seq, stats } => {
                 buf.push(0x88);
-                put_u64(buf, *seq);
-                put_u32(buf, stats.len() as u32);
+                put_u64(&mut buf, *seq);
+                put_u32(&mut buf, stats.len() as u32);
                 for row in stats {
-                    put_str(buf, &row.name);
-                    put_str(buf, &row.label);
-                    put_u64(buf, row.value);
+                    put_str(&mut buf, &row.name);
+                    put_str(&mut buf, &row.label);
+                    put_u64(&mut buf, row.value);
                 }
             }
             Frame::ReceiptList {
@@ -531,29 +523,28 @@ impl Frame {
                 receipts,
             } => {
                 buf.push(0x93);
-                put_u64(buf, *seq_first);
-                put_u32(buf, receipts.len() as u32);
+                put_u64(&mut buf, *seq_first);
+                put_u32(&mut buf, receipts.len() as u32);
                 for r in receipts {
-                    put_u32(buf, r.partition);
-                    put_u64(buf, r.offset);
+                    put_u32(&mut buf, r.partition);
+                    put_u64(&mut buf, r.offset);
                 }
             }
             Frame::Events { sub, messages } => {
                 buf.push(0x91);
-                put_u64(buf, *sub);
-                put_u32(buf, messages.len() as u32);
+                put_u64(&mut buf, *sub);
+                put_u32(&mut buf, messages.len() as u32);
                 for m in messages {
-                    put_message(buf, m);
+                    put_message(&mut buf, m);
                 }
             }
         }
-        let body_len = buf.len() - start - 4;
+        let body_len = buf.len() - 4;
         if body_len > MAX_FRAME {
-            buf.truncate(start);
             return Err(WireError::Oversized { len: body_len });
         }
-        buf[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes());
-        Ok(buf.len() - start)
+        buf[..4].copy_from_slice(&(body_len as u32).to_be_bytes());
+        Ok(buf)
     }
 
     /// Decode one frame *body* (the bytes after the length prefix).
@@ -1113,11 +1104,6 @@ mod tests {
             payload: Bytes::from(vec![0u8; MAX_FRAME + 1]),
         };
         assert!(matches!(frame.encode(), Err(WireError::Oversized { .. })));
-        // Appended to frames already queued, it leaves them as they were.
-        let mut queued = Frame::Stats { seq: 1 }.encode().unwrap();
-        let before = queued.clone();
-        assert!(frame.encode_into(&mut queued).is_err());
-        assert_eq!(queued, before);
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //!   [`MAX_RECEIPT_RUN`] or the end of the turn cuts the run.
 //! * **Appends.** An APPEND is the publish of a topic's only writer,
 //!   numbered by the writer: the broker's [`Broker::append_many`] puts it
-//!   at its partition's end, skips it below the end — a re-send of a
-//!   record whose receipt was lost — and refuses it past the end. It is
-//!   acked in the same receipt run as a publish, at the record's offset,
-//!   or at the partition's end when refused, which is how a writer
-//!   learns the end.
+//!   at its partition's end, skips it below the end when the record
+//!   there is the same — a re-send of a record whose receipt was lost —
+//!   and refuses it past the end. It is acked in the same receipt run as
+//!   a publish, at the record's offset, or at the partition's end when
+//!   it would leave a gap. Below the end, another record there — a
+//!   second writer moved the end — refuses it with an ERROR.
 //! * **Backpressure.** A drain onto an out buffer past [`OUT_HIGH_WATER`]
 //!   (the turn's unflushed bytes included) parks the subscription, its
 //!   schedule bit held so deliveries do not wake it, until the buffer
@@ -930,8 +931,8 @@ mod tests {
         let resent = vec![append(1, 0, b"a"), append(2, 1, b"b"), append(3, 2, b"c")];
         assert!(d.turn(1, resent));
         assert_eq!(d.sent(1), [receipts(1, &[0, 1, 2])]);
-        // Past the end: refused, answered with the end, and the
-        // connection stays. A probe at the last offset learns the end.
+        // Past the end, however far: refused, answered with the end,
+        // and the connection stays.
         assert!(d.turn(1, vec![append(4, 7, b"x"), append(5, u64::MAX, b"")]));
         assert_eq!(d.sent(1), [receipts(4, &[3, 3])]);
         let log = d.broker.fetch("t", 0, 0, 10).unwrap();
@@ -946,6 +947,36 @@ mod tests {
         };
         assert!(d.turn(1, vec![unknown]));
         assert!(matches!(d.sent(1)[..], [Frame::Error { seq: 6, .. }]));
+    }
+
+    #[test]
+    fn an_append_below_the_end_that_differs_from_the_record_there_is_refused() {
+        let mut d = Daemon::new(LogBroker::new(), None);
+        d.open(1);
+        // A second writer took offset 0 first.
+        d.broker
+            .publish("t", None, Bytes::from_static(b"other"))
+            .unwrap();
+        assert!(d.turn(1, vec![append(1, 0, b"mine"), append(2, 1, b"next")]));
+        match &d.sent(1)[..] {
+            [Frame::Error { seq: 1, message }, Frame::ReceiptList {
+                seq_first: 2,
+                receipts,
+            }] => {
+                assert!(message.contains("holds another record"), "{message}");
+                assert_eq!(
+                    receipts[..],
+                    [Receipt {
+                        partition: 0,
+                        offset: 1
+                    }]
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+        let log = d.broker.fetch("t", 0, 0, 10).unwrap();
+        let payloads: Vec<&[u8]> = log.iter().map(|m| &m.payload[..]).collect();
+        assert_eq!(payloads, [&b"other"[..], b"next"]);
     }
 
     #[test]
